@@ -4,13 +4,13 @@ Scale knobs (environment variables):
 
 * ``REPRO_BENCH_RECORDS`` / ``REPRO_BENCH_OPS`` -- YCSB scale per phase
   (defaults 300 / 800; throughput in simulated time is scale-invariant
-  well below the paper's 2M operations, see EXPERIMENTS.md).
+  well below the paper's 2M operations, see docs/benchmarks.md).
 * ``REPRO_BENCH_FULL=1`` -- run the full Figure 2 sweep to 128k keys and
   the 1M-key fast-expiry extension (minutes of wall time instead of
   seconds).
 
 Every benchmark writes its rendered table into ``bench_results/`` so the
-paper-vs-measured record in EXPERIMENTS.md can be regenerated.
+paper-vs-measured record in docs/benchmarks.md can be regenerated.
 """
 
 import os

@@ -1,4 +1,4 @@
-"""Ablation studies over the design choices DESIGN.md calls out.
+"""Ablation studies over the design choices docs/architecture.md calls out.
 
 These go beyond the paper's plotted data to map the spectrum it argues
 for in prose:

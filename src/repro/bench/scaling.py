@@ -343,12 +343,11 @@ def run_concurrency_cell(shards: int, clients: int, arrival_rate: float,
                          gdpr: bool, record_count: int = 100,
                          operation_count: int = 400,
                          seed: int = 42) -> ConcurrencyCell:
-    """One open-loop point: an event-driven cluster of ``shards``
-    event-loop servers, ``clients`` concurrent simulated clients, and a
-    YCSB-B stream admitted at ``arrival_rate`` ops/s."""
+    """One open-loop point: a cluster of ``shards`` single-core shards,
+    ``clients`` concurrent simulated clients, and a YCSB-B stream
+    admitted at ``arrival_rate`` ops/s."""
     cluster = build_cluster(shards, store_factory=_store_factory(gdpr),
-                            latency=RAW_ONE_WAY_LATENCY,
-                            event_driven=True)
+                            latency=RAW_ONE_WAY_LATENCY)
     spec = WORKLOAD_B.scaled(record_count=record_count,
                              operation_count=operation_count)
     runner = OpenLoopRunner(cluster, spec, clients=clients,
@@ -416,7 +415,7 @@ def latency_vs_load(rates: Sequence[float] = DEFAULT_HOCKEY_RATES,
                     shards: int = 1, clients: int = 8,
                     gdpr: bool = False, record_count: int = 100,
                     operation_count: int = 400,
-                    cores: Optional[int] = None,
+                    cores: int = 1,
                     adaptive_batch: bool = False,
                     dispatch_overhead: float = 0.0,
                     request_distribution: Optional[str] = None,
@@ -426,19 +425,17 @@ def latency_vs_load(rates: Sequence[float] = DEFAULT_HOCKEY_RATES,
     offered load.
 
     Each point admits the same YCSB-B stream at a different arrival
-    rate against a fresh event-driven cluster.  Below the service-time
-    ceiling (~1 / per-command cost per shard) latency is flat -- wire
-    plus service; past it the backlog grows for as long as admission
+    rate against a fresh cluster.  Below the service-time ceiling
+    (~1 / per-command cost per shard) latency is flat -- wire plus
+    service; past it the backlog grows for as long as admission
     continues and p99 latency bends sharply upward.  Offered load is
     independent of completions, so the curve shows the knee a
     closed-loop driver structurally cannot produce.
 
-    ``cores`` adds the multi-core axis: each shard dispatches to that
-    many simulated cores behind its event loop (``cores=None`` keeps
-    the single-loop legacy path byte-for-byte), ``adaptive_batch``
-    turns the per-worker batching controller on, and
-    ``dispatch_overhead`` charges a fixed cost per dispatch so batching
-    has something to amortize.
+    ``cores`` is the multi-core axis: each shard dispatches to that
+    many simulated cores, ``adaptive_batch`` turns the per-worker
+    batching controller on, and ``dispatch_overhead`` charges a fixed
+    cost per dispatch so batching has something to amortize.
 
     ``request_distribution`` overrides the workload's key popularity
     ("zipfian" / "uniform" / "latest"; ``None`` keeps YCSB-B's default
@@ -449,8 +446,7 @@ def latency_vs_load(rates: Sequence[float] = DEFAULT_HOCKEY_RATES,
     rows = []
     for rate in rates:
         cluster = build_cluster(shards, store_factory=_store_factory(gdpr),
-                                latency=RAW_ONE_WAY_LATENCY,
-                                event_driven=True, workers=cores,
+                                latency=RAW_ONE_WAY_LATENCY, workers=cores,
                                 adaptive_batch=adaptive_batch,
                                 dispatch_overhead=dispatch_overhead,
                                 placement=True if placement else None)
@@ -463,25 +459,20 @@ def latency_vs_load(rates: Sequence[float] = DEFAULT_HOCKEY_RATES,
                                 arrival_rate=rate, seed=seed)
         runner.preload()
         report = runner.run(operation_count)
-        row = {
+        pools = [node.pool for node in cluster.nodes]
+        rows.append({
             "offered": rate,
             "completed_per_s": report.throughput,
             "p50_latency": report.latency.percentile(50),
             "p99_latency": report.latency.percentile(99),
             "max_backlog": float(report.max_backlog),
-        }
-        if cores is not None:
-            pools = [node.pool for node in cluster.nodes
-                     if node.pool is not None]
-            row["worker_q99"] = tuple(
+            "worker_q99": tuple(
                 worker["p99_queue_delay"]
-                for pool in pools for worker in pool.worker_rows())
-            row["rebalances"] = sum(
-                len(pool.rebalances) for pool in pools)
-            row["splits"] = sum(
-                len(event.split_slots)
-                for pool in pools for event in pool.rebalances)
-        rows.append(row)
+                for pool in pools for worker in pool.worker_rows()),
+            "rebalances": sum(len(pool.rebalances) for pool in pools),
+            "splits": sum(len(event.split_slots)
+                          for pool in pools for event in pool.rebalances),
+        })
     return rows
 
 
@@ -549,10 +540,7 @@ def _per_core_q99(row: Dict[str, float]) -> str:
     """Render a sweep row's per-worker queue-delay p99s (us) as a
     compact ``a/b/...`` cell -- the column that makes skew imbalance
     visible per core instead of hiding inside the pool-wide EWMA."""
-    delays = row.get("worker_q99")
-    if not delays:
-        return "-"
-    return "/".join(f"{delay * 1e6:.1f}" for delay in delays)
+    return "/".join(f"{delay * 1e6:.1f}" for delay in row["worker_q99"])
 
 
 def workers_table(sweeps: Sequence[WorkerSweep]) -> str:
@@ -613,12 +601,12 @@ class SkewSweep:
     @property
     def rebalances(self) -> int:
         """Rebalance events fired across every rate of the sweep."""
-        return sum(int(row.get("rebalances", 0)) for row in self.rows)
+        return sum(int(row["rebalances"]) for row in self.rows)
 
     @property
     def splits(self) -> int:
         """Hot slots read-split across every rate of the sweep."""
-        return sum(int(row.get("splits", 0)) for row in self.rows)
+        return sum(int(row["splits"]) for row in self.rows)
 
 
 def run_workers_skew(core_counts: Sequence[int] = (1, 2, 4),
@@ -673,8 +661,8 @@ def workers_skew_table(sweeps: Sequence[SkewSweep]) -> str:
                 round(row["p99_latency"] * 1e6, 1),
                 int(row["max_backlog"]),
                 _per_core_q99(row),
-                int(row.get("rebalances", 0)),
-                int(row.get("splits", 0)),
+                int(row["rebalances"]),
+                int(row["splits"]),
             ])
     return render_table(
         ["cores", "dist", "place", "offered/s", "ops/s",
@@ -748,8 +736,7 @@ def run_autoscale_demo(rates: Sequence[float] = (30_000.0, 90_000.0,
     """
     cluster = build_cluster(2, slot_map=SlotMap.even(1),
                             store_factory=_store_factory(False),
-                            latency=RAW_ONE_WAY_LATENCY,
-                            event_driven=True, workers=1)
+                            latency=RAW_ONE_WAY_LATENCY)
     keys = [build_key_name(number) for number in range(record_count)]
 
     def spill(_scaler: Autoscaler, _target: int) -> str:
@@ -854,8 +841,8 @@ def run_replication_cell(shards: int, replicas: int, delay: float,
     """
     cluster = build_cluster(shards, store_factory=_store_factory(gdpr),
                             latency=RAW_ONE_WAY_LATENCY)
-    # Timer pumps on the per-shard clocks: replicas apply continuously
-    # as shard time advances, so the stale-read sample reflects the
+    # Timer pumps on the cluster clock: replicas apply continuously as
+    # time advances, so the stale-read sample reflects the
     # delay window rather than an ever-growing backlog.
     replication = cluster.attach_replication(replicas_per_shard=replicas,
                                              delay=delay,

@@ -87,8 +87,7 @@ def _make_cluster():
             clock=node_clock)
 
     cluster = build_cluster(SHARDS, store_factory=store_factory,
-                            clock=clock, event_driven=True,
-                            tenant_gate=gate)
+                            clock=clock, tenant_gate=gate)
     return cluster, gate, clock
 
 

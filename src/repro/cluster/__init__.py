@@ -10,8 +10,9 @@ fans subject rights and crypto-erasure out across shards
 (:mod:`repro.cluster.sharded_store`), **per-shard replication
 groups** with a cluster-wide erasure horizon and replica-set handoff at
 slot migration (:mod:`repro.cluster.replication`), **multi-core shard
-execution** -- K simulated cores per shard behind one event loop, with
-adaptive batching (:mod:`repro.cluster.workers`) -- and a
+execution** -- every shard is an event-driven server behind K >= 1
+simulated cores, with adaptive batching (:mod:`repro.cluster.workers`)
+-- and a
 **queueing-delay autoscaler** that raises worker counts and triggers
 live shard-adds under load (:mod:`repro.cluster.autoscale`).
 
@@ -33,11 +34,9 @@ Layer-wide invariants (each module's docstring details its own):
 """
 
 from .client import (
-    BufferedTransport,
     ClusterClient,
     ClusterNode,
     ClusterStoreServer,
-    EventClusterStoreServer,
     KEYLESS_COMMANDS,
     MULTI_KEY_COMMANDS,
     Pipeline,
@@ -80,11 +79,9 @@ __all__ = [
     "SlotMap",
     "hash_tag",
     "slot_for_key",
-    "BufferedTransport",
     "ClusterClient",
     "ClusterNode",
     "ClusterStoreServer",
-    "EventClusterStoreServer",
     "Pipeline",
     "build_cluster",
     "command_keys",

@@ -5,17 +5,19 @@ simulated channel and RESP server, and routes every command to the shard
 owning its key's hash slot.  Three things make it more than a router:
 
 * **Pipelining** -- :meth:`ClusterClient.pipeline` batches many requests
-  into *one* transmit per shard per round trip (and the server's replies
-  are coalesced the same way), so the simulated clock charges the channel
-  latency once per batch instead of once per request -- exactly the
+  into *one* transmit per shard per round trip, so the channel latency is
+  paid once per batch instead of once per request -- exactly the
   economics that make ``redis-benchmark -P`` and real pipelined clients
-  fast.
-* **Shard parallelism** -- with per-shard clocks (the default built by
-  :func:`build_cluster`), a batch's elapsed time is the *maximum* over the
-  shards it touched, not the sum: shards are independent machines working
-  concurrently, as in a real shared-nothing cluster.  After every round
-  trip all clocks are re-synchronized to the cluster-wide time, so
-  per-shard background work (fsync, cron) stays coherent.
+  fast.  Each reply leaves the shard when its command's service time has
+  elapsed and travels while the shard works on the next one.
+* **Shard parallelism** -- every shard is an event-driven server behind a
+  worker pool (:mod:`repro.cluster.workers`) on **one** shared scheduler
+  clock.  The client transmits every shard's batch first and then drives
+  the scheduler until all replies are in, so a batch's elapsed time is
+  that of the slowest shard it touched, not the sum: shards are
+  independent machines whose events interleave on one heap.  Closed
+  loop is simply this core driven by one client with its batch
+  outstanding.
 * **Topology discovery** -- the client routes from its *own cached* view
   of the slot map, while each shard's :class:`ClusterStoreServer` checks
   requests against the authoritative :class:`~repro.cluster.slots.SlotMap`
@@ -42,7 +44,7 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..common.clock import Clock, SimClock
+from ..common.clock import Clock, ShardClock, SimClock
 from ..common.errors import (
     AskError,
     ClusterError,
@@ -52,13 +54,11 @@ from ..common.errors import (
     RedirectLoopError,
     StoreError,
 )
-from ..common.resp import RespDecoder, RespError, encode, encode_command
+from ..common.resp import RespError, encode, encode_command
 from ..kvstore.commands import normalize_args
 from ..kvstore.server import (
-    BufferedTransport,
     EventConnection,
     EventLoopMixin,
-    RawTransport,
     ServerConnection,
     StoreServer,
     resp_error_from_store_error,
@@ -158,8 +158,13 @@ def parse_redirect(reply: Any) -> Optional[RedirectError]:
 _parse_redirect = parse_redirect
 
 
-class ClusterStoreServer(StoreServer):
-    """A shard's RESP server, aware of the authoritative slot map.
+class ClusterStoreServer(EventLoopMixin, StoreServer):
+    """A shard's event-driven RESP server, aware of the authoritative
+    slot map.  Connection intake, deferred reply flushing and the
+    cron-as-timer-events machinery come from
+    :class:`~repro.kvstore.server.EventLoopMixin`; dispatch belongs to
+    the ``pool`` (a :class:`~repro.cluster.workers.WorkerPool`) the
+    server is constructed with.
 
     Before executing a keyed command, the server checks the request's hash
     slot against the shared :class:`SlotMap` (the role ``clusterState``
@@ -186,7 +191,7 @@ class ClusterStoreServer(StoreServer):
     keyspace" and "database 0" as the same thing.
     """
 
-    def __init__(self, store: StorageEngine, shard_index: int = 0,
+    def __init__(self, store: StorageEngine, pool, shard_index: int = 0,
                  slot_map: Optional[SlotMap] = None) -> None:
         super().__init__(store)
         self.shard_index = shard_index
@@ -194,6 +199,7 @@ class ClusterStoreServer(StoreServer):
         # Multi-tenant admission (attach_tenant_gate): one shared
         # TenantGate fronts the whole cluster; None = tenancy off.
         self.tenant_gate = None
+        self._init_event_loop(pool)
 
     def attach_tenant_gate(self, gate) -> None:
         """Install the cluster's shared
@@ -354,128 +360,57 @@ class ClusterStoreServer(StoreServer):
         return reply - imported
 
 
-class EventClusterStoreServer(EventLoopMixin, ClusterStoreServer):
-    """A shard's slot-aware RESP server running on the event loop.
-
-    Slot checking, redirects, and reply filters come from
-    :class:`ClusterStoreServer`; connection multiplexing, one-command-per-
-    tick fairness, deferred reply flushing, and the cron-as-timer-events
-    machinery come from :class:`~repro.kvstore.server.EventLoopMixin`.
-    """
-
-    def __init__(self, store: StorageEngine, scheduler: SimClock,
-                 shard_index: int = 0,
-                 slot_map: Optional[SlotMap] = None) -> None:
-        super().__init__(store, shard_index=shard_index, slot_map=slot_map)
-        self._init_event_loop(scheduler)
-
-
 class ClusterNode:
-    """One shard: a store behind its own channel and slot-aware server.
+    """One shard: a store behind its channel, slot-aware server and
+    worker pool, all on the pool's scheduler.
 
-    Two wiring modes, chosen by ``scheduler``:
-
-    * **synchronous** (``scheduler=None``): the classic closed-loop shard
-      -- :meth:`execute_batch` pumps the server inline and the channel
-      charges its clock directly;
-    * **event-driven**: the shard runs an :class:`EventClusterStoreServer`
-      on the shared ``scheduler`` timeline.  The store's own clock is the
-      shard's *service-time meter*: commands still charge their CPU/AOF
-      cost to it, but coordination happens through scheduled events, so
-      shards overlap in simulated time because their events interleave in
-      one heap -- not because anyone max()es per-shard clocks afterwards.
+    The store's own clock (a :class:`~repro.common.clock.ShardClock`) is
+    the shard's *service-time meter*: commands charge their CPU/AOF cost
+    to it, but coordination happens through scheduled events, so shards
+    overlap in simulated time because their events interleave in one
+    heap.  The node keeps one client connection of its own (what
+    :class:`ClusterClient` talks through); :meth:`connect` opens more.
     """
 
     def __init__(self, index: int, store: StorageEngine,
-                 channel: Channel,
-                 slot_map: Optional[SlotMap] = None,
-                 scheduler: Optional[SimClock] = None) -> None:
+                 channel: Channel, pool,
+                 slot_map: Optional[SlotMap] = None) -> None:
         self.index = index
         self.store = store
         self.clock = store.clock
         self.channel = channel
-        self.scheduler = scheduler
-        self.pool = None            # WorkerPool when multi-core (see workers)
-        client_end, server_end = channel.endpoints()
-        if scheduler is not None:
-            if not channel.event_driven:
-                raise ClusterError(
-                    "an event-driven node needs an event-driven channel")
-            self.server = EventClusterStoreServer(
-                store, scheduler, shard_index=index, slot_map=slot_map)
-            self.server.accept_endpoint(server_end)
-            self.server.start_cron()
-            self._client_endpoint = client_end
-            self._client_transport = RawTransport(client_end)
-            self._replies: List[Any] = []
-            self._decoder = RespDecoder()
-            client_end.set_receiver(self._on_reply_data)
-            self.server_out = None
-        else:
-            self.server = ClusterStoreServer(store, shard_index=index,
-                                             slot_map=slot_map)
-            self.server_out = BufferedTransport(RawTransport(server_end))
-            self.server.accept(self.server_out)
-            self._client_transport = RawTransport(client_end)
-            self._decoder = RespDecoder()
-
-    # -- event-mode plumbing -----------------------------------------------
-
-    def _on_reply_data(self) -> None:
-        self._decoder.feed(self._client_endpoint.recv())
-        self._replies.extend(self._decoder.drain())
+        self.pool = pool
+        self.scheduler: SimClock = pool.scheduler
+        self.server = ClusterStoreServer(store, pool, shard_index=index,
+                                         slot_map=slot_map)
+        self._connection = EventConnection(self.server, channel=channel)
+        self.server.start_cron()
 
     def send_batch(self, batch: Sequence[List[bytes]]) -> None:
-        """Transmit a pipelined batch without waiting (event mode): the
-        requests travel as one message and the shard works them off its
-        own queue while other shards do the same."""
-        payload = b"".join(encode_command(*argv) for argv in batch)
-        self._client_transport.send(payload)
+        """Transmit a pipelined batch without waiting: the requests
+        travel as one message and the shard works them off its own queue
+        while other shards do the same."""
+        self._connection.send_raw(
+            b"".join(encode_command(*argv) for argv in batch))
 
     def await_replies(self, count: int) -> List[Any]:
         """Drive the shared scheduler until ``count`` replies from this
-        shard have arrived (other shards' events interleave freely).
-
-        Stops on live events, not on ``run_next`` truthiness: recurring
-        daemon work (the cron) reschedules itself forever, so "the heap
-        is non-empty" can never mean "a reply is still coming".
-        """
-        while len(self._replies) < count:
-            if self.scheduler.pending_live_events() == 0:
-                raise RespError("ERR no reply received")
-            self.scheduler.run_next()
-        out = self._replies[:count]
-        del self._replies[:count]
-        return out
+        shard have arrived (other shards' events interleave freely);
+        raises if they can no longer come."""
+        return self._connection.await_replies(count)
 
     def connect(self) -> EventConnection:
-        """A new client connection to this shard (event mode only); the
-        open-loop generator gives each simulated client its own."""
-        if self.scheduler is None:
-            raise ClusterError(
-                "per-client connections need an event-driven node")
+        """A new client connection to this shard; the open-loop
+        generator gives each simulated client its own."""
         return EventConnection(self.server,
                                bandwidth_bps=self.channel.bandwidth_bps,
                                latency=self.channel.latency)
 
     def execute_batch(self, batch: Sequence[List[bytes]]) -> List[Any]:
-        """One round trip: all requests in one transmit, all replies in
-        one transmit, replies returned in request order."""
-        if self.scheduler is not None:
-            self.send_batch(batch)
-            return self.await_replies(len(batch))
-        payload = b"".join(encode_command(*argv) for argv in batch)
-        self._client_transport.send(payload)
-        self.server.pump()
-        self.server_out.flush()
-        self._decoder.feed(self._client_transport.recv_available())
-        replies = []
-        for _ in batch:
-            found, value = self._decoder.next_value()
-            if not found:
-                raise RespError("ERR no reply received")
-            replies.append(value)
-        return replies
+        """One round trip: all requests in one transmit, replies
+        returned in request order."""
+        self.send_batch(batch)
+        return self.await_replies(len(batch))
 
 
 class Pipeline:
@@ -548,24 +483,12 @@ class ClusterClient:
                 f"slot map references shard "
                 f"{self.slots.num_shards - 1} but only "
                 f"{len(self.nodes)} nodes exist")
-        self.clock = clock if clock is not None else SimClock()
-        # getattr: tests drive the client with duck-typed fake nodes.
-        self.event_driven = any(
-            getattr(node, "scheduler", None) is not None
-            for node in self.nodes)
-        if self.event_driven:
-            if not all(getattr(node, "scheduler", None) is not None
-                       for node in self.nodes):
-                raise ClusterError(
-                    "cannot mix event-driven and synchronous nodes")
-            schedulers = {id(node.scheduler) for node in self.nodes}
-            if len(schedulers) > 1:
-                raise ClusterError(
-                    "event-driven nodes must share one scheduler")
-            if self.nodes[0].scheduler is not self.clock:
-                raise ClusterError(
-                    "an event-driven cluster's clock must be the shared "
-                    "scheduler")
+        self.clock = clock if clock is not None \
+            else self.nodes[0].scheduler
+        if any(node.scheduler is not self.clock for node in self.nodes):
+            raise ClusterError(
+                "every node must run on one shared scheduler, and it "
+                "must be the cluster's clock")
         self.max_redirects = max_redirects
         self.moved_redirects = 0
         self.ask_redirects = 0
@@ -646,9 +569,9 @@ class ClusterClient:
                            pump_interval: Optional[float] = None,
                            replica_factory=None):
         """Give every shard a replication group (see
-        :mod:`repro.cluster.replication`).  Links live on each shard's
-        own clock -- the shared scheduler in event mode -- so delivery
-        times sit on the timeline the shard's writes happen on.  With
+        :mod:`repro.cluster.replication`).  Links live on the shared
+        scheduler, so delivery times sit on the timeline the shard's
+        writes happen on.  With
         ``pump_interval``, groups pump themselves from daemon timer
         events.  Slot migrations then hand replica sets off at the flip
         (``MigrationReceipt.replicas_synced``)."""
@@ -658,9 +581,7 @@ class ClusterClient:
             raise ClusterError("replication is already attached")
         self.replication = ClusterReplication.attach(
             self.clock,
-            [(node.index, node.store,
-              self.clock if self.event_driven else node.store.clock)
-             for node in self.nodes],
+            [(node.index, node.store, self.clock) for node in self.nodes],
             replicas_per_shard=replicas_per_shard, delay=delay,
             delays=delays, pump_interval=pump_interval,
             replica_factory=replica_factory)
@@ -716,11 +637,8 @@ class ClusterClient:
         from .replication import queue_touches
 
         # Replica delivery proceeds with cluster time whether or not the
-        # primary path has touched this shard lately: bring the link
-        # clock (per-shard in sync mode) up to now and apply whatever is
+        # primary path has touched this shard lately: apply whatever is
         # due, so only genuinely in-flight commands can count as stale.
-        if group.clock is not self.clock:
-            group.clock.sleep_until(self.clock.now())
         group.pump()
         link = group.links[self._replica_rng.randrange(len(group.links))]
         self.replica_reads += 1
@@ -839,11 +757,9 @@ class ClusterClient:
         """One concurrent round trip: every entry's request reaches its
         shard (ASKING-prefixed where flagged) and its reply is stored.
 
-        Event-driven clusters transmit every shard's batch *first* and
-        then drive the shared scheduler until all replies are in: shard
-        overlap is literally the interleaving of their events on one
-        heap.  Synchronous clusters serve each shard inline on its own
-        clock and take the max afterwards (the pre-event-core model).
+        Every shard's batch is transmitted *first*, then the shared
+        scheduler is driven until all replies are in: shard overlap is
+        literally the interleaving of their events on one heap.
         """
         per_shard: Dict[int, List[Tuple[Optional[_Request],
                                         List[bytes]]]] = {}
@@ -854,37 +770,19 @@ class ClusterClient:
             if entry.asking:
                 batch.append((None, [b"ASKING"]))
             batch.append((entry, entry.argv))
-        if self.event_driven:
-            for shard, batch in per_shard.items():
-                self.nodes[shard].send_batch(
-                    [argv for _, argv in batch])
-            for shard, batch in per_shard.items():
-                replies = self.nodes[shard].await_replies(len(batch))
-                for (entry, _), reply in zip(batch, replies):
-                    if entry is not None:
-                        entry.reply = reply
-            return
-        start = self.clock.now()
-        finish = start
         for shard, batch in per_shard.items():
-            node = self.nodes[shard]
-            node.clock.sleep_until(start)
-            node.store.tick()
-            for (entry, _), reply in zip(
-                    batch,
-                    node.execute_batch([argv for _, argv in batch])):
+            self.nodes[shard].send_batch([argv for _, argv in batch])
+        for shard, batch in per_shard.items():
+            replies = self.nodes[shard].await_replies(len(batch))
+            for (entry, _), reply in zip(batch, replies):
                 if entry is not None:
                     entry.reply = reply
-            finish = max(finish, node.clock.now())
-        self.clock.sleep_until(finish)
 
     def sync(self) -> float:
-        """Bring every shard clock up to cluster time (idle shards pass
-        simulated time too); returns the synchronized time.  An
-        event-driven cluster first drains in-flight (non-daemon) events
-        so nothing is mid-air when the timeline is squared up."""
-        if self.event_driven:
-            self.clock.run_until_idle()
+        """Drain in-flight (non-daemon) events so nothing is mid-air,
+        then bring every shard clock up to cluster time (idle shards
+        pass simulated time too); returns the synchronized time."""
+        self.clock.run_until_idle()
         now = max([self.clock.now()]
                   + [node.clock.now() for node in self.nodes])
         self.clock.sleep_until(now)
@@ -911,13 +809,12 @@ StoreFactory = Callable[[int, Clock], StorageEngine]
 
 def build_cluster(num_shards: int,
                   store_factory: Optional[StoreFactory] = None,
-                  clock: Optional[Clock] = None,
-                  parallel: bool = True,
+                  clock: Optional[SimClock] = None,
                   bandwidth_bps: float = RAW_BANDWIDTH_BPS,
                   latency: float = LAN_LATENCY,
                   slot_map: Optional[SlotMap] = None,
-                  event_driven: bool = False,
-                  workers: Optional[int] = None,
+                  event_driven: bool = True,
+                  workers: int = 1,
                   dispatch_overhead: float = 0.0,
                   adaptive_batch: bool = False,
                   max_batch: int = 32,
@@ -925,84 +822,64 @@ def build_cluster(num_shards: int,
                   tenant_gate=None) -> ClusterClient:
     """Wire up a ready-to-use cluster.
 
-    ``event_driven=True`` puts every shard behind an event-loop server on
-    **one** shared scheduler clock: channels deliver bytes as scheduled
-    events, each shard executes one command per loop tick, and per-shard
-    parallelism falls out of event interleaving.  Each shard's store
-    still runs on its own clock, but that clock is now only the shard's
-    service-time meter.
-
-    ``workers=K`` (event mode only) gives every shard a
-    :class:`~repro.cluster.workers.WorkerPool` of K simulated cores over
-    a :class:`~repro.common.clock.ShardClock` meter; the pool hangs off
-    ``node.pool``.  ``workers=None`` (the default) keeps the classic
-    single-loop dispatch byte-for-byte.  ``dispatch_overhead`` /
-    ``adaptive_batch`` / ``max_batch`` parameterize the pool's batching
-    controller.  ``placement=True`` (or an explicit
-    :class:`~repro.cluster.workers.PlacementPolicy`) turns on
+    Every shard sits behind an event-driven server on **one** shared
+    scheduler clock (``clock``, a fresh :class:`SimClock` by default):
+    channels deliver bytes as scheduled events and per-shard parallelism
+    falls out of event interleaving.  Each shard's store runs on its own
+    :class:`~repro.common.clock.ShardClock`, the shard's service-time
+    meter, split across the ``workers`` simulated cores of its
+    :class:`~repro.cluster.workers.WorkerPool` (``node.pool``); the
+    default single core executes one command per tick, as Redis does.
+    ``dispatch_overhead`` / ``adaptive_batch`` / ``max_batch``
+    parameterize the pool's batching controller.  ``placement=True`` (or
+    an explicit :class:`~repro.cluster.workers.PlacementPolicy`) turns on
     skew-aware slot placement -- hot-slot tracking, quiescence-point
     rebalancing and read splitting -- per pool; the default ``None``
-    keeps the static ``slot % K`` partition byte-for-byte.
+    keeps the static ``slot % K`` partition.
 
-    Otherwise ``parallel=True`` (the default) gives each shard its own
-    clock so batches cost max-over-shards time; ``parallel=False`` shares
-    one clock across every shard -- fully serialized, useful for tests
-    that want a single timeline.
+    ``event_driven`` is a vestige: the synchronous cluster is gone, and
+    the keyword survives, with ``True`` as its only legal value, until
+    the frozen benchmark stops passing it.
     """
-    master = clock if clock is not None else SimClock()
-    if event_driven and not hasattr(master, "schedule_at"):
+    from .workers import PlacementPolicy, WorkerPool, WorkerPoolConfig
+
+    if not event_driven:
         raise ClusterError(
-            "an event-driven cluster needs a scheduling clock (SimClock)")
-    if workers is not None:
-        if not event_driven:
-            raise ClusterError("worker pools need event_driven=True")
-        if workers < 1:
-            raise ClusterError("a shard needs at least one worker")
+            "the synchronous cluster path was removed: every shard is "
+            "event-driven (drop event_driven=False)")
+    master = clock if clock is not None else SimClock()
+    if not hasattr(master, "schedule_at"):
+        raise ClusterError(
+            "a cluster needs a scheduling clock (SimClock)")
+    if workers < 1:
+        raise ClusterError("a shard needs at least one worker")
     if slot_map is None:
         slot_map = SlotMap.even(num_shards)
     if store_factory is None:
         def store_factory(index: int, node_clock: Clock) -> StorageEngine:
             return KeyValueStore(StoreConfig(), clock=node_clock)
+    policy = None
+    if placement is not None and placement is not False:
+        policy = placement if isinstance(placement, PlacementPolicy) \
+            else PlacementPolicy()
     nodes = []
     for index in range(num_shards):
-        if event_driven:
-            if workers is not None:
-                from ..common.clock import ShardClock
-                node_clock: Clock = ShardClock(master.now(), workers=workers)
-            else:
-                node_clock = SimClock(master.now())
-            channel = Channel(clock=master, bandwidth_bps=bandwidth_bps,
-                              latency=latency, event_driven=True)
-        else:
-            node_clock = SimClock(master.now()) if parallel else master
-            channel = Channel(clock=node_clock,
-                              bandwidth_bps=bandwidth_bps,
-                              latency=latency)
+        node_clock = ShardClock(master.now(), workers=workers)
+        channel = Channel(clock=master, bandwidth_bps=bandwidth_bps,
+                          latency=latency, event_driven=True)
         store = store_factory(index, node_clock)
         if store.clock is not node_clock:
             raise ClusterError(
                 "store_factory must build the store on the clock it is "
-                "given (shard time and channel time must agree)")
-        node = ClusterNode(index, store, channel,
-                           slot_map=slot_map,
-                           scheduler=master if event_driven else None)
+                "given (the shard's service-time meter)")
+        pool = WorkerPool(node_clock, master, WorkerPoolConfig(
+            workers=workers,
+            dispatch_overhead=dispatch_overhead,
+            adaptive_batch=adaptive_batch,
+            max_batch=max_batch,
+            placement=policy))
+        node = ClusterNode(index, store, channel, pool, slot_map=slot_map)
         if tenant_gate is not None:
             node.server.attach_tenant_gate(tenant_gate)
-        if workers is not None:
-            from .workers import (
-                PlacementPolicy, WorkerPool, WorkerPoolConfig)
-            policy = None
-            if placement is not None and placement is not False:
-                policy = placement if isinstance(placement,
-                                                 PlacementPolicy) \
-                    else PlacementPolicy()
-            pool = WorkerPool(node_clock, WorkerPoolConfig(
-                workers=workers,
-                dispatch_overhead=dispatch_overhead,
-                adaptive_batch=adaptive_batch,
-                max_batch=max_batch,
-                placement=policy))
-            node.server.attach_workers(pool)
-            node.pool = pool
         nodes.append(node)
     return ClusterClient(nodes, slot_map=slot_map, clock=master)

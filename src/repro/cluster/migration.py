@@ -384,14 +384,12 @@ class SlotMigrator(_SlotMigrationBase):
 
     def _charge_link(self, nbytes: int) -> None:
         """One source->target hop at the shard link's bandwidth/latency.
-        Both ends are busy for the transfer; with a shared clock
-        (``parallel=False``) that is one advance, not two."""
+        Both ends are busy for the transfer."""
         channel = self._source_node.channel
         cost = channel.latency + nbytes / channel.bandwidth_bps
         self._sync_pair()
         self._source_node.clock.advance(cost)
-        if self._target_node.clock is not self._source_node.clock:
-            self._target_node.clock.advance(cost)
+        self._target_node.clock.advance(cost)
 
     def _copy_key(self, key: bytes) -> Optional[int]:
         self._suspended = True

@@ -1,10 +1,10 @@
 """Multi-core shard execution: a worker pool over the event loop.
 
-The paper's testbed was quad-core, but every shard here used to be one
-event loop == one core, and the hockey-stick artifact shows p99 exploding
-past ~40k offered ops/s.  :class:`WorkerPool` multiplexes K simulated
-cores (:class:`~repro.common.clock.WorkerClock` children of one
-:class:`~repro.common.clock.ShardClock`) over the *same*
+The paper's testbed was quad-core, and with one core per shard the
+hockey-stick artifact shows p99 exploding past ~40k offered ops/s.
+:class:`WorkerPool` is how every cluster shard executes: it multiplexes
+K >= 1 simulated cores (:class:`~repro.common.clock.WorkerClock`
+children of one :class:`~repro.common.clock.ShardClock`) over the *same*
 :class:`~repro.common.clock.SimClock` scheduler, so determinism is
 untouched -- there are still no threads, only more service meters.
 
@@ -47,17 +47,16 @@ decays when the head-of-queue delay is below
 :attr:`WorkerPoolConfig.batch_low_delay`, amortizing the per-dispatch
 overhead exactly where the hockey-stick bends.
 
-With ``workers=1``, batch 1 and zero dispatch overhead, the pool
-reproduces the classic one-command-per-tick loop *exactly*: a command
-starts at ``max(arrival wake-up, previous finish)``, costs the same, and
-its reply flushes at the same instant -- the regression tests pin this.
+With ``workers=1``, batch 1 and zero dispatch overhead (the defaults)
+the pool *is* the classic Redis loop: one command per tick, started at
+``max(arrival wake-up, previous finish)``, its reply flushed when its
+service time has elapsed.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..common.clock import ShardClock, SimClock, WorkerClock
 from ..common.histogram import LatencyHistogram
@@ -385,31 +384,22 @@ class _WorkerState:
         self.aof_seconds = 0.0
 
 
-class _ConnState:
-    """Per-connection intake bookkeeping, parallel to ``conn.pending``:
-    one ``(arrival time, route, readonly)`` entry per queued request,
-    plus the count of dispatched-but-unflushed commands (replies flush
-    only when it returns to zero, preserving RESP reply order -- the
-    same FIFO head that keeps split-read routes in order, since a later
-    command only dispatches after the head popped and flushes only once
-    every in-flight command on the connection completed)."""
-
-    __slots__ = ("intake", "outstanding")
-
-    def __init__(self) -> None:
-        self.intake: Deque[Tuple[float, Any, bool]] = deque()
-        self.outstanding = 0
-
-
 class WorkerPool:
     """K simulated cores executing one shard's commands deterministically.
 
-    Attach with :meth:`EventLoopMixin.attach_workers
-    <repro.kvstore.server.EventLoopMixin.attach_workers>`; the server's
-    store must already be metered by this pool's :class:`ShardClock`.
+    The shard's server is constructed with its pool (see
+    :class:`~repro.cluster.client.ClusterNode`) and binds itself; its
+    store must be metered by this pool's :class:`ShardClock`.  Queue
+    state lives on the server's connections: ``conn.pending`` holds the
+    parsed requests, ``conn.intake`` one ``(arrival time, route,
+    readonly)`` entry per request, and ``conn.outstanding`` the count of
+    dispatched-but-unflushed commands -- only a connection's *head* is
+    dispatchable, and it flushes only once nothing it sent is still in
+    service, so split-read routes and multi-core dispatch both keep
+    replies in request order.
     """
 
-    def __init__(self, shard_clock: ShardClock,
+    def __init__(self, shard_clock: ShardClock, scheduler: SimClock,
                  config: Optional[WorkerPoolConfig] = None) -> None:
         self.config = config or WorkerPoolConfig()
         if self.config.min_batch < 1 or self.config.max_batch < \
@@ -418,9 +408,8 @@ class WorkerPool:
         self.shard_clock = shard_clock
         self.workers: List[_WorkerState] = [
             _WorkerState(clock, self.config) for clock in shard_clock.workers]
-        self.server = None
-        self.scheduler: Optional[SimClock] = None
-        self._states: Dict[int, _ConnState] = {}   # id(conn) -> state
+        self.scheduler = scheduler
+        self.server = None          # set once, by bind()
         self._tick_handle = None
         self._rr_cursor = 0
         self._resize_pending = 0
@@ -453,22 +442,6 @@ class WorkerPool:
                 "ShardClock (otherwise service charges land on the "
                 "wrong core)")
         self.server = server
-        self.scheduler = server.scheduler
-        now = self.scheduler.now()
-        for conn in server.connections:
-            state = self._state(conn)
-            # Requests parsed before the pool attached: treat as arriving
-            # now, routed normally.
-            while len(state.intake) < len(conn.pending):
-                request = conn.pending[len(state.intake)]
-                route, readonly = self.route_memo.classify(request)
-                state.intake.append((now, route, readonly))
-
-    def _state(self, conn) -> _ConnState:
-        state = self._states.get(id(conn))
-        if state is None:
-            state = self._states[id(conn)] = _ConnState()
-        return state
 
     # -- intake (called by the server) --------------------------------------
 
@@ -476,11 +449,10 @@ class WorkerPool:
         """``count`` new requests were just parsed onto ``conn.pending``:
         timestamp them and classify their routes once."""
         now = self.scheduler.now()
-        state = self._state(conn)
         start = len(conn.pending) - count
         for index in range(start, len(conn.pending)):
             route, readonly = self.route_memo.classify(conn.pending[index])
-            state.intake.append((now, route, readonly))
+            conn.intake.append((now, route, readonly))
 
     # -- scheduling ---------------------------------------------------------
 
@@ -533,15 +505,14 @@ class WorkerPool:
                 conn = conns[index]
                 if not conn.pending:
                     continue
-                state = self._state(conn)
-                _, route, readonly = state.intake[0]
+                _, route, readonly = conn.intake[0]
                 candidates = self._resolve(route, readonly)
                 target = candidates[0]
                 if target == BARRIER:
                     if any(w.clock.now() > now for w in self.workers):
                         continue
                     self._rr_cursor = (index + 1) % len(conns)
-                    self._dispatch_barrier(conn, state, now)
+                    self._dispatch_barrier(conn, now)
                     progress = True
                     break
                 if len(candidates) > 1:
@@ -578,14 +549,13 @@ class WorkerPool:
                 conn = conns[(start_index + offset) % len(conns)]
                 if not conn.pending:
                     continue
-                state = self._state(conn)
-                head = state.intake[0]
+                head = conn.intake[0]
                 if target not in self._resolve(head[1], head[2]):
                     continue
-                arrival, route, _ = state.intake.popleft()
+                arrival, route, _ = conn.intake.popleft()
                 batch.append((conn, conn.pending.popleft(), arrival,
                               route))
-                state.outstanding += 1
+                conn.outstanding += 1
                 took = True
                 if len(batch) == limit:
                     break
@@ -622,12 +592,12 @@ class WorkerPool:
             worker.clock.now(), lambda batch=batch: self._complete(batch),
             label="worker-reply")
 
-    def _dispatch_barrier(self, conn, state: _ConnState, now: float) -> None:
+    def _dispatch_barrier(self, conn, now: float) -> None:
         """Run a whole-keyspace command: every core stops, the command's
         cost is charged to all of them, replies depart at the frontier."""
-        arrival, _, _ = state.intake.popleft()
+        arrival, _, _ = conn.intake.popleft()
         request = conn.pending.popleft()
-        state.outstanding += 1
+        conn.outstanding += 1
         for worker in self.workers:
             worker.clock.idle_until(now)
         self._note_delay(self.workers[0], now - arrival)
@@ -668,9 +638,9 @@ class WorkerPool:
         request order) may now leave the NIC.  A connection flushes only
         once nothing it sent is still in service."""
         for conn, _, _, _ in batch:
-            self._state(conn).outstanding -= 1
+            conn.outstanding -= 1
         for conn in self.server.connections:
-            if self._state(conn).outstanding:
+            if conn.outstanding:
                 continue
             flush = getattr(conn.transport, "flush", None)
             if flush is not None:
@@ -686,7 +656,7 @@ class WorkerPool:
         for conn in self.server.connections:
             if not conn.pending:
                 continue
-            _, route, readonly = self._state(conn).intake[0]
+            _, route, readonly = conn.intake[0]
             candidates = self._resolve(route, readonly)
             if candidates[0] == BARRIER:
                 when = max(w.clock.now() for w in self.workers)
@@ -735,8 +705,7 @@ class WorkerPool:
         the keyspace under a running command would break single-writer
         semantics; returns the worker count the pool is heading for."""
         self._resize_pending += 1
-        if self.scheduler is not None:
-            self.wake()
+        self.wake()
         return len(self.workers) + self._resize_pending - self._shed_pending
 
     def remove_worker(self) -> int:
@@ -748,8 +717,7 @@ class WorkerPool:
         if heading <= 1:
             raise ValueError("a shard needs at least one worker")
         self._shed_pending += 1
-        if self.scheduler is not None:
-            self.wake()
+        self.wake()
         return heading - 1
 
     def _apply_resize(self, now: float) -> bool:
@@ -791,8 +759,7 @@ class WorkerPool:
         if not self.rebalancer.imbalanced():
             return False
         self._rebalance_pending = True
-        if self.scheduler is not None:
-            self.wake()
+        self.wake()
         return True
 
     def _apply_rebalance(self, now: float) -> bool:

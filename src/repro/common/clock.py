@@ -21,7 +21,7 @@ identical runs produce identical event traces.
 
 The paper's evaluation ran on a specific Dell testbed; the simulated clock is
 what lets this reproduction report the *ratios* the paper reports on any
-machine (see DESIGN.md section 6).
+machine (see docs/architecture.md, "Execution model").
 """
 
 from __future__ import annotations
@@ -312,9 +312,8 @@ class ShardClock(Clock):
     from request counts.  With ``slot=None`` (the default) the hook is
     bypassed entirely.
 
-    With ``workers=1`` the shard clock is behaviourally identical to the
-    single meter it replaces, which is what pins the worker-count-1
-    regression tests.
+    With ``workers=1`` (every cluster shard's default) the shard clock
+    behaves as one plain meter.
     """
 
     def __init__(self, start: float = 0.0, workers: int = 1) -> None:

@@ -23,12 +23,10 @@ from .server import (
     BufferedTransport,
     EventConnection,
     EventLoopMixin,
-    EventLoopServer,
     RawTransport,
     StoreClient,
     StoreServer,
     TlsTransport,
-    connect_event,
     connect_plain,
     connect_tls,
 )
@@ -66,9 +64,7 @@ __all__ = [
     "TlsTransport",
     "BufferedTransport",
     "EventLoopMixin",
-    "EventLoopServer",
     "EventConnection",
-    "connect_event",
     "connect_plain",
     "connect_tls",
     "snapshot_dump",

@@ -2,22 +2,25 @@
 
 This is the deployment surface the paper's encryption experiment measures:
 YCSB (the client) talks RESP to Redis (the server) over the network, either
-directly or through stunnel TLS proxies.  Two execution models coexist:
+directly or through stunnel TLS proxies.  Two execution styles, each with
+exactly one user:
 
-* **Closed-loop / call-stack** -- :class:`StoreServer` +
-  :class:`StoreClient`: each :meth:`StoreClient.call` performs a full
+* **Call-stack** -- :class:`StoreServer` + :class:`StoreClient`, the
+  single-node path: each :meth:`StoreClient.call` performs a full
   simulated round trip (request transmit -> server execute -> reply
   transmit) inline, so the simulated clock sees exactly the latency a
-  closed-loop client would.
-* **Event-driven** -- :class:`EventLoopServer`: the Redis architecture
-  proper.  One event loop multiplexes N connections on a scheduler clock
+  closed-loop client would.  It is the only path that runs TLS.
+* **Event-driven** -- :class:`EventLoopMixin`, the cluster shard's path
+  (:class:`~repro.cluster.client.ClusterStoreServer`).  The server
+  multiplexes N connections on a scheduler clock
   (:class:`~repro.common.clock.SimClock` events): bytes arrive as
-  delivery events, each loop iteration executes **one** command from one
-  connection (round-robin, so no connection can starve the others),
-  replies depart as scheduled transmissions at service completion, and
-  background work (expiry cron, fsync) runs from daemon timer events.
-  This is the intra-shard concurrency seam: many simulated clients share
-  one shard and their queueing is explicit.
+  delivery events and queue per connection, a worker pool of K >= 1
+  simulated cores picks the next command round-robin over connections
+  (so no connection can starve the others), replies depart as scheduled
+  transmissions at service completion, and background work (expiry
+  cron, fsync) runs from daemon timer events.  This is the intra-shard
+  concurrency seam: many simulated clients share one shard and their
+  queueing is explicit.
 
 MONITOR is implemented as in Redis: a client that issues MONITOR is
 switched to a feed of every subsequent command, streamed over its own
@@ -28,9 +31,8 @@ paper notes when rejecting MONITOR for audit logging).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
-from ..common.clock import SimClock
 from ..common.errors import StoreError
 from ..common.resp import RespDecoder, RespError, encode, encode_command
 from ..net.channel import Channel, Endpoint
@@ -70,9 +72,9 @@ class BufferedTransport:
 
     The server writes one reply per request; wrapping its transport in
     this buffer turns a batch's replies into a single message, the same
-    coalescing TCP gives a real pipelined connection.  The event-loop
-    server also uses it to hold a reply until the command's service time
-    has elapsed.
+    coalescing TCP gives a real pipelined connection.  The event-driven
+    server uses it to hold a reply until the command's service time has
+    elapsed.
     """
 
     def __init__(self, inner) -> None:
@@ -103,13 +105,23 @@ def resp_error_from_store_error(exc: StoreError) -> RespError:
 
 
 class ServerConnection:
-    """Server-side state for one client connection."""
+    """Server-side state for one client connection.
+
+    ``pending`` / ``intake`` / ``outstanding`` are the event-driven
+    server's queue: one ``(arrival time, route, readonly)`` intake entry
+    per parsed-but-undispatched request, plus the count of dispatched
+    commands whose service time has not elapsed yet (the connection's
+    buffered replies flush only when it returns to zero, which is what
+    keeps RESP replies in request order across cores).
+    """
 
     def __init__(self, transport, session: Session) -> None:
         self.transport = transport
         self.session = session
         self.decoder = RespDecoder()
         self.pending: Deque[Any] = deque()   # parsed-but-unserved requests
+        self.intake: Deque[Tuple[float, Any, bool]] = deque()
+        self.outstanding = 0
         self._monitor_sink = None
 
 
@@ -182,142 +194,62 @@ class StoreServer:
 
 
 class EventLoopMixin:
-    """Event-driven execution for a :class:`StoreServer` (or subclass).
+    """Event-driven execution for a :class:`StoreServer` subclass.
 
-    The mixin owns the loop; the concrete server keeps owning command
-    semantics (``_serve`` and friends), so the cluster's slot-aware server
-    gains the same event loop by composition.
+    The mixin owns connection intake and the cron timer; *which* queued
+    command runs next, on which simulated core, and when its reply may
+    leave is the worker pool's job (:mod:`repro.cluster.workers`); the
+    concrete server keeps owning command semantics (``_serve`` and
+    friends).
 
-    Two clocks are involved and may be the same object:
+    Two clocks are involved:
 
     * the **scheduler** -- the cluster-wide event timeline bytes travel
-      on (delivery events, loop ticks, cron);
-    * the **store clock** -- the shard's service-time meter.  Executing a
-      command advances it by the command's CPU/AOF/device cost; the loop
-      uses the advance to know when the shard is free again.
+      on (delivery events, dispatch ticks, cron);
+    * the **store clock** -- the shard's service-time meter, split across
+      the pool's cores.  Executing a command advances it by the command's
+      CPU/AOF/device cost; the pool uses the advance to know when that
+      core is free again.
 
-    With separate clocks, N shards on one scheduler overlap in simulated
-    time (each schedules its own completions; the heap interleaves them),
-    which is where cluster parallelism now comes from.  With one shared
-    clock the inline advance fires intervening events itself, so a
-    single-shard deployment needs no second clock.
-
-    Loop discipline, as in Redis: each iteration takes **one** parsed
-    request from one connection, chosen round-robin over connections with
-    pending input, executes it to completion, and only then schedules the
-    next iteration -- a connection that pipelines 100 commands cannot
-    starve its neighbours.
+    N shards on one scheduler overlap in simulated time (each schedules
+    its own completions; the heap interleaves them), which is where
+    cluster parallelism comes from.
     """
 
-    def _init_event_loop(self, scheduler: SimClock) -> None:
-        if not hasattr(scheduler, "schedule_at"):
-            raise ValueError(
-                "the event loop needs a scheduling clock (SimClock)")
-        self.scheduler = scheduler
-        self._tick_handle = None
-        self._busy_until = scheduler.now()
-        self._in_tick = False
-        self._cron_handle = None
-        self._rr_cursor = 0
-        self.loop_iterations = 0
-        self._pool = None           # multi-core dispatch, when attached
-
-    # -- multi-core dispatch (repro.cluster.workers) -------------------------
-
-    def attach_workers(self, pool) -> None:
-        """Hand the dispatch path to a worker pool: commands still queue
-        per connection here, but the pool picks which simulated core runs
-        each one (and when replies flush).  The server keeps owning
-        command semantics (``_serve`` and friends).  With no pool
-        attached the classic one-command-per-tick loop below runs
-        unchanged."""
+    def _init_event_loop(self, pool) -> None:
+        self.scheduler = pool.scheduler
         self._pool = pool
+        self._cron_handle = None
+        self.loop_iterations = 0
         pool.bind(self)
 
     # -- connection intake -------------------------------------------------
 
     def accept_endpoint(self, endpoint: Endpoint) -> ServerConnection:
         """Accept an event-driven connection: the endpoint's deliveries
-        feed this connection's read queue and wake the loop."""
+        feed this connection's read queue and wake the pool."""
         conn = self.accept(BufferedTransport(RawTransport(endpoint)))
         endpoint.set_receiver(lambda: self.on_readable(conn))
         return conn
 
     def on_readable(self, conn: ServerConnection) -> None:
         """Bytes arrived on ``conn``: parse complete requests into its
-        pending queue and make sure a loop tick is scheduled."""
+        pending queue and make sure a dispatch tick is scheduled."""
         conn.decoder.feed(conn.transport.recv_available())
         arrived = conn.decoder.drain()
         conn.pending.extend(arrived)
-        if self._pool is not None and arrived:
+        if arrived:
             self._pool.note_arrivals(conn, len(arrived))
         if conn.pending:
-            self._wake()
-
-    # -- the loop ----------------------------------------------------------
-
-    def _wake(self) -> None:
-        if self._pool is not None:
             self._pool.wake()
-            return
-        if self._tick_handle is not None and self._tick_handle.active:
-            return
-        when = max(self.scheduler.now(), self._busy_until)
-        self._tick_handle = self.scheduler.schedule_at(
-            when, self._tick, label="server-tick")
-
-    def _tick(self) -> None:
-        self._tick_handle = None
-        now = self.scheduler.now()
-        if self._in_tick or now < self._busy_until:
-            # Woken while the previous command is still executing (with a
-            # shared clock, its inline advance delivers new requests *and*
-            # fires their wake-ups mid-service).  One command at a time:
-            # drop this tick -- the in-flight command's server-reply event
-            # re-wakes the loop if requests are still pending.
-            return
-        conn = self._next_ready_connection()
-        if conn is None:
-            return
-        meter = self.store.clock
-        meter.sleep_until(now)
-        self.loop_iterations += 1
-        self._in_tick = True
-        try:
-            self._serve(conn, conn.pending.popleft())
-        finally:
-            self._in_tick = False
-        finish = meter.now()
-        self._busy_until = max(finish, now)
-        # The reply (and any MONITOR feed it produced) leaves the NIC when
-        # the service time has elapsed, not at the instant the tick began.
-        self.scheduler.schedule_at(self._busy_until, self._finish_command,
-                                   label="server-reply")
-
-    def _next_ready_connection(self) -> Optional[ServerConnection]:
-        conns = self.connections
-        if not conns:
-            return None
-        for offset in range(len(conns)):
-            index = (self._rr_cursor + offset) % len(conns)
-            if conns[index].pending:
-                self._rr_cursor = (index + 1) % len(conns)
-                return conns[index]
-        return None
-
-    def _finish_command(self) -> None:
-        for conn in self.connections:
-            flush = getattr(conn.transport, "flush", None)
-            if flush is not None:
-                flush()
-        if any(conn.pending for conn in self.connections):
-            self._wake()
 
     # -- background work as timer events -----------------------------------
 
     def start_cron(self, interval: Optional[float] = None) -> None:
         """Run the store's serverCron from recurring daemon timer events
-        (expiry cycles, everysec fsync, AOF auto-rewrite).  Daemon events
+        (expiry cycles, everysec fsync, AOF auto-rewrite), its cost
+        billed to the core that caused it (:meth:`WorkerPool.cron_tick
+        <repro.cluster.workers.WorkerPool.cron_tick>`).  Daemon events
         never keep :meth:`SimClock.run_until_idle` alive by themselves."""
         if self._cron_handle is not None and self._cron_handle.active:
             return
@@ -325,13 +257,7 @@ class EventLoopMixin:
             interval = 1.0 / self.store.config.hz
 
         def fire() -> None:
-            if self._pool is not None:
-                # Multi-core shard: bill the cron's cost (everysec
-                # fsync) to the worker that wrote, not the whole shard.
-                self._pool.cron_tick()
-            else:
-                self.store.clock.sleep_until(self.scheduler.now())
-                self.store.tick()
+            self._pool.cron_tick()
             self._cron_handle = self.scheduler.schedule_after(
                 interval, fire, label="server-cron", daemon=True)
 
@@ -344,27 +270,13 @@ class EventLoopMixin:
             self._cron_handle = None
 
 
-class EventLoopServer(EventLoopMixin, StoreServer):
-    """A single-shard event-loop server (Redis's architecture proper)."""
-
-    def __init__(self, store: KeyValueStore,
-                 scheduler: Optional[SimClock] = None) -> None:
-        super().__init__(store)
-        if scheduler is None:
-            if not hasattr(store.clock, "schedule_at"):
-                raise ValueError(
-                    "store clock cannot schedule events; pass a scheduler")
-            scheduler = store.clock
-        self._init_event_loop(scheduler)
-
-
 class EventConnection:
     """Client side of one event-driven connection.
 
     Replies surface through :attr:`on_reply` (push, for the open-loop
-    generator) or queue in :attr:`replies` (pull).  :meth:`call` is the
-    closed-loop convenience: send, then drive the scheduler until the
-    reply arrives.
+    generator) or queue in :attr:`replies` (pull).  :meth:`await_replies`
+    and :meth:`call` are the closed-loop conveniences: send, then drive
+    the scheduler until the replies arrive.
     """
 
     def __init__(self, server: EventLoopMixin,
@@ -416,31 +328,29 @@ class EventConnection:
             else:
                 self.replies.append(value)
 
-    def call(self, *args: Any, raise_errors: bool = True) -> Any:
-        """Closed-loop over the event core: one command, driven until its
-        reply has been delivered.  Daemon events (cron) never count as
-        "a reply is still coming", so a dropped reply raises instead of
-        spinning on background work forever."""
-        self.send_command(*args)
-        while not self.replies:
+    def await_replies(self, count: int) -> List[Any]:
+        """Drive the scheduler until ``count`` replies have been
+        delivered here (everyone else's events interleave freely).
+
+        Stops on live events, not on ``run_next`` truthiness: recurring
+        daemon work (the cron) reschedules itself forever, so "the heap
+        is non-empty" can never mean "a reply is still coming" -- a
+        dropped reply raises instead of spinning on background work.
+        """
+        while len(self.replies) < count:
             if self._scheduler.pending_live_events() == 0:
                 raise RespError("ERR no reply received")
             self._scheduler.run_next()
-        value = self.replies.popleft()
+        return [self.replies.popleft() for _ in range(count)]
+
+    def call(self, *args: Any, raise_errors: bool = True) -> Any:
+        """Closed-loop over the event core: one command, driven until its
+        reply has been delivered."""
+        self.send_command(*args)
+        [value] = self.await_replies(1)
         if raise_errors and isinstance(value, RespError):
             raise value
         return value
-
-
-def connect_event(store: KeyValueStore,
-                  scheduler: Optional[SimClock] = None,
-                  connections: int = 1) -> tuple:
-    """Wire an :class:`EventLoopServer` with N client connections.
-
-    Returns ``(server, [EventConnection, ...])``.
-    """
-    server = EventLoopServer(store, scheduler=scheduler)
-    return server, [EventConnection(server) for _ in range(connections)]
 
 
 class StoreClient:

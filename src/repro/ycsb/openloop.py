@@ -19,8 +19,7 @@ interarrivals (``poisson``, the classic open-loop model) or constant ones
 (``uniform``), so two runs with the same seed admit the same operations
 at the same simulated instants and produce identical histograms.
 
-The runner drives an **event-driven cluster**
-(:func:`repro.cluster.build_cluster` with ``event_driven=True``; one
+The runner drives a cluster (:func:`repro.cluster.build_cluster`; one
 shard is just a one-node cluster): each simulated client keeps its own
 connection per shard **and its own routing cache** (seeded from the
 cluster client's snapshot at construction), routes by hash slot, and
@@ -41,11 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional
 
 from ..common.clock import SimClock
-from ..common.errors import (
-    ClusterError,
-    MovedError,
-    RedirectLoopError,
-)
+from ..common.errors import MovedError, RedirectLoopError
 from ..common.histogram import LatencyHistogram
 from ..common.resp import RespError
 from ..cluster.client import ClusterClient, parse_redirect
@@ -118,16 +113,18 @@ class OpenLoopReport:
     max_backlog: int = 0
     route_updates: int = 0      # MOVED lessons absorbed into per-client
                                 # routing caches (cache convergence)
-    # Per-worker latency attribution, filled only when shards run multi-
-    # core worker pools.  The histograms are the per-worker server-side
-    # distributions folded together with LatencyHistogram.merge, so the
-    # shard-level percentiles keep their fidelity; the rows expose the
-    # per-core imbalance a hot key causes under the slot % K partition.
+    # Per-worker latency attribution from the shards' worker pools.  The
+    # histograms are the per-worker server-side distributions folded
+    # together with LatencyHistogram.merge, so the shard-level
+    # percentiles keep their fidelity; the rows expose the per-core
+    # imbalance a hot key causes under the slot % K partition.
     # Pool stats are cumulative since the pool started serving (a fresh
     # cluster per run keeps them per-run, which is what the bench does).
     workers: int = 0
-    server_queue_delay: Optional[LatencyHistogram] = None
-    server_service_time: Optional[LatencyHistogram] = None
+    server_queue_delay: LatencyHistogram = field(
+        default_factory=LatencyHistogram)
+    server_service_time: LatencyHistogram = field(
+        default_factory=LatencyHistogram)
     worker_rows: List[Dict[str, object]] = field(default_factory=list)
 
     @property
@@ -154,17 +151,12 @@ class OpenLoopReport:
         }
 
     def summary_with_workers(self) -> Dict[str, object]:
-        """:meth:`summary` plus the per-worker attribution block (only
-        meaningful when the shards ran worker pools)."""
+        """:meth:`summary` plus the per-worker attribution block."""
         out = self.summary()
-        if self.workers:
-            out["workers"] = self.workers
-            if self.server_queue_delay is not None:
-                out["server_queue_delay"] = self.server_queue_delay.summary()
-            if self.server_service_time is not None:
-                out["server_service_time"] = \
-                    self.server_service_time.summary()
-            out["worker_rows"] = self.worker_rows
+        out["workers"] = self.workers
+        out["server_queue_delay"] = self.server_queue_delay.summary()
+        out["server_service_time"] = self.server_service_time.summary()
+        out["worker_rows"] = self.worker_rows
         return out
 
 
@@ -260,10 +252,6 @@ class OpenLoopRunner:
                  arrival_distribution: str = "poisson",
                  seed: int = 42, max_redirects: int = 5,
                  tenant: Optional[str] = None) -> None:
-        if not cluster.event_driven:
-            raise ClusterError(
-                "the open-loop runner needs an event-driven cluster "
-                "(build_cluster(..., event_driven=True))")
         if clients < 1:
             raise ValueError("need at least one simulated client")
         if spec.scan_proportion > 0:
@@ -406,22 +394,15 @@ class OpenLoopRunner:
 
     def _attribute_workers(self, report: OpenLoopReport) -> None:
         """Fold each shard's per-worker server-side histograms into the
-        report (multi-core shards only): merged dispatch-queue delay and
-        service-time distributions, plus per-core rows."""
-        pools = [node.pool for node in self.cluster.nodes
-                 if getattr(node, "pool", None) is not None]
-        if not pools:
-            return
+        report: merged dispatch-queue delay and service-time
+        distributions, plus per-core rows."""
+        pools = [node.pool for node in self.cluster.nodes]
         report.workers = sum(pool.num_workers for pool in pools)
-        queue_delay = LatencyHistogram()
-        service_time = LatencyHistogram()
         for shard, pool in enumerate(pools):
-            queue_delay.merge(pool.merged_queue_delay())
-            service_time.merge(pool.merged_service_time())
+            report.server_queue_delay.merge(pool.merged_queue_delay())
+            report.server_service_time.merge(pool.merged_service_time())
             for row in pool.worker_rows():
                 report.worker_rows.append({"shard": shard, **row})
-        report.server_queue_delay = queue_delay
-        report.server_service_time = service_time
 
     def divergent_clients(self, slot: int) -> int:
         """How many simulated clients still cache a stale owner for

@@ -4,9 +4,10 @@ The runner is closed-loop, like one YCSB thread: it issues the next
 operation when the previous one completes.  Latency is read from the
 store's clock, so under a :class:`~repro.common.clock.SimClock` the
 reported throughput is *simulated* throughput -- deterministic and
-host-independent (see DESIGN.md section 6).  The open-loop counterpart
-(admission at a configured arrival rate, queueing delay measured apart
-from service time) lives in :mod:`repro.ycsb.openloop`.
+host-independent (see docs/architecture.md, "Execution model").  The
+open-loop counterpart (admission at a configured arrival rate, queueing
+delay measured apart from service time) lives in
+:mod:`repro.ycsb.openloop`.
 
 Nothing here touches wall time: every random stream is derived from one
 explicit seeded RNG and all timestamps come from the injected clock, so

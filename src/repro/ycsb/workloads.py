@@ -5,7 +5,7 @@ records are 10 fields x 100 bytes; request distributions and operation
 mixes are the published ones.  The paper runs "YCSB workloads ... with 2M
 operations"; ``operation_count`` here is a default that the benchmark
 harness scales (simulated-time throughput is scale-invariant well before
-2M operations, see EXPERIMENTS.md).
+2M operations, see docs/benchmarks.md).
 """
 
 from __future__ import annotations

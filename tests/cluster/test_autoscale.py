@@ -241,8 +241,7 @@ class TestDaemonTimer:
 
 class TestWorkerPoolIntegration:
     def test_ewma_crossing_raises_workers_and_p99_recovers(self):
-        cluster = build_cluster(1, store_factory=cpu_factory,
-                                event_driven=True, latency=10e-6,
+        cluster = build_cluster(1, store_factory=cpu_factory, latency=10e-6,
                                 workers=1)
         pool = cluster.nodes[0].pool
         scaler = Autoscaler(

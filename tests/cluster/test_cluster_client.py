@@ -1,9 +1,8 @@
-"""Tests for the cluster client: routing, pipelining economics, and the
-parallel-shard clock model."""
+"""Tests for the cluster client: routing, pipelining economics, and
+shard overlap on the shared scheduler."""
 
 import pytest
 
-from repro.common.clock import SimClock
 from repro.common.errors import ClusterError, CrossSlotError
 from repro.common.resp import RespError, SimpleString
 from repro.cluster import SlotMap, build_cluster
@@ -169,13 +168,6 @@ class TestPipelining:
             return cluster.clock.now()
 
         assert elapsed(4) < elapsed(1)
-
-    def test_serialized_mode_shares_one_clock(self):
-        clock = SimClock()
-        cluster = build_cluster(3, clock=clock, parallel=False)
-        cluster.call("SET", "k", "v")
-        assert all(node.clock is clock for node in cluster.nodes)
-        assert cluster.call("GET", "k") == b"v"
 
     def test_sync_brings_idle_shards_forward(self):
         cluster = build_cluster(2)

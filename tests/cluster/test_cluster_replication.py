@@ -394,10 +394,10 @@ class TestReadFromReplica:
         assert cluster.call("GET", "k1", prefer_replica=True) == b"v1"
         assert cluster.moved_redirects == moved_before + 1
 
-    def test_replica_read_advances_link_clock_in_sync_mode(self):
-        """Regression: link clocks are per-shard in sync mode and only
-        advanced when the primary path touched the shard, so a replica
-        read long after a write still served pre-write state and was
+    def test_replica_read_long_after_a_write_is_not_stale(self):
+        """Regression: replica links must deliver with cluster time even
+        when the primary path has not touched the shard since, or a
+        replica read long after a write serves pre-write state and is
         miscounted as stale."""
         cluster = build_cluster(2)
         cluster.attach_replication(replicas_per_shard=1, delay=0.001)
@@ -472,7 +472,7 @@ class TestReadFromReplica:
 
 class TestEventDrivenClusterReplication:
     def test_scheduler_pumped_replicas_and_horizon(self):
-        cluster = build_cluster(2, event_driven=True)
+        cluster = build_cluster(2)
         replication = cluster.attach_replication(replicas_per_shard=2,
                                                  delay=0.005,
                                                  pump_interval=0.002)

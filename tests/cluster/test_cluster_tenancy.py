@@ -136,8 +136,7 @@ class TestOpenLoopTenantStreams:
         clock = SimClock()
         gate = make_gate(
             clock, {"acme": TenantQuota(ops_per_sec=200.0, burst=5.0)})
-        cluster = build_cluster(2, clock=clock, event_driven=True,
-                                tenant_gate=gate)
+        cluster = build_cluster(2, clock=clock, tenant_gate=gate)
         spec = WorkloadSpec(name="tenant-mix", read_proportion=0.5,
                             update_proportion=0.5, record_count=20,
                             operation_count=200)
@@ -156,8 +155,7 @@ class TestOpenLoopTenantStreams:
     def test_untenanted_stream_unaffected_by_registry(self):
         clock = SimClock()
         gate = make_gate(clock)
-        cluster = build_cluster(2, clock=clock, event_driven=True,
-                                tenant_gate=gate)
+        cluster = build_cluster(2, clock=clock, tenant_gate=gate)
         spec = WorkloadSpec(name="plain-mix", read_proportion=0.5,
                             update_proportion=0.5, record_count=20,
                             operation_count=100)

@@ -241,8 +241,7 @@ class TestPoolIntegration:
 
 
 def _skewed_run(placement, seed=42, rate=100_000.0, ops=300):
-    cluster = build_cluster(1, store_factory=cpu_factory,
-                            event_driven=True, latency=10e-6,
+    cluster = build_cluster(1, store_factory=cpu_factory, latency=10e-6,
                             workers=4, adaptive_batch=True,
                             placement=placement)
     spec = WORKLOAD_B.scaled(record_count=44, operation_count=ops)

@@ -1,5 +1,5 @@
-"""Tests for parallel slot migration (rebalance) and the event-mode
-cluster wiring."""
+"""Tests for parallel slot migration (rebalance) and the cluster's
+event-driven wiring."""
 
 import random
 
@@ -95,34 +95,19 @@ class TestRebalance:
 
 
 class TestEventCluster:
-    def test_event_cluster_matches_sync_cluster_results(self):
-        def run(event_driven):
-            def factory(index, clock):
-                return KeyValueStore(
-                    StoreConfig(command_cpu_cost=25e-6, seed=index),
-                    clock=clock)
-            cluster = build_cluster(2, store_factory=factory,
-                                    event_driven=event_driven)
-            for index in range(40):
-                cluster.call("SET", f"k{index}", index)
-            values = [cluster.call("GET", f"k{index}")
-                      for index in range(40)]
-            return values
-
-        assert run(True) == run(False)
-
     def test_event_cluster_requires_shared_scheduler(self):
+        from repro.cluster import ClusterClient
         from repro.cluster.client import ClusterNode
+        from repro.cluster.workers import WorkerPool
+        from repro.common.clock import ShardClock
         from repro.net.channel import Channel
 
-        scheduler_a, scheduler_b = SimClock(), SimClock()
         nodes = []
-        for index, scheduler in enumerate((scheduler_a, scheduler_b)):
-            store = KeyValueStore(StoreConfig(), clock=SimClock())
+        for index, scheduler in enumerate((SimClock(), SimClock())):
+            store = KeyValueStore(StoreConfig(), clock=ShardClock())
             channel = Channel(clock=scheduler, event_driven=True)
             nodes.append(ClusterNode(index, store, channel,
-                                     scheduler=scheduler))
-        from repro.cluster import ClusterClient
+                                     WorkerPool(store.clock, scheduler)))
         with pytest.raises(ClusterError):
             ClusterClient(nodes)
 
@@ -131,7 +116,7 @@ class TestEventCluster:
         cron daemon keeps the event heap non-empty forever."""
         from repro.common.resp import RespError
 
-        cluster = build_cluster(1, event_driven=True)
+        cluster = build_cluster(1)
         node = cluster.nodes[0]
         node.send_batch([[b"PING"]])
         with pytest.raises(RespError, match="no reply"):
@@ -146,8 +131,7 @@ class TestEventCluster:
                 clock=clock)
 
         def batch_cost(shards):
-            cluster = build_cluster(shards, store_factory=factory,
-                                    event_driven=True)
+            cluster = build_cluster(shards, store_factory=factory)
             pipeline = cluster.pipeline()
             for index in range(32):
                 pipeline.call("SET", f"key:{index}", index)

@@ -1,17 +1,16 @@
 """Tests for multi-core shard execution (the worker pool).
 
 Covers the dispatch rules (keyspace partition, control, barrier), RESP
-reply ordering, the worker-count-1 exact-parity guarantee, the ceiling
-raise with more cores, adaptive batching, live worker raises, round-robin
-fairness under a flood, and seeded determinism.
+reply ordering, the ceiling raise with more cores, adaptive batching,
+live worker raises, round-robin fairness under a flood, and seeded
+determinism.
 """
 
 import pytest
 
 from repro.cluster import (
-    SlotMap,
+    ClusterStoreServer,
     WorkerPool,
-    WorkerPoolConfig,
     build_cluster,
     slot_for_key,
 )
@@ -28,7 +27,7 @@ from repro.common.clock import ShardClock, SimClock
 from repro.common.errors import ClusterError
 from repro.device.append_log import AppendLog
 from repro.device.latency import INTEL_750_SSD
-from repro.kvstore import KeyValueStore, StoreConfig, connect_event
+from repro.kvstore import KeyValueStore, StoreConfig
 from repro.ycsb import OpenLoopRunner, WORKLOAD_B
 
 CPU = 25e-6          # one core's ceiling = 1/CPU = 40 kops/s
@@ -39,24 +38,19 @@ def cpu_factory(index, clock):
                          clock=clock)
 
 
-def make_pool_server(workers=2, cpu=CPU, connections=2, **pool_opts):
-    """A raw event-loop server with a worker pool attached."""
-    scheduler = SimClock()
-    shard_clock = ShardClock(0.0, workers=workers)
-    store = KeyValueStore(StoreConfig(command_cpu_cost=cpu),
-                          clock=shard_clock)
-    server, conns = connect_event(store, scheduler=scheduler,
-                                  connections=connections)
-    pool = WorkerPool(shard_clock,
-                      WorkerPoolConfig(workers=workers, **pool_opts))
-    server.attach_workers(pool)
-    return server, conns, pool, shard_clock
+def make_pool_server(workers=2, connections=2, store_factory=cpu_factory,
+                     **pool_opts):
+    """One shard's server and pool, with ``connections`` extra client
+    connections of its own."""
+    node = build_cluster(1, store_factory=store_factory, workers=workers,
+                         **pool_opts).nodes[0]
+    conns = [node.connect() for _ in range(connections)]
+    return node.server, conns, node.pool, node.clock
 
 
-def run_openloop(workers=None, clients=8, rate=60_000.0, ops=300,
+def run_openloop(workers=1, clients=8, rate=60_000.0, ops=300,
                  records=60, seed=42, **cluster_opts):
-    cluster = build_cluster(1, store_factory=cpu_factory,
-                            event_driven=True, latency=10e-6,
+    cluster = build_cluster(1, store_factory=cpu_factory, latency=10e-6,
                             workers=workers, **cluster_opts)
     spec = WORKLOAD_B.scaled(record_count=records, operation_count=ops)
     runner = OpenLoopRunner(cluster, spec, clients=clients,
@@ -274,18 +268,6 @@ class TestReplyOrderAndBarriers:
         assert rows[0] == 10 and rows[1] == 10
 
 
-class TestSingleWorkerParity:
-    def test_worker_one_reproduces_legacy_loop_exactly(self):
-        _, legacy = run_openloop(workers=None)
-        _, pooled = run_openloop(workers=1)
-        assert legacy.summary() == pooled.summary()
-
-    def test_worker_one_matches_legacy_at_saturation(self):
-        _, legacy = run_openloop(workers=None, rate=80_000.0, ops=400)
-        _, pooled = run_openloop(workers=1, rate=80_000.0, ops=400)
-        assert legacy.summary() == pooled.summary()
-
-
 class TestCeiling:
     def test_four_workers_at_least_double_the_ceiling(self):
         _, one = run_openloop(workers=1, clients=16, rate=160_000.0,
@@ -302,13 +284,12 @@ class TestCeiling:
         assert len(report.worker_rows) == 4
         served = sum(row["commands"] for row in report.worker_rows)
         assert served >= report.completed
-        assert report.server_queue_delay is not None
         assert report.server_queue_delay.count >= report.completed
         summary = report.summary_with_workers()
         assert summary["workers"] == 4
         assert len(summary["worker_rows"]) == 4
         assert "server_queue_delay" in summary
-        # The legacy summary() stays byte-stable for the artifacts.
+        # summary() stays byte-stable for the artifacts.
         assert "worker_rows" not in report.summary()
 
 
@@ -320,7 +301,7 @@ class TestAdaptiveBatching:
             conn.send_command("SET", f"k{index}", index)
         server.scheduler.run_until_idle()
         # Burst of 64 with a batch controller: far fewer dispatches
-        # than commands (the legacy loop would pay 64).
+        # than commands (a fixed batch of 1 would pay 64).
         worker = pool.workers[0]
         assert worker.commands == 64
         assert worker.dispatches < 16
@@ -448,8 +429,7 @@ class TestLiveWorkerShed:
     def test_cold_autoscaled_pool_returns_to_one_worker(self):
         from repro.cluster import Autoscaler, AutoscaleConfig
         cluster = build_cluster(1, store_factory=cpu_factory,
-                                event_driven=True, latency=10e-6,
-                                workers=2)
+                                latency=10e-6, workers=2)
         pool = cluster.nodes[0].pool
         scaler = Autoscaler(
             cluster.clock, [pool],
@@ -474,19 +454,15 @@ class TestLiveWorkerShed:
 
 class TestAofAttribution:
     def _aof_pool_server(self, workers=2):
-        scheduler = SimClock()
-        shard_clock = ShardClock(0.0, workers=workers)
-        aof_log = AppendLog(clock=shard_clock, latency=INTEL_750_SSD)
-        store = KeyValueStore(
-            StoreConfig(command_cpu_cost=CPU, appendonly=True,
-                        appendfsync="everysec"),
-            clock=shard_clock, aof_log=aof_log)
-        server, conns = connect_event(store, scheduler=scheduler,
-                                      connections=2)
-        pool = WorkerPool(shard_clock, WorkerPoolConfig(workers=workers))
-        server.attach_workers(pool)
-        server.start_cron()
-        return server, conns, pool, shard_clock
+        def aof_factory(index, clock):
+            return KeyValueStore(
+                StoreConfig(command_cpu_cost=CPU, appendonly=True,
+                            appendfsync="everysec"),
+                clock=clock,
+                aof_log=AppendLog(clock=clock, latency=INTEL_750_SSD))
+
+        return make_pool_server(workers=workers,
+                                store_factory=aof_factory)
 
     def test_cron_fsync_bills_the_writing_worker(self):
         server, (conn, _), pool, shard_clock = self._aof_pool_server()
@@ -530,8 +506,8 @@ class TestDeterminism:
     def test_same_seed_same_workers_identical_traces(self):
         def trace():
             cluster = build_cluster(1, store_factory=cpu_factory,
-                                    event_driven=True, latency=10e-6,
-                                    workers=2, adaptive_batch=True,
+                                    latency=10e-6, workers=2,
+                                    adaptive_batch=True,
                                     dispatch_overhead=2e-6)
             out = cluster.clock.enable_trace()
             spec = WORKLOAD_B.scaled(record_count=40,
@@ -559,33 +535,32 @@ class TestDeterminism:
 
 
 class TestBuildClusterWiring:
-    def test_workers_require_event_driven(self):
-        with pytest.raises(ClusterError):
-            build_cluster(1, workers=2)
-
     def test_workers_must_be_positive(self):
         with pytest.raises(ClusterError):
-            build_cluster(1, event_driven=True, workers=0)
+            build_cluster(1, workers=0)
 
-    def test_pool_attached_per_node(self):
-        cluster = build_cluster(2, store_factory=cpu_factory,
-                                event_driven=True, workers=3)
-        for node in cluster.nodes:
-            assert node.pool is not None
-            assert node.pool.num_workers == 3
-            assert isinstance(node.clock, ShardClock)
+    def test_every_node_has_a_pool(self):
+        for workers in (1, 3):
+            cluster = build_cluster(2, store_factory=cpu_factory,
+                                    workers=workers)
+            for node in cluster.nodes:
+                assert isinstance(node.pool, WorkerPool)
+                assert node.pool.num_workers == workers
+                assert isinstance(node.clock, ShardClock)
+        assert all(isinstance(node.pool, WorkerPool)
+                   for node in build_cluster(2).nodes)
 
-    def test_legacy_build_has_no_pool(self):
-        cluster = build_cluster(1, store_factory=cpu_factory,
-                                event_driven=True)
-        assert cluster.nodes[0].pool is None
+    def test_removed_modes_are_refused(self):
+        with pytest.raises(ClusterError, match="removed"):
+            build_cluster(1, event_driven=False)
+        with pytest.raises(TypeError):
+            build_cluster(1, parallel=False)
+        # The frozen benchmark still spells the only mode out.
+        assert build_cluster(1, event_driven=True).call("PING") == "PONG"
 
     def test_pool_rejects_foreign_store_clock(self):
-        scheduler = SimClock()
         store = KeyValueStore(StoreConfig(command_cpu_cost=CPU),
                               clock=SimClock())
-        server, _ = connect_event(store, scheduler=scheduler,
-                                  connections=1)
-        pool = WorkerPool(ShardClock(0.0, workers=2))
+        pool = WorkerPool(ShardClock(0.0, workers=2), SimClock())
         with pytest.raises(ValueError, match="ShardClock"):
-            server.attach_workers(pool)
+            ClusterStoreServer(store, pool)

@@ -1,25 +1,24 @@
-"""Tests for the event-loop server: multiplexing, fairness, cron events."""
+"""Tests for the event-driven server: multiplexing, fairness, cron events.
+
+The server under test is a one-shard cluster's (the only event-driven
+server there is), driven through extra client connections.
+"""
 
 import pytest
 
+from repro.cluster import build_cluster
 from repro.common.clock import SimClock
 from repro.common.resp import RespError
-from repro.kvstore import (
-    EventLoopServer,
-    KeyValueStore,
-    StoreConfig,
-    connect_event,
-)
+from repro.kvstore import KeyValueStore, StoreConfig
 
 
-def make_server(cpu_cost=25e-6, scheduler=None, connections=2, **config):
-    store_clock = SimClock()
-    store = KeyValueStore(
-        StoreConfig(command_cpu_cost=cpu_cost, **config),
-        clock=store_clock)
-    server, conns = connect_event(store, scheduler=scheduler,
-                                  connections=connections)
-    return server, conns
+def make_server(cpu_cost=25e-6, connections=2, **config):
+    def factory(index, clock):
+        return KeyValueStore(
+            StoreConfig(command_cpu_cost=cpu_cost, **config), clock=clock)
+
+    node = build_cluster(1, store_factory=factory).nodes[0]
+    return node.server, [node.connect() for _ in range(connections)]
 
 
 class TestEventLoopBasics:
@@ -67,14 +66,11 @@ class TestEventLoopBasics:
             EventConnection(server, channel=stray)
 
     def test_separate_meter_clock(self):
-        scheduler = SimClock()
-        store = KeyValueStore(StoreConfig(command_cpu_cost=1e-3),
-                              clock=SimClock())
-        server, (conn,) = connect_event(store, scheduler=scheduler,
-                                        connections=1)
+        server, (conn,) = make_server(cpu_cost=1e-3, connections=1)
+        assert server.store.clock is not server.scheduler
         conn.call("SET", "k", "v")
-        assert store.clock.now() >= 1e-3
-        assert scheduler.now() >= 1e-3
+        assert server.store.clock.now() >= 1e-3
+        assert server.scheduler.now() >= 1e-3
 
 
 class TestFairness:
@@ -98,11 +94,12 @@ class TestFairness:
 
     def test_round_robin_alternates_across_n_connections(self):
         server, conns = make_server(connections=4)
+        accepted = [conn.server_connection for conn in conns]
         order = []
         original = server._serve
 
         def spy(conn, request):
-            order.append(server.connections.index(conn))
+            order.append(accepted.index(conn))
             return original(conn, request)
 
         server._serve = spy
@@ -123,13 +120,9 @@ class TestFairness:
 
 class TestCronEvents:
     def test_cron_expires_keys_from_daemon_events(self):
-        scheduler = SimClock()
-        store = KeyValueStore(
-            StoreConfig(command_cpu_cost=25e-6,
-                        expiry_strategy="fullscan"),
-            clock=scheduler)
-        server, (conn,) = connect_event(store, connections=1)
-        server.start_cron()
+        server, (conn,) = make_server(connections=1,
+                                      expiry_strategy="fullscan")
+        scheduler, store = server.scheduler, server.store
         conn.call("SET", "doomed", "v")
         conn.call("PEXPIRE", "doomed", 50)
         # Post a marker event past the deadline; cron daemons fire along
@@ -141,8 +134,7 @@ class TestCronEvents:
 
     def test_stop_cron_cancels_the_timer(self):
         server, _ = make_server()
-        server.start_cron()
-        assert server._cron_handle.active
+        assert server._cron_handle.active      # started with the node
         server.stop_cron()
         assert server._cron_handle is None
         assert server.scheduler.pending_timers() == 0

@@ -108,8 +108,7 @@ def test_replication_groups_over_relational_shards():
 
 
 def test_open_loop_driver_over_relational_shards():
-    cluster = build_cluster(2, store_factory=sql_factory,
-                            event_driven=True)
+    cluster = build_cluster(2, store_factory=sql_factory)
     spec = WORKLOAD_B.scaled(record_count=40, operation_count=120)
     runner = OpenLoopRunner(cluster, spec, clients=4,
                             arrival_rate=20_000.0, seed=7)
@@ -122,8 +121,7 @@ def test_open_loop_driver_over_relational_shards():
 
 def test_event_cluster_determinism_over_relational_shards():
     def run_once():
-        cluster = build_cluster(2, store_factory=sql_factory,
-                                event_driven=True)
+        cluster = build_cluster(2, store_factory=sql_factory)
         spec = WORKLOAD_B.scaled(record_count=30, operation_count=90)
         runner = OpenLoopRunner(cluster, spec, clients=3,
                                 arrival_rate=15_000.0, seed=11)

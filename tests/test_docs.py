@@ -67,6 +67,33 @@ def test_undocumented_bench_scenario_is_detected(tmp_path):
     assert not any("oldthing" in v for v in violations)
 
 
+def test_dangling_docstring_reference_is_detected(tmp_path):
+    """A docstring under src/ or benchmarks/ naming a ``*.md`` file that
+    does not exist must fail the check; names that resolve (at the
+    root, under docs/, or by path) and comments must not."""
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "ROADMAP.md").write_text(
+        "**Tier-1 verify:** `PYTHONPATH=src python -m pytest -x -q`\n")
+    (tmp_path / "README.md").write_text(
+        "```\nPYTHONPATH=src python -m pytest -x -q\n```\n"
+        "[a](docs/architecture.md)\n")
+    (tmp_path / "docs" / "architecture.md").write_text("# A\n")
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        '"""See DESIGN.md and architecture.md."""\n'
+        "# NOTES.md is only a comment\n"
+        "def f():\n"
+        '    """Details in docs/architecture.md, summary in\n'
+        '    README.md, history in docs/GONE.md."""\n')
+    violations = [v for v in check_docs.check(tmp_path)
+                  if "docstring names" in v]
+    assert len(violations) == 2
+    assert "src/pkg/mod.py:1: docstring names DESIGN.md" in violations[0]
+    assert "src/pkg/mod.py:5: docstring names docs/GONE.md" \
+        in violations[1]
+
+
 def test_registered_scenarios_parsed_from_cli():
     names = check_docs.bench_scenarios(ROOT)
     assert "concurrency" in names and "figure1" in names

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.cluster import build_cluster
-from repro.common.errors import ClusterError
 from repro.kvstore.store import KeyValueStore, StoreConfig
 from repro.ycsb import (
     ArrivalProcess,
@@ -24,8 +23,7 @@ def cpu_factory(index, clock):
 
 def run_openloop(shards=1, clients=4, rate=60_000.0, ops=300,
                  records=60, seed=42, distribution="poisson"):
-    cluster = build_cluster(shards, store_factory=cpu_factory,
-                            event_driven=True, latency=10e-6)
+    cluster = build_cluster(shards, store_factory=cpu_factory, latency=10e-6)
     spec = WORKLOAD_B.scaled(record_count=records, operation_count=ops)
     runner = OpenLoopRunner(cluster, spec, clients=clients,
                             arrival_rate=rate,
@@ -100,7 +98,7 @@ class TestOpenLoopRunner:
     def test_same_seed_identical_event_traces(self):
         def trace():
             cluster = build_cluster(2, store_factory=cpu_factory,
-                                    event_driven=True, latency=10e-6)
+                                    latency=10e-6)
             out = cluster.clock.enable_trace()
             spec = WORKLOAD_B.scaled(record_count=40,
                                      operation_count=120)
@@ -117,8 +115,7 @@ class TestOpenLoopRunner:
             != run_openloop(seed=2).summary()
 
     def test_zero_operations_admits_nothing(self):
-        cluster = build_cluster(1, store_factory=cpu_factory,
-                                event_driven=True)
+        cluster = build_cluster(1, store_factory=cpu_factory)
         spec = WORKLOAD_B.scaled(record_count=20, operation_count=50)
         runner = OpenLoopRunner(cluster, spec, clients=2,
                                 arrival_rate=10_000.0)
@@ -132,19 +129,68 @@ class TestOpenLoopRunner:
                               ops=150)
         assert report.completed == 150
 
-    def test_rejects_closed_loop_cluster(self):
-        cluster = build_cluster(1)
-        with pytest.raises(ClusterError):
-            OpenLoopRunner(cluster, WORKLOAD_B)
+    def test_default_cluster_hosts_an_open_loop_run(self):
+        """One execution model: the cluster ``build_cluster(2)`` returns
+        with no keywords is the one the open-loop driver runs on."""
+        cluster = build_cluster(2)
+        spec = WORKLOAD_B.scaled(record_count=30, operation_count=80)
+        runner = OpenLoopRunner(cluster, spec, clients=4,
+                                arrival_rate=20_000.0)
+        runner.preload()
+        report = runner.run(80)
+        assert report.completed == 80
+        assert report.failures == 0
+        assert report.workers == 2          # one core per shard
+
+    def test_closed_loop_barrier_joins_a_running_open_loop(self):
+        """A closed-loop ``call`` is just one more client of the same
+        core: a DBSIZE issued mid-run stops every core of the shard,
+        and the open-loop connections still see their replies in
+        request order."""
+        cluster = build_cluster(1, store_factory=cpu_factory,
+                                latency=10e-6, workers=2)
+        spec = WORKLOAD_B.scaled(record_count=40, operation_count=300)
+        runner = OpenLoopRunner(cluster, spec, clients=6,
+                                arrival_rate=70_000.0, seed=9)
+        runner.preload()
+        sent, received = {}, {}
+        for client in runner._clients:
+            conn = client._connection(0)
+            sent[client.index] = commands = []
+            received[client.index] = replies = []
+
+            def send(*argv, _send=conn.send_command, _log=commands):
+                _log.append(argv[0])
+                _send(*argv)
+
+            def reply(value, _deliver=client._on_reply, _log=replies):
+                _log.append(value)
+                _deliver(value)
+
+            conn.send_command, conn.on_reply = send, reply
+        pool = cluster.nodes[0].pool
+        runner.begin(300)
+        cluster.clock.run_until_idle(deadline=cluster.clock.now() + 2e-3)
+        assert 0 < runner._report.completed < 300      # mid-run
+        assert cluster.call("DBSIZE") == 40
+        assert pool.barrier_commands == 1
+        cluster.clock.run_until_idle()
+        report = runner.finish()
+        assert report.completed == 300
+        assert report.failures == 0
+        for index, commands in sent.items():
+            replies = received[index]
+            assert len(replies) == len(commands)
+            for command, value in zip(commands, replies):
+                assert (value == "OK") == (command == "SET")
 
     def test_rejects_scan_workloads(self):
-        cluster = build_cluster(1, event_driven=True)
+        cluster = build_cluster(1)
         with pytest.raises(ValueError):
             OpenLoopRunner(cluster, WORKLOAD_E)
 
     def test_inserts_extend_the_keyspace(self):
-        cluster = build_cluster(1, store_factory=cpu_factory,
-                                event_driven=True)
+        cluster = build_cluster(1, store_factory=cpu_factory)
         spec = WORKLOAD_B.scaled(record_count=50, operation_count=200)
         spec = spec.__class__(**{**spec.__dict__,
                                  "name": "insert-heavy",
@@ -166,8 +212,7 @@ class TestOpenLoopAcrossMigration:
         from repro.cluster import SlotMigrator, slot_for_key
         from repro.ycsb.generator import build_key_name
 
-        cluster = build_cluster(2, store_factory=cpu_factory,
-                                event_driven=True, latency=10e-6)
+        cluster = build_cluster(2, store_factory=cpu_factory, latency=10e-6)
         spec = WORKLOAD_B.scaled(record_count=60, operation_count=250)
         runner = OpenLoopRunner(cluster, spec, clients=4,
                                 arrival_rate=50_000.0, seed=5)
@@ -195,8 +240,7 @@ class TestPerClientRoutingCaches:
     time."""
 
     def _runner(self, clients=4, records=60, ops=300, seed=5):
-        cluster = build_cluster(2, store_factory=cpu_factory,
-                                event_driven=True, latency=10e-6)
+        cluster = build_cluster(2, store_factory=cpu_factory, latency=10e-6)
         spec = WORKLOAD_B.scaled(record_count=records,
                                  operation_count=ops)
         runner = OpenLoopRunner(cluster, spec, clients=clients,

@@ -16,7 +16,10 @@ Checks, against ROADMAP.md's canonical tier-1 verify command:
    what the ycsb/bench layers are written against), and
    docs/benchmarks.md must keep its `replication` reading guide and
    mention every scenario the bench CLI registers (the EXPERIMENTS
-   keys parsed out of src/repro/bench/__main__.py).
+   keys parsed out of src/repro/bench/__main__.py);
+5. a ``*.md`` file named in a docstring under src/ or benchmarks/ must
+   exist (at the path given, or by bare name at the root or in docs/):
+   code must not send readers to documents that were never written.
 
 Run from the repository root (CI does), or pass the root as argv[1].
 Exits non-zero listing each violation.
@@ -24,6 +27,7 @@ Exits non-zero listing each violation.
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import re
 import sys
@@ -31,14 +35,17 @@ import sys
 VERIFY_RE = re.compile(r"\*\*Tier-1 verify:\*\*\s*`([^`]+)`")
 FENCE_RE = re.compile(r"^```")
 LINK_RE = re.compile(r"\]\((docs/[A-Za-z0-9_.-]+\.md)\)")
+DOCSTRING_MD_RE = re.compile(r"[A-Za-z0-9_./-]*[A-Za-z0-9_]\.md\b")
+DOCSTRING_ROOTS = ("src", "benchmarks")
 
 # Sections/mentions a doc must keep (drift check 4).  Each entry:
 # doc path -> list of (required substring, why it is load-bearing).
 REQUIRED_DOC_CONTENT = {
     "docs/architecture.md": [
         ("## Execution model",
-         "the closed-loop vs open-loop contract the ycsb/bench layers "
-         "are written against"),
+         "the one-cluster-execution-model contract (closed loop and "
+         "open loop are two drivers of the same event core) the "
+         "ycsb/bench layers are written against"),
         ("## Replication",
          "the erasure-horizon / replica-handoff contract the cluster "
          "and bench layers are written against"),
@@ -105,6 +112,12 @@ REQUIRED_DOC_CONTENT = {
         ("tenancy.txt",
          "the committed quota-enforcement artifact must stay "
          "documented and regenerable"),
+        ("`scaling.txt`, `resharding.txt`, `replication.txt`",
+         "the committed closed-loop cluster artifacts must stay "
+         "documented and regenerable"),
+        ("perf/README.md",
+         "the host-cost benchmark must stay reachable from the "
+         "benchmark docs"),
     ],
 }
 
@@ -125,6 +138,33 @@ def bench_scenarios(root: pathlib.Path) -> list:
     if match is None:
         return []
     return EXPERIMENT_KEY_RE.findall(match.group(1))
+
+
+def docstring_md_references(root: pathlib.Path):
+    """``(relative path, line, name)`` for every ``*.md`` file named in a
+    module, class or function docstring under :data:`DOCSTRING_ROOTS`."""
+    for top in DOCSTRING_ROOTS:
+        for path in sorted((root / top).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.Module, ast.ClassDef,
+                                         ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                    continue
+                if ast.get_docstring(node, clean=False) is None:
+                    continue
+                literal = node.body[0].value
+                for offset, line in enumerate(
+                        literal.value.splitlines()):
+                    for name in DOCSTRING_MD_RE.findall(line):
+                        yield (path.relative_to(root),
+                               literal.lineno + offset, name)
+
+
+def md_reference_exists(root: pathlib.Path, name: str) -> bool:
+    if "/" in name:
+        return (root / name).exists()
+    return (root / name).exists() or (root / "docs" / name).exists()
 
 
 def canonical_verify_command(root: pathlib.Path) -> str:
@@ -195,6 +235,12 @@ def check(root: pathlib.Path) -> list:
             if needle not in text:
                 violations.append(
                     f"{rel} lost required content {needle!r} ({why})")
+
+    for rel, line, name in docstring_md_references(root):
+        if not md_reference_exists(root, name):
+            violations.append(
+                f"{rel}:{line}: docstring names {name}, which does not "
+                "exist")
 
     linked = set(LINK_RE.findall(readme_text))
     for target in sorted(linked):
