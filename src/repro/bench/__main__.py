@@ -371,6 +371,22 @@ EXPERIMENTS = {
 }
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum`` (sizes of 0
+    used to reach the generators and die on "empty zipfian range")."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}")
+        return value
+    return parse
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -378,19 +394,19 @@ def main(argv=None) -> int:
     parser.add_argument("experiments", nargs="*",
                         choices=[*EXPERIMENTS, []],
                         help="subset to run (default: all)")
-    parser.add_argument("--records", type=int, default=300,
+    parser.add_argument("--records", type=_int_at_least(1), default=300,
                         help="YCSB records per phase")
-    parser.add_argument("--ops", type=int, default=800,
+    parser.add_argument("--ops", type=_int_at_least(0), default=800,
                         help="YCSB operations per phase")
     parser.add_argument("--full", action="store_true",
                         help="full Figure 2 sweep (slow)")
-    parser.add_argument("--shards", type=int, default=None,
+    parser.add_argument("--shards", type=_int_at_least(1), default=None,
                         help="pin the concurrency sweep to one shard "
                              "count")
-    parser.add_argument("--clients", type=int, default=None,
+    parser.add_argument("--clients", type=_int_at_least(1), default=None,
                         help="pin the concurrency sweep to one client "
                              "count")
-    parser.add_argument("--cores", type=int, default=None,
+    parser.add_argument("--cores", type=_int_at_least(1), default=None,
                         help="pin the workers sweep to one worker count "
                              "per shard")
     parser.add_argument("--adaptive-batch", action="store_true",

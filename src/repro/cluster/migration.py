@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Set
 
 from ..common.errors import MigrationError
-from ..kvstore.aof import contains_key
+from ..kvstore.aof import mentioned_keys
 from .client import command_keys
 from .slots import SlotMap, slot_for_key
 
@@ -475,7 +475,7 @@ class SlotMigrator(_SlotMigrationBase):
         if store.aof_log is None or not self._moved:
             return False
         data = store.aof_log.read_all()
-        return any(contains_key(data, key) for key in self._moved)
+        return bool(mentioned_keys(data, self._moved))
 
 
 class GDPRSlotMigrator(_SlotMigrationBase):
@@ -666,5 +666,5 @@ class GDPRSlotMigrator(_SlotMigrationBase):
         if kv.aof_log is None or not self._moved:
             return False
         data = kv.aof_log.read_all()
-        return any(contains_key(data, key.encode("utf-8"))
-                   for key in self._moved)
+        return bool(mentioned_keys(
+            data, [key.encode("utf-8") for key in self._moved]))

@@ -85,17 +85,17 @@ def encode(value: Any) -> bytes:
 
 def encode_command(*args: Any) -> bytes:
     """Encode a client command as an array of bulk strings."""
-    out = [b"*" + str(len(args)).encode("ascii") + CRLF]
+    out = [b"*%d\r\n" % len(args)]
     for arg in args:
-        if isinstance(arg, (int, float)):
-            arg = str(arg)
-        if isinstance(arg, str):
-            arg = arg.encode("utf-8")
         if not isinstance(arg, (bytes, bytearray)):
-            raise ProtocolError(
-                f"command arguments must be scalar, got {type(arg).__name__}")
-        data = bytes(arg)
-        out.append(b"$" + str(len(data)).encode("ascii") + CRLF + data + CRLF)
+            if isinstance(arg, (int, float)):
+                arg = str(arg)
+            if not isinstance(arg, str):
+                raise ProtocolError(
+                    "command arguments must be scalar, "
+                    f"got {type(arg).__name__}")
+            arg = arg.encode("utf-8")
+        out.append(b"$%d\r\n%b\r\n" % (len(arg), arg))
     return b"".join(out)
 
 

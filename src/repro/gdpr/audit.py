@@ -37,7 +37,6 @@ quiescent log never leaves at-risk records unsynced forever.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import enum
 import json
 from collections import deque
@@ -61,6 +60,34 @@ class AuditChainMode(enum.Enum):
     BLOCK = "block"     # sealed blocks, one chain update + fsync per block
 
 
+# The log's one JSON dialect: sorted keys, no whitespace.
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _record_payload(seq: int, timestamp: float, principal: str,
+                    operation: str, key: Optional[str],
+                    subject: Optional[str], purpose: Optional[str],
+                    outcome: str, detail: str) -> bytes:
+    """A record's hashed/serialized body (everything except the chain)."""
+    return _dumps({
+        "seq": seq,
+        "ts": round(timestamp, 9),
+        "principal": principal,
+        "op": operation,
+        "key": key,
+        "subject": subject,
+        "purpose": purpose,
+        "outcome": outcome,
+        "detail": detail,
+    }).encode("utf-8")
+
+
+def _record_line(payload: bytes, prev_hash: str, record_hash: str) -> bytes:
+    """The log line of the record whose body serialises to ``payload``."""
+    return _dumps({"body": payload.decode("utf-8"), "prev": prev_hash,
+                   "hash": record_hash}).encode("utf-8") + b"\n"
+
+
 @dataclass(frozen=True)
 class AuditRecord:
     """One interaction with personal data."""
@@ -79,28 +106,13 @@ class AuditRecord:
 
     def payload(self) -> bytes:
         """The hashed/serialized body (everything except the chain)."""
-        body = {
-            "seq": self.seq,
-            "ts": round(self.timestamp, 9),
-            "principal": self.principal,
-            "op": self.operation,
-            "key": self.key,
-            "subject": self.subject,
-            "purpose": self.purpose,
-            "outcome": self.outcome,
-            "detail": self.detail,
-        }
-        return json.dumps(body, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
+        return _record_payload(
+            self.seq, self.timestamp, self.principal, self.operation,
+            self.key, self.subject, self.purpose, self.outcome, self.detail)
 
     def to_line(self) -> bytes:
-        envelope = {
-            "body": self.payload().decode("utf-8"),
-            "prev": self.prev_hash,
-            "hash": self.record_hash,
-        }
-        return json.dumps(envelope, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8") + b"\n"
+        return _record_line(self.payload(), self.prev_hash,
+                            self.record_hash)
 
     @classmethod
     def from_body(cls, body: dict, prev_hash: str = "",
@@ -132,6 +144,20 @@ class AuditRecord:
 BLOCK_DIGEST_SEED = chain_hash(GENESIS_HASH, b"repro-audit-block-digest")
 
 
+def _payloads_digest(payloads: Iterable[bytes]) -> str:
+    digest = BLOCK_DIGEST_SEED
+    for payload in payloads:
+        digest = chain_hash(digest, payload)
+    return digest
+
+
+def _block_header(first_seq: int, count: int, sealed_at: float,
+                  digest: str) -> bytes:
+    return _dumps({"first": first_seq, "count": count,
+                   "sealed_at": round(sealed_at, 9),
+                   "digest": digest}).encode("utf-8")
+
+
 @dataclass(frozen=True)
 class AuditBlock:
     """A sealed run of audit records committed by one chain update.
@@ -150,14 +176,8 @@ class AuditBlock:
     member_bodies: List[str]    # member payload() strings, in seq order
 
     def header_payload(self) -> bytes:
-        header = {
-            "first": self.first_seq,
-            "count": self.count,
-            "sealed_at": round(self.sealed_at, 9),
-            "digest": self.digest,
-        }
-        return json.dumps(header, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
+        return _block_header(self.first_seq, self.count, self.sealed_at,
+                             self.digest)
 
     def to_line(self) -> bytes:
         envelope = {
@@ -170,8 +190,7 @@ class AuditBlock:
             "hash": self.block_hash,
             "members": self.member_bodies,
         }
-        return json.dumps(envelope, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8") + b"\n"
+        return _dumps(envelope).encode("utf-8") + b"\n"
 
     @classmethod
     def from_line(cls, line: bytes) -> "AuditBlock":
@@ -203,10 +222,8 @@ class AuditBlock:
 
     @staticmethod
     def members_digest(member_bodies: Iterable[str]) -> str:
-        digest = BLOCK_DIGEST_SEED
-        for body in member_bodies:
-            digest = chain_hash(digest, body.encode("utf-8"))
-        return digest
+        return _payloads_digest(body.encode("utf-8")
+                                for body in member_bodies)
 
 
 def _looks_like_block(line: bytes) -> bool:
@@ -300,24 +317,27 @@ class AuditLog:
                key: Optional[str] = None, subject: Optional[str] = None,
                purpose: Optional[str] = None, outcome: str = "ok",
                detail: str = "") -> AuditRecord:
-        record = AuditRecord(
-            seq=self._seq, timestamp=self.clock.now(),
-            principal=principal, operation=operation, key=key,
-            subject=subject, purpose=purpose, outcome=outcome,
-            detail=detail, prev_hash="", record_hash="")
+        body = dict(seq=self._seq, timestamp=self.clock.now(),
+                    principal=principal, operation=operation, key=key,
+                    subject=subject, purpose=purpose, outcome=outcome,
+                    detail=detail)
         if self.chain_mode is AuditChainMode.BLOCK:
+            record = AuditRecord(**body)
             self._seq += 1
             self._remember(record)
             self._pending_block.append(record)
             if len(self._pending_block) >= self.block_size:
                 self.seal_block()
             return record
-        record = dataclasses.replace(record, prev_hash=self._tip)
-        digest = chain_hash(self._tip, record.payload())
-        record = dataclasses.replace(record, record_hash=digest)
+        # One serialisation per record: the body bytes feed both the
+        # chain hash and the log line.
+        payload = _record_payload(**body)
+        digest = chain_hash(self._tip, payload)
+        record = AuditRecord(**body, prev_hash=self._tip,
+                             record_hash=digest)
         if self.record_cpu_cost:
             self.clock.advance(self.record_cpu_cost)
-        self.log.append(record.to_line())
+        self.log.append(_record_line(payload, self._tip, digest))
         self._seq += 1
         self._tip = digest
         self._remember(record)
@@ -363,14 +383,16 @@ class AuditLog:
             return None
         members = self._pending_block
         self._pending_block = []
-        bodies = [m.payload().decode("utf-8") for m in members]
-        digest = AuditBlock.members_digest(bodies)
+        payloads = [m.payload() for m in members]
+        digest = _payloads_digest(payloads)
+        first_seq, sealed_at = members[0].seq, self.clock.now()
+        block_hash = chain_hash(
+            self._block_tip,
+            _block_header(first_seq, len(members), sealed_at, digest))
         block = AuditBlock(
-            first_seq=members[0].seq, count=len(members),
-            sealed_at=self.clock.now(), prev_hash=self._block_tip,
-            digest=digest, block_hash="", member_bodies=bodies)
-        block_hash = chain_hash(self._block_tip, block.header_payload())
-        block = dataclasses.replace(block, block_hash=block_hash)
+            first_seq=first_seq, count=len(members), sealed_at=sealed_at,
+            prev_hash=self._block_tip, digest=digest, block_hash=block_hash,
+            member_bodies=[p.decode("utf-8") for p in payloads])
         # The chain advances at seal time; if the group commit below is
         # lost (crash between seal and fsync) the durable log is missing
         # a block the chain already committed to -- verify_durable flags

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..common.errors import UnknownSubjectError
-from ..kvstore.aof import contains_key
+from ..kvstore.aof import mentioned_keys
 from .access_control import Operation, Principal
 from .metadata import GDPRMetadata
 from .store import CONTROLLER, GDPRStore
@@ -175,8 +175,8 @@ def right_to_erasure(store: GDPRStore, subject: str,
     residual = False
     if store.kv.aof_log is not None:
         aof_bytes = store.kv.aof_log.read_all()
-        residual = any(contains_key(aof_bytes, key.encode("utf-8"))
-                       for key in keys)
+        residual = bool(mentioned_keys(
+            aof_bytes, [key.encode("utf-8") for key in keys]))
     completed_at = store.clock.now()
     store.audit.append(principal=principal.name, operation="erase-subject",
                        subject=store._audit_name(subject), outcome="ok",

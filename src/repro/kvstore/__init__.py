@@ -7,7 +7,14 @@ Public surface::
     store.execute("EXPIRE", "user:1", 300)
 """
 
-from .aof import AofRewriter, AofWriter, FsyncPolicy, contains_key, replay_commands
+from .aof import (
+    AofRewriter,
+    AofWriter,
+    FsyncPolicy,
+    contains_key,
+    mentioned_keys,
+    replay_commands,
+)
 from .commands import REGISTRY, Session
 from .datatypes import ZSet, type_name
 from .expiry import (
@@ -50,6 +57,7 @@ __all__ = [
     "FsyncPolicy",
     "replay_commands",
     "contains_key",
+    "mentioned_keys",
     "LazyExpiryCycle",
     "FullScanExpiryCycle",
     "IndexedExpiryCycle",

@@ -112,3 +112,28 @@ class TestCli:
                                     "workers", "workers_skew",
                                     "replication", "backends",
                                     "tiering", "tenancy"}
+
+
+class TestSizeArguments:
+    """Sizes below the smallest runnable one are a usage error (exit 2),
+    not a traceback from deep inside a generator."""
+
+    @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+    @pytest.mark.parametrize("flag, value", [
+        ("--records", "0"), ("--records", "-5"), ("--shards", "0"),
+        ("--clients", "0"), ("--cores", "-1"), ("--ops", "-1"),
+        ("--records", "many"),
+    ])
+    def test_rejected_for_every_experiment(self, experiment, flag, value,
+                                           capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([experiment, flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {flag}:" in err.splitlines()[-1]
+        assert "Traceback" not in err
+
+    def test_zero_ops_still_runs(self, capsys):
+        assert main(["micro", "--records", "20", "--ops", "0"]) == 0
+        assert "logging mechanisms" in capsys.readouterr().out

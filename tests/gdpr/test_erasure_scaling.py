@@ -1,0 +1,93 @@
+"""Scaling guard for Art. 17: verifying an erasure is not keys x log work.
+
+A count, not a wall-clock floor: Python function calls under
+``sys.setprofile`` (the benchmark's ``host.py_calls_per_op``) repeat
+exactly on any host.  Before PR 14 ``right_to_erasure`` re-parsed the
+whole compacted WAL once per erased key, so the count was proportional to
+keys-per-subject *and* to log size; now the residual check is one C-speed
+scan per key and at most one decode.
+"""
+
+import sys
+
+from repro.common.clock import SimClock
+from repro.device.append_log import AppendLog
+from repro.gdpr.audit import AuditDurability
+from repro.gdpr.metadata import GDPRMetadata
+from repro.gdpr.rights import right_to_erasure
+from repro.gdpr.store import GDPRConfig, GDPRStore
+from repro.sqlstore import RelationalStore, SqlConfig
+
+WIDE_KEYS = 8
+
+
+def _store(records):
+    """A relational fast-GDPR store: subject ``wide`` owns 8 keys,
+    ``narrow`` owns 1, every other record has its own subject."""
+    clock = SimClock()
+    engine = RelationalStore(
+        SqlConfig(wal_enabled=True, wal_fsync="everysec",
+                  wal_log_reads=True, seed=0),
+        clock=clock, wal_log=AppendLog(clock=clock))
+    store = GDPRStore(
+        kv=engine,
+        config=GDPRConfig(encrypt_at_rest=True, fast_gdpr=True,
+                          audit_durability=AuditDurability.BATCH,
+                          compact_on_erasure=True))
+    for i in range(records):
+        owner = ("wide" if i < WIDE_KEYS
+                 else "narrow" if i == WIDE_KEYS else f"subject-{i}")
+        store.put(f"user{i}", b"personal-data" * 8,
+                  GDPRMetadata(owner=owner, purposes=frozenset({"service"})),
+                  purpose="service")
+    store.flush_compliance()
+    return store
+
+
+def _py_calls(work):
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        work()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _erasure_calls(records, subject):
+    """(calls of the whole Art. 17, calls of its log compaction alone)."""
+    store = _store(records)
+    receipts = []
+    total = _py_calls(
+        lambda: receipts.append(right_to_erasure(store, subject)))
+    receipt, = receipts
+    assert receipt.log_compacted and not receipt.residual_in_aof
+    # The same rewrite over the same live rows, on its own.
+    compaction = _py_calls(store.kv.rewrite_aof)
+    return total, compaction
+
+
+def test_erasure_calls_do_not_scale_with_keys_per_subject():
+    wide, _ = _erasure_calls(400, "wide")
+    narrow, _ = _erasure_calls(400, "narrow")
+    # 8 DELs instead of 1 is all an 8-key subject adds (parent: ~7.3x).
+    assert wide < 1.5 * narrow, (wide, narrow)
+
+
+def test_erasure_verification_does_not_scale_with_log_size():
+    """The compaction writes one statement per live row by design, so its
+    own calls are taken out; what is left -- the DELs, the key erasure,
+    the audit record and the residual check over a 4x larger log -- must
+    stay flat (parent: ~4x, one full parse of the log per key)."""
+    small_total, small_compaction = _erasure_calls(400, "narrow")
+    large_total, large_compaction = _erasure_calls(1600, "narrow")
+    assert large_compaction > 3 * small_compaction   # the log did grow
+    small = small_total - small_compaction
+    large = large_total - large_compaction
+    assert 0 < small and large < 1.5 * small, (small, large)

@@ -1,0 +1,241 @@
+"""Golden device bytes: the one-test proof for a "host-only" change.
+
+Three seeded 150-op mini-runs -- one per GDPR stack the repo's benchmark
+uses -- pin the sha256 of every device's contents (AOF/WAL, audit log,
+cold segments) plus the final simulated clock.  The digests were recorded
+at the commit *before* PR 14's host-side rewrites (erasure scan, whole-
+buffer XOR, single-pass RESP/audit encoding), so a change that claims to
+move no simulated digit and no device byte reruns this file to show it.
+
+A deliberate change to a log format, a cost constant or the envelope
+re-records the digests and says so in CHANGES.md.
+"""
+
+import hashlib
+import random
+
+from repro.common.clock import SimClock
+from repro.crypto.cipher import seeded_entropy
+from repro.device.append_log import AppendLog
+from repro.device.latency import INTEL_750_SSD
+from repro.gdpr.audit import AuditDurability, AuditLog
+from repro.gdpr.metadata import GDPRMetadata
+from repro.gdpr.rights import (right_of_access, right_to_erasure,
+                               right_to_portability)
+from repro.gdpr.store import GDPRConfig, GDPRStore
+from repro.kvstore.store import KeyValueStore, StoreConfig
+from repro.sqlstore import RelationalStore, SqlConfig
+from repro.tiering import TieredEngine, TieringConfig
+
+OPS = 150
+RECORDS = 48
+KEYS_PER_SUBJECT = 4
+LOG_BASE, LOG_PER_BYTE = 75e-6, 30e-9
+ALPHABET = b"abcdefghijklmnopqrstuvwxyz0123456789 "
+
+
+def _ssd(clock, name):
+    return AppendLog(clock=clock, latency=INTEL_750_SSD, name=name)
+
+
+def _logged_kv(clock, log, log_reads):
+    return KeyValueStore(
+        StoreConfig(command_cpu_cost=25e-6, appendonly=True,
+                    appendfsync="everysec", aof_log_reads=log_reads,
+                    aof_record_base_cost=LOG_BASE,
+                    aof_record_per_byte_cost=LOG_PER_BYTE, seed=0),
+        clock=clock, aof_log=log)
+
+
+def _subject_of(index):
+    return f"subject-{index // KEYS_PER_SUBJECT}"
+
+
+def _payload(rng, size=200):
+    return bytes(rng.choices(ALPHABET, k=size))
+
+
+def _metadata(index, ttl=None):
+    return GDPRMetadata(owner=_subject_of(index),
+                        purposes=frozenset({"service"}), ttl=ttl)
+
+
+def _load(store, rng, ttl=None):
+    for i in range(RECORDS):
+        store.put(f"user{i}", _payload(rng), _metadata(i, ttl),
+                  purpose="service")
+
+
+def _read_update(store, rng, live, ttl=None):
+    index = rng.choice(live)
+    key = f"user{index}"
+    if rng.random() < 0.5:
+        store.get(key, purpose="service")
+    else:
+        store.put(key, _payload(rng), _metadata(index, ttl),
+                  purpose="service")
+
+
+def _digest(*devices):
+    return {dev.name: hashlib.sha256(dev.read_all()).hexdigest()
+            for dev in devices}
+
+
+def _strict_redislike():
+    """AOF everysec + read logging, per-record SYNC audit chain,
+    per-subject encryption, TTL 3600 (the ``strict_kv`` stack)."""
+    rng = random.Random(7)
+    clock = SimClock()
+    aof, audit_dev = _ssd(clock, "aof"), _ssd(clock, "audit")
+    store = GDPRStore(
+        kv=_logged_kv(clock, aof, log_reads=True),
+        config=GDPRConfig(encrypt_at_rest=True, compact_on_erasure=False),
+        audit=AuditLog(log=audit_dev, clock=clock,
+                       durability=AuditDurability.SYNC,
+                       record_cpu_cost=5e-6))
+    _load(store, rng, ttl=3600.0)
+    live = list(range(RECORDS))
+    for _ in range(OPS):
+        _read_update(store, rng, live, ttl=3600.0)
+    store.audit.sync()
+    assert store.audit.verify_durable() == store.audit.record_count
+    return _digest(aof, audit_dev), clock.now()
+
+
+def _fast_relational():
+    """Relational engine under fast-GDPR (block audit, write-behind) with
+    an Art. 15 / 20 / 17 every 20 ops (the ``fast_sql_rights`` stack)."""
+    rng = random.Random(7)
+    clock = SimClock()
+    wal, audit_dev = _ssd(clock, "wal"), _ssd(clock, "audit")
+    engine = RelationalStore(
+        SqlConfig(wal_enabled=True, wal_fsync="everysec",
+                  wal_log_reads=True, wal_record_base_cost=LOG_BASE,
+                  wal_record_per_byte_cost=LOG_PER_BYTE,
+                  statement_cpu_cost=45e-6, statement_parse_cost=120e-6,
+                  statement_plan_cost=60e-6, index_node_cost=2e-6,
+                  row_base_cost=6e-6, row_per_byte_cost=8e-9, seed=0),
+        clock=clock, wal_log=wal)
+    store = GDPRStore(
+        kv=engine,
+        config=GDPRConfig(encrypt_at_rest=True,
+                          audit_durability=AuditDurability.BATCH,
+                          compact_on_erasure=True, fast_gdpr=True,
+                          audit_block_size=16),
+        audit=AuditLog(log=audit_dev, clock=clock,
+                       durability=AuditDurability.BATCH, batch_interval=1.0,
+                       record_cpu_cost=5e-6, chain_mode="block",
+                       block_size=16))
+    _load(store, rng, ttl=3600.0)
+    live = list(range(RECORDS))
+    rights = (right_of_access, right_to_portability, right_to_erasure)
+    subject = 0
+    erased = 0
+    for op in range(OPS):
+        if op % 20 == 19:
+            right = rights[(op // 20) % 3]
+            result = right(store, f"subject-{subject}")
+            if right is right_to_erasure:
+                assert not result.residual_in_aof and result.log_compacted
+                live = [i for i in live
+                        if _subject_of(i) != f"subject-{subject}"]
+                erased += 1
+            subject += 1
+        else:
+            _read_update(store, rng, live, ttl=3600.0)
+    assert erased == 2
+    store.flush_compliance()
+    store.audit.sync()
+    assert store.audit.verify_durable() == store.audit.record_count
+    return _digest(wal, audit_dev), clock.now()
+
+
+def _tiered():
+    """TieredEngine over an AOF-logged redislike engine: three quarters
+    of the records are demoted, reads promote some back, and Art. 17
+    reaches sealed cold segments (the ``tiered_cold`` stack)."""
+    rng = random.Random(7)
+    clock = SimClock()
+    aof, cold = _ssd(clock, "aof"), _ssd(clock, "cold")
+    audit_dev = AppendLog(clock=clock, name="audit")
+    engine = TieredEngine(
+        _logged_kv(clock, aof, log_reads=False), device=cold,
+        tiering=TieringConfig(demote_idle_after=60.0, demote_interval=30.0,
+                              segment_max_records=8))
+    store = GDPRStore(kv=engine,
+                      config=GDPRConfig(encrypt_at_rest=True,
+                                        compact_on_erasure=True),
+                      audit=AuditLog(log=audit_dev, clock=clock))
+    _load(store, rng)
+    hot = [i for i in range(RECORDS) if i % KEYS_PER_SUBJECT == 0]
+    for _ in range(4):                      # idle gap: the scan demotes
+        clock.advance(45.0)
+        for index in hot:
+            store.get(f"user{index}", purpose="service")
+        store.tick()
+    assert engine.cold_stats()["segments"] > 0
+    live = list(range(RECORDS))
+    subject = 0
+    cold_voided = 0
+    for op in range(OPS):
+        if op % 50 == 49:
+            receipt = right_to_erasure(store, f"subject-{subject}")
+            assert not receipt.residual_in_aof
+            cold_voided += receipt.cold_segments_voided
+            live = [i for i in live
+                    if _subject_of(i) != f"subject-{subject}"]
+            subject += 1
+        else:
+            _read_update(store, rng, live)
+    assert subject == 3 and cold_voided > 0
+    store.audit.sync()
+    assert store.audit.verify_durable() == store.audit.record_count
+    return _digest(aof, cold, audit_dev), clock.now()
+
+
+# Recorded at d3009f3 (the parent of PR 14), before any source change.
+GOLDEN = {
+    "strict_redislike": ({
+        "aof": "9732a9ee193a5b624b9d178446732cd4"
+               "eab4b08774a6d591503e95676cadac81",
+        "audit": "c5c7753005b15c0d2a949c762612c6d8"
+                 "3196f31d21d6c814cd4ab625e5e77b6d",
+    }, 0.19332046999999966),
+    "fast_relational": ({
+        "wal": "e589a39151547d623aa140a19f346b63"
+               "b27201f1ab8b4b1b9a19bd7ec8a29502",
+        "audit": "995488e14970ac59ae6b62236b62ebbd"
+                 "d141d8b15c1b4353a1f08be63bf43e4a",
+    }, 0.07506849600000068),
+    "tiered": ({
+        "aof": "2176820ed46d4961c9e989209a4cdda1"
+               "8c58c3af02672afc19deb2d3a31f3f08",
+        "cold": "882042e471fee9aa2986803808c83eec"
+                "0d4937d7e98f39d0d82ae961ab78042b",
+        "audit": "0af0e0cbe295a9babc3ba23bd55a0d5e"
+                 "155ddbe534df6ad71a4ab99d84f247bf",
+    }, 180.04300654099777),
+}
+
+RUNS = {
+    "strict_redislike": _strict_redislike,
+    "fast_relational": _fast_relational,
+    "tiered": _tiered,
+}
+
+
+def _run(name):
+    with seeded_entropy(7):
+        return RUNS[name]()
+
+
+def test_runs_repeat_exactly():
+    for name in RUNS:
+        assert _run(name) == _run(name), name
+
+
+def test_device_bytes_and_clock_match_the_recorded_parent():
+    for name, (digests, now) in GOLDEN.items():
+        got_digests, got_now = _run(name)
+        assert got_digests == digests, name
+        assert repr(got_now) == repr(now), name
