@@ -210,6 +210,23 @@ class StorageEngine:
         raise NotImplementedError(
             f"{type(self).__name__} does not support tier demotion")
 
+    def promote_insert(self, key: bytes, value: bytes,
+                       expire_at: Optional[float]) -> None:
+        """Re-insert a record (database 0) on behalf of a tiering layer
+        that is moving it back from the archive; the counterpart of
+        :meth:`demote_remove`.
+
+        Contract (both engines implement it): the insert costs, logs and
+        replicates exactly like the client command(s) ``SET key value``
+        plus an absolute expiry, but the keyspace ends up holding
+        ``expire_at`` itself -- the wire form carries milliseconds, the
+        archive the exact deadline -- and the periodic maintenance cycle
+        (active expiry, vacuum) does not run: it waits for the tick of
+        the client command the promotion serves, as on an untiered
+        engine.  Log fsync deadlines are kept."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not support tier promotion")
+
     # -- replication -------------------------------------------------------
 
     def spawn_replica(self, clock: Optional[Any] = None) -> "StorageEngine":

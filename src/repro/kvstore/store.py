@@ -105,6 +105,7 @@ class KeyValueStore(StorageEngine):
         self.last_snapshot_at: Optional[float] = None
         self._default_session = Session()
         self._loading = False
+        self._promoting = False
         self._last_cron = self.clock.now()
         self._last_rewrite = self.clock.now()
         self._aof_base_size = 0
@@ -290,6 +291,22 @@ class KeyValueStore(StorageEngine):
             self.aof.post_command()
         return existed
 
+    def promote_insert(self, key: bytes, value: bytes,
+                       expire_at: Optional[float]) -> None:
+        """Tier-promotion re-insert (see the engine contract): one
+        ``SET [PXAT]``, then the exact deadline over PXAT's
+        milliseconds; no cron cycle runs."""
+        self._promoting = True
+        try:
+            if expire_at is None:
+                self.execute(b"SET", key, value)
+            else:
+                millis = str(int(expire_at * 1000)).encode("ascii")
+                self.execute(b"SET", key, value, b"PXAT", millis)
+                self.databases[0].set_expiry(key, expire_at)
+        finally:
+            self._promoting = False
+
     # -- cron ---------------------------------------------------------------------
 
     def tick(self) -> None:
@@ -299,7 +316,8 @@ class KeyValueStore(StorageEngine):
         now = self.clock.now()
         if self.aof is not None:
             self.aof.tick(now)
-        if now - self._last_cron >= 1.0 / self.config.hz:
+        if not self._promoting \
+                and now - self._last_cron >= 1.0 / self.config.hz:
             self._last_cron = now
             self.cron(now)
 

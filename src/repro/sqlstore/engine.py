@@ -131,6 +131,7 @@ class RelationalStore(StorageEngine):
                 record_per_byte_cost=self.config.wal_record_per_byte_cost)
         self._default_session = Session()
         self._loading = False
+        self._promoting = False
         self._last_vacuum = self.clock.now()
         self._last_checkpoint = self.clock.now()
         self.vacuum_runs = 0
@@ -237,6 +238,22 @@ class RelationalStore(StorageEngine):
             self.wal.feed_command(0, [b"DEL", key], is_write=True)
             self.wal.post_command()
         return True
+
+    def promote_insert(self, key: bytes, value: bytes,
+                       expire_at: Optional[float]) -> None:
+        """Tier-promotion re-insert (see the engine contract): ``SET``
+        [+ ``PEXPIREAT``], then the exact deadline over PEXPIREAT's
+        milliseconds; no vacuum runs."""
+        self._promoting = True
+        try:
+            self.execute(b"SET", key, value)
+            if expire_at is not None:
+                millis = str(int(expire_at * 1000)).encode("ascii")
+                self.execute(b"PEXPIREAT", key, millis)
+                if key in self.table:   # a deadline <= now was a delete
+                    self.table.set_expiry(key, expire_at)
+        finally:
+            self._promoting = False
 
     def _live_row(self, key: bytes, for_read: bool = False) -> Optional[Row]:
         row = self.table.get(key)
@@ -656,7 +673,8 @@ class RelationalStore(StorageEngine):
         now = self.clock.now()
         if self.wal is not None:
             self.wal.tick(now)
-        if now - self._last_vacuum >= 1.0 / self.config.hz:
+        if not self._promoting \
+                and now - self._last_vacuum >= 1.0 / self.config.hz:
             self._last_vacuum = now
             self.vacuum(now)
         interval = self.config.checkpoint_interval

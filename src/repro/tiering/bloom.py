@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Iterable
+from typing import Iterable, Tuple
 
 from ..common.hashing import sha256_bytes
 
@@ -52,31 +52,59 @@ class BloomFilter:
         hash_count = max(1, round((bit_count / capacity) * ln2))
         return cls(bit_count, hash_count)
 
-    def _probes(self, item: bytes) -> Iterable[int]:
+    @staticmethod
+    def hash_pair(item: bytes) -> Tuple[int, int]:
+        """The double-hash pair ``(h1, h2)`` of ``item``: one SHA-256,
+        shared by filters of every size, so a query over many segments
+        hashes once and hands the pair to :meth:`contains_hashed`.
+
+        Invariant: same bit positions as :meth:`add` --
+        ``(h1 + i * h2) % bit_count`` for ``i < hash_count``, ``h2``
+        forced odd so the probes cycle the whole array."""
         digest = sha256_bytes(item)
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:16], "big") | 1  # odd => full cycle
-        for i in range(self.hash_count):
-            yield (h1 + i * h2) % self.bit_count
+        return (int.from_bytes(digest[:8], "big"),
+                int.from_bytes(digest[8:16], "big") | 1)
 
     def add(self, item: bytes) -> None:
-        for idx in self._probes(item):
-            self._bits[idx >> 3] |= 1 << (idx & 7)
+        h1, h2 = self.hash_pair(item)
+        bits, bit_count = self._bits, self.bit_count
+        for _ in range(self.hash_count):
+            idx = h1 % bit_count
+            bits[idx >> 3] |= 1 << (idx & 7)
+            h1 += h2
         self.added += 1
 
     def update(self, items: Iterable[bytes]) -> None:
         for item in items:
             self.add(item)
 
+    def contains_hashed(self, h1: int, h2: int) -> bool:
+        """Membership of the item whose :meth:`hash_pair` is
+        ``(h1, h2)``, returning on the first clear bit.
+
+        Invariant: same bit positions as :meth:`add`, so
+        ``bloom.contains_hashed(*BloomFilter.hash_pair(x))`` is
+        ``x in bloom`` for every filter size."""
+        bits, bit_count = self._bits, self.bit_count
+        for _ in range(self.hash_count):
+            idx = h1 % bit_count
+            if not bits[idx >> 3] & (1 << (idx & 7)):
+                return False
+            h1 += h2
+        return True
+
     def __contains__(self, item: bytes) -> bool:
-        return all(self._bits[idx >> 3] & (1 << (idx & 7)) for idx in self._probes(item))
+        return self.contains_hashed(*self.hash_pair(item))
 
     def may_contain(self, item: bytes) -> bool:
         return item in self
 
     def fill_ratio(self) -> float:
-        set_bits = sum(bin(byte).count("1") for byte in self._bits)
-        return set_bits / self.bit_count
+        return int.from_bytes(self._bits, "big").bit_count() / self.bit_count
+
+    def byte_size(self) -> int:
+        """``len(self.to_bytes())`` without serializing."""
+        return _HEADER.size + len(self._bits)
 
     def to_bytes(self) -> bytes:
         return _HEADER.pack(self.bit_count, self.hash_count, self.added) + bytes(self._bits)

@@ -260,7 +260,7 @@ class TieredEngine(StorageEngine):
         """Silently drop a cold copy that is about to be overwritten or
         is shadowed by a live hot copy (no deletion event: the key stays
         logically alive)."""
-        if self.cold.may_contain(key) and self.cold.lookup(key) is not None:
+        if self.cold.lookup(key) is not None:
             self.cold.tombstone_key(key, durable=durable)
 
     def _surface(self, key: bytes) -> None:
@@ -268,14 +268,12 @@ class TieredEngine(StorageEngine):
         cold copy into the hot engine (or reclaim it if expired /
         crypto-erased), so the inner engine's answer is the tiered
         answer."""
-        if not self.cold.may_contain(key):
+        entry = self.cold.lookup(key)
+        if entry is None:
             return
         if self._inner.has_live_key(key, 0):
             # Crash-window duplicate: hot is authoritative.
-            self._evict_shadow(key)
-            return
-        entry = self.cold.lookup(key)
-        if entry is None:
+            self.cold.tombstone_key(key, durable=False)
             return
         now = self.clock.now()
         if entry.expire_at is not None and entry.expire_at <= now:
@@ -299,14 +297,7 @@ class TieredEngine(StorageEngine):
 
     def _promote(self, entry: ColdEntry, value: bytes) -> None:
         key = entry.key
-        if entry.expire_at is not None and self.supports_set_with_expiry:
-            millis = str(int(entry.expire_at * 1000)).encode("ascii")
-            self._inner.execute(b"SET", key, value, b"PXAT", millis)
-        else:
-            self._inner.execute(b"SET", key, value)
-            if entry.expire_at is not None:
-                millis = str(int(entry.expire_at * 1000)).encode("ascii")
-                self._inner.execute(b"PEXPIREAT", key, millis)
+        self._inner.promote_insert(key, value, entry.expire_at)
         annotation = self._owners.get(key)
         owner = entry.owner if entry.owner is not None \
             else (annotation[0] if annotation else None)
@@ -336,8 +327,7 @@ class TieredEngine(StorageEngine):
             seen.add(key)
             if self._inner.has_live_key(key, 0):
                 continue
-            if self.cold.may_contain(key) \
-                    and self.cold.lookup(key) is not None:
+            if self.cold.lookup(key) is not None:
                 cold_victims.append(key)
         removed = self._inner.execute(*argv, session=session)
         now = self.clock.now()
@@ -370,10 +360,12 @@ class TieredEngine(StorageEngine):
 
     def _dbsize_merged(self, argv: List[bytes],
                        session: Optional[Any]) -> int:
+        # An expired cold copy is never "unreclaimed": like KEYS and
+        # SCAN, the count stops serving it at its deadline, judged at
+        # the command's start as the hot engine judges its own keys.
+        now = self.clock.now()
         reply = self._inner.execute(*argv, session=session)
-        cold = self.cold.live_entries(include_expired=True)
-        overlap = sum(1 for key in cold if self._inner.has_live_key(key, 0))
-        return reply + len(cold) - overlap
+        return reply + len(self._cold_live_keys(now))
 
     def _scan_merged(self, argv: List[bytes], session: Optional[Any]) -> Any:
         reply = self._inner.execute(*argv, session=session)

@@ -306,6 +306,17 @@ class ColdSegmentStore:
 
     # -- membership & lookup -------------------------------------------------
 
+    def _candidates(self, key: bytes, dead_upto: int):
+        """Segments newer than ``dead_upto`` whose key bloom is positive
+        for ``key``, newest first: one hash of the key, one early-exit
+        probe per segment, nothing decompressed."""
+        h1, h2 = BloomFilter.hash_pair(key)
+        for info in reversed(self._segments.values()):
+            if info.seq <= dead_upto:
+                break  # older segments are all dead for this key
+            if info.key_bloom.contains_hashed(h1, h2):
+                yield info
+
     def may_contain(self, key: bytes,
                     ignore_tombstones: bool = False) -> bool:
         """Bloom-only membership probe (no decompression).
@@ -317,12 +328,7 @@ class ColdSegmentStore:
         """
         dead_upto = -1 if ignore_tombstones \
             else self._dead_upto.get(key, -1)
-        for seq in reversed(self._segments):
-            if seq <= dead_upto:
-                continue
-            if key in self._segments[seq].key_bloom:
-                return True
-        return False
+        return next(self._candidates(key, dead_upto), None) is not None
 
     def lookup(self, key: bytes) -> Optional[ColdEntry]:
         """Newest live copy of ``key``, or None.
@@ -331,13 +337,7 @@ class ColdSegmentStore:
         a positive that turns out to hold no copy is counted in
         :attr:`bloom_false_positives`.
         """
-        dead_upto = self._dead_upto.get(key, -1)
-        for seq in reversed(self._segments):
-            if seq <= dead_upto:
-                break  # older segments are all dead for this key
-            info = self._segments[seq]
-            if key not in info.key_bloom:
-                continue
+        for info in self._candidates(key, self._dead_upto.get(key, -1)):
             entry = self._cache_entries(info).get(key)
             if entry is None:
                 self.bloom_false_positives += 1
@@ -429,8 +429,7 @@ class ColdSegmentStore:
         resurrection-by-restore.
         """
         encoded = subject.encode("utf-8")
-        touched = [seq for seq, info in self._segments.items()
-                   if encoded in info.subject_bloom]
+        touched = self.segments_of_subject(subject)
         self._erased_subjects.add(subject)
         self._append_frame(MAGIC_SUBJECT,
                            _U32.pack(len(encoded)) + encoded, durable=True)
@@ -440,9 +439,9 @@ class ColdSegmentStore:
     def segments_of_subject(self, subject: str) -> List[int]:
         """Which sealed segments may hold ``subject`` -- answered from
         the per-subject blooms without decompressing anything."""
-        encoded = subject.encode("utf-8")
+        h1, h2 = BloomFilter.hash_pair(subject.encode("utf-8"))
         return [seq for seq, info in self._segments.items()
-                if encoded in info.subject_bloom]
+                if info.subject_bloom.contains_hashed(h1, h2)]
 
     def keys_of_subject(self, subject: str) -> List[bytes]:
         """Exact archived keys of ``subject`` (bloom-candidates first,
@@ -583,8 +582,8 @@ class ColdSegmentStore:
         total = 0
         for info in self._segments.values():
             total += len(info.compressed)
-            total += len(info.key_bloom.to_bytes())
-            total += len(info.subject_bloom.to_bytes())
+            total += info.key_bloom.byte_size()
+            total += info.subject_bloom.byte_size()
         total += sum(len(k) + 8 for k in self._dead_upto)
         total += sum(len(k) + 16 for _, _, k in self._expiry)
         return total

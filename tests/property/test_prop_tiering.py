@@ -2,7 +2,7 @@
 under random op/demote interleavings, bloom soundness, measured FP rate,
 and no-resurrection of erased subjects across crashes."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.clock import SimClock
@@ -58,7 +58,16 @@ def _drive(engine, ops, tiered):
 
 
 @given(tier_ops)
-@settings(max_examples=50, deadline=None)
+# Once found by exploration and then replayed from .hypothesis/ forever:
+# a promotion that ran the hot engine's maintenance cycle ahead of the
+# command that triggered it, and DBSIZE counting an expired cold copy.
+@example([("SET", b"k0", b"v0"), ("demote",), ("advance", 1),
+          ("EXPIRE", b"k0", 1), ("EXPIRE", b"k0", 1)])
+@example([("SET", b"k0", b"v0"), ("EXPIRE", b"k0", 2), ("demote",),
+          ("advance", 1), ("EXPIRE", b"k0", 1)])
+@example([("SET", b"k0", b"v0"), ("EXPIRE", b"k0", 1), ("demote",),
+          ("advance", 1)])
+@settings(max_examples=50, deadline=None, derandomize=True)
 def test_tiered_equals_hot_only_under_random_ops(ops):
     """Any op sequence with demotions interleaved at arbitrary points
     observes exactly what a hot-only engine observes."""
@@ -78,7 +87,7 @@ def test_tiered_equals_hot_only_under_random_ops(ops):
 
 
 @given(tier_ops)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 def test_crash_recovery_preserves_tiered_state(ops):
     """AOF replay plus cold-device recovery reconstruct the pre-crash
     keyspace: nothing hot is lost, nothing deleted resurrects."""
@@ -104,7 +113,7 @@ def test_crash_recovery_preserves_tiered_state(ops):
 @given(st.sets(st.binary(min_size=1, max_size=12), min_size=1,
                max_size=40),
        st.integers(1, 5))
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 def test_sealed_keys_never_bloom_false_negative(keys, per_segment):
     """A sealed, untombstoned key is always bloom-visible."""
     store = ColdSegmentStore(device=AppendLog(clock=SimClock()))
@@ -142,7 +151,7 @@ erasure_ops = st.lists(
 
 
 @given(erasure_ops)
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 def test_erased_subject_never_readable_from_any_tier(ops):
     """After Art. 17 reaches the engine (hot DELs + cold subject marker
     + keystore erasure), no interleaving of demotions, promotions, and

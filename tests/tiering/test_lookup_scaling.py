@@ -1,0 +1,98 @@
+"""Host-cost scaling of the cold-tier point path, counted exactly.
+
+Two deterministic, host-independent counts per command: SHA-256
+computations made on behalf of the segment filters, and Python-level
+calls (``sys.setprofile``).  A point command hashes its key once and
+walks the sealed segments once, whatever the archive's size; a walk
+costs one early-exit probe per segment, not one hash-and-generator
+pipeline.
+"""
+
+import sys
+
+import pytest
+
+from repro.common.clock import SimClock
+from repro.device.append_log import AppendLog
+from repro.kvstore.store import KeyValueStore, StoreConfig
+from repro.tiering import TieredEngine, TieringConfig, bloom
+
+PER_SEGMENT = 4
+
+
+def _engine_with_segments(segments):
+    """``segments`` sealed segments of cold keys plus one hot key."""
+    clock = SimClock()
+    inner = KeyValueStore(StoreConfig(appendonly=True), clock=clock,
+                          aof_log=AppendLog(clock=clock))
+    engine = TieredEngine(inner, tiering=TieringConfig(
+        auto_demote=False, segment_max_records=PER_SEGMENT))
+    cold = [b"cold:%03d" % i for i in range(segments * PER_SEGMENT)]
+    for key in cold:
+        engine.execute("SET", key, b"v")
+    assert engine.demote_keys(cold) == len(cold)
+    assert engine.cold.segment_count == segments
+    engine.execute("SET", b"hot", b"v")
+    return engine
+
+
+@pytest.fixture
+def filter_hashes(monkeypatch):
+    """Counts every SHA-256 the bloom module computes."""
+    calls = []
+    real = bloom.sha256_bytes
+
+    def counting(data):
+        calls.append(data)
+        return real(data)
+
+    monkeypatch.setattr(bloom, "sha256_bytes", counting)
+    return calls
+
+
+@pytest.mark.parametrize("segments", [4, 40])
+@pytest.mark.parametrize("command,key", [
+    pytest.param(("GET",), b"hot", id="get-hot-hit"),
+    pytest.param(("GET",), b"cold:001", id="get-cold-hit-promotes"),
+    pytest.param(("GET",), b"absent", id="get-total-miss"),
+    pytest.param(("SET", b"w"), b"hot", id="set-hot"),
+    pytest.param(("SET", b"w"), b"cold:002", id="set-over-cold-copy"),
+    pytest.param(("SET", b"w"), b"absent", id="set-new"),
+    pytest.param(("SET", b"w", b"NX"), b"cold:003", id="set-nx-cold"),
+    pytest.param(("DEL",), b"hot", id="del-hot"),
+    pytest.param(("DEL",), b"cold:005", id="del-cold"),
+])
+def test_one_filter_hash_per_key_per_command(filter_hashes, segments,
+                                             command, key):
+    engine = _engine_with_segments(segments)
+    del filter_hashes[:]
+    engine.execute(command[0], key, *command[1:])
+    assert filter_hashes == [key]
+
+
+def _python_calls(function):
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_total_miss_cost_grows_by_one_probe_per_segment():
+    counts = {}
+    for segments in (4, 40):
+        engine = _engine_with_segments(segments)
+        counts[segments] = _python_calls(
+            lambda: engine.execute("GET", b"absent"))
+    # Ten times the segments: nine times the filters to probe, each one
+    # Python call on top of the command's fixed cost.
+    assert counts[40] - counts[4] <= 2 * (40 - 4)
+    assert counts[40] < 4 * counts[4]

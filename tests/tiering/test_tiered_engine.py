@@ -99,6 +99,50 @@ def test_cold_lazy_and_active_expiry():
     assert engine.execute("DBSIZE") == 0
 
 
+@pytest.mark.parametrize("base", ["redislike", "relational"])
+def test_promotion_restores_the_archived_deadline_exactly(base):
+    """The wire form of an absolute expiry carries milliseconds; the
+    archive holds the deadline itself, and a promoted key gets it back
+    to the last bit."""
+    engine = make_engine(base, auto_demote=False)
+    engine.clock.advance(1.0000002)            # off the millisecond grid
+    engine.execute("SET", "k", "v")
+    engine.execute("EXPIRE", "k", 1)
+    (before,) = [r.expire_at for r in engine.scan_records()]
+    assert before != int(before * 1000) / 1000.0
+    engine.demote_keys([b"k"])
+    assert engine.execute("GET", "k") == b"v"  # promotes
+    assert engine.promotions == 1
+    assert [r.expire_at for r in engine.inner.scan_records()] == [before]
+
+
+def test_promotion_leaves_the_cron_cycle_to_the_command_it_serves():
+    """EXPIRE on a cold key ends like EXPIRE on a hot one: the due
+    active-expiry cycle samples the key *after* its new deadline is set,
+    not between the promotion and the command."""
+    hot = make_engine(auto_demote=False).inner
+    tiered = make_engine(auto_demote=False)
+    for engine in (hot, tiered):
+        engine.execute("SET", "k", "v")
+    tiered.demote_keys([b"k"])
+    for engine in (hot, tiered):
+        engine.clock.advance(1)
+        engine.execute("EXPIRE", "k", 1)
+    assert tiered.promotions == 1
+    assert tiered.clock.now() == hot.clock.now() > 1.0
+    assert tiered.inner.expiry.stats.sampled == hot.expiry.stats.sampled == 1
+
+
+def test_dbsize_stops_counting_a_cold_copy_at_its_deadline():
+    engine = make_engine(auto_demote=False)
+    engine.execute("SET", "k", "v", "EX", 1)
+    engine.execute("SET", "forever", "v")
+    engine.demote_keys([b"k", b"forever"])
+    engine.clock.advance(1)                    # now == expire_at
+    assert engine.execute("DBSIZE") == 1       # as KEYS / SCAN report
+    assert engine.key_count() == 1             # ... and it was reclaimed
+
+
 def test_overwrite_kills_cold_copy_silently():
     engine = make_engine(auto_demote=False)
     events = []
