@@ -24,7 +24,9 @@ from repro.bench.scaling import (
     workers_skew_table,
     workers_table,
 )
-from repro.cluster.workers import RouteMemo, classify
+from repro.cluster import slot_for_key
+from repro.cluster.client import parse_command
+from repro.cluster.workers import classify, route_of
 
 
 def test_hockey_stick_artifact(results_dir):
@@ -126,20 +128,21 @@ def test_workers_skew_artifact(results_dir):
         == by_axis[(1, "zipfian", False)].knee
 
 
-def test_route_memo_dispatch_overhead_did_not_regress():
-    """Micro-assert for the classify() memoization: the cached path must
-    beat recomputing the route, or the hot dispatch path regressed."""
-    request = [b"GET", b"user4000000000000000000"]
-    memo = RouteMemo()
-    assert memo.classify(request) == (classify(request), True)
-    raw = min(timeit.repeat(lambda: classify(request),
-                            number=5_000, repeat=5))
-    cached = min(timeit.repeat(lambda: memo.classify(request),
+def test_intake_parse_cost_does_not_follow_key_bytes():
+    """Micro-assert for the one-parse-per-command intake (it replaced the
+    ``RouteMemo`` cache, whose job was to dodge a per-byte Python CRC16
+    loop): working out a request's name, keys, slot and route hashes the
+    key at C speed, so a 4 KiB key costs nowhere near 500x an 8-byte one
+    -- or the hot dispatch path regressed."""
+    short = [b"GET", b"user4000"]
+    long = [b"GET", b"user4000" * 512]
+    assert route_of(parse_command(short)) == (classify(short), True)
+    assert parse_command(long)[2] == slot_for_key(long[1])
+    cheap = min(timeit.repeat(lambda: route_of(parse_command(short)),
+                              number=5_000, repeat=5))
+    costly = min(timeit.repeat(lambda: route_of(parse_command(long)),
                                number=5_000, repeat=5))
-    assert cached < raw
-    # And it actually was the cache: one miss to fill, hits ever after.
-    assert memo.misses == 1
-    assert memo.hits >= 25_000
+    assert costly < 20 * cheap
 
 
 def test_default_rates_span_the_knee():

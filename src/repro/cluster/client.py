@@ -61,6 +61,7 @@ from ..kvstore.server import (
     EventLoopMixin,
     ServerConnection,
     StoreServer,
+    command_name,
     resp_error_from_store_error,
 )
 from ..engine.base import StorageEngine
@@ -114,7 +115,10 @@ def command_keys(argv: Sequence[bytes]) -> List[bytes]:
     """The key arguments of ``argv`` (empty for keyless / broadcast /
     per-shard commands).  Shared by client routing and the server-side
     slot check so both layers agree on what counts as a key."""
-    name = argv[0].upper()
+    return _keys_of(argv[0].upper(), argv)
+
+
+def _keys_of(name: bytes, argv: Sequence[bytes]) -> List[bytes]:
     if (name in KEYLESS_COMMANDS or name in BROADCAST_COMMANDS
             or name in UNROUTABLE_COMMANDS or len(argv) < 2):
         return []
@@ -123,6 +127,27 @@ def command_keys(argv: Sequence[bytes]) -> List[bytes]:
         return [argv[1]]
     first, step = positions
     return list(argv[first::step])
+
+
+def parse_command(request: Any):
+    """Everything routing and the slot check need to know about a
+    decoded request, worked out once: ``(name, keys, slot)`` -- the
+    upper-cased command name, its key arguments, and their hash slot
+    (``None`` for a keyless command, an ``int`` when every key shares
+    one slot, the sorted slot tuple of a cross-slot request) -- or
+    ``None`` when the request is not a well-formed command array."""
+    name = command_name(request)
+    if name is None:
+        return None
+    keys = _keys_of(name, request)
+    if not keys:
+        return name, keys, None
+    if len(keys) == 1:
+        return name, keys, slot_for_key(keys[0])
+    slots = {slot_for_key(key) for key in keys}
+    if len(slots) == 1:
+        return name, keys, slots.pop()
+    return name, keys, tuple(sorted(slots))
 
 
 def _tenant_prefix(tenant: str) -> bytes:
@@ -215,11 +240,17 @@ class ClusterStoreServer(EventLoopMixin, StoreServer):
         return conn
 
     def _serve(self, conn: ServerConnection, request: Any) -> None:
-        if (not isinstance(request, list) or not request
-                or not all(isinstance(a, bytes) for a in request)):
-            super()._serve(conn, request)
+        self._serve_parsed(conn, request, parse_command(request))
+
+    def _serve_parsed(self, conn: ServerConnection, request: Any,
+                      parsed) -> None:
+        """Serve ``request`` given what :func:`parse_command` made of it
+        (the worker pool parses at arrival and passes that along, so a
+        command is validated, named and hashed once)."""
+        if parsed is None:
+            super()._serve(conn, request)       # the protocol-error reply
             return
-        name = request[0].upper()
+        name, keys, slot = parsed
         if name == b"ASKING":
             conn.asking = True
             conn.transport.send(b"+OK\r\n")
@@ -232,21 +263,20 @@ class ClusterStoreServer(EventLoopMixin, StoreServer):
             return
         asking, conn.asking = getattr(conn, "asking", False), False
         if self.slot_map is None:
-            super()._serve(conn, request)
+            self._serve_command(conn, request, name)
             return
         if name == b"SELECT":
             conn.transport.send(encode(RespError(
                 "ERR SELECT is not allowed in cluster mode")))
             return
-        redirect = self._slot_check(conn, request, asking)
+        redirect = self._slot_check(conn, keys, slot, asking)
         if redirect is not None:
             conn.transport.send(encode(redirect))
             return
         tenant = getattr(conn, "tenant", None)
         if tenant is not None and self.tenant_gate is not None:
             try:
-                self.tenant_gate.admit(tenant, name, request,
-                                       command_keys(request),
+                self.tenant_gate.admit(tenant, name, request, keys,
                                        self.store.clock.now())
             except StoreError as exc:
                 # TENANTDENIED / QUOTAEXCEEDED reach the wire
@@ -277,7 +307,7 @@ class ClusterStoreServer(EventLoopMixin, StoreServer):
                                     if key.startswith(prefix)]]
             conn.transport.send(encode(reply))
             return
-        super()._serve(conn, request)
+        self._serve_command(conn, request, name)
 
     def _serve_tenant(self, conn: ServerConnection,
                       request: List[bytes]) -> None:
@@ -309,16 +339,14 @@ class ClusterStoreServer(EventLoopMixin, StoreServer):
     def _holds(self, conn: ServerConnection, key: bytes) -> bool:
         return self.store.has_live_key(key, conn.session.db_index)
 
-    def _slot_check(self, conn: ServerConnection, request: List[bytes],
-                    asking: bool) -> Optional[RespError]:
-        keys = command_keys(request)
-        if not keys:
+    def _slot_check(self, conn: ServerConnection, keys: List[bytes],
+                    slot, asking: bool) -> Optional[RespError]:
+        """``keys`` and ``slot`` as :func:`parse_command` reports them."""
+        if slot is None:
             return None
-        slots = {slot_for_key(key) for key in keys}
-        if len(slots) > 1:
+        if isinstance(slot, tuple):
             return RespError(
                 "CROSSSLOT Keys in request don't hash to the same slot")
-        slot = slots.pop()
         owner = self.slot_map.shard_of_slot(slot)
         state = self.slot_map.migration_of(slot)
         if owner == self.shard_index:

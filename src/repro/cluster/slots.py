@@ -40,14 +40,10 @@ NUM_SLOTS = 16384
 KeyLike = Union[str, bytes]
 
 
-def _key_bytes(key: KeyLike) -> bytes:
-    return key.encode("utf-8") if isinstance(key, str) else bytes(key)
-
-
 def hash_tag(key: KeyLike) -> bytes:
     """The byte span actually hashed: the first non-empty ``{...}`` group
     if present, else the whole key (Redis Cluster's hash-tag rule)."""
-    raw = _key_bytes(key)
+    raw = key.encode("utf-8") if isinstance(key, str) else bytes(key)
     start = raw.find(b"{")
     if start == -1:
         return raw

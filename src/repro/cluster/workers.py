@@ -55,8 +55,10 @@ service time has elapsed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..common.clock import ShardClock, SimClock, WorkerClock
 from ..common.histogram import LatencyHistogram
@@ -64,9 +66,9 @@ from .client import (
     BROADCAST_COMMANDS,
     REPLICA_READ_COMMANDS,
     UNROUTABLE_COMMANDS,
-    command_keys,
+    parse_command,
 )
-from .slots import SlotPlacement, slot_for_key
+from .slots import SlotPlacement
 
 # Keyless commands that scan or rewrite the whole keyspace: these cannot
 # ride a single core.  (The rest of KEYLESS_COMMANDS -- PING, CONFIG,
@@ -84,24 +86,28 @@ ROUTE_BARRIER = "barrier"
 BARRIER = -1
 
 
-def classify(request: Any):
-    """Map a parsed request to a routing token: a slot (int), a tuple of
-    slots (multi-key), :data:`ROUTE_CONTROL`, or :data:`ROUTE_BARRIER`.
-    Computed once at arrival; the worker index is derived at dispatch so
-    a live worker raise re-partitions the keyspace automatically."""
-    if (not isinstance(request, list) or not request
-            or not all(isinstance(a, bytes) for a in request)):
-        return ROUTE_CONTROL      # protocol errors are answered inline
-    name = request[0].upper()
+def route_of(parsed) -> Tuple[Any, bool]:
+    """``(routing token, readonly)`` for what
+    :func:`~repro.cluster.client.parse_command` made of a request.  The
+    token is a slot (int), a tuple of slots (cross-slot multi-key),
+    :data:`ROUTE_CONTROL`, or :data:`ROUTE_BARRIER`; the worker index is
+    derived from it at dispatch, so a live worker raise re-partitions
+    the keyspace automatically.  ``readonly`` (is this one of the
+    :data:`~repro.cluster.client.REPLICA_READ_COMMANDS`?) rides along
+    because split-read routing needs it at the same point."""
+    if parsed is None:
+        return ROUTE_CONTROL, False     # protocol errors are answered inline
+    name, _, slot = parsed
     if name in GLOBAL_COMMANDS:
-        return ROUTE_BARRIER
-    keys = command_keys(request)
-    if not keys:
-        return ROUTE_CONTROL
-    slots = {slot_for_key(key) for key in keys}
-    if len(slots) == 1:
-        return slots.pop()
-    return tuple(sorted(slots))
+        return ROUTE_BARRIER, False
+    if slot is None:
+        return ROUTE_CONTROL, False
+    return slot, name in REPLICA_READ_COMMANDS
+
+
+def classify(request: Any):
+    """The routing token of a decoded request (see :func:`route_of`)."""
+    return route_of(parse_command(request))[0]
 
 
 def route_workers(route, num_workers: int,
@@ -140,53 +146,6 @@ def worker_for(route, num_workers: int) -> int:
     :data:`BARRIER`) under the static partition -- the legacy entry
     point; placement-aware callers use :func:`route_workers`."""
     return route_workers(route, num_workers)[0]
-
-
-class RouteMemo:
-    """Memoize :func:`classify` for the hot dispatch path.
-
-    ``classify`` hashes every key (CRC16) and builds a fresh slot set
-    per request; under load the same few commands repeat, so a small
-    keyed cache -- ``(command, key args) -> (route, readonly)`` --
-    skips that work.  Routing tokens are worker-count independent, so
-    this cache never needs invalidating; the *resolved worker* cache in
-    :class:`WorkerPool` is the one dropped on a worker-count change.
-    The readonly flag (is this one of the
-    :data:`~repro.cluster.client.REPLICA_READ_COMMANDS`?) rides along
-    because split-read routing needs it at the same point."""
-
-    __slots__ = ("limit", "hits", "misses", "_cache")
-
-    def __init__(self, limit: int = 1024) -> None:
-        self.limit = limit
-        self.hits = 0
-        self.misses = 0
-        self._cache: Dict[Tuple, Tuple[Any, bool]] = {}
-
-    def classify(self, request: Any) -> Tuple[Any, bool]:
-        """``(routing token, readonly)`` for a parsed request; the token
-        is exactly what :func:`classify` returns."""
-        if (not isinstance(request, list) or not request
-                or not all(isinstance(a, bytes) for a in request)):
-            return ROUTE_CONTROL, False
-        name = request[0].upper()
-        if name in GLOBAL_COMMANDS:
-            return ROUTE_BARRIER, False
-        keys = command_keys(request)
-        if not keys:
-            return ROUTE_CONTROL, False
-        key = (name, tuple(keys))
-        entry = self._cache.get(key)
-        if entry is not None:
-            self.hits += 1
-            return entry
-        self.misses += 1
-        entry = (classify(request), name in REPLICA_READ_COMMANDS)
-        if len(self._cache) >= self.limit:
-            # Tiny and rare: a wholesale reset beats LRU bookkeeping.
-            self._cache.clear()
-        self._cache[key] = entry
-        return entry
 
 
 @dataclass(frozen=True)
@@ -391,12 +350,19 @@ class WorkerPool:
     :class:`~repro.cluster.client.ClusterNode`) and binds itself; its
     store must be metered by this pool's :class:`ShardClock`.  Queue
     state lives on the server's connections: ``conn.pending`` holds the
-    parsed requests, ``conn.intake`` one ``(arrival time, route,
-    readonly)`` entry per request, and ``conn.outstanding`` the count of
-    dispatched-but-unflushed commands -- only a connection's *head* is
+    decoded requests, ``conn.intake`` one ``(arrival time, route,
+    readonly, parsed)`` entry per request -- everything worked out about
+    it once, at arrival -- and ``conn.outstanding`` the count of
+    dispatched-but-unflushed commands.  Only a connection's *head* is
     dispatchable, and it flushes only once nothing it sent is still in
     service, so split-read routes and multi-core dispatch both keep
     replies in request order.
+
+    The pool never walks the connection list: ``_ready`` holds the
+    indices of connections with an undispatched head and ``unflushed``
+    those whose transport holds reply bytes, so a dispatch pass or a
+    batch completion costs what the connections *with work* cost,
+    however many clients are connected.
     """
 
     def __init__(self, shard_clock: ShardClock, scheduler: SimClock,
@@ -410,8 +376,11 @@ class WorkerPool:
             _WorkerState(clock, self.config) for clock in shard_clock.workers]
         self.scheduler = scheduler
         self.server = None          # set once, by bind()
+        self._aof = None            # the store's AOF writer, if it logs
         self._tick_handle = None
         self._rr_cursor = 0
+        self._ready: Set[int] = set()       # conns with a head to dispatch
+        self.unflushed: Set[int] = set()    # conns holding reply bytes
         self._resize_pending = 0
         self._shed_pending = 0
         self._ewma: Optional[float] = None
@@ -419,7 +388,6 @@ class WorkerPool:
         self.retired: List[_WorkerState] = []
         self.barrier_commands = 0
         self.resizes: List[Tuple[float, int]] = []  # (time, new count)
-        self.route_memo = RouteMemo()
         self.placement: Optional[SlotPlacement] = None
         self.rebalancer: Optional[Rebalancer] = None
         self._rebalance_pending = False
@@ -442,22 +410,40 @@ class WorkerPool:
                 "ShardClock (otherwise service charges land on the "
                 "wrong core)")
         self.server = server
+        self._aof = getattr(server.store, "aof", None)
 
     # -- intake (called by the server) --------------------------------------
 
     def note_arrivals(self, conn, count: int) -> None:
-        """``count`` new requests were just parsed onto ``conn.pending``:
-        timestamp them and classify their routes once."""
+        """``count`` new requests were just decoded onto ``conn.pending``:
+        timestamp them and work out, once, what each one is (well-formed
+        or not, its name, keys and slot) and where it routes."""
         now = self.scheduler.now()
-        start = len(conn.pending) - count
-        for index in range(start, len(conn.pending)):
-            route, readonly = self.route_memo.classify(conn.pending[index])
-            conn.intake.append((now, route, readonly))
+        pending = conn.pending
+        intake = conn.intake
+        for index in range(len(pending) - count, len(pending)):
+            parsed = parse_command(pending[index])
+            route, readonly = route_of(parsed)
+            intake.append((now, route, readonly, parsed))
+        self._ready.add(conn.index)
 
     # -- scheduling ---------------------------------------------------------
 
     def wake(self) -> None:
-        self._wake_at(self.scheduler.now())
+        """Run a dispatch pass at the current instant.  Callers invoke
+        this as the last thing they do in their event (a delivery, a
+        batch completion).  When nothing else is due by now, a tick
+        scheduled here would be the very next event popped, so the pass
+        runs in place and the scheduler is spared the round trip."""
+        scheduler = self.scheduler
+        now = scheduler.now()
+        if not scheduler.nothing_due_by(now):
+            self._wake_at(now)
+            return
+        if self._tick_handle is not None:
+            self._tick_handle.cancel()      # a later follow-up: superseded
+            self._tick_handle = None
+        self._pump()
 
     def _wake_at(self, when: float) -> None:
         handle = self._tick_handle
@@ -488,132 +474,145 @@ class WorkerPool:
 
     def _pump(self) -> None:
         """Dispatch every eligible head-of-queue command to a free worker
-        (round-robin over connections), then schedule the next tick at
-        the earliest instant a blocked head could run."""
+        (round-robin over the connections that have one), then schedule
+        the next tick at the earliest instant a blocked head could run."""
         now = self.scheduler.now()
         if (self._resize_pending or self._shed_pending) \
                 and not self._apply_resize(now):
             return                      # re-wakes itself at quiescence
         if self._rebalance_pending and not self._apply_rebalance(now):
             return                      # re-wakes itself at quiescence
-        progress = True
-        while progress:
-            progress = False
-            conns = self.server.connections
-            for offset in range(len(conns)):
-                index = (self._rr_cursor + offset) % len(conns)
+        conns = self.server.connections
+        workers = self.workers
+        ready = self._ready
+        while ready:
+            # Ring order from the round-robin cursor.
+            order = sorted(ready)
+            split = bisect_left(order, self._rr_cursor)
+            if 0 < split < len(order):
+                order = order[split:] + order[:split]
+            for position, index in enumerate(order):
                 conn = conns[index]
-                if not conn.pending:
-                    continue
-                _, route, readonly = conn.intake[0]
+                _, route, readonly, _ = conn.intake[0]
                 candidates = self._resolve(route, readonly)
                 target = candidates[0]
                 if target == BARRIER:
-                    if any(w.clock.now() > now for w in self.workers):
+                    if any(w.clock.now() > now for w in workers):
                         continue
                     self._rr_cursor = (index + 1) % len(conns)
                     self._dispatch_barrier(conn, now)
-                    progress = True
                     break
                 if len(candidates) > 1:
                     # A split-read fan: any free member may serve it;
                     # prefer the least-busy core so the fan balances.
                     free = [w for w in candidates
-                            if self.workers[w].clock.now() <= now]
+                            if workers[w].clock.now() <= now]
                     if not free:
                         continue
                     target = min(
                         free, key=lambda w:
-                        (self.workers[w].clock.busy_seconds, w))
-                elif self.workers[target].clock.now() > now:
+                        (workers[w].clock.busy_seconds, w))
+                elif workers[target].clock.now() > now:
                     continue            # that core is mid-service
                 self._rr_cursor = (index + 1) % len(conns)
-                self._dispatch(self.workers[target], target, index, now)
-                progress = True
+                self._dispatch(workers[target], target,
+                               order[position:] + order[:position], now)
                 break
-        self._schedule_followup(now)
+            else:
+                # Every remaining head is blocked: tick again when the
+                # first of them could run.
+                self._schedule_followup(now)
+                break
 
     def _dispatch(self, worker: _WorkerState, target: int,
-                  start_index: int, now: float) -> None:
+                  order: List[int], now: float) -> None:
         """Drain up to B head-of-queue commands routed to ``worker``,
-        gathered round-robin across connections starting at the chosen
-        one, and execute them back-to-back on its core."""
+        gathered round-robin across the connections that have one
+        (``order``: their indices, ring order from the chosen one), and
+        execute them back-to-back on its core."""
         limit = worker.batch if self.config.adaptive_batch \
             else self.config.min_batch
         conns = self.server.connections
-        # (conn, request, arrival, route)
-        batch: List[Tuple[Any, Any, float, Any]] = []
+        ready = self._ready
+        # (conn, request, arrival, route, parsed)
+        batch: List[Tuple[Any, Any, float, Any, Any]] = []
         while len(batch) < limit:
             took = False
-            for offset in range(len(conns)):
-                conn = conns[(start_index + offset) % len(conns)]
+            for index in order:
+                conn = conns[index]
                 if not conn.pending:
                     continue
                 head = conn.intake[0]
                 if target not in self._resolve(head[1], head[2]):
                     continue
-                arrival, route, _ = conn.intake.popleft()
+                arrival, route, _, parsed = conn.intake.popleft()
                 batch.append((conn, conn.pending.popleft(), arrival,
-                              route))
+                              route, parsed))
                 conn.outstanding += 1
+                if not conn.pending:
+                    ready.discard(index)
                 took = True
                 if len(batch) == limit:
                     break
             if not took:
                 break
         self._tune_batch(worker, batch, limit, now)
-        worker.clock.idle_until(now)
+        clock = worker.clock
+        clock.idle_until(now)
         if self.config.dispatch_overhead:
-            worker.clock.advance(self.config.dispatch_overhead)
-        aof = getattr(self.server.store, "aof", None)
+            clock.advance(self.config.dispatch_overhead)
+        aof = self._aof
         rebalancer = self.rebalancer
-        for conn, request, arrival, route in batch:
+        shard_clock = self.shard_clock
+        server = self.server
+        began = clock.now()
+        for conn, request, arrival, route, parsed in batch:
             self._note_delay(worker, now - arrival)
-            began = worker.clock.now()
             written = aof.records_written if aof is not None else 0
             slot = route if (rebalancer is not None
                              and isinstance(route, int)) else None
-            self.shard_clock.activate(worker.clock, slot=slot)
+            shard_clock.activate(clock, slot=slot)
             try:
-                self.server._serve(conn, request)
+                server._serve_parsed(conn, request, parsed)
             finally:
-                billed = self.shard_clock.release()
+                billed = shard_clock.release()
             if slot is not None:
                 rebalancer.note(slot, billed)
             if aof is not None and aof.records_written > written:
                 self._last_aof_writer = worker
-            worker.service_time.record(worker.clock.now() - began)
+            finished = clock.now()
+            worker.service_time.record(finished - began)
+            began = finished        # back-to-back: the next one starts here
             worker.commands += 1
-            self.server.loop_iterations += 1
+            server.loop_iterations += 1
         worker.dispatches += 1
         if rebalancer is not None and rebalancer.maybe_arm(now):
             self._rebalance_pending = True
         self.scheduler.schedule_at(
-            worker.clock.now(), lambda batch=batch: self._complete(batch),
+            began, partial(self._complete, [entry[0] for entry in batch]),
             label="worker-reply")
 
     def _dispatch_barrier(self, conn, now: float) -> None:
         """Run a whole-keyspace command: every core stops, the command's
         cost is charged to all of them, replies depart at the frontier."""
-        arrival, _, _ = conn.intake.popleft()
+        arrival, _, _, parsed = conn.intake.popleft()
         request = conn.pending.popleft()
         conn.outstanding += 1
+        if not conn.pending:
+            self._ready.discard(conn.index)
         for worker in self.workers:
             worker.clock.idle_until(now)
         self._note_delay(self.workers[0], now - arrival)
         began = now
         # No active worker: the shard clock charges all cores.
-        self.server._serve(conn, request)
+        self.server._serve_parsed(conn, request, parsed)
         finish = self.shard_clock.now()
         self.workers[0].service_time.record(finish - began)
         self.workers[0].commands += 1
         self.barrier_commands += 1
         self.server.loop_iterations += 1
         self.scheduler.schedule_at(
-            finish,
-            lambda: self._complete([(conn, request, arrival,
-                                     ROUTE_BARRIER)]),
-            label="worker-reply")
+            finish, partial(self._complete, [conn]), label="worker-reply")
 
     def _tune_batch(self, worker: _WorkerState, batch, limit: int,
                     now: float) -> None:
@@ -633,19 +632,22 @@ class WorkerPool:
         self._ewma = delay if self._ewma is None \
             else alpha * delay + (1.0 - alpha) * self._ewma
 
-    def _complete(self, batch) -> None:
-        """A batch's service time elapsed: its replies (buffered in
-        request order) may now leave the NIC.  A connection flushes only
-        once nothing it sent is still in service."""
-        for conn, _, _, _ in batch:
+    def _complete(self, served) -> None:
+        """A batch's service time elapsed (``served``: the connection of
+        each of its commands): its replies, buffered in request order,
+        may now leave the NIC.  A connection flushes only once nothing it
+        sent is still in service; so does a bystander holding bytes
+        nobody dispatched (a ``MONITOR`` feed).  Flushes go out in
+        ascending connection index."""
+        for conn in served:
             conn.outstanding -= 1
-        for conn in self.server.connections:
-            if conn.outstanding:
-                continue
-            flush = getattr(conn.transport, "flush", None)
-            if flush is not None:
-                flush()
-        if any(conn.pending for conn in self.server.connections):
+        if self.unflushed:
+            conns = self.server.connections
+            for index in sorted(self.unflushed):
+                conn = conns[index]
+                if not conn.outstanding:
+                    conn.transport.flush()
+        if self._ready:
             self.wake()
 
     def _schedule_followup(self, now: float) -> None:
@@ -653,17 +655,19 @@ class WorkerPool:
         of them could dispatch (its worker's -- or, for a barrier, the
         slowest worker's -- free time)."""
         earliest: Optional[float] = None
-        for conn in self.server.connections:
-            if not conn.pending:
-                continue
-            _, route, readonly = conn.intake[0]
+        conns = self.server.connections
+        workers = self.workers
+        for index in self._ready:
+            _, route, readonly, _ = conns[index].intake[0]
             candidates = self._resolve(route, readonly)
             if candidates[0] == BARRIER:
-                when = max(w.clock.now() for w in self.workers)
+                when = max(w.clock.now() for w in workers)
+            elif len(candidates) == 1:
+                when = workers[candidates[0]].clock.now()
             else:
-                when = min(self.workers[w].clock.now()
-                           for w in candidates)
-            when = max(when, now)
+                when = min(workers[w].clock.now() for w in candidates)
+            if when < now:
+                when = now
             if earliest is None or when < earliest:
                 earliest = when
         if earliest is not None:
@@ -705,7 +709,7 @@ class WorkerPool:
         the keyspace under a running command would break single-writer
         semantics; returns the worker count the pool is heading for."""
         self._resize_pending += 1
-        self.wake()
+        self._wake_at(self.scheduler.now())
         return len(self.workers) + self._resize_pending - self._shed_pending
 
     def remove_worker(self) -> int:
@@ -717,7 +721,7 @@ class WorkerPool:
         if heading <= 1:
             raise ValueError("a shard needs at least one worker")
         self._shed_pending += 1
-        self.wake()
+        self._wake_at(self.scheduler.now())
         return heading - 1
 
     def _apply_resize(self, now: float) -> bool:
@@ -759,7 +763,7 @@ class WorkerPool:
         if not self.rebalancer.imbalanced():
             return False
         self._rebalance_pending = True
-        self.wake()
+        self._wake_at(self.scheduler.now())
         return True
 
     def _apply_rebalance(self, now: float) -> bool:

@@ -170,15 +170,14 @@ class SimClock(Clock):
         arrive" from "only background daemons remain"."""
         return self._live_events
 
-    # -- running -----------------------------------------------------------
+    def nothing_due_by(self, when: float) -> bool:
+        """True when no queued entry (cancelled ones included) is due at
+        or before ``when``: an event scheduled at ``when`` now would be
+        the very next one popped."""
+        events = self._events
+        return not events or events[0][0] > when
 
-    def _fire(self, handle: EventHandle) -> None:
-        handle._state = EventHandle._FIRED
-        if not handle.daemon:
-            self._live_events -= 1
-        if self.trace is not None:
-            self.trace.append((handle.when, handle.label))
-        handle.callback()
+    # -- running -----------------------------------------------------------
 
     def run_next(self) -> bool:
         """Pop and run the earliest pending event; False when none remain.
@@ -186,12 +185,19 @@ class SimClock(Clock):
         The clock jumps to the event's timestamp before the callback runs
         (it never moves backwards).
         """
-        while self._events:
-            when, _, handle = heapq.heappop(self._events)
-            if not handle.active:
+        events = self._events
+        while events:
+            when, _, handle = heapq.heappop(events)
+            if handle._state:               # cancelled: skip
                 continue
-            self._now = max(self._now, when)
-            self._fire(handle)
+            if when > self._now:
+                self._now = when
+            handle._state = EventHandle._FIRED
+            if not handle.daemon:
+                self._live_events -= 1
+            if self.trace is not None:
+                self.trace.append((when, handle.label))
+            handle.callback()
             return True
         return False
 
@@ -232,13 +238,23 @@ class SimClock(Clock):
         # callback may itself advance the clock (a nested service charge);
         # the outer target then only applies if time has not already
         # passed it.
-        while self._events and self._events[0][0] <= target:
-            when, _, handle = heapq.heappop(self._events)
-            if not handle.active:
+        # (Same firing steps as run_next, spelled out: run_next would pop
+        # past a cancelled entry to an event beyond the window.)
+        events = self._events
+        while events and events[0][0] <= target:
+            when, _, handle = heapq.heappop(events)
+            if handle._state:               # cancelled: skip
                 continue
-            self._now = max(self._now, when)
-            self._fire(handle)
-        self._now = max(self._now, target)
+            if when > self._now:
+                self._now = when
+            handle._state = EventHandle._FIRED
+            if not handle.daemon:
+                self._live_events -= 1
+            if self.trace is not None:
+                self.trace.append((when, handle.label))
+            handle.callback()
+        if target > self._now:
+            self._now = target
 
     # -- tracing -----------------------------------------------------------
 

@@ -7,6 +7,7 @@ log chains SHA-256 digests; the YCSB scrambled-zipfian generator needs the
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import zlib
 
@@ -37,27 +38,10 @@ def crc32_of(data: bytes, prior: int = 0) -> int:
     return zlib.crc32(data, prior) & 0xFFFFFFFF
 
 
-def _make_crc16_table() -> tuple:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            crc = ((crc << 1) ^ 0x1021) if crc & 0x8000 else (crc << 1)
-        table.append(crc & 0xFFFF)
-    return tuple(table)
-
-
-_CRC16_TABLE = _make_crc16_table()
-
-
 def crc16_xmodem(data: bytes) -> int:
     """CRC-16/XMODEM (CCITT polynomial 0x1021, init 0) -- the checksum
     Redis Cluster feeds its key -> hash-slot mapping."""
-    crc = 0
-    for byte in data:
-        crc = ((crc << 8) ^ _CRC16_TABLE[((crc >> 8) ^ byte) & 0xFF]) \
-            & 0xFFFF
-    return crc
+    return binascii.crc_hqx(data, 0)
 
 
 def sha256_hex(data: bytes) -> str:

@@ -32,13 +32,16 @@ class LatencyHistogram:
 
     def record(self, latency: float) -> None:
         """Record one latency sample; non-positive samples clamp to min."""
-        latency = max(latency, self._min)
-        index = int(math.ceil(math.log(latency / self._min) / self._log_gamma))
+        if latency < self._min:
+            latency = self._min
+        index = math.ceil(math.log(latency / self._min) / self._log_gamma)
         self._buckets[index] = self._buckets.get(index, 0) + 1
         self._count += 1
         self._sum += latency
-        self._max = max(self._max, latency)
-        self._actual_min = min(self._actual_min, latency)
+        if latency > self._max:
+            self._max = latency
+        if latency < self._actual_min:
+            self._actual_min = latency
 
     def record_many(self, latencies: Iterable[float]) -> None:
         for latency in latencies:

@@ -119,89 +119,94 @@ class RespDecoder:
         return len(self._buffer)
 
     def next_value(self) -> Tuple[bool, Any]:
-        result = self._parse(0)
-        if result is None:
+        parsed = self._parse(0)
+        if parsed is None:
             return False, None
-        value, consumed = result
+        value, consumed = parsed
         del self._buffer[:consumed]
         return True, value
 
     def drain(self) -> List[Any]:
         """Decode every complete value currently buffered."""
         values = []
-        while True:
-            found, value = self.next_value()
-            if not found:
-                return values
-            values.append(value)
+        cursor = 0
+        try:
+            while True:
+                parsed = self._parse(cursor)
+                if parsed is None:
+                    return values
+                value, cursor = parsed
+                values.append(value)
+        finally:
+            # One trim per call; on a protocol error the values decoded
+            # before it are consumed, the offending bytes stay buffered.
+            if cursor:
+                del self._buffer[:cursor]
 
     # -- internals -----------------------------------------------------------
 
-    def _find_line(self, start: int) -> Optional[Tuple[bytes, int]]:
-        idx = self._buffer.find(CRLF, start)
-        if idx < 0:
-            return None
-        return bytes(self._buffer[start:idx]), idx + 2
-
     def _parse(self, start: int) -> Optional[Tuple[Any, int]]:
-        if len(self._buffer) <= start:
+        """Decode the value at offset ``start``: ``(value, end offset)``,
+        or ``None`` while it is incomplete.  Never moves the buffer."""
+        buffer = self._buffer
+        if len(buffer) <= start:
             return None
-        marker = self._buffer[start:start + 1]
-        line = self._find_line(start + 1)
-        if line is None:
+        line_end = buffer.find(CRLF, start + 1)
+        if line_end < 0:
             return None
-        payload, after = line
-        if marker == b"+":
-            return SimpleString(payload.decode("utf-8")), after
-        if marker == b"-":
-            return RespError(payload.decode("utf-8")), after
-        if marker == b":":
+        marker = buffer[start]
+        payload = buffer[start + 1:line_end]
+        after = line_end + 2
+        complaint = _NUMERIC_HEADERS.get(marker)
+        if complaint is None:
+            if marker == 43:                                # +
+                return SimpleString(payload.decode("utf-8")), after
+            if marker == 45:                                # -
+                return RespError(payload.decode("utf-8")), after
+            raise ProtocolError("unknown RESP type marker: "
+                                f"{bytes(buffer[start:start + 1])!r}")
+        # A length or integer is an optional ``-`` then ASCII digits; bare
+        # int() would also take ``_``, surrounding whitespace and ``+``.
+        number = None
+        if payload.isdigit() or (payload[:1] == b"-"
+                                 and payload[1:].isdigit()):
             try:
-                return int(payload), after
-            except ValueError:
-                raise ProtocolError(f"bad integer payload: {payload!r}")
-        if marker == b"$":
-            return self._parse_bulk(payload, after)
-        if marker == b"*":
-            return self._parse_array(payload, after)
-        raise ProtocolError(f"unknown RESP type marker: {marker!r}")
-
-    def _parse_bulk(self, header: bytes,
-                    after: int) -> Optional[Tuple[Any, int]]:
-        try:
-            length = int(header)
-        except ValueError:
-            raise ProtocolError(f"bad bulk length: {header!r}")
-        if length == -1:
+                number = int(payload)
+            except ValueError:  # CPython's limit on digits per conversion
+                pass
+        if number is None:
+            raise ProtocolError(f"{complaint}: {bytes(payload)!r}")
+        if marker == 36:                                    # $
+            if number == -1:
+                return None, after
+            if number < 0 or number > self._max_bulk:
+                raise ProtocolError(f"bulk length out of range: {number}")
+            end = after + number
+            if len(buffer) < end + 2:
+                return None
+            if buffer[end] != 13 or buffer[end + 1] != 10:
+                raise ProtocolError("bulk string not terminated by CRLF")
+            return bytes(buffer[after:end]), end + 2
+        if marker == 58:                                    # :
+            return number, after
+        if number == -1:                                    # *
             return None, after
-        if length < 0 or length > self._max_bulk:
-            raise ProtocolError(f"bulk length out of range: {length}")
-        end = after + length
-        if len(self._buffer) < end + 2:
-            return None
-        if bytes(self._buffer[end:end + 2]) != CRLF:
-            raise ProtocolError("bulk string not terminated by CRLF")
-        return bytes(self._buffer[after:end]), end + 2
-
-    def _parse_array(self, header: bytes,
-                     after: int) -> Optional[Tuple[Any, int]]:
-        try:
-            count = int(header)
-        except ValueError:
-            raise ProtocolError(f"bad array length: {header!r}")
-        if count == -1:
-            return None, after
-        if count < 0:
-            raise ProtocolError(f"array length out of range: {count}")
+        if number < 0:
+            raise ProtocolError(f"array length out of range: {number}")
         items = []
-        cursor = after
-        for _ in range(count):
-            parsed = self._parse(cursor)
+        for _ in range(number):
+            parsed = self._parse(after)
             if parsed is None:
                 return None
-            item, cursor = parsed
+            item, after = parsed
             items.append(item)
-        return items, cursor
+        return items, after
+
+
+# Type markers whose header line is a number, and the complaint when it
+# is not one.
+_NUMERIC_HEADERS = {36: "bad bulk length", 42: "bad array length",
+                    58: "bad integer payload"}
 
 
 def decode_all(data: bytes) -> List[Any]:

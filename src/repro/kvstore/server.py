@@ -31,7 +31,8 @@ paper notes when rejecting MONITOR for audit logging).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Deque, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Deque, List, Optional, Set, Tuple
 
 from ..common.errors import StoreError
 from ..common.resp import RespDecoder, RespError, encode, encode_command
@@ -75,19 +76,30 @@ class BufferedTransport:
     coalescing TCP gives a real pipelined connection.  The event-driven
     server uses it to hold a reply until the command's service time has
     elapsed.
+
+    While it holds bytes the transport keeps ``token`` in the shared
+    ``unflushed`` set, so an owner of many transports (the worker pool)
+    flushes exactly the ones with something to send instead of polling
+    them all.
     """
 
-    def __init__(self, inner) -> None:
+    def __init__(self, inner, unflushed: Optional[Set] = None,
+                 token: Any = None) -> None:
         self._inner = inner
         self._buffer: List[bytes] = []
+        self._unflushed = unflushed if unflushed is not None else set()
+        self._token = token
 
     def send(self, data: bytes) -> None:
+        if not self._buffer:
+            self._unflushed.add(self._token)
         self._buffer.append(data)
 
     def flush(self) -> None:
         if self._buffer:
             self._inner.send(b"".join(self._buffer))
             self._buffer.clear()
+            self._unflushed.discard(self._token)
 
     def recv_available(self) -> bytes:
         return self._inner.recv_available()
@@ -104,23 +116,41 @@ def resp_error_from_store_error(exc: StoreError) -> RespError:
     return RespError(message)
 
 
+_NOT_A_COMMAND = encode(RespError(
+    "ERR protocol error: expected a command array"))
+
+
+def command_name(request: Any) -> Optional[bytes]:
+    """The upper-cased name of a well-formed command -- a non-empty list
+    of bulk strings -- or ``None`` for anything else a peer can make the
+    decoder produce (integers, nested or empty arrays, nulls)."""
+    if not isinstance(request, list) or not request:
+        return None
+    for arg in request:
+        if not isinstance(arg, bytes):
+            return None
+    return request[0].upper()
+
+
 class ServerConnection:
     """Server-side state for one client connection.
 
+    ``index`` is the connection's position in its server's list.
     ``pending`` / ``intake`` / ``outstanding`` are the event-driven
-    server's queue: one ``(arrival time, route, readonly)`` intake entry
-    per parsed-but-undispatched request, plus the count of dispatched
-    commands whose service time has not elapsed yet (the connection's
-    buffered replies flush only when it returns to zero, which is what
-    keeps RESP replies in request order across cores).
+    server's queue: one ``(arrival time, route, readonly, parsed)``
+    intake entry per parsed-but-undispatched request, plus the count of
+    dispatched commands whose service time has not elapsed yet (the
+    connection's buffered replies flush only when it returns to zero,
+    which is what keeps RESP replies in request order across cores).
     """
 
-    def __init__(self, transport, session: Session) -> None:
+    def __init__(self, transport, session: Session, index: int = 0) -> None:
         self.transport = transport
         self.session = session
+        self.index = index
         self.decoder = RespDecoder()
         self.pending: Deque[Any] = deque()   # parsed-but-unserved requests
-        self.intake: Deque[Tuple[float, Any, bool]] = deque()
+        self.intake: Deque[Tuple[float, Any, bool, Any]] = deque()
         self.outstanding = 0
         self._monitor_sink = None
 
@@ -133,7 +163,8 @@ class StoreServer:
         self.connections: List[ServerConnection] = []
 
     def accept(self, transport) -> ServerConnection:
-        conn = ServerConnection(transport, self.store.session())
+        conn = ServerConnection(transport, self.store.session(),
+                                len(self.connections))
         self.connections.append(conn)
         return conn
 
@@ -157,12 +188,17 @@ class StoreServer:
         return served
 
     def _serve(self, conn: ServerConnection, request: Any) -> None:
-        if (not isinstance(request, list) or not request
-                or not all(isinstance(a, bytes) for a in request)):
-            conn.transport.send(encode(RespError(
-                "ERR protocol error: expected a command array")))
+        """Serve whatever the decoder produced: validate, then execute."""
+        name = command_name(request)
+        if name is None:
+            conn.transport.send(_NOT_A_COMMAND)
             return
-        name = request[0].upper()
+        self._serve_command(conn, request, name)
+
+    def _serve_command(self, conn: ServerConnection, request: List[bytes],
+                       name: bytes) -> None:
+        """Serve a request already known to be a well-formed command
+        whose upper-cased name is ``name``."""
         if name == b"MONITOR":
             self._start_monitor(conn)
             return
@@ -199,8 +235,9 @@ class EventLoopMixin:
     The mixin owns connection intake and the cron timer; *which* queued
     command runs next, on which simulated core, and when its reply may
     leave is the worker pool's job (:mod:`repro.cluster.workers`); the
-    concrete server keeps owning command semantics (``_serve`` and
-    friends).
+    concrete server keeps owning command semantics (``_serve_parsed``,
+    which the pool calls at dispatch with what the request was found to
+    be at arrival, and friends).
 
     Two clocks are involved:
 
@@ -228,8 +265,10 @@ class EventLoopMixin:
     def accept_endpoint(self, endpoint: Endpoint) -> ServerConnection:
         """Accept an event-driven connection: the endpoint's deliveries
         feed this connection's read queue and wake the pool."""
-        conn = self.accept(BufferedTransport(RawTransport(endpoint)))
-        endpoint.set_receiver(lambda: self.on_readable(conn))
+        index = len(self.connections)       # the index accept() assigns
+        conn = self.accept(BufferedTransport(
+            RawTransport(endpoint), self._pool.unflushed, index))
+        endpoint.set_receiver(partial(self.on_readable, conn))
         return conn
 
     def on_readable(self, conn: ServerConnection) -> None:

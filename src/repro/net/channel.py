@@ -22,6 +22,7 @@ two modes:
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Optional
 
 from ..common.clock import Clock, SimClock
@@ -31,6 +32,9 @@ from ..common.errors import ChannelClosedError
 RAW_BANDWIDTH_BPS = 44e9 / 8          # 44 Gb/s in bytes/second
 PROXIED_BANDWIDTH_BPS = 4.9e9 / 8     # 4.9 Gb/s through stunnel proxies
 LAN_LATENCY = 20e-6                   # one-way datacenter-ish latency
+
+# Event labels of a delivery, by receiving side.
+_DELIVER_LABELS = ("deliver[0]", "deliver[1]")
 
 
 class Endpoint:
@@ -148,10 +152,10 @@ class Channel:
         start = max(self.clock.now(), self._link_free_at[from_side])
         done = start + serialize
         self._link_free_at[from_side] = done
-        peer = self._ends[1 - from_side]
-        self.clock.schedule_at(done + self.latency,
-                               lambda: peer._deliver(data),
-                               label=f"deliver[{1 - from_side}]")
+        self.clock.schedule_at(
+            done + self.latency,
+            partial(self._ends[1 - from_side]._deliver, data),
+            label=_DELIVER_LABELS[1 - from_side])
 
     def close(self) -> None:
         self.closed = True

@@ -14,17 +14,20 @@ from repro.cluster import (
     build_cluster,
     slot_for_key,
 )
+from repro.cluster.client import parse_command
 from repro.cluster.slots import SlotPlacement
 from repro.cluster.workers import (
     BARRIER,
     ROUTE_BARRIER,
     ROUTE_CONTROL,
     classify,
+    route_of,
     route_workers,
     worker_for,
 )
 from repro.common.clock import ShardClock, SimClock
 from repro.common.errors import ClusterError
+from repro.common.resp import RespError, encode_command
 from repro.device.append_log import AppendLog
 from repro.device.latency import INTEL_750_SSD
 from repro.kvstore import KeyValueStore, StoreConfig
@@ -165,8 +168,7 @@ class TestRouteCacheInvalidation:
         server, (conn, _), pool, _ = make_pool_server(workers=2)
         key = _key_on_worker(1, 2)
         conn.call("SET", key, "v")      # warms the resolved-route cache
-        route, readonly = pool.route_memo.classify([b"GET",
-                                                    key.encode()])
+        route, readonly = route_of(parse_command([b"GET", key.encode()]))
         assert pool._resolve(route, readonly) == (route % 2,)
         pool.remove_worker()
         server.scheduler.run_until_idle()
@@ -180,8 +182,7 @@ class TestRouteCacheInvalidation:
         server, (conn, _), pool, _ = make_pool_server(workers=1)
         key = _key_on_worker(1, 2)      # lands on worker 1 once K=2
         conn.call("SET", key, "v")
-        route, readonly = pool.route_memo.classify([b"GET",
-                                                    key.encode()])
+        route, readonly = route_of(parse_command([b"GET", key.encode()]))
         assert pool._resolve(route, readonly) == (0,)
         pool.add_worker()
         server.scheduler.run_until_idle()
@@ -564,3 +565,45 @@ class TestBuildClusterWiring:
         pool = WorkerPool(ShardClock(0.0, workers=2), SimClock())
         with pytest.raises(ValueError, match="ShardClock"):
             ClusterStoreServer(store, pool)
+
+
+PROTOCOL_ERROR = RespError("ERR protocol error: expected a command array")
+
+
+class TestProtocolErrorsOnTheEventPath:
+    """Malformed requests reach the pool as control commands and are
+    answered in line with a protocol error -- per-connection reply order
+    holds while another connection keeps a different core busy."""
+
+    def test_three_malformed_values_get_three_errors(self):
+        cluster = build_cluster(2, workers=2)
+        conn = cluster.nodes[0].connect()
+        conn.send_raw(b":1\r\n*1\r\n:5\r\n*0\r\n")
+        cluster.clock.run_until_idle()
+        assert list(conn.replies) == [PROTOCOL_ERROR] * 3
+
+    def test_interleaved_with_commands_on_two_connections(self):
+        cluster = build_cluster(2, store_factory=cpu_factory, workers=2)
+        node = cluster.nodes[0]
+        mine = [f"m{i}" for i in range(400)
+                if cluster.shard_for(f"m{i}") == 0]
+        # Malformed requests ride worker 0 with the control commands; keep
+        # this connection's keyed commands there and the neighbour's on 1.
+        zero = next(k for k in mine if slot_for_key(k) % 2 == 0)
+        one = next(k for k in mine if slot_for_key(k) % 2 == 1)
+        first, second = node.connect(), node.connect()
+        first.send_raw(encode_command("SET", zero, "a") + b":1\r\n"
+                       + encode_command("GET", zero) + b"*1\r\n:5\r\n"
+                       + b"*0\r\n" + encode_command("SET", zero, "b"))
+        for index in range(4):
+            second.send_command("SET", one, index)
+        second.send_raw(b"*0\r\n")
+        second.send_command("GET", one)
+        cluster.clock.run_until_idle()
+        assert list(first.replies) == [
+            "OK", PROTOCOL_ERROR, b"a", PROTOCOL_ERROR, PROTOCOL_ERROR,
+            "OK"]
+        assert list(second.replies) == ["OK"] * 4 + [PROTOCOL_ERROR, b"3"]
+        rows = {row["worker"]: row["commands"]
+                for row in node.pool.worker_rows()}
+        assert rows == {0: 7, 1: 5}

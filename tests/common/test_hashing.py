@@ -1,8 +1,10 @@
 """Tests for hashing utilities."""
 
+from repro.cluster.slots import slot_for_key
 from repro.common.hashing import (
     GENESIS_HASH,
     chain_hash,
+    crc16_xmodem,
     crc32_of,
     fnv1a_64,
     sha256_bytes,
@@ -41,6 +43,27 @@ class TestCrc:
 
     def test_detects_flip(self):
         assert crc32_of(b"data") != crc32_of(b"dataX")
+
+
+class TestCrc16:
+    """Known answers for the checksum behind Redis Cluster's key -> slot
+    mapping (CRC-16/XMODEM: poly 0x1021, init 0, no reflection)."""
+
+    def test_check_value(self):
+        assert crc16_xmodem(b"123456789") == 0x31C3
+
+    def test_empty_is_zero(self):
+        assert crc16_xmodem(b"") == 0
+
+    def test_slots_match_redis_cluster(self):
+        assert slot_for_key("foo") == 12182
+        assert slot_for_key("bar") == 5061
+        assert slot_for_key(b"foo") == 12182
+
+    def test_hash_tag_selects_the_hashed_span(self):
+        assert slot_for_key("{user1000}.following") \
+            == slot_for_key("{user1000}.followers") \
+            == slot_for_key("user1000")
 
 
 class TestSha:

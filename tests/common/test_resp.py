@@ -1,6 +1,7 @@
 """Tests for the RESP codec."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ProtocolError
 from repro.common.resp import (
@@ -168,3 +169,98 @@ class TestDecoder:
         decoder = RespDecoder()
         decoder.feed(b"$5\r\nab")
         assert decoder.buffered == len(b"$5\r\nab")
+
+
+class TestStrictLengths:
+    """Lengths and integers are an optional ``-`` then ASCII digits;
+    nothing else ``int()`` happens to accept is RESP."""
+
+    @pytest.mark.parametrize("data, message", [
+        (b"$1_0\r\n0123456789\r\n", "bad bulk length"),
+        (b"$ 2\r\nab\r\n", "bad bulk length"),
+        (b"$+2\r\nab\r\n", "bad bulk length"),
+        (b"$\r\n", "bad bulk length"),
+        (b"$-\r\n", "bad bulk length"),
+        (b"$--1\r\n", "bad bulk length"),
+        (b"*+1\r\n$2\r\nab\r\n", "bad array length"),
+        (b"*1 \r\n$2\r\nab\r\n", "bad array length"),
+        (b"*1\r\n$ 2\r\nab\r\n", "bad bulk length"),
+        (b": 1_2 \r\n", "bad integer payload"),
+        (b":+5\r\n", "bad integer payload"),
+        (b":1_000\r\n", "bad integer payload"),
+        (b":\xd9\xa1\r\n", "bad integer payload"),     # Arabic-Indic 1
+        (b":\r\n", "bad integer payload"),
+        (b":" + b"9" * 5000 + b"\r\n", "bad integer payload"),
+    ])
+    def test_rejected(self, data, message):
+        with pytest.raises(ProtocolError, match=message):
+            decode_all(data)
+
+    def test_plain_and_negative_forms_still_decode(self):
+        assert decode_all(b":-12\r\n:007\r\n$-1\r\n*-1\r\n$2\r\nab\r\n") \
+            == [-12, 7, None, None, b"ab"]
+
+    def test_out_of_range_lengths_keep_their_message(self):
+        with pytest.raises(ProtocolError, match="bulk length out of range"):
+            decode_all(b"$-2\r\n")
+        with pytest.raises(ProtocolError, match="array length out of range"):
+            decode_all(b"*-2\r\n")
+
+
+_scalars = st.one_of(
+    st.none(),
+    st.integers(min_value=-2**63, max_value=2**63),
+    st.binary(max_size=40),
+    st.text(alphabet=st.characters(blacklist_characters="\r\n",
+                                   blacklist_categories=("Cs",)),
+            max_size=12).map(SimpleString),
+    st.text(alphabet=st.characters(blacklist_characters="\r\n",
+                                   blacklist_categories=("Cs",)),
+            max_size=12).map(RespError),
+)
+_values = st.recursive(_scalars, lambda inner: st.lists(inner, max_size=4),
+                       max_leaves=12)
+
+
+def _chunks(data, cuts):
+    bounds = sorted({min(cut, len(data)) for cut in cuts} | {0, len(data)})
+    return [data[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class TestChunkedDecoding:
+    """However the wire splits a stream, the decoder yields the values
+    ``decode_all`` finds in the whole, and ends with an empty buffer."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_values, max_size=6),
+           st.lists(st.integers(min_value=0, max_value=400), max_size=12))
+    def test_drain_after_each_chunk(self, values, cuts):
+        data = b"".join(encode(value) for value in values)
+        decoder = RespDecoder()
+        seen = []
+        for chunk in _chunks(data, cuts):
+            decoder.feed(chunk)
+            seen.extend(decoder.drain())
+        assert seen == decode_all(data) == values
+        assert decoder.buffered == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_values, max_size=6),
+           st.lists(st.integers(min_value=0, max_value=400), max_size=12),
+           st.lists(st.booleans(), min_size=1, max_size=8))
+    def test_next_value_and_drain_interleaved_agree(self, values, cuts,
+                                                    pulls):
+        data = b"".join(encode(value) for value in values)
+        decoder = RespDecoder()
+        seen = []
+        for index, chunk in enumerate(_chunks(data, cuts)):
+            decoder.feed(chunk)
+            if pulls[index % len(pulls)]:
+                found, value = decoder.next_value()
+                if found:
+                    seen.append(value)
+            else:
+                seen.extend(decoder.drain())
+        seen.extend(decoder.drain())
+        assert seen == values
+        assert decoder.buffered == 0

@@ -96,13 +96,13 @@ class TestFairness:
         server, conns = make_server(connections=4)
         accepted = [conn.server_connection for conn in conns]
         order = []
-        original = server._serve
+        original = server._serve_parsed     # the pool's dispatch entry
 
-        def spy(conn, request):
+        def spy(conn, request, parsed):
             order.append(accepted.index(conn))
-            return original(conn, request)
+            return original(conn, request, parsed)
 
-        server._serve = spy
+        server._serve_parsed = spy
         for conn in conns:
             for _ in range(3):
                 conn.send_command("PING")

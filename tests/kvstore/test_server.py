@@ -3,7 +3,8 @@
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.resp import RespError, SimpleString, encode_command
+from repro.common.resp import (RespError, SimpleString, decode_all,
+                               encode_command)
 from repro.kvstore import (
     KeyValueStore,
     StoreConfig,
@@ -199,3 +200,35 @@ class TestPumpConnectionChurn:
         assert server.pump() == 3
         assert server.store.execute("GET", "b") == b"2"
         assert server.store.execute("GET", "c") == b"3"
+
+
+PROTOCOL_ERROR = RespError("ERR protocol error: expected a command array")
+# A RESP integer, an array holding a non-bulk element, an empty array.
+NOT_COMMANDS = (b":1\r\n", b"*1\r\n:5\r\n", b"*0\r\n")
+
+
+class TestProtocolErrorReplies:
+    """A decodable value that is not an array of bulk strings is answered
+    with a protocol error, in order, and the connection keeps serving."""
+
+    def test_closed_loop_pump_answers_each_malformed_request(self, clock):
+        server = StoreServer(KeyValueStore(StoreConfig(), clock=clock))
+        transport = QueueTransport(
+            pending=encode_command(b"SET", b"k", b"v")
+            + NOT_COMMANDS[0] + NOT_COMMANDS[1]
+            + encode_command(b"GET", b"k") + NOT_COMMANDS[2])
+        server.accept(transport)
+        assert server.pump() == 5
+        assert decode_all(b"".join(transport.sent)) == [
+            SimpleString("OK"), PROTOCOL_ERROR, PROTOCOL_ERROR, b"v",
+            PROTOCOL_ERROR]
+
+    def test_store_client_sees_the_error_then_keeps_working(self, clock):
+        client, _ = plain_client(clock)
+        client.call("SET", "k", "v")
+        for raw in NOT_COMMANDS:
+            client._transport.send(raw)
+            client._server.pump()
+            client._decoder.feed(client._transport.recv_available())
+            assert client._decoder.next_value() == (True, PROTOCOL_ERROR)
+        assert client.call("GET", "k") == b"v"
