@@ -24,12 +24,8 @@ def fnv1a_64(value: int) -> int:
     the zipfian distribution across the keyspace.
     """
     h = FNV_OFFSET_BASIS_64
-    v = value & _MASK_64
-    for _ in range(8):
-        octet = v & 0xFF
-        v >>= 8
-        h ^= octet
-        h = (h * FNV_PRIME_64) & _MASK_64
+    for octet in (value & _MASK_64).to_bytes(8, "little"):
+        h = ((h ^ octet) * FNV_PRIME_64) & _MASK_64
     return h
 
 

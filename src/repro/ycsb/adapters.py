@@ -17,6 +17,7 @@ import bisect
 import struct
 from typing import Dict, List, Optional
 
+from ..common.errors import SerializationError
 from ..common.hashing import crc32_of
 from ..gdpr.access_control import Principal
 from ..gdpr.metadata import GDPRMetadata
@@ -306,16 +307,26 @@ def pack_fields(values: Dict[str, bytes]) -> bytes:
 
 
 def unpack_fields(blob: bytes) -> Dict[str, bytes]:
-    (count,) = struct.unpack_from(">H", blob)
-    offset = 2
-    values = {}
-    for _ in range(count):
-        name_len, payload_len = struct.unpack_from(">HI", blob, offset)
-        offset += 6
-        name = blob[offset:offset + name_len].decode("ascii")
-        offset += name_len
-        values[name] = blob[offset:offset + payload_len]
-        offset += payload_len
+    """Inverse of :func:`pack_fields`; a truncated, overrunning or
+    over-long blob raises :class:`SerializationError`."""
+    try:
+        (count,) = struct.unpack_from(">H", blob)
+        offset = 2
+        values = {}
+        for _ in range(count):
+            name_len, payload_len = struct.unpack_from(">HI", blob, offset)
+            offset += 6
+            name = blob[offset:offset + name_len].decode("ascii")
+            offset += name_len
+            values[name] = blob[offset:offset + payload_len]
+            offset += payload_len
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise SerializationError(f"damaged field blob: {exc}") from exc
+    # A slice past the end is short, not an error: any overrun (and any
+    # trailing byte) shows as the one mismatch here.
+    if offset != len(blob):
+        raise SerializationError(
+            f"field blob is {len(blob)} bytes, its fields declare {offset}")
     return values
 
 

@@ -96,11 +96,18 @@ class ZipfianGenerator(NumberGenerator):
         self._zetan = zeta(self._items, self._theta)
         self._zetan_items = self._items
         self._alpha = 1.0 / (1.0 - self._theta)
+        self._second_rank = 1.0 + 0.5 ** self._theta
+        self._eta_for = None    # the (items, zetan) _eta_value is for
+        self._eta_value = 0.0
         self._last = lb
 
     def _eta(self, items: int, zetan: float) -> float:
-        return ((1 - (2.0 / items) ** (1 - self._theta))
-                / (1 - self._zeta2 / zetan))
+        """eta is a function of ``(items, zetan)``: recompute on change."""
+        if (items, zetan) != self._eta_for:
+            self._eta_for = (items, zetan)
+            self._eta_value = ((1 - (2.0 / items) ** (1 - self._theta))
+                               / (1 - self._zeta2 / zetan))
+        return self._eta_value
 
     def _extend_zetan(self, items: int) -> float:
         """Incrementally extend the cached zeta sum to ``items``."""
@@ -119,7 +126,7 @@ class ZipfianGenerator(NumberGenerator):
         uz = u * zetan
         if uz < 1.0:
             value = self._lb
-        elif uz < 1.0 + 0.5 ** self._theta:
+        elif uz < self._second_rank:
             value = self._lb + 1
         else:
             eta = self._eta(items, zetan)
@@ -185,18 +192,21 @@ class DiscreteGenerator:
         total = sum(weight for _, weight in pairs)
         if total <= 0:
             raise ValueError("discrete generator needs positive weights")
-        self._pairs: List[Tuple[str, float]] = [
-            (label, weight / total) for label, weight in pairs if weight > 0]
+        # (label, cumulative probability), summed left to right.
+        self._thresholds: List[Tuple[str, float]] = []
+        acc = 0.0
+        for label, weight in pairs:
+            if weight > 0:
+                acc += weight / total
+                self._thresholds.append((label, acc))
         self._rng = rng if rng is not None else random.Random(0)
 
     def next_value(self) -> str:
         u = self._rng.random()
-        acc = 0.0
-        for label, probability in self._pairs:
-            acc += probability
-            if u < acc:
+        for label, threshold in self._thresholds:
+            if u < threshold:
                 return label
-        return self._pairs[-1][0]
+        return self._thresholds[-1][0]
 
     def labels(self) -> List[str]:
-        return [label for label, _ in self._pairs]
+        return [label for label, _ in self._thresholds]

@@ -153,8 +153,10 @@ class WorkloadRunner:
                 self._execute(op)
             except KeyError:
                 failures += 1
-            histograms.setdefault(op, LatencyHistogram()).record(
-                self.clock.now() - began)
+            hist = histograms.get(op)
+            if hist is None:
+                hist = histograms[op] = LatencyHistogram()
+            hist.record(self.clock.now() - began)
         self.adapter.flush()
         return RunReport(
             phase=self.spec.name, operations=total,

@@ -23,6 +23,12 @@ class TestFnv:
         for value in (0, 1, 2**63, 2**64 - 1):
             assert 0 <= fnv1a_64(value) < 2**64
 
+    def test_known_answers(self):
+        # Read at 4b04875, before the shift-and-mask loop was replaced.
+        assert fnv1a_64(0) == 12161962213042174405
+        assert fnv1a_64(12345) == 16653943660658674764
+        assert fnv1a_64(-1) == 10157053723145373757
+
     def test_negative_masked(self):
         # Negative ints hash like their two's-complement 64-bit image.
         assert fnv1a_64(-1) == fnv1a_64(2**64 - 1)

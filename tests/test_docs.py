@@ -94,6 +94,47 @@ def test_dangling_docstring_reference_is_detected(tmp_path):
         in violations[1]
 
 
+def test_uninstalled_third_party_import_is_detected(tmp_path):
+    """A module under src/ importing a package CI never installs must
+    fail the check -- wherever the import sits -- and pass once the pip
+    line names it; stdlib, relative and in-tree imports never count."""
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "ROADMAP.md").write_text(
+        "**Tier-1 verify:** `PYTHONPATH=src python -m pytest -x -q`\n")
+    (tmp_path / "README.md").write_text(
+        "```\nPYTHONPATH=src python -m pytest -x -q\n```\n")
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "import json\nimport os.path\nfrom . import sibling\n"
+        "from pkg.other import thing\n"
+        "def zeta(n):\n"
+        "    import numpy as np\n"
+        "    return np.arange(n).sum()\n")
+    workflow = tmp_path / ".github" / "workflows" / "ci.yml"
+    workflow.parent.mkdir(parents=True)
+
+    def import_violations():
+        return [v for v in check_docs.check(tmp_path)
+                if "does not pip install" in v]
+
+    workflow.write_text(
+        "      run: python -m pip install pytest hypothesis\n")
+    assert import_violations() == [
+        "src/pkg/mod.py:6: imports numpy, which "
+        ".github/workflows/ci.yml does not pip install"]
+    workflow.write_text(
+        "      run: python -m pip install -U pytest hypothesis numpy\n")
+    assert import_violations() == []
+
+
+def test_function_level_import_is_seen_in_the_live_tree():
+    """``ycsb/distributions.py::zeta`` imports numpy inside the function;
+    ``test_no_drift_from_roadmap`` then holds CI's pip line to it."""
+    assert "numpy" in {module for _, _, module
+                       in check_docs.third_party_imports(ROOT)}
+
+
 def test_registered_scenarios_parsed_from_cli():
     names = check_docs.bench_scenarios(ROOT)
     assert "concurrency" in names and "figure1" in names

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.clock import SimClock
+from repro.common.errors import SerializationError
 from repro.gdpr import GDPRConfig, GDPRMetadata, GDPRStore
 from repro.kvstore import KeyValueStore, StoreConfig, connect_plain
 from repro.net.channel import loopback
@@ -98,6 +99,38 @@ class TestGenerators:
     def test_pack_unpack_fields(self):
         values = {"field0": b"\x00binary\xff", "field1": b""}
         assert unpack_fields(pack_fields(values)) == values
+        assert unpack_fields(pack_fields({})) == {}
+
+    @pytest.mark.parametrize("damage", [
+        pytest.param(lambda blob: blob[:150], id="payload-overruns"),
+        pytest.param(lambda blob: blob[:-1], id="payload-one-byte-short"),
+        pytest.param(lambda blob: blob[:112], id="header-truncated"),
+        pytest.param(lambda blob: blob[:10], id="name-overruns"),
+        pytest.param(lambda blob: blob[:1], id="count-truncated"),
+        pytest.param(lambda blob: b"", id="empty"),
+        pytest.param(lambda blob: blob + b"junk", id="trailing-bytes"),
+        pytest.param(lambda blob: b"\x00\x03" + blob[2:],
+                     id="one-field-too-many"),
+        pytest.param(lambda blob: blob[:8] + b"\xff" + blob[9:],
+                     id="non-ascii-name"),
+    ])
+    def test_unpack_rejects_damaged_blob(self, damage):
+        blob = pack_fields({"field0": b"x" * 100, "field1": b"y" * 100})
+        with pytest.raises(SerializationError):
+            unpack_fields(damage(blob))
+
+    @pytest.mark.parametrize("field_count, field_length",
+                             [(0, 10), (-1, 10), (2, -5)])
+    def test_field_generator_rejects_bad_shape(self, field_count,
+                                               field_length):
+        with pytest.raises(ValueError, match="field_"):
+            FieldGenerator(field_count, field_length)
+
+    def test_zero_length_fields_leave_the_rng_alone(self):
+        gen = FieldGenerator(3, 0, seed=5)
+        before = gen._rng.getstate()
+        assert gen.build_values() == {f"field{i}": b"" for i in range(3)}
+        assert gen._rng.getstate() == before
 
 
 @pytest.fixture

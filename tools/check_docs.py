@@ -19,7 +19,11 @@ Checks, against ROADMAP.md's canonical tier-1 verify command:
    keys parsed out of src/repro/bench/__main__.py);
 5. a ``*.md`` file named in a docstring under src/ or benchmarks/ must
    exist (at the path given, or by bare name at the root or in docs/):
-   code must not send readers to documents that were never written.
+   code must not send readers to documents that were never written;
+6. every third-party module imported under src/ (anywhere, including
+   inside a function) must be named on the ``pip install`` line of
+   .github/workflows/ci.yml: a dependency that happens to be installed
+   on the author's machine must not first fail on a clean runner.
 
 Run from the repository root (CI does), or pass the root as argv[1].
 Exits non-zero listing each violation.
@@ -37,6 +41,8 @@ FENCE_RE = re.compile(r"^```")
 LINK_RE = re.compile(r"\]\((docs/[A-Za-z0-9_.-]+\.md)\)")
 DOCSTRING_MD_RE = re.compile(r"[A-Za-z0-9_./-]*[A-Za-z0-9_]\.md\b")
 DOCSTRING_ROOTS = ("src", "benchmarks")
+CI_WORKFLOW = ".github/workflows/ci.yml"
+PIP_INSTALL_RE = re.compile(r"pip install\s+(.*)")
 
 # Sections/mentions a doc must keep (drift check 4).  Each entry:
 # doc path -> list of (required substring, why it is load-bearing).
@@ -161,6 +167,38 @@ def docstring_md_references(root: pathlib.Path):
                                literal.lineno + offset, name)
 
 
+def third_party_imports(root: pathlib.Path):
+    """``(relative path, line, module)`` for every absolute import under
+    src/ of a top-level module that is neither standard library nor one
+    of the packages src/ itself holds."""
+    source = root / "src"
+    if not source.is_dir():
+        return
+    local = {path.stem for path in source.iterdir()}
+    for path in sorted(source.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names and top not in local:
+                    yield path.relative_to(root), node.lineno, top
+
+
+def ci_installed_packages(root: pathlib.Path) -> set:
+    """Every package named after ``pip install`` in the CI workflow."""
+    workflow = root / CI_WORKFLOW
+    if not workflow.exists():
+        return set()
+    return {word.lower().replace("-", "_")
+            for line in PIP_INSTALL_RE.findall(workflow.read_text())
+            for word in line.split() if not word.startswith("-")}
+
+
 def md_reference_exists(root: pathlib.Path, name: str) -> bool:
     if "/" in name:
         return (root / name).exists()
@@ -241,6 +279,13 @@ def check(root: pathlib.Path) -> list:
             violations.append(
                 f"{rel}:{line}: docstring names {name}, which does not "
                 "exist")
+
+    installed = ci_installed_packages(root)
+    for rel, line, module in third_party_imports(root):
+        if module not in installed:
+            violations.append(
+                f"{rel}:{line}: imports {module}, which {CI_WORKFLOW} "
+                "does not pip install")
 
     linked = set(LINK_RE.findall(readme_text))
     for target in sorted(linked):
