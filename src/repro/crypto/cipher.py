@@ -5,9 +5,18 @@ TLS onto Redis.  Nothing cryptographic is importable in this offline
 environment beyond :mod:`hashlib`/:mod:`hmac`, so we build a standard
 construction from those primitives:
 
-* a **CTR-mode stream cipher** whose keystream blocks are
-  ``SHA-256(key || nonce || counter)`` -- a PRF in counter mode; and
-* **encrypt-then-MAC** with HMAC-SHA256 over ``nonce || aad || ciphertext``.
+* a **stream cipher** whose keystream is one extendable-output squeeze,
+  ``SHAKE-256(key || nonce)`` -- a PRF in stream mode, and one C call
+  per record: what a keystream costs the host is its ``hashlib`` calls,
+  not its length; and
+* **encrypt-then-MAC** with HMAC-SHA256 over
+  ``len(aad) || aad || nonce || ciphertext``.
+
+The encryption and MAC sub-keys are derived from the master key under
+labels that name the construction (:data:`ENC_LABEL`, :data:`MAC_LABEL`).
+The tag covers the ciphertext, not the keystream, so the labels are what
+makes a token sealed by any other keystream fail authentication instead
+of decrypting to garbage.
 
 This is the textbook generic composition (IND-CPA stream cipher + SUF-CMA
 MAC => IND-CCA AE).  It is NOT a vetted primitive suite and exists to
@@ -25,10 +34,14 @@ import struct
 
 from ..common.errors import CryptoError, IntegrityError
 
-BLOCK_SIZE = 32          # SHA-256 digest size drives the keystream block.
+BLOCK_SIZE = 32          # Unit of ``keystream``'s ``start_block`` offset.
 NONCE_SIZE = 16
 TAG_SIZE = 32
 KEY_SIZE = 32
+
+# Sub-key derivation labels of the envelope (see the module docstring).
+ENC_LABEL = b"enc-shake256|"
+MAC_LABEL = b"mac-shake256|"
 
 
 # Overridable entropy hook.  os.urandom nonces make ciphertext -- and
@@ -78,7 +91,7 @@ def derive_key(passphrase: bytes, salt: bytes,
 
 
 class StreamCipher:
-    """SHA-256/CTR keystream cipher.  Encryption == decryption (XOR)."""
+    """SHAKE-256 keystream cipher.  Encryption == decryption (XOR)."""
 
     def __init__(self, key: bytes) -> None:
         if len(key) != KEY_SIZE:
@@ -87,21 +100,18 @@ class StreamCipher:
 
     def keystream(self, nonce: bytes, length: int,
                   start_block: int = 0) -> bytes:
-        """Generate ``length`` keystream bytes for ``nonce``."""
+        """Generate ``length`` keystream bytes for ``nonce``, starting
+        ``start_block`` 32-byte blocks into the stream."""
         if len(nonce) != NONCE_SIZE:
             raise CryptoError(
                 f"nonce must be {NONCE_SIZE} bytes, got {len(nonce)}")
-        blocks = []
-        needed = length
-        counter = start_block
-        prefix = self._key + nonce
-        while needed > 0:
-            block = hashlib.sha256(
-                prefix + struct.pack(">Q", counter)).digest()
-            blocks.append(block)
-            needed -= BLOCK_SIZE
-            counter += 1
-        return b"".join(blocks)[:length]
+        if length < 0 or start_block < 0:
+            raise CryptoError(
+                "keystream range must be non-negative, got length "
+                f"{length} from block {start_block}")
+        skip = BLOCK_SIZE * start_block
+        return hashlib.shake_256(self._key + nonce).digest(
+            skip + length)[skip:]
 
     def transform(self, data: bytes, nonce: bytes) -> bytes:
         """XOR ``data`` with the keystream for ``nonce``.
@@ -129,12 +139,13 @@ class AuthenticatedCipher:
     def __init__(self, key: bytes) -> None:
         if len(key) != KEY_SIZE:
             raise CryptoError(f"key must be {KEY_SIZE} bytes, got {len(key)}")
-        self._enc_key = hashlib.sha256(b"enc|" + key).digest()
-        self._mac_key = hashlib.sha256(b"mac|" + key).digest()
-        self._cipher = StreamCipher(self._enc_key)
+        self._cipher = StreamCipher(hashlib.sha256(ENC_LABEL + key).digest())
+        # Keyed once; every tag starts from a copy of this state.
+        self._mac = hmac.new(hashlib.sha256(MAC_LABEL + key).digest(),
+                             digestmod=hashlib.sha256)
 
     def _tag(self, nonce: bytes, aad: bytes, ciphertext: bytes) -> bytes:
-        mac = hmac.new(self._mac_key, digestmod=hashlib.sha256)
+        mac = self._mac.copy()
         mac.update(struct.pack(">I", len(aad)))
         mac.update(aad)
         mac.update(nonce)

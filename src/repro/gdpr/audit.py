@@ -60,7 +60,8 @@ class AuditChainMode(enum.Enum):
     BLOCK = "block"     # sealed blocks, one chain update + fsync per block
 
 
-# The log's one JSON dialect: sorted keys, no whitespace.
+# The layer's one JSON dialect (audit log, envelope header): sorted keys,
+# no whitespace.
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 

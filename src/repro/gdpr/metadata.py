@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import FrozenSet, Optional, Tuple
 
 from ..common.errors import SerializationError
+from .audit import _dumps
 
 _SEPARATOR = b"\x00"
 
@@ -101,8 +102,7 @@ class GDPRMetadata:
 
 def pack_envelope(metadata: GDPRMetadata, value: bytes) -> bytes:
     """``<json metadata> NUL <raw value>`` -- the blob the KV store holds."""
-    header = json.dumps(metadata.to_dict(), sort_keys=True,
-                        separators=(",", ":")).encode("utf-8")
+    header = _dumps(metadata.to_dict()).encode("utf-8")
     if _SEPARATOR in header:
         raise SerializationError("metadata header contains NUL")
     return header + _SEPARATOR + value

@@ -178,6 +178,16 @@ def contains_key(data: bytes, key: bytes) -> bool:
     return bool(mentioned_keys(data, (key,)))
 
 
+# The compaction writers' statements for a bytes-valued row, one format
+# call each: byte-for-byte ``encode_command(b"SET", key, value)``,
+# ``(b"PEXPIREAT", key, b"%d" % millis)`` and ``(b"GDPRMETA", key, owner,
+# purposes)`` for ``bytes`` arguments.  Shared with the WAL checkpoint.
+SET_STATEMENT = b"*3\r\n$3\r\nSET\r\n$%d\r\n%b\r\n$%d\r\n%b\r\n"
+PEXPIREAT_STATEMENT = b"*3\r\n$9\r\nPEXPIREAT\r\n$%d\r\n%b\r\n$%d\r\n%b\r\n"
+GDPRMETA_STATEMENT = (b"*4\r\n$8\r\nGDPRMETA\r\n$%d\r\n%b\r\n"
+                      b"$%d\r\n%b\r\n$%d\r\n%b\r\n")
+
+
 class AofRewriter:
     """Generate a compacted AOF from live store state (BGREWRITEAOF).
 
@@ -201,7 +211,8 @@ class AofRewriter:
                 value = db.get_value(key)
                 kind = type_name(value)
                 if kind == "string":
-                    chunks.append(encode_command(b"SET", key, value))
+                    chunks.append(SET_STATEMENT
+                                  % (len(key), key, len(value), value))
                 elif kind == "hash":
                     flat: List[bytes] = []
                     for field, fval in value.items():
@@ -219,8 +230,9 @@ class AofRewriter:
                     chunks.append(encode_command(b"ZADD", key, *flat))
                 expire_at = db.get_expiry(key)
                 if expire_at is not None:
-                    millis = str(int(expire_at * 1000)).encode()
-                    chunks.append(encode_command(b"PEXPIREAT", key, millis))
+                    millis = b"%d" % int(expire_at * 1000)
+                    chunks.append(PEXPIREAT_STATEMENT
+                                  % (len(key), key, len(millis), millis))
         return chunks
 
     def rewrite_into(self, log: AppendLog) -> int:

@@ -30,6 +30,8 @@ from typing import List
 
 from ..common.resp import encode_command
 from ..kvstore.aof import AofWriter, FsyncPolicy, replay_commands  # noqa: F401
+from ..kvstore.aof import (GDPRMETA_STATEMENT, PEXPIREAT_STATEMENT,
+                           SET_STATEMENT)
 
 __all__ = ["WalWriter", "FsyncPolicy", "replay_commands", "checkpoint"]
 
@@ -56,21 +58,24 @@ def checkpoint(engine) -> int:
         raise ValueError("the engine has no WAL attached")
     chunks: List[bytes] = []
     for row in engine.table.rows():
-        if isinstance(row.value, bytes):
-            chunks.append(encode_command(b"SET", row.key, row.value))
+        key, value = row.key, row.value
+        if isinstance(value, bytes):
+            chunks.append(SET_STATEMENT % (len(key), key, len(value), value))
         else:
-            args: List[bytes] = [b"HSET", row.key]
-            for name in sorted(row.value):
+            args: List[bytes] = [b"HSET", key]
+            for name in sorted(value):
                 args.append(name)
-                args.append(row.value[name])
+                args.append(value[name])
             chunks.append(encode_command(*args))
         if row.expire_at is not None:
-            millis = str(int(row.expire_at * 1000)).encode("ascii")
-            chunks.append(encode_command(b"PEXPIREAT", row.key, millis))
+            millis = b"%d" % int(row.expire_at * 1000)
+            chunks.append(PEXPIREAT_STATEMENT
+                          % (len(key), key, len(millis), millis))
         if row.owner is not None:
-            chunks.append(encode_command(
-                b"GDPRMETA", row.key, row.owner.encode("utf-8"),
-                row.purposes.encode("utf-8")))
+            owner = row.owner.encode("utf-8")
+            purposes = row.purposes.encode("utf-8")
+            chunks.append(GDPRMETA_STATEMENT % (
+                len(key), key, len(owner), owner, len(purposes), purposes))
     data = b"".join(chunks)
     log.replace(data)
     return len(data)
