@@ -19,6 +19,11 @@ requirement of Art. 5.2.  Two chain granularities exist:
   while the fsync cost is amortized over ``block_size`` records.  The
   price is a visibility window: a crash loses at most one unsealed block.
 
+A record's body and its log line are each formatted once, by a template
+that prints the layer's JSON dialect byte for byte; a record a template
+cannot print (a non-``str`` field, a ``bool`` seq, an ``int`` or
+non-finite timestamp) is formatted by the encoder itself.
+
 The per-record durability spectrum mirrors the paper's AOF measurement,
 because it *is* the same mechanism:
 
@@ -41,6 +46,7 @@ import enum
 import json
 from collections import deque
 from dataclasses import dataclass
+from math import isfinite
 from typing import Deque, Dict, Iterable, List, Optional
 
 from ..common.clock import Clock, SimClock
@@ -65,14 +71,35 @@ class AuditChainMode(enum.Enum):
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+# One template per representation, keys in the dialect's order; ``_quote``
+# is what the encoder itself applies to a ``str``, ``repr`` of a finite
+# ``float`` its float form.
+_quote = json.encoder.encode_basestring_ascii
+_PAYLOAD = ('{"detail":%s,"key":%s,"op":%s,"outcome":%s,"principal":%s,'
+            '"purpose":%s,"seq":%d,"subject":%s,"ts":%s}')
+_LINE = '{"body":%s,"hash":%s,"prev":%s}\n'
+
+
 def _record_payload(seq: int, timestamp: float, principal: str,
                     operation: str, key: Optional[str],
                     subject: Optional[str], purpose: Optional[str],
                     outcome: str, detail: str) -> bytes:
     """A record's hashed/serialized body (everything except the chain)."""
+    ts = round(timestamp, 9)
+    try:
+        if type(seq) is int and type(ts) is float and isfinite(ts):
+            return (_PAYLOAD % (
+                _quote(detail),
+                "null" if key is None else _quote(key),
+                _quote(operation), _quote(outcome), _quote(principal),
+                "null" if purpose is None else _quote(purpose), seq,
+                "null" if subject is None else _quote(subject),
+                repr(ts))).encode("utf-8")
+    except TypeError:
+        pass
     return _dumps({
         "seq": seq,
-        "ts": round(timestamp, 9),
+        "ts": ts,
         "principal": principal,
         "op": operation,
         "key": key,
@@ -85,8 +112,13 @@ def _record_payload(seq: int, timestamp: float, principal: str,
 
 def _record_line(payload: bytes, prev_hash: str, record_hash: str) -> bytes:
     """The log line of the record whose body serialises to ``payload``."""
-    return _dumps({"body": payload.decode("utf-8"), "prev": prev_hash,
-                   "hash": record_hash}).encode("utf-8") + b"\n"
+    body = payload.decode("utf-8")
+    try:
+        line = _LINE % (_quote(body), _quote(record_hash), _quote(prev_hash))
+    except TypeError:
+        line = _dumps({"body": body, "prev": prev_hash,
+                       "hash": record_hash}) + "\n"
+    return line.encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -318,12 +350,10 @@ class AuditLog:
                key: Optional[str] = None, subject: Optional[str] = None,
                purpose: Optional[str] = None, outcome: str = "ok",
                detail: str = "") -> AuditRecord:
-        body = dict(seq=self._seq, timestamp=self.clock.now(),
-                    principal=principal, operation=operation, key=key,
-                    subject=subject, purpose=purpose, outcome=outcome,
-                    detail=detail)
+        body = (self._seq, self.clock.now(), principal, operation, key,
+                subject, purpose, outcome, detail)
         if self.chain_mode is AuditChainMode.BLOCK:
-            record = AuditRecord(**body)
+            record = AuditRecord(*body)
             self._seq += 1
             self._remember(record)
             self._pending_block.append(record)
@@ -332,10 +362,9 @@ class AuditLog:
             return record
         # One serialisation per record: the body bytes feed both the
         # chain hash and the log line.
-        payload = _record_payload(**body)
+        payload = _record_payload(*body)
         digest = chain_hash(self._tip, payload)
-        record = AuditRecord(**body, prev_hash=self._tip,
-                             record_hash=digest)
+        record = AuditRecord(*body, self._tip, digest)
         if self.record_cpu_cost:
             self.clock.advance(self.record_cpu_cost)
         self.log.append(_record_line(payload, self._tip, digest))

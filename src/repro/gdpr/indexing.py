@@ -38,7 +38,11 @@ class MetadataIndex:
     # -- maintenance ---------------------------------------------------------------
 
     def add(self, key: str, metadata: GDPRMetadata) -> None:
+        deadline = metadata.expire_at()
+        registered = self._expiry.get(key)
         if key in self._metadata:
+            if self._metadata[key] is metadata and registered == deadline:
+                return      # re-stored under the metadata it was read with
             self.remove(key)
         self._metadata[key] = metadata
         self._by_owner.setdefault(metadata.owner, set()).add(key)
@@ -48,10 +52,10 @@ class MetadataIndex:
             self._objections.setdefault(purpose, set()).add(key)
         for recipient in metadata.shared_with:
             self._by_recipient.setdefault(recipient, set()).add(key)
-        deadline = metadata.expire_at()
         if deadline is not None:
             self._expiry[key] = deadline
-            heapq.heappush(self._expiry_heap, (deadline, key))
+            if registered != deadline:  # else its heap entry is still live
+                heapq.heappush(self._expiry_heap, (deadline, key))
 
     def remove(self, key: str) -> Optional[GDPRMetadata]:
         metadata = self._metadata.pop(key, None)

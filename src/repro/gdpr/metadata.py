@@ -7,19 +7,33 @@ sharing (Art. 15's "recipients to whom it has been disclosed"), and
 permitted storage locations (Art. 46).  :class:`GDPRMetadata` carries all
 of that; :func:`pack_envelope` / :func:`unpack_envelope` serialize the
 metadata together with the user value into the single opaque blob the
-underlying key-value store sees.
+underlying key-value store sees.  The metadata is frozen, so its header
+is serialised once per object (:attr:`GDPRMetadata.envelope_header`); a
+reader that names the metadata it expects gets it back after a prefix
+compare, and any other stored header is parsed -- the stored one wins.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import FrozenSet, Optional, Tuple
 
 from ..common.errors import SerializationError
 from .audit import _dumps
 
 _SEPARATOR = b"\x00"
+
+
+def _string_set(raw: dict, name: str) -> FrozenSet[str]:
+    """A set-valued header field: a JSON array of strings and nothing
+    else (``frozenset("service")`` is six one-letter purposes)."""
+    members = raw.get(name, [])
+    if not isinstance(members, list) or not all(
+            isinstance(member, str) for member in members):
+        raise TypeError(f"{name} must be an array of strings")
+    return frozenset(members)
 
 
 @dataclass(frozen=True)
@@ -82,17 +96,27 @@ class GDPRMetadata:
             "decision_making": self.decision_making,
         }
 
+    @cached_property
+    def envelope_header(self) -> bytes:
+        """The canonical JSON header plus ``NUL``: a pure function of the
+        frozen fields, derived on first use.  Not a field (``==``, ``repr``
+        and ``replace`` never see it); a failure is not remembered."""
+        header = _dumps(self.to_dict()).encode("utf-8")
+        if _SEPARATOR in header:
+            raise SerializationError("metadata header contains NUL")
+        return header + _SEPARATOR
+
     @classmethod
     def from_dict(cls, raw: dict) -> "GDPRMetadata":
         try:
             return cls(
                 owner=raw["owner"],
-                purposes=frozenset(raw.get("purposes", ())),
-                objections=frozenset(raw.get("objections", ())),
+                purposes=_string_set(raw, "purposes"),
+                objections=_string_set(raw, "objections"),
                 ttl=raw.get("ttl"),
                 origin=raw.get("origin", "subject"),
-                shared_with=frozenset(raw.get("shared_with", ())),
-                allowed_regions=frozenset(raw.get("allowed_regions", ())),
+                shared_with=_string_set(raw, "shared_with"),
+                allowed_regions=_string_set(raw, "allowed_regions"),
                 created_at=raw.get("created_at", 0.0),
                 decision_making=raw.get("decision_making", False),
             )
@@ -102,13 +126,16 @@ class GDPRMetadata:
 
 def pack_envelope(metadata: GDPRMetadata, value: bytes) -> bytes:
     """``<json metadata> NUL <raw value>`` -- the blob the KV store holds."""
-    header = _dumps(metadata.to_dict()).encode("utf-8")
-    if _SEPARATOR in header:
-        raise SerializationError("metadata header contains NUL")
-    return header + _SEPARATOR + value
+    return metadata.envelope_header + value
 
 
-def unpack_envelope(blob: bytes) -> Tuple[GDPRMetadata, bytes]:
+def unpack_envelope(blob: bytes, expected: Optional[GDPRMetadata] = None
+                    ) -> Tuple[GDPRMetadata, bytes]:
+    """Split an envelope.  A header cannot contain ``NUL``, so a blob that
+    starts with ``expected``'s header and separator carries exactly that
+    header; any other blob is parsed, and the stored header wins."""
+    if expected is not None and blob.startswith(expected.envelope_header):
+        return expected, blob[len(expected.envelope_header):]
     header, sep, value = blob.partition(_SEPARATOR)
     if not sep:
         raise SerializationError("envelope missing metadata separator")

@@ -398,7 +398,7 @@ class GDPRStore:
             self._record_audit(principal.name, "get", key, owner,
                                purpose, "error", "crypto-erased")
             raise KeyError(key)
-        stored_metadata, value = unpack_envelope(envelope)
+        stored_metadata, value = unpack_envelope(envelope, metadata)
         self._record_audit(principal.name, "get", key,
                            stored_metadata.owner, purpose, "ok")
         return Record(key=key, value=value, metadata=stored_metadata)

@@ -1,5 +1,7 @@
 """Tests for GDPR metadata and the storage envelope."""
 
+import json
+
 import pytest
 
 from repro.common.errors import SerializationError
@@ -80,6 +82,29 @@ class TestSerialization:
     def test_from_dict_missing_owner(self):
         with pytest.raises(SerializationError):
             GDPRMetadata.from_dict({"purposes": []})
+
+    @pytest.mark.parametrize("field", ["purposes", "objections",
+                                       "shared_with", "allowed_regions"])
+    @pytest.mark.parametrize("bad", ["service", ["ok", 7], {"ads": 1},
+                                     None, 5, [["nested"]]])
+    def test_from_dict_set_fields_must_be_arrays_of_strings(self, field,
+                                                            bad):
+        """``frozenset("service")`` is six one-letter purposes: a header
+        that carries a string (or anything but an array of strings) where
+        a set belongs is malformed, not a whitelist of its characters."""
+        with pytest.raises(SerializationError, match="bad metadata dict"):
+            GDPRMetadata.from_dict({"owner": "a", field: bad})
+        blob = json.dumps({"owner": "a", field: bad}).encode() + b"\x00v"
+        with pytest.raises(SerializationError):
+            unpack_envelope(blob)
+
+    def test_from_dict_accepts_arrays_and_missing_set_fields(self):
+        m = GDPRMetadata.from_dict({"owner": "a", "purposes": ["service"],
+                                    "shared_with": []})
+        assert m.purposes == frozenset({"service"})
+        assert m.allows_purpose("service") and not m.allows_purpose("s")
+        assert m.objections == m.shared_with == m.allowed_regions \
+            == frozenset()
 
     def test_envelope_roundtrip(self):
         m = meta()
