@@ -5,24 +5,31 @@ and "LUKS + TLS" each at ~30% of baseline, across Load-A, A, B, C, D,
 Load-E, E, F.
 """
 
+import pytest
 from conftest import OPERATIONS, RECORDS, write_result
 
-from repro.bench.figure1 import figure1_table, run_config, run_figure1
-
-_CACHE = {}
+from repro.bench.figure1 import FIGURE1_CONFIGS, figure1_table, run_config
 
 
-def _figure1():
-    if "results" not in _CACHE:
-        _CACHE["results"] = run_figure1(record_count=RECORDS,
-                                        operation_count=OPERATIONS)
-    return _CACHE["results"]
+@pytest.fixture(scope="session")
+def figure1():
+    """``figure1(config)`` -> that configuration's cells.  The figure is
+    run once per session: each configuration under whichever test asks
+    for it first (so that test's timing is the configuration's), and
+    every test asserts on the one shared result."""
+    results = {}
+
+    def cells_of(config):
+        if config not in results:
+            results[config] = run_config(config, RECORDS, OPERATIONS)
+        return results[config]
+
+    return cells_of
 
 
-def test_figure1_unmodified_baseline(benchmark):
-    cells = benchmark.pedantic(
-        lambda: run_config("unmodified", RECORDS, OPERATIONS),
-        rounds=1, iterations=1)
+def test_figure1_unmodified_baseline(benchmark, figure1):
+    cells = benchmark.pedantic(lambda: figure1("unmodified"),
+                               rounds=1, iterations=1)
     by_phase = {cell.phase: cell.throughput for cell in cells}
     benchmark.extra_info.update(
         {phase: round(tp, 1) for phase, tp in by_phase.items()})
@@ -35,26 +42,26 @@ def test_figure1_unmodified_baseline(benchmark):
     assert by_phase["E"] < by_phase["A"] / 5
 
 
-def test_figure1_aof_everysec(benchmark):
-    cells = benchmark.pedantic(
-        lambda: run_config("aof-everysec", RECORDS, OPERATIONS),
-        rounds=1, iterations=1)
+def test_figure1_aof_everysec(benchmark, figure1):
+    cells = benchmark.pedantic(lambda: figure1("aof-everysec"),
+                               rounds=1, iterations=1)
     benchmark.extra_info.update(
         {cell.phase: round(cell.throughput, 1) for cell in cells})
 
 
-def test_figure1_luks_tls(benchmark):
-    cells = benchmark.pedantic(
-        lambda: run_config("luks+tls", RECORDS, OPERATIONS),
-        rounds=1, iterations=1)
+def test_figure1_luks_tls(benchmark, figure1):
+    cells = benchmark.pedantic(lambda: figure1("luks+tls"),
+                               rounds=1, iterations=1)
     benchmark.extra_info.update(
         {cell.phase: round(cell.throughput, 1) for cell in cells})
 
 
-def test_figure1_shape_matches_paper(benchmark, results_dir):
+def test_figure1_shape_matches_paper(benchmark, results_dir, figure1):
     """The figure's headline shape: both modified configurations land
     near 30% of baseline on every phase."""
-    results = benchmark.pedantic(_figure1, rounds=1, iterations=1)
+    results = benchmark.pedantic(
+        lambda: {config: figure1(config) for config in FIGURE1_CONFIGS},
+        rounds=1, iterations=1)
     table = figure1_table(results)
     write_result(results_dir, "figure1.txt", table)
     phases = [cell.phase for cell in results["unmodified"]]

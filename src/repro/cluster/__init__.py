@@ -37,8 +37,6 @@ from .client import (
     ClusterClient,
     ClusterNode,
     ClusterStoreServer,
-    KEYLESS_COMMANDS,
-    MULTI_KEY_COMMANDS,
     Pipeline,
     build_cluster,
     command_keys,
@@ -86,8 +84,6 @@ __all__ = [
     "build_cluster",
     "command_keys",
     "parse_redirect",
-    "KEYLESS_COMMANDS",
-    "MULTI_KEY_COMMANDS",
     "GDPRSlotMigrator",
     "MigrationReceipt",
     "SlotMigrator",

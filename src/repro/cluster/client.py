@@ -55,7 +55,12 @@ from ..common.errors import (
     StoreError,
 )
 from ..common.resp import RespError, encode, encode_command
-from ..kvstore.commands import normalize_args
+from ..kvstore.commands import (
+    BROADCAST,
+    PER_SHARD,
+    normalize_args,
+    spec_of,
+)
 from ..kvstore.server import (
     EventConnection,
     EventLoopMixin,
@@ -69,85 +74,43 @@ from ..kvstore.store import KeyValueStore, StoreConfig
 from ..net.channel import Channel, LAN_LATENCY, RAW_BANDWIDTH_BPS
 from .slots import NUM_SLOTS, SlotMap, slot_for_key
 
-# Commands with no key argument route to shard 0 unless the caller pins one.
-KEYLESS_COMMANDS = frozenset((
-    b"PING", b"INFO", b"CONFIG", b"SELECT", b"SLOWLOG",
-    b"BGREWRITEAOF", b"BGSAVE", b"SAVE", b"TIME", b"TENANT",
-))
-
-# Keyspace-wide commands fan out to every shard, replies merged (flushes
-# must reach all shards, DBSIZE sums, KEYS concatenates).  Only valid via
-# ``call``; a pipelined broadcast would need one reply slot per shard.
-BROADCAST_COMMANDS = frozenset((
-    b"FLUSHALL", b"FLUSHDB", b"DBSIZE", b"KEYS",
-))
-
-# Commands whose cluster-wide semantics cannot be faked by routing their
-# first argument (SCAN cursors and RANDOMKEY are per-shard notions).
-UNROUTABLE_COMMANDS = frozenset((b"SCAN", b"RANDOMKEY"))
-
-# Read-only single-slot commands eligible for read-from-replica routing
-# (the READONLY-connection subset this model supports).  Anything else
-# always goes to the primary.
-REPLICA_READ_COMMANDS = frozenset((
-    b"GET", b"MGET", b"EXISTS", b"STRLEN", b"TTL", b"PTTL", b"TYPE",
-    b"HGET", b"HGETALL", b"HMGET", b"HLEN", b"LRANGE", b"LLEN",
-    b"SMEMBERS", b"SCARD", b"SISMEMBER", b"ZSCORE", b"ZCARD",
-))
-
 # Sentinel: the replica path declined (no group, ineligible command);
 # fall through to the primary round trip.
 _REPLICA_MISS = object()
 
-# Multi-key commands and where their keys sit: (first, step); keys run to
-# the end of argv.  All keys must share a slot (Redis' CROSSSLOT rule).
-MULTI_KEY_COMMANDS: Dict[bytes, Tuple[int, int]] = {
-    b"DEL": (1, 1),
-    b"UNLINK": (1, 1),
-    b"EXISTS": (1, 1),
-    b"MGET": (1, 1),
-    b"MSET": (1, 2),
-    b"RENAME": (1, 1),
-}
-
 
 def command_keys(argv: Sequence[bytes]) -> List[bytes]:
-    """The key arguments of ``argv`` (empty for keyless / broadcast /
-    per-shard commands).  Shared by client routing and the server-side
-    slot check so both layers agree on what counts as a key."""
-    return _keys_of(argv[0].upper(), argv)
+    """The key arguments of ``argv`` (empty for control / broadcast /
+    per-shard commands), as the command table places them."""
+    return spec_of(argv[0].upper()).keys(argv)
 
 
-def _keys_of(name: bytes, argv: Sequence[bytes]) -> List[bytes]:
-    if (name in KEYLESS_COMMANDS or name in BROADCAST_COMMANDS
-            or name in UNROUTABLE_COMMANDS or len(argv) < 2):
-        return []
-    positions = MULTI_KEY_COMMANDS.get(name)
-    if positions is None:
-        return [argv[1]]
-    first, step = positions
-    return list(argv[first::step])
+def _slot_of(keys: List[bytes]):
+    """The hash slot of a command's keys: ``None`` without keys, an
+    ``int`` when every key shares one slot, the sorted slot tuple of a
+    cross-slot request."""
+    if not keys:
+        return None
+    if len(keys) == 1:
+        return slot_for_key(keys[0])
+    slots = {slot_for_key(key) for key in keys}
+    if len(slots) == 1:
+        return slots.pop()
+    return tuple(sorted(slots))
 
 
 def parse_command(request: Any):
-    """Everything routing and the slot check need to know about a
-    decoded request, worked out once: ``(name, keys, slot)`` -- the
-    upper-cased command name, its key arguments, and their hash slot
-    (``None`` for a keyless command, an ``int`` when every key shares
-    one slot, the sorted slot tuple of a cross-slot request) -- or
-    ``None`` when the request is not a well-formed command array."""
+    """Everything routing, the slot check and admission need to know
+    about a decoded request, worked out once: ``(spec, keys, slot)`` --
+    its :class:`~repro.kvstore.commands.CommandSpec`, its key arguments
+    and their hash slot (see :func:`_slot_of`) -- or ``None`` when the
+    request is not a well-formed command array."""
     name = command_name(request)
     if name is None:
         return None
-    keys = _keys_of(name, request)
-    if not keys:
-        return name, keys, None
-    if len(keys) == 1:
-        return name, keys, slot_for_key(keys[0])
-    slots = {slot_for_key(key) for key in keys}
-    if len(slots) == 1:
-        return name, keys, slots.pop()
-    return name, keys, tuple(sorted(slots))
+    spec = spec_of(name)
+    keys = spec.keys(request)
+    return spec, keys, _slot_of(keys)
 
 
 def _tenant_prefix(tenant: str) -> bytes:
@@ -177,10 +140,6 @@ def parse_redirect(reply: Any) -> Optional[RedirectError]:
     if parts[0] == "ASK":
         return AskError(slot, shard)
     return None
-
-
-# Pre-rename alias.
-_parse_redirect = parse_redirect
 
 
 class ClusterStoreServer(EventLoopMixin, StoreServer):
@@ -250,7 +209,8 @@ class ClusterStoreServer(EventLoopMixin, StoreServer):
         if parsed is None:
             super()._serve(conn, request)       # the protocol-error reply
             return
-        name, keys, slot = parsed
+        spec, keys, slot = parsed
+        name = spec.name
         if name == b"ASKING":
             conn.asking = True
             conn.transport.send(b"+OK\r\n")
@@ -276,7 +236,7 @@ class ClusterStoreServer(EventLoopMixin, StoreServer):
         tenant = getattr(conn, "tenant", None)
         if tenant is not None and self.tenant_gate is not None:
             try:
-                self.tenant_gate.admit(tenant, name, request, keys,
+                self.tenant_gate.admit(tenant, spec, request, keys,
                                        self.store.clock.now())
             except StoreError as exc:
                 # TENANTDENIED / QUOTAEXCEEDED reach the wire
@@ -567,27 +527,22 @@ class ClusterClient:
 
     def route(self, argv: List[bytes]) -> int:
         """The shard an argv executes on (CROSSSLOT-checked)."""
-        name = argv[0].upper()
-        decoded = name.decode("ascii", "replace")
-        if name in UNROUTABLE_COMMANDS:
+        spec = spec_of(argv[0].upper())
+        if spec.routing is PER_SHARD:
             raise ClusterError(
-                f"{decoded} has no cluster-wide meaning; pin a shard "
-                "with call(..., shard=)")
-        if name in BROADCAST_COMMANDS:
+                f"{spec.name.decode()} has no cluster-wide meaning; pin "
+                "a shard with call(..., shard=)")
+        if spec.routing is BROADCAST:
             raise ClusterError(
-                f"{decoded} fans out to every shard; issue it via "
-                "call(), not a pipeline, or pin a shard")
-        if name in KEYLESS_COMMANDS or len(argv) < 2:
+                f"{spec.name.decode()} fans out to every shard; issue it "
+                "via call(), not a pipeline, or pin a shard")
+        slot = _slot_of(spec.keys(argv))
+        if slot is None:
             return 0
-        positions = MULTI_KEY_COMMANDS.get(name)
-        if positions is None:
-            return self._route[slot_for_key(argv[1])]
-        first, step = positions
-        slots = {slot_for_key(key) for key in argv[first::step]}
-        if len(slots) > 1:
+        if isinstance(slot, tuple):
             raise CrossSlotError(
                 "CROSSSLOT Keys in request don't hash to the same slot")
-        return self._route[slots.pop()]
+        return self._route[slot]
 
     # -- replication -------------------------------------------------------
 
@@ -633,10 +588,10 @@ class ClusterClient:
         mid-migration falls through to the primary path, which speaks
         ASK properly.
         """
-        if self.replication is None \
-                or argv[0].upper() not in REPLICA_READ_COMMANDS:
+        spec = spec_of(argv[0].upper())
+        if self.replication is None or not spec.readonly:
             return _REPLICA_MISS
-        keys = command_keys(argv)
+        keys = spec.keys(argv)
         if not keys:
             return _REPLICA_MISS
         shard = self.route(argv)
@@ -703,7 +658,8 @@ class ClusterClient:
         argv = normalize_args(args)
         if not argv:
             raise ValueError("empty command")
-        if shard is None and argv[0].upper() in BROADCAST_COMMANDS:
+        if shard is None \
+                and spec_of(argv[0].upper()).routing is BROADCAST:
             return self._broadcast(argv, raise_errors)
         use_replica = self.read_from_replicas if prefer_replica is None \
             else prefer_replica

@@ -24,21 +24,22 @@ Dispatch rules (single-writer semantics by construction):
   :class:`Rebalancer` -- applied at quiescence, exactly like a live
   worker raise -- re-homes hot slots onto the least-loaded cores with a
   greedy longest-processing-time pass.  When one slot alone exceeds a
-  fair core share, its *read-only* commands (the
-  :data:`~repro.cluster.client.REPLICA_READ_COMMANDS` classification
-  replica routing already uses) are **split** across several cores
+  fair core share, its *read-only* commands (the command table's
+  :attr:`~repro.kvstore.commands.CommandSpec.readonly`, the rule
+  replica routing uses) are **split** across several cores
   while its writes stay pinned to the slot's home worker -- single
   writer by construction, reads fanned where the capacity is;
 * **per-connection FIFO** -- only the *head* of a connection's queue is
   dispatchable (head-of-line blocking, as on a real connection), so
   RESP replies depart in request order;
 * **control commands** (PING, CONFIG, ASKING, ...) ride worker 0;
-* **barrier commands** -- anything that reads or mutates the whole
-  keyspace (FLUSHALL, DBSIZE, KEYS, SAVE/BGSAVE/BGREWRITEAOF, SCAN,
-  RANDOMKEY, cross-worker multi-key commands, and -- via the shard
+* **barrier commands** -- every command whose
+  :class:`~repro.kvstore.commands.Routing` class says ``barrier``
+  (anything that reads or mutates the whole keyspace, and the TENANT
+  stamp), cross-worker multi-key commands, and -- via the shard
   clock's stop-the-world ``advance`` -- the GDPR Art. 15/17/20/21
-  fan-out and cron fsync) waits until every worker is free and then
-  occupies *all* of them for its duration.
+  fan-out and cron fsync wait until every worker is free and then
+  occupy *all* of them for their duration.
 
 **Adaptive batching**: each dispatch lets a worker drain up to B queued
 commands routed to it (round-robin across connections, so fairness is
@@ -62,22 +63,8 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..common.clock import ShardClock, SimClock, WorkerClock
 from ..common.histogram import LatencyHistogram
-from .client import (
-    BROADCAST_COMMANDS,
-    REPLICA_READ_COMMANDS,
-    UNROUTABLE_COMMANDS,
-    parse_command,
-)
+from .client import parse_command
 from .slots import SlotPlacement
-
-# Keyless commands that scan or rewrite the whole keyspace: these cannot
-# ride a single core.  (The rest of KEYLESS_COMMANDS -- PING, CONFIG,
-# INFO, ... -- are control-plane and ride worker 0.)  TENANT is a
-# barrier so the connection's tenant stamp is ordered with respect to
-# every command dispatched around it, whichever worker serves them.
-GLOBAL_COMMANDS = frozenset(
-    BROADCAST_COMMANDS | UNROUTABLE_COMMANDS
-    | {b"BGREWRITEAOF", b"BGSAVE", b"SAVE", b"TENANT"})
 
 # Route classification sentinels (slots are plain ints, multi-slot
 # commands carry their slot tuple so re-routing survives worker raises).
@@ -92,17 +79,16 @@ def route_of(parsed) -> Tuple[Any, bool]:
     token is a slot (int), a tuple of slots (cross-slot multi-key),
     :data:`ROUTE_CONTROL`, or :data:`ROUTE_BARRIER`; the worker index is
     derived from it at dispatch, so a live worker raise re-partitions
-    the keyspace automatically.  ``readonly`` (is this one of the
-    :data:`~repro.cluster.client.REPLICA_READ_COMMANDS`?) rides along
+    the keyspace automatically.  ``readonly`` (the spec's) rides along
     because split-read routing needs it at the same point."""
     if parsed is None:
         return ROUTE_CONTROL, False     # protocol errors are answered inline
-    name, _, slot = parsed
-    if name in GLOBAL_COMMANDS:
+    spec, _, slot = parsed
+    if spec.routing.barrier:
         return ROUTE_BARRIER, False
     if slot is None:
         return ROUTE_CONTROL, False
-    return slot, name in REPLICA_READ_COMMANDS
+    return slot, spec.readonly
 
 
 def classify(request: Any):

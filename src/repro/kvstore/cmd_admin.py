@@ -5,12 +5,20 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..common.resp import RespError, SimpleString
-from .commands import CommandContext, command, glob_match, parse_int
+from .commands import (
+    BROADCAST,
+    CONTROL,
+    CONTROL_BARRIER,
+    CommandContext,
+    command,
+    glob_match,
+    parse_int,
+)
 
 OK = SimpleString("OK")
 
 
-@command("PING", arity=-1, touches_keyspace=False)
+@command("PING", arity=-1, routing=CONTROL)
 def cmd_ping(ctx: CommandContext, args: List[bytes]):
     if len(args) > 2:
         raise RespError("ERR wrong number of arguments for 'ping' command")
@@ -19,12 +27,12 @@ def cmd_ping(ctx: CommandContext, args: List[bytes]):
     return SimpleString("PONG")
 
 
-@command("ECHO", arity=2, touches_keyspace=False)
+@command("ECHO", arity=2, routing=CONTROL)
 def cmd_echo(ctx: CommandContext, args: List[bytes]) -> bytes:
     return args[1]
 
 
-@command("SELECT", arity=2, touches_keyspace=False)
+@command("SELECT", arity=2, routing=CONTROL)
 def cmd_select(ctx: CommandContext, args: List[bytes]) -> SimpleString:
     index = parse_int(args[1], "ERR invalid DB index")
     if not 0 <= index < len(ctx.store.databases):
@@ -33,14 +41,14 @@ def cmd_select(ctx: CommandContext, args: List[bytes]) -> SimpleString:
     return OK
 
 
-@command("DBSIZE", arity=1)
+@command("DBSIZE", arity=1, routing=BROADCAST)
 def cmd_dbsize(ctx: CommandContext, args: List[bytes]) -> int:
     db = ctx.db
     return sum(1 for key in db.keys()
                if not ctx.store.key_is_expired(db, key, ctx.now))
 
 
-@command("FLUSHDB", arity=1, write=True)
+@command("FLUSHDB", arity=1, write=True, routing=BROADCAST)
 def cmd_flushdb(ctx: CommandContext, args: List[bytes]) -> SimpleString:
     dropped = ctx.store.flush_database(ctx.db)
     if dropped:
@@ -50,7 +58,7 @@ def cmd_flushdb(ctx: CommandContext, args: List[bytes]) -> SimpleString:
     return OK
 
 
-@command("FLUSHALL", arity=1, write=True)
+@command("FLUSHALL", arity=1, write=True, routing=BROADCAST)
 def cmd_flushall(ctx: CommandContext, args: List[bytes]) -> SimpleString:
     dropped = 0
     for db in ctx.store.databases:
@@ -59,19 +67,19 @@ def cmd_flushall(ctx: CommandContext, args: List[bytes]) -> SimpleString:
     return OK
 
 
-@command("TIME", arity=1, touches_keyspace=False)
+@command("TIME", arity=1, routing=CONTROL)
 def cmd_time(ctx: CommandContext, args: List[bytes]) -> List[bytes]:
     seconds = int(ctx.now)
     micros = int((ctx.now - seconds) * 1e6)
     return [str(seconds).encode(), str(micros).encode()]
 
 
-@command("INFO", arity=-1, touches_keyspace=False)
+@command("INFO", arity=-1, routing=CONTROL)
 def cmd_info(ctx: CommandContext, args: List[bytes]) -> bytes:
     return ctx.store.info_text().encode("utf-8")
 
 
-@command("CONFIG", arity=-2, touches_keyspace=False)
+@command("CONFIG", arity=-2, routing=CONTROL)
 def cmd_config(ctx: CommandContext, args: List[bytes]):
     sub = args[1].upper()
     if sub == b"GET":
@@ -96,25 +104,25 @@ def cmd_config(ctx: CommandContext, args: List[bytes]):
                     f"{args[1].decode('utf-8', 'replace')!r}")
 
 
-@command("BGREWRITEAOF", arity=1, touches_keyspace=False)
+@command("BGREWRITEAOF", arity=1, routing=CONTROL_BARRIER)
 def cmd_bgrewriteaof(ctx: CommandContext, args: List[bytes]) -> SimpleString:
     ctx.store.rewrite_aof()
     return SimpleString("Background append only file rewriting started")
 
 
-@command("SAVE", arity=1, touches_keyspace=False)
+@command("SAVE", arity=1, routing=CONTROL_BARRIER)
 def cmd_save(ctx: CommandContext, args: List[bytes]) -> SimpleString:
     ctx.store.save_snapshot()
     return OK
 
 
-@command("BGSAVE", arity=1, touches_keyspace=False)
+@command("BGSAVE", arity=1, routing=CONTROL_BARRIER)
 def cmd_bgsave(ctx: CommandContext, args: List[bytes]) -> SimpleString:
     ctx.store.save_snapshot()
     return SimpleString("Background saving started")
 
 
-@command("SLOWLOG", arity=-2, touches_keyspace=False)
+@command("SLOWLOG", arity=-2, routing=CONTROL)
 def cmd_slowlog(ctx: CommandContext, args: List[bytes]):
     sub = args[1].upper()
     if sub == b"GET":

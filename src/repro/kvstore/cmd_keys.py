@@ -11,6 +11,8 @@ from typing import List, Optional
 
 from ..common.resp import RespError, SimpleString
 from .commands import (
+    BROADCAST,
+    PER_SHARD,
     CommandContext,
     command,
     glob_match,
@@ -21,12 +23,12 @@ from .datatypes import type_name
 OK = SimpleString("OK")
 
 
-@command("DEL", arity=-2, write=True)
+@command("DEL", arity=-2, write=True, keys=(1, -1, 1))
 def cmd_del(ctx: CommandContext, args: List[bytes]) -> int:
     return sum(1 for key in args[1:] if ctx.delete(key))
 
 
-@command("UNLINK", arity=-2, write=True)
+@command("UNLINK", arity=-2, write=True, keys=(1, -1, 1))
 def cmd_unlink(ctx: CommandContext, args: List[bytes]) -> int:
     # Single-threaded simulation: UNLINK's lazy reclaim is equivalent to
     # DEL for visibility; the distinction the paper cares about (when data
@@ -34,7 +36,7 @@ def cmd_unlink(ctx: CommandContext, args: List[bytes]) -> int:
     return sum(1 for key in args[1:] if ctx.delete(key))
 
 
-@command("EXISTS", arity=-2)
+@command("EXISTS", arity=-2, keys=(1, -1, 1))
 def cmd_exists(ctx: CommandContext, args: List[bytes]) -> int:
     return sum(1 for key in args[1:] if ctx.lookup_read(key) is not None)
 
@@ -47,7 +49,7 @@ def cmd_type(ctx: CommandContext, args: List[bytes]) -> SimpleString:
     return SimpleString(type_name(value))
 
 
-@command("KEYS", arity=2)
+@command("KEYS", arity=2, routing=BROADCAST)
 def cmd_keys(ctx: CommandContext, args: List[bytes]) -> List[bytes]:
     pattern = args[1]
     out = []
@@ -59,7 +61,7 @@ def cmd_keys(ctx: CommandContext, args: List[bytes]) -> List[bytes]:
     return out
 
 
-@command("SCAN", arity=-2)
+@command("SCAN", arity=-2, routing=PER_SHARD)
 def cmd_scan(ctx: CommandContext, args: List[bytes]) -> List:
     """Cursor iteration.  The cursor is a position in the key table; like
     Redis, a full iteration visits every key that exists throughout, and
@@ -96,7 +98,7 @@ def cmd_scan(ctx: CommandContext, args: List[bytes]) -> List:
     return [str(next_cursor).encode("ascii"), keys]
 
 
-@command("RANDOMKEY", arity=1)
+@command("RANDOMKEY", arity=1, routing=PER_SHARD)
 def cmd_randomkey(ctx: CommandContext, args: List[bytes]) -> Optional[bytes]:
     # Retry a few times if we land on expired keys, like Redis does.
     for _ in range(100):
@@ -109,7 +111,7 @@ def cmd_randomkey(ctx: CommandContext, args: List[bytes]) -> Optional[bytes]:
     return None
 
 
-@command("RENAME", arity=3, write=True)
+@command("RENAME", arity=3, write=True, keys=(1, 2, 1))
 def cmd_rename(ctx: CommandContext, args: List[bytes]) -> SimpleString:
     src, dst = args[1], args[2]
     value = ctx.lookup_write(src)

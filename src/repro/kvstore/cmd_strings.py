@@ -165,7 +165,7 @@ def cmd_decrby(ctx: CommandContext, args: List[bytes]) -> int:
     return _incr_by(ctx, args[1], -parse_int(args[2]))
 
 
-@command("MGET", arity=-2)
+@command("MGET", arity=-2, keys=(1, -1, 1))
 def cmd_mget(ctx: CommandContext, args: List[bytes]) -> List[Optional[bytes]]:
     out: List[Optional[bytes]] = []
     for key in args[1:]:
@@ -174,7 +174,7 @@ def cmd_mget(ctx: CommandContext, args: List[bytes]) -> List[Optional[bytes]]:
     return out
 
 
-@command("MSET", arity=-3, write=True)
+@command("MSET", arity=-3, write=True, keys=(1, -1, 2))
 def cmd_mset(ctx: CommandContext, args: List[bytes]) -> SimpleString:
     pairs = args[1:]
     if len(pairs) % 2 != 0:

@@ -1,17 +1,25 @@
-"""Command registry and execution context.
+"""The command table and execution context.
 
-Each command module registers handlers through :func:`command`.  A
-:class:`CommandSpec` carries the Redis-style arity contract (positive =
-exact argument count including the command name, negative = minimum) and a
-``is_write`` flag driving AOF propagation: writes always reach the AOF;
-reads reach it only when the paper's ``aof_log_reads`` extension is on.
+The one module that knows how a command name classifies.  Command
+modules register handlers through :func:`command`; names the key-value
+engine has no handler for (the cluster's connection-level commands, the
+relational engine's own statements) are entered with :func:`declare`,
+so both engines, the cluster, the tenant gate and tiering read one
+table.  A :class:`CommandSpec` carries ``arity`` (Redis-style: positive
+= exact argument count including the name, negative = minimum),
+``write`` (writes always reach the AOF, reads only under the paper's
+``aof_log_reads`` extension), ``key_spec`` (Redis' ``(first, last,
+step)`` key positions, ``last`` negative counting from the end) and one
+:class:`Routing` class.  Replica and split-read eligibility is not
+listed anywhere: it is :attr:`CommandSpec.readonly`.
 """
 
 from __future__ import annotations
 
 import fnmatch
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple)
 
 from ..common.errors import ArityError, UnknownCommandError
 from ..common.resp import RespError
@@ -23,45 +31,114 @@ Handler = Callable[["CommandContext", List[bytes]], Any]
 REGISTRY: Dict[bytes, "CommandSpec"] = {}
 
 
+class Routing(NamedTuple):
+    """Where a command may run.  ``control`` marks control-path traffic
+    (not a data access: never logged to the AOF as one); ``barrier``
+    commands need every core of a multi-core shard to themselves."""
+
+    label: str
+    control: bool
+    barrier: bool
+
+
+#: Runs on the shard, and the core, owning its keys' hash slot.
+KEYED = Routing("keyed", control=False, barrier=False)
+#: Names no key: shard 0 unless the caller pins one, core 0.
+CONTROL = Routing("control", control=True, barrier=False)
+#: Control traffic ordered against every core's work (a snapshot reads
+#: the whole keyspace; a TENANT stamp scopes whatever follows it).
+CONTROL_BARRIER = Routing("control-barrier", control=True, barrier=True)
+#: Keyspace-wide: fans out to every shard, replies merged.
+BROADCAST = Routing("broadcast", control=False, barrier=True)
+#: A per-shard notion (a cursor, a sample, an ordered scan): the caller
+#: pins a shard.
+PER_SHARD = Routing("per-shard", control=False, barrier=True)
+
+
 @dataclass(frozen=True)
 class CommandSpec:
     name: bytes
-    handler: Handler
+    handler: Optional[Handler]
     arity: int
-    is_write: bool
-    touches_keyspace: bool = True
+    write: bool
+    key_spec: Tuple[int, int, int]
+    routing: Routing
+
+    @property
+    def readonly(self) -> bool:
+        """May a replica, or any core of a split hot slot, serve it?"""
+        return self.routing is KEYED and not self.write
+
+    def keys(self, argv: Sequence[bytes]) -> List[bytes]:
+        """The key arguments of ``argv`` (all must share a hash slot in
+        a cluster -- Redis' CROSSSLOT rule)."""
+        first, last, step = self.key_spec
+        if not first:
+            return []
+        if last < 0:
+            last += len(argv)
+        return list(argv[first:last + 1:step])
 
     def check_arity(self, argc: int) -> None:
-        if self.arity >= 0:
-            if argc != self.arity:
-                raise ArityError(
-                    f"ERR wrong number of arguments for "
-                    f"'{self.name.decode().lower()}' command")
-        elif argc < -self.arity:
+        ok = argc == self.arity if self.arity >= 0 else argc >= -self.arity
+        if not ok:
             raise ArityError(
                 f"ERR wrong number of arguments for "
                 f"'{self.name.decode().lower()}' command")
 
 
-def command(name: str, arity: int, write: bool = False,
-            touches_keyspace: bool = True) -> Callable[[Handler], Handler]:
-    """Decorator registering a handler under ``name`` (case-insensitive)."""
+def declare(name: str, arity: int, write: bool = False,
+            keys: Tuple[int, int, int] = (1, 1, 1),
+            routing: Routing = KEYED,
+            handler: Optional[Handler] = None) -> None:
+    """Enter ``name`` (case-insensitive) in the table.  Only a keyed
+    command has key positions."""
+    key = name.upper().encode()
+    if key in REGISTRY:
+        raise ValueError(f"duplicate command registration: {name}")
+    REGISTRY[key] = CommandSpec(
+        name=key, handler=handler, arity=arity, write=write,
+        key_spec=keys if routing is KEYED else (0, 0, 0), routing=routing)
+
+
+def command(name: str, arity: int,
+            **classification: Any) -> Callable[[Handler], Handler]:
+    """Decorator registering a handler under ``name``; the keyword
+    arguments are :func:`declare`'s."""
 
     def register(handler: Handler) -> Handler:
-        key = name.upper().encode()
-        if key in REGISTRY:
-            raise ValueError(f"duplicate command registration: {name}")
-        REGISTRY[key] = CommandSpec(name=key, handler=handler, arity=arity,
-                                    is_write=write,
-                                    touches_keyspace=touches_keyspace)
+        declare(name, arity, handler=handler, **classification)
         return handler
 
     return register
 
 
+#: How a name nobody declared classifies: its first argument is taken
+#: for the key, so the owning shard is the one to answer ``ERR unknown
+#: command``, and it is presumed to write, so no replica or split-read
+#: core is ever handed it.
+UNKNOWN = CommandSpec(name=b"", handler=None, arity=-1, write=True,
+                      key_spec=(1, 1, 1), routing=KEYED)
+
+# Connection-level commands: the cluster's server answers them itself.
+declare("ASKING", arity=1, routing=CONTROL)
+declare("MONITOR", arity=1, routing=CONTROL)
+declare("TENANT", arity=2, routing=CONTROL_BARRIER)
+# Statements only the relational engine executes (its effective-write
+# stream carries GDPRMETA to replicas and migrations, keyed like SET).
+declare("RANGE", arity=3, routing=PER_SHARD)
+declare("GDPRMETA", arity=4, write=True)
+
+
+def spec_of(name: bytes) -> CommandSpec:
+    """The table's entry for an upper-cased command name."""
+    return REGISTRY.get(name, UNKNOWN)
+
+
 def lookup(name: bytes) -> CommandSpec:
-    spec = REGISTRY.get(name.upper())
-    if spec is None:
+    """The spec the key-value engine executes ``name`` with."""
+    spec = spec_of(name.upper())
+    if spec.handler is None:
         raise UnknownCommandError(
             f"ERR unknown command '{name.decode('utf-8', 'replace')}'")
     return spec

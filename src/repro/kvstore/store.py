@@ -139,8 +139,8 @@ class KeyValueStore(StorageEngine):
         self.stats.commands_processed += 1
         self.slowlog.maybe_record(start, duration, argv)
         self.monitor.publish(start, session.db_index, argv)
-        if spec.touches_keyspace and not self._loading:
-            effective_write = spec.is_write and ctx.dirty > 0
+        if not spec.routing.control and not self._loading:
+            effective_write = spec.write and ctx.dirty > 0
             records: Optional[List[List[bytes]]] = None
             if self.aof is not None or (effective_write
                                         and self.write_listeners):

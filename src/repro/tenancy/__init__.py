@@ -15,7 +15,7 @@ The tenancy layer turns the single GDPR store into a shared *service*:
   tenant's namespace.
 """
 
-from .gate import TenantGate, UsageCounters, WRITE_COMMANDS
+from .gate import TenantGate, UsageCounters
 from .metering import METERING_PRINCIPAL, MeteringPipeline
 from .registry import (
     TENANT_SEP,
@@ -42,7 +42,6 @@ __all__ = [
     "TenantStore",
     "TokenBucket",
     "UsageCounters",
-    "WRITE_COMMANDS",
     "key_prefix",
     "local_name",
     "qualify_key",

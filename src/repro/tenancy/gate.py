@@ -31,16 +31,6 @@ from ..common.clock import Clock
 from ..common.errors import QuotaExceededError, TenantAccessError
 from .registry import TENANT_SEP, TenantRegistry, TokenBucket, tenant_of
 
-#: Commands whose execution mutates the keyspace (admission applies the
-#: footprint quotas; everything else is metered as a read).
-WRITE_COMMANDS = {
-    b"SET", b"SETNX", b"SETEX", b"PSETEX", b"MSET", b"APPEND", b"GETSET",
-    b"DEL", b"UNLINK", b"RENAME", b"EXPIRE", b"PEXPIRE", b"EXPIREAT",
-    b"PEXPIREAT", b"PERSIST", b"INCR", b"DECR", b"INCRBY", b"DECRBY",
-    b"HSET", b"HDEL", b"LPUSH", b"RPUSH", b"LPOP", b"RPOP", b"SADD",
-    b"SREM", b"RESTORE",
-}
-
 
 @dataclass
 class UsageCounters:
@@ -87,9 +77,11 @@ class TenantGate:
 
     # -- admission ---------------------------------------------------------
 
-    def admit(self, tenant: str, name: bytes, argv: List[bytes],
+    def admit(self, tenant: str, spec, argv: List[bytes],
               keys: List[bytes], now: float) -> None:
-        """Gate one request; raises on namespace or quota violations.
+        """Gate one request (``spec``: its command-table entry, which
+        says whether it is billed and footprint-checked as a write);
+        raises on namespace or quota violations.
 
         Raising here happens *before* the engine sees the command; the
         serve path converts the error to an unprefixed RESP error
@@ -110,11 +102,11 @@ class TenantGate:
             raise QuotaExceededError(
                 f"QUOTAEXCEEDED tenant {tenant!r} over its "
                 f"{entry.quota.ops_per_sec:g} ops/s quota")
-        is_write = name in WRITE_COMMANDS
-        if is_write:
-            self._check_footprint(tenant, entry.quota, usage, name, argv)
+        if spec.write:
+            self._check_footprint(tenant, entry.quota, usage, spec.name,
+                                  argv)
         usage.counters.ops += 1
-        if is_write:
+        if spec.write:
             usage.counters.write_ops += 1
         else:
             usage.counters.read_ops += 1

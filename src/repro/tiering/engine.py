@@ -43,7 +43,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..device.append_log import AppendLog
 from ..engine.base import StorageEngine, StoredRecord
-from ..kvstore.commands import glob_match, normalize_args
+from ..kvstore.commands import glob_match, normalize_args, spec_of
 from .segment import ColdEntry, ColdInput, ColdSegmentStore
 
 #: (event, detail, subject) -- demote / promote / cold-erase; the GDPR
@@ -61,20 +61,6 @@ class TieringConfig:
     bloom_fp_rate: float = 0.01        # per-segment bloom FP bound
     compress_level: int = 6            # zlib level for sealed payloads
     auto_demote: bool = True           # run the idle scan from tick()
-
-
-# Commands that never name a key in argv[1].
-_NON_KEY_COMMANDS = frozenset([
-    b"PING", b"ECHO", b"SELECT", b"CONFIG", b"INFO", b"SLOWLOG", b"TIME",
-    b"SAVE", b"BGSAVE", b"BGREWRITEAOF", b"RANDOMKEY", b"SCAN", b"KEYS",
-    b"DBSIZE", b"FLUSHALL", b"FLUSHDB", b"RANGE", b"VACUUM",
-])
-
-#: Unconditional full overwrites: the cold copy just dies, no promote.
-_OVERWRITE_COMMANDS = frozenset([b"SETEX", b"PSETEX"])
-
-#: Commands whose every argument after the name is a key to surface.
-_MULTI_KEY_COMMANDS = frozenset([b"EXISTS", b"MGET"])
 
 
 class TieredEngine(StorageEngine):
@@ -217,28 +203,17 @@ class TieredEngine(StorageEngine):
                 self.cold.clear()
             self._owners.clear()
             self._last_touch.clear()
-            return self._inner.execute(*argv, session=session)
-        if name == b"RENAME" and len(argv) >= 3:
+        elif name == b"RENAME" and len(argv) >= 3:
             self._surface(argv[1])
             self._evict_shadow(argv[2])
             self._touch(argv[1])
             self._touch(argv[2])
-            return self._inner.execute(*argv, session=session)
-        if name in _MULTI_KEY_COMMANDS:
-            for key in argv[1:]:
-                self._surface(key)
-                self._touch(key)
-            return self._inner.execute(*argv, session=session)
-        if name == b"MSET":
-            for key in argv[1::2]:
+        elif name in (b"MSET", b"SETEX", b"PSETEX"):
+            # Unconditional full overwrites: the cold copies just die.
+            for key in spec_of(name).keys(argv):
                 self._evict_shadow(key)
                 self._touch(key)
-            return self._inner.execute(*argv, session=session)
-        if name in _OVERWRITE_COMMANDS:
-            self._evict_shadow(argv[1])
-            self._touch(argv[1])
-            return self._inner.execute(*argv, session=session)
-        if name == b"SET" and len(argv) >= 3:
+        elif name == b"SET" and len(argv) >= 3:
             conditional = any(argv[i].upper() in (b"NX", b"XX")
                               for i in range(3, len(argv)))
             if conditional:
@@ -246,11 +221,10 @@ class TieredEngine(StorageEngine):
             else:
                 self._evict_shadow(argv[1])
             self._touch(argv[1])
-            return self._inner.execute(*argv, session=session)
-        if name not in _NON_KEY_COMMANDS and len(argv) >= 2:
-            self._surface(argv[1])
-            self._touch(argv[1])
-            return self._inner.execute(*argv, session=session)
+        else:
+            for key in spec_of(name).keys(argv):
+                self._surface(key)
+                self._touch(key)
         return self._inner.execute(*argv, session=session)
 
     def _touch(self, key: bytes) -> None:

@@ -91,6 +91,49 @@ class TestQuotaOnTheWire:
         assert cluster.call("SET", "acme/k2", "v") == SimpleString("OK")
 
 
+class TestMeteredByTheCommandTable:
+    @pytest.mark.parametrize("argv", [
+        ("HINCRBY", "acme/h", "f", 1),
+        ("HMSET", "acme/h", "f", "v"),
+        ("HSETNX", "acme/h", "f", "v"),
+        ("INCRBYFLOAT", "acme/n", "1.5"),
+        ("SETRANGE", "acme/s", 0, "v"),
+        ("ZADD", "acme/z", 1, "m"),
+        ("ZREM", "acme/z", "m"),
+    ], ids=lambda argv: argv[0])
+    def test_every_registered_write_bills_as_a_write(self, argv):
+        # These seven were missing from the gate's own hand-kept list.
+        cluster, gate = make_tenant_cluster()
+        cluster.set_tenant("acme")
+        cluster.call(*argv)
+        cluster.call("HGETALL", "acme/h")
+        counters = gate.counters_of("acme")
+        assert (counters.write_ops, counters.read_ops) == (1, 1)
+
+    def test_a_flush_bills_as_the_write_it_is(self):
+        cluster, gate = make_tenant_cluster()
+        cluster.set_tenant("acme")
+        for name in ("FLUSHDB", "FLUSHALL"):
+            cluster.call(name, shard=0)
+        assert gate.counters_of("acme").write_ops == 2
+
+    def test_echo_message_is_not_a_key_to_deny(self):
+        cluster, gate = make_tenant_cluster()
+        cluster.set_tenant("acme")
+        assert cluster.call("ECHO", "hello") == b"hello"
+        assert gate.counters_of("acme").denied == 0
+
+    def test_unknown_name_is_namespace_checked_and_billed_a_write(self):
+        cluster, gate = make_tenant_cluster()
+        cluster.set_tenant("acme")
+        with pytest.raises(RespError, match="TENANTDENIED"):
+            cluster.call("NOSUCHCMD", "globex/k")
+        with pytest.raises(RespError, match="unknown command"):
+            cluster.call("NOSUCHCMD", "acme/k")
+        counters = gate.counters_of("acme")
+        assert (counters.denied, counters.write_ops) == (1, 1)
+
+
 class TestTenantScopedKeyspace:
     def _populated(self):
         cluster, gate = make_tenant_cluster()

@@ -322,8 +322,8 @@ class TestRedirects:
         # Fabricate a reply pointing at a shard this client has no node
         # for: the client must surface it instead of crashing.
         error = RespError(f"MOVED {slot} 7")
-        from repro.cluster.client import _parse_redirect
-        redirect = _parse_redirect(error)
+        from repro.cluster import parse_redirect
+        redirect = parse_redirect(error)
         assert redirect is not None and redirect.shard == 7
 
 

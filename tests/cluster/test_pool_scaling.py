@@ -9,11 +9,10 @@ buffered replies, every dispatch and every completion walked all
 connections (flushes grew ~30x from 2 to 64 idle neighbours).
 """
 
-import sys
-
 from repro.cluster import build_cluster
 from repro.kvstore import KeyValueStore, StoreConfig
 from repro.kvstore.server import BufferedTransport
+from tests.support import py_calls
 
 COMMANDS = 200
 
@@ -21,27 +20,6 @@ COMMANDS = 200
 def _factory(index, clock):
     return KeyValueStore(StoreConfig(command_cpu_cost=25e-6, seed=index),
                          clock=clock)
-
-
-def _profile(work):
-    """Run ``work``; returns (Python calls made, of which
-    ``BufferedTransport.flush``)."""
-    calls = flushes = 0
-    flush_code = BufferedTransport.flush.__code__
-
-    def profiler(frame, event, arg):
-        nonlocal calls, flushes
-        if event == "call":
-            calls += 1
-            if frame.f_code is flush_code:
-                flushes += 1
-
-    sys.setprofile(profiler)
-    try:
-        work()
-    finally:
-        sys.setprofile(None)
-    return calls, flushes
 
 
 def _serve(idle_connections: int):
@@ -55,7 +33,9 @@ def _serve(idle_connections: int):
     # run with a queue behind them, across both cores.
     for index in range(COMMANDS):
         active.send_command("SET", f"key{index}", index)
-    calls, flushes = _profile(node.scheduler.run_until_idle)
+    calls, watched, _ = py_calls(node.scheduler.run_until_idle,
+                                 [BufferedTransport.flush])
+    flushes = watched[BufferedTransport.flush]
     assert list(active.replies) == ["OK"] * COMMANDS
     assert all(not conn.replies for conn in idle)
     return flushes / COMMANDS, calls / COMMANDS

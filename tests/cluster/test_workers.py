@@ -14,7 +14,7 @@ from repro.cluster import (
     build_cluster,
     slot_for_key,
 )
-from repro.cluster.client import parse_command
+from repro.cluster.client import command_keys, parse_command
 from repro.cluster.slots import SlotPlacement
 from repro.cluster.workers import (
     BARRIER,
@@ -26,11 +26,13 @@ from repro.cluster.workers import (
     worker_for,
 )
 from repro.common.clock import ShardClock, SimClock
-from repro.common.errors import ClusterError
+from repro.common.errors import ClusterError, UnknownCommandError
 from repro.common.resp import RespError, encode_command
 from repro.device.append_log import AppendLog
 from repro.device.latency import INTEL_750_SSD
-from repro.kvstore import KeyValueStore, StoreConfig
+from repro.kvstore import REGISTRY, KeyValueStore, StoreConfig
+from repro.kvstore.commands import UNKNOWN, declare, spec_of
+from repro.sqlstore import RelationalStore
 from repro.ycsb import OpenLoopRunner, WORKLOAD_B
 
 CPU = 25e-6          # one core's ceiling = 1/CPU = 40 kops/s
@@ -108,6 +110,215 @@ class TestRouting:
             route = classify(request)
             if route != ROUTE_BARRIER:
                 assert worker_for(route, 1) == 0
+
+
+# One row per name any engine or the cluster's server answers to:
+# (arguments, keys, routing token, flag).  SLOT is the hash slot of the
+# one key, SLOTS the sorted slot tuple of several; flag "w" = write,
+# "r" = readonly (replica and split-read eligible), "" = neither.
+SLOT, SLOTS = "slot", "slots"
+CONNECTION_LEVEL = (b"ASKING", b"MONITOR", b"TENANT")
+COMMAND_TABLE = {
+    "APPEND": ("a v", "a", SLOT, "w"),
+    "ASKING": ("", "", ROUTE_CONTROL, ""),
+    "BGREWRITEAOF": ("", "", ROUTE_BARRIER, ""),
+    "BGSAVE": ("", "", ROUTE_BARRIER, ""),
+    "CONFIG": ("GET appendonly", "", ROUTE_CONTROL, ""),
+    "DBSIZE": ("", "", ROUTE_BARRIER, ""),
+    "DECR": ("a", "a", SLOT, "w"),
+    "DECRBY": ("a 1", "a", SLOT, "w"),
+    "DEL": ("a b", "a b", SLOTS, "w"),
+    "DUMP": ("a", "a", SLOT, "r"),
+    "ECHO": ("hello", "", ROUTE_CONTROL, ""),
+    "EXISTS": ("a b", "a b", SLOTS, "r"),
+    "EXPIRE": ("a 1", "a", SLOT, "w"),
+    "EXPIREAT": ("a 1", "a", SLOT, "w"),
+    "FLUSHALL": ("", "", ROUTE_BARRIER, "w"),
+    "FLUSHDB": ("", "", ROUTE_BARRIER, "w"),
+    "GDPRMETA": ("a alice service", "a", SLOT, "w"),
+    "GET": ("a", "a", SLOT, "r"),
+    "GETRANGE": ("a 0 1", "a", SLOT, "r"),
+    "GETSET": ("a v", "a", SLOT, "w"),
+    "HDEL": ("a f", "a", SLOT, "w"),
+    "HEXISTS": ("a f", "a", SLOT, "r"),
+    "HGET": ("a f", "a", SLOT, "r"),
+    "HGETALL": ("a", "a", SLOT, "r"),
+    "HINCRBY": ("a f 1", "a", SLOT, "w"),
+    "HKEYS": ("a", "a", SLOT, "r"),
+    "HLEN": ("a", "a", SLOT, "r"),
+    "HMGET": ("a f", "a", SLOT, "r"),
+    "HMSET": ("a f v", "a", SLOT, "w"),
+    "HSET": ("a f v", "a", SLOT, "w"),
+    "HSETNX": ("a f v", "a", SLOT, "w"),
+    "HSTRLEN": ("a f", "a", SLOT, "r"),
+    "HVALS": ("a", "a", SLOT, "r"),
+    "INCR": ("a", "a", SLOT, "w"),
+    "INCRBY": ("a 1", "a", SLOT, "w"),
+    "INCRBYFLOAT": ("a 1", "a", SLOT, "w"),
+    "INFO": ("", "", ROUTE_CONTROL, ""),
+    "KEYS": ("*", "", ROUTE_BARRIER, ""),
+    "LINDEX": ("a 1", "a", SLOT, "r"),
+    "LLEN": ("a", "a", SLOT, "r"),
+    "LPOP": ("a", "a", SLOT, "w"),
+    "LPUSH": ("a v", "a", SLOT, "w"),
+    "LRANGE": ("a 0 1", "a", SLOT, "r"),
+    "MGET": ("a b", "a b", SLOTS, "r"),
+    "MONITOR": ("", "", ROUTE_CONTROL, ""),
+    "MSET": ("a 1 b 2", "a b", SLOTS, "w"),
+    "PERSIST": ("a", "a", SLOT, "w"),
+    "PEXPIRE": ("a 1", "a", SLOT, "w"),
+    "PEXPIREAT": ("a 1", "a", SLOT, "w"),
+    "PING": ("", "", ROUTE_CONTROL, ""),
+    "PSETEX": ("a 1 v", "a", SLOT, "w"),
+    "PTTL": ("a", "a", SLOT, "r"),
+    "RANDOMKEY": ("", "", ROUTE_BARRIER, ""),
+    "RANGE": ("a 10", "", ROUTE_BARRIER, ""),
+    "RENAME": ("a b", "a b", SLOTS, "w"),
+    "RESTORE": ("a 0 blob", "a", SLOT, "w"),
+    "RPOP": ("a", "a", SLOT, "w"),
+    "RPUSH": ("a v", "a", SLOT, "w"),
+    "SADD": ("a m", "a", SLOT, "w"),
+    "SAVE": ("", "", ROUTE_BARRIER, ""),
+    "SCAN": ("0", "", ROUTE_BARRIER, ""),
+    "SCARD": ("a", "a", SLOT, "r"),
+    "SELECT": ("0", "", ROUTE_CONTROL, ""),
+    "SET": ("a v", "a", SLOT, "w"),
+    "SETEX": ("a 1 v", "a", SLOT, "w"),
+    "SETNX": ("a v", "a", SLOT, "w"),
+    "SETRANGE": ("a 1 v", "a", SLOT, "w"),
+    "SISMEMBER": ("a m", "a", SLOT, "r"),
+    "SLOWLOG": ("GET", "", ROUTE_CONTROL, ""),
+    "SMEMBERS": ("a", "a", SLOT, "r"),
+    "SREM": ("a m", "a", SLOT, "w"),
+    "STRLEN": ("a", "a", SLOT, "r"),
+    "TENANT": ("acme", "", ROUTE_BARRIER, ""),
+    "TIME": ("", "", ROUTE_CONTROL, ""),
+    "TTL": ("a", "a", SLOT, "r"),
+    "TYPE": ("a", "a", SLOT, "r"),
+    "UNLINK": ("a b", "a b", SLOTS, "w"),
+    "ZADD": ("a 1 m", "a", SLOT, "w"),
+    "ZCARD": ("a", "a", SLOT, "r"),
+    "ZRANGEBYSCORE": ("a 0 1", "a", SLOT, "r"),
+    "ZREM": ("a m", "a", SLOT, "w"),
+    "ZSCORE": ("a m", "a", SLOT, "r"),
+}
+
+
+def table_argv(name):
+    return [name.encode()] + COMMAND_TABLE[name][0].encode().split()
+
+
+class TestCommandTable:
+    def test_every_name_has_exactly_one_spec_and_one_row(self):
+        names = (set(REGISTRY) | set(RelationalStore._HANDLERS)
+                 | set(CONNECTION_LEVEL))
+        assert {name.decode() for name in names} == set(COMMAND_TABLE)
+        for name in names:
+            assert spec_of(name) is REGISTRY[name] is not UNKNOWN
+            assert spec_of(name).name == name
+        with pytest.raises(ValueError, match="duplicate"):
+            declare("get", arity=2)
+
+    @pytest.mark.parametrize("name", sorted(COMMAND_TABLE))
+    def test_pinned_classification(self, name):
+        _, keys, token, flag = COMMAND_TABLE[name]
+        argv = table_argv(name)
+        keys = keys.encode().split()
+        spec, parsed_keys, slot = parse_command(argv)
+        spec.check_arity(len(argv))
+        assert spec is REGISTRY[name.encode()]
+        assert parsed_keys == keys == command_keys(argv)
+        slots = sorted({slot_for_key(key) for key in keys})
+        if token == SLOT:
+            assert slot == slots[0] and len(slots) == 1
+            assert route_of((spec, keys, slot)) == (slot, flag == "r")
+        elif token == SLOTS:
+            assert slot == tuple(slots) and len(slots) > 1
+            assert route_of((spec, keys, slot)) == (slot, flag == "r")
+        else:
+            assert slot is None and keys == []
+            assert route_of((spec, keys, slot)) == (token, False)
+        assert classify(argv) == route_of((spec, keys, slot))[0]
+        assert spec.write == (flag == "w")
+        assert spec.readonly == (flag == "r")
+
+    @pytest.mark.parametrize("name", ["ASKING", "MONITOR", "TENANT",
+                                      "RANGE", "GDPRMETA", "NOSUCHCMD"])
+    def test_declared_without_a_handler_is_unknown_standalone(self, name):
+        # The table knows the name; the key-value engine still does not.
+        argv = table_argv(name) if name in COMMAND_TABLE else [name, "k"]
+        with pytest.raises(UnknownCommandError, match="unknown command"):
+            KeyValueStore(StoreConfig(), clock=SimClock()).execute(*argv)
+
+    def test_echo_is_control_traffic(self):
+        # Its argument is a message, not a key: no slot, no MOVED.
+        assert parse_command([b"ECHO", b"hello"])[1:] == ([], None)
+        cluster = build_cluster(2)
+        for shard in (0, 1):
+            assert cluster.call("ECHO", "hello", shard=shard) == b"hello"
+        assert cluster.call("ECHO", "hello") == b"hello"
+        assert cluster.moved_redirects == 0
+
+    def test_range_is_per_shard_like_scan(self):
+        def relational(index, clock):
+            return RelationalStore(clock=clock)
+        cluster = build_cluster(2, store_factory=relational)
+        cluster.call("SET", "a", "1")
+        owner = cluster.shard_for("a")
+        for argv in (("RANGE", "a", 10), ("SCAN", "0")):
+            with pytest.raises(ClusterError, match="pin a shard"):
+                cluster.call(*argv)
+            with pytest.raises(ClusterError, match="pin a shard"):
+                cluster.pipeline().call(*argv)
+        assert cluster.call("RANGE", "a", 10, shard=owner) == [b"a"]
+        assert cluster.call("RANGE", "a", 10, shard=1 - owner) == []
+        assert cluster.moved_redirects == 0
+        assert classify([b"RANGE", b"a", b"10"]) == ROUTE_BARRIER
+
+    def test_unknown_name_routes_by_its_first_argument(self):
+        # ... to the owning shard, which answers; presumed a write, so
+        # never replica or split-read eligible.
+        spec, keys, slot = parse_command([b"NOSUCHCMD", b"k", b"x"])
+        assert spec is UNKNOWN and keys == [b"k"]
+        assert slot == slot_for_key(b"k")
+        assert route_of((spec, keys, slot)) == (slot, False)
+        assert classify([b"NOSUCHCMD"]) == ROUTE_CONTROL
+        cluster = build_cluster(2)
+        assert cluster.route([b"NOSUCHCMD", b"k"]) == cluster.shard_for("k")
+        with pytest.raises(RespError, match="unknown command 'NOSUCHCMD'"):
+            cluster.call("NOSUCHCMD", "k")
+        assert cluster.moved_redirects == 0
+        # Write-stream records keep their key for migration/replication.
+        assert command_keys([b"pexpireat", b"k", b"1"]) == [b"k"]
+        assert command_keys([b"GDPRMETA", b"k", b"alice", b"ads"]) == [b"k"]
+
+
+# (set-up write, read): the reads the hand-kept list had left out.
+NEWLY_REPLICA_ELIGIBLE = [
+    (("SET", "k", "hello"), ("GETRANGE", "k", 1, 3)),
+    (("SET", "k", "hello"), ("DUMP", "k")),
+    (("HSET", "k", "f", "v"), ("HEXISTS", "k", "f")),
+    (("HSET", "k", "f", "v"), ("HKEYS", "k")),
+    (("HSET", "k", "f", "v"), ("HVALS", "k")),
+    (("HSET", "k", "f", "v"), ("HSTRLEN", "k", "f")),
+    (("RPUSH", "k", "a", "b"), ("LINDEX", "k", 1)),
+    (("ZADD", "k", 1, "m"), ("ZRANGEBYSCORE", "k", 0, 2)),
+]
+
+
+@pytest.mark.parametrize("write, read", NEWLY_REPLICA_ELIGIBLE,
+                         ids=[read[0] for _, read in NEWLY_REPLICA_ELIGIBLE])
+def test_every_readonly_command_is_served_by_a_drained_replica(write, read):
+    cluster = build_cluster(1)
+    cluster.attach_replication(replicas_per_shard=1, delay=0.0)
+    cluster.read_from_replicas = True
+    cluster.call(*write)
+    cluster.nodes[0].clock.advance(0.001)
+    cluster.replication.pump()
+    primary = cluster.nodes[0].store.execute(*read)
+    assert primary not in (None, 0, [])
+    assert cluster.call(*read) == primary
+    assert (cluster.replica_reads, cluster.stale_replica_reads) == (1, 0)
 
 
 class TestRouteWorkers:

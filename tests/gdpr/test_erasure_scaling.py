@@ -8,9 +8,6 @@ keys-per-subject *and* to log size; now the residual check is one C-speed
 scan per key and at most one decode.
 """
 
-import gc
-import sys
-
 from repro.common.clock import SimClock
 from repro.device.append_log import AppendLog
 from repro.gdpr.audit import AuditDurability
@@ -18,6 +15,7 @@ from repro.gdpr.metadata import GDPRMetadata
 from repro.gdpr.rights import right_to_erasure
 from repro.gdpr.store import GDPRConfig, GDPRStore
 from repro.sqlstore import RelationalStore, SqlConfig
+from tests.support import py_calls
 
 WIDE_KEYS = 8
 
@@ -45,40 +43,13 @@ def _store(records):
     return store
 
 
-def _py_calls(work):
-    calls = 0
-
-    def profiler(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    # The collector is paused: hypothesis, once an earlier test of the run
-    # has used it, keeps a Python-level ``gc.callbacks`` hook, and every
-    # collection that happens to fall inside ``work`` would count as two
-    # calls (seen: 87 against 85).
-    was_enabled = gc.isenabled()
-    gc.disable()
-    sys.setprofile(profiler)
-    try:
-        work()
-    finally:
-        sys.setprofile(None)
-        if was_enabled:
-            gc.enable()
-    return calls
-
-
 def _erasure_calls(records, subject):
     """(calls of the whole Art. 17, calls of its log compaction alone)."""
     store = _store(records)
-    receipts = []
-    total = _py_calls(
-        lambda: receipts.append(right_to_erasure(store, subject)))
-    receipt, = receipts
+    total, _, receipt = py_calls(lambda: right_to_erasure(store, subject))
     assert receipt.log_compacted and not receipt.residual_in_aof
     # The same rewrite over the same live rows, on its own.
-    compaction = _py_calls(store.kv.rewrite_aof)
+    compaction = py_calls(store.kv.rewrite_aof).total
     return total, compaction
 
 
@@ -107,7 +78,7 @@ def test_compaction_formats_a_row_without_a_python_call():
     ``encode_command``)."""
     for records in (400, 1600):
         store = _store(records)
-        calls = _py_calls(store.kv.rewrite_aof)
+        calls = py_calls(store.kv.rewrite_aof).total
         assert calls / records <= 1.5, (records, calls)
 
 

@@ -13,9 +13,7 @@ unchanged (``strict_kv``, seed 42: 76 625 / 22 000 / 22 000 / 10 875 /
 10 875 calls per run).
 """
 
-import gc
 import json
-import sys
 from dataclasses import replace
 
 import pytest
@@ -27,6 +25,7 @@ from repro.gdpr.indexing import MetadataIndex
 from repro.gdpr.metadata import GDPRMetadata
 from repro.gdpr.store import GDPRConfig, GDPRStore
 from repro.sqlstore import RelationalStore, SqlConfig
+from tests.support import py_calls
 
 WATCHED = {
     "iterencode": json.JSONEncoder.iterencode,
@@ -40,24 +39,8 @@ NOTHING = dict.fromkeys(WATCHED, 0)
 
 def _watched_calls(work):
     """How often each watched function was entered while ``work`` ran."""
-    names = {fn.__code__: name for name, fn in WATCHED.items()}
-    counts = dict(NOTHING)
-
-    def profiler(frame, event, arg):
-        if event == "call" and frame.f_code in names:
-            counts[names[frame.f_code]] += 1
-
-    # Collector paused for the reason given in test_erasure_scaling.py.
-    was_enabled = gc.isenabled()
-    gc.disable()
-    sys.setprofile(profiler)
-    try:
-        result = work()
-    finally:
-        sys.setprofile(None)
-        if was_enabled:
-            gc.enable()
-    return counts, result
+    _, watched, result = py_calls(work, WATCHED.values())
+    return {name: watched[fn] for name, fn in WATCHED.items()}, result
 
 
 def _strict_redislike():

@@ -1,0 +1,45 @@
+"""Helpers shared by the test suite (imported as ``tests.support``: the
+suite runs as ``python -m pytest`` from the repository root)."""
+
+import gc
+import sys
+from typing import Any, Callable, Dict, Iterable, NamedTuple
+
+
+class CallCount(NamedTuple):
+    total: int                      # every Python-level call
+    watched: Dict[Callable, int]    # calls of each watched function
+    result: Any                     # what ``work`` returned
+
+
+def py_calls(work: Callable[[], Any],
+             watched: Iterable[Callable] = ()) -> CallCount:
+    """Run ``work`` under ``sys.setprofile`` and count Python-level
+    function calls (the benchmark's ``host.py_calls_per_op``): a count,
+    not a wall-clock floor, so it repeats exactly on any host."""
+    by_code = {fn.__code__: fn for fn in watched}
+    counts = dict.fromkeys(by_code.values(), 0)
+    total = 0
+
+    def profiler(frame, event, arg):
+        nonlocal total
+        if event == "call":
+            total += 1
+            fn = by_code.get(frame.f_code)
+            if fn is not None:
+                counts[fn] += 1
+
+    # The collector is paused: hypothesis, once an earlier test of the run
+    # has used it, keeps a Python-level ``gc.callbacks`` hook, and every
+    # collection that happens to fall inside ``work`` would count as two
+    # calls (seen: 87 against 85).
+    was_enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profiler)
+    try:
+        result = work()
+    finally:
+        sys.setprofile(None)
+        if was_enabled:
+            gc.enable()
+    return CallCount(total, counts, result)

@@ -19,6 +19,7 @@ from repro.common.errors import (
 from repro.crypto.keystore import KeyStore
 from repro.gdpr import GDPRMetadata
 from repro.gdpr.store import GDPRConfig, GDPRStore
+from repro.kvstore.commands import spec_of
 from repro.tenancy import (
     MeteringPipeline,
     TenantGate,
@@ -33,6 +34,8 @@ from repro.tenancy import (
     qualify_subject,
     tenant_of,
 )
+
+GET, SET = spec_of(b"GET"), spec_of(b"SET")
 
 
 def _meta(owner, **kw):
@@ -109,38 +112,38 @@ class TestGateAdmission:
     def test_unknown_tenant_refused(self):
         _, gate, _ = make_gate()
         with pytest.raises(UnknownTenantError):
-            gate.admit("nobody", b"GET", [b"GET", b"nobody/k"],
+            gate.admit("nobody", GET, [b"GET", b"nobody/k"],
                        [b"nobody/k"], 0.0)
 
     def test_namespace_violation_denied(self):
         _, gate, _ = make_gate()
         with pytest.raises(TenantAccessError, match="TENANTDENIED"):
-            gate.admit("acme", b"GET", [b"GET", b"globex/k"],
+            gate.admit("acme", GET, [b"GET", b"globex/k"],
                        [b"globex/k"], 0.0)
         assert gate.counters_of("acme").denied == 1
 
     def test_rate_quota_throttles(self):
         _, gate, _ = make_gate(ops_per_sec=100.0, burst=2.0)
         argv, keys = [b"GET", b"acme/k"], [b"acme/k"]
-        gate.admit("acme", b"GET", argv, keys, 0.0)
-        gate.admit("acme", b"GET", argv, keys, 0.0)
+        gate.admit("acme", GET, argv, keys, 0.0)
+        gate.admit("acme", GET, argv, keys, 0.0)
         with pytest.raises(QuotaExceededError, match="QUOTAEXCEEDED"):
-            gate.admit("acme", b"GET", argv, keys, 0.0)
+            gate.admit("acme", GET, argv, keys, 0.0)
         assert gate.counters_of("acme").throttled == 1
         # Tokens return with simulated time.
-        gate.admit("acme", b"GET", argv, keys, 0.02)
+        gate.admit("acme", GET, argv, keys, 0.02)
 
     def test_unlimited_tenant_never_throttles(self):
         _, gate, _ = make_gate()
         for _ in range(1000):
-            gate.admit("globex", b"GET", [b"GET", b"globex/k"],
+            gate.admit("globex", GET, [b"GET", b"globex/k"],
                        [b"globex/k"], 0.0)
         assert gate.counters_of("globex").ops == 1000
 
     def test_counters_classify_reads_and_writes(self):
         _, gate, _ = make_gate()
-        gate.admit("acme", b"GET", [b"GET", b"acme/k"], [b"acme/k"], 0.0)
-        gate.admit("acme", b"SET", [b"SET", b"acme/k", b"v"],
+        gate.admit("acme", GET, [b"GET", b"acme/k"], [b"acme/k"], 0.0)
+        gate.admit("acme", SET, [b"SET", b"acme/k", b"v"],
                    [b"acme/k"], 0.0)
         counters = gate.counters_of("acme")
         assert counters.ops == 2
@@ -160,27 +163,27 @@ class TestGateFootprint:
         gate, store = self._gate_with_store(max_keys=2)
         for number in range(2):
             argv = [b"SET", f"acme/k{number}".encode(), b"v"]
-            gate.admit("acme", b"SET", argv, [argv[1]], 0.0)
+            gate.admit("acme", SET, argv, [argv[1]], 0.0)
             store.execute(*argv)
         argv = [b"SET", b"acme/k2", b"v"]
         with pytest.raises(QuotaExceededError, match="key quota"):
-            gate.admit("acme", b"SET", argv, [argv[1]], 0.0)
+            gate.admit("acme", SET, argv, [argv[1]], 0.0)
         # Overwrites of an existing key stay admissible.
         argv = [b"SET", b"acme/k0", b"v2"]
-        gate.admit("acme", b"SET", argv, [argv[1]], 0.0)
+        gate.admit("acme", SET, argv, [argv[1]], 0.0)
 
     def test_max_bytes_enforced_and_released_on_delete(self):
         gate, store = self._gate_with_store(max_bytes=10)
         argv = [b"SET", b"acme/k", b"12345678"]
-        gate.admit("acme", b"SET", argv, [argv[1]], 0.0)
+        gate.admit("acme", SET, argv, [argv[1]], 0.0)
         store.execute(*argv)
         assert gate.bytes_used("acme") == 8
         over = [b"SET", b"acme/k2", b"456"]
         with pytest.raises(QuotaExceededError, match="byte quota"):
-            gate.admit("acme", b"SET", over, [over[1]], 0.0)
+            gate.admit("acme", SET, over, [over[1]], 0.0)
         store.execute("DEL", "acme/k")
         assert gate.bytes_used("acme") == 0
-        gate.admit("acme", b"SET", over, [over[1]], 0.0)
+        gate.admit("acme", SET, over, [over[1]], 0.0)
 
     def test_usage_tracks_expiry_and_direct_writes(self):
         gate, store = self._gate_with_store(max_bytes=100)
@@ -273,7 +276,7 @@ class TestMetering:
 
     def _traffic(self, gate, tenant, ops, at=0.0):
         for _ in range(ops):
-            gate.admit(tenant, b"GET", [b"GET", f"{tenant}/k".encode()],
+            gate.admit(tenant, GET, [b"GET", f"{tenant}/k".encode()],
                        [f"{tenant}/k".encode()], at)
 
     def test_reports_are_deltas_per_interval(self):

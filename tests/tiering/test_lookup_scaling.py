@@ -8,14 +8,13 @@ costs one early-exit probe per segment, not one hash-and-generator
 pipeline.
 """
 
-import sys
-
 import pytest
 
 from repro.common.clock import SimClock
 from repro.device.append_log import AppendLog
 from repro.kvstore.store import KeyValueStore, StoreConfig
 from repro.tiering import TieredEngine, TieringConfig, bloom
+from tests.support import py_calls
 
 PER_SEGMENT = 4
 
@@ -70,28 +69,12 @@ def test_one_filter_hash_per_key_per_command(filter_hashes, segments,
     assert filter_hashes == [key]
 
 
-def _python_calls(function):
-    calls = 0
-
-    def profiler(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    sys.setprofile(profiler)
-    try:
-        function()
-    finally:
-        sys.setprofile(None)
-    return calls
-
-
 def test_total_miss_cost_grows_by_one_probe_per_segment():
     counts = {}
     for segments in (4, 40):
         engine = _engine_with_segments(segments)
-        counts[segments] = _python_calls(
-            lambda: engine.execute("GET", b"absent"))
+        counts[segments] = py_calls(
+            lambda: engine.execute("GET", b"absent")).total
     # Ten times the segments: nine times the filters to probe, each one
     # Python call on top of the command's fixed cost.
     assert counts[40] - counts[4] <= 2 * (40 - 4)

@@ -21,7 +21,6 @@ what "without changing one generated byte or one generator state" means:
 
 import hashlib
 import random
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +34,7 @@ from repro.ycsb.distributions import (
     ZipfianGenerator,
 )
 from repro.ycsb.generator import _PRINTABLE, FieldGenerator, build_key_name
+from tests.support import py_calls
 
 DRAWS = 20_000
 
@@ -191,24 +191,9 @@ def test_any_interleaving_equals_per_byte_choice(seed, field_count,
 
 # -- scaling ------------------------------------------------------------------------
 
-def _py_calls(work):
-    calls = 0
-
-    def profiler(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    sys.setprofile(profiler)
-    try:
-        work()
-    finally:
-        sys.setprofile(None)
-    return calls
-
-
 def test_calls_per_record_do_not_scale_with_payload_length():
-    short = _py_calls(FieldGenerator(10, 100, seed=1).build_values)
-    long = _py_calls(FieldGenerator(10, 1000, seed=1).build_values)
+    short = py_calls(FieldGenerator(10, 100, seed=1).build_values).total
+    long = py_calls(
+        FieldGenerator(10, 1000, seed=1).build_values).total
     # One draw per payload, not per byte (parent: ~3 calls per byte, 10x).
     assert 0 < short and long < 1.5 * short, (short, long)
