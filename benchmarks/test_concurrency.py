@@ -11,18 +11,14 @@ import timeit
 
 from conftest import OPERATIONS, RECORDS, write_result
 
+from repro.bench.reporting import render, sweep
 from repro.bench.scaling import (
+    AUTOSCALE_DEMO,
     DEFAULT_HOCKEY_RATES,
-    autoscale_table,
-    hockey_stick_table,
-    latency_vs_load,
-    run_autoscale_demo,
-    run_workers,
-    run_workers_skew,
-    workers_ceiling_summary,
-    workers_skew_summary,
-    workers_skew_table,
-    workers_table,
+    HOCKEY_STICK,
+    WORKERS,
+    WORKERS_SKEW,
+    knees,
 )
 from repro.cluster import slot_for_key
 from repro.cluster.client import parse_command
@@ -30,12 +26,11 @@ from repro.cluster.workers import classify, route_of
 
 
 def test_hockey_stick_artifact(results_dir):
-    rows = latency_vs_load(record_count=max(50, RECORDS // 3),
-                           operation_count=max(200, OPERATIONS // 2))
-    text = hockey_stick_table(rows)
-    write_result(results_dir, "concurrency_hockey_stick.txt", text)
+    rows = sweep(HOCKEY_STICK, RECORDS, OPERATIONS)
+    write_result(results_dir, "concurrency_hockey_stick.txt",
+                 render(HOCKEY_STICK, rows))
 
-    by_rate = {row["offered"]: row for row in rows}
+    by_rate = {row["arrival_rate"]: row for row in rows}
     low = by_rate[min(by_rate)]
     high = by_rate[max(by_rate)]
     # Past the ceiling the offered stream outruns completions, so the
@@ -43,11 +38,11 @@ def test_hockey_stick_artifact(results_dir):
     assert high["p99_latency"] > 10 * low["p99_latency"]
     assert high["max_backlog"] > low["max_backlog"]
     # Below the knee, completions keep up with admissions.
-    assert low["completed_per_s"] > 0.9 * low["offered"]
+    assert low["throughput"] > 0.9 * low["arrival_rate"]
     # Throughput saturates: doubling offered load past the ceiling must
     # not double completions.
     mid = by_rate[sorted(by_rate)[len(by_rate) // 2]]
-    assert high["completed_per_s"] < 1.5 * mid["completed_per_s"]
+    assert high["throughput"] < 1.5 * mid["throughput"]
     # The monotone latency climb along the sweep (allowing ties).
     p99s = [row["p99_latency"] for row in rows]
     assert p99s == sorted(p99s)
@@ -62,35 +57,34 @@ def test_workers_ceiling_artifact(results_dir):
     ops/s before p99 crosses 1 ms), and worker count 1 keeps the legacy
     single-loop ceiling.
     """
-    sweeps = run_workers(record_count=max(50, RECORDS // 3),
-                         operation_count=max(200, OPERATIONS // 2))
-    phases = run_autoscale_demo()
-    text = "\n".join([
-        workers_table(sweeps), "",
-        workers_ceiling_summary(sweeps), "",
+    rows = sweep(WORKERS, RECORDS, OPERATIONS)
+    phases = sweep(AUTOSCALE_DEMO, RECORDS, OPERATIONS)
+    # Two scenario bodies -- each the string the CLI prints under that
+    # scenario's title -- joined by the artifact's own short heading.
+    write_result(results_dir, "concurrency_workers.txt", "\n".join([
+        render(WORKERS, rows), "",
         "autoscale demo (EWMA-triggered worker raise, then spill to a "
         "spare shard):",
-        autoscale_table(phases),
-    ])
-    write_result(results_dir, "concurrency_workers.txt", text)
+        render(AUTOSCALE_DEMO, phases),
+    ]))
 
-    knees = {sweep.cores: sweep.knee for sweep in sweeps}
+    knee = knees(rows, "cores")
     # Single loop saturates at the calibrated ~40k ceiling...
-    assert knees[1] == 40_000.0
+    assert knee[1] == 40_000.0
     # ...and 4 workers push the knee to at least double that.
-    assert knees[4] >= 80_000.0 >= 2 * knees[1]
+    assert knee[4] >= 80_000.0 >= 2 * knee[1]
     # More cores never lower the ceiling.
-    ordered = [knees[cores] for cores in sorted(knees)]
+    ordered = [knee[cores] for cores in sorted(knee)]
     assert ordered == sorted(ordered)
     # The autoscale demo recovers: saturation phase blows past 1 ms p99,
     # the ladder (worker raise + spill) lands, and the final phase at
     # the same offered rate is back under the knee's ceiling.
-    hot = max(row.p99_latency for row in phases)
+    hot = max(row["p99_latency"] for row in phases)
     assert hot > 1e-3
-    assert phases[-1].p99_latency < 1e-3
-    assert any("worker-raise" in row.actions for row in phases)
-    assert any("scale-out" in row.actions for row in phases)
-    assert phases[-1].shards_serving == 2
+    assert phases[-1]["p99_latency"] < 1e-3
+    assert any("worker-raise" in row["actions"] for row in phases)
+    assert any("scale-out" in row["actions"] for row in phases)
+    assert phases[-1]["shards_serving"] == 2
 
 
 def test_workers_skew_artifact(results_dir):
@@ -102,30 +96,31 @@ def test_workers_skew_artifact(results_dir):
     knee, driven by rebalances (and at least one read-split) that the
     static rows never fire.
     """
-    sweeps = run_workers_skew()
-    text = "\n".join([
-        workers_skew_table(sweeps), "",
-        workers_skew_summary(sweeps),
-    ])
-    write_result(results_dir, "concurrency_workers_skew.txt", text)
+    rows = sweep(WORKERS_SKEW, RECORDS, OPERATIONS)
+    write_result(results_dir, "concurrency_workers_skew.txt",
+                 render(WORKERS_SKEW, rows))
 
-    by_axis = {(sweep.cores, sweep.distribution, sweep.placement): sweep
-               for sweep in sweeps}
-    static = by_axis[(4, "zipfian", False)]
-    placed = by_axis[(4, "zipfian", True)]
-    uniform = by_axis[(4, "uniform", False)]
+    curve = ("cores", "request_distribution", "placement")
+    knee = knees(rows, *curve)
+    static, placed, uniform = ((4, "zipfian", False), (4, "zipfian", True),
+                               (4, "uniform", False))
+
+    def total(count, of_curve):
+        return sum(row[count] for row in rows
+                   if tuple(row[axis] for axis in curve) == of_curve)
+
     # The headline ratio: placement claws the skewed knee back up.
-    assert placed.knee >= 1.5 * static.knee
+    assert knee[placed] >= 1.5 * knee[static]
     # ...but never past the no-skew control.
-    assert placed.knee <= uniform.knee
+    assert knee[placed] <= knee[uniform]
     # The knee moved because the rebalancer (and the read-split rung)
     # actually fired; the static partition never rebalances.
-    assert placed.rebalances > 0
-    assert placed.splits > 0
-    assert static.rebalances == 0 and uniform.rebalances == 0
+    assert total("rebalances", placed) > 0
+    assert total("splits", placed) > 0
+    assert total("rebalances", static) == 0
+    assert total("rebalances", uniform) == 0
     # Single core is immune to placement: nothing to re-home.
-    assert by_axis[(1, "zipfian", True)].knee \
-        == by_axis[(1, "zipfian", False)].knee
+    assert knee[1, "zipfian", True] == knee[1, "zipfian", False]
 
 
 def test_intake_parse_cost_does_not_follow_key_bytes():

@@ -33,26 +33,17 @@ from .micro import (
     deleted_data_persistence,
     measure_channel_bandwidth,
 )
-from .reporting import render_table
+from .reporting import Scenario, render, render_table, sweep
 from .scaling import (
-    autoscale_table,
-    concurrency_table,
-    erasure_fanout,
-    replicated_erasure_fanout,
-    replication_table,
-    resharding_table,
-    run_autoscale_demo,
-    run_concurrency,
-    run_replication,
-    run_resharding_sweep,
-    run_scaling,
-    run_workers,
-    run_workers_skew,
-    scaling_table,
-    workers_ceiling_summary,
-    workers_skew_summary,
-    workers_skew_table,
-    workers_table,
+    AUTOSCALE_DEMO,
+    CONCURRENCY,
+    ERASURE_FANOUT,
+    REPLICATED_ERASURE_FANOUT,
+    REPLICATION,
+    RESHARDING,
+    SCALING,
+    WORKERS,
+    WORKERS_SKEW,
 )
 from .table1 import build_comparison_text, headline_statistics
 from .tenancy import run_tenancy, tenancy_table
@@ -147,126 +138,6 @@ def run_ablations(args: argparse.Namespace) -> None:
                        [[k, round(v, 2)] for k, v in results.items()]))
 
 
-def run_scaling_cmd(args: argparse.Namespace) -> None:
-    _print_header("Scaling -- shards x pipeline depth, GDPR on/off")
-    shard_counts = (1, 2, 4, 8) if args.full else (1, 2, 4)
-    cells = run_scaling(shard_counts=shard_counts, depths=(1, 8),
-                        record_count=args.records,
-                        operation_count=args.ops)
-    print(scaling_table(cells))
-    print("\ncross-shard Art. 17 erasure fan-out:")
-    rows = erasure_fanout(shard_counts=shard_counts,
-                          subject_keys=max(20, args.records // 5))
-    print(render_table(
-        ["shards", "keys_erased", "shards_touched", "erase_ms",
-         "residual"],
-        [[int(r["shards"]), int(r["keys_erased"]),
-          int(r["shards_touched"]), round(r["erase_seconds"] * 1e3, 3),
-          bool(r["residual_in_aof"])] for r in rows]))
-
-
-def run_resharding_cmd(args: argparse.Namespace) -> None:
-    _print_header("Resharding -- live slot migration under load")
-    results = run_resharding_sweep(record_count=args.records,
-                                   operation_count=args.ops)
-    print(resharding_table(results))
-    print("\n'drag' = fraction of steady-state throughput kept while "
-          "slots migrate;\n'moved'/'ask' = redirects the client followed "
-          "to track the topology.")
-
-
-def run_concurrency_cmd(args: argparse.Namespace) -> None:
-    _print_header("Concurrency -- open-loop clients x arrival rate on "
-                  "event-loop shards")
-    shard_counts = ((1, 2, 4) if args.full else (1, 2)) \
-        if args.shards is None else (args.shards,)
-    client_counts = ((1, 2, 4, 8, 16) if args.full else (1, 4, 16)) \
-        if args.clients is None else (args.clients,)
-    cells = run_concurrency(shard_counts=shard_counts,
-                            client_counts=client_counts,
-                            record_count=args.records,
-                            operation_count=args.ops)
-    print(concurrency_table(cells))
-    print("\n'p99 queue' = open-loop queueing delay (admission to "
-          "dispatch); 'p99 svc' = dispatch\nto reply, server-side "
-          "queueing included.  Past the service-time ceiling the\n"
-          "backlog -- not throughput -- absorbs extra offered load.")
-
-
-def run_workers_cmd(args: argparse.Namespace) -> None:
-    _print_header("Workers -- multi-core shards: the hockey stick per "
-                  "worker count, plus the autoscale demo")
-    core_counts = ((1, 2, 4, 8) if args.full else (1, 2, 4)) \
-        if args.cores is None else (args.cores,)
-    sweeps = run_workers(core_counts=core_counts,
-                         adaptive_batch=args.adaptive_batch,
-                         record_count=min(args.records, 100),
-                         operation_count=min(args.ops, 400))
-    print(workers_table(sweeps))
-    print()
-    print(workers_ceiling_summary(sweeps))
-    print("\nSame open-loop YCSB-B stream, one curve per worker count; "
-          "slots partition\nacross cores, so the zipfian-hot core "
-          "saturates first and the knee scales\nsublinearly -- like a "
-          "real partitioned shard.")
-    print("\nautoscale demo -- the queueing-delay EWMA triggers a live "
-          "worker raise, then a\nspill of half the slots to a spare "
-          "shard, while the stream keeps arriving:")
-    print(autoscale_table(run_autoscale_demo()))
-
-
-def run_workers_skew_cmd(args: argparse.Namespace) -> None:
-    _print_header("Workers skew -- zipfian vs uniform knees, static "
-                  "slot%K vs skew-aware placement")
-    core_counts = ((1, 2, 4, 8) if args.full else (1, 2, 4)) \
-        if args.cores is None else (args.cores,)
-    sweeps = run_workers_skew(core_counts=core_counts,
-                              record_count=min(args.records, 44),
-                              operation_count=min(args.ops, 400))
-    print(workers_skew_table(sweeps))
-    print()
-    print(workers_skew_summary(sweeps))
-    print("\nTheta-0.99 zipfian over few keys piles most requests onto "
-          "one slot%K\npartition: the static knee stalls near the "
-          "single-core ceiling while siblings\nidle (see the per-core "
-          "q99 spread).  'place on' rows let the pool's\nrebalancer "
-          "re-home hot slots (greedy LPT) and read-split the hottest "
-          "one, so\nthe zipfian knee climbs back toward the uniform "
-          "control curve.")
-
-
-def run_replication_cmd(args: argparse.Namespace) -> None:
-    _print_header("Replication -- per-shard replica groups, erasure "
-                  "horizon across every copy")
-    shard_counts = ((1, 2, 4) if args.full else (1, 2)) \
-        if args.shards is None else (args.shards,)
-    replica_counts = (1, 2) if args.replicas is None \
-        else (args.replicas,)
-    cells = run_replication(shard_counts=shard_counts,
-                            replica_counts=replica_counts,
-                            record_count=args.records,
-                            operation_count=args.ops)
-    print(replication_table(cells))
-    print("\n'hz pXX' = erasure horizon: simulated ms from a DEL on the "
-          "primary until the key\nis invisible on every primary and "
-          "every replica of every shard; 'stale frac' =\nfraction of a "
-          "replica-read sample that raced an in-flight write.")
-    print("\nArt. 17 erasure through replicas (timer-pumped, "
-          "shared keystore):")
-    rows = replicated_erasure_fanout(
-        shard_counts=shard_counts,
-        replicas=2 if args.replicas is None else args.replicas,
-        subject_keys=max(20, args.records // 5))
-    print(render_table(
-        ["shards", "total replicas", "keys_erased", "erase_ms",
-         "horizon_ms", "crypto"],
-        [[int(r["shards"]), int(r["total_replicas"]),
-          int(r["keys_erased"]),
-          round(r["erase_seconds"] * 1e3, 3),
-          round(r["horizon_seconds"] * 1e3, 3),
-          bool(r["crypto_erased"])] for r in rows]))
-
-
 def run_backends_cmd(args: argparse.Namespace) -> None:
     _print_header("Backends -- Redis-like vs relational engine, "
                   "per-GDPR-feature overhead")
@@ -353,18 +224,38 @@ def run_tenancy_cmd(args: argparse.Namespace) -> None:
           "tamper-evident billing records.")
 
 
+PIN_FLAGS = ("shards", "clients", "cores", "replicas")
+
+
+def declared(*scenarios: Scenario):
+    """An experiment that prints declared scenarios in order: the first
+    one's title is the banner, each later one's heads its own table."""
+    def run(args: argparse.Namespace) -> None:
+        pins = {flag: getattr(args, flag) for flag in PIN_FLAGS}
+        for index, scenario in enumerate(scenarios):
+            if index == 0:
+                _print_header(scenario.title)
+            else:
+                print(f"\n{scenario.title}")
+            print(render(scenario, sweep(scenario, args.records, args.ops,
+                                         full=args.full, pins=pins)))
+            if scenario.footnote:
+                print(f"\n{scenario.footnote}")
+    return run
+
+
 EXPERIMENTS = {
     "table1": run_table1,
     "figure1": run_fig1,
     "figure2": run_fig2,
     "micro": run_micro,
     "ablations": run_ablations,
-    "scaling": run_scaling_cmd,
-    "resharding": run_resharding_cmd,
-    "concurrency": run_concurrency_cmd,
-    "workers": run_workers_cmd,
-    "workers_skew": run_workers_skew_cmd,
-    "replication": run_replication_cmd,
+    "scaling": declared(SCALING, ERASURE_FANOUT),
+    "resharding": declared(RESHARDING),
+    "concurrency": declared(CONCURRENCY),
+    "workers": declared(WORKERS, AUTOSCALE_DEMO),
+    "workers_skew": declared(WORKERS_SKEW),
+    "replication": declared(REPLICATION, REPLICATED_ERASURE_FANOUT),
     "backends": run_backends_cmd,
     "tiering": run_tiering_cmd,
     "tenancy": run_tenancy_cmd,
@@ -399,22 +290,13 @@ def main(argv=None) -> int:
     parser.add_argument("--ops", type=_int_at_least(0), default=800,
                         help="YCSB operations per phase")
     parser.add_argument("--full", action="store_true",
-                        help="full Figure 2 sweep (slow)")
-    parser.add_argument("--shards", type=_int_at_least(1), default=None,
-                        help="pin the concurrency sweep to one shard "
-                             "count")
-    parser.add_argument("--clients", type=_int_at_least(1), default=None,
-                        help="pin the concurrency sweep to one client "
-                             "count")
-    parser.add_argument("--cores", type=_int_at_least(1), default=None,
-                        help="pin the workers sweep to one worker count "
-                             "per shard")
-    parser.add_argument("--adaptive-batch", action="store_true",
-                        help="enable the per-worker adaptive batching "
-                             "controller in the workers sweep")
-    parser.add_argument("--replicas", type=int, default=None,
-                        help="pin the replication sweep to one replica "
-                             "count per shard")
+                        help="full Figure 2 sweep and every sweep's "
+                             "wider axis values (slow)")
+    for flag in PIN_FLAGS:
+        parser.add_argument(f"--{flag}", type=_int_at_least(1),
+                            default=None,
+                            help=f"pin the `{flag}` axis of any sweep "
+                                 "that has one to this value")
     parser.add_argument("--features", type=str, default=None,
                         help="comma-separated backend feature rows for "
                              "the backends experiment (default: all)")

@@ -1,8 +1,122 @@
-"""Plain-text rendering of benchmark tables and series."""
+"""Plain-text rendering of benchmark tables and series, and the one
+harness every declared sweep runs through.
+
+A :class:`Scenario` states *what* a benchmark is -- its axes, the
+function that measures one point, its columns and its prose.  *How* a
+declaration becomes numbers and text lives only here: :func:`sweep`
+walks the product of the axes in declared order (honouring ``--full``
+and the CLI's pin flags) and :func:`render` lays the rows out with
+:func:`render_table`.
+"""
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+import itertools
+from dataclasses import dataclass, field
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
+
+Row = Mapping[str, object]
+# How a column prints: a row key (the value as measured) or a function
+# of ``(row, all rows)`` returning the cell.
+Cell = Union[str, Callable[[Row, Sequence[Row]], object]]
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One swept dimension of a :class:`Scenario`.
+
+    ``name`` is the keyword the measurement receives, the key the value
+    keeps in the row, and the CLI flag that pins the axis to one value.
+    A tuple of names declares a compound axis whose values are tuples
+    (curves that vary two settings together); it cannot be pinned.
+    ``full`` is the wider value set ``--full`` selects.
+    """
+
+    name: Union[str, Tuple[str, ...]]
+    values: Sequence[object]
+    full: Optional[Sequence[object]] = None
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A declared sweep: one measurement per point of ``axes``.
+
+    ``measure`` is called with one keyword per axis name plus ``fixed``
+    (constants this scenario states for the measurement) plus
+    ``sizes(records, ops)`` (how the CLI's two size flags map onto the
+    measurement's size keywords).  It returns the point's row -- a
+    mapping of values as measured -- or, for a measurement that yields
+    several (the phases of a demo), a sequence of them.  ``columns``
+    pairs each printed header with its :data:`Cell`; ``summary`` turns
+    the rows into headline prose printed under the table; ``title``
+    heads the scenario and ``footnote`` explains its columns.
+    """
+
+    title: str
+    axes: Sequence[Axis]
+    measure: Callable[..., Union[Row, Sequence[Row]]]
+    columns: Sequence[Tuple[str, Cell]]
+    sizes: Callable[[int, int], Mapping[str, int]] = \
+        lambda records, ops: {}
+    fixed: Mapping[str, object] = field(default_factory=dict)
+    summary: Optional[Callable[[Sequence[Row]], str]] = None
+    footnote: str = ""
+
+
+def sweep(scenario: Scenario, records: int, ops: int, full: bool = False,
+          pins: Optional[Mapping[str, object]] = None
+          ) -> List[Dict[str, object]]:
+    """Measure every point of ``scenario``: the product of its axes in
+    declared order (first axis outermost), one row per measurement.
+
+    ``pins`` maps axis names to a single value replacing that axis's
+    set (``None`` = not pinned); names no axis carries are ignored, so
+    the CLI hands every scenario the same mapping.
+    """
+    choices = []
+    for axis in scenario.axes:
+        pinned = pins.get(axis.name) if pins else None
+        if pinned is not None:
+            choices.append((pinned,))
+        else:
+            choices.append(axis.full if full and axis.full else axis.values)
+    sizes = scenario.sizes(records, ops)
+    rows = []
+    for point in itertools.product(*choices):
+        coords = dict(scenario.fixed)
+        for axis, value in zip(scenario.axes, point):
+            if isinstance(axis.name, tuple):
+                coords.update(zip(axis.name, value))
+            else:
+                coords[axis.name] = value
+        measured = scenario.measure(**coords, **sizes)
+        for row in ([measured] if isinstance(measured, Mapping)
+                    else measured):
+            rows.append({**coords, **row})
+    return rows
+
+
+def render(scenario: Scenario, rows: Sequence[Row]) -> str:
+    """The scenario's body: its table, then its summary if it has one."""
+    text = render_table(
+        [header for header, _ in scenario.columns],
+        [[row[cell] if isinstance(cell, str) else cell(row, rows)
+          for _, cell in scenario.columns] for row in rows])
+    if scenario.summary is not None:
+        text += "\n\n" + scenario.summary(rows)
+    return text
+
+
+def scaled(key: str, scale: float = 1.0, digits: int = 1) -> Cell:
+    """Cell: ``row[key] * scale`` rounded to ``digits`` (seconds to us
+    is ``scale=1e6``)."""
+    return lambda row, _rows: round(row[key] * scale, digits)
+
+
+def on_off(key: str) -> Cell:
+    """Cell: a boolean setting printed as ``on`` / ``off``."""
+    return lambda row, _rows: "on" if row[key] else "off"
 
 
 def render_table(headers: Sequence[str],

@@ -24,7 +24,17 @@ from repro.bench.figure2 import (
     populate_expiring,
     run_figure2,
 )
-from repro.bench.reporting import normalize, render_series, render_table
+from repro.bench.reporting import (
+    Axis,
+    Scenario,
+    normalize,
+    on_off,
+    render,
+    render_series,
+    render_table,
+    scaled,
+    sweep,
+)
 from repro.bench.table1 import headline_statistics
 from repro.common.clock import SimClock
 from repro.kvstore import KeyValueStore, StoreConfig
@@ -144,6 +154,75 @@ class TestReporting:
         assert normalize([1.0], 0.0) == [0.0]
 
 
+def _toy_point(fast, size, mode, level, gain, record_count):
+    return {"seconds": size * gain / record_count}
+
+
+class TestDeclaredSweep:
+    """`sweep`/`render` over a toy declaration: product order, `--full`
+    selection, pinning, compound axes and multi-row measurements are
+    the harness's business, not any scenario's."""
+
+    TOY = Scenario(
+        title="toy",
+        axes=(Axis("fast", (False, True)),
+              Axis("size", (1, 2), full=(1, 2, 3)),
+              Axis(("mode", "level"), (("a", 1), ("b", 2)))),
+        measure=_toy_point,
+        fixed={"gain": 2.0},
+        sizes=lambda records, ops: {"record_count": records // 10},
+        columns=(("size", "size"), ("fast", on_off("fast")),
+                 ("mode", "mode"), ("ms", scaled("seconds", 1e3, 2)),
+                 ("share", lambda row, rows:
+                  f"{row['seconds'] / max(r['seconds'] for r in rows):.1f}")),
+        summary=lambda rows: f"{len(rows)} points",
+    )
+
+    def test_product_in_declared_order_first_axis_outermost(self):
+        rows = sweep(self.TOY, 100, 0)
+        assert [(r["fast"], r["size"], r["mode"], r["level"])
+                for r in rows] == [
+            (fast, size, mode, level)
+            for fast in (False, True) for size in (1, 2)
+            for mode, level in (("a", 1), ("b", 2))]
+        # Coordinates, stated constants and measured values, as measured.
+        assert rows[-1] == {"fast": True, "size": 2, "mode": "b",
+                            "level": 2, "gain": 2.0, "seconds": 0.4}
+
+    def test_full_widens_only_axes_that_declare_it(self):
+        rows = sweep(self.TOY, 100, 0, full=True)
+        assert sorted({r["size"] for r in rows}) == [1, 2, 3]
+        assert len(rows) == 2 * 3 * 2
+
+    def test_pin_replaces_the_named_axis_and_ignores_other_names(self):
+        rows = sweep(self.TOY, 100, 0, full=True,
+                     pins={"size": 7, "cores": 4, "fast": None})
+        assert {r["size"] for r in rows} == {7}
+        assert {r["fast"] for r in rows} == {False, True}
+        assert len(rows) == 4
+
+    def test_measurement_may_yield_several_rows(self):
+        demo = Scenario(title="demo", axes=(),
+                        measure=lambda: [{"phase": 1}, {"phase": 2}],
+                        columns=(("phase", "phase"),))
+        rows = sweep(demo, 300, 800)
+        assert rows == [{"phase": 1}, {"phase": 2}]
+        assert render(demo, rows).splitlines() == ["phase", "-----",
+                                                   "1", "2"]
+
+    def test_render_formats_cells_and_appends_summary(self):
+        rows = sweep(self.TOY, 100, 0, pins={"size": 2})
+        assert render(self.TOY, rows) == "\n".join([
+            "size  fast  mode  ms      share",
+            "----  ----  ----  ------  -----",
+            "2     off   a     400.00  1.0",
+            "2     off   b     400.00  1.0",
+            "2     on    a     400.00  1.0",
+            "2     on    b     400.00  1.0",
+            "",
+            "4 points"])
+
+
 class TestHeadlineStats:
     def test_thirty_one_of_ninety_nine(self):
         stats = headline_statistics()
@@ -166,15 +245,15 @@ class TestConcurrencyScenario:
         one = self._cell(clients=1, rate=80_000.0)
         four = self._cell(clients=4, rate=80_000.0)
         sixteen = self._cell(clients=16, rate=80_000.0)
-        assert four.throughput > one.throughput * 1.4
+        assert four["throughput"] > one["throughput"] * 1.4
         ceiling = 1.0 / BASE_COMMAND_CPU
-        assert sixteen.throughput == pytest.approx(ceiling, rel=0.2)
-        assert sixteen.throughput <= ceiling * 1.01
+        assert sixteen["throughput"] == pytest.approx(ceiling, rel=0.2)
+        assert sixteen["throughput"] <= ceiling * 1.01
 
     def test_p99_queue_grows_past_saturation(self):
         below = self._cell(clients=8, rate=15_000.0)
         above = self._cell(clients=8, rate=80_000.0)
-        assert above.p99_queue > 10 * max(below.p99_queue, 1e-9)
+        assert above["p99_queue"] > 10 * max(below["p99_queue"], 1e-9)
 
     def test_same_seed_identical_cells(self):
         assert self._cell(clients=4, rate=60_000.0) \
@@ -183,10 +262,4 @@ class TestConcurrencyScenario:
     def test_gdpr_lowers_the_ceiling(self):
         off = self._cell(clients=8, rate=60_000.0, gdpr=False)
         on = self._cell(clients=8, rate=60_000.0, gdpr=True)
-        assert on.throughput < off.throughput
-
-    def test_table_renders(self):
-        from repro.bench.scaling import concurrency_table
-        table = concurrency_table([self._cell(clients=2,
-                                              rate=30_000.0)])
-        assert "p99 queue us" in table
+        assert on["throughput"] < off["throughput"]

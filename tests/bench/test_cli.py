@@ -31,12 +31,30 @@ class TestCli:
         assert "erasure fan-out" in out
 
     def test_scaling_depth8_beats_depth1(self, capsys):
-        from repro.bench.scaling import run_scaling
-        cells = run_scaling(shard_counts=(2,), depths=(1, 8),
-                            record_count=60, operation_count=150)
-        by_depth = {(c.gdpr, c.depth): c.throughput for c in cells}
+        from repro.bench.reporting import sweep
+        from repro.bench.scaling import SCALING
+        cells = sweep(SCALING, 60, 150, pins={"shards": 2})
+        by_depth = {(c["gdpr"], c["depth"]): c["throughput"]
+                    for c in cells}
+        assert len(by_depth) == len(cells) == 4
         for gdpr in (False, True):
             assert by_depth[(gdpr, 8)] > by_depth[(gdpr, 1)]
+
+    def test_pin_flag_pins_every_scenario_with_that_axis(self, capsys):
+        """``--shards`` used to reach only `concurrency` and
+        `replication`; `scaling --shards 2` silently printed 1/2/4."""
+        assert main(["scaling", "--shards", "2", "--records", "40",
+                     "--ops", "80"]) == 0
+        out = capsys.readouterr().out
+        tables = out.split("\ncross-shard Art. 17 erasure fan-out:\n")
+        assert len(tables) == 2
+        for table, expected_rows in zip(tables, (4, 1)):
+            lines = table.splitlines()
+            rule = next(number for number, line in enumerate(lines)
+                        if line.startswith("------"))
+            rows = [line.split() for line in lines[rule + 1:] if line]
+            assert len(rows) == expected_rows
+            assert {row[0] for row in rows} == {"2"}
 
     def test_resharding_small(self, capsys):
         assert main(["resharding", "--records", "50",
@@ -48,15 +66,17 @@ class TestCli:
     def test_resharding_moves_data_and_recovers(self):
         from repro.bench.scaling import run_resharding
         result = run_resharding(record_count=60, operation_count=120)
-        assert result.slots_moved > 0
-        assert result.keys_moved > 0
-        assert result.bytes_moved > 0
-        assert result.moved_redirects > 0
+        assert result["slots_moved"] > 0
+        assert result["keys_moved"] > 0
+        assert result["bytes_moved"] > 0
+        assert result["moved_redirects"] > 0
         # Migration costs throughput while it runs...
-        assert result.during < result.steady_before
+        assert result["during"] < result["steady_before"]
+        assert result["drag"] \
+            == result["during"] / result["steady_before"]
         # ...but the cluster recovers once the topology settles (the new
         # shard shares the load, so 'after' is at worst marginally off).
-        assert result.steady_after > 0.8 * result.steady_before
+        assert result["steady_after"] > 0.8 * result["steady_before"]
 
     def test_replication_small(self, capsys):
         assert main(["replication", "--shards", "2", "--replicas", "2",
@@ -74,13 +94,13 @@ class TestCli:
         fast = run_replication_cell(2, 2, 0.001, gdpr=False,
                                     record_count=40,
                                     operation_count=80)
-        assert slow.horizons > 0 and fast.horizons > 0
+        assert slow["horizons"] > 0 and fast["horizons"] > 0
         # The horizon is the replication delay made visible: ten times
         # the delay, ten times the compliance window.
-        assert slow.horizon_p99 > 5 * fast.horizon_p99
-        assert slow.horizon_p99 == pytest.approx(0.010, rel=0.3)
+        assert slow["horizon_p99"] > 5 * fast["horizon_p99"]
+        assert slow["horizon_p99"] == pytest.approx(0.010, rel=0.3)
         # Primary-side throughput does not depend on the replica delay.
-        assert slow.throughput == pytest.approx(fast.throughput)
+        assert slow["throughput"] == pytest.approx(fast["throughput"])
 
     def test_backends_small(self, capsys):
         assert main(["backends", "--records", "30", "--ops", "80"]) == 0
@@ -122,7 +142,7 @@ class TestSizeArguments:
     @pytest.mark.parametrize("flag, value", [
         ("--records", "0"), ("--records", "-5"), ("--shards", "0"),
         ("--clients", "0"), ("--cores", "-1"), ("--ops", "-1"),
-        ("--records", "many"),
+        ("--replicas", "0"), ("--replicas", "-1"), ("--records", "many"),
     ])
     def test_rejected_for_every_experiment(self, experiment, flag, value,
                                            capsys):

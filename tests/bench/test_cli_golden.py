@@ -27,7 +27,7 @@ GOLDEN = {
         "--shards 2 --clients 4 --records 40 --ops 200",
         "2df1a03765cc992553ba32ac65456e8d80fdc0f13ae7ad47e6576b91c7a4bd70"),
     "workers": (
-        "--cores 2 --adaptive-batch --records 40 --ops 200",
+        "--cores 2 --records 40 --ops 200",
         "4fec031cb7802328812412123c118cb0891fe6ecaaa00e7052b656b9706d96b9"),
     "workers_skew": (
         "--cores 2 --records 40 --ops 200",

@@ -135,6 +135,37 @@ def test_function_level_import_is_seen_in_the_live_tree():
                        in check_docs.third_party_imports(ROOT)}
 
 
+def test_flag_the_bench_cli_lacks_is_detected(tmp_path):
+    """A ``--flag`` advertised under the bench-CLI sections of
+    docs/benchmarks.md must be an option of the parser; flags of other
+    tools in other sections are none of this check's business."""
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "ROADMAP.md").write_text(
+        "**Tier-1 verify:** `PYTHONPATH=src python -m pytest -x -q`\n")
+    (tmp_path / "README.md").write_text(
+        "[b](docs/benchmarks.md)\n"
+        "```\nPYTHONPATH=src python -m pytest -x -q\n```\n")
+    (tmp_path / "docs" / "benchmarks.md").write_text(
+        "# Benchmarks\n\n## Running the CLI\n\n`--records N` scales.\n\n"
+        "## Scenarios\n\n| `w` | sweep (`--cores`, `--adaptive-batch`) |\n"
+        "\n## Host-time trajectory\n\n`perf/run.py --trace 1`\n")
+    bench = tmp_path / "src" / "repro" / "bench"
+    bench.mkdir(parents=True)
+    (bench.parent / "__init__.py").write_text("")
+    (bench / "__init__.py").write_text("")
+    (bench / "__main__.py").write_text(
+        "import argparse\n"
+        "parser = argparse.ArgumentParser()\n"
+        "parser.add_argument('--records')\n"
+        "parser.add_argument('--cores')\n"
+        "parser.parse_args()\n")
+    violations = [v for v in check_docs.check(tmp_path)
+                  if "does not accept" in v]
+    assert violations == [
+        "docs/benchmarks.md:9: mentions --adaptive-batch, which "
+        "`python -m repro.bench` does not accept"]
+
+
 def test_registered_scenarios_parsed_from_cli():
     names = check_docs.bench_scenarios(ROOT)
     assert "concurrency" in names and "figure1" in names

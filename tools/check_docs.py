@@ -23,7 +23,11 @@ Checks, against ROADMAP.md's canonical tier-1 verify command:
 6. every third-party module imported under src/ (anywhere, including
    inside a function) must be named on the ``pip install`` line of
    .github/workflows/ci.yml: a dependency that happens to be installed
-   on the author's machine must not first fail on a clean runner.
+   on the author's machine must not first fail on a clean runner;
+7. every ``--flag`` docs/benchmarks.md mentions under its two bench-CLI
+   sections ("Running the CLI", "Scenarios") must be an option of
+   ``python -m repro.bench`` (read off its own ``--help``): the docs
+   must not advertise a flag the parser no longer has.
 
 Run from the repository root (CI does), or pass the root as argv[1].
 Exits non-zero listing each violation.
@@ -32,8 +36,10 @@ Exits non-zero listing each violation.
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 VERIFY_RE = re.compile(r"\*\*Tier-1 verify:\*\*\s*`([^`]+)`")
@@ -132,6 +138,35 @@ REQUIRED_DOC_CONTENT = {
 # and runnable without PYTHONPATH).
 EXPERIMENTS_RE = re.compile(r"^EXPERIMENTS\s*=\s*\{(.*?)\}", re.S | re.M)
 EXPERIMENT_KEY_RE = re.compile(r'"([a-z0-9_]+)"\s*:')
+
+
+BENCH_CLI_SECTIONS = ("## Running the CLI", "## Scenarios")
+FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z-]*")
+
+
+def bench_cli_flags(root: pathlib.Path) -> set:
+    """Every ``--flag`` the bench CLI accepts, read off the ``--help``
+    of the parser itself (empty if the module is absent or broken, so
+    every documented flag is then reported)."""
+    if not (root / "src" / "repro" / "bench" / "__main__.py").exists():
+        return set()
+    result = subprocess.run(
+        [sys.executable, "-m", "repro.bench", "--help"], cwd=root,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True)
+    return set(FLAG_RE.findall(result.stdout))
+
+
+def documented_bench_flags(text: str):
+    """``(line, flag)`` for every ``--flag`` under the sections of
+    docs/benchmarks.md that document the bench CLI."""
+    section = None
+    for number, line in enumerate(text.splitlines(), start=1):
+        if line.startswith("## "):
+            section = line.strip()
+        elif section in BENCH_CLI_SECTIONS:
+            for flag in FLAG_RE.findall(line):
+                yield number, flag
 
 
 def bench_scenarios(root: pathlib.Path) -> list:
@@ -273,6 +308,16 @@ def check(root: pathlib.Path) -> list:
             if needle not in text:
                 violations.append(
                     f"{rel} lost required content {needle!r} ({why})")
+
+    benchmarks_doc = root / "docs" / "benchmarks.md"
+    if benchmarks_doc.exists():
+        mentioned = list(documented_bench_flags(benchmarks_doc.read_text()))
+        accepted = bench_cli_flags(root) if mentioned else set()
+        for line, flag in mentioned:
+            if flag not in accepted:
+                violations.append(
+                    f"docs/benchmarks.md:{line}: mentions {flag}, which "
+                    "`python -m repro.bench` does not accept")
 
     for rel, line, name in docstring_md_references(root):
         if not md_reference_exists(root, name):
