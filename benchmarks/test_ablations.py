@@ -1,47 +1,31 @@
 """Ablation benchmarks over the compliance-spectrum design choices."""
 
-from conftest import OPERATIONS, RECORDS, write_result
-
 from repro.bench.ablation import (
-    audit_batch_sweep,
-    device_sweep,
-    erasure_propagation,
-    fsync_policy_sweep,
-    gdpr_slowdown,
+    ABLATION_AUDIT_BATCH,
+    ABLATION_DEVICES,
+    ABLATION_ERASURE_PROPAGATION,
+    ABLATION_FSYNC,
+    GDPR_SLOWDOWN,
 )
-from repro.bench.reporting import render_table
 
 
-def test_fsync_policy_spectrum(benchmark, results_dir):
-    results = benchmark.pedantic(
-        lambda: fsync_policy_sweep(RECORDS, OPERATIONS),
-        rounds=1, iterations=1)
-    base = results["no-aof"]
-    table = render_table(
-        ["policy", "throughput_ops_s", "fraction"],
-        [[k, round(v, 1), round(v / base, 3)]
-         for k, v in results.items()])
-    write_result(results_dir, "ablation_fsync.txt", table)
+def test_fsync_policy_spectrum(benchmark, rows_of, write_artifact):
+    rows = benchmark.pedantic(lambda: rows_of(ABLATION_FSYNC),
+                              rounds=1, iterations=1)
+    write_artifact("ablation_fsync.txt")
+    results = {row["appendfsync"]: row["throughput"] for row in rows}
     # Strictness ordering: no AOF > appendfsync=no > everysec > always.
-    assert results["no-aof"] > results["appendfsync=no"]
-    assert results["appendfsync=no"] >= results["appendfsync=everysec"]
-    assert results["appendfsync=everysec"] > results["appendfsync=always"]
+    assert results[None] > results["no"]
+    assert results["no"] >= results["everysec"]
+    assert results["everysec"] > results["always"]
     benchmark.extra_info.update(
-        {k: round(v, 1) for k, v in results.items()})
+        {str(k): round(v, 1) for k, v in results.items()})
 
 
-def test_audit_batch_interval_tradeoff(benchmark, results_dir):
-    rows = benchmark.pedantic(
-        lambda: audit_batch_sweep((0.0, 0.1, 1.0, 10.0),
-                                  RECORDS // 2, OPERATIONS // 2),
-        rounds=1, iterations=1)
-    table = render_table(
-        ["interval_s", "throughput_ops_s", "records_at_risk",
-         "worst_case_exposure"],
-        [[r["interval_s"], round(r["throughput"], 1),
-          int(r["records_at_risk"]), int(r["worst_case_exposure"])]
-         for r in rows])
-    write_result(results_dir, "ablation_audit_batch.txt", table)
+def test_audit_batch_interval_tradeoff(benchmark, rows_of, write_artifact):
+    rows = benchmark.pedantic(lambda: rows_of(ABLATION_AUDIT_BATCH),
+                              rounds=1, iterations=1)
+    write_artifact("ablation_audit_batch.txt")
     # Larger batch window -> more throughput, more exposure: the paper's
     # real-time vs eventual compliance trade-off in one table.
     throughputs = [r["throughput"] for r in rows]
@@ -53,20 +37,18 @@ def test_audit_batch_interval_tradeoff(benchmark, results_dir):
     # The paper's "once every second" point recovers >= 6x over sync.
     sync_tp = rows[0]["throughput"]
     onesec_tp = next(r["throughput"] for r in rows
-                     if r["interval_s"] == 1.0)
+                     if r["interval"] == 1.0)
     assert onesec_tp / sync_tp >= 6.0
     benchmark.extra_info["sync_tp"] = round(sync_tp, 1)
     benchmark.extra_info["batch1s_tp"] = round(onesec_tp, 1)
 
 
-def test_device_classes_for_strict_logging(benchmark, results_dir):
-    results = benchmark.pedantic(
-        lambda: device_sweep(RECORDS, OPERATIONS),
-        rounds=1, iterations=1)
-    table = render_table(
-        ["device", "throughput_ops_s_at_fsync_always"],
-        [[k, round(v, 1)] for k, v in results.items()])
-    write_result(results_dir, "ablation_devices.txt", table)
+def test_device_classes_for_strict_logging(benchmark, rows_of,
+                                           write_artifact):
+    rows = benchmark.pedantic(lambda: rows_of(ABLATION_DEVICES),
+                              rounds=1, iterations=1)
+    write_artifact("ablation_devices.txt")
+    results = {row["device"].name: row["throughput"] for row in rows}
     # Section 5.1: NVM makes strict (synchronous) logging affordable.
     assert results["nvm-3dxpoint"] > 5 * results["intel-750-ssd"]
     assert results["intel-750-ssd"] > 5 * results["hdd-7200rpm"]
@@ -74,33 +56,29 @@ def test_device_classes_for_strict_logging(benchmark, results_dir):
         {k: round(v, 1) for k, v in results.items()})
 
 
-def test_erasure_propagation_across_replicas(benchmark, results_dir):
-    rows = benchmark.pedantic(erasure_propagation, rounds=1, iterations=1)
-    table = render_table(
-        ["replica_delay_s", "erasure_horizon_s"],
-        [[r["replica_delay_s"], round(r["erasure_horizon_s"], 4)]
-         for r in rows])
-    write_result(results_dir, "ablation_erasure_propagation.txt", table)
+def test_erasure_propagation_across_replicas(benchmark, rows_of,
+                                             write_artifact):
+    rows = benchmark.pedantic(
+        lambda: rows_of(ABLATION_ERASURE_PROPAGATION),
+        rounds=1, iterations=1)
+    write_artifact("ablation_erasure_propagation.txt")
     # The horizon tracks the slowest replica's delay (Art. 17 reaches
     # replicas only as fast as replication does).
     for row in rows:
-        assert row["erasure_horizon_s"] >= row["replica_delay_s"] * 0.9
-        assert row["erasure_horizon_s"] <= row["replica_delay_s"] * 2 + 0.01
-    horizons = [r["erasure_horizon_s"] for r in rows]
+        assert row["erasure_horizon"] >= row["delay"] * 0.9
+        assert row["erasure_horizon"] <= row["delay"] * 2 + 0.01
+    horizons = [r["erasure_horizon"] for r in rows]
     assert horizons == sorted(horizons)
     benchmark.extra_info.update(
-        {f"delay_{r['replica_delay_s']}": round(r["erasure_horizon_s"], 4)
+        {f"delay_{r['delay']}": round(r["erasure_horizon"], 4)
          for r in rows})
 
 
-def test_gdpr_strict_slowdown_headline(benchmark, results_dir):
-    results = benchmark.pedantic(
-        lambda: gdpr_slowdown(RECORDS // 2, OPERATIONS // 2),
-        rounds=1, iterations=1)
-    table = render_table(
-        ["config", "value"],
-        [[k, round(v, 2)] for k, v in results.items()])
-    write_result(results_dir, "gdpr_slowdown.txt", table)
+def test_gdpr_strict_slowdown_headline(benchmark, rows_of, write_artifact):
+    rows = benchmark.pedantic(lambda: rows_of(GDPR_SLOWDOWN),
+                              rounds=1, iterations=1)
+    write_artifact("gdpr_slowdown.txt")
+    results = {row["config"]: row["value"] for row in rows}
     # The paper's abstract: strict synchronous logging costs ~20x.
     assert 12 <= results["paper_20x_slowdown"] <= 30
     # The full strict GDPR stack (second fsync + crypto + ACL + index)

@@ -9,9 +9,6 @@ than exact values, so recalibration cannot silently erase the knee.
 
 import timeit
 
-from conftest import OPERATIONS, RECORDS, write_result
-
-from repro.bench.reporting import render, sweep
 from repro.bench.scaling import (
     AUTOSCALE_DEMO,
     DEFAULT_HOCKEY_RATES,
@@ -25,10 +22,9 @@ from repro.cluster.client import parse_command
 from repro.cluster.workers import classify, route_of
 
 
-def test_hockey_stick_artifact(results_dir):
-    rows = sweep(HOCKEY_STICK, RECORDS, OPERATIONS)
-    write_result(results_dir, "concurrency_hockey_stick.txt",
-                 render(HOCKEY_STICK, rows))
+def test_hockey_stick_artifact(rows_of, write_artifact):
+    write_artifact("concurrency_hockey_stick.txt")
+    rows = rows_of(HOCKEY_STICK)
 
     by_rate = {row["arrival_rate"]: row for row in rows}
     low = by_rate[min(by_rate)]
@@ -48,7 +44,7 @@ def test_hockey_stick_artifact(results_dir):
     assert p99s == sorted(p99s)
 
 
-def test_workers_ceiling_artifact(results_dir):
+def test_workers_ceiling_artifact(rows_of, write_artifact):
     """The workers-vs-ceiling table: the knee per worker count, plus the
     autoscale demo that closes the loop on it.
 
@@ -57,16 +53,9 @@ def test_workers_ceiling_artifact(results_dir):
     ops/s before p99 crosses 1 ms), and worker count 1 keeps the legacy
     single-loop ceiling.
     """
-    rows = sweep(WORKERS, RECORDS, OPERATIONS)
-    phases = sweep(AUTOSCALE_DEMO, RECORDS, OPERATIONS)
-    # Two scenario bodies -- each the string the CLI prints under that
-    # scenario's title -- joined by the artifact's own short heading.
-    write_result(results_dir, "concurrency_workers.txt", "\n".join([
-        render(WORKERS, rows), "",
-        "autoscale demo (EWMA-triggered worker raise, then spill to a "
-        "spare shard):",
-        render(AUTOSCALE_DEMO, phases),
-    ]))
+    write_artifact("concurrency_workers.txt")
+    rows = rows_of(WORKERS)
+    phases = rows_of(AUTOSCALE_DEMO)
 
     knee = knees(rows, "cores")
     # Single loop saturates at the calibrated ~40k ceiling...
@@ -87,7 +76,7 @@ def test_workers_ceiling_artifact(results_dir):
     assert phases[-1]["shards_serving"] == 2
 
 
-def test_workers_skew_artifact(results_dir):
+def test_workers_skew_artifact(rows_of, write_artifact):
     """The skew table: zipfian vs uniform knees, static slot%K vs
     skew-aware placement.
 
@@ -96,9 +85,8 @@ def test_workers_skew_artifact(results_dir):
     knee, driven by rebalances (and at least one read-split) that the
     static rows never fire.
     """
-    rows = sweep(WORKERS_SKEW, RECORDS, OPERATIONS)
-    write_result(results_dir, "concurrency_workers_skew.txt",
-                 render(WORKERS_SKEW, rows))
+    write_artifact("concurrency_workers_skew.txt")
+    rows = rows_of(WORKERS_SKEW)
 
     curve = ("cores", "request_distribution", "placement")
     knee = knees(rows, *curve)

@@ -5,32 +5,17 @@ and "LUKS + TLS" each at ~30% of baseline, across Load-A, A, B, C, D,
 Load-E, E, F.
 """
 
-import pytest
-from conftest import OPERATIONS, RECORDS, write_result
-
-from repro.bench.figure1 import FIGURE1_CONFIGS, figure1_table, run_config
+from repro.bench.figure1 import FIGURE1
 
 
-@pytest.fixture(scope="session")
-def figure1():
-    """``figure1(config)`` -> that configuration's cells.  The figure is
-    run once per session: each configuration under whichever test asks
-    for it first (so that test's timing is the configuration's), and
-    every test asserts on the one shared result."""
-    results = {}
-
-    def cells_of(config):
-        if config not in results:
-            results[config] = run_config(config, RECORDS, OPERATIONS)
-        return results[config]
-
-    return cells_of
+def _by_phase(rows, config):
+    return {row["phase"]: row[config] for row in rows}
 
 
-def test_figure1_unmodified_baseline(benchmark, figure1):
-    cells = benchmark.pedantic(lambda: figure1("unmodified"),
-                               rounds=1, iterations=1)
-    by_phase = {cell.phase: cell.throughput for cell in cells}
+def test_figure1_unmodified_baseline(benchmark, rows_of):
+    rows = benchmark.pedantic(lambda: rows_of(FIGURE1),
+                              rounds=1, iterations=1)
+    by_phase = _by_phase(rows, "unmodified")
     benchmark.extra_info.update(
         {phase: round(tp, 1) for phase, tp in by_phase.items()})
     # The paper's testbed baseline: ~20-25 kops/s on simple phases.
@@ -42,35 +27,33 @@ def test_figure1_unmodified_baseline(benchmark, figure1):
     assert by_phase["E"] < by_phase["A"] / 5
 
 
-def test_figure1_aof_everysec(benchmark, figure1):
-    cells = benchmark.pedantic(lambda: figure1("aof-everysec"),
-                               rounds=1, iterations=1)
+def test_figure1_aof_everysec(benchmark, rows_of):
+    rows = benchmark.pedantic(lambda: rows_of(FIGURE1),
+                              rounds=1, iterations=1)
     benchmark.extra_info.update(
-        {cell.phase: round(cell.throughput, 1) for cell in cells})
+        {phase: round(tp, 1)
+         for phase, tp in _by_phase(rows, "aof-everysec").items()})
 
 
-def test_figure1_luks_tls(benchmark, figure1):
-    cells = benchmark.pedantic(lambda: figure1("luks+tls"),
-                               rounds=1, iterations=1)
+def test_figure1_luks_tls(benchmark, rows_of):
+    rows = benchmark.pedantic(lambda: rows_of(FIGURE1),
+                              rounds=1, iterations=1)
     benchmark.extra_info.update(
-        {cell.phase: round(cell.throughput, 1) for cell in cells})
+        {phase: round(tp, 1)
+         for phase, tp in _by_phase(rows, "luks+tls").items()})
 
 
-def test_figure1_shape_matches_paper(benchmark, results_dir, figure1):
+def test_figure1_shape_matches_paper(benchmark, rows_of, write_artifact):
     """The figure's headline shape: both modified configurations land
     near 30% of baseline on every phase."""
-    results = benchmark.pedantic(
-        lambda: {config: figure1(config) for config in FIGURE1_CONFIGS},
-        rounds=1, iterations=1)
-    table = figure1_table(results)
-    write_result(results_dir, "figure1.txt", table)
-    phases = [cell.phase for cell in results["unmodified"]]
-    for index, phase in enumerate(phases):
-        base = results["unmodified"][index].throughput
-        aof = results["aof-everysec"][index].throughput
-        tls = results["luks+tls"][index].throughput
+    rows = benchmark.pedantic(lambda: rows_of(FIGURE1),
+                              rounds=1, iterations=1)
+    benchmark.extra_info["table"] = write_artifact("figure1.txt")
+    for row in rows:
+        base = row["unmodified"]
+        aof = row["aof-everysec"]
+        tls = row["luks+tls"]
         # Paper: ~30% of original for each.  Accept a generous band --
         # phase E (scans) dilutes per-op overheads for AOF.
-        assert 0.15 <= aof / base <= 0.65, (phase, aof / base)
-        assert 0.15 <= tls / base <= 0.55, (phase, tls / base)
-    benchmark.extra_info["table"] = table
+        assert 0.15 <= aof / base <= 0.65, (row["phase"], aof / base)
+        assert 0.15 <= tls / base <= 0.55, (row["phase"], tls / base)

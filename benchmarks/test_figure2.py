@@ -5,45 +5,33 @@ Paper (lazy Redis expiry): 41 s at 1k keys doubling roughly with size to
 sub-second latency for up to 1M keys.
 """
 
-import pytest
-from conftest import FULL_SWEEP, write_result
-
 from repro.bench.figure2 import (
+    FIGURE2,
+    FULLSCAN_AT_SCALE,
     PAPER_LAZY_SECONDS,
     doubling_ratios,
-    figure2_table,
     measure_erasure_delay,
-    run_figure2,
 )
 
-SIZES = (1_000, 2_000, 4_000, 8_000, 16_000, 32_000, 64_000, 128_000) \
-    if FULL_SWEEP else (1_000, 2_000, 4_000, 8_000, 16_000)
 
-
-def test_figure2_lazy_vs_fullscan(benchmark, results_dir):
-    results = benchmark.pedantic(
-        lambda: run_figure2(sizes=SIZES,
-                            strategies=("lazy", "fullscan")),
-        rounds=1, iterations=1)
-    table = figure2_table(results)
-    write_result(results_dir, "figure2.txt", table)
-    lazy = results["lazy"]
-    fullscan = results["fullscan"]
+def test_figure2_lazy_vs_fullscan(benchmark, rows_of, write_artifact):
+    rows = benchmark.pedantic(lambda: rows_of(FIGURE2),
+                              rounds=1, iterations=1)
+    benchmark.extra_info["table"] = write_artifact("figure2.txt")
     # Lazy erasure delay is minutes-to-hours and grows with size.
-    assert lazy[0].erase_seconds > 5.0
-    assert lazy[-1].erase_seconds > lazy[0].erase_seconds * 4
+    assert rows[0]["lazy_seconds"] > 5.0
+    assert rows[-1]["lazy_seconds"] > rows[0]["lazy_seconds"] * 4
     # Roughly linear growth: each doubling costs ~2x (paper shape).
-    ratios = [r for _, r in doubling_ratios(lazy)]
+    ratios = [r for _, r in doubling_ratios(rows)]
     for ratio in ratios:
         assert 1.0 <= ratio <= 5.0
     # Same order of magnitude as the paper's measured seconds.
-    for measurement in lazy:
-        paper = PAPER_LAZY_SECONDS[measurement.total_keys]
-        assert paper / 4 <= measurement.erase_seconds <= paper * 4
+    for row in rows:
+        paper = PAPER_LAZY_SECONDS[row["total_keys"]]
+        assert paper / 4 <= row["lazy_seconds"] <= paper * 4
     # The modified expiry erases everything within one second.
-    for measurement in fullscan:
-        assert measurement.erase_seconds < 1.0
-    benchmark.extra_info["table"] = table
+    for row in rows:
+        assert row["fullscan_seconds"] < 1.0
 
 
 def test_figure2_lazy_1k_point(benchmark):
@@ -54,15 +42,16 @@ def test_figure2_lazy_1k_point(benchmark):
     assert m.completed
 
 
-def test_figure2_fullscan_sub_second_large(benchmark):
-    size = 1_000_000 if FULL_SWEEP else 100_000
-    m = benchmark.pedantic(
-        lambda: measure_erasure_delay(size, "fullscan"),
-        rounds=1, iterations=1)
-    benchmark.extra_info["keys"] = size
-    benchmark.extra_info["erase_seconds"] = round(m.erase_seconds, 4)
-    assert m.completed
-    assert m.erase_seconds < 1.0  # the paper's sub-second claim
+def test_figure2_fullscan_sub_second_large(benchmark, rows_of):
+    (row,) = benchmark.pedantic(lambda: rows_of(FULLSCAN_AT_SCALE),
+                                rounds=1, iterations=1)
+    benchmark.extra_info["keys"] = row["total_keys"]
+    benchmark.extra_info["erase_seconds"] = round(
+        row["fullscan_seconds"], 4)
+    assert row["total_keys"] == 100_000
+    # The paper's sub-second claim (a run stopped by the safety cap
+    # reports the cap, a day, so this also says it completed).
+    assert row["fullscan_seconds"] < 1.0
 
 
 def test_figure2_indexed_strategy_extension(benchmark):

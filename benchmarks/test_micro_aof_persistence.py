@@ -5,39 +5,34 @@ until its compaction"; an hourly rewrite bounds the persistence of deleted
 personal data to one hour.
 """
 
-from conftest import write_result
-
-from repro.bench.micro import deleted_data_persistence, rewrite_cost_curve
-from repro.bench.reporting import render_table
+from repro.bench.micro import MICRO_AOF_PERSISTENCE, MICRO_REWRITE_COST
 
 
-def test_deleted_data_persists_until_compaction(benchmark, results_dir):
-    probe = benchmark.pedantic(
-        lambda: deleted_data_persistence(rewrite_interval=3600.0),
-        rounds=1, iterations=1)
-    table = render_table(
-        ["property", "value"],
-        [["in AOF immediately after DEL", probe.in_aof_after_delete],
-         ["in AOF after periodic rewrite", probe.in_aof_after_rewrite],
-         ["seconds until purged", probe.seconds_until_purged]])
-    write_result(results_dir, "micro_aof_persistence.txt", table)
-    assert probe.in_aof_after_delete is True      # the paper's finding
-    assert probe.in_aof_after_rewrite is False    # compaction purges it
+def test_deleted_data_persists_until_compaction(benchmark, rows_of,
+                                                write_artifact):
+    rows = benchmark.pedantic(lambda: rows_of(MICRO_AOF_PERSISTENCE),
+                              rounds=1, iterations=1)
+    write_artifact("micro_aof_persistence.txt")
+    probe = {row["property"]: row["value"] for row in rows}
+    # The paper's finding...
+    assert probe["in AOF immediately after DEL"] is True
+    # ...and compaction purges it.
+    assert probe["in AOF after periodic rewrite"] is False
     # Hourly compaction bounds persistence to the hour boundary.
-    assert probe.seconds_until_purged is not None
-    assert probe.seconds_until_purged <= 3600.0 + 60.0
-    benchmark.extra_info["purge_seconds"] = probe.seconds_until_purged
+    assert probe["seconds until purged"] is not None
+    assert probe["seconds until purged"] <= 3600.0 + 60.0
+    benchmark.extra_info["purge_seconds"] = probe["seconds until purged"]
 
 
-def test_rewrite_cost_grows_with_dataset(benchmark, results_dir):
+def test_rewrite_cost_grows_with_dataset(benchmark, rows_of,
+                                         write_artifact):
     """Why Redis does not compact per delete: rewrite cost is O(dataset),
     which motivates the paper's periodic-compaction compromise."""
-    points = benchmark.pedantic(rewrite_cost_curve, rounds=1,
-                                iterations=1)
-    table = render_table(["live_keys", "rewrite_seconds"],
-                         [[n, round(cost, 6)] for n, cost in points])
-    write_result(results_dir, "micro_rewrite_cost.txt", table)
-    costs = [cost for _, cost in points]
+    rows = benchmark.pedantic(lambda: rows_of(MICRO_REWRITE_COST),
+                              rounds=1, iterations=1)
+    write_artifact("micro_rewrite_cost.txt")
+    costs = [row["rewrite_seconds"] for row in rows]
     assert costs[-1] > costs[0] * 5  # clearly superlinear in keys
     benchmark.extra_info.update(
-        {f"keys_{n}": round(c, 6) for n, c in points})
+        {f"keys_{row['live_keys']}": round(row["rewrite_seconds"], 6)
+         for row in rows})

@@ -5,22 +5,14 @@ options [MONITOR, slowlog] result in more overhead than AOF"; fsync-always
 drops throughput to ~5% of original; relaxing to everysec recovers 6x.
 """
 
-from conftest import OPERATIONS, RECORDS, write_result
-
-from repro.bench.figure1 import run_fsync_comparison
-from repro.bench.micro import compare_logging_mechanisms
-from repro.bench.reporting import render_table
+from repro.bench.micro import MICRO_FSYNC, MICRO_LOGGING
 
 
-def test_logging_mechanism_comparison(benchmark, results_dir):
-    results = benchmark.pedantic(
-        lambda: compare_logging_mechanisms(RECORDS, OPERATIONS),
-        rounds=1, iterations=1)
-    table = render_table(
-        ["mechanism", "throughput_ops_s", "fraction_of_none"],
-        [[name, round(tp, 1), round(tp / results["none"], 3)]
-         for name, tp in results.items()])
-    write_result(results_dir, "micro_logging.txt", table)
+def test_logging_mechanism_comparison(benchmark, rows_of, write_artifact):
+    rows = benchmark.pedantic(lambda: rows_of(MICRO_LOGGING),
+                              rounds=1, iterations=1)
+    write_artifact("micro_logging.txt")
+    results = {row["mechanism"]: row["throughput"] for row in rows}
     # AOF piggybacking beats MONITOR and slowlog-with-AOF.
     assert results["aof"] > results["monitor"]
     assert results["aof"] > results["slowlog+aof"]
@@ -30,18 +22,14 @@ def test_logging_mechanism_comparison(benchmark, results_dir):
         {name: round(tp, 1) for name, tp in results.items()})
 
 
-def test_fsync_always_vs_everysec(benchmark, results_dir):
-    throughputs = benchmark.pedantic(
-        lambda: run_fsync_comparison(RECORDS, OPERATIONS),
-        rounds=1, iterations=1)
+def test_fsync_always_vs_everysec(benchmark, rows_of, write_artifact):
+    rows = benchmark.pedantic(lambda: rows_of(MICRO_FSYNC),
+                              rounds=1, iterations=1)
+    write_artifact("micro_fsync.txt")
+    throughputs = {row["config"]: row["throughput"] for row in rows}
     base = throughputs["unmodified"]
     always = throughputs["aof-always"]
     everysec = throughputs["aof-everysec"]
-    table = render_table(
-        ["config", "throughput_ops_s", "fraction_of_unmodified"],
-        [[name, round(tp, 1), round(tp / base, 3)]
-         for name, tp in throughputs.items()])
-    write_result(results_dir, "micro_fsync.txt", table)
     # Paper: fsync-always ~5% of original (the 20x headline).
     assert 0.02 <= always / base <= 0.10
     # Paper: everysec improves ~6x over always, landing near 30%.

@@ -5,19 +5,16 @@ LUKS+TLS runs at about a third of original throughput, and "most of the
 overhead was due to TLS".
 """
 
-from conftest import OPERATIONS, RECORDS, write_result
-
-from repro.bench.ablation import encryption_split
-from repro.bench.micro import measure_channel_bandwidth, run_tls_overhead
-from repro.bench.reporting import render_table
+from repro.bench.__main__ import DEFAULT_OPS, DEFAULT_RECORDS
+from repro.bench.ablation import ABLATION_ENCRYPTION
+from repro.bench.micro import MICRO_TLS_BANDWIDTH, config_throughput
 
 
-def test_stunnel_bandwidth_collapse(benchmark, results_dir):
-    results = benchmark.pedantic(measure_channel_bandwidth, rounds=1,
-                                 iterations=1)
-    table = render_table(["path", "effective_gbps"],
-                         [[k, round(v, 2)] for k, v in results.items()])
-    write_result(results_dir, "micro_tls_bandwidth.txt", table)
+def test_stunnel_bandwidth_collapse(benchmark, rows_of, write_artifact):
+    rows = benchmark.pedantic(lambda: rows_of(MICRO_TLS_BANDWIDTH),
+                              rounds=1, iterations=1)
+    write_artifact("micro_tls_bandwidth.txt")
+    results = {row["path"]: row["gbps"] for row in rows}
     # Paper's measured numbers: ~44 vs ~4.9 Gb/s.
     assert 35 <= results["raw"] <= 44.5
     assert 4.0 <= results["stunnel"] <= 5.0
@@ -28,7 +25,9 @@ def test_stunnel_bandwidth_collapse(benchmark, results_dir):
 
 def test_tls_ycsb_overhead(benchmark):
     results = benchmark.pedantic(
-        lambda: run_tls_overhead(RECORDS, OPERATIONS),
+        lambda: {config: config_throughput(
+            config, DEFAULT_RECORDS, DEFAULT_OPS)["throughput"]
+                 for config in ("unmodified", "luks+tls")},
         rounds=1, iterations=1)
     ratio = results["luks+tls"] / results["unmodified"]
     # Paper: "a third of its original throughput".
@@ -36,15 +35,12 @@ def test_tls_ycsb_overhead(benchmark):
     benchmark.extra_info["fraction_of_baseline"] = round(ratio, 3)
 
 
-def test_encryption_split_tls_dominates(benchmark, results_dir):
-    results = benchmark.pedantic(
-        lambda: encryption_split(RECORDS, OPERATIONS),
-        rounds=1, iterations=1)
-    table = render_table(
-        ["config", "throughput_ops_s", "fraction"],
-        [[k, round(v, 1), round(v / results["plaintext"], 3)]
-         for k, v in results.items()])
-    write_result(results_dir, "ablation_encryption.txt", table)
+def test_encryption_split_tls_dominates(benchmark, rows_of,
+                                        write_artifact):
+    rows = benchmark.pedantic(lambda: rows_of(ABLATION_ENCRYPTION),
+                              rounds=1, iterations=1)
+    write_artifact("ablation_encryption.txt")
+    results = {row["config"]: row["throughput"] for row in rows}
     # The paper's attribution: TLS, not at-rest crypto, dominates.
     tls_cost = results["plaintext"] - results["tls-only"]
     luks_cost = results["plaintext"] - results["luks-only"]

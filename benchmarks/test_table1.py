@@ -2,20 +2,13 @@
 headline statistic (31 of 99 articles concern storage) and the
 compliance-spectrum assessments of section 3.2."""
 
-from conftest import write_result
-
-from repro.bench.table1 import (
-    assessments,
-    build_comparison_text,
-    build_table1_text,
-    headline_statistics,
-)
+from repro.bench.table1 import assessments, headline_statistics
 from repro.gdpr.articles import TABLE1, StorageFeature, feature_demand
 
 
-def test_table1_regenerates(benchmark, results_dir):
-    text = benchmark.pedantic(build_table1_text, rounds=1, iterations=1)
-    write_result(results_dir, "table1.txt", text)
+def test_table1_regenerates(benchmark, write_artifact):
+    text = benchmark.pedantic(lambda: write_artifact("table1.txt"),
+                              rounds=1, iterations=1)
     assert len(TABLE1) == 13
     for fragment in ("Purpose limitation", "Right to be forgotten",
                      "Records of processing activity",
@@ -42,10 +35,9 @@ def test_feature_demand_shape(benchmark):
     assert all(count >= 2 for count in demand.values())
 
 
-def test_compliance_spectrum(benchmark, results_dir):
+def test_compliance_spectrum(benchmark, write_artifact):
     results = benchmark.pedantic(assessments, rounds=1, iterations=1)
-    comparison = build_comparison_text()
-    write_result(results_dir, "table1_comparison.txt", comparison)
+    write_artifact("table1_comparison.txt")
     baseline = results["redis-baseline"]
     strict = results["gdpr-strict"]
     eventual = results["gdpr-eventual"]

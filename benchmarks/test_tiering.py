@@ -8,67 +8,49 @@ voided, longer receipt) -- while at hot fraction 1.0 the tiered store
 is indistinguishable from hot-only.
 """
 
-from conftest import OPERATIONS, RECORDS, write_result
-
-from repro.bench.tiering import (
-    footprint_reduction,
-    run_tiering,
-    tiering_table,
-)
+from repro.bench.tiering import TIERING, footprint_reduction
 
 
-def _cells():
-    return run_tiering(record_count=max(60, RECORDS // 2),
-                       operation_count=max(200, OPERATIONS // 2))
-
-
-def test_tiering_artifact(results_dir):
-    cells = _cells()
-    write_result(results_dir, "tiering.txt", tiering_table(cells))
-
-    by = {(c.mode, c.hot_fraction): c for c in cells}
-    kept = footprint_reduction(cells)
+def test_tiering_artifact(rows_of, write_artifact):
+    write_artifact("tiering.txt")
+    rows = rows_of(TIERING)
+    by = {(row["mode"], row["hot_fraction"]): row for row in rows}
+    kept = footprint_reduction(rows)
 
     # At hot fraction 1.0 every key stays warm: nothing demotes and the
     # resident footprint matches hot-only exactly.
-    assert by[("tiered", 1.0)].demotions == 0
-    assert by[("tiered", 1.0)].hot_bytes == by[("hot-only", 1.0)].hot_bytes
+    assert by[("tiered", 1.0)]["demotions"] == 0
+    assert by[("tiered", 1.0)]["hot_bytes"] \
+        == by[("hot-only", 1.0)]["hot_bytes"]
 
     for fraction in (0.5, 0.25):
         hot_only = by[("hot-only", fraction)]
         tiered = by[("tiered", fraction)]
         # The headline: the archive frees the idle share of the hot
         # footprint (within slack for envelope-size variation).
-        assert tiered.hot_bytes < hot_only.hot_bytes
+        assert tiered["hot_bytes"] < hot_only["hot_bytes"]
         assert kept[fraction] < fraction + 0.15
-        assert tiered.demotions > 0
+        assert tiered["demotions"] > 0
         # Footprint is sampled before the cold-read probe, so every
         # demoted key is still archived at that point.
-        assert tiered.cold_keys == tiered.demotions
+        assert tiered["cold_keys"] == tiered["demotions"]
         # The archive's own residency (compressed segments + blooms)
         # stays within a constant factor of the displaced hot bytes:
         # GDPR values are ciphertext, so zlib cannot win, and the seal
         # adds a per-record envelope -- but not more than ~1.5x.
-        displaced = hot_only.hot_bytes - tiered.hot_bytes
-        assert 0 < tiered.cold_resident_bytes < 1.5 * displaced
-        assert tiered.cold_device_bytes > 0
+        displaced = hot_only["hot_bytes"] - tiered["hot_bytes"]
+        assert 0 < tiered["cold_resident_bytes"] < 1.5 * displaced
+        assert tiered["cold_device_bytes"] > 0
         # Reads that fault in from the archive pay a promote premium.
-        assert tiered.cold_read_seconds > 2 * hot_only.cold_read_seconds
-        assert tiered.promotions > 0
+        assert tiered["cold_read_seconds"] \
+            > 2 * hot_only["cold_read_seconds"]
+        assert tiered["promotions"] > 0
         # Art. 17 reaches the archive: segments voided, receipt still
         # complete, and slower than the all-hot erasure.
-        assert tiered.cold_segments_voided >= 1
-        assert tiered.keys_erased == hot_only.keys_erased
-        assert tiered.erase_seconds > hot_only.erase_seconds
+        assert tiered["cold_segments_voided"] >= 1
+        assert tiered["keys_erased"] == hot_only["keys_erased"]
+        assert tiered["erase_seconds"] > hot_only["erase_seconds"]
 
     # Deeper cold tier => more of the erasure work lands in the archive.
-    assert by[("tiered", 0.25)].cold_device_bytes \
-        > by[("tiered", 0.5)].cold_device_bytes
-
-
-def test_tiering_byte_identical_across_runs():
-    first = tiering_table(run_tiering(record_count=60,
-                                      operation_count=200))
-    second = tiering_table(run_tiering(record_count=60,
-                                       operation_count=200))
-    assert first == second
+    assert by[("tiered", 0.25)]["cold_device_bytes"] \
+        > by[("tiered", 0.5)]["cold_device_bytes"]

@@ -41,7 +41,8 @@ def main() -> None:
               f"STRICT={assessment.strict}")
 
     print("\nWhat strictness costs (YCSB-A, simulated time):")
-    results = gdpr_slowdown(record_count=200, operation_count=600)
+    results = {row["config"]: row["value"] for row
+               in gdpr_slowdown(record_count=200, operation_count=600)}
     print(f"  unmodified store:      "
           f"{results['unmodified']:>10,.0f} ops/s")
     print(f"  fsync-always logging:  "

@@ -9,17 +9,16 @@ Run with::
     python examples/ycsb_gdpr_benchmark.py
 """
 
-from repro.bench.figure1 import run_fsync_comparison
-from repro.bench.figure2 import figure2_table, run_figure2
-from repro.bench.micro import measure_channel_bandwidth
-from repro.bench.reporting import render_table
+from repro.bench.figure2 import FIGURE2
+from repro.bench.micro import MICRO_FSYNC, MICRO_TLS_BANDWIDTH
+from repro.bench.reporting import render, render_table, sweep
 
 
 def main() -> None:
     print("YCSB-A throughput across the paper's configurations")
     print("(simulated time; ratios are what the paper reports)\n")
-    throughputs = run_fsync_comparison(record_count=300,
-                                       operation_count=1000)
+    throughputs = {row["config"]: row["throughput"]
+                   for row in sweep(MICRO_FSYNC, 300, 1000)}
     base = throughputs["unmodified"]
     rows = [[name, f"{tp:,.0f}", f"{tp / base:.1%}"]
             for name, tp in throughputs.items()]
@@ -32,13 +31,12 @@ def main() -> None:
           "(paper: ~6x)\n")
 
     print("TLS proxy bandwidth (paper: 44 -> 4.9 Gb/s):")
-    for path, gbps in measure_channel_bandwidth().items():
-        print(f"  {path:8s} {gbps:5.1f} Gb/s")
+    for row in sweep(MICRO_TLS_BANDWIDTH, 0, 0):
+        print(f"  {row['path']:8s} {row['gbps']:5.1f} Gb/s")
 
     print("\nFigure 2 (small sweep): erasure delay of expired keys")
-    results = run_figure2(sizes=(1_000, 2_000, 4_000),
-                          strategies=("lazy", "fullscan"))
-    print(figure2_table(results))
+    print(render(FIGURE2, sweep(
+        FIGURE2, 0, 0, pins={"total_keys": (1_000, 2_000, 4_000)})))
     print("\n(lazy = Redis 4.0 probabilistic expiry; fullscan = the "
           "paper's modification)")
 

@@ -1,103 +1,3 @@
-"""Benchmark harness: one driver per paper table/figure plus ablations."""
-
-from .ablation import (
-    audit_batch_sweep,
-    device_sweep,
-    encryption_split,
-    fsync_policy_sweep,
-    gdpr_slowdown,
-)
-from .calibration import (
-    AOF_RECORD_BASE_COST,
-    AOF_RECORD_PER_BYTE,
-    BASE_COMMAND_CPU,
-    FIGURE1_CONFIGS,
-    SystemUnderTest,
-    make_aof_sync,
-    make_figure1_system,
-    make_inprocess,
-    make_luks_tls,
-    make_unmodified,
-)
-from .figure1 import (
-    PHASE_PLAN,
-    Figure1Cell,
-    figure1_table,
-    run_config,
-    run_figure1,
-    run_fsync_comparison,
-)
-from .figure2 import (
-    DEFAULT_SIZES,
-    PAPER_LAZY_SECONDS,
-    ErasureMeasurement,
-    doubling_ratios,
-    figure2_table,
-    measure_erasure_delay,
-    populate_expiring,
-    run_figure2,
-)
-from .micro import (
-    PersistenceProbe,
-    compare_logging_mechanisms,
-    deleted_data_persistence,
-    measure_channel_bandwidth,
-    rewrite_cost_curve,
-    run_tls_overhead,
-)
-from .reporting import normalize, render_series, render_table
-from .table1 import (
-    assessments,
-    build_comparison_text,
-    build_table1_text,
-    eventual_gdpr_store,
-    headline_statistics,
-    strict_gdpr_store,
-)
-
-__all__ = [
-    "BASE_COMMAND_CPU",
-    "AOF_RECORD_BASE_COST",
-    "AOF_RECORD_PER_BYTE",
-    "FIGURE1_CONFIGS",
-    "SystemUnderTest",
-    "make_unmodified",
-    "make_aof_sync",
-    "make_luks_tls",
-    "make_inprocess",
-    "make_figure1_system",
-    "PHASE_PLAN",
-    "Figure1Cell",
-    "run_config",
-    "run_figure1",
-    "figure1_table",
-    "run_fsync_comparison",
-    "DEFAULT_SIZES",
-    "PAPER_LAZY_SECONDS",
-    "ErasureMeasurement",
-    "measure_erasure_delay",
-    "populate_expiring",
-    "run_figure2",
-    "figure2_table",
-    "doubling_ratios",
-    "compare_logging_mechanisms",
-    "measure_channel_bandwidth",
-    "run_tls_overhead",
-    "deleted_data_persistence",
-    "rewrite_cost_curve",
-    "PersistenceProbe",
-    "fsync_policy_sweep",
-    "audit_batch_sweep",
-    "device_sweep",
-    "encryption_split",
-    "gdpr_slowdown",
-    "render_table",
-    "render_series",
-    "normalize",
-    "build_table1_text",
-    "build_comparison_text",
-    "assessments",
-    "headline_statistics",
-    "strict_gdpr_store",
-    "eventual_gdpr_store",
-]
+"""Benchmark harness: every paper table/figure, ablation and scenario is
+one declaration (see :mod:`repro.bench.reporting`), printed by
+``python -m repro.bench`` and recorded in ``bench_results/``."""

@@ -6,38 +6,44 @@ Usage::
     python -m repro.bench figure1 table1  # a subset
     python -m repro.bench --records 1000 --ops 5000 figure1
     python -m repro.bench --full figure2  # the 1k..128k sweep + 1M point
+
+``EXPERIMENTS`` lists the declarations each experiment prints and
+``ARTIFACTS`` how each ``bench_results/*.txt`` file is composed from
+them; the CLI and ``benchmarks/`` both go through :func:`compose`, so
+what a file commits is what its experiment prints.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
-from .backends import (
-    FEATURE_ORDER as BACKEND_FEATURES,
-    backends_table,
-    headline_comparison,
-    run_backends,
-)
 from .ablation import (
-    audit_batch_sweep,
-    device_sweep,
-    encryption_split,
-    fsync_policy_sweep,
-    gdpr_slowdown,
+    ABLATION_AUDIT_BATCH,
+    ABLATION_DEVICES,
+    ABLATION_ENCRYPTION,
+    ABLATION_ERASURE_PROPAGATION,
+    ABLATION_FSYNC,
+    GDPR_SLOWDOWN,
 )
-from .figure1 import figure1_table, run_figure1, run_fsync_comparison
-from .figure2 import figure2_table, measure_erasure_delay, run_figure2
+from .backends import BACKENDS, FEATURE_ORDER
+from .figure1 import FIGURE1
+from .figure2 import FIGURE2, FULLSCAN_AT_SCALE
 from .micro import (
-    compare_logging_mechanisms,
-    deleted_data_persistence,
-    measure_channel_bandwidth,
+    MICRO_AOF_PERSISTENCE,
+    MICRO_FSYNC,
+    MICRO_LOGGING,
+    MICRO_REWRITE_COST,
+    MICRO_TLS_BANDWIDTH,
 )
-from .reporting import Scenario, render, render_table, sweep
+from .reporting import Row, Scenario, Text, render, sweep
 from .scaling import (
     AUTOSCALE_DEMO,
     CONCURRENCY,
     ERASURE_FANOUT,
+    HOCKEY_STICK,
     REPLICATED_ERASURE_FANOUT,
     REPLICATION,
     RESHARDING,
@@ -45,221 +51,119 @@ from .scaling import (
     WORKERS,
     WORKERS_SKEW,
 )
-from .table1 import build_comparison_text, headline_statistics
-from .tenancy import run_tenancy, tenancy_table
-from .tiering import footprint_reduction, run_tiering, tiering_table
+from .table1 import TABLE1_AS_PRINTED, TABLE1_COMPARISON
+from .tenancy import TENANCY
+from .tiering import TIERING
 
+Declaration = Union[Scenario, Text]
 
-def _print_header(title: str) -> None:
-    print(f"\n{'=' * 72}\n{title}\n{'=' * 72}")
-
-
-def run_table1(args: argparse.Namespace) -> None:
-    _print_header("Table 1 -- GDPR articles -> storage features "
-                  "(+ compliance verdicts)")
-    print(build_comparison_text())
-    stats = headline_statistics()
-    print(f"\nstorage-related articles: "
-          f"{stats['storage_related_articles']}/"
-          f"{stats['total_articles']} "
-          f"({stats['storage_share']:.1%})")
-
-
-def run_fig1(args: argparse.Namespace) -> None:
-    _print_header("Figure 1 -- YCSB throughput "
-                  "(unmodified / AOF w/ sync / LUKS+TLS)")
-    results = run_figure1(record_count=args.records,
-                          operation_count=args.ops)
-    print(figure1_table(results))
-    print("\nsection 4.1 fsync comparison:")
-    throughputs = run_fsync_comparison(args.records, args.ops)
-    base = throughputs["unmodified"]
-    print(render_table(["config", "ops/s", "fraction"],
-                       [[k, round(v, 1), round(v / base, 3)]
-                        for k, v in throughputs.items()]))
-
-
-def run_fig2(args: argparse.Namespace) -> None:
-    _print_header("Figure 2 -- erasure delay of expired keys")
-    sizes = ((1_000, 2_000, 4_000, 8_000, 16_000, 32_000, 64_000,
-              128_000) if args.full
-             else (1_000, 2_000, 4_000, 8_000))
-    print(figure2_table(run_figure2(sizes=sizes)))
-    if args.full:
-        point = measure_erasure_delay(1_000_000, "fullscan")
-        print(f"\nfullscan @ 1M keys: {point.erase_seconds:.3f} s "
-              "(paper: sub-second)")
-
-
-def run_micro(args: argparse.Namespace) -> None:
-    _print_header("Micro-benchmarks (sections 4.1-4.3)")
-    print("logging mechanisms (YCSB-A ops/s):")
-    print(render_table(["mechanism", "ops/s"],
-                       [[k, round(v, 1)] for k, v in
-                        compare_logging_mechanisms(
-                            args.records, args.ops).items()]))
-    print("\nchannel bandwidth (Gb/s):")
-    print(render_table(["path", "Gb/s"],
-                       [[k, round(v, 2)] for k, v in
-                        measure_channel_bandwidth().items()]))
-    probe = deleted_data_persistence()
-    print(f"\ndeleted key in AOF after DEL: {probe.in_aof_after_delete}; "
-          f"purged after {probe.seconds_until_purged:.0f} s "
-          "(hourly rewrite)")
-
-
-def run_ablations(args: argparse.Namespace) -> None:
-    _print_header("Ablations")
-    print("fsync policies (YCSB-A ops/s):")
-    print(render_table(["policy", "ops/s"],
-                       [[k, round(v, 1)] for k, v in
-                        fsync_policy_sweep(args.records,
-                                           args.ops).items()]))
-    print("\naudit batch interval:")
-    rows = audit_batch_sweep(record_count=args.records // 2,
-                             operation_count=args.ops // 2)
-    print(render_table(
-        ["interval_s", "ops/s", "at_risk", "worst_case"],
-        [[r["interval_s"], round(r["throughput"], 1),
-          int(r["records_at_risk"]), int(r["worst_case_exposure"])]
-         for r in rows]))
-    print("\ndevice classes at fsync-always:")
-    print(render_table(["device", "ops/s"],
-                       [[k, round(v, 1)] for k, v in
-                        device_sweep(args.records, args.ops).items()]))
-    print("\nencryption split:")
-    print(render_table(["config", "ops/s"],
-                       [[k, round(v, 1)] for k, v in
-                        encryption_split(args.records,
-                                         args.ops).items()]))
-    print("\nheadline slowdowns:")
-    results = gdpr_slowdown(args.records // 2, args.ops // 2)
-    print(render_table(["metric", "value"],
-                       [[k, round(v, 2)] for k, v in results.items()]))
-
-
-def run_backends_cmd(args: argparse.Namespace) -> None:
-    _print_header("Backends -- Redis-like vs relational engine, "
-                  "per-GDPR-feature overhead")
-    features = BACKEND_FEATURES
-    if args.features:
-        features = tuple(f.strip() for f in args.features.split(",")
-                         if f.strip())
-        unknown = [f for f in features if f not in BACKEND_FEATURES]
-        if unknown:
-            raise SystemExit(
-                f"unknown backend feature(s) {unknown}; "
-                f"choose from {list(BACKEND_FEATURES)}")
-    cells = run_backends(record_count=args.records,
-                         operation_count=args.ops,
-                         features=features)
-    print(backends_table(cells))
-    if "baseline" not in features:
-        return
-    headline = headline_comparison(cells)
-    print("\nheadline (full GDPR stack vs each engine's own baseline):")
-    have_full = "full-gdpr" in features
-    have_fast = "fast-gdpr" in features
-    header = ["engine", "baseline ops/s"]
-    if have_full:
-        header += ["full-gdpr ops/s", "slowdown"]
-    if have_fast:
-        header += ["fast-gdpr ops/s", "fast slowdown"]
-    rows = []
-    for engine in ("redislike", "relational"):
-        row = [engine, round(headline[f"{engine}_baseline_ops"], 1)]
-        if have_full:
-            row += [round(headline[f"{engine}_full_gdpr_ops"], 1),
-                    f"{headline[f'{engine}_slowdown_x']:.2f}x"]
-        if have_fast:
-            row += [round(headline[f"{engine}_fast_gdpr_ops"], 1),
-                    f"{headline[f'{engine}_fast_slowdown_x']:.2f}x"]
-        rows.append(row)
-    print(render_table(header, rows))
-    print("\nSame YCSB-A stream over both engines.  'of baseline' is "
-          "each row's throughput\nas a fraction of its own engine's "
-          "baseline (the paper's per-feature overhead\nview); the "
-          "relational engine starts slower but pays a smaller relative\n"
-          "penalty for full compliance, because its baseline already "
-          "carries WAL costs.\n'fast-gdpr' is the same full stack with "
-          "block-sealed audit + write-behind\nindexing -- the recovered "
-          "throughput prices the bounded visibility window.")
-
-
-def run_tiering_cmd(args: argparse.Namespace) -> None:
-    _print_header("Tiering -- hot/cold archive: footprint, promote "
-                  "cost, archive-reaching erasure")
-    cells = run_tiering(record_count=args.records,
-                        operation_count=args.ops)
-    print(tiering_table(cells))
-    kept = footprint_reduction(cells)
-    fractions = ", ".join(f"{frac:.2f}: {ratio:.0%}"
-                          for frac, ratio in sorted(kept.items(),
-                                                    reverse=True))
-    print(f"\nresident hot footprint kept (tiered / hot-only): "
-          f"{fractions}")
-    print("Rows pair a hot-only store against the tiered store on the "
-          "same seeded\nstream.  'cold_rd_us' is a read that faults in "
-          "from the archive (promote);\n'erase_ms' is a full Art. 17 "
-          "request on a subject whose records span both\ntiers -- DELs, "
-          "durable cold tombstones, the fsynced subject marker, and\n"
-          "the crypto-erasure.  At hot fraction 1.0 the tiers are "
-          "indistinguishable.")
-
-
-def run_tenancy_cmd(args: argparse.Namespace) -> None:
-    _print_header("Tenancy -- noisy-neighbour quotas, tenant "
-                  "isolation, audit-chained metering")
-    result = run_tenancy(record_count=args.records,
-                         operation_count=args.ops)
-    print(tenancy_table(result))
-    print("\nThe quiet tenant's stream is identical in both phases; "
-          "the contended run\nadds a neighbour offering 4x its ops/s "
-          "quota.  The admission gate throttles\nthe excess with "
-          "QUOTAEXCEEDED before the engine sees it, so the noisy\n"
-          "tenant's admitted rate pins to its quota and the quiet "
-          "tenant's p99 barely\nmoves.  Every interval's per-tenant "
-          "usage delta is sealed into a block-mode\naudit chain and "
-          "re-verified after the run -- the throttle counts double as\n"
-          "tamper-evident billing records.")
-
-
-PIN_FLAGS = ("shards", "clients", "cores", "replicas")
-
-
-def declared(*scenarios: Scenario):
-    """An experiment that prints declared scenarios in order: the first
-    one's title is the banner, each later one's heads its own table."""
-    def run(args: argparse.Namespace) -> None:
-        pins = {flag: getattr(args, flag) for flag in PIN_FLAGS}
-        for index, scenario in enumerate(scenarios):
-            if index == 0:
-                _print_header(scenario.title)
-            else:
-                print(f"\n{scenario.title}")
-            print(render(scenario, sweep(scenario, args.records, args.ops,
-                                         full=args.full, pins=pins)))
-            if scenario.footnote:
-                print(f"\n{scenario.footnote}")
-    return run
-
-
+# Each experiment prints its declarations in order: the first one's
+# title is the banner, each later one's heads its own table.  Every
+# bench_results file is printed by exactly one experiment.
 EXPERIMENTS = {
-    "table1": run_table1,
-    "figure1": run_fig1,
-    "figure2": run_fig2,
-    "micro": run_micro,
-    "ablations": run_ablations,
-    "scaling": declared(SCALING, ERASURE_FANOUT),
-    "resharding": declared(RESHARDING),
-    "concurrency": declared(CONCURRENCY),
-    "workers": declared(WORKERS, AUTOSCALE_DEMO),
-    "workers_skew": declared(WORKERS_SKEW),
-    "replication": declared(REPLICATION, REPLICATED_ERASURE_FANOUT),
-    "backends": run_backends_cmd,
-    "tiering": run_tiering_cmd,
-    "tenancy": run_tenancy_cmd,
+    "table1": (TABLE1_COMPARISON, TABLE1_AS_PRINTED),
+    "figure1": (FIGURE1,),
+    "figure2": (FIGURE2, FULLSCAN_AT_SCALE),
+    "micro": (MICRO_LOGGING, MICRO_FSYNC, MICRO_TLS_BANDWIDTH,
+              MICRO_AOF_PERSISTENCE, MICRO_REWRITE_COST),
+    "ablations": (ABLATION_FSYNC, ABLATION_AUDIT_BATCH, ABLATION_DEVICES,
+                  ABLATION_ENCRYPTION, ABLATION_ERASURE_PROPAGATION,
+                  GDPR_SLOWDOWN),
+    "scaling": (SCALING, ERASURE_FANOUT),
+    "resharding": (RESHARDING,),
+    "concurrency": (CONCURRENCY,),
+    "hockey_stick": (HOCKEY_STICK,),
+    "workers": (WORKERS, AUTOSCALE_DEMO),
+    "workers_skew": (WORKERS_SKEW,),
+    "replication": (REPLICATION, REPLICATED_ERASURE_FANOUT),
+    "backends": (BACKENDS,),
+    "tiering": (TIERING,),
+    "tenancy": (TENANCY,),
 }
+
+RULE = "=" * 72
+
+
+@dataclass(frozen=True)
+class TableOf:
+    """An artifact piece: a scenario's table without the summary its
+    experiment prints under it."""
+
+    scenario: Scenario
+
+
+# A piece of printed text: a literal line, a declaration's body, or a
+# scenario's bare table.
+Piece = Union[str, Declaration, TableOf]
+RowsOf = Callable[[Scenario], Sequence[Row]]
+
+
+def printed(declarations: Sequence[Declaration]) -> List[Piece]:
+    """Everything an experiment prints, as pieces: banner, bodies,
+    footnotes, and the later declarations' titles."""
+    pieces: List[Piece] = []
+    for index, declaration in enumerate(declarations):
+        pieces += ([RULE, declaration.title, RULE] if index == 0
+                   else ["", declaration.title])
+        pieces.append(declaration)
+        if declaration.footnote:
+            pieces += ["", declaration.footnote]
+    return pieces
+
+
+def compose(pieces: Sequence[Piece], rows_of: RowsOf) -> str:
+    """The text of ``pieces``, one per line; ``rows_of(scenario)``
+    supplies each scenario's swept rows."""
+    lines = []
+    for piece in pieces:
+        if isinstance(piece, Text):
+            piece = piece.text()
+        elif isinstance(piece, Scenario):
+            piece = render(piece, rows_of(piece))
+        elif isinstance(piece, TableOf):
+            piece = render(replace(piece.scenario, summary=None),
+                           rows_of(piece.scenario))
+        lines.append(piece)
+    return "\n".join(lines)
+
+
+# bench_results file -> its pieces.  Most files are one declaration's
+# body; three are everything their experiment prints; backends.txt and
+# tiering.txt are the table alone.
+ARTIFACTS: Dict[str, Sequence[Piece]] = {
+    "table1.txt": (TABLE1_AS_PRINTED,),
+    "table1_comparison.txt": (TABLE1_COMPARISON,),
+    "figure1.txt": (FIGURE1,),
+    "figure2.txt": (FIGURE2,),
+    "micro_logging.txt": (MICRO_LOGGING,),
+    "micro_fsync.txt": (MICRO_FSYNC,),
+    "micro_tls_bandwidth.txt": (MICRO_TLS_BANDWIDTH,),
+    "micro_aof_persistence.txt": (MICRO_AOF_PERSISTENCE,),
+    "micro_rewrite_cost.txt": (MICRO_REWRITE_COST,),
+    "ablation_fsync.txt": (ABLATION_FSYNC,),
+    "ablation_audit_batch.txt": (ABLATION_AUDIT_BATCH,),
+    "ablation_devices.txt": (ABLATION_DEVICES,),
+    "ablation_encryption.txt": (ABLATION_ENCRYPTION,),
+    "ablation_erasure_propagation.txt": (ABLATION_ERASURE_PROPAGATION,),
+    "gdpr_slowdown.txt": (GDPR_SLOWDOWN,),
+    "scaling.txt": printed(EXPERIMENTS["scaling"]),
+    "resharding.txt": printed(EXPERIMENTS["resharding"]),
+    "replication.txt": printed(EXPERIMENTS["replication"]),
+    "concurrency_hockey_stick.txt": (HOCKEY_STICK,),
+    "concurrency_workers.txt": (
+        WORKERS, "",
+        "autoscale demo (EWMA-triggered worker raise, then spill to a "
+        "spare shard):",
+        AUTOSCALE_DEMO),
+    "concurrency_workers_skew.txt": (WORKERS_SKEW,),
+    "backends.txt": (TableOf(BACKENDS),),
+    "tiering.txt": (TableOf(TIERING),),
+    "tenancy.txt": (TENANCY,),
+}
+
+DEFAULT_RECORDS = 300
+DEFAULT_OPS = 800
+PIN_FLAGS = ("shards", "clients", "cores", "replicas")
 
 
 def _int_at_least(minimum: int):
@@ -278,6 +182,19 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _features(text: str) -> Tuple[str, ...]:
+    """argparse type: a non-empty comma-separated list of backend
+    feature rows."""
+    features = tuple(name.strip() for name in text.split(",")
+                     if name.strip())
+    unknown = [name for name in features if name not in FEATURE_ORDER]
+    if unknown or not features:
+        raise argparse.ArgumentTypeError(
+            f"expected one or more of {', '.join(FEATURE_ORDER)}; "
+            f"got {text!r}")
+    return features
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
@@ -285,9 +202,11 @@ def main(argv=None) -> int:
     parser.add_argument("experiments", nargs="*",
                         choices=[*EXPERIMENTS, []],
                         help="subset to run (default: all)")
-    parser.add_argument("--records", type=_int_at_least(1), default=300,
+    parser.add_argument("--records", type=_int_at_least(1),
+                        default=DEFAULT_RECORDS,
                         help="YCSB records per phase")
-    parser.add_argument("--ops", type=_int_at_least(0), default=800,
+    parser.add_argument("--ops", type=_int_at_least(0),
+                        default=DEFAULT_OPS,
                         help="YCSB operations per phase")
     parser.add_argument("--full", action="store_true",
                         help="full Figure 2 sweep and every sweep's "
@@ -297,13 +216,19 @@ def main(argv=None) -> int:
                             default=None,
                             help=f"pin the `{flag}` axis of any sweep "
                                  "that has one to this value")
-    parser.add_argument("--features", type=str, default=None,
+    parser.add_argument("--features", type=_features, default=None,
                         help="comma-separated backend feature rows for "
                              "the backends experiment (default: all)")
     args = parser.parse_args(argv)
-    selected = args.experiments or list(EXPERIMENTS)
-    for name in selected:
-        EXPERIMENTS[name](args)
+    pins = {flag: getattr(args, flag) for flag in PIN_FLAGS}
+    pins["feature"] = args.features
+
+    def rows_of(scenario: Scenario) -> Sequence[Row]:
+        return sweep(scenario, args.records, args.ops, full=args.full,
+                     pins=pins)
+
+    for name in args.experiments or EXPERIMENTS:
+        print("\n" + compose(printed(EXPERIMENTS[name]), rows_of))
     return 0
 
 

@@ -3,44 +3,51 @@
 These go beyond the paper's plotted data to map the spectrum it argues
 for in prose:
 
-* :func:`fsync_policy_sweep` -- the real-time <-> eventual compliance axis
+* :data:`ABLATION_FSYNC` -- the real-time <-> eventual compliance axis
   for storage-level logging (always / everysec / no).
-* :func:`audit_batch_sweep` -- the same axis for the GDPR audit log:
+* :data:`ABLATION_AUDIT_BATCH` -- the same axis for the GDPR audit log:
   batch interval vs throughput vs records at risk.
-* :func:`device_sweep` -- strict (fsync-always) logging across HDD / SSD /
-  NVM, quantifying section 5.1's claim that NVM makes strict compliance
-  affordable.
-* :func:`encryption_split` -- LUKS-only vs TLS-only vs both, confirming
-  the paper's observation that TLS dominates the encryption overhead.
-* :func:`gdpr_slowdown` -- the headline: strict real-time compliance
+* :data:`ABLATION_DEVICES` -- strict (fsync-always) logging across HDD /
+  SSD / NVM, quantifying section 5.1's claim that NVM makes strict
+  compliance affordable.
+* :data:`ABLATION_ENCRYPTION` -- LUKS-only vs TLS-only vs both,
+  confirming the paper's observation that TLS dominates the encryption
+  overhead.
+* :data:`ABLATION_ERASURE_PROPAGATION` -- Art. 17 across replicas: the
+  erasure horizon tracks the slowest replica's delay.
+* :data:`GDPR_SLOWDOWN` -- the headline: strict real-time compliance
   (every feature on, synchronous audit) vs the unmodified baseline (~20x).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Optional
 
 from ..common.clock import SimClock
 from ..device.append_log import AppendLog
 from ..device.latency import HDD, INTEL_750_SSD, NVM, LatencyModel
+from ..device.luks import CRYPTO_COST_PER_BYTE
 from ..gdpr.audit import AuditDurability, AuditLog
 from ..gdpr.store import GDPRConfig, GDPRStore
+from ..kvstore.replication import ReplicationManager
+from ..kvstore.server import connect_plain, connect_tls
 from ..kvstore.store import KeyValueStore, StoreConfig
 from ..net.channel import Channel, RAW_BANDWIDTH_BPS
 from ..net.tls import stunnel_channel
-from ..kvstore.server import connect_plain, connect_tls
 from ..ycsb.adapters import ClientAdapter, GDPRAdapter
 from ..ycsb.runner import WorkloadRunner
 from ..ycsb.workloads import CORE_WORKLOADS
 from .calibration import (
-    AOF_RECORD_BASE_COST,
-    AOF_RECORD_PER_BYTE,
+    AUDIT_RECORD_CPU,
     BASE_COMMAND_CPU,
     RAW_ONE_WAY_LATENCY,
     TLS_PSK,
+    logged_store,
     make_aof_sync,
     make_unmodified,
 )
+from .reporting import (Axis, Row, Scenario, scaled, share_of_first,
+                        ycsb_sizes)
 
 
 def _ycsb_a_throughput(adapter, clock, record_count: int,
@@ -52,169 +59,193 @@ def _ycsb_a_throughput(adapter, clock, record_count: int,
     return runner.run(operation_count).throughput
 
 
-def fsync_policy_sweep(record_count: int = 300,
-                       operation_count: int = 1000) -> Dict[str, float]:
-    """Throughput per appendfsync policy (plus the no-AOF baseline)."""
-    results = {"no-aof": _system_throughput(make_unmodified(),
-                                            record_count, operation_count)}
-    for policy in ("no", "everysec", "always"):
-        system = make_aof_sync(appendfsync=policy)
-        results[f"appendfsync={policy}"] = _system_throughput(
-            system, record_count, operation_count)
-    return results
-
-
 def _system_throughput(system, record_count: int,
                        operation_count: int) -> float:
     return _ycsb_a_throughput(system.adapter, system.clock, record_count,
                               operation_count)
 
 
-def audit_batch_sweep(intervals: Tuple[float, ...] = (0.0, 0.1, 1.0, 10.0),
-                      record_count: int = 200,
-                      operation_count: int = 600
-                      ) -> List[Dict[str, float]]:
-    """GDPR audit log: batch interval vs throughput vs exposure.
+def _half_sizes(records: int, ops: int):
+    return ycsb_sizes(records // 2, ops // 2)
+
+
+THROUGHPUT = ("throughput_ops_s", scaled("throughput"))
+
+
+def fsync_policy_throughput(appendfsync: Optional[str],
+                            record_count: int = 300,
+                            operation_count: int = 1000) -> Row:
+    """YCSB-A throughput under one appendfsync policy (``None`` = the
+    no-AOF baseline)."""
+    system = (make_unmodified() if appendfsync is None
+              else make_aof_sync(appendfsync=appendfsync))
+    return {"throughput": _system_throughput(system, record_count,
+                                             operation_count)}
+
+
+ABLATION_FSYNC = Scenario(
+    title="Ablations -- fsync policies (YCSB-A ops/s)",
+    axes=(Axis("appendfsync", (None, "no", "everysec", "always")),),
+    measure=fsync_policy_throughput,
+    sizes=ycsb_sizes,
+    columns=(("policy", lambda row, _rows:
+              f"appendfsync={row['appendfsync']}" if row["appendfsync"]
+              else "no-aof"),
+             THROUGHPUT, ("fraction", share_of_first("throughput"))),
+)
+
+
+def audit_batch_point(interval: float, record_count: int = 200,
+                      operation_count: int = 600) -> Row:
+    """GDPR audit log at one batch interval: throughput vs exposure.
 
     Interval 0 = synchronous (strict real-time compliance); larger
     intervals trade durability exposure (records a crash would lose) for
     throughput -- the paper's "batch, say, once every second" knob.
     """
-    rows = []
-    for interval in intervals:
-        clock = SimClock()
-        kv = KeyValueStore(
-            StoreConfig(command_cpu_cost=BASE_COMMAND_CPU),
-            clock=clock)
-        durability = (AuditDurability.SYNC if interval == 0.0
-                      else AuditDurability.BATCH)
-        audit = AuditLog(
-            log=AppendLog(clock=clock, latency=INTEL_750_SSD),
-            clock=clock, durability=durability, batch_interval=interval,
-            record_cpu_cost=5e-6)
-        store = GDPRStore(
-            kv=kv,
-            config=GDPRConfig(encrypt_at_rest=False,
-                              audit_durability=durability,
-                              audit_batch_interval=interval),
-            audit=audit)
-        adapter = GDPRAdapter(store)
-        throughput = _ycsb_a_throughput(adapter, clock, record_count,
-                                        operation_count)
-        rows.append({
-            "interval_s": interval,
-            "throughput": throughput,
-            "records_at_risk": float(audit.at_risk_records()),
-            # The paper's exposure metric ("one second worth of logs"):
-            # a crash loses up to one batch window of audit records.
-            "worst_case_exposure": (0.0 if interval == 0.0
-                                    else interval * throughput),
-        })
-    return rows
+    clock = SimClock()
+    kv = KeyValueStore(StoreConfig(command_cpu_cost=BASE_COMMAND_CPU),
+                       clock=clock)
+    durability = (AuditDurability.SYNC if interval == 0.0
+                  else AuditDurability.BATCH)
+    audit = AuditLog(
+        log=AppendLog(clock=clock, latency=INTEL_750_SSD),
+        clock=clock, durability=durability, batch_interval=interval,
+        record_cpu_cost=AUDIT_RECORD_CPU)
+    store = GDPRStore(
+        kv=kv,
+        config=GDPRConfig(encrypt_at_rest=False,
+                          audit_durability=durability,
+                          audit_batch_interval=interval),
+        audit=audit)
+    throughput = _ycsb_a_throughput(GDPRAdapter(store), clock,
+                                    record_count, operation_count)
+    return {
+        "throughput": throughput,
+        "records_at_risk": audit.at_risk_records(),
+        # The paper's exposure metric ("one second worth of logs"):
+        # a crash loses up to one batch window of audit records.
+        "worst_case_exposure": interval * throughput,
+    }
 
 
-def device_sweep(record_count: int = 300, operation_count: int = 800
-                 ) -> Dict[str, float]:
-    """Strict logging (fsync always) across device classes.
+ABLATION_AUDIT_BATCH = Scenario(
+    title="audit batch interval:",
+    axes=(Axis("interval", (0.0, 0.1, 1.0, 10.0)),),
+    measure=audit_batch_point,
+    sizes=_half_sizes,
+    columns=(("interval_s", "interval"), THROUGHPUT,
+             ("records_at_risk", "records_at_risk"),
+             ("worst_case_exposure", lambda row, _rows:
+              int(row["worst_case_exposure"]))),
+)
+
+
+def device_throughput(device: LatencyModel, record_count: int = 300,
+                      operation_count: int = 800) -> Row:
+    """Strict logging (fsync always) on one device class.
 
     Section 5.1: synchronous logging to SSD/HDD is ruinous; NVM-class
     persistence barriers make strict compliance affordable.
     """
-    results = {}
-    for device in (HDD, INTEL_750_SSD, NVM):
-        system = make_aof_sync(appendfsync="always", device=device)
-        results[device.name] = _system_throughput(system, record_count,
-                                                  operation_count)
-    return results
+    system = make_aof_sync(appendfsync="always", device=device)
+    return {"throughput": _system_throughput(system, record_count,
+                                             operation_count)}
 
 
-def encryption_split(record_count: int = 300, operation_count: int = 800
-                     ) -> Dict[str, float]:
+ABLATION_DEVICES = Scenario(
+    title="device classes at fsync-always:",
+    axes=(Axis("device", (HDD, INTEL_750_SSD, NVM)),),
+    measure=device_throughput,
+    sizes=ycsb_sizes,
+    columns=(("device", lambda row, _rows: row["device"].name),
+             ("throughput_ops_s_at_fsync_always", scaled("throughput"))),
+)
+
+# An SSD behind dm-crypt: the LUKS per-byte crypto cost on every byte
+# the store persists.
+LUKS_SSD = LatencyModel(
+    name="ssd+luks",
+    write_syscall=INTEL_750_SSD.write_syscall,
+    read_syscall=INTEL_750_SSD.read_syscall,
+    fsync=INTEL_750_SSD.fsync,
+    per_byte_write=INTEL_750_SSD.per_byte_write + CRYPTO_COST_PER_BYTE,
+    per_byte_read=INTEL_750_SSD.per_byte_read + CRYPTO_COST_PER_BYTE)
+
+
+def encryption_throughput(config: str, record_count: int = 300,
+                          operation_count: int = 800) -> Row:
     """Plaintext vs TLS-only vs LUKS-only vs both.
 
-    The LUKS-only configuration routes the store's AOF through a device
-    charged with the LUKS per-byte crypto cost; the TLS-only one proxies
+    A ``luks`` configuration routes the store's AOF through a device
+    charged with the LUKS per-byte crypto cost; a ``tls`` one proxies
     the wire.  Expectation (paper section 4.2): TLS dominates.
     """
-    from ..device.luks import CRYPTO_COST_PER_BYTE
-
-    results: Dict[str, float] = {}
-
-    results["plaintext"] = _system_throughput(
-        make_unmodified(), record_count, operation_count)
-
-    # TLS only.
     clock = SimClock()
-    store = KeyValueStore(StoreConfig(command_cpu_cost=BASE_COMMAND_CPU),
-                          clock=clock)
-    channel = stunnel_channel(clock, latency=RAW_ONE_WAY_LATENCY)
-    client = connect_tls(store, channel, TLS_PSK, clock=clock)
-    results["tls-only"] = _ycsb_a_throughput(
-        ClientAdapter(client), clock, record_count, operation_count)
-
-    # LUKS only: plaintext wire; persistence pays the crypto per byte.
-    clock = SimClock()
-    luks_device = LatencyModel(
-        name="ssd+luks",
-        write_syscall=INTEL_750_SSD.write_syscall,
-        read_syscall=INTEL_750_SSD.read_syscall,
-        fsync=INTEL_750_SSD.fsync,
-        per_byte_write=INTEL_750_SSD.per_byte_write + CRYPTO_COST_PER_BYTE,
-        per_byte_read=INTEL_750_SSD.per_byte_read + CRYPTO_COST_PER_BYTE)
-    store = KeyValueStore(
-        StoreConfig(command_cpu_cost=BASE_COMMAND_CPU, appendonly=True,
-                    appendfsync="everysec"),
-        clock=clock, aof_log=AppendLog(clock=clock, latency=luks_device))
-    channel = Channel(clock=clock, bandwidth_bps=RAW_BANDWIDTH_BPS,
-                      latency=RAW_ONE_WAY_LATENCY)
-    client = connect_plain(store, channel)
-    results["luks-only"] = _ycsb_a_throughput(
-        ClientAdapter(client), clock, record_count, operation_count)
-
-    # Both.
-    clock = SimClock()
-    store = KeyValueStore(
-        StoreConfig(command_cpu_cost=BASE_COMMAND_CPU, appendonly=True,
-                    appendfsync="everysec"),
-        clock=clock, aof_log=AppendLog(clock=clock, latency=luks_device))
-    channel = stunnel_channel(clock, latency=RAW_ONE_WAY_LATENCY)
-    client = connect_tls(store, channel, TLS_PSK, clock=clock)
-    results["luks+tls"] = _ycsb_a_throughput(
-        ClientAdapter(client), clock, record_count, operation_count)
-    return results
+    if "luks" in config:
+        store = KeyValueStore(
+            StoreConfig(command_cpu_cost=BASE_COMMAND_CPU, appendonly=True,
+                        appendfsync="everysec"),
+            clock=clock, aof_log=AppendLog(clock=clock, latency=LUKS_SSD))
+    else:
+        store = KeyValueStore(
+            StoreConfig(command_cpu_cost=BASE_COMMAND_CPU), clock=clock)
+    if "tls" in config:
+        client = connect_tls(
+            store, stunnel_channel(clock, latency=RAW_ONE_WAY_LATENCY),
+            TLS_PSK, clock=clock)
+    else:
+        client = connect_plain(
+            store, Channel(clock=clock, bandwidth_bps=RAW_BANDWIDTH_BPS,
+                           latency=RAW_ONE_WAY_LATENCY))
+    return {"throughput": _ycsb_a_throughput(
+        ClientAdapter(client), clock, record_count, operation_count)}
 
 
-def erasure_propagation(delays: Tuple[float, ...] = (0.001, 0.01, 0.1, 1.0)
-                        ) -> List[Dict[str, float]]:
-    """Art. 17 across replicas: erasure horizon vs replication delay.
+ABLATION_ENCRYPTION = Scenario(
+    title="encryption split:",
+    axes=(Axis("config", ("plaintext", "tls-only", "luks-only",
+                          "luks+tls")),),
+    measure=encryption_throughput,
+    sizes=ycsb_sizes,
+    columns=(("config", "config"), THROUGHPUT,
+             ("fraction", share_of_first("throughput"))),
+)
+
+
+def erasure_horizon(delay: float) -> Row:
+    """Art. 17 across replicas: erasure horizon at one replication delay.
 
     A DEL on the primary is not GDPR erasure until every replica has
     applied it; the horizon is bounded below by the slowest replica's
     one-way delay.  (Paper section 2.1: erasure must cover "all its
     replicas and backups".)
     """
-    from ..kvstore.replication import ReplicationManager
+    clock = SimClock()
+    primary = KeyValueStore(StoreConfig(), clock=clock)
+    manager = ReplicationManager(primary)
+    manager.add_replica("near", delay=0.0005)
+    manager.add_replica("far", delay=delay)
+    primary.execute("SET", "pii", "x")
+    clock.advance(delay * 2 + 1.0)
+    manager.pump()
+    primary.execute("DEL", "pii")
+    horizon = manager.erasure_horizon(b"pii", step=delay / 20 + 1e-5)
+    return {"erasure_horizon": horizon if horizon is not None
+            else float("inf")}
 
-    rows = []
-    for delay in delays:
-        clock = SimClock()
-        primary = KeyValueStore(StoreConfig(), clock=clock)
-        manager = ReplicationManager(primary)
-        manager.add_replica("near", delay=0.0005)
-        manager.add_replica("far", delay=delay)
-        primary.execute("SET", "pii", "x")
-        clock.advance(delay * 2 + 1.0)
-        manager.pump()
-        primary.execute("DEL", "pii")
-        horizon = manager.erasure_horizon(b"pii", step=delay / 20 + 1e-5)
-        rows.append({"replica_delay_s": delay,
-                     "erasure_horizon_s": horizon
-                     if horizon is not None else float("inf")})
-    return rows
+
+ABLATION_ERASURE_PROPAGATION = Scenario(
+    title="erasure propagation across replicas:",
+    axes=(Axis("delay", (0.001, 0.01, 0.1, 1.0)),),
+    measure=erasure_horizon,
+    columns=(("replica_delay_s", "delay"),
+             ("erasure_horizon_s", scaled("erasure_horizon", digits=4))),
+)
 
 
 def gdpr_slowdown(record_count: int = 200,
-                  operation_count: int = 600) -> Dict[str, float]:
+                  operation_count: int = 600) -> List[Row]:
     """The headline number and beyond.
 
     The paper's 20x is "logging every user request synchronously", i.e.
@@ -223,33 +254,38 @@ def gdpr_slowdown(record_count: int = 200,
     synchronous hash-chained audit of every interaction, per-subject
     encryption, ACL checks, and metadata indexing on top of fsync-always
     AOF -- which is costlier still (two durability barriers per op).
+    Throughput rows are YCSB-A ops/s; the two ``*slowdown*`` rows are the
+    unmodified throughput over the row above them.
     """
-    results = {"unmodified": _system_throughput(
-        make_unmodified(), record_count, operation_count)}
-    results["aof-always"] = _system_throughput(
-        make_aof_sync(appendfsync="always"), record_count,
-        operation_count)
-    results["paper_20x_slowdown"] = (results["unmodified"]
-                                     / max(results["aof-always"], 1e-9))
-
+    unmodified = _system_throughput(make_unmodified(), record_count,
+                                    operation_count)
+    aof_always = _system_throughput(make_aof_sync(appendfsync="always"),
+                                    record_count, operation_count)
     clock = SimClock()
-    kv = KeyValueStore(
-        StoreConfig(command_cpu_cost=BASE_COMMAND_CPU, appendonly=True,
-                    appendfsync="always", aof_log_reads=True,
-                    aof_record_base_cost=AOF_RECORD_BASE_COST,
-                    aof_record_per_byte_cost=AOF_RECORD_PER_BYTE),
-        clock=clock, aof_log=AppendLog(clock=clock, latency=INTEL_750_SSD))
     audit = AuditLog(log=AppendLog(clock=clock, latency=INTEL_750_SSD),
                      clock=clock, durability=AuditDurability.SYNC,
-                     record_cpu_cost=5e-6)
-    store = GDPRStore(kv=kv,
+                     record_cpu_cost=AUDIT_RECORD_CPU)
+    store = GDPRStore(kv=logged_store(clock, appendfsync="always"),
                       config=GDPRConfig(
                           encrypt_at_rest=True,
                           audit_durability=AuditDurability.SYNC),
                       audit=audit)
-    results["gdpr-strict"] = _ycsb_a_throughput(
-        GDPRAdapter(store), clock, record_count, operation_count)
+    strict = _ycsb_a_throughput(GDPRAdapter(store), clock, record_count,
+                                operation_count)
+    return [
+        {"config": "unmodified", "value": unmodified},
+        {"config": "aof-always", "value": aof_always},
+        {"config": "paper_20x_slowdown",
+         "value": unmodified / max(aof_always, 1e-9)},
+        {"config": "gdpr-strict", "value": strict},
+        {"config": "slowdown_x", "value": unmodified / max(strict, 1e-9)},
+    ]
 
-    results["slowdown_x"] = (results["unmodified"]
-                             / max(results["gdpr-strict"], 1e-9))
-    return results
+
+GDPR_SLOWDOWN = Scenario(
+    title="headline slowdowns:",
+    axes=(),
+    measure=gdpr_slowdown,
+    sizes=_half_sizes,
+    columns=(("config", "config"), ("value", scaled("value", digits=2))),
+)

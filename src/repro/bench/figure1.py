@@ -4,19 +4,18 @@ Reproduces the paper's main performance figure: throughput across
 Load-A, A, B, C, D, Load-E, E, F for *Unmodified*, *AOF w/ sync*
 (``appendfsync everysec`` with read logging, the plotted configuration),
 and *LUKS + TLS*.  The companion text claims -- fsync-always at ~5% of
-baseline and the 6x recovery at everysec -- are covered by
-:func:`run_fsync_comparison` (also used by the ablation benchmarks).
+baseline and the 6x recovery at everysec -- are
+:data:`repro.bench.micro.MICRO_FSYNC`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from ..ycsb.runner import RunReport, WorkloadRunner
+from ..ycsb.runner import WorkloadRunner
 from ..ycsb.workloads import CORE_WORKLOADS
 from .calibration import FIGURE1_CONFIGS, SystemUnderTest, make_figure1_system
-from .reporting import render_table
+from .reporting import Cell, Row, Scenario, scaled, ycsb_sizes
 
 # The figure's x axis: (label, workload, phase) in plotted order.  A/B/C/D
 # share the A dataset; E and F run on the E dataset, matching YCSB's
@@ -39,20 +38,13 @@ PHASE_PLAN = (
 _SCAN_GROUPS = {"E"}
 
 
-@dataclass
-class Figure1Cell:
-    phase: str
-    config: str
-    throughput: float
-    report: RunReport
-
-
 def run_config(config: str, record_count: int = 1000,
                operation_count: int = 2000,
-               seed: int = 42) -> List[Figure1Cell]:
+               seed: int = 42) -> Dict[str, float]:
     """Run all eight phases for one configuration (fresh store per
-    dataset group, as YCSB reloads between A-D and E)."""
-    cells: List[Figure1Cell] = []
+    dataset group, as YCSB reloads between A-D and E); ops per
+    simulated second, by phase label."""
+    throughputs: Dict[str, float] = {}
     system: Optional[SystemUnderTest] = None
     runner: Optional[WorkloadRunner] = None
     for label, workload_name, phase in PHASE_PLAN:
@@ -75,60 +67,35 @@ def run_config(config: str, record_count: int = 1000,
                                     insert_counter=runner.insert_counter)
             report = runner.run(operation_count)
         system.maybe_snapshot_to_luks()
-        cells.append(Figure1Cell(phase=label, config=config,
-                                 throughput=report.throughput,
-                                 report=report))
-    return cells
-
-
-def run_figure1(configs: Sequence[str] = FIGURE1_CONFIGS,
-                record_count: int = 1000, operation_count: int = 2000,
-                seed: int = 42) -> Dict[str, List[Figure1Cell]]:
-    """The full figure: every configuration across every phase."""
-    return {config: run_config(config, record_count, operation_count, seed)
-            for config in configs}
-
-
-def figure1_table(results: Dict[str, List[Figure1Cell]]) -> str:
-    """Render the figure as the table of throughputs it plots."""
-    configs = list(results)
-    phases = [cell.phase for cell in results[configs[0]]]
-    headers = ["phase"] + configs + ["aof/unmod", "tls/unmod"]
-    rows = []
-    for index, phase in enumerate(phases):
-        row: List[object] = [phase]
-        values = {}
-        for config in configs:
-            cell = results[config][index]
-            values[config] = cell.throughput
-            row.append(round(cell.throughput, 1))
-        base = values.get("unmodified", 0.0)
-        for key in ("aof-everysec", "luks+tls"):
-            if base > 0 and key in values:
-                row.append(f"{values[key] / base:.2f}")
-            else:
-                row.append("-")
-        rows.append(row)
-    return render_table(headers, rows)
-
-
-def run_fsync_comparison(record_count: int = 500,
-                         operation_count: int = 1500,
-                         seed: int = 42) -> Dict[str, float]:
-    """The paper's section 4.1 numbers: throughput on YCSB-A for
-    unmodified vs fsync-always vs fsync-everysec.
-
-    Expected shape: always ~5% of unmodified; everysec ~6x better than
-    always (~30% of unmodified).
-    """
-    throughputs: Dict[str, float] = {}
-    for config in ("unmodified", "aof-always", "aof-everysec"):
-        system = make_figure1_system(config, seed=seed)
-        spec = CORE_WORKLOADS["A"].scaled(record_count=record_count,
-                                          operation_count=operation_count)
-        runner = WorkloadRunner(system.adapter, spec, system.clock,
-                                seed=seed)
-        runner.load()
-        report = runner.run(operation_count)
-        throughputs[config] = report.throughput
+        throughputs[label] = report.throughput
     return throughputs
+
+
+def run_figure(record_count: int, operation_count: int) -> List[Row]:
+    """The figure as the table it plots: one row per phase, one
+    throughput per configuration."""
+    by_config = {config: run_config(config, record_count, operation_count)
+                 for config in FIGURE1_CONFIGS}
+    return [{"phase": label,
+             **{config: by_config[config][label] for config in by_config}}
+            for label, _, _ in PHASE_PLAN]
+
+
+def _of_unmodified(config: str) -> Cell:
+    return lambda row, _rows: (f"{row[config] / row['unmodified']:.2f}"
+                               if row["unmodified"] > 0 else "-")
+
+
+# The paper's claim is the two ratio columns: both modified
+# configurations land near 30% of the unmodified store on every phase.
+FIGURE1 = Scenario(
+    title="Figure 1 -- YCSB throughput "
+          "(unmodified / AOF w/ sync / LUKS+TLS)",
+    axes=(),
+    measure=run_figure,
+    sizes=ycsb_sizes,
+    columns=(("phase", "phase"),
+             *((config, scaled(config)) for config in FIGURE1_CONFIGS),
+             ("aof/unmod", _of_unmodified("aof-everysec")),
+             ("tls/unmod", _of_unmodified("luks+tls"))),
+)

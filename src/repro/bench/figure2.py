@@ -15,11 +15,11 @@ everything within one cron tick: sub-second up to 1M keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..common.clock import SimClock
 from ..kvstore.store import KeyValueStore, StoreConfig
-from .reporting import render_table
+from .reporting import Axis, Row, Scenario, scaled
 
 SHORT_TTL = 300.0          # 5 minutes
 LONG_TTL = 5 * 86400.0     # 5 days
@@ -114,41 +114,49 @@ def measure_erasure_delay(total_keys: int, strategy: str = "lazy",
         erase_seconds=erase_seconds, cycles=cycles, completed=completed)
 
 
-def run_figure2(sizes: Sequence[int] = DEFAULT_SIZES,
-                strategies: Sequence[str] = ("lazy", "fullscan"),
-                seed: int = 0
-                ) -> Dict[str, List[ErasureMeasurement]]:
-    """The full figure: erasure delay per size, per strategy."""
-    return {
-        strategy: [measure_erasure_delay(size, strategy=strategy,
-                                         seed=seed)
-                   for size in sizes]
-        for strategy in strategies
-    }
+def erasure_delays(total_keys: int,
+                   strategies: Sequence[str] = ("lazy", "fullscan")) -> Row:
+    """One database size under each expiry strategy: seconds from the
+    expiry instant until the last short-term key is gone."""
+    row = {}
+    for strategy in strategies:
+        point = measure_erasure_delay(total_keys, strategy)
+        row["short_keys"] = point.short_keys
+        row[f"{strategy}_seconds"] = point.erase_seconds
+    return row
 
 
-def figure2_table(results: Dict[str, List[ErasureMeasurement]]) -> str:
-    strategies = list(results)
-    sizes = [m.total_keys for m in results[strategies[0]]]
-    headers = (["total_keys", "expired_keys"]
-               + [f"{s}_erase_s" for s in strategies]
-               + ["paper_lazy_s"])
-    rows = []
-    for index, size in enumerate(sizes):
-        row: List[object] = [size, results[strategies[0]][index].short_keys]
-        for strategy in strategies:
-            row.append(round(results[strategy][index].erase_seconds, 3))
-        row.append(PAPER_LAZY_SECONDS.get(size, "-"))
-        rows.append(row)
-    return render_table(headers, rows)
+KEYS = (("total_keys", "total_keys"), ("expired_keys", "short_keys"))
+FULLSCAN = ("fullscan_erase_s", scaled("fullscan_seconds", digits=3))
+
+FIGURE2 = Scenario(
+    title="Figure 2 -- erasure delay of expired keys",
+    axes=(Axis("total_keys", DEFAULT_SIZES[:5], full=DEFAULT_SIZES),),
+    measure=erasure_delays,
+    columns=(*KEYS, ("lazy_erase_s", scaled("lazy_seconds", digits=3)),
+             FULLSCAN,
+             ("paper_lazy_s", lambda row, _rows:
+              PAPER_LAZY_SECONDS.get(row["total_keys"], "-"))),
+)
+
+# Past the figure's range only the modified expiry is measurable: the
+# paper reports it sub-second up to 1M keys (``--full``).
+FULLSCAN_AT_SCALE = Scenario(
+    title="full-scan expiry past the figure's range "
+          "(paper: sub-second up to 1M keys):",
+    axes=(Axis("total_keys", (100_000,), full=(1_000_000,)),),
+    measure=erasure_delays,
+    fixed={"strategies": ("fullscan",)},
+    columns=(*KEYS, FULLSCAN),
+)
 
 
-def doubling_ratios(measurements: List[ErasureMeasurement]
-                    ) -> List[Tuple[int, float]]:
-    """Erase-time growth factor per size doubling (paper shape: ~2x)."""
+def doubling_ratios(rows: Sequence[Row]) -> List[Tuple[int, float]]:
+    """Lazy erase-time growth factor per size doubling (paper shape:
+    ~2x)."""
     out = []
-    for previous, current in zip(measurements, measurements[1:]):
-        if previous.erase_seconds > 0:
-            out.append((current.total_keys,
-                        current.erase_seconds / previous.erase_seconds))
+    for previous, current in zip(rows, rows[1:]):
+        if previous["lazy_seconds"] > 0:
+            out.append((current["total_keys"],
+                        current["lazy_seconds"] / previous["lazy_seconds"]))
     return out

@@ -2,7 +2,8 @@
 harness every declared sweep runs through.
 
 A :class:`Scenario` states *what* a benchmark is -- its axes, the
-function that measures one point, its columns and its prose.  *How* a
+function that measures one point, its columns and its prose (a
+:class:`Text` wraps a table some other module already renders).  *How* a
 declaration becomes numbers and text lives only here: :func:`sweep`
 walks the product of the axes in declared order (honouring ``--full``
 and the CLI's pin flags) and :func:`render` lays the rows out with
@@ -27,7 +28,8 @@ class Axis:
     """One swept dimension of a :class:`Scenario`.
 
     ``name`` is the keyword the measurement receives, the key the value
-    keeps in the row, and the CLI flag that pins the axis to one value.
+    keeps in the row, and what a pin names to replace the axis's values
+    (the CLI's ``--shards 2``, ``--features baseline,+audit``).
     A tuple of names declares a compound axis whose values are tuples
     (curves that vary two settings together); it cannot be pinned.
     ``full`` is the wider value set ``--full`` selects.
@@ -64,23 +66,36 @@ class Scenario:
     footnote: str = ""
 
 
+@dataclass(frozen=True)
+class Text:
+    """A declared artifact another module already renders (Table 1 is
+    :func:`repro.gdpr.compliance.render_table1` output): printed and
+    recorded like a :class:`Scenario`, but its body is ``text()``."""
+
+    title: str
+    text: Callable[[], str]
+    footnote: str = ""
+
+
 def sweep(scenario: Scenario, records: int, ops: int, full: bool = False,
           pins: Optional[Mapping[str, object]] = None
           ) -> List[Dict[str, object]]:
     """Measure every point of ``scenario``: the product of its axes in
     declared order (first axis outermost), one row per measurement.
 
-    ``pins`` maps axis names to a single value replacing that axis's
+    ``pins`` maps axis names to the value -- or, for a plain axis, the
+    tuple of values, swept in the order given -- replacing that axis's
     set (``None`` = not pinned); names no axis carries are ignored, so
     the CLI hands every scenario the same mapping.
     """
     choices = []
     for axis in scenario.axes:
         pinned = pins.get(axis.name) if pins else None
-        if pinned is not None:
-            choices.append((pinned,))
-        else:
+        if pinned is None:
             choices.append(axis.full if full and axis.full else axis.values)
+        else:
+            choices.append(pinned if isinstance(pinned, tuple)
+                           else (pinned,))
     sizes = scenario.sizes(records, ops)
     rows = []
     for point in itertools.product(*choices):
@@ -108,6 +123,20 @@ def render(scenario: Scenario, rows: Sequence[Row]) -> str:
     return text
 
 
+def ycsb_sizes(records: int, ops: int) -> Dict[str, int]:
+    """``sizes``: the CLI's ``--records`` / ``--ops``, handed on
+    unchanged."""
+    return {"record_count": records, "operation_count": ops}
+
+
+def halved_sizes(records: int, ops: int) -> Dict[str, int]:
+    """``sizes``: half the CLI's, floored at 60 records / 200 operations
+    -- what the many-stack comparisons (``backends``: sixteen YCSB-A
+    runs; ``tiering``: six windowed ones) sweep at."""
+    return {"record_count": max(60, records // 2),
+            "operation_count": max(200, ops // 2)}
+
+
 def scaled(key: str, scale: float = 1.0, digits: int = 1) -> Cell:
     """Cell: ``row[key] * scale`` rounded to ``digits`` (seconds to us
     is ``scale=1e6``)."""
@@ -117,6 +146,14 @@ def scaled(key: str, scale: float = 1.0, digits: int = 1) -> Cell:
 def on_off(key: str) -> Cell:
     """Cell: a boolean setting printed as ``on`` / ``off``."""
     return lambda row, _rows: "on" if row[key] else "off"
+
+
+def share_of_first(key: str, digits: int = 3) -> Cell:
+    """Cell: ``row[key]`` as a fraction of the first row's -- for
+    sweeps that measure their baseline first (``-`` if that is 0, as
+    a zero-operation run's throughput is)."""
+    return lambda row, rows: (round(row[key] / rows[0][key], digits)
+                              if rows[0][key] else "-")
 
 
 def render_table(headers: Sequence[str],

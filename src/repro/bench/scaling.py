@@ -67,8 +67,6 @@ from ..cluster import (
     slot_for_key,
 )
 from ..common.clock import Clock
-from ..device.append_log import AppendLog
-from ..device.latency import INTEL_750_SSD
 from ..gdpr.metadata import GDPRMetadata
 from ..kvstore.store import KeyValueStore, StoreConfig
 from ..ycsb.distributions import ScrambledZipfianGenerator
@@ -76,20 +74,14 @@ from ..ycsb.generator import build_key_name
 from ..ycsb.openloop import OpenLoopRunner
 from ..ycsb.workloads import WORKLOAD_B
 from .calibration import (
-    AOF_RECORD_BASE_COST,
-    AOF_RECORD_PER_BYTE,
     BASE_COMMAND_CPU,
     RAW_ONE_WAY_LATENCY,
+    logged_store,
 )
-from .reporting import Axis, Row, Scenario, on_off, scaled
+from .reporting import Axis, Row, Scenario, on_off, scaled, ycsb_sizes
 
 VALUE_SIZE = 100
 READ_FRACTION = 0.95   # YCSB-B's read-mostly mix
-
-
-def ycsb_sizes(records: int, ops: int) -> Dict[str, int]:
-    """The CLI's ``--records`` / ``--ops``, handed on unchanged."""
-    return {"record_count": records, "operation_count": ops}
 
 
 # Columns several scenarios print the same way.  ``ops/s`` is operations
@@ -110,15 +102,7 @@ def _store_factory(gdpr: bool):
             return KeyValueStore(
                 StoreConfig(command_cpu_cost=BASE_COMMAND_CPU, seed=index),
                 clock=clock)
-        return KeyValueStore(
-            StoreConfig(command_cpu_cost=BASE_COMMAND_CPU,
-                        appendonly=True, appendfsync="everysec",
-                        aof_log_reads=True,
-                        aof_record_base_cost=AOF_RECORD_BASE_COST,
-                        aof_record_per_byte_cost=AOF_RECORD_PER_BYTE,
-                        seed=index),
-            clock=clock, aof_log=AppendLog(clock=clock,
-                                           latency=INTEL_750_SSD))
+        return logged_store(clock, seed=index)
     return make
 
 
@@ -419,10 +403,10 @@ def latency_at_load(arrival_rate: float, clients: int,
 DEFAULT_HOCKEY_RATES = (5_000.0, 10_000.0, 20_000.0, 30_000.0, 36_000.0,
                         40_000.0, 48_000.0, 60_000.0)
 
-# The single-loop curve (the bench_results artifact; no CLI experiment
-# prints it): eight clients, batching off, one core.
+# The single-loop curve: eight clients, batching off, one core.
 HOCKEY_STICK = Scenario(
-    title="latency vs offered load, one single-core shard:",
+    title="Hockey stick -- open-loop latency vs offered load, one "
+          "single-core shard",
     axes=(Axis("arrival_rate", DEFAULT_HOCKEY_RATES),),
     measure=latency_at_load,
     fixed={"clients": 8, "adaptive_batch": False},

@@ -25,8 +25,7 @@ Same seed => identical numbers, byte for byte; CI diffs two runs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Sequence
 
 from ..common.clock import SimClock
 from ..crypto.cipher import seeded_entropy
@@ -36,14 +35,9 @@ from ..engine.base import StorageEngine
 from ..gdpr.metadata import GDPRMetadata
 from ..gdpr.rights import right_to_erasure
 from ..gdpr.store import GDPRConfig, GDPRStore
-from ..kvstore.store import KeyValueStore, StoreConfig
 from ..tiering import TieredEngine, TieringConfig
-from .calibration import (
-    AOF_RECORD_BASE_COST,
-    AOF_RECORD_PER_BYTE,
-    BASE_COMMAND_CPU,
-)
-from .reporting import render_table
+from .calibration import logged_store
+from .reporting import Axis, Row, Scenario, halved_sizes, scaled
 
 HOT_FRACTIONS = (1.0, 0.5, 0.25)
 VALUE_BYTES = 256
@@ -56,39 +50,8 @@ PROBE_COLD_READS = 8
 ERASURE_SUBJECT = "subject-0"
 
 
-@dataclass
-class TieringCell:
-    """One (mode, hot-fraction) point of the comparison."""
-
-    mode: str                 # "hot-only" or "tiered"
-    hot_fraction: float
-    throughput: float         # access-window ops per simulated second
-    hot_keys: int
-    hot_bytes: int
-    cold_keys: int
-    cold_resident_bytes: int
-    cold_device_bytes: int
-    demotions: int
-    promotions: int
-    cold_read_seconds: float  # avg probe read; promote cost when tiered
-    erase_seconds: float      # Art. 17, one subject, both tiers
-    keys_erased: int
-    cold_segments_voided: int
-
-
-def _hot_engine(clock: SimClock) -> KeyValueStore:
-    return KeyValueStore(
-        StoreConfig(command_cpu_cost=BASE_COMMAND_CPU, appendonly=True,
-                    appendfsync="everysec", aof_log_reads=False,
-                    aof_record_base_cost=AOF_RECORD_BASE_COST,
-                    aof_record_per_byte_cost=AOF_RECORD_PER_BYTE,
-                    seed=0),
-        clock=clock, aof_log=AppendLog(clock=clock,
-                                       latency=INTEL_750_SSD))
-
-
 def _make_engine(mode: str, clock: SimClock) -> StorageEngine:
-    engine: StorageEngine = _hot_engine(clock)
+    engine: StorageEngine = logged_store(clock, log_reads=False)
     if mode == "tiered":
         engine = TieredEngine(
             engine,
@@ -119,8 +82,13 @@ def _hot_footprint(engine: StorageEngine) -> Dict[str, int]:
 def run_tiering_cell(mode: str, hot_fraction: float,
                      record_count: int = 300,
                      operation_count: int = 800,
-                     seed: int = 42) -> TieringCell:
-    """Load, access in windows, then erase one cross-tier subject."""
+                     seed: int = 42) -> Row:
+    """Load, access in windows, then erase one cross-tier subject.
+
+    ``throughput`` is access-window ops per simulated second;
+    ``cold_read_seconds`` the average probe read (the promote cost when
+    tiered); ``erase_seconds`` one subject's Art. 17 across both tiers.
+    """
     # Seeded nonces/keys: the reported byte counts include zlib over
     # ciphertext, so entropy must be reproducible for the CI
     # byte-identical re-run check to hold.
@@ -130,7 +98,7 @@ def run_tiering_cell(mode: str, hot_fraction: float,
 
 
 def _run_cell(mode: str, hot_fraction: float, record_count: int,
-              operation_count: int, seed: int) -> TieringCell:
+              operation_count: int, seed: int) -> Row:
     clock = SimClock()
     engine = _make_engine(mode, clock)
     store = GDPRStore(kv=engine,
@@ -190,63 +158,62 @@ def _run_cell(mode: str, hot_fraction: float, record_count: int,
     # strided across the keyspace, so at hot fractions < 1 some were
     # demoted): time from request to receipt, archive included.
     receipt = right_to_erasure(store, ERASURE_SUBJECT)
-    return TieringCell(
-        mode=mode, hot_fraction=hot_fraction,
-        throughput=operations / active_seconds if active_seconds else 0.0,
-        hot_keys=footprint["hot_keys"],
-        hot_bytes=footprint["hot_bytes"],
-        cold_keys=footprint["cold_keys"],
-        cold_resident_bytes=footprint["cold_resident_bytes"],
-        cold_device_bytes=footprint["cold_device_bytes"],
-        demotions=getattr(engine, "demotions", 0),
-        promotions=getattr(engine, "promotions", 0),
-        cold_read_seconds=probe_seconds,
-        erase_seconds=receipt.duration,
-        keys_erased=len(receipt.keys_erased),
-        cold_segments_voided=receipt.cold_segments_voided)
+    return {
+        "throughput": operations / active_seconds if active_seconds else 0.0,
+        **footprint,
+        "demotions": getattr(engine, "demotions", 0),
+        "promotions": getattr(engine, "promotions", 0),
+        "cold_read_seconds": probe_seconds,
+        "erase_seconds": receipt.duration,
+        "keys_erased": len(receipt.keys_erased),
+        "cold_segments_voided": receipt.cold_segments_voided,
+    }
 
 
-def run_tiering(record_count: int = 300, operation_count: int = 800,
-                seed: int = 42,
-                hot_fractions: Sequence[float] = HOT_FRACTIONS
-                ) -> List[TieringCell]:
-    """The full matrix: {hot-only, tiered} x hot fractions, identical
-    seeded access streams."""
-    return [run_tiering_cell(mode, fraction, record_count,
-                             operation_count, seed=seed)
-            for fraction in hot_fractions
-            for mode in ("hot-only", "tiered")]
-
-
-def tiering_table(cells: Sequence[TieringCell]) -> str:
-    rows = []
-    for cell in cells:
-        rows.append([
-            cell.mode, f"{cell.hot_fraction:.2f}",
-            round(cell.throughput, 1),
-            cell.hot_keys, cell.hot_bytes,
-            cell.cold_keys, cell.cold_resident_bytes,
-            cell.cold_device_bytes,
-            cell.demotions, cell.promotions,
-            round(cell.cold_read_seconds * 1e6, 2),
-            round(cell.erase_seconds * 1e3, 3),
-            cell.keys_erased, cell.cold_segments_voided,
-        ])
-    return render_table(
-        ["mode", "hot_frac", "ops/s", "hot keys", "hot bytes",
-         "cold keys", "cold ram", "cold dev", "demoted", "promoted",
-         "cold_rd_us", "erase_ms", "erased", "segs voided"], rows)
-
-
-def footprint_reduction(cells: Sequence[TieringCell]
-                        ) -> Dict[float, float]:
+def footprint_reduction(rows: Sequence[Row]) -> Dict[float, float]:
     """Per hot fraction: tiered hot bytes as a fraction of hot-only hot
     bytes (the headline 'resident footprint kept' number)."""
-    hot_only: Dict[float, int] = {}
-    tiered: Dict[float, int] = {}
-    for cell in cells:
-        target = hot_only if cell.mode == "hot-only" else tiered
-        target[cell.hot_fraction] = cell.hot_bytes
-    return {fraction: (tiered[fraction] / hot_only[fraction]
-                       if hot_only.get(fraction) else 0.0)
-            for fraction in tiered}
+    hot_bytes = {(row["mode"], row["hot_fraction"]): row["hot_bytes"]
+                 for row in rows}
+    return {fraction: tiered / hot_bytes["hot-only", fraction]
+            for (mode, fraction), tiered in hot_bytes.items()
+            if mode == "tiered"}
+
+
+def _footprint_summary(rows: Sequence[Row]) -> str:
+    kept = ", ".join(f"{fraction:.2f}: {ratio:.0%}" for fraction, ratio
+                     in sorted(footprint_reduction(rows).items(),
+                               reverse=True))
+    return f"resident hot footprint kept (tiered / hot-only): {kept}"
+
+
+# {hot-only, tiered} x hot fractions over identical seeded access
+# streams.
+TIERING = Scenario(
+    title="Tiering -- hot/cold archive: footprint, promote "
+          "cost, archive-reaching erasure",
+    axes=(Axis("hot_fraction", HOT_FRACTIONS),
+          Axis("mode", ("hot-only", "tiered"))),
+    measure=run_tiering_cell,
+    sizes=halved_sizes,
+    columns=(("mode", "mode"),
+             ("hot_frac", lambda row, _rows: f"{row['hot_fraction']:.2f}"),
+             ("ops/s", scaled("throughput")),
+             ("hot keys", "hot_keys"), ("hot bytes", "hot_bytes"),
+             ("cold keys", "cold_keys"),
+             ("cold ram", "cold_resident_bytes"),
+             ("cold dev", "cold_device_bytes"),
+             ("demoted", "demotions"), ("promoted", "promotions"),
+             ("cold_rd_us", scaled("cold_read_seconds", 1e6, 2)),
+             ("erase_ms", scaled("erase_seconds", 1e3, 3)),
+             ("erased", "keys_erased"),
+             ("segs voided", "cold_segments_voided")),
+    summary=_footprint_summary,
+    footnote="Rows pair a hot-only store against the tiered store on "
+             "the same seeded\nstream.  'cold_rd_us' is a read that "
+             "faults in from the archive (promote);\n'erase_ms' is a "
+             "full Art. 17 request on a subject whose records span "
+             "both\ntiers -- DELs, durable cold tombstones, the fsynced "
+             "subject marker, and\nthe crypto-erasure.  At hot fraction "
+             "1.0 the tiers are indistinguishable.",
+)

@@ -15,14 +15,12 @@ from repro.bench.calibration import (
     make_luks_tls,
     make_unmodified,
 )
-from repro.bench.figure1 import PHASE_PLAN, figure1_table, run_config
+from repro.bench.figure1 import FIGURE1, PHASE_PLAN, run_config
 from repro.bench.figure2 import (
-    DEFAULT_SIZES,
+    FIGURE2,
     doubling_ratios,
-    figure2_table,
     measure_erasure_delay,
     populate_expiring,
-    run_figure2,
 )
 from repro.bench.reporting import (
     Axis,
@@ -86,14 +84,13 @@ class TestFigure1Driver:
             ["Load-A", "A", "B", "C", "D", "Load-E", "E", "F"]
 
     def test_run_config_tiny(self):
-        cells = run_config("unmodified", record_count=20,
-                           operation_count=30)
-        assert [c.phase for c in cells] == [p for p, _, _ in PHASE_PLAN]
-        assert all(c.throughput > 0 for c in cells)
+        throughputs = run_config("unmodified", record_count=20,
+                                 operation_count=30)
+        assert list(throughputs) == [p for p, _, _ in PHASE_PLAN]
+        assert all(tp > 0 for tp in throughputs.values())
 
-    def test_table_renders(self):
-        results = {"unmodified": run_config("unmodified", 10, 15)}
-        table = figure1_table(results)
+    def test_table_renders(self, smoke_rows):
+        table = render(FIGURE1, smoke_rows(FIGURE1))
         assert "Load-A" in table and "phase" in table
 
 
@@ -120,22 +117,22 @@ class TestFigure2Driver:
         assert not m.completed
 
     def test_run_figure2_structure(self):
-        results = run_figure2(sizes=(500, 1000),
-                              strategies=("fullscan",))
-        assert len(results["fullscan"]) == 2
-        table = figure2_table(results)
-        assert "total_keys" in table
+        rows = sweep(FIGURE2, 0, 0, pins={"total_keys": (500, 1000)})
+        assert [row["total_keys"] for row in rows] == [500, 1000]
+        assert "total_keys" in render(FIGURE2, rows)
 
     def test_doubling_ratios(self):
-        results = run_figure2(sizes=(500, 1000, 2000),
-                              strategies=("lazy",))
-        ratios = doubling_ratios(results["lazy"])
+        rows = sweep(FIGURE2, 0, 0,
+                     pins={"total_keys": (500, 1000, 2000)})
+        ratios = doubling_ratios(rows)
         assert len(ratios) == 2
         assert all(r > 0 for _, r in ratios)
 
     def test_default_sizes_match_paper(self):
-        assert DEFAULT_SIZES == (1_000, 2_000, 4_000, 8_000, 16_000,
-                                 32_000, 64_000, 128_000)
+        (axis,) = FIGURE2.axes
+        assert axis.full == (1_000, 2_000, 4_000, 8_000, 16_000,
+                             32_000, 64_000, 128_000)
+        assert axis.values == axis.full[:5]
 
 
 class TestReporting:
@@ -193,6 +190,12 @@ class TestDeclaredSweep:
         rows = sweep(self.TOY, 100, 0, full=True)
         assert sorted({r["size"] for r in rows}) == [1, 2, 3]
         assert len(rows) == 2 * 3 * 2
+
+    def test_pin_to_several_values_sweeps_them_in_the_order_given(self):
+        rows = sweep(self.TOY, 100, 0, pins={"size": (3, 1)})
+        assert [r["size"] for r in rows if r["mode"] == "a"] \
+            == [3, 1, 3, 1]
+        assert len(rows) == 2 * 2 * 2
 
     def test_pin_replaces_the_named_axis_and_ignores_other_names(self):
         rows = sweep(self.TOY, 100, 0, full=True,

@@ -1,4 +1,7 @@
-"""Tests for the `python -m repro.bench` command-line driver."""
+"""Tests for the `python -m repro.bench` command-line driver.
+
+The ``*_small`` / ``*_subset`` tests read the experiment's one shared
+smoke run (``smoke_stdout`` in ``conftest.py``)."""
 
 import pytest
 
@@ -6,27 +9,23 @@ from repro.bench.__main__ import EXPERIMENTS, main
 
 
 class TestCli:
-    def test_table1_subset(self, capsys):
-        assert main(["table1"]) == 0
-        out = capsys.readouterr().out
+    def test_table1_subset(self, smoke_stdout):
+        out = smoke_stdout("table1")
         assert "Table 1" in out
         assert "31/99" in out
 
-    def test_micro_subset_small_scale(self, capsys):
-        assert main(["micro", "--records", "50", "--ops", "100"]) == 0
-        out = capsys.readouterr().out
+    def test_micro_subset_small_scale(self, smoke_stdout):
+        out = smoke_stdout("micro")
         assert "logging mechanisms" in out
         assert "stunnel" in out
 
-    def test_figure2_small(self, capsys):
-        assert main(["figure2", "--records", "20", "--ops", "20"]) == 0
-        out = capsys.readouterr().out
+    def test_figure2_small(self, smoke_stdout):
+        out = smoke_stdout("figure2")
         assert "total_keys" in out
         assert "paper_lazy_s" in out
 
-    def test_scaling_small(self, capsys):
-        assert main(["scaling", "--records", "40", "--ops", "80"]) == 0
-        out = capsys.readouterr().out
+    def test_scaling_small(self, smoke_stdout):
+        out = smoke_stdout("scaling")
         assert "shards" in out and "depth" in out
         assert "erasure fan-out" in out
 
@@ -56,10 +55,8 @@ class TestCli:
             assert len(rows) == expected_rows
             assert {row[0] for row in rows} == {"2"}
 
-    def test_resharding_small(self, capsys):
-        assert main(["resharding", "--records", "50",
-                     "--ops", "90"]) == 0
-        out = capsys.readouterr().out
+    def test_resharding_small(self, smoke_stdout):
+        out = smoke_stdout("resharding")
         assert "live slot migration" in out
         assert "drag" in out
 
@@ -78,10 +75,8 @@ class TestCli:
         # shard shares the load, so 'after' is at worst marginally off).
         assert result["steady_after"] > 0.8 * result["steady_before"]
 
-    def test_replication_small(self, capsys):
-        assert main(["replication", "--shards", "2", "--replicas", "2",
-                     "--records", "30", "--ops", "60"]) == 0
-        out = capsys.readouterr().out
+    def test_replication_small(self, smoke_stdout):
+        out = smoke_stdout("replication")
         assert "erasure horizon" in out
         assert "hz p99 ms" in out
         assert "Art. 17 erasure through replicas" in out
@@ -102,24 +97,53 @@ class TestCli:
         # Primary-side throughput does not depend on the replica delay.
         assert slow["throughput"] == pytest.approx(fast["throughput"])
 
-    def test_backends_small(self, capsys):
-        assert main(["backends", "--records", "30", "--ops", "80"]) == 0
-        out = capsys.readouterr().out
+    def test_backends_small(self, smoke_stdout):
+        out = smoke_stdout("backends")
         assert "per-GDPR-feature overhead" in out
         assert "redislike" in out and "relational" in out
         assert "full-gdpr" in out and "of baseline" in out
 
     def test_backends_relative_penalty_asymmetry(self):
-        from repro.bench.backends import headline_comparison, run_backends
-        headline = headline_comparison(run_backends(
-            record_count=40, operation_count=100,
-            features=("baseline", "full-gdpr")))
+        from repro.bench.backends import BACKENDS
+        from repro.bench.reporting import sweep
+        rows = sweep(BACKENDS, 40, 100,
+                     pins={"feature": ("baseline", "full-gdpr")})
+        tput = {(row["engine"], row["feature"]): row["throughput"]
+                for row in rows}
+        assert len(tput) == len(rows) == 4
         # Stock KV is faster; full compliance costs it relatively more
         # (the paper's Redis-vs-Postgres asymmetry).
-        assert headline["redislike_baseline_ops"] \
-            > headline["relational_baseline_ops"]
-        assert headline["redislike_slowdown_x"] \
-            > headline["relational_slowdown_x"]
+        assert tput["redislike", "baseline"] \
+            > tput["relational", "baseline"]
+        assert tput["redislike", "baseline"] \
+            / tput["redislike", "full-gdpr"] \
+            > tput["relational", "baseline"] \
+            / tput["relational", "full-gdpr"]
+
+    def test_features_without_baseline_print_dashes(self, capsys):
+        """No baseline row was swept, so there is nothing to divide by:
+        the ratio columns used to print 0.00 / 0.00x."""
+        assert main(["backends", "--records", "40", "--ops", "100",
+                     "--features", "full-gdpr,fast-gdpr"]) == 0
+        table = capsys.readouterr().out.split("\n\n")[0].splitlines()
+        rule = next(number for number, line in enumerate(table)
+                    if line.startswith("------"))
+        rows = [line.split() for line in table[rule + 1:]]
+        assert [row[:2] for row in rows] == [
+            [engine, feature] for engine in ("redislike", "relational")
+            for feature in ("full-gdpr", "fast-gdpr")]
+        assert all(row[3:] == ["-", "-"] for row in rows)
+
+    @pytest.mark.parametrize("features", [",", "", "baseline,warp"])
+    def test_bad_features_are_usage_errors(self, features, capsys):
+        """An empty list printed a header-only table and exited 0; an
+        unknown name exited 1 through a bare SystemExit."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["backends", "--features", features])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "argument --features:" in err.splitlines()[-1]
 
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
@@ -129,7 +153,8 @@ class TestCli:
         assert set(EXPERIMENTS) == {"table1", "figure1", "figure2",
                                     "micro", "ablations", "scaling",
                                     "resharding", "concurrency",
-                                    "workers", "workers_skew",
+                                    "hockey_stick", "workers",
+                                    "workers_skew",
                                     "replication", "backends",
                                     "tiering", "tenancy"}
 

@@ -178,4 +178,4 @@ class TestDeterminism:
         from repro.bench.backends import run_backend_cell
         a = run_backend_cell("redislike", "fast-gdpr", 40, 100)
         b = run_backend_cell("redislike", "fast-gdpr", 40, 100)
-        assert a.throughput == b.throughput
+        assert a == b

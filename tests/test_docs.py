@@ -166,6 +166,35 @@ def test_flag_the_bench_cli_lacks_is_detected(tmp_path):
         "`python -m repro.bench` does not accept"]
 
 
+def test_stale_sample_of_a_committed_artifact_is_detected(tmp_path):
+    """A fenced block that opens with a bench_results table's header
+    must quote that file's lines; a block with any other header (a
+    truncated one, a shell command) is not a sample of it."""
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "bench_results").mkdir()
+    (tmp_path / "ROADMAP.md").write_text(
+        "**Tier-1 verify:** `PYTHONPATH=src python -m pytest -x -q`\n")
+    (tmp_path / "README.md").write_text(
+        "[b](docs/benchmarks.md)\n"
+        "```\nPYTHONPATH=src python -m pytest -x -q\n```\n")
+    (tmp_path / "bench_results" / "tiering.txt").write_text(
+        "mode      ops/s   hot keys\n"
+        "--------  ------  --------\n"
+        "hot-only  14,619  150\n"
+        "tiered    14,619  75\n")
+    (tmp_path / "docs" / "benchmarks.md").write_text(
+        "# Benchmarks\n\n"
+        "```\nmode      ops/s   hot keys\ntiered    14,619  75\n```\n\n"
+        "```\nmode      ops/s   hot keys\nhot-only  14,839  120\n"
+        "tiered    14,619  75\n```\n\n"
+        "```\nmode  ...  hot keys\ntiered  ...  60\n```\n")
+    violations = [v for v in check_docs.check(tmp_path)
+                  if "sample row" in v]
+    assert violations == [
+        "docs/benchmarks.md:10: sample row is not a line of "
+        "bench_results/tiering.txt:\n    hot-only  14,839  120"]
+
+
 def test_registered_scenarios_parsed_from_cli():
     names = check_docs.bench_scenarios(ROOT)
     assert "concurrency" in names and "figure1" in names

@@ -27,7 +27,12 @@ Checks, against ROADMAP.md's canonical tier-1 verify command:
 7. every ``--flag`` docs/benchmarks.md mentions under its two bench-CLI
    sections ("Running the CLI", "Scenarios") must be an option of
    ``python -m repro.bench`` (read off its own ``--help``): the docs
-   must not advertise a flag the parser no longer has.
+   must not advertise a flag the parser no longer has;
+8. a fenced block in docs/*.md whose first line is the header line of
+   a table in some ``bench_results/*.txt`` file (the line above a rule
+   of dashes) must consist only of lines of that file: a sample quoted
+   beside a committed artifact must not show numbers the artifact
+   does not hold.
 
 Run from the repository root (CI does), or pass the root as argv[1].
 Exits non-zero listing each violation.
@@ -260,6 +265,35 @@ def fenced_lines(text: str):
             yield number, line.strip()
 
 
+RULE_RE = re.compile(r"^-+( +-+)*$")
+
+
+def bench_result_tables(root: pathlib.Path) -> dict:
+    """Header line -> ``[(file name, its lines)]`` for every table a
+    ``bench_results/*.txt`` file holds."""
+    tables: dict = {}
+    for path in sorted((root / "bench_results").glob("*.txt")):
+        lines = path.read_text().splitlines()
+        for header, rule in zip(lines, lines[1:]):
+            if header and RULE_RE.match(rule):
+                tables.setdefault(header, []).append(
+                    (path.name, set(lines)))
+    return tables
+
+
+def fenced_blocks(text: str):
+    """``(first line number, lines)`` of every non-empty ``` block,
+    lines right-stripped only (table rows are column-aligned)."""
+    block = None
+    for number, line in enumerate(text.splitlines(), start=1):
+        if FENCE_RE.match(line.strip()):
+            if block:
+                yield number - len(block), block
+            block = None if block is not None else []
+        elif block is not None:
+            block.append(line.rstrip())
+
+
 def looks_like_verify(line: str) -> bool:
     """A fence line presenting *the* tier-1 gate: a pytest invocation
     over the whole tree (no explicit test path) with PYTHONPATH set."""
@@ -318,6 +352,21 @@ def check(root: pathlib.Path) -> list:
                 violations.append(
                     f"docs/benchmarks.md:{line}: mentions {flag}, which "
                     "`python -m repro.bench` does not accept")
+
+    tables = bench_result_tables(root)
+    for path in docs:
+        for number, block in fenced_blocks(path.read_text()):
+            holders = tables.get(block[0])
+            # A header shared by several files: any one may hold the rows.
+            if not holders or any(lines.issuperset(filter(None, block))
+                                  for _, lines in holders):
+                continue
+            name, lines = holders[0]
+            violations.extend(
+                f"{path.relative_to(root)}:{number + offset}: sample row "
+                f"is not a line of bench_results/{name}:\n    {line}"
+                for offset, line in enumerate(block)
+                if line and line not in lines)
 
     for rel, line, name in docstring_md_references(root):
         if not md_reference_exists(root, name):
