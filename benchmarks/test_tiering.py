@@ -26,21 +26,21 @@ def test_tiering_artifact(rows_of, write_artifact):
     for fraction in (0.5, 0.25):
         hot_only = by[("hot-only", fraction)]
         tiered = by[("tiered", fraction)]
-        # The headline: the archive frees the idle share of the hot
-        # footprint (within slack for envelope-size variation).
+        # The headline: the archive frees the idle share of the
+        # resident footprint, its own index included (within slack for
+        # envelope-size variation).
         assert tiered["hot_bytes"] < hot_only["hot_bytes"]
         assert kept[fraction] < fraction + 0.15
         assert tiered["demotions"] > 0
         # Footprint is sampled before the cold-read probe, so every
         # demoted key is still archived at that point.
         assert tiered["cold_keys"] == tiered["demotions"]
-        # The archive's own residency (compressed segments + blooms)
-        # stays within a constant factor of the displaced hot bytes:
-        # GDPR values are ciphertext, so zlib cannot win, and the seal
-        # adds a per-record envelope -- but not more than ~1.5x.
+        # The archive's own residency is an index (key directory +
+        # subject blooms), not a copy: a small fraction of the hot
+        # bytes it displaced, all of which are on the device.
         displaced = hot_only["hot_bytes"] - tiered["hot_bytes"]
-        assert 0 < tiered["cold_resident_bytes"] < 1.5 * displaced
-        assert tiered["cold_device_bytes"] > 0
+        assert 0 < tiered["cold_resident_bytes"] < 0.15 * displaced
+        assert tiered["cold_device_bytes"] > displaced
         # Reads that fault in from the archive pay a promote premium.
         assert tiered["cold_read_seconds"] \
             > 2 * hot_only["cold_read_seconds"]

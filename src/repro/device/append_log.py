@@ -39,6 +39,7 @@ class AppendLog:
         self.appends = 0
         self.syscalls = 0
         self.fsyncs = 0
+        self.reads = 0
 
     # -- frontiers -----------------------------------------------------------
 
@@ -114,6 +115,17 @@ class AppendLog:
     def read_all(self) -> bytes:
         """Everything appended so far (the live file's logical view)."""
         return bytes(self._data)
+
+    def read_at(self, offset: int, length: int) -> bytes:
+        """pread(): ``length`` bytes starting at ``offset``, charged as
+        one read syscall plus per-byte cost for the bytes returned."""
+        if offset < 0 or length < 0 or offset + length > len(self._data):
+            raise DeviceIOError(
+                f"{self.name}: read of {length} bytes at {offset} outside "
+                f"the file's {len(self._data)} bytes")
+        self.clock.advance(self.latency.read_cost(length))
+        self.reads += 1
+        return bytes(self._data[offset:offset + length])
 
     def read_durable(self) -> bytes:
         """What the file would contain after a power loss."""

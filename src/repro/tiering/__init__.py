@@ -1,18 +1,19 @@
 """Tiered hot/cold storage over the :class:`StorageEngine` seam.
 
 The paper's erasure story is only as strong as its reach: Art. 17 must
-void *every* copy, including compressed archives that are expensive to
+void *every* copy, including sealed archives that are expensive to
 rewrite.  This package adds the archive tier:
 
 * :class:`~repro.tiering.bloom.BloomFilter` -- deterministic double-
   hashed bloom filters sized for a configured false-positive bound;
 * :class:`~repro.tiering.segment.ColdSegmentStore` -- batch-sealed,
-  checksummed, compressed segments on the device layer, each carrying a
-  has-key bloom and a per-subject membership bloom so rights fan-out can
-  answer "which cold segments hold this subject" without decompressing
-  everything; member values are encrypted under per-subject keys from
-  the shared :class:`~repro.crypto.keystore.KeyStore`, so one
-  crypto-erasure voids the archive without rewriting segments;
+  checksummed, indexed segments on the device layer, read one record at
+  a time through a resident key directory that holds no payload; each
+  carries a per-subject membership bloom so rights fan-out can answer
+  "which cold segments hold this subject" without reading any; member
+  values are encrypted under per-subject keys from the shared
+  :class:`~repro.crypto.keystore.KeyStore`, so one crypto-erasure voids
+  the archive without rewriting segments;
 * :class:`~repro.tiering.engine.TieredEngine` -- a
   :class:`~repro.engine.base.StorageEngine` wrapper presenting ONE
   keyspace: idle records demote out of the hot engine into cold
@@ -21,7 +22,8 @@ rewrite.  This package adds the archive tier:
 """
 
 from .bloom import BloomFilter
-from .segment import ColdEntry, ColdInput, ColdSegmentStore, SegmentInfo
+from .segment import (ColdEntry, ColdInput, ColdSegmentStore, SegmentInfo,
+                      UnsupportedSegmentFormat)
 from .engine import TieredEngine, TieringConfig
 
 __all__ = [
@@ -32,4 +34,5 @@ __all__ = [
     "SegmentInfo",
     "TieredEngine",
     "TieringConfig",
+    "UnsupportedSegmentFormat",
 ]

@@ -1,11 +1,12 @@
 """Deterministic bloom filters for cold-segment membership.
 
-Each sealed segment carries two of these: one over member *keys* (so
-promote-on-read can skip segments without decompressing them) and one
-over member *subjects* (so Art. 15/17 fan-out can answer "which cold
-segments hold this subject" from RAM).  Hashing is double hashing
-derived from SHA-256 -- fully deterministic across runs and platforms,
-which the byte-identical bench re-runs in CI rely on.
+Each sealed segment carries one over its member *subjects*, so Art.
+15/17 fan-out can answer "which cold segments hold this subject" from
+RAM and read only those segments' index blocks.  (Member *keys* need
+none: the archive's resident directory answers for them exactly.)
+Hashing is double hashing derived from SHA-256 -- fully deterministic
+across runs and platforms, which the byte-identical bench re-runs in CI
+rely on.
 """
 
 from __future__ import annotations

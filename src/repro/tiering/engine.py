@@ -16,8 +16,8 @@ replication, YCSB -- runs over a tiered keyspace unchanged:
   copy is decrypted, re-inserted hot (SET [+ absolute expiry]), and
   tombstoned cold, then the command runs against the hot engine --
   so results, types, TTLs, and errors are exactly the hot engine's.
-  Membership is answered bloom-first; only candidate segments are
-  decompressed.
+  Membership is answered from the archive's resident directory; a hit
+  reads that one record from the cold device.
 * **One keyspace.**  KEYS / SCAN / DBSIZE / ``live_keys`` /
   ``scan_records`` / ``key_count`` merge both tiers; DEL, expiry
   (lazy and active), FLUSH, and snapshots reach cold copies with the
@@ -26,9 +26,10 @@ replication, YCSB -- runs over a tiered keyspace unchanged:
 * **Erasure reaches the archive.**  Cold values of a known data
   subject are sealed under that subject's key from the shared
   :class:`~repro.crypto.keystore.KeyStore`; ``erase_subject_cold``
-  records which segments the erasure voided (bloom-answered) and
-  appends a durable subject marker, so Art. 17 voids the archive
-  without rewriting a single segment.
+  records which segments the erasure voided (bloom-answered), drops
+  the subject's keys from the resident directory and appends a durable
+  subject marker, so Art. 17 voids the archive without rewriting a
+  single segment.
 
 Tiering applies to database 0 only (the database the GDPR, cluster,
 and bench layers use); commands on other databases pass straight
@@ -59,7 +60,6 @@ class TieringConfig:
     demote_interval: float = 60.0      # how often the idle scan runs
     segment_max_records: int = 64      # records per sealed segment
     bloom_fp_rate: float = 0.01        # per-segment bloom FP bound
-    compress_level: int = 6            # zlib level for sealed payloads
     auto_demote: bool = True           # run the idle scan from tick()
 
 
@@ -81,8 +81,7 @@ class TieredEngine(StorageEngine):
             device = AppendLog(clock=inner.clock, name="cold.seg")
         self.cold = ColdSegmentStore(
             device=device, keystore=keystore,
-            fp_rate=self.tiering.bloom_fp_rate,
-            compress_level=self.tiering.compress_level)
+            fp_rate=self.tiering.bloom_fp_rate)
         # key -> (owner, purposes): GDPR annotations survive the tier
         # round-trip -- sealing reads the owner (per-subject encryption),
         # promotion restores the metadata columns the hot re-insert
@@ -164,13 +163,12 @@ class TieredEngine(StorageEngine):
         if db_index == 0 and reason != "demote" and not self._replaying:
             # Any true hot removal (DEL, lazy/active expiry) must also
             # kill every archived copy of the key -- durably.  Even a
-            # copy RAM already considers dead may only be covered by a
-            # non-durable tombstone (promote eviction), which power loss
-            # revokes; without a durable marker here, AOF replay (which
-            # skips evictions) would resurrect the deleted key from the
-            # archive.
-            if self.cold.may_contain(key, ignore_tombstones=True):
-                self.cold.tombstone_key(key, durable=True)
+            # copy the archive already considers dead may only be
+            # covered by a non-durable tombstone (promote eviction),
+            # which power loss revokes; without a durable marker here,
+            # AOF replay (which skips evictions) would resurrect the
+            # deleted key from the archive.
+            self.cold.tombstone_key(key, durable=True)
             self._owners.pop(key, None)
             self._last_touch.pop(key, None)
         self.notify_deletion(db_index, key, reason, when)
@@ -230,27 +228,26 @@ class TieredEngine(StorageEngine):
     def _touch(self, key: bytes) -> None:
         self._last_touch[key] = self.clock.now()
 
-    def _evict_shadow(self, key: bytes, durable: bool = False) -> None:
+    def _evict_shadow(self, key: bytes) -> None:
         """Silently drop a cold copy that is about to be overwritten or
         is shadowed by a live hot copy (no deletion event: the key stays
         logically alive)."""
-        if self.cold.lookup(key) is not None:
-            self.cold.tombstone_key(key, durable=durable)
+        self.cold.tombstone_key(key, durable=False)
 
     def _surface(self, key: bytes) -> None:
         """Reconcile ``key`` before a command touches it: promote a live
         cold copy into the hot engine (or reclaim it if expired /
         crypto-erased), so the inner engine's answer is the tiered
         answer."""
-        entry = self.cold.lookup(key)
-        if entry is None:
+        slot = self.cold.slot_of(key)
+        if slot is None:
             return
         if self._inner.has_live_key(key, 0):
             # Crash-window duplicate: hot is authoritative.
             self.cold.tombstone_key(key, durable=False)
             return
         now = self.clock.now()
-        if entry.expire_at is not None and entry.expire_at <= now:
+        if slot.expire_at is not None and slot.expire_at <= now:
             # Cold lazy expiry: same observable events as a hot lazy
             # expiration (deletion reason + write-stream DEL); the hot
             # AOF already holds the demotion DEL, and the cold tombstone
@@ -261,7 +258,8 @@ class TieredEngine(StorageEngine):
             self.notify_write(0, [b"DEL", key])
             self._owners.pop(key, None)
             return
-        value = self.cold.open_value(entry)
+        entry = self.cold.lookup(key)
+        value = self.cold.open_value(entry) if entry is not None else None
         if value is None:
             # Crypto-erased (or unreadable, which the archive treats as
             # erased): the copy is void; drop it silently.
@@ -301,7 +299,7 @@ class TieredEngine(StorageEngine):
             seen.add(key)
             if self._inner.has_live_key(key, 0):
                 continue
-            if self.cold.lookup(key) is not None:
+            if self.cold.slot_of(key) is not None:
                 cold_victims.append(key)
         removed = self._inner.execute(*argv, session=session)
         now = self.clock.now()
@@ -320,8 +318,7 @@ class TieredEngine(StorageEngine):
     def _cold_live_keys(self, now: float) -> List[bytes]:
         """Cold keys a hot-only engine would report as live: not dead,
         not erased, not expired, and not shadowed by a hot copy."""
-        entries = self.cold.live_entries(include_expired=False, now=now)
-        return [key for key in entries
+        return [key for key in self.cold.live_keys(now)
                 if not self._inner.has_live_key(key, 0)]
 
     def _keys_merged(self, argv: List[bytes],
@@ -368,12 +365,12 @@ class TieredEngine(StorageEngine):
         self._in_cold_tick = True
         try:
             now = self.clock.now()
-            for entry in self.cold.pop_expired(now):
-                self.cold.tombstone_key(entry.key, durable=True)
+            for key in self.cold.pop_expired(now):
+                self.cold.tombstone_key(key, durable=True)
                 self.stats.expired_keys += 1
-                self.notify_deletion(0, entry.key, "active-expire", now)
-                self.notify_write(0, [b"DEL", entry.key])
-                self._owners.pop(entry.key, None)
+                self.notify_deletion(0, key, "active-expire", now)
+                self.notify_write(0, [b"DEL", key])
+                self._owners.pop(key, None)
             if self.tiering.auto_demote \
                     and now - self._last_demote_scan \
                     >= self.tiering.demote_interval:
@@ -449,8 +446,7 @@ class TieredEngine(StorageEngine):
 
     def erase_subject_cold(self, subject: str) -> int:
         """Void every archived copy of ``subject``'s records; returns
-        the number of segments the erasure reached (bloom-answered,
-        no decompression)."""
+        the number of segments the erasure reached (bloom-answered)."""
         touched = self.cold.erase_subject(subject)
         self._owners = {k: ann for k, ann in self._owners.items()
                         if ann[0] != subject}
@@ -477,31 +473,37 @@ class TieredEngine(StorageEngine):
             return True
         if db_index != 0:
             return False
-        entry = self.cold.lookup(key)
-        if entry is None:
+        slot = self.cold.slot_of(key)
+        if slot is None:
             return False
-        return entry.expire_at is None or entry.expire_at > self.clock.now()
+        return slot.expire_at is None or slot.expire_at > self.clock.now()
 
     def scan_records(self, db_index: int = 0) -> Iterator[StoredRecord]:
         for record in self._inner.scan_records(db_index):
             yield record
         if db_index != 0:
             return
-        now = self.clock.now()
-        entries = self.cold.live_entries(include_expired=False, now=now)
-        for key in sorted(entries):
+        for key, value, expire_at in self._cold_records(self.clock.now()):
+            yield StoredRecord(key, value, expire_at)
+
+    def _cold_records(self, now: Optional[float] = None
+                      ) -> Iterator[Tuple[bytes, bytes, Optional[float]]]:
+        """``(key, value, expire_at)`` of every readable cold-only
+        record, in key order: one device read per record."""
+        for key in sorted(self.cold.live_keys(now)):
             if self._inner.has_live_key(key, 0):
                 continue
-            value = self.cold.open_value(entries[key])
+            entry = self.cold.lookup(key)
+            value = self.cold.open_value(entry) if entry is not None else None
             if value is None:
                 continue  # crypto-erased: stays unreachable
-            yield StoredRecord(key, value, entries[key].expire_at)
+            yield key, value, entry.expire_at
 
     def key_count(self, db_index: int = 0) -> int:
         count = self._inner.key_count(db_index)
         if db_index != 0:
             return count
-        cold = self.cold.live_entries(include_expired=True)
+        cold = self.cold.live_keys()
         overlap = sum(1 for key in cold if self._inner.has_live_key(key, 0))
         return count + len(cold) - overlap
 
@@ -513,15 +515,7 @@ class TieredEngine(StorageEngine):
         inner_snap = self._inner.save_snapshot()
         parts = [self._SNAPSHOT_MAGIC,
                  struct.pack(">I", len(inner_snap)), inner_snap]
-        entries: List[Tuple[bytes, bytes, Optional[float]]] = []
-        for key, entry in sorted(
-                self.cold.live_entries(include_expired=True).items()):
-            if self._inner.has_live_key(key, 0):
-                continue
-            value = self.cold.open_value(entry)
-            if value is None:
-                continue  # crypto-erased copies never leave the archive
-            entries.append((key, value, entry.expire_at))
+        entries = list(self._cold_records())
         parts.append(struct.pack(">I", len(entries)))
         for key, value, expire_at in entries:
             parts.append(struct.pack(">I", len(key)))
@@ -636,7 +630,7 @@ class TieredEngine(StorageEngine):
         return {
             "hot_keys": hot_keys,
             "hot_bytes": hot_bytes,
-            "cold_keys": self.cold.live_count(include_expired=True),
+            "cold_keys": self.cold.live_count(),
             "cold_resident_bytes": self.cold.resident_bytes(),
             "cold_device_bytes": self.cold.device.total_length,
         }

@@ -1,4 +1,5 @@
-"""Cold segment store: batch-sealed, checksummed, compressed archives.
+"""Cold segment store: batch-sealed, checksummed archives read one entry
+at a time.
 
 A :class:`ColdSegmentStore` is the archive half of the tiered keyspace.
 It lives on one :class:`~repro.device.append_log.AppendLog` device and
@@ -9,12 +10,23 @@ device bytes alone after a crash:
 
 Four frame kinds:
 
-* ``CSG1`` -- a sealed segment: JSON header (entry count, payload CRC,
-  sealing timestamp), the two serialized bloom filters (member keys,
-  member subjects), then the zlib-compressed entry payload.  Values of
+* ``CSG2`` -- a sealed segment::
+
+      header   seq u64 | sealed_at f64 | bloom_len u32 | index_len u32
+               | index_crc u32
+      bloom    the serialized member-subject bloom filter
+      index    per entry: meta | u32 offset | u32 length
+      records  per entry: meta | stored value | u32 crc32(meta | stored)
+
+  ``meta`` is ``u32 klen | key | flags u8 | [f64 deadline] | [u32 olen |
+  owner]``; ``offset`` counts from the first record.  A record is
+  self-describing and self-checking, so a point read fetches exactly
+  one of them; the index block repeats the metadata so enumeration by
+  subject never touches a value.  Nothing is compressed: values of
   entries with a known data subject are sealed under that subject's key
-  from the shared :class:`~repro.crypto.keystore.KeyStore`, so
-  crypto-erasure voids them in place -- no segment rewrite.
+  from the shared :class:`~repro.crypto.keystore.KeyStore` -- ciphertext
+  does not deflate -- so crypto-erasure voids them in place, no segment
+  rewrite.
 * ``CTB1`` -- a key tombstone, versioned by segment sequence: it kills
   copies of the key in segments up to ``up_to_seq`` but not copies
   sealed later (a key may be demoted again after a promote).
@@ -27,41 +39,53 @@ Durability discipline: sealing and deletion-like mutations end with a
 ``flush(); fsync()`` barrier *before* the caller removes hot copies, so
 a crash at any point leaves the record in at least one tier and never
 resurrects a deleted one.  A torn final frame (crash mid-seal) fails its
-length or CRC check and is dropped at recovery.
+length or CRC check and is dropped whole at recovery.
 """
 
 from __future__ import annotations
 
 import heapq
-import json
 import struct
-import zlib
-from collections import OrderedDict
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Set,
+                    Tuple)
 
+from ..common.errors import CorruptionError
 from ..common.hashing import crc32_of
 from ..device.append_log import AppendLog
 from .bloom import BloomFilter
 
-MAGIC_SEGMENT = b"CSG1"
+MAGIC_SEGMENT = b"CSG2"
 MAGIC_TOMBSTONE = b"CTB1"
 MAGIC_SUBJECT = b"CSB1"
 MAGIC_CLEAR = b"CCL1"
+_MAGIC_SEGMENT_V1 = b"CSG1"    # zlib-compressed payload; no reader is kept
 
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
 _F64 = struct.Struct(">d")
+_SEGMENT_HEADER = struct.Struct(">QdIII")
+_INDEX_TAIL = struct.Struct(">II")       # offset, length of one record
 
 _FLAG_ENCRYPTED = 1
 _FLAG_EXPIRE = 2
 _FLAG_OWNER = 4
 
-#: Decompressed segments kept around for repeat lookups (page cache).
-_DECODE_CACHE_SEGMENTS = 4
+#: Packed size of what RAM keeps per directory slot besides the key
+#: (seq u32, device offset u64, length u32, deadline f64) and per sealed
+#: segment besides its bloom (seq, sealed_at, index offset / length /
+#: CRC) -- what :meth:`ColdSegmentStore.resident_bytes` charges.
+_SLOT_BYTES = 24
+_SEGMENT_INFO_BYTES = 32
 
 #: AAD prefix binding a cold ciphertext to its key, so a sealed value
 #: cannot be replayed under a different key name.
 _COLD_AAD_PREFIX = b"cold:"
+
+
+class UnsupportedSegmentFormat(CorruptionError):
+    """The device holds a segment frame of a format this build cannot
+    read (``CSG1``); recovery refuses it rather than truncate the
+    archive at that frame."""
 
 
 class ColdInput(NamedTuple):
@@ -74,7 +98,7 @@ class ColdInput(NamedTuple):
 
 
 class ColdEntry(NamedTuple):
-    """One archived record, as stored inside a segment."""
+    """One archived record, as read back from its segment."""
 
     seq: int
     key: bytes
@@ -84,115 +108,121 @@ class ColdEntry(NamedTuple):
     owner: Optional[str]
 
 
-class SegmentInfo(NamedTuple):
-    """The in-RAM index entry for one sealed segment."""
+class Slot(NamedTuple):
+    """The resident directory's answer for one key: where the newest
+    live copy sits on the device, and when it expires."""
 
     seq: int
-    count: int
+    offset: int              # absolute device offset of the record
+    length: int
+    expire_at: Optional[float]
+
+
+class SegmentInfo(NamedTuple):
+    """What RAM keeps per sealed segment: where its index block is, and
+    the subject bloom that says whether reading it is worthwhile."""
+
+    seq: int
     sealed_at: float
-    payload_crc: int
-    compressed: bytes        # the resident (compressed) form
-    key_bloom: BloomFilter
+    index_offset: int        # absolute device offset of the index block
+    index_length: int
+    index_crc: int
     subject_bloom: BloomFilter
 
 
-def _pack_entries(entries: List[ColdEntry]) -> bytes:
-    parts: List[bytes] = []
-    for entry in entries:
-        flags = 0
-        if entry.encrypted:
-            flags |= _FLAG_ENCRYPTED
-        if entry.expire_at is not None:
-            flags |= _FLAG_EXPIRE
-        if entry.owner is not None:
-            flags |= _FLAG_OWNER
-        parts.append(_U32.pack(len(entry.key)))
-        parts.append(entry.key)
-        parts.append(bytes([flags]))
-        if entry.expire_at is not None:
-            parts.append(_F64.pack(entry.expire_at))
-        if entry.owner is not None:
-            owner = entry.owner.encode("utf-8")
-            parts.append(_U32.pack(len(owner)))
-            parts.append(owner)
-        parts.append(_U32.pack(len(entry.stored)))
-        parts.append(entry.stored)
+class IndexEntry(NamedTuple):
+    """One line of a segment's index block."""
+
+    key: bytes
+    expire_at: Optional[float]
+    owner: Optional[str]
+    offset: int              # of the record, from the first record
+    length: int
+
+
+def _pack_meta(key: bytes, flags: int, expire_at: Optional[float],
+               owner: Optional[str]) -> bytes:
+    parts = [_U32.pack(len(key)), key, bytes([flags])]
+    if expire_at is not None:
+        parts.append(_F64.pack(expire_at))
+    if owner is not None:
+        encoded = owner.encode("utf-8")
+        parts.append(_U32.pack(len(encoded)))
+        parts.append(encoded)
     return b"".join(parts)
 
 
-def _unpack_entries(seq: int, payload: bytes) -> List[ColdEntry]:
-    entries: List[ColdEntry] = []
+def _unpack_meta(data: bytes, pos: int
+                 ) -> Tuple[bytes, int, Optional[float], Optional[str], int]:
+    """``(key, flags, expire_at, owner, end)`` of the meta at ``pos``."""
+    (klen,) = _U32.unpack_from(data, pos)
+    pos += 4
+    key = data[pos:pos + klen]
+    pos += klen
+    flags = data[pos]
+    pos += 1
+    expire_at = None
+    if flags & _FLAG_EXPIRE:
+        (expire_at,) = _F64.unpack_from(data, pos)
+        pos += 8
+    owner = None
+    if flags & _FLAG_OWNER:
+        (olen,) = _U32.unpack_from(data, pos)
+        pos += 4
+        owner = data[pos:pos + olen].decode("utf-8")
+        pos += olen
+    return key, flags, expire_at, owner, pos
+
+
+def _unpack_index(block: bytes) -> Iterator[IndexEntry]:
     pos = 0
-    end = len(payload)
-    while pos < end:
-        (klen,) = _U32.unpack_from(payload, pos)
-        pos += 4
-        key = payload[pos:pos + klen]
-        pos += klen
-        flags = payload[pos]
-        pos += 1
-        expire_at = None
-        if flags & _FLAG_EXPIRE:
-            (expire_at,) = _F64.unpack_from(payload, pos)
-            pos += 8
-        owner = None
-        if flags & _FLAG_OWNER:
-            (olen,) = _U32.unpack_from(payload, pos)
-            pos += 4
-            owner = payload[pos:pos + olen].decode("utf-8")
-            pos += olen
-        (vlen,) = _U32.unpack_from(payload, pos)
-        pos += 4
-        stored = payload[pos:pos + vlen]
-        pos += vlen
-        entries.append(ColdEntry(seq, key, stored,
-                                 bool(flags & _FLAG_ENCRYPTED),
-                                 expire_at, owner))
-    return entries
+    while pos < len(block):
+        key, _, expire_at, owner, pos = _unpack_meta(block, pos)
+        offset, length = _INDEX_TAIL.unpack_from(block, pos)
+        pos += _INDEX_TAIL.size
+        yield IndexEntry(key, expire_at, owner, offset, length)
 
 
 class ColdSegmentStore:
     """The archive tier on one append-only device.
 
-    The resident state is deliberately small: per segment the compressed
-    bytes plus two bloom filters, a global expiry heap for TTL'd cold
-    entries, and the tombstone maps.  There is NO exact key index --
-    membership is answered bloom-first, decompressing only candidate
-    segments (counted in :attr:`bloom_false_positives` when the
-    candidate misses).
+    RAM holds an index and no payload: a directory mapping each live
+    cold key to the :class:`Slot` of its newest copy, per segment the
+    subject bloom and the whereabouts of its index block, the expiry
+    heap, and the names of erased subjects.  Membership, KEYS-style
+    enumeration and expiry are answered from the directory alone; a
+    point :meth:`lookup` reads one record from the device; only
+    per-subject enumeration reads index blocks, and only of segments
+    whose subject bloom is positive (a positive that holds nothing of
+    the subject is counted in :attr:`bloom_false_positives`).
     """
 
     def __init__(self, device: Optional[AppendLog] = None,
                  keystore: Optional[object] = None,
-                 fp_rate: float = 0.01,
-                 compress_level: int = 6) -> None:
+                 fp_rate: float = 0.01) -> None:
         self.device = device if device is not None else AppendLog(name="cold.seg")
         self.keystore = keystore
         self.fp_rate = fp_rate
-        self.compress_level = compress_level
-        self._segments: "OrderedDict[int, SegmentInfo]" = OrderedDict()
+        self._segments: Dict[int, SegmentInfo] = {}
         self._next_seq = 0
-        # key -> highest segment seq whose copies are dead.
-        self._dead_upto: Dict[bytes, int] = {}
-        # The durably-persisted subset of the above: a non-durable
-        # tombstone (promote eviction, shadow eviction) may be lost to
-        # power loss, so a later deletion-like mutation must be able to
-        # re-issue it durably even though RAM already considers the key
-        # dead.
-        self._dead_durable: Dict[bytes, int] = {}
+        # key -> slot of its newest copy; a tombstone or a subject
+        # erasure removes the slot, so presence here *is* liveness.
+        self._directory: Dict[bytes, Slot] = {}
+        # Keys whose last kill was a non-durable tombstone (promote
+        # eviction, shadow eviction) that no fsync has covered yet:
+        # power loss would revoke it, so a later deletion must re-issue
+        # it durably even though the directory already lost the key.
+        self._undurable: Set[bytes] = set()
         self._erased_subjects: Set[str] = set()
         # (expire_at, seq, key) heap-ordered list for active cold expiry.
         self._expiry: List[Tuple[float, int, bytes]] = []
-        # Decompressed-entry cache, seq -> {key: ColdEntry} (newest wins
-        # inside one segment is irrelevant: keys are unique per segment).
-        self._decode_cache: "OrderedDict[int, Dict[bytes, ColdEntry]]" = OrderedDict()
         # Counters (cold_stats surface).
         self.seals = 0
         self.sealed_entries = 0
         self.tombstones = 0
         self.subject_erasures = 0
         self.bloom_false_positives = 0
-        self.decompressions = 0
+        self.entry_reads = 0
         self.recovered_segments = 0
         self.torn_frames_dropped = 0
         if self.device.total_length:
@@ -203,42 +233,46 @@ class ColdSegmentStore:
     def attach_keystore(self, keystore: object) -> None:
         self.keystore = keystore
 
-    def _frame(self, magic: bytes, body: bytes) -> bytes:
-        return magic + _U32.pack(len(body)) + body + _U32.pack(crc32_of(body))
-
     def _append_frame(self, magic: bytes, body: bytes,
                       durable: bool = True) -> None:
-        self.device.append(self._frame(magic, body))
+        self.device.append(magic + _U32.pack(len(body)) + body
+                           + _U32.pack(crc32_of(body)))
         if durable:
             self.device.flush_and_fsync()
+            # The barrier covers every earlier frame too.
+            self._undurable.clear()
         else:
             self.device.flush()
 
-    def _cache_entries(self, info: SegmentInfo) -> Dict[bytes, ColdEntry]:
-        cached = self._decode_cache.get(info.seq)
-        if cached is not None:
-            self._decode_cache.move_to_end(info.seq)
-            return cached
-        # A cache miss is a media read of the compressed segment.
-        self.device.clock.advance(
-            self.device.latency.read_cost(len(info.compressed)))
-        payload = zlib.decompress(info.compressed)
-        if crc32_of(payload) != info.payload_crc:
-            raise ValueError(
-                f"cold segment {info.seq} payload checksum mismatch")
-        self.decompressions += 1
-        entries = {e.key: e for e in _unpack_entries(info.seq, payload)}
-        self._decode_cache[info.seq] = entries
-        while len(self._decode_cache) > _DECODE_CACHE_SEGMENTS:
-            self._decode_cache.popitem(last=False)
-        return entries
+    def _register(self, info: SegmentInfo, entries: Iterable[IndexEntry],
+                  records_offset: int) -> None:
+        """Enter a sealed (or recovered) segment into the resident
+        index: each entry becomes its key's newest copy."""
+        self._segments[info.seq] = info
+        for entry in entries:
+            if entry.owner in self._erased_subjects:
+                # Dead on arrival, and it shadows any older copy.
+                self._directory.pop(entry.key, None)
+                continue
+            self._directory[entry.key] = Slot(
+                info.seq, records_offset + entry.offset, entry.length,
+                entry.expire_at)
+            if entry.expire_at is not None:
+                heapq.heappush(self._expiry,
+                               (entry.expire_at, info.seq, entry.key))
+        self._next_seq = max(self._next_seq, info.seq + 1)
+
+    def _read_index(self, info: SegmentInfo) -> Iterator[IndexEntry]:
+        block = self.device.read_at(info.index_offset, info.index_length)
+        if crc32_of(block) != info.index_crc:
+            raise CorruptionError(
+                f"cold segment {info.seq} index checksum mismatch")
+        return _unpack_index(block)
 
     def _entry_live(self, entry: ColdEntry) -> bool:
-        if self._dead_upto.get(entry.key, -1) >= entry.seq:
-            return False
-        if entry.owner is not None and entry.owner in self._erased_subjects:
-            return False
-        return True
+        slot = self._directory.get(entry.key)
+        return (slot is not None and slot.seq == entry.seq
+                and entry.owner not in self._erased_subjects)
 
     # -- sealing -------------------------------------------------------------
 
@@ -252,100 +286,76 @@ class ColdSegmentStore:
         if not inputs:
             raise ValueError("cannot seal an empty segment")
         seq = self._next_seq
-        entries: List[ColdEntry] = []
+        subject_bloom = BloomFilter.for_capacity(len(inputs), self.fp_rate)
+        index: List[bytes] = []
+        records: List[bytes] = []
+        entries: List[IndexEntry] = []
+        offset = 0
         for item in inputs:
             stored = item.value
-            encrypted = False
-            if item.owner is not None and self.keystore is not None:
-                cipher = self.keystore.cipher_for(item.owner)
-                stored = cipher.seal(item.value,
-                                     aad=_COLD_AAD_PREFIX + item.key)
-                encrypted = True
-            entries.append(ColdEntry(seq, item.key, stored, encrypted,
-                                     item.expire_at, item.owner))
-        payload = _pack_entries(entries)
-        compressed = zlib.compress(payload, self.compress_level)
-        key_bloom = BloomFilter.for_capacity(len(entries), self.fp_rate)
-        subject_bloom = BloomFilter.for_capacity(len(entries), self.fp_rate)
-        for entry in entries:
-            key_bloom.add(entry.key)
-            if entry.owner is not None:
-                subject_bloom.add(entry.owner.encode("utf-8"))
-        header = json.dumps({
-            "seq": seq,
-            "count": len(entries),
-            "payload_crc": crc32_of(payload),
-            "sealed_at": sealed_at,
-        }, sort_keys=True).encode("utf-8")
-        kbloom = key_bloom.to_bytes()
-        sbloom = subject_bloom.to_bytes()
-        body = b"".join([
-            _U32.pack(len(header)), header,
-            _U32.pack(len(kbloom)), kbloom,
-            _U32.pack(len(sbloom)), sbloom,
-            compressed,
-        ])
-        self._append_frame(MAGIC_SEGMENT, body, durable=True)
-        self._register_segment(SegmentInfo(seq, len(entries), sealed_at,
-                                           crc32_of(payload), compressed,
-                                           key_bloom, subject_bloom))
-        self._next_seq = seq + 1
+            flags = 0
+            if item.expire_at is not None:
+                flags |= _FLAG_EXPIRE
+            if item.owner is not None:
+                flags |= _FLAG_OWNER
+                subject_bloom.add(item.owner.encode("utf-8"))
+                if self.keystore is not None:
+                    cipher = self.keystore.cipher_for(item.owner)
+                    stored = cipher.seal(item.value,
+                                         aad=_COLD_AAD_PREFIX + item.key)
+                    flags |= _FLAG_ENCRYPTED
+            meta = _pack_meta(item.key, flags, item.expire_at, item.owner)
+            checked = meta + stored
+            record = checked + _U32.pack(crc32_of(checked))
+            index.append(meta + _INDEX_TAIL.pack(offset, len(record)))
+            records.append(record)
+            entries.append(IndexEntry(item.key, item.expire_at, item.owner,
+                                      offset, len(record)))
+            offset += len(record)
+        index_block = b"".join(index)
+        index_crc = crc32_of(index_block)
+        bloom = subject_bloom.to_bytes()
+        header = _SEGMENT_HEADER.pack(seq, sealed_at, len(bloom),
+                                      len(index_block), index_crc)
+        index_offset = (self.device.total_length + 8 + len(header)
+                        + len(bloom))
+        self._append_frame(MAGIC_SEGMENT,
+                           b"".join([header, bloom, index_block] + records))
+        self._register(
+            SegmentInfo(seq, sealed_at, index_offset, len(index_block),
+                        index_crc, subject_bloom),
+            entries, index_offset + len(index_block))
         self.seals += 1
-        self.sealed_entries += len(entries)
+        self.sealed_entries += len(inputs)
         return seq
-
-    def _register_segment(self, info: SegmentInfo) -> None:
-        self._segments[info.seq] = info
-        # Registration needs per-entry expiries; going through the decode
-        # cache also leaves the freshly-sealed segment hot for the first
-        # lookups.
-        for entry in self._cache_entries(info).values():
-            if entry.expire_at is not None:
-                heapq.heappush(self._expiry,
-                               (entry.expire_at, entry.seq, entry.key))
 
     # -- membership & lookup -------------------------------------------------
 
-    def _candidates(self, key: bytes, dead_upto: int):
-        """Segments newer than ``dead_upto`` whose key bloom is positive
-        for ``key``, newest first: one hash of the key, one early-exit
-        probe per segment, nothing decompressed."""
-        h1, h2 = BloomFilter.hash_pair(key)
-        for info in reversed(self._segments.values()):
-            if info.seq <= dead_upto:
-                break  # older segments are all dead for this key
-            if info.key_bloom.contains_hashed(h1, h2):
-                yield info
-
-    def may_contain(self, key: bytes,
-                    ignore_tombstones: bool = False) -> bool:
-        """Bloom-only membership probe (no decompression).
-
-        With ``ignore_tombstones`` the probe asks whether *any* archived
-        copy may exist, dead or alive -- what a deletion needs to decide
-        whether a durable tombstone is warranted (the RAM tombstone that
-        killed the copy may itself not be durable).
-        """
-        dead_upto = -1 if ignore_tombstones \
-            else self._dead_upto.get(key, -1)
-        return next(self._candidates(key, dead_upto), None) is not None
+    def slot_of(self, key: bytes) -> Optional[Slot]:
+        """Where the newest live copy of ``key`` is, or None -- exact,
+        answered from RAM, nothing read."""
+        return self._directory.get(key)
 
     def lookup(self, key: bytes) -> Optional[ColdEntry]:
         """Newest live copy of ``key``, or None.
 
-        Bloom-first: only bloom-positive segments are decompressed, and
-        a positive that turns out to hold no copy is counted in
-        :attr:`bloom_false_positives`.
+        A miss costs nothing on the device; a hit reads that one record
+        and verifies its checksum.
         """
-        for info in self._candidates(key, self._dead_upto.get(key, -1)):
-            entry = self._cache_entries(info).get(key)
-            if entry is None:
-                self.bloom_false_positives += 1
-                continue
-            if not self._entry_live(entry):
-                return None
-            return entry
-        return None
+        slot = self._directory.get(key)
+        if slot is None:
+            return None
+        record = self.device.read_at(slot.offset, slot.length)
+        self.entry_reads += 1
+        checked = record[:-4]
+        if crc32_of(checked) != _U32.unpack_from(record, len(checked))[0]:
+            raise CorruptionError(
+                f"cold segment {slot.seq}: entry {key!r} checksum mismatch")
+        _, flags, expire_at, owner, pos = _unpack_meta(checked, 0)
+        if owner in self._erased_subjects:
+            return None
+        return ColdEntry(slot.seq, key, checked[pos:],
+                         bool(flags & _FLAG_ENCRYPTED), expire_at, owner)
 
     def open_value(self, entry: ColdEntry) -> Optional[bytes]:
         """Recover the plaintext value, or None when crypto-erased or
@@ -366,57 +376,33 @@ class ColdSegmentStore:
 
     # -- enumeration ---------------------------------------------------------
 
-    def live_entries(self, include_expired: bool,
-                     now: Optional[float] = None) -> Dict[bytes, ColdEntry]:
-        """Newest live entry per key (the exact cold keyspace).
+    def live_keys(self, now: Optional[float] = None) -> List[bytes]:
+        """The exact cold keyspace, from the directory; with ``now``,
+        without the copies already past their deadline."""
+        return [key for key, slot in self._directory.items()
+                if now is None or slot.expire_at is None
+                or slot.expire_at > now]
 
-        This is the bloom-index *fallback* path: it decompresses every
-        segment, so it backs full-keyspace operations (KEYS, SCAN
-        completion, ``scan_records``) rather than point reads.
-        """
-        result: Dict[bytes, ColdEntry] = {}
-        for seq in reversed(self._segments):
-            info = self._segments[seq]
-            for key, entry in self._cache_entries(info).items():
-                if key in result:
-                    continue  # a newer segment already supplied this key
-                if self._dead_upto.get(key, -1) >= seq:
-                    continue
-                if not self._entry_live(entry):
-                    continue
-                if (not include_expired and entry.expire_at is not None
-                        and now is not None and entry.expire_at <= now):
-                    continue
-                result[key] = entry
-        return result
-
-    def live_count(self, include_expired: bool = True,
-                   now: Optional[float] = None) -> int:
-        return len(self.live_entries(include_expired, now))
+    def live_count(self) -> int:
+        return len(self._directory)
 
     # -- deletion-like mutations ---------------------------------------------
 
-    def tombstone_key(self, key: bytes, up_to_seq: Optional[int] = None,
-                      durable: bool = True) -> None:
-        """Kill copies of ``key`` in segments up to ``up_to_seq``
-        (default: every segment sealed so far).
+    def tombstone_key(self, key: bytes, durable: bool = True) -> None:
+        """Kill every copy of ``key`` sealed so far.
 
-        A durable tombstone is written even when a non-durable one
-        already covers the range -- power loss would revoke the
-        non-durable frame, and deletions must not resurrect.
+        A no-op when there is nothing to kill: no live copy and -- for a
+        durable tombstone -- no earlier non-durable one still exposed to
+        power loss, which must be re-issued durably because deletions
+        must not resurrect.
         """
-        if up_to_seq is None:
-            up_to_seq = self._next_seq - 1
-        if durable:
-            if self._dead_durable.get(key, -1) >= up_to_seq:
-                return
-        elif self._dead_upto.get(key, -1) >= up_to_seq:
+        if self._directory.pop(key, None) is None \
+                and not (durable and key in self._undurable):
             return
-        self._dead_upto[key] = max(self._dead_upto.get(key, -1), up_to_seq)
-        body = _U32.pack(len(key)) + key + _U64.pack(up_to_seq)
+        body = _U32.pack(len(key)) + key + _U64.pack(self._next_seq - 1)
         self._append_frame(MAGIC_TOMBSTONE, body, durable=durable)
-        if durable:
-            self._dead_durable[key] = up_to_seq
+        if not durable:
+            self._undurable.add(key)
         self.tombstones += 1
 
     def erase_subject(self, subject: str) -> List[int]:
@@ -429,40 +415,49 @@ class ColdSegmentStore:
         resurrection-by-restore.
         """
         encoded = subject.encode("utf-8")
-        touched = self.segments_of_subject(subject)
-        self._erased_subjects.add(subject)
+        touched = self._void_subject(subject)
         self._append_frame(MAGIC_SUBJECT,
                            _U32.pack(len(encoded)) + encoded, durable=True)
         self.subject_erasures += 1
         return touched
 
+    def _void_subject(self, subject: str) -> List[int]:
+        touched = self.segments_of_subject(subject)
+        for key in self._keys_of_subject(subject, touched):
+            del self._directory[key]
+        self._erased_subjects.add(subject)
+        return touched
+
     def segments_of_subject(self, subject: str) -> List[int]:
         """Which sealed segments may hold ``subject`` -- answered from
-        the per-subject blooms without decompressing anything."""
+        the per-subject blooms without reading anything."""
         h1, h2 = BloomFilter.hash_pair(subject.encode("utf-8"))
         return [seq for seq, info in self._segments.items()
                 if info.subject_bloom.contains_hashed(h1, h2)]
 
+    def _keys_of_subject(self, subject: str,
+                         candidates: List[int]) -> Iterator[bytes]:
+        """Live keys whose newest copy ``subject`` owns, from the index
+        blocks of the ``candidates`` segments."""
+        for seq in candidates:
+            positive = False
+            for entry in self._read_index(self._segments[seq]):
+                if entry.owner != subject:
+                    continue
+                positive = True
+                slot = self._directory.get(entry.key)
+                if slot is not None and slot.seq == seq:
+                    yield entry.key
+            if not positive:
+                self.bloom_false_positives += 1
+
     def keys_of_subject(self, subject: str) -> List[bytes]:
-        """Exact archived keys of ``subject`` (bloom-candidates first,
-        then decompress only those segments)."""
+        """Exact archived keys of ``subject`` (bloom candidates first,
+        then the index blocks of only those segments)."""
         if subject in self._erased_subjects:
             return []
-        keys: List[bytes] = []
-        seen: Set[bytes] = set()
-        for seq in self.segments_of_subject(subject):
-            info = self._segments[seq]
-            for key, entry in self._cache_entries(info).items():
-                if entry.owner != subject or key in seen:
-                    continue
-                if not self._entry_live(entry):
-                    continue
-                # Shadowed by a newer copy with a different owner?
-                newest = self.lookup(key)
-                if newest is not None and newest.seq == seq:
-                    keys.append(key)
-                    seen.add(key)
-        return sorted(keys)
+        return sorted(self._keys_of_subject(
+            subject, self.segments_of_subject(subject)))
 
     def clear(self) -> None:
         """Drop the whole archive (FLUSHDB/FLUSHALL reached cold)."""
@@ -471,98 +466,80 @@ class ColdSegmentStore:
 
     def _reset_volatile(self) -> None:
         self._segments.clear()
-        self._dead_upto.clear()
-        self._dead_durable.clear()
+        self._directory.clear()
+        self._undurable.clear()
         self._expiry.clear()
-        self._decode_cache.clear()
         # Erased subjects stay erased: the marker semantics mirror the
         # keystore's tombstone-forever rule.
 
     # -- expiry --------------------------------------------------------------
 
-    def pop_expired(self, now: float) -> List[ColdEntry]:
-        """Due, still-live cold entries (heap-ordered); the caller
+    def pop_expired(self, now: float) -> List[bytes]:
+        """Keys whose live cold copy is due (heap-ordered); the caller
         tombstones them and emits the deletion events."""
-        due: List[ColdEntry] = []
+        due: List[bytes] = []
         while self._expiry and self._expiry[0][0] <= now:
             _, seq, key = heapq.heappop(self._expiry)
-            info = self._segments.get(seq)
-            if info is None:
-                continue
-            entry = self._cache_entries(info).get(key)
-            if entry is None or not self._entry_live(entry):
-                continue
-            newest = self.lookup(key)
-            if newest is None or newest.seq != seq:
-                continue  # a newer copy shadows this one
-            due.append(entry)
+            slot = self._directory.get(key)
+            if slot is not None and slot.seq == seq:
+                due.append(key)
         return due
 
     # -- recovery ------------------------------------------------------------
 
     def _recover(self) -> None:
-        """Rebuild the in-RAM index from device bytes, dropping a torn
+        """Rebuild the resident index from device bytes, dropping a torn
         tail (a crash mid-seal leaves an incomplete final frame)."""
         data = self.device.read_all()
         pos = 0
         end = len(data)
         while pos < end:
-            if end - pos < 8:
-                self.torn_frames_dropped += 1
-                break
             magic = data[pos:pos + 4]
+            if magic == _MAGIC_SEGMENT_V1:
+                raise UnsupportedSegmentFormat(
+                    f"{self.device.name}: CSG1 segment frame at byte {pos}; "
+                    "this build reads CSG2 only")
+            if end - pos < 8 or magic not in (MAGIC_SEGMENT, MAGIC_TOMBSTONE,
+                                              MAGIC_SUBJECT, MAGIC_CLEAR):
+                self.torn_frames_dropped += 1
+                break
             (body_len,) = _U32.unpack_from(data, pos + 4)
-            frame_end = pos + 8 + body_len + 4
-            if magic not in (MAGIC_SEGMENT, MAGIC_TOMBSTONE,
-                             MAGIC_SUBJECT, MAGIC_CLEAR):
+            body_end = pos + 8 + body_len
+            if body_end + 4 > end:
                 self.torn_frames_dropped += 1
                 break
-            if frame_end > end:
+            body = data[pos + 8:body_end]
+            if crc32_of(body) != _U32.unpack_from(data, body_end)[0]:
                 self.torn_frames_dropped += 1
                 break
-            body = data[pos + 8:pos + 8 + body_len]
-            (crc,) = _U32.unpack_from(data, pos + 8 + body_len)
-            if crc32_of(body) != crc:
-                self.torn_frames_dropped += 1
-                break
-            self._apply_frame(magic, body)
-            pos = frame_end
+            self._apply_frame(magic, body, pos + 8)
+            pos = body_end + 4
 
-    def _apply_frame(self, magic: bytes, body: bytes) -> None:
+    def _apply_frame(self, magic: bytes, body: bytes,
+                     body_offset: int) -> None:
         if magic == MAGIC_SEGMENT:
-            pos = 0
-            (hlen,) = _U32.unpack_from(body, pos)
-            pos += 4
-            header = json.loads(body[pos:pos + hlen].decode("utf-8"))
-            pos += hlen
-            (klen,) = _U32.unpack_from(body, pos)
-            pos += 4
-            key_bloom = BloomFilter.from_bytes(body[pos:pos + klen])
-            pos += klen
-            (slen,) = _U32.unpack_from(body, pos)
-            pos += 4
-            subject_bloom = BloomFilter.from_bytes(body[pos:pos + slen])
-            pos += slen
-            compressed = body[pos:]
-            info = SegmentInfo(int(header["seq"]), int(header["count"]),
-                               float(header["sealed_at"]),
-                               int(header["payload_crc"]), compressed,
-                               key_bloom, subject_bloom)
-            self._register_segment(info)
-            self._next_seq = max(self._next_seq, info.seq + 1)
+            seq, sealed_at, bloom_len, index_len, index_crc = \
+                _SEGMENT_HEADER.unpack_from(body, 0)
+            bloom_end = _SEGMENT_HEADER.size + bloom_len
+            index_end = bloom_end + index_len
+            info = SegmentInfo(
+                seq, sealed_at, body_offset + bloom_end, index_len,
+                index_crc,
+                BloomFilter.from_bytes(body[_SEGMENT_HEADER.size:bloom_end]))
+            # The records behind the index stay on the device.
+            self._register(info, _unpack_index(body[bloom_end:index_end]),
+                           body_offset + index_end)
             self.recovered_segments += 1
         elif magic == MAGIC_TOMBSTONE:
             (klen,) = _U32.unpack_from(body, 0)
             key = body[4:4 + klen]
             (up_to,) = _U64.unpack_from(body, 4 + klen)
-            if self._dead_upto.get(key, -1) < up_to:
-                self._dead_upto[key] = up_to
-            # Anything read back from the device is durable by now.
-            if self._dead_durable.get(key, -1) < up_to:
-                self._dead_durable[key] = up_to
+            slot = self._directory.get(key)
+            if slot is not None and slot.seq <= up_to:
+                del self._directory[key]
         elif magic == MAGIC_SUBJECT:
             (slen,) = _U32.unpack_from(body, 0)
-            self._erased_subjects.add(body[4:4 + slen].decode("utf-8"))
+            self._void_subject(body[4:4 + slen].decode("utf-8"))
         elif magic == MAGIC_CLEAR:
             self._reset_volatile()
 
@@ -577,15 +554,18 @@ class ColdSegmentStore:
         return set(self._erased_subjects)
 
     def resident_bytes(self) -> int:
-        """RAM the archive index keeps resident: compressed segments,
-        blooms, tombstone maps, and the expiry heap."""
-        total = 0
-        for info in self._segments.values():
-            total += len(info.compressed)
-            total += info.key_bloom.byte_size()
-            total += info.subject_bloom.byte_size()
-        total += sum(len(k) + 8 for k in self._dead_upto)
-        total += sum(len(k) + 16 for _, _, k in self._expiry)
+        """RAM the archive keeps resident, every structure at its packed
+        size and nothing that lives on the device only: per segment the
+        fixed fields and the subject bloom, the directory, the
+        not-yet-durable tombstone keys, the erased-subject names, and
+        the expiry heap."""
+        total = sum(_SEGMENT_INFO_BYTES + info.subject_bloom.byte_size()
+                    for info in self._segments.values())
+        total += sum(len(key) + _SLOT_BYTES for key in self._directory)
+        total += sum(len(key) for key in self._undurable)
+        total += sum(len(name.encode("utf-8"))
+                     for name in self._erased_subjects)
+        total += sum(len(key) + 16 for _, _, key in self._expiry)
         return total
 
     def stats(self) -> Dict[str, int]:
@@ -596,7 +576,7 @@ class ColdSegmentStore:
             "tombstones": self.tombstones,
             "subject_erasures": self.subject_erasures,
             "bloom_false_positives": self.bloom_false_positives,
-            "decompressions": self.decompressions,
+            "entry_reads": self.entry_reads,
             "recovered_segments": self.recovered_segments,
             "torn_frames_dropped": self.torn_frames_dropped,
         }

@@ -63,3 +63,21 @@ def test_rerun_is_byte_identical(experiment, smoke_stdout, smoke_rows):
     pin them)."""
     again = compose(printed(EXPERIMENTS[experiment]), smoke_rows)
     assert "\n" + again + "\n" == smoke_stdout(experiment)
+
+
+def test_committed_tiering_table_says_the_cold_tier_frees_memory():
+    """Read off the committed artifact: at ``hot_frac`` 0.25 everything
+    the tiered store keeps resident -- hot bytes plus the archive's own
+    index -- is at most half of what hot-only keeps (0.6x at 0.50).  Up
+    to segment format v1 the archive kept its payload in RAM as well and
+    these ratios were 1.08x and 1.06x."""
+    lines = (BENCH_RESULTS / "tiering.txt").read_text().splitlines()
+    header = [name.strip() for name in lines[0].split("  ") if name.strip()]
+    resident = {}
+    for line in lines[2:]:
+        row = dict(zip(header, line.split()))
+        resident[row["mode"], row["hot_frac"]] = \
+            int(row["hot bytes"]) + int(row["cold ram"])
+    for hot_frac, bound in (("0.25", 0.5), ("0.50", 0.6)):
+        assert resident["tiered", hot_frac] \
+            <= bound * resident["hot-only", hot_frac], hot_frac

@@ -102,6 +102,44 @@ class TestCrash:
             log.corrupt_tail(0)
 
 
+class TestReadAt:
+    def test_charges_one_syscall_plus_the_bytes_returned(self):
+        clock = SimClock()
+        log = AppendLog(clock=clock, latency=INTEL_750_SSD)
+        log.append(b"0123456789")
+        log.flush_and_fsync()
+        before = clock.now()
+        assert log.read_at(3, 4) == b"3456"
+        assert clock.now() - before == pytest.approx(
+            INTEL_750_SSD.read_cost(4))
+        assert log.reads == 1
+        assert log.read_at(0, 10) == b"0123456789"
+        assert log.read_at(10, 0) == b""
+        assert log.reads == 3
+
+    @pytest.mark.parametrize("offset,length", [
+        (-1, 2), (0, 11), (9, 2), (11, 0), (3, -1)])
+    def test_bounds(self, offset, length):
+        clock = SimClock()
+        log = AppendLog(clock=clock, latency=INTEL_750_SSD)
+        log.append(b"0123456789")
+        with pytest.raises(DeviceIOError):
+            log.read_at(offset, length)
+        assert clock.now() == 0.0 and log.reads == 0   # refused, not charged
+
+    def test_after_crash_only_surviving_bytes_are_readable(self):
+        log = AppendLog()
+        log.append(b"AAAA")
+        log.flush_and_fsync()
+        log.append(b"BBBB")
+        log.flush()
+        assert log.read_at(4, 4) == b"BBBB"
+        log.crash(power_loss=True)
+        assert log.read_at(0, 4) == b"AAAA"
+        with pytest.raises(DeviceIOError):
+            log.read_at(4, 4)
+
+
 class TestTimingAndReplace:
     def test_fsync_charges_device_cost(self):
         clock = SimClock()

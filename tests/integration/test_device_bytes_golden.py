@@ -8,22 +8,16 @@ buffer XOR, single-pass RESP/audit encoding), so a change that claims to
 move no simulated digit and no device byte reruns this file to show it.
 
 A deliberate change to a log format, a cost constant or the envelope
-re-records the digests and says so in CHANGES.md.  PR 19 was one: the
-envelope keystream became one SHAKE-256 call and the sub-key labels were
-renamed.  The recorded-parent digests stay and are checked with the old
-construction patched back in (everything *but* the cipher is still
-byte-identical to ``d3009f3``); the digests of the shipped construction
-sit beside them and name exactly what moved.
+re-records the digests it moves -- and only those -- and says so in
+CHANGES.md.  There have been two: PR 19 (the envelope keystream became
+one SHAKE-256 call; AOF/WAL digests of all three runs) and PR 24 (cold
+segment format v2; the ``tiered`` run only).
 """
 
 import hashlib
 import random
-import struct
-
-import pytest
 
 from repro.common.clock import SimClock
-from repro.crypto import cipher
 from repro.crypto.cipher import seeded_entropy
 from repro.device.append_log import AppendLog
 from repro.device.latency import INTEL_750_SSD
@@ -202,61 +196,36 @@ def _tiered():
     return _digest(aof, cold, audit_dev), clock.now()
 
 
-# Recorded at d3009f3 (the parent of PR 14), before any source change.
+# One record.  ``strict_redislike`` and ``fast_relational``: audit digests
+# and final clocks as recorded at d3009f3 (the parent of PR 14), AOF/WAL
+# digests as re-recorded at PR 19 (SHAKE-256 envelope keystream:
+# ciphertext and tag bytes moved, no length did).  ``tiered``: re-recorded
+# at PR 24 for cold segment format v2 -- the cold device holds CSG2 frames
+# (uncompressed, indexed, one record per read), a promote charges one
+# record's read instead of a whole segment's, a deletion writes a durable
+# tombstone only when a copy is left to kill or harden; the clock, and
+# with it every timestamp in the AOF and the audit log, moves.
 GOLDEN = {
     "strict_redislike": ({
-        "aof": "9732a9ee193a5b624b9d178446732cd4"
-               "eab4b08774a6d591503e95676cadac81",
+        "aof": "922c52a2f83a58d39819aafc77adaa31"
+               "0ed3ca7cb47bca2582cde19e0e8f0ead",
         "audit": "c5c7753005b15c0d2a949c762612c6d8"
                  "3196f31d21d6c814cd4ab625e5e77b6d",
     }, 0.19332046999999966),
     "fast_relational": ({
-        "wal": "e589a39151547d623aa140a19f346b63"
-               "b27201f1ab8b4b1b9a19bd7ec8a29502",
+        "wal": "d705606dd6ae4beafad3321a07588c2f"
+               "fc38562d72ebdfbe2d1c1a21bf7565e9",
         "audit": "995488e14970ac59ae6b62236b62ebbd"
                  "d141d8b15c1b4353a1f08be63bf43e4a",
     }, 0.07506849600000068),
     "tiered": ({
-        "aof": "2176820ed46d4961c9e989209a4cdda1"
-               "8c58c3af02672afc19deb2d3a31f3f08",
-        "cold": "882042e471fee9aa2986803808c83eec"
-                "0d4937d7e98f39d0d82ae961ab78042b",
-        "audit": "0af0e0cbe295a9babc3ba23bd55a0d5e"
-                 "155ddbe534df6ad71a4ab99d84f247bf",
-    }, 180.04300654099777),
-}
-
-
-def _rerecorded(name, now=None, **moved):
-    """The parent's record for ``name`` with only ``moved`` replaced."""
-    digests, parent_now = GOLDEN[name]
-    assert moved.keys() <= digests.keys()
-    return {**digests, **moved}, parent_now if now is None else now
-
-
-# Re-recorded at PR 19 for the shipped envelope.  Ciphertext and tag bytes
-# move, so every device that holds them does; no length does.  The two
-# non-tiered runs keep the parent's audit digest and final clock.  The
-# tiered run zlib-compresses ciphertext into cold segments, whose
-# compressed lengths -- and with them the device charges, the clock and
-# the audit timestamps -- move by a few bytes.
-GOLDEN_SHAKE256 = {
-    "strict_redislike": _rerecorded(
-        "strict_redislike",
-        aof="922c52a2f83a58d39819aafc77adaa31"
-            "0ed3ca7cb47bca2582cde19e0e8f0ead"),
-    "fast_relational": _rerecorded(
-        "fast_relational",
-        wal="d705606dd6ae4beafad3321a07588c2f"
-            "fc38562d72ebdfbe2d1c1a21bf7565e9"),
-    "tiered": _rerecorded(
-        "tiered", now=180.04300680349795,
-        aof="8ae7464975812bad4d6fde9bfa8dfd72"
-            "be3110a6884f784aaefa05fa0f8caee0",
-        cold="ed67444619e8a66db388b1ab14f8939f"
-             "1dc69e62f358bfa03e2e0a5110acde9b",
-        audit="100687e8c7a682c220d6d383ed2444d8"
-              "ade212abbe19651113dd65b91a3cf298"),
+        "aof": "f4ee908f19840afafef44fe79cb3faf4"
+               "e9f588242bf338c244351779177e0ef8",
+        "cold": "583eada6c9aa88f0a3098b7ca597ce02"
+                "942b186a0e297b2c656f80c1c02ee6af",
+        "audit": "93e17fc799bf83c976c2f664077ffb67"
+                 "f2d61dfadf015addc14704bfcb4b13a1",
+    }, 180.0373877649978),
 }
 
 RUNS = {
@@ -266,39 +235,9 @@ RUNS = {
 }
 
 
-def _sha256_ctr_keystream(self, nonce, length, start_block=0):
-    """The envelope keystream up to PR 19, ``SHA-256(key || nonce ||
-    counter)`` per 32 bytes: the reference that keeps ``GOLDEN``
-    checkable.  Delete it, ``legacy_envelope`` and ``GOLDEN`` (folding
-    its constants into the newer record) at the next deliberate
-    re-record."""
-    prefix = self._key + nonce
-    return b"".join(
-        hashlib.sha256(prefix + struct.pack(">Q", counter)).digest()
-        for counter in range(start_block, start_block + (length + 31) // 32)
-    )[:length]
-
-
-@pytest.fixture
-def legacy_envelope(monkeypatch):
-    monkeypatch.setattr(cipher.StreamCipher, "keystream",
-                        _sha256_ctr_keystream)
-    # raising=False: the labels were literals at the recorded parent, where
-    # this fixture must change nothing; a missed patch fails the digests.
-    monkeypatch.setattr(cipher, "ENC_LABEL", b"enc|", raising=False)
-    monkeypatch.setattr(cipher, "MAC_LABEL", b"mac|", raising=False)
-
-
 def _run(name):
     with seeded_entropy(7):
         return RUNS[name]()
-
-
-def _assert_matches(golden):
-    for name, (digests, now) in golden.items():
-        got_digests, got_now = _run(name)
-        assert got_digests == digests, name
-        assert repr(got_now) == repr(now), name
 
 
 def test_runs_repeat_exactly():
@@ -306,9 +245,8 @@ def test_runs_repeat_exactly():
         assert _run(name) == _run(name), name
 
 
-def test_device_bytes_and_clock_match_the_recorded_parent(legacy_envelope):
-    _assert_matches(GOLDEN)
-
-
 def test_device_bytes_and_clock_match_the_shipped_envelope():
-    _assert_matches(GOLDEN_SHAKE256)
+    for name, (digests, now) in GOLDEN.items():
+        got_digests, got_now = _run(name)
+        assert got_digests == digests, name
+        assert repr(got_now) == repr(now), name

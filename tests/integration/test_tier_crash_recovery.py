@@ -62,6 +62,38 @@ class TestTornSeal:
             assert recovered.execute("GET", f"k{i}") == f"v{i}".encode()
         assert recovered.execute("DBSIZE") == 4
 
+    def test_power_loss_at_every_byte_of_the_seal_frame(self):
+        """Whichever prefix of the frame reached the device before power
+        failed, the segment is absent and the hot copies intact (removal
+        follows the fsync barrier); with the last byte it is wholly
+        there.  Never a partial directory."""
+        scratch = ColdSegmentStore(device=AppendLog(clock=SimClock()))
+        scratch.seal([ColdInput(b"pad", b"", None, None)], sealed_at=0.0)
+        first = scratch.device.total_length
+        scratch.seal([ColdInput(b"k2", b"v2", None, None),
+                      ColdInput(b"k3", b"v3", None, None)], sealed_at=0.0)
+        frame = scratch.device.read_all()[first:]     # segment seq 1
+        for cut in range(len(frame) + 1):
+            engine = make_engine()
+            for i in range(4):
+                engine.execute("SET", f"k{i}", f"v{i}")
+            engine.demote_keys([b"k0", b"k1"])        # segment seq 0
+            engine.cold.device.append(frame[:cut])
+            engine.cold.device.flush_and_fsync()
+            recovered = recover(engine)
+            whole = cut == len(frame)
+            assert recovered.cold.torn_frames_dropped == \
+                (0 < cut < len(frame)), cut
+            assert recovered.cold.segment_count == (2 if whole else 1), cut
+            assert sorted(recovered.cold.live_keys()) == \
+                [b"k0", b"k1"] + ([b"k2", b"k3"] if whole else []), cut
+            if whole:       # relocated frame: offsets are frame-relative
+                assert recovered.cold.lookup(b"k3").stored == b"v3"
+            for i in range(4):
+                assert recovered.execute("GET", f"k{i}") == \
+                    f"v{i}".encode(), (cut, i)
+            assert recovered.execute("DBSIZE") == 4
+
     def test_crash_between_seal_and_hot_removal(self):
         engine = make_engine()
         engine.execute("SET", "dup", "value")

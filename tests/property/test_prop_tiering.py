@@ -1,6 +1,7 @@
 """Property-based tests over the tiered keyspace: hot-only equivalence
-under random op/demote interleavings, bloom soundness, measured FP rate,
-and no-resurrection of erased subjects across crashes."""
+under random op/demote interleavings, the cold store against a
+dict-of-versions model of its frame log, bloom soundness, measured FP
+rate, and no-resurrection of erased subjects across crashes."""
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -115,16 +116,131 @@ def test_crash_recovery_preserves_tiered_state(ops):
        st.integers(1, 5))
 @settings(max_examples=50, deadline=None, derandomize=True)
 def test_sealed_keys_never_bloom_false_negative(keys, per_segment):
-    """A sealed, untombstoned key is always bloom-visible."""
+    """A sealed, untombstoned key is always found, and its owner is
+    always positive in the subject bloom of the segment that holds it."""
     store = ColdSegmentStore(device=AppendLog(clock=SimClock()))
     ordered = sorted(keys)
     for start in range(0, len(ordered), per_segment):
         batch = ordered[start:start + per_segment]
-        store.seal([ColdInput(k, b"v", None, None) for k in batch],
+        store.seal([ColdInput(k, b"v", None, k.hex()) for k in batch],
                    sealed_at=0.0)
     for key in ordered:
-        assert store.may_contain(key)
-        assert store.lookup(key) is not None
+        entry = store.lookup(key)
+        assert entry is not None and store.slot_of(key).seq == entry.seq
+        assert entry.seq in store.segments_of_subject(key.hex())
+        assert store.keys_of_subject(key.hex()) == [key]
+
+
+MODEL_KEYS = [b"k%d" % i for i in range(6)]
+MODEL_SUBJECTS = ["alice", "bob", "carol"]
+
+archive_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("seal"),
+                  st.lists(st.tuples(st.sampled_from(MODEL_KEYS),
+                                     st.sampled_from(MODEL_SUBJECTS + [None]),
+                                     st.binary(max_size=6)),
+                           min_size=1, max_size=4,
+                           unique_by=lambda item: item[0])),
+        st.tuples(st.just("tombstone"), st.sampled_from(MODEL_KEYS),
+                  st.booleans()),
+        st.tuples(st.just("erase"), st.sampled_from(MODEL_SUBJECTS)),
+        st.tuples(st.just("recover"), st.booleans()),
+    ),
+    max_size=30)
+
+
+class ArchiveModel:
+    """The archive as its frame log defines it: every sealed version of
+    every key, the tombstones, the erased subjects -- state is a replay
+    of the log, the newest version of a key speaks for it, and power
+    loss cuts the log back to its last fsync."""
+
+    def __init__(self):
+        self.log = []
+        self.durable = 0
+        self.next_seq = 0
+
+    def live(self):
+        """key -> (seq, owner, value) of every live newest version."""
+        versions, dead, erased = {}, {}, set()
+        for frame in self.log:
+            if frame[0] == "seal":
+                for key, owner, value in frame[2]:
+                    versions.setdefault(key, []).append(
+                        (frame[1], owner, value))
+            elif frame[0] == "tombstone":
+                dead[frame[1]] = frame[2]
+            else:
+                erased.add(frame[1])
+        return {key: copies[-1] for key, copies in versions.items()
+                if copies[-1][0] > dead.get(key, -1)
+                and copies[-1][1] not in erased}
+
+    def segments_holding(self, subject):
+        return {frame[1] for frame in self.log if frame[0] == "seal"
+                and any(owner == subject for _, owner, _ in frame[2])}
+
+    def seal(self, entries):
+        self.log.append(("seal", self.next_seq, entries))
+        self.next_seq += 1
+        self.durable = len(self.log)
+
+    def tombstone(self, key, durable):
+        exposed = any(frame[:2] == ("tombstone", key)
+                      for frame in self.log[self.durable:])
+        if key not in self.live() and not (durable and exposed):
+            return          # nothing to kill, nothing to harden
+        self.log.append(("tombstone", key, self.next_seq - 1))
+        if durable:
+            self.durable = len(self.log)
+
+    def erase(self, subject):
+        self.log.append(("erase", subject))
+        self.durable = len(self.log)
+
+    def power_loss(self):
+        del self.log[self.durable:]
+
+
+@given(archive_ops)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_cold_store_equals_a_dict_of_versions_model(ops):
+    """Random seal / tombstone / erase / recover sequences, every key
+    looked up after every step: the resident directory, rebuilt or not,
+    answers exactly what a replay of the frame log answers."""
+    store = ColdSegmentStore(device=AppendLog(clock=SimClock()))
+    model = ArchiveModel()
+    for op in ops:
+        if op[0] == "seal":
+            store.seal([ColdInput(key, value, None, owner)
+                        for key, owner, value in op[1]], sealed_at=0.0)
+            model.seal(op[1])
+        elif op[0] == "tombstone":
+            store.tombstone_key(op[1], durable=op[2])
+            model.tombstone(op[1], durable=op[2])
+        elif op[0] == "erase":
+            reached = store.erase_subject(op[1])
+            assert set(reached) >= model.segments_holding(op[1])
+            model.erase(op[1])
+        elif op[0] == "recover":
+            if op[1]:
+                store.device.crash(power_loss=True)
+                model.power_loss()
+            store = ColdSegmentStore(device=store.device)
+        live = model.live()
+        assert sorted(store.live_keys()) == sorted(live)
+        assert store.live_count() == len(live)
+        for key in MODEL_KEYS:
+            entry = store.lookup(key)
+            found = entry and (entry.seq, entry.owner, entry.stored)
+            assert found == live.get(key), key
+        for subject in MODEL_SUBJECTS:
+            assert store.keys_of_subject(subject) == sorted(
+                key for key, (_, owner, _) in live.items()
+                if owner == subject)
+            assert set(store.segments_of_subject(subject)) >= \
+                model.segments_holding(subject)
 
 
 def test_bloom_fp_rate_stays_under_configured_bound():

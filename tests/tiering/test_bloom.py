@@ -43,6 +43,35 @@ def test_deterministic_across_instances():
     assert a.to_bytes() == b.to_bytes()
 
 
+def test_hash_construction_is_pinned():
+    """Fixed vectors for the double-hash construction and the device
+    format: ``h1``/``h2`` are the first two 8-byte words of SHA-256 (``h2``
+    forced odd), probe ``i`` sets bit ``(h1 + i * h2) % bit_count``, LSB
+    first within a byte, behind a ``>III`` header.  A sealed segment's
+    subject bloom must answer the same after any rewrite of this module."""
+    assert BloomFilter.hash_pair(b"") == \
+        (16406829232824261652, 11167788843400149285)
+    assert BloomFilter.hash_pair(b"user000042") == \
+        (15084200129462431362, 14253602378381185223)
+    assert BloomFilter.hash_pair(b"subject-7") == \
+        (10884083568861196413, 3248498583111773203)
+    small = BloomFilter(64, 3)
+    small.update([b"alice", b"bob", b"subject-7"])
+    assert small.to_bytes().hex() == \
+        "0000004000000003000000030201010508800220"
+    assert small.byte_size() == len(small.to_bytes())
+    sized = BloomFilter.for_capacity(32, 0.01)
+    assert (sized.bit_count, sized.hash_count) == (353, 8)
+    sized.update(b"subject-%d" % i for i in range(8))
+    assert sized.to_bytes().hex() == (
+        "000001610000000800000008001630020040204521008108211680c849200084"
+        "00505200080094002020700581100060000120c00800480100")
+    for item in (b"alice", b"bob", b"subject-7"):
+        assert item in small and small.may_contain(item)
+        assert small.contains_hashed(*BloomFilter.hash_pair(item))
+    assert b"carol" not in small
+
+
 def test_empty_filter_matches_nothing():
     bloom = BloomFilter.for_capacity(16, 0.01)
     assert b"anything" not in bloom

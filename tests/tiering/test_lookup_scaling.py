@@ -2,10 +2,12 @@
 
 Two deterministic, host-independent counts per command: SHA-256
 computations made on behalf of the segment filters, and Python-level
-calls (``sys.setprofile``).  A point command hashes its key once and
-walks the sealed segments once, whatever the archive's size; a walk
-costs one early-exit probe per segment, not one hash-and-generator
-pipeline.
+calls (``sys.setprofile``).  Up to segment format v1 a point command
+hashed its key once and probed one key bloom per sealed segment; since
+v2 membership is one lookup in the resident directory, so both counts
+were restated downward: no filter hash at all (the subject blooms are
+consulted by rights requests only), and a miss that costs the same
+whatever the archive's size.
 """
 
 import pytest
@@ -66,7 +68,7 @@ def test_one_filter_hash_per_key_per_command(filter_hashes, segments,
     engine = _engine_with_segments(segments)
     del filter_hashes[:]
     engine.execute(command[0], key, *command[1:])
-    assert filter_hashes == [key]
+    assert filter_hashes == []          # was [key]: at most one, now none
 
 
 def test_total_miss_cost_grows_by_one_probe_per_segment():
@@ -75,7 +77,6 @@ def test_total_miss_cost_grows_by_one_probe_per_segment():
         engine = _engine_with_segments(segments)
         counts[segments] = py_calls(
             lambda: engine.execute("GET", b"absent")).total
-    # Ten times the segments: nine times the filters to probe, each one
-    # Python call on top of the command's fixed cost.
-    assert counts[40] - counts[4] <= 2 * (40 - 4)
-    assert counts[40] < 4 * counts[4]
+    # Ten times the segments, not one call more (was: one probe per
+    # segment on top of the command's fixed cost).
+    assert counts[40] == counts[4]

@@ -4,9 +4,12 @@ versioning, subject erasure, expiry, and device-level recovery."""
 import pytest
 
 from repro.common.clock import SimClock
+from repro.common.errors import CorruptionError
 from repro.crypto.keystore import KeyStore
 from repro.device.append_log import AppendLog
-from repro.tiering.segment import ColdInput, ColdSegmentStore
+from repro.device.latency import INTEL_750_SSD
+from repro.tiering.segment import (ColdInput, ColdSegmentStore,
+                                   UnsupportedSegmentFormat)
 
 
 def make_store(keystore=None):
@@ -48,15 +51,36 @@ def test_newest_segment_wins():
 
 def test_tombstone_versioning():
     store, _ = make_store()
-    old_seq = store.seal(inputs((b"k", b"old")), sealed_at=0.0)
-    store.tombstone_key(b"k", up_to_seq=old_seq)
+    store.seal(inputs((b"k", b"old")), sealed_at=0.0)
+    store.tombstone_key(b"k")
     assert store.lookup(b"k") is None
     # A re-demoted copy sealed after the tombstone must survive it.
     store.seal(inputs((b"k", b"again")), sealed_at=1.0)
     assert store.open_value(store.lookup(b"k")) == b"again"
-    # A full tombstone (no up_to_seq) kills everything sealed so far.
     store.tombstone_key(b"k")
     assert store.lookup(b"k") is None
+
+
+def test_tombstone_is_written_only_when_it_kills_or_hardens():
+    store, device = make_store()
+    store.seal(inputs((b"k", b"v"), (b"other", b"v")), sealed_at=0.0)
+    store.tombstone_key(b"never-sealed")
+    assert store.tombstones == 0
+    # A non-durable kill (promote eviction) is exposed to power loss
+    # until some fsync covers it: a deletion re-issues it durably ...
+    store.tombstone_key(b"k", durable=False)
+    assert device.durable_length < device.total_length
+    store.tombstone_key(b"k", durable=True)
+    assert store.tombstones == 2
+    assert device.durable_length == device.total_length
+    # ... once, and not at all when a later barrier already covered it.
+    store.tombstone_key(b"k", durable=True)
+    store.tombstone_key(b"other", durable=False)
+    store.seal(inputs((b"later", b"v")), sealed_at=1.0)    # fsyncs
+    store.tombstone_key(b"other", durable=True)
+    assert store.tombstones == 3
+    recovered = ColdSegmentStore(device=device)
+    assert recovered.live_keys() == [b"later"]
 
 
 def test_subject_erasure_is_crypto_erasure():
@@ -86,15 +110,58 @@ def test_keys_of_subject_uses_blooms():
     assert store.keys_of_subject("nobody") == []
 
 
+def test_lookup_reads_one_record_and_a_miss_reads_nothing():
+    clock = SimClock()
+    device = AppendLog(clock=clock, latency=INTEL_750_SSD, name="cold.seg")
+    store = ColdSegmentStore(device=device)
+    store.seal(inputs(*[(b"k%d" % i, b"v" * 100) for i in range(32)]),
+               sealed_at=0.0)
+    before = clock.now()
+    assert store.lookup(b"absent") is None
+    assert store.slot_of(b"absent") is None
+    assert store.slot_of(b"k7").seq == 0
+    assert store.live_count() == 32 and len(store.live_keys()) == 32
+    assert clock.now() == before and device.reads == 0
+    entry = store.lookup(b"k7")
+    assert entry.stored == b"v" * 100
+    assert device.reads == 1 and store.entry_reads == 1
+    # u32 klen | key | flags | value | u32 crc: that record, no more.
+    record_bytes = 4 + 2 + 1 + 100 + 4
+    assert clock.now() - before == pytest.approx(
+        INTEL_750_SSD.read_cost(record_bytes))
+
+
+def test_subject_enumeration_reads_index_blocks_not_values():
+    clock = SimClock()
+    device = AppendLog(clock=clock, latency=INTEL_750_SSD, name="cold.seg")
+    store = ColdSegmentStore(device=device, fp_rate=0.5)
+    for seg in range(12):
+        store.seal(inputs((b"s%d" % seg, b"v" * 4000),
+                          owner="subject-%d" % seg), sealed_at=0.0)
+    before = clock.now()
+    assert store.keys_of_subject("subject-3") == [b"s3"]
+    assert device.reads == len(store.segments_of_subject("subject-3"))
+    assert store.entry_reads == 0
+    # An index block, not 4 kB of value, per candidate segment.
+    assert clock.now() - before < device.reads * INTEL_750_SSD.read_cost(200)
+    # A bloom candidate that holds nothing of the subject is the counted
+    # false positive (hashing is deterministic: some ghost collides).
+    ghost = next(name for name in ("ghost-%d" % i for i in range(1000))
+                 if store.segments_of_subject(name))
+    false_before = store.bloom_false_positives
+    assert store.keys_of_subject(ghost) == []
+    assert store.bloom_false_positives - false_before == \
+        len(store.segments_of_subject(ghost))
+
+
 def test_pop_expired_orders_and_filters():
     store, _ = make_store()
     store.seal([ColdInput(b"soon", b"1", 5.0, None),
                 ColdInput(b"later", b"2", 50.0, None),
                 ColdInput(b"never", b"3", None, None)], sealed_at=0.0)
-    due = store.pop_expired(now=10.0)
-    assert [e.key for e in due] == [b"soon"]
+    assert store.pop_expired(now=10.0) == [b"soon"]
     store.tombstone_key(b"soon")
-    assert store.pop_expired(now=100.0)[0].key == b"later"
+    assert store.pop_expired(now=100.0) == [b"later"]
 
 
 def test_recovery_from_device_bytes():
@@ -137,13 +204,86 @@ def test_clear_keeps_erased_subjects():
 
 
 def test_checksummed_payload_detects_corruption():
+    store, device = make_store()
+    store.seal(inputs((b"a", b"1111"), (b"b", b"2222"), (b"c", b"3333")),
+               sealed_at=0.0)
+    slot = store.slot_of(b"b")
+    device._data[slot.offset + slot.length - 5] ^= 0x01   # in b's value
+    with pytest.raises(CorruptionError, match="checksum"):
+        store.lookup(b"b")
+    # Only that entry: its neighbours and the index block still verify.
+    assert store.lookup(b"a").stored == b"1111"
+    assert store.lookup(b"c").stored == b"3333"
+    assert store.keys_of_subject("nobody") == []
+
+
+def test_corrupt_index_block_is_detected_on_read():
+    store, device = make_store()
+    seq = store.seal(inputs((b"a", b"1"), owner="alice"), sealed_at=0.0)
+    device._data[store._segments[seq].index_offset] ^= 0x01
+    with pytest.raises(CorruptionError, match="index checksum"):
+        store.keys_of_subject("alice")
+
+
+def _sealed_device(*segments):
+    store, device = make_store()
+    for segment in segments:
+        store.seal(segment, sealed_at=0.0)
+    return device.read_all()
+
+
+def test_power_loss_at_every_byte_of_a_seal_frame():
+    """Whatever prefix of a seal frame reached the device, recovery sees
+    the segment whole or not at all -- never a partial directory."""
+    first = inputs((b"a", b"1"), (b"b", b"2"), owner="alice")
+    second = inputs((b"b", b"22"), (b"c", b"3"), expire_at=9.0)
+    intact = _sealed_device(first)
+    full = _sealed_device(first, second)
+    for cut in range(len(intact), len(full) + 1):
+        device = AppendLog(clock=SimClock(), name="cold.seg")
+        device.append(full[:cut])
+        device.flush_and_fsync()
+        recovered = ColdSegmentStore(device=device)
+        if cut == len(full):
+            assert recovered.recovered_segments == 2
+            assert sorted(recovered.live_keys()) == [b"a", b"b", b"c"]
+            assert recovered.lookup(b"b").stored == b"22"
+            assert recovered.pop_expired(now=10.0) == [b"b", b"c"]
+        else:
+            assert recovered.recovered_segments == 1, cut
+            assert recovered.torn_frames_dropped == (cut > len(intact))
+            assert sorted(recovered.live_keys()) == [b"a", b"b"]
+            assert recovered.lookup(b"b").stored == b"2"
+            assert recovered.pop_expired(now=10.0) == []
+
+
+def test_v1_segment_frame_is_refused_by_name():
+    store, device = make_store()
+    store.seal(inputs((b"a", b"1")), sealed_at=0.0)
+    device.append(b"CSG1" + b"\x00\x00\x00\x04body" + b"\x00" * 4)
+    device.flush_and_fsync()
+    with pytest.raises(UnsupportedSegmentFormat, match="CSG1"):
+        ColdSegmentStore(device=device)
+
+
+def test_resident_bytes_counts_every_resident_structure():
     store, _ = make_store()
-    seq = store.seal(inputs((b"a", b"1")), sealed_at=0.0)
-    info = store._segments[seq]
-    store._decode_cache.clear()
-    store._segments[seq] = info._replace(payload_crc=info.payload_crc ^ 1)
-    with pytest.raises(ValueError, match="checksum"):
-        store.lookup(b"a")
+    assert store.resident_bytes() == 0
+    store.seal([ColdInput(b"k1", b"v" * 500, None, "alice"),
+                ColdInput(b"key22", b"v" * 500, 7.0, None)], sealed_at=0.0)
+    bloom = store._segments[0].subject_bloom.byte_size()
+    segment = 32 + bloom                 # seq, sealed_at, index offset/len/crc
+    directory = (2 + 24) + (5 + 24)      # key + seq, offset, length, deadline
+    heap = 5 + 16                        # key + deadline, seq
+    assert store.resident_bytes() == segment + directory + heap
+    # No payload: 1000 value bytes are on the device only.
+    assert store.resident_bytes() < 200 < store.device.total_length
+    store.tombstone_key(b"key22", durable=False)
+    undurable = 5
+    assert store.resident_bytes() == \
+        segment + (2 + 24) + heap + undurable
+    store.erase_subject("alice")         # fsyncs: nothing undurable left
+    assert store.resident_bytes() == segment + heap + len("alice")
 
 
 def test_empty_seal_rejected():
@@ -161,3 +301,4 @@ def test_stats_counters():
     assert stats["sealed_entries"] == 2
     assert stats["tombstones"] == 1
     assert stats["segments"] == 1
+    assert stats["entry_reads"] == 0 and "decompressions" not in stats
