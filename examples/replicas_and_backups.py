@@ -37,7 +37,7 @@ def main() -> None:
     print("after DEL on primary:")
     print(f"  visible anywhere?  "
           f"{replication.key_visible_anywhere(b'pii:alice')}")
-    horizon = replication.erasure_horizon(b"pii:alice", step=0.01)
+    horizon = replication.erasure_horizon([b"pii:alice"], step=0.01)
     print(f"  erasure horizon:   {horizon * 1e3:.0f} ms "
           "(bounded by the DR site's 250 ms lag)")
     print(f"  visible anywhere?  "
@@ -76,9 +76,7 @@ def main() -> None:
 
     # --- cluster-wide: every shard gets replicas ------------------------------
     sharded = ShardedGDPRStore(num_shards=2)
-    sharded.attach_replication(replicas_per_shard=2,
-                               delays=[0.002, 0.250],
-                               pump_interval=0.001)
+    sharded.attach_replication(delays=[0.002, 0.250], pump_interval=0.001)
     for i in range(8):
         sharded.put(f"user:{i}", b"pii",
                     GDPRMetadata(owner="carol" if i % 2 == 0 else "dan",
@@ -87,7 +85,7 @@ def main() -> None:
 
     keys = sharded.keys_of_subject("carol")
     sharded.erase_subject("carol")
-    horizon = sharded.subject_erasure_horizon(keys, step=0.01)
+    horizon = sharded.replication.erasure_horizon(keys, step=0.01)
     print(f"\ncluster erasure of carol ({len(keys)} keys, "
           f"{sharded.num_shards} shards x 2 replicas): last copy gone "
           f"after {horizon * 1e3:.0f} ms (the DR replicas' 250 ms lag)")

@@ -230,7 +230,7 @@ def erasure_horizon(delay: float) -> Row:
     clock.advance(delay * 2 + 1.0)
     manager.pump()
     primary.execute("DEL", "pii")
-    horizon = manager.erasure_horizon(b"pii", step=delay / 20 + 1e-5)
+    horizon = manager.erasure_horizon([b"pii"], step=delay / 20 + 1e-5)
     return {"erasure_horizon": horizon if horizon is not None
             else float("inf")}
 

@@ -668,8 +668,7 @@ def run_replication_cell(shards: int, replicas: int, delay: float,
     # Timer pumps on the cluster clock: replicas apply continuously as
     # time advances, so the stale-read sample reflects the
     # delay window rather than an ever-growing backlog.
-    replication = cluster.attach_replication(replicas_per_shard=replicas,
-                                             delay=delay,
+    replication = cluster.attach_replication(delays=(delay,) * replicas,
                                              pump_interval=delay / 4)
     keys, value, _ = _load(cluster, record_count, 8, seed)
     throughput = _pipelined_phase(
@@ -694,7 +693,7 @@ def run_replication_cell(shards: int, replicas: int, delay: float,
     for key in keys[::max(1, len(keys) // erase_count)][:erase_count]:
         cluster.call("DEL", key)
         horizon = replication.erasure_horizon(
-            key.encode("utf-8"), step=step, max_wait=10.0 + 4 * delay)
+            [key], step=step, max_wait=10.0 + 4 * delay)
         if horizon is not None:
             horizons.append(horizon)
     horizons.sort()
@@ -755,8 +754,7 @@ def _subject_store(shards: int, subject_keys: int,
     store = ShardedGDPRStore(num_shards=shards,
                              kv_factory=_store_factory(gdpr=True))
     if replicas:
-        store.attach_replication(replicas_per_shard=replicas,
-                                 delay=FANOUT_REPLICA_DELAY,
+        store.attach_replication(delays=(FANOUT_REPLICA_DELAY,) * replicas,
                                  pump_interval=FANOUT_REPLICA_DELAY / 4)
     rng = random.Random(7)
     for number in range(subject_keys):
@@ -778,7 +776,7 @@ def replicated_erasure_fanout(shards: int, replicas: int,
     store = _subject_store(shards, subject_keys, replicas)
     keys = store.keys_of_subject("alice")
     receipt = store.erase_subject("alice")
-    horizon = store.subject_erasure_horizon(
+    horizon = store.replication.erasure_horizon(
         keys, step=FANOUT_REPLICA_DELAY / 10)
     return {
         "total_replicas": replicas * shards,

@@ -30,7 +30,7 @@ Layer-wide invariants (each module's docstring details its own):
 * replication lag is a *compliance* property: shards may carry delayed
   replicas, erasure fans out to them through the per-shard write
   streams, and the cluster-wide ``erasure_horizon`` reports when a
-  deleted key left the last copy.
+  deleted key left the last copy (in-flight commands included).
 """
 
 from .client import (
@@ -49,11 +49,7 @@ from .autoscale import (
     SignalProbe,
 )
 from .migration import GDPRSlotMigrator, MigrationReceipt, SlotMigrator
-from .replication import (
-    ClusterReplication,
-    ReplicatedShard,
-    queue_touches,
-)
+from .replication import ClusterReplication
 from .sharded_store import ShardedErasureReceipt, ShardedGDPRStore
 from .slots import (
     MigrationState,
@@ -88,8 +84,6 @@ __all__ = [
     "MigrationReceipt",
     "SlotMigrator",
     "ClusterReplication",
-    "ReplicatedShard",
-    "queue_touches",
     "ShardedGDPRStore",
     "ShardedErasureReceipt",
     "WorkerPool",

@@ -115,14 +115,8 @@ class Autoscaler:
     def start(self) -> None:
         if self._handle is not None and self._handle.active:
             return
-
-        def fire() -> None:
-            self.check()
-            self._handle = self.scheduler.schedule_after(
-                self.config.interval, fire, label="autoscale", daemon=True)
-
-        self._handle = self.scheduler.schedule_after(
-            self.config.interval, fire, label="autoscale", daemon=True)
+        self._handle = self.scheduler.every(self.config.interval, self.check,
+                                            label="autoscale")
 
     def stop(self) -> None:
         if self._handle is not None:

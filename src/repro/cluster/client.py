@@ -458,9 +458,7 @@ class ClusterClient:
     def __init__(self, nodes: Sequence[ClusterNode],
                  slot_map: Optional[SlotMap] = None,
                  clock: Optional[Clock] = None,
-                 max_redirects: int = 5,
-                 read_from_replicas: bool = False,
-                 replica_seed: int = 0) -> None:
+                 max_redirects: int = 5) -> None:
         if not nodes:
             raise ClusterError("a cluster needs at least one shard")
         self.nodes = list(nodes)
@@ -480,13 +478,12 @@ class ClusterClient:
         self.max_redirects = max_redirects
         self.moved_redirects = 0
         self.ask_redirects = 0
-        # Per-shard replica groups (attach_replication); with
-        # read_from_replicas on, eligible reads go to a random replica of
-        # the owning shard, and stale_replica_reads counts the ones whose
-        # replica had the read key in its in-flight backlog.
+        # Per-shard replica groups (attach_replication); a call with
+        # prefer_replica=True sends an eligible read to a random replica
+        # of the owning shard, and stale_replica_reads counts the ones
+        # whose replica had the read key in its in-flight backlog.
         self.replication = None
-        self.read_from_replicas = read_from_replicas
-        self._replica_rng = random.Random(replica_seed)
+        self._replica_rng = random.Random(0)
         self.replica_reads = 0
         self.stale_replica_reads = 0
         self.tenant: Optional[str] = None
@@ -546,28 +543,24 @@ class ClusterClient:
 
     # -- replication -------------------------------------------------------
 
-    def attach_replication(self, replicas_per_shard: int = 1,
-                           delay: float = 0.001,
-                           delays: Optional[Sequence[float]] = None,
-                           pump_interval: Optional[float] = None,
-                           replica_factory=None):
-        """Give every shard a replication group (see
+    def attach_replication(self, delays: Sequence[float] = (0.001,),
+                           pump_interval: Optional[float] = None):
+        """Give every shard a replication group of one replica per
+        entry of ``delays`` (its one-way delay in seconds; see
         :mod:`repro.cluster.replication`).  Links live on the shared
         scheduler, so delivery times sit on the timeline the shard's
-        writes happen on.  With
-        ``pump_interval``, groups pump themselves from daemon timer
-        events.  Slot migrations then hand replica sets off at the flip
+        writes happen on.  With ``pump_interval``, groups pump
+        themselves from daemon timer events.  Slot migrations then hand
+        replica sets off at the flip
         (``MigrationReceipt.replicas_synced``)."""
         from .replication import ClusterReplication
 
         if self.replication is not None:
             raise ClusterError("replication is already attached")
-        self.replication = ClusterReplication.attach(
+        self.replication = ClusterReplication(
             self.clock,
             [(node.index, node.store, self.clock) for node in self.nodes],
-            replicas_per_shard=replicas_per_shard, delay=delay,
-            delays=delays, pump_interval=pump_interval,
-            replica_factory=replica_factory)
+            delays=delays, pump_interval=pump_interval)
         return self.replication
 
     def _replica_read(self, argv: List[bytes]) -> Any:
@@ -614,18 +607,16 @@ class ClusterClient:
             self.moved_redirects += 1
             self.learn_route(slot, owner)
             shard = owner
-        group = self.replication.group_of(shard)
+        group = self.replication.groups.get(shard)
         if group is None or not group.links:
             return _REPLICA_MISS
-        from .replication import queue_touches
-
         # Replica delivery proceeds with cluster time whether or not the
         # primary path has touched this shard lately: apply whatever is
         # due, so only genuinely in-flight commands can count as stale.
         group.pump()
         link = group.links[self._replica_rng.randrange(len(group.links))]
         self.replica_reads += 1
-        if queue_touches(link, keys):
+        if link.touches(keys):
             self.stale_replica_reads += 1
         try:
             reply = link.replica.execute(*argv)
@@ -644,16 +635,16 @@ class ClusterClient:
 
     def call(self, *args: Any, raise_errors: bool = True,
              shard: Optional[int] = None,
-             prefer_replica: Optional[bool] = None) -> Any:
+             prefer_replica: bool = False) -> Any:
         """One command, one full round trip to its shard (or, for
         keyspace-wide commands, one concurrent round trip to every
         shard with the replies merged).
 
-        ``prefer_replica`` (default: the client's ``read_from_replicas``
-        setting) routes an eligible single-slot read to a random replica
-        of the owning shard instead of the primary; ineligible commands
-        -- and clients with no replication attached -- fall through to
-        the primary transparently.  Pipelines always hit primaries.
+        ``prefer_replica`` routes an eligible single-slot read to a
+        random replica of the owning shard instead of the primary;
+        ineligible commands -- and clients with no replication attached
+        -- fall through to the primary transparently.  Pipelines always
+        hit primaries.
         """
         argv = normalize_args(args)
         if not argv:
@@ -661,9 +652,7 @@ class ClusterClient:
         if shard is None \
                 and spec_of(argv[0].upper()).routing is BROADCAST:
             return self._broadcast(argv, raise_errors)
-        use_replica = self.read_from_replicas if prefer_replica is None \
-            else prefer_replica
-        if use_replica and shard is None:
+        if prefer_replica and shard is None:
             reply = self._replica_read(argv)
             if reply is not _REPLICA_MISS:
                 if raise_errors and isinstance(reply, RespError):

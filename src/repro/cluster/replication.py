@@ -2,24 +2,19 @@
 
 The paper makes erasure "including all its replicas and backups" a
 timeliness requirement (section 2.1), which turns replication lag into a
-*compliance* property the cluster layer has to expose, not hide.  This
-module attaches :class:`~repro.kvstore.replication.ReplicationLink`
-replicas to every shard of a cluster and answers the compliance question
-at cluster scope:
-
-* :class:`ReplicatedShard` is one shard's replication group -- the
-  primary :class:`~repro.engine.base.StorageEngine` plus N replicas,
-  each behind its own configurable one-way delay.  On a scheduling clock
-  the group pumps itself from recurring **daemon timer events**, so in
-  event-driven mode replica lag is measurable on the same timeline the
-  servers run on (and, like the expiry cron, the pump never keeps
-  ``run_until_idle`` alive by itself).
-* :class:`ClusterReplication` is the cluster-wide registry: one group
-  per shard, a cluster-wide :meth:`~ClusterReplication.erasure_horizon`
-  (simulated seconds until a deleted key is invisible on **every**
-  primary *and* replica across **all** shards), and the slot-migration
-  handoff hook (:meth:`~ClusterReplication.full_sync_shard`) migrators
-  call so a moved slot arrives replicated on its destination.
+*compliance* property the cluster layer has to expose, not hide.
+:class:`ClusterReplication` is the cluster's replica topology: one
+:class:`~repro.kvstore.replication.ReplicationManager` per shard, all
+with the same per-replica ``delays`` and, on a scheduling clock, the
+same ``pump_interval`` (daemon timer events, so in event-driven mode
+replica lag is measurable on the timeline the servers run on).  The
+topology is stored once, so :meth:`~ClusterReplication.rebuild_shard`
+re-homes a recovered shard's group with it.  On top sit the cluster-wide
+:meth:`~ClusterReplication.erasure_horizon` (the one loop in
+:func:`~repro.kvstore.replication.erasure_horizon_of`, over every
+shard's group) and the slot-migration handoff hook
+(:meth:`~ClusterReplication.full_sync_shard`) migrators call so a moved
+slot arrives replicated on its destination.
 
 Replication composes with the existing invariants rather than adding
 new ones:
@@ -34,281 +29,83 @@ new ones:
   that shard's write stream, so both replica sets track their primary
   mid-flight; at the ownership flip the migrator full-syncs the
   destination's replicas (draining their backlogs first -- the
-  :meth:`~repro.kvstore.replication.ReplicationManager.full_sync`
+  :meth:`~repro.kvstore.replication.ReplicationManager.full_sync_all`
   contract), so the moved slot is replicated on the new owner the moment
   it starts serving.
-* **Stale reads are a knob, not an accident.**  The cluster client can
-  route eligible single-slot reads to a random replica of the owning
-  shard; :func:`queue_touches` is how it reports whether the replica's
-  in-flight backlog could make that read stale.
+* **Stale reads are a choice, not an accident.**  ``call(...,
+  prefer_replica=True)`` on the cluster client routes an eligible
+  single-slot read to a replica of the owning shard;
+  :meth:`~repro.kvstore.replication.ReplicationLink.touches` is how it
+  reports whether the replica's in-flight backlog could make that read
+  stale.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from ..common.clock import Clock
 from ..common.errors import ClusterError
 from ..engine.base import StorageEngine
-from ..kvstore.replication import ReplicationLink, ReplicationManager
-from .client import command_keys
-
-ReplicaFactory = Callable[[int], StorageEngine]
-
-
-def _resolve_delays(num_replicas: int, delay: float,
-                    delays: Optional[Sequence[float]]) -> List[float]:
-    if delays is not None:
-        if len(delays) != num_replicas:
-            raise ClusterError(
-                f"{len(delays)} delays given for {num_replicas} replicas")
-        return list(delays)
-    return [delay] * num_replicas
-
-
-def queue_touches(link: ReplicationLink,
-                  keys: Iterable[bytes]) -> bool:
-    """Does the link's in-flight backlog mention any of ``keys``?
-
-    The replica-routing client's staleness signal: a read served while a
-    queued command targets the same key may return pre-write (or
-    pre-erasure) state.
-    """
-    targets = {key if isinstance(key, bytes) else str(key).encode("utf-8")
-               for key in keys}
-    for _, argv in link.queued_commands():
-        if targets.intersection(command_keys(argv)):
-            return True
-    return False
-
-
-class ReplicatedShard:
-    """One shard's replication group: a primary plus N delayed replicas.
-
-    ``clock`` is the timeline delivery times are computed on (defaults
-    to the primary's clock; event-driven clusters pass the shared
-    scheduler).  Replicas default to plain stores on that clock; pass
-    ``replica_factory`` to model heavier replicas (their own AOF, say).
-    """
-
-    def __init__(self, name: str, primary: StorageEngine,
-                 num_replicas: int = 1, delay: float = 0.001,
-                 delays: Optional[Sequence[float]] = None,
-                 clock: Optional[Clock] = None,
-                 replica_factory: Optional[ReplicaFactory] = None) -> None:
-        self.name = name
-        self.manager = ReplicationManager(primary, clock=clock)
-        self.clock = self.manager.clock
-        self.links: List[ReplicationLink] = []
-        for index, link_delay in enumerate(
-                _resolve_delays(num_replicas, delay, delays)):
-            replica = (replica_factory(index)
-                       if replica_factory is not None else None)
-            self.links.append(self.manager.add_replica(
-                f"{name}-replica-{index}", delay=link_delay,
-                replica=replica))
-        self._pump_handle = None
-        self.pump_interval: Optional[float] = None
-        self.replica_factory = replica_factory
-        # Initial full resync (Redis' PSYNC on attach): anything the
-        # primary held *before* the group existed predates the write
-        # stream and would otherwise be missing from replicas forever.
-        if self.links:
-            self.full_sync_all()
-
-    @property
-    def primary(self) -> StorageEngine:
-        return self.manager.primary
-
-    @property
-    def num_replicas(self) -> int:
-        return len(self.links)
-
-    # -- pumping -----------------------------------------------------------
-
-    def pump(self) -> int:
-        return self.manager.pump()
-
-    def start_pump(self, interval: float = 1e-3) -> None:
-        """Pump this group from recurring daemon timer events on the
-        group's (scheduling) clock -- replication progresses with the
-        event timeline instead of waiting for an explicit pump.
-        Calling again with a different interval re-schedules at the new
-        cadence."""
-        clock = self.clock
-        if not hasattr(clock, "schedule_after"):
-            raise ClusterError(
-                "timer-driven pumping needs a scheduling clock (SimClock)")
-        if interval <= 0:
-            raise ClusterError("pump interval must be positive")
-        if self._pump_handle is not None and self._pump_handle.active:
-            if interval == self.pump_interval:
-                return
-            self._pump_handle.cancel()
-
-        def fire() -> None:
-            self.manager.pump()
-            self._pump_handle = clock.schedule_after(
-                interval, fire, label=f"replication-pump-{self.name}",
-                daemon=True)
-
-        self.pump_interval = interval
-        self._pump_handle = clock.schedule_after(
-            interval, fire, label=f"replication-pump-{self.name}",
-            daemon=True)
-
-    def stop_pump(self) -> None:
-        if self._pump_handle is not None:
-            self._pump_handle.cancel()
-            self._pump_handle = None
-
-    # -- state -------------------------------------------------------------
-
-    def max_lag(self) -> float:
-        return self.manager.max_lag()
-
-    def backlog(self) -> int:
-        return sum(link.backlog for link in self.links)
-
-    def key_visible(self, key: bytes, db_index: int = 0) -> bool:
-        return self.manager.key_visible_anywhere(key, db_index=db_index)
-
-    def full_sync_all(self) -> int:
-        """Full-resync every replica from the primary's current snapshot
-        (backlogs drained first); returns keys loaded across replicas."""
-        return sum(self.manager.full_sync(link.name)
-                   for link in self.links)
-
-    def close(self) -> None:
-        self.stop_pump()
-        self.manager.close()
+from ..kvstore.replication import ReplicationManager, erasure_horizon_of
 
 
 class ClusterReplication:
-    """The cluster's replica topology: one :class:`ReplicatedShard` per
-    shard, plus the cluster-scope compliance queries.
+    """One :class:`ReplicationManager` per shard, plus the cluster-scope
+    compliance queries.
 
-    ``clock`` is the cluster-wide timeline (`ShardedGDPRStore.clock`, or
-    a :class:`~repro.cluster.client.ClusterClient`'s master clock);
+    ``clock`` is the cluster-wide timeline (``ShardedGDPRStore.clock``,
+    or a :class:`~repro.cluster.client.ClusterClient`'s scheduler);
     :meth:`erasure_horizon` advances it -- and keeps per-shard clocks in
-    step when they differ -- until the key is gone everywhere.
+    step when they differ -- until the keys are gone everywhere.
+    ``shards`` lists ``(index, primary, link_clock)`` (``link_clock``
+    None means the primary's own clock); every group gets one replica
+    per entry of ``delays`` and, with ``pump_interval``, a timer pump.
     """
 
-    def __init__(self, clock: Clock) -> None:
+    def __init__(self, clock: Clock,
+                 shards: Iterable[Tuple[int, StorageEngine,
+                                        Optional[Clock]]] = (),
+                 delays: Sequence[float] = (0.001,),
+                 pump_interval: Optional[float] = None) -> None:
+        if not delays:
+            raise ClusterError("a replication group needs at least one "
+                               "replica delay")
         self.clock = clock
-        self.groups: Dict[int, ReplicatedShard] = {}
-        self._closed = False
-
-    # -- topology ----------------------------------------------------------
-
-    @classmethod
-    def attach(cls, clock: Clock,
-               shards: Iterable[Tuple[int, StorageEngine,
-                                      Optional[Clock]]],
-               replicas_per_shard: int = 1, delay: float = 0.001,
-               delays: Optional[Sequence[float]] = None,
-               pump_interval: Optional[float] = None,
-               replica_factory: Optional[ReplicaFactory] = None
-               ) -> "ClusterReplication":
-        """Build the whole topology in one call: one group per
-        ``(index, primary, link_clock)`` entry (``link_clock`` None
-        means the primary's own clock), uniform replica count and
-        delays, pumps started if asked.  The single construction policy
-        behind ``ShardedGDPRStore.attach_replication`` and
-        ``ClusterClient.attach_replication``."""
-        replication = cls(clock)
+        self.delays = tuple(delays)
+        self.pump_interval = pump_interval
+        self.groups: Dict[int, ReplicationManager] = {}
         for index, primary, link_clock in shards:
-            replication.add_shard(index, primary,
-                                  num_replicas=replicas_per_shard,
-                                  delay=delay, delays=delays,
-                                  name=f"shard-{index}",
-                                  link_clock=link_clock,
-                                  replica_factory=replica_factory)
-        if pump_interval is not None:
-            replication.start_pumps(pump_interval)
-        return replication
+            self.add_shard(index, primary, link_clock)
 
     def add_shard(self, index: int, primary: StorageEngine,
-                  num_replicas: int = 1, delay: float = 0.001,
-                  delays: Optional[Sequence[float]] = None,
-                  name: Optional[str] = None,
-                  link_clock: Optional[Clock] = None,
-                  replica_factory: Optional[ReplicaFactory] = None
-                  ) -> ReplicatedShard:
+                  link_clock: Optional[Clock] = None
+                  ) -> ReplicationManager:
+        """Give shard ``index`` a group with the topology's delays and
+        pump (replicas full-synced from ``primary`` at once)."""
         if index in self.groups:
             raise ClusterError(
                 f"shard {index} already has a replication group")
-        group = ReplicatedShard(
-            name if name is not None else f"shard-{index}", primary,
-            num_replicas=num_replicas, delay=delay, delays=delays,
-            clock=link_clock, replica_factory=replica_factory)
+        group = ReplicationManager(primary, clock=link_clock,
+                                   name=f"shard-{index}",
+                                   delays=self.delays)
+        if self.pump_interval is not None:
+            group.start_pump(self.pump_interval)
         self.groups[index] = group
         return group
 
-    def group_of(self, index: int) -> Optional[ReplicatedShard]:
-        return self.groups.get(index)
-
-    @property
-    def num_replicas(self) -> int:
-        return sum(group.num_replicas for group in self.groups.values())
-
-    # -- pumping -----------------------------------------------------------
-
-    def pump(self) -> int:
-        return sum(group.pump() for group in self.groups.values())
-
-    def start_pumps(self, interval: float = 1e-3) -> None:
-        for group in self.groups.values():
-            group.start_pump(interval)
-
-    def stop_pumps(self) -> None:
-        for group in self.groups.values():
-            group.stop_pump()
-
-    def max_lag(self) -> float:
-        return max((group.max_lag() for group in self.groups.values()),
-                   default=0.0)
-
-    def backlog(self) -> int:
-        return sum(group.backlog() for group in self.groups.values())
-
     def rebuild_shard(self, index: int,
-                      primary: StorageEngine) -> ReplicatedShard:
-        """Re-home shard ``index``'s replication group onto a new
-        primary (the crash-recovery path: the recovered shard is a fresh
-        store, so the old group's write-stream subscription is dead).
-        Replica count, delays, the replica factory, and any running
-        timer pump carry over; the new replicas start from a full
-        sync."""
+                      primary: StorageEngine) -> ReplicationManager:
+        """Re-home shard ``index``'s group onto a new primary (the
+        crash-recovery path: the recovered shard is a fresh store, so
+        the old group's write-stream subscription is dead).  The new
+        replicas start from a full sync."""
         old = self.groups.pop(index, None)
         if old is None:
             raise ClusterError(
                 f"shard {index} has no replication group to rebuild")
-        interval = (old.pump_interval
-                    if old._pump_handle is not None
-                    and old._pump_handle.active else None)
-        delays = [link.delay for link in old.links]
         old.close()
-        # add_shard's constructor performs the initial full resync, so
-        # the rebuilt replicas already start from the new primary.
-        group = self.add_shard(index, primary,
-                               num_replicas=len(delays), delays=delays,
-                               name=old.name, link_clock=old.clock,
-                               replica_factory=old.replica_factory)
-        if interval is not None:
-            group.start_pump(interval)
-        return group
-
-    # -- migration handoff -------------------------------------------------
+        return self.add_shard(index, primary, link_clock=old.clock)
 
     def full_sync_shard(self, index: int) -> int:
         """Resync every replica of shard ``index`` from its primary.
@@ -319,11 +116,13 @@ class ClusterReplication:
         group on that shard is a no-op (replication stays optional).
         """
         group = self.groups.get(index)
-        if group is None:
-            return 0
-        return group.full_sync_all()
+        return group.full_sync_all() if group is not None else 0
 
-    # -- compliance queries ------------------------------------------------
+    def pump(self) -> int:
+        return sum(group.pump() for group in self.groups.values())
+
+    def backlog(self) -> int:
+        return sum(group.backlog() for group in self.groups.values())
 
     def key_visible_anywhere(self, key: Union[bytes, str],
                              db_index: int = 0) -> bool:
@@ -333,67 +132,21 @@ class ClusterReplication:
         point about replicas.)"""
         if isinstance(key, str):
             key = key.encode("utf-8")
-        return any(group.key_visible(key, db_index=db_index)
+        return any(group.key_visible_anywhere(key, db_index)
                    for group in self.groups.values())
 
-    def _sync_group_clocks(self) -> None:
-        now = self.clock.now()
-        for group in self.groups.values():
-            if group.clock is not self.clock:
-                group.clock.sleep_until(now)
-
-    def _key_pending(self, key: bytes, db_index: int) -> bool:
-        """Still erasure-pending: visible somewhere, *or* mentioned by
-        an in-flight queued command.  The backlog check matters -- a
-        queued pre-deletion SET would otherwise resurrect the key on a
-        replica after a visibility-only horizon had declared it gone."""
-        if self.key_visible_anywhere(key, db_index=db_index):
-            return True
-        return any(queue_touches(link, (key,))
-                   for group in self.groups.values()
-                   for link in group.links)
-
-    def erasure_horizon(self, key: Union[bytes, str], step: float = 1e-3,
-                        max_wait: float = 60.0,
+    def erasure_horizon(self, keys: Iterable[Union[bytes, str]],
+                        step: float = 1e-3, max_wait: float = 60.0,
                         db_index: int = 0) -> Optional[float]:
-        """Cluster-wide erasure horizon of one key: simulated seconds
-        until it is invisible on every primary and every replica of
-        every shard.  Call immediately after deleting it; None if
-        ``max_wait`` elapses first."""
-        return self.keys_erasure_horizon([key], step=step,
-                                         max_wait=max_wait,
-                                         db_index=db_index)
-
-    def keys_erasure_horizon(self, keys: Iterable[Union[bytes, str]],
-                             step: float = 1e-3, max_wait: float = 60.0,
-                             db_index: int = 0) -> Optional[float]:
-        """Erasure horizon of a key *set* (a data subject's keys across
-        shards): time until the last copy of the last key disappears.
-
-        Advances the cluster clock in ``step`` increments -- firing any
-        scheduled pump events along the way -- and pumps explicitly, so
-        the answer is identical whether or not timer pumps are running.
-        A key counts as pending while it is visible anywhere *or* any
-        link's backlog still carries a command touching it (an
-        undelivered pre-deletion write must not let the horizon close
-        early, only for the key to reappear when it lands).
-        """
-        pending = [key if isinstance(key, bytes)
-                   else str(key).encode("utf-8") for key in keys]
-        start = self.clock.now()
-        while self.clock.now() - start <= max_wait:
-            self._sync_group_clocks()
-            self.pump()
-            pending = [key for key in pending
-                       if self._key_pending(key, db_index)]
-            if not pending:
-                return self.clock.now() - start
-            self.clock.advance(step)
-        return None
+        """Cluster-wide erasure horizon of a key set (one key, or a data
+        subject's keys across shards): simulated seconds until the last
+        copy of the last key is gone from every primary and replica of
+        every shard, in-flight commands included.  Call immediately
+        after deleting them; None if ``max_wait`` elapses first."""
+        return erasure_horizon_of(self.clock, list(self.groups.values()),
+                                  keys, step=step, max_wait=max_wait,
+                                  db_index=db_index)
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
         for group in self.groups.values():
             group.close()

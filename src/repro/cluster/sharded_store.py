@@ -39,7 +39,7 @@ Cross-shard invariants:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..common.clock import Clock, SimClock
 from ..common.errors import ClusterError, UnknownSubjectError
@@ -325,17 +325,16 @@ class ShardedGDPRStore:
 
     # -- replication -------------------------------------------------------
 
-    def attach_replication(self, replicas_per_shard: int = 1,
-                           delay: float = 0.001,
-                           delays: Optional[List[float]] = None,
-                           pump_interval: Optional[float] = None,
-                           replica_factory=None) -> ClusterReplication:
-        """Give every shard a replication group of ``replicas_per_shard``
-        replicas (``delays`` overrides the uniform ``delay`` per
-        replica).  With ``pump_interval`` set, every group pumps itself
-        from daemon timer events on the store's clock -- replication
-        progresses with the event timeline, and lag becomes measurable
-        in event-driven runs.
+    def attach_replication(self, delays: Sequence[float] = (0.001,),
+                           pump_interval: Optional[float] = None
+                           ) -> ClusterReplication:
+        """Give every shard a replication group of one replica per entry
+        of ``delays`` (its one-way delay in seconds).  With
+        ``pump_interval`` set, every group pumps itself from daemon
+        timer events on the store's clock -- replication progresses with
+        the event timeline, and lag becomes measurable in event-driven
+        runs.  ``store.replication.erasure_horizon(keys)`` then measures
+        when the last copy of deleted keys is gone.
 
         Once attached, slot migrations hand replica sets off too: the
         migrator full-syncs the destination's replicas at the ownership
@@ -344,41 +343,12 @@ class ShardedGDPRStore:
         """
         if self.replication is not None:
             raise ClusterError("replication is already attached")
-        self.replication = ClusterReplication.attach(
+        self.replication = ClusterReplication(
             self.clock,
             [(index, shard.kv, None)
              for index, shard in enumerate(self.shards)],
-            replicas_per_shard=replicas_per_shard, delay=delay,
-            delays=delays, pump_interval=pump_interval,
-            replica_factory=replica_factory)
+            delays=delays, pump_interval=pump_interval)
         return self.replication
-
-    def erasure_horizon(self, key: str, step: float = 1e-3,
-                        max_wait: float = 60.0) -> Optional[float]:
-        """Cluster-wide erasure horizon of one key: simulated seconds
-        until no primary and no replica on any shard serves it.  Call
-        immediately after deleting the key; requires replicas attached
-        (without them the primaries' DELs are synchronous and the
-        horizon is trivially zero)."""
-        if self.replication is None:
-            raise ClusterError(
-                "erasure_horizon needs attach_replication() first")
-        return self.replication.erasure_horizon(key, step=step,
-                                                max_wait=max_wait)
-
-    def subject_erasure_horizon(self, keys: List[str],
-                                step: float = 1e-3,
-                                max_wait: float = 60.0
-                                ) -> Optional[float]:
-        """Erasure horizon of a whole subject's key set (capture it with
-        :meth:`keys_of_subject` *before* erasing): time until the last
-        copy of the last key is gone from every primary and replica."""
-        if self.replication is None:
-            raise ClusterError(
-                "subject_erasure_horizon needs attach_replication() "
-                "first")
-        return self.replication.keys_erasure_horizon(
-            keys, step=step, max_wait=max_wait)
 
     # -- resharding --------------------------------------------------------
 
@@ -485,8 +455,8 @@ class ShardedGDPRStore:
         safe under live traffic.  Built through the same factories as
         the original shards, so configuration, engine choice, and
         tiering carry over.  With replication attached the new shard
-        starts *unreplicated* -- its group must be added explicitly,
-        because replica counts and delays are a deployment decision.
+        starts *unreplicated* -- replicating it is a deployment decision,
+        made with ``store.replication.add_shard(index, shard.kv)``.
         """
         index = self.slots.add_shard()
         if index < len(self.shards):
@@ -612,9 +582,9 @@ class ShardedGDPRStore:
         shard.rebuild_indexes()
         self.shards[index] = shard
         if self.replication is not None \
-                and self.replication.group_of(index) is not None:
+                and index in self.replication.groups:
             # The old group subscribed to the crashed store's write
-            # stream; re-home it (same replica count/delays/pump) onto
+            # stream; re-home it (the topology's delays and pump) onto
             # the recovered primary and full-sync the replicas.
             self.replication.rebuild_shard(index, kv)
         return replayed

@@ -127,13 +127,6 @@ def route_workers(route, num_workers: int,
     return (BARRIER,)             # cross-worker multi-key command
 
 
-def worker_for(route, num_workers: int) -> int:
-    """Resolve a routing token to a single worker index (or
-    :data:`BARRIER`) under the static partition -- the legacy entry
-    point; placement-aware callers use :func:`route_workers`."""
-    return route_workers(route, num_workers)[0]
-
-
 @dataclass(frozen=True)
 class PlacementPolicy:
     """Knobs for skew-aware slot placement (the :class:`Rebalancer`).

@@ -151,6 +151,13 @@ class SimClock(Clock):
         return self.schedule_at(self._now + delay, callback,
                                 label=label, daemon=daemon)
 
+    def every(self, interval: float, callback: Callable[[], None],
+              label: str) -> "RecurringTimer":
+        """Run ``callback`` every ``interval`` seconds from daemon events
+        (the first one ``interval`` from now) until the returned
+        :class:`RecurringTimer` is cancelled."""
+        return RecurringTimer(self, interval, callback, label)
+
     # Pre-event-core names, kept because every layer already uses them.
     def call_at(self, when: float,
                 callback: Callable[[], None]) -> EventHandle:
@@ -264,6 +271,45 @@ class SimClock(Clock):
         if self.trace is None:
             self.trace = []
         return self.trace
+
+
+class RecurringTimer:
+    """Recurring background work on a :class:`SimClock` (crons, pumps,
+    periodic flushes); see :meth:`SimClock.every`.
+
+    Each firing runs the callback and *then* schedules the next daemon
+    event, so the events keep the ``(when, seq, label)`` a hand-written
+    ``fire(); reschedule`` closure gives them.  :meth:`cancel` stops the
+    chain, also from inside the callback."""
+
+    __slots__ = ("clock", "interval", "callback", "label", "_handle")
+
+    def __init__(self, clock: SimClock, interval: float,
+                 callback: Callable[[], None], label: str) -> None:
+        self.clock = clock
+        self.interval = interval
+        self.callback = callback
+        self.label = label
+        self._handle: Optional[EventHandle] = clock.schedule_after(
+            interval, self._fire, label=label, daemon=True)
+
+    @property
+    def active(self) -> bool:
+        return self._handle is not None
+
+    def _fire(self) -> None:
+        self.callback()
+        if self._handle is not None:
+            self._handle = self.clock.schedule_after(
+                self.interval, self._fire, label=self.label, daemon=True)
+
+    def cancel(self) -> bool:
+        """Stop firing; returns whether the timer was running."""
+        if self._handle is None:
+            return False
+        self._handle.cancel()
+        self._handle = None
+        return True
 
 
 class WorkerClock(Clock):

@@ -323,25 +323,15 @@ class AuditLog:
             return
         if self._timer_handle is not None and self._timer_handle.active:
             return
-        schedule = getattr(self.clock, "schedule_after", None)
-        if schedule is None:
-            return
-
-        def fire() -> None:
-            self.tick(self.clock.now())
-            self._timer_handle = self.clock.schedule_after(
-                self.batch_interval, fire, label="audit-groupcommit",
-                daemon=True)
-
-        self._timer_handle = schedule(self.batch_interval, fire,
-                                      label="audit-groupcommit",
-                                      daemon=True)
+        every = getattr(self.clock, "every", None)
+        if every is not None:
+            self._timer_handle = every(
+                self.batch_interval, lambda: self.tick(self.clock.now()),
+                label="audit-groupcommit")
 
     def stop_timer(self) -> None:
         if self._timer_handle is not None:
-            cancel = getattr(self._timer_handle, "cancel", None)
-            if cancel is not None:
-                cancel()
+            self._timer_handle.cancel()
             self._timer_handle = None
 
     # -- appending -----------------------------------------------------------------

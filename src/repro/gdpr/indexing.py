@@ -177,25 +177,14 @@ class WriteBehindIndexer:
             self._maybe_start_timer()
 
     def _maybe_start_timer(self) -> None:
-        if self.clock is None or self.interval <= 0:
-            return
-        schedule = getattr(self.clock, "schedule_after", None)
-        if schedule is None:
-            return
-
-        def fire() -> None:
-            self.flush()
-            self._timer_handle = self.clock.schedule_after(
-                self.interval, fire, label="gdpr-writebehind", daemon=True)
-
-        self._timer_handle = schedule(self.interval, fire,
-                                      label="gdpr-writebehind", daemon=True)
+        every = getattr(self.clock, "every", None)
+        if every is not None and self.interval > 0:
+            self._timer_handle = every(self.interval, self.flush,
+                                       label="gdpr-writebehind")
 
     def stop_timer(self) -> None:
         if self._timer_handle is not None:
-            cancel = getattr(self._timer_handle, "cancel", None)
-            if cancel is not None:
-                cancel()
+            self._timer_handle.cancel()
             self._timer_handle = None
 
     def enqueue(self, key: str, work: object) -> None:

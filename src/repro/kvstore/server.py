@@ -152,7 +152,6 @@ class ServerConnection:
         self.pending: Deque[Any] = deque()   # parsed-but-unserved requests
         self.intake: Deque[Tuple[float, Any, bool, Any]] = deque()
         self.outstanding = 0
-        self._monitor_sink = None
 
 
 class StoreServer:
@@ -217,16 +216,8 @@ class StoreServer:
 
     def _start_monitor(self, conn: ServerConnection) -> None:
         conn.session.monitoring = True
-        sink = conn.transport.send
-        conn._monitor_sink = sink
-        self.store.monitor.attach(sink)
+        self.store.monitor.attach(conn.transport.send)
         conn.transport.send(b"+OK\r\n")
-
-    def stop_monitor(self, conn: ServerConnection) -> None:
-        if conn._monitor_sink is not None:
-            self.store.monitor.detach(conn._monitor_sink)
-            conn._monitor_sink = None
-            conn.session.monitoring = False
 
 
 class EventLoopMixin:
@@ -294,14 +285,8 @@ class EventLoopMixin:
             return
         if interval is None:
             interval = 1.0 / self.store.config.hz
-
-        def fire() -> None:
-            self._pool.cron_tick()
-            self._cron_handle = self.scheduler.schedule_after(
-                interval, fire, label="server-cron", daemon=True)
-
-        self._cron_handle = self.scheduler.schedule_after(
-            interval, fire, label="server-cron", daemon=True)
+        self._cron_handle = self.scheduler.every(
+            interval, self._pool.cron_tick, label="server-cron")
 
     def stop_cron(self) -> None:
         if self._cron_handle is not None:

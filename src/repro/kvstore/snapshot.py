@@ -68,7 +68,10 @@ def _pack_value(out: List[bytes], value: RedisValue) -> None:
             out.append(_F64.pack(score))
 
 
-class _Reader:
+class Reader:
+    """Bounds-checked cursor over snapshot bytes: a read past the end
+    raises :class:`CorruptionError` instead of returning short data."""
+
     def __init__(self, data: bytes) -> None:
         self._data = data
         self._pos = 0
@@ -100,7 +103,7 @@ class _Reader:
         return self._pos >= len(self._data)
 
 
-def _read_value(reader: _Reader) -> RedisValue:
+def _read_value(reader: Reader) -> RedisValue:
     """Parse one type-tagged value (the payload layout of
     :func:`_pack_value`)."""
     kind = _CODE_TYPES.get(reader.byte())
@@ -150,7 +153,7 @@ def load_value(data: bytes) -> RedisValue:
     body, crc_bytes = data[:-4], data[-4:]
     if crc32_of(body) != _U32.unpack(crc_bytes)[0]:
         raise CorruptionError("dump payload CRC mismatch")
-    reader = _Reader(body)
+    reader = Reader(body)
     if reader.take(len(DUMP_MAGIC)) != DUMP_MAGIC:
         raise CorruptionError("bad dump payload magic")
     value = _read_value(reader)
@@ -190,7 +193,7 @@ def load(data: bytes) -> List[Tuple[int, bytes, Optional[float], RedisValue]]:
     body, crc_bytes = data[:-4], data[-4:]
     if crc32_of(body) != _U32.unpack(crc_bytes)[0]:
         raise CorruptionError("snapshot CRC mismatch")
-    reader = _Reader(body)
+    reader = Reader(body)
     if reader.take(len(MAGIC)) != MAGIC:
         raise CorruptionError("bad snapshot magic")
     entries: List[Tuple[int, bytes, Optional[float], RedisValue]] = []

@@ -170,9 +170,3 @@ def loopback(clock: Optional[Clock] = None) -> Channel:
     """A raw (unproxied) channel at the testbed's 44 Gb/s."""
     return Channel(clock=clock, bandwidth_bps=RAW_BANDWIDTH_BPS,
                    latency=LAN_LATENCY)
-
-
-def event_loopback(clock: Clock) -> Channel:
-    """An event-driven raw channel on a scheduling clock."""
-    return Channel(clock=clock, bandwidth_bps=RAW_BANDWIDTH_BPS,
-                   latency=LAN_LATENCY, event_driven=True)

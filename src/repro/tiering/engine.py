@@ -42,9 +42,11 @@ import struct
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
+from ..common.errors import CorruptionError
 from ..device.append_log import AppendLog
 from ..engine.base import StorageEngine, StoredRecord
 from ..kvstore.commands import glob_match, normalize_args, spec_of
+from ..kvstore.snapshot import Reader
 from .segment import ColdEntry, ColdInput, ColdSegmentStore
 
 #: (event, detail, subject) -- demote / promote / cold-erase; the GDPR
@@ -533,38 +535,29 @@ class TieredEngine(StorageEngine):
             if self.cold.segment_count:
                 self.cold.clear()
             return self._inner.load_snapshot(data)
-        pos = len(self._SNAPSHOT_MAGIC)
-        (inner_len,) = struct.unpack_from(">I", data, pos)
-        pos += 4
-        count = self._inner.load_snapshot(data[pos:pos + inner_len])
-        pos += inner_len
+        # Parse the whole snapshot before touching any state: a truncated
+        # or padded one raises CorruptionError and loads nothing.
+        reader = Reader(data)
+        reader.take(len(self._SNAPSHOT_MAGIC))
+        inner_snap = reader.blob()
+        archived = []
+        for _ in range(reader.u32()):
+            key = reader.blob()
+            expire_at = reader.f64() if reader.byte() == 1 else None
+            archived.append((key, expire_at, reader.blob()))
+        if not reader.exhausted:
+            raise CorruptionError("trailing bytes after tiered snapshot")
+        count = self._inner.load_snapshot(inner_snap)
         if self.cold.segment_count:
             self.cold.clear()
-        (n_cold,) = struct.unpack_from(">I", data, pos)
-        pos += 4
-        for _ in range(n_cold):
-            (klen,) = struct.unpack_from(">I", data, pos)
-            pos += 4
-            key = data[pos:pos + klen]
-            pos += klen
-            has_expire = data[pos:pos + 1] == b"\x01"
-            pos += 1
-            expire_at = None
-            if has_expire:
-                (expire_at,) = struct.unpack_from(">d", data, pos)
-                pos += 8
-            (vlen,) = struct.unpack_from(">I", data, pos)
-            pos += 4
-            value = data[pos:pos + vlen]
-            pos += vlen
+        for key, expire_at, value in archived:
             # Archived records re-enter hot; the idle scan will re-tier
             # them.  (Expiry travels as an absolute deadline.)
             self._inner.execute(b"SET", key, value)
             if expire_at is not None:
                 millis = str(int(expire_at * 1000)).encode("ascii")
                 self._inner.execute(b"PEXPIREAT", key, millis)
-            count += 1
-        return count
+        return count + len(archived)
 
     def replay_aof(self, data: Optional[bytes] = None,
                    tolerate_truncated_tail: bool = True) -> int:

@@ -212,7 +212,7 @@ class ClusterAdapter(StorageAdapter):
     shards.  :attr:`redirects_followed` exposes how many redirects the
     run absorbed (the benchmark's "cost of topology change" signal).
 
-    With ``read_from_replicas=True`` (and replication attached to the
+    With ``prefer_replica=True`` (and replication attached to the
     cluster client) eligible reads go to a random replica of the owning
     shard; :attr:`replica_reads` / :attr:`stale_replica_reads` expose
     how many were served there and how many raced an in-flight write to
@@ -220,12 +220,10 @@ class ClusterAdapter(StorageAdapter):
     """
 
     def __init__(self, cluster, pipeline_depth: int = 1,
-                 read_from_replicas: Optional[bool] = None) -> None:
+                 prefer_replica: bool = False) -> None:
         self.cluster = cluster
         self.pipeline_depth = max(1, pipeline_depth)
-        # Tri-state: None defers to the client's own read_from_replicas
-        # setting; True/False overrides it for this adapter's reads.
-        self.read_from_replicas = read_from_replicas
+        self.prefer_replica = prefer_replica
         self._pending = None
 
     @property
@@ -273,7 +271,7 @@ class ClusterAdapter(StorageAdapter):
     def read(self, key: str,
              fields: Optional[List[str]] = None) -> Dict[str, bytes]:
         self.flush()
-        prefer = self.read_from_replicas
+        prefer = self.prefer_replica
         if fields:
             flat = self.cluster.call("HMGET", key, *fields,
                                      prefer_replica=prefer)

@@ -58,9 +58,6 @@ class RunReport:
     phase: str
     operations: int
     sim_elapsed: float
-    # Retained for report compatibility; the runner no longer reads the
-    # host's clock (wall time has no place in a deterministic run).
-    wall_elapsed: float = 0.0
     histograms: Dict[str, LatencyHistogram] = field(default_factory=dict)
     failures: int = 0
 

@@ -11,11 +11,10 @@ from repro.cluster import (
     ShardedGDPRStore,
     SlotMigrator,
     build_cluster,
-    queue_touches,
     slot_for_key,
 )
 from repro.gdpr import GDPRMetadata
-from repro.kvstore import KeyValueStore, StoreConfig
+from repro.kvstore import KeyValueStore, ReplicationManager, StoreConfig
 
 
 def metadata(owner="alice"):
@@ -29,8 +28,7 @@ def tagged_keys(tag, count):
 def make_replicated_store(num_shards=2, replicas=2, delay=0.010,
                           pump_interval=None):
     store = ShardedGDPRStore(num_shards=num_shards)
-    replication = store.attach_replication(replicas_per_shard=replicas,
-                                           delay=delay,
+    replication = store.attach_replication(delays=(delay,) * replicas,
                                            pump_interval=pump_interval)
     return store, replication
 
@@ -41,10 +39,9 @@ class TestReplicatedShardGroups:
                                                    replicas=2)
         assert sorted(replication.groups) == [0, 1, 2]
         for index in range(3):
-            group = replication.group_of(index)
-            assert group.num_replicas == 2
+            group = replication.groups[index]
+            assert [link.delay for link in group.links] == [0.010, 0.010]
             assert group.primary is store.shards[index].kv
-        assert replication.num_replicas == 6
 
     def test_attach_twice_rejected(self):
         store, _ = make_replicated_store()
@@ -55,7 +52,7 @@ class TestReplicatedShardGroups:
         store, replication = make_replicated_store(delay=0.010)
         store.put("user:1", b"payload", metadata())
         shard = store.shard_for("user:1")
-        group = replication.group_of(shard)
+        group = replication.groups[shard]
         for link in group.links:
             assert link.replica.execute("EXISTS", "user:1") == 0
         store.clock.advance(0.011)
@@ -65,20 +62,22 @@ class TestReplicatedShardGroups:
 
     def test_per_replica_delays(self):
         store = ShardedGDPRStore(num_shards=1)
-        replication = store.attach_replication(
-            replicas_per_shard=2, delays=[0.002, 0.200])
+        replication = store.attach_replication(delays=[0.002, 0.200])
         store.put("user:1", b"payload", metadata())
-        fast, slow = replication.group_of(0).links
+        fast, slow = replication.groups[0].links
         store.clock.advance(0.003)
         replication.pump()
         assert fast.replica.execute("EXISTS", "user:1") == 1
         assert slow.replica.execute("EXISTS", "user:1") == 0
 
-    def test_mismatched_delays_rejected(self):
+    def test_invalid_delays_rejected(self):
         store = ShardedGDPRStore(num_shards=1)
         with pytest.raises(ClusterError):
-            store.attach_replication(replicas_per_shard=3,
-                                     delays=[0.001])
+            store.attach_replication(delays=())
+        with pytest.raises(ValueError):
+            store.attach_replication(delays=[0.001, -0.001])
+        assert store.replication is None
+        assert store.shards[0].kv.write_listeners == []
 
     def test_attach_full_syncs_pre_existing_data(self):
         """Regression: data written before attachment predates the
@@ -86,30 +85,21 @@ class TestReplicatedShardGroups:
         miss it forever."""
         store = ShardedGDPRStore(num_shards=2)
         store.put("user:1", b"old", metadata())
-        replication = store.attach_replication(replicas_per_shard=2,
-                                               delay=0.010)
+        replication = store.attach_replication(delays=[0.010, 0.010])
         shard = store.shard_for("user:1")
-        for link in replication.group_of(shard).links:
+        for link in replication.groups[shard].links:
             assert link.replica.execute("GET", "user:1") is not None
 
 
 class TestErasureHorizon:
-    def test_horizon_requires_replication(self):
-        store = ShardedGDPRStore(num_shards=2)
-        with pytest.raises(ClusterError):
-            store.erasure_horizon("user:1")
-        with pytest.raises(ClusterError):
-            store.subject_erasure_horizon(["user:1"])
-
     def test_horizon_bounded_by_slowest_replica(self):
         store = ShardedGDPRStore(num_shards=2)
-        store.attach_replication(replicas_per_shard=2,
-                                 delays=[0.010, 0.120])
+        store.attach_replication(delays=[0.010, 0.120])
         store.put("user:1", b"payload", metadata())
         store.clock.advance(0.2)
         store.replication.pump()
         store.delete("user:1")
-        horizon = store.erasure_horizon("user:1", step=0.005)
+        horizon = store.replication.erasure_horizon(["user:1"], step=0.005)
         assert horizon is not None
         assert 0.115 <= horizon <= 0.130
 
@@ -124,7 +114,7 @@ class TestErasureHorizon:
         keys = store.keys_of_subject("alice")
         receipt = store.erase_subject("alice")
         assert sorted(receipt.keys_erased) == keys
-        horizon = store.subject_erasure_horizon(keys, step=0.005)
+        horizon = replication.erasure_horizon(keys, step=0.005)
         assert horizon is not None
         assert 0.045 <= horizon <= 0.060
         for key in keys:
@@ -140,7 +130,7 @@ class TestErasureHorizon:
         receipt = store.erase_subject("alice")
         assert receipt.crypto_erased
         # The replica still *serves* the key (its DEL is in flight)...
-        link = replication.group_of(0).links[0]
+        link = replication.groups[0].links[0]
         blob = link.replica.execute("GET", "user:1")
         assert blob is not None
         # ...but the bytes are sealed with a destroyed key: unreadable.
@@ -152,17 +142,17 @@ class TestErasureHorizon:
         key's SET was still in flight -- the replica then served the
         'erased' data when the SET landed."""
         store = ShardedGDPRStore(num_shards=1)
-        store.attach_replication(replicas_per_shard=1, delay=1.0)
+        store.attach_replication(delays=[1.0])
         store.put("user:1", b"pii", metadata())
         store.clock.advance(0.1)        # SET still queued (1 s delay)
         store.delete("user:1")
-        horizon = store.erasure_horizon("user:1", step=0.05,
-                                        max_wait=5.0)
+        horizon = store.replication.erasure_horizon(["user:1"], step=0.05,
+                                                    max_wait=5.0)
         # The DEL trails the SET by 0.1 s; erasure completes when the
         # DEL lands (~1.0 s after issue), not instantly.
         assert horizon is not None
         assert 0.9 <= horizon <= 1.1
-        link = store.replication.group_of(0).links[0]
+        link = store.replication.groups[0].links[0]
         assert link.replica.execute("EXISTS", "user:1") == 0
 
     def test_horizon_none_when_stream_stuck(self):
@@ -172,11 +162,11 @@ class TestErasureHorizon:
         store.put("user:1", b"x", metadata())
         store.clock.advance(0.02)
         replication.pump()
-        link = replication.group_of(0).links[0]
+        link = replication.groups[0].links[0]
         store.delete("user:1")
         link.discard_backlog()     # partitioned replica: DEL never lands
-        assert store.erasure_horizon("user:1", step=0.01,
-                                     max_wait=0.1) is None
+        assert replication.erasure_horizon(["user:1"], step=0.01,
+                                           max_wait=0.1) is None
 
 
 class TestTimerPumpedReplication:
@@ -185,7 +175,7 @@ class TestTimerPumpedReplication:
             delay=0.010, pump_interval=0.005)
         store.put("user:1", b"payload", metadata())
         shard = store.shard_for("user:1")
-        link = replication.group_of(shard).links[0]
+        link = replication.groups[shard].links[0]
         # No explicit pump() anywhere: advancing the clock fires the
         # daemon timer events, which deliver the stream.
         store.clock.advance(0.030)
@@ -202,8 +192,7 @@ class TestTimerPumpedReplication:
             clock = SimClock()
             trace = clock.enable_trace()
             store = ShardedGDPRStore(num_shards=2, clock=clock)
-            store.attach_replication(replicas_per_shard=2,
-                                     delays=[0.004, 0.040],
+            store.attach_replication(delays=[0.004, 0.040],
                                      pump_interval=0.002)
             for i in range(10):
                 store.put(f"user:{i}", b"x" * 16,
@@ -211,7 +200,7 @@ class TestTimerPumpedReplication:
             clock.advance(0.05)
             keys = store.keys_of_subject("alice")
             store.erase_subject("alice")
-            horizon = store.subject_erasure_horizon(keys, step=0.002)
+            horizon = store.replication.erasure_horizon(keys, step=0.002)
             return horizon, clock.now(), list(trace)
 
         first = one_run()
@@ -223,7 +212,7 @@ class TestTimerPumpedReplication:
 
     def test_start_pump_retunes_interval(self):
         store, replication = make_replicated_store(pump_interval=0.5)
-        group = replication.group_of(0)
+        group = replication.groups[0]
         old_handle = group._pump_handle
         group.start_pump(0.001)
         assert group.pump_interval == 0.001
@@ -232,16 +221,16 @@ class TestTimerPumpedReplication:
 
     def test_start_pump_invalid_interval_keeps_running_pump(self):
         store, replication = make_replicated_store(pump_interval=0.005)
-        group = replication.group_of(0)
+        group = replication.groups[0]
         handle = group._pump_handle
-        with pytest.raises(ClusterError):
+        with pytest.raises(ValueError):
             group.start_pump(0)
         assert handle.active               # healthy pump untouched
         assert group.pump_interval == 0.005
 
     def test_stop_pump_cancels_timer(self):
         store, replication = make_replicated_store(pump_interval=0.005)
-        group = replication.group_of(0)
+        group = replication.groups[0]
         handle = group._pump_handle
         assert handle is not None and handle.active
         group.stop_pump()
@@ -252,7 +241,7 @@ class TestTimerPumpedReplication:
         replication.close()
         for index, shard in enumerate(store.shards):
             assert shard.kv.write_listeners == []
-            group = replication.group_of(index)
+            group = replication.groups[index]
             for link in group.links:
                 assert link.closed
 
@@ -273,14 +262,14 @@ class TestMigrationHandsOffReplicas:
         assert sorted(receipt.keys_moved) == sorted(keys)
         # Full-synced at the flip: destination replicas hold the slot
         # immediately, before any delayed stream could have delivered it.
-        for link in replication.group_of(target).links:
+        for link in replication.groups[target].links:
             for key in keys:
                 assert link.replica.execute("EXISTS", key) == 1
         assert receipt.replicas_synced >= len(keys)
         # Source replicas drop their copies once the handoff DELs land.
         store.clock.advance(0.02)
         replication.pump()
-        for link in replication.group_of(source).links:
+        for link in replication.groups[source].links:
             for key in keys:
                 assert link.replica.execute("EXISTS", key) == 0
 
@@ -301,7 +290,7 @@ class TestMigrationHandsOffReplicas:
         receipt = migrator.finish()
         # Every copy -- source, target, and all four replicas -- is
         # gone once the streams drain.
-        horizon = store.subject_erasure_horizon(keys, step=0.002)
+        horizon = replication.erasure_horizon(keys, step=0.002)
         assert horizon is not None
         for key in keys:
             assert not replication.key_visible_anywhere(key)
@@ -310,8 +299,7 @@ class TestMigrationHandsOffReplicas:
 
     def test_kv_cluster_migration_syncs_destination_replicas(self):
         cluster = build_cluster(2)
-        replication = cluster.attach_replication(replicas_per_shard=1,
-                                                 delay=0.010)
+        replication = cluster.attach_replication(delays=[0.010])
         keys = tagged_keys("kv-repl", 4)
         for i, key in enumerate(keys):
             cluster.call("SET", key, f"v{i}")
@@ -320,7 +308,7 @@ class TestMigrationHandsOffReplicas:
         target = 1 - source
         receipt = SlotMigrator(cluster, slot, target).run()
         assert receipt.replicas_synced >= len(keys)
-        for link in replication.group_of(target).links:
+        for link in replication.groups[target].links:
             for key in keys:
                 assert link.replica.execute("EXISTS", key) == 1
 
@@ -338,7 +326,7 @@ class TestMigrationHandsOffReplicas:
 class TestReadFromReplica:
     def test_replica_read_returns_stale_then_fresh(self):
         cluster = build_cluster(2)
-        cluster.attach_replication(replicas_per_shard=1, delay=0.010)
+        cluster.attach_replication(delays=[0.010])
         cluster.call("SET", "k1", "v1")
         stale = cluster.call("GET", "k1", prefer_replica=True)
         assert stale is None                      # DEL..SET in flight
@@ -354,19 +342,9 @@ class TestReadFromReplica:
         assert cluster.replica_reads == 2
         assert cluster.stale_replica_reads == 1   # unchanged
 
-    def test_client_level_default_routes_reads(self):
-        cluster = build_cluster(1)
-        cluster.attach_replication(replicas_per_shard=1, delay=0.0)
-        cluster.read_from_replicas = True
-        cluster.call("SET", "k1", "v1")           # writes hit primaries
-        cluster.nodes[0].clock.advance(0.001)
-        cluster.replication.pump()
-        assert cluster.call("GET", "k1") == b"v1"
-        assert cluster.replica_reads == 1
-
     def test_writes_never_go_to_replicas(self):
         cluster = build_cluster(1)
-        cluster.attach_replication(replicas_per_shard=1, delay=0.010)
+        cluster.attach_replication(delays=[0.010])
         cluster.call("SET", "k1", "v1", prefer_replica=True)
         assert cluster.replica_reads == 0
         assert cluster.nodes[0].store.execute("GET", "k1") == b"v1"
@@ -376,8 +354,7 @@ class TestReadFromReplica:
         routing cache must discover the new owner (the replica's MOVED)
         instead of silently serving the old shard's emptied replica."""
         cluster = build_cluster(2)
-        replication = cluster.attach_replication(replicas_per_shard=1,
-                                                 delay=0.001)
+        replication = cluster.attach_replication(delays=[0.001])
         cluster.call("SET", "k1", "v1")
         slot = slot_for_key("k1")
         source = cluster.slots.shard_of_slot(slot)
@@ -400,7 +377,7 @@ class TestReadFromReplica:
         replica read long after a write serves pre-write state and is
         miscounted as stale."""
         cluster = build_cluster(2)
-        cluster.attach_replication(replicas_per_shard=1, delay=0.001)
+        cluster.attach_replication(delays=[0.001])
         cluster.call("SET", "k1", "v1")
         cluster.clock.advance(10.0)    # only the master clock moves
         assert cluster.call("GET", "k1", prefer_replica=True) == b"v1"
@@ -408,7 +385,7 @@ class TestReadFromReplica:
 
     def test_replica_read_mid_migration_uses_primary_path(self):
         cluster = build_cluster(2)
-        cluster.attach_replication(replicas_per_shard=1, delay=10.0)
+        cluster.attach_replication(delays=[10.0])
         cluster.call("SET", "k1", "v1")
         slot = slot_for_key("k1")
         source = cluster.slots.shard_of_slot(slot)
@@ -419,21 +396,20 @@ class TestReadFromReplica:
         assert cluster.replica_reads == 0
         migrator.abort()
 
-    def test_cluster_adapter_defers_to_client_setting(self):
+    def test_cluster_adapter_prefer_replica(self):
         from repro.ycsb.adapters import ClusterAdapter
 
         cluster = build_cluster(1)
-        cluster.attach_replication(replicas_per_shard=1, delay=0.0)
-        cluster.read_from_replicas = True
-        adapter = ClusterAdapter(cluster)     # knob left at None
-        adapter.insert("rec1", {"f": b"v"})
+        cluster.attach_replication(delays=[0.0])
+        adapter = ClusterAdapter(cluster, prefer_replica=True)
+        adapter.insert("rec1", {"f": b"v"})           # writes hit primaries
         cluster.nodes[0].clock.advance(0.001)
         cluster.replication.pump()
         assert adapter.read("rec1") == {"f": b"v"}
-        assert adapter.replica_reads == 1     # client default honoured
-        adapter.read_from_replicas = False    # explicit override wins
-        adapter.read("rec1")
-        assert adapter.replica_reads == 1
+        assert adapter.read("rec1", ["f"]) == {"f": b"v"}
+        assert adapter.replica_reads == 2
+        assert ClusterAdapter(cluster).read("rec1") == {"f": b"v"}
+        assert adapter.replica_reads == 2              # default: primary
 
     def test_no_replication_attached_falls_through(self):
         cluster = build_cluster(1)
@@ -441,40 +417,36 @@ class TestReadFromReplica:
         assert cluster.call("GET", "k1", prefer_replica=True) == b"v1"
         assert cluster.replica_reads == 0
 
-    def test_rebuild_shard_keeps_replica_factory(self):
+    def test_rebuild_shard_reuses_topology(self):
+        """The registry holds the delays and pump once: a rebuilt group
+        gets them from there, not from the dead group."""
         clock = SimClock()
         primary = KeyValueStore(StoreConfig(), clock=clock)
-        made = []
+        replication = ClusterReplication(clock, [(0, primary, None)],
+                                         delays=(0.002, 0.050),
+                                         pump_interval=0.001)
+        old = replication.groups[0]
+        recovered = KeyValueStore(StoreConfig(), clock=clock)
+        recovered.execute("SET", "k", "v2")
+        group = replication.rebuild_shard(0, recovered)
+        assert old.closed and primary.write_listeners == []
+        assert [link.delay for link in group.links] == [0.002, 0.050]
+        assert group.pump_interval == 0.001 and group._pump_handle.active
+        for link in group.links:
+            assert link.replica.execute("GET", "k") == b"v2"
 
-        def factory(index):
-            kv = KeyValueStore(StoreConfig(), clock=clock)
-            made.append(kv)
-            return kv
-
-        replication = ClusterReplication(clock)
-        replication.add_shard(0, primary, num_replicas=1,
-                              replica_factory=factory)
-        assert len(made) == 1
-        group = replication.rebuild_shard(0, primary)
-        assert len(made) == 2          # factory carried over
-        assert group.links[0].replica is made[1]
-
-    def test_queue_touches_matches_keys_only(self):
+    def test_link_touches_matches_keys_only(self):
         primary = KeyValueStore(StoreConfig(), clock=SimClock())
-        replication = ClusterReplication(primary.clock)
-        group = replication.add_shard(0, primary, num_replicas=1,
-                                      delay=10.0)
-        link = group.links[0]
+        link = ReplicationManager(primary, delays=[10.0]).links[0]
         primary.execute("SET", "hit", "value-mentioning-miss")
-        assert queue_touches(link, [b"hit"])
-        assert not queue_touches(link, [b"miss"])
+        assert link.touches([b"hit"])
+        assert not link.touches([b"miss"])
 
 
 class TestEventDrivenClusterReplication:
     def test_scheduler_pumped_replicas_and_horizon(self):
         cluster = build_cluster(2)
-        replication = cluster.attach_replication(replicas_per_shard=2,
-                                                 delay=0.005,
+        replication = cluster.attach_replication(delays=[0.005, 0.005],
                                                  pump_interval=0.002)
         for i in range(6):
             cluster.call("SET", f"k{i}", f"v{i}")
@@ -484,7 +456,7 @@ class TestEventDrivenClusterReplication:
         assert cluster.call("GET", "k3", prefer_replica=True) == b"v3"
         assert cluster.stale_replica_reads == 0
         cluster.call("DEL", "k3")
-        horizon = replication.erasure_horizon(b"k3", step=0.001)
+        horizon = replication.erasure_horizon([b"k3"], step=0.001)
         assert horizon == pytest.approx(0.005, abs=0.002)
 
 
@@ -498,12 +470,12 @@ class TestRecoveryRehomesReplication:
         shard = store.shard_for("user:1")
         store.clock.advance(0.02)
         replication.pump()
-        old_group = replication.group_of(shard)
+        old_group = replication.groups[shard]
         store.recover_shard(shard)
-        new_group = replication.group_of(shard)
+        new_group = replication.groups[shard]
         assert new_group is not old_group
         assert new_group.primary is store.shards[shard].kv
-        assert new_group.num_replicas == 2
+        assert len(new_group.links) == 2
         assert [l.delay for l in new_group.links] \
             == [l.delay for l in old_group.links]
         # Replicas were full-synced from the recovered primary...

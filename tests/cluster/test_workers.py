@@ -23,7 +23,6 @@ from repro.cluster.workers import (
     classify,
     route_of,
     route_workers,
-    worker_for,
 )
 from repro.common.clock import ShardClock, SimClock
 from repro.common.errors import ClusterError, UnknownCommandError
@@ -68,7 +67,7 @@ class TestRouting:
     def test_single_key_commands_route_by_slot(self):
         route = classify([b"GET", b"user:1"])
         assert route == slot_for_key(b"user:1")
-        assert worker_for(route, 4) == route % 4
+        assert route_workers(route, 4)[0] == route % 4
 
     def test_same_slot_multikey_rides_one_worker(self):
         route = classify([b"MSET", b"{t}a", b"1", b"{t}b", b"2"])
@@ -79,25 +78,25 @@ class TestRouting:
         route = classify([b"MSET"] + [b for k in keys for b in (k, k)])
         assert isinstance(route, tuple)
         # Slots differing mod K on at least one worker count.
-        assert any(worker_for(route, k) == BARRIER for k in (2, 3, 4))
+        assert any(route_workers(route, k)[0] == BARRIER for k in (2, 3, 4))
 
     def test_multikey_route_survives_worker_raises(self):
         # The token is the slot set, so re-resolving against a different
         # worker count is well defined either way.
         route = classify([b"MSET", b"x", b"1", b"y", b"2"])
         for count in (1, 2, 4, 8):
-            assert worker_for(route, count) in \
+            assert route_workers(route, count)[0] in \
                 set(range(count)) | {BARRIER}
 
     def test_control_and_global_commands(self):
         assert classify([b"PING"]) == ROUTE_CONTROL
         assert classify([b"CONFIG", b"GET", b"appendonly"]) \
             == ROUTE_CONTROL
-        assert worker_for(ROUTE_CONTROL, 4) == 0
+        assert route_workers(ROUTE_CONTROL, 4)[0] == 0
         for name in (b"FLUSHALL", b"DBSIZE", b"KEYS", b"SCAN",
                      b"RANDOMKEY", b"BGREWRITEAOF", b"SAVE"):
             assert classify([name]) == ROUTE_BARRIER, name
-        assert worker_for(ROUTE_BARRIER, 4) == BARRIER
+        assert route_workers(ROUTE_BARRIER, 4)[0] == BARRIER
 
     def test_malformed_requests_are_control(self):
         assert classify("not-a-list") == ROUTE_CONTROL
@@ -109,7 +108,7 @@ class TestRouting:
                         [b"MSET", b"x", b"1", b"y", b"2"]):
             route = classify(request)
             if route != ROUTE_BARRIER:
-                assert worker_for(route, 1) == 0
+                assert route_workers(route, 1)[0] == 0
 
 
 # One row per name any engine or the cluster's server answers to:
@@ -310,14 +309,13 @@ NEWLY_REPLICA_ELIGIBLE = [
                          ids=[read[0] for _, read in NEWLY_REPLICA_ELIGIBLE])
 def test_every_readonly_command_is_served_by_a_drained_replica(write, read):
     cluster = build_cluster(1)
-    cluster.attach_replication(replicas_per_shard=1, delay=0.0)
-    cluster.read_from_replicas = True
+    cluster.attach_replication(delays=[0.0])
     cluster.call(*write)
     cluster.nodes[0].clock.advance(0.001)
     cluster.replication.pump()
     primary = cluster.nodes[0].store.execute(*read)
     assert primary not in (None, 0, [])
-    assert cluster.call(*read) == primary
+    assert cluster.call(*read, prefer_replica=True) == primary
     assert (cluster.replica_reads, cluster.stale_replica_reads) == (1, 0)
 
 
@@ -326,7 +324,7 @@ class TestRouteWorkers:
         route = classify([b"GET", b"user:1"])
         for count in (1, 2, 4):
             assert route_workers(route, count) == (route % count,)
-            assert worker_for(route, count) == route % count
+            assert route_workers(route, count)[0] == route % count
 
     def test_control_and_barrier_tokens(self):
         assert route_workers(ROUTE_CONTROL, 4) == (0,)

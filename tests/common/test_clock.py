@@ -215,6 +215,52 @@ class TestEventScheduler:
         assert clock.pending_timers() == 2
 
 
+class TestRecurringTimer:
+    def test_events_match_a_hand_written_reschedule(self):
+        """Callback first, then the next event: (when, seq, label) are
+        those of the ``fire(); reschedule`` closure it replaces."""
+        def run(recurring):
+            clock = SimClock()
+            trace = clock.enable_trace()
+            fired = []
+
+            def work():
+                fired.append((clock.now(), clock._timer_seq))
+                clock.schedule_after(0.1, lambda: None, label="work")
+
+            if recurring:
+                clock.every(0.5, work, label="tick")
+            else:
+                def fire():
+                    work()
+                    clock.schedule_after(0.5, fire, label="tick",
+                                         daemon=True)
+                clock.schedule_after(0.5, fire, label="tick", daemon=True)
+            clock.advance(2.2)
+            return fired, trace
+
+        assert run(True) == run(False)
+        assert len(run(True)[0]) == 4
+
+    def test_daemon_and_cancellable_from_inside(self):
+        clock = SimClock()
+        fired = []
+
+        def work():
+            fired.append(clock.now())
+            if len(fired) == 3:
+                timer.cancel()
+
+        timer = clock.every(1.0, work, label="tick")
+        assert timer.active
+        assert clock.run_until_idle() == 0        # daemon: not alive alone
+        clock.advance(10.0)
+        assert fired == [1.0, 2.0, 3.0]
+        assert not timer.active
+        assert clock.pending_timers() == 0
+        assert timer.cancel() is False
+
+
 class TestWorkerClock:
     def test_advance_bills_busy_time(self):
         worker = WorkerClock(0, 1.0)

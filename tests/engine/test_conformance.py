@@ -248,7 +248,7 @@ def test_replication_over_either_engine(engine):
     assert link.replica.execute("GET", "pii") == b"secret"
     engine.execute("DEL", "pii")
     assert manager.key_visible_anywhere(b"pii")   # replica still serves it
-    horizon = manager.erasure_horizon(b"pii", step=0.0005)
+    horizon = manager.erasure_horizon([b"pii"], step=0.0005)
     assert horizon is not None and horizon <= 0.002
 
 

@@ -146,7 +146,7 @@ class TestBasicReplication:
         manager = ReplicationManager(primary)
         primary.execute("SET", "pre", "existing")
         link = manager.add_replica("r1")
-        assert manager.full_sync("r1") == 1
+        assert manager.full_sync_all() == 1
         assert link.replica.execute("GET", "pre") == b"existing"
 
     def test_full_sync_drains_backlog(self):
@@ -159,7 +159,7 @@ class TestBasicReplication:
         primary.execute("APPEND", "seq", "abc")
         primary.execute("INCR", "hits")
         assert link.backlog == 2          # queued, undelivered
-        manager.full_sync("r1")           # snapshot already holds both
+        manager.full_sync_all()           # snapshot already holds both
         assert link.backlog == 0
         clock.advance(1.0)
         manager.pump()
@@ -171,7 +171,7 @@ class TestBasicReplication:
         manager = ReplicationManager(primary)
         link = manager.add_replica("r1", delay=0.010)
         primary.execute("APPEND", "seq", "abc")
-        manager.full_sync("r1")
+        manager.full_sync_all()
         primary.execute("APPEND", "seq", "def")   # after the snapshot
         clock.advance(1.0)
         manager.pump()
@@ -211,7 +211,7 @@ class TestErasurePropagation:
         clock.advance(0.5)
         manager.pump()
         primary.execute("DEL", "pii")
-        horizon = manager.erasure_horizon(b"pii", step=0.005)
+        horizon = manager.erasure_horizon([b"pii"], step=0.005)
         assert horizon is not None
         assert 0.195 <= horizon <= 0.25
 
@@ -240,5 +240,27 @@ class TestErasurePropagation:
         link.delay = 10_000.0
         # Re-enqueue happened at delay=0 though; emulate stuck delivery:
         link._queue.clear()
-        assert manager.erasure_horizon(b"pii", step=0.01,
+        assert manager.erasure_horizon([b"pii"], step=0.01,
                                        max_wait=0.1) is None
+
+    def test_horizon_waits_for_queued_pre_deletion_write(self):
+        """Regression: a visibility-only horizon read 0.0 s here, yet the
+        replica served the key from 40 to 49 ms after the DEL, when the
+        queued SET landed ahead of the DEL."""
+        primary, clock = make_primary()
+        manager = ReplicationManager(primary)
+        link = manager.add_replica("r1", delay=0.050)
+        primary.execute("SET", "pii", "secret")
+        clock.advance(0.010)
+        primary.execute("DEL", "pii")
+        assert not manager.key_visible_anywhere(b"pii")   # SET in flight
+        horizon = manager.erasure_horizon([b"pii"], step=0.001)
+        assert horizon == pytest.approx(0.050, abs=0.0015)
+        assert link.backlog == 0
+        assert link.replica.execute("GET", "pii") is None
+
+    def test_horizon_takes_a_key_set(self):
+        primary, _ = make_primary()
+        manager = ReplicationManager(primary)
+        with pytest.raises(TypeError):
+            manager.erasure_horizon(b"pii")

@@ -94,16 +94,16 @@ def test_sharded_gdpr_recovery_from_wal():
 
 def test_replication_groups_over_relational_shards():
     store = ShardedGDPRStore(num_shards=2, kv_factory=sql_factory)
-    store.attach_replication(replicas_per_shard=2, delay=0.002)
+    store.attach_replication(delays=[0.002, 0.002])
     store.put("user:1", b"pii", meta("alice"))
     store.clock.advance(0.01)
     store.replication.pump()
-    group = store.replication.group_of(store.shard_for("user:1"))
+    group = store.replication.groups[store.shard_for("user:1")]
     assert all(link.replica.engine_name == "relational"
                for link in group.links)
     keys = store.keys_of_subject("alice")
     store.erase_subject("alice")
-    horizon = store.subject_erasure_horizon(keys, step=0.0005)
+    horizon = store.replication.erasure_horizon(keys, step=0.0005)
     assert horizon is not None and horizon <= 0.004
 
 

@@ -5,6 +5,7 @@ snapshots, and the crash-window shadow rules."""
 import pytest
 
 from repro.common.clock import SimClock
+from repro.common.errors import CorruptionError
 from repro.crypto.keystore import KeyStore
 from repro.device.append_log import AppendLog
 from repro.device.latency import INTEL_750_SSD
@@ -211,6 +212,25 @@ def test_snapshot_round_trip_includes_cold():
     assert replica.execute("GET", "hot") == b"1"
     assert replica.execute("GET", "cold") == b"2"
     assert replica.execute("TTL", "cold-ttl") == 500
+
+
+def test_truncated_or_padded_snapshot_is_rejected_and_loads_nothing():
+    """Regression: a TIER1 prefix used to load a silently shortened
+    value or raise a bare struct.error."""
+    engine = make_engine(auto_demote=False)
+    engine.execute("SET", "hot", "1")
+    engine.execute("SET", "cold", "hello-world-value")
+    engine.execute("SET", "cold-ttl", "3", "EX", 500)
+    engine.demote_keys([b"cold", b"cold-ttl"])
+    snapshot = engine.save_snapshot()
+    target = engine.spawn_replica()
+    target.execute("SET", "before", "x")
+    for bad in [snapshot[:n] for n in range(len(snapshot))] \
+            + [snapshot + b"\x00"]:
+        with pytest.raises(CorruptionError):
+            target.load_snapshot(bad)
+    assert target.execute("KEYS", "*") == [b"before"]
+    assert target.load_snapshot(snapshot) == 3
 
 
 def test_plain_hot_snapshot_still_loads():
