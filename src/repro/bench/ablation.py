@@ -30,11 +30,9 @@ from ..device.luks import CRYPTO_COST_PER_BYTE
 from ..gdpr.audit import AuditDurability, AuditLog
 from ..gdpr.store import GDPRConfig, GDPRStore
 from ..kvstore.replication import ReplicationManager
-from ..kvstore.server import connect_plain, connect_tls
 from ..kvstore.store import KeyValueStore, StoreConfig
-from ..net.channel import Channel, RAW_BANDWIDTH_BPS
 from ..net.tls import stunnel_channel
-from ..ycsb.adapters import ClientAdapter, GDPRAdapter
+from ..ycsb.adapters import GDPRAdapter
 from ..ycsb.runner import WorkloadRunner
 from ..ycsb.workloads import CORE_WORKLOADS
 from .calibration import (
@@ -42,9 +40,11 @@ from .calibration import (
     BASE_COMMAND_CPU,
     RAW_ONE_WAY_LATENCY,
     TLS_PSK,
+    deployment,
     logged_store,
     make_aof_sync,
     make_unmodified,
+    raw_channel,
 )
 from .reporting import (Axis, Row, Scenario, scaled, share_of_first,
                         ycsb_sizes)
@@ -181,25 +181,22 @@ def encryption_throughput(config: str, record_count: int = 300,
     charged with the LUKS per-byte crypto cost; a ``tls`` one proxies
     the wire.  Expectation (paper section 4.2): TLS dominates.
     """
-    clock = SimClock()
-    if "luks" in config:
-        store = KeyValueStore(
+    def store_of(meter):
+        if "luks" not in config:
+            return KeyValueStore(
+                StoreConfig(command_cpu_cost=BASE_COMMAND_CPU), clock=meter)
+        return KeyValueStore(
             StoreConfig(command_cpu_cost=BASE_COMMAND_CPU, appendonly=True,
                         appendfsync="everysec"),
-            clock=clock, aof_log=AppendLog(clock=clock, latency=LUKS_SSD))
-    else:
-        store = KeyValueStore(
-            StoreConfig(command_cpu_cost=BASE_COMMAND_CPU), clock=clock)
+            clock=meter, aof_log=AppendLog(clock=meter, latency=LUKS_SSD))
+
     if "tls" in config:
-        client = connect_tls(
-            store, stunnel_channel(clock, latency=RAW_ONE_WAY_LATENCY),
-            TLS_PSK, clock=clock)
+        channel = stunnel_channel(SimClock(), latency=RAW_ONE_WAY_LATENCY)
+        system = deployment(config, store_of, channel, psk=TLS_PSK)
     else:
-        client = connect_plain(
-            store, Channel(clock=clock, bandwidth_bps=RAW_BANDWIDTH_BPS,
-                           latency=RAW_ONE_WAY_LATENCY))
-    return {"throughput": _ycsb_a_throughput(
-        ClientAdapter(client), clock, record_count, operation_count)}
+        system = deployment(config, store_of, raw_channel(SimClock()))
+    return {"throughput": _system_throughput(system, record_count,
+                                             operation_count)}
 
 
 ABLATION_ENCRYPTION = Scenario(

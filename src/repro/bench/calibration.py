@@ -29,23 +29,30 @@ simulated stack land near the paper's absolute numbers so that its *ratios*
 TLS/proxy constants live in :mod:`repro.net` (bandwidth 44 -> 4.9 Gb/s and
 2 x 30 us proxy traversals are the paper's own measurements); LUKS crypto
 throughput lives in :mod:`repro.device.luks`.
+
+Every networked configuration is a :func:`deployment`: the store behind
+a one-core event-driven server, driven closed-loop by one
+:class:`~repro.kvstore.server.EventConnection`, so the round trip the
+YCSB runner times is wire + server record crypto + service + wire on the
+scheduler clock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
-from ..common.clock import SimClock
+from ..cluster.workers import WorkerPool
+from ..common.clock import Clock, ShardClock, SimClock
 from ..device.append_log import AppendLog
 from ..device.block_device import SimulatedBlockDevice
 from ..device.latency import INTEL_750_SSD, LatencyModel
 from ..device.luks import LuksVolume
-from ..kvstore.server import StoreClient, connect_plain, connect_tls
+from ..kvstore.server import EventConnection, EventStoreServer
 from ..kvstore.store import KeyValueStore, StoreConfig
 from ..net.channel import Channel, RAW_BANDWIDTH_BPS
 from ..net.tls import stunnel_channel
-from ..ycsb.adapters import ClientAdapter, KVAdapter, StorageAdapter
+from ..ycsb.adapters import KVAdapter, StorageAdapter
 
 BASE_COMMAND_CPU = 25e-6
 RAW_ONE_WAY_LATENCY = 10e-6
@@ -64,7 +71,7 @@ class SystemUnderTest:
     clock: SimClock
     store: KeyValueStore
     adapter: StorageAdapter
-    client: Optional[StoreClient] = None
+    client: Optional[EventConnection] = None
     channel: Optional[Channel] = None
     luks: Optional[LuksVolume] = None
 
@@ -103,19 +110,39 @@ def logged_store(clock: SimClock, appendfsync: str = "everysec",
         clock=clock, aof_log=AppendLog(clock=clock, latency=device))
 
 
+def deployment(name: str, store_of: Callable[[Clock], KeyValueStore],
+               channel: Channel, psk: Optional[bytes] = None,
+               luks: Optional[LuksVolume] = None) -> SystemUnderTest:
+    """``store_of(meter)`` served by a one-core event-driven server on
+    ``channel``'s scheduler, one closed-loop connection driving it
+    (through TLS sessions when ``psk`` is given).  The store is built on
+    the server's service meter, a one-core
+    :class:`~repro.common.clock.ShardClock`."""
+    scheduler = channel.clock
+    meter = ShardClock(scheduler.now())
+    server = EventStoreServer(store_of(meter), WorkerPool(meter, scheduler))
+    client = EventConnection(server, channel=channel, psk=psk)
+    return SystemUnderTest(name=name, clock=scheduler, store=server.store,
+                           adapter=KVAdapter(client), client=client,
+                           channel=channel, luks=luks)
+
+
+def raw_channel(clock: SimClock) -> Channel:
+    """The unproxied YCSB <-> store wire."""
+    return Channel(clock=clock, bandwidth_bps=RAW_BANDWIDTH_BPS,
+                   latency=RAW_ONE_WAY_LATENCY)
+
+
 def make_unmodified(clock: Optional[SimClock] = None,
                     seed: int = 0) -> SystemUnderTest:
     """Baseline: no AOF, plaintext channel -- Figure 1 'Unmodified'."""
     clock = clock if clock is not None else SimClock()
-    store = KeyValueStore(
-        StoreConfig(command_cpu_cost=BASE_COMMAND_CPU, seed=seed),
-        clock=clock)
-    channel = Channel(clock=clock, bandwidth_bps=RAW_BANDWIDTH_BPS,
-                      latency=RAW_ONE_WAY_LATENCY)
-    client = connect_plain(store, channel)
-    return SystemUnderTest(name="unmodified", clock=clock, store=store,
-                           adapter=ClientAdapter(client), client=client,
-                           channel=channel)
+    return deployment(
+        "unmodified",
+        lambda meter: KeyValueStore(
+            StoreConfig(command_cpu_cost=BASE_COMMAND_CPU, seed=seed),
+            clock=meter),
+        raw_channel(clock))
 
 
 def make_aof_sync(clock: Optional[SimClock] = None,
@@ -129,14 +156,12 @@ def make_aof_sync(clock: Optional[SimClock] = None,
     text reports at ~5% of baseline; ``'everysec'`` is the plotted ~30%.
     """
     clock = clock if clock is not None else SimClock()
-    store = logged_store(clock, appendfsync, log_reads, device, seed)
-    channel = Channel(clock=clock, bandwidth_bps=RAW_BANDWIDTH_BPS,
-                      latency=RAW_ONE_WAY_LATENCY)
-    client = connect_plain(store, channel)
     name = f"aof-{appendfsync}" + ("" if log_reads else "-writesonly")
-    return SystemUnderTest(name=name, clock=clock, store=store,
-                           adapter=ClientAdapter(client), client=client,
-                           channel=channel)
+    return deployment(
+        name,
+        lambda meter: logged_store(meter, appendfsync, log_reads, device,
+                                   seed),
+        raw_channel(clock))
 
 
 def make_luks_tls(clock: Optional[SimClock] = None,
@@ -146,20 +171,21 @@ def make_luks_tls(clock: Optional[SimClock] = None,
 
     The wire goes through the stunnel-characterized channel (bandwidth
     collapsed to 4.9 Gb/s, two proxy traversals per message) with the
-    TLS record layer on both ends; persistence lands on a LUKS volume.
+    TLS record layer on both ends; persistence lands on a LUKS volume,
+    whose device -- written between phases, by
+    :meth:`SystemUnderTest.maybe_snapshot_to_luks` -- charges the
+    scheduler clock.
     """
     clock = clock if clock is not None else SimClock()
-    store = KeyValueStore(
-        StoreConfig(command_cpu_cost=BASE_COMMAND_CPU, seed=seed),
-        clock=clock)
     device = SimulatedBlockDevice(volume_mb << 20, clock=clock,
                                   latency=INTEL_750_SSD)
-    luks = LuksVolume(device, b"figure1-passphrase")
-    channel = stunnel_channel(clock, latency=RAW_ONE_WAY_LATENCY)
-    client = connect_tls(store, channel, TLS_PSK, clock=clock)
-    return SystemUnderTest(name="luks+tls", clock=clock, store=store,
-                           adapter=ClientAdapter(client), client=client,
-                           channel=channel, luks=luks)
+    return deployment(
+        "luks+tls",
+        lambda meter: KeyValueStore(
+            StoreConfig(command_cpu_cost=BASE_COMMAND_CPU, seed=seed),
+            clock=meter),
+        stunnel_channel(clock, latency=RAW_ONE_WAY_LATENCY), psk=TLS_PSK,
+        luks=LuksVolume(device, b"figure1-passphrase"))
 
 
 def make_inprocess(clock: Optional[SimClock] = None,

@@ -55,9 +55,16 @@ def logging_throughput(mechanism: str, record_count: int = 300,
     if mechanism == "monitor":
         # Stream every command to a subscriber over its own channel,
         # which must itself be TLS-protected (the paper's objection).
+        # The feed is a blocking write: the store waits for each line's
+        # delivery before it moves on.
         collector, auditor = establish_session_pair(
             stunnel_channel(clock), b"monitor-psk", clock=clock)
-        store.monitor.attach(collector.send)
+
+        def stream(line: bytes) -> None:
+            collector.send(line)
+            clock.run_until_idle()
+
+        store.monitor.attach(stream)
     elif mechanism == "slowlog+aof":
         # Threshold 0: ring bookkeeping per command, plus the AOF still
         # running for durability (slowlog alone is not an audit trail).
@@ -120,7 +127,9 @@ def channel_bandwidth(path: str, message_bytes: int = 1 << 20,
     """Effective bulk bandwidth (Gb/s) of the raw or the proxied channel.
 
     Reproduces the paper's iperf-style observation: 44 Gb/s raw vs
-    4.9 Gb/s through the stunnel proxies.
+    4.9 Gb/s through the stunnel proxies.  Stop-and-wait: each message
+    is delivered before the next is sent, so serialization never
+    overlaps and every message pays latency + proxy traversal.
     """
     clock = SimClock()
     channel = loopback(clock) if path == "raw" else stunnel_channel(clock)
@@ -129,6 +138,7 @@ def channel_bandwidth(path: str, message_bytes: int = 1 << 20,
     payload = b"\x00" * message_bytes
     for _ in range(messages):
         sender.send(payload)
+        clock.run_until_idle()
         receiver.recv()
     return {"gbps": message_bytes * messages * 8
             / (clock.now() - start) / 1e9}

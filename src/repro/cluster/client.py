@@ -63,9 +63,8 @@ from ..kvstore.commands import (
 )
 from ..kvstore.server import (
     EventConnection,
-    EventLoopMixin,
+    EventStoreServer,
     ServerConnection,
-    StoreServer,
     command_name,
     resp_error_from_store_error,
 )
@@ -142,7 +141,7 @@ def parse_redirect(reply: Any) -> Optional[RedirectError]:
     return None
 
 
-class ClusterStoreServer(EventLoopMixin, StoreServer):
+class ClusterStoreServer(EventStoreServer):
     """A shard's event-driven RESP server, aware of the authoritative
     slot map.  Connection intake, deferred reply flushing and the
     cron-as-timer-events machinery come from
@@ -177,13 +176,12 @@ class ClusterStoreServer(EventLoopMixin, StoreServer):
 
     def __init__(self, store: StorageEngine, pool, shard_index: int = 0,
                  slot_map: Optional[SlotMap] = None) -> None:
-        super().__init__(store)
+        super().__init__(store, pool)
         self.shard_index = shard_index
         self.slot_map = slot_map
         # Multi-tenant admission (attach_tenant_gate): one shared
         # TenantGate fronts the whole cluster; None = tenancy off.
         self.tenant_gate = None
-        self._init_event_loop(pool)
 
     def attach_tenant_gate(self, gate) -> None:
         """Install the cluster's shared
@@ -198,16 +196,13 @@ class ClusterStoreServer(EventLoopMixin, StoreServer):
         conn.tenant = None
         return conn
 
-    def _serve(self, conn: ServerConnection, request: Any) -> None:
-        self._serve_parsed(conn, request, parse_command(request))
-
     def _serve_parsed(self, conn: ServerConnection, request: Any,
                       parsed) -> None:
         """Serve ``request`` given what :func:`parse_command` made of it
         (the worker pool parses at arrival and passes that along, so a
         command is validated, named and hashed once)."""
         if parsed is None:
-            super()._serve(conn, request)       # the protocol-error reply
+            super()._serve_parsed(conn, request, None)  # protocol error
             return
         spec, keys, slot = parsed
         name = spec.name
@@ -839,7 +834,7 @@ def build_cluster(num_shards: int,
     for index in range(num_shards):
         node_clock = ShardClock(master.now(), workers=workers)
         channel = Channel(clock=master, bandwidth_bps=bandwidth_bps,
-                          latency=latency, event_driven=True)
+                          latency=latency)
         store = store_factory(index, node_clock)
         if store.clock is not node_clock:
             raise ClusterError(

@@ -30,12 +30,10 @@ from .server import (
     BufferedTransport,
     EventConnection,
     EventLoopMixin,
+    EventStoreServer,
     RawTransport,
-    StoreClient,
     StoreServer,
     TlsTransport,
-    connect_plain,
-    connect_tls,
 )
 from .slowlog import Slowlog
 from .snapshot import dump as snapshot_dump
@@ -67,14 +65,12 @@ __all__ = [
     "ReplicationLink",
     "Slowlog",
     "StoreServer",
-    "StoreClient",
+    "EventStoreServer",
     "RawTransport",
     "TlsTransport",
     "BufferedTransport",
     "EventLoopMixin",
     "EventConnection",
-    "connect_plain",
-    "connect_tls",
     "snapshot_dump",
     "snapshot_load",
     "snapshot_mentions_key",

@@ -1,26 +1,25 @@
-"""RESP servers and clients over simulated transports.
+"""RESP server and client connections over simulated channels.
 
 This is the deployment surface the paper's encryption experiment measures:
 YCSB (the client) talks RESP to Redis (the server) over the network, either
-directly or through stunnel TLS proxies.  Two execution styles, each with
-exactly one user:
+directly or through stunnel TLS proxies.  There is one execution model,
+the event-driven one: :class:`EventLoopMixin` gives a :class:`StoreServer`
+connection intake on a scheduler clock
+(:class:`~repro.common.clock.SimClock` events) -- bytes arrive as delivery
+events and queue per connection, a worker pool of K >= 1 simulated cores
+picks the next command round-robin over connections (so no connection can
+starve the others), replies depart as scheduled transmissions at service
+completion, and background work (expiry cron, fsync) runs from daemon
+timer events.  A single node is :class:`EventStoreServer` behind a
+one-core pool; a cluster shard is
+:class:`~repro.cluster.client.ClusterStoreServer`.
 
-* **Call-stack** -- :class:`StoreServer` + :class:`StoreClient`, the
-  single-node path: each :meth:`StoreClient.call` performs a full
-  simulated round trip (request transmit -> server execute -> reply
-  transmit) inline, so the simulated clock sees exactly the latency a
-  closed-loop client would.  It is the only path that runs TLS.
-* **Event-driven** -- :class:`EventLoopMixin`, the cluster shard's path
-  (:class:`~repro.cluster.client.ClusterStoreServer`).  The server
-  multiplexes N connections on a scheduler clock
-  (:class:`~repro.common.clock.SimClock` events): bytes arrive as
-  delivery events and queue per connection, a worker pool of K >= 1
-  simulated cores picks the next command round-robin over connections
-  (so no connection can starve the others), replies depart as scheduled
-  transmissions at service completion, and background work (expiry
-  cron, fsync) runs from daemon timer events.  This is the intra-shard
-  concurrency seam: many simulated clients share one shard and their
-  queueing is explicit.
+:class:`EventConnection` is the client side of one connection, raw or --
+given a pre-shared key -- through a :class:`~repro.net.tls.TlsSession`
+pair whose record crypto is charged to the scheduler.  Its closed-loop
+:meth:`EventConnection.call` sends one command and drives the scheduler
+until the reply is delivered, so the scheduler sees exactly the latency a
+closed-loop client would.
 
 MONITOR is implemented as in Redis: a client that issues MONITOR is
 switched to a feed of every subsequent command, streamed over its own
@@ -37,7 +36,7 @@ from typing import Any, Callable, Deque, List, Optional, Set, Tuple
 from ..common.errors import StoreError
 from ..common.resp import RespDecoder, RespError, encode, encode_command
 from ..net.channel import Channel, Endpoint
-from ..net.tls import TlsSession
+from ..net.tls import TlsSession, establish_session_pair
 from .commands import Session
 from .store import KeyValueStore
 
@@ -136,9 +135,9 @@ class ServerConnection:
     """Server-side state for one client connection.
 
     ``index`` is the connection's position in its server's list.
-    ``pending`` / ``intake`` / ``outstanding`` are the event-driven
-    server's queue: one ``(arrival time, route, readonly, parsed)``
-    intake entry per parsed-but-undispatched request, plus the count of
+    ``pending`` / ``intake`` / ``outstanding`` are the server's queue:
+    one ``(arrival time, route, readonly, parsed)`` intake entry per
+    parsed-but-undispatched request, plus the count of
     dispatched commands whose service time has not elapsed yet (the
     connection's buffered replies flush only when it returns to zero,
     which is what keeps RESP replies in request order across cores).
@@ -155,7 +154,9 @@ class ServerConnection:
 
 
 class StoreServer:
-    """Serves a :class:`KeyValueStore` to any number of connections."""
+    """Serves a :class:`KeyValueStore` to any number of connections:
+    the command semantics, with :class:`EventLoopMixin` supplying when
+    each request runs."""
 
     def __init__(self, store: KeyValueStore) -> None:
         self.store = store
@@ -167,32 +168,16 @@ class StoreServer:
         self.connections.append(conn)
         return conn
 
-    def pump(self) -> int:
-        """Process every complete pending request; returns requests served.
-
-        Iterates over a snapshot of the connection list: a handler or
-        MONITOR feed that accepts or drops a connection mid-pump must not
-        mutate the sequence being iterated (a connection accepted during a
-        pump is served from the next pump on).
-        """
-        served = 0
-        for conn in list(self.connections):
-            conn.decoder.feed(conn.transport.recv_available())
-            while True:
-                found, value = conn.decoder.next_value()
-                if not found:
-                    break
-                served += 1
-                self._serve(conn, value)
-        return served
-
-    def _serve(self, conn: ServerConnection, request: Any) -> None:
-        """Serve whatever the decoder produced: validate, then execute."""
-        name = command_name(request)
-        if name is None:
+    def _serve_parsed(self, conn: ServerConnection, request: Any,
+                      parsed) -> None:
+        """Serve ``request`` given what
+        :func:`~repro.cluster.client.parse_command` made of it (the
+        worker pool parses at arrival and passes that along): ``None``
+        for anything that is not a well-formed command."""
+        if parsed is None:
             conn.transport.send(_NOT_A_COMMAND)
             return
-        self._serve_command(conn, request, name)
+        self._serve_command(conn, request, parsed[0].name)
 
     def _serve_command(self, conn: ServerConnection, request: List[bytes],
                        name: bytes) -> None:
@@ -253,12 +238,18 @@ class EventLoopMixin:
 
     # -- connection intake -------------------------------------------------
 
-    def accept_endpoint(self, endpoint: Endpoint) -> ServerConnection:
+    def accept_endpoint(self, endpoint: Endpoint,
+                        session: Optional[TlsSession] = None
+                        ) -> ServerConnection:
         """Accept an event-driven connection: the endpoint's deliveries
-        feed this connection's read queue and wake the pool."""
+        feed this connection's read queue and wake the pool.  With a
+        ``session`` (the server half of a completed handshake on
+        ``endpoint``) requests and replies travel as TLS records."""
         index = len(self.connections)       # the index accept() assigns
+        transport = RawTransport(endpoint) if session is None \
+            else TlsTransport(session)
         conn = self.accept(BufferedTransport(
-            RawTransport(endpoint), self._pool.unflushed, index))
+            transport, self._pool.unflushed, index))
         endpoint.set_receiver(partial(self.on_readable, conn))
         return conn
 
@@ -294,6 +285,18 @@ class EventLoopMixin:
             self._cron_handle = None
 
 
+class EventStoreServer(EventLoopMixin, StoreServer):
+    """A single node's event-driven server.  The deployments the
+    single-node experiments measure run it behind a one-core
+    :class:`~repro.cluster.workers.WorkerPool` (its store metered by the
+    pool's :class:`~repro.common.clock.ShardClock`) with no cron: the
+    store's own per-command ``tick`` drives the everysec fsync."""
+
+    def __init__(self, store: KeyValueStore, pool) -> None:
+        super().__init__(store)
+        self._init_event_loop(pool)
+
+
 class EventConnection:
     """Client side of one event-driven connection.
 
@@ -301,12 +304,17 @@ class EventConnection:
     generator) or queue in :attr:`replies` (pull).  :meth:`await_replies`
     and :meth:`call` are the closed-loop conveniences: send, then drive
     the scheduler until the replies arrive.
+
+    With a ``psk`` the connection first runs the TLS handshake over the
+    channel, then both ends seal every message into records; each
+    session charges its record crypto to the scheduler.
     """
 
     def __init__(self, server: EventLoopMixin,
                  channel: Optional[Channel] = None,
                  bandwidth_bps: Optional[float] = None,
-                 latency: Optional[float] = None) -> None:
+                 latency: Optional[float] = None,
+                 psk: Optional[bytes] = None) -> None:
         self._scheduler = server.scheduler
         if channel is None:
             from ..net.channel import LAN_LATENCY, RAW_BANDWIDTH_BPS
@@ -314,10 +322,7 @@ class EventConnection:
                 clock=self._scheduler,
                 bandwidth_bps=(bandwidth_bps if bandwidth_bps is not None
                                else RAW_BANDWIDTH_BPS),
-                latency=latency if latency is not None else LAN_LATENCY,
-                event_driven=True)
-        if not channel.event_driven:
-            raise ValueError("EventConnection needs an event-driven channel")
+                latency=latency if latency is not None else LAN_LATENCY)
         if channel.clock is not self._scheduler:
             raise ValueError(
                 "the connection's channel must deliver on the server's "
@@ -325,8 +330,16 @@ class EventConnection:
                 "the event loop)")
         self.channel = channel
         client_end, server_end = channel.endpoints()
-        self.server_connection = server.accept_endpoint(server_end)
-        self._endpoint = client_end
+        if psk is None:
+            self._send, self._recv = client_end.send, client_end.recv
+            server_session = None
+        else:
+            client_session, server_session = establish_session_pair(
+                channel, psk, clock=self._scheduler)
+            self._send = client_session.send
+            self._recv = client_session.recv_all
+        self.server_connection = server.accept_endpoint(server_end,
+                                                        server_session)
         self._decoder = RespDecoder()
         self.replies: Deque[Any] = deque()
         self.on_reply: Optional[Callable[[Any], None]] = None
@@ -336,16 +349,17 @@ class EventConnection:
         client_end.set_receiver(self._on_data)
 
     def send_command(self, *args: Any) -> None:
-        self._endpoint.send(encode_command(*_coerce(args)))
+        self._send(encode_command(*_coerce(args)))
 
     def send_raw(self, data: bytes) -> None:
-        self._endpoint.send(data)
+        self._send(data)
 
     def _on_data(self) -> None:
+        data = self._recv()
         if self.on_raw is not None:
-            self.on_raw(self._endpoint.recv())
+            self.on_raw(data)
             return
-        self._decoder.feed(self._endpoint.recv())
+        self._decoder.feed(data)
         for value in self._decoder.drain():
             if self.on_reply is not None:
                 self.on_reply(value)
@@ -376,25 +390,10 @@ class EventConnection:
             raise value
         return value
 
-
-class StoreClient:
-    """Closed-loop RESP client: each call is one simulated round trip."""
-
-    def __init__(self, transport, server: StoreServer) -> None:
-        self._transport = transport
-        self._server = server
-        self._decoder = RespDecoder()
-
-    def call(self, *args: Any, raise_errors: bool = True) -> Any:
-        self._transport.send(encode_command(*_coerce(args)))
-        self._server.pump()
-        self._decoder.feed(self._transport.recv_available())
-        found, value = self._decoder.next_value()
-        if not found:
-            raise RespError("ERR no reply received")
-        if raise_errors and isinstance(value, RespError):
-            raise value
-        return value
+    # The store's spelling, so one YCSB binding
+    # (:class:`~repro.ycsb.adapters.KVAdapter`) drives a store in-process
+    # or over a connection.
+    execute = call
 
 
 def _coerce(args) -> List[bytes]:
@@ -409,22 +408,3 @@ def _coerce(args) -> List[bytes]:
         else:
             raise TypeError(f"bad argument type {type(arg).__name__}")
     return out
-
-
-def connect_plain(store: KeyValueStore, channel) -> StoreClient:
-    """Wire a client to ``store`` over a raw channel."""
-    client_end, server_end = channel.endpoints()
-    server = StoreServer(store)
-    server.accept(RawTransport(server_end))
-    return StoreClient(RawTransport(client_end), server)
-
-
-def connect_tls(store: KeyValueStore, channel, psk: bytes,
-                clock=None) -> StoreClient:
-    """Wire a client to ``store`` through TLS sessions on ``channel``."""
-    from ..net.tls import establish_session_pair
-    client_session, server_session = establish_session_pair(
-        channel, psk, clock=clock if clock is not None else channel.clock)
-    server = StoreServer(store)
-    server.accept(TlsTransport(server_session))
-    return StoreClient(TlsTransport(client_session), server)

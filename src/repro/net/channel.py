@@ -1,22 +1,19 @@
 """Simulated network channels with bandwidth and latency accounting.
 
 A :class:`Channel` is a bidirectional byte pipe between two
-:class:`Endpoint` objects sharing one simulated clock.  It runs in one of
-two modes:
-
-* **inline** (the default): sending charges
-  ``propagation_delay + nbytes / bandwidth`` to the clock before the bytes
-  appear at the peer -- the closed-loop style, which is how the TLS
-  experiment reproduces the paper's measured bandwidth collapse
-  (44 Gb/s raw -> 4.9 Gb/s through stunnel proxies);
-* **event-driven** (``event_driven=True``, requires a
-  :class:`~repro.common.clock.SimClock`): sending costs the sender
-  nothing now; the bytes are *scheduled* to arrive at the peer at
-  ``serialization-done + latency``, with consecutive sends in the same
-  direction queueing behind each other at the link's bandwidth, as frames
-  do on a real NIC.  Delivery fires the receiving endpoint's receiver
-  callback, which is how the event-loop server learns a connection is
-  readable without anyone blocking.
+:class:`Endpoint` objects on one :class:`~repro.common.clock.SimClock`
+scheduler.  Sending costs the sender nothing now: the bytes are
+*scheduled* to arrive at the peer at ``serialization-done + latency``,
+with consecutive sends in the same direction queueing behind each other
+at the link's bandwidth (``per_message_overhead + nbytes / bandwidth``
+each), as frames do on a real NIC.  Delivery fires the receiving
+endpoint's receiver callback, which is how the event-loop server learns
+a connection is readable without anyone blocking; a closed-loop caller
+drives the scheduler until the bytes it waits for have arrived.  The
+stunnel deployment (:func:`repro.net.tls.stunnel_channel`) is the same
+channel at the paper's measured 4.9 Gb/s with two proxy traversals per
+message -- how the TLS experiment reproduces the bandwidth collapse
+(44 Gb/s raw -> 4.9 Gb/s).
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from collections import deque
 from functools import partial
 from typing import Callable, Deque, Optional
 
-from ..common.clock import Clock, SimClock
+from ..common.clock import SimClock
 from ..common.errors import ChannelClosedError
 
 # The paper's testbed numbers (section 4.2).
@@ -55,8 +52,8 @@ class Endpoint:
     # -- receiving ---------------------------------------------------------
 
     def set_receiver(self, callback: Optional[Callable[[], None]]) -> None:
-        """Register a readable-notification callback (event mode): it runs
-        after each delivery, and the callee drains with :meth:`recv`."""
+        """Register a readable-notification callback: it runs after each
+        delivery, and the callee drains with :meth:`recv`."""
         self._receiver = callback
 
     def _deliver(self, data: bytes) -> None:
@@ -103,29 +100,24 @@ class Endpoint:
 class Channel:
     """A bidirectional pipe with shared bandwidth/latency parameters."""
 
-    def __init__(self, clock: Optional[Clock] = None,
+    def __init__(self, clock: Optional[SimClock] = None,
                  bandwidth_bps: float = RAW_BANDWIDTH_BPS,
                  latency: float = LAN_LATENCY,
-                 per_message_overhead: float = 0.0,
-                 event_driven: bool = False) -> None:
+                 per_message_overhead: float = 0.0) -> None:
         if bandwidth_bps <= 0:
             raise ValueError("bandwidth must be positive")
         if latency < 0 or per_message_overhead < 0:
             raise ValueError("delays cannot be negative")
         self.clock = clock if clock is not None else SimClock()
-        if event_driven and not hasattr(self.clock, "schedule_at"):
-            raise ValueError(
-                "event-driven channels need a scheduling clock (SimClock)")
         self.bandwidth_bps = bandwidth_bps
         self.latency = latency
         self.per_message_overhead = per_message_overhead
-        self.event_driven = event_driven
         self.closed = False
         self.messages = 0
         self.bytes_transferred = 0
-        # Per-direction link occupancy (event mode): a transmit may not
-        # start serializing before the previous one in that direction has
-        # left the NIC.
+        # Per-direction link occupancy: a transmit may not start
+        # serializing before the previous one in that direction has left
+        # the NIC.
         self._link_free_at = [0.0, 0.0]
         self._ends = (Endpoint(self, 0), Endpoint(self, 1))
 
@@ -138,15 +130,9 @@ class Channel:
             raise ChannelClosedError("channel is closed")
         self.messages += 1
         self.bytes_transferred += len(data)
-        if not self.event_driven:
-            cost = (self.latency + self.per_message_overhead
-                    + len(data) / self.bandwidth_bps)
-            self.clock.advance(cost)
-            self._ends[1 - from_side]._deliver(data)
-            return
-        # Event mode: the sender is not blocked; the bytes serialize onto
-        # the link after any earlier transmit in this direction, then
-        # propagate.  Delivery is a scheduled event at the receiver.
+        # The sender is not blocked; the bytes serialize onto the link
+        # after any earlier transmit in this direction, then propagate.
+        # Delivery is a scheduled event at the receiver.
         serialize = (self.per_message_overhead
                      + len(data) / self.bandwidth_bps)
         start = max(self.clock.now(), self._link_free_at[from_side])
@@ -166,7 +152,7 @@ class Channel:
                 + nbytes / self.bandwidth_bps)
 
 
-def loopback(clock: Optional[Clock] = None) -> Channel:
+def loopback(clock: Optional[SimClock] = None) -> Channel:
     """A raw (unproxied) channel at the testbed's 44 Gb/s."""
     return Channel(clock=clock, bandwidth_bps=RAW_BANDWIDTH_BPS,
                    latency=LAN_LATENCY)

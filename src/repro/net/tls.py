@@ -8,7 +8,9 @@ bandwidth fell from 44 Gb/s to 4.9 Gb/s.  Two pieces reproduce that:
   :class:`~repro.net.channel.Endpoint`: a handshake authenticated by a
   pre-shared secret derives per-direction keys; application data then flows
   in sealed records with strictly increasing sequence numbers (replay and
-  reorder detection).  Each byte pays a crypto CPU cost.
+  reorder detection).  Each byte pays a crypto CPU cost, charged to the
+  session's clock -- the scheduler its channel delivers on, which is the
+  clock a closed-loop client measures.
 * :func:`stunnel_channel` -- builds the proxied channel: bandwidth capped
   at the measured 4.9 Gb/s and a per-message proxy traversal cost for the
   two extra hops (client->proxy, proxy->proxy, proxy->server collapse into
@@ -166,16 +168,27 @@ class TlsSession:
 def establish_session_pair(channel: Channel, psk: bytes,
                            clock: Optional[Clock] = None,
                            crypto_cost_per_byte: float = TLS_COST_PER_BYTE):
-    """Run the handshake over ``channel``; returns (client, server) sessions."""
+    """Run the handshake over ``channel``, driving its scheduler until
+    each hello has been delivered; returns (client, server) sessions."""
     client_end, server_end = channel.endpoints()
     client = TlsSession(client_end, psk, is_client=True, clock=clock,
                         crypto_cost_per_byte=crypto_cost_per_byte)
     server = TlsSession(server_end, psk, is_client=False, clock=clock,
                         crypto_cost_per_byte=crypto_cost_per_byte)
     client.start_handshake()
+    _await_delivery(channel, server_end)
     server.respond_handshake()
+    _await_delivery(channel, client_end)
     client.finish_handshake()
     return client, server
+
+
+def _await_delivery(channel: Channel, endpoint: Endpoint) -> None:
+    scheduler = channel.clock
+    while not endpoint.available:
+        if scheduler.pending_live_events() == 0:
+            raise HandshakeError("hello was never delivered")
+        scheduler.run_next()
 
 
 def stunnel_channel(clock: Optional[Clock] = None,

@@ -1,7 +1,6 @@
 """YCSB: workload definitions, generators, adapters, and the runner."""
 
 from .adapters import (
-    ClientAdapter,
     ClusterAdapter,
     GDPRAdapter,
     KVAdapter,
@@ -42,7 +41,6 @@ __all__ = [
     "StorageAdapter",
     "KVAdapter",
     "SqlAdapter",
-    "ClientAdapter",
     "ClusterAdapter",
     "GDPRAdapter",
     "pack_fields",

@@ -5,10 +5,9 @@ binding's exact strategy: records are hashes, plus a sorted-set index keyed
 by a hash of the record key so scan workloads can enumerate windows.
 :class:`SqlAdapter` is the relational binding (the YCSB JDBC strategy):
 records are rows whose YCSB fields are columns, and scans walk the
-primary-key B-tree natively -- no shadow index.  :class:`ClientAdapter`
-runs the same commands through the RESP client/server path (the TLS
-experiment); :class:`GDPRAdapter` drives the full GDPR layer (metadata,
-ACL, audit, encryption) over either engine.
+primary-key B-tree natively -- no shadow index.  :class:`GDPRAdapter`
+drives the full GDPR layer (metadata, ACL, audit, encryption) over either
+engine.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from ..common.hashing import crc32_of
 from ..gdpr.access_control import Principal
 from ..gdpr.metadata import GDPRMetadata
 from ..gdpr.store import GDPRStore
-from ..kvstore.server import StoreClient
-from ..kvstore.store import KeyValueStore
 
 INDEX_KEY = "_ycsb_index"
 
@@ -69,9 +66,12 @@ def _pairs_to_dict(flat: List[bytes]) -> Dict[str, bytes]:
 
 
 class KVAdapter(StorageAdapter):
-    """Direct in-process binding to :class:`KeyValueStore`."""
+    """The Redis-protocol binding: in-process to a
+    :class:`~repro.kvstore.store.KeyValueStore`, or over an
+    :class:`~repro.kvstore.server.EventConnection` to a server (the
+    Figure 1 deployments) -- either one's ``execute``."""
 
-    def __init__(self, store: KeyValueStore,
+    def __init__(self, store,
                  maintain_scan_index: bool = True) -> None:
         self.store = store
         self.maintain_scan_index = maintain_scan_index
@@ -150,51 +150,6 @@ class SqlAdapter(StorageAdapter):
 
     def delete(self, key: str) -> None:
         self.store.execute("DEL", key)
-
-
-class ClientAdapter(StorageAdapter):
-    """The same binding, but over the RESP client/server round trip."""
-
-    def __init__(self, client: StoreClient,
-                 maintain_scan_index: bool = True) -> None:
-        self.client = client
-        self.maintain_scan_index = maintain_scan_index
-
-    def insert(self, key: str, values: Dict[str, bytes]) -> None:
-        args: List = ["HSET", key]
-        for name, payload in values.items():
-            args.append(name)
-            args.append(payload)
-        self.client.call(*args)
-        if self.maintain_scan_index:
-            self.client.call("ZADD", INDEX_KEY, _key_score(key), key)
-
-    def read(self, key: str,
-             fields: Optional[List[str]] = None) -> Dict[str, bytes]:
-        if fields:
-            flat = self.client.call("HMGET", key, *fields)
-            return {name: payload for name, payload in zip(fields, flat)
-                    if payload is not None}
-        return _pairs_to_dict(self.client.call("HGETALL", key))
-
-    def update(self, key: str, values: Dict[str, bytes]) -> None:
-        args: List = ["HSET", key]
-        for name, payload in values.items():
-            args.append(name)
-            args.append(payload)
-        self.client.call(*args)
-
-    def scan(self, start_key: str,
-             count: int) -> List[Dict[str, bytes]]:
-        members = self.client.call(
-            "ZRANGEBYSCORE", INDEX_KEY, _key_score(start_key), "+inf",
-            "LIMIT", 0, count)
-        return [self.read(member.decode("ascii")) for member in members]
-
-    def delete(self, key: str) -> None:
-        self.client.call("DEL", key)
-        if self.maintain_scan_index:
-            self.client.call("ZREM", INDEX_KEY, key)
 
 
 class ClusterAdapter(StorageAdapter):

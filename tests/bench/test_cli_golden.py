@@ -6,9 +6,11 @@ the scenario-smoke table in ``.github/workflows/ci.yml`` (``SMOKE`` in
 ``conftest.py``; the run is shared with ``test_registry.py``).  The six
 cluster experiments were recorded on ``489c007`` *before* they moved
 onto declared sweeps, ``table1`` and ``tenancy`` on ``e8b93a0`` before
-the remaining experiments did, so a refactor of the bench harness that
-moves a digit, a column width or a word of prose fails here rather
-than in a reader's diff.  ``table1`` has since gained a second table
+the remaining experiments did, and ``figure1``, ``micro`` and
+``ablations`` on ``104ce10`` before the single-node TLS and call-stack
+deployments moved onto the event-driven server, so a refactor of the
+bench harness that moves a digit, a column width or a word of prose
+fails here rather than in a reader's diff.  ``table1`` has since gained a second table
 (the verdict-less Table 1 that ``table1.txt`` commits), so its
 ``e8b93a0`` digest is kept as :data:`TABLE1_BEFORE` and checked
 against the part of stdout that precedes the new table.  Simulated
@@ -37,6 +39,12 @@ GOLDEN = {
         "0f4653082db468f1feaeffc077987bf4de0e3b001b6037c4ee8d16c2909d802d",
     "tenancy":
         "c49aa05fdb271c288eccc8b8fa77e4d88afb40721c2d301bfe89c66863c5506f",
+    "figure1":
+        "9d67f8722558d3f7e1a1f1590c8ae632e6f49e4a1700740dce48495c9e9e5f55",
+    "micro":
+        "9e35a308005b8c1fd45bc26a85b980059767f2b1d571d693bcf7393875de4b02",
+    "ablations":
+        "27bfb14b418cef91d9341f8aacc22381c387e88502314a9aa6419a58d9fd7d0f",
 }
 
 # (bytes, SHA-256) of everything ``table1`` printed at ``e8b93a0``.

@@ -105,7 +105,7 @@ class TestEventCluster:
         nodes = []
         for index, scheduler in enumerate((SimClock(), SimClock())):
             store = KeyValueStore(StoreConfig(), clock=ShardClock())
-            channel = Channel(clock=scheduler, event_driven=True)
+            channel = Channel(clock=scheduler)
             nodes.append(ClusterNode(index, store, channel,
                                      WorkerPool(store.clock, scheduler)))
         with pytest.raises(ClusterError):

@@ -18,8 +18,9 @@ from repro.gdpr import (
     right_to_object,
     right_to_portability,
 )
-from repro.kvstore import KeyValueStore, StoreConfig, connect_tls
+from repro.kvstore import EventConnection, KeyValueStore, StoreConfig
 from repro.net.tls import stunnel_channel
+from tests.support import one_core_server
 
 
 def build_stack():
@@ -148,9 +149,9 @@ class TestRestartRecovery:
 class TestTlsDeployment:
     def test_kv_behind_tls_serves_gdpr_blobs(self):
         clock = SimClock()
-        kv = KeyValueStore(StoreConfig(), clock=clock)
         channel = stunnel_channel(clock)
-        client = connect_tls(kv, channel, b"deploy-psk", clock=clock)
+        client = EventConnection(one_core_server(clock), channel=channel,
+                                 psk=b"deploy-psk")
         client.call("SET", "k", "ciphertext-blob")
         assert client.call("GET", "k") == b"ciphertext-blob"
         # Bytes on the wire are TLS records, not the payload.

@@ -61,7 +61,7 @@ class TestEventLoopBasics:
         from repro.net.channel import Channel
 
         server, _ = make_server()
-        stray = Channel(clock=SimClock(), event_driven=True)
+        stray = Channel(clock=SimClock())
         with pytest.raises(ValueError, match="scheduler"):
             EventConnection(server, channel=stray)
 

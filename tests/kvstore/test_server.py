@@ -1,19 +1,15 @@
-"""Tests for the RESP server/client over simulated channels."""
+"""Tests for RESP connections to a single node's event-driven server,
+raw and through TLS sessions."""
 
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.resp import (RespError, SimpleString, decode_all,
-                               encode_command)
-from repro.kvstore import (
-    KeyValueStore,
-    StoreConfig,
-    StoreServer,
-    connect_plain,
-    connect_tls,
-)
+from repro.common.errors import IntegrityError
+from repro.common.resp import RespError, SimpleString, encode_command
+from repro.kvstore import EventConnection
 from repro.net.channel import loopback
 from repro.net.tls import stunnel_channel
+from tests.support import one_core_server
 
 
 @pytest.fixture
@@ -22,9 +18,14 @@ def clock():
 
 
 def plain_client(clock, **config):
-    store = KeyValueStore(StoreConfig(**config), clock=clock)
-    channel = loopback(clock)
-    return connect_plain(store, channel), store
+    server = one_core_server(clock, **config)
+    return EventConnection(server, channel=loopback(clock)), server.store
+
+
+def tls_client(clock, psk=b"secret", **config):
+    server = one_core_server(clock, **config)
+    channel = stunnel_channel(clock)
+    return EventConnection(server, channel=channel, psk=psk), channel
 
 
 class TestPlainClient:
@@ -90,9 +91,7 @@ class TestPlainClient:
 
 class TestTlsClient:
     def test_commands_over_tls(self, clock):
-        store = KeyValueStore(StoreConfig(), clock=clock)
-        channel = stunnel_channel(clock)
-        client = connect_tls(store, channel, b"secret", clock=clock)
+        client, _ = tls_client(clock)
         assert client.call("SET", "k", "v") == SimpleString("OK")
         assert client.call("GET", "k") == b"v"
 
@@ -101,105 +100,88 @@ class TestTlsClient:
         client, _ = plain_client(plain_clock)
         client.call("SET", "k", "v" * 1000)
         tls_clock = SimClock()
-        store = KeyValueStore(StoreConfig(), clock=tls_clock)
-        channel = stunnel_channel(tls_clock)
-        tls_client = connect_tls(store, channel, b"secret",
-                                 clock=tls_clock)
+        tls, _ = tls_client(tls_clock)
         tls_start = tls_clock.now()  # skip handshake cost
-        tls_client.call("SET", "k", "v" * 1000)
+        tls.call("SET", "k", "v" * 1000)
         assert tls_clock.now() - tls_start > plain_clock.now()
+
+
+# SET/GET/HGETALL, with a reply of every shape (status, bulk, null,
+# integer, array, error).
+SCRIPT = (
+    ("SET", "k", "v"),
+    ("GET", "k"),
+    ("GET", "missing"),
+    ("HSET", "h", "f1", "a", "f2", "b"),
+    ("HGETALL", "h"),
+    ("GET", "h"),
+)
+
+
+class TestTlsOverEventPath:
+    """A TLS connection to a one-core server behaves like a raw one on
+    the wire's far side, and like ciphertext on the wire."""
+
+    def test_same_replies_as_raw(self):
+        raw, _ = plain_client(SimClock())
+        tls, _ = tls_client(SimClock())
+        for command in SCRIPT:
+            assert tls.call(*command, raise_errors=False) \
+                == raw.call(*command, raise_errors=False)
+
+    def test_planted_value_never_on_the_wire(self, clock):
+        client, channel = tls_client(clock)
+        wire = []
+        transmit = channel.transmit
+
+        def recording(from_side, data):
+            wire.append(data)
+            transmit(from_side, data)
+
+        channel.transmit = recording
+        marker = b"PLANTED-PII-MARKER"
+        client.call("SET", "k", marker)
+        client.call("HSET", "h", "f", marker)
+        assert client.call("GET", "k") == marker
+        assert client.call("HGETALL", "h") == [b"f", marker]
+        assert len(wire) == 8            # four requests, four replies
+        assert not any(marker in data for data in wire)
+
+    def test_tampered_record_surfaces_integrity_error(self, clock):
+        client, channel = tls_client(clock)
+        client.call("SET", "k", "v")
+        transmit = channel.transmit
+
+        def tampering(from_side, data):
+            transmit(from_side, data[:-1] + bytes([data[-1] ^ 0x01]))
+
+        channel.transmit = tampering
+        with pytest.raises(IntegrityError):
+            client.call("GET", "k")
 
 
 class TestMonitorOverServer:
     def test_monitor_streams_commands(self, clock):
-        store = KeyValueStore(StoreConfig(), clock=clock)
-        channel = loopback(clock)
-        worker = connect_plain(store, channel)
+        server = one_core_server(clock)
+        worker = EventConnection(server, channel=loopback(clock))
         # A second connection on its own channel becomes the monitor.
-        monitor_channel = loopback(clock)
-        monitor_client = connect_plain(store, monitor_channel)
+        monitor_client = EventConnection(server, channel=loopback(clock))
         assert monitor_client.call("MONITOR") == SimpleString("OK")
+        stream = []
+        monitor_client.on_raw = stream.append   # a raw text feed
         worker.call("SET", "k", "v")
-        stream = monitor_channel.endpoints()[0].recv()
-        assert b"SET" in stream and b'"k"' in stream
+        clock.run_until_idle()
+        feed = b"".join(stream)
+        assert b"SET" in feed and b'"k"' in feed
 
     def test_monitor_records_counted(self, clock):
-        store = KeyValueStore(StoreConfig(), clock=clock)
-        channel = loopback(clock)
-        worker = connect_plain(store, channel)
-        monitor_channel = loopback(clock)
-        monitor_client = connect_plain(store, monitor_channel)
+        server = one_core_server(clock)
+        worker = EventConnection(server, channel=loopback(clock))
+        monitor_client = EventConnection(server, channel=loopback(clock))
         monitor_client.call("MONITOR")
         worker.call("SET", "a", "1")
         worker.call("GET", "a")
-        assert store.monitor.records_streamed == 2
-
-
-class QueueTransport:
-    """In-memory transport with optional side effects on recv.
-
-    ``on_recv`` models a listener or handler that accepts/drops
-    connections while the server is mid-pump -- the connection churn the
-    pump loop must tolerate.
-    """
-
-    def __init__(self, pending=b"", on_recv=None):
-        self.pending = pending
-        self.on_recv = on_recv
-        self.sent = []
-
-    def send(self, data):
-        self.sent.append(data)
-
-    def recv_available(self):
-        if self.on_recv is not None:
-            callback, self.on_recv = self.on_recv, None
-            callback()
-        data, self.pending = self.pending, b""
-        return data
-
-
-class TestPumpConnectionChurn:
-    """Regression: pump must iterate a snapshot of the connection list."""
-
-    def test_connection_accepted_mid_pump_served_next_round(self, clock):
-        server = StoreServer(KeyValueStore(StoreConfig(), clock=clock))
-        late = QueueTransport(pending=encode_command(b"SET", b"late",
-                                                     b"v"))
-
-        def accept_late():
-            server.accept(late)
-
-        early = QueueTransport(pending=encode_command(b"PING"),
-                               on_recv=accept_late)
-        server.accept(early)
-        # The accept happens while pump iterates; the new connection must
-        # not be pumped in the same round (unsnapshotted iteration would
-        # serve it immediately).
-        assert server.pump() == 1
-        assert server.store.execute("GET", "late") is None
-        assert server.pump() == 1
-        assert server.store.execute("GET", "late") == b"v"
-
-    def test_connection_dropped_mid_pump_does_not_skip_others(self, clock):
-        server = StoreServer(KeyValueStore(StoreConfig(), clock=clock))
-
-        def drop_first():
-            server.connections.remove(first_conn)
-
-        first = QueueTransport(pending=encode_command(b"SET", b"a", b"1"),
-                               on_recv=drop_first)
-        second = QueueTransport(pending=encode_command(b"SET", b"b",
-                                                       b"2"))
-        third = QueueTransport(pending=encode_command(b"SET", b"c", b"3"))
-        first_conn = server.accept(first)
-        server.accept(second)
-        server.accept(third)
-        # Dropping an earlier connection mid-iteration shifts the list;
-        # without the snapshot the next connection is skipped entirely.
-        assert server.pump() == 3
-        assert server.store.execute("GET", "b") == b"2"
-        assert server.store.execute("GET", "c") == b"3"
+        assert server.store.monitor.records_streamed == 2
 
 
 PROTOCOL_ERROR = RespError("ERR protocol error: expected a command array")
@@ -212,23 +194,19 @@ class TestProtocolErrorReplies:
     with a protocol error, in order, and the connection keeps serving."""
 
     def test_closed_loop_pump_answers_each_malformed_request(self, clock):
-        server = StoreServer(KeyValueStore(StoreConfig(), clock=clock))
-        transport = QueueTransport(
-            pending=encode_command(b"SET", b"k", b"v")
+        client, _ = plain_client(clock)
+        client.send_raw(
+            encode_command(b"SET", b"k", b"v")
             + NOT_COMMANDS[0] + NOT_COMMANDS[1]
             + encode_command(b"GET", b"k") + NOT_COMMANDS[2])
-        server.accept(transport)
-        assert server.pump() == 5
-        assert decode_all(b"".join(transport.sent)) == [
+        assert client.await_replies(5) == [
             SimpleString("OK"), PROTOCOL_ERROR, PROTOCOL_ERROR, b"v",
             PROTOCOL_ERROR]
 
-    def test_store_client_sees_the_error_then_keeps_working(self, clock):
+    def test_client_sees_the_error_then_keeps_working(self, clock):
         client, _ = plain_client(clock)
         client.call("SET", "k", "v")
         for raw in NOT_COMMANDS:
-            client._transport.send(raw)
-            client._server.pump()
-            client._decoder.feed(client._transport.recv_available())
-            assert client._decoder.next_value() == (True, PROTOCOL_ERROR)
+            client.send_raw(raw)
+            assert client.await_replies(1) == [PROTOCOL_ERROR]
         assert client.call("GET", "k") == b"v"

@@ -1,4 +1,5 @@
-"""Tests for simulated network channels."""
+"""Tests for simulated network channels: sends are scheduled deliveries
+on the channel's clock, which each test drives until they have landed."""
 
 import pytest
 
@@ -12,11 +13,17 @@ from repro.net.channel import (
 )
 
 
+def deliver(channel):
+    """Run the channel's scheduler until every send has been delivered."""
+    channel.clock.run_until_idle()
+
+
 class TestDataTransfer:
     def test_send_recv(self):
         channel = loopback()
         a, b = channel.endpoints()
         a.send(b"hello")
+        deliver(channel)
         assert b.recv() == b"hello"
 
     def test_bidirectional(self):
@@ -24,6 +31,7 @@ class TestDataTransfer:
         a, b = channel.endpoints()
         a.send(b"ping")
         b.send(b"pong")
+        deliver(channel)
         assert b.recv() == b"ping"
         assert a.recv() == b"pong"
 
@@ -37,12 +45,14 @@ class TestDataTransfer:
         a, b = channel.endpoints()
         a.send(b"ab")
         a.send(b"cd")
+        deliver(channel)
         assert b.recv() == b"abcd"
 
     def test_recv_max_bytes(self):
         channel = loopback()
         a, b = channel.endpoints()
         a.send(b"abcdef")
+        deliver(channel)
         assert b.recv(4) == b"abcd"
         assert b.recv(4) == b"ef"
 
@@ -50,6 +60,7 @@ class TestDataTransfer:
         channel = loopback()
         a, b = channel.endpoints()
         a.send(b"abc")
+        deliver(channel)
         assert b.available == 3
         b.recv(2)
         assert b.available == 1
@@ -74,6 +85,7 @@ class TestClose:
         channel = loopback()
         a, b = channel.endpoints()
         a.send(b"last")
+        deliver(channel)
         b.close()
         assert b.recv() == b"last"
         with pytest.raises(ChannelClosedError):
@@ -86,6 +98,8 @@ class TestTiming:
         channel = Channel(clock=clock, bandwidth_bps=1e12, latency=1e-3)
         a, _ = channel.endpoints()
         a.send(b"x")
+        assert clock.now() == 0.0           # the sender is not blocked
+        deliver(channel)
         assert clock.now() == pytest.approx(1e-3, rel=0.01)
 
     def test_bandwidth_charged(self):
@@ -93,6 +107,7 @@ class TestTiming:
         channel = Channel(clock=clock, bandwidth_bps=1e6, latency=0.0)
         a, _ = channel.endpoints()
         a.send(b"x" * 1_000_000)
+        deliver(channel)
         assert clock.now() == pytest.approx(1.0)
 
     def test_per_message_overhead(self):
@@ -101,7 +116,8 @@ class TestTiming:
                           per_message_overhead=5e-6)
         a, _ = channel.endpoints()
         a.send(b"x")
-        a.send(b"y")
+        a.send(b"y")       # queues behind the first on the link
+        deliver(channel)
         assert clock.now() == pytest.approx(10e-6, rel=0.01)
 
     def test_transfer_time_prediction(self):

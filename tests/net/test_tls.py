@@ -1,4 +1,6 @@
-"""Tests for the TLS-like secure channel and stunnel model."""
+"""Tests for the TLS-like secure channel and stunnel model.  Records
+travel as scheduled deliveries; a test drives the channel's clock until
+what it sent has landed."""
 
 import pytest
 
@@ -6,10 +8,15 @@ from repro.common.clock import SimClock
 from repro.common.errors import HandshakeError, IntegrityError
 from repro.net.channel import loopback
 from repro.net.tls import (
+    TLS_COST_PER_BYTE,
     TlsSession,
     establish_session_pair,
     stunnel_channel,
 )
+
+
+def deliver(channel):
+    channel.clock.run_until_idle()
 
 
 def make_pair(psk=b"shared-secret"):
@@ -32,6 +39,7 @@ class TestHandshake:
         client = TlsSession(a, b"alpha", is_client=True, clock=clock)
         server = TlsSession(b, b"beta", is_client=False, clock=clock)
         client.start_handshake()
+        deliver(channel)
         with pytest.raises(HandshakeError):
             server.respond_handshake()
 
@@ -66,7 +74,9 @@ class TestHandshake:
         client = TlsSession(a, b"psk", is_client=True, clock=clock)
         server = TlsSession(b, b"psk", is_client=False, clock=clock)
         client.start_handshake()
+        deliver(channel)
         server.respond_handshake()
+        deliver(channel)
         # Intercept and corrupt the ServerHello.
         hello = bytearray(a.recv())
         hello[-1] ^= 0xFF
@@ -77,10 +87,12 @@ class TestHandshake:
 
 class TestRecords:
     def test_roundtrip_both_directions(self):
-        client, server, _, _ = make_pair()
+        client, server, _, channel = make_pair()
         client.send(b"request")
+        deliver(channel)
         assert server.recv() == b"request"
         server.send(b"response")
+        deliver(channel)
         assert client.recv() == b"response"
 
     def test_wire_is_ciphertext(self):
@@ -89,6 +101,7 @@ class TestRecords:
         client, server = establish_session_pair(channel, b"psk",
                                                 clock=clock)
         client.send(b"SECRET-MARKER-VALUE")
+        deliver(channel)
         raw = channel.endpoints()[1].recv()
         assert b"SECRET-MARKER-VALUE" not in raw
         # Re-deliver for the record layer to consume.
@@ -100,9 +113,10 @@ class TestRecords:
         assert server.recv() == b""
 
     def test_recv_all_multiple_records(self):
-        client, server, _, _ = make_pair()
+        client, server, _, channel = make_pair()
         client.send(b"one")
         client.send(b"two")
+        deliver(channel)
         assert server.recv_all() == b"onetwo"
 
     def test_replay_detected(self):
@@ -111,6 +125,7 @@ class TestRecords:
         client, server = establish_session_pair(channel, b"psk",
                                                 clock=clock)
         client.send(b"msg")
+        deliver(channel)
         raw = channel.endpoints()[1].recv()
         channel.endpoints()[1]._deliver(raw)
         assert server.recv() == b"msg"
@@ -124,6 +139,7 @@ class TestRecords:
         client, server = establish_session_pair(channel, b"psk",
                                                 clock=clock)
         client.send(b"msg")
+        deliver(channel)
         raw = bytearray(channel.endpoints()[1].recv())
         raw[-1] ^= 0x01
         channel.endpoints()[1]._deliver(bytes(raw))
@@ -131,11 +147,16 @@ class TestRecords:
             server.recv()
 
     def test_crypto_charges_time(self):
-        client, server, clock, _ = make_pair()
+        client, server, clock, channel = make_pair()
         before = clock.now()
         client.send(b"x" * 10_000)
+        # Sealing is charged at once, before the record leaves.
+        assert clock.now() == pytest.approx(
+            before + 10_000 * TLS_COST_PER_BYTE)
+        deliver(channel)
+        delivered = clock.now()
         server.recv()
-        assert clock.now() > before
+        assert clock.now() > delivered
 
 
 class TestStunnelModel:

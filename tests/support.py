@@ -43,3 +43,17 @@ def py_calls(work: Callable[[], Any],
         if was_enabled:
             gc.enable()
     return CallCount(total, counts, result)
+
+
+def one_core_server(scheduler, **config):
+    """A ``KeyValueStore(StoreConfig(**config))`` served by a one-core
+    event-driven server on ``scheduler`` -- the single-node deployment
+    the Figure 1 configurations measure.  Open connections with
+    ``EventConnection(server, channel=..., psk=...)``."""
+    from repro.cluster.workers import WorkerPool
+    from repro.common.clock import ShardClock
+    from repro.kvstore import EventStoreServer, KeyValueStore, StoreConfig
+
+    meter = ShardClock(scheduler.now())
+    return EventStoreServer(KeyValueStore(StoreConfig(**config), clock=meter),
+                            WorkerPool(meter, scheduler))

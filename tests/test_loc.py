@@ -40,3 +40,16 @@ def test_tree_is_grouped_by_package(tmp_path):
     (tmp_path / "pkg" / "sub" / "b.py").write_text("y = 2\nz = 3\n")
     (tmp_path / "top.py").write_text('"""doc"""\n')
     assert loc.count_tree(tmp_path) == {"pkg": 3, ".": 0}
+
+
+def test_help_prints_usage(capsys):
+    assert loc.main(["--help"]) == 0
+    assert "Usage::" in capsys.readouterr().out
+    assert loc.main(["-h"]) == 0
+
+
+def test_missing_path_is_a_usage_error(capsys):
+    assert loc.main(["no/such/path"]) == 2
+    captured = capsys.readouterr()
+    assert "no/such/path" in captured.err
+    assert "total" not in captured.out

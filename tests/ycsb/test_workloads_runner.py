@@ -5,12 +5,11 @@ import pytest
 from repro.common.clock import SimClock
 from repro.common.errors import SerializationError
 from repro.gdpr import GDPRConfig, GDPRMetadata, GDPRStore
-from repro.kvstore import KeyValueStore, StoreConfig, connect_plain
+from repro.kvstore import EventConnection, KeyValueStore, StoreConfig
 from repro.net.channel import loopback
 from repro.ycsb import (
     CORE_WORKLOADS,
     FIGURE1_PHASES,
-    ClientAdapter,
     ClusterAdapter,
     FieldGenerator,
     GDPRAdapter,
@@ -22,6 +21,7 @@ from repro.ycsb import (
     pack_fields,
     unpack_fields,
 )
+from tests.support import one_core_server
 
 
 class TestWorkloadSpecs:
@@ -166,12 +166,12 @@ class TestKVAdapter:
         assert kv_adapter.read("user1") == {}
 
 
-class TestClientAdapter:
+class TestKVAdapterOverConnection:
     def test_roundtrip_over_channel(self):
         clock = SimClock()
-        store = KeyValueStore(clock=clock)
-        client = connect_plain(store, loopback(clock))
-        adapter = ClientAdapter(client)
+        client = EventConnection(one_core_server(clock),
+                                 channel=loopback(clock))
+        adapter = KVAdapter(client)
         adapter.insert("u1", {"f0": b"v"})
         assert adapter.read("u1") == {"f0": b"v"}
         adapter.update("u1", {"f0": b"w"})

@@ -75,8 +75,15 @@ def count_tree(root: pathlib.Path) -> Dict[str, int]:
 
 
 def main(argv: List[str]) -> int:
+    if "-h" in argv or "--help" in argv:
+        print(__doc__.strip())
+        return 0
     rows: List[Tuple[str, int]] = []
     for target in [pathlib.Path(arg) for arg in argv] or [DEFAULT_ROOT]:
+        if not target.exists():
+            print(f"loc.py: no such file or directory: {target}",
+                  file=sys.stderr)
+            return 2
         if target.is_dir():
             rows.extend(sorted(count_tree(target).items()))
         else:
