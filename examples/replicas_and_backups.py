@@ -30,8 +30,7 @@ def main() -> None:
     replication.add_replica("dr-site", delay=0.250)  # cross-region DR
 
     primary.execute("SET", "pii:alice", "sensitive")
-    clock.advance(1.0)
-    replication.pump()
+    clock.advance(1.0)           # the SET lands on both replicas
 
     primary.execute("DEL", "pii:alice")
     print("after DEL on primary:")
@@ -76,12 +75,12 @@ def main() -> None:
 
     # --- cluster-wide: every shard gets replicas ------------------------------
     sharded = ShardedGDPRStore(num_shards=2)
-    sharded.attach_replication(delays=[0.002, 0.250], pump_interval=0.001)
+    sharded.attach_replication(delays=[0.002, 0.250])
     for i in range(8):
         sharded.put(f"user:{i}", b"pii",
                     GDPRMetadata(owner="carol" if i % 2 == 0 else "dan",
                                  purposes=frozenset({"svc"})))
-    sharded.clock.advance(0.5)   # daemon pump events converge replicas
+    sharded.clock.advance(0.5)   # delivery events converge replicas
 
     keys = sharded.keys_of_subject("carol")
     sharded.erase_subject("carol")

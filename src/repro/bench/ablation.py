@@ -225,7 +225,6 @@ def erasure_horizon(delay: float) -> Row:
     manager.add_replica("far", delay=delay)
     primary.execute("SET", "pii", "x")
     clock.advance(delay * 2 + 1.0)
-    manager.pump()
     primary.execute("DEL", "pii")
     horizon = manager.erasure_horizon([b"pii"], step=delay / 20 + 1e-5)
     return {"erasure_horizon": horizon if horizon is not None

@@ -665,11 +665,10 @@ def run_replication_cell(shards: int, replicas: int, delay: float,
     erase_count = 16
     cluster = build_cluster(shards, store_factory=_store_factory(gdpr),
                             latency=RAW_ONE_WAY_LATENCY)
-    # Timer pumps on the cluster clock: replicas apply continuously as
-    # time advances, so the stale-read sample reflects the
-    # delay window rather than an ever-growing backlog.
-    replication = cluster.attach_replication(delays=(delay,) * replicas,
-                                             pump_interval=delay / 4)
+    # Each replicated command lands as its own event on the cluster
+    # clock, so the stale-read sample reflects the delay window rather
+    # than an ever-growing backlog.
+    replication = cluster.attach_replication(delays=(delay,) * replicas)
     keys, value, _ = _load(cluster, record_count, 8, seed)
     throughput = _pipelined_phase(
         cluster, _request_mix(keys, value, operation_count, seed), 8)
@@ -687,7 +686,6 @@ def run_replication_cell(shards: int, replicas: int, delay: float,
     cluster.clock.advance(2 * delay)
     for node in cluster.nodes:
         node.clock.sleep_until(cluster.clock.now())
-    replication.pump()
     step = max(delay / 8, 1e-4)
     horizons = []
     for key in keys[::max(1, len(keys) // erase_count)][:erase_count]:
@@ -748,14 +746,13 @@ def _subject_store(shards: int, subject_keys: int,
     configuration the throughput sweeps' GDPR-on rows use -- holding
     ``subject_keys`` records, every other one owned by ``alice``.
     ``replicas`` > 0 attaches that many per shard behind a 20 ms stream
-    and lets them converge on the load; their pumps run as daemon timer
-    events on the store's scheduler, so a horizon is measured the way
-    an event-driven deployment would observe it."""
+    and lets them converge on the load; every replicated command is a
+    daemon delivery event on the store's scheduler, so a horizon is
+    measured the way an event-driven deployment would observe it."""
     store = ShardedGDPRStore(num_shards=shards,
                              kv_factory=_store_factory(gdpr=True))
     if replicas:
-        store.attach_replication(delays=(FANOUT_REPLICA_DELAY,) * replicas,
-                                 pump_interval=FANOUT_REPLICA_DELAY / 4)
+        store.attach_replication(delays=(FANOUT_REPLICA_DELAY,) * replicas)
     rng = random.Random(7)
     for number in range(subject_keys):
         owner = "alice" if number % 2 == 0 else f"other-{number % 7}"

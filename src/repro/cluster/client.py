@@ -538,24 +538,20 @@ class ClusterClient:
 
     # -- replication -------------------------------------------------------
 
-    def attach_replication(self, delays: Sequence[float] = (0.001,),
-                           pump_interval: Optional[float] = None):
+    def attach_replication(self, delays: Sequence[float] = (0.001,)):
         """Give every shard a replication group of one replica per
         entry of ``delays`` (its one-way delay in seconds; see
-        :mod:`repro.cluster.replication`).  Links live on the shared
-        scheduler, so delivery times sit on the timeline the shard's
-        writes happen on.  With ``pump_interval``, groups pump
-        themselves from daemon timer events.  Slot migrations then hand
-        replica sets off at the flip
-        (``MigrationReceipt.replicas_synced``)."""
+        :mod:`repro.cluster.replication`).  Delivery events run on the
+        shared scheduler, so replicas apply on the timeline the shard's
+        writes happen on.  Slot migrations then hand replica sets off at
+        the flip (``MigrationReceipt.replicas_synced``)."""
         from .replication import ClusterReplication
 
         if self.replication is not None:
             raise ClusterError("replication is already attached")
         self.replication = ClusterReplication(
-            self.clock,
-            [(node.index, node.store, self.clock) for node in self.nodes],
-            delays=delays, pump_interval=pump_interval)
+            self.clock, [(node.index, node.store) for node in self.nodes],
+            delays=delays)
         return self.replication
 
     def _replica_read(self, argv: List[bytes]) -> Any:
@@ -605,10 +601,6 @@ class ClusterClient:
         group = self.replication.groups.get(shard)
         if group is None or not group.links:
             return _REPLICA_MISS
-        # Replica delivery proceeds with cluster time whether or not the
-        # primary path has touched this shard lately: apply whatever is
-        # due, so only genuinely in-flight commands can count as stale.
-        group.pump()
         link = group.links[self._replica_rng.randrange(len(group.links))]
         self.replica_reads += 1
         if link.touches(keys):

@@ -5,11 +5,11 @@ timeliness requirement (section 2.1), which turns replication lag into a
 *compliance* property the cluster layer has to expose, not hide.
 :class:`ClusterReplication` is the cluster's replica topology: one
 :class:`~repro.kvstore.replication.ReplicationManager` per shard, all
-with the same per-replica ``delays`` and, on a scheduling clock, the
-same ``pump_interval`` (daemon timer events, so in event-driven mode
-replica lag is measurable on the timeline the servers run on).  The
-topology is stored once, so :meth:`~ClusterReplication.rebuild_shard`
-re-homes a recovered shard's group with it.  On top sit the cluster-wide
+with the same per-replica ``delays`` and all on the cluster's scheduler:
+every replicated command is one daemon delivery event there, so replica
+lag is measurable on the timeline the servers run on.  The delays are
+stored once, so :meth:`~ClusterReplication.rebuild_shard` re-homes a
+recovered shard's group with them.  On top sit the cluster-wide
 :meth:`~ClusterReplication.erasure_horizon` (the one loop in
 :func:`~repro.kvstore.replication.erasure_horizon_of`, over every
 shard's group) and the slot-migration handoff hook
@@ -54,43 +54,36 @@ class ClusterReplication:
     """One :class:`ReplicationManager` per shard, plus the cluster-scope
     compliance queries.
 
-    ``clock`` is the cluster-wide timeline (``ShardedGDPRStore.clock``,
-    or a :class:`~repro.cluster.client.ClusterClient`'s scheduler);
-    :meth:`erasure_horizon` advances it -- and keeps per-shard clocks in
-    step when they differ -- until the keys are gone everywhere.
-    ``shards`` lists ``(index, primary, link_clock)`` (``link_clock``
-    None means the primary's own clock); every group gets one replica
-    per entry of ``delays`` and, with ``pump_interval``, a timer pump.
+    ``clock`` is the cluster-wide scheduler (``ShardedGDPRStore.clock``,
+    or a :class:`~repro.cluster.client.ClusterClient`'s); every group's
+    delivery events run on it, and :meth:`erasure_horizon` advances it
+    until the keys are gone everywhere.  ``shards`` lists
+    ``(index, primary)`` pairs; every group gets one replica per entry
+    of ``delays``.
     """
 
     def __init__(self, clock: Clock,
-                 shards: Iterable[Tuple[int, StorageEngine,
-                                        Optional[Clock]]] = (),
-                 delays: Sequence[float] = (0.001,),
-                 pump_interval: Optional[float] = None) -> None:
+                 shards: Iterable[Tuple[int, StorageEngine]] = (),
+                 delays: Sequence[float] = (0.001,)) -> None:
         if not delays:
             raise ClusterError("a replication group needs at least one "
                                "replica delay")
         self.clock = clock
         self.delays = tuple(delays)
-        self.pump_interval = pump_interval
         self.groups: Dict[int, ReplicationManager] = {}
-        for index, primary, link_clock in shards:
-            self.add_shard(index, primary, link_clock)
+        for index, primary in shards:
+            self.add_shard(index, primary)
 
-    def add_shard(self, index: int, primary: StorageEngine,
-                  link_clock: Optional[Clock] = None
-                  ) -> ReplicationManager:
-        """Give shard ``index`` a group with the topology's delays and
-        pump (replicas full-synced from ``primary`` at once)."""
+    def add_shard(self, index: int,
+                  primary: StorageEngine) -> ReplicationManager:
+        """Give shard ``index`` a group with the topology's delays
+        (replicas full-synced from ``primary`` at once)."""
         if index in self.groups:
             raise ClusterError(
                 f"shard {index} already has a replication group")
-        group = ReplicationManager(primary, clock=link_clock,
+        group = ReplicationManager(primary, clock=self.clock,
                                    name=f"shard-{index}",
                                    delays=self.delays)
-        if self.pump_interval is not None:
-            group.start_pump(self.pump_interval)
         self.groups[index] = group
         return group
 
@@ -105,7 +98,7 @@ class ClusterReplication:
             raise ClusterError(
                 f"shard {index} has no replication group to rebuild")
         old.close()
-        return self.add_shard(index, primary, link_clock=old.clock)
+        return self.add_shard(index, primary)
 
     def full_sync_shard(self, index: int) -> int:
         """Resync every replica of shard ``index`` from its primary.
@@ -117,9 +110,6 @@ class ClusterReplication:
         """
         group = self.groups.get(index)
         return group.full_sync_all() if group is not None else 0
-
-    def pump(self) -> int:
-        return sum(group.pump() for group in self.groups.values())
 
     def backlog(self) -> int:
         return sum(group.backlog() for group in self.groups.values())

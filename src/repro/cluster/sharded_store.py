@@ -325,16 +325,14 @@ class ShardedGDPRStore:
 
     # -- replication -------------------------------------------------------
 
-    def attach_replication(self, delays: Sequence[float] = (0.001,),
-                           pump_interval: Optional[float] = None
+    def attach_replication(self, delays: Sequence[float] = (0.001,)
                            ) -> ClusterReplication:
         """Give every shard a replication group of one replica per entry
-        of ``delays`` (its one-way delay in seconds).  With
-        ``pump_interval`` set, every group pumps itself from daemon
-        timer events on the store's clock -- replication progresses with
-        the event timeline, and lag becomes measurable in event-driven
-        runs.  ``store.replication.erasure_horizon(keys)`` then measures
-        when the last copy of deleted keys is gone.
+        of ``delays`` (its one-way delay in seconds).  Every replicated
+        command is one daemon delivery event on the store's clock, so
+        replication progresses with the event timeline.
+        ``store.replication.erasure_horizon(keys)`` then measures when
+        the last copy of deleted keys is gone.
 
         Once attached, slot migrations hand replica sets off too: the
         migrator full-syncs the destination's replicas at the ownership
@@ -345,9 +343,8 @@ class ShardedGDPRStore:
             raise ClusterError("replication is already attached")
         self.replication = ClusterReplication(
             self.clock,
-            [(index, shard.kv, None)
-             for index, shard in enumerate(self.shards)],
-            delays=delays, pump_interval=pump_interval)
+            [(index, shard.kv) for index, shard in enumerate(self.shards)],
+            delays=delays)
         return self.replication
 
     # -- resharding --------------------------------------------------------
@@ -584,7 +581,7 @@ class ShardedGDPRStore:
         if self.replication is not None \
                 and index in self.replication.groups:
             # The old group subscribed to the crashed store's write
-            # stream; re-home it (the topology's delays and pump) onto
+            # stream; re-home it (the topology's delays) onto
             # the recovered primary and full-sync the replicas.
             self.replication.rebuild_shard(index, kv)
         return replayed

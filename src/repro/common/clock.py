@@ -158,15 +158,6 @@ class SimClock(Clock):
         :class:`RecurringTimer` is cancelled."""
         return RecurringTimer(self, interval, callback, label)
 
-    # Pre-event-core names, kept because every layer already uses them.
-    def call_at(self, when: float,
-                callback: Callable[[], None]) -> EventHandle:
-        return self.schedule_at(when, callback)
-
-    def call_later(self, delay: float,
-                   callback: Callable[[], None]) -> EventHandle:
-        return self.schedule_after(delay, callback)
-
     def pending_timers(self) -> int:
         """Number of scheduled-but-unfired events (cancelled excluded)."""
         return sum(1 for _, _, handle in self._events if handle.active)
@@ -274,7 +265,7 @@ class SimClock(Clock):
 
 
 class RecurringTimer:
-    """Recurring background work on a :class:`SimClock` (crons, pumps,
+    """Recurring background work on a :class:`SimClock` (crons,
     periodic flushes); see :meth:`SimClock.every`.
 
     Each firing runs the callback and *then* schedules the next daemon

@@ -10,15 +10,17 @@ The model mirrors Redis async replication:
 
 * the primary emits its effective-write stream (post-translation, so
   expirations travel as DELs and relative TTLs as absolute PEXPIREAT);
-* each :class:`ReplicationLink` delivers that stream over a simulated
-  channel with configurable one-way delay, applying commands in order;
+* each :class:`ReplicationLink` delivers that stream with a configurable
+  one-way delay: every replicated command is one daemon event,
+  ``replicate-<link name>``, on the group's scheduler at write time +
+  delay, and that event applies exactly that command;
 * replicas are full stores of their own (reads work, their cron does NOT
   expire keys actively -- like Redis replicas, they wait for the
   primary's DELs).
 
-A :class:`ReplicationManager` is one replica group: a primary, its links
-and, on a scheduling clock, the daemon timer that pumps them.  The
-cluster keeps one per shard (:mod:`repro.cluster.replication`).
+A :class:`ReplicationManager` is one replica group: a primary and its
+links on one scheduling clock.  The cluster keeps one per shard
+(:mod:`repro.cluster.replication`).
 
 :func:`erasure_horizon_of` answers the compliance question for any set
 of groups: given keys deleted on their primaries at time t, when did the
@@ -32,9 +34,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterable, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Deque, Iterable, List, Optional, Sequence, Union
 
-from ..common.clock import Clock
+from ..common.clock import Clock, EventHandle
 from ..engine.base import StorageEngine
 from .commands import Session, spec_of
 
@@ -46,8 +49,20 @@ class ReplicaStats:
     last_applied_at: float = 0.0
 
 
+class _InFlight:
+    """One replicated command and the event that will apply it."""
+
+    __slots__ = ("db_index", "argv", "event")
+
+    def __init__(self, db_index: int, argv: List[bytes]) -> None:
+        self.db_index = db_index
+        self.argv = argv
+        self.event: Optional[EventHandle] = None
+
+
 class ReplicationLink:
-    """One replica and its in-flight command queue."""
+    """One replica and the commands in flight to it.  ``clock`` is the
+    scheduler the delivery events run on."""
 
     def __init__(self, name: str, replica: StorageEngine, clock: Clock,
                  delay: float = 0.001) -> None:
@@ -59,77 +74,79 @@ class ReplicationLink:
         self.delay = delay
         self.closed = False
         self.stats = ReplicaStats()
-        self._queue: Deque[Tuple[float, int, List[bytes]]] = deque()
+        self._in_flight: Deque[_InFlight] = deque()
         self._session = Session()
 
     def enqueue(self, db_index: int, argv: List[bytes]) -> None:
+        """Put one command in flight: a daemon event ``delay`` from now
+        that applies exactly this command (daemon, so neither
+        ``run_until_idle`` nor a cluster ``sync`` waits on replication)."""
         if self.closed:
             return
-        deliver_at = self.clock.now() + self.delay
-        self._queue.append((deliver_at, db_index, argv))
+        command = _InFlight(db_index, argv)
+        command.event = self.clock.schedule_after(
+            self.delay, partial(self._deliver, command),
+            label=f"replicate-{self.name}", daemon=True)
+        self._in_flight.append(command)
+
+    def _deliver(self, command: _InFlight) -> None:
+        self._in_flight.remove(command)
+        if self._session.db_index != command.db_index:
+            self._session.db_index = command.db_index
+        self.replica.execute(*command.argv, session=self._session)
+        self.stats.commands_applied += 1
+        self.stats.bytes_applied += sum(len(a) for a in command.argv)
+        self.stats.last_applied_at = command.event.when
 
     @property
     def backlog(self) -> int:
-        return len(self._queue)
+        return len(self._in_flight)
 
     def touches(self, keys: Iterable[bytes]) -> bool:
-        """Does the in-flight backlog mention any of ``keys`` (as the
+        """Does a command in flight mention any of ``keys`` (as the
         command table places a command's keys)?  A read served while a
         queued command targets the same key may return pre-write (or
         pre-erasure) state, and an erasure is not complete until no
         queued command can bring the key back."""
         targets = set(keys)
-        return any(not targets.isdisjoint(spec_of(argv[0].upper()).keys(argv))
-                   for _, _, argv in self._queue)
+        return any(
+            not targets.isdisjoint(spec_of(c.argv[0].upper()).keys(c.argv))
+            for c in self._in_flight)
 
     def discard_backlog(self) -> int:
-        """Drop every queued-but-undelivered command; returns how many.
+        """Cancel every command still in flight; returns how many.
 
         Used by full sync: commands enqueued before the snapshot was
         taken are already reflected in it, so replaying them on top
         would double-apply non-idempotent writes (APPEND, INCR)."""
-        dropped = len(self._queue)
-        self._queue.clear()
+        dropped = len(self._in_flight)
+        for command in self._in_flight:
+            command.event.cancel()
+        self._in_flight.clear()
         return dropped
 
     def close(self) -> None:
-        """Stop this link: drop the backlog and refuse further traffic.
+        """Stop this link: cancel the backlog and refuse further traffic.
         The replica store survives (frozen at its last applied state)."""
         self.closed = True
-        self._queue.clear()
+        self.discard_backlog()
 
     def lag(self) -> float:
-        """Seconds until the oldest queued command lands (0 if none)."""
-        if not self._queue:
+        """Seconds until the oldest command in flight lands (0 if none)."""
+        if not self._in_flight:
             return 0.0
-        return max(self._queue[0][0] - self.clock.now(), 0.0)
-
-    def pump(self) -> int:
-        """Apply every command whose delivery time has arrived."""
-        now = self.clock.now()
-        applied = 0
-        while self._queue and self._queue[0][0] <= now:
-            deliver_at, db_index, argv = self._queue.popleft()
-            if self._session.db_index != db_index:
-                self._session.db_index = db_index
-            self.replica.execute(*argv, session=self._session)
-            self.stats.commands_applied += 1
-            self.stats.bytes_applied += sum(len(a) for a in argv)
-            # The command *landed* at its delivery time; an infrequent
-            # pump must not inflate the apparent replication lag.
-            self.stats.last_applied_at = deliver_at
-            applied += 1
-        return applied
+        return max(self._in_flight[0].event.when - self.clock.now(), 0.0)
 
 
 class ReplicationManager:
     """One replica group: the primary's write stream fanned out to
     delayed replica links.
 
-    ``clock`` is the timeline delivery times are computed on (default:
-    the primary's own clock; an event-driven cluster passes its shared
-    scheduler, so delivery times live on the timeline the pump events
-    fire on).  ``delays`` attaches one replica per entry, named
+    ``clock`` is the scheduler delivery events run on (default: the
+    primary's own clock; an event-driven cluster passes its shared
+    scheduler, so replicas apply on the timeline the shard's writes
+    happen on).  A clock that cannot schedule raises ValueError.
+    ``delays`` attaches one replica per entry, named
     ``{name}-replica-{i}``, and full-syncs them; :meth:`add_replica`
     attaches more later.
     """
@@ -139,11 +156,12 @@ class ReplicationManager:
                  delays: Sequence[float] = ()) -> None:
         self.primary = primary
         self.clock = clock if clock is not None else primary.clock
+        if not hasattr(self.clock, "schedule_after"):
+            raise ValueError(
+                "replication needs a scheduling clock (SimClock)")
         self.name = name
         self.links: List[ReplicationLink] = []
         self.closed = False
-        self.pump_interval: Optional[float] = None
-        self._pump_handle = None
         for index, delay in enumerate(delays):
             self.add_replica(f"{name}-replica-{index}", delay)
         primary.add_write_listener(self._on_write)
@@ -178,14 +196,13 @@ class ReplicationManager:
         return False
 
     def close(self) -> None:
-        """Stop the pump, detach from the primary's write stream and
-        close every link.
+        """Detach from the primary's write stream and close every link
+        (their in-flight commands never land).
 
         Without this, a discarded manager stays subscribed as a write
         listener forever: the primary keeps paying fan-out on every
         write and the garbage collector can never reclaim the replicas.
         Idempotent."""
-        self.stop_pump()
         if self.closed:
             return
         self.closed = True
@@ -196,37 +213,6 @@ class ReplicationManager:
     def _on_write(self, db_index: int, argv: List[bytes]) -> None:
         for link in self.links:
             link.enqueue(db_index, argv)
-
-    # -- delivery ----------------------------------------------------------
-
-    def pump(self) -> int:
-        """Deliver due commands on every link; returns commands applied."""
-        return sum(link.pump() for link in self.links)
-
-    def start_pump(self, interval: float = 1e-3) -> None:
-        """Pump from recurring daemon timer events on the group's
-        (scheduling) clock, so replication progresses with the event
-        timeline instead of waiting for an explicit pump -- and, like
-        the expiry cron, never keeps ``run_until_idle`` alive by
-        itself.  Calling again with a different interval re-schedules
-        at the new cadence."""
-        if not hasattr(self.clock, "every"):
-            raise ValueError(
-                "timer-driven pumping needs a scheduling clock (SimClock)")
-        if interval <= 0:
-            raise ValueError("pump interval must be positive")
-        if self._pump_handle is not None:
-            if interval == self.pump_interval:
-                return
-            self._pump_handle.cancel()
-        self.pump_interval = interval
-        self._pump_handle = self.clock.every(
-            interval, self.pump, label=f"replication-pump-{self.name}")
-
-    def stop_pump(self) -> None:
-        if self._pump_handle is not None:
-            self._pump_handle.cancel()
-            self._pump_handle = None
 
     def full_sync_all(self) -> int:
         """Initial synchronization: copy a snapshot of the primary to
@@ -277,25 +263,18 @@ def erasure_horizon_of(clock: Clock, groups: Sequence[ReplicationManager],
                        db_index: int = 0) -> Optional[float]:
     """Simulated seconds until no copy of any of ``keys`` is left in
     ``groups``: none visible on a primary or replica, none mentioned by
-    a queued command.  Call immediately after deleting the keys on their
-    primaries; None if ``max_wait`` elapses first.
+    a command in flight.  Call immediately after deleting the keys on
+    their primaries; None if ``max_wait`` elapses first.
 
-    Advances ``clock`` in ``step`` increments -- firing any scheduled
-    pump events along the way, and keeping a group's own clock in step
-    when it differs -- and pumps explicitly, so the answer is identical
-    whether or not timer pumps are running."""
+    Advances ``clock`` -- the groups' scheduler -- in ``step``
+    increments, so every delivery event due along the way fires at its
+    own instant."""
     if isinstance(keys, (bytes, str)):
         raise TypeError("erasure_horizon_of takes a set of keys, not one")
     pending = [key if isinstance(key, bytes) else str(key).encode("utf-8")
                for key in keys]
     start = clock.now()
     while clock.now() - start <= max_wait:
-        now = clock.now()
-        for group in groups:
-            if group.clock is not clock:
-                group.clock.sleep_until(now)
-        for group in groups:
-            group.pump()
         pending = [key for key in pending
                    if any(group.holds(key, db_index) for group in groups)]
         if not pending:

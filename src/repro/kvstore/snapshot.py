@@ -186,7 +186,8 @@ def dump(databases: List[Database]) -> bytes:
 def load(data: bytes) -> List[Tuple[int, bytes, Optional[float], RedisValue]]:
     """Parse snapshot bytes into (db_index, key, expire_at, value) tuples.
 
-    Verifies the trailing CRC before trusting any byte.
+    Verifies the trailing CRC before trusting any byte, and rejects bytes
+    left over after the declared records.
     """
     if len(data) < len(MAGIC) + 8:
         raise CorruptionError("snapshot too small")
@@ -203,6 +204,8 @@ def load(data: bytes) -> List[Tuple[int, bytes, Optional[float], RedisValue]]:
             key = reader.blob()
             expire_at = reader.f64() if reader.byte() == 1 else None
             entries.append((db_index, key, expire_at, _read_value(reader)))
+    if not reader.exhausted:
+        raise CorruptionError("trailing bytes after snapshot records")
     return entries
 
 

@@ -57,7 +57,7 @@ from ..engine.base import EngineStats, StorageEngine, StoredRecord, \
 from ..kvstore.commands import Session, glob_match, normalize_args, \
     parse_int
 from ..kvstore.monitor import MonitorFeed
-from ..kvstore.snapshot import dump_value, load_value
+from ..kvstore.snapshot import Reader, dump_value, load_value
 from .planner import PlanCache
 from .table import Row, Table, btree_depth
 from .wal import FsyncPolicy, WalWriter, checkpoint, replay_commands
@@ -778,6 +778,10 @@ class RelationalStore(StorageEngine):
         return data
 
     def load_snapshot(self, data: bytes) -> int:
+        """Replace the table with a :meth:`save_snapshot` image.  The
+        whole image is parsed first: a damaged one (bad checksum,
+        truncated, or with bytes left over after its rows) raises
+        CorruptionError and leaves the table as it was."""
         from ..common.errors import CorruptionError
 
         if len(data) < len(SNAPSHOT_MAGIC) + 8 \
@@ -786,33 +790,30 @@ class RelationalStore(StorageEngine):
         body, crc = data[:-4], _U32.unpack(data[-4:])[0]
         if crc32_of(body) != crc:
             raise CorruptionError("relational snapshot checksum mismatch")
-        pos = len(SNAPSHOT_MAGIC)
-
-        def take(n: int) -> bytes:
-            nonlocal pos
-            if pos + n > len(body):
-                raise CorruptionError("relational snapshot truncated")
-            chunk = body[pos:pos + n]
-            pos += n
-            return chunk
-
-        count = _U32.unpack(take(4))[0]
-        self.table.clear()
-        for _ in range(count):
-            key = take(_U32.unpack(take(4))[0])
-            value = load_value(take(_U32.unpack(take(4))[0]))
+        reader = Reader(body)
+        reader.take(len(SNAPSHOT_MAGIC))
+        rows = []
+        for _ in range(reader.u32()):
+            key = reader.blob()
+            value = load_value(reader.blob())
             if not isinstance(value, (bytes, dict)):
                 raise CorruptionError(
                     "relational snapshot row has unsupported shape")
-            flags = take(1)[0]
+            flags = reader.byte()
+            expire_at = reader.f64() if flags & 1 else None
+            metadata = (reader.blob().decode("utf-8"),
+                        reader.blob().decode("utf-8")) if flags & 2 else None
+            rows.append((key, value, expire_at, metadata))
+        if not reader.exhausted:
+            raise CorruptionError("trailing bytes after relational snapshot")
+        self.table.clear()
+        for key, value, expire_at, metadata in rows:
             self.table.upsert(key, value)
-            if flags & 1:
-                self.table.set_expiry(key, _F64.unpack(take(8))[0])
-            if flags & 2:
-                owner = take(_U32.unpack(take(4))[0]).decode("utf-8")
-                purposes = take(_U32.unpack(take(4))[0]).decode("utf-8")
-                self.table.set_metadata(key, owner, purposes)
-        return count
+            if expire_at is not None:
+                self.table.set_expiry(key, expire_at)
+            if metadata is not None:
+                self.table.set_metadata(key, *metadata)
+        return len(rows)
 
     def replay_aof(self, data: Optional[bytes] = None,
                    tolerate_truncated_tail: bool = True) -> int:

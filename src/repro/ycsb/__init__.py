@@ -1,7 +1,6 @@
 """YCSB: workload definitions, generators, adapters, and the runner."""
 
 from .adapters import (
-    ClusterAdapter,
     GDPRAdapter,
     KVAdapter,
     SqlAdapter,
@@ -41,7 +40,6 @@ __all__ = [
     "StorageAdapter",
     "KVAdapter",
     "SqlAdapter",
-    "ClusterAdapter",
     "GDPRAdapter",
     "pack_fields",
     "unpack_fields",

@@ -152,99 +152,6 @@ class SqlAdapter(StorageAdapter):
         self.store.execute("DEL", key)
 
 
-class ClusterAdapter(StorageAdapter):
-    """YCSB binding over a sharded :class:`ClusterClient`.
-
-    Records are hashes, as in :class:`KVAdapter`.  Scans are unsupported:
-    the scan index is a single cross-slot sorted set, which a hash-slot
-    cluster cannot host (the YCSB Redis Cluster binding has the same
-    limitation).  With ``pipeline_depth > 1`` mutations are batched into
-    pipelined round trips; reads flush pending mutations first, so
-    read-your-writes always holds.
-
-    Live resharding is transparent: the cluster client follows MOVED/ASK
-    redirects, so a workload keeps running while slots migrate between
-    shards.  :attr:`redirects_followed` exposes how many redirects the
-    run absorbed (the benchmark's "cost of topology change" signal).
-
-    With ``prefer_replica=True`` (and replication attached to the
-    cluster client) eligible reads go to a random replica of the owning
-    shard; :attr:`replica_reads` / :attr:`stale_replica_reads` expose
-    how many were served there and how many raced an in-flight write to
-    the same key -- the stale-read probability as a measured number.
-    """
-
-    def __init__(self, cluster, pipeline_depth: int = 1,
-                 prefer_replica: bool = False) -> None:
-        self.cluster = cluster
-        self.pipeline_depth = max(1, pipeline_depth)
-        self.prefer_replica = prefer_replica
-        self._pending = None
-
-    @property
-    def redirects_followed(self) -> int:
-        """MOVED + ASK redirects this adapter's client has followed."""
-        return (self.cluster.moved_redirects
-                + self.cluster.ask_redirects)
-
-    @property
-    def replica_reads(self) -> int:
-        """Reads this adapter's client served from a replica."""
-        return self.cluster.replica_reads
-
-    @property
-    def stale_replica_reads(self) -> int:
-        """Replica reads that raced an in-flight write to the same key."""
-        return self.cluster.stale_replica_reads
-
-    def _queue(self, *args) -> None:
-        if self.pipeline_depth <= 1:
-            self.cluster.call(*args)
-            return
-        if self._pending is None:
-            self._pending = self.cluster.pipeline()
-        self._pending.call(*args)
-        if len(self._pending) >= self.pipeline_depth:
-            self.flush()
-
-    def flush(self) -> None:
-        """Execute any buffered mutations in one pipelined round trip."""
-        if self._pending is not None and len(self._pending):
-            pending, self._pending = self._pending, None
-            pending.execute()
-
-    def insert(self, key: str, values: Dict[str, bytes]) -> None:
-        args: List = ["HSET", key]
-        for name, payload in values.items():
-            args.append(name)
-            args.append(payload)
-        self._queue(*args)
-
-    # Updates are the same HSET write (no scan index to maintain here).
-    update = insert
-
-    def read(self, key: str,
-             fields: Optional[List[str]] = None) -> Dict[str, bytes]:
-        self.flush()
-        prefer = self.prefer_replica
-        if fields:
-            flat = self.cluster.call("HMGET", key, *fields,
-                                     prefer_replica=prefer)
-            return {name: payload for name, payload in zip(fields, flat)
-                    if payload is not None}
-        return _pairs_to_dict(self.cluster.call("HGETALL", key,
-                                                prefer_replica=prefer))
-
-    def scan(self, start_key: str,
-             count: int) -> List[Dict[str, bytes]]:
-        raise NotImplementedError(
-            "scan needs a cross-slot index; run scan workloads against a "
-            "single-node adapter")
-
-    def delete(self, key: str) -> None:
-        self._queue("DEL", key)
-
-
 # -- GDPR binding ---------------------------------------------------------------------
 
 

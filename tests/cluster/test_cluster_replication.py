@@ -1,6 +1,6 @@
 """Tests for per-shard replication groups: cluster-wide erasure
-horizon, timer-event pumping, replica handoff at slot migration, and
-read-from-replica routing."""
+horizon, delivery events on the scheduler, replica handoff at slot
+migration, and read-from-replica routing."""
 
 import pytest
 
@@ -25,11 +25,9 @@ def tagged_keys(tag, count):
     return [f"{{{tag}}}:k{i}" for i in range(count)]
 
 
-def make_replicated_store(num_shards=2, replicas=2, delay=0.010,
-                          pump_interval=None):
+def make_replicated_store(num_shards=2, replicas=2, delay=0.010):
     store = ShardedGDPRStore(num_shards=num_shards)
-    replication = store.attach_replication(delays=(delay,) * replicas,
-                                           pump_interval=pump_interval)
+    replication = store.attach_replication(delays=(delay,) * replicas)
     return store, replication
 
 
@@ -56,7 +54,6 @@ class TestReplicatedShardGroups:
         for link in group.links:
             assert link.replica.execute("EXISTS", "user:1") == 0
         store.clock.advance(0.011)
-        replication.pump()
         for link in group.links:
             assert link.replica.execute("EXISTS", "user:1") == 1
 
@@ -66,7 +63,6 @@ class TestReplicatedShardGroups:
         store.put("user:1", b"payload", metadata())
         fast, slow = replication.groups[0].links
         store.clock.advance(0.003)
-        replication.pump()
         assert fast.replica.execute("EXISTS", "user:1") == 1
         assert slow.replica.execute("EXISTS", "user:1") == 0
 
@@ -97,7 +93,6 @@ class TestErasureHorizon:
         store.attach_replication(delays=[0.010, 0.120])
         store.put("user:1", b"payload", metadata())
         store.clock.advance(0.2)
-        store.replication.pump()
         store.delete("user:1")
         horizon = store.replication.erasure_horizon(["user:1"], step=0.005)
         assert horizon is not None
@@ -110,7 +105,6 @@ class TestErasureHorizon:
             store.put(f"user:{i}", b"x", metadata("alice"))
         assert len(store.shards_of_subject("alice")) > 1
         store.clock.advance(0.1)
-        replication.pump()
         keys = store.keys_of_subject("alice")
         receipt = store.erase_subject("alice")
         assert sorted(receipt.keys_erased) == keys
@@ -126,7 +120,6 @@ class TestErasureHorizon:
                                                    delay=1.0)
         store.put("user:1", b"secret", metadata("alice"))
         store.clock.advance(2.0)
-        replication.pump()
         receipt = store.erase_subject("alice")
         assert receipt.crypto_erased
         # The replica still *serves* the key (its DEL is in flight)...
@@ -161,7 +154,6 @@ class TestErasureHorizon:
                                                    delay=0.010)
         store.put("user:1", b"x", metadata())
         store.clock.advance(0.02)
-        replication.pump()
         link = replication.groups[0].links[0]
         store.delete("user:1")
         link.discard_backlog()     # partitioned replica: DEL never lands
@@ -169,31 +161,41 @@ class TestErasureHorizon:
                                            max_wait=0.1) is None
 
 
-class TestTimerPumpedReplication:
-    def test_daemon_pump_events_drive_replicas(self):
-        store, replication = make_replicated_store(
-            delay=0.010, pump_interval=0.005)
+class TestEventDeliveredReplication:
+    def test_delivery_events_drive_replicas(self):
+        store, replication = make_replicated_store(delay=0.010)
         store.put("user:1", b"payload", metadata())
         shard = store.shard_for("user:1")
         link = replication.groups[shard].links[0]
-        # No explicit pump() anywhere: advancing the clock fires the
-        # daemon timer events, which deliver the stream.
-        store.clock.advance(0.030)
+        store.clock.advance(0.009)
+        assert link.replica.execute("EXISTS", "user:1") == 0
+        # Advancing the clock past write time + delay fires the write's
+        # delivery event, which applies it.
+        store.clock.advance(0.002)
         assert link.replica.execute("EXISTS", "user:1") == 1
 
-    def test_pump_events_are_daemon(self):
-        store, _ = make_replicated_store(pump_interval=0.005)
+    def test_delivery_events_are_daemon(self):
+        store, replication = make_replicated_store(delay=0.010)
+        store.put("user:1", b"payload", metadata())
+        assert replication.backlog() == 2
         # Only daemon events in the heap: run_until_idle must not spin.
         assert store.clock.pending_live_events() == 0
         assert store.clock.run_until_idle(deadline=None) == 0
+
+    def test_cluster_sync_never_waits_on_replication(self):
+        cluster = build_cluster(2)
+        replication = cluster.attach_replication(delays=[10.0])
+        cluster.call("SET", "k1", "v1")
+        cluster.sync()
+        assert cluster.clock.now() < 1.0
+        assert replication.backlog() == 1
 
     def test_event_driven_determinism_same_seed(self):
         def one_run():
             clock = SimClock()
             trace = clock.enable_trace()
             store = ShardedGDPRStore(num_shards=2, clock=clock)
-            store.attach_replication(delays=[0.004, 0.040],
-                                     pump_interval=0.002)
+            store.attach_replication(delays=[0.004, 0.040])
             for i in range(10):
                 store.put(f"user:{i}", b"x" * 16,
                           metadata("alice" if i % 2 == 0 else "bob"))
@@ -207,43 +209,23 @@ class TestTimerPumpedReplication:
         second = one_run()
         assert first[0] is not None
         assert first == second
-        assert any(label.startswith("replication-pump")
+        assert any(label.startswith("replicate-shard-")
                    for _, label in first[2])
 
-    def test_start_pump_retunes_interval(self):
-        store, replication = make_replicated_store(pump_interval=0.5)
-        group = replication.groups[0]
-        old_handle = group._pump_handle
-        group.start_pump(0.001)
-        assert group.pump_interval == 0.001
-        assert not old_handle.active
-        assert group._pump_handle.active
-
-    def test_start_pump_invalid_interval_keeps_running_pump(self):
-        store, replication = make_replicated_store(pump_interval=0.005)
-        group = replication.groups[0]
-        handle = group._pump_handle
-        with pytest.raises(ValueError):
-            group.start_pump(0)
-        assert handle.active               # healthy pump untouched
-        assert group.pump_interval == 0.005
-
-    def test_stop_pump_cancels_timer(self):
-        store, replication = make_replicated_store(pump_interval=0.005)
-        group = replication.groups[0]
-        handle = group._pump_handle
-        assert handle is not None and handle.active
-        group.stop_pump()
-        assert not handle.active
-
-    def test_close_stops_pumps_and_stream(self):
-        store, replication = make_replicated_store(pump_interval=0.005)
+    def test_close_cancels_deliveries_and_stream(self):
+        store, replication = make_replicated_store(delay=0.010)
+        store.put("user:1", b"payload", metadata())
         replication.close()
+        assert store.clock.pending_timers() == 0
         for index, shard in enumerate(store.shards):
             assert shard.kv.write_listeners == []
             group = replication.groups[index]
             for link in group.links:
                 assert link.closed
+        store.clock.advance(1.0)
+        for group in replication.groups.values():
+            for link in group.links:
+                assert link.replica.execute("EXISTS", "user:1") == 0
 
 
 class TestMigrationHandsOffReplicas:
@@ -254,7 +236,6 @@ class TestMigrationHandsOffReplicas:
         for key in keys:
             store.put(key, b"payload", metadata())
         store.clock.advance(0.02)
-        replication.pump()
         slot = slot_for_key(keys[0])
         source = store.slots.shard_of_slot(slot)
         target = 1 - source
@@ -268,7 +249,6 @@ class TestMigrationHandsOffReplicas:
         assert receipt.replicas_synced >= len(keys)
         # Source replicas drop their copies once the handoff DELs land.
         store.clock.advance(0.02)
-        replication.pump()
         for link in replication.groups[source].links:
             for key in keys:
                 assert link.replica.execute("EXISTS", key) == 0
@@ -280,7 +260,6 @@ class TestMigrationHandsOffReplicas:
         for key in keys:
             store.put(key, b"pii", metadata("alice"))
         store.clock.advance(0.02)
-        replication.pump()
         slot = slot_for_key(keys[0])
         source = store.slots.shard_of_slot(slot)
         target = 1 - source
@@ -336,7 +315,6 @@ class TestReadFromReplica:
         cluster.clock.advance(0.02)
         for node in cluster.nodes:
             node.clock.sleep_until(cluster.clock.now())
-        cluster.replication.pump()
         fresh = cluster.call("GET", "k1", prefer_replica=True)
         assert fresh == b"v1"
         assert cluster.replica_reads == 2
@@ -363,7 +341,6 @@ class TestReadFromReplica:
         cluster.clock.advance(0.01)
         for node in cluster.nodes:
             node.clock.sleep_until(cluster.clock.now())
-        replication.pump()     # source replicas apply the handoff DELs
         moved_before = cluster.moved_redirects
         assert cluster.call("GET", "k1", prefer_replica=True) == b"v1"
         assert cluster.moved_redirects == moved_before + 1
@@ -396,20 +373,18 @@ class TestReadFromReplica:
         assert cluster.replica_reads == 0
         migrator.abort()
 
-    def test_cluster_adapter_prefer_replica(self):
-        from repro.ycsb.adapters import ClusterAdapter
-
+    def test_prefer_replica_serves_hash_reads_and_defaults_to_primary(self):
         cluster = build_cluster(1)
-        cluster.attach_replication(delays=[0.0])
-        adapter = ClusterAdapter(cluster, prefer_replica=True)
-        adapter.insert("rec1", {"f": b"v"})           # writes hit primaries
-        cluster.nodes[0].clock.advance(0.001)
-        cluster.replication.pump()
-        assert adapter.read("rec1") == {"f": b"v"}
-        assert adapter.read("rec1", ["f"]) == {"f": b"v"}
-        assert adapter.replica_reads == 2
-        assert ClusterAdapter(cluster).read("rec1") == {"f": b"v"}
-        assert adapter.replica_reads == 2              # default: primary
+        cluster.attach_replication(delays=[0.001])
+        cluster.call("HSET", "rec1", "f", "v")        # writes hit primaries
+        cluster.clock.advance(0.002)
+        assert cluster.call("HGETALL", "rec1",
+                            prefer_replica=True) == [b"f", b"v"]
+        assert cluster.call("HMGET", "rec1", "f",
+                            prefer_replica=True) == [b"v"]
+        assert cluster.replica_reads == 2
+        assert cluster.call("HGETALL", "rec1") == [b"f", b"v"]
+        assert cluster.replica_reads == 2              # default: primary
 
     def test_no_replication_attached_falls_through(self):
         cluster = build_cluster(1)
@@ -418,20 +393,19 @@ class TestReadFromReplica:
         assert cluster.replica_reads == 0
 
     def test_rebuild_shard_reuses_topology(self):
-        """The registry holds the delays and pump once: a rebuilt group
-        gets them from there, not from the dead group."""
+        """The registry holds the delays and the clock once: a rebuilt
+        group gets them from there, not from the dead group."""
         clock = SimClock()
         primary = KeyValueStore(StoreConfig(), clock=clock)
-        replication = ClusterReplication(clock, [(0, primary, None)],
-                                         delays=(0.002, 0.050),
-                                         pump_interval=0.001)
+        replication = ClusterReplication(clock, [(0, primary)],
+                                         delays=(0.002, 0.050))
         old = replication.groups[0]
         recovered = KeyValueStore(StoreConfig(), clock=clock)
         recovered.execute("SET", "k", "v2")
         group = replication.rebuild_shard(0, recovered)
         assert old.closed and primary.write_listeners == []
         assert [link.delay for link in group.links] == [0.002, 0.050]
-        assert group.pump_interval == 0.001 and group._pump_handle.active
+        assert group.clock is clock
         for link in group.links:
             assert link.replica.execute("GET", "k") == b"v2"
 
@@ -446,12 +420,11 @@ class TestReadFromReplica:
 class TestEventDrivenClusterReplication:
     def test_scheduler_pumped_replicas_and_horizon(self):
         cluster = build_cluster(2)
-        replication = cluster.attach_replication(delays=[0.005, 0.005],
-                                                 pump_interval=0.002)
+        replication = cluster.attach_replication(delays=[0.005, 0.005])
         for i in range(6):
             cluster.call("SET", f"k{i}", f"v{i}")
         cluster.sync()
-        cluster.clock.advance(0.02)    # daemon pumps on the scheduler
+        cluster.clock.advance(0.02)    # delivery events on the scheduler
         assert replication.backlog() == 0
         assert cluster.call("GET", "k3", prefer_replica=True) == b"v3"
         assert cluster.stale_replica_reads == 0
@@ -464,12 +437,10 @@ class TestRecoveryRehomesReplication:
     def test_recover_shard_rebuilds_group(self):
         store, replication = make_replicated_store(num_shards=2,
                                                    replicas=2,
-                                                   delay=0.010,
-                                                   pump_interval=0.005)
+                                                   delay=0.010)
         store.put("user:1", b"payload", metadata())
         shard = store.shard_for("user:1")
         store.clock.advance(0.02)
-        replication.pump()
         old_group = replication.groups[shard]
         store.recover_shard(shard)
         new_group = replication.groups[shard]
@@ -481,7 +452,7 @@ class TestRecoveryRehomesReplication:
         # Replicas were full-synced from the recovered primary...
         for link in new_group.links:
             assert link.replica.execute("EXISTS", "user:1") == 1
-        # ...and the new stream is live (pump carried over).
+        # ...and the new stream is live on the store's clock.
         store.put("user:2", b"more", metadata())
         if store.shard_for("user:2") == shard:
             store.clock.advance(0.02)

@@ -20,7 +20,6 @@ from repro.cluster import (
     slot_for_key,
 )
 from repro.gdpr import GDPRMetadata
-from repro.ycsb.adapters import ClusterAdapter
 
 
 def tagged_keys(tag, count, prefix="k"):
@@ -350,25 +349,25 @@ class TestBroadcastsDuringMigration:
             sorted(k.encode() for k in keys)
 
 
-class TestClusterAdapterDuringMigration:
+class TestPipelineDuringMigration:
     def test_ycsb_workload_survives_a_live_migration(self):
         cluster = build_cluster(2)
-        adapter = ClusterAdapter(cluster, pipeline_depth=4)
         keys = tagged_keys("ycsb", 8, prefix="user")
         slot = slot_for_key(keys[0])
         target = 1 - cluster.slots.shard_of_slot(slot)
+        pipeline = cluster.pipeline()
         for key in keys:
-            adapter.insert(key, {"f0": b"a", "f1": b"b"})
-        adapter.flush()
+            pipeline.call("HSET", key, "f0", "a", "f1", "b")
+        pipeline.execute()
         migrator = SlotMigrator(cluster, slot, target)
         migrator.step(3)
         # Read-your-writes across the migration boundary.
-        adapter.update(keys[0], {"f0": b"updated"})
-        assert adapter.read(keys[0])["f0"] == b"updated"
+        cluster.pipeline().call("HSET", keys[0], "f0", "updated").execute()
+        assert cluster.call("HGET", keys[0], "f0") == b"updated"
         migrator.finish()
-        assert adapter.read(keys[0])["f0"] == b"updated"
-        assert adapter.read(keys[5])["f1"] == b"b"
-        assert adapter.redirects_followed >= 1
+        assert cluster.call("HGET", keys[0], "f0") == b"updated"
+        assert cluster.call("HGET", keys[5], "f1") == b"b"
+        assert cluster.moved_redirects + cluster.ask_redirects >= 1
 
 
 def gdpr_fixture(tag="gdpr", subjects=("alice", "bob"), per_subject=3):

@@ -51,7 +51,7 @@ class TestSimClock:
     def test_timer_fires_during_advance(self):
         clock = SimClock()
         fired = []
-        clock.call_at(1.0, lambda: fired.append(clock.now()))
+        clock.schedule_at(1.0, lambda: fired.append(clock.now()))
         clock.advance(2.0)
         assert fired == [1.0]
         assert clock.now() == 2.0
@@ -59,7 +59,7 @@ class TestSimClock:
     def test_timer_not_fired_before_due(self):
         clock = SimClock()
         fired = []
-        clock.call_at(5.0, lambda: fired.append(True))
+        clock.schedule_at(5.0, lambda: fired.append(True))
         clock.advance(4.999)
         assert fired == []
         assert clock.pending_timers() == 1
@@ -67,29 +67,29 @@ class TestSimClock:
     def test_timers_fire_in_order(self):
         clock = SimClock()
         order = []
-        clock.call_at(2.0, lambda: order.append("b"))
-        clock.call_at(1.0, lambda: order.append("a"))
-        clock.call_at(3.0, lambda: order.append("c"))
+        clock.schedule_at(2.0, lambda: order.append("b"))
+        clock.schedule_at(1.0, lambda: order.append("a"))
+        clock.schedule_at(3.0, lambda: order.append("c"))
         clock.advance(10.0)
         assert order == ["a", "b", "c"]
 
-    def test_call_later_relative(self):
+    def test_schedule_after_relative(self):
         clock = SimClock(start=10.0)
         fired = []
-        clock.call_later(1.0, lambda: fired.append(clock.now()))
+        clock.schedule_after(1.0, lambda: fired.append(clock.now()))
         clock.advance(1.5)
         assert fired == [11.0]
 
     def test_timer_in_past_rejected(self):
         clock = SimClock(start=5.0)
         with pytest.raises(ValueError):
-            clock.call_at(4.0, lambda: None)
+            clock.schedule_at(4.0, lambda: None)
 
     def test_same_deadline_timers_fifo(self):
         clock = SimClock()
         order = []
-        clock.call_at(1.0, lambda: order.append(1))
-        clock.call_at(1.0, lambda: order.append(2))
+        clock.schedule_at(1.0, lambda: order.append(1))
+        clock.schedule_at(1.0, lambda: order.append(2))
         clock.advance(1.0)
         assert order == [1, 2]
 
@@ -129,7 +129,7 @@ class TestEventScheduler:
     def test_cancelled_timer_skipped_by_advance(self):
         clock = SimClock()
         fired = []
-        handle = clock.call_at(1.0, lambda: fired.append(True))
+        handle = clock.schedule_at(1.0, lambda: fired.append(True))
         handle.cancel()
         clock.advance(2.0)
         assert fired == []

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.clock import SimClock
+from repro.common.clock import ShardClock, SimClock
 from repro.kvstore import KeyValueStore, ReplicationManager, StoreConfig
 
 
@@ -18,8 +18,7 @@ class TestBasicReplication:
         link = manager.add_replica("r1", delay=0.010)
         primary.execute("SET", "k", "v")
         assert link.replica.execute("GET", "k") is None  # still in flight
-        clock.advance(0.011)
-        manager.pump()
+        clock.advance(0.011)               # its delivery event fired
         assert link.replica.execute("GET", "k") == b"v"
 
     def test_reads_not_replicated(self):
@@ -28,7 +27,7 @@ class TestBasicReplication:
         link = manager.add_replica("r1", delay=0.0)
         primary.execute("SET", "k", "v")
         primary.execute("GET", "k")
-        manager.pump()
+        clock.advance(0)                   # a zero delay lands "now"
         assert link.stats.commands_applied == 1
 
     def test_failed_writes_not_replicated(self):
@@ -37,7 +36,7 @@ class TestBasicReplication:
         link = manager.add_replica("r1", delay=0.0)
         primary.execute("SET", "k", "v")
         primary.execute("SET", "k", "w", "NX")  # no-op
-        manager.pump()
+        clock.advance(0)
         assert link.stats.commands_applied == 1
         assert link.replica.execute("GET", "k") == b"v"
 
@@ -48,7 +47,6 @@ class TestBasicReplication:
         for i in range(10):
             primary.execute("APPEND", "seq", str(i))
         clock.advance(0.01)
-        manager.pump()
         assert link.replica.execute("GET", "seq") == b"0123456789"
 
     def test_multiple_replicas_different_delays(self):
@@ -58,11 +56,9 @@ class TestBasicReplication:
         slow = manager.add_replica("slow", delay=0.100)
         primary.execute("SET", "k", "v")
         clock.advance(0.002)
-        manager.pump()
         assert fast.replica.execute("GET", "k") == b"v"
         assert slow.replica.execute("GET", "k") is None
         clock.advance(0.2)
-        manager.pump()
         assert slow.replica.execute("GET", "k") == b"v"
 
     def test_duplicate_replica_name_rejected(self):
@@ -93,7 +89,7 @@ class TestBasicReplication:
         link.enqueue(0, [b"SET", b"sneak", b"3"])   # refused when closed
         assert link.backlog == 0
         clock.advance(1.0)
-        assert link.pump() == 0
+        assert link.stats.commands_applied == 0
         assert link.replica.execute("GET", "after") is None
 
     def test_close_detaches_write_listener(self):
@@ -112,15 +108,14 @@ class TestBasicReplication:
             manager.add_replica("r2")      # closed managers are closed
 
     def test_last_applied_at_is_delivery_time(self):
-        """Regression: recording pump time instead of delivery time
-        skewed lag/compliance metrics when pumps were infrequent."""
+        """The replica records when a command landed: its delivery
+        event's instant, however far the clock later runs."""
         primary, clock = make_primary()
         manager = ReplicationManager(primary)
         link = manager.add_replica("r1", delay=0.010)
         start = clock.now()
         primary.execute("SET", "k", "v")
-        clock.advance(5.0)                 # pump long after delivery
-        manager.pump()
+        clock.advance(5.0)
         assert link.stats.last_applied_at == pytest.approx(start + 0.010)
 
     def test_negative_delay_rejected(self):
@@ -136,7 +131,6 @@ class TestBasicReplication:
         primary.execute("SET", "k", "v")
         primary.execute("EXPIRE", "k", 100)
         clock.advance(6.0)
-        manager.pump()
         # The replica applied PEXPIREAT: deadline is absolute, so the
         # 6 s of replication lag ate into the TTL rather than extending it.
         assert link.replica.execute("TTL", "k") == 94
@@ -162,7 +156,6 @@ class TestBasicReplication:
         manager.full_sync_all()           # snapshot already holds both
         assert link.backlog == 0
         clock.advance(1.0)
-        manager.pump()
         assert link.replica.execute("GET", "seq") == b"abc"
         assert link.replica.execute("GET", "hits") == b"1"
 
@@ -174,7 +167,6 @@ class TestBasicReplication:
         manager.full_sync_all()
         primary.execute("APPEND", "seq", "def")   # after the snapshot
         clock.advance(1.0)
-        manager.pump()
         assert link.replica.execute("GET", "seq") == b"abcdef"
 
     def test_lag_reporting(self):
@@ -186,6 +178,64 @@ class TestBasicReplication:
         assert 0.4 <= manager.max_lag() <= 0.5
 
 
+class TestDeliveryEvents:
+    """Replication has one mechanism: every replicated command is one
+    daemon event on the group's scheduler."""
+
+    def test_each_replicated_write_fires_one_event_at_write_time_plus_delay(
+            self):
+        primary, clock = make_primary()
+        manager = ReplicationManager(primary)
+        manager.add_replica("r1", delay=0.010)
+        trace = clock.enable_trace()
+        clock.advance(0.002)
+        primary.execute("SET", "a", "1")            # write at 2 ms
+        primary.execute("GET", "a")                 # a read: no event
+        primary.execute("SET", "a", "2", "NX")      # a failed write: none
+        clock.advance(0.003)
+        primary.execute("DEL", "a")                 # write at 5 ms
+        primary.execute("DEL", "missing")           # deletes nothing: none
+        clock.advance(1.0)
+        delivered = [(when, label) for when, label in trace
+                     if label.startswith("replicate-")]
+        assert delivered == [(pytest.approx(0.012), "replicate-r1"),
+                             (pytest.approx(0.015), "replicate-r1")]
+
+    def test_delivery_events_are_daemon(self):
+        primary, clock = make_primary()
+        manager = ReplicationManager(primary)
+        link = manager.add_replica("r1", delay=0.050)
+        primary.execute("SET", "k", "v")
+        assert clock.pending_live_events() == 0
+        assert clock.run_until_idle() == 0          # nothing waits on it
+        assert link.backlog == 1
+        assert clock.pending_timers() == 1
+
+    @pytest.mark.parametrize("stop", ["discard", "close", "remove"])
+    def test_a_discarded_command_never_lands(self, stop):
+        primary, clock = make_primary()
+        manager = ReplicationManager(primary)
+        link = manager.add_replica("r1", delay=0.010)
+        primary.execute("SET", "k", "v")
+        if stop == "discard":
+            assert link.discard_backlog() == 1
+        elif stop == "close":
+            manager.close()
+        else:
+            manager.remove_replica("r1")
+        assert clock.pending_timers() == 0          # its event is cancelled
+        clock.advance(1.0)
+        assert link.replica.execute("GET", "k") is None
+        assert link.stats.commands_applied == 0
+
+    def test_clock_that_cannot_schedule_rejected(self):
+        primary = KeyValueStore(StoreConfig(), clock=ShardClock())
+        with pytest.raises(ValueError, match="scheduling clock"):
+            ReplicationManager(primary)
+        assert primary.write_listeners == []
+        ReplicationManager(primary, clock=SimClock())   # an explicit one
+
+
 class TestErasurePropagation:
     """The GDPR angle: a DEL is not erasure until replicas catch up."""
 
@@ -195,12 +245,13 @@ class TestErasurePropagation:
         link = manager.add_replica("r1", delay=0.050)
         primary.execute("SET", "pii", "secret")
         clock.advance(0.1)
-        manager.pump()
         primary.execute("DEL", "pii")
         # Primary no longer serves it, but the replica still does.
         assert primary.execute("GET", "pii") is None
         assert link.replica.execute("GET", "pii") == b"secret"
         assert manager.key_visible_anywhere(b"pii")
+        clock.advance(0.050)
+        assert not manager.key_visible_anywhere(b"pii")
 
     def test_erasure_horizon_bounded_by_slowest_replica(self):
         primary, clock = make_primary()
@@ -209,7 +260,6 @@ class TestErasurePropagation:
         manager.add_replica("slow", delay=0.200)
         primary.execute("SET", "pii", "secret")
         clock.advance(0.5)
-        manager.pump()
         primary.execute("DEL", "pii")
         horizon = manager.erasure_horizon([b"pii"], step=0.005)
         assert horizon is not None
@@ -221,27 +271,21 @@ class TestErasurePropagation:
         link = manager.add_replica("r1", delay=0.001)
         primary.execute("SET", "k", "v", "EX", 5)
         clock.advance(0.01)
-        manager.pump()
         clock.advance(6)
         primary.cron()  # primary reclaims and emits DEL
         clock.advance(0.01)
-        manager.pump()
         assert b"k" not in link.replica.databases[0]
 
     def test_horizon_none_when_unreachable(self):
         primary, clock = make_primary()
         manager = ReplicationManager(primary)
-        link = manager.add_replica("r1", delay=0.0)
+        manager.add_replica("partitioned", delay=10_000.0)
         primary.execute("SET", "pii", "x")
-        manager.pump()
-        # Simulate a partitioned replica: clear its queue processing by
-        # deleting only on the primary and never pumping that link.
-        primary.execute("DEL", "pii")
-        link.delay = 10_000.0
-        # Re-enqueue happened at delay=0 though; emulate stuck delivery:
-        link._queue.clear()
+        manager.full_sync_all()            # the replica holds pii ...
+        primary.execute("DEL", "pii")      # ... and the DEL never arrives
         assert manager.erasure_horizon([b"pii"], step=0.01,
                                        max_wait=0.1) is None
+        assert manager.key_visible_anywhere(b"pii")
 
     def test_horizon_waits_for_queued_pre_deletion_write(self):
         """Regression: a visibility-only horizon read 0.0 s here, yet the

@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.common.errors import CorruptionError
+from repro.common.hashing import crc32_of
 from repro.kvstore import KeyValueStore, StoreConfig, snapshot_mentions_key
 from repro.kvstore.snapshot import dump, load
 
@@ -93,6 +94,20 @@ class TestIntegrity:
     def test_too_small(self):
         with pytest.raises(CorruptionError):
             load(b"tiny")
+
+    def test_trailing_bytes_under_a_recomputed_crc_rejected(self, store):
+        """Regression: bytes after the declared records were ignored
+        when the CRC had been recomputed over them."""
+        store.execute("SET", "k", "v")
+        body = store.save_snapshot()[:-4] + b"junk"
+        padded = body + crc32_of(body).to_bytes(4, "big")
+        with pytest.raises(CorruptionError, match="trailing"):
+            load(padded)
+        fresh = KeyValueStore()
+        fresh.execute("SET", "keep", "x")
+        with pytest.raises(CorruptionError):
+            fresh.load_snapshot(padded)
+        assert fresh.execute("KEYS", "*") == [b"keep"]
 
 
 class TestMentions:

@@ -60,7 +60,6 @@ def test_replica_converges_to_primary(op_list, delay):
         except Exception:
             pass  # type conflicts are legitimate no-ops
     clock.advance(delay + 0.001)
-    manager.pump()
     assert state_of(link.replica) == state_of(primary)
 
 
@@ -78,7 +77,6 @@ def test_two_replicas_identical(op_list):
         except Exception:
             pass
     clock.advance(1.0)
-    manager.pump()
     assert state_of(a.replica) == state_of(b.replica)
 
 
@@ -106,10 +104,8 @@ def replica_groups(topology, clock, delays):
                 manager.erasure_horizon)
     primaries = [KeyValueStore(StoreConfig(), clock=clock)
                  for _ in range(2)]
-    registry = ClusterReplication(
-        clock, [(index, primary, None)
-                for index, primary in enumerate(primaries)],
-        delays=delays)
+    registry = ClusterReplication(clock, list(enumerate(primaries)),
+                                  delays=delays)
     return (list(registry.groups.values()),
             lambda key: primaries[KEYS.index(key) % 2],
             registry.erasure_horizon)
@@ -136,8 +132,6 @@ def test_no_copy_survives_the_reported_horizon(topology, script, delays):
         link.replica for group in groups for link in group.links]
     settled = clock.now() + max(delays) + 0.002
     while True:
-        for group in groups:
-            group.pump()
         for key in deleted:
             assert all(store.execute("GET", key) is None
                        for store in stores), key

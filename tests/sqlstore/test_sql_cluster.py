@@ -97,7 +97,6 @@ def test_replication_groups_over_relational_shards():
     store.attach_replication(delays=[0.002, 0.002])
     store.put("user:1", b"pii", meta("alice"))
     store.clock.advance(0.01)
-    store.replication.pump()
     group = store.replication.groups[store.shard_for("user:1")]
     assert all(link.replica.engine_name == "relational"
                for link in group.links)

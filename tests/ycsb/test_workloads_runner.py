@@ -10,13 +10,13 @@ from repro.net.channel import loopback
 from repro.ycsb import (
     CORE_WORKLOADS,
     FIGURE1_PHASES,
-    ClusterAdapter,
     FieldGenerator,
     GDPRAdapter,
     KVAdapter,
     WorkloadRunner,
     WorkloadSpec,
     build_key_name,
+    flatten_fields,
     load_and_run,
     pack_fields,
     unpack_fields,
@@ -180,60 +180,52 @@ class TestKVAdapterOverConnection:
         assert adapter.read("u1") == {}
 
 
-class TestClusterAdapter:
-    def make(self, pipeline_depth=1, num_shards=3):
+class TestClusterPipeline:
+    """YCSB-shaped records driven straight through a cluster client's
+    pipeline, the way the cluster benches load and run them."""
+
+    def make(self, num_shards=3):
         from repro.cluster import build_cluster
-        cluster = build_cluster(num_shards)
-        return ClusterAdapter(cluster, pipeline_depth=pipeline_depth), \
-            cluster
+        return build_cluster(num_shards)
+
+    @staticmethod
+    def hset(key, values):
+        return ["HSET", key, *flatten_fields(values)]
 
     def test_insert_read_round_trip(self):
-        adapter, _ = self.make()
-        adapter.insert("user1", {"f0": b"a", "f1": b"b"})
-        assert adapter.read("user1") == {"f0": b"a", "f1": b"b"}
-        assert adapter.read("user1", ["f1"]) == {"f1": b"b"}
+        cluster = self.make()
+        cluster.pipeline().call(
+            *self.hset("user1", {"f0": b"a", "f1": b"b"})).execute()
+        assert cluster.call("HGETALL", "user1") == [b"f0", b"a",
+                                                    b"f1", b"b"]
+        assert cluster.call("HMGET", "user1", "f1") == [b"b"]
 
     def test_records_spread_across_shards(self):
-        adapter, cluster = self.make()
+        cluster = self.make()
+        pipeline = cluster.pipeline()
         for number in range(30):
-            adapter.insert(build_key_name(number), {"f0": b"v"})
+            pipeline.call(*self.hset(build_key_name(number), {"f0": b"v"}))
+        assert pipeline.execute() == [1] * 30
         assert all(size > 0 for size in cluster.keyspace_sizes())
 
-    def test_pipelined_writes_flush_before_read(self):
-        adapter, _ = self.make(pipeline_depth=8)
-        adapter.insert("user1", {"f0": b"a"})
-        adapter.update("user1", {"f0": b"b"})
-        # Neither write has hit depth 8, yet the read must see both.
-        assert adapter.read("user1") == {"f0": b"b"}
-
-    def test_scan_unsupported_in_cluster_mode(self):
-        adapter, _ = self.make()
-        with pytest.raises(NotImplementedError):
-            adapter.scan("user1", 5)
-
-    def test_runs_core_workload_a(self):
-        adapter, cluster = self.make()
-        spec = CORE_WORKLOADS["A"].scaled(record_count=40,
-                                          operation_count=80)
-        reports = load_and_run(adapter, spec, cluster.clock)
-        assert reports["run"].operations == 80
-        assert reports["run"].throughput > 0
-
-    def test_runner_flushes_trailing_writes_at_phase_end(self):
-        # record_count not divisible by depth: the tail batch must not
-        # stay buffered when the phase report is cut.
-        adapter, cluster = self.make(pipeline_depth=8)
-        spec = CORE_WORKLOADS["A"].scaled(record_count=30,
-                                          operation_count=0)
-        WorkloadRunner(adapter, spec, cluster.clock).load()
-        assert sum(cluster.keyspace_sizes()) == 30
+    def test_pipelined_update_lands_after_its_insert(self):
+        cluster = self.make()
+        pipeline = cluster.pipeline()
+        pipeline.call(*self.hset("user1", {"f0": b"a"}))
+        pipeline.call(*self.hset("user1", {"f0": b"b"}))
+        assert cluster.call("EXISTS", "user1") == 0    # nothing sent yet
+        pipeline.execute()
+        assert cluster.call("HGET", "user1", "f0") == b"b"
 
     def test_pipelined_load_is_faster(self):
         def load(depth):
-            adapter, cluster = self.make(pipeline_depth=depth)
+            cluster = self.make()
+            pipeline = cluster.pipeline()
             for number in range(48):
-                adapter.insert(build_key_name(number), {"f0": b"v"})
-            adapter.flush()
+                pipeline.call(*self.hset(build_key_name(number),
+                                         {"f0": b"v"}))
+                if len(pipeline) >= depth:
+                    pipeline.execute()
             return cluster.clock.now()
 
         assert load(8) < load(1)
