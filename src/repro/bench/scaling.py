@@ -793,7 +793,7 @@ ERASE_MS = ("erase_ms", scaled("erase_seconds", 1e3, 3))
 
 
 REPLICATED_ERASURE_FANOUT = Scenario(
-    title="Art. 17 erasure through replicas (timer-pumped, shared "
+    title="Art. 17 erasure through replicas (event-delivered, shared "
           "keystore):",
     axes=(Axis("shards", (1, 2), full=(1, 2, 4)),
           Axis("replicas", (2,))),
