@@ -27,7 +27,11 @@ built on:
 * **Durability hooks** (:attr:`aof_log`, :meth:`replay_aof`,
   :meth:`rewrite_aof`, snapshots) -- one name for "the engine's durable
   command log" whether it is a Redis AOF or a relational WAL, so erasure
-  residual checks and crash recovery work identically on both.
+  residual checks and crash recovery work identically on both.  Log
+  replay and snapshot save/load are written once, here: snapshots use
+  the one format of :mod:`repro.kvstore.snapshot`, and an engine only
+  hands its records out (:meth:`snapshot_records`) and takes them back
+  (:meth:`restore_records`).
 * **Replica spawning** (:meth:`spawn_replica`) -- a fresh, zero-cost
   same-engine store for replication defaults, so a relational primary
   gets relational replicas without the replication layer knowing.
@@ -53,8 +57,11 @@ from typing import (
     List,
     NamedTuple,
     Optional,
+    Tuple,
     Type,
 )
+
+from ..common.errors import PersistenceError
 
 DeletionListener = Callable[[int, bytes, str, float], None]
 # (db_index, translated argv) for every effective write -- the stream a
@@ -64,13 +71,20 @@ WriteListener = Callable[[int, List[bytes]], None]
 
 
 class StoredRecord(NamedTuple):
-    """One live keyspace entry, as :meth:`StorageEngine.scan_records`
-    yields it: the key, the engine-native value, and the absolute expiry
-    deadline (seconds on the engine's clock), if any."""
+    """One keyspace entry: the key, the engine-native value, the
+    absolute expiry deadline (seconds on the engine's clock), if any,
+    and the GDPR metadata columns ``(owner, purposes)`` where the engine
+    keeps them.  :meth:`StorageEngine.scan_records` yields live entries
+    without metadata; snapshots carry it."""
 
     key: bytes
     value: Any
     expire_at: Optional[float]
+    metadata: Optional[Tuple[str, str]] = None
+
+
+#: database index -> that database's records: what a snapshot holds.
+SnapshotImage = Dict[int, List[StoredRecord]]
 
 
 class EngineStats:
@@ -117,6 +131,11 @@ class StorageEngine:
     def __init__(self) -> None:
         self.deletion_listeners: List[DeletionListener] = []
         self.write_listeners: List[WriteListener] = []
+        self.last_snapshot: Optional[bytes] = None
+        self.last_snapshot_at: Optional[float] = None
+        # True while replaying the durable log: replayed commands are
+        # neither logged again nor fed to the write stream.
+        self._loading = False
 
     # -- command surface ---------------------------------------------------
 
@@ -177,17 +196,57 @@ class StorageEngine:
     # -- durability --------------------------------------------------------
 
     def save_snapshot(self) -> bytes:
-        """Point-in-time serialization of the whole keyspace."""
-        raise NotImplementedError
+        """Point-in-time serialization of the whole keyspace (SAVE / a
+        base backup), remembered as :attr:`last_snapshot`."""
+        from ..kvstore import snapshot
+        data = snapshot.dump(self.snapshot_records())
+        self.last_snapshot = data
+        self.last_snapshot_at = self.clock.now()
+        return data
 
     def load_snapshot(self, data: bytes) -> int:
-        """Restore from snapshot bytes; returns records loaded."""
+        """Replace the keyspace with a :meth:`save_snapshot` image;
+        returns records loaded.  The whole image is parsed first: a
+        damaged one raises CorruptionError and leaves the keyspace as it
+        was."""
+        from ..kvstore import snapshot
+        databases = snapshot.load(data)
+        self.restore_records(databases)
+        return sum(len(records) for records in databases.values())
+
+    def snapshot_records(self) -> SnapshotImage:
+        """Every record of the keyspace, expired-but-unreclaimed ones
+        included, with its metadata columns."""
+        raise NotImplementedError
+
+    def restore_records(self, databases: SnapshotImage) -> None:
+        """Replace the keyspace with parsed snapshot records -- silently:
+        no log record, write-stream event or deletion event.  Raises
+        CorruptionError, before touching anything, on records this
+        engine cannot hold."""
         raise NotImplementedError
 
     def replay_aof(self, data: Optional[bytes] = None,
                    tolerate_truncated_tail: bool = True) -> int:
-        """Rebuild state from the durable command log (AOF or WAL)."""
-        raise NotImplementedError
+        """Rebuild state from the durable command log (AOF or WAL; by
+        default the attached log's durable content).  Returns the number
+        of commands replayed."""
+        from ..kvstore.aof import replay_commands
+        if data is None:
+            if self.aof_log is None:
+                raise PersistenceError(
+                    f"the {self.engine_name} engine has no durable log")
+            data = self.aof_log.read_durable()
+        commands = replay_commands(
+            data, tolerate_truncated_tail=tolerate_truncated_tail)
+        session = self.session()
+        self._loading = True
+        try:
+            for argv in commands:
+                self.execute(*argv, session=session)
+        finally:
+            self._loading = False
+        return len(commands)
 
     def rewrite_aof(self) -> int:
         """Compact the durable command log to current live state

@@ -23,7 +23,6 @@ from typing import Dict, List, Optional
 
 from ..common.clock import Clock
 from ..kvstore.snapshot import snapshot_mentions_key
-from ..kvstore.store import KeyValueStore, StoreConfig
 from .store import GDPRStore
 
 
@@ -92,21 +91,24 @@ class BackupManager:
         raise KeyError(label)
 
     def restore(self, label: str) -> GDPRStore:
-        """Materialize a backup into a fresh GDPRStore.
+        """Materialize a backup into a fresh GDPRStore over a
+        same-engine store (the live engine's replica spawn).
 
         The restored keystore re-imports the *wrapped* keys under the
         live master -- so subjects crypto-erased since the backup stay
-        erased (their key ids are tombstoned at the keystore).
+        erased (their key ids are tombstoned at the keystore).  On an
+        engine with metadata columns a restored row would still name
+        such a subject in plaintext, so those rows are deleted again.
         """
-        from .store import GDPRConfig
-
         backup = self.find(label)
-        kv = KeyValueStore(StoreConfig(appendonly=False),
-                           clock=self.clock)
+        kv = self.store.kv.spawn_replica()
         kv.load_snapshot(backup.snapshot)
         restored = GDPRStore(kv=kv, config=self.store.config,
                              keystore=self.store.keystore,
                              locations=self.store.locations)
+        for subject in self.store.keystore.erased_ids():
+            for key in kv.keys_of_owner(subject) or ():
+                kv.execute("DEL", key)
         restored.rebuild_indexes()
         self.store.audit.append(principal="system", operation="restore",
                                 outcome="ok", detail=label)

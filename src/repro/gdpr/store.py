@@ -522,7 +522,7 @@ class GDPRStore:
         if self._writebehind is not None:
             self._writebehind.flush()
         entries: List[Tuple[str, GDPRMetadata]] = []
-        for key_bytes, blob, _expire_at in self.kv.scan_records(0):
+        for key_bytes, blob, *_ in self.kv.scan_records(0):
             if not isinstance(blob, bytes):
                 continue
             key = key_bytes.decode("utf-8", "replace")

@@ -36,8 +36,6 @@ from .server import (
     TlsTransport,
 )
 from .slowlog import Slowlog
-from .snapshot import dump as snapshot_dump
-from .snapshot import load as snapshot_load
 from .snapshot import snapshot_mentions_key
 from .store import KeyValueStore, StoreConfig
 
@@ -71,7 +69,5 @@ __all__ = [
     "BufferedTransport",
     "EventLoopMixin",
     "EventConnection",
-    "snapshot_dump",
-    "snapshot_load",
     "snapshot_mentions_key",
 ]

@@ -1,8 +1,14 @@
 """RDB-style point-in-time snapshots with integrity checksums.
 
-The binary layout is a simplified RDB: a magic/version header, per-database
-sections, length-prefixed records with a type tag and optional expiry, and
-a trailing CRC-32 over everything before it.  Snapshots matter to the GDPR
+This is the one snapshot format of every engine: a store's
+``save_snapshot`` / ``load_snapshot`` (implemented once on
+:class:`~repro.engine.base.StorageEngine`) go through :func:`dump` and
+:func:`load`, and each engine supplies only its records.  The binary
+layout is a simplified RDB: a magic/version header, per-database
+sections, length-prefixed records with a flags byte, an optional expiry
+deadline, optional GDPR metadata columns (owner, purposes -- written
+only by engines that keep them) and a type-tagged value, and a trailing
+CRC-32 over everything before it.  Snapshots matter to the GDPR
 analysis because they are one of the "internal subsystems" where deleted
 personal data can outlive a DEL (section 4.3); the GDPR layer therefore
 tracks snapshot lineage and the erasure engine can force re-dumps.
@@ -11,10 +17,11 @@ tracks snapshot lineage and the erasure engine can force re-dumps.
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Tuple
+from typing import List
 
 from ..common.errors import CorruptionError
 from ..common.hashing import crc32_of
+from ..engine.base import SnapshotImage, StoredRecord
 from .datatypes import (
     TYPE_HASH,
     TYPE_LIST,
@@ -25,9 +32,11 @@ from .datatypes import (
     ZSet,
     type_name,
 )
-from .keyspace import Database
 
 MAGIC = b"REPRODB1"
+
+_HAS_EXPIRY = 1
+_HAS_METADATA = 2
 
 _TYPE_CODES = {TYPE_STRING: 0, TYPE_HASH: 1, TYPE_LIST: 2, TYPE_SET: 3,
                TYPE_ZSET: 4}
@@ -162,32 +171,36 @@ def load_value(data: bytes) -> RedisValue:
     return value
 
 
-def dump(databases: List[Database]) -> bytes:
-    """Serialize databases to snapshot bytes (CRC-terminated)."""
+def dump(databases: SnapshotImage) -> bytes:
+    """Serialize records, grouped by database, to snapshot bytes
+    (CRC-terminated; empty databases are left out)."""
     out: List[bytes] = [MAGIC]
-    populated = [db for db in databases if len(db) > 0]
+    populated = [(index, records)
+                 for index, records in sorted(databases.items()) if records]
     out.append(_U32.pack(len(populated)))
-    for db in populated:
-        out.append(_U32.pack(db.index))
-        out.append(_U64.pack(len(db)))
-        for key in db.keys():
+    for index, records in populated:
+        out.append(_U32.pack(index))
+        out.append(_U64.pack(len(records)))
+        for key, value, expire_at, metadata in records:
             _pack_bytes(out, key)
-            expire_at = db.get_expiry(key)
-            if expire_at is None:
-                out.append(b"\x00")
-            else:
-                out.append(b"\x01")
+            flags = (_HAS_EXPIRY if expire_at is not None else 0) \
+                | (_HAS_METADATA if metadata is not None else 0)
+            out.append(bytes([flags]))
+            if expire_at is not None:
                 out.append(_F64.pack(expire_at))
-            _pack_value(out, db.get_value(key))
+            if metadata is not None:
+                for column in metadata:
+                    _pack_bytes(out, column.encode("utf-8"))
+            _pack_value(out, value)
     body = b"".join(out)
     return body + _U32.pack(crc32_of(body))
 
 
-def load(data: bytes) -> List[Tuple[int, bytes, Optional[float], RedisValue]]:
-    """Parse snapshot bytes into (db_index, key, expire_at, value) tuples.
+def load(data: bytes) -> SnapshotImage:
+    """Parse snapshot bytes into records grouped by database.
 
-    Verifies the trailing CRC before trusting any byte, and rejects bytes
-    left over after the declared records.
+    Verifies the trailing CRC before trusting any byte, and rejects
+    unknown record flags and bytes left over after the declared records.
     """
     if len(data) < len(MAGIC) + 8:
         raise CorruptionError("snapshot too small")
@@ -197,18 +210,30 @@ def load(data: bytes) -> List[Tuple[int, bytes, Optional[float], RedisValue]]:
     reader = Reader(body)
     if reader.take(len(MAGIC)) != MAGIC:
         raise CorruptionError("bad snapshot magic")
-    entries: List[Tuple[int, bytes, Optional[float], RedisValue]] = []
+    databases: SnapshotImage = {}
     for _ in range(reader.u32()):
-        db_index = reader.u32()
+        records = databases.setdefault(reader.u32(), [])
         for _ in range(reader.u64()):
             key = reader.blob()
-            expire_at = reader.f64() if reader.byte() == 1 else None
-            entries.append((db_index, key, expire_at, _read_value(reader)))
+            flags = reader.byte()
+            if flags & ~(_HAS_EXPIRY | _HAS_METADATA):
+                raise CorruptionError("unknown snapshot record flags")
+            expire_at = reader.f64() if flags & _HAS_EXPIRY else None
+            metadata = None
+            if flags & _HAS_METADATA:
+                try:
+                    metadata = (reader.blob().decode("utf-8"),
+                                reader.blob().decode("utf-8"))
+                except UnicodeDecodeError:
+                    raise CorruptionError("snapshot metadata is not UTF-8")
+            records.append(StoredRecord(key, _read_value(reader),
+                                         expire_at, metadata))
     if not reader.exhausted:
         raise CorruptionError("trailing bytes after snapshot records")
-    return entries
+    return databases
 
 
 def snapshot_mentions_key(data: bytes, key: bytes) -> bool:
     """Does the snapshot still contain ``key``?  (Section 4.3 audit.)"""
-    return any(entry_key == key for _, entry_key, _, _ in load(data))
+    return any(record.key == key
+               for records in load(data).values() for record in records)

@@ -14,23 +14,23 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..common.clock import Clock, SimClock
-from ..common.errors import PersistenceError
+from ..common.errors import CorruptionError, PersistenceError
 from ..device.append_log import AppendLog
-from ..engine.base import StorageEngine, StoredRecord, register_engine
+from ..engine.base import SnapshotImage, StorageEngine, StoredRecord, \
+    register_engine
 from . import cmd_admin  # noqa: F401  (imports register commands)
 from . import cmd_collections  # noqa: F401
 from . import cmd_hash  # noqa: F401
 from . import cmd_keys  # noqa: F401
 from . import cmd_strings  # noqa: F401
 from . import cmd_strings_ext  # noqa: F401
-from .aof import AofRewriter, AofWriter, FsyncPolicy, replay_commands
+from .aof import AofRewriter, AofWriter, FsyncPolicy
 from .commands import CommandContext, Session, lookup, normalize_args
 from .datatypes import RedisValue
 from .expiry import ExpiryStrategy, make_strategy
 from .keyspace import Database
 from .monitor import MonitorFeed
 from .slowlog import Slowlog
-from . import snapshot as snapshot_format
 
 # Re-exported from the engine interface (pre-refactor import sites).
 from ..engine.base import DeletionListener, WriteListener  # noqa: E402,F401
@@ -101,10 +101,7 @@ class KeyValueStore(StorageEngine):
                 log_reads=self.config.aof_log_reads,
                 record_base_cost=self.config.aof_record_base_cost,
                 record_per_byte_cost=self.config.aof_record_per_byte_cost)
-        self.last_snapshot: Optional[bytes] = None
-        self.last_snapshot_at: Optional[float] = None
         self._default_session = Session()
-        self._loading = False
         self._promoting = False
         self._last_cron = self.clock.now()
         self._last_rewrite = self.clock.now()
@@ -365,46 +362,26 @@ class KeyValueStore(StorageEngine):
         self.rewrites_completed += 1
         return size
 
-    def replay_aof(self, data: Optional[bytes] = None,
-                   tolerate_truncated_tail: bool = True) -> int:
-        """Rebuild state from AOF bytes (defaults to the attached log's
-        durable content).  Returns the number of commands replayed."""
-        if data is None:
-            if self.aof_log is None:
-                raise PersistenceError("AOF is not enabled")
-            data = self.aof_log.read_durable()
-        commands = replay_commands(
-            data, tolerate_truncated_tail=tolerate_truncated_tail)
-        session = Session()
-        self._loading = True
-        try:
-            for argv in commands:
-                self.execute(*argv, session=session)
-        finally:
-            self._loading = False
-        return len(commands)
+    def snapshot_records(self) -> SnapshotImage:
+        """RDB-style SAVE: every database's keys in keyspace order."""
+        return {db.index: [StoredRecord(key, db.get_value(key),
+                                        db.get_expiry(key))
+                           for key in db.keys()]
+                for db in self.databases if len(db)}
 
-    def save_snapshot(self) -> bytes:
-        """RDB-style SAVE: serialize all databases."""
-        data = snapshot_format.dump(self.databases)
-        self.last_snapshot = data
-        self.last_snapshot_at = self.clock.now()
-        return data
-
-    def load_snapshot(self, data: bytes) -> int:
-        """Restore databases from snapshot bytes; returns keys loaded."""
-        entries = snapshot_format.load(data)
+    def restore_records(self, databases: SnapshotImage) -> None:
+        if any(index >= len(self.databases) for index in databases):
+            raise CorruptionError(
+                "snapshot names a database this store does not have")
         for db in self.databases:
             db.flush()
         self.expiry.note_flush()
-        count = 0
-        for db_index, key, expire_at, value in entries:
-            db = self.databases[db_index]
-            db.set_value(key, value)
-            if expire_at is not None:
-                self.set_key_expiry(db, key, expire_at)
-            count += 1
-        return count
+        for index, records in databases.items():
+            db = self.databases[index]
+            for record in records:
+                db.set_value(record.key, record.value)
+                if record.expire_at is not None:
+                    self.set_key_expiry(db, record.key, record.expire_at)
 
     # -- configuration & introspection --------------------------------------------
 

@@ -10,14 +10,13 @@ columns, and a vacuum-style retention sweep.  See
 
 from .engine import RelationalStore, SqlConfig, compliant_config
 from .table import Row, Table, btree_depth
-from .wal import WalWriter, checkpoint
+from .wal import checkpoint
 
 __all__ = [
     "RelationalStore",
     "Row",
     "SqlConfig",
     "Table",
-    "WalWriter",
     "btree_depth",
     "checkpoint",
     "compliant_config",

@@ -43,31 +43,27 @@ residual checks behave identically over either engine.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace as dataclasses_replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..common.clock import Clock, SimClock
-from ..common.errors import PersistenceError, WrongTypeError
-from ..common.hashing import crc32_of
+from ..common.errors import CorruptionError, PersistenceError, \
+    WrongTypeError
 from ..common.resp import RespError, SimpleString
 from ..device.append_log import AppendLog
-from ..engine.base import EngineStats, StorageEngine, StoredRecord, \
-    register_engine
+from ..engine.base import EngineStats, SnapshotImage, StorageEngine, \
+    StoredRecord, register_engine
+from ..kvstore.aof import AofWriter, FsyncPolicy
 from ..kvstore.commands import Session, glob_match, normalize_args, \
     parse_int
 from ..kvstore.monitor import MonitorFeed
-from ..kvstore.snapshot import Reader, dump_value, load_value
+from ..kvstore.snapshot import dump_value, load_value
 from .planner import PlanCache
 from .table import Row, Table, btree_depth
-from .wal import FsyncPolicy, WalWriter, checkpoint, replay_commands
+from .wal import checkpoint
 
 OK = SimpleString("OK")
 PONG = SimpleString("PONG")
-
-SNAPSHOT_MAGIC = b"REPROSQL1"
-_U32 = struct.Struct(">I")
-_F64 = struct.Struct(">d")
 
 
 @dataclass
@@ -118,26 +114,23 @@ class RelationalStore(StorageEngine):
         self.plans = PlanCache(self.clock,
                                parse_cost=self.config.statement_parse_cost,
                                plan_cost=self.config.statement_plan_cost)
-        self.wal: Optional[WalWriter] = None
+        self.wal: Optional[AofWriter] = None
         self.aof_log: Optional[AppendLog] = None
         if self.config.wal_enabled:
             self.aof_log = wal_log if wal_log is not None \
                 else AppendLog(clock=self.clock, name="records.wal")
-            self.wal = WalWriter(
+            self.wal = AofWriter(
                 self.aof_log, self.clock,
                 policy=FsyncPolicy.parse(self.config.wal_fsync),
                 log_reads=self.config.wal_log_reads,
                 record_base_cost=self.config.wal_record_base_cost,
                 record_per_byte_cost=self.config.wal_record_per_byte_cost)
         self._default_session = Session()
-        self._loading = False
         self._promoting = False
         self._last_vacuum = self.clock.now()
         self._last_checkpoint = self.clock.now()
         self.vacuum_runs = 0
         self.rewrites_completed = 0
-        self.last_snapshot: Optional[bytes] = None
-        self.last_snapshot_at: Optional[float] = None
 
     # -- cost accounting ---------------------------------------------------
 
@@ -582,7 +575,6 @@ class RelationalStore(StorageEngine):
             if not replace_flag:
                 raise RespError("BUSYKEY Target key name already exists.")
             self._delete_row(key, reason="del")
-        from ..common.errors import CorruptionError
         try:
             value = load_value(argv[3])
         except CorruptionError:
@@ -751,87 +743,28 @@ class RelationalStore(StorageEngine):
 
     # -- durability --------------------------------------------------------
 
-    def save_snapshot(self) -> bytes:
+    def snapshot_records(self) -> SnapshotImage:
         """Point-in-time base backup: every row with its expiry and
-        metadata columns, checksummed."""
-        out: List[bytes] = [SNAPSHOT_MAGIC, _U32.pack(len(self.table))]
-        for row in self.table.rows():
-            for blob in (row.key, dump_value(row.value)):
-                out.append(_U32.pack(len(blob)))
-                out.append(blob)
-            flags = (1 if row.expire_at is not None else 0) \
-                | (2 if row.owner is not None else 0)
-            out.append(bytes([flags]))
-            if row.expire_at is not None:
-                out.append(_F64.pack(row.expire_at))
-            if row.owner is not None:
-                owner = row.owner.encode("utf-8")
-                purposes = row.purposes.encode("utf-8")
-                out.append(_U32.pack(len(owner)))
-                out.append(owner)
-                out.append(_U32.pack(len(purposes)))
-                out.append(purposes)
-        body = b"".join(out)
-        data = body + _U32.pack(crc32_of(body))
-        self.last_snapshot = data
-        self.last_snapshot_at = self.clock.now()
-        return data
+        metadata columns."""
+        return {0: [StoredRecord(
+            row.key, row.value, row.expire_at,
+            (row.owner, row.purposes) if row.owner is not None else None)
+            for row in self.table.rows()]}
 
-    def load_snapshot(self, data: bytes) -> int:
-        """Replace the table with a :meth:`save_snapshot` image.  The
-        whole image is parsed first: a damaged one (bad checksum,
-        truncated, or with bytes left over after its rows) raises
-        CorruptionError and leaves the table as it was."""
-        from ..common.errors import CorruptionError
-
-        if len(data) < len(SNAPSHOT_MAGIC) + 8 \
-                or not data.startswith(SNAPSHOT_MAGIC):
-            raise CorruptionError("not a relational snapshot")
-        body, crc = data[:-4], _U32.unpack(data[-4:])[0]
-        if crc32_of(body) != crc:
-            raise CorruptionError("relational snapshot checksum mismatch")
-        reader = Reader(body)
-        reader.take(len(SNAPSHOT_MAGIC))
-        rows = []
-        for _ in range(reader.u32()):
-            key = reader.blob()
-            value = load_value(reader.blob())
-            if not isinstance(value, (bytes, dict)):
-                raise CorruptionError(
-                    "relational snapshot row has unsupported shape")
-            flags = reader.byte()
-            expire_at = reader.f64() if flags & 1 else None
-            metadata = (reader.blob().decode("utf-8"),
-                        reader.blob().decode("utf-8")) if flags & 2 else None
-            rows.append((key, value, expire_at, metadata))
-        if not reader.exhausted:
-            raise CorruptionError("trailing bytes after relational snapshot")
+    def restore_records(self, databases: SnapshotImage) -> None:
+        if set(databases) - {0} or any(
+                not isinstance(record.value, (bytes, dict))
+                for record in databases.get(0, ())):
+            raise CorruptionError(
+                "the relational engine holds one database of value and "
+                "wide-column rows only")
         self.table.clear()
-        for key, value, expire_at, metadata in rows:
+        for key, value, expire_at, metadata in databases.get(0, []):
             self.table.upsert(key, value)
             if expire_at is not None:
                 self.table.set_expiry(key, expire_at)
             if metadata is not None:
                 self.table.set_metadata(key, *metadata)
-        return len(rows)
-
-    def replay_aof(self, data: Optional[bytes] = None,
-                   tolerate_truncated_tail: bool = True) -> int:
-        """Crash recovery: re-execute the WAL's logical statements."""
-        if data is None:
-            if self.aof_log is None:
-                raise PersistenceError("the WAL is not enabled")
-            data = self.aof_log.read_durable()
-        commands = replay_commands(
-            data, tolerate_truncated_tail=tolerate_truncated_tail)
-        session = Session()
-        self._loading = True
-        try:
-            for argv in commands:
-                self.execute(*argv, session=session)
-        finally:
-            self._loading = False
-        return len(commands)
 
     def rewrite_aof(self) -> int:
         """WAL checkpoint: compact the log to current live state."""

@@ -5,9 +5,10 @@ mutation is appended to the WAL before it is acknowledged, fsync policy
 (``synchronous_commit``) decides when the log bytes become durable, and
 checkpoints bound replay work by rewriting the log against current
 state.  Structurally that is the same three-frontier append log the
-Redis AOF uses, so :class:`WalWriter` deliberately *reuses* the AOF
-mechanics (:class:`~repro.kvstore.aof.AofWriter` over a device-layer
-:class:`~repro.device.append_log.AppendLog`) with relational naming:
+Redis AOF uses, so the relational engine's WAL *is* an
+:class:`~repro.kvstore.aof.AofWriter` over a device-layer
+:class:`~repro.device.append_log.AppendLog` (the durability spectrum
+under comparison is the same mechanism on both engines):
 
 * records are logical statements in RESP frames -- one vocabulary for
   both engines' logs, so cross-engine tooling (the Art. 17 residual
@@ -29,20 +30,10 @@ from __future__ import annotations
 from typing import List
 
 from ..common.resp import encode_command
-from ..kvstore.aof import AofWriter, FsyncPolicy, replay_commands  # noqa: F401
 from ..kvstore.aof import (GDPRMETA_STATEMENT, PEXPIREAT_STATEMENT,
                            SET_STATEMENT)
 
-__all__ = ["WalWriter", "FsyncPolicy", "replay_commands", "checkpoint"]
-
-
-class WalWriter(AofWriter):
-    """The relational engine's write-ahead log writer.
-
-    Identical mechanics to the AOF writer (that is the point -- the
-    durability spectrum under comparison is the same mechanism on both
-    engines); the subclass exists so engine code and reports speak WAL.
-    """
+__all__ = ["checkpoint"]
 
 
 def checkpoint(engine) -> int:

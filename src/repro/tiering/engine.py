@@ -20,9 +20,12 @@ replication, YCSB -- runs over a tiered keyspace unchanged:
   reads that one record from the cold device.
 * **One keyspace.**  KEYS / SCAN / DBSIZE / ``live_keys`` /
   ``scan_records`` / ``key_count`` merge both tiers; DEL, expiry
-  (lazy and active), FLUSH, and snapshots reach cold copies with the
-  same observable events (deletion reasons, write-stream DELs) as
-  hot-only operation.
+  (lazy and active) and FLUSH reach cold copies with the same
+  observable events (deletion reasons, write-stream DELs) as hot-only
+  operation.  A snapshot is the hot engine's snapshot format with every
+  readable cold-only record added to database 0 (owner columns
+  included where the hot engine keeps them); loading one restores every
+  record hot and empties the archive.
 * **Erasure reaches the archive.**  Cold values of a known data
   subject are sealed under that subject's key from the shared
   :class:`~repro.crypto.keystore.KeyStore`; ``erase_subject_cold``
@@ -38,15 +41,12 @@ through.  Only string (bytes) values demote; containers stay hot.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..common.errors import CorruptionError
 from ..device.append_log import AppendLog
-from ..engine.base import StorageEngine, StoredRecord
+from ..engine.base import SnapshotImage, StorageEngine, StoredRecord
 from ..kvstore.commands import glob_match, normalize_args, spec_of
-from ..kvstore.snapshot import Reader
 from .segment import ColdEntry, ColdInput, ColdSegmentStore
 
 #: (event, detail, subject) -- demote / promote / cold-erase; the GDPR
@@ -92,7 +92,6 @@ class TieredEngine(StorageEngine):
         self._last_touch: Dict[bytes, float] = {}
         self._last_demote_scan = inner.clock.now()
         self._in_cold_tick = False
-        self._replaying = False
         self.promotions = 0
         self.demotions = 0
         self._tier_listeners: List[TierListener] = []
@@ -162,7 +161,7 @@ class TieredEngine(StorageEngine):
 
     def _on_inner_deletion(self, db_index: int, key: bytes, reason: str,
                            when: float) -> None:
-        if db_index == 0 and reason != "demote" and not self._replaying:
+        if db_index == 0 and reason != "demote" and not self._loading:
             # Any true hot removal (DEL, lazy/active expiry) must also
             # kill every archived copy of the key -- durably.  Even a
             # copy the archive already considers dead may only be
@@ -485,13 +484,12 @@ class TieredEngine(StorageEngine):
             yield record
         if db_index != 0:
             return
-        for key, value, expire_at in self._cold_records(self.clock.now()):
-            yield StoredRecord(key, value, expire_at)
+        yield from self._cold_records(self.clock.now())
 
     def _cold_records(self, now: Optional[float] = None
-                      ) -> Iterator[Tuple[bytes, bytes, Optional[float]]]:
-        """``(key, value, expire_at)`` of every readable cold-only
-        record, in key order: one device read per record."""
+                      ) -> Iterator[StoredRecord]:
+        """Every readable cold-only record, in key order: one device
+        read per record."""
         for key in sorted(self.cold.live_keys(now)):
             if self._inner.has_live_key(key, 0):
                 continue
@@ -499,7 +497,7 @@ class TieredEngine(StorageEngine):
             value = self.cold.open_value(entry) if entry is not None else None
             if value is None:
                 continue  # crypto-erased: stays unreachable
-            yield key, value, entry.expire_at
+            yield StoredRecord(key, value, entry.expire_at)
 
     def key_count(self, db_index: int = 0) -> int:
         count = self._inner.key_count(db_index)
@@ -511,53 +509,32 @@ class TieredEngine(StorageEngine):
 
     # -- durability ----------------------------------------------------------
 
-    _SNAPSHOT_MAGIC = b"TIER1"
+    def snapshot_records(self) -> SnapshotImage:
+        """The hot engine's records plus every readable cold-only record
+        in database 0, with its owner columns where the hot engine keeps
+        such columns."""
+        databases = self._inner.snapshot_records()
+        columns = self.supports_metadata_columns
+        for record in self._cold_records():
+            annotation = self._owners.get(record.key) if columns else None
+            if annotation is not None:
+                record = record._replace(metadata=(
+                    annotation[0], ",".join(sorted(annotation[1]))))
+            databases.setdefault(0, []).append(record)
+        return databases
 
-    def save_snapshot(self) -> bytes:
-        inner_snap = self._inner.save_snapshot()
-        parts = [self._SNAPSHOT_MAGIC,
-                 struct.pack(">I", len(inner_snap)), inner_snap]
-        entries = list(self._cold_records())
-        parts.append(struct.pack(">I", len(entries)))
-        for key, value, expire_at in entries:
-            parts.append(struct.pack(">I", len(key)))
-            parts.append(key)
-            parts.append(b"\x01" if expire_at is not None else b"\x00")
-            if expire_at is not None:
-                parts.append(struct.pack(">d", expire_at))
-            parts.append(struct.pack(">I", len(value)))
-            parts.append(value)
-        return b"".join(parts)
-
-    def load_snapshot(self, data: bytes) -> int:
-        if not data.startswith(self._SNAPSHOT_MAGIC):
-            # A plain hot-engine snapshot: load it and start cold-empty.
-            if self.cold.segment_count:
-                self.cold.clear()
-            return self._inner.load_snapshot(data)
-        # Parse the whole snapshot before touching any state: a truncated
-        # or padded one raises CorruptionError and loads nothing.
-        reader = Reader(data)
-        reader.take(len(self._SNAPSHOT_MAGIC))
-        inner_snap = reader.blob()
-        archived = []
-        for _ in range(reader.u32()):
-            key = reader.blob()
-            expire_at = reader.f64() if reader.byte() == 1 else None
-            archived.append((key, expire_at, reader.blob()))
-        if not reader.exhausted:
-            raise CorruptionError("trailing bytes after tiered snapshot")
-        count = self._inner.load_snapshot(inner_snap)
+    def restore_records(self, databases: SnapshotImage) -> None:
+        """Every record re-enters the hot engine and the archive starts
+        empty; the idle scan re-tiers what stays untouched."""
+        self._inner.restore_records(databases)
         if self.cold.segment_count:
             self.cold.clear()
-        for key, expire_at, value in archived:
-            # Archived records re-enter hot; the idle scan will re-tier
-            # them.  (Expiry travels as an absolute deadline.)
-            self._inner.execute(b"SET", key, value)
-            if expire_at is not None:
-                millis = str(int(expire_at * 1000)).encode("ascii")
-                self._inner.execute(b"PEXPIREAT", key, millis)
-        return count + len(archived)
+        self._owners = {
+            record.key: (record.metadata[0],
+                         tuple(filter(None, record.metadata[1].split(","))))
+            for record in databases.get(0, ())
+            if record.metadata is not None}
+        self._last_touch.clear()
 
     def replay_aof(self, data: Optional[bytes] = None,
                    tolerate_truncated_tail: bool = True) -> int:
@@ -566,12 +543,12 @@ class TieredEngine(StorageEngine):
         # *legitimate* cold kill (DEL, expiry, erasure) was persisted as
         # its own durable frame on the cold device at operation time, so
         # recovery needs no eviction from the replay stream at all.
-        self._replaying = True
+        self._loading = True
         try:
             return self._inner.replay_aof(
                 data, tolerate_truncated_tail=tolerate_truncated_tail)
         finally:
-            self._replaying = False
+            self._loading = False
 
     def rewrite_aof(self) -> int:
         return self._inner.rewrite_aof()

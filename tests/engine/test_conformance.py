@@ -15,47 +15,19 @@ transparency contract: tiering must be observationally invisible.
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.errors import StoreError
+from repro.common.errors import CorruptionError, StoreError
+from repro.common.hashing import crc32_of
 from repro.common.resp import RespError
 from repro.crypto.keystore import KeyStore
-from repro.device.append_log import AppendLog
 from repro.engine.base import ENGINES, StorageEngine, register_engine
 from repro.gdpr.metadata import GDPRMetadata
 from repro.gdpr.store import GDPRConfig, GDPRStore
 from repro.kvstore.aof import contains_key
 from repro.kvstore.replication import ReplicationManager
-from repro.kvstore.store import KeyValueStore, StoreConfig
-from repro.sqlstore import RelationalStore, SqlConfig
-from repro.tiering import TieredEngine, TieringConfig
-
-
-def _make_kv(clock):
-    return KeyValueStore(
-        StoreConfig(appendonly=True, aof_log_reads=False),
-        clock=clock, aof_log=AppendLog(clock=clock))
-
-
-def _make_sql(clock):
-    return RelationalStore(
-        SqlConfig(wal_enabled=True, wal_log_reads=False),
-        clock=clock, wal_log=AppendLog(clock=clock))
-
-
-def _tiered(base_factory):
-    def make(clock):
-        return TieredEngine(
-            base_factory(clock),
-            tiering=TieringConfig(demote_idle_after=4, demote_interval=1,
-                                  segment_max_records=4))
-    return make
-
-
-FACTORIES = {
-    "redislike": _make_kv,
-    "relational": _make_sql,
-    "tiered-redislike": _tiered(_make_kv),
-    "tiered-relational": _tiered(_make_sql),
-}
+from repro.kvstore.store import KeyValueStore
+from repro.sqlstore import RelationalStore
+from repro.tiering import TieredEngine
+from tests.support import ENGINE_FACTORIES as FACTORIES
 
 
 @pytest.fixture(params=sorted(FACTORIES))
@@ -187,6 +159,87 @@ def test_snapshot_round_trip(engine):
     assert replica.execute("GET", "a") == b"1"
     assert replica.execute("HGET", "b", "f") == b"2"
     assert replica.execute("TTL", "c") == 50
+
+
+def _owned_keyspace(engine):
+    """Four records of ``alice`` (deadlines off the millisecond grid)
+    and a hash row; on the tiered variants two records are archived."""
+    engine.clock.advance(0.0004567)
+    for number in range(4):
+        key = f"k{number}"
+        engine.execute("SET", key, f"value-{number}")
+        engine.annotate_metadata(key, "alice", ["billing", "ads"])
+        engine.execute("EXPIRE", key, 100 + number)
+    engine.execute("HSET", "row", "f", "x")
+    if isinstance(engine, TieredEngine):
+        assert engine.demote_keys([b"k0", b"k1"]) == 2
+
+
+def _records(engine):
+    return sorted((r.key, r.value, r.expire_at)
+                  for r in engine.scan_records())
+
+
+def test_snapshot_keeps_values_deadlines_and_owner_columns(engine):
+    """Regression: a tiered snapshot restored its archived records
+    through PEXPIREAT milliseconds and without their owner columns, so
+    a tiered-relational replica's ``keys_of_owner`` lost them."""
+    _owned_keyspace(engine)
+    replica = engine.spawn_replica()
+    assert replica.load_snapshot(engine.save_snapshot()) == 5
+    assert _records(replica) == _records(engine)
+    assert replica.keys_of_owner("alice") == engine.keys_of_owner("alice")
+    if engine.supports_metadata_columns:
+        assert replica.keys_of_owner("alice") == ["k0", "k1", "k2", "k3"]
+    if isinstance(replica, TieredEngine):
+        # Archived again after the load, a record keeps its subject.
+        assert replica.demote_keys([b"k0"]) == 1
+        assert replica.keys_of_owner("alice") == \
+            engine.keys_of_owner("alice")
+
+
+def test_damaged_snapshot_rejected_and_keyspace_untouched(engine):
+    """Regression: a tiered snapshot had no checksum over its archived
+    records, so a flipped byte in one loaded silently."""
+    _owned_keyspace(engine)
+    snapshot = engine.save_snapshot()
+    flipped = bytearray(snapshot)
+    flipped[-5] ^= 0x01                  # the last record's value
+    target = engine.spawn_replica()
+    target.execute("SET", "keep", "x")
+    for bad in [snapshot[:n] for n in range(len(snapshot))] \
+            + [snapshot + b"\x00", bytes(flipped)]:
+        with pytest.raises(CorruptionError):
+            target.load_snapshot(bad)
+    assert target.execute("KEYS", "*") == [b"keep"]
+    assert target.load_snapshot(snapshot) == 5
+
+
+def _recount(snapshot, records):
+    """A one-database ``snapshot`` with its record count replaced by
+    ``records`` and the CRC recomputed, so only the parse can tell it is
+    damaged."""
+    start = len(b"REPRODB1") + 8         # magic, database count, index
+    body = (snapshot[:start] + records.to_bytes(8, "big")
+            + snapshot[start + 8:-4])
+    return body + crc32_of(body).to_bytes(4, "big")
+
+
+@pytest.mark.parametrize("records", [3, 1], ids=["overruns-count",
+                                                 "trailing-records"])
+def test_recounted_snapshot_rejected(engine, records):
+    """An image of a, b that declares 3 records must not load half of
+    it; one that declares 1 must not drop ``b`` silently."""
+    engine.execute("SET", "a", "1")
+    engine.execute("SET", "b", "2")
+    damaged = _recount(engine.save_snapshot(), records)
+    target = engine.spawn_replica()
+    target.execute("SET", "keep", "x")
+    with pytest.raises(CorruptionError):
+        target.load_snapshot(damaged)
+    assert target.execute("KEYS", "*") == [b"keep"]
+    assert target.load_snapshot(_recount(damaged, 2)) == 2
+    assert sorted(target.execute("KEYS", "*")) == [b"a", b"b"]
 
 
 def test_durable_log_replay_round_trip(engine):

@@ -1,8 +1,15 @@
-"""Tests for backup generations under the right to be forgotten."""
+"""Tests for backup generations under the right to be forgotten.
+
+The restore and reconciliation classes run once over the Redis-like
+store and again, as their ``...EveryEngine`` subclasses, over every
+engine variant of the conformance suite: a backup is a snapshot, and
+every engine writes the one snapshot format.
+"""
 
 import pytest
 
 from repro.common.clock import SimClock
+from repro.crypto.keystore import KeyStore
 from repro.gdpr import (
     BackupManager,
     GDPRConfig,
@@ -11,12 +18,24 @@ from repro.gdpr import (
     right_to_erasure,
 )
 from repro.kvstore import KeyValueStore, StoreConfig
+from tests.support import ENGINE_FACTORIES
 
 
 def make_store():
     clock = SimClock()
     kv = KeyValueStore(StoreConfig(appendonly=True), clock=clock)
     return GDPRStore(kv=kv, config=GDPRConfig()), clock
+
+
+@pytest.fixture
+def store():
+    return make_store()[0]
+
+
+@pytest.fixture(params=sorted(ENGINE_FACTORIES))
+def engine_store(request):
+    engine = ENGINE_FACTORIES[request.param](SimClock())
+    return GDPRStore(kv=engine, config=GDPRConfig(), keystore=KeyStore())
 
 
 def meta(owner="alice"):
@@ -60,18 +79,17 @@ class TestLifecycle:
 
 
 class TestRestore:
-    def test_restore_roundtrip(self):
-        store, _ = make_store()
+    def test_restore_roundtrip(self, store):
         store.put("k", b"value", meta())
         manager = BackupManager(store)
         manager.take_backup("snap")
         store.delete("k")  # mutate the live store afterwards
         restored = manager.restore("snap")
+        assert restored.kv.engine_name == store.kv.engine_name
         assert restored.get("k").value == b"value"
         assert restored.keys_of_subject("alice") == ["k"]
 
-    def test_restore_cannot_resurrect_erased_subject(self):
-        store, _ = make_store()
+    def test_restore_cannot_resurrect_erased_subject(self, store):
         store.put("k", b"pii", meta())
         manager = BackupManager(store)
         manager.take_backup("pre-erasure")
@@ -83,8 +101,7 @@ class TestRestore:
         with pytest.raises(KeyError):
             restored.get("k")
 
-    def test_restore_preserves_other_subjects(self):
-        store, _ = make_store()
+    def test_restore_preserves_other_subjects(self, store):
         store.put("a", b"alice-data", meta("alice"))
         store.put("b", b"bob-data", meta("bob"))
         manager = BackupManager(store)
@@ -95,8 +112,7 @@ class TestRestore:
 
 
 class TestReconciliation:
-    def test_mentions_tracking(self):
-        store, _ = make_store()
+    def test_mentions_tracking(self, store):
         store.put("k", b"pii", meta())
         manager = BackupManager(store)
         manager.take_backup("with-alice")
@@ -104,8 +120,7 @@ class TestReconciliation:
         manager.take_backup("without-alice")
         assert manager.generations_mentioning("k") == ["with-alice"]
 
-    def test_reconcile_report_only(self):
-        store, _ = make_store()
+    def test_reconcile_report_only(self, store):
         store.put("k", b"pii", meta())
         manager = BackupManager(store)
         manager.take_backup("g0")
@@ -117,8 +132,7 @@ class TestReconciliation:
         assert report.residual_generations == 1
         assert report.crypto_voided is True
 
-    def test_reconcile_with_rewrite(self):
-        store, _ = make_store()
+    def test_reconcile_with_rewrite(self, store):
         store.put("k", b"pii", meta())
         manager = BackupManager(store)
         manager.take_backup("g0")
@@ -129,8 +143,7 @@ class TestReconciliation:
         assert report.residual_generations == 0
         assert manager.generations_mentioning("k") == []
 
-    def test_unaffected_generations_untouched(self):
-        store, _ = make_store()
+    def test_unaffected_generations_untouched(self, store):
         store.put("bob", b"bob-data", meta("bob"))
         manager = BackupManager(store)
         manager.take_backup("bob-only")
@@ -141,3 +154,22 @@ class TestReconciliation:
                                            rewrite=True)
         assert report.mentioning == ["both"]
         assert not manager.find("bob-only").rewritten
+
+
+class TestRestoreEveryEngine(TestRestore):
+    """Regression: on a relational or tiered store, restore raised
+    CorruptionError (it parsed every backup as a Redis-like snapshot
+    and restored into a hard-coded Redis-like store)."""
+
+    @pytest.fixture
+    def store(self, engine_store):
+        return engine_store
+
+
+class TestReconciliationEveryEngine(TestReconciliation):
+    """Regression: ``Backup.mentions_key`` raised CorruptionError on a
+    relational or tiered store."""
+
+    @pytest.fixture
+    def store(self, engine_store):
+        return engine_store

@@ -1,17 +1,57 @@
 """Tests for RDB-style snapshots."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.common.clock import SimClock
 from repro.common.errors import CorruptionError
 from repro.common.hashing import crc32_of
 from repro.kvstore import KeyValueStore, StoreConfig, snapshot_mentions_key
+from repro.engine.base import StoredRecord
 from repro.kvstore.snapshot import dump, load
 
 
 @pytest.fixture
 def store():
     return KeyValueStore(clock=SimClock())
+
+
+def seeded_store(seed=29):
+    """Every value type, relative and absolute TTLs, two databases."""
+    rng = random.Random(seed)
+    store = KeyValueStore(clock=SimClock())
+    store.clock.advance(12.3456789)
+    for index in (0, 7):
+        session = store.session(index)
+
+        def run(*args):
+            return store.execute(*args, session=session)
+
+        for number in range(6):
+            run("SET", f"s{number}", rng.randbytes(rng.randint(0, 40)))
+        run("HSET", "h", *[rng.randbytes(5) for _ in range(8)])
+        run("RPUSH", "l", *[rng.randbytes(3) for _ in range(5)])
+        run("SADD", "set", *[rng.randbytes(4) for _ in range(5)])
+        run("ZADD", "z", *[item for _ in range(4) for item in
+                           (repr(rng.uniform(-5, 5)), rng.randbytes(3))])
+        run("EXPIRE", "s1", 300)
+        run("PEXPIRE", "h", 4567)
+        run("PEXPIREAT", "s2", 99_000_123)
+        run("SET", "s3", "ttl", "EX", 60)
+    return store
+
+
+#: sha256 of ``seeded_store().save_snapshot()``, recorded before every
+#: engine moved onto this format: a Redis-like snapshot keeps its bytes.
+SEEDED_SNAPSHOT_SHA256 = \
+    "eda5913611b2ed0fee817a3fb150de5ea717e04ce419d2e2496a2138a113d6ce"
+
+
+def test_redislike_snapshot_bytes_are_pinned():
+    data = seeded_store().save_snapshot()
+    assert hashlib.sha256(data).hexdigest() == SEEDED_SNAPSHOT_SHA256
 
 
 class TestRoundtrip:
@@ -108,6 +148,37 @@ class TestIntegrity:
         with pytest.raises(CorruptionError):
             fresh.load_snapshot(padded)
         assert fresh.execute("KEYS", "*") == [b"keep"]
+
+    def test_unknown_record_flags_rejected(self, store):
+        store.execute("SET", "k", "v")
+        data = bytearray(store.save_snapshot()[:-4])
+        flags_at = len(b"REPRODB1") + 16 + 4 + len(b"k")
+        assert data[flags_at] == 0
+        data[flags_at] = 4
+        body = bytes(data)
+        with pytest.raises(CorruptionError, match="flags"):
+            load(body + crc32_of(body).to_bytes(4, "big"))
+
+    def test_database_the_store_lacks_rejected_untouched(self, store):
+        """Regression: the load flushed every database and then raised
+        a bare IndexError on a database index past the store's count,
+        leaving the target empty."""
+        store.execute("SET", "k5", "v", session=store.session(5))
+        target = KeyValueStore(StoreConfig(databases=2))
+        target.execute("SET", "keep", "x")
+        with pytest.raises(CorruptionError, match="database"):
+            target.load_snapshot(store.save_snapshot())
+        assert target.execute("KEYS", "*") == [b"keep"]
+
+
+def test_metadata_columns_round_trip_under_their_flag():
+    records = [StoredRecord(b"plain", b"v", None),
+               StoredRecord(b"owned", {b"f": b"x"}, 1.25,
+                            ("alice", "ads,billing"))]
+    assert load(dump({0: records})) == {0: records}
+    # The Redis-like layout is the metadata-free one, byte for byte.
+    assert dump({0: records[:1]}) == dump({0: [(b"plain", b"v", None,
+                                                None)]})
 
 
 class TestMentions:

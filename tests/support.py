@@ -45,6 +45,46 @@ def py_calls(work: Callable[[], Any],
     return CallCount(total, counts, result)
 
 
+def _make_kv(clock):
+    from repro.device.append_log import AppendLog
+    from repro.kvstore import KeyValueStore, StoreConfig
+
+    return KeyValueStore(
+        StoreConfig(appendonly=True, aof_log_reads=False),
+        clock=clock, aof_log=AppendLog(clock=clock))
+
+
+def _make_sql(clock):
+    from repro.device.append_log import AppendLog
+    from repro.sqlstore import RelationalStore, SqlConfig
+
+    return RelationalStore(
+        SqlConfig(wal_enabled=True, wal_log_reads=False),
+        clock=clock, wal_log=AppendLog(clock=clock))
+
+
+def _tiered(base_factory):
+    def make(clock):
+        from repro.tiering import TieredEngine, TieringConfig
+
+        return TieredEngine(
+            base_factory(clock),
+            tiering=TieringConfig(demote_idle_after=4, demote_interval=1,
+                                  segment_max_records=4))
+    return make
+
+
+#: engine variant -> ``factory(clock)``: both engines, and each behind
+#: the tiering wrapper with demotion aggressive enough that records
+#: routinely cross tiers mid-test.
+ENGINE_FACTORIES = {
+    "redislike": _make_kv,
+    "relational": _make_sql,
+    "tiered-redislike": _tiered(_make_kv),
+    "tiered-relational": _tiered(_make_sql),
+}
+
+
 def one_core_server(scheduler, **config):
     """A ``KeyValueStore(StoreConfig(**config))`` served by a one-core
     event-driven server on ``scheduler`` -- the single-node deployment

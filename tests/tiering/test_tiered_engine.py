@@ -215,8 +215,8 @@ def test_snapshot_round_trip_includes_cold():
 
 
 def test_truncated_or_padded_snapshot_is_rejected_and_loads_nothing():
-    """Regression: a TIER1 prefix used to load a silently shortened
-    value or raise a bare struct.error."""
+    """Regression: a prefix of a tiered snapshot used to load a
+    silently shortened value or raise a bare struct.error."""
     engine = make_engine(auto_demote=False)
     engine.execute("SET", "hot", "1")
     engine.execute("SET", "cold", "hello-world-value")
