@@ -389,7 +389,7 @@ class WorkerPool:
                 "ShardClock (otherwise service charges land on the "
                 "wrong core)")
         self.server = server
-        self._aof = getattr(server.store, "aof", None)
+        self._aof = server.store.aof
 
     # -- intake (called by the server) --------------------------------------
 

@@ -24,14 +24,19 @@ built on:
   :meth:`scan_records`, :meth:`key_count`) -- expiry-aware reads of the
   keyspace that never mutate it.  Slot-aware servers, migrators, and the
   GDPR index rebuild use these instead of poking engine internals.
-* **Durability hooks** (:attr:`aof_log`, :meth:`replay_aof`,
-  :meth:`rewrite_aof`, snapshots) -- one name for "the engine's durable
-  command log" whether it is a Redis AOF or a relational WAL, so erasure
-  residual checks and crash recovery work identically on both.  Log
-  replay and snapshot save/load are written once, here: snapshots use
-  the one format of :mod:`repro.kvstore.snapshot`, and an engine only
-  hands its records out (:meth:`snapshot_records`) and takes them back
-  (:meth:`restore_records`).
+* **Durability hooks** (:attr:`aof` / :attr:`aof_log`,
+  :meth:`replay_aof`, :meth:`rewrite_aof`, snapshots) -- one durable
+  command log per engine, whether it is a Redis AOF or a relational
+  WAL: one :class:`~repro.kvstore.aof.AofWriter` named ``aof``, so
+  erasure residual checks, crash recovery and per-core fsync billing
+  work identically on every engine.  Log replay, log compaction, the
+  DELs an engine logs on its own initiative (expiry, tier demotion) and
+  snapshot save/load are written once, here: compaction and snapshots
+  both encode the records an engine hands out
+  (:meth:`snapshot_records`), snapshots in the one format of
+  :mod:`repro.kvstore.snapshot`, and an engine takes records back
+  through :meth:`restore_records` and removes a key through
+  :meth:`_remove_key`.
 * **Replica spawning** (:meth:`spawn_replica`) -- a fresh, zero-cost
   same-engine store for replication defaults, so a relational primary
   gets relational replicas without the replication layer knowing.
@@ -61,7 +66,7 @@ from typing import (
     Type,
 )
 
-from ..common.errors import PersistenceError
+from ..common.errors import CorruptionError, PersistenceError
 
 DeletionListener = Callable[[int, bytes, str, float], None]
 # (db_index, translated argv) for every effective write -- the stream a
@@ -84,7 +89,10 @@ class StoredRecord(NamedTuple):
 
 
 #: database index -> that database's records: what a snapshot holds.
-SnapshotImage = Dict[int, List[StoredRecord]]
+#: On the way out (:meth:`StorageEngine.snapshot_records`) each
+#: database's records may be a one-pass iterable; a parsed snapshot
+#: holds lists.
+SnapshotImage = Dict[int, Iterable[StoredRecord]]
 
 
 class EngineStats:
@@ -102,10 +110,12 @@ class StorageEngine:
     """Abstract base for storage backends.
 
     Subclasses must provide the attributes ``clock``, ``config``,
-    ``stats``, ``monitor``, and ``aof_log`` (the durable command log, or
-    None when durability is off) in addition to the abstract methods
-    below.  Listener management is implemented here so every engine
-    shares one subscription semantics.
+    ``stats``, ``monitor``, ``aof`` (the :class:`AofWriter` of the
+    durable command log, or None when durability is off) and
+    ``aof_log`` (that writer's device), plus ``rewrites_completed`` and
+    ``_last_rewrite`` where they log, in addition to the abstract
+    methods below.  Listener management is implemented here so every
+    engine shares one subscription semantics.
     """
 
     #: Registry name ("redislike", "relational", ...).
@@ -128,6 +138,12 @@ class StorageEngine:
     #: ``erase_subject_cold``.
     supports_tiering: bool = False
 
+    #: Numbered databases the keyspace has (derived from the engine's
+    #: structure, never configured here): snapshots naming any other
+    #: database are refused, and a compacted log selects databases only
+    #: when there is more than one.
+    database_count: int = 1
+
     def __init__(self) -> None:
         self.deletion_listeners: List[DeletionListener] = []
         self.write_listeners: List[WriteListener] = []
@@ -136,6 +152,9 @@ class StorageEngine:
         # True while replaying the durable log: replayed commands are
         # neither logged again nor fed to the write stream.
         self._loading = False
+        # True while a tier promotion re-inserts a record: the periodic
+        # maintenance cycle waits for the client command's own tick.
+        self._promoting = False
 
     # -- command surface ---------------------------------------------------
 
@@ -211,19 +230,24 @@ class StorageEngine:
         was."""
         from ..kvstore import snapshot
         databases = snapshot.load(data)
+        if any(index >= self.database_count for index in databases):
+            raise CorruptionError(
+                f"snapshot names a database the {self.engine_name} "
+                "engine does not have")
         self.restore_records(databases)
         return sum(len(records) for records in databases.values())
 
     def snapshot_records(self) -> SnapshotImage:
         """Every record of the keyspace, expired-but-unreclaimed ones
-        included, with its metadata columns."""
+        included, with its metadata columns, in the engine's key order
+        (each database's records a one-pass iterable, possibly empty)."""
         raise NotImplementedError
 
     def restore_records(self, databases: SnapshotImage) -> None:
         """Replace the keyspace with parsed snapshot records -- silently:
-        no log record, write-stream event or deletion event.  Raises
-        CorruptionError, before touching anything, on records this
-        engine cannot hold."""
+        no log record, write-stream event or deletion event.  Database
+        indices are already checked; raises CorruptionError, before
+        touching anything, on records this engine cannot hold."""
         raise NotImplementedError
 
     def replay_aof(self, data: Optional[bytes] = None,
@@ -249,25 +273,59 @@ class StorageEngine:
         return len(commands)
 
     def rewrite_aof(self) -> int:
-        """Compact the durable command log to current live state
-        (BGREWRITEAOF / WAL checkpoint); returns the new log size."""
+        """Compact the durable command log to the records of the
+        keyspace (BGREWRITEAOF / WAL checkpoint); returns the new log
+        size.  Deleted data -- any trace of an erased subject included
+        -- is gone from the log afterwards."""
+        if self.aof is None:
+            raise PersistenceError(
+                f"the {self.engine_name} engine has no durable log")
+        size = self.aof.rewrite(self.snapshot_records(),
+                                select=self.database_count > 1)
+        self._last_rewrite = self.clock.now()
+        self.rewrites_completed += 1
+        return size
+
+    # -- the writes an engine logs on its own initiative -------------------
+
+    def _remove_key(self, db_index: int, key: bytes, reason: str) -> bool:
+        """Drop ``key`` from the keyspace and fire the deletion tap with
+        ``reason``, logging nothing; True when a record was removed."""
         raise NotImplementedError
 
-    # -- tiering hook ------------------------------------------------------
+    def _restore_deadline(self, key: bytes, expire_at: float) -> None:
+        """Give the database-0 key just written the exact deadline
+        ``expire_at`` (its logged form carries milliseconds)."""
+        raise NotImplementedError
+
+    def _reclaim_expired(self, db_index: int, key: bytes,
+                         reason: str) -> None:
+        """Lazy and active expiration: remove the key, then log and
+        replicate a DEL, as Redis does, so the log and every replica
+        converge deterministically."""
+        self._remove_key(db_index, key, reason)
+        self.stats.expired_keys += 1
+        if self._loading:
+            return
+        if self.aof is not None:
+            self.aof.feed_command(db_index, [b"DEL", key], is_write=True)
+        self.notify_write(db_index, [b"DEL", key])
 
     def demote_remove(self, key: bytes, db_index: int = 0) -> bool:
         """Remove ``key`` from the keyspace on behalf of a tiering layer
         that has just sealed a durable cold copy.
 
-        Contract (both engines implement it): the deletion tap fires
-        with reason ``"demote"`` (so compliance layers keep their
-        metadata -- a tier move is not an erasure), the durable log
-        records a DEL (the record's durable home is now the cold
-        device), and the effective-write stream stays **silent** --
-        replicas keep serving their full copy.  Returns True when a
-        record was removed."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support tier demotion")
+        The deletion tap fires with reason ``"demote"`` (so compliance
+        layers keep their metadata -- a tier move is not an erasure),
+        the durable log records a DEL (the record's durable home is now
+        the cold device), and the effective-write stream stays
+        **silent** -- replicas keep serving their full copy.  Returns
+        True when a record was removed."""
+        existed = self._remove_key(db_index, key, "demote")
+        if existed and self.aof is not None and not self._loading:
+            self.aof.feed_command(db_index, [b"DEL", key], is_write=True)
+            self.aof.post_command()
+        return existed
 
     def promote_insert(self, key: bytes, value: bytes,
                        expire_at: Optional[float]) -> None:
@@ -275,16 +333,29 @@ class StorageEngine:
         that is moving it back from the archive; the counterpart of
         :meth:`demote_remove`.
 
-        Contract (both engines implement it): the insert costs, logs and
-        replicates exactly like the client command(s) ``SET key value``
-        plus an absolute expiry, but the keyspace ends up holding
-        ``expire_at`` itself -- the wire form carries milliseconds, the
-        archive the exact deadline -- and the periodic maintenance cycle
-        (active expiry, vacuum) does not run: it waits for the tick of
-        the client command the promotion serves, as on an untiered
-        engine.  Log fsync deadlines are kept."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support tier promotion")
+        The insert costs, logs and replicates exactly like the client
+        command(s) ``SET key value`` plus an absolute expiry -- one
+        ``SET ... PXAT`` where the engine takes it, else ``SET`` and
+        ``PEXPIREAT`` -- but the keyspace ends up holding ``expire_at``
+        itself (the wire form carries milliseconds, the archive the
+        exact deadline), and the periodic maintenance cycle (active
+        expiry, vacuum) does not run: it waits for the tick of the
+        client command the promotion serves, as on an untiered engine.
+        Log fsync deadlines are kept."""
+        self._promoting = True
+        try:
+            if expire_at is None:
+                self.execute(b"SET", key, value)
+                return
+            millis = b"%d" % int(expire_at * 1000)
+            if self.supports_set_with_expiry:
+                self.execute(b"SET", key, value, b"PXAT", millis)
+            else:
+                self.execute(b"SET", key, value)
+                self.execute(b"PEXPIREAT", key, millis)
+            self._restore_deadline(key, expire_at)
+        finally:
+            self._promoting = False
 
     # -- replication -------------------------------------------------------
 

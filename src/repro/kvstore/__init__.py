@@ -8,7 +8,6 @@ Public surface::
 """
 
 from .aof import (
-    AofRewriter,
     AofWriter,
     FsyncPolicy,
     contains_key,
@@ -49,7 +48,6 @@ __all__ = [
     "type_name",
     "REGISTRY",
     "AofWriter",
-    "AofRewriter",
     "FsyncPolicy",
     "replay_commands",
     "contains_key",

@@ -19,7 +19,8 @@ Fsync policy (``appendfsync``) reproduces Redis' three settings:
 from __future__ import annotations
 
 import enum
-from typing import Iterable, List, Optional, Sequence, Set
+from itertools import chain
+from typing import Iterable, List, Mapping, Sequence, Set, Tuple
 
 from ..common.clock import Clock
 from ..common.errors import PersistenceError
@@ -63,6 +64,10 @@ class AofWriter:
         self.record_per_byte_cost = record_per_byte_cost
         self._selected_db = 0
         self._last_fsync = clock.now()
+        #: Log size right after the last :meth:`rewrite` (Redis'
+        #: ``aof_rewrite_base_size``): growth-based rewrites measure
+        #: from it.
+        self.base_size = 0
         self.records_written = 0
         self.reads_logged = 0
 
@@ -103,6 +108,17 @@ class AofWriter:
             self.log.flush()
             self.log.fsync()
             self._last_fsync = now
+
+    def rewrite(self, databases: Mapping[int, Iterable[Tuple]],
+                select: bool) -> int:
+        """Replace the log with the stream that recreates ``databases``
+        (see :func:`encode_records`); returns its size in bytes.  The
+        writer is left on the database that stream selected last, so the
+        next write to any other database opens with its ``SELECT``."""
+        data, self._selected_db = encode_records(databases, select)
+        self.log.replace(data)
+        self.base_size = len(data)
+        return self.base_size
 
     # -- exposure accounting ------------------------------------------------------
 
@@ -178,66 +194,63 @@ def contains_key(data: bytes, key: bytes) -> bool:
     return bool(mentioned_keys(data, (key,)))
 
 
-# The compaction writers' statements for a bytes-valued row, one format
-# call each: byte-for-byte ``encode_command(b"SET", key, value)``,
-# ``(b"PEXPIREAT", key, b"%d" % millis)`` and ``(b"GDPRMETA", key, owner,
-# purposes)`` for ``bytes`` arguments.  Shared with the WAL checkpoint.
+# A record's statements, one format call each: byte-for-byte
+# ``encode_command(b"SET", key, value)``, ``(b"PEXPIREAT", key, b"%d" %
+# millis)`` and ``(b"GDPRMETA", key, owner, purposes)`` for ``bytes``
+# arguments, so a compacted string record costs no Python call.
 SET_STATEMENT = b"*3\r\n$3\r\nSET\r\n$%d\r\n%b\r\n$%d\r\n%b\r\n"
 PEXPIREAT_STATEMENT = b"*3\r\n$9\r\nPEXPIREAT\r\n$%d\r\n%b\r\n$%d\r\n%b\r\n"
 GDPRMETA_STATEMENT = (b"*4\r\n$8\r\nGDPRMETA\r\n$%d\r\n%b\r\n"
                       b"$%d\r\n%b\r\n$%d\r\n%b\r\n")
 
 
-class AofRewriter:
-    """Generate a compacted AOF from live store state (BGREWRITEAOF).
+def _container_command(key: bytes, value) -> bytes:
+    """The one command that recreates a container value: hash fields in
+    stored order, list items in order, set members sorted, sorted-set
+    pairs as ``score member``."""
+    if isinstance(value, dict):
+        return encode_command(b"HSET", key, *chain.from_iterable(
+            value.items()))
+    if isinstance(value, list):
+        return encode_command(b"RPUSH", key, *value)
+    if isinstance(value, set):
+        return encode_command(b"SADD", key, *sorted(value))
+    flat: List[bytes] = []
+    for member, score in value.items():
+        flat.extend((repr(score).encode("ascii"), member))
+    return encode_command(b"ZADD", key, *flat)
 
-    The output recreates exactly the current dataset: one write command per
-    key plus a PEXPIREAT for volatile keys.  Deleted data -- and any trace
-    of erased subjects -- is gone after :meth:`rewrite_into`.
+
+def encode_records(databases: Mapping[int, Iterable[Tuple]],
+                   select: bool) -> Tuple[bytes, int]:
+    """The command stream that recreates ``databases`` -- database index
+    -> its ``(key, value, expire_at, metadata)`` records -- and the
+    database it leaves selected.
+
+    Per record: the value's command, then ``PEXPIREAT`` for a deadline
+    and ``GDPRMETA`` for metadata columns.  With ``select``, each
+    database opens with its ``SELECT``; without it, every record goes to
+    database 0.
     """
-
-    def __init__(self, store) -> None:
-        self._store = store
-
-    def dump_commands(self) -> List[bytes]:
-        from .datatypes import type_name  # local import avoids a cycle
-        chunks: List[bytes] = []
-        for db in self._store.databases:
-            if len(db) == 0:
-                continue
-            chunks.append(encode_command(b"SELECT",
-                                         str(db.index).encode()))
-            for key in db.keys():
-                value = db.get_value(key)
-                kind = type_name(value)
-                if kind == "string":
-                    chunks.append(SET_STATEMENT
-                                  % (len(key), key, len(value), value))
-                elif kind == "hash":
-                    flat: List[bytes] = []
-                    for field, fval in value.items():
-                        flat.extend((field, fval))
-                    chunks.append(encode_command(b"HSET", key, *flat))
-                elif kind == "list":
-                    chunks.append(encode_command(b"RPUSH", key, *value))
-                elif kind == "set":
-                    chunks.append(encode_command(b"SADD", key,
-                                                 *sorted(value)))
-                elif kind == "zset":
-                    flat = []
-                    for member, score in value.items():
-                        flat.extend((repr(score).encode("ascii"), member))
-                    chunks.append(encode_command(b"ZADD", key, *flat))
-                expire_at = db.get_expiry(key)
-                if expire_at is not None:
-                    millis = b"%d" % int(expire_at * 1000)
-                    chunks.append(PEXPIREAT_STATEMENT
-                                  % (len(key), key, len(millis), millis))
-        return chunks
-
-    def rewrite_into(self, log: AppendLog) -> int:
-        """Replace ``log`` contents with the compacted stream; returns its
-        size in bytes."""
-        data = b"".join(self.dump_commands())
-        log.replace(data)
-        return len(data)
+    chunks: List[bytes] = []
+    append = chunks.append
+    selected = 0
+    for index, records in sorted(databases.items()):
+        if select:
+            append(encode_command(b"SELECT", b"%d" % index))
+            selected = index
+        for key, value, expire_at, metadata in records:
+            if isinstance(value, bytes):
+                append(SET_STATEMENT % (len(key), key, len(value), value))
+            else:
+                append(_container_command(key, value))
+            if expire_at is not None:
+                millis = b"%d" % int(expire_at * 1000)
+                append(PEXPIREAT_STATEMENT
+                       % (len(key), key, len(millis), millis))
+            if metadata is not None:
+                owner = metadata[0].encode("utf-8")
+                purposes = metadata[1].encode("utf-8")
+                append(GDPRMETA_STATEMENT % (len(key), key, len(owner),
+                                             owner, len(purposes), purposes))
+    return b"".join(chunks), selected

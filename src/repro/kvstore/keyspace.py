@@ -10,7 +10,7 @@ Redis' dictGetRandomKey does over its hash table.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .datatypes import RedisValue
 
@@ -124,6 +124,16 @@ class Database:
 
     def keys(self) -> List[bytes]:
         return list(self.data.keys())
+
+    def records(self) -> Iterator[Tuple[bytes, RedisValue,
+                                        Optional[float], None]]:
+        """``(key, value, expire_at, None)`` per key in key order: a
+        stored record's shape, without metadata columns (this keyspace
+        keeps none).  The database must not change until it is
+        consumed."""
+        expires = self.expires
+        for key, value in self.data.items():
+            yield key, value, expires.get(key), None
 
     def random_key(self, rng: random.Random) -> Optional[bytes]:
         return self.all_keys_sample.random_key(rng)

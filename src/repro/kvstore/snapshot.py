@@ -175,8 +175,11 @@ def dump(databases: SnapshotImage) -> bytes:
     """Serialize records, grouped by database, to snapshot bytes
     (CRC-terminated; empty databases are left out)."""
     out: List[bytes] = [MAGIC]
-    populated = [(index, records)
-                 for index, records in sorted(databases.items()) if records]
+    populated = []
+    for index, records in sorted(databases.items()):
+        records = list(records)
+        if records:
+            populated.append((index, records))
     out.append(_U32.pack(len(populated)))
     for index, records in populated:
         out.append(_U32.pack(index))

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..common.clock import Clock, SimClock
-from ..common.errors import CorruptionError, PersistenceError
 from ..device.append_log import AppendLog
 from ..engine.base import SnapshotImage, StorageEngine, StoredRecord, \
     register_engine
@@ -24,7 +23,7 @@ from . import cmd_hash  # noqa: F401
 from . import cmd_keys  # noqa: F401
 from . import cmd_strings  # noqa: F401
 from . import cmd_strings_ext  # noqa: F401
-from .aof import AofRewriter, AofWriter, FsyncPolicy
+from .aof import AofWriter, FsyncPolicy
 from .commands import CommandContext, Session, lookup, normalize_args
 from .datatypes import RedisValue
 from .expiry import ExpiryStrategy, make_strategy
@@ -102,11 +101,13 @@ class KeyValueStore(StorageEngine):
                 record_base_cost=self.config.aof_record_base_cost,
                 record_per_byte_cost=self.config.aof_record_per_byte_cost)
         self._default_session = Session()
-        self._promoting = False
         self._last_cron = self.clock.now()
         self._last_rewrite = self.clock.now()
-        self._aof_base_size = 0
         self.rewrites_completed = 0
+
+    @property
+    def database_count(self) -> int:
+        return len(self.databases)
 
     # -- command execution -------------------------------------------------------
 
@@ -220,7 +221,7 @@ class KeyValueStore(StorageEngine):
         """Lazy expiration: reclaim the key if its TTL has passed."""
         if not self.key_is_expired(db, key, now):
             return False
-        self._reclaim_expired(db, key, reason="lazy-expire")
+        self._reclaim_expired(db.index, key, "lazy-expire")
         return True
 
     def lookup_key(self, db: Database, key: bytes, now: float,
@@ -262,47 +263,11 @@ class KeyValueStore(StorageEngine):
         self.stats.deleted_keys += dropped
         return dropped
 
-    def _reclaim_expired(self, db: Database, key: bytes,
-                         reason: str) -> None:
-        """Shared path for lazy and active expiration: delete + propagate."""
-        self.delete_key(db, key, reason=reason)
-        self.stats.expired_keys += 1
-        if self._loading:
-            return
-        # Redis propagates expirations as explicit DELs so replicas and
-        # the AOF converge deterministically.
-        if self.aof is not None:
-            self.aof.feed_command(db.index, [b"DEL", key], is_write=True)
-        self.notify_write(db.index, [b"DEL", key])
+    def _remove_key(self, db_index: int, key: bytes, reason: str) -> bool:
+        return self.delete_key(self.databases[db_index], key, reason)
 
-    def demote_remove(self, key: bytes, db_index: int = 0) -> bool:
-        """Tier-demotion removal (see the engine contract): deletion tap
-        fires with reason ``"demote"``, the AOF records a DEL (the
-        record's durable home moved to the cold device), and the
-        effective-write stream stays silent so replicas keep their
-        copy."""
-        db = self.databases[db_index]
-        existed = self.delete_key(db, key, reason="demote")
-        if existed and self.aof is not None and not self._loading:
-            self.aof.feed_command(db.index, [b"DEL", key], is_write=True)
-            self.aof.post_command()
-        return existed
-
-    def promote_insert(self, key: bytes, value: bytes,
-                       expire_at: Optional[float]) -> None:
-        """Tier-promotion re-insert (see the engine contract): one
-        ``SET [PXAT]``, then the exact deadline over PXAT's
-        milliseconds; no cron cycle runs."""
-        self._promoting = True
-        try:
-            if expire_at is None:
-                self.execute(b"SET", key, value)
-            else:
-                millis = str(int(expire_at * 1000)).encode("ascii")
-                self.execute(b"SET", key, value, b"PXAT", millis)
-                self.databases[0].set_expiry(key, expire_at)
-        finally:
-            self._promoting = False
+    def _restore_deadline(self, key: bytes, expire_at: float) -> None:
+        self.databases[0].set_expiry(key, expire_at)
 
     # -- cron ---------------------------------------------------------------------
 
@@ -335,7 +300,7 @@ class KeyValueStore(StorageEngine):
         return expired
 
     def _on_active_expire(self, db: Database, key: bytes) -> None:
-        self._reclaim_expired(db, key, reason="active-expire")
+        self._reclaim_expired(db.index, key, "active-expire")
 
     def _maybe_auto_rewrite(self, now: float) -> None:
         interval = self.config.aof_rewrite_interval
@@ -343,36 +308,21 @@ class KeyValueStore(StorageEngine):
             self.rewrite_aof()
             return
         pct = self.config.auto_aof_rewrite_percentage
-        if pct and self.aof_log is not None:
+        if pct and self.aof is not None:
             size = self.aof_log.total_length
-            base = max(self._aof_base_size,
+            base = max(self.aof.base_size,
                        self.config.auto_aof_rewrite_min_size)
             if size >= base * (1 + pct / 100.0):
                 self.rewrite_aof()
 
     # -- persistence ----------------------------------------------------------------
 
-    def rewrite_aof(self) -> int:
-        """BGREWRITEAOF: compact the AOF to current live state."""
-        if self.aof_log is None:
-            raise PersistenceError("AOF is not enabled")
-        size = AofRewriter(self).rewrite_into(self.aof_log)
-        self._aof_base_size = size
-        self._last_rewrite = self.clock.now()
-        self.rewrites_completed += 1
-        return size
-
     def snapshot_records(self) -> SnapshotImage:
-        """RDB-style SAVE: every database's keys in keyspace order."""
-        return {db.index: [StoredRecord(key, db.get_value(key),
-                                        db.get_expiry(key))
-                           for key in db.keys()]
-                for db in self.databases if len(db)}
+        """RDB-style SAVE / AOF rewrite: every populated database's keys
+        in keyspace order."""
+        return {db.index: db.records() for db in self.databases if len(db)}
 
     def restore_records(self, databases: SnapshotImage) -> None:
-        if any(index >= len(self.databases) for index in databases):
-            raise CorruptionError(
-                "snapshot names a database this store does not have")
         for db in self.databases:
             db.flush()
         self.expiry.note_flush()
@@ -447,7 +397,7 @@ class KeyValueStore(StorageEngine):
             "",
             "# Persistence",
             f"aof_enabled:{1 if self.aof is not None else 0}",
-            f"aof_last_rewrite_size:{self._aof_base_size}",
+            f"aof_last_rewrite_size:{self.aof.base_size if self.aof else 0}",
             f"aof_rewrites:{self.rewrites_completed}",
             f"aof_pending_bytes:"
             f"{self.aof.unsynced_bytes() if self.aof else 0}",

@@ -10,7 +10,6 @@ columns, and a vacuum-style retention sweep.  See
 
 from .engine import RelationalStore, SqlConfig, compliant_config
 from .table import Row, Table, btree_depth
-from .wal import checkpoint
 
 __all__ = [
     "RelationalStore",
@@ -18,6 +17,5 @@ __all__ = [
     "SqlConfig",
     "Table",
     "btree_depth",
-    "checkpoint",
     "compliant_config",
 ]

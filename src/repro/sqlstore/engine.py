@@ -19,11 +19,25 @@ different inside:
   the first execution of each statement shape pays parse + plan, later
   ones reuse the prepared plan -- the relational engine's fixed
   per-operation overhead, honestly amortized.
-* **WAL-style durability** (:mod:`.wal`): committed mutations append
-  logical statements to a write-ahead log on the device layer, with the
-  same always/everysec/no fsync spectrum the AOF experiment measures
-  (``synchronous_commit``, in Postgres terms) and ``wal_log_reads`` as
-  the paper's statement-logging monitoring configuration.
+* **WAL-style durability**: PostgreSQL acknowledges a committed
+  mutation once it is in the write-ahead log, ``synchronous_commit``
+  decides when log bytes become durable, and checkpoints bound replay
+  work by rewriting the log against current state.  Structurally that
+  is the three-frontier append log the Redis AOF uses, so the WAL *is*
+  the engine's ``aof``: an :class:`~repro.kvstore.aof.AofWriter` over a
+  device-layer :class:`~repro.device.append_log.AppendLog`, and the
+  durability spectrum under comparison is one mechanism on both
+  engines.  Records are logical statements in RESP frames -- one
+  vocabulary for both engines' logs, so the Art. 17 residual check
+  (``contains_key``) and crash replay work on either; ``wal_fsync``
+  maps onto the always/everysec/no spectrum the paper measures for the
+  AOF (``synchronous_commit = on / off`` plus a group-commit window);
+  ``wal_log_reads`` is the paper's statement-logging monitoring
+  configuration.  The checkpoint is the engine contract's
+  ``rewrite_aof``: the log is rewritten to exactly the rows (payload,
+  expiry column, GDPR metadata columns), dropping every trace of
+  deleted data -- the erasure-compaction requirement the paper raises
+  for logs in section 4.3.
 * **GDPR metadata as indexed columns**: ``owner``/``purposes`` live in
   the row (the paper's schema change) behind
   :meth:`~RelationalStore.annotate_metadata`, and
@@ -47,8 +61,7 @@ from dataclasses import dataclass, replace as dataclasses_replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..common.clock import Clock, SimClock
-from ..common.errors import CorruptionError, PersistenceError, \
-    WrongTypeError
+from ..common.errors import CorruptionError, WrongTypeError
 from ..common.resp import RespError, SimpleString
 from ..device.append_log import AppendLog
 from ..engine.base import EngineStats, SnapshotImage, StorageEngine, \
@@ -60,7 +73,6 @@ from ..kvstore.monitor import MonitorFeed
 from ..kvstore.snapshot import dump_value, load_value
 from .planner import PlanCache
 from .table import Row, Table, btree_depth
-from .wal import checkpoint
 
 OK = SimpleString("OK")
 PONG = SimpleString("PONG")
@@ -114,21 +126,20 @@ class RelationalStore(StorageEngine):
         self.plans = PlanCache(self.clock,
                                parse_cost=self.config.statement_parse_cost,
                                plan_cost=self.config.statement_plan_cost)
-        self.wal: Optional[AofWriter] = None
+        self.aof: Optional[AofWriter] = None
         self.aof_log: Optional[AppendLog] = None
         if self.config.wal_enabled:
             self.aof_log = wal_log if wal_log is not None \
                 else AppendLog(clock=self.clock, name="records.wal")
-            self.wal = AofWriter(
+            self.aof = AofWriter(
                 self.aof_log, self.clock,
                 policy=FsyncPolicy.parse(self.config.wal_fsync),
                 log_reads=self.config.wal_log_reads,
                 record_base_cost=self.config.wal_record_base_cost,
                 record_per_byte_cost=self.config.wal_record_per_byte_cost)
         self._default_session = Session()
-        self._promoting = False
         self._last_vacuum = self.clock.now()
-        self._last_checkpoint = self.clock.now()
+        self._last_rewrite = self.clock.now()
         self.vacuum_runs = 0
         self.rewrites_completed = 0
 
@@ -183,26 +194,19 @@ class RelationalStore(StorageEngine):
         self.stats.commands_processed += 1
         self.monitor.publish(start, 0, argv)
         if not self._loading:
-            if self.wal is not None:
+            if self.aof is not None:
                 if records:
                     for record in records:
-                        self.wal.feed_command(0, record, is_write=True)
+                        self.aof.feed_command(0, record, is_write=True)
                 else:
-                    self.wal.feed_command(0, argv, is_write=False)
-                self.wal.post_command()
+                    self.aof.feed_command(0, argv, is_write=False)
+                self.aof.post_command()
             for record in records:
                 self.notify_write(0, record)
         self.tick()
         return reply
 
     # -- row access with lazy expiry ---------------------------------------
-
-    def _propagate_del(self, key: bytes) -> None:
-        if self._loading:
-            return
-        if self.wal is not None:
-            self.wal.feed_command(0, [b"DEL", key], is_write=True)
-        self.notify_write(0, [b"DEL", key])
 
     def _delete_row(self, key: bytes, reason: str) -> Optional[Row]:
         row = self.table.delete(key)
@@ -211,48 +215,18 @@ class RelationalStore(StorageEngine):
             self.notify_deletion(0, key, reason, self.clock.now())
         return row
 
-    def _reclaim_expired(self, key: bytes, reason: str) -> None:
-        """Shared lazy/vacuum reclamation: delete + propagate the DEL."""
-        self._delete_row(key, reason)
-        self.stats.expired_keys += 1
-        self._propagate_del(key)
+    def _remove_key(self, db_index: int, key: bytes, reason: str) -> bool:
+        return self._delete_row(key, reason) is not None
 
-    def demote_remove(self, key: bytes, db_index: int = 0) -> bool:
-        """Tier-demotion removal (see the engine contract): deletion tap
-        fires with reason ``"demote"``, the WAL records a DEL (the
-        row's durable home moved to the cold device), and the
-        effective-write stream stays silent so replicas keep their
-        copy."""
-        row = self.table.get(key)
-        if row is None:
-            return False
-        self._delete_row(key, reason="demote")
-        if self.wal is not None and not self._loading:
-            self.wal.feed_command(0, [b"DEL", key], is_write=True)
-            self.wal.post_command()
-        return True
-
-    def promote_insert(self, key: bytes, value: bytes,
-                       expire_at: Optional[float]) -> None:
-        """Tier-promotion re-insert (see the engine contract): ``SET``
-        [+ ``PEXPIREAT``], then the exact deadline over PEXPIREAT's
-        milliseconds; no vacuum runs."""
-        self._promoting = True
-        try:
-            self.execute(b"SET", key, value)
-            if expire_at is not None:
-                millis = str(int(expire_at * 1000)).encode("ascii")
-                self.execute(b"PEXPIREAT", key, millis)
-                if key in self.table:   # a deadline <= now was a delete
-                    self.table.set_expiry(key, expire_at)
-        finally:
-            self._promoting = False
+    def _restore_deadline(self, key: bytes, expire_at: float) -> None:
+        if key in self.table:        # a deadline <= now was a delete
+            self.table.set_expiry(key, expire_at)
 
     def _live_row(self, key: bytes, for_read: bool = False) -> Optional[Row]:
         row = self.table.get(key)
         if row is not None and row.expire_at is not None \
                 and row.expire_at <= self.clock.now():
-            self._reclaim_expired(key, reason="lazy-expire")
+            self._reclaim_expired(0, key, "lazy-expire")
             row = None
         if for_read:
             if row is None:
@@ -663,15 +637,15 @@ class RelationalStore(StorageEngine):
         """Run due background work: WAL group fsync, the retention
         vacuum, and the periodic checkpoint."""
         now = self.clock.now()
-        if self.wal is not None:
-            self.wal.tick(now)
+        if self.aof is not None:
+            self.aof.tick(now)
         if not self._promoting \
                 and now - self._last_vacuum >= 1.0 / self.config.hz:
             self._last_vacuum = now
             self.vacuum(now)
         interval = self.config.checkpoint_interval
         if interval and self.aof_log is not None \
-                and now - self._last_checkpoint >= interval:
+                and now - self._last_rewrite >= interval:
             self.rewrite_aof()
 
     def vacuum(self, now: Optional[float] = None) -> int:
@@ -686,11 +660,11 @@ class RelationalStore(StorageEngine):
             self._charge_index()
             self._charge_rows(len(due))
         for key in due:
-            self._reclaim_expired(key, reason="active-expire")
+            self._reclaim_expired(0, key, "active-expire")
         if due:
             self.vacuum_runs += 1
-            if self.wal is not None:
-                self.wal.post_command()
+            if self.aof is not None:
+                self.aof.post_command()
         return len(due)
 
     # -- engine interface: keyspace views ----------------------------------
@@ -744,20 +718,18 @@ class RelationalStore(StorageEngine):
     # -- durability --------------------------------------------------------
 
     def snapshot_records(self) -> SnapshotImage:
-        """Point-in-time base backup: every row with its expiry and
-        metadata columns."""
-        return {0: [StoredRecord(
-            row.key, row.value, row.expire_at,
-            (row.owner, row.purposes) if row.owner is not None else None)
-            for row in self.table.rows()]}
+        """Point-in-time base backup / WAL checkpoint: every row with its
+        expiry and metadata columns."""
+        return {0: ((row.key, row.value, row.expire_at,
+                     None if row.owner is None else (row.owner, row.purposes))
+                    for row in self.table.rows())}
 
     def restore_records(self, databases: SnapshotImage) -> None:
-        if set(databases) - {0} or any(
-                not isinstance(record.value, (bytes, dict))
-                for record in databases.get(0, ())):
+        if any(not isinstance(record.value, (bytes, dict))
+               for record in databases.get(0, ())):
             raise CorruptionError(
-                "the relational engine holds one database of value and "
-                "wide-column rows only")
+                "the relational engine holds value and wide-column rows "
+                "only")
         self.table.clear()
         for key, value, expire_at, metadata in databases.get(0, []):
             self.table.upsert(key, value)
@@ -765,15 +737,6 @@ class RelationalStore(StorageEngine):
                 self.table.set_expiry(key, expire_at)
             if metadata is not None:
                 self.table.set_metadata(key, *metadata)
-
-    def rewrite_aof(self) -> int:
-        """WAL checkpoint: compact the log to current live state."""
-        if self.aof_log is None:
-            raise PersistenceError("the WAL is not enabled")
-        size = checkpoint(self)
-        self._last_checkpoint = self.clock.now()
-        self.rewrites_completed += 1
-        return size
 
     # -- replication -------------------------------------------------------
 
@@ -794,10 +757,10 @@ class RelationalStore(StorageEngine):
             f"sim_time:{self.clock.now():.6f}",
             "",
             "# Persistence",
-            f"wal_enabled:{1 if self.wal is not None else 0}",
+            f"wal_enabled:{1 if self.aof is not None else 0}",
             f"wal_checkpoints:{self.rewrites_completed}",
             f"wal_pending_bytes:"
-            f"{self.wal.unsynced_bytes() if self.wal else 0}",
+            f"{self.aof.unsynced_bytes() if self.aof else 0}",
             "",
             "# Planner",
             f"plan_cache_size:{len(self.plans)}",

@@ -42,6 +42,7 @@ through.  Only string (bytes) values demote; containers stay hot.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..device.append_log import AppendLog
@@ -125,8 +126,16 @@ class TieredEngine(StorageEngine):
         return self._inner.monitor
 
     @property
+    def aof(self):
+        return self._inner.aof
+
+    @property
     def aof_log(self):
         return self._inner.aof_log
+
+    @property
+    def database_count(self) -> int:  # type: ignore[override]
+        return self._inner.database_count
 
     @property
     def supports_metadata_columns(self) -> bool:  # type: ignore[override]
@@ -514,14 +523,17 @@ class TieredEngine(StorageEngine):
         in database 0, with its owner columns where the hot engine keeps
         such columns."""
         databases = self._inner.snapshot_records()
+        databases[0] = chain(databases.get(0, ()), self._cold_snapshot())
+        return databases
+
+    def _cold_snapshot(self) -> Iterator[StoredRecord]:
         columns = self.supports_metadata_columns
         for record in self._cold_records():
             annotation = self._owners.get(record.key) if columns else None
             if annotation is not None:
                 record = record._replace(metadata=(
                     annotation[0], ",".join(sorted(annotation[1]))))
-            databases.setdefault(0, []).append(record)
-        return databases
+            yield record
 
     def restore_records(self, databases: SnapshotImage) -> None:
         """Every record re-enters the hot engine and the archive starts

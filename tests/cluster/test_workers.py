@@ -31,7 +31,8 @@ from repro.device.append_log import AppendLog
 from repro.device.latency import INTEL_750_SSD
 from repro.kvstore import REGISTRY, KeyValueStore, StoreConfig
 from repro.kvstore.commands import UNKNOWN, declare, spec_of
-from repro.sqlstore import RelationalStore
+from repro.sqlstore import RelationalStore, SqlConfig
+from repro.tiering import TieredEngine
 from repro.ycsb import OpenLoopRunner, WORKLOAD_B
 
 CPU = 25e-6          # one core's ceiling = 1/CPU = 40 kops/s
@@ -661,20 +662,43 @@ class TestLiveWorkerShed:
         assert report.failures == 0
 
 
+def _logged_kv(clock, log):
+    return KeyValueStore(
+        StoreConfig(command_cpu_cost=CPU, appendonly=True,
+                    appendfsync="everysec"),
+        clock=clock, aof_log=log)
+
+
+def _logged_relational(clock, log):
+    return RelationalStore(
+        SqlConfig(statement_cpu_cost=CPU, wal_fsync="everysec"),
+        clock=clock, wal_log=log)
+
+
+#: shard engine -> ``factory(clock, log)``, each writing an everysec log.
+LOGGED_ENGINES = {
+    "redislike": _logged_kv,
+    "relational": _logged_relational,
+    "tiered": lambda clock, log: TieredEngine(_logged_kv(clock, log)),
+}
+
+
 class TestAofAttribution:
-    def _aof_pool_server(self, workers=2):
+    def _aof_pool_server(self, workers=2, engine="redislike"):
         def aof_factory(index, clock):
-            return KeyValueStore(
-                StoreConfig(command_cpu_cost=CPU, appendonly=True,
-                            appendfsync="everysec"),
-                clock=clock,
-                aof_log=AppendLog(clock=clock, latency=INTEL_750_SSD))
+            return LOGGED_ENGINES[engine](
+                clock, AppendLog(clock=clock, latency=INTEL_750_SSD))
 
         return make_pool_server(workers=workers,
                                 store_factory=aof_factory)
 
-    def test_cron_fsync_bills_the_writing_worker(self):
-        server, (conn, _), pool, shard_clock = self._aof_pool_server()
+    @pytest.mark.parametrize("engine", sorted(LOGGED_ENGINES))
+    def test_cron_fsync_bills_the_writing_worker(self, engine):
+        """Regression: the pool followed the writer through an ``aof``
+        attribute only the key-value store had, so a relational or
+        tiered shard's everysec fsync was billed to core 0."""
+        server, (conn, _), pool, shard_clock = self._aof_pool_server(
+            engine=engine)
         write_key = next(f"w{i}" for i in range(64)
                          if slot_for_key(f"w{i}".encode()) % 2 == 1)
         read_key = next(f"r{i}" for i in range(64)

@@ -267,6 +267,34 @@ def test_log_compaction_removes_deleted_keys(engine):
     assert contains_key(data, b"keep")
 
 
+def _logged_records(engine):
+    return sorted((index, key, value, expire_at, metadata)
+                  for index, records in engine.snapshot_records().items()
+                  for key, value, expire_at, metadata in records)
+
+
+def test_log_compaction_replays_to_the_same_records(engine):
+    """The one compaction contract: ``rewrite_aof`` then ``replay_aof``
+    into a fresh same-engine store gives back every key, value, deadline
+    (to the millisecond) and metadata column.  A tiered engine compacts
+    its hot log, which never holds the archived records."""
+    _owned_keyspace(engine)
+    engine.execute("SET", "gone", "x")
+    engine.execute("DEL", "gone")
+    engine.rewrite_aof()
+    replica = engine.spawn_replica()
+    replica.replay_aof(engine.aof_log.read_all(),
+                       tolerate_truncated_tail=False)
+    logged = engine.inner if isinstance(engine, TieredEngine) else engine
+    expected = [(index, key, value,
+                 None if expire_at is None else int(expire_at * 1000) / 1000,
+                 metadata)
+                for index, key, value, expire_at, metadata
+                in _logged_records(logged)]
+    assert len(expected) == (3 if isinstance(engine, TieredEngine) else 5)
+    assert _logged_records(replica) == expected
+
+
 def test_keyspace_views(engine):
     engine.execute("SET", "a", "1")
     engine.execute("SET", "b", "2")

@@ -217,6 +217,33 @@ class TestRewrite:
         store.rewrite_aof()
         assert not contains_key(store.aof_log.read_all(), b"doomed")
 
+    def test_write_after_rewrite_replays_into_its_database(self):
+        """Regression: the rewritten stream ends on the last populated
+        database's SELECT, but the writer still stood on database 0, so
+        the next database-0 write replayed into database 5."""
+        store, _ = make_store()
+        session = store.session()
+        store.execute("SET", "a", "1")
+        store.execute("SELECT", 5, session=session)
+        store.execute("SET", "b", "2", session=session)
+        store.execute("SET", "c", "3")
+        store.rewrite_aof()
+        store.execute("SET", "d", "4")
+        fresh = KeyValueStore(StoreConfig(appendonly=True))
+        fresh.replay_aof(store.aof_log.read_all(),
+                         tolerate_truncated_tail=False)
+        assert sorted(fresh.live_keys(0)) == [b"a", b"c", b"d"]
+        assert fresh.live_keys(5) == [b"b"]
+
+    def test_write_after_single_database_rewrite_adds_no_select(self):
+        store, _ = make_store()
+        store.execute("SET", "a", "1")
+        store.rewrite_aof()
+        compacted = store.aof_log.read_all()
+        store.execute("SET", "d", "4")
+        assert store.aof_log.read_all() == \
+            compacted + encode_command(b"SET", b"d", b"4")
+
     def test_periodic_rewrite_interval(self):
         store, clock = make_store(aof_rewrite_interval=3600.0)
         store.execute("SET", "doomed", "pii")

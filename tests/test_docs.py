@@ -94,6 +94,38 @@ def test_dangling_docstring_reference_is_detected(tmp_path):
         in violations[1]
 
 
+def test_stale_module_path_is_detected(tmp_path):
+    """A backticked ``*.py`` path with a ``/`` in the docs must name a
+    file, from the root or from src/repro/; bare names, unbackticked
+    text and the dated trajectory of docs/benchmarks.md do not count."""
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "ROADMAP.md").write_text(
+        "**Tier-1 verify:** `PYTHONPATH=src python -m pytest -x -q`\n")
+    (tmp_path / "README.md").write_text(
+        "```\nPYTHONPATH=src python -m pytest -x -q\n```\n"
+        "[a](docs/architecture.md) [b](docs/benchmarks.md)\n"
+        "Run `tools/lint.py --all`; see `sqlstore/gone.py`.\n")
+    (tmp_path / "docs" / "architecture.md").write_text(
+        "# A\n\n`kvstore/aof.py::AofWriter`, `engine.py`, `wal.py`,\n"
+        "sqlstore/wal.py in prose, `src/repro/sqlstore/wal.py:39`.\n")
+    (tmp_path / "docs" / "benchmarks.md").write_text(
+        "# B\n\n`perf/run.py`\n\n## Host-time trajectory\n\n"
+        "`sqlstore/wal.py` as it stood then.\n")
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "lint.py").write_text("")
+    (tmp_path / "perf").mkdir()
+    (tmp_path / "perf" / "run.py").write_text("")
+    source = tmp_path / "src" / "repro" / "kvstore"
+    source.mkdir(parents=True)
+    (source / "aof.py").write_text("")
+    violations = [v for v in check_docs.check(tmp_path)
+                  if "which does not exist" in v]
+    assert violations == [
+        "README.md:5: names sqlstore/gone.py, which does not exist",
+        "docs/architecture.md:4: names src/repro/sqlstore/wal.py, which "
+        "does not exist"]
+
+
 def test_uninstalled_third_party_import_is_detected(tmp_path):
     """A module under src/ importing a package CI never installs must
     fail the check -- wherever the import sits -- and pass once the pip

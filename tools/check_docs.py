@@ -32,7 +32,13 @@ Checks, against ROADMAP.md's canonical tier-1 verify command:
    a table in some ``bench_results/*.txt`` file (the line above a rule
    of dashes) must consist only of lines of that file: a sample quoted
    beside a committed artifact must not show numbers the artifact
-   does not hold.
+   does not hold;
+9. a backticked ``*.py`` path containing a ``/`` in README.md,
+   docs/architecture.md, docs/cluster.md, or docs/benchmarks.md above
+   its "Host-time trajectory" heading must name a file that exists,
+   from the repository root or from src/repro/: the docs must not send
+   readers to a module that was deleted or moved.  The trajectory is a
+   dated record and stays as written.
 
 Run from the repository root (CI does), or pass the root as argv[1].
 Exits non-zero listing each violation.
@@ -148,6 +154,14 @@ EXPERIMENT_KEY_RE = re.compile(r'"([a-z0-9_]+)"\s*:')
 BENCH_CLI_SECTIONS = ("## Running the CLI", "## Scenarios")
 FLAG_RE = re.compile(r"(?<![\w-])--[a-z][a-z-]*")
 
+# Check 9: the docs whose module paths must resolve, each read up to the
+# heading (if any) where its dated record begins.
+PATH_DOCS = {"README.md": None, "docs/architecture.md": None,
+             "docs/cluster.md": None,
+             "docs/benchmarks.md": "## Host-time trajectory"}
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+MODULE_PATH_RE = re.compile(r"[\w.-]*(?:/[\w.-]+)+\.py\b")
+
 
 def bench_cli_flags(root: pathlib.Path) -> set:
     """Every ``--flag`` the bench CLI accepts, read off the ``--help``
@@ -237,6 +251,25 @@ def ci_installed_packages(root: pathlib.Path) -> set:
     return {word.lower().replace("-", "_")
             for line in PIP_INSTALL_RE.findall(workflow.read_text())
             for word in line.split() if not word.startswith("-")}
+
+
+def stale_module_paths(root: pathlib.Path):
+    """``(doc, line, path)`` for every backticked ``*.py`` path (one
+    with a ``/``) in :data:`PATH_DOCS` that names no file, from the root
+    or from src/repro/."""
+    for rel, stop in PATH_DOCS.items():
+        path = root / rel
+        if not path.exists():
+            continue
+        for number, line in enumerate(path.read_text().splitlines(),
+                                      start=1):
+            if line.strip() == stop:
+                break
+            for span in CODE_SPAN_RE.findall(line):
+                for name in MODULE_PATH_RE.findall(span):
+                    if not ((root / name).exists()
+                            or (root / "src" / "repro" / name).exists()):
+                        yield rel, number, name
 
 
 def md_reference_exists(root: pathlib.Path, name: str) -> bool:
@@ -373,6 +406,10 @@ def check(root: pathlib.Path) -> list:
             violations.append(
                 f"{rel}:{line}: docstring names {name}, which does not "
                 "exist")
+
+    for rel, line, name in stale_module_paths(root):
+        violations.append(
+            f"{rel}:{line}: names {name}, which does not exist")
 
     installed = ci_installed_packages(root)
     for rel, line, module in third_party_imports(root):
