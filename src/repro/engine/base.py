@@ -13,6 +13,13 @@ into a prepared SQL statement internally).  Around the commands, the
 interface pins down the observation and durability seams the stack is
 built on:
 
+* **One command pipeline** (:meth:`execute`) -- written once, here:
+  the one command table (:mod:`repro.kvstore.commands`) classifies the
+  name and checks its arity, the engine's ``_HANDLERS`` table names its
+  handler and :meth:`_run` runs it, then the command is counted,
+  published to MONITOR, logged (never control traffic; an effective
+  write in its replay-safe form, :meth:`_log_records` over the engine's
+  :meth:`_deadline_of`), fed to the write stream, and the engine ticks.
 * **Write-stream taps** (:meth:`add_write_listener`) -- the effective,
   post-translation write stream (expirations travel as DELs, relative
   TTLs as absolute PEXPIREAT).  Replication links and slot migrators
@@ -66,13 +73,19 @@ from typing import (
     Type,
 )
 
-from ..common.errors import CorruptionError, PersistenceError
+from ..common.errors import CorruptionError, PersistenceError, \
+    UnknownCommandError
 
 DeletionListener = Callable[[int, bytes, str, float], None]
 # (db_index, translated argv) for every effective write -- the stream a
 # replica applies.  Commands arrive post-translation (PEXPIREAT, DELs
 # for expirations) so replicas converge deterministically.
 WriteListener = Callable[[int, List[bytes]], None]
+
+_EXPIRE_FAMILY = frozenset((b"EXPIRE", b"PEXPIRE", b"EXPIREAT", b"PEXPIREAT"))
+#: The commands whose logged form may differ from their argv (SET too,
+#: when it carries options); see :meth:`StorageEngine._log_records`.
+_TRANSLATED = _EXPIRE_FAMILY | {b"RESTORE", b"SETEX", b"PSETEX"}
 
 
 class StoredRecord(NamedTuple):
@@ -155,17 +168,113 @@ class StorageEngine:
         # True while a tier promotion re-inserts a record: the periodic
         # maintenance cycle waits for the client command's own tick.
         self._promoting = False
+        self._default_session = Session()
 
     # -- command surface ---------------------------------------------------
 
+    #: Upper-cased command name -> this engine's handler, as
+    #: :meth:`_run` calls it.  Every name is in the one command table.
+    _HANDLERS: Dict[bytes, Callable] = {}
+
     def execute(self, *args: Any, session: Optional[Any] = None) -> Any:
-        """Execute one command (Redis-shaped argv; str/bytes/int/float
-        arguments are normalized to bytes)."""
+        """Execute one command; raises on protocol/type errors.
+
+        Accepts str/bytes/int/float arguments for convenience; everything
+        is normalized to bytes before dispatch, as over the wire.  The
+        command table says how the command classifies and how many
+        arguments it takes; the engine's :meth:`_run` runs its handler.
+        An effective write (a write command whose handler marked the
+        context dirty) reaches the log as a write and the write stream
+        in its replay-safe form (:meth:`_log_records`); anything else
+        but control traffic reaches the log as a read.
+        """
+        argv = normalize_args(args)
+        if not argv:
+            raise ValueError("empty command")
+        name = argv[0].upper()
+        spec = REGISTRY.get(name, UNKNOWN)
+        handler = self._HANDLERS.get(name)
+        if handler is None:
+            raise UnknownCommandError(
+                f"ERR unknown command '{argv[0].decode('utf-8', 'replace')}'")
+        spec.check_arity(len(argv))
+        if session is None:
+            session = self._default_session
+        ctx = CommandContext(self, session, self.clock.now())
+        reply = self._run(handler, ctx, argv)
+        self.stats.commands_processed += 1
+        db_index = session.db_index
+        self.monitor.publish(ctx.now, db_index, argv)
+        if not spec.routing.control and not self._loading:
+            effective_write = spec.write and ctx.dirty > 0
+            if effective_write and (name in _TRANSLATED or (
+                    name == b"SET" and len(argv) > 3)):
+                records = self._log_records(name, argv, db_index)
+            else:
+                records = (argv,)
+            aof = self.aof
+            if aof is not None:
+                for record in records:
+                    aof.feed_command(db_index, record,
+                                     is_write=effective_write)
+                aof.post_command()
+                if effective_write:
+                    self._after_logged_write()
+            if effective_write and self.write_listeners:
+                for record in records:
+                    self.notify_write(db_index, record)
+        self.tick()
+        return reply
+
+    def _run(self, handler: Callable, ctx: Any, argv: List[bytes]) -> Any:
+        """Run one command's handler and return its reply: the engine's
+        own per-command step (CPU charge, session checks, slowlog)."""
         raise NotImplementedError
+
+    def _log_records(self, name: bytes, argv: List[bytes],
+                     db_index: int) -> List[List[bytes]]:
+        """The logged form of an effective write whose argv would not
+        replay to the same state later.
+
+        A relative deadline becomes an absolute PEXPIREAT, as Redis does,
+        so a replay at a later time keeps the deadline instead of
+        restarting it; a deadline already past deleted the key, so it is
+        logged as a DEL.  A SET that spoke in absolute time fuses value
+        and deadline into one record (one log append instead of two --
+        the fast-GDPR write shape).
+        """
+        key = argv[1]
+        expire_at = self._deadline_of(db_index, key)
+        millis = None if expire_at is None else b"%d" % int(expire_at * 1000)
+        if name == b"RESTORE":
+            records = [[b"RESTORE", key, b"0", argv[3], b"REPLACE"]]
+            if millis is not None:
+                records.append([b"PEXPIREAT", key, millis])
+            return records
+        if name in _EXPIRE_FAMILY:
+            if millis is None:
+                return [[b"DEL", key]]
+            return [[b"PEXPIREAT", key, millis]]
+        value = argv[2] if name == b"SET" else argv[3]     # SET / SETEX
+        if millis is None:
+            return [[b"SET", key, value]]
+        if name == b"SET" and any(option.upper() in (b"EXAT", b"PXAT")
+                                  for option in argv[3:]):
+            return [[b"SET", key, value, b"PXAT", millis]]
+        return [[b"SET", key, value], [b"PEXPIREAT", key, millis]]
+
+    def _deadline_of(self, db_index: int, key: bytes) -> Optional[float]:
+        """The absolute expiry deadline ``key`` holds, or None when it
+        has none or is gone."""
+        raise NotImplementedError
+
+    def _after_logged_write(self) -> None:
+        """Called once an effective write has reached the log (the
+        key-value engine checks its growth-based rewrite here)."""
 
     def session(self, db_index: int = 0) -> Any:
         """A fresh client session (its own SELECTed database)."""
-        raise NotImplementedError
+        return Session(db_index)
 
     def tick(self) -> None:
         """Run due background work (expiry cycles, log fsync, vacuum)."""
@@ -427,3 +536,9 @@ def register_engine(name: str, cls: Type[StorageEngine]) -> None:
         raise ValueError(f"engine name {name!r} already registered "
                          f"to {existing.__name__}")
     ENGINES[name] = cls
+
+
+# The command table lives with the key-value commands, whose package
+# imports this module: bound last, so either import order resolves.
+from ..kvstore.commands import (  # noqa: E402
+    REGISTRY, UNKNOWN, CommandContext, Session, normalize_args)

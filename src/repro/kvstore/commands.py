@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import (
     Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple)
 
-from ..common.errors import ArityError, UnknownCommandError
+from ..common.errors import ArityError
 from ..common.resp import RespError
 from .datatypes import RedisValue
 from .keyspace import Database
@@ -133,15 +133,6 @@ declare("GDPRMETA", arity=4, write=True)
 def spec_of(name: bytes) -> CommandSpec:
     """The table's entry for an upper-cased command name."""
     return REGISTRY.get(name, UNKNOWN)
-
-
-def lookup(name: bytes) -> CommandSpec:
-    """The spec the key-value engine executes ``name`` with."""
-    spec = spec_of(name.upper())
-    if spec.handler is None:
-        raise UnknownCommandError(
-            f"ERR unknown command '{name.decode('utf-8', 'replace')}'")
-    return spec
 
 
 class Session:

@@ -24,7 +24,7 @@ from . import cmd_keys  # noqa: F401
 from . import cmd_strings  # noqa: F401
 from . import cmd_strings_ext  # noqa: F401
 from .aof import AofWriter, FsyncPolicy
-from .commands import CommandContext, Session, lookup, normalize_args
+from .commands import REGISTRY, CommandContext
 from .datatypes import RedisValue
 from .expiry import ExpiryStrategy, make_strategy
 from .keyspace import Database
@@ -100,7 +100,6 @@ class KeyValueStore(StorageEngine):
                 log_reads=self.config.aof_log_reads,
                 record_base_cost=self.config.aof_record_base_cost,
                 record_per_byte_cost=self.config.aof_record_per_byte_cost)
-        self._default_session = Session()
         self._last_cron = self.clock.now()
         self._last_rewrite = self.clock.now()
         self.rewrites_completed = 0
@@ -111,105 +110,21 @@ class KeyValueStore(StorageEngine):
 
     # -- command execution -------------------------------------------------------
 
-    def session(self, db_index: int = 0) -> Session:
-        """A fresh client session (its own SELECTed database)."""
-        return Session(db_index)
+    _HANDLERS = {name: spec.handler for name, spec in REGISTRY.items()
+                 if spec.handler is not None}
 
-    def execute(self, *args: Any, session: Optional[Session] = None) -> Any:
-        """Execute one command; raises on protocol/type errors.
-
-        Accepts str/bytes/int/float arguments for convenience; everything
-        is normalized to bytes before dispatch, as over the wire.
-        """
-        argv = normalize_args(args)
-        if not argv:
-            raise ValueError("empty command")
-        spec = lookup(argv[0])
-        spec.check_arity(len(argv))
-        if session is None:
-            session = self._default_session
-        start = self.clock.now()
+    def _run(self, handler, ctx: CommandContext, argv: List[bytes]) -> Any:
         if self.config.command_cpu_cost:
             self.clock.advance(self.config.command_cpu_cost)
-        ctx = CommandContext(self, session, start)
-        reply = spec.handler(ctx, argv)
-        duration = self.clock.now() - start
-        self.stats.commands_processed += 1
-        self.slowlog.maybe_record(start, duration, argv)
-        self.monitor.publish(start, session.db_index, argv)
-        if not spec.routing.control and not self._loading:
-            effective_write = spec.write and ctx.dirty > 0
-            records: Optional[List[List[bytes]]] = None
-            if self.aof is not None or (effective_write
-                                        and self.write_listeners):
-                records = self._aof_records(spec, argv, session,
-                                            effective_write)
-            if self.aof is not None:
-                for record in records:
-                    self.aof.feed_command(session.db_index, record,
-                                          is_write=effective_write)
-                self.aof.post_command()
-                if effective_write \
-                        and self.config.auto_aof_rewrite_percentage:
-                    # Growth-based rewrite is checked on the write path
-                    # (not only in cron) so it also fires under zero-cost
-                    # clocks.
-                    self._maybe_auto_rewrite(self.clock.now())
-            if effective_write and self.write_listeners:
-                for record in records:
-                    self.notify_write(session.db_index, record)
-        self.tick()
+        reply = handler(ctx, argv)
+        self.slowlog.maybe_record(ctx.now, self.clock.now() - ctx.now, argv)
         return reply
 
-    _EXPIRE_FAMILY = (b"EXPIRE", b"PEXPIRE", b"EXPIREAT", b"PEXPIREAT")
-
-    def _aof_records(self, spec, argv: List[bytes], session: Session,
-                     effective_write: bool) -> List[List[bytes]]:
-        """Translate a command into its AOF representation.
-
-        Relative expiries are rewritten to absolute PEXPIREAT (as Redis
-        does) so replaying at a later time preserves deadlines instead of
-        restarting them.  Non-writes pass through verbatim: they are audit
-        records, not state transitions.
-        """
-        if not effective_write:
-            return [argv]
-        name = spec.name
-        db = self.databases[session.db_index]
-        if name in self._EXPIRE_FAMILY:
-            key = argv[1]
-            expire_at = db.get_expiry(key)
-            if expire_at is None:
-                # The command deleted the key outright (TTL in the past).
-                return [[b"DEL", key]]
-            millis = str(int(expire_at * 1000)).encode("ascii")
-            return [[b"PEXPIREAT", key, millis]]
-        if name == b"RESTORE":
-            # Replaying a relative TTL later would extend the key's life;
-            # persist the absolute deadline instead, like EXPIRE family.
-            key = argv[1]
-            records = [[b"RESTORE", key, b"0", argv[3], b"REPLACE"]]
-            expire_at = db.get_expiry(key)
-            if expire_at is not None:
-                millis = str(int(expire_at * 1000)).encode("ascii")
-                records.append([b"PEXPIREAT", key, millis])
-            return records
-        if name in (b"SETEX", b"PSETEX") or (name == b"SET" and len(argv) > 3):
-            key, value = argv[1], argv[3] if name != b"SET" else argv[2]
-            expire_at = db.get_expiry(key)
-            if expire_at is None:
-                return [[b"SET", key, value]]
-            millis = str(int(expire_at * 1000)).encode("ascii")
-            if name == b"SET" and any(
-                    argv[i].upper() in (b"EXAT", b"PXAT")
-                    for i in range(3, len(argv))):
-                # The caller already spoke in absolute time, so value +
-                # deadline fuse into one replay-safe record (one AOF
-                # append instead of two -- the fast-GDPR write shape).
-                return [[b"SET", key, value, b"PXAT", millis]]
-            return [[b"SET", key, value],
-                    [b"PEXPIREAT", key, millis]]
-        return [argv]
+    def _after_logged_write(self) -> None:
+        if self.config.auto_aof_rewrite_percentage:
+            # Growth-based rewrite is checked on the write path (not only
+            # in cron) so it also fires under zero-cost clocks.
+            self._maybe_auto_rewrite(self.clock.now())
 
     # -- keyspace access with lazy expiry ----------------------------------------
 
@@ -268,6 +183,9 @@ class KeyValueStore(StorageEngine):
 
     def _restore_deadline(self, key: bytes, expire_at: float) -> None:
         self.databases[0].set_expiry(key, expire_at)
+
+    def _deadline_of(self, db_index: int, key: bytes) -> Optional[float]:
+        return self.databases[db_index].get_expiry(key)
 
     # -- cron ---------------------------------------------------------------------
 

@@ -58,7 +58,7 @@ residual checks behave identically over either engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dataclasses_replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..common.clock import Clock, SimClock
 from ..common.errors import CorruptionError, WrongTypeError
@@ -67,8 +67,7 @@ from ..device.append_log import AppendLog
 from ..engine.base import EngineStats, SnapshotImage, StorageEngine, \
     StoredRecord, register_engine
 from ..kvstore.aof import AofWriter, FsyncPolicy
-from ..kvstore.commands import Session, glob_match, normalize_args, \
-    parse_int
+from ..kvstore.commands import CommandContext, glob_match, parse_int
 from ..kvstore.monitor import MonitorFeed
 from ..kvstore.snapshot import dump_value, load_value
 from .planner import PlanCache
@@ -137,7 +136,6 @@ class RelationalStore(StorageEngine):
                 log_reads=self.config.wal_log_reads,
                 record_base_cost=self.config.wal_record_base_cost,
                 record_per_byte_cost=self.config.wal_record_per_byte_cost)
-        self._default_session = Session()
         self._last_vacuum = self.clock.now()
         self._last_rewrite = self.clock.now()
         self.vacuum_runs = 0
@@ -164,47 +162,13 @@ class RelationalStore(StorageEngine):
 
     # -- command execution -------------------------------------------------
 
-    def session(self, db_index: int = 0) -> Session:
-        return Session(db_index)
-
-    def execute(self, *args: Any, session: Optional[Session] = None) -> Any:
-        """Execute one command against the relational core.
-
-        The same entry point shape as the key-value engine: argv in,
-        reply out, store exceptions raised as typed errors.  Each
-        command runs as one (prepared) statement; effective writes are
-        WAL-logged and fed to the write stream post-translation.
-        """
-        argv = normalize_args(args)
-        if not argv:
-            raise ValueError("empty command")
-        name = argv[0].upper()
-        handler = self._HANDLERS.get(name)
-        if handler is None:
-            raise RespError(
-                "ERR unknown command "
-                f"'{name.decode('ascii', 'replace')}'")
-        if session is None:
-            session = self._default_session
-        if session.db_index != 0:
+    def _run(self, handler, ctx: CommandContext, argv: List[bytes]) -> Any:
+        """Run the command as one (prepared) statement of the one
+        database; a session on any other database is refused."""
+        if ctx.session.db_index != 0:
             raise RespError(
                 "ERR the relational engine has a single database")
-        start = self.clock.now()
-        reply, records = handler(self, argv)
-        self.stats.commands_processed += 1
-        self.monitor.publish(start, 0, argv)
-        if not self._loading:
-            if self.aof is not None:
-                if records:
-                    for record in records:
-                        self.aof.feed_command(0, record, is_write=True)
-                else:
-                    self.aof.feed_command(0, argv, is_write=False)
-                self.aof.post_command()
-            for record in records:
-                self.notify_write(0, record)
-        self.tick()
-        return reply
+        return handler(self, ctx, argv)
 
     # -- row access with lazy expiry ---------------------------------------
 
@@ -222,6 +186,10 @@ class RelationalStore(StorageEngine):
         if key in self.table:        # a deadline <= now was a delete
             self.table.set_expiry(key, expire_at)
 
+    def _deadline_of(self, db_index: int, key: bytes) -> Optional[float]:
+        row = self.table.get(key)
+        return None if row is None else row.expire_at
+
     def _live_row(self, key: bytes, for_read: bool = False) -> Optional[Row]:
         row = self.table.get(key)
         if row is not None and row.expire_at is not None \
@@ -236,18 +204,21 @@ class RelationalStore(StorageEngine):
         return row
 
     # -- statement handlers ------------------------------------------------
-    # Each returns (reply, records): ``records`` is the translated
-    # effective-write stream (empty for reads / no-op writes).
+    # Each takes (ctx, argv) and returns the reply; a write that changed
+    # a row says so through ``ctx.mark_dirty()``.
 
-    def _stmt_ping(self, argv: List[bytes]) -> Tuple[Any, List]:
-        self._check_arity(argv, 1, name="PING", at_most=2)
+    def _stmt_ping(self, ctx: CommandContext, argv: List[bytes]) -> Any:
+        if len(argv) > 2:
+            raise RespError(
+                "ERR wrong number of arguments for 'ping' command")
         self._charge_statement("PING", "SELECT 1")
         if len(argv) == 2:
-            return argv[1], []
-        return PONG, []
+            return argv[1]
+        return PONG
 
-    def _stmt_set(self, argv: List[bytes]) -> Tuple[Any, List]:
-        self._check_arity(argv, 3, name="SET")
+    def _stmt_set(self, ctx: CommandContext, argv: List[bytes]) -> Any:
+        if len(argv) > 3:
+            raise RespError("ERR syntax error")
         self._charge_statement(
             "SET", "INSERT INTO records(key, value) VALUES ($1, $2) "
                    "ON CONFLICT (key) DO UPDATE "
@@ -257,25 +228,24 @@ class RelationalStore(StorageEngine):
         self._charge_index()
         self._charge_rows(1, len(value))
         self.table.upsert(key, value)
-        return OK, [list(argv[:3])]
+        ctx.mark_dirty()
+        return OK
 
-    def _stmt_get(self, argv: List[bytes]) -> Tuple[Any, List]:
-        self._check_arity(argv, 2, name="GET")
+    def _stmt_get(self, ctx: CommandContext, argv: List[bytes]) -> Any:
         self._charge_statement(
             "GET", "SELECT value FROM records WHERE key = $1")
         self._charge_index()
         row = self._live_row(argv[1], for_read=True)
         if row is None:
-            return None, []
+            return None
         if not isinstance(row.value, bytes):
             raise WrongTypeError(
                 "WRONGTYPE Operation against a key holding the wrong "
                 "kind of value")
         self._charge_rows(1, len(row.value))
-        return row.value, []
+        return row.value
 
-    def _stmt_del(self, argv: List[bytes]) -> Tuple[Any, List]:
-        self._check_arity(argv, 2, name="DEL", variadic=True)
+    def _stmt_del(self, ctx: CommandContext, argv: List[bytes]) -> Any:
         self._charge_statement(
             "DEL", "DELETE FROM records WHERE key = ANY($1)")
         removed = 0
@@ -286,10 +256,11 @@ class RelationalStore(StorageEngine):
             row = self._delete_row(key, reason="del")
             self._charge_rows(1, row.payload_bytes() if row else 0)
             removed += 1
-        return removed, [list(argv)] if removed else []
+        if removed:
+            ctx.mark_dirty()
+        return removed
 
-    def _stmt_exists(self, argv: List[bytes]) -> Tuple[Any, List]:
-        self._check_arity(argv, 2, name="EXISTS", variadic=True)
+    def _stmt_exists(self, ctx: CommandContext, argv: List[bytes]) -> Any:
         self._charge_statement(
             "EXISTS", "SELECT count(*) FROM records WHERE key = ANY($1)")
         count = 0
@@ -297,7 +268,7 @@ class RelationalStore(StorageEngine):
             self._charge_index()
             if self._live_row(key, for_read=True) is not None:
                 count += 1
-        return count, []
+        return count
 
     def _expire_deadline(self, name: bytes, argv: List[bytes]) -> float:
         amount = parse_int(argv[2])
@@ -310,54 +281,50 @@ class RelationalStore(StorageEngine):
             return float(amount)
         return amount / 1000.0               # PEXPIREAT
 
-    def _stmt_expire(self, argv: List[bytes]) -> Tuple[Any, List]:
-        name = argv[0].upper()
-        self._check_arity(argv, 3, name=name.decode("ascii"))
+    def _stmt_expire(self, ctx: CommandContext, argv: List[bytes]) -> Any:
         self._charge_statement(
             "EXPIRE", "UPDATE records SET expire_at = $2 WHERE key = $1")
         key = argv[1]
         self._charge_index()
         if self._live_row(key) is None:
-            return 0, []
-        deadline = self._expire_deadline(name, argv)
+            return 0
+        deadline = self._expire_deadline(argv[0].upper(), argv)
+        ctx.mark_dirty()
         if deadline <= self.clock.now():
             # TTL already in the past: the write is a delete.
             self._delete_row(key, reason="del")
             self._charge_rows(1)
-            return 1, [[b"DEL", key]]
+            return 1
         self.table.set_expiry(key, deadline)
         self._charge_index()                 # expire_at index maintenance
         self._charge_rows(1)
-        millis = str(int(deadline * 1000)).encode("ascii")
-        return 1, [[b"PEXPIREAT", key, millis]]
+        return 1
 
-    def _stmt_ttl(self, argv: List[bytes]) -> Tuple[Any, List]:
-        name = argv[0].upper()
-        self._check_arity(argv, 2, name=name.decode("ascii"))
+    def _stmt_ttl(self, ctx: CommandContext, argv: List[bytes]) -> Any:
         self._charge_statement(
             "TTL", "SELECT expire_at FROM records WHERE key = $1")
         self._charge_index()
         row = self._live_row(argv[1], for_read=True)
         if row is None:
-            return -2, []
+            return -2
         if row.expire_at is None:
-            return -1, []
+            return -1
         remaining = row.expire_at - self.clock.now()
-        if name == b"PTTL":
-            return int(round(remaining * 1000)), []
-        return int(round(remaining)), []
+        if argv[0].upper() == b"PTTL":
+            return int(round(remaining * 1000))
+        return int(round(remaining))
 
-    def _stmt_persist(self, argv: List[bytes]) -> Tuple[Any, List]:
-        self._check_arity(argv, 2, name="PERSIST")
+    def _stmt_persist(self, ctx: CommandContext, argv: List[bytes]) -> Any:
         self._charge_statement(
             "PERSIST",
             "UPDATE records SET expire_at = NULL WHERE key = $1")
         self._charge_index()
         row = self._live_row(argv[1])
         if row is None or not self.table.clear_expiry(argv[1]):
-            return 0, []
+            return 0
         self._charge_rows(1)
-        return 1, [list(argv)]
+        ctx.mark_dirty()
+        return 1
 
     def _wide_row(self, key: bytes, create: bool) -> Optional[Row]:
         row = self._live_row(key)
@@ -372,11 +339,11 @@ class RelationalStore(StorageEngine):
                 "kind of value")
         return row
 
-    def _stmt_hset(self, argv: List[bytes]) -> Tuple[Any, List]:
-        self._check_arity(argv, 4, name="HSET", variadic=True)
+    def _stmt_hset(self, ctx: CommandContext, argv: List[bytes]) -> Any:
         if len(argv) % 2 != 0:
             raise RespError(
-                "ERR wrong number of arguments for 'HSET' command")
+                "ERR wrong number of arguments for "
+                f"'{argv[0].decode().lower()}' command")
         self._charge_statement(
             "HSET", "INSERT INTO records(key, cols) VALUES ($1, $2) "
                     "ON CONFLICT (key) DO UPDATE SET cols = "
@@ -392,71 +359,71 @@ class RelationalStore(StorageEngine):
             row.value[field] = value
             nbytes += len(field) + len(value)
         self._charge_rows(1, nbytes)
-        return added, [list(argv)]
+        ctx.mark_dirty()
+        return added
 
-    def _stmt_hget(self, argv: List[bytes]) -> Tuple[Any, List]:
-        self._check_arity(argv, 3, name="HGET")
+    def _stmt_hmset(self, ctx: CommandContext, argv: List[bytes]) -> Any:
+        self._stmt_hset(ctx, argv)
+        return OK
+
+    def _stmt_hget(self, ctx: CommandContext, argv: List[bytes]) -> Any:
         self._charge_statement(
             "HGET", "SELECT cols -> $2 FROM records WHERE key = $1")
         self._charge_index()
         row = self._wide_row(argv[1], create=False)
         if row is None:
             self.stats.keyspace_misses += 1
-            return None, []
+            return None
         self.stats.keyspace_hits += 1
         value = row.value.get(argv[2])
         self._charge_rows(1, len(value) if value else 0)
-        return value, []
+        return value
 
-    def _stmt_hmget(self, argv: List[bytes]) -> Tuple[Any, List]:
-        self._check_arity(argv, 3, name="HMGET", variadic=True)
+    def _stmt_hmget(self, ctx: CommandContext, argv: List[bytes]) -> Any:
         self._charge_statement(
             "HMGET", "SELECT cols -> ANY($2) FROM records WHERE key = $1")
         self._charge_index()
         row = self._wide_row(argv[1], create=False)
         if row is None:
             self.stats.keyspace_misses += 1
-            return [None] * (len(argv) - 2), []
+            return [None] * (len(argv) - 2)
         self.stats.keyspace_hits += 1
         out = [row.value.get(field) for field in argv[2:]]
         self._charge_rows(1, sum(len(v) for v in out if v))
-        return out, []
+        return out
 
-    def _stmt_hgetall(self, argv: List[bytes]) -> Tuple[Any, List]:
-        self._check_arity(argv, 2, name="HGETALL")
+    def _stmt_hgetall(self, ctx: CommandContext, argv: List[bytes]) -> Any:
         self._charge_statement(
             "HGETALL", "SELECT cols FROM records WHERE key = $1")
         self._charge_index()
         row = self._wide_row(argv[1], create=False)
         if row is None:
             self.stats.keyspace_misses += 1
-            return [], []
+            return []
         self.stats.keyspace_hits += 1
         flat: List[bytes] = []
         for field in sorted(row.value):
             flat.append(field)
             flat.append(row.value[field])
         self._charge_rows(1, row.payload_bytes())
-        return flat, []
+        return flat
 
-    def _stmt_hlen(self, argv: List[bytes]) -> Tuple[Any, List]:
-        self._check_arity(argv, 2, name="HLEN")
+    def _stmt_hlen(self, ctx: CommandContext, argv: List[bytes]) -> Any:
         self._charge_statement(
             "HLEN", "SELECT jsonb_array_length(cols) FROM records "
                     "WHERE key = $1")
         self._charge_index()
         row = self._wide_row(argv[1], create=False)
-        return (len(row.value) if row is not None else 0), []
+        return len(row.value) if row is not None else 0
 
-    def _stmt_hdel(self, argv: List[bytes]) -> Tuple[Any, List]:
-        self._check_arity(argv, 3, name="HDEL", variadic=True)
+    def _stmt_hdel(self, ctx: CommandContext, argv: List[bytes]) -> Any:
         self._charge_statement(
             "HDEL", "UPDATE records SET cols = cols - ANY($2) "
                     "WHERE key = $1")
         self._charge_index()
         row = self._wide_row(argv[1], create=False)
         if row is None:
-            return 0, []
+            return 0
         removed = 0
         for field in argv[2:]:
             if field in row.value:
@@ -465,10 +432,11 @@ class RelationalStore(StorageEngine):
         self._charge_rows(1)
         if not row.value:
             self._delete_row(argv[1], reason="del")
-        return removed, [list(argv)] if removed else []
+        if removed:
+            ctx.mark_dirty()
+        return removed
 
-    def _stmt_keys(self, argv: List[bytes]) -> Tuple[Any, List]:
-        self._check_arity(argv, 2, name="KEYS")
+    def _stmt_keys(self, ctx: CommandContext, argv: List[bytes]) -> Any:
         self._charge_statement(
             "KEYS", "SELECT key FROM records WHERE key LIKE $1 "
                     "ORDER BY key")
@@ -481,25 +449,23 @@ class RelationalStore(StorageEngine):
             if glob_match(pattern, row.key):
                 out.append(row.key)
         self._charge_rows(len(self.table))
-        return out, []
+        return out
 
-    def _stmt_dbsize(self, argv: List[bytes]) -> Tuple[Any, List]:
-        self._check_arity(argv, 1, name="DBSIZE")
+    def _stmt_dbsize(self, ctx: CommandContext, argv: List[bytes]) -> Any:
         self._charge_statement(
             "DBSIZE", "SELECT count(*) FROM records")
         self._charge_index()
-        return len(self.table), []
+        return len(self.table)
 
-    def _stmt_flush(self, argv: List[bytes]) -> Tuple[Any, List]:
-        self._check_arity(argv, 1, name="FLUSH")
+    def _stmt_flush(self, ctx: CommandContext, argv: List[bytes]) -> Any:
         self._charge_statement("FLUSH", "TRUNCATE records")
         dropped = self.table.clear()
         self.stats.deleted_keys += dropped
         self._charge_rows(dropped)
-        return OK, [list(argv)]
+        ctx.mark_dirty()
+        return OK
 
-    def _stmt_range(self, argv: List[bytes]) -> Tuple[Any, List]:
-        self._check_arity(argv, 3, name="RANGE")
+    def _stmt_range(self, ctx: CommandContext, argv: List[bytes]) -> Any:
         self._charge_statement(
             "RANGE", "SELECT key FROM records WHERE key >= $1 "
                      "ORDER BY key LIMIT $2")
@@ -518,21 +484,19 @@ class RelationalStore(StorageEngine):
                 continue            # dead tuple: the scan walks past it
             out.append(key)
         self._charge_rows(len(out))
-        return out, []
+        return out
 
-    def _stmt_dump(self, argv: List[bytes]) -> Tuple[Any, List]:
-        self._check_arity(argv, 2, name="DUMP")
+    def _stmt_dump(self, ctx: CommandContext, argv: List[bytes]) -> Any:
         self._charge_statement(
             "DUMP", "SELECT row_image FROM records WHERE key = $1")
         self._charge_index()
         row = self._live_row(argv[1], for_read=True)
         if row is None:
-            return None, []
+            return None
         self._charge_rows(1, row.payload_bytes())
-        return dump_value(row.value), []
+        return dump_value(row.value)
 
-    def _stmt_restore(self, argv: List[bytes]) -> Tuple[Any, List]:
-        self._check_arity(argv, 4, name="RESTORE", variadic=True)
+    def _stmt_restore(self, ctx: CommandContext, argv: List[bytes]) -> Any:
         self._charge_statement(
             "RESTORE", "INSERT INTO records(key, row_image) "
                        "VALUES ($1, $3)")
@@ -561,43 +525,25 @@ class RelationalStore(StorageEngine):
         self._charge_index()
         self._charge_rows(1, len(argv[3]))
         self.table.upsert(key, value)
-        records = [[b"RESTORE", key, b"0", argv[3], b"REPLACE"]]
         if ttl_ms > 0:
-            deadline = self.clock.now() + ttl_ms / 1000.0
-            self.table.set_expiry(key, deadline)
+            self.table.set_expiry(key, self.clock.now() + ttl_ms / 1000.0)
             self._charge_index()
-            millis = str(int(deadline * 1000)).encode("ascii")
-            records.append([b"PEXPIREAT", key, millis])
-        return OK, records
+        ctx.mark_dirty()
+        return OK
 
-    def _stmt_gdprmeta(self, argv: List[bytes]) -> Tuple[Any, List]:
-        self._check_arity(argv, 4, name="GDPRMETA")
+    def _stmt_gdprmeta(self, ctx: CommandContext, argv: List[bytes]) -> Any:
         self._charge_statement(
             "GDPRMETA", "UPDATE records SET owner = $2, purposes = $3 "
                         "WHERE key = $1")
         self._charge_index(traversals=2)     # PK descent + owner index
         if self._live_row(argv[1]) is None:
-            return 0, []
+            return 0
         self.table.set_metadata(argv[1],
                                 argv[2].decode("utf-8", "replace"),
                                 argv[3].decode("utf-8", "replace"))
         self._charge_rows(1)
-        return 1, [list(argv)]
-
-    def _stmt_select(self, argv: List[bytes]) -> Tuple[Any, List]:
-        raise RespError(
-            "ERR the relational engine has a single database; "
-            "SELECT is not supported")
-
-    @staticmethod
-    def _check_arity(argv: List[bytes], expected: int, name: str,
-                     variadic: bool = False,
-                     at_most: Optional[int] = None) -> None:
-        if len(argv) < expected or (not variadic and at_most is None
-                                    and len(argv) != expected) \
-                or (at_most is not None and len(argv) > at_most):
-            raise RespError(
-                f"ERR wrong number of arguments for '{name}' command")
+        ctx.mark_dirty()
+        return 1
 
     _HANDLERS: Dict[bytes, Callable] = {
         b"PING": _stmt_ping,
@@ -614,7 +560,7 @@ class RelationalStore(StorageEngine):
         b"PTTL": _stmt_ttl,
         b"PERSIST": _stmt_persist,
         b"HSET": _stmt_hset,
-        b"HMSET": _stmt_hset,
+        b"HMSET": _stmt_hmset,
         b"HGET": _stmt_hget,
         b"HMGET": _stmt_hmget,
         b"HGETALL": _stmt_hgetall,
@@ -628,7 +574,6 @@ class RelationalStore(StorageEngine):
         b"DUMP": _stmt_dump,
         b"RESTORE": _stmt_restore,
         b"GDPRMETA": _stmt_gdprmeta,
-        b"SELECT": _stmt_select,
     }
 
     # -- background work (vacuum + WAL fsync + checkpoint) -----------------

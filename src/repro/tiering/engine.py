@@ -145,9 +145,6 @@ class TieredEngine(StorageEngine):
     def supports_set_with_expiry(self) -> bool:  # type: ignore[override]
         return self._inner.supports_set_with_expiry
 
-    def session(self, db_index: int = 0) -> Any:
-        return self._inner.session(db_index)
-
     def info_text(self) -> str:
         return self._inner.info_text()
 

@@ -5,23 +5,25 @@ relational engine, and a **tiered** variant of each (the hot engine
 behind :class:`~repro.tiering.TieredEngine`, with demotion aggressive
 enough that records routinely cross tiers mid-test) -- asserting the
 shared :class:`~repro.engine.base.StorageEngine` semantics: command
-behaviour, expiry (lazy and active, with translated DEL propagation),
-deletion reasons, DUMP/RESTORE, snapshot and durable-log round trips,
-keyspace views, replication spawning, and GDPR erasure through the
-facade.  The tiered variants passing the *same* assertions is the
+behaviour and typed refusals, what reaches the log, expiry (lazy and
+active, with translated DEL propagation), deletion reasons,
+DUMP/RESTORE, snapshot and durable-log round trips, keyspace views,
+replication spawning, and GDPR erasure through the facade.  The tiered variants passing the *same* assertions is the
 transparency contract: tiering must be observationally invisible.
 """
 
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.errors import CorruptionError, StoreError
+from repro.common.errors import (
+    ArityError, CorruptionError, StoreError, UnknownCommandError)
 from repro.common.hashing import crc32_of
 from repro.common.resp import RespError
 from repro.crypto.keystore import KeyStore
 from repro.engine.base import ENGINES, StorageEngine, register_engine
 from repro.gdpr.metadata import GDPRMetadata
 from repro.gdpr.store import GDPRConfig, GDPRStore
+from repro.kvstore import REGISTRY
 from repro.kvstore.aof import contains_key
 from repro.kvstore.replication import ReplicationManager
 from repro.kvstore.store import KeyValueStore
@@ -68,6 +70,45 @@ def test_hash_rows(engine):
     with pytest.raises(StoreError):
         engine.execute("HGETALL", "s")
 
+
+
+def test_hmset_replies_ok(engine):
+    assert engine.execute("HMSET", "h", "a", "1", "b", "2") == "OK"
+    assert engine.execute("HMSET", "h", "b", "3", "c", "4") == "OK"
+    assert engine.execute("HLEN", "h") == 3
+
+
+def test_control_traffic_never_reaches_the_log(engine):
+    engine.aof.log_reads = True
+    before = engine.aof_log.total_length
+    assert engine.execute("PING") == "PONG"
+    assert engine.aof_log.total_length == before
+    engine.execute("GET", "k")                # a read does reach it
+    assert engine.aof_log.total_length > before
+
+
+def test_unknown_command_is_one_typed_error(engine):
+    """A name nobody declared, and every name of the command table this
+    engine has no handler for, is refused the same way on every engine,
+    in the caller's spelling."""
+    hot = engine.inner if isinstance(engine, TieredEngine) else engine
+    lacking = sorted(set(REGISTRY) - set(hot._HANDLERS))
+    for name in [b"nosuchcmd"] + lacking:
+        with pytest.raises(UnknownCommandError) as refused:
+            engine.execute(name, "k")
+        assert str(refused.value) == \
+            f"ERR unknown command '{name.decode()}'"
+    if engine.database_count == 1:
+        assert b"SELECT" in lacking
+
+
+def test_wrong_arity_is_one_typed_error(engine):
+    for argv in (("GET",), ("Set", "k"), ("expire", "k"),
+                 ("HGET", "h", "f", "x"), ("DEL",)):
+        with pytest.raises(ArityError) as refused:
+            engine.execute(*argv)
+        assert str(refused.value) == ("ERR wrong number of arguments for "
+                                      f"'{argv[0].lower()}' command")
 
 def test_lazy_expiry_and_deletion_reason(engine):
     events = []

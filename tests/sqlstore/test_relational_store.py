@@ -190,16 +190,17 @@ def test_single_database_discipline():
     from repro.common.resp import RespError
 
     store = make_store()
-    with pytest.raises(RespError):
-        store.execute("SELECT", 1)
     session = store.session(db_index=3)
     with pytest.raises(RespError):
         store.execute("SET", "k", "v", session=session)
 
 
-def test_unknown_statement_rejected():
+def test_set_takes_no_options():
+    """The relational SET is a plain upsert: an option it cannot honour
+    (a TTL, NX/XX) is refused instead of dropped."""
     from repro.common.resp import RespError
 
     store = make_store()
-    with pytest.raises(RespError, match="unknown command"):
-        store.execute("ZADD", "z", 1, "m")
+    with pytest.raises(RespError, match="syntax error"):
+        store.execute("SET", "k", "v", "EX", 10)
+    assert store.execute("GET", "k") is None
