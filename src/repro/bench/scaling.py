@@ -15,8 +15,8 @@ layer adds:
 with read logging at everysec, the calibrated record costs from
 :mod:`repro.bench.calibration`); ``off`` shards run unmodified.  The
 companion :data:`ERASURE_FANOUT` measures how cross-shard Art. 17 erasure
-(fan-out DELs + one shared-keystore crypto-erasure + per-shard AOF
-compaction) scales with shard count.
+(one DEL per shard + one shared-keystore crypto-erasure + per-shard
+AOF compaction) scales with shard count.
 
 :data:`RESHARDING` adds the operational cost the related work says
 dominates real deployments: the throughput a live workload keeps *while*
@@ -810,8 +810,8 @@ def erasure_fanout(shards: int, subject_keys: int = 60) -> Row:
     """Simulated cost of one cross-shard Art. 17 erasure.
 
     One data subject's records spread over every shard; the erasure fans
-    out DELs and AOF compaction per shard while a single crypto-erasure
-    voids all shards at once.
+    out one DEL and one AOF compaction per shard while a single
+    crypto-erasure voids all shards at once.
     """
     receipt = _subject_store(shards, subject_keys).erase_subject("alice")
     return {

@@ -16,9 +16,9 @@ a hot-only store and over the tiered store and reports:
   payload) and its device bytes (`cold dev`) -- the capacity the
   archive frees;
 * **time-to-full-erasure** for one data subject whose records span both
-  tiers: keyspace DELs, durable cold tombstones, the fsynced
-  subject-erasure marker, and the crypto-erasure -- Art. 17 reaching
-  the archive, timed.
+  tiers: one keyspace DEL, its cold tombstones sharing one fsync, the
+  fsynced subject-erasure marker, and the crypto-erasure -- Art. 17
+  reaching the archive, timed.
 
 Same seed => identical numbers, byte for byte; CI diffs two runs.
 """
@@ -218,7 +218,8 @@ TIERING = Scenario(
              "'cold dev' its device bytes.  'cold_rd_us' is a\nread that "
              "faults in from the archive (one record read, then promote);"
              "\n'erase_ms' is a full Art. 17 request on a subject whose "
-             "records span both\ntiers -- DELs, durable cold tombstones, "
-             "the fsynced subject marker, and\nthe crypto-erasure.  At "
-             "hot fraction 1.0 the tiers are indistinguishable.",
+             "records span both\ntiers -- one DEL, its cold tombstones "
+             "sharing one fsync, the fsynced\nsubject marker, and the "
+             "crypto-erasure.  At hot fraction 1.0 the tiers\nare "
+             "indistinguishable.",
 )

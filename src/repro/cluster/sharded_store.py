@@ -266,8 +266,8 @@ class ShardedGDPRStore:
                       principal: Optional[Principal] = None,
                       compact_log: Optional[bool] = None
                       ) -> ShardedErasureReceipt:
-        """Art. 17 across shards: per-shard keyspace DELs and AOF
-        compaction, plus one crypto-erasure through the shared keystore
+        """Art. 17 across shards: one keyspace DEL and one AOF compaction
+        per shard, plus one crypto-erasure through the shared keystore
         that voids the subject's ciphertexts on every shard."""
         holders = self._require_subject(subject)
         requested_at = self.clock.now()

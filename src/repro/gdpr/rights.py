@@ -30,9 +30,13 @@ on:
   target shadows, so whichever runs first, no copy survives.  The
   crypto-erasure step voids the subject's ciphertexts globally (one
   shared keystore) even where AOF bytes linger.
-* **CROSSSLOT does not apply here.**  Rights operate per key via the
-  store facade, not via multi-key commands, so a subject's records may
-  span arbitrarily many slots and shards.
+* **One lookup, one ``DEL`` per store.**  Each right looks the subject
+  up once (:meth:`GDPRStore.require_subject` returns the keys), and
+  Art. 17 deletes them with one engine-internal ``DEL k1 ... kn``: one
+  command charge, one log record and one replicated event per store.
+  CROSSSLOT is a client-routing rule and never applies to the store's
+  own deletes (Redis applies its internal deletes the same way), so a
+  subject's records may span arbitrarily many slots and shards.
 """
 
 from __future__ import annotations
@@ -91,7 +95,7 @@ def right_of_access(store: GDPRStore, subject: str,
     """Art. 15: everything we hold about ``subject`` and how it is used."""
     if principal is None:
         principal = Principal.subject(subject)
-    store.require_subject(subject)
+    keys = store.require_subject(subject)
     started = store.clock.now()
     report = AccessReport(subject=subject, generated_at=started)
     purposes = set()
@@ -104,7 +108,7 @@ def right_of_access(store: GDPRStore, subject: str,
         # the reads below promote them.
         cold_keys = {k.decode("utf-8", "replace")
                      for k in store.kv.cold_keys_of_subject(subject)}
-    for key in store.keys_of_subject(subject):
+    for key in keys:
         record = store.get(key, principal=principal)
         meta = record.metadata
         purposes.update(meta.purposes)
@@ -140,7 +144,7 @@ def right_to_erasure(store: GDPRStore, subject: str,
 
     Erasure depth is three layers:
 
-    1. keyspace DELs (immediate inaccessibility),
+    1. one keyspace DEL of every key (immediate inaccessibility),
     2. crypto-erasure of the subject's data key (voids AOF history,
        snapshots, and backups even where ciphertext bytes linger),
     3. optional AOF compaction so not even ciphertext persists
@@ -148,17 +152,14 @@ def right_to_erasure(store: GDPRStore, subject: str,
     """
     if principal is None:
         principal = Principal.subject(subject)
-    store.require_subject(subject)
+    keys = store.require_subject(subject)
     requested_at = store.clock.now()
-    keys = store.keys_of_subject(subject)
-    now = store.clock.now()
-    meta_sample = store.index.get_metadata(keys[0]) if keys else None
-    store.access.check(principal, Operation.DELETE, meta_sample, None, now)
-    for key in keys:
-        store.kv.execute("DEL", key)
+    store.access.check(principal, Operation.DELETE,
+                       store.index.get_metadata(keys[0]), None, requested_at)
+    store.kv.execute("DEL", *keys)
     cold_voided = 0
     if getattr(store.kv, "supports_tiering", False):
-        # The DELs above evicted every *indexed* cold copy; the subject
+        # The DEL above evicted every *indexed* cold copy; the subject
         # marker voids any archived stragglers and persists the erasure
         # on the cold device itself (fsynced), independent of the
         # keystore tombstone below.
@@ -198,9 +199,8 @@ def portability_rows(store: GDPRStore, subject: str, fmt: str = "json",
     """
     if principal is None:
         principal = Principal.subject(subject)
-    store.require_subject(subject)
     rows = []
-    for key in store.keys_of_subject(subject):
+    for key in store.require_subject(subject):
         record = store.get(key, principal=principal)
         rows.append({
             "key": key,
@@ -249,9 +249,8 @@ def right_to_object(store: GDPRStore, subject: str, purpose: str,
     """
     if principal is None:
         principal = Principal.subject(subject)
-    store.require_subject(subject)
     updated = 0
-    for key in store.keys_of_subject(subject):
+    for key in store.require_subject(subject):
         record = store.get(key, principal=principal)
         new_meta = record.metadata.with_objection(purpose)
         store.update_metadata(key, new_meta, principal=CONTROLLER)
@@ -272,9 +271,8 @@ def transfer_subject(source: GDPRStore, target: GDPRStore, subject: str,
     """
     if principal is None:
         principal = Principal.subject(subject)
-    source.require_subject(subject)
     moved = 0
-    for key in source.keys_of_subject(subject):
+    for key in source.require_subject(subject):
         record = source.get(key, principal=principal)
         target.put(key, record.value, record.metadata,
                    principal=CONTROLLER)

@@ -582,10 +582,14 @@ class GDPRStore:
     def subject_exists(self, subject: str) -> bool:
         return bool(self.keys_of_subject(subject))
 
-    def require_subject(self, subject: str) -> None:
-        if not self.subject_exists(subject):
+    def require_subject(self, subject: str) -> List[str]:
+        """The subject's keys (one lookup); raises
+        :class:`UnknownSubjectError` when there are none."""
+        keys = self.keys_of_subject(subject)
+        if not keys:
             raise UnknownSubjectError(
                 f"no records for data subject {subject!r}")
+        return keys
 
 
 def _with_created_at(metadata: GDPRMetadata, now: float) -> GDPRMetadata:

@@ -131,7 +131,7 @@ class TenantStore:
     def erase_subject(self, subject: str,
                       principal: Optional[Principal] = None,
                       compact_log: Optional[bool] = None):
-        """Art. 17: erase *this tenant's* ``subject`` -- keyspace DELs,
+        """Art. 17: erase *this tenant's* ``subject`` -- one keyspace DEL,
         crypto-erasure of the tenant-qualified data key, archive
         tombstones -- leaving same-named subjects of other tenants
         untouched."""

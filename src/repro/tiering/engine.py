@@ -189,8 +189,19 @@ class TieredEngine(StorageEngine):
         if session is not None and getattr(session, "db_index", 0) != 0:
             return self._inner.execute(*argv, session=session)
         name = argv[0].upper()
-        reply = self._execute_tiered(name, argv, session)
-        self._cold_tick()
+        # One cold barrier per command: every durable tombstone the
+        # command lays (DEL victims, hot deletions, reclaims, expiries)
+        # is covered by one fsync before it returns.
+        cold = self.cold
+        outer = cold.grouped
+        cold.grouped = True
+        try:
+            reply = self._execute_tiered(name, argv, session)
+            self._cold_tick()
+        finally:
+            cold.grouped = outer
+            if cold.barrier_due and not outer:
+                cold.barrier()
         return reply
 
     def _execute_tiered(self, name: bytes, argv: List[bytes],
@@ -363,8 +374,16 @@ class TieredEngine(StorageEngine):
     # -- background work -----------------------------------------------------
 
     def tick(self) -> None:
-        self._inner.tick()
-        self._cold_tick()
+        cold = self.cold
+        outer = cold.grouped
+        cold.grouped = True
+        try:
+            self._inner.tick()
+            self._cold_tick()
+        finally:
+            cold.grouped = outer
+            if cold.barrier_due and not outer:
+                cold.barrier()
 
     def _cold_tick(self) -> None:
         if self._in_cold_tick:
@@ -550,8 +569,9 @@ class TieredEngine(StorageEngine):
         # The hot AOF holds a plain DEL for every demotion; replaying it
         # must not evict the archived copies those DELs produced.  Every
         # *legitimate* cold kill (DEL, expiry, erasure) was persisted as
-        # its own durable frame on the cold device at operation time, so
-        # recovery needs no eviction from the replay stream at all.
+        # a frame on the cold device that was durable before its command
+        # returned (one barrier per command), so recovery needs no
+        # eviction from the replay stream at all.
         self._loading = True
         try:
             return self._inner.replay_aof(

@@ -38,8 +38,11 @@ Four frame kinds:
 Durability discipline: sealing and deletion-like mutations end with a
 ``flush(); fsync()`` barrier *before* the caller removes hot copies, so
 a crash at any point leaves the record in at least one tier and never
-resurrects a deleted one.  A torn final frame (crash mid-seal) fails its
-length or CRC check and is dropped whole at recovery.
+resurrects a deleted one.  Key tombstones laid during one tiered command
+share one barrier (group commit): each is appended unsynced and one
+fsync covers them all before the command returns.  A torn final frame
+(crash mid-seal) fails its length or CRC check and is dropped whole at
+recovery.
 """
 
 from __future__ import annotations
@@ -213,6 +216,12 @@ class ColdSegmentStore:
         # power loss would revoke it, so a later deletion must re-issue
         # it durably even though the directory already lost the key.
         self._undurable: Set[bytes] = set()
+        # Group commit: while ``grouped`` is set (one tiered command), a
+        # durable tombstone is appended unsynced and ``barrier_due``
+        # records that the caller owes one :meth:`barrier` before it
+        # returns.
+        self.grouped = False
+        self.barrier_due = False
         self._erased_subjects: Set[str] = set()
         # (expire_at, seq, key) heap-ordered list for active cold expiry.
         self._expiry: List[Tuple[float, int, bytes]] = []
@@ -238,11 +247,16 @@ class ColdSegmentStore:
         self.device.append(magic + _U32.pack(len(body)) + body
                            + _U32.pack(crc32_of(body)))
         if durable:
-            self.device.flush_and_fsync()
-            # The barrier covers every earlier frame too.
-            self._undurable.clear()
+            self.barrier()
         else:
             self.device.flush()
+
+    def barrier(self) -> None:
+        """Make every frame appended so far durable: one flush+fsync,
+        which covers the non-durable and the grouped frames before it."""
+        self.device.flush_and_fsync()
+        self._undurable.clear()
+        self.barrier_due = False
 
     def _register(self, info: SegmentInfo, entries: Iterable[IndexEntry],
                   records_offset: int) -> None:
@@ -394,15 +408,20 @@ class ColdSegmentStore:
         A no-op when there is nothing to kill: no live copy and -- for a
         durable tombstone -- no earlier non-durable one still exposed to
         power loss, which must be re-issued durably because deletions
-        must not resurrect.
+        must not resurrect.  Inside a group a durable tombstone waits
+        for the group's one :meth:`barrier`.
         """
         if self._directory.pop(key, None) is None \
                 and not (durable and key in self._undurable):
             return
         body = _U32.pack(len(key)) + key + _U64.pack(self._next_seq - 1)
-        self._append_frame(MAGIC_TOMBSTONE, body, durable=durable)
-        if not durable:
-            self._undurable.add(key)
+        if durable and self.grouped:
+            self._append_frame(MAGIC_TOMBSTONE, body, durable=False)
+            self.barrier_due = True
+        else:
+            self._append_frame(MAGIC_TOMBSTONE, body, durable=durable)
+            if not durable:
+                self._undurable.add(key)
         self.tombstones += 1
 
     def erase_subject(self, subject: str) -> List[int]:

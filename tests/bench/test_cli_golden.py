@@ -16,9 +16,11 @@ fails here rather than in a reader's diff.  ``table1`` has since gained a second
 against the part of stdout that precedes the new table, and
 ``replication`` was re-recorded when its fan-out table's title changed
 from "timer-pumped" to "event-delivered" (replication became one
-delivery event per command; no number moved).  Simulated
-numbers depend on nothing but the seed, so the digests are stable
-across hosts and Python versions.
+delivery event per command; no number moved).  ``scaling`` and
+``replication`` were re-recorded when Art. 17 became one DEL per shard:
+only their ``erase_ms`` cells moved.  Simulated numbers depend on
+nothing but the seed, so the digests are stable across hosts and Python
+versions.
 """
 
 import hashlib
@@ -27,7 +29,7 @@ import pytest
 
 GOLDEN = {
     "scaling":
-        "c13a6edf53eb4e3af9877b135964bdc67e985e41ea00ccc8c0619972a3c62b83",
+        "4a59bfa306f95c5c32757e875ba511ba040ac46f62179be41c817ae9645c43c0",
     "resharding":
         "bda3db93d7df1ff8f21f07043fd7fdad97d113cf20f8608a7557f94d5eee785a",
     "concurrency":
@@ -37,7 +39,7 @@ GOLDEN = {
     "workers_skew":
         "7bad66634721255bfdc5ebaea8dc23d776150a631fbc314b4c745ded0c25387d",
     "replication":
-        "441f3056f376886af6a3c4d6ae06b9d56fa1fa5761bae26646d7f0e3c071159f",
+        "508e207f48126c6978786bc343c9b88076938d509fa872ec21353ef946a5fea0",
     "table1":
         "0f4653082db468f1feaeffc077987bf4de0e3b001b6037c4ee8d16c2909d802d",
     "tenancy":

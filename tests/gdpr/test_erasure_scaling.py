@@ -55,10 +55,12 @@ def _erasure_calls(records, subject):
 
 def test_erasure_calls_do_not_scale_with_keys_per_subject():
     """Net of the compaction (the same live rows on both sides), what an
-    8-key subject adds over a 1-key one is its 7 extra DELs -- about 39
-    calls each -- at any store size (parent of PR 14: ~7.3x, growing
-    with the log).  Stated net because the compaction used to pad both
-    sides with ~3 calls per live row and so hid the ratio."""
+    8-key subject adds over a 1-key one is its 7 extra keys in the one
+    DEL -- about 19 calls each (42 when every key was its own DEL) -- at
+    any store size (~7.3x, growing with the log, when the residual check
+    parsed the log once per key).  Stated net because the compaction
+    used to pad both sides with ~3 calls per live row and so hid the
+    ratio."""
     net = {}
     for records in (400, 1600):
         for subject in ("wide", "narrow"):
@@ -68,7 +70,7 @@ def test_erasure_calls_do_not_scale_with_keys_per_subject():
     assert net[400, "narrow"] == net[1600, "narrow"], net
     per_extra_key = ((net[400, "wide"] - net[400, "narrow"])
                      / (WIDE_KEYS - 1))
-    assert 0 < net[400, "narrow"] and 0 < per_extra_key <= 45, net
+    assert 0 < net[400, "narrow"] and 0 < per_extra_key <= 22, net
 
 
 def test_compaction_formats_a_row_without_a_python_call():
@@ -84,7 +86,7 @@ def test_compaction_formats_a_row_without_a_python_call():
 
 def test_erasure_verification_does_not_scale_with_log_size():
     """The compaction writes one statement per live row by design, so its
-    own calls are taken out; what is left -- the DELs, the key erasure,
+    own calls are taken out; what is left -- the DEL, the key erasure,
     the audit record and the residual check over a 4x larger log -- must
     stay flat (parent: ~4x, one full parse of the log per key)."""
     small_total, small_compaction = _erasure_calls(400, "narrow")

@@ -9,9 +9,11 @@ move no simulated digit and no device byte reruns this file to show it.
 
 A deliberate change to a log format, a cost constant or the envelope
 re-records the digests it moves -- and only those -- and says so in
-CHANGES.md.  There have been two: PR 19 (the envelope keystream became
-one SHAKE-256 call; AOF/WAL digests of all three runs) and PR 24 (cold
-segment format v2; the ``tiered`` run only).
+CHANGES.md.  There have been three: the envelope keystream became one
+SHAKE-256 call (AOF/WAL digests of all three runs), cold segment format
+v2 (the ``tiered`` run only), and Art. 17 became one DEL per store with
+one cold barrier per command (the ``fast_relational`` and ``tiered``
+runs).
 """
 
 import hashlib
@@ -205,6 +207,11 @@ def _tiered():
 # record's read instead of a whole segment's, a deletion writes a durable
 # tombstone only when a copy is left to kill or harden; the clock, and
 # with it every timestamp in the AOF and the audit log, moves.
+# ``fast_relational`` and ``tiered``: re-recorded when Art. 17 came to
+# look the subject up once and deletes its keys with one DEL (one log
+# record instead of one per key), and the tiered run's cold tombstones
+# share one fsync per command, so the clock and every timestamp after
+# the first erasure move.  ``strict_redislike`` never erases: unchanged.
 GOLDEN = {
     "strict_redislike": ({
         "aof": "922c52a2f83a58d39819aafc77adaa31"
@@ -213,19 +220,19 @@ GOLDEN = {
                  "3196f31d21d6c814cd4ab625e5e77b6d",
     }, 0.19332046999999966),
     "fast_relational": ({
-        "wal": "d705606dd6ae4beafad3321a07588c2f"
-               "fc38562d72ebdfbe2d1c1a21bf7565e9",
-        "audit": "995488e14970ac59ae6b62236b62ebbd"
-                 "d141d8b15c1b4353a1f08be63bf43e4a",
-    }, 0.07506849600000068),
+        "wal": "ba64943644e105c658bb4df673b25d14"
+               "9fbf731b8fe3cbbf498d65a9ab8f577d",
+        "audit": "435ecc0473de522e882a3e4a2b22bc95"
+                 "4b25f981a222a98ccf19c6d8ca6ff177",
+    }, 0.07382482200000055),
     "tiered": ({
-        "aof": "f4ee908f19840afafef44fe79cb3faf4"
-               "e9f588242bf338c244351779177e0ef8",
-        "cold": "583eada6c9aa88f0a3098b7ca597ce02"
-                "942b186a0e297b2c656f80c1c02ee6af",
-        "audit": "93e17fc799bf83c976c2f664077ffb67"
-                 "f2d61dfadf015addc14704bfcb4b13a1",
-    }, 180.0373877649978),
+        "aof": "69aaf151bc7bb7544820d47e9fd78f7a"
+               "27c087cc86400fed57bbc1280cdf266a",
+        "cold": "af12035788dd2fc0bb14f7d6b5cbd4f7"
+                "c756fb3bd53b195586aaee5ea98730f2",
+        "audit": "2a8ec67b56b4b4ab3524d692369c9fc6"
+                 "9d4179274636c55d9b65aebf5bc4e0bb",
+    }, 180.0359015239978),
 }
 
 RUNS = {
