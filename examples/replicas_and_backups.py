@@ -83,7 +83,7 @@ def main() -> None:
     sharded.clock.advance(0.5)   # delivery events converge replicas
 
     keys = sharded.keys_of_subject("carol")
-    sharded.erase_subject("carol")
+    right_to_erasure(sharded, "carol")
     horizon = sharded.replication.erasure_horizon(keys, step=0.01)
     print(f"\ncluster erasure of carol ({len(keys)} keys, "
           f"{sharded.num_shards} shards x 2 replicas): last copy gone "

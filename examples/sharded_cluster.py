@@ -12,7 +12,6 @@ fanned out across every shard while one crypto-erasure voids them all.
 """
 
 import json
-import os
 
 from repro.cluster import (
     ShardedGDPRStore,
@@ -20,9 +19,14 @@ from repro.cluster import (
     build_cluster,
     slot_for_key,
 )
-from repro.gdpr import GDPRMetadata
+from repro.gdpr import (
+    GDPRMetadata,
+    right_of_access,
+    right_to_erasure,
+    right_to_portability,
+)
 
-RECORDS = int(os.environ.get("REPRO_BENCH_RECORDS", "200"))
+RECORDS = 200
 
 
 def main() -> None:
@@ -54,20 +58,21 @@ def main() -> None:
           f"({t1 / t8:.1f}x faster)")
 
     # 3. GDPR across shards: per-shard audit chains and AOFs, one shared
-    #    keystore.  Subject rights see the union of every shard.
+    #    keystore.  The subject-rights functions take the sharded store
+    #    as they take a single one and see the union of every shard.
     store = ShardedGDPRStore(num_shards=4)
     for number in range(24):
         owner = "alice" if number % 2 == 0 else "bob"
         store.put(f"rec:{number}", f"value-{number}".encode(),
                   GDPRMetadata(owner=owner,
                                purposes=frozenset({"service"})))
-    report = store.access_report("alice")
+    report = right_of_access(store, "alice")
     print(f"\nArt. 15 for alice: {len(report.records)} records from "
           f"shards {store.shards_of_subject('alice')}")
-    document = json.loads(store.export_subject("alice", "json"))
+    document = json.loads(right_to_portability(store, "alice", "json"))
     print(f"Art. 20 export: {len(document['records'])} rows")
 
-    receipt = store.erase_subject("alice")
+    receipt = right_to_erasure(store, "alice")
     print(f"Art. 17 erasure: {len(receipt.keys_erased)} keys over "
           f"{len(receipt.shards_touched)} shards, "
           f"crypto-erased={receipt.crypto_erased}, "

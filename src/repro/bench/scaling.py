@@ -68,6 +68,7 @@ from ..cluster import (
 )
 from ..common.clock import Clock
 from ..gdpr.metadata import GDPRMetadata
+from ..gdpr.rights import right_to_erasure
 from ..kvstore.store import KeyValueStore, StoreConfig
 from ..ycsb.distributions import ScrambledZipfianGenerator
 from ..ycsb.generator import build_key_name
@@ -772,7 +773,7 @@ def replicated_erasure_fanout(shards: int, replicas: int,
     last replica stopped serving the last key (-1 if it never did)."""
     store = _subject_store(shards, subject_keys, replicas)
     keys = store.keys_of_subject("alice")
-    receipt = store.erase_subject("alice")
+    receipt = right_to_erasure(store, "alice")
     horizon = store.replication.erasure_horizon(
         keys, step=FANOUT_REPLICA_DELAY / 10)
     return {
@@ -813,7 +814,8 @@ def erasure_fanout(shards: int, subject_keys: int = 60) -> Row:
     out one DEL and one AOF compaction per shard while a single
     crypto-erasure voids all shards at once.
     """
-    receipt = _subject_store(shards, subject_keys).erase_subject("alice")
+    store = _subject_store(shards, subject_keys)
+    receipt = right_to_erasure(store, "alice")
     return {
         "keys_erased": len(receipt.keys_erased),
         "shards_touched": len(receipt.shards_touched),

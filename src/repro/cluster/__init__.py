@@ -5,8 +5,9 @@ N shards (:mod:`repro.cluster.slots`), a pipelining, redirect-following
 :class:`ClusterClient` over the simulated network
 (:mod:`repro.cluster.client`), **live slot migration** that moves data --
 not just routing -- between shards behind MOVED/ASK redirects
-(:mod:`repro.cluster.migration`), a :class:`ShardedGDPRStore` that
-fans subject rights and crypto-erasure out across shards
+(:mod:`repro.cluster.migration`), a :class:`ShardedGDPRStore` whose
+``holders`` lets the subject-rights functions of :mod:`repro.gdpr.rights`
+fan out across shards under one shared-keystore crypto-erasure
 (:mod:`repro.cluster.sharded_store`), **per-shard replication
 groups** with a cluster-wide erasure horizon and replica-set handoff at
 slot migration (:mod:`repro.cluster.replication`), **multi-core shard
@@ -50,7 +51,7 @@ from .autoscale import (
 )
 from .migration import GDPRSlotMigrator, MigrationReceipt, SlotMigrator
 from .replication import ClusterReplication
-from .sharded_store import ShardedErasureReceipt, ShardedGDPRStore
+from .sharded_store import ShardedGDPRStore
 from .slots import (
     MigrationState,
     NUM_SLOTS,
@@ -85,7 +86,6 @@ __all__ = [
     "SlotMigrator",
     "ClusterReplication",
     "ShardedGDPRStore",
-    "ShardedErasureReceipt",
     "WorkerPool",
     "WorkerPoolConfig",
     "PlacementPolicy",

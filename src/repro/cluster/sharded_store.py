@@ -1,4 +1,4 @@
-"""Cross-shard GDPR compliance: subject rights fanned out over shards.
+"""Cross-shard GDPR compliance: N GDPR shards behind one slot router.
 
 A :class:`ShardedGDPRStore` partitions the keyspace over N independent
 :class:`~repro.gdpr.store.GDPRStore` shards by hash slot.  Each shard keeps
@@ -9,9 +9,11 @@ holds the per-subject data keys, so a single crypto-erasure voids a
 subject's ciphertexts on **every** shard at once (Art. 17's "including all
 its replicas and backups", extended across the cluster).
 
-Subject-rights operations (Art. 15 access, Art. 17 erasure, Art. 20
-portability, Art. 21 objection) fan out to the shards holding the
-subject's records and merge the per-shard results.
+Subject rights (Art. 15 access, Art. 17 erasure, Art. 20 portability,
+Art. 21 objection) are the functions of :mod:`repro.gdpr.rights`, called
+on the sharded store itself: :meth:`ShardedGDPRStore.holders` names the
+shards holding a subject (one lookup per shard) and the rights fan out
+over them, exactly as they do over a single store's one holder.
 
 Cross-shard invariants:
 
@@ -24,11 +26,11 @@ Cross-shard invariants:
   migration appends ``migrate-in``/``migrate-out`` records to *both*
   chains -- :meth:`verify_audit_chains` must pass on every shard
   independently after any topology change.
-* **Erasure fans out to every copy.**  :meth:`erase_subject` touches the
-  shards whose indexes know the subject -- during a live migration that
-  includes the importing target's shadow copies -- and one shared-keystore
-  crypto-erasure voids ciphertexts everywhere, including bytes a source
-  AOF still holds from before the handoff.
+* **Erasure fans out to every copy.**  ``right_to_erasure(store, ...)``
+  touches the shards whose indexes know the subject -- during a live
+  migration that includes the importing target's shadow copies -- and
+  one shared-keystore crypto-erasure voids ciphertexts everywhere,
+  including bytes a source AOF still holds from before the handoff.
 * **Migration moves metadata with data.**  :meth:`migrate_slot` (or the
   steppable :meth:`begin_slot_migration`) ships sealed envelopes plus
   their GDPR metadata and flips slot ownership atomically; mid-flight,
@@ -38,26 +40,16 @@ Cross-shard invariants:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..common.clock import Clock, SimClock
-from ..common.errors import ClusterError, UnknownSubjectError
+from ..common.errors import ClusterError
 from ..crypto.keystore import KeyStore
 from ..gdpr.access_control import Principal
 from ..gdpr.metadata import GDPRMetadata, Record
-from ..gdpr.rights import (
-    AccessReport,
-    ErasureReceipt,
-    portability_rows,
-    render_portability,
-    right_of_access,
-    right_to_erasure,
-    right_to_object,
-)
 from ..device.append_log import AppendLog
 from ..engine.base import StorageEngine
-from ..gdpr.store import CONTROLLER, GDPRConfig, GDPRStore
+from ..gdpr.store import CONTROLLER, GDPRConfig, GDPRStore, Holders
 from ..kvstore.store import KeyValueStore, StoreConfig
 from ..tiering import TieredEngine, TieringConfig
 from .migration import GDPRSlotMigrator, MigrationReceipt
@@ -71,24 +63,6 @@ GDPRConfigFactory = Callable[[int], GDPRConfig]
 # migration, replication groups, AOF/WAL recovery) runs on the engine
 # interface.
 KVFactory = Callable[[int, Clock], StorageEngine]
-
-
-@dataclass(frozen=True)
-class ShardedErasureReceipt:
-    """Art. 17 across the cluster: the union of per-shard receipts."""
-
-    subject: str
-    requested_at: float
-    completed_at: float
-    keys_erased: List[str]
-    shards_touched: List[int]
-    crypto_erased: bool
-    residual_in_aof: bool
-    per_shard: Dict[int, ErasureReceipt]
-
-    @property
-    def duration(self) -> float:
-        return self.completed_at - self.requested_at
 
 
 class ShardedGDPRStore:
@@ -180,17 +154,18 @@ class ShardedGDPRStore:
     def shard_of(self, key: str) -> GDPRStore:
         return self.shards[self.shard_for(key)]
 
+    def holders(self, subject: str) -> Holders:
+        """``(shard, store, keys)`` for every shard holding ``subject``'s
+        records, from one lookup per shard -- the fan-out list every
+        right in :mod:`repro.gdpr.rights` runs over.  Mid-migration the
+        source and the importing target may both list a key."""
+        return [(index, shard, keys)
+                for index, shard in enumerate(self.shards)
+                if (keys := shard.keys_of_subject(subject))]
+
     def shards_of_subject(self, subject: str) -> List[int]:
         """Shard indexes currently holding records of ``subject``."""
-        return [index for index, shard in enumerate(self.shards)
-                if shard.subject_exists(subject)]
-
-    def _require_subject(self, subject: str) -> List[int]:
-        holders = self.shards_of_subject(subject)
-        if not holders:
-            raise UnknownSubjectError(
-                f"no records for data subject {subject!r} on any shard")
-        return holders
+        return [index for index, _, _ in self.holders(subject)]
 
     # -- data path (slot-routed) -------------------------------------------
 
@@ -227,101 +202,6 @@ class ShardedGDPRStore:
             records.extend(shard.process_for_purpose(purpose,
                                                      principal=principal))
         return records
-
-    # -- subject rights, fanned out ----------------------------------------
-
-    def access_report(self, subject: str,
-                      principal: Optional[Principal] = None
-                      ) -> AccessReport:
-        """Art. 15 across shards: the union of every shard's holdings."""
-        holders = self._require_subject(subject)
-        started = self.clock.now()
-        merged = AccessReport(subject=subject, generated_at=started)
-        purposes: set = set()
-        recipients: set = set()
-        chosen: Dict[str, dict] = {}
-        decision_keys: set = set()
-        for index in holders:
-            report = right_of_access(self.shards[index], subject,
-                                     principal=principal)
-            for entry in report.records:
-                # Mid-migration both source and target report the key;
-                # keep the copy on the shard routing considers current
-                # (the still-authoritative source) and drop the shadow.
-                key = entry["key"]
-                if key not in chosen or index == self.shard_for(key):
-                    chosen[key] = entry
-            decision_keys.update(report.automated_decision_keys)
-            purposes.update(report.purposes)
-            recipients.update(report.recipients)
-        merged.records = sorted(chosen.values(),
-                                key=lambda entry: entry["key"])
-        merged.automated_decision_keys = sorted(decision_keys)
-        merged.purposes = sorted(purposes)
-        merged.recipients = sorted(recipients)
-        merged.elapsed = self.clock.now() - started
-        return merged
-
-    def erase_subject(self, subject: str,
-                      principal: Optional[Principal] = None,
-                      compact_log: Optional[bool] = None
-                      ) -> ShardedErasureReceipt:
-        """Art. 17 across shards: one keyspace DEL and one AOF compaction
-        per shard, plus one crypto-erasure through the shared keystore
-        that voids the subject's ciphertexts on every shard."""
-        holders = self._require_subject(subject)
-        requested_at = self.clock.now()
-        receipts: Dict[int, ErasureReceipt] = {}
-        for index in holders:
-            try:
-                receipts[index] = right_to_erasure(
-                    self.shards[index], subject, principal=principal,
-                    compact_log=compact_log)
-            except UnknownSubjectError:
-                # A live slot migration's delete-cascade already evicted
-                # this shard's copies (erasing the source shadow-deletes
-                # the target); the subject is gone here, which is the
-                # outcome erasure wants.
-                continue
-        keys = sorted({key for receipt in receipts.values()
-                       for key in receipt.keys_erased})
-        return ShardedErasureReceipt(
-            subject=subject, requested_at=requested_at,
-            completed_at=self.clock.now(), keys_erased=keys,
-            # Only shards that actually recorded an erasure: a holder
-            # whose copies were already evicted by a migration cascade
-            # must not appear in the compliance evidence.
-            shards_touched=sorted(receipts),
-            crypto_erased=any(r.crypto_erased for r in receipts.values()),
-            residual_in_aof=any(r.residual_in_aof
-                                for r in receipts.values()),
-            per_shard=receipts)
-
-    def export_subject(self, subject: str, fmt: str = "json",
-                       principal: Optional[Principal] = None) -> bytes:
-        """Art. 20 across shards: one portable document, all shards
-        (mid-migration shadow copies deduplicated by key)."""
-        holders = self._require_subject(subject)
-        chosen: Dict[str, dict] = {}
-        for index in holders:
-            for row in portability_rows(self.shards[index], subject,
-                                        fmt=fmt, principal=principal):
-                if row["key"] not in chosen \
-                        or index == self.shard_for(row["key"]):
-                    chosen[row["key"]] = row
-        rows = sorted(chosen.values(), key=lambda row: row["key"])
-        return render_portability(subject, rows, fmt)
-
-    def object_to_purpose(self, subject: str, purpose: str,
-                          principal: Optional[Principal] = None) -> int:
-        """Art. 21 across shards; returns *distinct* records updated (a
-        mid-migration record whose two copies both get the objection
-        counts once)."""
-        holders = self._require_subject(subject)
-        for index in holders:
-            right_to_object(self.shards[index], subject, purpose,
-                            principal=principal)
-        return len(self.keys_of_subject(subject))
 
     # -- replication -------------------------------------------------------
 

@@ -34,8 +34,6 @@ from .policy import PolicyEngine, RetentionPolicy
 from .rights import (
     AccessReport,
     ErasureReceipt,
-    portability_rows,
-    render_portability,
     right_of_access,
     right_to_erasure,
     right_to_object,
@@ -77,8 +75,6 @@ __all__ = [
     "right_of_access",
     "right_to_erasure",
     "right_to_portability",
-    "portability_rows",
-    "render_portability",
     "right_to_object",
     "transfer_subject",
     "AccessReport",

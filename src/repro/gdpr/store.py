@@ -32,7 +32,6 @@ from ..common.errors import (
     KeyNotFoundError,
     LocationViolationError,
     PurposeViolationError,
-    UnknownSubjectError,
 )
 from ..crypto.keystore import KeyStore
 from ..crypto.pseudonymize import Pseudonymizer
@@ -46,6 +45,9 @@ from .metadata import GDPRMetadata, Record, pack_envelope, unpack_envelope
 from .policy import PolicyEngine
 
 CONTROLLER = Principal.controller()
+
+#: ``(shard, store, keys)`` per store holding a subject's records.
+Holders = List[Tuple[int, "GDPRStore", List[str]]]
 
 
 @dataclass
@@ -582,14 +584,12 @@ class GDPRStore:
     def subject_exists(self, subject: str) -> bool:
         return bool(self.keys_of_subject(subject))
 
-    def require_subject(self, subject: str) -> List[str]:
-        """The subject's keys (one lookup); raises
-        :class:`UnknownSubjectError` when there are none."""
+    def holders(self, subject: str) -> Holders:
+        """``[(0, self, keys)]`` when this store holds ``subject``'s
+        records (one lookup), else ``[]`` -- the fan-out list every right
+        in :mod:`repro.gdpr.rights` runs over."""
         keys = self.keys_of_subject(subject)
-        if not keys:
-            raise UnknownSubjectError(
-                f"no records for data subject {subject!r}")
-        return keys
+        return [(0, self, keys)] if keys else []
 
 
 def _with_created_at(metadata: GDPRMetadata, now: float) -> GDPRMetadata:

@@ -16,9 +16,9 @@ tenant awareness at all:
   ``globex/alice`` seals under a different key.
 
 The view wraps either a :class:`~repro.gdpr.store.GDPRStore` or a
-:class:`~repro.cluster.sharded_store.ShardedGDPRStore`; rights calls
-duck-type between the sharded store's fan-out methods and the
-single-store rights functions.
+:class:`~repro.cluster.sharded_store.ShardedGDPRStore`; its rights are
+the :mod:`repro.gdpr.rights` functions called on the base with the
+tenant-qualified subject, which serve both topologies.
 """
 
 from __future__ import annotations
@@ -123,10 +123,8 @@ class TenantStore:
     def access_report(self, subject: str,
                       principal: Optional[Principal] = None):
         """Art. 15, bounded to this tenant's records of ``subject``."""
-        qualified = self._subject(subject)
-        if hasattr(self.base, "access_report"):
-            return self.base.access_report(qualified, principal=principal)
-        return right_of_access(self.base, qualified, principal=principal)
+        return right_of_access(self.base, self._subject(subject),
+                               principal=principal)
 
     def erase_subject(self, subject: str,
                       principal: Optional[Principal] = None,
@@ -135,29 +133,17 @@ class TenantStore:
         crypto-erasure of the tenant-qualified data key, archive
         tombstones -- leaving same-named subjects of other tenants
         untouched."""
-        qualified = self._subject(subject)
-        if hasattr(self.base, "erase_subject"):
-            return self.base.erase_subject(qualified, principal=principal,
-                                           compact_log=compact_log)
-        return right_to_erasure(self.base, qualified, principal=principal,
-                                compact_log=compact_log)
+        return right_to_erasure(self.base, self._subject(subject),
+                                principal=principal, compact_log=compact_log)
 
     def export_subject(self, subject: str, fmt: str = "json",
                        principal: Optional[Principal] = None) -> bytes:
         """Art. 20 over this tenant's records only."""
-        qualified = self._subject(subject)
-        if hasattr(self.base, "export_subject"):
-            return self.base.export_subject(qualified, fmt=fmt,
-                                            principal=principal)
-        return right_to_portability(self.base, qualified, fmt=fmt,
-                                    principal=principal)
+        return right_to_portability(self.base, self._subject(subject),
+                                    fmt=fmt, principal=principal)
 
     def object_to_purpose(self, subject: str, purpose: str,
                           principal: Optional[Principal] = None) -> int:
         """Art. 21 over this tenant's records only."""
-        qualified = self._subject(subject)
-        if hasattr(self.base, "object_to_purpose"):
-            return self.base.object_to_purpose(qualified, purpose,
-                                               principal=principal)
-        return right_to_object(self.base, qualified, purpose,
+        return right_to_object(self.base, self._subject(subject), purpose,
                                principal=principal)

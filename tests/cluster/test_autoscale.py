@@ -20,6 +20,7 @@ from repro.cluster import (
 from repro.common.clock import SimClock
 from repro.common.errors import KeyErasedError, UnknownSubjectError
 from repro.gdpr import GDPRMetadata
+from repro.gdpr.rights import right_of_access, right_to_erasure
 from repro.kvstore import KeyValueStore, StoreConfig
 from repro.ycsb import OpenLoopRunner, WORKLOAD_B
 
@@ -302,7 +303,7 @@ class TestShardedStoreScaleOut:
         scaler = store.attach_autoscaler([lambda: 1e-3], start=False)
         assert scaler.check().action == "scale-out"
         assert store.clock.pending_live_events() > 0
-        receipt = store.erase_subject("alice")      # mid-migration
+        receipt = right_to_erasure(store, "alice")  # mid-migration
         assert sorted(receipt.keys_erased) == sorted(alice_keys)
         store.clock.run_until_idle()                # migrations finish
         assert not store.subject_exists("alice")
@@ -312,7 +313,7 @@ class TestShardedStoreScaleOut:
             with pytest.raises(KeyError):
                 store.get(key)
         with pytest.raises(UnknownSubjectError):
-            store.access_report("alice")
+            right_of_access(store, "alice")
         # The shared keystore remembers the erased id cluster-wide: the
         # grown topology refuses to resurrect the subject.
         with pytest.raises(KeyErasedError):

@@ -14,6 +14,7 @@ from repro.cluster import (
     slot_for_key,
 )
 from repro.gdpr import GDPRMetadata
+from repro.gdpr.rights import right_to_erasure
 from repro.kvstore import KeyValueStore, ReplicationManager, StoreConfig
 
 
@@ -106,7 +107,7 @@ class TestErasureHorizon:
         assert len(store.shards_of_subject("alice")) > 1
         store.clock.advance(0.1)
         keys = store.keys_of_subject("alice")
-        receipt = store.erase_subject("alice")
+        receipt = right_to_erasure(store, "alice")
         assert sorted(receipt.keys_erased) == keys
         horizon = replication.erasure_horizon(keys, step=0.005)
         assert horizon is not None
@@ -120,7 +121,7 @@ class TestErasureHorizon:
                                                    delay=1.0)
         store.put("user:1", b"secret", metadata("alice"))
         store.clock.advance(2.0)
-        receipt = store.erase_subject("alice")
+        receipt = right_to_erasure(store, "alice")
         assert receipt.crypto_erased
         # The replica still *serves* the key (its DEL is in flight)...
         link = replication.groups[0].links[0]
@@ -201,7 +202,7 @@ class TestEventDeliveredReplication:
                           metadata("alice" if i % 2 == 0 else "bob"))
             clock.advance(0.05)
             keys = store.keys_of_subject("alice")
-            store.erase_subject("alice")
+            right_to_erasure(store, "alice")
             horizon = store.replication.erasure_horizon(keys, step=0.002)
             return horizon, clock.now(), list(trace)
 
@@ -265,7 +266,7 @@ class TestMigrationHandsOffReplicas:
         target = 1 - source
         migrator = store.begin_slot_migration(slot, target)
         migrator.step(2)           # shadow copies exist on the target
-        store.erase_subject("alice")
+        right_to_erasure(store, "alice")
         receipt = migrator.finish()
         # Every copy -- source, target, and all four replicas -- is
         # gone once the streams drain.

@@ -20,6 +20,7 @@ from repro.cluster import (
     slot_for_key,
 )
 from repro.gdpr import GDPRMetadata
+from repro.gdpr.rights import right_of_access, right_to_erasure
 
 
 def tagged_keys(tag, count, prefix="k"):
@@ -420,7 +421,7 @@ class TestGDPRMigration:
         migrator = store.begin_slot_migration(slot, target)
         migrator.step(6)
         assert store.shards_of_subject("alice") == [source, target]
-        report = store.access_report("alice")
+        report = right_of_access(store, "alice")
         assert len(report.records) == 3     # no double counting
         migrator.finish()
 
@@ -430,12 +431,20 @@ class TestGDPRMigration:
         store, keys, slot, source, target = gdpr_fixture()
         migrator = store.begin_slot_migration(slot, target)
         migrator.step(3)    # some copies already on the target
-        receipt = store.erase_subject("alice")
+
+        def erasures():
+            return [[r.operation for r in shard.audit.records()]
+                    .count("erase-subject") for shard in store.shards]
+
+        before = erasures()
+        receipt = right_to_erasure(store, "alice")
         # The receipt lists exactly the shards that recorded an erasure;
         # the source's delete-cascade may have evicted the target's
         # shadows before its own erasure ran (audited as migrate-evict).
         assert source in receipt.shards_touched
-        assert receipt.shards_touched == sorted(receipt.per_shard)
+        assert [after - was for was, after in zip(before, erasures())] \
+            == [int(index in receipt.shards_touched)
+                for index in range(store.num_shards)]
         final = migrator.finish()
         # Bob's records made it; alice's are gone everywhere.
         assert store.subject_exists("bob")
@@ -456,7 +465,7 @@ class TestGDPRMigration:
     def test_erasure_after_flip_still_complete(self):
         store, keys, slot, source, target = gdpr_fixture()
         store.migrate_slot(slot, target)
-        receipt = store.erase_subject("alice")
+        receipt = right_to_erasure(store, "alice")
         assert receipt.shards_touched == [target]
         assert not store.subject_exists("alice")
         assert store.subject_exists("bob")
@@ -482,7 +491,7 @@ class TestGDPRMigration:
         assert receipt.aborted
         assert store.slots.shard_of_slot(slot) == source
         assert store.shards_of_subject("alice") == [source]
-        assert len(store.access_report("alice").records) == 3
+        assert len(right_of_access(store, "alice").records) == 3
         store.verify_audit_chains()
 
     def test_abort_repatriates_records_born_on_target(self):

@@ -13,6 +13,7 @@ from repro.cluster import (
 from repro.common.clock import SimClock
 from repro.common.errors import ClusterError
 from repro.gdpr.metadata import GDPRMetadata
+from repro.gdpr.rights import right_to_erasure
 from repro.kvstore.store import KeyValueStore, StoreConfig
 
 
@@ -65,7 +66,7 @@ class TestRebalance:
         keys_before = store.keys_of_subject("alice")
         store.rebalance(1)
         assert store.keys_of_subject("alice") == keys_before
-        receipt = store.erase_subject("alice")
+        receipt = right_to_erasure(store, "alice")
         assert sorted(receipt.keys_erased) == keys_before
         assert receipt.crypto_erased
 

@@ -489,7 +489,21 @@ def test_tiered_engine_indistinguishable_from_hot_only(base):
 # Two tenants sharing one store, deliberately using the *same* local key
 # names and the same subject name: the strongest aliasing case.  Tenant
 # A's views and rights fan-out must never observe tenant B -- on both
-# engines and through the tiered wrapper (same four factories).
+# engines and through the tiered wrapper (same four factories), and over
+# a 2-shard ShardedGDPRStore whose shards both hold each tenant's alice.
+
+@pytest.fixture(params=sorted(FACTORIES) + ["sharded-2"])
+def tenant_base(request):
+    if request.param == "sharded-2":
+        from repro.cluster import ShardedGDPRStore
+        return ShardedGDPRStore(num_shards=2, clock=SimClock())
+    return GDPRStore(kv=FACTORIES[request.param](SimClock()),
+                     config=GDPRConfig(), keystore=KeyStore())
+
+
+def _engines(base):
+    return [shard.kv for shard in getattr(base, "shards", [base])]
+
 
 def _two_tenants(store):
     from repro.tenancy import TenantStore
@@ -501,31 +515,34 @@ def _two_tenants(store):
     return a, b
 
 
-def test_tenant_keyspace_views_are_disjoint(gdpr_store):
-    a, b = _two_tenants(gdpr_store)
+def test_tenant_keyspace_views_are_disjoint(tenant_base):
+    a, b = _two_tenants(tenant_base)
     assert a.keys() == ["user:0", "user:1", "user:2"]
     assert b.keys() == ["user:0", "user:1", "user:2"]
     assert a.key_count() == b.key_count() == 3
-    # The shared engine really holds both namespaces...
-    assert gdpr_store.kv.key_count() == 6
+    engines = _engines(tenant_base)
+    # The shared engines really hold both namespaces...
+    assert sum(engine.key_count() for engine in engines) == 6
     # ...and the prefix views cut them apart exactly.
-    for key in gdpr_store.kv.live_keys_with_prefix("acme/"):
-        assert key.startswith(b"acme/")
-    assert gdpr_store.kv.key_count_with_prefix("acme/") == 3
+    for engine in engines:
+        for key in engine.live_keys_with_prefix("acme/"):
+            assert key.startswith(b"acme/")
+    assert sum(engine.key_count_with_prefix("acme/")
+               for engine in engines) == 3
     # Values never bleed across the namespace boundary.
     assert a.get("user:0").value == b"a-data"
     assert b.get("user:0").value == b"b-data"
 
 
-def test_tenant_subject_indexes_are_disjoint(gdpr_store):
-    a, b = _two_tenants(gdpr_store)
+def test_tenant_subject_indexes_are_disjoint(tenant_base):
+    a, b = _two_tenants(tenant_base)
     assert a.keys_of_subject("alice") == ["user:0", "user:1", "user:2"]
     assert b.keys_of_subject("alice") == ["user:0", "user:1", "user:2"]
     assert a.subject_exists("alice") and b.subject_exists("alice")
 
 
-def test_tenant_access_report_stays_inside_the_tenant(gdpr_store):
-    a, _ = _two_tenants(gdpr_store)
+def test_tenant_access_report_stays_inside_the_tenant(tenant_base):
+    a, _ = _two_tenants(tenant_base)
     report = a.access_report("alice")
     assert len(report.records) == 3
     for row in report.records:
@@ -533,15 +550,15 @@ def test_tenant_access_report_stays_inside_the_tenant(gdpr_store):
         assert not row["key"].startswith("globex/")
 
 
-def test_tenant_export_stays_inside_the_tenant(gdpr_store):
-    a, _ = _two_tenants(gdpr_store)
+def test_tenant_export_stays_inside_the_tenant(tenant_base):
+    a, _ = _two_tenants(tenant_base)
     exported = a.export_subject("alice").decode("utf-8")
     assert "acme/" in exported
     assert "globex" not in exported
 
 
-def test_tenant_erasure_fanout_stops_at_the_boundary(gdpr_store):
-    a, b = _two_tenants(gdpr_store)
+def test_tenant_erasure_fanout_stops_at_the_boundary(tenant_base):
+    a, b = _two_tenants(tenant_base)
     receipt = a.erase_subject("alice")
     assert sorted(receipt.keys_erased) \
         == ["acme/user:0", "acme/user:1", "acme/user:2"]

@@ -3,15 +3,18 @@
 On every engine variant (both engines, each also behind the tiering
 wrapper with part of the subject archived): ``right_to_erasure`` runs
 exactly one ``DEL`` naming every key of the subject and one owner lookup;
-Art. 15 and Art. 20 do one owner lookup each.
+Art. 15 and Art. 20 do one owner lookup each.  Over a 2-shard
+``ShardedGDPRStore`` holding the subject on both shards, every right
+looks each shard up exactly once and Art. 17 is one ``DEL`` per shard.
 """
 
 import pytest
 
+from repro.cluster import ShardedGDPRStore
 from repro.common.clock import SimClock
 from repro.gdpr import GDPRMetadata, GDPRStore
 from repro.gdpr.rights import (right_of_access, right_to_erasure,
-                               right_to_portability)
+                               right_to_object, right_to_portability)
 from tests.support import ENGINE_FACTORIES
 
 ALICE_KEYS = [f"alice:{i}" for i in range(5)]
@@ -40,18 +43,22 @@ def store(request, monkeypatch):
     return store
 
 
+def _del_line(keys):
+    return b'"DEL" ' + b" ".join(b'"%s"' % key.encode() for key in keys) \
+        + b"\n"
+
+
 def test_erasure_is_one_del_and_one_lookup(store):
     commands = []
     store.kv.monitor.attach(commands.append)
     processed = store.kv.stats.commands_processed
     receipt = right_to_erasure(store, "alice")
     assert receipt.keys_erased == ALICE_KEYS
+    assert receipt.shards_touched == [0]
     assert store.lookups == ["alice"]
     assert store.kv.stats.commands_processed - processed == 1
     assert len(commands) == 1
-    assert commands[0].split(b"] ", 1)[1] == \
-        b'"DEL" ' + b" ".join(b'"%s"' % key.encode() for key in ALICE_KEYS) \
-        + b"\n"
+    assert commands[0].split(b"] ", 1)[1] == _del_line(ALICE_KEYS)
     for key in ALICE_KEYS:
         assert not store.kv.has_live_key(key.encode())
     assert store.kv.has_live_key(b"bob:0")
@@ -63,3 +70,49 @@ def test_access_and_portability_look_up_once(store):
     assert store.lookups == ["alice"]
     right_to_portability(store, "alice")
     assert store.lookups == ["alice", "alice"]
+
+
+@pytest.fixture
+def sharded(monkeypatch):
+    cluster = ShardedGDPRStore(num_shards=2, clock=SimClock())
+    for key in ALICE_KEYS + ["bob:0"]:
+        cluster.put(key, b"personal", GDPRMetadata(
+            owner=key.split(":")[0], purposes=frozenset({"service"})))
+    assert {cluster.shard_for(key) for key in ALICE_KEYS} == {0, 1}
+    cluster.lookups = {0: [], 1: []}
+    for index, shard in enumerate(cluster.shards):
+        def counted(owner, index=index, lookup=shard.kv.keys_of_owner):
+            cluster.lookups[index].append(owner)
+            return lookup(owner)
+
+        monkeypatch.setattr(shard.kv, "keys_of_owner", counted)
+    return cluster
+
+
+SHARDED_RIGHTS = {
+    "access": right_of_access,
+    "portability": right_to_portability,
+    "object": lambda target, subject: right_to_object(target, subject, "ads"),
+    "erasure": right_to_erasure,
+}
+
+
+@pytest.mark.parametrize("right", sorted(SHARDED_RIGHTS))
+def test_sharded_rights_look_each_shard_up_once(sharded, right):
+    SHARDED_RIGHTS[right](sharded, "alice")
+    assert sharded.lookups == {0: ["alice"], 1: ["alice"]}
+
+
+def test_sharded_erasure_is_one_del_per_holding_shard(sharded):
+    held = {index: [key for key in ALICE_KEYS
+                    if sharded.shard_for(key) == index] for index in (0, 1)}
+    commands = {0: [], 1: []}
+    for index, shard in enumerate(sharded.shards):
+        shard.kv.monitor.attach(commands[index].append)
+    receipt = right_to_erasure(sharded, "alice")
+    assert receipt.keys_erased == ALICE_KEYS
+    assert receipt.shards_touched == [0, 1]
+    for index in (0, 1):
+        assert [line.split(b"] ", 1)[1] for line in commands[index]] \
+            == [_del_line(held[index])]
+    assert sharded.get("bob:0").value == b"personal"

@@ -11,6 +11,12 @@ from repro.common.clock import SimClock
 from repro.common.errors import KeyErasedError, UnknownSubjectError
 from repro.cluster import ShardedGDPRStore
 from repro.gdpr import GDPRMetadata
+from repro.gdpr.rights import (
+    right_of_access,
+    right_to_erasure,
+    right_to_object,
+    right_to_portability,
+)
 
 
 def populated_store(num_shards=4, keys_per_subject=12):
@@ -33,7 +39,7 @@ class TestShardedAccess:
         # The fixture must actually span shards for the test to mean
         # anything.
         assert len(set(store.shard_for(k) for k in keys["alice"])) >= 2
-        report = store.access_report("alice")
+        report = right_of_access(store, "alice")
         assert sorted(entry["key"] for entry in report.records) == \
             sorted(keys["alice"])
         assert report.purposes == ["billing"]
@@ -42,7 +48,7 @@ class TestShardedAccess:
     def test_unknown_subject_rejected(self):
         store, _ = populated_store()
         with pytest.raises(UnknownSubjectError):
-            store.access_report("mallory")
+            right_of_access(store, "mallory")
 
     def test_slot_map_must_cover_shards(self):
         from repro.cluster import SlotMap
@@ -54,7 +60,7 @@ class TestShardedAccess:
 class TestShardedPortability:
     def test_json_export_is_union_across_shards(self):
         store, keys = populated_store()
-        document = json.loads(store.export_subject("alice", "json"))
+        document = json.loads(right_to_portability(store, "alice", "json"))
         assert document["subject"] == "alice"
         assert sorted(row["key"] for row in document["records"]) == \
             sorted(keys["alice"])
@@ -64,7 +70,7 @@ class TestShardedPortability:
 
     def test_csv_export_has_every_key_and_no_others(self):
         store, keys = populated_store()
-        text = store.export_subject("alice", "csv").decode("utf-8")
+        text = right_to_portability(store, "alice", "csv").decode("utf-8")
         rows = list(csv.DictReader(io.StringIO(text)))
         assert sorted(row["key"] for row in rows) == sorted(keys["alice"])
         assert not set(row["key"] for row in rows) & set(keys["bob"])
@@ -73,7 +79,7 @@ class TestShardedPortability:
 class TestShardedErasure:
     def test_erasure_voids_subject_on_every_shard(self):
         store, keys = populated_store()
-        receipt = store.erase_subject("alice")
+        receipt = right_to_erasure(store, "alice")
         assert sorted(receipt.keys_erased) == sorted(keys["alice"])
         assert set(receipt.shards_touched) == \
             set(store.shard_for(k) for k in keys["alice"])
@@ -94,14 +100,14 @@ class TestShardedErasure:
 
     def test_other_subjects_survive_erasure(self):
         store, keys = populated_store()
-        store.erase_subject("alice")
+        right_to_erasure(store, "alice")
         for key in keys["bob"]:
             assert store.get(key).metadata.owner == "bob"
         assert store.keys_of_subject("bob") == sorted(keys["bob"])
 
     def test_audit_chains_verify_on_every_shard_after_erasure(self):
         store, _ = populated_store()
-        store.erase_subject("alice")
+        right_to_erasure(store, "alice")
         verified = store.verify_audit_chains()
         assert set(verified) == set(range(store.num_shards))
         assert all(count > 0 for count in verified.values())
@@ -110,7 +116,7 @@ class TestShardedErasure:
 class TestShardedObjection:
     def test_objection_applies_across_shards(self):
         store, keys = populated_store()
-        updated = store.object_to_purpose("alice", "billing")
+        updated = right_to_object(store, "alice", "billing")
         assert updated == len(keys["alice"])
         assert store.process_for_purpose("billing") != []
         assert all(record.metadata.owner == "bob"

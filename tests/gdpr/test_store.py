@@ -16,6 +16,7 @@ from repro.gdpr import (
     GDPRStore,
     Operation,
     Principal,
+    right_of_access,
 )
 from repro.kvstore import KeyValueStore, StoreConfig
 
@@ -221,10 +222,13 @@ class TestGroupAccess:
         store.put("k2", b"2", meta(owner="bob"))
         assert store.keys_of_subject("alice") == ["k1"]
 
-    def test_require_subject(self):
+    def test_holders(self):
         store, _ = make_store()
+        store.put("k1", b"1", meta())
+        assert store.holders("alice") == [(0, store, ["k1"])]
+        assert store.holders("ghost") == []
         with pytest.raises(UnknownSubjectError):
-            store.require_subject("ghost")
+            right_of_access(store, "ghost")
 
 
 class TestLocationEnforcement:

@@ -7,6 +7,7 @@ import pytest
 from repro.common.clock import SimClock
 from repro.cluster import ShardedGDPRStore
 from repro.gdpr import GDPRMetadata
+from repro.gdpr.rights import right_to_erasure
 from repro.kvstore import KeyValueStore, StoreConfig
 
 VICTIM = 1
@@ -73,7 +74,7 @@ class TestClusterCrashRecovery:
         alice_keys = self.store.keys_of_subject("alice")
         assert any(self.store.shard_for(key) == VICTIM
                    for key in alice_keys)
-        receipt = self.store.erase_subject("alice")
+        receipt = right_to_erasure(self.store, "alice")
         assert sorted(receipt.keys_erased) == alice_keys
         assert receipt.crypto_erased
         assert not receipt.residual_in_aof

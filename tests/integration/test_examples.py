@@ -18,10 +18,7 @@ def test_examples_exist():
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
-def test_example_runs(script, capsys, monkeypatch):
-    # Keep the YCSB example fast under the plain test suite.
-    monkeypatch.setenv("REPRO_BENCH_RECORDS", "50")
-    monkeypatch.setenv("REPRO_BENCH_OPS", "100")
+def test_example_runs(script, capsys):
     runpy.run_path(str(script), run_name="__main__")
     out = capsys.readouterr().out
     assert out.strip(), f"{script.name} produced no output"

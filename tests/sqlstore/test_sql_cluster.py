@@ -13,6 +13,11 @@ from repro.cluster import (
 )
 from repro.common.clock import Clock, SimClock
 from repro.gdpr.metadata import GDPRMetadata
+from repro.gdpr.rights import (
+    right_of_access,
+    right_to_erasure,
+    right_to_portability,
+)
 from repro.sqlstore import RelationalStore, SqlConfig
 from repro.ycsb.openloop import OpenLoopRunner
 from repro.ycsb.workloads import WORKLOAD_B
@@ -65,11 +70,11 @@ def test_sharded_gdpr_rights_over_relational_shards():
         store.put(f"user:{number}", b"pii", meta(owner))
     holders = store.shards_of_subject("alice")
     assert len(holders) >= 2          # the subject spans shards
-    report = store.access_report("alice")
+    report = right_of_access(store, "alice")
     assert len(report.records) == 8
-    export = store.export_subject("alice")
+    export = right_to_portability(store, "alice")
     assert b"user:0" in export
-    receipt = store.erase_subject("alice")
+    receipt = right_to_erasure(store, "alice")
     assert len(receipt.keys_erased) == 8
     assert receipt.crypto_erased
     assert not store.subject_exists("alice")
@@ -101,7 +106,7 @@ def test_replication_groups_over_relational_shards():
     assert all(link.replica.engine_name == "relational"
                for link in group.links)
     keys = store.keys_of_subject("alice")
-    store.erase_subject("alice")
+    right_to_erasure(store, "alice")
     horizon = store.replication.erasure_horizon(keys, step=0.0005)
     assert horizon is not None and horizon <= 0.004
 

@@ -156,7 +156,7 @@ def test_sharded_erasure_voids_cold_on_every_shard():
                     meta("alice" if i % 2 == 0 else "bob"))
     cluster.clock.advance(10)
     cluster.tick()
-    receipt = cluster.erase_subject("alice")
+    receipt = right_to_erasure(cluster, "alice")
     assert sorted(receipt.keys_erased) == \
         sorted(f"user:{i}" for i in range(0, 12, 2))
     assert receipt.crypto_erased
