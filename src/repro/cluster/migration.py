@@ -522,15 +522,7 @@ class GDPRSlotMigrator(_SlotMigrationBase):
             return None
         self._suspended = True
         try:
-            target.kv.execute("SET", key, blob)
-            deadline = metadata.expire_at()
-            if deadline is not None:
-                target.kv.execute("PEXPIREAT", key,
-                                  int(deadline * 1000))
-            target.index.add(key, metadata)
-            target.kv.annotate_metadata(key, metadata.owner,
-                                        metadata.purposes)
-            target.locations.record_stored(key, target.config.region)
+            target.store_record(key, blob, metadata)
             target.audit.append(
                 principal=MIGRATOR_PRINCIPAL, operation="migrate-in",
                 key=key, subject=target._audit_name(metadata.owner),
@@ -589,23 +581,14 @@ class GDPRSlotMigrator(_SlotMigrationBase):
         metadata = target.index.get_metadata(key)
         if blob is None or metadata is None:
             return
-        source.kv.execute("SET", key, blob)
-        deadline = metadata.expire_at()
-        if deadline is not None:
-            source.kv.execute("PEXPIREAT", key, int(deadline * 1000))
-        source.index.add(key, metadata)
-        source.kv.annotate_metadata(key, metadata.owner,
-                                    metadata.purposes)
-        source.locations.record_stored(key, source.config.region)
+        source.store_record(key, blob, metadata)
         source.audit.append(
             principal=MIGRATOR_PRINCIPAL, operation="migrate-return",
             key=key, subject=source._audit_name(metadata.owner),
             outcome="ok",
             detail=f"slot {self.slot}: born on "
                    f"{target.config.node_id} during aborted migration")
-        target.index.remove(key)
-        target.locations.record_erased(key)
-        target.kv.execute("DEL", key)
+        self._rollback_delete(key)
 
     # -- wiring ------------------------------------------------------------
 

@@ -81,6 +81,8 @@ DeletionListener = Callable[[int, bytes, str, float], None]
 # replica applies.  Commands arrive post-translation (PEXPIREAT, DELs
 # for expirations) so replicas converge deterministically.
 WriteListener = Callable[[int, List[bytes]], None]
+#: One key's GDPR metadata columns: ``(key, owner, purposes)``.
+MetadataRow = Tuple[str, str, Iterable[str]]
 
 _EXPIRE_FAMILY = frozenset((b"EXPIRE", b"PEXPIRE", b"EXPIREAT", b"PEXPIREAT"))
 #: The commands whose logged form may differ from their argv (SET too,
@@ -138,11 +140,6 @@ class StorageEngine:
     #: (the relational schema approach); the GDPR layer then prefers
     #: :meth:`keys_of_owner` over its sidecar index for owner queries.
     supports_metadata_columns: bool = False
-
-    #: True when the engine's SET accepts an absolute expiry option
-    #: (``PXAT``), letting the GDPR layer fuse value + retention deadline
-    #: into ONE command (and one AOF record) instead of SET + PEXPIREAT.
-    supports_set_with_expiry: bool = False
 
     #: True when the engine is a tiering layer (a hot engine plus a cold
     #: segment archive presenting one keyspace).  The GDPR layer then
@@ -239,13 +236,20 @@ class StorageEngine:
         A relative deadline becomes an absolute PEXPIREAT, as Redis does,
         so a replay at a later time keeps the deadline instead of
         restarting it; a deadline already past deleted the key, so it is
-        logged as a DEL.  A SET that spoke in absolute time fuses value
+        logged as a DEL -- a SET whose absolute deadline had already
+        passed included.  A SET that spoke in absolute time fuses value
         and deadline into one record (one log append instead of two --
         the fast-GDPR write shape).
         """
         key = argv[1]
         expire_at = self._deadline_of(db_index, key)
-        millis = None if expire_at is None else b"%d" % int(expire_at * 1000)
+        millis = None
+        if expire_at is not None:
+            # The largest m with m / 1000 <= expire_at: a deadline set as
+            # PXAT m logs as m, never m - 1 (m / 1000 * 1000 may fall
+            # just short of m).
+            whole = int(expire_at * 1000)
+            millis = b"%d" % (whole + ((whole + 1) / 1000 <= expire_at))
         if name == b"RESTORE":
             records = [[b"RESTORE", key, b"0", argv[3], b"REPLACE"]]
             if millis is not None:
@@ -257,6 +261,8 @@ class StorageEngine:
             return [[b"PEXPIREAT", key, millis]]
         value = argv[2] if name == b"SET" else argv[3]     # SET / SETEX
         if millis is None:
+            if not self.has_live_key(key, db_index):
+                return [[b"DEL", key]]
             return [[b"SET", key, value]]
         if name == b"SET" and any(option.upper() in (b"EXAT", b"PXAT")
                                   for option in argv[3:]):
@@ -443,11 +449,10 @@ class StorageEngine:
         :meth:`demote_remove`.
 
         The insert costs, logs and replicates exactly like the client
-        command(s) ``SET key value`` plus an absolute expiry -- one
-        ``SET ... PXAT`` where the engine takes it, else ``SET`` and
-        ``PEXPIREAT`` -- but the keyspace ends up holding ``expire_at``
-        itself (the wire form carries milliseconds, the archive the
-        exact deadline), and the periodic maintenance cycle (active
+        command ``SET key value`` (``SET key value PXAT ms`` with an
+        expiry) -- but the keyspace ends up holding ``expire_at`` itself
+        (the wire form carries milliseconds, the archive the exact
+        deadline), and the periodic maintenance cycle (active
         expiry, vacuum) does not run: it waits for the tick of the
         client command the promotion serves, as on an untiered engine.
         Log fsync deadlines are kept."""
@@ -456,12 +461,8 @@ class StorageEngine:
             if expire_at is None:
                 self.execute(b"SET", key, value)
                 return
-            millis = b"%d" % int(expire_at * 1000)
-            if self.supports_set_with_expiry:
-                self.execute(b"SET", key, value, b"PXAT", millis)
-            else:
-                self.execute(b"SET", key, value)
-                self.execute(b"PEXPIREAT", key, millis)
+            self.execute(b"SET", key, value, b"PXAT",
+                         b"%d" % int(expire_at * 1000))
             self._restore_deadline(key, expire_at)
         finally:
             self._promoting = False
@@ -476,14 +477,14 @@ class StorageEngine:
 
     # -- GDPR metadata columns (relational schema hooks) -------------------
 
-    def annotate_metadata(self, key: str, owner: str,
-                          purposes: Iterable[str]) -> None:
-        """Record GDPR metadata for ``key`` in engine-native storage.
+    def annotate_metadata(self, rows: List[MetadataRow]) -> None:
+        """Record GDPR metadata, one ``(key, owner, purposes)`` row per
+        key, in engine-native storage.
 
-        The relational engine implements this as an UPDATE of its
-        indexed ``owner``/``purposes`` columns; key-value engines keep
-        metadata in the sealed envelope plus the GDPR layer's sidecar
-        index, so the default is a no-op."""
+        The relational engine implements this as one UPDATE of its
+        indexed ``owner``/``purposes`` columns for the whole batch;
+        key-value engines keep metadata in the sealed envelope plus the
+        GDPR layer's sidecar index, so the default is a no-op."""
 
     def keys_of_owner(self, owner: str) -> Optional[List[str]]:
         """Keys whose metadata columns name ``owner``, or None when the

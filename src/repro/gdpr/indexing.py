@@ -148,20 +148,21 @@ class WriteBehindIndexer:
     """Deferred compliance maintenance: a dirty-set flushed off-path.
 
     The fast-GDPR mode enqueues per-write follow-up work here (engine
-    metadata annotation, TTL registration on engines without fused
-    SET-with-expiry, storage-location bookkeeping) instead of paying it
-    inside the client-visible operation.  A recurring daemon event on the
-    scheduler drains the dirty-set every ``interval`` seconds; consumers
-    that need a current view (subject access, index rebuild, shutdown)
-    call :meth:`flush` first -- the visibility-window trade-off is the
-    whole point, and it is bounded by ``interval``.
+    metadata annotation, storage-location bookkeeping) instead of paying
+    it inside the client-visible operation.  A recurring daemon event on
+    the scheduler drains the dirty-set every ``interval`` seconds;
+    consumers that need a current view (subject access, index rebuild,
+    shutdown) call :meth:`flush` first -- the visibility-window
+    trade-off is the whole point, and it is bounded by ``interval``.
 
-    Only the *latest* entry per key survives coalescing, which is exactly
-    the write-behind win: a hot key rewritten many times per interval
-    costs one deferred apply, not many.
+    Only the *latest* entry per key survives coalescing, and a flush
+    hands the whole batch to ``apply_fn`` in one call -- the
+    write-behind win twice over: a hot key rewritten many times per
+    interval costs one deferred entry, and every key pending at a flush
+    shares one apply (on the relational engine, one statement).
     """
 
-    def __init__(self, apply_fn: Callable[[str, object], None],
+    def __init__(self, apply_fn: Callable[[Dict[str, object]], None],
                  clock=None, interval: float = 0.1,
                  auto_timer: bool = True) -> None:
         self._apply = apply_fn
@@ -203,16 +204,15 @@ class WriteBehindIndexer:
         return len(self._pending)
 
     def flush(self) -> int:
-        """Apply all pending work in enqueue order; returns entries
-        applied."""
+        """Apply all pending work (key -> work, in enqueue order) in one
+        call; returns entries applied."""
         if self.clock is not None:
             self._last_flush = self.clock.now()
         if not self._pending:
             return 0
         batch = self._pending
         self._pending = {}
-        for key, work in batch.items():
-            self._apply(key, work)
+        self._apply(batch)
         self.flushes += 1
         self.applied += len(batch)
         return len(batch)

@@ -67,10 +67,11 @@ class GDPRConfig:
     # Fast-GDPR mode: amortize compliance work off the critical path.
     # Audit records seal into hash-chained blocks (one chain update +
     # one group-commit fsync per block), value+TTL fuse into a single
-    # engine command where supported, and engine-side metadata/location
-    # bookkeeping goes write-behind.  Tamper evidence and determinism
-    # are preserved; the cost is a bounded compliance-visibility window
-    # (at most one unsealed block / one write-behind interval).
+    # engine command, and engine-side metadata/location bookkeeping goes
+    # write-behind (one batched annotation per flush).  Tamper evidence
+    # and determinism are preserved; the cost is a bounded compliance-
+    # visibility window (at most one unsealed block / one write-behind
+    # interval).
     fast_gdpr: bool = False
     audit_block_size: int = 64          # records per sealed block
     writebehind_interval: float = 0.1   # dirty-set flush period (s)
@@ -233,15 +234,14 @@ class GDPRStore:
         cipher = self.keystore.cipher_for(owner, create=False)
         return cipher.open(blob, aad=key.encode("utf-8"))
 
-    def _apply_writebehind(self, key: str, work) -> None:
+    def _apply_writebehind(self, batch: Dict[str, GDPRMetadata]) -> None:
         """Deferred per-write maintenance (the write-behind flush body):
-        TTL registration on engines without fused SET-with-expiry,
-        engine-native metadata annotation, location bookkeeping."""
-        metadata, deadline = work
-        if deadline is not None:
-            self.kv.execute("PEXPIREAT", key, int(deadline * 1000))
-        self.kv.annotate_metadata(key, metadata.owner, metadata.purposes)
-        self.locations.record_stored(key, self.config.region)
+        engine-native metadata annotation for every pending key in one
+        call, then location bookkeeping."""
+        self.kv.annotate_metadata([(key, metadata.owner, metadata.purposes)
+                                   for key, metadata in batch.items()])
+        for key in batch:
+            self.locations.record_stored(key, self.config.region)
 
     def _on_tier_event(self, event: str, detail: str,
                        subject: Optional[str]) -> None:
@@ -261,7 +261,7 @@ class GDPRStore:
         key = key_bytes.decode("utf-8", "replace")
         if self._writebehind is not None:
             # Never apply deferred maintenance to a dead key (a late
-            # PEXPIREAT/annotate would resurrect compliance state).
+            # annotation would resurrect compliance state).
             self._writebehind.discard(key)
         metadata = self.index.remove(key)
         if metadata is None:
@@ -334,38 +334,41 @@ class GDPRStore:
             tenant_policy.fast_gdpr if tenant_policy is not None
             else self.config.fast_gdpr)
         if use_fast:
-            # Fast-GDPR write shape: one fused engine command where the
-            # engine speaks SET..PXAT (value + retention deadline in one
-            # AOF record), the sidecar index updated inline (reads check
-            # purpose/access against it), and the remaining maintenance
-            # deferred to the write-behind flush.  The audit append
-            # buffers into the current block -- no fsync here.
-            if deadline is not None and getattr(
-                    self.kv, "supports_set_with_expiry", False):
+            # Fast-GDPR write shape: one fused engine command (SET..PXAT:
+            # value + retention deadline in one log record), the sidecar
+            # index updated inline (reads check purpose/access against
+            # it), and the remaining maintenance deferred to the
+            # write-behind flush.  The audit append buffers into the
+            # current block -- no fsync here.
+            if deadline is None:
+                self.kv.execute("SET", key, blob)
+            else:
                 self.kv.execute("SET", key, blob, "PXAT",
                                 int(deadline * 1000))
-                pending_deadline = None
-            else:
-                self.kv.execute("SET", key, blob)
-                pending_deadline = deadline
             self.index.add(key, metadata)
-            self._writebehind.enqueue(key, (metadata, pending_deadline))
+            self._writebehind.enqueue(key, metadata)
             self._record_audit(principal.name, "put", key, metadata.owner,
                                purpose, "ok")
             return
-        self.kv.execute("SET", key, blob)
-        if deadline is not None:
-            millis = int(deadline * 1000)
-            self.kv.execute("PEXPIREAT", key, millis)
-        self.index.add(key, metadata)
-        # Engines with native metadata columns (the relational schema)
-        # also record owner/purposes in the row, indexed; a no-op on the
-        # key-value engine, whose metadata lives in the sealed envelope
-        # plus this sidecar index.
-        self.kv.annotate_metadata(key, metadata.owner, metadata.purposes)
-        self.locations.record_stored(key, self.config.region)
+        self.store_record(key, blob, metadata)
         self._record_audit(principal.name, "put", key, metadata.owner,
                            purpose, "ok")
+
+    def store_record(self, key: str, blob: bytes,
+                     metadata: GDPRMetadata) -> None:
+        """The strict write shape, one engine command per step: ``SET``
+        the sealed blob, ``PEXPIREAT`` its retention deadline, index it,
+        and annotate the engine's own metadata columns (the relational
+        schema; a no-op on the key-value engine, whose metadata lives in
+        the sealed envelope plus the sidecar index).  Puts, metadata
+        updates and slot migration all write records this way."""
+        self.kv.execute("SET", key, blob)
+        deadline = metadata.expire_at()
+        if deadline is not None:
+            self.kv.execute("PEXPIREAT", key, int(deadline * 1000))
+        self.index.add(key, metadata)
+        self.kv.annotate_metadata([(key, metadata.owner, metadata.purposes)])
+        self.locations.record_stored(key, self.config.region)
 
     def get(self, key: str, principal: Principal = CONTROLLER,
             purpose: Optional[str] = None) -> Record:
@@ -431,13 +434,8 @@ class GDPRStore:
         now = self.clock.now()
         self.access.check(principal, Operation.WRITE, metadata, None, now)
         self.locations.check_placement(metadata, self.config.region)
-        blob = self._seal(key, metadata, record.value)
-        self.kv.execute("SET", key, blob)
-        deadline = metadata.expire_at()
-        if deadline is not None:
-            self.kv.execute("PEXPIREAT", key, int(deadline * 1000))
-        self.index.add(key, metadata)
-        self.kv.annotate_metadata(key, metadata.owner, metadata.purposes)
+        self.store_record(key, self._seal(key, metadata, record.value),
+                          metadata)
         self._record_audit(principal.name, "update-metadata", key,
                            metadata.owner, None, "ok")
 
@@ -556,8 +554,8 @@ class GDPRStore:
                 entries.append((key, recovered))
         count = self.index.rebuild(entries)
         for key, metadata in entries:
-            self.kv.annotate_metadata(key, metadata.owner,
-                                      metadata.purposes)
+            self.kv.annotate_metadata(
+                [(key, metadata.owner, metadata.purposes)])
             self.locations.record_stored(key, self.config.region)
         return count
 

@@ -245,7 +245,10 @@ def encode_records(databases: Mapping[int, Iterable[Tuple]],
             else:
                 append(_container_command(key, value))
             if expire_at is not None:
-                millis = b"%d" % int(expire_at * 1000)
+                # As the command log writes it: the largest m with
+                # m / 1000 <= expire_at, so a PXAT m deadline stays m.
+                whole = int(expire_at * 1000)
+                millis = b"%d" % (whole + ((whole + 1) / 1000 <= expire_at))
                 append(PEXPIREAT_STATEMENT
                        % (len(key), key, len(millis), millis))
             if metadata is not None:

@@ -71,7 +71,9 @@ def cmd_set(ctx: CommandContext, args: List[bytes]) -> Optional[SimpleString]:
     ctx.set_value(key, value)
     # Plain SET clears any previous TTL (Redis semantics).
     ctx.store.clear_key_expiry(ctx.db, key)
-    if expire_at is not None:
+    if expire_at is not None and expire_at <= ctx.now:
+        ctx.delete(key)              # a deadline already past: a delete
+    elif expire_at is not None:
         ctx.set_expiry(key, expire_at)
     return OK
 

@@ -125,9 +125,10 @@ declare("ASKING", arity=1, routing=CONTROL)
 declare("MONITOR", arity=1, routing=CONTROL)
 declare("TENANT", arity=2, routing=CONTROL_BARRIER)
 # Statements only the relational engine executes (its effective-write
-# stream carries GDPRMETA to replicas and migrations, keyed like SET).
+# stream carries GDPRMETA to replicas and migrations: ``GDPRMETA k1 o1
+# p1 ... kn on pn`` annotates n rows, every third argument a key).
 declare("RANGE", arity=3, routing=PER_SHARD)
-declare("GDPRMETA", arity=4, write=True)
+declare("GDPRMETA", arity=-4, write=True, keys=(1, -1, 3))
 
 
 def spec_of(name: bytes) -> CommandSpec:

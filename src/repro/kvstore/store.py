@@ -72,7 +72,6 @@ class KeyValueStore(StorageEngine):
     :class:`~repro.engine.base.StorageEngine`)."""
 
     engine_name = "redislike"
-    supports_set_with_expiry = True
 
     def __init__(self, config: Optional[StoreConfig] = None,
                  clock: Optional[Clock] = None,
@@ -182,7 +181,8 @@ class KeyValueStore(StorageEngine):
         return self.delete_key(self.databases[db_index], key, reason)
 
     def _restore_deadline(self, key: bytes, expire_at: float) -> None:
-        self.databases[0].set_expiry(key, expire_at)
+        if key in self.databases[0].data:  # a deadline <= now deleted it
+            self.databases[0].set_expiry(key, expire_at)
 
     def _deadline_of(self, db_index: int, key: bytes) -> Optional[float]:
         return self.databases[db_index].get_expiry(key)

@@ -58,14 +58,15 @@ residual checks behave identically over either engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dataclasses_replace
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from itertools import chain
+from typing import Any, Callable, Dict, List, Optional
 
 from ..common.clock import Clock, SimClock
-from ..common.errors import CorruptionError, WrongTypeError
+from ..common.errors import ArityError, CorruptionError, WrongTypeError
 from ..common.resp import RespError, SimpleString
 from ..device.append_log import AppendLog
-from ..engine.base import EngineStats, SnapshotImage, StorageEngine, \
-    StoredRecord, register_engine
+from ..engine.base import EngineStats, MetadataRow, SnapshotImage, \
+    StorageEngine, StoredRecord, register_engine
 from ..kvstore.aof import AofWriter, FsyncPolicy
 from ..kvstore.commands import CommandContext, glob_match, parse_int
 from ..kvstore.monitor import MonitorFeed
@@ -217,18 +218,27 @@ class RelationalStore(StorageEngine):
         return PONG
 
     def _stmt_set(self, ctx: CommandContext, argv: List[bytes]) -> Any:
+        # SET k v [PXAT ms | EXAT s]: the deadline is the expire_at value
+        # plain SET writes NULL to, so both cost the same.
+        expire_at = None
         if len(argv) > 3:
-            raise RespError("ERR syntax error")
+            if len(argv) != 5 or argv[3].upper() not in (b"PXAT", b"EXAT"):
+                raise RespError("ERR syntax error")
+            expire_at = self._expire_deadline(argv[3].upper(), argv[4])
         self._charge_statement(
-            "SET", "INSERT INTO records(key, value) VALUES ($1, $2) "
-                   "ON CONFLICT (key) DO UPDATE "
-                   "SET value = $2, expire_at = NULL")
+            "SET", "INSERT INTO records(key, value, expire_at) "
+                   "VALUES ($1, $2, $3) ON CONFLICT (key) DO UPDATE "
+                   "SET value = $2, expire_at = $3")
         key, value = argv[1], argv[2]
         self._live_row(key)                  # lazy-reclaim an expired row
         self._charge_index()
         self._charge_rows(1, len(value))
         self.table.upsert(key, value)
         ctx.mark_dirty()
+        if expire_at is not None and expire_at <= self.clock.now():
+            self._delete_row(key, reason="del")  # a deadline already past
+        elif expire_at is not None:
+            self.table.set_expiry(key, expire_at)
         return OK
 
     def _stmt_get(self, ctx: CommandContext, argv: List[bytes]) -> Any:
@@ -270,16 +280,18 @@ class RelationalStore(StorageEngine):
                 count += 1
         return count
 
-    def _expire_deadline(self, name: bytes, argv: List[bytes]) -> float:
-        amount = parse_int(argv[2])
+    def _expire_deadline(self, name: bytes, raw: bytes) -> float:
+        """The absolute deadline an EXPIRE-family command (or a SET
+        option, ``EXAT`` / ``PXAT``) names with ``raw``."""
+        amount = parse_int(raw)
         now = self.clock.now()
         if name == b"EXPIRE":
             return now + amount
         if name == b"PEXPIRE":
             return now + amount / 1000.0
-        if name == b"EXPIREAT":
+        if name in (b"EXPIREAT", b"EXAT"):
             return float(amount)
-        return amount / 1000.0               # PEXPIREAT
+        return amount / 1000.0               # PEXPIREAT / PXAT
 
     def _stmt_expire(self, ctx: CommandContext, argv: List[bytes]) -> Any:
         self._charge_statement(
@@ -288,7 +300,7 @@ class RelationalStore(StorageEngine):
         self._charge_index()
         if self._live_row(key) is None:
             return 0
-        deadline = self._expire_deadline(argv[0].upper(), argv)
+        deadline = self._expire_deadline(argv[0].upper(), argv[2])
         ctx.mark_dirty()
         if deadline <= self.clock.now():
             # TTL already in the past: the write is a delete.
@@ -532,18 +544,26 @@ class RelationalStore(StorageEngine):
         return OK
 
     def _stmt_gdprmeta(self, ctx: CommandContext, argv: List[bytes]) -> Any:
+        # GDPRMETA k1 o1 p1 ... kn on pn: one UPDATE for n rows; the
+        # reply counts the live rows annotated.
+        if len(argv) % 3 != 1:
+            raise ArityError(
+                "ERR wrong number of arguments for 'gdprmeta' command")
         self._charge_statement(
-            "GDPRMETA", "UPDATE records SET owner = $2, purposes = $3 "
-                        "WHERE key = $1")
-        self._charge_index(traversals=2)     # PK descent + owner index
-        if self._live_row(argv[1]) is None:
-            return 0
-        self.table.set_metadata(argv[1],
-                                argv[2].decode("utf-8", "replace"),
-                                argv[3].decode("utf-8", "replace"))
-        self._charge_rows(1)
-        ctx.mark_dirty()
-        return 1
+            "GDPRMETA", "UPDATE records SET owner = v.o, purposes = v.p "
+                        "FROM (VALUES ($1, $2, $3), ...) AS v(k, o, p) "
+                        "WHERE key = v.k")
+        annotated = 0
+        for key, owner, purposes in zip(argv[1::3], argv[2::3], argv[3::3]):
+            self._charge_index(traversals=2)     # PK descent + owner index
+            if self._live_row(key) is None:
+                continue
+            self.table.set_metadata(key, owner.decode("utf-8", "replace"),
+                                    purposes.decode("utf-8", "replace"))
+            self._charge_rows(1)
+            ctx.mark_dirty()
+            annotated += 1
+        return annotated
 
     _HANDLERS: Dict[bytes, Callable] = {
         b"PING": _stmt_ping,
@@ -637,11 +657,14 @@ class RelationalStore(StorageEngine):
 
     # -- GDPR metadata columns ---------------------------------------------
 
-    def annotate_metadata(self, key: str, owner: str,
-                          purposes: Iterable[str]) -> None:
-        """UPDATE the row's indexed metadata columns (the paper's
-        relational schema approach; one extra statement per put)."""
-        self.execute("GDPRMETA", key, owner, ",".join(sorted(purposes)))
+    def annotate_metadata(self, rows: List[MetadataRow]) -> None:
+        """UPDATE the rows' indexed metadata columns (the paper's
+        relational schema approach): one statement and one WAL record
+        for the whole batch, a per-row index and row charge inside."""
+        if rows:
+            self.execute("GDPRMETA", *chain.from_iterable(
+                (key, owner, ",".join(sorted(purposes)))
+                for key, owner, purposes in rows))
 
     def keys_of_owner(self, owner: str) -> List[str]:
         """Subject lookup straight off the owner secondary index."""

@@ -134,6 +134,13 @@ class Table:
             raise KeyError(key)
         row.expire_at = expire_at
         heapq.heappush(self._expiry_heap, (expire_at, key))
+        if len(self._expiry_heap) > 2 * len(self._rows) + 64:
+            # Superseded deadlines outnumber the rows: rebuild the index
+            # from the rows' own, so it stays bounded by the table.
+            self._expiry_heap = [(row.expire_at, row.key)
+                                 for row in self._rows.values()
+                                 if row.expire_at is not None]
+            heapq.heapify(self._expiry_heap)
 
     def clear_expiry(self, key: bytes) -> bool:
         row = self._rows.get(key)

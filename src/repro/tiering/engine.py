@@ -46,7 +46,8 @@ from itertools import chain
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..device.append_log import AppendLog
-from ..engine.base import SnapshotImage, StorageEngine, StoredRecord
+from ..engine.base import MetadataRow, SnapshotImage, StorageEngine, \
+    StoredRecord
 from ..kvstore.commands import glob_match, normalize_args, spec_of
 from .segment import ColdEntry, ColdInput, ColdSegmentStore
 
@@ -97,7 +98,7 @@ class TieredEngine(StorageEngine):
         self.demotions = 0
         self._tier_listeners: List[TierListener] = []
         #: Called before each demotion batch is selected; the GDPR layer
-        #: points this at its write-behind flush so no deferred TTL /
+        #: points this at its write-behind flush so no deferred
         #: metadata work is pending on a record entering the archive.
         self.before_demote: Optional[Callable[[], None]] = None
         inner.add_write_listener(self.notify_write)
@@ -140,10 +141,6 @@ class TieredEngine(StorageEngine):
     @property
     def supports_metadata_columns(self) -> bool:  # type: ignore[override]
         return self._inner.supports_metadata_columns
-
-    @property
-    def supports_set_with_expiry(self) -> bool:  # type: ignore[override]
-        return self._inner.supports_set_with_expiry
 
     def info_text(self) -> str:
         return self._inner.info_text()
@@ -295,7 +292,7 @@ class TieredEngine(StorageEngine):
             purposes = annotation[1] \
                 if annotation and annotation[0] == owner else ()
             self._inner.annotate_metadata(
-                key.decode("utf-8", "replace"), owner, purposes)
+                [(key.decode("utf-8", "replace"), owner, purposes)])
         self.cold.tombstone_key(key, durable=False)
         self.promotions += 1
         self._tier_event("promote",
@@ -594,12 +591,17 @@ class TieredEngine(StorageEngine):
 
     # -- GDPR metadata hooks -------------------------------------------------
 
-    def annotate_metadata(self, key: str, owner: str,
-                          purposes: Any) -> None:
-        key_bytes = key.encode("utf-8") if isinstance(key, str) else key
-        self._owners[key_bytes] = (owner, tuple(purposes))
-        if self._inner.has_live_key(key_bytes, 0):
-            self._inner.annotate_metadata(key, owner, purposes)
+    def annotate_metadata(self, rows: List[MetadataRow]) -> None:
+        # Every row's owner is remembered (a demoted key re-annotates on
+        # promotion); only the hot-live rows reach the hot engine, in one
+        # call.
+        hot = []
+        for key, owner, purposes in rows:
+            key_bytes = key.encode("utf-8") if isinstance(key, str) else key
+            self._owners[key_bytes] = (owner, tuple(purposes))
+            if self._inner.has_live_key(key_bytes, 0):
+                hot.append((key, owner, purposes))
+        self._inner.annotate_metadata(hot)
 
     def keys_of_owner(self, owner: str) -> Optional[List[str]]:
         native = self._inner.keys_of_owner(owner)

@@ -291,6 +291,10 @@ class TestCommandTable:
         # Write-stream records keep their key for migration/replication.
         assert command_keys([b"pexpireat", b"k", b"1"]) == [b"k"]
         assert command_keys([b"GDPRMETA", b"k", b"alice", b"ads"]) == [b"k"]
+        # A batched GDPRMETA names one key per (key, owner, purposes) row.
+        assert command_keys([b"GDPRMETA", b"k1", b"alice", b"ads",
+                             b"k2", b"bob", b"", b"k3", b"alice",
+                             b"billing,ads"]) == [b"k1", b"k2", b"k3"]
 
 
 # (set-up write, read): the reads the hand-kept list had left out.

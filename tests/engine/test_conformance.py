@@ -158,6 +158,53 @@ def test_expire_in_the_past_deletes(engine):
     assert (b"k", "del") in events
 
 
+def test_set_with_absolute_deadline_reads_back(engine):
+    engine.clock.advance(100)
+    engine.execute("SET", "k", "v", "PXAT", 130_000)
+    assert engine.execute("PTTL", "k") == 30_000
+    engine.execute("SET", "s", "v", "EXAT", 140)
+    assert engine.execute("TTL", "s") == 40
+    engine.execute("SET", "k", "v2")          # plain SET drops the deadline
+    assert engine.execute("PTTL", "k") == -1
+
+
+def test_set_with_a_past_deadline_deletes(engine):
+    events = []
+    engine.add_deletion_listener(
+        lambda db, key, reason, when: events.append((key, reason)))
+    engine.clock.advance(100)
+    engine.execute("SET", "k", "v")
+    engine.execute("SET", "k", "v2", "PXAT", 1000)
+    assert engine.execute("EXISTS", "k") == 0
+    assert (b"k", "del") in events
+    # Logged as the delete it was: a replay at the same instant agrees.
+    replica = engine.spawn_replica()
+    replica.replay_aof(engine.aof_log.read_all())
+    assert replica.execute("EXISTS", "k") == 0
+
+
+def test_set_deadline_survives_rewrite_and_replay(engine):
+    engine.clock.advance(100.0004567)
+    engine.execute("SET", "k", "v", "PXAT", 130_123)
+    engine.rewrite_aof()
+    replica = engine.spawn_replica()
+    replica.replay_aof(engine.aof_log.read_all(),
+                       tolerate_truncated_tail=False)
+    assert [record.expire_at for record in replica.scan_records(0)] \
+        == [130.123]
+    assert replica.execute("PTTL", "k") == engine.execute("PTTL", "k")
+
+
+@pytest.mark.parametrize("variant", ["relational", "tiered-relational"])
+def test_relational_set_refuses_conditional_writes(variant):
+    engine = FACTORIES[variant](SimClock())
+    for option in ("NX", "XX"):
+        with pytest.raises(RespError) as refused:
+            engine.execute("SET", "k", "v", option)
+        assert str(refused.value) == "ERR syntax error"
+    assert engine.execute("EXISTS", "k") == 0
+
+
 def test_persist_clears_expiry(engine):
     engine.execute("SET", "k", "v")
     engine.execute("EXPIRE", "k", 5)
@@ -209,7 +256,7 @@ def _owned_keyspace(engine):
     for number in range(4):
         key = f"k{number}"
         engine.execute("SET", key, f"value-{number}")
-        engine.annotate_metadata(key, "alice", ["billing", "ads"])
+        engine.annotate_metadata([(key, "alice", ["billing", "ads"])])
         engine.execute("EXPIRE", key, 100 + number)
     engine.execute("HSET", "row", "f", "x")
     if isinstance(engine, TieredEngine):

@@ -12,13 +12,15 @@ from repro.gdpr import (
     GDPRStore,
 )
 from repro.cluster import ShardedGDPRStore
+from repro.cluster.slots import slot_for_key
 from repro.kvstore import KeyValueStore, StoreConfig
 from repro.sqlstore import RelationalStore, SqlConfig
 
 
-def make_fast_store(clock=None, **overrides):
+def make_fast_store(clock=None, fsync="everysec", **overrides):
     clock = clock if clock is not None else SimClock()
     kv = KeyValueStore(StoreConfig(appendonly=True, aof_log_reads=True,
+                                   appendfsync=fsync,
                                    expiry_strategy="fullscan"),
                        clock=clock)
     config = GDPRConfig(fast_gdpr=True, audit_block_size=4,
@@ -58,12 +60,6 @@ class TestFastPath:
         store.tick()
         with pytest.raises(KeyError):
             store.get("k")
-
-    def test_fused_set_writes_one_aof_record(self):
-        store, _ = make_fast_store()
-        before = store.kv.aof_log.appends
-        store.put("k", b"v", meta(ttl=100.0))
-        assert store.kv.aof_log.appends == before + 1
 
     def test_writebehind_flushes_on_timer(self):
         store, clock = make_fast_store()
@@ -116,28 +112,78 @@ class TestFastPath:
         assert store.get("k2").value == b"v"
 
 
-class TestFastPathRelational:
-    def make_store(self):
-        clock = SimClock()
-        kv = RelationalStore(SqlConfig(wal_enabled=True), clock=clock)
-        config = GDPRConfig(fast_gdpr=True, audit_block_size=4,
-                            writebehind_interval=0.5)
-        return GDPRStore(kv=kv, config=config), clock
+def make_fast_sql_store(clock=None, fsync="everysec"):
+    clock = clock if clock is not None else SimClock()
+    kv = RelationalStore(SqlConfig(wal_enabled=True, wal_fsync=fsync),
+                         clock=clock)
+    config = GDPRConfig(fast_gdpr=True, audit_block_size=4,
+                        writebehind_interval=0.5)
+    return GDPRStore(kv=kv, config=config), clock
 
-    def test_ttl_deferred_until_flush(self):
-        # No fused SET on the relational engine: the deadline arrives
-        # with the write-behind flush, bounded by the interval.
-        store, _ = self.make_store()
+
+FAST_STORES = {"redislike": make_fast_store,
+               "relational": make_fast_sql_store}
+
+
+@pytest.mark.parametrize("engine", sorted(FAST_STORES))
+def test_fused_set_writes_one_aof_record(engine):
+    store, _ = FAST_STORES[engine]()
+    before = store.kv.aof_log.appends
+    store.put("k", b"v", meta(ttl=100.0))
+    assert store.kv.aof_log.appends == before + 1
+
+
+@pytest.mark.parametrize("engine", sorted(FAST_STORES))
+def test_retention_deadline_survives_a_crash_before_the_flush(engine):
+    """Regression: on the relational engine the deadline used to wait in
+    the write-behind set for the flush, so a power loss before it left a
+    WAL whose replayed row never expired."""
+    store, clock = FAST_STORES[engine](fsync="always")
+    store.put("k", b"v", meta(ttl=100.0))
+    assert store._writebehind.pending == 1
+    store.kv.aof_log.crash(power_loss=True)
+    store.audit.log.crash(power_loss=True)
+    recovered = type(store.kv)(clock=clock)
+    recovered.replay_aof(store.kv.aof_log.read_durable())
+    assert recovered.execute("PTTL", "k") > 0
+
+
+class TestFastPathRelational:
+    def test_ttl_applied_inline_via_fused_set(self):
+        # The relational SET takes PXAT too: the deadline lands in the
+        # same statement as the value, nothing waits on the flush.
+        store, _ = make_fast_sql_store()
         store.put("k", b"v", meta(ttl=100.0))
-        store._writebehind.flush()
+        assert store._writebehind.pending == 1
         assert store.kv.execute("PTTL", "k") > 0
 
     def test_native_owner_index_current_after_flush(self):
-        store, _ = self.make_store()
+        store, _ = make_fast_sql_store()
         store.put("k1", b"v", meta())
         # keys_of_subject flushes the write-behind set first, so the
         # engine's owner column answers correctly.
         assert store.keys_of_subject("alice") == ["k1"]
+
+    @pytest.mark.parametrize("pending", [1, 16])
+    def test_flush_is_one_statement_and_one_wal_record(self, pending):
+        store, _ = make_fast_sql_store()
+        for i in range(pending):
+            store.put(f"k{i}", b"v", meta(ttl=100.0))
+        statements = store.kv.stats.commands_processed
+        records = store.kv.aof.records_written
+        assert store._writebehind.flush() == pending
+        assert store.kv.stats.commands_processed == statements + 1
+        assert store.kv.aof.records_written == records + 1
+        assert store.kv.keys_of_owner("alice") == sorted(
+            f"k{i}" for i in range(pending))
+
+    def test_empty_flush_runs_no_statement(self):
+        store, _ = make_fast_sql_store()
+        statements = store.kv.stats.commands_processed
+        records = store.kv.aof.records_written
+        assert store._writebehind.flush() == 0
+        assert store.kv.stats.commands_processed == statements
+        assert store.kv.aof.records_written == records
 
 
 class TestShardedFastGDPR:
@@ -154,6 +200,27 @@ class TestShardedFastGDPR:
         cluster.flush_compliance()
         verified = cluster.verify_audit_chains()
         assert sum(verified.values()) >= 10
+
+    def test_flush_during_migration_requeues_every_annotated_key(self):
+        def sql_factory(index, kv_clock):
+            return RelationalStore(SqlConfig(wal_enabled=True),
+                                   clock=kv_clock)
+
+        cluster = ShardedGDPRStore(num_shards=2, fast_gdpr=True,
+                                   kv_factory=sql_factory)
+        keys = ["a{t}", "b{t}"]
+        slot = slot_for_key(keys[0])
+        source = cluster.slots.shard_of_slot(slot)
+        target = 1 - source
+        for key in keys:
+            cluster.put(key, b"v", meta())
+        migrator = cluster.begin_slot_migration(slot, target)
+        assert migrator.step(2) == 2
+        # One GDPRMETA names both keys: the migrator sees each of them.
+        cluster.shards[source].flush_compliance()
+        assert migrator.keys_pending == 2
+        migrator.finish()
+        assert cluster.shards[target].kv.keys_of_owner("alice") == keys
 
 
 class TestDeterminism:

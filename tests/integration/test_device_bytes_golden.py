@@ -9,11 +9,13 @@ move no simulated digit and no device byte reruns this file to show it.
 
 A deliberate change to a log format, a cost constant or the envelope
 re-records the digests it moves -- and only those -- and says so in
-CHANGES.md.  There have been three: the envelope keystream became one
+CHANGES.md.  There have been four: the envelope keystream became one
 SHAKE-256 call (AOF/WAL digests of all three runs), cold segment format
-v2 (the ``tiered`` run only), and Art. 17 became one DEL per store with
+v2 (the ``tiered`` run only), Art. 17 became one DEL per store with
 one cold barrier per command (the ``fast_relational`` and ``tiered``
-runs).
+runs), and a write-behind flush became one ``GDPRMETA`` statement with
+the retention deadline fused into the relational ``SET ... PXAT`` (the
+``fast_relational`` run only).
 """
 
 import hashlib
@@ -220,11 +222,11 @@ GOLDEN = {
                  "3196f31d21d6c814cd4ab625e5e77b6d",
     }, 0.19332046999999966),
     "fast_relational": ({
-        "wal": "ba64943644e105c658bb4df673b25d14"
-               "9fbf731b8fe3cbbf498d65a9ab8f577d",
-        "audit": "435ecc0473de522e882a3e4a2b22bc95"
-                 "4b25f981a222a98ccf19c6d8ca6ff177",
-    }, 0.07382482200000055),
+        "wal": "765d102786d49911eafd0b6a2fc2d0d1"
+               "c712b6e97a16ac96d0154120d36dab92",
+        "audit": "3dd2157781edef6769900fdd8e1fadd4"
+                 "90946835fd6855d309ba72266cdb8a4a",
+    }, 0.0476819780000002),
     "tiered": ({
         "aof": "69aaf151bc7bb7544820d47e9fd78f7a"
                "27c087cc86400fed57bbc1280cdf266a",

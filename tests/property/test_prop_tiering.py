@@ -282,7 +282,7 @@ def test_erased_subject_never_readable_from_any_tier(ops):
         if op[0] == "put":
             key, owner = f"r:{op[1]}", op[2]
             engine.execute("SET", key, b"secret-" + owner.encode())
-            engine.annotate_metadata(key, owner, [])
+            engine.annotate_metadata([(key, owner, [])])
             owners[key.encode()] = owner
         elif op[0] == "demote":
             engine.demote_keys(engine.inner.live_keys(0))
@@ -299,7 +299,7 @@ def test_erased_subject_never_readable_from_any_tier(ops):
                                        keystore=keystore)
             replacement.replay_aof(engine.aof_log.read_all())
             for key, owner in owners.items():
-                replacement.annotate_metadata(key.decode(), owner, [])
+                replacement.annotate_metadata([(key.decode(), owner, [])])
             return replacement
         return engine
 

@@ -85,12 +85,12 @@ def test_metadata_columns_and_owner_index():
     store = make_store()
     store.execute("SET", "u1", "x")
     store.execute("SET", "u2", "y")
-    store.annotate_metadata("u1", "alice", {"service", "ads"})
-    store.annotate_metadata("u2", "bob", {"service"})
+    store.annotate_metadata([("u1", "alice", {"service", "ads"})])
+    store.annotate_metadata([("u2", "bob", {"service"})])
     assert store.keys_of_owner("alice") == ["u1"]
     assert store.table.get(b"u1").purposes == "ads,service"
     # Re-annotation moves the row between owner buckets.
-    store.annotate_metadata("u1", "bob", {"service"})
+    store.annotate_metadata([("u1", "bob", {"service"})])
     assert store.keys_of_owner("alice") == []
     assert store.keys_of_owner("bob") == ["u1", "u2"]
     # Deleting the row cleans the index.
@@ -98,10 +98,33 @@ def test_metadata_columns_and_owner_index():
     assert store.keys_of_owner("bob") == ["u2"]
 
 
+def test_batched_annotation_is_one_statement_over_live_rows():
+    from repro.common.errors import ArityError
+
+    store = make_store()
+    store.execute("SET", "u1", "x")
+    store.execute("SET", "u2", "y")
+    statements = store.stats.commands_processed
+    records = store.aof.records_written
+    assert store.execute("GDPRMETA", "u1", "alice", "ads",
+                         "gone", "alice", "ads",
+                         "u2", "bob", "service") == 2
+    assert (store.stats.commands_processed, store.aof.records_written) \
+        == (statements + 1, records + 1)
+    assert store.keys_of_owner("alice") == ["u1"]
+    assert store.keys_of_owner("bob") == ["u2"]
+    assert store.key_count() == 2
+    # A row that is not live changes nothing: no dirty write is logged.
+    assert store.execute("GDPRMETA", "gone", "alice", "ads") == 0
+    assert store.aof.records_written == records + 1
+    with pytest.raises(ArityError, match="'gdprmeta'"):
+        store.execute("GDPRMETA", "u1", "alice", "ads", "u2", "bob")
+
+
 def test_metadata_columns_replicate_and_replay():
     store = make_store()
     store.execute("SET", "u1", "x")
-    store.annotate_metadata("u1", "alice", {"service"})
+    store.annotate_metadata([("u1", "alice", {"service"})])
     replica = store.spawn_replica()
     replica.replay_aof(store.aof_log.read_all())
     assert replica.keys_of_owner("alice") == ["u1"]
@@ -115,7 +138,7 @@ def test_metadata_columns_replicate_and_replay():
 def test_snapshot_preserves_metadata_columns():
     store = make_store()
     store.execute("SET", "u1", "x")
-    store.annotate_metadata("u1", "alice", {"service"})
+    store.annotate_metadata([("u1", "alice", {"service"})])
     replica = store.spawn_replica()
     replica.load_snapshot(store.save_snapshot())
     assert replica.keys_of_owner("alice") == ["u1"]
@@ -149,6 +172,20 @@ def test_vacuum_reclaims_due_rows_in_one_sweep():
     assert store.vacuum_runs == 1
     assert store.key_count() == 1
     assert store.stats.expired_keys == 5
+
+
+def test_expiry_index_stays_bounded_by_the_table():
+    """Every SET ... PXAT supersedes the row's previous deadline; the
+    superseded index entries are dropped once they outnumber the rows,
+    and the sweep still reclaims exactly the due rows."""
+    store = make_store()
+    for number in range(2000):
+        store.execute("SET", f"k{number % 10}", "v", "PXAT",
+                      5000 + number)
+    assert len(store.table._expiry_heap) <= 2 * len(store.table) + 64
+    store.execute("SET", "late", "v", "PXAT", 9000)
+    assert store.vacuum(now=8.0) == 10
+    assert store.execute("KEYS", "*") == [b"late"]
 
 
 def test_wal_fsync_everysec_batches_durability():
@@ -196,8 +233,9 @@ def test_single_database_discipline():
 
 
 def test_set_takes_no_options():
-    """The relational SET is a plain upsert: an option it cannot honour
-    (a TTL, NX/XX) is refused instead of dropped."""
+    """The relational SET is an upsert whose only option is an absolute
+    deadline (PXAT / EXAT): an option it cannot honour (a relative TTL,
+    NX/XX) is refused instead of dropped."""
     from repro.common.resp import RespError
 
     store = make_store()

@@ -288,7 +288,7 @@ def test_keys_of_owner_merges_tiers_on_relational():
     for i in range(4):
         key = f"u:{i}"
         engine.execute("SET", key, "v")
-        engine.annotate_metadata(key, "alice", ["billing"])
+        engine.annotate_metadata([(key, "alice", ["billing"])])
     engine.demote_keys([b"u:0", b"u:1"])
     assert engine.keys_of_owner("alice") == ["u:0", "u:1", "u:2", "u:3"]
     # Promotion restores the metadata columns the SET would have dropped.
@@ -300,7 +300,7 @@ def test_keys_of_owner_merges_tiers_on_relational():
 def test_keys_of_owner_stays_sidecar_on_redislike():
     engine = make_engine(auto_demote=False)
     engine.execute("SET", "k", "v")
-    engine.annotate_metadata("k", "alice", ["billing"])
+    engine.annotate_metadata([("k", "alice", ["billing"])])
     assert engine.keys_of_owner("alice") is None
 
 
@@ -309,9 +309,9 @@ def test_erase_subject_cold_voids_archive():
     engine = make_engine(auto_demote=False)
     engine.attach_keystore(keystore)
     engine.execute("SET", "a:1", "secret")
-    engine.annotate_metadata("a:1", "alice", [])
+    engine.annotate_metadata([("a:1", "alice", [])])
     engine.execute("SET", "b:1", "fine")
-    engine.annotate_metadata("b:1", "bob", [])
+    engine.annotate_metadata([("b:1", "bob", [])])
     engine.demote_keys([b"a:1", b"b:1"])
     assert engine.cold_keys_of_subject("alice") == [b"a:1"]
     assert engine.erase_subject_cold("alice") == 1
