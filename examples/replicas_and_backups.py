@@ -15,7 +15,7 @@ Run with::
 """
 
 from repro import GDPRConfig, GDPRMetadata, GDPRStore, SimClock
-from repro.cluster import ShardedGDPRStore
+from repro.cluster import GDPRClient, build_cluster, gdpr_shards
 from repro.gdpr import BackupManager, right_to_erasure
 from repro.kvstore import KeyValueStore, ReplicationManager, StoreConfig
 
@@ -74,17 +74,18 @@ def main() -> None:
           f"{report.residual_generations}")
 
     # --- cluster-wide: every shard gets replicas ------------------------------
-    sharded = ShardedGDPRStore(num_shards=2)
-    sharded.attach_replication(delays=[0.002, 0.250])
+    cluster = build_cluster(2, store_factory=gdpr_shards())
+    cluster.attach_replication(delays=[0.002, 0.250])
+    sharded = GDPRClient(cluster)
     for i in range(8):
         sharded.put(f"user:{i}", b"pii",
                     GDPRMetadata(owner="carol" if i % 2 == 0 else "dan",
                                  purposes=frozenset({"svc"})))
-    sharded.clock.advance(0.5)   # delivery events converge replicas
+    cluster.clock.advance(0.5)   # delivery events converge replicas
 
     keys = sharded.keys_of_subject("carol")
     right_to_erasure(sharded, "carol")
-    horizon = sharded.replication.erasure_horizon(keys, step=0.01)
+    horizon = cluster.replication.erasure_horizon(keys, step=0.01)
     print(f"\ncluster erasure of carol ({len(keys)} keys, "
           f"{sharded.num_shards} shards x 2 replicas): last copy gone "
           f"after {horizon * 1e3:.0f} ms (the DR replicas' 250 ms lag)")

@@ -14,9 +14,10 @@ fanned out across every shard while one crypto-erasure voids them all.
 import json
 
 from repro.cluster import (
-    ShardedGDPRStore,
+    GDPRClient,
     SlotMigrator,
     build_cluster,
+    gdpr_shards,
     slot_for_key,
 )
 from repro.gdpr import (
@@ -57,10 +58,13 @@ def main() -> None:
     print(f"{RECORDS} writes, depth 8: {t8 * 1e3:.3f} ms simulated "
           f"({t1 / t8:.1f}x faster)")
 
-    # 3. GDPR across shards: per-shard audit chains and AOFs, one shared
-    #    keystore.  The subject-rights functions take the sharded store
-    #    as they take a single one and see the union of every shard.
-    store = ShardedGDPRStore(num_shards=4)
+    # 3. GDPR across shards: every shard is a GDPR store with its own
+    #    audit chain and AOF, all sharing one keystore, served over the
+    #    same cluster.  The subject-rights functions take the GDPR client
+    #    as they take a single store: each right runs on every shard in
+    #    one broadcast round trip, and the replies merge into one answer.
+    gdpr_cluster = build_cluster(4, store_factory=gdpr_shards())
+    store = GDPRClient(gdpr_cluster)
     for number in range(24):
         owner = "alice" if number % 2 == 0 else "bob"
         store.put(f"rec:{number}", f"value-{number}".encode(),
@@ -77,7 +81,7 @@ def main() -> None:
           f"{len(receipt.shards_touched)} shards, "
           f"crypto-erased={receipt.crypto_erased}, "
           f"residual in AOF: {receipt.residual_in_aof}")
-    verified = store.verify_audit_chains()
+    verified = gdpr_cluster.verify_audit_chains()
     print(f"audit chains verified per shard: {verified}")
 
     # 4. Live resharding: migrate one slot's data to another shard while

@@ -26,7 +26,7 @@ Quickstart::
     record = store.get("user:alice:profile", purpose="billing")
 """
 
-from .cluster import ClusterClient, ShardedGDPRStore, build_cluster
+from .cluster import ClusterClient, GDPRClient, build_cluster, gdpr_shards
 from .common.clock import SimClock, WallClock
 from .gdpr import (
     CONTROLLER,
@@ -52,7 +52,8 @@ __all__ = [
     "KeyValueStore",
     "StoreConfig",
     "ClusterClient",
-    "ShardedGDPRStore",
+    "GDPRClient",
+    "gdpr_shards",
     "build_cluster",
     "GDPRStore",
     "GDPRConfig",

@@ -60,10 +60,11 @@ from ..cluster import (
     Autoscaler,
     AutoscaleConfig,
     ClusterClient,
-    ShardedGDPRStore,
+    GDPRClient,
     SlotMap,
     SlotMigrator,
     build_cluster,
+    gdpr_shards,
     slot_for_key,
 )
 from ..common.clock import Clock
@@ -225,12 +226,8 @@ def run_resharding(gdpr: bool = False, record_count: int = 300,
 
     # An even rebalance hands the new shard 1/(shards+1) of each existing
     # shard's populated slots.
-    target = cluster.slots.add_shard()
-    to_move: List[int] = []
-    for shard in range(shards):
-        populated = _populated_slots(cluster, keys, shard)
-        share = len(populated) // (shards + 1)
-        to_move.extend(populated[:max(1, share)])
+    target = cluster.add_shard()
+    to_move = cluster.rebalance_plan(target)
     moved_before = cluster.moved_redirects
     asked_before = cluster.ask_redirects
     requests = _request_mix(keys, value, third, seed + 3)
@@ -578,21 +575,20 @@ def run_autoscale_demo() -> List[Row]:
     keys = [build_key_name(number) for number in range(record_count)]
 
     def spill(_scaler: Autoscaler, _target: int) -> str:
-        new_shard = cluster.slots.add_shard()
-        # Every other slot: an even split.
+        new_shard = cluster.add_shard()
+        # Every other slot, all migrating at once: an even split.
         moving = _populated_slots(cluster, keys, 0)[::2]
-        for slot in moving:
-            SlotMigrator(cluster, slot, new_shard).run_as_events(
-                cluster.clock, batch_size=8, interval=2e-4)
+        cluster.rebalance(new_shard, slots=moving, batch_size=8,
+                          concurrency=len(moving), step_interval=2e-4,
+                          drive=False)
         return f"spill {len(moving)} slots -> shard {new_shard}"
 
     pools = [node.pool for node in cluster.nodes]
-    scaler = Autoscaler(
-        cluster.clock, pools,
-        AutoscaleConfig(interval=1e-3, high_delay=300e-6,
-                        max_workers=2, cooldown=3e-3,
-                        max_scale_outs=1),
-        scale_out=spill)
+    scaler = cluster.attach_autoscaler(
+        config=AutoscaleConfig(interval=1e-3, high_delay=300e-6,
+                               max_workers=2, cooldown=3e-3,
+                               max_scale_outs=1),
+        scale_out=spill, start=False)
     spec = WORKLOAD_B.scaled(record_count=record_count,
                              operation_count=ops_per_phase * len(rates))
     runner = OpenLoopRunner(cluster, spec, clients=32,
@@ -742,18 +738,22 @@ FANOUT_REPLICA_DELAY = 0.020
 
 
 def _subject_store(shards: int, subject_keys: int,
-                   replicas: int = 0) -> ShardedGDPRStore:
-    """A sharded GDPR store -- shards in the same compliant
-    configuration the throughput sweeps' GDPR-on rows use -- holding
-    ``subject_keys`` records, every other one owned by ``alice``.
-    ``replicas`` > 0 attaches that many per shard behind a 20 ms stream
-    and lets them converge on the load; every replicated command is a
-    daemon delivery event on the store's scheduler, so a horizon is
-    measured the way an event-driven deployment would observe it."""
-    store = ShardedGDPRStore(num_shards=shards,
-                             kv_factory=_store_factory(gdpr=True))
+                   replicas: int = 0) -> GDPRClient:
+    """A cluster of GDPR shards -- engines in the same compliant
+    configuration the throughput sweeps' GDPR-on rows use, on the same
+    link -- holding ``subject_keys`` records, every other one owned by
+    ``alice``.  ``replicas`` > 0 attaches that many per shard behind a
+    20 ms stream and lets them converge on the load; every replicated
+    command is a daemon delivery event on the cluster's scheduler, so a
+    horizon is measured the way an event-driven deployment would
+    observe it."""
+    cluster = build_cluster(
+        shards, store_factory=gdpr_shards(kv_factory=_store_factory(True)),
+        latency=RAW_ONE_WAY_LATENCY)
     if replicas:
-        store.attach_replication(delays=(FANOUT_REPLICA_DELAY,) * replicas)
+        cluster.attach_replication(
+            delays=(FANOUT_REPLICA_DELAY,) * replicas)
+    store = GDPRClient(cluster)
     rng = random.Random(7)
     for number in range(subject_keys):
         owner = "alice" if number % 2 == 0 else f"other-{number % 7}"
@@ -769,12 +769,12 @@ def _subject_store(shards: int, subject_keys: int,
 def replicated_erasure_fanout(shards: int, replicas: int,
                               subject_keys: int = 40) -> Row:
     """Art. 17 through replicas: erase one subject across every shard of
-    a replicated :class:`ShardedGDPRStore` and report how long until the
+    a replicated cluster of GDPR shards and report how long until the
     last replica stopped serving the last key (-1 if it never did)."""
     store = _subject_store(shards, subject_keys, replicas)
     keys = store.keys_of_subject("alice")
     receipt = right_to_erasure(store, "alice")
-    horizon = store.replication.erasure_horizon(
+    horizon = store.cluster.replication.erasure_horizon(
         keys, step=FANOUT_REPLICA_DELAY / 10)
     return {
         "total_replicas": replicas * shards,

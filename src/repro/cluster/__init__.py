@@ -3,12 +3,14 @@
 The scaling seam the ROADMAP calls for: CRC16 -> 16384 hash slots ->
 N shards (:mod:`repro.cluster.slots`), a pipelining, redirect-following
 :class:`ClusterClient` over the simulated network
-(:mod:`repro.cluster.client`), **live slot migration** that moves data --
-not just routing -- between shards behind MOVED/ASK redirects
-(:mod:`repro.cluster.migration`), a :class:`ShardedGDPRStore` whose
-``holders`` lets the subject-rights functions of :mod:`repro.gdpr.rights`
-fan out across shards under one shared-keystore crypto-erasure
-(:mod:`repro.cluster.sharded_store`), **per-shard replication
+(:mod:`repro.cluster.client`) that also owns the topology operations
+(``add_shard``, ``rebalance``, ``recover_shard``, the autoscaler's
+scale-out), **live slot migration** that moves data -- not just routing
+-- between shards behind MOVED/ASK redirects
+(:mod:`repro.cluster.migration`), GDPR shards served as nodes of that
+same cluster, with a thin :class:`GDPRClient` whose subject rights run
+on every shard under one shared-keystore crypto-erasure
+(:mod:`repro.cluster.gdpr_client`), **per-shard replication
 groups** with a cluster-wide erasure horizon and replica-set handoff at
 slot migration (:mod:`repro.cluster.replication`), **multi-core shard
 execution** -- every shard is an event-driven server behind K >= 1
@@ -47,11 +49,10 @@ from .autoscale import (
     Autoscaler,
     AutoscaleConfig,
     AutoscaleEvent,
-    SignalProbe,
 )
-from .migration import GDPRSlotMigrator, MigrationReceipt, SlotMigrator
+from .gdpr_client import GDPRClient, gdpr_shards
+from .migration import MigrationReceipt, SlotMigrator
 from .replication import ClusterReplication
-from .sharded_store import ShardedGDPRStore
 from .slots import (
     MigrationState,
     NUM_SLOTS,
@@ -81,11 +82,11 @@ __all__ = [
     "build_cluster",
     "command_keys",
     "parse_redirect",
-    "GDPRSlotMigrator",
+    "GDPRClient",
+    "gdpr_shards",
     "MigrationReceipt",
     "SlotMigrator",
     "ClusterReplication",
-    "ShardedGDPRStore",
     "WorkerPool",
     "WorkerPoolConfig",
     "PlacementPolicy",
@@ -95,5 +96,4 @@ __all__ = [
     "Autoscaler",
     "AutoscaleConfig",
     "AutoscaleEvent",
-    "SignalProbe",
 ]

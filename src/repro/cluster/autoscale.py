@@ -22,8 +22,8 @@ Escalation ladder, per target, rate-limited by a cooldown:
 3. the target is already at :attr:`AutoscaleConfig.max_workers` and is
    still hot -> invoke the **scale-out hook** (shard-add + live
    ``rebalance()`` under load -- see
-   :meth:`ShardedGDPRStore.attach_autoscaler
-   <repro.cluster.sharded_store.ShardedGDPRStore.attach_autoscaler>`),
+   :meth:`ClusterClient.attach_autoscaler
+   <repro.cluster.client.ClusterClient.attach_autoscaler>`),
    at most :attr:`AutoscaleConfig.max_scale_outs` times.
 
 And the reverse rung: when :attr:`AutoscaleConfig.low_delay` is set and
@@ -68,19 +68,6 @@ class AutoscaleEvent:
     #                    "scale-out"
     signal: float                    # the EWMA that triggered it
     detail: str = ""
-
-
-class SignalProbe:
-    """Adapt a bare EWMA callable into an autoscale target with no
-    worker pool: every threshold crossing escalates straight to the
-    scale-out hook.  This is how layers without per-core pools (the
-    GDPR sharded store) plug their own saturation signal in."""
-
-    def __init__(self, signal: Callable[[], float]) -> None:
-        self._signal = signal
-
-    def queueing_delay_ewma(self) -> float:
-        return self._signal()
 
 
 class Autoscaler:

@@ -69,8 +69,11 @@ from ..kvstore.server import (
     resp_error_from_store_error,
 )
 from ..engine.base import StorageEngine
+from ..gdpr import node as gdpr_node
+from ..gdpr.store import GDPRStore
 from ..kvstore.store import KeyValueStore, StoreConfig
 from ..net.channel import Channel, LAN_LATENCY, RAW_BANDWIDTH_BPS
+from .migration import MigrationReceipt, MigrationTaps, SlotMigrator
 from .slots import NUM_SLOTS, SlotMap, slot_for_key
 
 # Sentinel: the replica path declined (no group, ineligible command);
@@ -175,13 +178,23 @@ class ClusterStoreServer(EventStoreServer):
     """
 
     def __init__(self, store: StorageEngine, pool, shard_index: int = 0,
-                 slot_map: Optional[SlotMap] = None) -> None:
+                 slot_map: Optional[SlotMap] = None,
+                 gdpr: Optional[GDPRStore] = None) -> None:
         super().__init__(store, pool)
         self.shard_index = shard_index
         self.slot_map = slot_map
         # Multi-tenant admission (attach_tenant_gate): one shared
         # TenantGate fronts the whole cluster; None = tenancy off.
         self.tenant_gate = None
+        # The GDPR layer over ``store``, when the shard runs one: it
+        # serves the GDPR.* commands (repro.gdpr.node).
+        self.gdpr = gdpr
+
+    def tick(self) -> None:
+        """Background work of the shard's top layer: the GDPR layer's
+        (engine cron, audit group commit, write-behind flush) on a GDPR
+        node, else the engine's."""
+        (self.gdpr or self.store).tick()
 
     def attach_tenant_gate(self, gate) -> None:
         """Install the cluster's shared
@@ -261,6 +274,9 @@ class ClusterStoreServer(EventStoreServer):
                 reply = [reply[0], [key for key in reply[1]
                                     if key.startswith(prefix)]]
             conn.transport.send(encode(reply))
+            return
+        if self.gdpr is not None and name in gdpr_node.HANDLERS:
+            conn.transport.send(encode(gdpr_node.execute(self.gdpr, request)))
             return
         self._serve_command(conn, request, name)
 
@@ -353,19 +369,31 @@ class ClusterNode:
     overlap in simulated time because their events interleave in one
     heap.  The node keeps one client connection of its own (what
     :class:`ClusterClient` talks through); :meth:`connect` opens more.
+
+    ``store`` is a storage engine, or a
+    :class:`~repro.gdpr.store.GDPRStore` over one: then ``gdpr`` is that
+    layer, it serves the ``GDPR.*`` commands, its migration ``taps``
+    keep its index, ledger and audit chain current through slot
+    migrations, and ``store`` is the engine underneath, which every
+    other command, replication and the migrator's copies reach.
     """
 
-    def __init__(self, index: int, store: StorageEngine,
+    def __init__(self, index: int, store,
                  channel: Channel, pool,
                  slot_map: Optional[SlotMap] = None) -> None:
         self.index = index
-        self.store = store
+        self.gdpr: Optional[GDPRStore] = None
+        self.taps = MigrationTaps()
+        if isinstance(store, GDPRStore):
+            self.gdpr, store = store, store.kv
+            self.taps = gdpr_node.GDPRMigrationTaps(self.gdpr)
+        self.store: StorageEngine = store
         self.clock = store.clock
         self.channel = channel
         self.pool = pool
         self.scheduler: SimClock = pool.scheduler
         self.server = ClusterStoreServer(store, pool, shard_index=index,
-                                         slot_map=slot_map)
+                                         slot_map=slot_map, gdpr=self.gdpr)
         self._connection = EventConnection(self.server, channel=channel)
         self.server.start_cron()
 
@@ -453,7 +481,9 @@ class ClusterClient:
     def __init__(self, nodes: Sequence[ClusterNode],
                  slot_map: Optional[SlotMap] = None,
                  clock: Optional[Clock] = None,
-                 max_redirects: int = 5) -> None:
+                 max_redirects: int = 5,
+                 node_factory: Optional[Callable[[int], ClusterNode]] = None
+                 ) -> None:
         if not nodes:
             raise ClusterError("a cluster needs at least one shard")
         self.nodes = list(nodes)
@@ -471,6 +501,9 @@ class ClusterClient:
                 "every node must run on one shared scheduler, and it "
                 "must be the cluster's clock")
         self.max_redirects = max_redirects
+        # Builds the node of a new or recovered shard index (add_shard,
+        # recover_shard); build_cluster supplies its own.
+        self._node_factory = node_factory
         self.moved_redirects = 0
         self.ask_redirects = 0
         # Per-shard replica groups (attach_replication); a call with
@@ -664,7 +697,9 @@ class ClusterClient:
             return sum(replies)
         if name == b"KEYS":
             return [key for reply in replies for key in reply]
-        return replies[0]  # FLUSHALL / FLUSHDB: every shard said OK
+        if name in (b"FLUSHALL", b"FLUSHDB"):
+            return replies[0]   # every shard said OK
+        return replies          # the GDPR fan-outs: one part per shard
 
     def pipeline(self) -> Pipeline:
         return Pipeline(self)
@@ -748,8 +783,207 @@ class ClusterClient:
         self.clock.sleep_until(now)
         for node in self.nodes:
             node.clock.sleep_until(now)
-            node.store.tick()
+            node.server.tick()
         return now
+
+    # -- the GDPR layer's maintenance and evidence -------------------------
+
+    def _gdpr_layers(self) -> List[Tuple[int, GDPRStore]]:
+        return [(node.index, node.gdpr) for node in self.nodes
+                if node.gdpr is not None]
+
+    def flush_compliance(self) -> None:
+        """Close every GDPR shard's fast-GDPR visibility window
+        (write-behind drain + audit block seal); a no-op for strict
+        shards."""
+        for _, layer in self._gdpr_layers():
+            layer.flush_compliance()
+
+    def verify_audit_chains(self) -> Dict[int, int]:
+        """Verify every GDPR shard's hash chain -- per-record or
+        block-sealed, whichever that shard runs -- as {shard: records
+        verified}.  Raises :class:`~repro.common.errors.AuditError` on
+        any break."""
+        return {index: layer.audit.verify()
+                for index, layer in self._gdpr_layers()}
+
+    def erasure_report(self) -> Dict[str, float]:
+        """Cluster-wide roll-up of the GDPR shards' erasure timeliness."""
+        reports = [layer.erasure_report()
+                   for _, layer in self._gdpr_layers()]
+        merged = {
+            "events": sum(r["events"] for r in reports),
+            "with_deadline": sum(r["with_deadline"] for r in reports),
+            "max_lateness": max(r["max_lateness"] for r in reports),
+            "sla_breaches": sum(r["sla_breaches"] for r in reports),
+        }
+        weighted = sum(r["mean_lateness"] * r["with_deadline"]
+                       for r in reports)
+        merged["mean_lateness"] = (weighted / merged["with_deadline"]
+                                   if merged["with_deadline"] else 0.0)
+        return merged
+
+    # -- topology: scale-out, rebalance, recovery --------------------------
+
+    def add_shard(self) -> int:
+        """Bring one empty shard online (scale-out) and return its index.
+
+        The new shard owns no slots until a :meth:`rebalance` (or
+        explicit migrations) hands it some, so adding one is cheap and
+        safe under live traffic.  A pre-built spare node (a cluster
+        built with more nodes than its slot map routes to) just comes
+        into rotation; otherwise the node is built like the original
+        ones (same store factory, channel, pool and tenant gate).  With
+        replication attached the new shard starts *unreplicated* --
+        replicating it is a deployment decision, made with
+        ``replication.add_shard(index, node.store)``.
+        """
+        index = self.slots.add_shard()
+        if index < len(self.nodes):
+            return index
+        if index != len(self.nodes) or self._node_factory is None:
+            raise ClusterError(
+                f"slot map grew to shard {index} but this cluster holds "
+                f"{len(self.nodes)} nodes and cannot build more")
+        self.nodes.append(self._node_factory(index))
+        return index
+
+    def rebalance_plan(self, target: int) -> List[int]:
+        """The slots an even rebalance hands ``target``: a
+        1/len(nodes) share of every other shard's populated slots."""
+        plan: List[int] = []
+        for node in self.nodes:
+            if node.index == target:
+                continue
+            populated = sorted({slot_for_key(key)
+                                for key in node.store.live_keys(0)})
+            if populated:
+                share = max(1, len(populated) // len(self.nodes))
+                plan.extend(populated[:share])
+        return plan
+
+    def rebalance(self, target: int,
+                  slots: Optional[Sequence[int]] = None,
+                  batch_size: int = 16,
+                  concurrency: int = 4,
+                  step_interval: float = 1e-4,
+                  drive: bool = True) -> List[MigrationReceipt]:
+        """Migrate many slots to ``target`` as *interleaved event streams*.
+
+        Up to ``concurrency`` :class:`SlotMigrator`\\ s run at once,
+        each stepping from its own scheduled events (so no slot
+        monopolizes the timeline, and live traffic -- subject rights
+        included -- keeps flowing between steps); as each slot's
+        ownership flips, the next queued slot starts.  ``slots``
+        defaults to :meth:`rebalance_plan`.  With ``drive=True`` the
+        call runs the scheduler until every migration finished and
+        returns the receipts in completion order; with ``drive=False``
+        the streams are scheduled and the caller drives the clock itself
+        (interleaving its own foreground work), reading receipts off the
+        returned list as they complete.
+        """
+        if not 0 <= target < len(self.nodes):
+            raise ClusterError(f"target shard {target} does not exist")
+        if slots is None:
+            slots = self.rebalance_plan(target)
+        queue = [slot for slot in dict.fromkeys(slots)
+                 if self.slots.shard_of_slot(slot) != target]
+        receipts: List[MigrationReceipt] = []
+        total = len(queue)
+        active = [0]
+
+        def finish_one(receipt: MigrationReceipt) -> None:
+            active[0] -= 1
+            receipts.append(receipt)
+            launch()
+
+        def launch() -> None:
+            while queue and active[0] < concurrency:
+                migrator = SlotMigrator(self, queue.pop(0), target)
+                active[0] += 1
+                migrator.run_as_events(self.clock, batch_size=batch_size,
+                                       interval=step_interval,
+                                       on_done=finish_one)
+
+        launch()
+        if drive:
+            while len(receipts) < total:
+                # Guard on live events, not run_next() truthiness: the
+                # shards' recurring cron daemons keep the heap non-empty
+                # forever.
+                if self.clock.pending_live_events() == 0:
+                    raise ClusterError(
+                        "rebalance stalled: migration events exhausted "
+                        f"with {total - len(receipts)} slots unfinished")
+                self.clock.run_next()
+        return receipts
+
+    def attach_autoscaler(self, targets: Optional[Sequence] = None,
+                          config=None, scale_out=None, start: bool = True):
+        """Close the autoscaling loop over this cluster: watch
+        queueing-delay signals (``targets``, default every node's
+        :class:`~repro.cluster.workers.WorkerPool`) and, when a hot
+        target has no worker headroom left, **add a shard and rebalance
+        into it live**.
+
+        The default ``scale_out`` is :meth:`add_shard` followed by
+        :meth:`rebalance(..., drive=False) <rebalance>`, so the slot
+        migrations run as interleaved events *while traffic -- subject
+        rights included -- keeps flowing*; erasure guarantees mid-scale-
+        out are exactly the live-migration guarantees the migrator
+        already enforces.  Returns the
+        :class:`~repro.cluster.autoscale.Autoscaler`, started unless
+        ``start=False``.
+        """
+        from .autoscale import Autoscaler
+
+        if targets is None:
+            targets = [node.pool for node in self.nodes]
+        if scale_out is None:
+            def scale_out(_scaler, _index: int) -> str:
+                target = self.add_shard()
+                self.rebalance(target, drive=False)
+                return f"shard-add -> {target}"
+        scaler = Autoscaler(self.clock, targets, config=config,
+                            scale_out=scale_out)
+        if start:
+            scaler.start()
+        return scaler
+
+    def recover_shard(self, index: int,
+                      aof_bytes: Optional[bytes] = None) -> int:
+        """Rebuild one crashed shard from its durable log.
+
+        A fresh node is built through the cluster's node factory (so it
+        keeps the shard's configuration and device-latency model), the
+        crashed store's surviving AOF (or ``aof_bytes``) is replayed into
+        it and rewritten as its new log, and a GDPR shard re-derives its
+        indexes from the decryptable envelopes (crypto-erased records
+        stay unreachable).  Other shards are not touched; a replication
+        group is re-homed onto the recovered primary and full-synced.
+        Returns the number of commands replayed.
+        """
+        old = self.nodes[index]
+        if aof_bytes is None:
+            if old.store.aof_log is None:
+                raise ValueError(f"shard {index} has no AOF to recover")
+            aof_bytes = old.store.aof_log.read_all()
+        if self._node_factory is None:
+            raise ClusterError("this cluster cannot build nodes")
+        old.server.stop_cron()
+        node = self._node_factory(index)
+        replayed = node.store.replay_aof(aof_bytes)
+        if node.store.aof_log is not None:
+            # Seed the replacement log with the recovered state so the
+            # shard is immediately durable again.
+            node.store.rewrite_aof()
+        if node.gdpr is not None:
+            node.gdpr.rebuild_indexes()
+        self.nodes[index] = node
+        if self.replication is not None \
+                and index in self.replication.groups:
+            self.replication.rebuild_shard(index, node.store)
+        return replayed
 
     # -- introspection -----------------------------------------------------
 
@@ -822,8 +1056,8 @@ def build_cluster(num_shards: int,
     if placement is not None and placement is not False:
         policy = placement if isinstance(placement, PlacementPolicy) \
             else PlacementPolicy()
-    nodes = []
-    for index in range(num_shards):
+
+    def make_node(index: int) -> ClusterNode:
         node_clock = ShardClock(master.now(), workers=workers)
         channel = Channel(clock=master, bandwidth_bps=bandwidth_bps,
                           latency=latency)
@@ -841,5 +1075,8 @@ def build_cluster(num_shards: int,
         node = ClusterNode(index, store, channel, pool, slot_map=slot_map)
         if tenant_gate is not None:
             node.server.attach_tenant_gate(tenant_gate)
-        nodes.append(node)
-    return ClusterClient(nodes, slot_map=slot_map, clock=master)
+        return node
+
+    return ClusterClient([make_node(index) for index in range(num_shards)],
+                         slot_map=slot_map, clock=master,
+                         node_factory=make_node)

@@ -2,13 +2,13 @@
 
 PR 1's :meth:`SlotMap.assign` reshards *routing* only -- keys already
 written stay stranded on the old shard.  This module adds the Redis
-Cluster-style data path: a migrator walks a slot's keys on the source
-shard, ships each key's value (``DUMP`` payload or sealed GDPR envelope)
-to the target, and **flips slot ownership atomically at the end**, while
-the slot's :class:`~repro.cluster.slots.MigrationState` makes servers
-answer ``ASK``/``MOVED`` so live clients never observe a torn keyspace.
+Cluster-style data path: a :class:`SlotMigrator` walks a slot's keys on
+the source node, ships each key's ``DUMP`` payload to the target, and
+**flips slot ownership atomically at the end**, while the slot's
+:class:`~repro.cluster.slots.MigrationState` makes servers answer
+``ASK``/``MOVED`` so live clients never observe a torn keyspace.
 
-Cross-shard invariants the migrators maintain:
+Cross-shard invariants the migrator maintains:
 
 * **The source stays authoritative until the flip.**  Copies on the
   importing target are shadows: reads and writes of existing keys keep
@@ -20,14 +20,20 @@ Cross-shard invariants the migrators maintain:
   personal data.  Conversely a shadow copy deleted on the target is
   re-queued for copy while the source still holds it.
 * **New keys are born on the target.**  A key created mid-migration in a
-  migrating slot is ASK-redirected (cluster) or routed (GDPR store) to
-  the importing target, so the source's key set only shrinks.
-* **GDPR metadata travels with the ciphertext.**  The GDPR migrator ships
-  the sealed envelope verbatim (the shared keystore makes it readable on
-  any shard, and crypto-erasure still voids it everywhere), re-registers
-  the key in the target's metadata index and location ledger, and appends
-  ``migrate-in``/``migrate-out`` records to **both** shards' hash-chained
-  audit logs -- the handoff itself is compliance evidence.
+  migrating slot is ASK-redirected to the importing target, so the
+  source's key set only shrinks.
+* **Deadlines travel absolute.**  The source reports a key's deadline as
+  ``PEXPIRETIME`` and the target restores it with ``RESTORE ... ABSTTL``,
+  so it neither rounds to whole milliseconds of remaining time nor moves
+  with the target's clock; a deadline already past leaves no copy.
+* **GDPR metadata travels with the ciphertext.**  Each node's *taps*
+  (:class:`~repro.gdpr.node.GDPRMigrationTaps` on a GDPR node, no-ops on a
+  plain engine) hand the migrator the record's metadata to ship beside
+  the sealed envelope (the shared keystore makes it readable on any
+  shard, and crypto-erasure still voids it everywhere), register the key
+  in the target's metadata index and location ledger, and append
+  ``migrate-*`` records to **both** shards' hash-chained audit logs --
+  the handoff itself is compliance evidence.
 """
 
 from __future__ import annotations
@@ -37,10 +43,8 @@ from typing import Callable, List, Optional, Set
 
 from ..common.errors import MigrationError
 from ..kvstore.aof import mentioned_keys
-from .client import command_keys
+from ..kvstore.commands import spec_of
 from .slots import SlotMap, slot_for_key
-
-MIGRATOR_PRINCIPAL = "cluster-migrator"
 
 
 @dataclass
@@ -65,27 +69,67 @@ class MigrationReceipt:
         return self.completed_at - self.started_at
 
 
-class _SlotMigrationBase:
-    """Shared migration lifecycle: scan, copy, track dirt, flip, clean up.
+class MigrationTaps:
+    """A plain engine's node: nothing above the engine to keep current.
+    (A GDPR node's taps are :class:`repro.gdpr.node.GDPRMigrationTaps`.)"""
 
-    Subclasses provide the storage primitives (how to scan a slot, copy
-    one key, delete a handed-off or rolled-back copy) and the listener
-    wiring; the base class owns the state machine:
+    def began(self, slot: int, source: int, target: int) -> None:
+        pass
+
+    def metadata(self, key: bytes) -> bytes:
+        return b""
+
+    def copied(self, key: bytes, header: bytes, slot: int, peer: int,
+               returned: bool) -> None:
+        pass
+
+    def evicted(self, key: bytes, slot: int) -> None:
+        pass
+
+    def releasing(self, key: bytes, slot: int, peer: int,
+                  handoff: bool) -> None:
+        pass
+
+    def ended(self, slot: int, detail: str, aborted: bool) -> None:
+        pass
+
+
+class SlotMigrator:
+    """Live migration of one slot between two :class:`ClusterNode` shards.
 
     ``begin`` (constructor) -> any number of ``step`` calls, interleaved
     with live traffic -> ``finish`` (drain + atomic ownership flip +
     source cleanup) or ``abort`` (target cleanup, ownership unchanged).
+
+    Keys travel as ``DUMP`` payloads restored with ``RESTORE ... REPLACE``
+    (so re-copies of dirtied keys are idempotent) under their absolute
+    deadline.  Each payload, with the metadata the source's taps ship
+    beside it, is charged to *both* shard clocks at the inter-node link's
+    bandwidth and latency -- migration competes with foreground traffic
+    for simulated time, which is exactly the "cost of compliance under
+    cluster operations" the benchmarks measure.
+
+    Concurrent :class:`~repro.cluster.client.ClusterClient` traffic keeps
+    working throughout: the source serves keys it still holds, ASKs for
+    keys that do not exist (new keys are created on the target via
+    ``ASKING``), and after :meth:`finish` stale clients are MOVED to the
+    new owner.
     """
 
-    def __init__(self, slot_map: SlotMap, slot: int, target: int) -> None:
-        self.slots = slot_map
-        self.state = slot_map.begin_migration(slot, target)
-        self.slot = slot
-        self.source = self.state.source
-        self.target = target
-        self._pending: List = []
-        self._pending_set: Set = set()
-        self._moved: Set = set()
+    def __init__(self, cluster, slot: int, target: int) -> None:
+        self._cluster = cluster
+        self.slots: SlotMap = cluster.slots
+        source = self.slots.shard_of_slot(slot)
+        if not 0 <= target < len(cluster.nodes):
+            raise MigrationError(
+                f"target shard {target} has no node in this cluster")
+        self._source_node = cluster.nodes[source]
+        self._target_node = cluster.nodes[target]
+        self.slots.begin_migration(slot, target)
+        self.slot, self.source, self.target = slot, source, target
+        self._pending: List[bytes] = []
+        self._pending_set: Set[bytes] = set()
+        self._moved: Set[bytes] = set()
         self._bytes_moved = 0
         self._recopied = 0
         self._done = False
@@ -93,54 +137,55 @@ class _SlotMigrationBase:
         # migrator itself performs (RESTORE's implicit delete, handoff
         # DELs at finish, rollback DELs at abort).
         self._suspended = False
-        for key in self._scan_keys():
+        for key in self._slot_keys(self._source_node):
             self._enqueue(key)
         self.receipt = MigrationReceipt(
             slot=slot, source=self.source, target=target,
-            started_at=self._now())
-        self._attach()
+            started_at=cluster.clock.now())
+        self._source_node.store.add_write_listener(self._on_source_write)
+        self._source_node.store.add_deletion_listener(self._on_source_delete)
+        self._target_node.store.add_deletion_listener(self._on_target_delete)
+        for node in (self._source_node, self._target_node):
+            node.taps.began(slot, self.source, target)
 
     # -- bookkeeping -------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._pending)
 
     @property
     def keys_pending(self) -> int:
         return len(self._pending)
 
-    @property
-    def keys_moved(self) -> int:
-        return len(self._moved)
-
-    def _enqueue(self, key) -> None:
+    def _enqueue(self, key: bytes) -> None:
         if key not in self._pending_set:
             self._pending.append(key)
             self._pending_set.add(key)
 
-    def _note_source_write(self, key) -> None:
-        """A source key in this slot changed: (re-)queue it for copy."""
+    def _on_source_write(self, db_index: int, record: List[bytes]) -> None:
+        """Source keys in this slot changed: (re-)queue them for copy."""
         if self._suspended or self._done:
             return
-        if slot_for_key(key) != self.slot:
-            return
-        if key in self._moved:
-            self._moved.discard(key)
-            self._recopied += 1
-        self._enqueue(key)
+        for key in spec_of(record[0].upper()).keys(record):
+            if slot_for_key(key) != self.slot:
+                continue
+            if key in self._moved:
+                self._moved.discard(key)
+                self._recopied += 1
+            self._enqueue(key)
 
-    def _note_source_delete(self, key) -> None:
+    def _on_source_delete(self, db_index: int, key: bytes, reason: str,
+                          when: float) -> None:
         """Source copy died (erasure/DEL/expiry): kill the shadow too."""
         if self._suspended or self._done or key not in self._moved:
             return
         self._moved.discard(key)
         self._suspended = True
         try:
-            self._cascade_delete_target(key)
+            self._target_node.store.execute("DEL", key)
+            self._target_node.taps.evicted(key, self.slot)
         finally:
             self._suspended = False
 
-    def _note_target_delete(self, key) -> None:
+    def _on_target_delete(self, db_index: int, key: bytes, reason: str,
+                          when: float) -> None:
         """Shadow copy died on the target while the source still owns the
         key: re-queue so the slot flip does not lose it."""
         if self._suspended or self._done or key not in self._moved:
@@ -162,7 +207,12 @@ class _SlotMigrationBase:
         while self._pending and copied < max_keys:
             key = self._pending.pop(0)
             self._pending_set.discard(key)
-            nbytes = self._copy_key(key)
+            self._suspended = True
+            try:
+                nbytes = self._copy(key, self._source_node,
+                                    self._target_node, returned=False)
+            finally:
+                self._suspended = False
             if nbytes is None:
                 continue        # key vanished under us (erased/expired)
             self._moved.add(key)
@@ -234,16 +284,18 @@ class _SlotMigrationBase:
         self._suspended = True
         try:
             for key in sorted(self._moved):
-                self._handoff_delete(key)
+                self._drop(self._source_node, key, self.target, handoff=True)
         finally:
             self._suspended = False
         self._detach()
-        replication = self._replication()
+        replication = self._cluster.replication
         synced = 0
         if replication is not None:
             synced = replication.full_sync_shard(self.target)
         self._fill_receipt(aborted=False)
         self.receipt.replicas_synced = synced
+        self._end(f"slot {self.slot}: {len(self.receipt.keys_moved)} keys, "
+                  f"{self.receipt.bytes_moved} bytes", aborted=False)
         return self.receipt
 
     def abort(self) -> MigrationReceipt:
@@ -258,121 +310,42 @@ class _SlotMigrationBase:
         self._done = True
         self._suspended = True
         try:
-            for key in self._scan_target_keys():
-                if self._source_holds(key):
-                    # A shadow copy (possibly stale: the source may have
-                    # been written after the copy).  The source is
-                    # authoritative -- just drop the shadow.
-                    self._rollback_delete(key)
-                else:
+            for key in self._slot_keys(self._target_node):
+                if not self._source_node.store.has_live_key(key, 0):
                     # Born on the target mid-migration (ASK-redirected
                     # new key).  Abandoning it would lose an
                     # acknowledged write: move it back.
-                    self._move_back(key)
+                    self._copy(key, self._target_node, self._source_node,
+                               returned=True)
+                # Otherwise a shadow copy (possibly stale: the source may
+                # have been written after the copy).  The source is
+                # authoritative -- just drop the shadow.
+                self._drop(self._target_node, key, self.source,
+                           handoff=False)
         finally:
             self._suspended = False
         self._detach()
         self._fill_receipt(aborted=True)
+        self._end(f"slot {self.slot}", aborted=True)
         return self.receipt
 
     def _fill_receipt(self, aborted: bool) -> None:
-        self.receipt.completed_at = self._now()
+        self.receipt.completed_at = self._cluster.clock.now()
         self.receipt.aborted = aborted
         self.receipt.keys_moved = sorted(
-            self._key_name(key) for key in self._moved)
+            key.decode("utf-8", "replace") for key in self._moved)
         self.receipt.bytes_moved = self._bytes_moved
         self.receipt.recopied = self._recopied
         self.receipt.residual_in_source_aof = self._source_aof_residual()
 
-    # -- storage primitives (subclass responsibilities) --------------------
+    def _end(self, detail: str, aborted: bool) -> None:
+        for node in (self._source_node, self._target_node):
+            node.taps.ended(self.slot, detail, aborted)
 
-    def _scan_keys(self) -> List:
-        raise NotImplementedError
+    # -- storage primitives ------------------------------------------------
 
-    def _copy_key(self, key) -> Optional[int]:
-        """Copy one key source->target; returns payload bytes shipped, or
-        None if the key no longer exists on the source."""
-        raise NotImplementedError
-
-    def _cascade_delete_target(self, key) -> None:
-        raise NotImplementedError
-
-    def _handoff_delete(self, key) -> None:
-        raise NotImplementedError
-
-    def _rollback_delete(self, key) -> None:
-        raise NotImplementedError
-
-    def _scan_target_keys(self) -> List:
-        """The target's keys in this slot (abort path: shadow copies to
-        drop plus target-born keys to bring home)."""
-        raise NotImplementedError
-
-    def _source_holds(self, key) -> bool:
-        """Does the source currently hold ``key``?  (Distinguishes a
-        shadow copy from a target-born key during abort.)"""
-        raise NotImplementedError
-
-    def _move_back(self, key) -> None:
-        """Return one target-born key to the source (abort path)."""
-        raise NotImplementedError
-
-    def _attach(self) -> None:
-        raise NotImplementedError
-
-    def _detach(self) -> None:
-        raise NotImplementedError
-
-    def _replication(self):
-        """The cluster's :class:`ClusterReplication` registry, if one is
-        attached (replication stays optional: None disables handoff)."""
-        return None
-
-    def _now(self) -> float:
-        raise NotImplementedError
-
-    def _source_aof_residual(self) -> bool:
-        return False
-
-    @staticmethod
-    def _key_name(key) -> str:
-        if isinstance(key, bytes):
-            return key.decode("utf-8", "replace")
-        return str(key)
-
-
-class SlotMigrator(_SlotMigrationBase):
-    """Live migration of one slot between two :class:`ClusterNode` shards.
-
-    Keys travel as ``DUMP`` payloads restored with ``RESTORE ... REPLACE``
-    (so re-copies of dirtied keys are idempotent), with TTLs carried as
-    remaining milliseconds.  Each payload is charged to *both* shard
-    clocks at the inter-node link's bandwidth and latency -- migration
-    competes with foreground traffic for simulated time, which is exactly
-    the "cost of compliance under cluster operations" the benchmarks
-    measure.
-
-    Concurrent :class:`~repro.cluster.client.ClusterClient` traffic keeps
-    working throughout: the source serves keys it still holds, ASKs for
-    keys that do not exist (new keys are created on the target via
-    ``ASKING``), and after :meth:`finish` stale clients are MOVED to the
-    new owner.
-    """
-
-    def __init__(self, cluster, slot: int, target: int) -> None:
-        self._cluster = cluster
-        source = cluster.slots.shard_of_slot(slot)
-        if not 0 <= target < len(cluster.nodes):
-            raise MigrationError(
-                f"target shard {target} has no node in this cluster")
-        self._source_node = cluster.nodes[source]
-        self._target_node = cluster.nodes[target]
-        super().__init__(cluster.slots, slot, target)
-
-    # -- primitives --------------------------------------------------------
-
-    def _scan_keys(self) -> List[bytes]:
-        return sorted(key for key in self._source_node.store.live_keys(0)
+    def _slot_keys(self, node) -> List[bytes]:
+        return sorted(key for key in node.store.live_keys(0)
                       if slot_for_key(key) == self.slot)
 
     def _sync_pair(self) -> None:
@@ -391,263 +364,41 @@ class SlotMigrator(_SlotMigrationBase):
         self._source_node.clock.advance(cost)
         self._target_node.clock.advance(cost)
 
-    def _copy_key(self, key: bytes) -> Optional[int]:
-        self._suspended = True
-        try:
-            source = self._source_node.store
-            payload = source.execute("DUMP", key)
-            if payload is None:
-                return None
-            pttl = source.execute("PTTL", key)
-            ttl_ms = pttl if pttl > 0 else 0
-            self._charge_link(len(payload))
-            self._target_node.store.execute(
-                "RESTORE", key, ttl_ms, payload, "REPLACE")
-            return len(payload)
-        finally:
-            self._suspended = False
-
-    def _cascade_delete_target(self, key: bytes) -> None:
-        self._target_node.store.execute("DEL", key)
-
-    def _handoff_delete(self, key: bytes) -> None:
-        self._source_node.store.execute("DEL", key)
-
-    def _rollback_delete(self, key: bytes) -> None:
-        self._target_node.store.execute("DEL", key)
-
-    def _scan_target_keys(self) -> List[bytes]:
-        return sorted(key for key in self._target_node.store.live_keys(0)
-                      if slot_for_key(key) == self.slot)
-
-    def _source_holds(self, key: bytes) -> bool:
-        return self._source_node.store.has_live_key(key, 0)
-
-    def _move_back(self, key: bytes) -> None:
-        target = self._target_node.store
-        payload = target.execute("DUMP", key)
+    def _copy(self, key: bytes, sender, receiver,
+              returned: bool) -> Optional[int]:
+        """Ship one key, its absolute deadline and its metadata from
+        ``sender`` to ``receiver``; returns the payload bytes, or None if
+        the key no longer exists on the sender."""
+        payload = sender.store.execute("DUMP", key)
         if payload is None:
-            return
-        pttl = target.execute("PTTL", key)
-        self._charge_link(len(payload))
-        self._source_node.store.execute(
-            "RESTORE", key, pttl if pttl > 0 else 0, payload, "REPLACE")
-        target.execute("DEL", key)
+            return None
+        deadline = sender.store.execute("PEXPIRETIME", key)
+        header = sender.taps.metadata(key)
+        self._charge_link(len(payload) + len(header))
+        if deadline >= 0:
+            # Unix ms 0 would read as "no expiry": a deadline inside the
+            # epoch's first millisecond ships as 1.
+            receiver.store.execute("RESTORE", key, max(deadline, 1),
+                                   payload, "REPLACE", "ABSTTL")
+        else:
+            receiver.store.execute("RESTORE", key, 0, payload, "REPLACE")
+        receiver.taps.copied(key, header, self.slot, sender.index, returned)
+        return len(payload)
 
-    # -- wiring ------------------------------------------------------------
-
-    def _attach(self) -> None:
-        self._source_node.store.add_write_listener(self._on_source_write)
-        self._source_node.store.add_deletion_listener(
-            self._on_source_delete)
-        self._target_node.store.add_deletion_listener(
-            self._on_target_delete)
+    def _drop(self, node, key: bytes, peer: int, handoff: bool) -> None:
+        """Delete ``node``'s copy of a key that lives on at ``peer``."""
+        node.taps.releasing(key, self.slot, peer, handoff)
+        node.store.execute("DEL", key)
 
     def _detach(self) -> None:
-        self._source_node.store.remove_write_listener(
-            self._on_source_write)
+        self._source_node.store.remove_write_listener(self._on_source_write)
         self._source_node.store.remove_deletion_listener(
             self._on_source_delete)
         self._target_node.store.remove_deletion_listener(
             self._on_target_delete)
 
-    def _on_source_write(self, db_index: int,
-                         record: List[bytes]) -> None:
-        for key in command_keys(record):
-            self._note_source_write(key)
-
-    def _on_source_delete(self, db_index: int, key: bytes,
-                          reason: str, when: float) -> None:
-        self._note_source_delete(key)
-
-    def _on_target_delete(self, db_index: int, key: bytes,
-                          reason: str, when: float) -> None:
-        self._note_target_delete(key)
-
-    def _replication(self):
-        return getattr(self._cluster, "replication", None)
-
-    def _now(self) -> float:
-        return self._cluster.clock.now()
-
     def _source_aof_residual(self) -> bool:
         store = self._source_node.store
         if store.aof_log is None or not self._moved:
             return False
-        data = store.aof_log.read_all()
-        return bool(mentioned_keys(data, self._moved))
-
-
-class GDPRSlotMigrator(_SlotMigrationBase):
-    """Slot migration across :class:`~repro.gdpr.store.GDPRStore` shards.
-
-    Ships the *sealed envelope* (ciphertext) verbatim -- the cluster's
-    shared keystore makes it readable on the target, and a crypto-erasure
-    of the subject's key still voids every copy, including any bytes the
-    source AOF retains until compaction (``residual_in_source_aof`` on the
-    receipt reports exactly that, the paper's section 4.3 concern).
-
-    Alongside each value the migrator moves the key's GDPR metadata
-    (re-registered in the target's index, so subject-rights fan-out sees
-    the shadow copy immediately), updates both location ledgers, and
-    appends ``migrate-in`` / ``migrate-out`` / ``migrate-evict`` records
-    to the per-shard hash-chained audit logs: the handoff is itself
-    audited evidence on both machines.
-    """
-
-    def __init__(self, sharded_store, slot: int, target: int) -> None:
-        self._store = sharded_store
-        source = sharded_store.slots.shard_of_slot(slot)
-        if not 0 <= target < sharded_store.num_shards:
-            raise MigrationError(
-                f"target shard {target} does not exist")
-        self._source_shard = sharded_store.shards[source]
-        self._target_shard = sharded_store.shards[target]
-        super().__init__(sharded_store.slots, slot, target)
-        self._audit_both("migrate-begin",
-                         f"slot {slot}: shard-{self.source} -> "
-                         f"shard-{self.target}")
-
-    # -- primitives --------------------------------------------------------
-
-    def _scan_keys(self) -> List[str]:
-        return sorted(key for key in self._source_shard.index.keys()
-                      if slot_for_key(key) == self.slot)
-
-    def _copy_key(self, key: str) -> Optional[int]:
-        source, target = self._source_shard, self._target_shard
-        blob = source.kv.execute("GET", key)
-        metadata = source.index.get_metadata(key)
-        if blob is None or metadata is None:
-            return None
-        self._suspended = True
-        try:
-            target.store_record(key, blob, metadata)
-            target.audit.append(
-                principal=MIGRATOR_PRINCIPAL, operation="migrate-in",
-                key=key, subject=target._audit_name(metadata.owner),
-                outcome="ok",
-                detail=f"slot {self.slot} from "
-                       f"{source.config.node_id}")
-        finally:
-            self._suspended = False
-        return len(blob)
-
-    def _cascade_delete_target(self, key: str) -> None:
-        # Let the target's own deletion listener do the GDPR bookkeeping
-        # (index removal, location ledger, erasure event): from the
-        # target's point of view this *is* an erasure of personal data.
-        target = self._target_shard
-        target.kv.execute("DEL", key)
-        target.audit.append(
-            principal=MIGRATOR_PRINCIPAL, operation="migrate-evict",
-            key=key, outcome="ok",
-            detail=f"slot {self.slot}: source copy deleted "
-                   "mid-migration")
-
-    def _handoff_delete(self, key: str) -> None:
-        # A handoff is not an erasure: the record lives on, on the new
-        # owner.  Deregister from the index first so the deletion listener
-        # records no erasure event, then remove the bytes.
-        source = self._source_shard
-        metadata = source.index.remove(key)
-        source.locations.record_erased(key)
-        source.kv.execute("DEL", key)
-        source.audit.append(
-            principal=MIGRATOR_PRINCIPAL, operation="migrate-out",
-            key=key,
-            subject=source._audit_name(metadata.owner)
-            if metadata is not None else None,
-            outcome="ok",
-            detail=f"slot {self.slot} to "
-                   f"{self._target_shard.config.node_id}")
-
-    def _rollback_delete(self, key: str) -> None:
-        target = self._target_shard
-        target.index.remove(key)
-        target.locations.record_erased(key)
-        target.kv.execute("DEL", key)
-
-    def _scan_target_keys(self) -> List[str]:
-        return sorted(key for key in self._target_shard.index.keys()
-                      if slot_for_key(key) == self.slot)
-
-    def _source_holds(self, key: str) -> bool:
-        return key in self._source_shard.index
-
-    def _move_back(self, key: str) -> None:
-        source, target = self._source_shard, self._target_shard
-        blob = target.kv.execute("GET", key)
-        metadata = target.index.get_metadata(key)
-        if blob is None or metadata is None:
-            return
-        source.store_record(key, blob, metadata)
-        source.audit.append(
-            principal=MIGRATOR_PRINCIPAL, operation="migrate-return",
-            key=key, subject=source._audit_name(metadata.owner),
-            outcome="ok",
-            detail=f"slot {self.slot}: born on "
-                   f"{target.config.node_id} during aborted migration")
-        self._rollback_delete(key)
-
-    # -- wiring ------------------------------------------------------------
-
-    def _attach(self) -> None:
-        self._source_shard.kv.add_write_listener(self._on_source_write)
-        self._source_shard.kv.add_deletion_listener(
-            self._on_source_delete)
-        self._target_shard.kv.add_deletion_listener(
-            self._on_target_delete)
-
-    def _detach(self) -> None:
-        self._source_shard.kv.remove_write_listener(
-            self._on_source_write)
-        self._source_shard.kv.remove_deletion_listener(
-            self._on_source_delete)
-        self._target_shard.kv.remove_deletion_listener(
-            self._on_target_delete)
-
-    def finish(self) -> MigrationReceipt:
-        receipt = super().finish()
-        self._audit_both("migrate-end",
-                         f"slot {self.slot}: {len(receipt.keys_moved)} "
-                         f"keys, {receipt.bytes_moved} bytes")
-        return receipt
-
-    def abort(self) -> MigrationReceipt:
-        receipt = super().abort()
-        self._audit_both("migrate-abort", f"slot {self.slot}")
-        return receipt
-
-    def _audit_both(self, operation: str, detail: str) -> None:
-        for shard in (self._source_shard, self._target_shard):
-            shard.audit.append(principal=MIGRATOR_PRINCIPAL,
-                               operation=operation, outcome="ok",
-                               detail=detail)
-
-    def _on_source_write(self, db_index: int,
-                         record: List[bytes]) -> None:
-        for key in command_keys(record):
-            self._note_source_write(key.decode("utf-8", "replace"))
-
-    def _on_source_delete(self, db_index: int, key: bytes,
-                          reason: str, when: float) -> None:
-        self._note_source_delete(key.decode("utf-8", "replace"))
-
-    def _on_target_delete(self, db_index: int, key: bytes,
-                          reason: str, when: float) -> None:
-        self._note_target_delete(key.decode("utf-8", "replace"))
-
-    def _replication(self):
-        return getattr(self._store, "replication", None)
-
-    def _now(self) -> float:
-        return self._store.clock.now()
-
-    def _source_aof_residual(self) -> bool:
-        kv = self._source_shard.kv
-        if kv.aof_log is None or not self._moved:
-            return False
-        data = kv.aof_log.read_all()
-        return bool(mentioned_keys(
-            data, [key.encode("utf-8") for key in self._moved]))
+        return bool(mentioned_keys(store.aof_log.read_all(), self._moved))

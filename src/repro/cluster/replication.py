@@ -13,7 +13,7 @@ recovered shard's group with them.  On top sit the cluster-wide
 :meth:`~ClusterReplication.erasure_horizon` (the one loop in
 :func:`~repro.kvstore.replication.erasure_horizon_of`, over every
 shard's group) and the slot-migration handoff hook
-(:meth:`~ClusterReplication.full_sync_shard`) migrators call so a moved
+(:meth:`~ClusterReplication.full_sync_shard`) the migrator calls so a moved
 slot arrives replicated on its destination.
 
 Replication composes with the existing invariants rather than adding
@@ -54,8 +54,8 @@ class ClusterReplication:
     """One :class:`ReplicationManager` per shard, plus the cluster-scope
     compliance queries.
 
-    ``clock`` is the cluster-wide scheduler (``ShardedGDPRStore.clock``,
-    or a :class:`~repro.cluster.client.ClusterClient`'s); every group's
+    ``clock`` is the cluster-wide scheduler (a
+    :class:`~repro.cluster.client.ClusterClient`'s); every group's
     delivery events run on it, and :meth:`erasure_horizon` advances it
     until the keys are gone everywhere.  ``shards`` lists
     ``(index, primary)`` pairs; every group gets one replica per entry

@@ -671,7 +671,7 @@ class WorkerPool:
         before = writer.clock.busy_seconds
         self.shard_clock.activate(writer.clock)
         try:
-            store.tick()
+            self.server.tick()
         finally:
             self.shard_clock.release()
         writer.aof_seconds += writer.clock.busy_seconds - before

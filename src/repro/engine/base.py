@@ -245,12 +245,14 @@ class StorageEngine:
         expire_at = self._deadline_of(db_index, key)
         millis = None
         if expire_at is not None:
-            # The largest m with m / 1000 <= expire_at: a deadline set as
-            # PXAT m logs as m, never m - 1 (m / 1000 * 1000 may fall
-            # just short of m).
+            # deadline_ms's rounding, inline on this per-write path: the
+            # largest m with m / 1000 <= expire_at, so a deadline set as
+            # PXAT m logs as m, never m - 1.
             whole = int(expire_at * 1000)
             millis = b"%d" % (whole + ((whole + 1) / 1000 <= expire_at))
         if name == b"RESTORE":
+            if not self.has_live_key(key, db_index):
+                return [[b"DEL", key]]      # replaced by a past deadline
             records = [[b"RESTORE", key, b"0", argv[3], b"REPLACE"]]
             if millis is not None:
                 records.append([b"PEXPIREAT", key, millis])

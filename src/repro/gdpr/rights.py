@@ -15,14 +15,20 @@ footprint:
 * **Art. 21 right to object** -- blacklist a purpose across all of the
   subject's records, effective for every subsequent read.
 
-This module is the only implementation of these rights.  A *target* is a
-:class:`GDPRStore` or a
-:class:`~repro.cluster.sharded_store.ShardedGDPRStore`; both answer
-``target.holders(subject)`` with ``(shard, store, keys)`` for every store
-holding the subject's records (a single store is shard 0), from one owner
-lookup per store, and each right fans out over that list.  A tenant view
-(:class:`~repro.tenancy.TenantStore`) calls these functions on its base
-with the tenant-qualified subject.  The invariants the fan-out keeps:
+This module is the only implementation of these rights.  Each right is
+two halves: a *per-store body* (``_access_part`` ...) that looks the
+subject up once in one store, does that store's work, appends that
+store's audit record and returns a JSON-shaped *part* (None when the
+store holds nothing of the subject), and one *merge* over the parts.
+A *target* runs the body on every store it spans:
+``target.subject_parts(body, subject, principal, arg)`` returns
+``[(shard, part), ...]``.  A :class:`GDPRStore` calls the body on
+itself (one part, shard 0, no wire); a cluster client
+(:class:`~repro.cluster.gdpr_client.GDPRClient`) sends the right as a
+broadcast command and every shard's node runs the same body inside its
+command handler.  A tenant view (:class:`~repro.tenancy.TenantStore`)
+calls these functions on its base with the tenant-qualified subject.
+The invariants the fan-out keeps:
 
 * **Audit evidence is local.**  Each right appends one record to each
   holding store's own hash-chained audit log, never a cross-shard record
@@ -32,12 +38,12 @@ with the tenant-qualified subject.  The invariants the fan-out keeps:
   row of the shard ``target.shard_for(key)`` routes to, and Art. 21
   counts the record once.
 * **Erasure reaches every copy.**  Art. 17 erases every holder's keys.
-  The migration layer cascades a source delete to the target's shadow, so
-  each holder's keys are re-checked against its index when its turn
-  comes, a holder left empty records nothing, and ``shards_touched``
-  names only shards that recorded an erasure.  Crypto-erasure voids the
-  subject's ciphertexts globally (one shared keystore) even where AOF
-  bytes linger.
+  Each store looks its keys up when its body runs, so a shadow the
+  migration layer already evicted (a source delete cascades to the
+  target's copy) is not erased twice, a store left empty records
+  nothing, and ``shards_touched`` names only shards that recorded an
+  erasure.  Crypto-erasure voids the subject's ciphertexts globally (one
+  shared keystore) even where AOF bytes linger.
 * **One lookup, one ``DEL`` per store.**  Art. 17 deletes a holder's keys
   with one engine-internal ``DEL k1 ... kn``: one command charge, one log
   record and one replicated event per store.  CROSSSLOT is a
@@ -52,12 +58,12 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..common.errors import UnknownSubjectError
 from ..kvstore.aof import mentioned_keys
 from .access_control import Operation, Principal
-from .store import CONTROLLER, GDPRStore, Holders
+from .store import CONTROLLER, GDPRStore
 
 
 @dataclass
@@ -98,72 +104,126 @@ class ErasureReceipt:
         return self.completed_at - self.requested_at
 
 
-def _holders(target, subject: str) -> Holders:
-    holders = target.holders(subject)
-    if not holders:
+def _parts(target, body, subject: str, principal: Optional[Principal],
+           arg=None) -> List[Tuple[int, dict]]:
+    """Run ``body`` on every store of ``target`` holding ``subject``."""
+    if principal is None:
+        principal = Principal.subject(subject)
+    parts = target.subject_parts(body, subject, principal, arg)
+    if not parts:
         raise UnknownSubjectError(f"no records for data subject {subject!r}")
-    return holders
+    return parts
 
 
-def _keep(rows: Dict[str, dict], target, shard: int, row: dict) -> None:
-    """Keep ``row`` unless another holder's copy of its key is the one
-    routing serves (only a live migration reports a key twice, so a
-    single store never reaches ``shard_for``)."""
-    key = row["key"]
-    if key not in rows or shard == target.shard_for(key):
-        rows[key] = row
+def _rows(target, parts: List[Tuple[int, dict]]) -> List[dict]:
+    """Every part's rows, one per key, sorted by key.  A key two parts
+    report (only a live migration does) keeps the row of the shard
+    ``target.shard_for(key)`` routes to, so a single store never
+    reaches ``shard_for``."""
+    rows: Dict[str, dict] = {}
+    for shard, part in parts:
+        for row in part["rows"]:
+            key = row["key"]
+            if key not in rows or shard == target.shard_for(key):
+                rows[key] = row
+    return sorted(rows.values(), key=lambda row: row["key"])
+
+
+def _access_part(store: GDPRStore, subject: str, principal: Principal,
+                 _arg=None) -> Optional[dict]:
+    keys = store.keys_of_subject(subject)
+    if not keys:
+        return None
+    started = store.clock.now()
+    tiered = getattr(store.kv, "supports_tiering", False)
+    cold_keys = set()
+    if tiered:
+        # Which of the subject's records live in the archive right now?
+        # Answered from the per-subject segment blooms -- captured
+        # before the reads below promote them.
+        cold_keys = {k.decode("utf-8", "replace")
+                     for k in store.kv.cold_keys_of_subject(subject)}
+    rows = []
+    decision_keys = []
+    for key in keys:
+        record = store.get(key, principal=principal)
+        meta = record.metadata
+        if meta.decision_making:
+            decision_keys.append(key)
+        row = {
+            "key": key,
+            "purposes": sorted(meta.purposes),
+            "objections": sorted(meta.objections),
+            "recipients": sorted(meta.shared_with),
+            "origin": meta.origin,
+            "retention_seconds": meta.ttl,
+            "stored_in": store.locations.locations_of(key),
+            "value_bytes": len(record.value),
+        }
+        if tiered:
+            row["tier"] = "cold" if key in cold_keys else "hot"
+        rows.append(row)
+    elapsed = store.clock.now() - started
+    store.audit.append(principal=principal.name, operation="access-report",
+                       subject=store._audit_name(subject), outcome="ok",
+                       detail=f"{len(keys)} records")
+    return {"started": started, "elapsed": elapsed, "rows": rows,
+            "decision_keys": decision_keys}
 
 
 def right_of_access(target, subject: str,
                     principal: Optional[Principal] = None) -> AccessReport:
     """Art. 15: everything we hold about ``subject`` and how it is used."""
-    if principal is None:
-        principal = Principal.subject(subject)
-    holders = _holders(target, subject)
-    started = target.clock.now()
-    report = AccessReport(subject=subject, generated_at=started)
-    rows: Dict[str, dict] = {}
-    purposes = set()
-    recipients = set()
-    decision_keys = set()
-    for shard, store, keys in holders:
-        tiered = getattr(store.kv, "supports_tiering", False)
-        cold_keys = set()
-        if tiered:
-            # Which of the subject's records live in the archive right
-            # now?  Answered from the per-subject segment blooms --
-            # captured before the reads below promote them.
-            cold_keys = {k.decode("utf-8", "replace")
-                         for k in store.kv.cold_keys_of_subject(subject)}
-        for key in keys:
-            record = store.get(key, principal=principal)
-            meta = record.metadata
-            purposes.update(meta.purposes)
-            recipients.update(meta.shared_with)
-            if meta.decision_making:
-                decision_keys.add(key)
-            row = {
-                "key": key,
-                "purposes": sorted(meta.purposes),
-                "objections": sorted(meta.objections),
-                "recipients": sorted(meta.shared_with),
-                "origin": meta.origin,
-                "retention_seconds": meta.ttl,
-                "stored_in": store.locations.locations_of(key),
-                "value_bytes": len(record.value),
-            }
-            if tiered:
-                row["tier"] = "cold" if key in cold_keys else "hot"
-            _keep(rows, target, shard, row)
-        report.elapsed = store.clock.now() - started
-        store.audit.append(principal=principal.name, operation="access-report",
-                           subject=store._audit_name(subject), outcome="ok",
-                           detail=f"{len(keys)} records")
-    report.records = sorted(rows.values(), key=lambda row: row["key"])
-    report.purposes = sorted(purposes)
-    report.recipients = sorted(recipients)
-    report.automated_decision_keys = sorted(decision_keys)
-    return report
+    parts = _parts(target, _access_part, subject, principal)
+    rows = _rows(target, parts)
+    return AccessReport(
+        subject=subject,
+        generated_at=min(part["started"] for _, part in parts),
+        records=rows,
+        purposes=sorted({p for row in rows for p in row["purposes"]}),
+        recipients=sorted({r for row in rows for r in row["recipients"]}),
+        automated_decision_keys=sorted(
+            {key for _, part in parts for key in part["decision_keys"]}),
+        elapsed=max(part["elapsed"] for _, part in parts))
+
+
+def _erasure_part(store: GDPRStore, subject: str, principal: Principal,
+                  compact_log: Optional[bool]) -> Optional[dict]:
+    keys = store.keys_of_subject(subject)
+    if not keys:
+        return None
+    requested_at = store.clock.now()
+    store.access.check(principal, Operation.DELETE,
+                       store.index.get_metadata(keys[0]), None,
+                       store.clock.now())
+    store.kv.execute("DEL", *keys)
+    cold_voided = 0
+    if getattr(store.kv, "supports_tiering", False):
+        # The DEL above evicted every *indexed* cold copy; the subject
+        # marker voids any archived stragglers and persists the erasure
+        # on the cold device itself (fsynced), independent of the
+        # keystore tombstone below.
+        cold_voided = store.kv.erase_subject_cold(subject)
+    crypto_erased = False
+    if store.config.encrypt_at_rest:
+        crypto_erased = store.keystore.erase_key(subject)
+    compact = store.config.compact_on_erasure if compact_log is None \
+        else compact_log
+    compacted = False
+    if compact and store.kv.aof_log is not None:
+        store.kv.rewrite_aof()
+        compacted = True
+    residual = store.kv.aof_log is not None and bool(mentioned_keys(
+        store.kv.aof_log.read_all(), [key.encode("utf-8") for key in keys]))
+    completed_at = store.clock.now()
+    store.audit.append(principal=principal.name, operation="erase-subject",
+                       subject=store._audit_name(subject), outcome="ok",
+                       detail=f"{len(keys)} keys, crypto={crypto_erased}, "
+                              f"compacted={compacted}")
+    return {"requested_at": requested_at, "completed_at": completed_at,
+            "keys": keys, "crypto_erased": crypto_erased,
+            "log_compacted": compacted, "residual_in_aof": residual,
+            "cold_segments_voided": cold_voided}
 
 
 def right_to_erasure(target, subject: str,
@@ -179,76 +239,46 @@ def right_to_erasure(target, subject: str,
     3. optional AOF compaction so not even ciphertext persists
        (``compact_log`` defaults to each store's ``compact_on_erasure``).
     """
-    if principal is None:
-        principal = Principal.subject(subject)
-    holders = _holders(target, subject)
-    requested_at = target.clock.now()
-    receipt = ErasureReceipt(subject=subject, requested_at=requested_at,
-                             completed_at=requested_at)
-    erased = set()
-    for shard, store, keys in holders:
-        # An earlier holder's DEL may have cascaded here (erasing a
-        # migrating slot's source evicts the target's shadow copies).
-        keys = [key for key in keys if key in store.index]
-        if not keys:
-            continue
-        store.access.check(principal, Operation.DELETE,
-                           store.index.get_metadata(keys[0]), None,
-                           store.clock.now())
-        store.kv.execute("DEL", *keys)
-        if getattr(store.kv, "supports_tiering", False):
-            # The DEL above evicted every *indexed* cold copy; the subject
-            # marker voids any archived stragglers and persists the
-            # erasure on the cold device itself (fsynced), independent of
-            # the keystore tombstone below.
-            receipt.cold_segments_voided += \
-                store.kv.erase_subject_cold(subject)
-        crypto_erased = False
-        if store.config.encrypt_at_rest:
-            crypto_erased = store.keystore.erase_key(subject)
-        compact = store.config.compact_on_erasure if compact_log is None \
-            else compact_log
-        compacted = False
-        if compact and store.kv.aof_log is not None:
-            store.kv.rewrite_aof()
-            compacted = True
-        if store.kv.aof_log is not None:
-            aof_bytes = store.kv.aof_log.read_all()
-            if mentioned_keys(aof_bytes,
-                              [key.encode("utf-8") for key in keys]):
-                receipt.residual_in_aof = True
-        receipt.completed_at = store.clock.now()
-        store.audit.append(principal=principal.name, operation="erase-subject",
-                           subject=store._audit_name(subject), outcome="ok",
-                           detail=f"{len(keys)} keys, crypto={crypto_erased}, "
-                                  f"compacted={compacted}")
-        receipt.crypto_erased = receipt.crypto_erased or crypto_erased
-        receipt.log_compacted = receipt.log_compacted or compacted
-        receipt.shards_touched.append(shard)
-        erased.update(keys)
-    receipt.keys_erased = sorted(erased)
-    return receipt
+    parts = _parts(target, _erasure_part, subject, principal, compact_log)
+    erased = [part for _, part in parts]
+    return ErasureReceipt(
+        subject=subject,
+        requested_at=min(part["requested_at"] for part in erased),
+        completed_at=max(part["completed_at"] for part in erased),
+        keys_erased=sorted({key for part in erased for key in part["keys"]}),
+        crypto_erased=any(part["crypto_erased"] for part in erased),
+        log_compacted=any(part["log_compacted"] for part in erased),
+        residual_in_aof=any(part["residual_in_aof"] for part in erased),
+        cold_segments_voided=sum(part["cold_segments_voided"]
+                                 for part in erased),
+        shards_touched=[shard for shard, _ in parts])
+
+
+def _export_part(store: GDPRStore, subject: str, principal: Principal,
+                 fmt: str) -> Optional[dict]:
+    keys = store.keys_of_subject(subject)
+    if not keys:
+        return None
+    rows = []
+    for key in keys:
+        record = store.get(key, principal=principal)
+        rows.append({
+            "key": key,
+            "value": record.value.decode("utf-8", "replace"),
+            "purposes": sorted(record.metadata.purposes),
+            "origin": record.metadata.origin,
+        })
+    store.audit.append(principal=principal.name, operation="export",
+                       subject=store._audit_name(subject), outcome="ok",
+                       detail=f"{len(keys)} records as {fmt}")
+    return {"rows": rows}
 
 
 def right_to_portability(target, subject: str, fmt: str = "json",
                          principal: Optional[Principal] = None) -> bytes:
     """Art. 20: export all the subject's data in a commonly used format."""
-    if principal is None:
-        principal = Principal.subject(subject)
-    chosen: Dict[str, dict] = {}
-    for shard, store, keys in _holders(target, subject):
-        for key in keys:
-            record = store.get(key, principal=principal)
-            _keep(chosen, target, shard, {
-                "key": key,
-                "value": record.value.decode("utf-8", "replace"),
-                "purposes": sorted(record.metadata.purposes),
-                "origin": record.metadata.origin,
-            })
-        store.audit.append(principal=principal.name, operation="export",
-                           subject=store._audit_name(subject), outcome="ok",
-                           detail=f"{len(keys)} records as {fmt}")
-    rows = sorted(chosen.values(), key=lambda row: row["key"])
+    rows = _rows(target, _parts(target, _export_part, subject, principal,
+                                fmt))
     if fmt == "json":
         return json.dumps({"subject": subject, "records": rows},
                           sort_keys=True, indent=2).encode("utf-8")
@@ -263,6 +293,22 @@ def right_to_portability(target, subject: str, fmt: str = "json",
     raise ValueError(f"unsupported export format {fmt!r}")
 
 
+def _object_part(store: GDPRStore, subject: str, principal: Principal,
+                 purpose: str) -> Optional[dict]:
+    keys = store.keys_of_subject(subject)
+    if not keys:
+        return None
+    for key in keys:
+        record = store.get(key, principal=principal)
+        store.update_metadata(key, record.metadata.with_objection(purpose),
+                              principal=CONTROLLER)
+    store.audit.append(principal=principal.name, operation="object",
+                       subject=store._audit_name(subject),
+                       purpose=purpose, outcome="ok",
+                       detail=f"{len(keys)} records")
+    return {"keys": keys}
+
+
 def right_to_object(target, subject: str, purpose: str,
                     principal: Optional[Principal] = None) -> int:
     """Art. 21: blacklist ``purpose`` on every record of ``subject``.
@@ -271,44 +317,36 @@ def right_to_object(target, subject: str, purpose: str,
     ``process_for_purpose`` calls skip them; direct reads for that purpose
     raise :class:`~repro.common.errors.PurposeViolationError`.
     """
-    if principal is None:
-        principal = Principal.subject(subject)
-    updated = set()
-    for _, store, keys in _holders(target, subject):
-        for key in keys:
-            record = store.get(key, principal=principal)
-            new_meta = record.metadata.with_objection(purpose)
-            store.update_metadata(key, new_meta, principal=CONTROLLER)
-        store.audit.append(principal=principal.name, operation="object",
-                           subject=store._audit_name(subject),
-                           purpose=purpose, outcome="ok",
-                           detail=f"{len(keys)} records")
-        updated.update(keys)
-    return len(updated)
+    parts = _parts(target, _object_part, subject, principal, purpose)
+    return len({key for _, part in parts for key in part["keys"]})
 
 
-def transfer_subject(source, target: GDPRStore, subject: str,
+def _transfer_part(store: GDPRStore, subject: str, principal: Principal,
+                   target: GDPRStore) -> Optional[dict]:
+    keys = store.keys_of_subject(subject)
+    if not keys:
+        return None
+    for key in keys:
+        record = store.get(key, principal=principal)
+        target.put(key, record.value, record.metadata, principal=CONTROLLER)
+        store.update_metadata(
+            key, record.metadata.with_shared(target.config.node_id),
+            principal=CONTROLLER)
+    store.audit.append(principal=principal.name, operation="transfer",
+                       subject=store._audit_name(subject), outcome="ok",
+                       detail=f"{len(keys)} records -> "
+                              f"{target.config.node_id}")
+    return {"keys": keys}
+
+
+def transfer_subject(source: GDPRStore, target: GDPRStore, subject: str,
                      principal: Optional[Principal] = None) -> int:
     """Art. 20's second half: transmit directly to another controller.
 
     Re-stores each record in ``target`` (which applies its own residency
     and purpose checks) and marks the new controller as a recipient in the
-    source's metadata.
+    source's metadata.  Both controllers are stores in this process: the
+    receiving store is the body's argument, which no wire carries.
     """
-    if principal is None:
-        principal = Principal.subject(subject)
-    moved = set()
-    for _, store, keys in _holders(source, subject):
-        for key in keys:
-            record = store.get(key, principal=principal)
-            target.put(key, record.value, record.metadata,
-                       principal=CONTROLLER)
-            store.update_metadata(
-                key, record.metadata.with_shared(target.config.node_id),
-                principal=CONTROLLER)
-        store.audit.append(principal=principal.name, operation="transfer",
-                           subject=store._audit_name(subject), outcome="ok",
-                           detail=f"{len(keys)} records -> "
-                                  f"{target.config.node_id}")
-        moved.update(keys)
-    return len(moved)
+    parts = _parts(source, _transfer_part, subject, principal, target)
+    return len({key for _, part in parts for key in part["keys"]})

@@ -17,7 +17,8 @@ from section 3.1 is wired through one facade:
 * **Location** -- records carry residency constraints checked at write.
 
 Subject rights (Art. 15/17/20/21) are implemented in
-:mod:`repro.gdpr.rights` on top of this class.
+:mod:`repro.gdpr.rights` on top of this class; :mod:`repro.gdpr.node`
+serves the same methods and rights as commands of a cluster node.
 """
 
 from __future__ import annotations
@@ -45,9 +46,6 @@ from .metadata import GDPRMetadata, Record, pack_envelope, unpack_envelope
 from .policy import PolicyEngine
 
 CONTROLLER = Principal.controller()
-
-#: ``(shard, store, keys)`` per store holding a subject's records.
-Holders = List[Tuple[int, "GDPRStore", List[str]]]
 
 
 @dataclass
@@ -582,12 +580,16 @@ class GDPRStore:
     def subject_exists(self, subject: str) -> bool:
         return bool(self.keys_of_subject(subject))
 
-    def holders(self, subject: str) -> Holders:
-        """``[(0, self, keys)]`` when this store holds ``subject``'s
-        records (one lookup), else ``[]`` -- the fan-out list every right
-        in :mod:`repro.gdpr.rights` runs over."""
-        keys = self.keys_of_subject(subject)
-        return [(0, self, keys)] if keys else []
+    def live_keys_with_prefix(self, prefix: str) -> List[bytes]:
+        return self.kv.live_keys_with_prefix(prefix)
+
+    def subject_parts(self, body, subject: str, principal: Principal,
+                      arg=None) -> List[Tuple[int, dict]]:
+        """``[(0, part)]`` when ``body`` -- a right's per-store half in
+        :mod:`repro.gdpr.rights` -- finds ``subject``'s records here,
+        else ``[]``: the one part a right merges for a single store."""
+        part = body(self, subject, principal, arg)
+        return [(0, part)] if part is not None else []
 
 
 def _with_created_at(metadata: GDPRMetadata, now: float) -> GDPRMetadata:

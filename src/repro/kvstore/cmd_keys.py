@@ -15,8 +15,10 @@ from .commands import (
     PER_SHARD,
     CommandContext,
     command,
+    deadline_ms,
     glob_match,
     parse_int,
+    parse_restore,
 )
 from .datatypes import type_name
 
@@ -193,6 +195,20 @@ def cmd_pttl(ctx: CommandContext, args: List[bytes]) -> int:
     return int(round(remaining * 1000))
 
 
+@command("PEXPIRETIME", arity=2)
+def cmd_pexpiretime(ctx: CommandContext, args: List[bytes]) -> int:
+    """The key's absolute deadline in unix milliseconds (-1 without
+    one, -2 for a missing key): what a slot migration ships, so the
+    deadline neither rounds to whole milliseconds of *remaining* time
+    nor moves with the receiving shard's clock."""
+    if ctx.lookup_read(args[1]) is None:
+        return -2
+    expire_at = ctx.db.get_expiry(args[1])
+    if expire_at is None:
+        return -1
+    return deadline_ms(expire_at)
+
+
 def _remaining(ctx: CommandContext, key: bytes) -> Optional[float]:
     """None = no TTL; negative = key missing (caller maps to -2)."""
     if ctx.lookup_read(key) is None:
@@ -231,22 +247,17 @@ def cmd_dump(ctx: CommandContext, args: List[bytes]) -> Optional[bytes]:
 def cmd_restore(ctx: CommandContext, args: List[bytes]) -> SimpleString:
     """Materialize a DUMP payload under ``key``.
 
-    ``RESTORE key ttl-ms payload [REPLACE]``: refuses to overwrite an
-    existing key unless REPLACE is given (Redis' BUSYKEY), verifies the
-    payload checksum, and applies ``ttl-ms`` (0 = no expiry) relative to
-    the receiving server's clock.
+    ``RESTORE key ttl-ms payload [REPLACE] [ABSTTL]``: refuses to
+    overwrite an existing key unless REPLACE is given (Redis' BUSYKEY),
+    verifies the payload checksum, and applies ``ttl-ms`` (0 = no
+    expiry) relative to the receiving server's clock -- or, with
+    ABSTTL, as an absolute unix-ms deadline; a deadline already past
+    leaves no key.
     """
     from ..common.errors import CorruptionError
     from .snapshot import load_value
-    key, ttl_ms = args[1], parse_int(args[2])
-    if ttl_ms < 0:
-        raise RespError("ERR Invalid TTL value, must be >= 0")
-    replace = False
-    for option in args[4:]:
-        if option.upper() == b"REPLACE":
-            replace = True
-        else:
-            raise RespError("ERR syntax error")
+    key = args[1]
+    replace, expire_at = parse_restore(args, ctx.now)
     existing = ctx.lookup_write(key)
     if existing is not None:
         if not replace:
@@ -256,7 +267,9 @@ def cmd_restore(ctx: CommandContext, args: List[bytes]) -> SimpleString:
         value = load_value(args[3])
     except CorruptionError:
         raise RespError("ERR DUMP payload version or checksum are wrong")
+    if expire_at is not None and expire_at <= ctx.now:
+        return OK
     ctx.set_value(key, value)
-    if ttl_ms > 0:
-        ctx.set_expiry(key, ctx.now + ttl_ms / 1000.0)
+    if expire_at is not None:
+        ctx.set_expiry(key, expire_at)
     return OK

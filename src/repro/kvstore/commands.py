@@ -129,6 +129,21 @@ declare("TENANT", arity=2, routing=CONTROL_BARRIER)
 # p1 ... kn on pn`` annotates n rows, every third argument a key).
 declare("RANGE", arity=3, routing=PER_SHARD)
 declare("GDPRMETA", arity=-4, write=True, keys=(1, -1, 3))
+# The GDPR layer's commands, served by a cluster node whose shard runs
+# a GDPRStore (repro.gdpr.node).  A record's put, get and delete route
+# by key; every one of them appends to the audit chain, so each counts
+# as a write and no replica or split-read core ever serves it.  A
+# subject's key lookup, purpose-limited processing and the four rights
+# (Art. 15/17/20/21) run on every shard.
+declare("GDPR.PUT", arity=5, write=True)
+declare("GDPR.GET", arity=4, write=True)
+declare("GDPR.DEL", arity=3, write=True)
+declare("GDPR.SUBJECT", arity=2, routing=BROADCAST)
+declare("GDPR.PURPOSE", arity=3, write=True, routing=BROADCAST)
+declare("GDPR.ACCESS", arity=4, write=True, routing=BROADCAST)
+declare("GDPR.ERASE", arity=4, write=True, routing=BROADCAST)
+declare("GDPR.EXPORT", arity=4, write=True, routing=BROADCAST)
+declare("GDPR.OBJECT", arity=4, write=True, routing=BROADCAST)
 
 
 def spec_of(name: bytes) -> CommandSpec:
@@ -203,6 +218,38 @@ def parse_float(raw: bytes, message: str = "ERR value is not a valid "
         return float(raw)
     except ValueError:
         raise RespError(message)
+
+
+def deadline_ms(expire_at: float) -> int:
+    """An absolute deadline in whole unix milliseconds: the largest m
+    with m / 1000 <= ``expire_at``, so a deadline set as ``PXAT m``
+    reads back as m, never m - 1 (m / 1000 * 1000 may fall just short
+    of m), and a rounded deadline never lands later than the real one."""
+    whole = int(expire_at * 1000)
+    return whole + ((whole + 1) / 1000 <= expire_at)
+
+
+def parse_restore(argv: Sequence[bytes],
+                  now: float) -> Tuple[bool, Optional[float]]:
+    """``RESTORE key ttl payload [REPLACE] [ABSTTL]``'s options as
+    ``(replace, deadline)``: the absolute deadline in seconds, or None
+    for ``ttl`` 0 (no expiry).  ``ttl`` is milliseconds from ``now``,
+    or with ABSTTL a unix-ms deadline."""
+    ttl_ms = parse_int(argv[2])
+    if ttl_ms < 0:
+        raise RespError("ERR Invalid TTL value, must be >= 0")
+    replace = absolute = False
+    for option in argv[4:]:
+        option = option.upper()
+        if option == b"REPLACE":
+            replace = True
+        elif option == b"ABSTTL":
+            absolute = True
+        else:
+            raise RespError("ERR syntax error")
+    if not ttl_ms:
+        return replace, None
+    return replace, ttl_ms / 1000.0 if absolute else now + ttl_ms / 1000.0
 
 
 def glob_match(pattern: bytes, key: bytes) -> bool:

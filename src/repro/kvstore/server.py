@@ -199,6 +199,10 @@ class StoreServer:
         except StoreError as exc:
             return resp_error_from_store_error(exc)
 
+    def tick(self) -> None:
+        """The store's background work (what the cron runs)."""
+        self.store.tick()
+
     def _start_monitor(self, conn: ServerConnection) -> None:
         conn.session.monitoring = True
         self.store.monitor.attach(conn.transport.send)

@@ -68,7 +68,8 @@ from ..device.append_log import AppendLog
 from ..engine.base import EngineStats, MetadataRow, SnapshotImage, \
     StorageEngine, StoredRecord, register_engine
 from ..kvstore.aof import AofWriter, FsyncPolicy
-from ..kvstore.commands import CommandContext, glob_match, parse_int
+from ..kvstore.commands import (
+    CommandContext, deadline_ms, glob_match, parse_int, parse_restore)
 from ..kvstore.monitor import MonitorFeed
 from ..kvstore.snapshot import dump_value, load_value
 from .planner import PlanCache
@@ -321,8 +322,11 @@ class RelationalStore(StorageEngine):
             return -2
         if row.expire_at is None:
             return -1
+        name = argv[0].upper()
+        if name == b"PEXPIRETIME":
+            return deadline_ms(row.expire_at)
         remaining = row.expire_at - self.clock.now()
-        if argv[0].upper() == b"PTTL":
+        if name == b"PTTL":
             return int(round(remaining * 1000))
         return int(round(remaining))
 
@@ -512,16 +516,10 @@ class RelationalStore(StorageEngine):
         self._charge_statement(
             "RESTORE", "INSERT INTO records(key, row_image) "
                        "VALUES ($1, $3)")
-        key, ttl_ms = argv[1], parse_int(argv[2])
-        if ttl_ms < 0:
-            raise RespError("ERR Invalid TTL value, must be >= 0")
-        replace_flag = False
-        for option in argv[4:]:
-            if option.upper() == b"REPLACE":
-                replace_flag = True
-            else:
-                raise RespError("ERR syntax error")
-        if self._live_row(key) is not None:
+        key = argv[1]
+        replace_flag, expire_at = parse_restore(argv, self.clock.now())
+        replaced = self._live_row(key) is not None
+        if replaced:
             if not replace_flag:
                 raise RespError("BUSYKEY Target key name already exists.")
             self._delete_row(key, reason="del")
@@ -535,10 +533,14 @@ class RelationalStore(StorageEngine):
                 "WRONGTYPE the relational engine stores value and "
                 "wide-column rows only")
         self._charge_index()
+        if expire_at is not None and expire_at <= self.clock.now():
+            if replaced:                 # a deadline already past: no row
+                ctx.mark_dirty()
+            return OK
         self._charge_rows(1, len(argv[3]))
         self.table.upsert(key, value)
-        if ttl_ms > 0:
-            self.table.set_expiry(key, self.clock.now() + ttl_ms / 1000.0)
+        if expire_at is not None:
+            self.table.set_expiry(key, expire_at)
             self._charge_index()
         ctx.mark_dirty()
         return OK
@@ -578,6 +580,7 @@ class RelationalStore(StorageEngine):
         b"PEXPIREAT": _stmt_expire,
         b"TTL": _stmt_ttl,
         b"PTTL": _stmt_ttl,
+        b"PEXPIRETIME": _stmt_ttl,
         b"PERSIST": _stmt_persist,
         b"HSET": _stmt_hset,
         b"HMSET": _stmt_hmset,

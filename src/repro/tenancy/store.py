@@ -16,9 +16,9 @@ tenant awareness at all:
   ``globex/alice`` seals under a different key.
 
 The view wraps either a :class:`~repro.gdpr.store.GDPRStore` or a
-:class:`~repro.cluster.sharded_store.ShardedGDPRStore`; its rights are
-the :mod:`repro.gdpr.rights` functions called on the base with the
-tenant-qualified subject, which serve both topologies.
+:class:`~repro.cluster.gdpr_client.GDPRClient` over a cluster of GDPR
+shards; its rights are the :mod:`repro.gdpr.rights` functions called on
+the base with the tenant-qualified subject, which serve both.
 """
 
 from __future__ import annotations
@@ -97,16 +97,8 @@ class TenantStore:
     def keys(self) -> List[str]:
         """Tenant-local names of every live key (prefix-scoped KEYS)."""
         prefix = self._prefix
-        engines = []
-        if hasattr(self.base, "shards"):
-            engines = [shard.kv for shard in self.base.shards]
-        elif hasattr(self.base, "kv"):
-            engines = [self.base.kv]
-        names = set()
-        for engine in engines:
-            for key in engine.live_keys_with_prefix(prefix):
-                names.add(key.decode("utf-8", "replace")[len(prefix):])
-        return sorted(names)
+        return sorted({key.decode("utf-8", "replace")[len(prefix):]
+                       for key in self.base.live_keys_with_prefix(prefix)})
 
     def key_count(self) -> int:
         return len(self.keys())

@@ -2,9 +2,9 @@
 
 The escalation ladder (worker raise -> scale-out), its rate limits, the
 daemon timer's liveness rules, and the two integrations: a WorkerPool
-whose p99 recovers after a live worker raise, and a ShardedGDPRStore
-that adds a shard and rebalances -- with Art. 17 erasure verified while
-the scale-out migrations are still in flight.
+whose p99 recovers after a live worker raise, and a cluster of GDPR
+shards that adds a shard and rebalances -- with Art. 17 erasure verified
+while the scale-out migrations are still in flight.
 """
 
 import pytest
@@ -12,9 +12,9 @@ import pytest
 from repro.cluster import (
     Autoscaler,
     AutoscaleConfig,
-    ShardedGDPRStore,
-    SignalProbe,
+    GDPRClient,
     build_cluster,
+    gdpr_shards,
     slot_for_key,
 )
 from repro.common.clock import SimClock
@@ -130,10 +130,12 @@ class TestEscalationLadder:
         assert second.target == 1
         assert [t.raises for t in targets] == [1, 1]
 
-    def test_signal_probe_escalates_straight_to_scale_out(self):
-        probe = SignalProbe(lambda: 5e-3)
-        assert probe.queueing_delay_ewma() == 5e-3
-        _, scaler, calls = make_scaler([probe])
+    def test_poolless_target_goes_straight_to_scale_out(self):
+        class Signal:        # a saturation signal with no worker pool
+            def queueing_delay_ewma(self):
+                return 5e-3
+
+        _, scaler, calls = make_scaler([Signal()])
         assert scaler.check().action == "scale-out"
         assert calls == [0]
 
@@ -267,7 +269,8 @@ class TestWorkerPoolIntegration:
 
 class TestShardedStoreScaleOut:
     def _populated(self, num_shards=2, keys=24):
-        store = ShardedGDPRStore(num_shards=num_shards, clock=SimClock())
+        store = GDPRClient(build_cluster(num_shards, clock=SimClock(),
+                                         store_factory=gdpr_shards()))
         for number in range(keys):
             owner = "alice" if number % 2 == 0 else "bob"
             store.put(f"user:{number}", f"value-{number}".encode(),
@@ -277,19 +280,18 @@ class TestShardedStoreScaleOut:
 
     def test_default_scale_out_adds_shard_and_rebalances(self):
         store = self._populated()
-        hot = {"ewma": 0.0}
-        scaler = store.attach_autoscaler([lambda: hot["ewma"]],
-                                         start=False)
+        hot = FakeTarget(ewma=0.0, workers=4)
+        scaler = store.cluster.attach_autoscaler([hot], start=False)
         assert scaler.check() is None
-        hot["ewma"] = 1e-3
+        hot.ewma = 1e-3
         event = scaler.check()
         assert event.action == "scale-out"
         assert "shard-add -> 2" in event.detail
         assert store.num_shards == 3
         # The rebalance was scheduled drive=False: migrations are live
         # events still in flight right now.
-        assert store.clock.pending_live_events() > 0
-        store.clock.run_until_idle()
+        assert store.cluster.clock.pending_live_events() > 0
+        store.cluster.clock.run_until_idle()
         moved = [key for key in store.shards[2].index.keys()]
         assert moved    # the new shard actually took keys
 
@@ -300,12 +302,13 @@ class TestShardedStoreScaleOut:
         all three shards."""
         store = self._populated()
         alice_keys = store.keys_of_subject("alice")
-        scaler = store.attach_autoscaler([lambda: 1e-3], start=False)
+        scaler = store.cluster.attach_autoscaler(
+            [FakeTarget(ewma=1e-3, workers=4)], start=False)
         assert scaler.check().action == "scale-out"
-        assert store.clock.pending_live_events() > 0
+        assert store.cluster.clock.pending_live_events() > 0
         receipt = right_to_erasure(store, "alice")  # mid-migration
         assert sorted(receipt.keys_erased) == sorted(alice_keys)
-        store.clock.run_until_idle()                # migrations finish
+        store.cluster.clock.run_until_idle()                # migrations finish
         assert not store.subject_exists("alice")
         for key in alice_keys:
             for shard in store.shards:
@@ -325,17 +328,16 @@ class TestShardedStoreScaleOut:
         for key in bob_keys:
             assert store.get(key).value == \
                 f"value-{key.split(':')[1]}".encode()
-        verified = store.verify_audit_chains()
+        verified = store.cluster.verify_audit_chains()
         assert set(verified) == {0, 1, 2}
 
     def test_autoscaler_daemon_drives_scale_out_under_live_events(self):
         store = self._populated()
-        hot = {"ewma": 1e-3}
-        store.attach_autoscaler(
-            [lambda: hot["ewma"]],
+        store.cluster.attach_autoscaler(
+            [FakeTarget(ewma=1e-3, workers=4)],
             config=AutoscaleConfig(interval=1e-3, high_delay=300e-6))
-        store.clock.schedule_after(3.5e-3, lambda: None, label="work")
-        store.clock.run_until_idle()
+        store.cluster.clock.schedule_after(3.5e-3, lambda: None, label="work")
+        store.cluster.clock.run_until_idle()
         assert store.num_shards == 3
         keys = {index: len(list(shard.index.keys()))
                 for index, shard in enumerate(store.shards)}
@@ -344,5 +346,5 @@ class TestShardedStoreScaleOut:
     def test_pool_shaped_signals_pass_through(self):
         store = self._populated()
         probe = FakeTarget(ewma=0.0)
-        scaler = store.attach_autoscaler([probe], start=False)
+        scaler = store.cluster.attach_autoscaler([probe], start=False)
         assert scaler.targets[0] is probe

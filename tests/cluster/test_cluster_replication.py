@@ -8,9 +8,10 @@ from repro.common.clock import SimClock
 from repro.common.errors import ClusterError
 from repro.cluster import (
     ClusterReplication,
-    ShardedGDPRStore,
+    GDPRClient,
     SlotMigrator,
     build_cluster,
+    gdpr_shards,
     slot_for_key,
 )
 from repro.gdpr import GDPRMetadata
@@ -26,9 +27,15 @@ def tagged_keys(tag, count):
     return [f"{{{tag}}}:k{i}" for i in range(count)]
 
 
+def gdpr_cluster(num_shards, clock=None):
+    return GDPRClient(build_cluster(num_shards, clock=clock,
+                                    store_factory=gdpr_shards()))
+
+
 def make_replicated_store(num_shards=2, replicas=2, delay=0.010):
-    store = ShardedGDPRStore(num_shards=num_shards)
-    replication = store.attach_replication(delays=(delay,) * replicas)
+    store = gdpr_cluster(num_shards)
+    replication = store.cluster.attach_replication(
+        delays=(delay,) * replicas)
     return store, replication
 
 
@@ -45,7 +52,7 @@ class TestReplicatedShardGroups:
     def test_attach_twice_rejected(self):
         store, _ = make_replicated_store()
         with pytest.raises(ClusterError):
-            store.attach_replication()
+            store.cluster.attach_replication()
 
     def test_writes_stream_to_replicas_with_delay(self):
         store, replication = make_replicated_store(delay=0.010)
@@ -54,35 +61,35 @@ class TestReplicatedShardGroups:
         group = replication.groups[shard]
         for link in group.links:
             assert link.replica.execute("EXISTS", "user:1") == 0
-        store.clock.advance(0.011)
+        store.cluster.clock.advance(0.011)
         for link in group.links:
             assert link.replica.execute("EXISTS", "user:1") == 1
 
     def test_per_replica_delays(self):
-        store = ShardedGDPRStore(num_shards=1)
-        replication = store.attach_replication(delays=[0.002, 0.200])
+        store = gdpr_cluster(1)
+        replication = store.cluster.attach_replication(delays=[0.002, 0.200])
         store.put("user:1", b"payload", metadata())
         fast, slow = replication.groups[0].links
-        store.clock.advance(0.003)
+        store.cluster.clock.advance(0.003)
         assert fast.replica.execute("EXISTS", "user:1") == 1
         assert slow.replica.execute("EXISTS", "user:1") == 0
 
     def test_invalid_delays_rejected(self):
-        store = ShardedGDPRStore(num_shards=1)
+        store = gdpr_cluster(1)
         with pytest.raises(ClusterError):
-            store.attach_replication(delays=())
+            store.cluster.attach_replication(delays=())
         with pytest.raises(ValueError):
-            store.attach_replication(delays=[0.001, -0.001])
-        assert store.replication is None
+            store.cluster.attach_replication(delays=[0.001, -0.001])
+        assert store.cluster.replication is None
         assert store.shards[0].kv.write_listeners == []
 
     def test_attach_full_syncs_pre_existing_data(self):
         """Regression: data written before attachment predates the
         write stream; without an initial full resync replicas would
         miss it forever."""
-        store = ShardedGDPRStore(num_shards=2)
+        store = gdpr_cluster(2)
         store.put("user:1", b"old", metadata())
-        replication = store.attach_replication(delays=[0.010, 0.010])
+        replication = store.cluster.attach_replication(delays=[0.010, 0.010])
         shard = store.shard_for("user:1")
         for link in replication.groups[shard].links:
             assert link.replica.execute("GET", "user:1") is not None
@@ -90,12 +97,12 @@ class TestReplicatedShardGroups:
 
 class TestErasureHorizon:
     def test_horizon_bounded_by_slowest_replica(self):
-        store = ShardedGDPRStore(num_shards=2)
-        store.attach_replication(delays=[0.010, 0.120])
+        store = gdpr_cluster(2)
+        store.cluster.attach_replication(delays=[0.010, 0.120])
         store.put("user:1", b"payload", metadata())
-        store.clock.advance(0.2)
+        store.cluster.clock.advance(0.2)
         store.delete("user:1")
-        horizon = store.replication.erasure_horizon(["user:1"], step=0.005)
+        horizon = store.cluster.replication.erasure_horizon(["user:1"], step=0.005)
         assert horizon is not None
         assert 0.115 <= horizon <= 0.130
 
@@ -105,7 +112,7 @@ class TestErasureHorizon:
         for i in range(12):
             store.put(f"user:{i}", b"x", metadata("alice"))
         assert len(store.shards_of_subject("alice")) > 1
-        store.clock.advance(0.1)
+        store.cluster.clock.advance(0.1)
         keys = store.keys_of_subject("alice")
         receipt = right_to_erasure(store, "alice")
         assert sorted(receipt.keys_erased) == keys
@@ -113,14 +120,14 @@ class TestErasureHorizon:
         assert horizon is not None
         assert 0.045 <= horizon <= 0.060
         for key in keys:
-            assert not store.replication.key_visible_anywhere(key)
+            assert not store.cluster.replication.key_visible_anywhere(key)
 
     def test_crypto_erasure_voids_replica_ciphertext_immediately(self):
         store, replication = make_replicated_store(num_shards=1,
                                                    replicas=1,
                                                    delay=1.0)
         store.put("user:1", b"secret", metadata("alice"))
-        store.clock.advance(2.0)
+        store.cluster.clock.advance(2.0)
         receipt = right_to_erasure(store, "alice")
         assert receipt.crypto_erased
         # The replica still *serves* the key (its DEL is in flight)...
@@ -135,18 +142,18 @@ class TestErasureHorizon:
         """Regression: a visibility-only horizon closed at 0 while the
         key's SET was still in flight -- the replica then served the
         'erased' data when the SET landed."""
-        store = ShardedGDPRStore(num_shards=1)
-        store.attach_replication(delays=[1.0])
+        store = gdpr_cluster(1)
+        store.cluster.attach_replication(delays=[1.0])
         store.put("user:1", b"pii", metadata())
-        store.clock.advance(0.1)        # SET still queued (1 s delay)
+        store.cluster.clock.advance(0.1)        # SET still queued (1 s delay)
         store.delete("user:1")
-        horizon = store.replication.erasure_horizon(["user:1"], step=0.05,
+        horizon = store.cluster.replication.erasure_horizon(["user:1"], step=0.05,
                                                     max_wait=5.0)
         # The DEL trails the SET by 0.1 s; erasure completes when the
         # DEL lands (~1.0 s after issue), not instantly.
         assert horizon is not None
         assert 0.9 <= horizon <= 1.1
-        link = store.replication.groups[0].links[0]
+        link = store.cluster.replication.groups[0].links[0]
         assert link.replica.execute("EXISTS", "user:1") == 0
 
     def test_horizon_none_when_stream_stuck(self):
@@ -154,7 +161,7 @@ class TestErasureHorizon:
                                                    replicas=1,
                                                    delay=0.010)
         store.put("user:1", b"x", metadata())
-        store.clock.advance(0.02)
+        store.cluster.clock.advance(0.02)
         link = replication.groups[0].links[0]
         store.delete("user:1")
         link.discard_backlog()     # partitioned replica: DEL never lands
@@ -168,11 +175,11 @@ class TestEventDeliveredReplication:
         store.put("user:1", b"payload", metadata())
         shard = store.shard_for("user:1")
         link = replication.groups[shard].links[0]
-        store.clock.advance(0.009)
+        store.cluster.clock.advance(0.009)
         assert link.replica.execute("EXISTS", "user:1") == 0
         # Advancing the clock past write time + delay fires the write's
         # delivery event, which applies it.
-        store.clock.advance(0.002)
+        store.cluster.clock.advance(0.002)
         assert link.replica.execute("EXISTS", "user:1") == 1
 
     def test_delivery_events_are_daemon(self):
@@ -180,8 +187,8 @@ class TestEventDeliveredReplication:
         store.put("user:1", b"payload", metadata())
         assert replication.backlog() == 2
         # Only daemon events in the heap: run_until_idle must not spin.
-        assert store.clock.pending_live_events() == 0
-        assert store.clock.run_until_idle(deadline=None) == 0
+        assert store.cluster.clock.pending_live_events() == 0
+        assert store.cluster.clock.run_until_idle(deadline=None) == 0
 
     def test_cluster_sync_never_waits_on_replication(self):
         cluster = build_cluster(2)
@@ -195,15 +202,15 @@ class TestEventDeliveredReplication:
         def one_run():
             clock = SimClock()
             trace = clock.enable_trace()
-            store = ShardedGDPRStore(num_shards=2, clock=clock)
-            store.attach_replication(delays=[0.004, 0.040])
+            store = gdpr_cluster(2, clock)
+            store.cluster.attach_replication(delays=[0.004, 0.040])
             for i in range(10):
                 store.put(f"user:{i}", b"x" * 16,
                           metadata("alice" if i % 2 == 0 else "bob"))
             clock.advance(0.05)
             keys = store.keys_of_subject("alice")
             right_to_erasure(store, "alice")
-            horizon = store.replication.erasure_horizon(keys, step=0.002)
+            horizon = store.cluster.replication.erasure_horizon(keys, step=0.002)
             return horizon, clock.now(), list(trace)
 
         first = one_run()
@@ -217,13 +224,14 @@ class TestEventDeliveredReplication:
         store, replication = make_replicated_store(delay=0.010)
         store.put("user:1", b"payload", metadata())
         replication.close()
-        assert store.clock.pending_timers() == 0
+        # Only the shards' own server-cron timers remain scheduled.
+        assert store.cluster.clock.pending_timers() == store.num_shards
         for index, shard in enumerate(store.shards):
             assert shard.kv.write_listeners == []
             group = replication.groups[index]
             for link in group.links:
                 assert link.closed
-        store.clock.advance(1.0)
+        store.cluster.clock.advance(1.0)
         for group in replication.groups.values():
             for link in group.links:
                 assert link.replica.execute("EXISTS", "user:1") == 0
@@ -236,11 +244,11 @@ class TestMigrationHandsOffReplicas:
         keys = tagged_keys("repl-mig", 5)
         for key in keys:
             store.put(key, b"payload", metadata())
-        store.clock.advance(0.02)
+        store.cluster.clock.advance(0.02)
         slot = slot_for_key(keys[0])
-        source = store.slots.shard_of_slot(slot)
+        source = store.cluster.slots.shard_of_slot(slot)
         target = 1 - source
-        receipt = store.migrate_slot(slot, target)
+        receipt = SlotMigrator(store.cluster, slot, target).run()
         assert sorted(receipt.keys_moved) == sorted(keys)
         # Full-synced at the flip: destination replicas hold the slot
         # immediately, before any delayed stream could have delivered it.
@@ -249,7 +257,7 @@ class TestMigrationHandsOffReplicas:
                 assert link.replica.execute("EXISTS", key) == 1
         assert receipt.replicas_synced >= len(keys)
         # Source replicas drop their copies once the handoff DELs land.
-        store.clock.advance(0.02)
+        store.cluster.clock.advance(0.02)
         for link in replication.groups[source].links:
             for key in keys:
                 assert link.replica.execute("EXISTS", key) == 0
@@ -260,11 +268,11 @@ class TestMigrationHandsOffReplicas:
         keys = tagged_keys("repl-erase", 4)
         for key in keys:
             store.put(key, b"pii", metadata("alice"))
-        store.clock.advance(0.02)
+        store.cluster.clock.advance(0.02)
         slot = slot_for_key(keys[0])
-        source = store.slots.shard_of_slot(slot)
+        source = store.cluster.slots.shard_of_slot(slot)
         target = 1 - source
-        migrator = store.begin_slot_migration(slot, target)
+        migrator = SlotMigrator(store.cluster, slot, target)
         migrator.step(2)           # shadow copies exist on the target
         right_to_erasure(store, "alice")
         receipt = migrator.finish()
@@ -274,7 +282,7 @@ class TestMigrationHandsOffReplicas:
         assert horizon is not None
         for key in keys:
             assert not replication.key_visible_anywhere(key)
-        assert store.verify_audit_chains()
+        assert store.cluster.verify_audit_chains()
         assert receipt.keys_moved == []
 
     def test_kv_cluster_migration_syncs_destination_replicas(self):
@@ -441,9 +449,9 @@ class TestRecoveryRehomesReplication:
                                                    delay=0.010)
         store.put("user:1", b"payload", metadata())
         shard = store.shard_for("user:1")
-        store.clock.advance(0.02)
+        store.cluster.clock.advance(0.02)
         old_group = replication.groups[shard]
-        store.recover_shard(shard)
+        store.cluster.recover_shard(shard)
         new_group = replication.groups[shard]
         assert new_group is not old_group
         assert new_group.primary is store.shards[shard].kv
@@ -456,6 +464,6 @@ class TestRecoveryRehomesReplication:
         # ...and the new stream is live on the store's clock.
         store.put("user:2", b"more", metadata())
         if store.shard_for("user:2") == shard:
-            store.clock.advance(0.02)
+            store.cluster.clock.advance(0.02)
             assert new_group.links[0].replica.execute(
                 "EXISTS", "user:2") == 1

@@ -12,11 +12,11 @@ from repro.common.errors import (
 )
 from repro.common.resp import RespError
 from repro.cluster import (
-    GDPRSlotMigrator,
-    ShardedGDPRStore,
+    GDPRClient,
     SlotMap,
     SlotMigrator,
     build_cluster,
+    gdpr_shards,
     slot_for_key,
 )
 from repro.gdpr import GDPRMetadata
@@ -110,6 +110,34 @@ class TestDataMovement:
         ttl = cluster.call("TTL", keys[0])
         assert 0 < ttl <= 500
         assert cluster.call("TTL", keys[1]) == -1
+
+    def test_a_deadline_under_a_millisecond_away_still_expires(self):
+        """The deadline travels absolute: a key with 0.3 ms left used to
+        read PTTL 0 and arrive with no expiry at all."""
+        cluster, keys, slot, source, target = make_cluster_with_slot()
+        now = cluster.sync()
+        cluster.nodes[source].store.execute(
+            "PEXPIREAT", keys[0], int(now * 1000) + 1)
+        cluster.nodes[source].clock.sleep_until(int(now * 1000) / 1000
+                                                + 0.0007)
+        SlotMigrator(cluster, slot, target).run()
+        cluster.clock.advance(5.0)
+        cluster.sync()
+        assert cluster.call("GET", keys[0]) is None
+        assert cluster.call("PTTL", keys[0]) == -2
+
+    def test_a_deadline_does_not_move_with_the_target_clock(self):
+        """A target shard whose clock runs 1 s ahead keeps a 10 s
+        deadline where the source had it."""
+        cluster, keys, slot, source, target = make_cluster_with_slot()
+        cluster.call("PEXPIRE", keys[0], 10_000)
+        deadline = cluster.call("PEXPIRETIME", keys[0])
+        target_clock = cluster.nodes[target].clock
+        target_clock.sleep_until(target_clock.now() + 1.0)
+        SlotMigrator(cluster, slot, target).run()
+        assert cluster.call("PEXPIRETIME", keys[0]) == deadline
+        assert cluster.nodes[target].store.execute(
+            "PEXPIRETIME", keys[0]) == deadline
 
     def test_source_write_after_copy_is_recopied(self):
         """rsync invariant: the target can never win with stale data."""
@@ -372,7 +400,7 @@ class TestPipelineDuringMigration:
 
 
 def gdpr_fixture(tag="gdpr", subjects=("alice", "bob"), per_subject=3):
-    store = ShardedGDPRStore(num_shards=2)
+    store = GDPRClient(build_cluster(2, store_factory=gdpr_shards()))
     keys = {}
     for subject in subjects:
         keys[subject] = [f"{{{tag}}}:{subject}:{i}"
@@ -382,16 +410,16 @@ def gdpr_fixture(tag="gdpr", subjects=("alice", "bob"), per_subject=3):
                       GDPRMetadata(owner=subject,
                                    purposes=frozenset({"service"})))
     slot = slot_for_key(f"{{{tag}}}:x")
-    source = store.slots.shard_of_slot(slot)
+    source = store.cluster.slots.shard_of_slot(slot)
     return store, keys, slot, source, 1 - source
 
 
 class TestGDPRMigration:
     def test_metadata_and_values_move_together(self):
         store, keys, slot, source, target = gdpr_fixture()
-        receipt = store.migrate_slot(slot, target)
+        receipt = SlotMigrator(store.cluster, slot, target).run()
         assert len(receipt.keys_moved) == 6
-        assert store.slots.shard_of_slot(slot) == target
+        assert store.cluster.slots.shard_of_slot(slot) == target
         for key in keys["alice"]:
             record = store.get(key)
             assert record.value == b"alice-data"
@@ -401,10 +429,22 @@ class TestGDPRMigration:
             assert store.shards[source].index.get_metadata(key) is None
         assert store.shards_of_subject("alice") == [target]
 
+    def test_retention_deadline_survives_to_the_millisecond(self):
+        store, keys, slot, source, target = gdpr_fixture()
+        key = "{gdpr}:dana:0"
+        store.put(key, b"dana-data",
+                  GDPRMetadata(owner="dana", ttl=10.0004,
+                               purposes=frozenset({"service"})))
+        expire_at = store.get(key).metadata.expire_at()
+        SlotMigrator(store.cluster, slot, target).run()
+        assert store.shards[target].kv.execute("PEXPIRETIME", key) \
+            == int(expire_at * 1000)
+        assert store.get(key).metadata.expire_at() == expire_at
+
     def test_handoff_recorded_in_both_audit_chains(self):
         store, keys, slot, source, target = gdpr_fixture()
-        store.migrate_slot(slot, target)
-        store.verify_audit_chains()     # chains intact on both shards
+        SlotMigrator(store.cluster, slot, target).run()
+        store.cluster.verify_audit_chains()     # chains intact on both shards
         source_ops = [r.operation
                       for r in store.shards[source].audit.records()]
         target_ops = [r.operation
@@ -418,7 +458,7 @@ class TestGDPRMigration:
 
     def test_rights_fan_out_sees_shadow_copies_mid_migration(self):
         store, keys, slot, source, target = gdpr_fixture()
-        migrator = store.begin_slot_migration(slot, target)
+        migrator = SlotMigrator(store.cluster, slot, target)
         migrator.step(6)
         assert store.shards_of_subject("alice") == [source, target]
         report = right_of_access(store, "alice")
@@ -429,7 +469,7 @@ class TestGDPRMigration:
         """The acceptance criterion: an Art. 17 erasure issued while the
         slot migrates leaves zero recoverable copies on either shard."""
         store, keys, slot, source, target = gdpr_fixture()
-        migrator = store.begin_slot_migration(slot, target)
+        migrator = SlotMigrator(store.cluster, slot, target)
         migrator.step(3)    # some copies already on the target
 
         def erasures():
@@ -458,13 +498,13 @@ class TestGDPRMigration:
         assert receipt.crypto_erased
         with pytest.raises(KeyNotFoundError):
             store.keystore.cipher_for("alice", create=False)
-        store.verify_audit_chains()
+        store.cluster.verify_audit_chains()
         assert "migrate-evict" in [
             r.operation for r in store.shards[target].audit.records()]
 
     def test_erasure_after_flip_still_complete(self):
         store, keys, slot, source, target = gdpr_fixture()
-        store.migrate_slot(slot, target)
+        SlotMigrator(store.cluster, slot, target).run()
         receipt = right_to_erasure(store, "alice")
         assert receipt.shards_touched == [target]
         assert not store.subject_exists("alice")
@@ -472,7 +512,7 @@ class TestGDPRMigration:
 
     def test_new_records_mid_migration_are_born_on_target(self):
         store, keys, slot, source, target = gdpr_fixture()
-        migrator = store.begin_slot_migration(slot, target)
+        migrator = SlotMigrator(store.cluster, slot, target)
         migrator.step(2)
         newkey = "{gdpr}:carol:0"
         assert slot_for_key(newkey) == slot
@@ -485,18 +525,18 @@ class TestGDPRMigration:
 
     def test_abort_leaves_gdpr_state_consistent(self):
         store, keys, slot, source, target = gdpr_fixture()
-        migrator = store.begin_slot_migration(slot, target)
+        migrator = SlotMigrator(store.cluster, slot, target)
         migrator.step(4)
         receipt = migrator.abort()
         assert receipt.aborted
-        assert store.slots.shard_of_slot(slot) == source
+        assert store.cluster.slots.shard_of_slot(slot) == source
         assert store.shards_of_subject("alice") == [source]
         assert len(right_of_access(store, "alice").records) == 3
-        store.verify_audit_chains()
+        store.cluster.verify_audit_chains()
 
     def test_abort_repatriates_records_born_on_target(self):
         store, keys, slot, source, target = gdpr_fixture()
-        migrator = store.begin_slot_migration(slot, target)
+        migrator = SlotMigrator(store.cluster, slot, target)
         migrator.step(2)
         newkey = "{gdpr}:carol:0"
         store.put(newkey, b"carol-data",
@@ -507,13 +547,13 @@ class TestGDPRMigration:
         assert store.shards_of_subject("carol") == [source]
         assert store.get(newkey).value == b"carol-data"
         assert store.shards[target].index.get_metadata(newkey) is None
-        store.verify_audit_chains()
+        store.cluster.verify_audit_chains()
         assert "migrate-return" in [
             r.operation for r in store.shards[source].audit.records()]
 
     def test_receipt_reports_residual_source_ciphertext(self):
         store, keys, slot, source, target = gdpr_fixture()
-        receipt = store.migrate_slot(slot, target)
+        receipt = SlotMigrator(store.cluster, slot, target).run()
         # The source AOF still holds (sealed) bytes of the moved keys
         # until a rewrite: exactly the paper's section 4.3 concern.
         assert receipt.residual_in_source_aof

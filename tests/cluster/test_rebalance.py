@@ -6,8 +6,9 @@ import random
 import pytest
 
 from repro.cluster import (
-    ShardedGDPRStore,
+    GDPRClient,
     build_cluster,
+    gdpr_shards,
     slot_for_key,
 )
 from repro.common.clock import SimClock
@@ -18,7 +19,8 @@ from repro.kvstore.store import KeyValueStore, StoreConfig
 
 
 def populated_store(num_shards=3, keys=90, seed=7):
-    store = ShardedGDPRStore(num_shards=num_shards)
+    store = GDPRClient(build_cluster(num_shards,
+                                     store_factory=gdpr_shards()))
     rng = random.Random(seed)
     for number in range(keys):
         owner = "alice" if number % 3 == 0 else f"user-{number % 5}"
@@ -33,14 +35,14 @@ class TestRebalance:
     def test_rebalance_moves_an_even_share(self):
         store = populated_store()
         target_before = len(store.shards[2].index)
-        plan = store.rebalance_plan(2)
-        receipts = store.rebalance(2)
+        plan = store.cluster.rebalance_plan(2)
+        receipts = store.cluster.rebalance(2)
         assert len(receipts) == len(plan)
         assert all(not receipt.aborted for receipt in receipts)
         assert len(store.shards[2].index) > target_before
         # Every migrated slot is now owned by the target.
         for receipt in receipts:
-            assert store.slots.shard_of_slot(receipt.slot) == 2
+            assert store.cluster.slots.shard_of_slot(receipt.slot) == 2
             assert receipt.target == 2
 
     def test_migrations_interleave_as_event_streams(self):
@@ -48,7 +50,7 @@ class TestRebalance:
         concurrency the completion times cluster, instead of one slot
         finishing completely before the next starts."""
         store = populated_store(keys=120)
-        receipts = store.rebalance(2, concurrency=4, batch_size=2)
+        receipts = store.cluster.rebalance(2, concurrency=4, batch_size=2)
         assert len(receipts) >= 4
         # Completion order need not equal plan order when streams
         # interleave; at minimum all receipts completed after start.
@@ -57,14 +59,14 @@ class TestRebalance:
 
     def test_audit_chains_intact_after_rebalance(self):
         store = populated_store()
-        store.rebalance(0)
-        verified = store.verify_audit_chains()
+        store.cluster.rebalance(0)
+        verified = store.cluster.verify_audit_chains()
         assert set(verified) == {0, 1, 2}
 
     def test_subject_rights_survive_rebalance(self):
         store = populated_store()
         keys_before = store.keys_of_subject("alice")
-        store.rebalance(1)
+        store.cluster.rebalance(1)
         assert store.keys_of_subject("alice") == keys_before
         receipt = right_to_erasure(store, "alice")
         assert sorted(receipt.keys_erased) == keys_before
@@ -72,27 +74,27 @@ class TestRebalance:
 
     def test_drive_false_lets_caller_interleave(self):
         store = populated_store()
-        plan = store.rebalance_plan(2)
-        receipts = store.rebalance(2, drive=False)
+        plan = store.cluster.rebalance_plan(2)
+        receipts = store.cluster.rebalance(2, drive=False)
         assert receipts == []        # streams scheduled, nothing run yet
         # Caller drives the clock; foreground traffic interleaves here.
         while len(receipts) < len(plan):
-            assert store.clock.run_next()
+            assert store.cluster.clock.run_next()
         assert len(receipts) == len(plan)
 
     def test_rebalance_rejects_unknown_target(self):
         store = populated_store()
         with pytest.raises(ClusterError):
-            store.rebalance(7)
+            store.cluster.rebalance(7)
 
     def test_explicit_slot_list_deduplicated(self):
         store = populated_store()
         slot = slot_for_key("user:0")
-        source = store.slots.shard_of_slot(slot)
+        source = store.cluster.slots.shard_of_slot(slot)
         target = (source + 1) % store.num_shards
-        receipts = store.rebalance(target, slots=[slot, slot])
+        receipts = store.cluster.rebalance(target, slots=[slot, slot])
         assert len(receipts) == 1
-        assert store.slots.shard_of_slot(slot) == target
+        assert store.cluster.slots.shard_of_slot(slot) == target
 
 
 class TestEventCluster:

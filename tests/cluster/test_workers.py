@@ -135,6 +135,15 @@ COMMAND_TABLE = {
     "EXPIREAT": ("a 1", "a", SLOT, "w"),
     "FLUSHALL": ("", "", ROUTE_BARRIER, "w"),
     "FLUSHDB": ("", "", ROUTE_BARRIER, "w"),
+    "GDPR.ACCESS": ("alice p null", "", ROUTE_BARRIER, "w"),
+    "GDPR.DEL": ("a p", "a", SLOT, "w"),
+    "GDPR.ERASE": ("alice p null", "", ROUTE_BARRIER, "w"),
+    "GDPR.EXPORT": ("alice p json", "", ROUTE_BARRIER, "w"),
+    "GDPR.GET": ("a p purpose", "a", SLOT, "w"),
+    "GDPR.OBJECT": ("alice p ads", "", ROUTE_BARRIER, "w"),
+    "GDPR.PURPOSE": ("ads p", "", ROUTE_BARRIER, "w"),
+    "GDPR.PUT": ("a envelope p purpose", "a", SLOT, "w"),
+    "GDPR.SUBJECT": ("alice", "", ROUTE_BARRIER, ""),
     "GDPRMETA": ("a alice service", "a", SLOT, "w"),
     "GET": ("a", "a", SLOT, "r"),
     "GETRANGE": ("a 0 1", "a", SLOT, "r"),
@@ -170,6 +179,7 @@ COMMAND_TABLE = {
     "PEXPIREAT": ("a 1", "a", SLOT, "w"),
     "PING": ("", "", ROUTE_CONTROL, ""),
     "PSETEX": ("a 1 v", "a", SLOT, "w"),
+    "PEXPIRETIME": ("a", "a", SLOT, "r"),
     "PTTL": ("a", "a", SLOT, "r"),
     "RANDOMKEY": ("", "", ROUTE_BARRIER, ""),
     "RANGE": ("a 10", "", ROUTE_BARRIER, ""),
@@ -243,7 +253,8 @@ class TestCommandTable:
         assert spec.readonly == (flag == "r")
 
     @pytest.mark.parametrize("name", ["ASKING", "MONITOR", "TENANT",
-                                      "RANGE", "GDPRMETA", "NOSUCHCMD"])
+                                      "RANGE", "GDPRMETA", "GDPR.GET",
+                                      "NOSUCHCMD"])
     def test_declared_without_a_handler_is_unknown_standalone(self, name):
         # The table knows the name; the key-value engine still does not.
         argv = table_argv(name) if name in COMMAND_TABLE else [name, "k"]

@@ -229,6 +229,40 @@ def test_dump_restore_round_trip(engine):
     assert engine.execute("GET", "k2") is None
 
 
+def test_pexpiretime_reports_the_absolute_deadline(engine):
+    assert engine.execute("PEXPIRETIME", "missing") == -2
+    engine.execute("SET", "k", "v")
+    assert engine.execute("PEXPIRETIME", "k") == -1
+    engine.clock.advance(100.0004567)
+    engine.execute("SET", "k", "v", "PXAT", 130_123)
+    assert engine.execute("PEXPIRETIME", "k") == 130_123
+    engine.execute("PEXPIRE", "k", 1500)       # 101.5004567 s
+    assert engine.execute("PEXPIRETIME", "k") == 101_500
+
+
+def test_restore_absttl_takes_an_absolute_deadline(engine):
+    engine.execute("SET", "k", "payload")
+    blob = engine.execute("DUMP", "k")
+    engine.clock.advance(100)
+    engine.execute("RESTORE", "k2", 130_123, blob, "ABSTTL")
+    assert engine.execute("PEXPIRETIME", "k2") == 130_123
+    assert engine.execute("PTTL", "k2") == 30_123
+    engine.execute("RESTORE", "k3", 0, blob, "ABSTTL")      # 0: no expiry
+    assert engine.execute("PEXPIRETIME", "k3") == -1
+    # A deadline already past leaves no key -- a replaced one included,
+    # and the log says so: a replay at the same instant agrees.
+    engine.execute("RESTORE", "k4", 99_999, blob, "ABSTTL")
+    assert engine.execute("EXISTS", "k4") == 0
+    engine.execute("RESTORE", "k2", 50_000, blob, "REPLACE", "ABSTTL")
+    assert engine.execute("EXISTS", "k2") == 0
+    replica = engine.spawn_replica()
+    replica.replay_aof(engine.aof_log.read_all())
+    assert replica.execute("EXISTS", "k2", "k4") == 0
+    assert replica.execute("GET", "k3") == b"payload"
+    with pytest.raises(RespError, match="syntax"):
+        engine.execute("RESTORE", "k5", 0, blob, "ABS")
+
+
 def test_dump_restore_wide_rows(engine):
     engine.execute("HSET", "row", "f1", "a", "f2", "b")
     blob = engine.execute("DUMP", "row")
@@ -537,13 +571,15 @@ def test_tiered_engine_indistinguishable_from_hot_only(base):
 # names and the same subject name: the strongest aliasing case.  Tenant
 # A's views and rights fan-out must never observe tenant B -- on both
 # engines and through the tiered wrapper (same four factories), and over
-# a 2-shard ShardedGDPRStore whose shards both hold each tenant's alice.
+# a 2-shard networked cluster of GDPR shards whose shards both hold each
+# tenant's alice.
 
 @pytest.fixture(params=sorted(FACTORIES) + ["sharded-2"])
 def tenant_base(request):
     if request.param == "sharded-2":
-        from repro.cluster import ShardedGDPRStore
-        return ShardedGDPRStore(num_shards=2, clock=SimClock())
+        from repro.cluster import GDPRClient, build_cluster, gdpr_shards
+        return GDPRClient(build_cluster(2, clock=SimClock(),
+                                        store_factory=gdpr_shards()))
     return GDPRStore(kv=FACTORIES[request.param](SimClock()),
                      config=GDPRConfig(), keystore=KeyStore())
 

@@ -11,7 +11,8 @@ from repro.gdpr import (
     GDPRMetadata,
     GDPRStore,
 )
-from repro.cluster import ShardedGDPRStore
+from repro.cluster import (
+    GDPRClient, SlotMigrator, build_cluster, gdpr_shards)
 from repro.cluster.slots import slot_for_key
 from repro.kvstore import KeyValueStore, StoreConfig
 from repro.sqlstore import RelationalStore, SqlConfig
@@ -188,15 +189,17 @@ class TestFastPathRelational:
 
 class TestShardedFastGDPR:
     def test_fast_knob_propagates(self):
-        cluster = ShardedGDPRStore(num_shards=2, fast_gdpr=True)
-        for shard in cluster.shards:
+        store = GDPRClient(build_cluster(
+            2, store_factory=gdpr_shards(fast_gdpr=True)))
+        for shard in store.shards:
             assert shard.config.fast_gdpr
             assert shard.audit.chain_mode is AuditChainMode.BLOCK
 
     def test_verify_audit_chains_block_mode(self):
-        cluster = ShardedGDPRStore(num_shards=2, fast_gdpr=True)
+        cluster = build_cluster(2, store_factory=gdpr_shards(fast_gdpr=True))
+        store = GDPRClient(cluster)
         for i in range(10):
-            cluster.put(f"k{i}", b"v", meta(owner=f"s{i % 3}"))
+            store.put(f"k{i}", b"v", meta(owner=f"s{i % 3}"))
         cluster.flush_compliance()
         verified = cluster.verify_audit_chains()
         assert sum(verified.values()) >= 10
@@ -206,21 +209,22 @@ class TestShardedFastGDPR:
             return RelationalStore(SqlConfig(wal_enabled=True),
                                    clock=kv_clock)
 
-        cluster = ShardedGDPRStore(num_shards=2, fast_gdpr=True,
-                                   kv_factory=sql_factory)
+        cluster = build_cluster(2, store_factory=gdpr_shards(
+            fast_gdpr=True, kv_factory=sql_factory))
+        store = GDPRClient(cluster)
         keys = ["a{t}", "b{t}"]
         slot = slot_for_key(keys[0])
         source = cluster.slots.shard_of_slot(slot)
         target = 1 - source
         for key in keys:
-            cluster.put(key, b"v", meta())
-        migrator = cluster.begin_slot_migration(slot, target)
+            store.put(key, b"v", meta())
+        migrator = SlotMigrator(cluster, slot, target)
         assert migrator.step(2) == 2
         # One GDPRMETA names both keys: the migrator sees each of them.
-        cluster.shards[source].flush_compliance()
+        store.shards[source].flush_compliance()
         assert migrator.keys_pending == 2
         migrator.finish()
-        assert cluster.shards[target].kv.keys_of_owner("alice") == keys
+        assert store.shards[target].kv.keys_of_owner("alice") == keys
 
 
 class TestDeterminism:

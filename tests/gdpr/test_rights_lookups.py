@@ -3,14 +3,14 @@
 On every engine variant (both engines, each also behind the tiering
 wrapper with part of the subject archived): ``right_to_erasure`` runs
 exactly one ``DEL`` naming every key of the subject and one owner lookup;
-Art. 15 and Art. 20 do one owner lookup each.  Over a 2-shard
-``ShardedGDPRStore`` holding the subject on both shards, every right
+Art. 15 and Art. 20 do one owner lookup each.  Over a 2-shard networked
+cluster of GDPR shards holding the subject on both shards, every right
 looks each shard up exactly once and Art. 17 is one ``DEL`` per shard.
 """
 
 import pytest
 
-from repro.cluster import ShardedGDPRStore
+from repro.cluster import GDPRClient, build_cluster, gdpr_shards
 from repro.common.clock import SimClock
 from repro.gdpr import GDPRMetadata, GDPRStore
 from repro.gdpr.rights import (right_of_access, right_to_erasure,
@@ -74,7 +74,8 @@ def test_access_and_portability_look_up_once(store):
 
 @pytest.fixture
 def sharded(monkeypatch):
-    cluster = ShardedGDPRStore(num_shards=2, clock=SimClock())
+    cluster = GDPRClient(build_cluster(2, clock=SimClock(),
+                                       store_factory=gdpr_shards()))
     for key in ALICE_KEYS + ["bob:0"]:
         cluster.put(key, b"personal", GDPRMetadata(
             owner=key.split(":")[0], purposes=frozenset({"service"})))

@@ -1,5 +1,6 @@
-"""Cross-shard subject rights: Art. 15/20 return the union over shards,
-and crypto-erasure voids a subject's records on every shard."""
+"""Cross-shard subject rights over the networked cluster of GDPR shards:
+Art. 15/20 return the union over shards, and crypto-erasure voids a
+subject's records on every shard."""
 
 import csv
 import io
@@ -9,7 +10,7 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.common.errors import KeyErasedError, UnknownSubjectError
-from repro.cluster import ShardedGDPRStore
+from repro.cluster import GDPRClient, build_cluster, gdpr_shards
 from repro.gdpr import GDPRMetadata
 from repro.gdpr.rights import (
     right_of_access,
@@ -20,7 +21,8 @@ from repro.gdpr.rights import (
 
 
 def populated_store(num_shards=4, keys_per_subject=12):
-    store = ShardedGDPRStore(num_shards=num_shards, clock=SimClock())
+    store = GDPRClient(build_cluster(num_shards, clock=SimClock(),
+                                     store_factory=gdpr_shards()))
     keys = {"alice": [], "bob": []}
     for number in range(keys_per_subject * 2):
         owner = "alice" if number % 2 == 0 else "bob"
@@ -54,7 +56,8 @@ class TestShardedAccess:
         from repro.cluster import SlotMap
         from repro.common.errors import ClusterError
         with pytest.raises(ClusterError):
-            ShardedGDPRStore(num_shards=2, slot_map=SlotMap.even(4))
+            build_cluster(2, slot_map=SlotMap.even(4),
+                          store_factory=gdpr_shards())
 
 
 class TestShardedPortability:
@@ -108,7 +111,7 @@ class TestShardedErasure:
     def test_audit_chains_verify_on_every_shard_after_erasure(self):
         store, _ = populated_store()
         right_to_erasure(store, "alice")
-        verified = store.verify_audit_chains()
+        verified = store.cluster.verify_audit_chains()
         assert set(verified) == set(range(store.num_shards))
         assert all(count > 0 for count in verified.values())
 

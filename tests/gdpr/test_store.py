@@ -222,11 +222,18 @@ class TestGroupAccess:
         store.put("k2", b"2", meta(owner="bob"))
         assert store.keys_of_subject("alice") == ["k1"]
 
-    def test_holders(self):
+    def test_subject_parts(self):
         store, _ = make_store()
         store.put("k1", b"1", meta())
-        assert store.holders("alice") == [(0, store, ["k1"])]
-        assert store.holders("ghost") == []
+
+        def keys_part(target, subject, principal, arg):
+            keys = target.keys_of_subject(subject)
+            return {"keys": keys, "arg": arg} if keys else None
+
+        controller = Principal.controller()
+        assert store.subject_parts(keys_part, "alice", controller, 7) \
+            == [(0, {"keys": ["k1"], "arg": 7})]
+        assert store.subject_parts(keys_part, "ghost", controller) == []
         with pytest.raises(UnknownSubjectError):
             right_of_access(store, "ghost")
 

@@ -5,7 +5,7 @@ Art. 17 erasure are unaffected."""
 import pytest
 
 from repro.common.clock import SimClock
-from repro.cluster import ShardedGDPRStore
+from repro.cluster import GDPRClient, build_cluster, gdpr_shards
 from repro.gdpr import GDPRMetadata
 from repro.gdpr.rights import right_to_erasure
 from repro.kvstore import KeyValueStore, StoreConfig
@@ -24,8 +24,9 @@ def make_cluster(num_shards=3):
                         aof_log_reads=True),
             clock=kv_clock)
 
-    return ShardedGDPRStore(num_shards=num_shards, clock=clock,
-                            kv_factory=kv_factory)
+    return GDPRClient(build_cluster(
+        num_shards, clock=clock,
+        store_factory=gdpr_shards(kv_factory=kv_factory)))
 
 
 def run_workload(store, count=36):
@@ -49,7 +50,7 @@ class TestClusterCrashRecovery:
         self.store.shards[VICTIM].kv.aof_log.crash(power_loss=True)
 
     def test_recovery_restores_victim_and_spares_others(self):
-        replayed = self.store.recover_shard(VICTIM)
+        replayed = self.store.cluster.recover_shard(VICTIM)
         assert replayed > 0
         # The replacement shard is rebuilt through the same kv factory,
         # keeping the configured durability policy.
@@ -64,13 +65,13 @@ class TestClusterCrashRecovery:
         counts_before = {
             index: self.store.shards[index].audit.record_count
             for index in (0, 2)}
-        self.store.recover_shard(VICTIM)
-        verified = self.store.verify_audit_chains()
+        self.store.cluster.recover_shard(VICTIM)
+        verified = self.store.cluster.verify_audit_chains()
         for index in (0, 2):
             assert verified[index] >= counts_before[index] > 0
 
     def test_cross_shard_erasure_after_recovery(self):
-        self.store.recover_shard(VICTIM)
+        self.store.cluster.recover_shard(VICTIM)
         alice_keys = self.store.keys_of_subject("alice")
         assert any(self.store.shard_for(key) == VICTIM
                    for key in alice_keys)
@@ -85,7 +86,7 @@ class TestClusterCrashRecovery:
         for key in self.store.keys_of_subject("bob"):
             assert self.store.get(key).metadata.owner == "bob"
         assert all(count >= 0 for count
-                   in self.store.verify_audit_chains().values())
+                   in self.store.cluster.verify_audit_chains().values())
 
     def test_unrecovered_crash_only_hurts_victim(self):
         # Before recovery, the other shards keep serving.
@@ -108,18 +109,18 @@ class TestMidWorkloadDurability:
                             aof_log_reads=True),
                 clock=kv_clock)
 
-        store = ShardedGDPRStore(num_shards=3, clock=clock,
-                                 kv_factory=kv_factory)
+        store = GDPRClient(build_cluster(
+            3, clock=clock, store_factory=gdpr_shards(kv_factory=kv_factory)))
         placement = run_workload(store, count=24)
         clock.advance(2.0)
-        store.tick()  # fsync horizon covers the whole prefix
+        store.cluster.sync()  # fsync horizon covers the whole prefix
         late_key = "late:key"
         store.put(late_key, b"late",
                   GDPRMetadata(owner="carol",
                                purposes=frozenset({"service"})))
         victim = store.shard_for(late_key)
         store.shards[victim].kv.aof_log.crash(power_loss=True)
-        store.recover_shard(victim)
+        store.cluster.recover_shard(victim)
         # The unsynced late write is gone; every pre-horizon record and
         # every other shard's record survives.
         with pytest.raises(KeyError):

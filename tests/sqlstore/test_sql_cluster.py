@@ -6,9 +6,10 @@ multi-backend claim."""
 import pytest
 
 from repro.cluster import (
-    ShardedGDPRStore,
+    GDPRClient,
     SlotMigrator,
     build_cluster,
+    gdpr_shards,
     slot_for_key,
 )
 from repro.common.clock import Clock, SimClock
@@ -64,7 +65,8 @@ def test_slot_migration_between_relational_shards():
 
 
 def test_sharded_gdpr_rights_over_relational_shards():
-    store = ShardedGDPRStore(num_shards=3, kv_factory=sql_factory)
+    store = GDPRClient(build_cluster(
+        3, store_factory=gdpr_shards(kv_factory=sql_factory)))
     for number in range(24):
         owner = "alice" if number % 3 == 0 else f"other{number % 5}"
         store.put(f"user:{number}", b"pii", meta(owner))
@@ -78,7 +80,7 @@ def test_sharded_gdpr_rights_over_relational_shards():
     assert len(receipt.keys_erased) == 8
     assert receipt.crypto_erased
     assert not store.subject_exists("alice")
-    store.verify_audit_chains()
+    store.cluster.verify_audit_chains()
     # The relational shards answered subject lookups from their native
     # owner index (metadata columns), not the sidecar.
     assert all(shard.kv.supports_metadata_columns
@@ -86,28 +88,30 @@ def test_sharded_gdpr_rights_over_relational_shards():
 
 
 def test_sharded_gdpr_recovery_from_wal():
-    store = ShardedGDPRStore(num_shards=2, kv_factory=sql_factory)
+    store = GDPRClient(build_cluster(
+        2, store_factory=gdpr_shards(kv_factory=sql_factory)))
     for number in range(12):
         store.put(f"user:{number}", b"pii", meta(f"owner{number % 3}"))
     victim = store.shards_of_subject("owner0")[0]
     keys_before = sorted(store.shards[victim].index.keys())
-    replayed = store.recover_shard(victim)
+    replayed = store.cluster.recover_shard(victim)
     assert replayed > 0
     assert sorted(store.shards[victim].index.keys()) == keys_before
     assert store.shards[victim].kv.engine_name == "relational"
 
 
 def test_replication_groups_over_relational_shards():
-    store = ShardedGDPRStore(num_shards=2, kv_factory=sql_factory)
-    store.attach_replication(delays=[0.002, 0.002])
+    store = GDPRClient(build_cluster(
+        2, store_factory=gdpr_shards(kv_factory=sql_factory)))
+    store.cluster.attach_replication(delays=[0.002, 0.002])
     store.put("user:1", b"pii", meta("alice"))
-    store.clock.advance(0.01)
-    group = store.replication.groups[store.shard_for("user:1")]
+    store.cluster.clock.advance(0.01)
+    group = store.cluster.replication.groups[store.shard_for("user:1")]
     assert all(link.replica.engine_name == "relational"
                for link in group.links)
     keys = store.keys_of_subject("alice")
     right_to_erasure(store, "alice")
-    horizon = store.replication.erasure_horizon(keys, step=0.0005)
+    horizon = store.cluster.replication.erasure_horizon(keys, step=0.0005)
     assert horizon is not None and horizon <= 0.004
 
 

@@ -95,9 +95,10 @@ def test_dangling_docstring_reference_is_detected(tmp_path):
 
 
 def test_stale_module_path_is_detected(tmp_path):
-    """A backticked ``*.py`` path with a ``/`` in the docs must name a
-    file, from the root or from src/repro/; bare names, unbackticked
-    text and the dated trajectory of docs/benchmarks.md do not count."""
+    """A backticked ``*.py`` path in the docs must name a file: one with
+    a ``/`` from the root or from src/repro/, a bare name as a basename
+    under the code trees; unbackticked text and the dated trajectory of
+    docs/benchmarks.md do not count."""
     (tmp_path / "docs").mkdir()
     (tmp_path / "ROADMAP.md").write_text(
         "**Tier-1 verify:** `PYTHONPATH=src python -m pytest -x -q`\n")
@@ -118,10 +119,12 @@ def test_stale_module_path_is_detected(tmp_path):
     source = tmp_path / "src" / "repro" / "kvstore"
     source.mkdir(parents=True)
     (source / "aof.py").write_text("")
+    (source.parent / "engine.py").write_text("")
     violations = [v for v in check_docs.check(tmp_path)
                   if "which does not exist" in v]
     assert violations == [
         "README.md:5: names sqlstore/gone.py, which does not exist",
+        "docs/architecture.md:3: names wal.py, which does not exist",
         "docs/architecture.md:4: names src/repro/sqlstore/wal.py, which "
         "does not exist"]
 

@@ -5,7 +5,7 @@ cluster running every shard tiered."""
 import pytest
 
 from repro.common.clock import SimClock
-from repro.cluster.sharded_store import ShardedGDPRStore
+from repro.cluster import GDPRClient, build_cluster, gdpr_shards
 from repro.gdpr.metadata import GDPRMetadata
 from repro.gdpr.rights import right_of_access, right_to_erasure
 from repro.gdpr.store import GDPRConfig, GDPRStore
@@ -130,10 +130,10 @@ def test_ttl_expiry_of_cold_records_feeds_erasure_events(tiered_store):
 # -- the sharded cluster, every shard tiered ---------------------------------
 
 def make_cluster(num_shards=2):
-    return ShardedGDPRStore(
-        num_shards=num_shards, clock=SimClock(),
-        tiering=TieringConfig(demote_idle_after=5, demote_interval=1,
-                              segment_max_records=4))
+    return GDPRClient(build_cluster(
+        num_shards, clock=SimClock(), store_factory=gdpr_shards(
+            tiering=TieringConfig(demote_idle_after=5, demote_interval=1,
+                                  segment_max_records=4))))
 
 
 def test_sharded_store_tiers_every_shard():
@@ -142,7 +142,7 @@ def test_sharded_store_tiers_every_shard():
         cluster.put(f"user:{i}", b"x" * 16,
                     meta("alice" if i % 2 == 0 else "bob"))
     cluster.clock.advance(10)
-    cluster.tick()
+    cluster.cluster.sync()
     demoted = sum(shard.kv.demotions for shard in cluster.shards)
     assert demoted == 12
     assert all(shard.kv.supports_tiering for shard in cluster.shards)
@@ -155,7 +155,7 @@ def test_sharded_erasure_voids_cold_on_every_shard():
         cluster.put(f"user:{i}", b"x" * 16,
                     meta("alice" if i % 2 == 0 else "bob"))
     cluster.clock.advance(10)
-    cluster.tick()
+    cluster.cluster.sync()
     receipt = right_to_erasure(cluster, "alice")
     assert sorted(receipt.keys_erased) == \
         sorted(f"user:{i}" for i in range(0, 12, 2))
@@ -170,11 +170,11 @@ def test_recovered_shard_keeps_its_archive():
     for i in range(8):
         cluster.put(f"user:{i}", b"x" * 16, meta("alice"))
     cluster.clock.advance(10)
-    cluster.tick()
+    cluster.cluster.sync()
     index = cluster.shard_for("user:0")
     old_engine = cluster.shards[index].kv
     assert old_engine.demotions > 0
-    cluster.recover_shard(index)
+    cluster.cluster.recover_shard(index)
     new_engine = cluster.shards[index].kv
     assert new_engine is not old_engine
     # The cold device carried over: archived records survive the crash.

@@ -33,10 +33,12 @@ Checks, against ROADMAP.md's canonical tier-1 verify command:
    of dashes) must consist only of lines of that file: a sample quoted
    beside a committed artifact must not show numbers the artifact
    does not hold;
-9. a backticked ``*.py`` path containing a ``/`` in README.md,
-   docs/architecture.md, docs/cluster.md, or docs/benchmarks.md above
-   its "Host-time trajectory" heading must name a file that exists,
-   from the repository root or from src/repro/: the docs must not send
+9. a backticked ``*.py`` path in README.md, docs/architecture.md,
+   docs/cluster.md, or docs/benchmarks.md above its "Host-time
+   trajectory" heading must name a file that exists: a path with a
+   ``/`` from the repository root or from src/repro/, a bare file name
+   as the basename of some file at the root or under src/repro,
+   benchmarks, tools, examples, perf or tests.  The docs must not send
    readers to a module that was deleted or moved.  The trajectory is a
    dated record and stays as written.
 
@@ -161,6 +163,10 @@ PATH_DOCS = {"README.md": None, "docs/architecture.md": None,
              "docs/benchmarks.md": "## Host-time trajectory"}
 CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
 MODULE_PATH_RE = re.compile(r"[\w.-]*(?:/[\w.-]+)+\.py\b")
+BARE_MODULE_RE = re.compile(r"(?<![\w./-])[\w-]+\.py\b")
+#: Where a bare file name may live.
+MODULE_TREES = ("src/repro", "benchmarks", "tools", "examples", "perf",
+                "tests")
 
 
 def bench_cli_flags(root: pathlib.Path) -> set:
@@ -254,9 +260,13 @@ def ci_installed_packages(root: pathlib.Path) -> set:
 
 
 def stale_module_paths(root: pathlib.Path):
-    """``(doc, line, path)`` for every backticked ``*.py`` path (one
-    with a ``/``) in :data:`PATH_DOCS` that names no file, from the root
-    or from src/repro/."""
+    """``(doc, line, path)`` for every backticked ``*.py`` path in
+    :data:`PATH_DOCS` that names no file: a path with a ``/`` from the
+    root or from src/repro/, a bare name as a basename at the root or
+    under :data:`MODULE_TREES`."""
+    basenames = {path.name for path in root.glob("*.py")}
+    for tree in MODULE_TREES:
+        basenames.update(path.name for path in (root / tree).rglob("*.py"))
     for rel, stop in PATH_DOCS.items():
         path = root / rel
         if not path.exists():
@@ -269,6 +279,9 @@ def stale_module_paths(root: pathlib.Path):
                 for name in MODULE_PATH_RE.findall(span):
                     if not ((root / name).exists()
                             or (root / "src" / "repro" / name).exists()):
+                        yield rel, number, name
+                for name in BARE_MODULE_RE.findall(span):
+                    if name not in basenames:
                         yield rel, number, name
 
 
