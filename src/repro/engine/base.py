@@ -87,7 +87,7 @@ MetadataRow = Tuple[str, str, Iterable[str]]
 _EXPIRE_FAMILY = frozenset((b"EXPIRE", b"PEXPIRE", b"EXPIREAT", b"PEXPIREAT"))
 #: The commands whose logged form may differ from their argv (SET too,
 #: when it carries options); see :meth:`StorageEngine._log_records`.
-_TRANSLATED = _EXPIRE_FAMILY | {b"RESTORE", b"SETEX", b"PSETEX"}
+_TRANSLATED = _EXPIRE_FAMILY | {b"RESTORE"}
 
 
 class StoredRecord(NamedTuple):
@@ -261,13 +261,12 @@ class StorageEngine:
             if millis is None:
                 return [[b"DEL", key]]
             return [[b"PEXPIREAT", key, millis]]
-        value = argv[2] if name == b"SET" else argv[3]     # SET / SETEX
+        value = argv[2]                     # SET with options
         if millis is None:
             if not self.has_live_key(key, db_index):
                 return [[b"DEL", key]]
             return [[b"SET", key, value]]
-        if name == b"SET" and any(option.upper() in (b"EXAT", b"PXAT")
-                                  for option in argv[3:]):
+        if any(option.upper() in (b"EXAT", b"PXAT") for option in argv[3:]):
             return [[b"SET", key, value, b"PXAT", millis]]
         return [[b"SET", key, value], [b"PEXPIREAT", key, millis]]
 

@@ -206,15 +206,10 @@ GDPRMETA_STATEMENT = (b"*4\r\n$8\r\nGDPRMETA\r\n$%d\r\n%b\r\n"
 
 def _container_command(key: bytes, value) -> bytes:
     """The one command that recreates a container value: hash fields in
-    stored order, list items in order, set members sorted, sorted-set
-    pairs as ``score member``."""
+    stored order, sorted-set pairs as ``score member``."""
     if isinstance(value, dict):
         return encode_command(b"HSET", key, *chain.from_iterable(
             value.items()))
-    if isinstance(value, list):
-        return encode_command(b"RPUSH", key, *value)
-    if isinstance(value, set):
-        return encode_command(b"SADD", key, *sorted(value))
     flat: List[bytes] = []
     for member, score in value.items():
         flat.extend((repr(score).encode("ascii"), member))

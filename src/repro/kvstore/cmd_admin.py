@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..common.resp import RespError, SimpleString
 from .commands import (
     BROADCAST,
     CONTROL,
-    CONTROL_BARRIER,
     CommandContext,
     command,
     glob_match,
@@ -25,11 +24,6 @@ def cmd_ping(ctx: CommandContext, args: List[bytes]):
     if len(args) == 2:
         return args[1]
     return SimpleString("PONG")
-
-
-@command("ECHO", arity=2, routing=CONTROL)
-def cmd_echo(ctx: CommandContext, args: List[bytes]) -> bytes:
-    return args[1]
 
 
 @command("SELECT", arity=2, routing=CONTROL)
@@ -67,13 +61,6 @@ def cmd_flushall(ctx: CommandContext, args: List[bytes]) -> SimpleString:
     return OK
 
 
-@command("TIME", arity=1, routing=CONTROL)
-def cmd_time(ctx: CommandContext, args: List[bytes]) -> List[bytes]:
-    seconds = int(ctx.now)
-    micros = int((ctx.now - seconds) * 1e6)
-    return [str(seconds).encode(), str(micros).encode()]
-
-
 @command("INFO", arity=-1, routing=CONTROL)
 def cmd_info(ctx: CommandContext, args: List[bytes]) -> bytes:
     return ctx.store.info_text().encode("utf-8")
@@ -102,24 +89,6 @@ def cmd_config(ctx: CommandContext, args: List[bytes]):
         return OK
     raise RespError(f"ERR unknown CONFIG subcommand "
                     f"{args[1].decode('utf-8', 'replace')!r}")
-
-
-@command("BGREWRITEAOF", arity=1, routing=CONTROL_BARRIER)
-def cmd_bgrewriteaof(ctx: CommandContext, args: List[bytes]) -> SimpleString:
-    ctx.store.rewrite_aof()
-    return SimpleString("Background append only file rewriting started")
-
-
-@command("SAVE", arity=1, routing=CONTROL_BARRIER)
-def cmd_save(ctx: CommandContext, args: List[bytes]) -> SimpleString:
-    ctx.store.save_snapshot()
-    return OK
-
-
-@command("BGSAVE", arity=1, routing=CONTROL_BARRIER)
-def cmd_bgsave(ctx: CommandContext, args: List[bytes]) -> SimpleString:
-    ctx.store.save_snapshot()
-    return SimpleString("Background saving started")
 
 
 @command("SLOWLOG", arity=-2, routing=CONTROL)

@@ -1,173 +1,18 @@
-"""List, set, and sorted-set commands.
+"""Sorted-set commands.
 
-The sorted-set subset implemented here is exactly what the YCSB Redis
-binding uses to support scan workloads (ZADD an index of record keys,
-ZRANGEBYSCORE to enumerate a scan window) plus enough surface for the GDPR
-layer's secondary indexes to be exercised through the command API.
+The subset implemented here is exactly what the YCSB Redis binding uses
+to support scan workloads: ZADD an index of record keys, ZRANGEBYSCORE
+to enumerate a scan window, and ZREM to drop a key from the index.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List
 
 from ..common.resp import RespError
 from .commands import CommandContext, command, parse_float, parse_int
-from .datatypes import ZSet, expect_list, expect_set, expect_zset
-
-
-# -- lists -----------------------------------------------------------------------
-
-
-def _list_for_write(ctx: CommandContext, key: bytes) -> List[bytes]:
-    value = ctx.lookup_write(key)
-    if value is None:
-        fresh: List[bytes] = []
-        ctx.set_value(key, fresh)
-        return fresh
-    return expect_list(value)
-
-
-@command("LPUSH", arity=-3, write=True)
-def cmd_lpush(ctx: CommandContext, args: List[bytes]) -> int:
-    items = _list_for_write(ctx, args[1])
-    for element in args[2:]:
-        items.insert(0, element)
-    ctx.mark_dirty()
-    return len(items)
-
-
-@command("RPUSH", arity=-3, write=True)
-def cmd_rpush(ctx: CommandContext, args: List[bytes]) -> int:
-    items = _list_for_write(ctx, args[1])
-    items.extend(args[2:])
-    ctx.mark_dirty()
-    return len(items)
-
-
-def _pop(ctx: CommandContext, key: bytes, from_left: bool) -> Optional[bytes]:
-    value = ctx.lookup_write(key)
-    if value is None:
-        return None
-    items = expect_list(value)
-    if not items:
-        return None
-    element = items.pop(0) if from_left else items.pop()
-    ctx.mark_dirty()
-    if not items:
-        ctx.delete(key)
-    return element
-
-
-@command("LPOP", arity=2, write=True)
-def cmd_lpop(ctx: CommandContext, args: List[bytes]) -> Optional[bytes]:
-    return _pop(ctx, args[1], from_left=True)
-
-
-@command("RPOP", arity=2, write=True)
-def cmd_rpop(ctx: CommandContext, args: List[bytes]) -> Optional[bytes]:
-    return _pop(ctx, args[1], from_left=False)
-
-
-@command("LLEN", arity=2)
-def cmd_llen(ctx: CommandContext, args: List[bytes]) -> int:
-    value = ctx.lookup_read(args[1])
-    if value is None:
-        return 0
-    return len(expect_list(value))
-
-
-@command("LRANGE", arity=4)
-def cmd_lrange(ctx: CommandContext, args: List[bytes]) -> List[bytes]:
-    value = ctx.lookup_read(args[1])
-    if value is None:
-        return []
-    items = expect_list(value)
-    start = parse_int(args[2])
-    stop = parse_int(args[3])
-    if start < 0:
-        start = max(len(items) + start, 0)
-    if stop < 0:
-        stop = len(items) + stop
-    return items[start:stop + 1]
-
-
-@command("LINDEX", arity=3)
-def cmd_lindex(ctx: CommandContext, args: List[bytes]) -> Optional[bytes]:
-    value = ctx.lookup_read(args[1])
-    if value is None:
-        return None
-    items = expect_list(value)
-    index = parse_int(args[2])
-    if -len(items) <= index < len(items):
-        return items[index]
-    return None
-
-
-# -- sets ------------------------------------------------------------------------
-
-
-@command("SADD", arity=-3, write=True)
-def cmd_sadd(ctx: CommandContext, args: List[bytes]) -> int:
-    value = ctx.lookup_write(args[1])
-    if value is None:
-        members: set = set()
-        ctx.set_value(args[1], members)
-    else:
-        members = expect_set(value)
-    added = 0
-    for member in args[2:]:
-        if member not in members:
-            members.add(member)
-            added += 1
-    if added:
-        ctx.mark_dirty()
-    return added
-
-
-@command("SREM", arity=-3, write=True)
-def cmd_srem(ctx: CommandContext, args: List[bytes]) -> int:
-    value = ctx.lookup_read(args[1])
-    if value is None:
-        return 0
-    members = expect_set(value)
-    removed = 0
-    for member in args[2:]:
-        if member in members:
-            members.discard(member)
-            removed += 1
-    if removed:
-        ctx.mark_dirty()
-        if not members:
-            ctx.delete(args[1])
-    return removed
-
-
-@command("SMEMBERS", arity=2)
-def cmd_smembers(ctx: CommandContext, args: List[bytes]) -> List[bytes]:
-    value = ctx.lookup_read(args[1])
-    if value is None:
-        return []
-    return sorted(expect_set(value))
-
-
-@command("SISMEMBER", arity=3)
-def cmd_sismember(ctx: CommandContext, args: List[bytes]) -> int:
-    value = ctx.lookup_read(args[1])
-    if value is None:
-        return 0
-    return 1 if args[2] in expect_set(value) else 0
-
-
-@command("SCARD", arity=2)
-def cmd_scard(ctx: CommandContext, args: List[bytes]) -> int:
-    value = ctx.lookup_read(args[1])
-    if value is None:
-        return 0
-    return len(expect_set(value))
-
-
-# -- sorted sets -------------------------------------------------------------------
+from .datatypes import ZSet, expect_zset
 
 
 def _parse_score_bound(raw: bytes) -> float:
@@ -211,25 +56,6 @@ def cmd_zrem(ctx: CommandContext, args: List[bytes]) -> int:
         if not len(zset):
             ctx.delete(args[1])
     return removed
-
-
-@command("ZSCORE", arity=3)
-def cmd_zscore(ctx: CommandContext, args: List[bytes]) -> Optional[bytes]:
-    value = ctx.lookup_read(args[1])
-    if value is None:
-        return None
-    score = expect_zset(value).score(args[2])
-    if score is None:
-        return None
-    return repr(score).encode("ascii")
-
-
-@command("ZCARD", arity=2)
-def cmd_zcard(ctx: CommandContext, args: List[bytes]) -> int:
-    value = ctx.lookup_read(args[1])
-    if value is None:
-        return 0
-    return len(expect_zset(value))
 
 
 @command("ZRANGEBYSCORE", arity=-4)

@@ -55,16 +55,6 @@ def cmd_hmset(ctx: CommandContext, args: List[bytes]) -> SimpleString:
     return OK
 
 
-@command("HSETNX", arity=4, write=True)
-def cmd_hsetnx(ctx: CommandContext, args: List[bytes]) -> int:
-    mapping = _hash_for_write(ctx, args[1])
-    if args[2] in mapping:
-        return 0
-    mapping[args[2]] = args[3]
-    ctx.mark_dirty()
-    return 1
-
-
 @command("HGET", arity=3)
 def cmd_hget(ctx: CommandContext, args: List[bytes]) -> Optional[bytes]:
     mapping = _hash_for_read(ctx, args[1])
@@ -111,21 +101,3 @@ def cmd_hgetall(ctx: CommandContext, args: List[bytes]) -> List[bytes]:
 def cmd_hlen(ctx: CommandContext, args: List[bytes]) -> int:
     mapping = _hash_for_read(ctx, args[1])
     return len(mapping) if mapping else 0
-
-
-@command("HEXISTS", arity=3)
-def cmd_hexists(ctx: CommandContext, args: List[bytes]) -> int:
-    mapping = _hash_for_read(ctx, args[1])
-    return 1 if mapping and args[2] in mapping else 0
-
-
-@command("HKEYS", arity=2)
-def cmd_hkeys(ctx: CommandContext, args: List[bytes]) -> List[bytes]:
-    mapping = _hash_for_read(ctx, args[1]) or {}
-    return list(mapping.keys())
-
-
-@command("HVALS", arity=2)
-def cmd_hvals(ctx: CommandContext, args: List[bytes]) -> List[bytes]:
-    mapping = _hash_for_read(ctx, args[1]) or {}
-    return list(mapping.values())

@@ -20,7 +20,6 @@ from .commands import (
     parse_int,
     parse_restore,
 )
-from .datatypes import type_name
 
 OK = SimpleString("OK")
 
@@ -41,14 +40,6 @@ def cmd_unlink(ctx: CommandContext, args: List[bytes]) -> int:
 @command("EXISTS", arity=-2, keys=(1, -1, 1))
 def cmd_exists(ctx: CommandContext, args: List[bytes]) -> int:
     return sum(1 for key in args[1:] if ctx.lookup_read(key) is not None)
-
-
-@command("TYPE", arity=2)
-def cmd_type(ctx: CommandContext, args: List[bytes]) -> SimpleString:
-    value = ctx.lookup_read(args[1])
-    if value is None:
-        return SimpleString("none")
-    return SimpleString(type_name(value))
 
 
 @command("KEYS", arity=2, routing=BROADCAST)
@@ -98,34 +89,6 @@ def cmd_scan(ctx: CommandContext, args: List[bytes]) -> List:
         if pattern is None or glob_match(pattern, key):
             keys.append(key)
     return [str(next_cursor).encode("ascii"), keys]
-
-
-@command("RANDOMKEY", arity=1, routing=PER_SHARD)
-def cmd_randomkey(ctx: CommandContext, args: List[bytes]) -> Optional[bytes]:
-    # Retry a few times if we land on expired keys, like Redis does.
-    for _ in range(100):
-        key = ctx.db.random_key(ctx.store.rng)
-        if key is None:
-            return None
-        if not ctx.store.key_is_expired(ctx.db, key, ctx.now):
-            return key
-        ctx.store.expire_if_needed(ctx.db, key, ctx.now)
-    return None
-
-
-@command("RENAME", arity=3, write=True, keys=(1, 2, 1))
-def cmd_rename(ctx: CommandContext, args: List[bytes]) -> SimpleString:
-    src, dst = args[1], args[2]
-    value = ctx.lookup_write(src)
-    if value is None:
-        raise RespError("ERR no such key")
-    expire_at = ctx.db.get_expiry(src)
-    ctx.delete(src)
-    ctx.set_value(dst, value)
-    ctx.store.clear_key_expiry(ctx.db, dst)
-    if expire_at is not None:
-        ctx.set_expiry(dst, expire_at)
-    return OK
 
 
 # -- expiry ---------------------------------------------------------------------

@@ -1,9 +1,8 @@
-"""String commands: GET/SET and friends.
+"""String commands: GET, SET, APPEND and INCR.
 
 Semantics follow Redis 4.0: SET supports EX/PX/NX/XX (plus the absolute
 EXAT/PXAT forms, which make SET-with-TTL a single replay-safe command),
-plain SET discards any existing TTL, INCR-family commands require integer
-payloads.
+plain SET discards any existing TTL, INCR requires an integer payload.
 """
 
 from __future__ import annotations
@@ -78,43 +77,6 @@ def cmd_set(ctx: CommandContext, args: List[bytes]) -> Optional[SimpleString]:
     return OK
 
 
-@command("SETNX", arity=3, write=True)
-def cmd_setnx(ctx: CommandContext, args: List[bytes]) -> int:
-    if ctx.lookup_write(args[1]) is not None:
-        return 0
-    ctx.set_value(args[1], args[2])
-    return 1
-
-
-@command("SETEX", arity=4, write=True)
-def cmd_setex(ctx: CommandContext, args: List[bytes]) -> SimpleString:
-    seconds = parse_int(args[2])
-    if seconds <= 0:
-        raise RespError("ERR invalid expire time in setex")
-    ctx.set_value(args[1], args[3])
-    ctx.set_expiry(args[1], ctx.now + seconds)
-    return OK
-
-
-@command("PSETEX", arity=4, write=True)
-def cmd_psetex(ctx: CommandContext, args: List[bytes]) -> SimpleString:
-    millis = parse_int(args[2])
-    if millis <= 0:
-        raise RespError("ERR invalid expire time in psetex")
-    ctx.set_value(args[1], args[3])
-    ctx.set_expiry(args[1], ctx.now + millis / 1000.0)
-    return OK
-
-
-@command("GETSET", arity=3, write=True)
-def cmd_getset(ctx: CommandContext, args: List[bytes]) -> Optional[bytes]:
-    old = ctx.lookup_write(args[1])
-    previous = expect_string(old) if old is not None else None
-    ctx.set_value(args[1], args[2])
-    ctx.store.clear_key_expiry(ctx.db, args[1])
-    return previous
-
-
 @command("APPEND", arity=3, write=True)
 def cmd_append(ctx: CommandContext, args: List[bytes]) -> int:
     existing = ctx.lookup_write(args[1])
@@ -124,64 +86,15 @@ def cmd_append(ctx: CommandContext, args: List[bytes]) -> int:
     return len(updated)
 
 
-@command("STRLEN", arity=2)
-def cmd_strlen(ctx: CommandContext, args: List[bytes]) -> int:
-    value = ctx.lookup_read(args[1])
-    if value is None:
-        return 0
-    return len(expect_string(value))
-
-
-def _incr_by(ctx: CommandContext, key: bytes, delta: int) -> int:
-    existing = ctx.lookup_write(key)
+@command("INCR", arity=2, write=True)
+def cmd_incr(ctx: CommandContext, args: List[bytes]) -> int:
+    existing = ctx.lookup_write(args[1])
     if existing is None:
         current = 0
     else:
-        raw = expect_string(existing)
         try:
-            current = int(raw)
+            current = int(expect_string(existing))
         except ValueError:
             raise RespError("ERR value is not an integer or out of range")
-    updated = current + delta
-    ctx.set_value(key, str(updated).encode("ascii"))
-    return updated
-
-
-@command("INCR", arity=2, write=True)
-def cmd_incr(ctx: CommandContext, args: List[bytes]) -> int:
-    return _incr_by(ctx, args[1], 1)
-
-
-@command("DECR", arity=2, write=True)
-def cmd_decr(ctx: CommandContext, args: List[bytes]) -> int:
-    return _incr_by(ctx, args[1], -1)
-
-
-@command("INCRBY", arity=3, write=True)
-def cmd_incrby(ctx: CommandContext, args: List[bytes]) -> int:
-    return _incr_by(ctx, args[1], parse_int(args[2]))
-
-
-@command("DECRBY", arity=3, write=True)
-def cmd_decrby(ctx: CommandContext, args: List[bytes]) -> int:
-    return _incr_by(ctx, args[1], -parse_int(args[2]))
-
-
-@command("MGET", arity=-2, keys=(1, -1, 1))
-def cmd_mget(ctx: CommandContext, args: List[bytes]) -> List[Optional[bytes]]:
-    out: List[Optional[bytes]] = []
-    for key in args[1:]:
-        value = ctx.lookup_read(key)
-        out.append(value if isinstance(value, bytes) else None)
-    return out
-
-
-@command("MSET", arity=-3, write=True, keys=(1, -1, 2))
-def cmd_mset(ctx: CommandContext, args: List[bytes]) -> SimpleString:
-    pairs = args[1:]
-    if len(pairs) % 2 != 0:
-        raise RespError("ERR wrong number of arguments for 'mset' command")
-    for i in range(0, len(pairs), 2):
-        ctx.set_value(pairs[i], pairs[i + 1])
-        ctx.store.clear_key_expiry(ctx.db, pairs[i])
-    return OK
+    ctx.set_value(args[1], str(current + 1).encode("ascii"))
+    return current + 1

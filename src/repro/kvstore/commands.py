@@ -45,8 +45,8 @@ class Routing(NamedTuple):
 KEYED = Routing("keyed", control=False, barrier=False)
 #: Names no key: shard 0 unless the caller pins one, core 0.
 CONTROL = Routing("control", control=True, barrier=False)
-#: Control traffic ordered against every core's work (a snapshot reads
-#: the whole keyspace; a TENANT stamp scopes whatever follows it).
+#: Control traffic ordered against every core's work (a TENANT stamp
+#: scopes whatever follows it).
 CONTROL_BARRIER = Routing("control-barrier", control=True, barrier=True)
 #: Keyspace-wide: fans out to every shard, replies merged.
 BROADCAST = Routing("broadcast", control=False, barrier=True)

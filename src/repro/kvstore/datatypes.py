@@ -1,7 +1,7 @@
 """Value types held by the key-value store.
 
 The store is typed the way Redis is typed: a key holds exactly one of
-string / hash / list / set, and commands check the type before operating
+string / hash / sorted set, and commands check the type before operating
 (raising :class:`~repro.common.errors.WrongTypeError`, Redis' WRONGTYPE).
 
 All user payloads are ``bytes`` end to end -- values arrive over RESP as
@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..common.errors import WrongTypeError
 
-# Type tags, used by TYPE, the snapshot format, and the AOF rewriter.
+# Type tags, used by the snapshot format.
 TYPE_STRING = "string"
 TYPE_HASH = "hash"
-TYPE_LIST = "list"
-TYPE_SET = "set"
 TYPE_ZSET = "zset"
 
 
@@ -60,9 +58,6 @@ class ZSet:
         del self._sorted[idx]
         return True
 
-    def score(self, member: bytes) -> Optional[float]:
-        return self._scores.get(member)
-
     def range_by_score(self, min_score: float, max_score: float,
                        offset: int = 0,
                        count: Optional[int] = None) -> List[bytes]:
@@ -87,7 +82,7 @@ class ZSet:
         return member in self._scores
 
 
-RedisValue = Union[bytes, Dict[bytes, bytes], List[bytes], Set[bytes], ZSet]
+RedisValue = Union[bytes, Dict[bytes, bytes], ZSet]
 
 
 def type_name(value: RedisValue) -> str:
@@ -96,10 +91,6 @@ def type_name(value: RedisValue) -> str:
         return TYPE_STRING
     if isinstance(value, dict):
         return TYPE_HASH
-    if isinstance(value, list):
-        return TYPE_LIST
-    if isinstance(value, set):
-        return TYPE_SET
     if isinstance(value, ZSet):
         return TYPE_ZSET
     raise WrongTypeError(f"unsupported stored type {type(value).__name__}")
@@ -127,32 +118,3 @@ def expect_hash(value: RedisValue) -> Dict[bytes, bytes]:
             "WRONGTYPE Operation against a key holding the wrong kind "
             "of value")
     return value
-
-
-def expect_list(value: RedisValue) -> List[bytes]:
-    if not isinstance(value, list):
-        raise WrongTypeError(
-            "WRONGTYPE Operation against a key holding the wrong kind "
-            "of value")
-    return value
-
-
-def expect_set(value: RedisValue) -> Set[bytes]:
-    if not isinstance(value, set):
-        raise WrongTypeError(
-            "WRONGTYPE Operation against a key holding the wrong kind "
-            "of value")
-    return value
-
-
-def value_size(value: RedisValue) -> int:
-    """Approximate payload size in bytes (used by INFO and benchmarks)."""
-    if isinstance(value, bytes):
-        return len(value)
-    if isinstance(value, dict):
-        return sum(len(k) + len(v) for k, v in value.items())
-    if isinstance(value, (list, set)):
-        return sum(len(item) for item in value)
-    if isinstance(value, ZSet):
-        return sum(len(member) + 8 for member, _ in value.items())
-    raise WrongTypeError(f"unsupported stored type {type(value).__name__}")

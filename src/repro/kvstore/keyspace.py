@@ -135,9 +135,6 @@ class Database:
         for key, value in self.data.items():
             yield key, value, expires.get(key), None
 
-    def random_key(self, rng: random.Random) -> Optional[bytes]:
-        return self.all_keys_sample.random_key(rng)
-
     def flush(self) -> int:
         """Remove everything; returns the number of keys dropped."""
         count = len(self.data)

@@ -24,8 +24,6 @@ from ..common.hashing import crc32_of
 from ..engine.base import SnapshotImage, StoredRecord
 from .datatypes import (
     TYPE_HASH,
-    TYPE_LIST,
-    TYPE_SET,
     TYPE_STRING,
     TYPE_ZSET,
     RedisValue,
@@ -38,8 +36,7 @@ MAGIC = b"REPRODB1"
 _HAS_EXPIRY = 1
 _HAS_METADATA = 2
 
-_TYPE_CODES = {TYPE_STRING: 0, TYPE_HASH: 1, TYPE_LIST: 2, TYPE_SET: 3,
-               TYPE_ZSET: 4}
+_TYPE_CODES = {TYPE_STRING: 0, TYPE_HASH: 1, TYPE_ZSET: 4}
 _CODE_TYPES = {v: k for k, v in _TYPE_CODES.items()}
 
 _U32 = struct.Struct(">I")
@@ -62,14 +59,6 @@ def _pack_value(out: List[bytes], value: RedisValue) -> None:
         for field in sorted(value):
             _pack_bytes(out, field)
             _pack_bytes(out, value[field])
-    elif kind == TYPE_LIST:
-        out.append(_U32.pack(len(value)))
-        for item in value:
-            _pack_bytes(out, item)
-    elif kind == TYPE_SET:
-        out.append(_U32.pack(len(value)))
-        for item in sorted(value):
-            _pack_bytes(out, item)
     else:  # zset
         out.append(_U32.pack(len(value)))
         for member, score in value.items():
@@ -126,10 +115,6 @@ def _read_value(reader: Reader) -> RedisValue:
                  for _ in range(reader.u32())}
         # Note: dict comprehension evaluates key then value in
         # insertion order, matching _pack_value's layout.
-    elif kind == TYPE_LIST:
-        value = [reader.blob() for _ in range(reader.u32())]
-    elif kind == TYPE_SET:
-        value = {reader.blob() for _ in range(reader.u32())}
     else:
         value = ZSet()
         for _ in range(reader.u32()):

@@ -22,7 +22,6 @@ from . import cmd_collections  # noqa: F401
 from . import cmd_hash  # noqa: F401
 from . import cmd_keys  # noqa: F401
 from . import cmd_strings  # noqa: F401
-from . import cmd_strings_ext  # noqa: F401
 from .aof import AofWriter, FsyncPolicy
 from .commands import REGISTRY, CommandContext
 from .datatypes import RedisValue
@@ -79,7 +78,6 @@ class KeyValueStore(StorageEngine):
         super().__init__()
         self.config = config if config is not None else StoreConfig()
         self.clock = clock if clock is not None else SimClock()
-        self.rng = random.Random(self.config.seed)
         self.databases = [Database(i) for i in range(self.config.databases)]
         self.stats = StoreStats()
         self.slowlog = Slowlog(threshold=self.config.slowlog_threshold,

@@ -18,7 +18,10 @@ executing a tenant-stamped request.  The gate enforces, in order:
 Usage is tracked from the engines' *effective-write* and *deletion*
 streams rather than the request path, so expirations, GDPR erasures,
 migration cascades, and even direct ``store.execute`` writes (bench
-preloads) keep the meters honest.  The same counters feed the
+preloads) keep the meters honest.  A key is metered once, by name,
+across every watched shard: a slot migration's copy on the target
+leaves it held, and the source's handoff delete does not release it.
+The same counters feed the
 :class:`~repro.tenancy.metering.MeteringPipeline`.
 """
 
@@ -28,8 +31,31 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..common.clock import Clock
-from ..common.errors import QuotaExceededError, TenantAccessError
+from ..common.errors import (
+    CorruptionError, QuotaExceededError, TenantAccessError)
+from ..kvstore.commands import spec_of
+from ..kvstore.snapshot import load_value
 from .registry import TENANT_SEP, TenantRegistry, TokenBucket, tenant_of
+
+
+def _stored_size(name: bytes, argv: List[bytes], held: int) -> int:
+    """The metered bytes of the key a write names first, once the write
+    lands: a string payload's length -- what SET stores, what APPEND
+    adds to ``held``, what a RESTORE payload holds.  A write that carries
+    no string payload (INCR, HSET, ZADD, ...) leaves ``held`` as it was."""
+    if len(argv) < 3:
+        return held
+    if name == b"SET":
+        return len(argv[2])
+    if name == b"APPEND":
+        return held + len(argv[2])
+    if name == b"RESTORE" and len(argv) > 3:
+        try:
+            value = load_value(argv[3])
+        except CorruptionError:
+            return held
+        return len(value) if isinstance(value, bytes) else held
+    return held
 
 
 @dataclass
@@ -66,14 +92,19 @@ class TenantGate:
         self.clock = clock
         self._usage: Dict[str, _TenantUsage] = {}
         self._buckets: Dict[str, Optional[TokenBucket]] = {}
+        self._stores: List = []
 
     # -- wiring ------------------------------------------------------------
 
     def watch_store(self, store) -> None:
         """Subscribe to a primary's write/deletion streams so footprint
         meters track every path a key can appear or vanish through."""
-        store.add_write_listener(self._on_write)
-        store.add_deletion_listener(self._on_deletion)
+        self._stores.append(store)
+        store.add_write_listener(
+            lambda db_index, record: self._on_write(store, db_index, record))
+        store.add_deletion_listener(
+            lambda db_index, key, reason, when: self._on_deletion(
+                store, db_index, key, reason, when))
 
     # -- admission ---------------------------------------------------------
 
@@ -104,7 +135,7 @@ class TenantGate:
                 f"{entry.quota.ops_per_sec:g} ops/s quota")
         if spec.write:
             self._check_footprint(tenant, entry.quota, usage, spec.name,
-                                  argv)
+                                  argv, keys)
         usage.counters.ops += 1
         if spec.write:
             usage.counters.write_ops += 1
@@ -113,33 +144,25 @@ class TenantGate:
         usage.counters.bytes_in += sum(len(part) for part in argv)
 
     def _check_footprint(self, tenant: str, quota, usage: _TenantUsage,
-                         name: bytes, argv: List[bytes]) -> None:
-        """Reject a write that would blow the key/byte budget.  Only
-        SET-shaped writes can grow the footprint; deletes always pass."""
-        if name not in (b"SET", b"SETNX", b"SETEX", b"PSETEX", b"MSET",
-                        b"APPEND", b"GETSET", b"RESTORE"):
-            return
+                         name: bytes, argv: List[bytes],
+                         keys: List[bytes]) -> None:
+        """Reject a write that would blow the key/byte budget.  Any write
+        may create the keys it names that the tenant does not hold yet,
+        except a delete, which always passes."""
         if quota.max_keys is None and quota.max_bytes is None:
             return
-        if name == b"MSET":
-            writes = [(argv[i], argv[i + 1])
-                      for i in range(1, len(argv) - 1, 2)]
-        elif name in (b"SETEX", b"PSETEX") and len(argv) >= 4:
-            writes = [(argv[1], argv[3])]
-        else:
-            writes = [(argv[1], argv[2])] if len(argv) >= 3 else []
-        new_keys = sum(1 for key, _ in writes if key not in usage.sizes)
+        if name in (b"DEL", b"UNLINK"):
+            return
+        new_keys = len(set(keys).difference(usage.sizes))
         if quota.max_keys is not None \
                 and len(usage.sizes) + new_keys > quota.max_keys:
             usage.counters.denied += 1
             raise QuotaExceededError(
                 f"QUOTAEXCEEDED tenant {tenant!r} at its "
                 f"{quota.max_keys} key quota")
-        if quota.max_bytes is not None:
-            delta = sum(
-                (len(value) if name == b"APPEND" else
-                 len(value) - usage.sizes.get(key, 0))
-                for key, value in writes)
+        if quota.max_bytes is not None and keys:
+            held = usage.sizes.get(keys[0], 0)
+            delta = _stored_size(name, argv, held) - held
             if usage.bytes_used + delta > quota.max_bytes:
                 usage.counters.denied += 1
                 raise QuotaExceededError(
@@ -148,48 +171,42 @@ class TenantGate:
 
     # -- usage tracking (engine listeners) ---------------------------------
 
-    def _on_write(self, db_index: int, argv: List[bytes]) -> None:
-        name = argv[0].upper()
-        if name in (b"SET", b"SETNX") and len(argv) >= 3:
-            self._record_stored(argv[1], len(argv[2]))
-        elif name in (b"SETEX", b"PSETEX") and len(argv) >= 4:
-            self._record_stored(argv[1], len(argv[3]))
-        elif name == b"MSET":
-            for i in range(1, len(argv) - 1, 2):
-                self._record_stored(argv[i], len(argv[i + 1]))
-        elif name == b"APPEND" and len(argv) >= 3:
-            key = argv[1]
-            tenant = tenant_of(key.decode("utf-8", "replace"))
-            if tenant is not None and self.registry.known(tenant):
-                usage = self._usage_of(tenant)
-                usage.sizes[key] = usage.sizes.get(key, 0) + len(argv[2])
-                usage.bytes_used += len(argv[2])
-        elif name == b"RESTORE" and len(argv) >= 4:
-            self._record_stored(argv[1], len(argv[3]))
+    def _on_write(self, store, db_index: int, record: List[bytes]) -> None:
+        """Meter a write by its effect: every key it names that ``store``
+        serves afterwards is held (a key it removed -- a DEL, an HDEL of
+        the last field -- is the deletion stream's business)."""
+        name = record[0].upper()
+        for key in spec_of(name).keys(record):
+            usage = self._usage_of_key(key)
+            if usage is None or not store.has_live_key(key, db_index):
+                continue
+            held = usage.sizes.get(key, 0)
+            size = _stored_size(name, record, held)
+            usage.bytes_used += size - held
+            usage.sizes[key] = size
 
-    def _record_stored(self, key: bytes, size: int) -> None:
-        tenant = tenant_of(key.decode("utf-8", "replace"))
-        if tenant is None or not self.registry.known(tenant):
-            return
-        usage = self._usage_of(tenant)
-        usage.bytes_used += size - usage.sizes.get(key, 0)
-        usage.sizes[key] = size
-
-    def _on_deletion(self, db_index: int, key: bytes, reason: str,
+    def _on_deletion(self, store, db_index: int, key: bytes, reason: str,
                      when: float) -> None:
         if reason == "demote":
             # A tier move, not an erasure: the record is still the
             # tenant's footprint (promote-on-read serves it back).
             return
+        usage = self._usage_of_key(key)
+        if usage is None or key not in usage.sizes:
+            return
+        if any(other is not store and other.has_live_key(key, db_index)
+               for other in self._stores):
+            # The key lives on at another shard: a slot migration's
+            # handoff, or the drop of its shadow copy.
+            return
+        usage.bytes_used -= usage.sizes.pop(key)
+
+    def _usage_of_key(self, key: bytes) -> Optional[_TenantUsage]:
+        """The usage of the registered tenant owning ``key``, if any."""
         tenant = tenant_of(key.decode("utf-8", "replace"))
-        if tenant is None:
-            return
-        usage = self._usage.get(tenant)
-        if usage is None:
-            return
-        size = usage.sizes.pop(key, None)
-        if size is not None:
-            usage.bytes_used -= size
+        if tenant is None or not self.registry.known(tenant):
+            return None
+        return self._usage_of(tenant)
 
     # -- views -------------------------------------------------------------
 

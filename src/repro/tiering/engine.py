@@ -216,16 +216,6 @@ class TieredEngine(StorageEngine):
                 self.cold.clear()
             self._owners.clear()
             self._last_touch.clear()
-        elif name == b"RENAME" and len(argv) >= 3:
-            self._surface(argv[1])
-            self._evict_shadow(argv[2])
-            self._touch(argv[1])
-            self._touch(argv[2])
-        elif name in (b"MSET", b"SETEX", b"PSETEX"):
-            # Unconditional full overwrites: the cold copies just die.
-            for key in spec_of(name).keys(argv):
-                self._evict_shadow(key)
-                self._touch(key)
         elif name == b"SET" and len(argv) >= 3:
             conditional = any(argv[i].upper() in (b"NX", b"XX")
                               for i in range(3, len(argv)))

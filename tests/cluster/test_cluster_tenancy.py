@@ -10,7 +10,8 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.common.resp import RespError, SimpleString
-from repro.cluster import build_cluster
+from repro.cluster import SlotMigrator, build_cluster
+from repro.cluster.slots import slot_for_key
 from repro.tenancy import (
     MeteringPipeline,
     TenantGate,
@@ -91,18 +92,82 @@ class TestQuotaOnTheWire:
         assert cluster.call("SET", "acme/k2", "v") == SimpleString("OK")
 
 
+class TestKeyQuotaByEffect:
+    @pytest.mark.parametrize("argv", [
+        ("INCR", "acme/n{}"),
+        ("HSET", "acme/n{}", "f", "v"),
+        ("HMSET", "acme/n{}", "f", "v"),
+        ("ZADD", "acme/n{}", 1, "m"),
+    ], ids=lambda argv: argv[0])
+    def test_a_key_any_write_creates_counts(self, argv):
+        """Regression: only SET-shaped names were counted, so five INCRs
+        under a two-key quota left ``key_count`` at 0 and two more SETs
+        were admitted (seven keys held)."""
+        cluster, gate = make_tenant_cluster(
+            quotas={"acme": TenantQuota(max_keys=2)})
+        cluster.set_tenant("acme")
+        replies = [cluster.call(argv[0], argv[1].format(number), *argv[2:],
+                                raise_errors=False)
+                   for number in range(5)]
+        refused = [reply for reply in replies
+                   if isinstance(reply, RespError)]
+        assert len(refused) == 3
+        assert all("key quota" in reply.message for reply in refused)
+        assert gate.key_count("acme") == 2
+        with pytest.raises(RespError, match="key quota"):
+            cluster.call("SET", "acme/k", "v")
+        # A write to a key the tenant holds stays admissible.
+        cluster.call(argv[0], argv[1].format(0), *argv[2:])
+
+    def test_slot_migration_keeps_the_key_metered_once(self):
+        """Regression: the target's RESTORE metered the DUMP payload
+        (22 bytes) and the source's handoff DEL then released the key,
+        leaving 0 keys and 0 bytes for a key still served -- and room
+        for a fourth key under a three-key quota."""
+        cluster, gate = make_tenant_cluster(
+            quotas={"acme": TenantQuota(max_keys=3)})
+        cluster.set_tenant("acme")
+        cluster.call("SET", "acme/k", "vvvv")
+        assert (gate.key_count("acme"), gate.bytes_used("acme")) == (1, 4)
+        slot = slot_for_key(b"acme/k")
+        source = cluster.slots.shard_of_slot(slot)
+        SlotMigrator(cluster, slot, 1 - source).run()
+        assert cluster.call("GET", "acme/k") == b"vvvv"
+        assert (gate.key_count("acme"), gate.bytes_used("acme")) == (1, 4)
+        cluster.call("SET", "acme/k1", "v")
+        cluster.call("SET", "acme/k2", "v")
+        with pytest.raises(RespError, match="key quota"):
+            cluster.call("SET", "acme/k3", "v")
+        # Erasing the moved key still releases it.
+        assert cluster.call("DEL", "acme/k") == 1
+        assert (gate.key_count("acme"), gate.bytes_used("acme")) == (2, 2)
+
+    def test_aborted_migration_keeps_the_key_metered(self):
+        cluster, gate = make_tenant_cluster(
+            quotas={"acme": TenantQuota(max_keys=3)})
+        cluster.set_tenant("acme")
+        cluster.call("SET", "acme/k", "vvvv")
+        slot = slot_for_key(b"acme/k")
+        source = cluster.slots.shard_of_slot(slot)
+        migrator = SlotMigrator(cluster, slot, 1 - source)
+        migrator.step(1)
+        migrator.abort()            # drops the target's shadow copy
+        assert cluster.call("GET", "acme/k") == b"vvvv"
+        assert (gate.key_count("acme"), gate.bytes_used("acme")) == (1, 4)
+
+
 class TestMeteredByTheCommandTable:
     @pytest.mark.parametrize("argv", [
-        ("HINCRBY", "acme/h", "f", 1),
+        ("HSET", "acme/h", "f", "v"),
         ("HMSET", "acme/h", "f", "v"),
-        ("HSETNX", "acme/h", "f", "v"),
-        ("INCRBYFLOAT", "acme/n", "1.5"),
-        ("SETRANGE", "acme/s", 0, "v"),
+        ("INCR", "acme/n"),
+        ("APPEND", "acme/s", "v"),
+        ("PEXPIRE", "acme/s", 100),
         ("ZADD", "acme/z", 1, "m"),
         ("ZREM", "acme/z", "m"),
     ], ids=lambda argv: argv[0])
     def test_every_registered_write_bills_as_a_write(self, argv):
-        # These seven were missing from the gate's own hand-kept list.
+        # Billing reads the command table, not a hand-kept list.
         cluster, gate = make_tenant_cluster()
         cluster.set_tenant("acme")
         cluster.call(*argv)
@@ -120,7 +185,7 @@ class TestMeteredByTheCommandTable:
     def test_echo_message_is_not_a_key_to_deny(self):
         cluster, gate = make_tenant_cluster()
         cluster.set_tenant("acme")
-        assert cluster.call("ECHO", "hello") == b"hello"
+        assert cluster.call("PING", "hello") == b"hello"
         assert gate.counters_of("acme").denied == 0
 
     def test_unknown_name_is_namespace_checked_and_billed_a_write(self):

@@ -297,12 +297,13 @@ class TestRedirects:
         migrator = SlotMigrator(cluster, slot, target)
         migrator.step(len(keys))
         cluster.call("DEL", keys[0])        # now absent on the source
-        reply = cluster.call("MGET", keys[0], keys[1],
+        reply = cluster.call("EXISTS", keys[0], keys[1],
                              raise_errors=False)
         assert isinstance(reply, RespError)
         assert str(reply).startswith("TRYAGAIN")
         migrator.finish()
-        assert cluster.call("MGET", keys[0], keys[1]) == [None, b"v1"]
+        assert cluster.call("EXISTS", keys[0], keys[1]) == 1
+        assert cluster.call("GET", keys[1]) == b"v1"
 
     def test_pipeline_queue_cleared_when_execute_raises(self):
         """A pipeline that failed must not re-submit its old requests

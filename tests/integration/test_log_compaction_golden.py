@@ -3,7 +3,7 @@
 Two small keyspaces, built by commands alone, each pin the sha256 of the
 log their engine's compaction leaves behind:
 
-* a key-value store holding all five value types in two databases, with
+* a key-value store holding all three value types in two databases, with
   deadlines (one off the millisecond grid, so the truncation to whole
   milliseconds is pinned too);
 * a relational store holding value rows and wide rows, with deadlines
@@ -13,7 +13,8 @@ log their engine's compaction leaves behind:
 
 The digests were recorded before the two engines shared one compaction
 encoder, so the shared encoder is held to what each engine's own writer
-produced.  Replaying the compacted logs is the conformance suite's job
+produced.  The key-value digest was re-recorded when the list and set
+types were retired, from the encoder as it was before that change.  Replaying the compacted logs is the conformance suite's job
 (``tests/engine/test_conformance.py``).
 """
 
@@ -24,8 +25,8 @@ from repro.device.append_log import AppendLog
 from repro.kvstore.store import KeyValueStore, StoreConfig
 from repro.sqlstore import RelationalStore, SqlConfig
 
-KV_DIGEST = ("d41aa63050dbadbfea7a9ac49fa1e25a"
-             "a27188f6f07eb00c505b503ba91c1161")
+KV_DIGEST = ("2179a57c8ad4ff84b3e5d1ba52cafc68"
+             "dcda3ccb8feddcf67742eaddbccce5e7")
 RELATIONAL_DIGEST = ("f231a7c5f5a0baaa36d150d7f584dd20"
                      "255de9b6f54d96f40c49c97de9b284e7")
 
@@ -42,11 +43,9 @@ def test_key_value_rewrite_bytes():
     clock.advance(0.0004567)
     store.execute("SET", "s", "plain\r\nvalue")
     store.execute("HSET", "h", "zeta", "1", "alpha", "2", "mid", "3")
-    store.execute("RPUSH", "l", "b", "a", "c")
-    store.execute("SADD", "st", "y", "x", "z")
     store.execute("ZADD", "z", "2.5", "m", "-1", "n", "1e-3", "o")
     store.execute("EXPIRE", "s", 100)
-    store.execute("PEXPIREAT", "l", 4_000_000)
+    store.execute("PEXPIREAT", "z", 4_000_000)
     session = store.session()
     store.execute("SELECT", 3, session=session)
     store.execute("SET", "other", "db3", session=session)

@@ -9,6 +9,7 @@ from repro.common.resp import RespError, SimpleString
 from repro.kvstore import KeyValueStore, RandomAccessSet, StoreConfig
 from repro.kvstore.monitor import MonitorFeed
 from repro.kvstore.slowlog import Slowlog
+from tests.support import assert_refused
 
 
 @pytest.fixture
@@ -42,13 +43,14 @@ class TestInfoConfig:
             store.execute("CONFIG", "FROB")
 
     def test_time_reflects_clock(self, store):
+        # TIME is not served: the simulated clock is read in process.
         store.clock.advance(12.5)
-        seconds, micros = store.execute("TIME")
-        assert int(seconds) == 12
-        assert abs(int(micros) - 500_000) < 2000
+        assert_refused(store, "TIME")
 
     def test_echo(self, store):
-        assert store.execute("ECHO", "hi") == b"hi"
+        # PING with a message is the echo.
+        assert store.execute("PING", "hi") == b"hi"
+        assert_refused(store, "ECHO", "hi")
 
 
 class TestSlowlogCommand:

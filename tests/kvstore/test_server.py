@@ -45,8 +45,9 @@ class TestPlainClient:
 
     def test_array_reply(self, clock):
         client, _ = plain_client(clock)
-        client.call("RPUSH", "l", "a", "b")
-        assert client.call("LRANGE", "l", 0, -1) == [b"a", b"b"]
+        client.call("ZADD", "z", 1, "a", 2, "b")
+        assert client.call("ZRANGEBYSCORE", "z", "-inf", "+inf") == \
+            [b"a", b"b"]
 
     def test_error_raised(self, clock):
         client, _ = plain_client(clock)

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterReplication
 from repro.common.clock import SimClock
-from repro.kvstore import KeyValueStore, ReplicationManager, StoreConfig
+from repro.common.errors import WrongTypeError
+from repro.common.resp import RespError
+from repro.kvstore import KeyValueStore, ReplicationManager, StoreConfig, ZSet
 
 KEYS = [b"a", b"b", b"c"]
 VALS = [b"1", b"2"]
@@ -22,12 +24,17 @@ ops = st.lists(
         st.tuples(st.just("INCR"), st.just(b"counter")),
         st.tuples(st.just("EXPIRE"), st.sampled_from(KEYS),
                   st.integers(1, 100)),
-        st.tuples(st.just("SADD"), st.just(b"set"),
-                  st.sampled_from(VALS)),
+        st.tuples(st.just("ZADD"), st.just(b"zset"),
+                  st.sampled_from(VALS), st.sampled_from(KEYS)),
         st.tuples(st.just("HSET"), st.just(b"hash"),
                   st.sampled_from(KEYS), st.sampled_from(VALS)),
     ),
     max_size=40)
+
+
+def _plain(value):
+    """A stored value as comparable data (a sorted set as its pairs)."""
+    return list(value.items()) if isinstance(value, ZSet) else value
 
 
 def state_of(store):
@@ -38,7 +45,7 @@ def state_of(store):
     db = store.databases[0]
     now = store.clock.now()
     gone = {key for key, deadline in db.expires.items() if deadline <= now}
-    return ({key: db.get_value(key) for key in sorted(db.keys())
+    return ({key: _plain(db.get_value(key)) for key in sorted(db.keys())
              if key not in gone},
             {key: round(deadline, 6) for key, deadline in db.expires.items()
              if key not in gone})
@@ -57,7 +64,7 @@ def test_replica_converges_to_primary(op_list, delay):
     for op in op_list:
         try:
             primary.execute(*op)
-        except Exception:
+        except (WrongTypeError, RespError):
             pass  # type conflicts are legitimate no-ops
     clock.advance(delay + 0.001)
     assert state_of(link.replica) == state_of(primary)
@@ -74,7 +81,7 @@ def test_two_replicas_identical(op_list):
     for op in op_list:
         try:
             primary.execute(*op)
-        except Exception:
+        except (WrongTypeError, RespError):
             pass
     clock.advance(1.0)
     assert state_of(a.replica) == state_of(b.replica)

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.clock import SimClock
+from repro.common.errors import WrongTypeError
+from repro.common.resp import RespError
 from repro.gdpr import GDPRConfig, GDPRMetadata, GDPRStore
 from repro.kvstore import KeyValueStore, StoreConfig
 
@@ -40,7 +42,7 @@ def test_aof_replay_reaches_identical_state(ops):
     for op in ops:
         try:
             store.execute(*op)
-        except Exception:
+        except (WrongTypeError, RespError):
             pass  # type conflicts (HSET on string) are fine to skip
     replayed = KeyValueStore(StoreConfig(appendonly=True), clock=clock)
     replayed.replay_aof(store.aof_log.read_all())
@@ -55,12 +57,12 @@ def test_aof_replay_reaches_identical_state(ops):
 @given(kv_ops)
 @settings(max_examples=40, deadline=None)
 def test_rewrite_preserves_state(ops):
-    """BGREWRITEAOF never changes the dataset it compacts."""
+    """An AOF rewrite never changes the dataset it compacts."""
     store = KeyValueStore(StoreConfig(appendonly=True))
     for op in ops:
         try:
             store.execute(*op)
-        except Exception:
+        except (WrongTypeError, RespError):
             pass
     before = state_of(store)
     store.rewrite_aof()

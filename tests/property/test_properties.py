@@ -172,8 +172,7 @@ def test_zset_matches_reference_model(ops):
     expected = [m for _, m in sorted(
         ((s, m) for m, s in model.items()))]
     assert zset.range_by_score(float("-inf"), float("inf")) == expected
-    for member, score in model.items():
-        assert zset.score(member) == score
+    assert dict(zset.items()) == model
 
 
 # -- histogram --------------------------------------------------------------------------

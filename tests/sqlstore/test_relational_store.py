@@ -146,15 +146,15 @@ def test_snapshot_preserves_metadata_columns():
 
 def test_snapshot_the_table_cannot_hold_is_rejected_untouched():
     """Snapshots share one format, so a Redis-like image parses here;
-    one with a second database or a list value is refused before the
-    table is cleared."""
-    lists = KeyValueStore(clock=SimClock())
-    lists.execute("RPUSH", "l", "a")
+    one with a second database or a sorted-set value is refused before
+    the table is cleared."""
+    zsets = KeyValueStore(clock=SimClock())
+    zsets.execute("ZADD", "z", 1, "a")
     second_db = KeyValueStore(clock=SimClock())
     second_db.execute("SET", "k", "v", session=second_db.session(3))
     target = make_store()
     target.execute("SET", "keep", "x")
-    for image in (lists.save_snapshot(), second_db.save_snapshot()):
+    for image in (zsets.save_snapshot(), second_db.save_snapshot()):
         with pytest.raises(CorruptionError):
             target.load_snapshot(image)
     assert target.execute("KEYS", "*") == [b"keep"]

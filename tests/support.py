@@ -97,3 +97,17 @@ def one_core_server(scheduler, **config):
     meter = ShardClock(scheduler.now())
     return EventStoreServer(KeyValueStore(StoreConfig(**config), clock=meter),
                             WorkerPool(meter, scheduler))
+
+
+def assert_refused(store, *argv) -> None:
+    """``argv`` names a command the store does not serve: it is refused
+    as unknown, and the keyspace is byte-for-byte what it was."""
+    import pytest
+
+    from repro.common.errors import UnknownCommandError
+    from repro.kvstore.snapshot import dump
+
+    before = dump(store.snapshot_records())
+    with pytest.raises(UnknownCommandError, match="unknown command"):
+        store.execute(*argv)
+    assert dump(store.snapshot_records()) == before

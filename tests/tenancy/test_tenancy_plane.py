@@ -185,6 +185,26 @@ class TestGateFootprint:
         assert gate.bytes_used("acme") == 0
         gate.admit("acme", SET, over, [over[1]], 0.0)
 
+    def test_usage_follows_each_write_by_its_effect(self):
+        gate, store = self._gate_with_store(max_keys=3)
+        store.execute("HSET", "acme/h", "f", "v")
+        store.execute("INCR", "acme/n")
+        store.execute("APPEND", "acme/s", "abc")
+        assert gate.key_count("acme") == 3
+        assert gate.bytes_used("acme") == 3
+        incr = [b"INCR", b"acme/m"]
+        with pytest.raises(QuotaExceededError, match="key quota"):
+            gate.admit("acme", spec_of(b"INCR"), incr, incr[1:], 0.0)
+        # A delete passes at quota, even naming a key it does not hold.
+        argv = [b"DEL", b"acme/s", b"acme/ghost"]
+        gate.admit("acme", spec_of(b"DEL"), argv, argv[1:], 0.0)
+        # A write whose effect removes its key holds nothing.
+        store.execute("HDEL", "acme/h", "f")
+        store.clock.advance(1.0)
+        store.execute("SET", "acme/n", "v", "PXAT", 1)
+        assert gate.key_count("acme") == 1
+        assert gate.bytes_used("acme") == 3
+
     def test_usage_tracks_expiry_and_direct_writes(self):
         gate, store = self._gate_with_store(max_bytes=100)
         # A direct (bench-preload-style) write is metered too: usage
