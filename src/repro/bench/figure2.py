@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ..common.clock import SimClock
+from ..engine.base import HZ
 from ..kvstore.store import KeyValueStore, StoreConfig
 from .reporting import Axis, Row, Scenario, scaled
 
@@ -67,7 +68,7 @@ def populate_expiring(store: KeyValueStore, total_keys: int,
 
 
 def measure_erasure_delay(total_keys: int, strategy: str = "lazy",
-                          hz: int = 10, seed: int = 0,
+                          seed: int = 0,
                           sim_cap: float = 86400.0,
                           short_fraction: float = SHORT_FRACTION,
                           short_ttl: float = SHORT_TTL,
@@ -81,7 +82,7 @@ def measure_erasure_delay(total_keys: int, strategy: str = "lazy",
     """
     clock = SimClock()
     store = KeyValueStore(
-        StoreConfig(expiry_strategy=strategy, hz=hz, seed=seed),
+        StoreConfig(expiry_strategy=strategy, seed=seed),
         clock=clock)
     short_keys = populate_expiring(store, total_keys, short_fraction,
                                    short_ttl, long_ttl)
@@ -95,7 +96,7 @@ def measure_erasure_delay(total_keys: int, strategy: str = "lazy",
     # Jump to the expiry boundary; nothing can expire before it.
     clock.advance(short_ttl + 1e-3)
     expiry_instant = short_ttl
-    tick = 1.0 / hz
+    tick = 1.0 / HZ
     cycles = 0
     completed = True
     while store.stats.expired_keys < short_keys:

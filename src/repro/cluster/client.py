@@ -814,7 +814,8 @@ class ClusterClient:
         merged = {
             "events": sum(r["events"] for r in reports),
             "with_deadline": sum(r["with_deadline"] for r in reports),
-            "max_lateness": max(r["max_lateness"] for r in reports),
+            "max_lateness": max((r["max_lateness"] for r in reports),
+                                default=0.0),
             "sla_breaches": sum(r["sla_breaches"] for r in reports),
         }
         weighted = sum(r["mean_lateness"] * r["with_deadline"]
@@ -1011,7 +1012,6 @@ def build_cluster(num_shards: int,
                   workers: int = 1,
                   dispatch_overhead: float = 0.0,
                   adaptive_batch: bool = False,
-                  max_batch: int = 32,
                   placement=None,
                   tenant_gate=None) -> ClusterClient:
     """Wire up a ready-to-use cluster.
@@ -1024,9 +1024,10 @@ def build_cluster(num_shards: int,
     meter, split across the ``workers`` simulated cores of its
     :class:`~repro.cluster.workers.WorkerPool` (``node.pool``); the
     default single core executes one command per tick, as Redis does.
-    ``dispatch_overhead`` / ``adaptive_batch`` / ``max_batch``
-    parameterize the pool's batching controller.  ``placement=True`` (or
-    an explicit :class:`~repro.cluster.workers.PlacementPolicy`) turns on
+    ``dispatch_overhead`` / ``adaptive_batch`` parameterize the pool's
+    batching controller (its batch bound is
+    :data:`~repro.cluster.workers.MAX_BATCH`).  ``placement=True`` (or an
+    explicit :class:`~repro.cluster.workers.PlacementPolicy`) turns on
     skew-aware slot placement -- hot-slot tracking, quiescence-point
     rebalancing and read splitting -- per pool; the default ``None``
     keeps the static ``slot % K`` partition.
@@ -1070,7 +1071,6 @@ def build_cluster(num_shards: int,
             workers=workers,
             dispatch_overhead=dispatch_overhead,
             adaptive_batch=adaptive_batch,
-            max_batch=max_batch,
             placement=policy))
         node = ClusterNode(index, store, channel, pool, slot_map=slot_map)
         if tenant_gate is not None:

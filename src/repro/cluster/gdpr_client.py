@@ -45,12 +45,10 @@ from ..kvstore.store import KeyValueStore, StoreConfig
 from ..tiering import TieredEngine, TieringConfig
 from .client import ClusterClient
 
-GDPRConfigFactory = Callable[[int], GDPRConfig]
 KVFactory = Callable[[int, Clock], StorageEngine]
 
 
 def gdpr_shards(keystore: Optional[KeyStore] = None,
-                config_factory: Optional[GDPRConfigFactory] = None,
                 kv_factory: Optional[KVFactory] = None,
                 fast_gdpr: bool = False,
                 tiering: Optional[TieringConfig] = None
@@ -58,20 +56,17 @@ def gdpr_shards(keystore: Optional[KeyStore] = None,
     """A ``build_cluster`` store factory whose shards are GDPR stores
     sharing one keystore (a fresh one unless given).
 
-    ``config_factory(index)`` configures shard ``index``'s GDPR layer
-    (default: node ``shard-<index>``, strict unless ``fast_gdpr``);
-    ``kv_factory(index, clock)`` builds its engine (default: an
-    AOF-logged Redis-like store that also logs reads).  With ``tiering``
-    every engine is wrapped in a :class:`~repro.tiering.TieredEngine`
-    over the shard's own cold device; a shard rebuilt under the same
-    index (``recover_shard``) reopens that device, whose segments,
-    tombstones and erasure markers survive the crash.
+    Shard ``index``'s GDPR layer is node ``shard-<index>``, strict
+    unless ``fast_gdpr``; ``kv_factory(index, clock)`` builds its engine
+    (default: an AOF-logged Redis-like store that also logs reads).
+    With ``tiering`` every engine is wrapped in a
+    :class:`~repro.tiering.TieredEngine` over the shard's own cold
+    device; a shard rebuilt under the same index (``recover_shard``)
+    reopens that device, whose segments, tombstones and erasure markers
+    survive the crash.
     """
     keystore = keystore if keystore is not None else KeyStore()
     cold_devices = {}
-    if config_factory is None:
-        def config_factory(index: int) -> GDPRConfig:
-            return GDPRConfig(node_id=f"shard-{index}", fast_gdpr=fast_gdpr)
     if kv_factory is None:
         def kv_factory(index: int, clock: Clock) -> StorageEngine:
             return KeyValueStore(
@@ -89,8 +84,8 @@ def gdpr_shards(keystore: Optional[KeyStore] = None,
             else:
                 device.clock = clock    # the rebuilt shard's meter
             kv = TieredEngine(kv, device=device, tiering=tiering)
-        return GDPRStore(kv=kv, config=config_factory(index),
-                         keystore=keystore)
+        return GDPRStore(kv=kv, config=GDPRConfig(
+            node_id=f"shard-{index}", fast_gdpr=fast_gdpr), keystore=keystore)
 
     return build
 

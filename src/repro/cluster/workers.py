@@ -32,7 +32,7 @@ Dispatch rules (single-writer semantics by construction):
 * **per-connection FIFO** -- only the *head* of a connection's queue is
   dispatchable (head-of-line blocking, as on a real connection), so
   RESP replies depart in request order;
-* **control commands** (PING, CONFIG, ASKING, ...) ride worker 0;
+* **control commands** (PING, ASKING, INFO, ...) ride worker 0;
 * **barrier commands** -- every command whose
   :class:`~repro.kvstore.commands.Routing` class says ``barrier``
   (anything that reads or mutates the whole keyspace, and the TENANT
@@ -44,9 +44,9 @@ Dispatch rules (single-writer semantics by construction):
 **Adaptive batching**: each dispatch lets a worker drain up to B queued
 commands routed to it (round-robin across connections, so fairness is
 preserved).  B doubles when the worker fills its batch (backlog) and
-decays when the head-of-queue delay is below
-:attr:`WorkerPoolConfig.batch_low_delay`, amortizing the per-dispatch
-overhead exactly where the hockey-stick bends.
+decays when the head-of-queue delay is below :data:`BATCH_LOW_DELAY`,
+amortizing the per-dispatch overhead exactly where the hockey-stick
+bends.
 
 With ``workers=1``, batch 1 and zero dispatch overhead (the defaults)
 the pool *is* the classic Redis loop: one command per tick, started at
@@ -71,6 +71,14 @@ from .slots import SlotPlacement
 ROUTE_CONTROL = "control"
 ROUTE_BARRIER = "barrier"
 BARRIER = -1
+
+# The adaptive batch controller: B grows to at most MAX_BATCH commands
+# per dispatch and decays by one while the head-of-queue delay is below
+# BATCH_LOW_DELAY seconds; the pool's queueing-delay EWMA smooths with
+# EWMA_ALPHA.
+MAX_BATCH = 32
+BATCH_LOW_DELAY = 50e-6
+EWMA_ALPHA = 0.05
 
 
 def route_of(parsed) -> Tuple[Any, bool]:
@@ -159,10 +167,6 @@ class WorkerPoolConfig:
     workers: int = 1
     dispatch_overhead: float = 0.0
     adaptive_batch: bool = False
-    min_batch: int = 1
-    max_batch: int = 32
-    batch_low_delay: float = 50e-6   # head delay below which B decays
-    ewma_alpha: float = 0.05         # queueing-delay EWMA smoothing
     placement: Optional[PlacementPolicy] = None
 
 
@@ -312,9 +316,9 @@ class _WorkerState:
     __slots__ = ("clock", "batch", "commands", "dispatches",
                  "queue_delay", "service_time", "aof_seconds")
 
-    def __init__(self, clock: WorkerClock, config: WorkerPoolConfig) -> None:
+    def __init__(self, clock: WorkerClock) -> None:
         self.clock = clock
-        self.batch = config.min_batch
+        self.batch = 1
         self.commands = 0
         self.dispatches = 0
         self.queue_delay = LatencyHistogram()
@@ -347,12 +351,9 @@ class WorkerPool:
     def __init__(self, shard_clock: ShardClock, scheduler: SimClock,
                  config: Optional[WorkerPoolConfig] = None) -> None:
         self.config = config or WorkerPoolConfig()
-        if self.config.min_batch < 1 or self.config.max_batch < \
-                self.config.min_batch:
-            raise ValueError("need 1 <= min_batch <= max_batch")
         self.shard_clock = shard_clock
         self.workers: List[_WorkerState] = [
-            _WorkerState(clock, self.config) for clock in shard_clock.workers]
+            _WorkerState(clock) for clock in shard_clock.workers]
         self.scheduler = scheduler
         self.server = None          # set once, by bind()
         self._aof = None            # the store's AOF writer, if it logs
@@ -509,8 +510,7 @@ class WorkerPool:
         gathered round-robin across the connections that have one
         (``order``: their indices, ring order from the chosen one), and
         execute them back-to-back on its core."""
-        limit = worker.batch if self.config.adaptive_batch \
-            else self.config.min_batch
+        limit = worker.batch if self.config.adaptive_batch else 1
         conns = self.server.connections
         ready = self._ready
         # (conn, request, arrival, route, parsed)
@@ -599,17 +599,16 @@ class WorkerPool:
             return
         if len(batch) == limit:
             # Backlog: the worker filled its budget; give it more.
-            worker.batch = min(worker.batch * 2, self.config.max_batch)
-        elif now - batch[0][2] < self.config.batch_low_delay:
+            worker.batch = min(worker.batch * 2, MAX_BATCH)
+        elif now - batch[0][2] < BATCH_LOW_DELAY:
             # Queueing delay is low; shed batch budget one step at a
             # time so a burst does not leave B pinned high forever.
-            worker.batch = max(worker.batch - 1, self.config.min_batch)
+            worker.batch = max(worker.batch - 1, 1)
 
     def _note_delay(self, worker: _WorkerState, delay: float) -> None:
         worker.queue_delay.record(delay)
-        alpha = self.config.ewma_alpha
         self._ewma = delay if self._ewma is None \
-            else alpha * delay + (1.0 - alpha) * self._ewma
+            else EWMA_ALPHA * delay + (1.0 - EWMA_ALPHA) * self._ewma
 
     def _complete(self, served) -> None:
         """A batch's service time elapsed (``served``: the connection of
@@ -710,7 +709,7 @@ class WorkerPool:
             return False
         for _ in range(self._resize_pending):
             clock = self.shard_clock.add_worker(now)
-            self.workers.append(_WorkerState(clock, self.config))
+            self.workers.append(_WorkerState(clock))
         while self._shed_pending and len(self.workers) > 1:
             self._shed_pending -= 1
             retired = self.workers.pop()

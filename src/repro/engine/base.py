@@ -89,6 +89,11 @@ _EXPIRE_FAMILY = frozenset((b"EXPIRE", b"PEXPIRE", b"EXPIREAT", b"PEXPIREAT"))
 #: when it carries options); see :meth:`StorageEngine._log_records`.
 _TRANSLATED = _EXPIRE_FAMILY | {b"RESTORE"}
 
+#: Background cycles per simulated second (Redis ``hz``): how often an
+#: engine's :meth:`StorageEngine.tick` runs its expiry cycle or vacuum
+#: and a server's cron timer fires.
+HZ = 10
+
 
 class StoredRecord(NamedTuple):
     """One keyspace entry: the key, the engine-native value, the
@@ -127,8 +132,8 @@ class StorageEngine:
     Subclasses must provide the attributes ``clock``, ``config``,
     ``stats``, ``monitor``, ``aof`` (the :class:`AofWriter` of the
     durable command log, or None when durability is off) and
-    ``aof_log`` (that writer's device), plus ``rewrites_completed`` and
-    ``_last_rewrite`` where they log, in addition to the abstract
+    ``aof_log`` (that writer's device), plus ``rewrites_completed``
+    where they log, in addition to the abstract
     methods below.  Listener management is implemented here so every
     engine shares one subscription semantics.
     """
@@ -215,8 +220,6 @@ class StorageEngine:
                     aof.feed_command(db_index, record,
                                      is_write=effective_write)
                 aof.post_command()
-                if effective_write:
-                    self._after_logged_write()
             if effective_write and self.write_listeners:
                 for record in records:
                     self.notify_write(db_index, record)
@@ -274,10 +277,6 @@ class StorageEngine:
         """The absolute expiry deadline ``key`` holds, or None when it
         has none or is gone."""
         raise NotImplementedError
-
-    def _after_logged_write(self) -> None:
-        """Called once an effective write has reached the log (the
-        key-value engine checks its growth-based rewrite here)."""
 
     def session(self, db_index: int = 0) -> Any:
         """A fresh client session (its own SELECTed database)."""

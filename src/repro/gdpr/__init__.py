@@ -40,7 +40,7 @@ from .rights import (
     right_to_portability,
     transfer_subject,
 )
-from .store import CONTROLLER, ErasureEvent, GDPRConfig, GDPRStore
+from .store import CONTROLLER, GDPRConfig, GDPRStore
 
 __all__ = [
     "GDPRStore",
@@ -50,7 +50,6 @@ __all__ = [
     "pack_envelope",
     "unpack_envelope",
     "CONTROLLER",
-    "ErasureEvent",
     "Principal",
     "Operation",
     "Grant",

@@ -99,17 +99,8 @@ class LocationManager:
     def record_stored(self, key: str, region_code: str) -> None:
         self._key_locations.setdefault(key, set()).add(region_code)
 
-    def record_erased(self, key: str,
-                      region_code: Optional[str] = None) -> None:
-        locations = self._key_locations.get(key)
-        if locations is None:
-            return
-        if region_code is None:
-            del self._key_locations[key]
-        else:
-            locations.discard(region_code)
-            if not locations:
-                del self._key_locations[key]
+    def record_erased(self, key: str) -> None:
+        self._key_locations.pop(key, None)
 
     def locations_of(self, key: str) -> List[str]:
         return sorted(self._key_locations.get(key, ()))

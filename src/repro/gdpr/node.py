@@ -19,7 +19,8 @@ underneath as it does on any node.  The wire forms:
 * ``GDPR.ACCESS|ERASE|EXPORT|OBJECT subject principal arg`` runs the
   right's per-store body and replies with its part as JSON (nil when
   the shard holds nothing of the subject); ``arg`` is the body's JSON
-  argument (``compact_log``, the export format, the objected purpose).
+  argument (the export format, the objected purpose; null for access
+  and erasure).
 
 A principal travels as JSON.  A refused operation replies ``GDPRERR
 <exception class> <message>``, and :func:`raise_reply` turns that back

@@ -188,7 +188,7 @@ def right_of_access(target, subject: str,
 
 
 def _erasure_part(store: GDPRStore, subject: str, principal: Principal,
-                  compact_log: Optional[bool]) -> Optional[dict]:
+                  _arg=None) -> Optional[dict]:
     keys = store.keys_of_subject(subject)
     if not keys:
         return None
@@ -207,10 +207,8 @@ def _erasure_part(store: GDPRStore, subject: str, principal: Principal,
     crypto_erased = False
     if store.config.encrypt_at_rest:
         crypto_erased = store.keystore.erase_key(subject)
-    compact = store.config.compact_on_erasure if compact_log is None \
-        else compact_log
     compacted = False
-    if compact and store.kv.aof_log is not None:
+    if store.config.compact_on_erasure and store.kv.aof_log is not None:
         store.kv.rewrite_aof()
         compacted = True
     residual = store.kv.aof_log is not None and bool(mentioned_keys(
@@ -227,8 +225,7 @@ def _erasure_part(store: GDPRStore, subject: str, principal: Principal,
 
 
 def right_to_erasure(target, subject: str,
-                     principal: Optional[Principal] = None,
-                     compact_log: Optional[bool] = None) -> ErasureReceipt:
+                     principal: Optional[Principal] = None) -> ErasureReceipt:
     """Art. 17: erase the subject everywhere, without undue delay.
 
     Erasure depth is three layers, on every holding store:
@@ -236,10 +233,10 @@ def right_to_erasure(target, subject: str,
     1. one keyspace DEL of every key (immediate inaccessibility),
     2. crypto-erasure of the subject's data key (voids AOF history,
        snapshots, and backups even where ciphertext bytes linger),
-    3. optional AOF compaction so not even ciphertext persists
-       (``compact_log`` defaults to each store's ``compact_on_erasure``).
+    3. AOF compaction so not even ciphertext persists, on each store
+       whose ``compact_on_erasure`` is set.
     """
-    parts = _parts(target, _erasure_part, subject, principal, compact_log)
+    parts = _parts(target, _erasure_part, subject, principal)
     erased = [part for _, part in parts]
     return ErasureReceipt(
         subject=subject,

@@ -48,6 +48,12 @@ from .policy import PolicyEngine
 CONTROLLER = Principal.controller()
 
 
+#: Seconds past its deadline an erasure may land before it counts as an
+#: SLA breach in :meth:`GDPRStore.erasure_report` (the eventual-
+#: compliance window).
+ERASURE_SLA = 3600.0
+
+
 @dataclass
 class GDPRConfig:
     """Policy knobs of the GDPR layer (the compliance spectrum)."""
@@ -55,13 +61,10 @@ class GDPRConfig:
     encrypt_at_rest: bool = True
     audit_durability: AuditDurability = AuditDurability.SYNC
     audit_batch_interval: float = 1.0
-    require_purpose: bool = True
     region: str = "eu-west"
     node_id: str = "node-0"
-    default_ttl: Optional[float] = None
     compact_on_erasure: bool = True     # rewrite AOF after Art. 17 erasure
     pseudonymize_audit: bool = False
-    erasure_sla: float = 3600.0         # eventual-compliance window (s)
     # Fast-GDPR mode: amortize compliance work off the critical path.
     # Audit records seal into hash-chained blocks (one chain update +
     # one group-commit fsync per block), value+TTL fuse into a single
@@ -74,24 +77,6 @@ class GDPRConfig:
     audit_block_size: int = 64          # records per sealed block
     writebehind_interval: float = 0.1   # dirty-set flush period (s)
     audit_memory_window: Optional[int] = None   # bound on in-RAM records
-
-
-@dataclass(frozen=True)
-class ErasureEvent:
-    """One key's removal, timestamped against its deadline."""
-
-    key: str
-    subject: str
-    reason: str                 # del / lazy-expire / active-expire / erasure
-    erased_at: float
-    deadline: Optional[float]   # TTL deadline, if the record had one
-
-    @property
-    def lateness(self) -> Optional[float]:
-        """Seconds past the deadline (negative = early); None if no TTL."""
-        if self.deadline is None:
-            return None
-        return self.erased_at - self.deadline
 
 
 class GDPRStore:
@@ -112,8 +97,7 @@ class GDPRStore:
                  keystore: Optional[KeyStore] = None,
                  audit: Optional[AuditLog] = None,
                  access: Optional[AccessController] = None,
-                 locations: Optional[LocationManager] = None,
-                 policies: Optional[PolicyEngine] = None) -> None:
+                 locations: Optional[LocationManager] = None) -> None:
         self.config = config if config is not None else GDPRConfig()
         self.kv = kv if kv is not None else KeyValueStore(
             StoreConfig(appendonly=True, aof_log_reads=True))
@@ -132,10 +116,16 @@ class GDPRStore:
         if not self.locations.has_node(self.config.node_id):
             self.locations.place_node(self.config.node_id,
                                       self.config.region)
-        self.policies = policies if policies is not None else PolicyEngine()
+        self.policies = PolicyEngine()
         self.index = MetadataIndex()
         self.pseudonymizer = Pseudonymizer()
-        self.erasure_events: List[ErasureEvent] = []
+        # Erasure timeliness as the aggregates erasure_report() reads:
+        # no erased key or subject name outlives its deletion here.
+        self._erasures = 0
+        self._timed_erasures = 0
+        self._max_lateness = 0.0
+        self._lateness_sum = 0.0
+        self._sla_breaches = 0
         self._writebehind: Optional[WriteBehindIndexer] = None
         if self.config.fast_gdpr:
             self._writebehind = WriteBehindIndexer(
@@ -265,9 +255,15 @@ class GDPRStore:
         if metadata is None:
             return
         self.locations.record_erased(key)
-        self.erasure_events.append(ErasureEvent(
-            key=key, subject=metadata.owner, reason=reason,
-            erased_at=when, deadline=metadata.expire_at()))
+        self._erasures += 1
+        deadline = metadata.expire_at()
+        if deadline is not None:
+            lateness = max(when - deadline, 0.0)
+            self._timed_erasures += 1
+            self._max_lateness = max(self._max_lateness, lateness)
+            self._lateness_sum += lateness
+            if lateness > ERASURE_SLA:
+                self._sla_breaches += 1
         if reason != "del":
             # Explicit deletes are audited by their caller with the acting
             # principal; TTL reclamation is the system acting on its own.
@@ -293,7 +289,7 @@ class GDPRStore:
             self._record_audit(principal.name, "put", key, metadata.owner,
                                purpose, "denied")
             raise
-        if self.config.require_purpose and not metadata.purposes:
+        if not metadata.purposes:
             self._record_audit(principal.name, "put", key, metadata.owner,
                                purpose, "error", "no declared purpose")
             raise PurposeViolationError(
@@ -304,13 +300,10 @@ class GDPRStore:
         tenant_policy = self._tenant_policy(key)
         if metadata.ttl is None:
             # Storage limitation: derive retention from purpose policies
-            # (the tightest bound), else the tenant default, else the
-            # store default.
+            # (the tightest bound), else the tenant default.
             derived = self.policies.effective_retention(metadata)
             if derived is None and tenant_policy is not None:
                 derived = tenant_policy.default_ttl
-            if derived is None:
-                derived = self.config.default_ttl
             if derived is not None:
                 metadata = _with_ttl(metadata, derived)
         self.policies.validate(metadata)
@@ -560,21 +553,16 @@ class GDPRStore:
     # -- reporting --------------------------------------------------------------------
 
     def erasure_report(self) -> Dict[str, float]:
-        """Timeliness of deletions: the GDPR-level view of Figure 2."""
-        with_deadline = [e for e in self.erasure_events
-                         if e.lateness is not None]
-        if not with_deadline:
-            return {"events": float(len(self.erasure_events)),
-                    "with_deadline": 0.0, "max_lateness": 0.0,
-                    "mean_lateness": 0.0, "sla_breaches": 0.0}
-        lateness = [max(e.lateness, 0.0) for e in with_deadline]
-        breaches = sum(1 for l in lateness if l > self.config.erasure_sla)
+        """Timeliness of deletions: the GDPR-level view of Figure 2.
+        Lateness is seconds past a record's deadline (never negative)
+        over the erasures of records that had one."""
+        timed = self._timed_erasures
         return {
-            "events": float(len(self.erasure_events)),
-            "with_deadline": float(len(with_deadline)),
-            "max_lateness": max(lateness),
-            "mean_lateness": sum(lateness) / len(lateness),
-            "sla_breaches": float(breaches),
+            "events": float(self._erasures),
+            "with_deadline": float(timed),
+            "max_lateness": self._max_lateness,
+            "mean_lateness": self._lateness_sum / timed if timed else 0.0,
+            "sla_breaches": float(self._sla_breaches),
         }
 
     def subject_exists(self, subject: str) -> bool:

@@ -65,8 +65,7 @@ class AofWriter:
         self._selected_db = 0
         self._last_fsync = clock.now()
         #: Log size right after the last :meth:`rewrite` (Redis'
-        #: ``aof_rewrite_base_size``): growth-based rewrites measure
-        #: from it.
+        #: ``aof_rewrite_base_size``, reported by INFO).
         self.base_size = 0
         self.records_written = 0
         self.reads_logged = 0

@@ -10,7 +10,6 @@ from .commands import (
     CONTROL,
     CommandContext,
     command,
-    glob_match,
     parse_int,
 )
 
@@ -64,31 +63,6 @@ def cmd_flushall(ctx: CommandContext, args: List[bytes]) -> SimpleString:
 @command("INFO", arity=-1, routing=CONTROL)
 def cmd_info(ctx: CommandContext, args: List[bytes]) -> bytes:
     return ctx.store.info_text().encode("utf-8")
-
-
-@command("CONFIG", arity=-2, routing=CONTROL)
-def cmd_config(ctx: CommandContext, args: List[bytes]):
-    sub = args[1].upper()
-    if sub == b"GET":
-        if len(args) != 3:
-            raise RespError("ERR wrong number of arguments for "
-                            "'config get' command")
-        pattern = args[2]
-        out: List[bytes] = []
-        for name, value in sorted(ctx.store.config_items().items()):
-            if glob_match(pattern, name.encode()):
-                out.append(name.encode())
-                out.append(str(value).encode())
-        return out
-    if sub == b"SET":
-        if len(args) != 4:
-            raise RespError("ERR wrong number of arguments for "
-                            "'config set' command")
-        ctx.store.config_set(args[2].decode("utf-8"),
-                             args[3].decode("utf-8"))
-        return OK
-    raise RespError(f"ERR unknown CONFIG subcommand "
-                    f"{args[1].decode('utf-8', 'replace')!r}")
 
 
 @command("SLOWLOG", arity=-2, routing=CONTROL)

@@ -30,6 +30,7 @@ import random
 from typing import Callable, List, Optional, Tuple
 
 from ..common.clock import Clock
+from ..engine.base import HZ
 from .keyspace import Database
 
 # Constants from Redis 4.0 expire.c.
@@ -87,25 +88,20 @@ class ExpiryStrategy:
 class LazyExpiryCycle(ExpiryStrategy):
     """Redis 4.0 ``activeExpireCycle`` (slow cycle), ported verbatim.
 
-    ``hz`` controls both the cadence the store runs cycles at and the time
-    budget of one cycle: SLOW_TIME_PERC% of one tick (25 ms at hz=10).
+    The store runs one cycle per cron tick (``HZ`` a second), and a
+    cycle's time budget is SLOW_TIME_PERC% of one tick (25 ms).
     """
 
     name = "lazy"
 
-    def __init__(self, hz: int = 10, rng: Optional[random.Random] = None,
-                 sample_cost: float = SAMPLE_COST,
-                 delete_cost: float = DELETE_COST) -> None:
+    def __init__(self, rng: Optional[random.Random] = None) -> None:
         super().__init__()
-        self.hz = hz
         self._rng = rng if rng is not None else random.Random(0)
-        self._sample_cost = sample_cost
-        self._delete_cost = delete_cost
 
     def run_cycle(self, db: Database, now: float, clock: Clock,
                   on_expire: ExpireCallback) -> int:
         self.stats.cycles += 1
-        timelimit = (SLOW_TIME_PERC / 100.0) / self.hz
+        timelimit = (SLOW_TIME_PERC / 100.0) / HZ
         start = clock.now()
         total_expired = 0
         iteration = 0
@@ -120,11 +116,11 @@ class LazyExpiryCycle(ExpiryStrategy):
                 key = db.expires_sample.random_key(self._rng)
                 if key is None:
                     break
-                clock.advance(self._sample_cost)
+                clock.advance(SAMPLE_COST)
                 self.stats.sampled += 1
                 expire_at = db.get_expiry(key)
                 if expire_at is not None and expire_at <= now:
-                    clock.advance(self._delete_cost)
+                    clock.advance(DELETE_COST)
                     on_expire(db, key)
                     expired += 1
             total_expired += expired
@@ -149,22 +145,16 @@ class FullScanExpiryCycle(ExpiryStrategy):
 
     name = "fullscan"
 
-    def __init__(self, scan_cost: float = SCAN_COST,
-                 delete_cost: float = DELETE_COST) -> None:
-        super().__init__()
-        self._scan_cost = scan_cost
-        self._delete_cost = delete_cost
-
     def run_cycle(self, db: Database, now: float, clock: Clock,
                   on_expire: ExpireCallback) -> int:
         self.stats.cycles += 1
         volatile = list(db.expires.items())
-        clock.advance(self._scan_cost * max(len(volatile), 1))
+        clock.advance(SCAN_COST * max(len(volatile), 1))
         self.stats.sampled += len(volatile)
         expired = 0
         for key, expire_at in volatile:
             if expire_at <= now:
-                clock.advance(self._delete_cost)
+                clock.advance(DELETE_COST)
                 on_expire(db, key)
                 expired += 1
         db.expired_count += expired
@@ -183,12 +173,9 @@ class IndexedExpiryCycle(ExpiryStrategy):
 
     name = "indexed"
 
-    def __init__(self, pop_cost: float = SAMPLE_COST,
-                 delete_cost: float = DELETE_COST) -> None:
+    def __init__(self) -> None:
         super().__init__()
         self._heap: List[Tuple[float, bytes]] = []
-        self._pop_cost = pop_cost
-        self._delete_cost = delete_cost
 
     def note_expiry_set(self, key: bytes, expire_at: float) -> None:
         heapq.heappush(self._heap, (expire_at, key))
@@ -202,13 +189,13 @@ class IndexedExpiryCycle(ExpiryStrategy):
         expired = 0
         while self._heap and self._heap[0][0] <= now:
             expire_at, key = heapq.heappop(self._heap)
-            clock.advance(self._pop_cost)
+            clock.advance(SAMPLE_COST)
             self.stats.sampled += 1
             actual = db.get_expiry(key)
             if actual is None or actual != expire_at:
                 continue  # stale entry: expiry was cleared or rewritten
             if actual <= now:
-                clock.advance(self._delete_cost)
+                clock.advance(DELETE_COST)
                 on_expire(db, key)
                 expired += 1
         db.expired_count += expired
@@ -227,11 +214,11 @@ STRATEGIES = {
 }
 
 
-def make_strategy(name: str, hz: int = 10,
+def make_strategy(name: str,
                   rng: Optional[random.Random] = None) -> ExpiryStrategy:
     """Instantiate a strategy by config name."""
     if name == LazyExpiryCycle.name:
-        return LazyExpiryCycle(hz=hz, rng=rng)
+        return LazyExpiryCycle(rng=rng)
     if name == FullScanExpiryCycle.name:
         return FullScanExpiryCycle()
     if name == IndexedExpiryCycle.name:

@@ -35,6 +35,7 @@ from typing import Any, Callable, Deque, List, Optional, Set, Tuple
 
 from ..common.errors import StoreError
 from ..common.resp import RespDecoder, RespError, encode, encode_command
+from ..engine.base import HZ
 from ..net.channel import Channel, Endpoint
 from ..net.tls import TlsSession, establish_session_pair
 from .commands import Session
@@ -272,14 +273,14 @@ class EventLoopMixin:
 
     def start_cron(self, interval: Optional[float] = None) -> None:
         """Run the store's serverCron from recurring daemon timer events
-        (expiry cycles, everysec fsync, AOF auto-rewrite), its cost
+        (expiry cycles, everysec fsync, periodic AOF rewrite), its cost
         billed to the core that caused it (:meth:`WorkerPool.cron_tick
         <repro.cluster.workers.WorkerPool.cron_tick>`).  Daemon events
         never keep :meth:`SimClock.run_until_idle` alive by themselves."""
         if self._cron_handle is not None and self._cron_handle.active:
             return
         if interval is None:
-            interval = 1.0 / self.store.config.hz
+            interval = 1.0 / HZ
         self._cron_handle = self.scheduler.every(
             interval, self._pool.cron_tick, label="server-cron")
 

@@ -3,19 +3,20 @@
 :class:`KeyValueStore` is the reproduction's stand-in for Redis 4.0.11.  It
 wires the keyspace, command table, AOF, snapshotting, slowlog, MONITOR, and
 the pluggable active-expiry strategy behind one ``execute`` entry point,
-and runs background work (expiry cycles, everysec fsync, AOF auto-rewrite)
-from a cron driven by its clock -- the same serverCron structure Redis has.
+and runs background work (expiry cycles, everysec fsync, periodic AOF
+rewrite) from a cron driven by its clock -- the same serverCron structure
+Redis has.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, List, Optional, Sequence
 
 from ..common.clock import Clock, SimClock
 from ..device.append_log import AppendLog
-from ..engine.base import SnapshotImage, StorageEngine, StoredRecord, \
+from ..engine.base import HZ, SnapshotImage, StorageEngine, StoredRecord, \
     register_engine
 from . import cmd_admin  # noqa: F401  (imports register commands)
 from . import cmd_collections  # noqa: F401
@@ -41,24 +42,22 @@ class StoreConfig:
     ``appendonly`` + ``appendfsync`` + ``aof_log_reads`` span the paper's
     monitoring configurations; ``expiry_strategy`` spans Figure 2;
     ``aof_rewrite_interval`` is the section 4.3 periodic-compaction bound.
+    A setting is chosen once, when the store is built.
     """
 
-    databases: int = 16
-    hz: int = 10
     appendonly: bool = False
     appendfsync: str = "everysec"
     aof_log_reads: bool = False
     aof_record_base_cost: float = 0.0
     aof_record_per_byte_cost: float = 0.0
-    auto_aof_rewrite_percentage: int = 0   # 0 disables growth-based rewrite
-    auto_aof_rewrite_min_size: int = 1 << 20
     aof_rewrite_interval: float = 0.0      # seconds; 0 disables periodic
     expiry_strategy: str = "lazy"
     command_cpu_cost: float = 0.0
-    slowlog_threshold: float = 10e-3
-    slowlog_max_len: int = 128
     seed: int = 0
-    extra: Dict[str, str] = field(default_factory=dict)
+
+
+#: Numbered databases every key-value store has (Redis' default).
+DATABASES = 16
 
 
 # One counter contract for every engine (repro.engine.base); the old
@@ -78,13 +77,12 @@ class KeyValueStore(StorageEngine):
         super().__init__()
         self.config = config if config is not None else StoreConfig()
         self.clock = clock if clock is not None else SimClock()
-        self.databases = [Database(i) for i in range(self.config.databases)]
+        self.databases = [Database(i) for i in range(DATABASES)]
         self.stats = StoreStats()
-        self.slowlog = Slowlog(threshold=self.config.slowlog_threshold,
-                               max_len=self.config.slowlog_max_len)
+        self.slowlog = Slowlog()
         self.monitor = MonitorFeed(clock=self.clock)
         self.expiry: ExpiryStrategy = make_strategy(
-            self.config.expiry_strategy, hz=self.config.hz,
+            self.config.expiry_strategy,
             rng=random.Random(self.config.seed + 1))
         self.aof: Optional[AofWriter] = None
         self.aof_log: Optional[AppendLog] = None
@@ -116,12 +114,6 @@ class KeyValueStore(StorageEngine):
         reply = handler(ctx, argv)
         self.slowlog.maybe_record(ctx.now, self.clock.now() - ctx.now, argv)
         return reply
-
-    def _after_logged_write(self) -> None:
-        if self.config.auto_aof_rewrite_percentage:
-            # Growth-based rewrite is checked on the write path (not only
-            # in cron) so it also fires under zero-cost clocks.
-            self._maybe_auto_rewrite(self.clock.now())
 
     # -- keyspace access with lazy expiry ----------------------------------------
 
@@ -195,7 +187,7 @@ class KeyValueStore(StorageEngine):
         if self.aof is not None:
             self.aof.tick(now)
         if not self._promoting \
-                and now - self._last_cron >= 1.0 / self.config.hz:
+                and now - self._last_cron >= 1.0 / HZ:
             self._last_cron = now
             self.cron(now)
 
@@ -212,24 +204,13 @@ class KeyValueStore(StorageEngine):
         if self.aof is not None:
             if expired:
                 self.aof.post_command()
-            self._maybe_auto_rewrite(now)
+            interval = self.config.aof_rewrite_interval
+            if interval and now - self._last_rewrite >= interval:
+                self.rewrite_aof()
         return expired
 
     def _on_active_expire(self, db: Database, key: bytes) -> None:
         self._reclaim_expired(db.index, key, "active-expire")
-
-    def _maybe_auto_rewrite(self, now: float) -> None:
-        interval = self.config.aof_rewrite_interval
-        if interval and now - self._last_rewrite >= interval:
-            self.rewrite_aof()
-            return
-        pct = self.config.auto_aof_rewrite_percentage
-        if pct and self.aof is not None:
-            size = self.aof_log.total_length
-            base = max(self.aof.base_size,
-                       self.config.auto_aof_rewrite_min_size)
-            if size >= base * (1 + pct / 100.0):
-                self.rewrite_aof()
 
     # -- persistence ----------------------------------------------------------------
 
@@ -249,61 +230,7 @@ class KeyValueStore(StorageEngine):
                 if record.expire_at is not None:
                     self.set_key_expiry(db, record.key, record.expire_at)
 
-    # -- configuration & introspection --------------------------------------------
-
-    def config_items(self) -> Dict[str, str]:
-        cfg = self.config
-        return {
-            "appendonly": "yes" if cfg.appendonly else "no",
-            "appendfsync": cfg.appendfsync,
-            "aof-log-reads": "yes" if cfg.aof_log_reads else "no",
-            "hz": str(cfg.hz),
-            "active-expiry-strategy": cfg.expiry_strategy,
-            "auto-aof-rewrite-percentage":
-                str(cfg.auto_aof_rewrite_percentage),
-            "aof-rewrite-interval": str(cfg.aof_rewrite_interval),
-            "slowlog-log-slower-than":
-                str(int(cfg.slowlog_threshold * 1e6)),
-            "slowlog-max-len": str(cfg.slowlog_max_len),
-            "databases": str(cfg.databases),
-        }
-
-    def config_set(self, name: str, value: str) -> None:
-        from ..common.resp import RespError
-        name = name.lower()
-        if name == "appendfsync":
-            policy = FsyncPolicy.parse(value)
-            self.config.appendfsync = policy.value
-            if self.aof is not None:
-                self.aof.policy = policy
-        elif name == "aof-log-reads":
-            flag = value.lower() in ("yes", "true", "1")
-            self.config.aof_log_reads = flag
-            if self.aof is not None:
-                self.aof.log_reads = flag
-        elif name == "hz":
-            self.config.hz = max(1, int(value))
-        elif name == "active-expiry-strategy":
-            self.config.expiry_strategy = value
-            self.expiry = make_strategy(value, hz=self.config.hz,
-                                        rng=random.Random(
-                                            self.config.seed + 1))
-            # Rebuild auxiliary indexes from authoritative expires dicts.
-            for db in self.databases:
-                for key, expire_at in db.expires.items():
-                    self.expiry.note_expiry_set(key, expire_at)
-        elif name == "slowlog-log-slower-than":
-            micros = int(value)
-            self.config.slowlog_threshold = micros / 1e6 if micros >= 0 else -1
-            self.slowlog.threshold = self.config.slowlog_threshold
-        elif name == "slowlog-max-len":
-            self.config.slowlog_max_len = int(value)
-        elif name == "auto-aof-rewrite-percentage":
-            self.config.auto_aof_rewrite_percentage = int(value)
-        elif name == "aof-rewrite-interval":
-            self.config.aof_rewrite_interval = float(value)
-        else:
-            raise RespError(f"ERR Unsupported CONFIG parameter: {name}")
+    # -- introspection ------------------------------------------------------------
 
     def info_text(self) -> str:
         lines = [

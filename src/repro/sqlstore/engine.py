@@ -65,7 +65,7 @@ from ..common.clock import Clock, SimClock
 from ..common.errors import ArityError, CorruptionError, WrongTypeError
 from ..common.resp import RespError, SimpleString
 from ..device.append_log import AppendLog
-from ..engine.base import EngineStats, MetadataRow, SnapshotImage, \
+from ..engine.base import HZ, EngineStats, MetadataRow, SnapshotImage, \
     StorageEngine, StoredRecord, register_engine
 from ..kvstore.aof import AofWriter, FsyncPolicy
 from ..kvstore.commands import (
@@ -87,17 +87,14 @@ class SqlConfig:
     ``backends`` scenario installs calibrated values.  ``wal_fsync``
     spans the paper's durability spectrum (``synchronous_commit``);
     ``wal_log_reads`` is the statement-logging monitoring
-    configuration; ``checkpoint_interval`` bounds how long deleted data
-    may linger in the WAL (the section 4.3 concern).
+    configuration.  A setting is chosen once, when the engine is built.
     """
 
-    hz: int = 10
     wal_enabled: bool = True
     wal_fsync: str = "everysec"
     wal_log_reads: bool = False
     wal_record_base_cost: float = 0.0
     wal_record_per_byte_cost: float = 0.0
-    checkpoint_interval: float = 0.0     # seconds; 0 disables
     statement_cpu_cost: float = 0.0      # executor overhead per statement
     statement_parse_cost: float = 0.0    # plan-cache miss: parse
     statement_plan_cost: float = 0.0     # plan-cache miss: optimize
@@ -139,7 +136,6 @@ class RelationalStore(StorageEngine):
                 record_base_cost=self.config.wal_record_base_cost,
                 record_per_byte_cost=self.config.wal_record_per_byte_cost)
         self._last_vacuum = self.clock.now()
-        self._last_rewrite = self.clock.now()
         self.vacuum_runs = 0
         self.rewrites_completed = 0
 
@@ -599,22 +595,18 @@ class RelationalStore(StorageEngine):
         b"GDPRMETA": _stmt_gdprmeta,
     }
 
-    # -- background work (vacuum + WAL fsync + checkpoint) -----------------
+    # -- background work (vacuum + WAL fsync) ------------------------------
 
     def tick(self) -> None:
-        """Run due background work: WAL group fsync, the retention
-        vacuum, and the periodic checkpoint."""
+        """Run due background work: WAL group fsync and the retention
+        vacuum."""
         now = self.clock.now()
         if self.aof is not None:
             self.aof.tick(now)
         if not self._promoting \
-                and now - self._last_vacuum >= 1.0 / self.config.hz:
+                and now - self._last_vacuum >= 1.0 / HZ:
             self._last_vacuum = now
             self.vacuum(now)
-        interval = self.config.checkpoint_interval
-        if interval and self.aof_log is not None \
-                and now - self._last_rewrite >= interval:
-            self.rewrite_aof()
 
     def vacuum(self, now: Optional[float] = None) -> int:
         """One retention sweep: delete rows whose ``expire_at`` passed,
@@ -716,7 +708,7 @@ class RelationalStore(StorageEngine):
         """A zero-cost relational replica (no WAL of its own), per the
         engine contract."""
         return RelationalStore(
-            SqlConfig(hz=self.config.hz, wal_enabled=False),
+            SqlConfig(wal_enabled=False),
             clock=clock if clock is not None else self.clock)
 
     # -- introspection -----------------------------------------------------

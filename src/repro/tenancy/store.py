@@ -119,14 +119,13 @@ class TenantStore:
                                principal=principal)
 
     def erase_subject(self, subject: str,
-                      principal: Optional[Principal] = None,
-                      compact_log: Optional[bool] = None):
+                      principal: Optional[Principal] = None):
         """Art. 17: erase *this tenant's* ``subject`` -- one keyspace DEL,
         crypto-erasure of the tenant-qualified data key, archive
         tombstones -- leaving same-named subjects of other tenants
         untouched."""
         return right_to_erasure(self.base, self._subject(subject),
-                                principal=principal, compact_log=compact_log)
+                                principal=principal)
 
     def export_subject(self, subject: str, fmt: str = "json",
                        principal: Optional[Principal] = None) -> bytes:

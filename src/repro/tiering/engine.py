@@ -63,7 +63,6 @@ class TieringConfig:
     demote_idle_after: float = 300.0   # seconds untouched before demotion
     demote_interval: float = 60.0      # how often the idle scan runs
     segment_max_records: int = 64      # records per sealed segment
-    bloom_fp_rate: float = 0.01        # per-segment bloom FP bound
     auto_demote: bool = True           # run the idle scan from tick()
 
 
@@ -83,9 +82,7 @@ class TieredEngine(StorageEngine):
         self.tiering = tiering if tiering is not None else TieringConfig()
         if device is None:
             device = AppendLog(clock=inner.clock, name="cold.seg")
-        self.cold = ColdSegmentStore(
-            device=device, keystore=keystore,
-            fp_rate=self.tiering.bloom_fp_rate)
+        self.cold = ColdSegmentStore(device=device, keystore=keystore)
         # key -> (owner, purposes): GDPR annotations survive the tier
         # round-trip -- sealing reads the owner (per-subject encryption),
         # promotion restores the metadata columns the hot re-insert

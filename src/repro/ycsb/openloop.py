@@ -14,10 +14,10 @@ separately per operation:
 * **service time** -- dispatch to reply (wire + server queue + execution;
   approaches a ceiling as the shard's loop saturates).
 
-Arrivals are deterministic: a seeded RNG drives either exponential
-interarrivals (``poisson``, the classic open-loop model) or constant ones
-(``uniform``), so two runs with the same seed admit the same operations
-at the same simulated instants and produce identical histograms.
+Arrivals are deterministic: a seeded RNG drives exponential
+interarrivals (Poisson arrivals, the classic open-loop model), so two
+runs with the same seed admit the same operations at the same simulated
+instants and produce identical histograms.
 
 The runner drives a cluster (:func:`repro.cluster.build_cluster`; one
 shard is just a one-node cluster): each simulated client keeps its own
@@ -54,22 +54,17 @@ from .workloads import WorkloadSpec
 
 
 class ArrivalProcess:
-    """Deterministic interarrival generator for a given offered rate."""
+    """Deterministic Poisson interarrival generator for a given offered
+    rate."""
 
-    def __init__(self, rate: float, distribution: str = "poisson",
+    def __init__(self, rate: float,
                  rng: Optional[random.Random] = None) -> None:
         if rate <= 0:
             raise ValueError("arrival rate must be positive")
-        if distribution not in ("poisson", "uniform"):
-            raise ValueError(
-                f"unknown arrival distribution {distribution!r}")
         self.rate = rate
-        self.distribution = distribution
         self._rng = rng if rng is not None else random.Random(0)
 
     def next_interarrival(self) -> float:
-        if self.distribution == "uniform":
-            return 1.0 / self.rate
         return self._rng.expovariate(self.rate)
 
 
@@ -249,7 +244,6 @@ class OpenLoopRunner:
 
     def __init__(self, cluster: ClusterClient, spec: WorkloadSpec,
                  clients: int = 4, arrival_rate: float = 10_000.0,
-                 arrival_distribution: str = "poisson",
                  seed: int = 42, max_redirects: int = 5,
                  tenant: Optional[str] = None) -> None:
         if clients < 1:
@@ -275,8 +269,7 @@ class OpenLoopRunner:
             self._key_prefix = tenant + TENANT_SEP
         root = random.Random(seed)
         self._arrivals = ArrivalProcess(
-            arrival_rate, arrival_distribution,
-            rng=random.Random(root.randrange(1 << 30)))
+            arrival_rate, rng=random.Random(root.randrange(1 << 30)))
         self.fields = FieldGenerator(spec.field_count, spec.field_length,
                                      seed=root.randrange(1 << 30))
         self.insert_counter = CounterGenerator(spec.record_count)

@@ -110,6 +110,16 @@ def test_a_plain_node_does_not_know_the_gdpr_commands():
         cluster.call("GDPR.GET", "user:1", CONTROLLER, "")
 
 
+def test_a_cluster_without_gdpr_shards_reports_no_erasures():
+    """Regression: the roll-up took max() over no shard reports and
+    raised ValueError; it is the report of a store with no events."""
+    from repro.gdpr import GDPRStore
+    assert build_cluster(2).erasure_report() == \
+        GDPRStore().erasure_report() == {
+            "events": 0.0, "with_deadline": 0.0, "max_lateness": 0.0,
+            "mean_lateness": 0.0, "sla_breaches": 0.0}
+
+
 def test_cluster_maintenance_reaches_the_gdpr_layer():
     cluster = build_cluster(2, store_factory=gdpr_shards(fast_gdpr=True))
     store = GDPRClient(cluster)

@@ -473,14 +473,18 @@ def test_gdpr_erasure_over_either_engine(gdpr_store):
         store.put(f"user:{number}", b"data", _meta(owner))
     assert store.keys_of_subject("alice") == ["user:0", "user:2"]
     from repro.gdpr.rights import right_to_erasure
+    deleted = []
+    store.kv.add_deletion_listener(
+        lambda db_index, key, reason, when: deleted.append(key))
     receipt = right_to_erasure(store, "alice")
     assert receipt.keys_erased == ["user:0", "user:2"]
     assert receipt.crypto_erased
     assert not store.subject_exists("alice")
     assert store.subject_exists("bob")
-    # Erasure events were timestamped off the engine's deletion tap.
-    erased = {event.key for event in store.erasure_events}
-    assert {"user:0", "user:2"} <= erased
+    # The erasure reached the engine's deletion tap, and the GDPR layer
+    # counted each key off it.
+    assert {b"user:0", b"user:2"} <= set(deleted)
+    assert store.erasure_report()["events"] == 2.0
     # Compaction leaves no trace in the durable log.
     assert not receipt.residual_in_aof
 

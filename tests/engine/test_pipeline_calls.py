@@ -15,11 +15,11 @@ from tests.support import ENGINE_FACTORIES, py_calls
 
 #: variant -> calls per command, including the measuring lambda.
 PINNED = {
-    "redislike": {"SET": 37, "GET": 29, "PEXPIREAT": 41, "DEL": 35},
-    "relational": {"SET": 29, "GET": 25, "PEXPIREAT": 36, "DEL": 33},
-    "tiered-redislike": {"SET": 52, "GET": 43, "PEXPIREAT": 57, "DEL": 55},
-    "tiered-relational": {"SET": 44, "GET": 39, "PEXPIREAT": 52,
-                          "DEL": 51},
+    "redislike": {"SET": 36, "GET": 29, "PEXPIREAT": 40, "DEL": 34},
+    "relational": {"SET": 28, "GET": 25, "PEXPIREAT": 35, "DEL": 32},
+    "tiered-redislike": {"SET": 51, "GET": 43, "PEXPIREAT": 56, "DEL": 54},
+    "tiered-relational": {"SET": 43, "GET": 39, "PEXPIREAT": 51,
+                          "DEL": 50},
 }
 
 

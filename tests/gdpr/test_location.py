@@ -64,11 +64,15 @@ class TestTracking:
         assert manager.locations_of("k") == ["eu-central", "eu-west"]
 
     def test_erase_one_region(self):
+        # An erasure removes a key from every region it was stored in;
+        # there is no per-region erasure.
         manager = LocationManager()
         manager.record_stored("k", "eu-west")
         manager.record_stored("k", "eu-central")
-        manager.record_erased("k", "eu-west")
-        assert manager.locations_of("k") == ["eu-central"]
+        with pytest.raises(TypeError):
+            manager.record_erased("k", "eu-west")
+        manager.record_erased("k")
+        assert manager.locations_of("k") == []
 
     def test_erase_everywhere(self):
         manager = LocationManager()

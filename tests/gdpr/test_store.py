@@ -1,5 +1,7 @@
 """Tests for the GDPRStore facade."""
 
+from collections import deque
+
 import pytest
 
 from repro.common.clock import SimClock
@@ -17,6 +19,7 @@ from repro.gdpr import (
     Operation,
     Principal,
     right_of_access,
+    right_to_erasure,
 )
 from repro.kvstore import KeyValueStore, StoreConfig
 
@@ -27,6 +30,28 @@ def make_store(clock=None, kv_config=None, **gdpr_kwargs):
         appendonly=True, aof_log_reads=True, expiry_strategy="fullscan")
     kv = KeyValueStore(kv_config, clock=clock)
     return GDPRStore(kv=kv, config=GDPRConfig(**gdpr_kwargs)), clock
+
+
+def _strings_reachable(root, skip):
+    """Every str held in ``root``'s attributes, transitively, except
+    under the attribute names in ``skip``."""
+    found, seen, stack = set(), set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, str):
+            found.add(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj)
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset, deque)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__") and not callable(obj):
+            stack.extend(value for name, value in vars(obj).items()
+                         if name not in skip)
+    return found
 
 
 def meta(owner="alice", purposes=("billing",), **kwargs):
@@ -64,9 +89,9 @@ class TestPutGet:
             store.put("k", b"v", meta(purposes=()))
 
     def test_put_without_purpose_allowed_when_configured(self):
-        store, _ = make_store(require_purpose=False)
-        store.put("k", b"v", meta(purposes=()))
-        assert store.get("k").value == b"v"
+        # A purpose is always required: the switch that waived it is gone.
+        with pytest.raises(TypeError):
+            make_store(require_purpose=False)
 
     def test_created_at_stamped(self):
         store, clock = make_store()
@@ -75,9 +100,13 @@ class TestPutGet:
         assert store.get("k").metadata.created_at == pytest.approx(42.0)
 
     def test_default_ttl_applied(self):
-        store, _ = make_store(default_ttl=600.0)
+        # Retention comes from the purpose policy, then the tenant
+        # default; there is no store-wide default any more.
+        with pytest.raises(TypeError):
+            make_store(default_ttl=600.0)
+        store, _ = make_store()
         store.put("k", b"v", meta())
-        assert store.get("k").metadata.ttl == 600.0
+        assert store.get("k").metadata.ttl is None
 
     def test_values_encrypted_at_rest(self):
         store, _ = make_store()
@@ -157,10 +186,10 @@ class TestDelete:
         store, _ = make_store()
         store.put("k", b"v", meta())
         store.delete("k")
-        assert len(store.erasure_events) == 1
-        event = store.erasure_events[0]
-        assert event.subject == "alice"
-        assert event.reason == "del"
+        assert store.erasure_report()["events"] == 1.0
+        record = store.audit.records()[-1]
+        assert (record.operation, record.key, record.subject,
+                record.outcome) == ("delete", "k", "alice", "ok")
 
 
 class TestTTLIntegration:
@@ -176,16 +205,20 @@ class TestTTLIntegration:
         store.tick()
         with pytest.raises(KeyError):
             store.get("k")
-        assert len(store.erasure_events) == 1
-        assert store.erasure_events[0].reason == "active-expire"
+        assert store.erasure_report()["events"] == 1.0
+        erasures = [r for r in store.audit.records()
+                    if r.operation == "expire-erase"]
+        assert [(r.key, r.subject, r.detail) for r in erasures] == \
+            [("k", "alice", "active-expire")]
 
     def test_erasure_lateness_tracked(self):
         store, clock = make_store()
         store.put("k", b"v", meta(ttl=10.0))
         clock.advance(25)
         store.tick()
-        event = store.erasure_events[0]
-        assert event.lateness == pytest.approx(15.0, abs=1.0)
+        report = store.erasure_report()
+        assert report["max_lateness"] == pytest.approx(15.0, abs=1.0)
+        assert report["mean_lateness"] == report["max_lateness"]
 
     def test_erasure_report(self):
         store, clock = make_store()
@@ -198,6 +231,24 @@ class TestTTLIntegration:
         assert report["with_deadline"] == 2.0
         assert report["max_lateness"] >= 0.0
 
+    def test_erasure_bookkeeping_keeps_no_erased_names(self):
+        """Regression: every deletion appended an event naming its key
+        and subject, kept forever -- an in-memory copy of the identity
+        Art. 17 removed.  Outside the engine, the audit log (which
+        records the erasure on purpose) and the keystore (which keeps
+        the subject's tombstone), nothing the store holds names an
+        erased key or subject -- except the metadata index's expiry
+        heap, which still holds an erased key's entry until its
+        deadline passes (an open defect of that index, not of the
+        erasure bookkeeping)."""
+        store, _ = make_store()
+        for number in range(1_000):
+            store.put(f"user:{number}", b"v", meta(ttl=60.0 + number))
+        right_to_erasure(store, "alice")
+        assert store.erasure_report()["events"] == 1_000.0
+        held = _strings_reachable(
+            store, skip=("kv", "audit", "keystore", "_expiry_heap"))
+        assert not {"alice", "user:0", "user:999"} & held
     def test_system_erasure_audited(self):
         store, clock = make_store()
         store.put("k", b"v", meta(ttl=5.0))

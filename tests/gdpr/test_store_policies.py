@@ -8,18 +8,20 @@ from repro.gdpr import (
     GDPRConfig,
     GDPRMetadata,
     GDPRStore,
-    PolicyEngine,
     RetentionPolicy,
 )
 from repro.kvstore import KeyValueStore, StoreConfig
 
 
-def make_store(policies=None):
+def make_store(*policies):
+    """A store whose own policy engine holds ``policies``."""
     clock = SimClock()
     kv = KeyValueStore(
         StoreConfig(appendonly=True, expiry_strategy="indexed"),
         clock=clock)
-    store = GDPRStore(kv=kv, config=GDPRConfig(), policies=policies)
+    store = GDPRStore(kv=kv, config=GDPRConfig())
+    for policy in policies:
+        store.policies.set_policy(policy)
     return store, clock
 
 
@@ -30,25 +32,19 @@ def meta(purposes=("billing",), ttl=None):
 
 class TestPutIntegration:
     def test_ttl_derived_from_policy(self):
-        engine = PolicyEngine()
-        engine.set_policy(RetentionPolicy("billing", 600.0))
-        store, _ = make_store(engine)
+        store, _ = make_store(RetentionPolicy("billing", 600.0))
         store.put("k", b"v", meta())
         assert store.get("k").metadata.ttl == 600.0
         assert 595 <= store.kv.execute("TTL", "k") <= 600
 
     def test_tightest_policy_wins(self):
-        engine = PolicyEngine()
-        engine.set_policy(RetentionPolicy("billing", 600.0))
-        engine.set_policy(RetentionPolicy("ads", 60.0))
-        store, _ = make_store(engine)
+        store, _ = make_store(RetentionPolicy("billing", 600.0),
+                              RetentionPolicy("ads", 60.0))
         store.put("k", b"v", meta(purposes=("billing", "ads")))
         assert store.get("k").metadata.ttl == 60.0
 
     def test_excessive_declared_ttl_rejected(self):
-        engine = PolicyEngine()
-        engine.set_policy(RetentionPolicy("billing", 60.0))
-        store, _ = make_store(engine)
+        store, _ = make_store(RetentionPolicy("billing", 60.0))
         with pytest.raises(RetentionViolationError):
             store.put("k", b"v", meta(ttl=3600.0))
 

@@ -23,14 +23,15 @@ from repro.net.tls import stunnel_channel
 from tests.support import one_core_server
 
 
-def build_stack():
+def build_stack(compact_on_erasure=True):
     clock = SimClock()
     kv = KeyValueStore(
         StoreConfig(appendonly=True, appendfsync="always",
                     aof_log_reads=True, expiry_strategy="indexed"),
         clock=clock)
     store = GDPRStore(kv=kv, config=GDPRConfig(
-        encrypt_at_rest=True, audit_durability=AuditDurability.SYNC))
+        encrypt_at_rest=True, audit_durability=AuditDurability.SYNC,
+        compact_on_erasure=compact_on_erasure))
     return store, clock
 
 
@@ -133,9 +134,9 @@ class TestRestartRecovery:
         assert restored.keys_of_subject("bob") == ["bob:1"]
 
     def test_erased_subject_unrecoverable_after_restart(self):
-        store, clock = build_stack()
+        store, clock = build_stack(compact_on_erasure=False)
         store.put("alice:1", b"v1", meta("alice"))
-        right_to_erasure(store, "alice", compact_log=False)
+        right_to_erasure(store, "alice")
         # Replay the uncompacted AOF: ciphertext returns, but the key is
         # gone, so the record is undecryptable and unindexed.
         new_kv = KeyValueStore(StoreConfig(appendonly=True), clock=clock)

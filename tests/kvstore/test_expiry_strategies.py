@@ -12,6 +12,7 @@ from repro.kvstore.expiry import (
     LazyExpiryCycle,
     make_strategy,
 )
+from tests.support import assert_refused
 
 
 def populate(store, total, expired_fraction, now_offset=100.0):
@@ -150,9 +151,13 @@ class TestIndexedCycle:
 
 class TestStrategySwitch:
     def test_config_set_switch_rebuilds_index(self):
+        # The strategy is chosen when the store is built: CONFIG SET is
+        # not served, so no switch leaves an index to rebuild.
         store = KeyValueStore(StoreConfig(expiry_strategy="lazy"))
         store.execute("SET", "k", "v", "EX", 1)
-        store.execute("CONFIG", "SET", "active-expiry-strategy", "indexed")
+        assert_refused(store, "CONFIG", "SET", "active-expiry-strategy",
+                       "indexed")
+        assert store.expiry.name == "lazy"
         store.clock.advance(2)
         assert store.cron() == 1
 

@@ -229,12 +229,15 @@ class TestPerTenantPolicies:
     def test_default_ttl_override(self):
         registry = TenantRegistry()
         registry.register("acme", TenantPolicy(default_ttl=30.0))
-        store = self._store(
-            registry, GDPRConfig(default_ttl=3600.0))
+        # The tenant default is the last retention step: a key outside
+        # every tenant keeps no TTL (there is no store-wide default).
+        with pytest.raises(TypeError):
+            GDPRConfig(default_ttl=3600.0)
+        store = self._store(registry)
         store.put("acme/k", b"v", _meta("acme/alice"))
         store.put("plain-k", b"v", _meta("bob"))
         assert store.get("acme/k").metadata.ttl == 30.0
-        assert store.get("plain-k").metadata.ttl == 3600.0
+        assert store.get("plain-k").metadata.ttl is None
 
     def test_region_pin_refuses_foreign_node(self):
         registry = TenantRegistry()

@@ -124,7 +124,9 @@ def test_ttl_expiry_of_cold_records_feeds_erasure_events(tiered_store):
     store.tick()                  # cold active expiry
     assert engine.execute("GET", "short") is None
     assert not store.subject_exists("carol")
-    assert any(e.key == "short" for e in store.erasure_events)
+    assert store.erasure_report()["events"] == 1.0
+    assert [r.key for r in store.audit.records()
+            if r.operation == "expire-erase"] == ["short"]
 
 
 # -- the sharded cluster, every shard tiered ---------------------------------

@@ -22,25 +22,24 @@ def cpu_factory(index, clock):
 
 
 def run_openloop(shards=1, clients=4, rate=60_000.0, ops=300,
-                 records=60, seed=42, distribution="poisson"):
+                 records=60, seed=42):
     cluster = build_cluster(shards, store_factory=cpu_factory, latency=10e-6)
     spec = WORKLOAD_B.scaled(record_count=records, operation_count=ops)
     runner = OpenLoopRunner(cluster, spec, clients=clients,
-                            arrival_rate=rate,
-                            arrival_distribution=distribution, seed=seed)
+                            arrival_rate=rate, seed=seed)
     runner.preload()
     return runner.run(ops)
 
 
 class TestArrivalProcess:
     def test_uniform_interarrivals_are_constant(self):
-        process = ArrivalProcess(1000.0, "uniform")
-        assert [process.next_interarrival() for _ in range(3)] \
-            == [1e-3, 1e-3, 1e-3]
+        # Arrivals are Poisson only: there is no distribution to choose.
+        with pytest.raises(TypeError):
+            ArrivalProcess(1000.0, distribution="uniform")
 
     def test_poisson_interarrivals_are_seeded(self):
-        one = ArrivalProcess(1000.0, "poisson", rng=random.Random(7))
-        two = ArrivalProcess(1000.0, "poisson", rng=random.Random(7))
+        one = ArrivalProcess(1000.0, rng=random.Random(7))
+        two = ArrivalProcess(1000.0, rng=random.Random(7))
         assert [one.next_interarrival() for _ in range(10)] \
             == [two.next_interarrival() for _ in range(10)]
 
@@ -48,7 +47,7 @@ class TestArrivalProcess:
         with pytest.raises(ValueError):
             ArrivalProcess(0.0)
         with pytest.raises(ValueError):
-            ArrivalProcess(10.0, "bursty")
+            ArrivalProcess(-10.0)
 
 
 class TestOpenLoopRunner:
@@ -125,8 +124,14 @@ class TestOpenLoopRunner:
         assert report.completed == 0
 
     def test_uniform_arrivals_supported(self):
-        report = run_openloop(distribution="uniform", rate=30_000.0,
-                              ops=150)
+        # The runner admits Poisson arrivals only; the keyword that chose
+        # constant interarrivals is refused.
+        cluster = build_cluster(1, store_factory=cpu_factory)
+        spec = WORKLOAD_B.scaled(record_count=60, operation_count=150)
+        with pytest.raises(TypeError):
+            OpenLoopRunner(cluster, spec, arrival_rate=30_000.0,
+                           arrival_distribution="uniform")
+        report = run_openloop(rate=30_000.0, ops=150)
         assert report.completed == 150
 
     def test_default_cluster_hosts_an_open_loop_run(self):
