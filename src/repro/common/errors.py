@@ -227,10 +227,6 @@ class LocationViolationError(GDPRError):
     """The record may not be placed in the requested region (Art. 46)."""
 
 
-class RetentionViolationError(GDPRError):
-    """A record would outlive its declared retention period (Art. 5.1e)."""
-
-
 class UnknownSubjectError(GDPRError, KeyError):
     """No records exist for the referenced data subject."""
 

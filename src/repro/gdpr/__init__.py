@@ -30,7 +30,6 @@ from .indexing import MetadataIndex
 from .location import BUILTIN_REGIONS, LocationManager, Region
 from .backup import Backup, BackupManager, ReconciliationReport
 from .metadata import GDPRMetadata, Record, pack_envelope, unpack_envelope
-from .policy import PolicyEngine, RetentionPolicy
 from .rights import (
     AccessReport,
     ErasureReceipt,
@@ -60,8 +59,6 @@ __all__ = [
     "AuditChainMode",
     "AuditDurability",
     "MetadataIndex",
-    "PolicyEngine",
-    "RetentionPolicy",
     "Backup",
     "BackupManager",
     "ReconciliationReport",

@@ -6,12 +6,12 @@ GDPR repeatedly needs *groups* of records: everything owned by a subject
 Key-value stores have no native secondary indexes -- the paper names
 "efficient metadata indexing" a research challenge -- so the GDPR layer
 maintains its own inverted indexes, updated transactionally with each put
-and delete, plus an expiry index ordered by deadline.
+and delete.  Retention deadlines are the engine's: its expiry is the only
+deadline authority, so the index keeps none of its own.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .metadata import GDPRMetadata
@@ -31,17 +31,13 @@ class MetadataIndex:
         self._by_purpose: Dict[str, Set[str]] = {}
         self._by_recipient: Dict[str, Set[str]] = {}
         self._objections: Dict[str, Set[str]] = {}
-        self._expiry_heap: List[Tuple[float, str]] = []
-        self._expiry: Dict[str, float] = {}
         self._metadata: Dict[str, GDPRMetadata] = {}
 
     # -- maintenance ---------------------------------------------------------------
 
     def add(self, key: str, metadata: GDPRMetadata) -> None:
-        deadline = metadata.expire_at()
-        registered = self._expiry.get(key)
         if key in self._metadata:
-            if self._metadata[key] is metadata and registered == deadline:
+            if self._metadata[key] is metadata:
                 return      # re-stored under the metadata it was read with
             self.remove(key)
         self._metadata[key] = metadata
@@ -52,10 +48,6 @@ class MetadataIndex:
             self._objections.setdefault(purpose, set()).add(key)
         for recipient in metadata.shared_with:
             self._by_recipient.setdefault(recipient, set()).add(key)
-        if deadline is not None:
-            self._expiry[key] = deadline
-            if registered != deadline:  # else its heap entry is still live
-                heapq.heappush(self._expiry_heap, (deadline, key))
 
     def remove(self, key: str) -> Optional[GDPRMetadata]:
         metadata = self._metadata.pop(key, None)
@@ -68,7 +60,6 @@ class MetadataIndex:
             self._discard(self._objections, purpose, key)
         for recipient in metadata.shared_with:
             self._discard(self._by_recipient, recipient, key)
-        self._expiry.pop(key, None)  # heap entry lazily invalidated
         return metadata
 
     @staticmethod
@@ -115,24 +106,6 @@ class MetadataIndex:
 
     def purposes(self) -> List[str]:
         return sorted(self._by_purpose)
-
-    def expired_keys(self, now: float) -> List[str]:
-        """Keys past their deadline, cheapest-first (heap order)."""
-        out = []
-        while self._expiry_heap and self._expiry_heap[0][0] <= now:
-            deadline, key = heapq.heappop(self._expiry_heap)
-            if self._expiry.get(key) == deadline:
-                out.append(key)
-                del self._expiry[key]
-        return out
-
-    def next_deadline(self) -> Optional[float]:
-        while self._expiry_heap:
-            deadline, key = self._expiry_heap[0]
-            if self._expiry.get(key) == deadline:
-                return deadline
-            heapq.heappop(self._expiry_heap)
-        return None
 
     def rebuild(self, entries: Iterable[Tuple[str, GDPRMetadata]]) -> int:
         """Reconstruct from a scan; returns entries indexed."""

@@ -26,8 +26,8 @@ A *target* runs the body on every store it spans:
 itself (one part, shard 0, no wire); a cluster client
 (:class:`~repro.cluster.gdpr_client.GDPRClient`) sends the right as a
 broadcast command and every shard's node runs the same body inside its
-command handler.  A tenant view (:class:`~repro.tenancy.TenantStore`)
-calls these functions on its base with the tenant-qualified subject.
+command handler.  A tenant's rights are these functions called with
+its qualified subject (``acme/alice``), which names only its records.
 The invariants the fan-out keeps:
 
 * **Audit evidence is local.**  Each right appends one record to each

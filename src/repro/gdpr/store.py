@@ -23,15 +23,14 @@ serves the same methods and rights as commands of a cluster node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from ..common.clock import Clock
 from ..common.errors import (
     AccessDeniedError,
     IntegrityError,
     KeyNotFoundError,
-    LocationViolationError,
     PurposeViolationError,
 )
 from ..crypto.keystore import KeyStore
@@ -43,7 +42,6 @@ from .audit import AuditChainMode, AuditDurability, AuditLog
 from .indexing import MetadataIndex, WriteBehindIndexer
 from .location import LocationManager
 from .metadata import GDPRMetadata, Record, pack_envelope, unpack_envelope
-from .policy import PolicyEngine
 
 CONTROLLER = Principal.controller()
 
@@ -116,7 +114,6 @@ class GDPRStore:
         if not self.locations.has_node(self.config.node_id):
             self.locations.place_node(self.config.node_id,
                                       self.config.region)
-        self.policies = PolicyEngine()
         self.index = MetadataIndex()
         self.pseudonymizer = Pseudonymizer()
         # Erasure timeliness as the aggregates erasure_report() reads:
@@ -131,12 +128,6 @@ class GDPRStore:
             self._writebehind = WriteBehindIndexer(
                 self._apply_writebehind, clock=self.clock,
                 interval=self.config.writebehind_interval)
-        # Per-tenant policy overrides (attach_tenant_policies): when a
-        # resolver is attached, keys inside a registered tenant's
-        # namespace take that tenant's policy instead of the global
-        # config for retention, residency, audit, encryption, and the
-        # fast-GDPR write shape.
-        self._tenant_policies = None
         self.kv.add_deletion_listener(self._on_kv_deletion)
         if getattr(self.kv, "supports_tiering", False):
             # A tiering engine archives idle records into cold segments:
@@ -148,42 +139,6 @@ class GDPRStore:
             self.kv.add_tier_listener(self._on_tier_event)
             if self._writebehind is not None:
                 self.kv.before_demote = self._writebehind.flush
-
-    # -- tenancy ------------------------------------------------------------------
-
-    def attach_tenant_policies(self, resolver) -> None:
-        """Install a per-tenant policy resolver (duck-typed: anything
-        with ``policy_for_key(name) -> policy | None``, e.g. a
-        :class:`~repro.tenancy.registry.TenantRegistry`).
-
-        Keys and subjects carrying a registered ``tenant/`` prefix are
-        governed by that tenant's :class:`~repro.tenancy.registry.
-        TenantPolicy`; everything else keeps the global config.  If any
-        tenant opted into ``fast_gdpr`` the write-behind machinery is
-        built on demand so those tenants' writes can take the amortized
-        path while strict tenants stay synchronous.
-        """
-        self._tenant_policies = resolver
-        any_fast = getattr(resolver, "any_fast_gdpr", None)
-        if self._writebehind is None and any_fast is not None \
-                and any_fast():
-            self._writebehind = WriteBehindIndexer(
-                self._apply_writebehind, clock=self.clock,
-                interval=self.config.writebehind_interval)
-            if getattr(self.kv, "supports_tiering", False):
-                self.kv.before_demote = self._writebehind.flush
-
-    def _tenant_policy(self, name: Optional[str]):
-        """The tenant policy governing a qualified key/subject name."""
-        if self._tenant_policies is None or name is None:
-            return None
-        return self._tenant_policies.policy_for_key(name)
-
-    def _encrypt_for(self, key: str) -> bool:
-        policy = self._tenant_policy(key)
-        if policy is not None:
-            return policy.encryption_required
-        return self.config.encrypt_at_rest
 
     # -- internal helpers ---------------------------------------------------------
 
@@ -198,12 +153,6 @@ class GDPRStore:
                       key: Optional[str], subject: Optional[str],
                       purpose: Optional[str], outcome: str,
                       detail: str = "") -> None:
-        # A tenant that switched monitoring off (its own Art. 30
-        # trade-off) keeps its interactions out of the chain; resolve
-        # off the key when present, else the (qualified) subject.
-        policy = self._tenant_policy(key if key is not None else subject)
-        if policy is not None and not policy.audit_enabled:
-            return
         self.audit.append(principal=principal, operation=operation,
                           key=key, subject=self._audit_name(subject),
                           purpose=purpose, outcome=outcome, detail=detail)
@@ -211,13 +160,13 @@ class GDPRStore:
     def _seal(self, key: str, metadata: GDPRMetadata,
               value: bytes) -> bytes:
         envelope = pack_envelope(metadata, value)
-        if not self._encrypt_for(key):
+        if not self.config.encrypt_at_rest:
             return envelope
         cipher = self.keystore.cipher_for(metadata.owner)
         return cipher.seal(envelope, aad=key.encode("utf-8"))
 
     def _unseal(self, key: str, owner: str, blob: bytes) -> bytes:
-        if not self._encrypt_for(key):
+        if not self.config.encrypt_at_rest:
             return blob
         cipher = self.keystore.cipher_for(owner, create=False)
         return cipher.open(blob, aad=key.encode("utf-8"))
@@ -297,34 +246,10 @@ class GDPRStore:
                 "(Art. 5 purpose limitation)")
         if metadata.created_at == 0.0:
             metadata = _with_created_at(metadata, now)
-        tenant_policy = self._tenant_policy(key)
-        if metadata.ttl is None:
-            # Storage limitation: derive retention from purpose policies
-            # (the tightest bound), else the tenant default.
-            derived = self.policies.effective_retention(metadata)
-            if derived is None and tenant_policy is not None:
-                derived = tenant_policy.default_ttl
-            if derived is not None:
-                metadata = _with_ttl(metadata, derived)
-        self.policies.validate(metadata)
-        if tenant_policy is not None and tenant_policy.region is not None \
-                and tenant_policy.region != self.config.region:
-            # Art. 46 region pin: the tenant's data may only land on
-            # nodes inside its pinned region.
-            self._record_audit(principal.name, "put", key, metadata.owner,
-                               purpose, "denied",
-                               f"tenant region pin {tenant_policy.region}")
-            raise LocationViolationError(
-                f"record {key!r} is pinned to region "
-                f"{tenant_policy.region!r} but this node is in "
-                f"{self.config.region!r}")
         self.locations.check_placement(metadata, self.config.region)
         blob = self._seal(key, metadata, value)
         deadline = metadata.expire_at()
-        use_fast = self._writebehind is not None and (
-            tenant_policy.fast_gdpr if tenant_policy is not None
-            else self.config.fast_gdpr)
-        if use_fast:
+        if self._writebehind is not None:
             # Fast-GDPR write shape: one fused engine command (SET..PXAT:
             # value + retention deadline in one log record), the sidecar
             # index updated inline (reads check purpose/access against
@@ -488,22 +413,6 @@ class GDPRStore:
             self._writebehind.flush()
         self.audit.sync()
 
-    def sweep_policies(self) -> List[str]:
-        """Erase records whose policy-derived retention lapsed.
-
-        Catches records that predate a policy *tightening* (their stored
-        TTL is stale); legal holds are respected.  Returns erased keys.
-        """
-        now = self.clock.now()
-        entries = [(key, self.index.get_metadata(key))
-                   for key in self.index.keys()]
-        overdue = self.policies.overdue(entries, now)
-        for key in overdue:
-            self.kv.execute("DEL", key)
-            self._record_audit("system", "policy-erase", key, None,
-                               None, "ok")
-        return overdue
-
     def rebuild_indexes(self) -> int:
         """Rebuild in-memory indexes by scanning the keyspace (restart
         path).  Requires decryptable envelopes; crypto-erased records are
@@ -534,13 +443,6 @@ class GDPRStore:
                     break
                 except Exception:
                     continue
-            if recovered is None:
-                # Tenants that opted out of encryption store plaintext
-                # envelopes even on an encrypting store.
-                try:
-                    recovered, _ = unpack_envelope(blob)
-                except Exception:
-                    recovered = None
             if recovered is not None:
                 entries.append((key, recovered))
         count = self.index.rebuild(entries)
@@ -583,8 +485,3 @@ class GDPRStore:
 def _with_created_at(metadata: GDPRMetadata, now: float) -> GDPRMetadata:
     import dataclasses
     return dataclasses.replace(metadata, created_at=now)
-
-
-def _with_ttl(metadata: GDPRMetadata, ttl: float) -> GDPRMetadata:
-    import dataclasses
-    return dataclasses.replace(metadata, ttl=ttl)

@@ -118,7 +118,7 @@ class TenantGate:
         serve path converts the error to an unprefixed RESP error
         (``TENANTDENIED`` / ``QUOTAEXCEEDED`` / ``TENANTUNKNOWN``).
         """
-        entry = self.registry.require(tenant)
+        quota = self.registry.quota_of(tenant)
         usage = self._usage_of(tenant)
         prefix = (tenant + TENANT_SEP).encode("utf-8")
         for key in keys:
@@ -132,9 +132,9 @@ class TenantGate:
             usage.counters.throttled += 1
             raise QuotaExceededError(
                 f"QUOTAEXCEEDED tenant {tenant!r} over its "
-                f"{entry.quota.ops_per_sec:g} ops/s quota")
+                f"{quota.ops_per_sec:g} ops/s quota")
         if spec.write:
-            self._check_footprint(tenant, entry.quota, usage, spec.name,
+            self._check_footprint(tenant, quota, usage, spec.name,
                                   argv, keys)
         usage.counters.ops += 1
         if spec.write:

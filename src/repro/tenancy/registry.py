@@ -2,10 +2,10 @@
 
 A *tenant* is a data controller renting a slice of the GDPR storage
 service.  Each tenant owns a namespace (every key and every data-subject
-id is qualified with a ``tenant/`` prefix), a compliance policy (the
-per-tenant replacement for the store-wide :class:`~repro.gdpr.store.
-GDPRConfig` knobs), and a quota (key count, byte budget, and an ops/s
-token bucket enforced at the cluster server boundary).
+id is qualified with a ``tenant/`` prefix) and a quota (key count, byte
+budget, and an ops/s token bucket enforced at the cluster server
+boundary).  Compliance policy is not per tenant: every record a store
+holds is governed by that store's :class:`~repro.gdpr.store.GDPRConfig`.
 
 The namespace scheme is a plain prefix, deliberately *not* a
 ``{hash tag}``: a hash tag would pin every key of a tenant to one hash
@@ -20,8 +20,8 @@ never touch ``globex/alice``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from ..common.errors import UnknownTenantError
 
@@ -59,22 +59,6 @@ def local_name(tenant: str, qualified: str) -> str:
 
 
 @dataclass(frozen=True)
-class TenantPolicy:
-    """Per-tenant compliance policy: the knobs that used to be global.
-
-    ``None`` fields defer to the hosting store's :class:`~repro.gdpr.
-    store.GDPRConfig`; a set field overrides it for this tenant's keys
-    only.
-    """
-
-    region: Optional[str] = None          # residency pin (Art. 46)
-    default_ttl: Optional[float] = None   # retention default (Art. 5.1e)
-    audit_enabled: bool = True            # Art. 30 monitoring on/off
-    fast_gdpr: bool = False               # amortized-compliance write path
-    encryption_required: bool = True      # envelope encryption at rest
-
-
-@dataclass(frozen=True)
 class TenantQuota:
     """Per-tenant resource caps, enforced at the server boundary.
 
@@ -86,6 +70,16 @@ class TenantQuota:
     max_bytes: Optional[int] = None
     ops_per_sec: Optional[float] = None
     burst: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        for name in ("ops_per_sec", "burst"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"quota {name} must be positive")
+        for name in ("max_keys", "max_bytes"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"quota {name} must not be negative")
 
     def bucket_capacity(self) -> Optional[float]:
         if self.ops_per_sec is None:
@@ -126,66 +120,29 @@ class TokenBucket:
         return False
 
 
-@dataclass
-class _TenantEntry:
-    policy: TenantPolicy = field(default_factory=TenantPolicy)
-    quota: TenantQuota = field(default_factory=TenantQuota)
-
-
 class TenantRegistry:
-    """tenant id -> (:class:`TenantPolicy`, :class:`TenantQuota`)."""
+    """tenant id -> :class:`TenantQuota`."""
 
     def __init__(self) -> None:
-        self._tenants: Dict[str, _TenantEntry] = {}
+        self._quotas: Dict[str, TenantQuota] = {}
 
     def register(self, tenant: str,
-                 policy: Optional[TenantPolicy] = None,
                  quota: Optional[TenantQuota] = None) -> None:
         if TENANT_SEP in tenant or not tenant:
             raise ValueError(
                 f"tenant id {tenant!r} must be non-empty and must not "
                 f"contain {TENANT_SEP!r}")
-        self._tenants[tenant] = _TenantEntry(
-            policy=policy if policy is not None else TenantPolicy(),
-            quota=quota if quota is not None else TenantQuota())
+        self._quotas[tenant] = quota if quota is not None else TenantQuota()
 
     def known(self, tenant: str) -> bool:
-        return tenant in self._tenants
-
-    def require(self, tenant: str) -> _TenantEntry:
-        entry = self._tenants.get(tenant)
-        if entry is None:
-            raise UnknownTenantError(
-                f"TENANTUNKNOWN no such tenant {tenant!r}")
-        return entry
-
-    def policy_of(self, tenant: str) -> TenantPolicy:
-        return self.require(tenant).policy
+        return tenant in self._quotas
 
     def quota_of(self, tenant: str) -> TenantQuota:
-        return self.require(tenant).quota
+        quota = self._quotas.get(tenant)
+        if quota is None:
+            raise UnknownTenantError(
+                f"TENANTUNKNOWN no such tenant {tenant!r}")
+        return quota
 
     def tenants(self) -> List[str]:
-        return sorted(self._tenants)
-
-    # -- GDPR-layer integration (duck-typed policy resolver) ---------------
-
-    def policy_for_key(self, key: str) -> Optional[TenantPolicy]:
-        """The policy governing a (possibly qualified) key, or None for
-        keys outside any registered tenant's namespace.  This is the
-        resolver :class:`~repro.gdpr.store.GDPRStore` consults."""
-        tenant = tenant_of(key)
-        if tenant is None:
-            return None
-        entry = self._tenants.get(tenant)
-        return entry.policy if entry is not None else None
-
-    def any_fast_gdpr(self) -> bool:
-        """True when some tenant opted into the amortized write path
-        (the hosting store must build its write-behind machinery)."""
-        return any(entry.policy.fast_gdpr
-                   for entry in self._tenants.values())
-
-    def items(self) -> List[Tuple[str, TenantPolicy, TenantQuota]]:
-        return [(name, entry.policy, entry.quota)
-                for name, entry in sorted(self._tenants.items())]
+        return sorted(self._quotas)

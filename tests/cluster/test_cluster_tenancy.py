@@ -15,7 +15,6 @@ from repro.cluster.slots import slot_for_key
 from repro.tenancy import (
     MeteringPipeline,
     TenantGate,
-    TenantPolicy,
     TenantQuota,
     TenantRegistry,
 )

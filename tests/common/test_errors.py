@@ -35,10 +35,11 @@ class TestHierarchy:
     def test_gdpr_family(self):
         for cls in (errors.AccessDeniedError, errors.PurposeViolationError,
                     errors.LocationViolationError,
-                    errors.RetentionViolationError,
                     errors.UnknownSubjectError, errors.AuditError,
                     errors.ComplianceError):
             assert issubclass(cls, errors.GDPRError)
+        # Retention is the record's declared TTL: nothing refuses one.
+        assert not hasattr(errors, "RetentionViolationError")
 
     def test_protocol_is_serialization(self):
         assert issubclass(errors.ProtocolError, errors.SerializationError)

@@ -22,12 +22,15 @@ from repro.common.resp import RespError
 from repro.crypto.keystore import KeyStore
 from repro.engine.base import ENGINES, StorageEngine, register_engine
 from repro.gdpr.metadata import GDPRMetadata
+from repro.gdpr.rights import (
+    right_of_access, right_to_erasure, right_to_object, right_to_portability)
 from repro.gdpr.store import GDPRConfig, GDPRStore
 from repro.kvstore import REGISTRY
 from repro.kvstore.aof import contains_key
 from repro.kvstore.replication import ReplicationManager
 from repro.kvstore.store import KeyValueStore
 from repro.sqlstore import RelationalStore
+from repro.tenancy import key_prefix, local_name, qualify_key, qualify_subject
 from repro.tiering import TieredEngine
 from tests.support import ENGINE_FACTORIES as FACTORIES
 
@@ -572,11 +575,14 @@ def test_tiered_engine_indistinguishable_from_hot_only(base):
 # -- tenant isolation --------------------------------------------------------
 
 # Two tenants sharing one store, deliberately using the *same* local key
-# names and the same subject name: the strongest aliasing case.  Tenant
-# A's views and rights fan-out must never observe tenant B -- on both
-# engines and through the tiered wrapper (same four factories), and over
-# a 2-shard networked cluster of GDPR shards whose shards both hold each
-# tenant's alice.
+# names and the same subject name: the strongest aliasing case.  A
+# tenant's records are qualified names (``acme/user:0``, owner
+# ``acme/alice``) on the shared base, and its rights are the rights
+# functions called with its qualified subject.  Tenant A's keyspace view
+# and rights fan-out must never observe tenant B -- on both engines and
+# through the tiered wrapper (same four factories), and over a 2-shard
+# networked cluster of GDPR shards whose shards both hold each tenant's
+# alice.
 
 @pytest.fixture(params=sorted(FACTORIES) + ["sharded-2"])
 def tenant_base(request):
@@ -592,21 +598,26 @@ def _engines(base):
     return [shard.kv for shard in getattr(base, "shards", [base])]
 
 
-def _two_tenants(store):
-    from repro.tenancy import TenantStore
-    a = TenantStore(store, "acme")
-    b = TenantStore(store, "globex")
-    for number in range(3):
-        a.put(f"user:{number}", b"a-data", _meta("alice"))
-        b.put(f"user:{number}", b"b-data", _meta("alice"))
-    return a, b
+_LOCAL_KEYS = ["user:0", "user:1", "user:2"]
+
+
+def _two_tenants(base):
+    for tenant, value in (("acme", b"a-data"), ("globex", b"b-data")):
+        for local in _LOCAL_KEYS:
+            base.put(qualify_key(tenant, local), value,
+                     _meta(qualify_subject(tenant, "alice")))
+
+
+def _tenant_keys(base, tenant):
+    """The tenant-local names of ``tenant``'s live keys."""
+    return sorted(local_name(tenant, key.decode("utf-8")) for key in
+                  base.live_keys_with_prefix(key_prefix(tenant)))
 
 
 def test_tenant_keyspace_views_are_disjoint(tenant_base):
-    a, b = _two_tenants(tenant_base)
-    assert a.keys() == ["user:0", "user:1", "user:2"]
-    assert b.keys() == ["user:0", "user:1", "user:2"]
-    assert a.key_count() == b.key_count() == 3
+    _two_tenants(tenant_base)
+    assert _tenant_keys(tenant_base, "acme") == _LOCAL_KEYS
+    assert _tenant_keys(tenant_base, "globex") == _LOCAL_KEYS
     engines = _engines(tenant_base)
     # The shared engines really hold both namespaces...
     assert sum(engine.key_count() for engine in engines) == 6
@@ -617,20 +628,23 @@ def test_tenant_keyspace_views_are_disjoint(tenant_base):
     assert sum(engine.key_count_with_prefix("acme/")
                for engine in engines) == 3
     # Values never bleed across the namespace boundary.
-    assert a.get("user:0").value == b"a-data"
-    assert b.get("user:0").value == b"b-data"
+    assert tenant_base.get("acme/user:0").value == b"a-data"
+    assert tenant_base.get("globex/user:0").value == b"b-data"
 
 
 def test_tenant_subject_indexes_are_disjoint(tenant_base):
-    a, b = _two_tenants(tenant_base)
-    assert a.keys_of_subject("alice") == ["user:0", "user:1", "user:2"]
-    assert b.keys_of_subject("alice") == ["user:0", "user:1", "user:2"]
-    assert a.subject_exists("alice") and b.subject_exists("alice")
+    _two_tenants(tenant_base)
+    for tenant in ("acme", "globex"):
+        subject = qualify_subject(tenant, "alice")
+        assert sorted(tenant_base.keys_of_subject(subject)) \
+            == [qualify_key(tenant, local) for local in _LOCAL_KEYS]
+        assert tenant_base.subject_exists(subject)
+    assert not tenant_base.subject_exists("alice")
 
 
 def test_tenant_access_report_stays_inside_the_tenant(tenant_base):
-    a, _ = _two_tenants(tenant_base)
-    report = a.access_report("alice")
+    _two_tenants(tenant_base)
+    report = right_of_access(tenant_base, "acme/alice")
     assert len(report.records) == 3
     for row in report.records:
         assert row["key"].startswith("acme/")
@@ -638,26 +652,36 @@ def test_tenant_access_report_stays_inside_the_tenant(tenant_base):
 
 
 def test_tenant_export_stays_inside_the_tenant(tenant_base):
-    a, _ = _two_tenants(tenant_base)
-    exported = a.export_subject("alice").decode("utf-8")
-    assert "acme/" in exported
-    assert "globex" not in exported
+    _two_tenants(tenant_base)
+    exported = right_to_portability(tenant_base, "acme/alice")
+    assert "acme/" in exported.decode("utf-8")
+    assert "globex" not in exported.decode("utf-8")
 
 
 def test_tenant_erasure_fanout_stops_at_the_boundary(tenant_base):
-    a, b = _two_tenants(tenant_base)
-    receipt = a.erase_subject("alice")
+    _two_tenants(tenant_base)
+    receipt = right_to_erasure(tenant_base, "acme/alice")
     assert sorted(receipt.keys_erased) \
         == ["acme/user:0", "acme/user:1", "acme/user:2"]
     assert receipt.crypto_erased
-    assert not a.subject_exists("alice")
-    assert a.keys() == []
+    assert not tenant_base.subject_exists("acme/alice")
+    assert _tenant_keys(tenant_base, "acme") == []
     # Tenant B's same-named subject survives untouched and servable:
     # its records seal under the distinct globex/alice data key.
-    assert b.subject_exists("alice")
-    assert b.keys() == ["user:0", "user:1", "user:2"]
-    for number in range(3):
-        assert b.get(f"user:{number}").value == b"b-data"
+    assert tenant_base.subject_exists("globex/alice")
+    assert _tenant_keys(tenant_base, "globex") == _LOCAL_KEYS
+    for local in _LOCAL_KEYS:
+        assert tenant_base.get(f"globex/{local}").value == b"b-data"
+
+
+def test_tenant_objection_stays_inside_the_tenant(tenant_base):
+    _two_tenants(tenant_base)
+    assert right_to_object(tenant_base, "acme/alice", "service") == 3
+    processable = sorted(record.key for record in
+                         tenant_base.process_for_purpose("service"))
+    assert not [key for key in processable if key.startswith("acme/")]
+    assert processable \
+        == [qualify_key("globex", local) for local in _LOCAL_KEYS]
 
 
 # -- registry hygiene --------------------------------------------------------

@@ -3,6 +3,8 @@
 import random
 from dataclasses import replace
 
+import pytest
+
 from repro.gdpr.indexing import MetadataIndex
 from repro.gdpr.metadata import GDPRMetadata
 
@@ -76,119 +78,121 @@ class TestRecipientIndex:
         assert index.keys_shared_with("nobody") == []
 
 
+def _names_held(index):
+    """Every string the index holds, with multiplicity, over all of its
+    tables (``{attr: {name: set-of-keys}}`` and ``{key: metadata}``)."""
+    held = []
+    for table in vars(index).values():
+        for name, entry in table.items():
+            held.append(name)
+            if isinstance(entry, set):
+                held.extend(entry)
+    return held
+
+
 class TestExpiryIndex:
+    """The index keeps no deadlines: the engine's expiry is the only
+    deadline authority, so nothing here pops, orders or outlives a key."""
+
     def test_expired_keys(self):
         index = MetadataIndex()
         index.add("soon", meta(ttl=10.0, created_at=0.0))
-        index.add("later", meta(ttl=100.0, created_at=0.0))
-        assert index.expired_keys(now=50.0) == ["soon"]
-        assert index.expired_keys(now=50.0) == []  # consumed
+        with pytest.raises(AttributeError):
+            index.expired_keys(now=50.0)
+        assert "soon" in index
 
     def test_next_deadline(self):
         index = MetadataIndex()
         index.add("a", meta(ttl=30.0, created_at=0.0))
-        index.add("b", meta(ttl=10.0, created_at=0.0))
-        assert index.next_deadline() == 10.0
+        with pytest.raises(AttributeError):
+            index.next_deadline()
 
     def test_next_deadline_skips_removed(self):
         index = MetadataIndex()
         index.add("a", meta(ttl=10.0, created_at=0.0))
         index.add("b", meta(ttl=30.0, created_at=0.0))
         index.remove("a")
-        assert index.next_deadline() == 30.0
+        assert "a" not in _names_held(index)
+        assert index.keys_of_owner("alice") == ["b"]
 
     def test_no_deadline(self):
-        index = MetadataIndex()
-        index.add("a", meta())
-        assert index.next_deadline() is None
+        timed, untimed = MetadataIndex(), MetadataIndex()
+        timed.add("a", meta(ttl=5.0))
+        untimed.add("a", meta())
+        assert sorted(_names_held(timed)) == sorted(_names_held(untimed))
 
 
 class TestExpiryHeapUnderOverwrites:
-    """An overwrite under an unchanged deadline used to push one more
-    ``(deadline, key)`` onto the heap (``strict_kv``: 1 600 keys, 12 475
-    entries); only a deadline that is not registered may push."""
+    """Overwrites never grow the index: every table it keeps names only
+    live keys, once per attribute they carry (the expiry heap it once
+    kept grew to 12 475 entries for 1 600 keys on ``strict_kv``, and kept
+    an erased key's name until its deadline passed)."""
 
     KEYS = [f"k{i}" for i in range(10)]
-
-    def _check(self, index, oracle, now):
-        """expired_keys / next_deadline against a scan of ``oracle``
-        (key -> registered deadline)."""
-        due = sorted(key for key, deadline in oracle.items()
-                     if deadline <= now)
-        assert sorted(index.expired_keys(now)) == due
-        for key in due:
-            del oracle[key]
-        assert index.next_deadline() == min(oracle.values(), default=None)
 
     def test_same_object_overwrites_push_nothing(self):
         index = MetadataIndex()
         held = {key: meta(owner=key, ttl=3600.0, created_at=1.0)
                 for key in self.KEYS}
-        oracle = {}
         for step in range(10_000):
             key = self.KEYS[step % len(self.KEYS)]
             index.add(key, held[key])
-            oracle[key] = held[key].expire_at()
-            self._check(index, oracle, now=float(step % 100))
-            assert len(index._expiry_heap) == min(step + 1, len(self.KEYS))
+            assert len(_names_held(index)) \
+                <= 5 * min(step + 1, len(self.KEYS))
         assert index.keys_of_owner("k3") == ["k3"]
         assert index.get_metadata("k3") is held["k3"]
 
     def test_equal_deadline_distinct_object_pushes_nothing(self):
         """``update_metadata`` changing purposes: new object, same
-        deadline -- re-indexed, heap entry reused."""
+        deadline -- re-indexed, nothing left behind."""
         index = MetadataIndex()
-        oracle = {}
         for step in range(10_000):
             key = self.KEYS[step % len(self.KEYS)]
             purpose = "billing" if step % 3 else "ads"
             index.add(key, meta(purposes=(purpose,), ttl=50.0,
                                 created_at=100.0))
-            oracle[key] = 150.0
-            self._check(index, oracle, now=float(step % 100))
             assert index.get_metadata(key).purposes == {purpose}
-            assert len(index._expiry_heap) <= len(self.KEYS)
+            assert len(_names_held(index)) <= 5 * len(self.KEYS) + 4
         assert sorted(index.keys_for_purpose("billing")
                       + index.keys_for_purpose("ads")) == sorted(self.KEYS)
 
     def test_heap_is_bounded_by_keys_plus_registered_deadlines(self):
-        """A seeded mix of the three overwrite shapes with deadlines
-        passing underneath: same object, equal copy, changed TTL.  A key
-        popped by ``expired_keys`` stays indexed, so re-adding the *same
-        object* afterwards must register its deadline again -- identity
-        alone is not a no-op."""
+        """A seeded mix of the three overwrite shapes and removals: same
+        object, equal copy, changed TTL.  At every step the index names
+        exactly the live keys."""
         rng = random.Random(20)
         index = MetadataIndex()
-        held, oracle = {}, {}
-        registrations = 0
-        now = 0.0
-        for step in range(10_000):
+        held = {}
+        for _ in range(10_000):
             key = rng.choice(self.KEYS)
             shape = rng.random()
-            if key not in held or shape < 0.05:
-                held[key] = meta(owner=key, ttl=rng.choice([5.0, 40.0, 300.0]),
-                                 created_at=now)
-            elif shape < 0.25:
-                held[key] = replace(held[key])      # equal, not identical
-            deadline = held[key].expire_at()
-            registrations += oracle.get(key) != deadline
-            index.add(key, held[key])
-            oracle[key] = deadline
-            now += rng.choice([0.0, 0.0, 0.01, 0.05])
-            self._check(index, oracle, now)
-            assert len(index._expiry_heap) <= len(self.KEYS) + registrations
-        # The mix did exercise re-registration of an unchanged object.
-        assert len(self.KEYS) < registrations < 1_500
+            if shape < 0.1:
+                index.remove(key)
+                held.pop(key, None)
+            else:
+                if key not in held or shape < 0.15:
+                    held[key] = meta(owner="alice",
+                                     ttl=rng.choice([5.0, 40.0, 300.0]))
+                elif shape < 0.35:
+                    held[key] = replace(held[key])  # equal, not identical
+                index.add(key, held[key])
+            names = set(_names_held(index))
+            assert names & set(self.KEYS) == set(held)
+            assert index.keys_of_owner("alice") == sorted(held)
+        assert len(index) == len(held)
 
     def test_same_object_after_its_deadline_was_popped_registers_again(self):
+        """Re-adding the same object is a no-op whether or not its
+        deadline has passed: the engine expires the record and its
+        deletion removes the entry."""
         index = MetadataIndex()
         held = meta(ttl=10.0, created_at=0.0)
         index.add("k", held)
-        assert index.expired_keys(now=10.0) == ["k"]
-        assert index.next_deadline() is None
+        before = _names_held(index)
         index.add("k", held)
-        assert index.next_deadline() == 10.0
-        assert index.expired_keys(now=10.0) == ["k"]
+        assert _names_held(index) == before
+        assert index.remove("k") is held
+        assert _names_held(index) == []
 
 
 class TestLifecycle:
@@ -217,7 +221,7 @@ class TestLifecycle:
         index.add("k", meta(ttl=5.0))
         index.clear()
         assert len(index) == 0
-        assert index.next_deadline() is None
+        assert _names_held(index) == []
 
     def test_rebuild(self):
         index = MetadataIndex()

@@ -88,7 +88,6 @@ def test_steady_state_get_and_restore_serialise_nothing(store):
     metadata rebuilt, nothing re-indexed -- and one audit record each."""
     for key in ("user3", "user5", "user3"):
         before = store.audit.record_count
-        heap = len(store.index._expiry_heap)
         indexed = store.index.get_metadata(key)
         counts, record = _watched_calls(
             lambda: store.get(key, purpose="service"))
@@ -98,7 +97,7 @@ def test_steady_state_get_and_restore_serialise_nothing(store):
             key, record.value + b"+", record.metadata, purpose="service"))
         assert counts == NOTHING, counts
         assert store.audit.record_count == before + 2
-        assert len(store.index._expiry_heap) == heap
+        assert store.index.get_metadata(key) is indexed
         assert store.get(key, purpose="service").value == record.value + b"+"
     store.flush_compliance()
     assert store.audit.verify_durable() == store.audit.record_count

@@ -237,17 +237,16 @@ class TestTTLIntegration:
         Art. 17 removed.  Outside the engine, the audit log (which
         records the erasure on purpose) and the keystore (which keeps
         the subject's tombstone), nothing the store holds names an
-        erased key or subject -- except the metadata index's expiry
-        heap, which still holds an erased key's entry until its
-        deadline passes (an open defect of that index, not of the
-        erasure bookkeeping)."""
+        erased key or subject -- the metadata index included, whose
+        expiry heap kept one entry per TTL put until its deadline
+        passed."""
         store, _ = make_store()
         for number in range(1_000):
             store.put(f"user:{number}", b"v", meta(ttl=60.0 + number))
         right_to_erasure(store, "alice")
         assert store.erasure_report()["events"] == 1_000.0
         held = _strings_reachable(
-            store, skip=("kv", "audit", "keystore", "_expiry_heap"))
+            store, skip=("kv", "audit", "keystore"))
         assert not {"alice", "user:0", "user:999"} & held
     def test_system_erasure_audited(self):
         store, clock = make_store()

@@ -1,9 +1,9 @@
 """Tests for the multi-tenant control plane.
 
-The registry (namespaces, policies, quotas), the deterministic token
-bucket, the admission gate (namespace / rate / footprint rungs, usage
-accounting off the engine streams), per-tenant GDPR policy overrides in
-the store layer, and the audit-chained metering pipeline.
+The registry (namespaces, quotas), the deterministic token bucket, the
+admission gate (namespace / rate / footprint rungs, usage accounting off
+the engine streams), one compliance policy per store whatever the
+tenant, and the audit-chained metering pipeline.
 """
 
 import pytest
@@ -23,10 +23,8 @@ from repro.kvstore.commands import spec_of
 from repro.tenancy import (
     MeteringPipeline,
     TenantGate,
-    TenantPolicy,
     TenantQuota,
     TenantRegistry,
-    TenantStore,
     TokenBucket,
     key_prefix,
     local_name,
@@ -62,19 +60,30 @@ class TestNamespace:
 
     def test_registry_lookup(self):
         registry = TenantRegistry()
-        policy = TenantPolicy(default_ttl=60.0)
         quota = TenantQuota(ops_per_sec=100.0)
-        registry.register("acme", policy, quota)
+        registry.register("acme", quota=quota)
+        registry.register("globex")
         assert registry.known("acme")
-        assert not registry.known("globex")
-        assert registry.policy_of("acme") is policy
+        assert not registry.known("initech")
         assert registry.quota_of("acme") is quota
-        assert registry.tenants() == ["acme"]
+        assert registry.quota_of("globex") == TenantQuota()
+        assert registry.tenants() == ["acme", "globex"]
         with pytest.raises(UnknownTenantError, match="TENANTUNKNOWN"):
-            registry.require("globex")
-        assert registry.policy_for_key("acme/k") is policy
-        assert registry.policy_for_key("globex/k") is None
-        assert registry.policy_for_key("plainkey") is None
+            registry.quota_of("initech")
+        # A tenant has a quota, not a compliance policy.
+        with pytest.raises(TypeError):
+            registry.register("acme", None, quota)
+
+    def test_invalid_quota_is_refused_at_registration(self):
+        """Regression: a zero rate used to register, then crash the
+        tenant's first request inside the shard with the token bucket's
+        ``ValueError``."""
+        for bad in ({"ops_per_sec": 0.0}, {"ops_per_sec": -1.0},
+                    {"ops_per_sec": 10.0, "burst": 0.0},
+                    {"max_keys": -1}, {"max_bytes": -1}):
+            with pytest.raises(ValueError, match="quota"):
+                TenantQuota(**bad)
+        TenantQuota(max_keys=0, max_bytes=0)    # a read-only tenant
 
 
 class TestTokenBucket:
@@ -220,75 +229,65 @@ class TestGateFootprint:
 
 
 class TestPerTenantPolicies:
-    def _store(self, registry, config=None):
-        store = GDPRStore(config=config or GDPRConfig(),
-                          keystore=KeyStore())
-        store.attach_tenant_policies(registry)
-        return store
+    """Every compliance decision is the store's ``GDPRConfig``: a key
+    inside a tenant's namespace is governed exactly like any other."""
+
+    def _store(self, **config):
+        return GDPRStore(config=GDPRConfig(**config), keystore=KeyStore())
 
     def test_default_ttl_override(self):
-        registry = TenantRegistry()
-        registry.register("acme", TenantPolicy(default_ttl=30.0))
-        # The tenant default is the last retention step: a key outside
-        # every tenant keeps no TTL (there is no store-wide default).
+        with pytest.raises(ImportError):
+            from repro.tenancy import TenantPolicy  # noqa: F401
+        # Retention is the record's declared TTL, tenant or not.
         with pytest.raises(TypeError):
             GDPRConfig(default_ttl=3600.0)
-        store = self._store(registry)
+        store = self._store()
         store.put("acme/k", b"v", _meta("acme/alice"))
-        store.put("plain-k", b"v", _meta("bob"))
-        assert store.get("acme/k").metadata.ttl == 30.0
-        assert store.get("plain-k").metadata.ttl is None
+        store.put("acme/t", b"v", _meta("acme/alice", ttl=30.0))
+        assert store.get("acme/k").metadata.ttl is None
+        assert store.get("acme/t").metadata.ttl == 30.0
 
     def test_region_pin_refuses_foreign_node(self):
-        registry = TenantRegistry()
-        registry.register("acme", TenantPolicy(region="eu-central"))
-        registry.register("globex")
-        store = self._store(registry)       # node region: eu-west
+        # Residency is the record's own allowed_regions (Art. 46).
+        store = self._store()               # node region: eu-west
         with pytest.raises(LocationViolationError):
-            store.put("acme/k", b"v", _meta("acme/alice"))
+            store.put("acme/k", b"v", _meta(
+                "acme/alice", allowed_regions=frozenset({"eu-central"})))
         store.put("globex/k", b"v", _meta("globex/alice"))   # unpinned
 
     def test_audit_opt_out_keeps_tenant_off_the_chain(self):
-        registry = TenantRegistry()
-        registry.register("quiet", TenantPolicy(audit_enabled=False))
-        registry.register("loud")
-        store = self._store(registry)
+        store = self._store()
         store.put("quiet/k", b"v", _meta("quiet/alice"))
         store.put("loud/k", b"v", _meta("loud/alice"))
         store.get("quiet/k")
         store.get("loud/k")
         subjects = [record.subject for record in store.audit.records()]
-        assert "loud/alice" in subjects
-        assert "quiet/alice" not in subjects
+        assert subjects.count("loud/alice") == 2
+        assert subjects.count("quiet/alice") == 2
 
     def test_encryption_opt_out_stores_plaintext_envelopes(self):
-        registry = TenantRegistry()
-        registry.register("open", TenantPolicy(encryption_required=False))
-        registry.register("sealed")
-        store = self._store(registry)
-        store.put("open/k", b"plaintext-value", _meta("open/alice"))
-        store.put("sealed/k", b"secret-value", _meta("sealed/alice"))
-        raw_open = store.kv.execute("GET", "open/k")
-        raw_sealed = store.kv.execute("GET", "sealed/k")
-        assert b"plaintext-value" in raw_open
-        assert b"secret-value" not in raw_sealed
-        # Both read back identically through the facade.
-        assert store.get("open/k").value == b"plaintext-value"
-        assert store.get("sealed/k").value == b"secret-value"
+        sealed = self._store()
+        sealed.put("open/k", b"plaintext-value", _meta("open/alice"))
+        assert b"plaintext-value" not in sealed.kv.execute("GET", "open/k")
+        assert sealed.get("open/k").value == b"plaintext-value"
+        # Only the store's own switch writes plaintext envelopes.
+        plain = self._store(encrypt_at_rest=False)
+        plain.put("open/k", b"plaintext-value", _meta("open/alice"))
+        assert b"plaintext-value" in plain.kv.execute("GET", "open/k")
+        assert plain.rebuild_indexes() == 1
 
     def test_per_tenant_fast_gdpr_builds_writebehind_on_demand(self):
-        registry = TenantRegistry()
-        registry.register("fast", TenantPolicy(fast_gdpr=True))
-        registry.register("strict")
-        store = GDPRStore(config=GDPRConfig(), keystore=KeyStore())
-        assert store._writebehind is None
-        store.attach_tenant_policies(registry)
-        assert store._writebehind is not None
-        store.put("fast/k", b"v", _meta("fast/alice"))
-        store.put("strict/k", b"v", _meta("strict/alice"))
-        store.flush_compliance()
-        assert store.get("fast/k").value == b"v"
-        assert store.get("strict/k").value == b"v"
+        strict = self._store()
+        assert strict._writebehind is None
+        with pytest.raises(AttributeError):
+            strict.attach_tenant_policies(TenantRegistry())
+        fast = self._store(fast_gdpr=True)
+        fast.put("fast/k", b"v", _meta("fast/alice"))
+        fast.put("strict/k", b"v", _meta("strict/alice"))
+        assert fast._writebehind.pending == 2
+        fast.flush_compliance()
+        assert fast.get("fast/k").value == b"v"
+        assert fast.get("strict/k").value == b"v"
 
 
 class TestMetering:
@@ -360,13 +359,17 @@ class TestMetering:
 
 class TestTenantStoreView:
     def test_put_get_delete_round_trip(self):
+        with pytest.raises(ImportError):
+            from repro.tenancy import TenantStore  # noqa: F401
+        # A tenant's records are qualified names on the shared store.
         base = GDPRStore(config=GDPRConfig(), keystore=KeyStore())
-        view = TenantStore(base, "acme")
-        view.put("user:1", b"v", _meta("alice"))
-        record = view.get("user:1")
-        assert record.key == "user:1"           # local name on the way out
+        key = qualify_key("acme", "user:1")
+        base.put(key, b"v", _meta(qualify_subject("acme", "alice")))
+        record = base.get(key)
+        assert local_name("acme", record.key) == "user:1"
         assert record.value == b"v"
         assert record.metadata.owner == "acme/alice"
-        assert base.get("acme/user:1").value == b"v"
-        assert view.delete("user:1")
-        assert view.keys() == []
+        assert base.live_keys_with_prefix(key_prefix("acme")) \
+            == [b"acme/user:1"]
+        assert base.delete(key)
+        assert base.live_keys_with_prefix(key_prefix("acme")) == []
