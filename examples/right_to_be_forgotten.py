@@ -15,7 +15,7 @@ Run with::
 
 from repro import GDPRConfig, GDPRMetadata, GDPRStore, SimClock
 from repro.gdpr import right_to_erasure
-from repro.kvstore import KeyValueStore, StoreConfig, contains_key
+from repro.kvstore import KeyValueStore, StoreConfig
 
 
 def main() -> None:
@@ -38,9 +38,8 @@ def main() -> None:
     # The section 4.3 observation: even after a DEL, the AOF still
     # mentions the key until compaction.
     store.delete("alice:2")
-    aof = kv.aof_log.read_all()
     print(f"after DEL, 'alice:2' still in AOF: "
-          f"{contains_key(aof, b'alice:2')}")
+          f"{bool(kv.aof.mentioned_keys([b'alice:2']))}")
 
     # Alice invokes the right to be forgotten.
     receipt = right_to_erasure(store, "alice")

@@ -19,7 +19,6 @@ from typing import List
 from ..common.clock import SimClock
 from ..device.append_log import AppendLog
 from ..device.latency import INTEL_750_SSD
-from ..kvstore.aof import contains_key
 from ..kvstore.slowlog import Slowlog
 from ..kvstore.store import KeyValueStore, StoreConfig
 from ..net.channel import loopback
@@ -173,7 +172,7 @@ def deleted_data_persistence(rewrite_interval: float = 3600.0
     key = b"subject:doomed"
     store.execute("SET", key, b"personal-data")
     store.execute("DEL", key)
-    after_delete = contains_key(store.aof_log.read_all(), key)
+    after_delete = bool(store.aof.mentioned_keys((key,)))
     deleted_at = clock.now()
     seconds_until_purged = None
     # Walk simulated time until the periodic rewrite fires.
@@ -181,10 +180,10 @@ def deleted_data_persistence(rewrite_interval: float = 3600.0
     for _ in range(200):
         clock.advance(step)
         store.tick()
-        if not contains_key(store.aof_log.read_all(), key):
+        if not store.aof.mentioned_keys((key,)):
             seconds_until_purged = clock.now() - deleted_at
             break
-    after_rewrite = contains_key(store.aof_log.read_all(), key)
+    after_rewrite = bool(store.aof.mentioned_keys((key,)))
     return [
         {"property": "in AOF immediately after DEL", "value": after_delete},
         {"property": "in AOF after periodic rewrite",

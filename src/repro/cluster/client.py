@@ -966,15 +966,15 @@ class ClusterClient:
         """
         old = self.nodes[index]
         if aof_bytes is None:
-            if old.store.aof_log is None:
+            if old.store.aof is None:
                 raise ValueError(f"shard {index} has no AOF to recover")
-            aof_bytes = old.store.aof_log.read_all()
+            aof_bytes = old.store.aof.read_all()
         if self._node_factory is None:
             raise ClusterError("this cluster cannot build nodes")
         old.server.stop_cron()
         node = self._node_factory(index)
         replayed = node.store.replay_aof(aof_bytes)
-        if node.store.aof_log is not None:
+        if node.store.aof is not None:
             # Seed the replacement log with the recovered state so the
             # shard is immediately durable again.
             node.store.rewrite_aof()

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Set
 
 from ..common.errors import MigrationError
-from ..kvstore.aof import mentioned_keys
 from ..kvstore.commands import spec_of
 from .slots import SlotMap, slot_for_key
 
@@ -399,6 +398,6 @@ class SlotMigrator:
 
     def _source_aof_residual(self) -> bool:
         store = self._source_node.store
-        if store.aof_log is None or not self._moved:
+        if store.aof is None or not self._moved:
             return False
-        return bool(mentioned_keys(store.aof_log.read_all(), self._moved))
+        return bool(store.aof.mentioned_keys(self._moved))

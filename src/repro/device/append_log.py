@@ -6,11 +6,20 @@ them to the *page cache* (cheap), and ``fsync`` makes them *durable*
 (expensive).  The three-state split is exactly what makes the paper's
 ``appendfsync always`` vs ``everysec`` experiment behave the way it does, so
 the log tracks each boundary and can crash at either.
+
+A device holds named files.  One of them is *open*: ``append``,
+``replace`` and the single-file views (``read_all``, ``total_length``,
+``read_at``, ...) act on it.  A new device holds one file, named after
+the device, and is open on it; a log split into parts
+(:mod:`repro.kvstore.aof`) points the device at each part in turn with
+:meth:`open`.  ``flush`` writes every file's buffer and ``fsync`` is one
+barrier over every file on the device, so a commit that spans several
+files costs one barrier.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..common.clock import Clock, SimClock
 from ..common.errors import DeviceIOError
@@ -18,10 +27,23 @@ from .block_device import FaultInjector
 from .latency import ZERO, LatencyModel
 
 
+class _File:
+    """One file's bytes and frontiers (the open file keeps its own on
+    the log, where the append path reads them)."""
+
+    __slots__ = ("data", "cached", "durable")
+
+    def __init__(self, data: bytearray, cached: int, durable: int) -> None:
+        self.data = data
+        self.cached = cached
+        self.durable = durable
+
+
 class AppendLog:
     """An append-only byte log with buffer / page-cache / durable frontiers.
 
-    Invariant: ``durable_length <= cached_length <= total_length``.
+    Invariant, per file: ``durable_length <= cached_length <=
+    total_length``.
     """
 
     def __init__(self, clock: Optional[Clock] = None,
@@ -32,16 +54,21 @@ class AppendLog:
         self.latency = latency
         self.faults = faults
         self.name = name
+        # The open file: its name, bytes and frontiers.
+        self.file = name
         self._data = bytearray()
         self._cached_length = 0
         self._durable_length = 0
+        # Every other file, and those of them holding unwritten bytes.
+        self._closed: Dict[str, _File] = {}
+        self._unflushed: List[_File] = []
         # Counters for benchmarks.
         self.appends = 0
         self.syscalls = 0
         self.fsyncs = 0
         self.reads = 0
 
-    # -- frontiers -----------------------------------------------------------
+    # -- frontiers (of the open file) -----------------------------------------
 
     @property
     def total_length(self) -> int:
@@ -63,33 +90,100 @@ class AppendLog:
     def unsynced_bytes(self) -> int:
         return self._cached_length - self._durable_length
 
+    # -- files ----------------------------------------------------------------
+
+    def files(self) -> List[str]:
+        """The names of the files on the device, sorted."""
+        return sorted([self.file, *self._closed])
+
+    def open(self, name: str) -> None:
+        """Point ``append``, ``replace`` and the open-file views at file
+        ``name``, created empty if absent (no time charged)."""
+        if name == self.file:
+            return
+        closing = _File(self._data, self._cached_length,
+                        self._durable_length)
+        if len(self._data) > self._cached_length:
+            self._unflushed.append(closing)
+        self._closed[self.file] = closing
+        file = self._closed.pop(name, None)
+        if file is None:
+            file = _File(bytearray(), 0, 0)
+        elif file in self._unflushed:
+            self._unflushed.remove(file)
+        self.file = name
+        self._data = file.data
+        self._cached_length = file.cached
+        self._durable_length = file.durable
+
+    def rename(self, target: str) -> None:
+        """rename(): atomically give the open file the name ``target``,
+        over any file of that name.  A metadata operation, durable as it
+        returns (no time charged)."""
+        replaced = self._closed.pop(target, None)
+        if replaced in self._unflushed:
+            self._unflushed.remove(replaced)
+        self.file = target
+
+    def remove(self, names: Iterable[str]) -> None:
+        """unlink() each of ``names`` -- never the open file; durable as
+        it returns (no time charged)."""
+        unflushed = self._unflushed
+        for name in names:
+            if name == self.file or name not in self._closed:
+                raise DeviceIOError(
+                    f"{self.name}: cannot remove {name!r}: open or absent")
+            file = self._closed.pop(name)
+            if file in unflushed:
+                unflushed.remove(file)
+
     # -- operations ----------------------------------------------------------
 
     def append(self, data: bytes) -> None:
-        """Buffer bytes in the application buffer (no time charged)."""
+        """Buffer bytes in the open file's application buffer (no time
+        charged)."""
         self._data.extend(data)
         self.appends += 1
 
     def flush(self) -> int:
-        """write() the application buffer to the page cache.
+        """write() the application buffer to the page cache: the open
+        file's, and any other file's left unwritten, one syscall per
+        file with bytes to move.
 
         Returns the number of bytes moved.  Charges the write-syscall cost
         plus per-byte cost for the moved bytes.
         """
+        moved = self._flush_closed() if self._unflushed else 0
         pending = len(self._data) - self._cached_length
         if pending == 0:
-            return 0
+            return moved
         if self.faults is not None:
             self.faults.check()
         self.clock.advance(self.latency.write_cost(pending))
         self._cached_length = len(self._data)
         self.syscalls += 1
-        return pending
+        return moved + pending
+
+    def _flush_closed(self) -> int:
+        moved = 0
+        for file in self._unflushed:
+            pending = len(file.data) - file.cached
+            if self.faults is not None:
+                self.faults.check()
+            self.clock.advance(self.latency.write_cost(pending))
+            file.cached = len(file.data)
+            self.syscalls += 1
+            moved += pending
+        self._unflushed.clear()
+        return moved
 
     def fsync(self) -> None:
-        """Durability barrier over everything in the page cache."""
+        """Durability barrier over everything in the page cache, every
+        file of the device included."""
         self.clock.advance(self.latency.fsync)
         self._durable_length = self._cached_length
+        for file in self._closed.values():
+            file.durable = file.cached
         self.fsyncs += 1
 
     def flush_and_fsync(self) -> None:
@@ -97,28 +191,66 @@ class AppendLog:
         self.fsync()
 
     def replace(self, data: bytes) -> None:
-        """Atomically replace the log contents (AOF rewrite rename step).
+        """Atomically replace the open file's contents (AOF rewrite
+        rename step).
 
         Modelled as writing a new file and renaming over the old one, so
-        the replacement is durable as a unit.
+        the replacement is durable as a unit.  The rename waits on one
+        barrier, which every other file's written bytes share.
         """
         self.clock.advance(self.latency.write_cost(len(data)))
         self.clock.advance(self.latency.fsync)
+        for file in self._closed.values():
+            file.durable = file.cached
         self._data = bytearray(data)
         self._cached_length = len(data)
         self._durable_length = len(data)
         self.syscalls += 1
         self.fsyncs += 1
 
-    # -- reading & crashes -----------------------------------------------------
+    # -- reading & crashes ----------------------------------------------------
 
-    def read_all(self) -> bytes:
-        """Everything appended so far (the live file's logical view)."""
-        return bytes(self._data)
+    def read_all(self, name: Optional[str] = None) -> bytes:
+        """Everything appended so far to file ``name`` (default: the
+        open file) -- the live file's logical view."""
+        if name is None:
+            return bytes(self._data)
+        return self.read_files([name])[0]
+
+    def read_durable(self) -> bytes:
+        """What the open file would contain after a power loss."""
+        return bytes(self._data[:self._durable_length])
+
+    def read_files(self, names: Iterable[str],
+                   durable: bool = False) -> List[bytes]:
+        """:meth:`read_all` (or :meth:`read_durable`) of each of
+        ``names``, in order."""
+        files = self._named(names)
+        if durable:
+            return [bytes(file.data[:file.durable]) for file in files]
+        return [bytes(file.data) for file in files]
+
+    def exposed_bytes(self, names: Iterable[str]) -> int:
+        """Bytes of files ``names`` that a power loss right now would
+        lose: appended but not yet durable."""
+        return sum([len(file.data) - file.durable
+                    for file in self._named(names)])
+
+    def _named(self, names: Iterable[str]) -> List[_File]:
+        closed = self._closed
+        opened = _File(self._data, self._cached_length,
+                       self._durable_length)
+        try:
+            return [opened if name == self.file else closed[name]
+                    for name in names]
+        except KeyError as missing:
+            raise DeviceIOError(
+                f"{self.name}: no file {missing.args[0]!r}") from None
 
     def read_at(self, offset: int, length: int) -> bytes:
-        """pread(): ``length`` bytes starting at ``offset``, charged as
-        one read syscall plus per-byte cost for the bytes returned."""
+        """pread(): ``length`` bytes of the open file starting at
+        ``offset``, charged as one read syscall plus per-byte cost for
+        the bytes returned."""
         if offset < 0 or length < 0 or offset + length > len(self._data):
             raise DeviceIOError(
                 f"{self.name}: read of {length} bytes at {offset} outside "
@@ -127,25 +259,29 @@ class AppendLog:
         self.reads += 1
         return bytes(self._data[offset:offset + length])
 
-    def read_durable(self) -> bytes:
-        """What the file would contain after a power loss."""
-        return bytes(self._data[:self._durable_length])
-
     def read_cached(self) -> bytes:
-        """What the file contains according to the OS (survives a process
-        crash but not power loss)."""
+        """What the open file contains according to the OS (survives a
+        process crash but not power loss)."""
         return bytes(self._data[:self._cached_length])
 
     def crash(self, power_loss: bool = True) -> None:
-        """Discard non-durable suffix (power loss) or just the application
-        buffer (process crash)."""
-        frontier = self._durable_length if power_loss else self._cached_length
+        """Discard every file's non-durable suffix (power loss) or just
+        its application buffer (process crash)."""
+        frontier = self._durable_length if power_loss \
+            else self._cached_length
         del self._data[frontier:]
         self._cached_length = min(self._cached_length, frontier)
         self._durable_length = min(self._durable_length, frontier)
+        for file in self._closed.values():
+            frontier = file.durable if power_loss else file.cached
+            del file.data[frontier:]
+            file.cached = min(file.cached, frontier)
+            file.durable = min(file.durable, frontier)
+        self._unflushed.clear()
 
     def corrupt_tail(self, nbytes: int) -> None:
-        """Flip the final ``nbytes`` (torn-write injection for replay tests)."""
+        """Flip the open file's final ``nbytes`` (torn-write injection
+        for replay tests)."""
         if nbytes <= 0 or nbytes > len(self._data):
             raise DeviceIOError("corruption span outside file")
         for i in range(len(self._data) - nbytes, len(self._data)):

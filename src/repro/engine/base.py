@@ -32,7 +32,8 @@ built on:
   keyspace that never mutate it.  Slot-aware servers, migrators, and the
   GDPR index rebuild use these instead of poking engine internals.
 * **Durability hooks** (:attr:`aof` / :attr:`aof_log`,
-  :meth:`replay_aof`, :meth:`rewrite_aof`, snapshots) -- one durable
+  :meth:`replay_aof`, :meth:`rewrite_aof`, :meth:`records_of`,
+  snapshots) -- one durable
   command log per engine, whether it is a Redis AOF or a relational
   WAL: one :class:`~repro.kvstore.aof.AofWriter` named ``aof``, so
   erasure residual checks, crash recovery and per-core fsync billing
@@ -40,7 +41,8 @@ built on:
   DELs an engine logs on its own initiative (expiry, tier demotion) and
   snapshot save/load are written once, here: compaction and snapshots
   both encode the records an engine hands out
-  (:meth:`snapshot_records`), snapshots in the one format of
+  (:meth:`snapshot_records`; :meth:`records_of` for a rewrite of some
+  of the log's parts), snapshots in the one format of
   :mod:`repro.kvstore.snapshot`, and an engine takes records back
   through :meth:`restore_records` and removes a key through
   :meth:`_remove_key`.
@@ -69,6 +71,7 @@ from typing import (
     List,
     NamedTuple,
     Optional,
+    Sequence,
     Tuple,
     Type,
 )
@@ -88,6 +91,11 @@ _EXPIRE_FAMILY = frozenset((b"EXPIRE", b"PEXPIRE", b"EXPIREAT", b"PEXPIREAT"))
 #: The commands whose logged form may differ from their argv (SET too,
 #: when it carries options); see :meth:`StorageEngine._log_records`.
 _TRANSLATED = _EXPIRE_FAMILY | {b"RESTORE"}
+#: Effective writes a log split into parts records as a rewrite of the
+#: keyspace they leave, not as a command (see
+#: :meth:`StorageEngine.rewrite_aof`); a one-file log records them as
+#: any other command.
+_KEYLESS_WRITES = frozenset((b"FLUSHALL", b"FLUSHDB"))
 
 #: Background cycles per simulated second (Redis ``hz``): how often an
 #: engine's :meth:`StorageEngine.tick` runs its expiry cycle or vacuum
@@ -216,10 +224,16 @@ class StorageEngine:
                 records = (argv,)
             aof = self.aof
             if aof is not None:
-                for record in records:
-                    aof.feed_command(db_index, record,
-                                     is_write=effective_write)
-                aof.post_command()
+                if effective_write and name in _KEYLESS_WRITES \
+                        and aof.split:
+                    # A keyless barrier no single part of the log could
+                    # order: logged as the keyspace it left.
+                    self.rewrite_aof()
+                else:
+                    for record in records:
+                        aof.feed_command(db_index, record,
+                                         is_write=effective_write)
+                    aof.post_command()
             if effective_write and self.write_listeners:
                 for record in records:
                     self.notify_write(db_index, record)
@@ -368,14 +382,14 @@ class StorageEngine:
     def replay_aof(self, data: Optional[bytes] = None,
                    tolerate_truncated_tail: bool = True) -> int:
         """Rebuild state from the durable command log (AOF or WAL; by
-        default the attached log's durable content).  Returns the number
-        of commands replayed."""
+        default the attached log's durable content, every part of it).
+        Returns the number of commands replayed."""
         from ..kvstore.aof import replay_commands
         if data is None:
-            if self.aof_log is None:
+            if self.aof is None:
                 raise PersistenceError(
                     f"the {self.engine_name} engine has no durable log")
-            data = self.aof_log.read_durable()
+            data = self.aof.read_durable()
         commands = replay_commands(
             data, tolerate_truncated_tail=tolerate_truncated_tail)
         session = self.session()
@@ -387,19 +401,30 @@ class StorageEngine:
             self._loading = False
         return len(commands)
 
-    def rewrite_aof(self) -> int:
+    def rewrite_aof(self, keys: Optional[Iterable[bytes]] = None) -> int:
         """Compact the durable command log to the records of the
-        keyspace (BGREWRITEAOF / WAL checkpoint); returns the new log
-        size.  Deleted data -- any trace of an erased subject included
-        -- is gone from the log afterwards."""
+        keyspace (BGREWRITEAOF / WAL checkpoint): every part of it, or
+        with ``keys`` only the parts that own those keys (see
+        :meth:`~repro.kvstore.aof.AofWriter.rewrite`); returns the bytes
+        written.  Deleted data -- any trace of an erased subject
+        included -- is gone from the rewritten parts afterwards, and a
+        key's every trace is in the one part that owns it."""
         if self.aof is None:
             raise PersistenceError(
                 f"the {self.engine_name} engine has no durable log")
-        size = self.aof.rewrite(self.snapshot_records(),
-                                select=self.database_count > 1)
-        self._last_rewrite = self.clock.now()
+        size = self.aof.rewrite(self, keys)
+        if keys is None:
+            self._last_rewrite = self.clock.now()
         self.rewrites_completed += 1
         return size
+
+    def records_of(self, db_index: int,
+                   keys: Iterable[bytes]) -> Iterable[StoredRecord]:
+        """The records of those of ``keys`` database ``db_index`` holds,
+        in the order given, as :meth:`snapshot_records` hands them out
+        (expired-but-unreclaimed ones and metadata columns included): a
+        targeted log rewrite's input."""
+        raise NotImplementedError
 
     # -- the writes an engine logs on its own initiative -------------------
 
@@ -426,21 +451,22 @@ class StorageEngine:
             self.aof.feed_command(db_index, [b"DEL", key], is_write=True)
         self.notify_write(db_index, [b"DEL", key])
 
-    def demote_remove(self, key: bytes, db_index: int = 0) -> bool:
-        """Remove ``key`` from the keyspace on behalf of a tiering layer
-        that has just sealed a durable cold copy.
+    def demote_remove(self, keys: Sequence[bytes], db_index: int = 0) -> int:
+        """Remove ``keys`` from the keyspace on behalf of a tiering layer
+        that has just sealed a durable cold copy of each.
 
         The deletion tap fires with reason ``"demote"`` (so compliance
         layers keep their metadata -- a tier move is not an erasure),
-        the durable log records a DEL (the record's durable home is now
-        the cold device), and the effective-write stream stays
-        **silent** -- replicas keep serving their full copy.  Returns
-        True when a record was removed."""
-        existed = self._remove_key(db_index, key, "demote")
-        if existed and self.aof is not None and not self._loading:
-            self.aof.feed_command(db_index, [b"DEL", key], is_write=True)
+        the durable log records one DEL naming every removed key (their
+        durable home is now the cold device), and the effective-write
+        stream stays **silent** -- replicas keep serving their full
+        copy.  Returns the number of records removed."""
+        removed = [key for key in keys
+                   if self._remove_key(db_index, key, "demote")]
+        if removed and self.aof is not None and not self._loading:
+            self.aof.feed_command(db_index, [b"DEL", *removed], is_write=True)
             self.aof.post_command()
-        return existed
+        return len(removed)
 
     def promote_insert(self, key: bytes, value: bytes,
                        expire_at: Optional[float]) -> None:

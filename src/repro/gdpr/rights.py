@@ -61,7 +61,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..common.errors import UnknownSubjectError
-from ..kvstore.aof import mentioned_keys
 from .access_control import Operation, Principal
 from .store import CONTROLLER, GDPRStore
 
@@ -196,23 +195,31 @@ def _erasure_part(store: GDPRStore, subject: str, principal: Principal,
     store.access.check(principal, Operation.DELETE,
                        store.index.get_metadata(keys[0]), None,
                        store.clock.now())
-    store.kv.execute("DEL", *keys)
     cold_voided = 0
     if getattr(store.kv, "supports_tiering", False):
-        # The DEL above evicted every *indexed* cold copy; the subject
-        # marker voids any archived stragglers and persists the erasure
-        # on the cold device itself (fsynced), independent of the
+        # The DEL evicts every *indexed* cold copy; the subject marker
+        # voids any archived stragglers and persists the erasure on the
+        # cold device itself (one fsync for both), independent of the
         # keystore tombstone below.
-        cold_voided = store.kv.erase_subject_cold(subject)
+        cold_voided = store.kv.erase_subject_cold(subject, keys)
+    else:
+        store.kv.execute("DEL", *keys)
     crypto_erased = False
     if store.config.encrypt_at_rest:
         crypto_erased = store.keystore.erase_key(subject)
-    compacted = False
-    if store.config.compact_on_erasure and store.kv.aof_log is not None:
-        store.kv.rewrite_aof()
-        compacted = True
-    residual = store.kv.aof_log is not None and bool(mentioned_keys(
-        store.kv.aof_log.read_all(), [key.encode("utf-8") for key in keys]))
+    compacted = residual = False
+    aof = store.kv.aof
+    if aof is not None:
+        names = [key.encode("utf-8") for key in keys]
+        if store.config.compact_on_erasure:
+            store.kv.rewrite_aof(names)
+            compacted = True
+        residual = bool(aof.mentioned_keys(names))
+        if residual and compacted:
+            # A logged read without key positions (a RANGE starting at
+            # one of the keys) sits in a part no erased key owns.
+            store.kv.rewrite_aof()
+            residual = bool(aof.mentioned_keys(names))
     completed_at = store.clock.now()
     store.audit.append(principal=principal.name, operation="erase-subject",
                        subject=store._audit_name(subject), outcome="ok",
@@ -234,7 +241,8 @@ def right_to_erasure(target, subject: str,
     2. crypto-erasure of the subject's data key (voids AOF history,
        snapshots, and backups even where ciphertext bytes linger),
     3. AOF compaction so not even ciphertext persists, on each store
-       whose ``compact_on_erasure`` is set.
+       whose ``compact_on_erasure`` is set: a rewrite of the log parts
+       that own the subject's keys, not of the whole log.
     """
     parts = _parts(target, _erasure_part, subject, principal)
     erased = [part for _, part in parts]

@@ -14,18 +14,50 @@ Fsync policy (``appendfsync``) reproduces Redis' three settings:
   (eventual compliance with a 1-second exposure window: ~30% of baseline,
   the 6x recovery the paper reports);
 * ``no``      -- flush only; the OS decides when data reaches media.
+
+The log is partitioned by key.  It starts as one file, named after its
+device; the first rewrite that names keys (Art. 17's) splits it, once
+its records exceed :data:`PART_BYTES`, into *parts*: files that each own
+a contiguous range of hash slots (:func:`repro.cluster.slots.
+slot_for_key`), listed by a manifest file.
+A key's whole history -- every write, logged read, deadline, metadata
+column and delete -- lives in the one part owning its slot, so deleted
+data leaves the log by rewriting that part alone: Art. 17 rewrites the
+parts that own the subject's keys, not the store (section 4.3's
+"deleted keys persist in the AOF until a rewrite").  A record naming
+keys of several parts (a multi-key ``DEL``, a variadic ``GDPRMETA``) is
+written as one fragment per part.  A part is rewritten from the
+keyspace, from the keys it has logged, and splits again while its live
+records exceed :data:`PART_BYTES`.
 """
 
 from __future__ import annotations
 
 import enum
+from binascii import crc_hqx
+from bisect import bisect_right
 from itertools import chain
-from typing import Iterable, List, Mapping, Sequence, Set, Tuple
+from operator import attrgetter, itemgetter
+from typing import (
+    Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple)
 
+from ..cluster.slots import NUM_SLOTS, slot_for_key
 from ..common.clock import Clock
 from ..common.errors import PersistenceError
 from ..common.resp import CRLF, RespDecoder, encode_command
 from ..device.append_log import AppendLog
+from .commands import spec_of
+
+#: A rewrite splits a part whose live records exceed this many bytes
+#: into parts holding at most this many bytes of records (plus a
+#: ``SELECT`` per database; one hash slot's records are never split).
+PART_BYTES = 32 * 1024
+
+#: ``SELECT 0``, put between parts in the one stream :meth:`AofWriter.
+#: read_all` returns when some part selects databases: each part's
+#: stream starts in database 0.
+_SELECT_0 = encode_command(b"SELECT", b"0")
+_SELECT_MARK = b"$6\r\nSELECT\r\n"
 
 
 class FsyncPolicy(enum.Enum):
@@ -43,12 +75,38 @@ class FsyncPolicy(enum.Enum):
                 "choose always, everysec, or no")
 
 
+_FIRST = attrgetter("first")
+
+
+class _Part:
+    """One part file: the hash slots from ``first`` up to the next part's
+    first slot, the keys it has logged (by database), and the database
+    its stream selected last."""
+
+    __slots__ = ("first", "file", "keys", "selected")
+
+    def __init__(self, first: int, file: str,
+                 keys: Optional[Dict[int, Set[bytes]]] = None,
+                 selected: int = 0) -> None:
+        self.first = first
+        self.file = file
+        self.keys: Dict[int, Set[bytes]] = keys if keys is not None else {}
+        self.selected = selected
+
+
 class AofWriter:
     """Feeds executed commands into an :class:`AppendLog`.
 
     ``record_cost`` is the per-record CPU+syscall cost charged to the clock
-    (see ``repro.bench.calibration`` for the derivation); the fsync cost is
-    charged by the underlying log's latency model.
+    (see ``repro.bench.calibration`` for the derivation), once per logged
+    command however many parts it reaches; the fsync cost is charged by
+    the underlying log's latency model.
+
+    Every file of the log is a file of ``log``, and every byte reaches it
+    through the device's own ``append``/``replace``.  A writer built over
+    a device that already holds a split log reads its manifest, rebuilds
+    each part's key set from the part, and removes files the manifest
+    does not name (what a crash mid-rewrite leaves behind).
     """
 
     def __init__(self, log: AppendLog, clock: Clock,
@@ -64,11 +122,41 @@ class AofWriter:
         self.record_per_byte_cost = record_per_byte_cost
         self._selected_db = 0
         self._last_fsync = clock.now()
-        #: Log size right after the last :meth:`rewrite` (Redis'
+        #: Bytes the last :meth:`rewrite` wrote (Redis'
         #: ``aof_rewrite_base_size``, reported by INFO).
         self.base_size = 0
         self.records_written = 0
         self.reads_logged = 0
+        #: Parts written by rewrites, and their bytes.
+        self.parts_rewritten = 0
+        self.bytes_rewritten = 0
+        self._manifest_file = log.name + ".manifest"
+        #: The parts by first slot; None while the log is one file.
+        self._parts: Optional[List[_Part]] = None
+        self._firsts: List[int] = []
+        self._next_part = 1
+        manifest = self._manifest()
+        if manifest is not None:
+            self._adopt([_Part(first, file) for first, file in manifest])
+            self._next_part = 1 + max(int(file.rsplit(".", 1)[1])
+                                      for _, file in manifest)
+            for part, data in zip(self._parts, log.read_files(
+                    [part.file for part in self._parts])):
+                db = 0
+                for args in replay_commands(data):
+                    name = args[0].upper()
+                    if name == b"SELECT":
+                        db = int(args[1])
+                    else:
+                        part.keys.setdefault(db, set()).update(
+                            spec_of(name).keys(args))
+                part.selected = db
+        self._sweep()
+
+    @property
+    def split(self) -> bool:
+        """Whether the log is split into parts (else it is one file)."""
+        return self._parts is not None
 
     # -- the write path -------------------------------------------------------
 
@@ -77,18 +165,65 @@ class AofWriter:
         """Append one executed command (called after successful execution)."""
         if not is_write and not self.log_reads:
             return
-        if db_index != self._selected_db:
-            select = encode_command(b"SELECT", str(db_index).encode())
-            self.log.append(select)
-            self._selected_db = db_index
         record = encode_command(*args)
         if self.record_base_cost or self.record_per_byte_cost:
             self.clock.advance(self.record_base_cost
                                + len(record) * self.record_per_byte_cost)
-        self.log.append(record)
+        if self._parts is None:
+            if db_index != self._selected_db:
+                select = encode_command(b"SELECT", str(db_index).encode())
+                self.log.append(select)
+                self._selected_db = db_index
+            self.log.append(record)
+        else:
+            self._feed_parts(db_index, args, record)
         self.records_written += 1
         if not is_write:
             self.reads_logged += 1
+
+    def _feed_parts(self, db_index: int, args: Sequence[bytes],
+                    record: bytes) -> None:
+        """Append ``record`` to the part owning its keys, or one fragment
+        to each owning part: the command with that part's keys (and the
+        arguments each key carries; multi-key commands carry nothing
+        after their last key).  A record without key positions (a
+        logged ``KEYS`` or ``RANGE``) goes to the first part."""
+        spec = spec_of(args[0].upper())
+        keys = spec.keys(args)
+        if len(keys) < 2:
+            self._append(self._part_of(keys[0]) if keys else self._parts[0],
+                         db_index, record, keys)
+            return
+        first, _, step = spec.key_spec
+        groups: Dict[_Part, List[bytes]] = {}
+        for at in range(first, first + len(keys) * step, step):
+            groups.setdefault(self._part_of(args[at]), []).extend(
+                args[at:at + step])
+        if len(groups) == 1:
+            for part in groups:
+                self._append(part, db_index, record, keys)
+            return
+        head = args[:first]
+        for part, tail in groups.items():
+            self._append(part, db_index, encode_command(*head, *tail),
+                         tail[::step])
+
+    def _append(self, part: _Part, db_index: int, data: bytes,
+                keys: Iterable[bytes]) -> None:
+        log = self.log
+        log.open(part.file)
+        if db_index != part.selected:
+            log.append(encode_command(b"SELECT", b"%d" % db_index))
+            part.selected = db_index
+        log.append(data)
+        logged = part.keys.get(db_index)
+        if logged is None:
+            part.keys[db_index] = set(keys)
+        else:
+            logged.update(keys)
+
+    def _part_of(self, key: bytes) -> _Part:
+        return self._parts[bisect_right(self._firsts, _slot(key)) - 1]
 
     def post_command(self) -> None:
         """Flush the application buffer; fsync if policy is ALWAYS.
@@ -108,23 +243,154 @@ class AofWriter:
             self.log.fsync()
             self._last_fsync = now
 
-    def rewrite(self, databases: Mapping[int, Iterable[Tuple]],
-                select: bool) -> int:
-        """Replace the log with the stream that recreates ``databases``
-        (see :func:`encode_records`); returns its size in bytes.  The
-        writer is left on the database that stream selected last, so the
-        next write to any other database opens with its ``SELECT``."""
-        data, self._selected_db = encode_records(databases, select)
-        self.log.replace(data)
-        self.base_size = len(data)
-        return self.base_size
+    # -- rewriting ------------------------------------------------------------
+
+    def rewrite(self, keyspace, keys: Optional[Iterable[bytes]] = None
+                ) -> int:
+        """Rewrite the log from ``keyspace`` (a storage engine); returns
+        the bytes written.
+
+        With ``keys`` None, every part: the whole keyspace is laid out
+        afresh, into one file while the log is one file (what
+        BGREWRITEAOF writes), else into parts of at most
+        :data:`PART_BYTES`.  With ``keys``, only the parts that own
+        them, each from the records of the keys it has logged and split
+        while over :data:`PART_BYTES`; the first such rewrite splits a
+        one-file log (unless its records fit in one part).
+
+        A log that stays one file is rewritten with ``replace`` (one
+        barrier).  Otherwise the new parts and a new manifest are
+        written, one barrier makes them durable, the manifest is renamed
+        over the old one -- the commit point -- and the replaced files
+        are removed.  A crash before the rename recovers the old log,
+        one after it the new one.
+        """
+        if keys is not None:
+            keys = list(keys)
+            if not keys:
+                return 0
+        self._sweep()
+        select = keyspace.database_count > 1
+        if keys is None or self._parts is None:
+            retired = self._parts or []
+            born = _layout(keyspace.snapshot_records(), select, 0,
+                           split=keys is not None or bool(retired))
+        else:
+            retired = sorted({self._part_of(key) for key in keys},
+                             key=_FIRST)
+            born = []
+            for part in retired:
+                born += _layout(
+                    {db: keyspace.records_of(db, sorted(names))
+                     for db, names in part.keys.items()},
+                    select, part.first, split=True)
+        size = sum([len(data) for _, data, _, _ in born])
+        try:
+            if self._parts is None and len(born) == 1:
+                _, data, _, self._selected_db = born[0]
+                self.log.replace(data)
+            else:
+                self._commit_parts(retired, born)
+        finally:
+            if self._parts is None:
+                self.log.open(self.log.name)
+        self.parts_rewritten += len(born)
+        self.bytes_rewritten += size
+        self.base_size = size
+        return size
+
+    def _commit_parts(self, retired: List[_Part],
+                      born: List[Tuple]) -> None:
+        log = self.log
+        parts = [part for part in self._parts or () if part not in retired]
+        for first, data, keys, selected in born:
+            file = f"{log.name}.{self._next_part}"
+            self._next_part += 1
+            log.open(file)
+            log.append(data)
+            parts.append(_Part(first, file, keys, selected))
+        parts.sort(key=_FIRST)
+        staged = self._manifest_file + ".tmp"
+        log.open(staged)
+        log.append("".join([f"{part.first} {part.file}\n"
+                            for part in parts]).encode("ascii"))
+        log.flush()
+        log.fsync()
+        log.rename(self._manifest_file)
+        replaced = ([part.file for part in retired]
+                    if self._parts is not None else [log.name])
+        self._adopt(parts)
+        log.remove(replaced)
+
+    def _adopt(self, parts: List[_Part]) -> None:
+        self._parts = parts
+        self._firsts = [part.first for part in parts]
+
+    def _sweep(self) -> None:
+        """Remove every file the log does not use (a crashed or failed
+        rewrite's leftovers)."""
+        live = self._files()
+        if self._parts is not None:
+            live.append(self._manifest_file)
+        self.log.open(live[0])
+        self.log.remove([name for name in self.log.files()
+                         if name not in live])
+
+    # -- the one reader -------------------------------------------------------
+
+    def _manifest(self) -> Optional[List[Tuple[int, str]]]:
+        """The device's manifest: ``(first slot, file)`` per part, or None
+        while the log is one file."""
+        if self._manifest_file not in self.log.files():
+            return None
+        lines = self.log.read_all(self._manifest_file).decode(
+            "ascii").splitlines()
+        entries = [line.split(" ", 1) for line in lines]
+        return [(int(first), file) for first, file in entries]
+
+    def _files(self) -> List[str]:
+        """The log's files in slot order (what the manifest lists: it is
+        renamed into place before the writer adopts a new list)."""
+        if self._parts is None:
+            return [self.log.name]
+        return [part.file for part in self._parts]
+
+    def _stream(self, durable: bool) -> bytes:
+        datas = self.log.read_files(self._files(), durable)
+        if len(datas) > 1 and any([_SELECT_MARK in data for data in datas]):
+            return _SELECT_0.join(datas)
+        return b"".join(datas)
+
+    def read_all(self) -> bytes:
+        """The whole log as one command stream, its parts in slot order
+        (what replay, recovery and residual checks read)."""
+        return self._stream(durable=False)
+
+    def read_durable(self) -> bytes:
+        """:meth:`read_all` as a power loss right now would leave it."""
+        return self._stream(durable=True)
+
+    def mentioned_keys(self, keys: Iterable[bytes]) -> Set[bytes]:
+        """Which of ``keys`` are an argument of some record in some part
+        (:func:`mentioned_keys` over the parts, each a whole command
+        stream, run together)."""
+        return mentioned_keys(b"".join(self.log.read_files(self._files())),
+                              keys)
 
     # -- exposure accounting ------------------------------------------------------
 
     def unsynced_bytes(self) -> int:
         """Bytes that a power loss right now would lose -- the 'one second
         worth of logs' exposure the paper describes for everysec."""
-        return (self.log.total_length - self.log.durable_length)
+        return self.log.exposed_bytes(self._files())
+
+
+def _slot(key: bytes) -> int:
+    """:func:`~repro.cluster.slots.slot_for_key` of a ``bytes`` key, one
+    call for the common key without a hash tag (which hashes whole)."""
+    if b"{" in key:
+        return slot_for_key(key)
+    return crc_hqx(key, 0) % NUM_SLOTS
 
 
 def replay_commands(data: bytes,
@@ -215,39 +481,86 @@ def _container_command(key: bytes, value) -> bytes:
     return encode_command(b"ZADD", key, *flat)
 
 
-def encode_records(databases: Mapping[int, Iterable[Tuple]],
-                   select: bool) -> Tuple[bytes, int]:
-    """The command stream that recreates ``databases`` -- database index
-    -> its ``(key, value, expire_at, metadata)`` records -- and the
-    database it leaves selected.
+def _layout(databases: Mapping[int, Iterable[Tuple]], select: bool,
+            first: int, split: bool
+            ) -> List[Tuple[int, bytes, Dict[int, Set[bytes]], int]]:
+    """The parts that recreate ``databases`` -- database index -> its
+    ``(key, value, expire_at, metadata)`` records, all of slots from
+    ``first`` on -- as ``(first slot, stream, keys by database, database
+    selected last)``.
 
     Per record: the value's command, then ``PEXPIREAT`` for a deadline
-    and ``GDPRMETA`` for metadata columns.  With ``select``, each
-    database opens with its ``SELECT``; without it, every record goes to
-    database 0.
+    and ``GDPRMETA`` for metadata columns.  The records make one part
+    starting at ``first``, in the order given -- unless ``split`` and
+    they exceed :data:`PART_BYTES`: then they are sorted by slot and
+    cut, between slots, into parts of at most that size.  Within a
+    part, with ``select``, each database opens with its ``SELECT``;
+    without it, every record goes to database 0.
     """
-    chunks: List[bytes] = []
-    append = chunks.append
-    selected = 0
+    entries = []
+    append = entries.append
+    size = 0
     for index, records in sorted(databases.items()):
-        if select:
-            append(encode_command(b"SELECT", b"%d" % index))
-            selected = index
         for key, value, expire_at, metadata in records:
             if isinstance(value, bytes):
-                append(SET_STATEMENT % (len(key), key, len(value), value))
+                chunk = SET_STATEMENT % (len(key), key, len(value), value)
             else:
-                append(_container_command(key, value))
+                chunk = _container_command(key, value)
             if expire_at is not None:
                 # As the command log writes it: the largest m with
                 # m / 1000 <= expire_at, so a PXAT m deadline stays m.
                 whole = int(expire_at * 1000)
                 millis = b"%d" % (whole + ((whole + 1) / 1000 <= expire_at))
-                append(PEXPIREAT_STATEMENT
-                       % (len(key), key, len(millis), millis))
+                chunk += PEXPIREAT_STATEMENT % (len(key), key, len(millis),
+                                                millis)
             if metadata is not None:
                 owner = metadata[0].encode("utf-8")
                 purposes = metadata[1].encode("utf-8")
-                append(GDPRMETA_STATEMENT % (len(key), key, len(owner),
-                                             owner, len(purposes), purposes))
-    return b"".join(chunks), selected
+                chunk += GDPRMETA_STATEMENT % (len(key), key, len(owner),
+                                               owner, len(purposes),
+                                               purposes)
+            # (slot, database, key, statements): the slot is worked out
+            # only for a split, and stands as ``first`` until then.
+            append((first, index, key, chunk))
+            size += len(chunk)
+    groups = [entries]
+    if split and size > PART_BYTES:
+        entries = sorted([(_slot(key), index, key, chunk)
+                          for _, index, key, chunk in entries],
+                         key=itemgetter(0))
+        group: List[Tuple] = []
+        groups = [group]
+        # Bytes in ``group``; where in it the current slot's records
+        # start, and the bytes before them.
+        filled = run_at = run_filled = 0
+        slot = -1
+        for entry in entries:
+            grow = len(entry[3])
+            if entry[0] != slot:
+                slot = entry[0]
+                run_at, run_filled = len(group), filled
+            if filled + grow > PART_BYTES and run_at:
+                group = group[run_at:]
+                del groups[-1][run_at:]
+                groups.append(group)
+                filled -= run_filled
+                run_at = run_filled = 0
+            group.append(entry)
+            filled += grow
+    parts = []
+    for group in groups:
+        by_db: Dict[int, List[bytes]] = {}
+        keys: Dict[int, Set[bytes]] = {}
+        for _, index, key, chunk in group:
+            by_db.setdefault(index, []).append(chunk)
+            keys.setdefault(index, set()).add(key)
+        chunks: List[bytes] = []
+        selected = 0
+        for index in sorted(by_db):
+            if select:
+                chunks.append(encode_command(b"SELECT", b"%d" % index))
+                selected = index
+            chunks += by_db[index]
+        start = first if group is groups[0] else group[0][0]
+        parts.append((start, b"".join(chunks), keys, selected))
+    return parts

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Iterable, List, Optional, Sequence
 
 from ..common.clock import Clock, SimClock
 from ..device.append_log import AppendLog
@@ -218,6 +218,13 @@ class KeyValueStore(StorageEngine):
         """RDB-style SAVE / AOF rewrite: every populated database's keys
         in keyspace order."""
         return {db.index: db.records() for db in self.databases if len(db)}
+
+    def records_of(self, db_index: int, keys: Iterable[bytes]
+                   ) -> List[StoredRecord]:
+        db = self.databases[db_index]
+        data, expires = db.data, db.expires
+        return [StoredRecord(key, data[key], expires.get(key))
+                for key in keys if key in data]
 
     def restore_records(self, databases: SnapshotImage) -> None:
         for db in self.databases:

@@ -29,12 +29,13 @@ different inside:
   durability spectrum under comparison is one mechanism on both
   engines.  Records are logical statements in RESP frames -- one
   vocabulary for both engines' logs, so the Art. 17 residual check
-  (``contains_key``) and crash replay work on either; ``wal_fsync``
+  (``aof.mentioned_keys``) and crash replay work on either; ``wal_fsync``
   maps onto the always/everysec/no spectrum the paper measures for the
   AOF (``synchronous_commit = on / off`` plus a group-commit window);
   ``wal_log_reads`` is the paper's statement-logging monitoring
   configuration.  The checkpoint is the engine contract's
-  ``rewrite_aof``: the log is rewritten to exactly the rows (payload,
+  ``rewrite_aof``: the log -- or, for an erasure, the log parts that
+  own the erased keys -- is rewritten to exactly the rows (payload,
   expiry column, GDPR metadata columns), dropping every trace of
   deleted data -- the erasure-compaction requirement the paper raises
   for logs in section 4.3.
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace as dataclasses_replace
 from itertools import chain
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from ..common.clock import Clock, SimClock
 from ..common.errors import ArityError, CorruptionError, WrongTypeError
@@ -686,6 +687,14 @@ class RelationalStore(StorageEngine):
         return {0: ((row.key, row.value, row.expire_at,
                      None if row.owner is None else (row.owner, row.purposes))
                     for row in self.table.rows())}
+
+    def records_of(self, db_index: int, keys: Iterable[bytes]
+                   ) -> List[StoredRecord]:
+        rows = [row for row in map(self.table.get, keys) if row is not None]
+        return [StoredRecord(row.key, row.value, row.expire_at,
+                             None if row.owner is None
+                             else (row.owner, row.purposes))
+                for row in rows]
 
     def restore_records(self, databases: SnapshotImage) -> None:
         if any(not isinstance(record.value, (bytes, dict))

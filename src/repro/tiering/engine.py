@@ -7,11 +7,12 @@ replication, YCSB -- runs over a tiered keyspace unchanged:
 * **Demotion.**  Records idle for ``demote_idle_after`` seconds leave
   the hot engine for a sealed cold segment.  The seal ends with an
   fsync *before* the hot copies are removed (via the engines'
-  ``demote_remove`` hook, which logs a DEL to the hot AOF/WAL with
-  deletion reason ``"demote"`` but keeps the effective-write stream
-  silent -- replicas keep serving their full copy).  A crash between
-  the two steps leaves the record in both tiers; the hot copy stays
-  authoritative and the stale cold shadow is evicted lazily.
+  ``demote_remove`` hook, which logs one DEL per sealed batch to the
+  hot AOF/WAL with deletion reason ``"demote"`` but keeps the
+  effective-write stream silent -- replicas keep serving their full
+  copy).  A crash between the two steps leaves the record in both
+  tiers; the hot copy stays authoritative and the stale cold shadow is
+  evicted lazily.
 * **Promotion.**  Any keyed command first *surfaces* its key: a cold
   copy is decrypted, re-inserted hot (SET [+ absolute expiry]), and
   tombstoned cold, then the command runs against the hot engine --
@@ -29,10 +30,11 @@ replication, YCSB -- runs over a tiered keyspace unchanged:
 * **Erasure reaches the archive.**  Cold values of a known data
   subject are sealed under that subject's key from the shared
   :class:`~repro.crypto.keystore.KeyStore`; ``erase_subject_cold``
-  records which segments the erasure voided (bloom-answered), drops
-  the subject's keys from the resident directory and appends a durable
-  subject marker, so Art. 17 voids the archive without rewriting a
-  single segment.
+  deletes the subject's keys, records which segments the erasure
+  voided (bloom-answered), drops the subject's keys from the resident
+  directory and appends a subject marker, its tombstones and marker
+  durable at one barrier, so Art. 17 voids the archive without
+  rewriting a single segment.
 
 Tiering applies to database 0 only (the database the GDPR, cluster,
 and bench layers use); commands on other databases pass straight
@@ -43,7 +45,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple)
 
 from ..device.append_log import AppendLog
 from ..engine.base import MetadataRow, SnapshotImage, StorageEngine, \
@@ -445,8 +448,8 @@ class TieredEngine(StorageEngine):
         seq = self.cold.seal(inputs, sealed_at=self.clock.now())
         # The seal above ended with an fsync: only now is it safe to
         # drop the hot copies.
+        self._inner.demote_remove([record.key for record in records], 0)
         for record in records:
-            self._inner.demote_remove(record.key, 0)
             self._last_touch.pop(record.key, None)
         self.demotions += len(records)
         self._tier_event("demote",
@@ -454,10 +457,22 @@ class TieredEngine(StorageEngine):
 
     # -- archive-reaching erasure --------------------------------------------
 
-    def erase_subject_cold(self, subject: str) -> int:
-        """Void every archived copy of ``subject``'s records; returns
-        the number of segments the erasure reached (bloom-answered)."""
-        touched = self.cold.erase_subject(subject)
+    def erase_subject_cold(self, subject: str, keys: Sequence[Any]) -> int:
+        """Delete ``keys`` (one ``DEL`` across both tiers), then void
+        every archived copy of ``subject``'s records; returns the number
+        of segments the erasure reached (bloom-answered).  One cold
+        barrier covers the ``DEL``'s tombstones and the subject marker."""
+        cold = self.cold
+        outer = cold.grouped
+        cold.grouped = True
+        try:
+            if keys:
+                self.execute("DEL", *keys)
+            touched = cold.erase_subject(subject)
+        finally:
+            cold.grouped = outer
+            if cold.barrier_due and not outer:
+                cold.barrier()
         self._owners = {k: ann for k, ann in self._owners.items()
                         if ann[0] != subject}
         self._tier_event("cold-erase",
@@ -563,8 +578,8 @@ class TieredEngine(StorageEngine):
         finally:
             self._loading = False
 
-    def rewrite_aof(self) -> int:
-        return self._inner.rewrite_aof()
+    def rewrite_aof(self, keys: Optional[Iterable[bytes]] = None) -> int:
+        return self._inner.rewrite_aof(keys)
 
     # -- replication ---------------------------------------------------------
 

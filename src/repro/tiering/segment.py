@@ -429,14 +429,16 @@ class ColdSegmentStore:
         sequence numbers of the segments whose subject bloom matched
         (the segments the erasure 'reached').
 
-        The marker frame is fsynced, so the erasure survives power loss
+        The marker frame is fsynced (inside a group, by the group's one
+        :meth:`barrier`), so the erasure survives power loss
         independently of the keystore tombstone -- two layers against
         resurrection-by-restore.
         """
         encoded = subject.encode("utf-8")
         touched = self._void_subject(subject)
-        self._append_frame(MAGIC_SUBJECT,
-                           _U32.pack(len(encoded)) + encoded, durable=True)
+        self._append_frame(MAGIC_SUBJECT, _U32.pack(len(encoded)) + encoded,
+                           durable=not self.grouped)
+        self.barrier_due = self.barrier_due or self.grouped
         self.subject_erasures += 1
         return touched
 

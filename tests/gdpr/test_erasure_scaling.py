@@ -5,15 +5,19 @@ A count, not a wall-clock floor: Python function calls under
 exactly on any host.  Before PR 14 ``right_to_erasure`` re-parsed the
 whole compacted WAL once per erased key, so the count was proportional to
 keys-per-subject *and* to log size; now the residual check is one C-speed
-scan per key and at most one decode.
+scan per key and at most one decode.  The last test counts simulated
+time and bytes: an erasure rewrites the log parts that own the
+subject's keys, so its cost does not grow with the store either.
 """
 
 from repro.common.clock import SimClock
 from repro.device.append_log import AppendLog
+from repro.device.latency import INTEL_750_SSD
 from repro.gdpr.audit import AuditDurability
 from repro.gdpr.metadata import GDPRMetadata
 from repro.gdpr.rights import right_to_erasure
 from repro.gdpr.store import GDPRConfig, GDPRStore
+from repro.kvstore.aof import PART_BYTES
 from repro.sqlstore import RelationalStore, SqlConfig
 from tests.support import py_calls
 
@@ -95,3 +99,81 @@ def test_erasure_verification_does_not_scale_with_log_size():
     small = small_total - small_compaction
     large = large_total - large_compaction
     assert 0 < small and large < 1.5 * small, (small, large)
+
+
+# -- Art. 17 in O(subject): the log partitioned by key --------------------
+
+SIZES = (1000, 4000, 16000)
+KEYS_PER_SUBJECT = 4
+
+
+def _ssd_store(records):
+    """A relational fast-GDPR store on an SSD-latency WAL, 100-byte
+    values, four keys per subject (unencrypted: the envelope costs host
+    time and no simulated time)."""
+    clock = SimClock()
+    engine = RelationalStore(
+        SqlConfig(wal_enabled=True, wal_fsync="everysec",
+                  wal_log_reads=True, seed=0),
+        clock=clock, wal_log=AppendLog(clock=clock, latency=INTEL_750_SSD))
+    store = GDPRStore(
+        kv=engine,
+        config=GDPRConfig(encrypt_at_rest=False, fast_gdpr=True,
+                          audit_durability=AuditDurability.BATCH,
+                          compact_on_erasure=True))
+    purposes = frozenset({"service"})
+    for i in range(records):
+        store.put(f"user{i}", b"p" * 100,
+                  GDPRMetadata(owner=f"subject-{i // KEYS_PER_SUBJECT}",
+                               purposes=purposes),
+                  purpose="service")
+    store.flush_compliance()
+    return store
+
+
+def test_an_erasure_rewrites_its_keys_parts_not_the_store():
+    """After the first erasure has split the WAL, one 4-key erasure
+    rewrites at most four parts plus one part of slack, behind one
+    barrier, and its simulated cost does not grow with the store: about
+    0.95 ms at every size, where rewriting the whole log (0.37 / 1.5 /
+    6.2 MB) cost 1.2 / 2.3 / 7.0 ms at 1k / 4k / 16k records."""
+    p50 = {}
+    for records in SIZES:
+        store = _ssd_store(records)
+        right_to_erasure(store, "subject-0")          # splits the log
+        wal, device = store.kv.aof, store.kv.aof_log
+        costs = []
+        for step in range(1, 6):
+            subject = f"subject-{step * 97 % (records // KEYS_PER_SUBJECT)}"
+            written, fsyncs = wal.bytes_rewritten, device.fsyncs
+            start = store.clock.now()
+            receipt = right_to_erasure(store, subject)
+            costs.append(store.clock.now() - start)
+            assert receipt.log_compacted and not receipt.residual_in_aof
+            assert len(receipt.keys_erased) == KEYS_PER_SUBJECT
+            assert wal.bytes_rewritten - written \
+                <= (KEYS_PER_SUBJECT + 1) * PART_BYTES
+            assert device.fsyncs - fsyncs == 1
+        p50[records] = sorted(costs)[len(costs) // 2]
+    low, high = min(p50.values()), max(p50.values())
+    assert high <= 1.15 * low, p50
+
+
+def test_a_logged_range_naming_an_erased_key_leaves_no_residual():
+    """A logged read without key positions (``RANGE start n``) names a
+    key in a part that key does not own; the erasure still leaves the
+    key nowhere in the log."""
+    store = _ssd_store(1000)
+    right_to_erasure(store, "subject-0")                 # splits the log
+    wal = store.kv.aof
+    first = wal._parts[0]
+    subject = next(
+        f"subject-{i}" for i in range(1, 250)
+        if all(wal._part_of(key.encode()) is not first
+               for key in store.keys_of_subject(f"subject-{i}")))
+    start = store.keys_of_subject(subject)[0]
+    store.kv.execute("RANGE", start, 2)
+    assert wal.mentioned_keys([start.encode()])
+    receipt = right_to_erasure(store, subject)
+    assert receipt.log_compacted and not receipt.residual_in_aof
+    assert not wal.mentioned_keys([start.encode()])

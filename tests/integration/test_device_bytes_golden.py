@@ -9,13 +9,15 @@ move no simulated digit and no device byte reruns this file to show it.
 
 A deliberate change to a log format, a cost constant or the envelope
 re-records the digests it moves -- and only those -- and says so in
-CHANGES.md.  There have been four: the envelope keystream became one
+CHANGES.md.  There have been five: the envelope keystream became one
 SHAKE-256 call (AOF/WAL digests of all three runs), cold segment format
 v2 (the ``tiered`` run only), Art. 17 became one DEL per store with
 one cold barrier per command (the ``fast_relational`` and ``tiered``
-runs), and a write-behind flush became one ``GDPRMETA`` statement with
+runs), a write-behind flush became one ``GDPRMETA`` statement with
 the retention deadline fused into the relational ``SET ... PXAT`` (the
-``fast_relational`` run only).
+``fast_relational`` run only), and a demotion batch became one logged
+DEL with Art. 17's cold tombstones and marker under one fsync (the
+``tiered`` run only).
 """
 
 import hashlib
@@ -213,7 +215,11 @@ def _tiered():
 # look the subject up once and deletes its keys with one DEL (one log
 # record instead of one per key), and the tiered run's cold tombstones
 # share one fsync per command, so the clock and every timestamp after
-# the first erasure move.  ``strict_redislike`` never erases: unchanged.
+# the first erasure move.  ``tiered``: re-recorded when a demotion batch
+# came to be logged as one DEL naming its keys (one record instead of one
+# per key) and Art. 17's DEL tombstones and subject marker came to share
+# one cold fsync: the AOF, the clock and every timestamp move.
+# ``strict_redislike`` never erases: unchanged.
 GOLDEN = {
     "strict_redislike": ({
         "aof": "922c52a2f83a58d39819aafc77adaa31"
@@ -228,13 +234,13 @@ GOLDEN = {
                  "90946835fd6855d309ba72266cdb8a4a",
     }, 0.0476819780000002),
     "tiered": ({
-        "aof": "69aaf151bc7bb7544820d47e9fd78f7a"
-               "27c087cc86400fed57bbc1280cdf266a",
-        "cold": "af12035788dd2fc0bb14f7d6b5cbd4f7"
-                "c756fb3bd53b195586aaee5ea98730f2",
-        "audit": "2a8ec67b56b4b4ab3524d692369c9fc6"
-                 "9d4179274636c55d9b65aebf5bc4e0bb",
-    }, 180.0359015239978),
+        "aof": "ed33462a6a6897dbe95f48436482f77a"
+               "8af20c49abbb38fe1898882bb040f9bf",
+        "cold": "addbfd85c8989d3d58bb7600b9bd9889"
+                "13208afacafeab8e0f8b3ff84730935c",
+        "audit": "6f75fc56565bfcc1f8ca148a93d06322"
+                 "6f0838b4975a3fdc386cffba9642da85",
+    }, 180.031901774998),
 }
 
 RUNS = {

@@ -1,0 +1,156 @@
+"""Power loss at every step of a partitioned-log rewrite, on every engine.
+
+A rewrite that names keys writes each new part, then the new manifest,
+makes them durable with one barrier, renames the manifest over the old
+one and removes the parts it replaced.  Power is cut before each of
+those device operations in turn, on all four engine variants, for the
+rewrite that first splits a one-file log and for an erasure's rewrite
+of the parts owning a subject's keys.  Whatever the step:
+
+* the durable log replays to the keyspace before the rewrite's barrier
+  or the one after it: the records were made durable first, and so was
+  the erasure's ``DEL`` -- then both are the keyspace without the
+  erased keys, which never come back -- except in one scenario, where
+  a ``DEL`` still buffered is lost before the barrier and durable from
+  it on;
+* a writer reopened on the crashed device reads the same log through
+  its manifest and removes every file the manifest does not name;
+* once the manifest rename has happened, no file left on the device
+  mentions an erased key, and a completed erasure reports no residual.
+"""
+
+import pytest
+
+from repro.common.clock import SimClock
+from repro.gdpr.metadata import GDPRMetadata
+from repro.gdpr.rights import right_to_erasure
+from repro.gdpr.store import GDPRConfig, GDPRStore
+from repro.kvstore.aof import AofWriter, mentioned_keys
+from repro.tiering import TieredEngine
+from tests.support import ENGINE_FACTORIES
+
+RECORDS = 250
+VALUE = b"v" * 200
+ERASED = [b"user3", b"user40", b"user170", b"user233"]
+#: The device operations a rewrite performs.
+STEPS = ("append", "flush", "fsync", "replace", "rename", "remove")
+
+
+class PowerCut(Exception):
+    pass
+
+
+def _arm(log, cut_at):
+    """Record the device operations from now on, raising PowerCut
+    instead of running operation number ``cut_at``."""
+    done = []
+    for name in STEPS:
+        def step(*args, _name=name, _run=getattr(log, name)):
+            if len(done) == cut_at:
+                raise PowerCut(_name)
+            done.append(_name)
+            return _run(*args)
+        setattr(log, name, step)
+    return done
+
+
+def _disarm(log):
+    for name in STEPS:
+        delattr(log, name)
+
+
+def _logged(engine):
+    logged = engine.inner if isinstance(engine, TieredEngine) else engine
+    return sorted((index, record[:3])
+                  for index, records in logged.snapshot_records().items()
+                  for record in records)
+
+
+def _loaded(variant):
+    engine = ENGINE_FACTORIES[variant](SimClock())
+    for i in range(RECORDS):
+        engine.execute("SET", f"user{i}", VALUE)
+    engine.aof.log.flush_and_fsync()
+    return engine
+
+
+def _split(variant):
+    engine = _loaded(variant)
+    return engine, [b"user0"], [], _logged(engine)
+
+
+def _erase(variant, durable=True):
+    engine = _loaded(variant)
+    engine.rewrite_aof([b"user0"])
+    before = _logged(engine)
+    engine.execute("DEL", *ERASED)
+    if durable:
+        engine.aof.log.flush_and_fsync()
+        before = _logged(engine)
+    return engine, ERASED, ERASED, before
+
+
+def _erase_buffered(variant):
+    return _erase(variant, durable=False)
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
+@pytest.mark.parametrize("scenario", [_split, _erase, _erase_buffered],
+                         ids=["split", "erasure", "erasure-buffered-del"])
+def test_power_loss_at_every_step_recovers_the_old_or_new_keyspace(
+        variant, scenario):
+    cut_at = 0
+    while True:
+        engine, keys, erased, before = scenario(variant)
+        log = engine.aof.log
+        after = _logged(engine)
+        done = _arm(log, cut_at)
+        try:
+            engine.rewrite_aof(keys)
+        except PowerCut as cut:
+            step = str(cut)
+        else:
+            break
+        _disarm(log)
+        log.crash(power_loss=True)
+        replica = engine.spawn_replica()
+        replica.replay_aof(engine.aof.read_durable(),
+                           tolerate_truncated_tail=False)
+        # The barrier makes the new parts -- and a buffered DEL -- durable.
+        assert _logged(replica) == (after if "fsync" in done else before), \
+            (variant, step)
+        reopened = AofWriter(log, engine.clock)
+        assert reopened.read_durable() == engine.aof.read_durable()
+        assert len(log.files()) == len(reopened._files()) + (
+            reopened._parts is not None)
+        if erased:
+            residual = any(mentioned_keys(log.read_all(name), erased)
+                           for name in log.files())
+            assert residual == ("rename" not in done), (variant, step)
+        cut_at += 1
+    assert set(done) >= {"append", "flush", "fsync", "rename", "remove"}
+    assert done.count("fsync") + done.count("replace") == 1
+    assert cut_at == len(done)
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
+def test_a_completed_erasure_leaves_no_trace_on_the_device(variant):
+    clock = SimClock()
+    store = GDPRStore(kv=ENGINE_FACTORIES[variant](clock),
+                      config=GDPRConfig(compact_on_erasure=True))
+    for i in range(RECORDS):
+        store.put(f"user{i}", VALUE,
+                  GDPRMetadata(owner=f"subject-{i // 4}",
+                               purposes=frozenset({"service"})),
+                  purpose="service")
+    right_to_erasure(store, "subject-0")              # splits the log
+    log = store.kv.aof.log
+    assert store.kv.aof._parts is not None
+    fsyncs = log.fsyncs
+    receipt = right_to_erasure(store, "subject-7")
+    assert receipt.log_compacted and not receipt.residual_in_aof
+    assert log.fsyncs == fsyncs + 1
+    names = [key.encode() for key in receipt.keys_erased]
+    assert len(names) == 4
+    for name in log.files():
+        assert not mentioned_keys(log.read_all(name), names), name

@@ -307,9 +307,7 @@ def test_erased_subject_never_readable_from_any_tier(ops):
         engine = run(engine, op)
     # Erase alice: the GDPR facade's sequence, at engine level.
     alice_keys = [k for k, o in owners.items() if o == "alice"]
-    for key in alice_keys:
-        engine.execute("DEL", key)
-    engine.erase_subject_cold("alice")
+    engine.erase_subject_cold("alice", alice_keys)
     keystore.erase_key("alice")
     # No interleaving of crash/demote/promote brings anything back.
     for op in ops + [("crash",), ("demote",), ("crash",)]:

@@ -11,6 +11,10 @@ brings a deleted key back.
 
 from repro.common.clock import SimClock
 from repro.device.append_log import AppendLog
+from repro.gdpr.metadata import GDPRMetadata
+from repro.gdpr.rights import right_to_erasure
+from repro.gdpr.store import GDPRConfig, GDPRStore
+from repro.kvstore.aof import replay_commands
 from repro.kvstore.store import KeyValueStore, StoreConfig
 from repro.tiering import TieredEngine, TieringConfig
 
@@ -80,3 +84,47 @@ def test_one_tick_expiring_cold_keys_costs_one_cold_fsync():
     for i in range(4):
         assert recovered.execute("GET", f"due{i}") is None
     assert recovered.execute("GET", "kept") == b"v"
+
+
+def test_a_demotion_batch_logs_one_del_naming_its_keys():
+    engine = make_engine()
+    keys = [b"k0", b"k1", b"k2", b"k3", b"k4"]
+    for key in keys:
+        engine.execute("SET", key, b"v-" + key)
+    records = engine.aof.records_written
+    tail = len(engine.aof.read_all())
+    assert engine.demote_keys(keys) == 5
+    assert engine.aof.records_written - records == 1
+    assert replay_commands(engine.aof.read_all()[tail:]) == [[b"DEL", *keys]]
+    recovered = crash_and_recover(engine)
+    assert not recovered.inner.live_keys()
+    for key in keys:
+        assert recovered.execute("GET", key) == b"v-" + key
+
+
+def test_an_erasure_costs_one_cold_fsync_for_its_del_and_marker():
+    """Art. 17 on a tiered store: the DEL's durable tombstones and the
+    subject marker share one cold barrier, and power loss right after
+    the receipt brings no erased key back."""
+    clock = SimClock()
+    cold_device = AppendLog(clock=clock)
+    engine = make_engine(clock=clock, cold_device=cold_device)
+    store = GDPRStore(kv=engine, config=GDPRConfig(compact_on_erasure=True))
+    purposes = frozenset({"billing"})
+    for i in range(4):
+        store.put(f"alice:{i}", b"a" * 16,
+                  GDPRMetadata(owner="alice", purposes=purposes))
+    store.put("bob:0", b"b" * 16, GDPRMetadata(owner="bob",
+                                               purposes=purposes))
+    engine.demote_keys([b"alice:1", b"alice:2", b"alice:3", b"bob:0"])
+    fsyncs = cold_device.fsyncs
+    receipt = right_to_erasure(store, "alice")
+    assert receipt.cold_segments_voided == 1
+    assert not receipt.residual_in_aof
+    assert cold_device.fsyncs - fsyncs == 1
+    assert cold_device.unsynced_bytes == 0
+    recovered = crash_and_recover(engine)
+    for i in range(4):
+        assert recovered.execute("GET", f"alice:{i}") is None
+        assert recovered.cold.slot_of(f"alice:{i}".encode()) is None
+    assert recovered.cold.slot_of(b"bob:0") is not None

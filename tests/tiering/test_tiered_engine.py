@@ -314,7 +314,7 @@ def test_erase_subject_cold_voids_archive():
     engine.annotate_metadata([("b:1", "bob", [])])
     engine.demote_keys([b"a:1", b"b:1"])
     assert engine.cold_keys_of_subject("alice") == [b"a:1"]
-    assert engine.erase_subject_cold("alice") == 1
+    assert engine.erase_subject_cold("alice", ["a:1"]) == 1
     keystore.erase_key("alice")
     assert engine.execute("GET", "a:1") is None
     assert engine.execute("GET", "b:1") == b"fine"
