@@ -19,7 +19,7 @@ simulated stack land near the paper's absolute numbers so that its *ratios*
     measured everysec point (throughput ~30% of baseline when every
     interaction, reads included, is logged).  Given this anchor, the
     *always* policy lands at ~5% purely because each op additionally pays
-    the device fsync (INTEL_750_SSD.fsync = 0.8 ms), and intermediate
+    the device fsync (INTEL_750_SSD.fsync, 0.8 ms), and intermediate
     batch intervals interpolate -- those ratios are emergent.
 
 ``AUDIT_RECORD_CPU`` (5 us)
@@ -185,7 +185,7 @@ def make_luks_tls(clock: Optional[SimClock] = None,
             StoreConfig(command_cpu_cost=BASE_COMMAND_CPU, seed=seed),
             clock=meter),
         stunnel_channel(clock, latency=RAW_ONE_WAY_LATENCY), psk=TLS_PSK,
-        luks=LuksVolume(device, b"figure1-passphrase"))
+        luks=LuksVolume(device))
 
 
 def make_inprocess(clock: Optional[SimClock] = None,

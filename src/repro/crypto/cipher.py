@@ -83,7 +83,7 @@ class seeded_entropy:
 
 def derive_key(passphrase: bytes, salt: bytes,
                iterations: int = 10_000) -> bytes:
-    """PBKDF2-HMAC-SHA256 key derivation (LUKS-style keyslot KDF)."""
+    """PBKDF2-HMAC-SHA256 key derivation from a passphrase."""
     if not passphrase:
         raise CryptoError("empty passphrase")
     return hashlib.pbkdf2_hmac("sha256", passphrase, salt, iterations,

@@ -1,13 +1,16 @@
-"""Simulated storage devices: latency models, block device, append log, LUKS."""
+"""Simulated storage devices: latency models, block device, append log,
+LUKS, and the fault plan that is the only way a fault reaches them."""
 
 from .append_log import AppendLog
-from .block_device import FaultInjector, SimulatedBlockDevice
+from .block_device import SimulatedBlockDevice
+from .faults import FaultPlan, PowerLoss
 from .latency import HDD, INTEL_750_SSD, NVM, PRESETS, ZERO, LatencyModel
 from .luks import SECTOR_SIZE, LuksVolume
 
 __all__ = [
     "AppendLog",
-    "FaultInjector",
+    "FaultPlan",
+    "PowerLoss",
     "SimulatedBlockDevice",
     "LatencyModel",
     "INTEL_750_SSD",

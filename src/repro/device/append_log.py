@@ -5,7 +5,8 @@ the *application buffer* (free), ``flush`` issues the write() syscall moving
 them to the *page cache* (cheap), and ``fsync`` makes them *durable*
 (expensive).  The three-state split is exactly what makes the paper's
 ``appendfsync always`` vs ``everysec`` experiment behave the way it does, so
-the log tracks each boundary and can crash at either.
+the log tracks each boundary; a power loss (see
+:class:`~repro.device.faults.FaultPlan`) keeps only the durable one.
 
 A device holds named files.  One of them is *open*: ``append``,
 ``replace`` and the single-file views (``read_all``, ``total_length``,
@@ -23,7 +24,6 @@ from typing import Dict, Iterable, List, Optional
 
 from ..common.clock import Clock, SimClock
 from ..common.errors import DeviceIOError
-from .block_device import FaultInjector
 from .latency import ZERO, LatencyModel
 
 
@@ -46,13 +46,15 @@ class AppendLog:
     total_length``.
     """
 
+    #: The operations a :class:`~repro.device.faults.FaultPlan` sees.
+    FAULT_OPS = ("append", "flush", "fsync", "replace", "rename", "remove")
+
     def __init__(self, clock: Optional[Clock] = None,
                  latency: LatencyModel = ZERO,
-                 faults: Optional[FaultInjector] = None,
                  name: str = "appendonly.aof") -> None:
         self.clock = clock if clock is not None else SimClock()
         self.latency = latency
-        self.faults = faults
+        self.faults = None
         self.name = name
         # The open file: its name, bytes and frontiers.
         self.file = name
@@ -120,6 +122,8 @@ class AppendLog:
         """rename(): atomically give the open file the name ``target``,
         over any file of that name.  A metadata operation, durable as it
         returns (no time charged)."""
+        if self.faults is not None:
+            self.faults.step(self, "rename")
         replaced = self._closed.pop(target, None)
         if replaced in self._unflushed:
             self._unflushed.remove(replaced)
@@ -128,6 +132,8 @@ class AppendLog:
     def remove(self, names: Iterable[str]) -> None:
         """unlink() each of ``names`` -- never the open file; durable as
         it returns (no time charged)."""
+        if self.faults is not None:
+            self.faults.step(self, "remove")
         unflushed = self._unflushed
         for name in names:
             if name == self.file or name not in self._closed:
@@ -142,6 +148,8 @@ class AppendLog:
     def append(self, data: bytes) -> None:
         """Buffer bytes in the open file's application buffer (no time
         charged)."""
+        if self.faults is not None:
+            self.faults.step(self, "append")
         self._data.extend(data)
         self.appends += 1
 
@@ -153,12 +161,12 @@ class AppendLog:
         Returns the number of bytes moved.  Charges the write-syscall cost
         plus per-byte cost for the moved bytes.
         """
+        if self.faults is not None:
+            self.faults.step(self, "flush")
         moved = self._flush_closed() if self._unflushed else 0
         pending = len(self._data) - self._cached_length
         if pending == 0:
             return moved
-        if self.faults is not None:
-            self.faults.check()
         self.clock.advance(self.latency.write_cost(pending))
         self._cached_length = len(self._data)
         self.syscalls += 1
@@ -168,8 +176,6 @@ class AppendLog:
         moved = 0
         for file in self._unflushed:
             pending = len(file.data) - file.cached
-            if self.faults is not None:
-                self.faults.check()
             self.clock.advance(self.latency.write_cost(pending))
             file.cached = len(file.data)
             self.syscalls += 1
@@ -180,6 +186,8 @@ class AppendLog:
     def fsync(self) -> None:
         """Durability barrier over everything in the page cache, every
         file of the device included."""
+        if self.faults is not None:
+            self.faults.step(self, "fsync")
         self.clock.advance(self.latency.fsync)
         self._durable_length = self._cached_length
         for file in self._closed.values():
@@ -198,6 +206,8 @@ class AppendLog:
         the replacement is durable as a unit.  The rename waits on one
         barrier, which every other file's written bytes share.
         """
+        if self.faults is not None:
+            self.faults.step(self, "replace")
         self.clock.advance(self.latency.write_cost(len(data)))
         self.clock.advance(self.latency.fsync)
         for file in self._closed.values():
@@ -208,7 +218,7 @@ class AppendLog:
         self.syscalls += 1
         self.fsyncs += 1
 
-    # -- reading & crashes ----------------------------------------------------
+    # -- reading -------------------------------------------------------------
 
     def read_all(self, name: Optional[str] = None) -> bytes:
         """Everything appended so far to file ``name`` (default: the
@@ -259,29 +269,19 @@ class AppendLog:
         self.reads += 1
         return bytes(self._data[offset:offset + length])
 
-    def read_cached(self) -> bytes:
-        """What the open file contains according to the OS (survives a
-        process crash but not power loss)."""
-        return bytes(self._data[:self._cached_length])
+    # -- faults (driven by a FaultPlan) --------------------------------------
 
-    def crash(self, power_loss: bool = True) -> None:
-        """Discard every file's non-durable suffix (power loss) or just
-        its application buffer (process crash)."""
-        frontier = self._durable_length if power_loss \
-            else self._cached_length
-        del self._data[frontier:]
-        self._cached_length = min(self._cached_length, frontier)
-        self._durable_length = min(self._durable_length, frontier)
+    def _lose_power(self) -> None:
+        """Power loss: every file keeps only its durable prefix."""
+        del self._data[self._durable_length:]
+        self._cached_length = self._durable_length
         for file in self._closed.values():
-            frontier = file.durable if power_loss else file.cached
-            del file.data[frontier:]
-            file.cached = min(file.cached, frontier)
-            file.durable = min(file.durable, frontier)
+            del file.data[file.durable:]
+            file.cached = file.durable
         self._unflushed.clear()
 
-    def corrupt_tail(self, nbytes: int) -> None:
-        """Flip the open file's final ``nbytes`` (torn-write injection
-        for replay tests)."""
+    def _tear(self, nbytes: int) -> None:
+        """Flip the open file's final ``nbytes`` (a torn write)."""
         if nbytes <= 0 or nbytes > len(self._data):
             raise DeviceIOError("corruption span outside file")
         for i in range(len(self._data) - nbytes, len(self._data)):

@@ -1,4 +1,4 @@
-"""Simulated block devices with latency accounting and fault injection.
+"""Simulated block devices with latency accounting.
 
 :class:`SimulatedBlockDevice` stores bytes in memory, charges simulated time
 on a :class:`~repro.common.clock.Clock` according to a
@@ -9,7 +9,6 @@ workload would lose.
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 from ..common.clock import Clock, SimClock
@@ -17,54 +16,26 @@ from ..common.errors import DeviceFullError, DeviceIOError
 from .latency import ZERO, LatencyModel
 
 
-class FaultInjector:
-    """Deterministic write-failure injection for durability tests.
-
-    Two modes compose: an explicit countdown (``fail_after(n)`` fails the
-    n-th subsequent write) and a seeded probability per write.
-    """
-
-    def __init__(self, probability: float = 0.0, seed: int = 0) -> None:
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError("probability must be within [0, 1]")
-        self._probability = probability
-        self._rng = random.Random(seed)
-        self._countdown: Optional[int] = None
-
-    def fail_after(self, writes: int) -> None:
-        """Arm a one-shot failure ``writes`` writes from now (0 = next)."""
-        if writes < 0:
-            raise ValueError("writes must be >= 0")
-        self._countdown = writes
-
-    def check(self) -> None:
-        """Raise DeviceIOError if a fault fires for this write."""
-        if self._countdown is not None:
-            if self._countdown == 0:
-                self._countdown = None
-                raise DeviceIOError("injected write failure (countdown)")
-            self._countdown -= 1
-        if self._probability and self._rng.random() < self._probability:
-            raise DeviceIOError("injected write failure (probabilistic)")
-
-
 class SimulatedBlockDevice:
     """A flat byte-addressable device.
 
     Writes land in the *volatile* image immediately; :meth:`flush` copies
     the volatile image to the *durable* image and charges the fsync cost.
-    :meth:`crash` discards volatile state, modelling power loss.
+    A power loss (see :class:`~repro.device.faults.FaultPlan`) discards
+    the volatile image.
     """
 
+    #: The operations a :class:`~repro.device.faults.FaultPlan` sees.
+    FAULT_OPS = ("write", "flush")
+
     def __init__(self, capacity: int, clock: Optional[Clock] = None,
-                 latency: LatencyModel = ZERO,
-                 faults: Optional[FaultInjector] = None) -> None:
+                 latency: LatencyModel = ZERO) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.clock = clock if clock is not None else SimClock()
         self.latency = latency
-        self.faults = faults
+        self.faults = None
         self._volatile = bytearray(capacity)
         self._durable = bytearray(capacity)
         # Counters exposed for benchmarks and assertions.
@@ -83,7 +54,7 @@ class SimulatedBlockDevice:
             raise DeviceFullError(
                 f"write [{offset}, {end}) exceeds capacity {self.capacity}")
         if self.faults is not None:
-            self.faults.check()
+            self.faults.step(self, "write")
         self.clock.advance(self.latency.write_cost(len(data)))
         self._volatile[offset:end] = data
         self.writes += 1
@@ -102,29 +73,12 @@ class SimulatedBlockDevice:
 
     def flush(self) -> None:
         """Durability barrier: persist all volatile writes (fsync)."""
+        if self.faults is not None:
+            self.faults.step(self, "flush")
         self.clock.advance(self.latency.fsync)
         self._durable[:] = self._volatile
         self.flushes += 1
 
-    def crash(self) -> None:
-        """Power loss: volatile image reverts to the last durable state."""
+    def _lose_power(self) -> None:
+        """Power loss: the volatile image reverts to the durable one."""
         self._volatile[:] = self._durable
-
-    # -- inspection ----------------------------------------------------------
-
-    def durable_read(self, offset: int, length: int) -> bytes:
-        """Read from the durable image (what survives a crash)."""
-        end = offset + length
-        if offset < 0 or length < 0 or end > self.capacity:
-            raise DeviceIOError(
-                f"read [{offset}, {end}) exceeds capacity {self.capacity}")
-        return bytes(self._durable[offset:end])
-
-    def snapshot_counters(self) -> dict:
-        return {
-            "writes": self.writes,
-            "reads": self.reads,
-            "flushes": self.flushes,
-            "bytes_written": self.bytes_written,
-            "bytes_read": self.bytes_read,
-        }

@@ -3,11 +3,9 @@
 The paper uses LUKS (dm-crypt) for at-rest encryption.  The parts that
 matter to a storage experiment are reproduced here:
 
-* a **master volume key** encrypts every sector (length-preserving,
-  sector-tweaked cipher, like dm-crypt's ESSIV mode);
-* the master key is held only in RAM after unlock; on disk it exists only
-  wrapped inside **key slots**, each protected by a passphrase run through
-  PBKDF2 -- so passphrases can be added/revoked without re-encrypting data;
+* a **master volume key**, drawn when the volume is created and held
+  only in RAM, encrypts every sector (length-preserving, sector-tweaked
+  cipher, like dm-crypt's ESSIV mode);
 * every byte of I/O pays a per-byte crypto CPU cost on the volume's clock,
   which is precisely the overhead the paper's Figure 1 "LUKS + TLS" bars
   capture for the at-rest half.
@@ -15,18 +13,10 @@ matter to a storage experiment are reproduced here:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from ..common.clock import Clock
-from ..common.errors import CryptoError, DeviceIOError
+from ..common.errors import DeviceIOError
 from .block_device import SimulatedBlockDevice
-from ..crypto.cipher import (
-    KEY_SIZE,
-    AuthenticatedCipher,
-    SectorCipher,
-    derive_key,
-    random_bytes,
-)
+from ..crypto.cipher import KEY_SIZE, SectorCipher, random_bytes
 
 SECTOR_SIZE = 512
 
@@ -40,87 +30,20 @@ class LuksVolume:
     as :class:`SimulatedBlockDevice`."""
 
     def __init__(self, device: SimulatedBlockDevice,
-                 passphrase: bytes,
-                 kdf_iterations: int = 1000,
                  crypto_cost_per_byte: float = CRYPTO_COST_PER_BYTE) -> None:
         self._device = device
         self._clock: Clock = device.clock
         self._crypto_cost = crypto_cost_per_byte
-        self._master_key = random_bytes(KEY_SIZE)
-        self._kdf_iterations = kdf_iterations
-        self._slots: Dict[int, tuple] = {}
-        self._sector_cipher: Optional[SectorCipher] = SectorCipher(
-            self._master_key)
-        self.add_keyslot(passphrase)
-
-    # -- key-slot management ---------------------------------------------------
-
-    def add_keyslot(self, passphrase: bytes) -> int:
-        """Wrap the master key under a new passphrase; returns slot index."""
-        if self._master_key is None:
-            raise CryptoError("volume is locked; unlock before adding slots")
-        slot = 0
-        while slot in self._slots:
-            slot += 1
-        salt = random_bytes(16)
-        kek = derive_key(passphrase, salt, self._kdf_iterations)
-        wrapped = AuthenticatedCipher(kek).seal(
-            self._master_key, aad=b"luks-slot")
-        self._slots[slot] = (salt, wrapped)
-        return slot
-
-    def revoke_keyslot(self, slot: int) -> None:
-        if slot not in self._slots:
-            raise CryptoError(f"no key slot {slot}")
-        if len(self._slots) == 1:
-            raise CryptoError("refusing to revoke the last key slot")
-        del self._slots[slot]
-
-    def lock(self) -> None:
-        """Drop the in-RAM master key (volume unmount)."""
-        self._master_key = None
-        self._sector_cipher = None
-
-    def unlock(self, passphrase: bytes) -> None:
-        """Recover the master key via any key slot."""
-        for salt, wrapped in self._slots.values():
-            kek = derive_key(passphrase, salt, self._kdf_iterations)
-            try:
-                master = AuthenticatedCipher(kek).open(wrapped,
-                                                       aad=b"luks-slot")
-            except Exception:
-                continue
-            self._master_key = master
-            self._sector_cipher = SectorCipher(master)
-            return
-        raise CryptoError("no key slot matches the passphrase")
-
-    def shred(self) -> None:
-        """Destroy every key slot: whole-volume crypto-erasure."""
-        self._slots.clear()
-        self.lock()
-
-    @property
-    def unlocked(self) -> bool:
-        return self._sector_cipher is not None
-
-    @property
-    def keyslot_count(self) -> int:
-        return len(self._slots)
+        self._sector_cipher = SectorCipher(random_bytes(KEY_SIZE))
 
     # -- I/O --------------------------------------------------------------------
-
-    def _require_unlocked(self) -> SectorCipher:
-        if self._sector_cipher is None:
-            raise CryptoError("volume is locked")
-        return self._sector_cipher
 
     def _charge_crypto(self, nbytes: int) -> None:
         self._clock.advance(nbytes * self._crypto_cost)
 
     def write(self, offset: int, data: bytes) -> None:
         """Read-modify-write the covered sectors through the cipher."""
-        cipher = self._require_unlocked()
+        cipher = self._sector_cipher
         if not data:
             return
         first = offset // SECTOR_SIZE
@@ -145,7 +68,7 @@ class LuksVolume:
         self._device.write(span_start, bytes(enciphered))
 
     def read(self, offset: int, length: int) -> bytes:
-        cipher = self._require_unlocked()
+        cipher = self._sector_cipher
         if length == 0:
             return b""
         first = offset // SECTOR_SIZE

@@ -31,8 +31,9 @@ Four frame kinds:
   copies of the key in segments up to ``up_to_seq`` but not copies
   sealed later (a key may be demoted again after a promote).
 * ``CSB1`` -- a subject-erasure marker: every entry owned by the subject
-  is dead in every segment, past and future (mirrors the keystore's
-  tombstone-forever semantics).
+  is dead in every segment sealed before it; a subject who returns after
+  the erasure is archived, and read back, afresh.  The marker is never
+  retired.
 * ``CCL1`` -- a clear marker (FLUSHDB/FLUSHALL reached the archive).
 
 Durability discipline: sealing and deletion-like mutations end with a
@@ -192,12 +193,12 @@ class ColdSegmentStore:
     RAM holds an index and no payload: a directory mapping each live
     cold key to the :class:`Slot` of its newest copy, per segment the
     subject bloom and the whereabouts of its index block, the expiry
-    heap, and the names of erased subjects.  Membership, KEYS-style
-    enumeration and expiry are answered from the directory alone; a
-    point :meth:`lookup` reads one record from the device; only
-    per-subject enumeration reads index blocks, and only of segments
-    whose subject bloom is positive (a positive that holds nothing of
-    the subject is counted in :attr:`bloom_false_positives`).
+    heap, and per erased subject the first segment its marker spares.
+    Membership, KEYS-style enumeration and expiry are answered from the
+    directory alone; a point :meth:`lookup` reads one record from the
+    device; only per-subject enumeration reads index blocks, and only of
+    segments whose subject bloom is positive (a positive that holds
+    nothing of the subject is counted in :attr:`bloom_false_positives`).
     """
 
     def __init__(self, device: Optional[AppendLog] = None,
@@ -222,7 +223,10 @@ class ColdSegmentStore:
         # returns.
         self.grouped = False
         self.barrier_due = False
-        self._erased_subjects: Set[str] = set()
+        # subject -> the segment sequence number current at its
+        # erasure marker: the subject's entries sealed before it are
+        # dead, those sealed after it are live.
+        self._erased_subjects: Dict[str, int] = {}
         # (expire_at, seq, key) heap-ordered list for active cold expiry.
         self._expiry: List[Tuple[float, int, bytes]] = []
         # Counters (cold_stats surface).
@@ -264,7 +268,7 @@ class ColdSegmentStore:
         index: each entry becomes its key's newest copy."""
         self._segments[info.seq] = info
         for entry in entries:
-            if entry.owner in self._erased_subjects:
+            if self._erased_before(entry.owner, info.seq):
                 # Dead on arrival, and it shadows any older copy.
                 self._directory.pop(entry.key, None)
                 continue
@@ -283,10 +287,15 @@ class ColdSegmentStore:
                 f"cold segment {info.seq} index checksum mismatch")
         return _unpack_index(block)
 
+    def _erased_before(self, owner: Optional[str], seq: int) -> bool:
+        """Whether an erasure marker of ``owner`` kills its entries in
+        segment ``seq``: the segment was sealed before the marker."""
+        return seq < self._erased_subjects.get(owner, 0)
+
     def _entry_live(self, entry: ColdEntry) -> bool:
         slot = self._directory.get(entry.key)
         return (slot is not None and slot.seq == entry.seq
-                and entry.owner not in self._erased_subjects)
+                and not self._erased_before(entry.owner, entry.seq))
 
     # -- sealing -------------------------------------------------------------
 
@@ -366,7 +375,7 @@ class ColdSegmentStore:
             raise CorruptionError(
                 f"cold segment {slot.seq}: entry {key!r} checksum mismatch")
         _, flags, expire_at, owner, pos = _unpack_meta(checked, 0)
-        if owner in self._erased_subjects:
+        if self._erased_before(owner, slot.seq):
             return None
         return ColdEntry(slot.seq, key, checked[pos:],
                          bool(flags & _FLAG_ENCRYPTED), expire_at, owner)
@@ -446,7 +455,7 @@ class ColdSegmentStore:
         touched = self.segments_of_subject(subject)
         for key in self._keys_of_subject(subject, touched):
             del self._directory[key]
-        self._erased_subjects.add(subject)
+        self._erased_subjects[subject] = self._next_seq
         return touched
 
     def segments_of_subject(self, subject: str) -> List[int]:
@@ -473,12 +482,13 @@ class ColdSegmentStore:
                 self.bloom_false_positives += 1
 
     def keys_of_subject(self, subject: str) -> List[bytes]:
-        """Exact archived keys of ``subject`` (bloom candidates first,
-        then the index blocks of only those segments)."""
-        if subject in self._erased_subjects:
-            return []
+        """Exact archived keys of ``subject`` (bloom candidates sealed
+        after any erasure marker of the subject first, then the index
+        blocks of only those segments)."""
+        spared = self._erased_subjects.get(subject, 0)
         return sorted(self._keys_of_subject(
-            subject, self.segments_of_subject(subject)))
+            subject, [seq for seq in self.segments_of_subject(subject)
+                      if seq >= spared]))
 
     def clear(self) -> None:
         """Drop the whole archive (FLUSHDB/FLUSHALL reached cold)."""
@@ -490,8 +500,8 @@ class ColdSegmentStore:
         self._directory.clear()
         self._undurable.clear()
         self._expiry.clear()
-        # Erased subjects stay erased: the marker semantics mirror the
-        # keystore's tombstone-forever rule.
+        # The subject markers stay, and keep their meaning: sequence
+        # numbers do not restart.
 
     # -- expiry --------------------------------------------------------------
 
@@ -578,13 +588,13 @@ class ColdSegmentStore:
         """RAM the archive keeps resident, every structure at its packed
         size and nothing that lives on the device only: per segment the
         fixed fields and the subject bloom, the directory, the
-        not-yet-durable tombstone keys, the erased-subject names, and
-        the expiry heap."""
+        not-yet-durable tombstone keys, the erased-subject names with
+        their markers' u32 sequence numbers, and the expiry heap."""
         total = sum(_SEGMENT_INFO_BYTES + info.subject_bloom.byte_size()
                     for info in self._segments.values())
         total += sum(len(key) + _SLOT_BYTES for key in self._directory)
         total += sum(len(key) for key in self._undurable)
-        total += sum(len(name.encode("utf-8"))
+        total += sum(len(name.encode("utf-8")) + 4
                      for name in self._erased_subjects)
         total += sum(len(key) + 16 for _, _, key in self._expiry)
         return total

@@ -52,7 +52,7 @@ class TestSystemFactories:
     def test_luks_tls_has_volume(self):
         system = make_luks_tls(volume_mb=1)
         assert system.luks is not None
-        assert system.luks.unlocked
+        assert system.luks.capacity == 1 << 20
 
     def test_luks_snapshot_write(self):
         system = make_luks_tls(volume_mb=1)

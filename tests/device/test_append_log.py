@@ -5,7 +5,7 @@ import pytest
 from repro.common.clock import SimClock
 from repro.common.errors import DeviceIOError
 from repro.device.append_log import AppendLog
-from repro.device.block_device import FaultInjector
+from repro.device.faults import FaultPlan
 from repro.device.latency import INTEL_750_SSD
 
 
@@ -62,18 +62,8 @@ class TestCrash:
         log.append(b"BBBB")
         log.flush()
         log.append(b"CCCC")
-        log.crash(power_loss=True)
+        FaultPlan(log).power_loss()
         assert log.read_all() == b"AAAA"
-
-    def test_process_crash_keeps_page_cache(self):
-        log = AppendLog()
-        log.append(b"AAAA")
-        log.flush_and_fsync()
-        log.append(b"BBBB")
-        log.flush()
-        log.append(b"CCCC")
-        log.crash(power_loss=False)
-        assert log.read_all() == b"AAAABBBB"
 
     def test_views(self):
         log = AppendLog()
@@ -83,23 +73,23 @@ class TestCrash:
         log.flush()
         log.append(b"CCCC")
         assert log.read_all() == b"AAAABBBBCCCC"
-        assert log.read_cached() == b"AAAABBBB"
         assert log.read_durable() == b"AAAA"
 
-    def test_corrupt_tail(self):
+    def test_torn_tail(self):
         log = AppendLog()
         log.append(b"ABCDEFGH")
-        log.corrupt_tail(2)
+        FaultPlan(log).tear(2)
         assert log.read_all()[:6] == b"ABCDEF"
         assert log.read_all()[6:] != b"GH"
 
-    def test_corrupt_tail_bounds(self):
+    def test_torn_tail_bounds(self):
         log = AppendLog()
         log.append(b"AB")
+        plan = FaultPlan(log)
         with pytest.raises(DeviceIOError):
-            log.corrupt_tail(5)
+            plan.tear(5)
         with pytest.raises(DeviceIOError):
-            log.corrupt_tail(0)
+            plan.tear(0)
 
 
 class TestReadAt:
@@ -134,7 +124,7 @@ class TestReadAt:
         log.append(b"BBBB")
         log.flush()
         assert log.read_at(4, 4) == b"BBBB"
-        log.crash(power_loss=True)
+        FaultPlan(log).power_loss()
         assert log.read_at(0, 4) == b"AAAA"
         with pytest.raises(DeviceIOError):
             log.read_at(4, 4)
@@ -164,15 +154,15 @@ class TestTimingAndReplace:
         log.append(b"old-old-old")
         log.flush_and_fsync()
         log.replace(b"new")
-        log.crash(power_loss=True)
+        FaultPlan(log).power_loss()
         assert log.read_all() == b"new"
         assert log.durable_length == 3
 
     def test_fault_injection_on_flush(self):
-        faults = FaultInjector()
-        log = AppendLog(faults=faults)
+        log = AppendLog()
+        plan = FaultPlan(log)
         log.append(b"x")
-        faults.fail_after(0)
+        plan.fail("flush")
         with pytest.raises(DeviceIOError):
             log.flush()
         # Data stays in the application buffer, retry succeeds.

@@ -1,10 +1,11 @@
-"""Tests for the simulated block device and fault injection."""
+"""Tests for the simulated block device and faults on it."""
 
 import pytest
 
 from repro.common.clock import SimClock
 from repro.common.errors import DeviceFullError, DeviceIOError
-from repro.device.block_device import FaultInjector, SimulatedBlockDevice
+from repro.device.block_device import SimulatedBlockDevice
+from repro.device.faults import FaultPlan
 from repro.device.latency import INTEL_750_SSD, ZERO
 
 
@@ -48,26 +49,22 @@ class TestBasicIO:
         dev.write(0, b"abcd")
         dev.read(0, 2)
         dev.flush()
-        counters = dev.snapshot_counters()
-        assert counters["writes"] == 1
-        assert counters["reads"] == 1
-        assert counters["flushes"] == 1
-        assert counters["bytes_written"] == 4
-        assert counters["bytes_read"] == 2
+        assert (dev.writes, dev.reads, dev.flushes) == (1, 1, 1)
+        assert (dev.bytes_written, dev.bytes_read) == (4, 2)
 
 
 class TestDurability:
     def test_crash_loses_unflushed(self):
         dev = SimulatedBlockDevice(64)
         dev.write(0, b"data")
-        dev.crash()
+        FaultPlan(dev).power_loss()
         assert dev.read(0, 4) == b"\x00" * 4
 
     def test_flush_makes_durable(self):
         dev = SimulatedBlockDevice(64)
         dev.write(0, b"data")
         dev.flush()
-        dev.crash()
+        FaultPlan(dev).power_loss()
         assert dev.read(0, 4) == b"data"
 
     def test_partial_durability(self):
@@ -75,14 +72,9 @@ class TestDurability:
         dev.write(0, b"aaaa")
         dev.flush()
         dev.write(0, b"bbbb")
-        assert dev.durable_read(0, 4) == b"aaaa"
-        dev.crash()
+        assert dev.read(0, 4) == b"bbbb"
+        FaultPlan(dev).power_loss()
         assert dev.read(0, 4) == b"aaaa"
-
-    def test_durable_read_bounds(self):
-        dev = SimulatedBlockDevice(8)
-        with pytest.raises(DeviceIOError):
-            dev.durable_read(0, 100)
 
 
 class TestLatencyAccounting:
@@ -111,49 +103,29 @@ class TestLatencyAccounting:
 
 class TestFaultInjection:
     def test_countdown_fault(self):
-        faults = FaultInjector()
-        faults.fail_after(1)
-        dev = SimulatedBlockDevice(64, faults=faults)
+        dev = SimulatedBlockDevice(64)
+        plan = FaultPlan(dev)
         dev.write(0, b"ok")
+        plan.fail("write")
         with pytest.raises(DeviceIOError):
             dev.write(0, b"boom")
         dev.write(0, b"recovered")  # one-shot
 
     def test_immediate_fault(self):
-        faults = FaultInjector()
-        faults.fail_after(0)
-        dev = SimulatedBlockDevice(64, faults=faults)
+        dev = SimulatedBlockDevice(64)
+        FaultPlan(dev).fail("write")
         with pytest.raises(DeviceIOError):
             dev.write(0, b"x")
 
     def test_failed_write_leaves_data_untouched(self):
-        faults = FaultInjector()
-        dev = SimulatedBlockDevice(64, faults=faults)
+        dev = SimulatedBlockDevice(64)
+        plan = FaultPlan(dev)
         dev.write(0, b"good")
-        faults.fail_after(0)
+        plan.fail("write")
         with pytest.raises(DeviceIOError):
             dev.write(0, b"bad!")
         assert dev.read(0, 4) == b"good"
 
-    def test_probabilistic_deterministic_by_seed(self):
-        outcomes = []
-        for _ in range(2):
-            faults = FaultInjector(probability=0.5, seed=99)
-            results = []
-            for _ in range(20):
-                try:
-                    faults.check()
-                    results.append(True)
-                except DeviceIOError:
-                    results.append(False)
-            outcomes.append(results)
-        assert outcomes[0] == outcomes[1]
-        assert not all(outcomes[0])
-
-    def test_bad_probability(self):
-        with pytest.raises(ValueError):
-            FaultInjector(probability=1.5)
-
     def test_negative_countdown(self):
         with pytest.raises(ValueError):
-            FaultInjector().fail_after(-1)
+            FaultPlan(SimulatedBlockDevice(64)).cut(-1)

@@ -55,4 +55,4 @@ class TestPresetOrdering:
 
     def test_model_frozen(self):
         with pytest.raises(AttributeError):
-            INTEL_750_SSD.fsync = 0.0  # type: ignore[misc]
+            setattr(INTEL_750_SSD, "fsync", 0.0)

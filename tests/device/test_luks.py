@@ -1,17 +1,14 @@
 """Tests for the LUKS-style encrypted volume."""
 
-import pytest
-
 from repro.common.clock import SimClock
-from repro.common.errors import CryptoError
 from repro.device.block_device import SimulatedBlockDevice
 from repro.device.latency import ZERO
 from repro.device.luks import SECTOR_SIZE, LuksVolume
 
 
-def make_volume(capacity=1 << 16, passphrase=b"secret"):
+def make_volume(capacity=1 << 16):
     device = SimulatedBlockDevice(capacity, latency=ZERO)
-    return LuksVolume(device, passphrase, kdf_iterations=10), device
+    return LuksVolume(device), device
 
 
 class TestIO:
@@ -52,73 +49,7 @@ class TestIO:
     def test_crypto_charges_time(self):
         clock = SimClock()
         device = SimulatedBlockDevice(1 << 16, clock=clock, latency=ZERO)
-        volume = LuksVolume(device, b"p", kdf_iterations=10)
+        volume = LuksVolume(device)
         volume.write(0, b"x" * SECTOR_SIZE)
         assert clock.now() > 0.0
 
-
-class TestKeySlots:
-    def test_lock_blocks_io(self):
-        volume, _ = make_volume()
-        volume.write(0, b"data")
-        volume.lock()
-        assert not volume.unlocked
-        with pytest.raises(CryptoError):
-            volume.read(0, 4)
-        with pytest.raises(CryptoError):
-            volume.write(0, b"x")
-
-    def test_unlock_restores_access(self):
-        volume, _ = make_volume(passphrase=b"secret")
-        volume.write(0, b"data")
-        volume.lock()
-        volume.unlock(b"secret")
-        assert volume.read(0, 4) == b"data"
-
-    def test_wrong_passphrase_rejected(self):
-        volume, _ = make_volume(passphrase=b"secret")
-        volume.lock()
-        with pytest.raises(CryptoError):
-            volume.unlock(b"wrong")
-
-    def test_second_keyslot(self):
-        volume, _ = make_volume(passphrase=b"first")
-        volume.write(0, b"data")
-        volume.add_keyslot(b"second")
-        assert volume.keyslot_count == 2
-        volume.lock()
-        volume.unlock(b"second")
-        assert volume.read(0, 4) == b"data"
-
-    def test_revoke_keyslot(self):
-        volume, _ = make_volume(passphrase=b"first")
-        slot = volume.add_keyslot(b"second")
-        volume.revoke_keyslot(slot)
-        volume.lock()
-        with pytest.raises(CryptoError):
-            volume.unlock(b"second")
-        volume.unlock(b"first")
-
-    def test_cannot_revoke_last_slot(self):
-        volume, _ = make_volume()
-        with pytest.raises(CryptoError):
-            volume.revoke_keyslot(0)
-
-    def test_revoke_unknown_slot(self):
-        volume, _ = make_volume()
-        with pytest.raises(CryptoError):
-            volume.revoke_keyslot(42)
-
-    def test_add_slot_while_locked_rejected(self):
-        volume, _ = make_volume()
-        volume.lock()
-        with pytest.raises(CryptoError):
-            volume.add_keyslot(b"new")
-
-    def test_shred_is_crypto_erasure(self):
-        volume, _ = make_volume(passphrase=b"secret")
-        volume.write(0, b"sensitive")
-        volume.shred()
-        assert volume.keyslot_count == 0
-        with pytest.raises(CryptoError):
-            volume.unlock(b"secret")

@@ -20,6 +20,7 @@ from repro.common.errors import (
 from repro.common.hashing import crc32_of
 from repro.common.resp import RespError
 from repro.crypto.keystore import KeyStore
+from repro.device.faults import FaultPlan
 from repro.engine.base import ENGINES, StorageEngine, register_engine
 from repro.gdpr.metadata import GDPRMetadata
 from repro.gdpr.rights import (
@@ -502,6 +503,50 @@ def test_gdpr_ttl_erasure_over_either_engine(gdpr_store):
     report = store.erasure_report()
     assert report["events"] >= 1
     assert not store.subject_exists("carol")
+
+
+def _restarted(variant, engine):
+    """A fresh engine of ``variant`` on ``engine``'s devices, replaying
+    its durable log (and recovering its cold device, when tiered)."""
+    restarted = FACTORIES[variant.replace("tiered-", "")](engine.clock)
+    if isinstance(engine, TieredEngine):
+        restarted = TieredEngine(restarted, device=engine.cold.device,
+                                 tiering=engine.tiering)
+    restarted.replay_aof(engine.aof.read_durable())
+    return restarted
+
+
+@pytest.mark.parametrize("power_loss", [False, True],
+                         ids=["running", "after-power-loss"])
+@pytest.mark.parametrize("variant", sorted(FACTORIES))
+def test_a_returning_subject_keeps_data_put_after_the_erasure(
+        variant, power_loss):
+    """On an unencrypting store (an encrypting one refuses the second
+    put: the subject's key is tombstoned), an erasure kills what the
+    subject had, not what they put later -- also once that later record
+    has been demoted, and after a power loss and recovery of every
+    device."""
+    config = GDPRConfig(encrypt_at_rest=False)
+    engine = FACTORIES[variant](SimClock())
+    store = GDPRStore(kv=engine, config=config)
+    store.put("sam:a", b"first", _meta("sam"))
+    right_to_erasure(store, "sam")
+    store.put("sam:b", b"second", _meta("sam"))
+    store.clock.advance(10)
+    store.tick()                                  # demotes sam:b
+    if isinstance(engine, TieredEngine):
+        assert engine.cold.slot_of(b"sam:b") is not None
+    if power_loss:
+        devices = [engine.aof_log]
+        if isinstance(engine, TieredEngine):
+            devices.append(engine.cold.device)
+        FaultPlan(*devices).power_loss()
+        store = GDPRStore(kv=_restarted(variant, engine), config=config)
+        assert store.rebuild_indexes() == 1
+    assert store.get("sam:b").value == b"second"
+    assert store.keys_of_subject("sam") == ["sam:b"]
+    with pytest.raises(KeyError):
+        store.get("sam:a")
 
 
 def test_gdpr_index_rebuild_over_either_engine(gdpr_store):

@@ -7,8 +7,9 @@ import json
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.errors import AuditError, DeviceIOError
+from repro.common.errors import AuditError
 from repro.device.append_log import AppendLog
+from repro.device.faults import FaultPlan, PowerLoss
 from repro.device.latency import INTEL_750_SSD
 from repro.gdpr.audit import (
     AuditBlock,
@@ -162,15 +163,12 @@ class TestBlockTamperEvidence:
         for i in range(4):
             log.append("p", "get", key=f"k{i}")
         assert log.blocks_sealed == 1
-
-        def failing_fsync():
-            raise DeviceIOError("power lost before fsync")
-        log.log.fsync = failing_fsync
-        with pytest.raises(DeviceIOError):
+        FaultPlan(log.log).cut("fsync")
+        with pytest.raises(PowerLoss):
             for i in range(4):
                 log.append("p", "put", key=f"x{i}")
-        assert log.blocks_sealed == 2   # chain committed to block 2...
-        log.log.crash(power_loss=True)  # ...which the device lost
+        assert log.blocks_sealed == 2   # chain committed to block 2,
+        # which the power loss before its fsync took from the device
         with pytest.raises(AuditError, match="sealed"):
             log.verify_durable()
 

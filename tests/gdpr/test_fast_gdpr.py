@@ -5,6 +5,7 @@ determinism."""
 import pytest
 
 from repro.common.clock import SimClock
+from repro.device.faults import FaultPlan
 from repro.gdpr import (
     AuditChainMode,
     GDPRConfig,
@@ -142,8 +143,7 @@ def test_retention_deadline_survives_a_crash_before_the_flush(engine):
     store, clock = FAST_STORES[engine](fsync="always")
     store.put("k", b"v", meta(ttl=100.0))
     assert store._writebehind.pending == 1
-    store.kv.aof_log.crash(power_loss=True)
-    store.audit.log.crash(power_loss=True)
+    FaultPlan(store.kv.aof_log, store.audit.log).power_loss()
     recovered = type(store.kv)(clock=clock)
     recovered.replay_aof(store.kv.aof_log.read_durable())
     assert recovered.execute("PTTL", "k") > 0

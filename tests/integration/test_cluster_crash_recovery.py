@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.cluster import GDPRClient, build_cluster, gdpr_shards
+from repro.device.faults import FaultPlan
 from repro.gdpr import GDPRMetadata
 from repro.gdpr.rights import right_to_erasure
 from repro.kvstore import KeyValueStore, StoreConfig
@@ -47,7 +48,8 @@ class TestClusterCrashRecovery:
         self.placement = run_workload(self.store)
         # The workload must populate every shard, including the victim.
         assert set(self.placement) == {0, 1, 2}
-        self.store.shards[VICTIM].kv.aof_log.crash(power_loss=True)
+        victim = self.store.shards[VICTIM]
+        FaultPlan(victim.kv.aof_log, victim.audit.log).power_loss()
 
     def test_recovery_restores_victim_and_spares_others(self):
         replayed = self.store.cluster.recover_shard(VICTIM)
@@ -119,7 +121,8 @@ class TestMidWorkloadDurability:
                   GDPRMetadata(owner="carol",
                                purposes=frozenset({"service"})))
         victim = store.shard_for(late_key)
-        store.shards[victim].kv.aof_log.crash(power_loss=True)
+        shard = store.shards[victim]
+        FaultPlan(shard.kv.aof_log, shard.audit.log).power_loss()
         store.cluster.recover_shard(victim)
         # The unsynced late write is gone; every pre-horizon record and
         # every other shard's record survives.

@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.device.append_log import AppendLog
-from repro.device.block_device import FaultInjector
+from repro.device.faults import FaultPlan
 from repro.kvstore import KeyValueStore, StoreConfig
 
 
@@ -22,7 +22,7 @@ class TestAofCrashRecovery:
         store, log, _ = make_store()
         for i in range(50):
             store.execute("SET", f"k{i}", f"v{i}")
-        log.crash(power_loss=True)
+        FaultPlan(log).power_loss()
         recovered = KeyValueStore(StoreConfig(appendonly=True))
         recovered.replay_aof(log.read_all())
         for i in range(50):
@@ -34,7 +34,7 @@ class TestAofCrashRecovery:
         clock.advance(1.5)
         store.tick()  # fsync covers "early"
         store.execute("SET", "late", "v")
-        log.crash(power_loss=True)
+        FaultPlan(log).power_loss()
         recovered = KeyValueStore(StoreConfig(appendonly=True))
         recovered.replay_aof(log.read_all())
         assert recovered.execute("GET", "early") == b"v"
@@ -65,14 +65,10 @@ class TestAofCrashRecovery:
         assert recovered.execute("GET", "k0") is None
 
     def test_write_failure_does_not_corrupt_log(self):
-        clock = SimClock()
-        faults = FaultInjector()
-        log = AppendLog(clock=clock, faults=faults)
-        store = KeyValueStore(
-            StoreConfig(appendonly=True, appendfsync="always"),
-            clock=clock, aof_log=log)
+        store, log, _ = make_store()
+        plan = FaultPlan(log)
         store.execute("SET", "a", "1")
-        faults.fail_after(0)
+        plan.fail("flush")
         # The flush fails mid-command; the record stays buffered.
         with pytest.raises(Exception):
             store.execute("SET", "b", "2")

@@ -5,7 +5,8 @@ makes them durable with one barrier, renames the manifest over the old
 one and removes the parts it replaced.  Power is cut before each of
 those device operations in turn, on all four engine variants, for the
 rewrite that first splits a one-file log and for an erasure's rewrite
-of the parts owning a subject's keys.  Whatever the step:
+of the parts owning a subject's keys (``FaultPlan.cut`` over every
+device of the stack).  Whatever the step:
 
 * the durable log replays to the keyspace before the rewrite's barrier
   or the one after it: the records were made durable first, and so was
@@ -22,6 +23,7 @@ of the parts owning a subject's keys.  Whatever the step:
 import pytest
 
 from repro.common.clock import SimClock
+from repro.device.faults import FaultPlan, PowerLoss
 from repro.gdpr.metadata import GDPRMetadata
 from repro.gdpr.rights import right_to_erasure
 from repro.gdpr.store import GDPRConfig, GDPRStore
@@ -32,31 +34,6 @@ from tests.support import ENGINE_FACTORIES
 RECORDS = 250
 VALUE = b"v" * 200
 ERASED = [b"user3", b"user40", b"user170", b"user233"]
-#: The device operations a rewrite performs.
-STEPS = ("append", "flush", "fsync", "replace", "rename", "remove")
-
-
-class PowerCut(Exception):
-    pass
-
-
-def _arm(log, cut_at):
-    """Record the device operations from now on, raising PowerCut
-    instead of running operation number ``cut_at``."""
-    done = []
-    for name in STEPS:
-        def step(*args, _name=name, _run=getattr(log, name)):
-            if len(done) == cut_at:
-                raise PowerCut(_name)
-            done.append(_name)
-            return _run(*args)
-        setattr(log, name, step)
-    return done
-
-
-def _disarm(log):
-    for name in STEPS:
-        delattr(log, name)
 
 
 def _logged(engine):
@@ -64,6 +41,10 @@ def _logged(engine):
     return sorted((index, record[:3])
                   for index, records in logged.snapshot_records().items()
                   for record in records)
+
+
+def _cold_devices(engine):
+    return [engine.cold.device] if isinstance(engine, TieredEngine) else []
 
 
 def _loaded(variant):
@@ -104,15 +85,15 @@ def test_power_loss_at_every_step_recovers_the_old_or_new_keyspace(
         engine, keys, erased, before = scenario(variant)
         log = engine.aof.log
         after = _logged(engine)
-        done = _arm(log, cut_at)
+        plan = FaultPlan(log, *_cold_devices(engine))
+        plan.cut(cut_at)
         try:
             engine.rewrite_aof(keys)
-        except PowerCut as cut:
+        except PowerLoss as cut:
             step = str(cut)
         else:
             break
-        _disarm(log)
-        log.crash(power_loss=True)
+        done = list(plan.steps)
         replica = engine.spawn_replica()
         replica.replay_aof(engine.aof.read_durable(),
                            tolerate_truncated_tail=False)
@@ -128,6 +109,7 @@ def test_power_loss_at_every_step_recovers_the_old_or_new_keyspace(
                            for name in log.files())
             assert residual == ("rename" not in done), (variant, step)
         cut_at += 1
+    done = plan.steps
     assert set(done) >= {"append", "flush", "fsync", "rename", "remove"}
     assert done.count("fsync") + done.count("replace") == 1
     assert cut_at == len(done)

@@ -11,6 +11,7 @@ The demotion protocol's crash contract: the seal ends with an fsync
 
 from repro.common.clock import SimClock
 from repro.device.append_log import AppendLog
+from repro.device.faults import FaultPlan
 from repro.gdpr.metadata import GDPRMetadata
 from repro.gdpr.rights import right_to_erasure
 from repro.gdpr.store import GDPRConfig, GDPRStore
@@ -101,8 +102,7 @@ class TestTornSeal:
         # demote_remove: the record exists in both tiers.
         engine.cold.seal([ColdInput(b"dup", b"stale", None, None)],
                          sealed_at=0.0)
-        engine.aof_log.crash(power_loss=True)
-        engine.cold.device.crash(power_loss=True)
+        FaultPlan(engine.aof_log, engine.cold.device).power_loss()
         recovered = recover(engine)
         # Hot is authoritative over the crash-window shadow.
         assert recovered.execute("GET", "dup") == b"value"
@@ -115,8 +115,7 @@ class TestTornSeal:
         engine.demote_keys([b"gone"])
         engine.execute("GET", "gone")             # promote ...
         assert engine.execute("DEL", "gone") == 1  # ... then delete
-        engine.aof_log.crash(power_loss=True)
-        engine.cold.device.crash(power_loss=True)
+        FaultPlan(engine.aof_log, engine.cold.device).power_loss()
         recovered = recover(engine)
         # The archived copy must not resurrect through the replay
         # (which skips evictions): the DEL laid a durable tombstone.
@@ -142,8 +141,7 @@ class TestErasureSurvivesCrash:
         store, engine = self._store()
         receipt = right_to_erasure(store, "alice")
         assert receipt.cold_segments_voided >= 1
-        engine.aof_log.crash(power_loss=True)
-        engine.cold.device.crash(power_loss=True)
+        FaultPlan(engine.aof_log, engine.cold.device).power_loss()
         recovered_kv = recover(engine, keystore=store.keystore)
         recovered = GDPRStore(kv=recovered_kv, config=GDPRConfig(),
                               keystore=store.keystore)
@@ -164,7 +162,7 @@ class TestErasureSurvivesCrash:
         store, engine = self._store()
         right_to_erasure(store, "alice")
         fresh_keystore_view = type(store.keystore)()  # "restored" keystore
-        engine.cold.device.crash(power_loss=True)
+        FaultPlan(engine.aof_log, engine.cold.device).power_loss()
         recovered = ColdSegmentStore(device=engine.cold.device,
                                      keystore=fresh_keystore_view)
         assert "alice" in recovered.erased_subjects

@@ -6,6 +6,7 @@ from repro.common.clock import SimClock
 from repro.common.errors import PersistenceError
 from repro.common.resp import encode_command
 from repro.device.append_log import AppendLog
+from repro.device.faults import FaultPlan
 from repro.device.latency import INTEL_750_SSD
 from repro.kvstore import KeyValueStore, StoreConfig, contains_key, replay_commands
 from tests.support import assert_refused
@@ -100,7 +101,7 @@ class TestFsyncPolicies:
         store.tick()
         store.execute("SET", "k", "v")
         assert store.aof.unsynced_bytes() > 0
-        store.aof_log.crash(power_loss=True)
+        FaultPlan(store.aof_log).power_loss()
         # Power loss before the next fsync loses the last second of ops.
         fresh = KeyValueStore(StoreConfig(appendonly=True))
         fresh.replay_aof(store.aof_log.read_all())
@@ -109,7 +110,7 @@ class TestFsyncPolicies:
     def test_always_survives_power_loss(self):
         store, _ = make_store(appendfsync="always")
         store.execute("SET", "k", "v")
-        store.aof_log.crash(power_loss=True)
+        FaultPlan(store.aof_log).power_loss()
         fresh = KeyValueStore(StoreConfig(appendonly=True))
         fresh.replay_aof(store.aof_log.read_all())
         assert fresh.execute("GET", "k") == b"v"

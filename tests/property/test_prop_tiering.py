@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.common.clock import SimClock
 from repro.crypto.keystore import KeyStore
 from repro.device.append_log import AppendLog
+from repro.device.faults import FaultPlan
 from repro.kvstore.store import KeyValueStore, StoreConfig
 from repro.tiering import TieredEngine, TieringConfig
 from repro.tiering.bloom import BloomFilter
@@ -98,8 +99,7 @@ def test_crash_recovery_preserves_tiered_state(ops):
     before = sorted((r.key, r.value) for r in engine.scan_records())
     # Crash: rebuild a fresh hot engine from the AOF bytes and a fresh
     # cold index from the cold device bytes.
-    engine.aof_log.crash(power_loss=True)
-    engine.cold.device.crash(power_loss=True)
+    FaultPlan(engine.aof_log, engine.cold.device).power_loss()
     recovered_inner = KeyValueStore(StoreConfig(appendonly=True),
                                     clock=clock,
                                     aof_log=AppendLog(clock=clock))
@@ -152,9 +152,10 @@ archive_ops = st.lists(
 
 class ArchiveModel:
     """The archive as its frame log defines it: every sealed version of
-    every key, the tombstones, the erased subjects -- state is a replay
-    of the log, the newest version of a key speaks for it, and power
-    loss cuts the log back to its last fsync."""
+    every key, the tombstones, the subject erasures (each kills the
+    subject's versions sealed before it) -- state is a replay of the
+    log, the newest version of a key speaks for it, and power loss cuts
+    the log back to its last fsync."""
 
     def __init__(self):
         self.log = []
@@ -163,7 +164,7 @@ class ArchiveModel:
 
     def live(self):
         """key -> (seq, owner, value) of every live newest version."""
-        versions, dead, erased = {}, {}, set()
+        versions, dead, erased = {}, {}, {}
         for frame in self.log:
             if frame[0] == "seal":
                 for key, owner, value in frame[2]:
@@ -172,10 +173,10 @@ class ArchiveModel:
             elif frame[0] == "tombstone":
                 dead[frame[1]] = frame[2]
             else:
-                erased.add(frame[1])
+                erased[frame[1]] = frame[2]
         return {key: copies[-1] for key, copies in versions.items()
                 if copies[-1][0] > dead.get(key, -1)
-                and copies[-1][1] not in erased}
+                and copies[-1][0] >= erased.get(copies[-1][1], 0)}
 
     def segments_holding(self, subject):
         return {frame[1] for frame in self.log if frame[0] == "seal"
@@ -196,7 +197,7 @@ class ArchiveModel:
             self.durable = len(self.log)
 
     def erase(self, subject):
-        self.log.append(("erase", subject))
+        self.log.append(("erase", subject, self.next_seq))
         self.durable = len(self.log)
 
     def power_loss(self):
@@ -210,6 +211,7 @@ def test_cold_store_equals_a_dict_of_versions_model(ops):
     looked up after every step: the resident directory, rebuilt or not,
     answers exactly what a replay of the frame log answers."""
     store = ColdSegmentStore(device=AppendLog(clock=SimClock()))
+    plan = FaultPlan(store.device)
     model = ArchiveModel()
     for op in ops:
         if op[0] == "seal":
@@ -225,7 +227,7 @@ def test_cold_store_equals_a_dict_of_versions_model(ops):
             model.erase(op[1])
         elif op[0] == "recover":
             if op[1]:
-                store.device.crash(power_loss=True)
+                plan.power_loss()
                 model.power_loss()
             store = ColdSegmentStore(device=store.device)
         live = model.live()
@@ -276,6 +278,7 @@ def test_erased_subject_never_readable_from_any_tier(ops):
     keystore = KeyStore()
     engine = _make_tiered(clock)
     engine.attach_keystore(keystore)
+    plan = FaultPlan(engine.aof_log, engine.cold.device)
     owners = {}
 
     def run(engine, op):
@@ -289,11 +292,11 @@ def test_erased_subject_never_readable_from_any_tier(ops):
         elif op[0] == "get":
             engine.execute("GET", f"r:{op[1]}")
         elif op[0] == "crash":
-            engine.aof_log.crash(power_loss=True)
-            engine.cold.device.crash(power_loss=True)
+            # The restarted engine runs on the same two devices.
+            plan.power_loss()
             inner = KeyValueStore(
                 StoreConfig(appendonly=True, appendfsync="always"),
-                clock=clock, aof_log=AppendLog(clock=clock))
+                clock=clock, aof_log=engine.aof_log)
             replacement = TieredEngine(inner, device=engine.cold.device,
                                        tiering=engine.tiering,
                                        keystore=keystore)

@@ -6,6 +6,7 @@ import pytest
 from repro.common.clock import SimClock
 from repro.common.errors import CorruptionError
 from repro.device.append_log import AppendLog
+from repro.device.faults import FaultPlan
 from repro.kvstore import KeyValueStore
 from repro.sqlstore import RelationalStore, SqlConfig, btree_depth
 from repro.ycsb.adapters import SqlAdapter
@@ -222,7 +223,7 @@ def test_crash_replay_from_durable_wal_only():
     store = make_store(clock=clock, wal_fsync="always")
     store.execute("SET", "a", "1")
     store.execute("HSET", "b", "f", "2")
-    store.aof_log.crash(power_loss=True)
+    FaultPlan(store.aof_log).power_loss()
     recovered = make_store()
     recovered.replay_aof(store.aof_log.read_durable())
     assert recovered.execute("GET", "a") == b"1"

@@ -11,6 +11,7 @@ brings a deleted key back.
 
 from repro.common.clock import SimClock
 from repro.device.append_log import AppendLog
+from repro.device.faults import FaultPlan
 from repro.gdpr.metadata import GDPRMetadata
 from repro.gdpr.rights import right_to_erasure
 from repro.gdpr.store import GDPRConfig, GDPRStore
@@ -32,8 +33,7 @@ def make_engine(clock=None, cold_device=None):
 def crash_and_recover(engine):
     """Power loss on every device, then a fresh engine replaying the
     surviving AOF over the surviving cold device bytes."""
-    engine.aof_log.crash(power_loss=True)
-    engine.cold.device.crash(power_loss=True)
+    FaultPlan(engine.aof_log, engine.cold.device).power_loss()
     recovered = make_engine(clock=engine.clock,
                             cold_device=engine.cold.device)
     recovered.replay_aof(engine.aof_log.read_all())

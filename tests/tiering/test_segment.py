@@ -7,6 +7,7 @@ from repro.common.clock import SimClock
 from repro.common.errors import CorruptionError
 from repro.crypto.keystore import KeyStore
 from repro.device.append_log import AppendLog
+from repro.device.faults import FaultPlan
 from repro.device.latency import INTEL_750_SSD
 from repro.tiering.segment import (ColdInput, ColdSegmentStore,
                                    UnsupportedSegmentFormat)
@@ -182,7 +183,7 @@ def test_recovery_drops_torn_tail():
     store, device = make_store()
     store.seal(inputs((b"a", b"1")), sealed_at=0.0)
     store.seal(inputs((b"b", b"2")), sealed_at=1.0)
-    device.corrupt_tail(6)                       # bit-flip into the last frame
+    FaultPlan(device).tear(6)                    # bit-flip into the last frame
     recovered = ColdSegmentStore(device=device)
     assert recovered.torn_frames_dropped == 1
     assert recovered.recovered_segments == 1
@@ -283,7 +284,7 @@ def test_resident_bytes_counts_every_resident_structure():
     assert store.resident_bytes() == \
         segment + (2 + 24) + heap + undurable
     store.erase_subject("alice")         # fsyncs: nothing undurable left
-    assert store.resident_bytes() == segment + heap + len("alice")
+    assert store.resident_bytes() == segment + heap + len("alice") + 4
 
 
 def test_empty_seal_rejected():
