@@ -27,7 +27,7 @@ Quickstart::
 """
 
 from .cluster import ClusterClient, GDPRClient, build_cluster, gdpr_shards
-from .common.clock import SimClock, WallClock
+from .common.clock import SimClock
 from .gdpr import (
     CONTROLLER,
     AuditDurability,
@@ -48,7 +48,6 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     "SimClock",
-    "WallClock",
     "KeyValueStore",
     "StoreConfig",
     "ClusterClient",

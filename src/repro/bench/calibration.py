@@ -188,18 +188,6 @@ def make_luks_tls(clock: Optional[SimClock] = None,
         luks=LuksVolume(device))
 
 
-def make_inprocess(clock: Optional[SimClock] = None,
-                   config: Optional[StoreConfig] = None,
-                   seed: int = 0) -> SystemUnderTest:
-    """A store driven in-process (no network) -- for micro-benchmarks."""
-    clock = clock if clock is not None else SimClock()
-    if config is None:
-        config = StoreConfig(command_cpu_cost=BASE_COMMAND_CPU, seed=seed)
-    store = KeyValueStore(config, clock=clock)
-    return SystemUnderTest(name="inprocess", clock=clock, store=store,
-                           adapter=KVAdapter(store))
-
-
 FIGURE1_CONFIGS: Tuple[str, ...] = ("unmodified", "aof-everysec",
                                     "luks+tls")
 

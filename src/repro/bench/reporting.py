@@ -185,16 +185,3 @@ def _fmt(cell: object) -> str:
     return str(cell)
 
 
-def render_series(title: str, pairs: Iterable[Sequence[object]],
-                  x_label: str = "x", y_label: str = "y") -> str:
-    """A labelled two-column series (one figure line)."""
-    lines = [title]
-    lines.append(render_table([x_label, y_label], pairs))
-    return "\n".join(lines)
-
-
-def normalize(values: Sequence[float], baseline: float) -> List[float]:
-    """Express values as fractions of a baseline (figure annotations)."""
-    if baseline == 0:
-        return [0.0 for _ in values]
-    return [v / baseline for v in values]

@@ -42,7 +42,6 @@ from .client import (
     ClusterStoreServer,
     Pipeline,
     build_cluster,
-    command_keys,
     parse_redirect,
 )
 from .autoscale import (
@@ -80,7 +79,6 @@ __all__ = [
     "ClusterStoreServer",
     "Pipeline",
     "build_cluster",
-    "command_keys",
     "parse_redirect",
     "GDPRClient",
     "gdpr_shards",

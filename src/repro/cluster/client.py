@@ -81,12 +81,6 @@ from .slots import NUM_SLOTS, SlotMap, slot_for_key
 _REPLICA_MISS = object()
 
 
-def command_keys(argv: Sequence[bytes]) -> List[bytes]:
-    """The key arguments of ``argv`` (empty for control / broadcast /
-    per-shard commands), as the command table places them."""
-    return spec_of(argv[0].upper()).keys(argv)
-
-
 def _slot_of(keys: List[bytes]):
     """The hash slot of a command's keys: ``None`` without keys, an
     ``int`` when every key shares one slot, the sorted slot tuple of a
@@ -417,12 +411,6 @@ class ClusterNode:
                                bandwidth_bps=self.channel.bandwidth_bps,
                                latency=self.channel.latency)
 
-    def execute_batch(self, batch: Sequence[List[bytes]]) -> List[Any]:
-        """One round trip: all requests in one transmit, replies
-        returned in request order."""
-        self.send_batch(batch)
-        return self.await_replies(len(batch))
-
 
 class Pipeline:
     """Queued requests executed in one round trip per shard."""
@@ -514,20 +502,8 @@ class ClusterClient:
         self._replica_rng = random.Random(0)
         self.replica_reads = 0
         self.stale_replica_reads = 0
-        self.tenant: Optional[str] = None
         self._route: List[int] = []
         self.refresh_routing()
-
-    def set_tenant(self, tenant: str) -> None:
-        """Stamp this client's connection to every shard with ``tenant``.
-
-        All subsequent requests execute inside that tenant's namespace
-        and against its quotas; an unregistered tenant is refused with
-        ``TENANTUNKNOWN`` (raised as a :class:`RespError`).
-        """
-        for shard in range(len(self.nodes)):
-            self.call("TENANT", tenant, shard=shard)
-        self.tenant = tenant
 
     # -- routing -----------------------------------------------------------
 

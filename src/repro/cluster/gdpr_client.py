@@ -158,9 +158,6 @@ class GDPRClient:
         return [shard for shard, keys
                 in enumerate(self._keys_by_shard(subject)) if keys]
 
-    def subject_exists(self, subject: str) -> bool:
-        return bool(self.shards_of_subject(subject))
-
     def process_for_purpose(self, purpose: str,
                             principal: Principal = CONTROLLER
                             ) -> List[Record]:

@@ -125,16 +125,6 @@ class SlotMap:
     def shard_for_key(self, key: KeyLike) -> int:
         return self._assignment[slot_for_key(key)]
 
-    def slots_of_shard(self, shard: int) -> List[int]:
-        return [slot for slot, owner in enumerate(self._assignment)
-                if owner == shard]
-
-    def slot_counts(self) -> Dict[int, int]:
-        counts = {shard: 0 for shard in range(self._num_shards)}
-        for owner in self._assignment:
-            counts[owner] += 1
-        return counts
-
     # -- migration state ---------------------------------------------------
 
     def migration_of(self, slot: int) -> Optional[MigrationState]:
@@ -143,26 +133,9 @@ class SlotMap:
             raise ClusterError(f"slot {slot} out of range")
         return self._migrations.get(slot)
 
-    def is_stable(self, slot: int) -> bool:
-        return self.migration_of(slot) is None
-
-    def is_migrating(self, slot: int, shard: int) -> bool:
-        """Is ``shard`` the source currently handing off ``slot``?"""
-        state = self.migration_of(slot)
-        return state is not None and state.source == shard
-
-    def is_importing(self, slot: int, shard: int) -> bool:
-        """Is ``shard`` the target currently importing ``slot``?"""
-        state = self.migration_of(slot)
-        return state is not None and state.target == shard
-
     def importing_slots_of(self, shard: int) -> List[int]:
         return sorted(slot for slot, state in self._migrations.items()
                       if state.target == shard)
-
-    def migrating_slots_of(self, shard: int) -> List[int]:
-        return sorted(slot for slot, state in self._migrations.items()
-                      if state.source == shard)
 
     def begin_migration(self, slot: int, target: int) -> MigrationState:
         """Mark ``slot`` MIGRATING from its owner / IMPORTING on
@@ -229,11 +202,6 @@ class SlotMap:
                 self._assignment[slot] = shard
                 moved += 1
         return moved
-
-    def assign_range(self, start: int, end: int, shard: int) -> int:
-        """Move the slot range [start, end) to ``shard``."""
-        return self.assign(range(start, end), shard)
-
 
 class SlotPlacement:
     """Dynamic slot -> worker table for one shard's worker pool.
@@ -310,10 +278,6 @@ class SlotPlacement:
             raise ClusterError("a split needs at least two workers")
         self._splits[slot] = tuple(fan)
         self.version += 1
-
-    def unsplit(self, slot: int) -> None:
-        if self._splits.pop(slot, None) is not None:
-            self.version += 1
 
     def clear(self) -> None:
         """Drop every override and split (back to pure ``slot % K``)."""

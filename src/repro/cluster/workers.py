@@ -771,10 +771,6 @@ class WorkerPool:
         an EWMA of (dispatch time - arrival time) across all commands."""
         return self._ewma if self._ewma is not None else 0.0
 
-    def commands_served(self) -> int:
-        return sum(worker.commands
-                   for worker in self.workers + self.retired)
-
     def merged_queue_delay(self) -> LatencyHistogram:
         merged = LatencyHistogram()
         for worker in self.workers + self.retired:

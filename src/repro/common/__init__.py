@@ -1,14 +1,12 @@
 """Shared infrastructure: clocks, errors, hashing, histograms, RESP codec."""
 
-from .clock import Clock, SimClock, Stopwatch, WallClock
+from .clock import Clock, SimClock
 from .errors import ReproError
 from .histogram import LatencyHistogram
 
 __all__ = [
     "Clock",
     "SimClock",
-    "WallClock",
-    "Stopwatch",
     "ReproError",
     "LatencyHistogram",
 ]

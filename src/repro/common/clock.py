@@ -1,13 +1,10 @@
-"""Clock abstractions: wall-clock and deterministic simulated time.
+"""Clock abstractions: deterministic simulated time.
 
 Every latency-bearing component (block devices, channels, the expiry cron,
-the audit log) takes a :class:`Clock` so that the whole stack can run in
-
-* **simulated time** -- :class:`SimClock` -- where components *charge* time
-  via :meth:`Clock.advance` and experiments are deterministic regardless of
-  host speed; or
-* **wall time** -- :class:`WallClock` -- where ``advance`` optionally sleeps,
-  for demos against real hardware.
+the audit log) takes a :class:`Clock` so that the whole stack runs in
+**simulated time** -- :class:`SimClock` -- where components *charge* time
+via :meth:`Clock.advance` and experiments are deterministic regardless of
+host speed.
 
 :class:`SimClock` is also the repository's **discrete-event scheduler**:
 components post timed events with :meth:`SimClock.schedule_at` /
@@ -27,7 +24,6 @@ machine (see docs/architecture.md, "Execution model").
 from __future__ import annotations
 
 import heapq
-import time
 from typing import Callable, List, Optional, Tuple
 
 
@@ -451,45 +447,3 @@ class ShardClock(Clock):
     def busy_seconds(self) -> float:
         """Total busy time across all cores (for utilisation reports)."""
         return sum(worker.busy_seconds for worker in self.workers)
-
-
-class WallClock(Clock):
-    """Real time.  ``advance`` sleeps only if ``sleep=True``."""
-
-    def __init__(self, sleep: bool = False) -> None:
-        self._sleep = sleep
-        self._offset = 0.0
-
-    def now(self) -> float:
-        return time.monotonic() + self._offset
-
-    def advance(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError("cannot advance the clock backwards")
-        if self._sleep:
-            time.sleep(seconds)
-        else:
-            # Model the elapsed time without stalling the process.
-            self._offset += seconds
-
-
-class Stopwatch:
-    """Measure elapsed time on any clock.
-
-    >>> clock = SimClock()
-    >>> watch = Stopwatch(clock)
-    >>> clock.advance(1.5)
-    >>> watch.elapsed()
-    1.5
-    """
-
-    def __init__(self, clock: Clock) -> None:
-        self._clock = clock
-        self._start: Optional[float] = clock.now()
-
-    def restart(self) -> None:
-        self._start = self._clock.now()
-
-    def elapsed(self) -> float:
-        assert self._start is not None
-        return self._clock.now() - self._start

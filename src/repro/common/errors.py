@@ -15,12 +15,8 @@ class ReproError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Generic / configuration
+# Serialization
 # ---------------------------------------------------------------------------
-
-
-class ConfigError(ReproError):
-    """A configuration value is missing, malformed, or inconsistent."""
 
 
 class SerializationError(ReproError):
@@ -233,7 +229,3 @@ class UnknownSubjectError(GDPRError, KeyError):
 
 class AuditError(GDPRError):
     """The audit log rejected a record or failed verification."""
-
-
-class ComplianceError(GDPRError):
-    """A compliance assessment could not be completed."""

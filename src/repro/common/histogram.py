@@ -9,7 +9,7 @@ same trade-off HdrHistogram makes in the reference YCSB.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict
 
 
 class LatencyHistogram:
@@ -42,10 +42,6 @@ class LatencyHistogram:
             self._max = latency
         if latency < self._actual_min:
             self._actual_min = latency
-
-    def record_many(self, latencies: Iterable[float]) -> None:
-        for latency in latencies:
-            self.record(latency)
 
     def merge(self, other: "LatencyHistogram") -> None:
         """Fold another histogram into this one.
@@ -108,9 +104,6 @@ class LatencyHistogram:
             if seen >= rank:
                 return self._bucket_value(index)
         return self._max
-
-    def percentiles(self, pcts: Iterable[float]) -> List[Tuple[float, float]]:
-        return [(p, self.percentile(p)) for p in pcts]
 
     def summary(self) -> Dict[str, float]:
         """The summary block YCSB prints per operation type."""

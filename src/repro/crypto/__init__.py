@@ -1,4 +1,4 @@
-"""Cryptographic building blocks: AE cipher, key hierarchy, pseudonyms."""
+"""Cryptographic building blocks: AE cipher and key hierarchy."""
 
 from .cipher import (
     KEY_SIZE,
@@ -7,12 +7,10 @@ from .cipher import (
     AuthenticatedCipher,
     SectorCipher,
     StreamCipher,
-    derive_key,
     random_bytes,
     seeded_entropy,
 )
 from .keystore import KeyStore
-from .pseudonymize import Pseudonymizer
 
 __all__ = [
     "KEY_SIZE",
@@ -21,9 +19,7 @@ __all__ = [
     "AuthenticatedCipher",
     "SectorCipher",
     "StreamCipher",
-    "derive_key",
     "random_bytes",
     "seeded_entropy",
     "KeyStore",
-    "Pseudonymizer",
 ]

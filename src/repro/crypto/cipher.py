@@ -81,15 +81,6 @@ class seeded_entropy:
         _entropy_source = self._previous
 
 
-def derive_key(passphrase: bytes, salt: bytes,
-               iterations: int = 10_000) -> bytes:
-    """PBKDF2-HMAC-SHA256 key derivation from a passphrase."""
-    if not passphrase:
-        raise CryptoError("empty passphrase")
-    return hashlib.pbkdf2_hmac("sha256", passphrase, salt, iterations,
-                               dklen=KEY_SIZE)
-
-
 class StreamCipher:
     """SHAKE-256 keystream cipher.  Encryption == decryption (XOR)."""
 

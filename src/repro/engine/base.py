@@ -336,11 +336,6 @@ class StorageEngine:
         return [key for key in self.live_keys(db_index)
                 if key.startswith(needle)]
 
-    def key_count_with_prefix(self, prefix: str, db_index: int = 0) -> int:
-        """Live-key count inside ``prefix``'s namespace (the
-        tenant-scoped DBSIZE)."""
-        return len(self.live_keys_with_prefix(prefix, db_index))
-
     # -- durability --------------------------------------------------------
 
     def save_snapshot(self) -> bytes:

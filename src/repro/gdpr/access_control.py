@@ -97,32 +97,6 @@ class AccessController:
         self._grants.append(entry)
         return entry
 
-    def grant_role(self, role: str, operation: Operation,
-                   purpose: Optional[str] = None,
-                   expires_at: Optional[float] = None) -> Grant:
-        return self.grant(f"role:{role}", operation, purpose, expires_at)
-
-    def revoke(self, grant: Grant) -> bool:
-        try:
-            self._grants.remove(grant)
-            return True
-        except ValueError:
-            return False
-
-    def revoke_all_for(self, grantee: str) -> int:
-        before = len(self._grants)
-        self._grants = [g for g in self._grants if g.grantee != grantee]
-        return before - len(self._grants)
-
-    def prune_expired(self, now: float) -> int:
-        before = len(self._grants)
-        self._grants = [g for g in self._grants
-                        if g.expires_at is None or g.expires_at >= now]
-        return before - len(self._grants)
-
-    def grants_for(self, grantee: str) -> List[Grant]:
-        return [g for g in self._grants if g.grantee == grantee]
-
     @property
     def grant_count(self) -> int:
         return len(self._grants)

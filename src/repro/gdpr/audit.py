@@ -44,10 +44,9 @@ from __future__ import annotations
 import bisect
 import enum
 import json
-from collections import deque
 from dataclasses import dataclass
 from math import isfinite
-from typing import Deque, Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from ..common.clock import Clock, SimClock
 from ..common.errors import AuditError
@@ -273,7 +272,6 @@ class AuditLog:
                  record_cpu_cost: float = 0.0,
                  chain_mode: AuditChainMode = AuditChainMode.RECORD,
                  block_size: int = 64,
-                 memory_window: Optional[int] = None,
                  auto_timer: bool = True) -> None:
         self.clock = clock if clock is not None else SimClock()
         self.log = log if log is not None else AppendLog(clock=self.clock)
@@ -286,9 +284,6 @@ class AuditLog:
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
         self.block_size = block_size
-        if memory_window is not None and memory_window < 1:
-            raise ValueError("memory_window must be >= 1 (or None)")
-        self.memory_window = memory_window
         self._seq = 0
         self._tip = GENESIS_HASH            # record-mode chain tip
         self._block_tip = GENESIS_HASH      # block-mode chain tip
@@ -297,10 +292,8 @@ class AuditLog:
         self._durable_records = 0           # incrementally tracked at fsyncs
         self._last_sync = self.clock.now()
         self._last_seal = self.clock.now()
-        # Bounded in-memory window + per-subject index (recent evidence).
+        # Every record appended in this process, in order.
         self._memory: List[AuditRecord] = []
-        self._mem_start_seq = 0
-        self._by_subject: Dict[str, Deque[AuditRecord]] = {}
         self._pending_block: List[AuditRecord] = []
         self._timer_handle = None
         if auto_timer:
@@ -345,7 +338,7 @@ class AuditLog:
         if self.chain_mode is AuditChainMode.BLOCK:
             record = AuditRecord(*body)
             self._seq += 1
-            self._remember(record)
+            self._memory.append(record)
             self._pending_block.append(record)
             if len(self._pending_block) >= self.block_size:
                 self.seal_block()
@@ -360,7 +353,7 @@ class AuditLog:
         self.log.append(_record_line(payload, self._tip, digest))
         self._seq += 1
         self._tip = digest
-        self._remember(record)
+        self._memory.append(record)
         if self.durability is AuditDurability.SYNC:
             self.log.flush_and_fsync()
             self._last_sync = self.clock.now()
@@ -371,24 +364,6 @@ class AuditLog:
             self.log.flush()
             self.tick(self.clock.now())
         return record
-
-    def _remember(self, record: AuditRecord) -> None:
-        self._memory.append(record)
-        if record.subject is not None:
-            self._by_subject.setdefault(
-                record.subject, deque()).append(record)
-        if self.memory_window is not None:
-            excess = len(self._memory) - self.memory_window
-            if excess > 0:
-                for old in self._memory[:excess]:
-                    if old.subject is not None:
-                        bucket = self._by_subject.get(old.subject)
-                        if bucket:
-                            bucket.popleft()    # evictions are oldest-first
-                            if not bucket:
-                                del self._by_subject[old.subject]
-                del self._memory[:excess]
-                self._mem_start_seq += excess
 
     def seal_block(self) -> Optional[AuditBlock]:
         """Seal the pending records into one block and group-commit it.
@@ -472,13 +447,8 @@ class AuditLog:
         return len(self._pending_block)
 
     def records(self) -> List[AuditRecord]:
-        """Records appended in this process, within the in-memory window
-        (all of them when ``memory_window`` is None, the default)."""
+        """Records appended in this process."""
         return list(self._memory)
-
-    def records_for_subject(self, subject: str) -> List[AuditRecord]:
-        """O(result): served from the per-subject index."""
-        return list(self._by_subject.get(subject, ()))
 
     def records_between(self, start: float,
                         end: float) -> List[AuditRecord]:
@@ -489,18 +459,6 @@ class AuditLog:
         hi = bisect.bisect_right(self._memory, end,
                                  key=lambda r: r.timestamp)
         return self._memory[lo:hi]
-
-    def checkpoint(self) -> int:
-        """Drop the in-memory window (records stay on the device).
-
-        Long open-loop runs call this to bound memory; returns records
-        released.  Pending (unsealed) block members are retained by the
-        seal path and remain durable once sealed."""
-        dropped = len(self._memory)
-        self._memory = []
-        self._by_subject = {}
-        self._mem_start_seq = self._seq
-        return dropped
 
     def at_risk_records(self) -> int:
         """Records not yet durable -- what a power loss loses right now.
@@ -537,8 +495,8 @@ class AuditLog:
         """Verify the per-record hash chain; returns records verified.
 
         Raises :class:`AuditError` on the first broken link -- a truncated,
-        edited, or reordered log fails here.  A window that starts past
-        seq 0 (a bounded in-memory view) anchors at its first record's
+        edited, or reordered log fails here.  A slice that starts past
+        seq 0 (``records_between``, say) anchors at its first record's
         ``prev_hash`` and verifies internal consistency from there.
         """
         tip = GENESIS_HASH

@@ -116,9 +116,6 @@ class BackupManager:
 
     # -- erasure reconciliation ----------------------------------------------------------
 
-    def generations_mentioning(self, key: str) -> List[str]:
-        return [b.label for b in self.backups if b.mentions_key(key)]
-
     def reconcile_erasure(self, subject: str, erased_keys: List[str],
                           rewrite: bool = False) -> ReconciliationReport:
         """Audit (and optionally scrub) backups after an Art. 17 erasure.
@@ -144,7 +141,7 @@ class BackupManager:
                     report.rewritten.append(backup.label)
         self.store.audit.append(
             principal="system", operation="backup-reconcile",
-            subject=self.store._audit_name(subject), outcome="ok",
+            subject=subject, outcome="ok",
             detail=f"{len(report.mentioning)} generations affected, "
                    f"{len(report.rewritten)} rewritten")
         return report

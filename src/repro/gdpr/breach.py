@@ -131,10 +131,3 @@ class BreachNotifier:
                                  f"{len(report.affected_subjects)} "
                                  "subjects notified")
         return len(report.affected_subjects)
-
-    def overdue_reports(self) -> List[BreachReport]:
-        """Reports whose 72h authority deadline has lapsed unnotified."""
-        now = self.clock.now()
-        return [r for r in self.reports
-                if r.notified_authority_at is None
-                and now > r.authority_deadline]

@@ -1,8 +1,8 @@
 """Secondary metadata indexes (GDPR Art. 15, 20, 21; paper section 5.1).
 
 GDPR repeatedly needs *groups* of records: everything owned by a subject
-(access, erasure, portability), everything processable under a purpose
-(purpose limitation, objections), everything shared with a recipient.
+(access, erasure, portability) and everything processable under a purpose
+(purpose limitation, objections).
 Key-value stores have no native secondary indexes -- the paper names
 "efficient metadata indexing" a research challenge -- so the GDPR layer
 maintains its own inverted indexes, updated transactionally with each put
@@ -15,6 +15,9 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .metadata import GDPRMetadata
+
+#: Seconds between write-behind flushes of the fast-GDPR dirty-set.
+WRITEBEHIND_INTERVAL = 0.1
 
 
 class MetadataIndex:
@@ -29,7 +32,6 @@ class MetadataIndex:
     def __init__(self) -> None:
         self._by_owner: Dict[str, Set[str]] = {}
         self._by_purpose: Dict[str, Set[str]] = {}
-        self._by_recipient: Dict[str, Set[str]] = {}
         self._objections: Dict[str, Set[str]] = {}
         self._metadata: Dict[str, GDPRMetadata] = {}
 
@@ -46,8 +48,6 @@ class MetadataIndex:
             self._by_purpose.setdefault(purpose, set()).add(key)
         for purpose in metadata.objections:
             self._objections.setdefault(purpose, set()).add(key)
-        for recipient in metadata.shared_with:
-            self._by_recipient.setdefault(recipient, set()).add(key)
 
     def remove(self, key: str) -> Optional[GDPRMetadata]:
         metadata = self._metadata.pop(key, None)
@@ -58,8 +58,6 @@ class MetadataIndex:
             self._discard(self._by_purpose, purpose, key)
         for purpose in metadata.objections:
             self._discard(self._objections, purpose, key)
-        for recipient in metadata.shared_with:
-            self._discard(self._by_recipient, recipient, key)
         return metadata
 
     @staticmethod
@@ -98,12 +96,6 @@ class MetadataIndex:
         objected = self._objections.get(purpose, set())
         return sorted(allowed - objected)
 
-    def keys_shared_with(self, recipient: str) -> List[str]:
-        return sorted(self._by_recipient.get(recipient, ()))
-
-    def owners(self) -> List[str]:
-        return sorted(self._by_owner)
-
     def purposes(self) -> List[str]:
         return sorted(self._by_purpose)
 
@@ -123,10 +115,10 @@ class WriteBehindIndexer:
     The fast-GDPR mode enqueues per-write follow-up work here (engine
     metadata annotation, storage-location bookkeeping) instead of paying
     it inside the client-visible operation.  A recurring daemon event on
-    the scheduler drains the dirty-set every ``interval`` seconds;
-    consumers that need a current view (subject access, index rebuild,
-    shutdown) call :meth:`flush` first -- the visibility-window
-    trade-off is the whole point, and it is bounded by ``interval``.
+    the scheduler drains the dirty-set every ``WRITEBEHIND_INTERVAL``
+    seconds; consumers that need a current view (subject access, index
+    rebuild, shutdown) call :meth:`flush` first -- the visibility-window
+    trade-off is the whole point, and it is bounded by that interval.
 
     Only the *latest* entry per key survives coalescing, and a flush
     hands the whole batch to ``apply_fn`` in one call -- the
@@ -136,24 +128,18 @@ class WriteBehindIndexer:
     """
 
     def __init__(self, apply_fn: Callable[[Dict[str, object]], None],
-                 clock=None, interval: float = 0.1,
-                 auto_timer: bool = True) -> None:
+                 clock=None) -> None:
         self._apply = apply_fn
         self.clock = clock
-        self.interval = interval
         self._pending: Dict[str, object] = {}
         self._timer_handle = None
         self._last_flush = clock.now() if clock is not None else 0.0
         self.flushes = 0
         self.applied = 0
         self.coalesced = 0
-        if auto_timer:
-            self._maybe_start_timer()
-
-    def _maybe_start_timer(self) -> None:
-        every = getattr(self.clock, "every", None)
-        if every is not None and self.interval > 0:
-            self._timer_handle = every(self.interval, self.flush,
+        every = getattr(clock, "every", None)
+        if every is not None:
+            self._timer_handle = every(WRITEBEHIND_INTERVAL, self.flush,
                                        label="gdpr-writebehind")
 
     def stop_timer(self) -> None:
@@ -193,7 +179,7 @@ class WriteBehindIndexer:
     def maybe_flush(self, now: float) -> int:
         """Interval-gated flush for tick-driven drivers (the fallback
         when the clock cannot schedule daemon events)."""
-        if now - self._last_flush < self.interval:
+        if now - self._last_flush < WRITEBEHIND_INTERVAL:
             return 0
         self._last_flush = now
         return self.flush()

@@ -44,31 +44,21 @@ class LocationManager:
     def __init__(self, regions: Optional[Dict[str, Region]] = None) -> None:
         self.regions: Dict[str, Region] = dict(
             regions if regions is not None else BUILTIN_REGIONS)
-        self._node_region: Dict[str, str] = {}     # node id -> region code
+        self._nodes: Set[str] = set()               # placed node ids
         self._key_locations: Dict[str, Set[str]] = {}  # key -> region codes
         self.violations_blocked = 0
 
     # -- registry ------------------------------------------------------------------
 
-    def register_region(self, region: Region) -> None:
-        self.regions[region.code] = region
-
     def place_node(self, node_id: str, region_code: str) -> None:
         if region_code not in self.regions:
             raise LocationViolationError(f"unknown region {region_code!r}")
-        self._node_region[node_id] = region_code
+        self._nodes.add(node_id)
 
     def has_node(self, node_id: str) -> bool:
         """Has ``node_id`` been placed in a region?  (The GDPR store
         uses this to avoid re-placing a pre-configured node.)"""
-        return node_id in self._node_region
-
-    def node_region(self, node_id: str) -> str:
-        region = self._node_region.get(node_id)
-        if region is None:
-            raise LocationViolationError(
-                f"node {node_id!r} has no declared region")
-        return region
+        return node_id in self._nodes
 
     # -- enforcement -----------------------------------------------------------------
 
@@ -104,7 +94,3 @@ class LocationManager:
 
     def locations_of(self, key: str) -> List[str]:
         return sorted(self._key_locations.get(key, ()))
-
-    def keys_in_region(self, region_code: str) -> List[str]:
-        return sorted(key for key, regions in self._key_locations.items()
-                      if region_code in regions)

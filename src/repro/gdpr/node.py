@@ -166,8 +166,7 @@ class GDPRMigrationTaps:
                subject: Optional[str] = None) -> None:
         self.store.audit.append(
             principal=MIGRATOR_PRINCIPAL, operation=operation, key=key,
-            subject=self.store._audit_name(subject), outcome="ok",
-            detail=detail)
+            subject=subject, outcome="ok", detail=detail)
 
     def began(self, slot: int, source: int, target: int) -> None:
         self._audit("migrate-begin",

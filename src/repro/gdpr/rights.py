@@ -77,9 +77,6 @@ class AccessReport:
     automated_decision_keys: List[str] = field(default_factory=list)
     elapsed: float = 0.0
 
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True, indent=2)
-
 
 @dataclass
 class ErasureReceipt:
@@ -164,7 +161,7 @@ def _access_part(store: GDPRStore, subject: str, principal: Principal,
         rows.append(row)
     elapsed = store.clock.now() - started
     store.audit.append(principal=principal.name, operation="access-report",
-                       subject=store._audit_name(subject), outcome="ok",
+                       subject=subject, outcome="ok",
                        detail=f"{len(keys)} records")
     return {"started": started, "elapsed": elapsed, "rows": rows,
             "decision_keys": decision_keys}
@@ -222,7 +219,7 @@ def _erasure_part(store: GDPRStore, subject: str, principal: Principal,
             residual = bool(aof.mentioned_keys(names))
     completed_at = store.clock.now()
     store.audit.append(principal=principal.name, operation="erase-subject",
-                       subject=store._audit_name(subject), outcome="ok",
+                       subject=subject, outcome="ok",
                        detail=f"{len(keys)} keys, crypto={crypto_erased}, "
                               f"compacted={compacted}")
     return {"requested_at": requested_at, "completed_at": completed_at,
@@ -274,7 +271,7 @@ def _export_part(store: GDPRStore, subject: str, principal: Principal,
             "origin": record.metadata.origin,
         })
     store.audit.append(principal=principal.name, operation="export",
-                       subject=store._audit_name(subject), outcome="ok",
+                       subject=subject, outcome="ok",
                        detail=f"{len(keys)} records as {fmt}")
     return {"rows": rows}
 
@@ -308,7 +305,7 @@ def _object_part(store: GDPRStore, subject: str, principal: Principal,
         store.update_metadata(key, record.metadata.with_objection(purpose),
                               principal=CONTROLLER)
     store.audit.append(principal=principal.name, operation="object",
-                       subject=store._audit_name(subject),
+                       subject=subject,
                        purpose=purpose, outcome="ok",
                        detail=f"{len(keys)} records")
     return {"keys": keys}
@@ -338,7 +335,7 @@ def _transfer_part(store: GDPRStore, subject: str, principal: Principal,
             key, record.metadata.with_shared(target.config.node_id),
             principal=CONTROLLER)
     store.audit.append(principal=principal.name, operation="transfer",
-                       subject=store._audit_name(subject), outcome="ok",
+                       subject=subject, outcome="ok",
                        detail=f"{len(keys)} records -> "
                               f"{target.config.node_id}")
     return {"keys": keys}

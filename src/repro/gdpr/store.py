@@ -34,7 +34,6 @@ from ..common.errors import (
     PurposeViolationError,
 )
 from ..crypto.keystore import KeyStore
-from ..crypto.pseudonymize import Pseudonymizer
 from ..engine.base import StorageEngine
 from ..kvstore.store import KeyValueStore, StoreConfig
 from .access_control import AccessController, Operation, Principal
@@ -62,7 +61,6 @@ class GDPRConfig:
     region: str = "eu-west"
     node_id: str = "node-0"
     compact_on_erasure: bool = True     # rewrite AOF after Art. 17 erasure
-    pseudonymize_audit: bool = False
     # Fast-GDPR mode: amortize compliance work off the critical path.
     # Audit records seal into hash-chained blocks (one chain update +
     # one group-commit fsync per block), value+TTL fuse into a single
@@ -73,8 +71,6 @@ class GDPRConfig:
     # interval).
     fast_gdpr: bool = False
     audit_block_size: int = 64          # records per sealed block
-    writebehind_interval: float = 0.1   # dirty-set flush period (s)
-    audit_memory_window: Optional[int] = None   # bound on in-RAM records
 
 
 class GDPRStore:
@@ -106,8 +102,7 @@ class GDPRStore:
             batch_interval=self.config.audit_batch_interval,
             chain_mode=(AuditChainMode.BLOCK if self.config.fast_gdpr
                         else AuditChainMode.RECORD),
-            block_size=self.config.audit_block_size,
-            memory_window=self.config.audit_memory_window)
+            block_size=self.config.audit_block_size)
         self.access = access if access is not None else AccessController()
         self.locations = locations if locations is not None \
             else LocationManager()
@@ -115,7 +110,6 @@ class GDPRStore:
             self.locations.place_node(self.config.node_id,
                                       self.config.region)
         self.index = MetadataIndex()
-        self.pseudonymizer = Pseudonymizer()
         # Erasure timeliness as the aggregates erasure_report() reads:
         # no erased key or subject name outlives its deletion here.
         self._erasures = 0
@@ -126,8 +120,7 @@ class GDPRStore:
         self._writebehind: Optional[WriteBehindIndexer] = None
         if self.config.fast_gdpr:
             self._writebehind = WriteBehindIndexer(
-                self._apply_writebehind, clock=self.clock,
-                interval=self.config.writebehind_interval)
+                self._apply_writebehind, clock=self.clock)
         self.kv.add_deletion_listener(self._on_kv_deletion)
         if getattr(self.kv, "supports_tiering", False):
             # A tiering engine archives idle records into cold segments:
@@ -142,19 +135,12 @@ class GDPRStore:
 
     # -- internal helpers ---------------------------------------------------------
 
-    def _audit_name(self, subject: Optional[str]) -> Optional[str]:
-        if subject is None:
-            return None
-        if self.config.pseudonymize_audit:
-            return self.pseudonymizer.pseudonym(subject)
-        return subject
-
     def _record_audit(self, principal: str, operation: str,
                       key: Optional[str], subject: Optional[str],
                       purpose: Optional[str], outcome: str,
                       detail: str = "") -> None:
         self.audit.append(principal=principal, operation=operation,
-                          key=key, subject=self._audit_name(subject),
+                          key=key, subject=subject,
                           purpose=purpose, outcome=outcome, detail=detail)
 
     def _seal(self, key: str, metadata: GDPRMetadata,
@@ -466,9 +452,6 @@ class GDPRStore:
             "mean_lateness": self._lateness_sum / timed if timed else 0.0,
             "sla_breaches": float(self._sla_breaches),
         }
-
-    def subject_exists(self, subject: str) -> bool:
-        return bool(self.keys_of_subject(subject))
 
     def live_keys_with_prefix(self, prefix: str) -> List[bytes]:
         return self.kv.live_keys_with_prefix(prefix)

@@ -55,10 +55,6 @@ class ExpiryStats:
         self.sampled = 0
         self.expired = 0
 
-    def as_dict(self) -> dict:
-        return {"cycles": self.cycles, "sampled": self.sampled,
-                "expired": self.expired}
-
 
 class ExpiryStrategy:
     """Interface: reclaim expired keys from ``db`` as of ``now``."""

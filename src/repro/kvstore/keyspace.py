@@ -113,9 +113,6 @@ class Database:
             self.expires_sample.discard(key)
         return had
 
-    def is_volatile(self, key: bytes) -> bool:
-        return key in self.expires
-
     @property
     def volatile_count(self) -> int:
         return len(self.expires)

@@ -30,15 +30,9 @@ class MonitorFeed:
     def attach(self, sink: MonitorSink) -> None:
         self._sinks.append(sink)
 
-    def detach(self, sink: MonitorSink) -> None:
-        self._sinks.remove(sink)
-
     @property
     def active(self) -> bool:
         return bool(self._sinks)
-
-    def subscriber_count(self) -> int:
-        return len(self._sinks)
 
     @staticmethod
     def format_record(timestamp: float, db_index: int,

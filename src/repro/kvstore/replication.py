@@ -131,12 +131,6 @@ class ReplicationLink:
         self.closed = True
         self.discard_backlog()
 
-    def lag(self) -> float:
-        """Seconds until the oldest command in flight lands (0 if none)."""
-        if not self._in_flight:
-            return 0.0
-        return max(self._in_flight[0].event.when - self.clock.now(), 0.0)
-
 
 class ReplicationManager:
     """One replica group: the primary's write stream fanned out to
@@ -184,17 +178,6 @@ class ReplicationManager:
         self.links.append(link)
         return link
 
-    def remove_replica(self, name: str) -> bool:
-        """Detach a replica and stop its stream: the link is closed, so
-        a caller still holding it cannot keep consuming (or applying)
-        the primary's writes."""
-        for link in self.links:
-            if link.name == name:
-                self.links.remove(link)
-                link.close()
-                return True
-        return False
-
     def close(self) -> None:
         """Detach from the primary's write stream and close every link
         (their in-flight commands never land).
@@ -233,9 +216,6 @@ class ReplicationManager:
 
     def backlog(self) -> int:
         return sum(link.backlog for link in self.links)
-
-    def max_lag(self) -> float:
-        return max((link.lag() for link in self.links), default=0.0)
 
     def key_visible_anywhere(self, key: bytes, db_index: int = 0) -> bool:
         """Is the key still readable on the primary or any replica?"""

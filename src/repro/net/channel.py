@@ -146,11 +146,6 @@ class Channel:
     def close(self) -> None:
         self.closed = True
 
-    def transfer_time(self, nbytes: int) -> float:
-        """Predicted one-way time for an ``nbytes`` message."""
-        return (self.latency + self.per_message_overhead
-                + nbytes / self.bandwidth_bps)
-
 
 def loopback(clock: Optional[SimClock] = None) -> Channel:
     """A raw (unproxied) channel at the testbed's 44 Gb/s."""

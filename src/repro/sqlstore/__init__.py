@@ -8,7 +8,7 @@ columns, and a vacuum-style retention sweep.  See
 :mod:`repro.sqlstore.engine`.
 """
 
-from .engine import RelationalStore, SqlConfig, compliant_config
+from .engine import RelationalStore, SqlConfig
 from .table import Row, Table, btree_depth
 
 __all__ = [
@@ -17,5 +17,4 @@ __all__ = [
     "SqlConfig",
     "Table",
     "btree_depth",
-    "compliant_config",
 ]

@@ -58,7 +58,7 @@ residual checks behave identically over either engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dataclasses_replace
+from dataclasses import dataclass
 from itertools import chain
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
@@ -78,6 +78,9 @@ from .table import Row, Table, btree_depth
 
 OK = SimpleString("OK")
 PONG = SimpleString("PONG")
+
+#: Keys per B-tree index node: sets the index height a lookup descends.
+BTREE_FANOUT = 128
 
 
 @dataclass
@@ -102,7 +105,6 @@ class SqlConfig:
     index_node_cost: float = 0.0         # per B-tree node visited
     row_base_cost: float = 0.0           # per row touched
     row_per_byte_cost: float = 0.0       # per payload byte moved
-    btree_fanout: int = 128
     seed: int = 0
 
 
@@ -150,7 +152,7 @@ class RelationalStore(StorageEngine):
     def _charge_index(self, traversals: int = 1) -> None:
         cost = self.config.index_node_cost
         if cost and traversals:
-            depth = btree_depth(len(self.table), self.config.btree_fanout)
+            depth = btree_depth(len(self.table), BTREE_FANOUT)
             self.clock.advance(cost * depth * traversals)
 
     def _charge_rows(self, count: int, nbytes: int = 0) -> None:
@@ -749,15 +751,6 @@ class RelationalStore(StorageEngine):
             f"records:rows={len(self.table)}",
         ]
         return "\n".join(lines) + "\n"
-
-
-def compliant_config(seed: int = 0, **overrides) -> SqlConfig:
-    """The GDPR-monitoring WAL configuration (statement logging of
-    reads, everysec commit), mirroring the key-value engine's
-    ``aof_log_reads`` setup; cost fields still default to zero."""
-    config = SqlConfig(wal_enabled=True, wal_fsync="everysec",
-                       wal_log_reads=True, seed=seed)
-    return dataclasses_replace(config, **overrides)
 
 
 register_engine(RelationalStore.engine_name, RelationalStore)

@@ -22,10 +22,6 @@ from .registry import (
     TenantQuota,
     TenantRegistry,
     TokenBucket,
-    key_prefix,
-    local_name,
-    qualify_key,
-    qualify_subject,
     tenant_of,
 )
 
@@ -38,9 +34,5 @@ __all__ = [
     "TenantRegistry",
     "TokenBucket",
     "UsageCounters",
-    "key_prefix",
-    "local_name",
-    "qualify_key",
-    "qualify_subject",
     "tenant_of",
 ]

@@ -21,7 +21,7 @@ import json
 from typing import Dict, List, Optional, Tuple
 
 from ..common.clock import Clock
-from ..gdpr.audit import AuditChainMode, AuditLog, AuditRecord
+from ..gdpr.audit import AuditChainMode, AuditLog
 from .gate import TenantGate
 
 #: The principal metering records are appended under; consumers filter
@@ -103,10 +103,6 @@ class MeteringPipeline:
         :class:`~repro.common.errors.AuditError` on tampering."""
         return AuditLog.verify_blocks(
             AuditLog.parse_blocks(self.audit.log.read_all()))
-
-    def records_for(self, tenant: str) -> List[AuditRecord]:
-        """A tenant's metering history, straight off the chain index."""
-        return self.audit.records_for_subject(tenant)
 
     def totals_of(self, tenant: str) -> Dict[str, int]:
         """Sum of every sealed report's deltas for ``tenant`` (what a

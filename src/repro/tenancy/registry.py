@@ -30,32 +30,10 @@ from ..common.errors import UnknownTenantError
 TENANT_SEP = "/"
 
 
-def qualify_key(tenant: str, key: str) -> str:
-    """The cluster-wide name of a tenant-local key."""
-    return f"{tenant}{TENANT_SEP}{key}"
-
-
-def qualify_subject(tenant: str, subject: str) -> str:
-    """The cluster-wide id of a tenant-local data subject."""
-    return f"{tenant}{TENANT_SEP}{subject}"
-
-
-def key_prefix(tenant: str) -> str:
-    return tenant + TENANT_SEP
-
-
 def tenant_of(qualified: str) -> Optional[str]:
     """The tenant owning a qualified name (None for unqualified names)."""
     head, sep, _ = qualified.partition(TENANT_SEP)
     return head if sep else None
-
-
-def local_name(tenant: str, qualified: str) -> str:
-    """Strip ``tenant``'s prefix off a qualified name."""
-    prefix = key_prefix(tenant)
-    if not qualified.startswith(prefix):
-        raise ValueError(f"{qualified!r} is not in tenant {tenant!r}")
-    return qualified[len(prefix):]
 
 
 @dataclass(frozen=True)

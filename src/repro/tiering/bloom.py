@@ -97,12 +97,6 @@ class BloomFilter:
     def __contains__(self, item: bytes) -> bool:
         return self.contains_hashed(*self.hash_pair(item))
 
-    def may_contain(self, item: bytes) -> bool:
-        return item in self
-
-    def fill_ratio(self) -> float:
-        return int.from_bytes(self._bits, "big").bit_count() / self.bit_count
-
     def byte_size(self) -> int:
         """``len(self.to_bytes())`` without serializing."""
         return _HEADER.size + len(self._bits)

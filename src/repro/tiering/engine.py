@@ -479,9 +479,6 @@ class TieredEngine(StorageEngine):
                          f"{len(touched)} segments voided", subject)
         return len(touched)
 
-    def cold_segments_of_subject(self, subject: str) -> List[int]:
-        return self.cold.segments_of_subject(subject)
-
     def cold_keys_of_subject(self, subject: str) -> List[bytes]:
         return self.cold.keys_of_subject(subject)
 

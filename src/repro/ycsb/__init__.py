@@ -17,13 +17,13 @@ from .distributions import (
     ZipfianGenerator,
     zeta,
 )
-from .generator import FieldGenerator, build_key_name, flatten_fields
+from .generator import FieldGenerator, build_key_name
 from .openloop import (
     ArrivalProcess,
     OpenLoopReport,
     OpenLoopRunner,
 )
-from .runner import RunReport, WorkloadRunner, load_and_run
+from .runner import RunReport, WorkloadRunner
 from .workloads import (
     CORE_WORKLOADS,
     FIGURE1_PHASES,
@@ -52,7 +52,6 @@ __all__ = [
     "zeta",
     "FieldGenerator",
     "build_key_name",
-    "flatten_fields",
     "WorkloadSpec",
     "CORE_WORKLOADS",
     "FIGURE1_PHASES",
@@ -64,7 +63,6 @@ __all__ = [
     "WORKLOAD_F",
     "RunReport",
     "WorkloadRunner",
-    "load_and_run",
     "ArrivalProcess",
     "OpenLoopReport",
     "OpenLoopRunner",

@@ -207,6 +207,3 @@ class DiscreteGenerator:
             if u < threshold:
                 return label
         return self._thresholds[-1][0]
-
-    def labels(self) -> List[str]:
-        return [label for label, _ in self._thresholds]

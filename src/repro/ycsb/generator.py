@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 import string
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..common.hashing import fnv1a_64
 
@@ -84,15 +84,3 @@ class FieldGenerator:
 
     def random_field(self) -> str:
         return self.field_names[self._rng.randrange(self.field_count)]
-
-    def record_size(self) -> int:
-        return self.field_count * self.field_length
-
-
-def flatten_fields(values: Dict[str, bytes]) -> List[bytes]:
-    """field/value dict -> the flat argument list HSET expects."""
-    flat: List[bytes] = []
-    for name, payload in values.items():
-        flat.append(name.encode("ascii"))
-        flat.append(payload)
-    return flat

@@ -26,10 +26,8 @@ cluster client's snapshot at construction), routes by hash slot, and
 follows MOVED/ASK redirects.  Because caches are per client -- as they
 are across real cluster-client processes -- a topology change leaves M
 divergent views that re-converge one MOVED at a time:
-:meth:`OpenLoopRunner.divergent_clients` counts the clients whose
-cached owner for a slot still disagrees with the authoritative map,
-and ``OpenLoopReport.route_updates`` counts the MOVED lessons absorbed,
-so convergence after a migration is itself a measured number.
+``OpenLoopReport.route_updates`` counts the MOVED lessons absorbed, so
+convergence after a migration is itself a measured number.
 """
 
 from __future__ import annotations
@@ -144,15 +142,6 @@ class OpenLoopReport:
             "route_updates": self.route_updates,
             "max_backlog": self.max_backlog,
         }
-
-    def summary_with_workers(self) -> Dict[str, object]:
-        """:meth:`summary` plus the per-worker attribution block."""
-        out = self.summary()
-        out["workers"] = self.workers
-        out["server_queue_delay"] = self.server_queue_delay.summary()
-        out["server_service_time"] = self.server_service_time.summary()
-        out["worker_rows"] = self.worker_rows
-        return out
 
 
 class _SimClient:
@@ -396,15 +385,6 @@ class OpenLoopRunner:
             report.server_service_time.merge(pool.merged_service_time())
             for row in pool.worker_rows():
                 report.worker_rows.append({"shard": shard, **row})
-
-    def divergent_clients(self, slot: int) -> int:
-        """How many simulated clients still cache a stale owner for
-        ``slot``?  After a migration this starts at the full client
-        count and drops to zero as each client absorbs its own MOVED --
-        the convergence counter for per-client routing caches."""
-        owner = self.cluster.slots.shard_of_slot(slot)
-        return sum(1 for client in self._clients
-                   if client.routes[slot] != owner)
 
     def _arrive(self) -> None:
         report = self._report

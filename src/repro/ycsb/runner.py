@@ -181,14 +181,3 @@ class WorkloadRunner:
             self.adapter.update(key, self.fields.build_update())
         else:
             raise ValueError(f"unknown operation {op!r}")
-
-
-def load_and_run(adapter: StorageAdapter, spec: WorkloadSpec,
-                 clock: Clock, seed: int = 42,
-                 operation_count: Optional[int] = None
-                 ) -> Dict[str, RunReport]:
-    """Convenience: YCSB's standard load-then-run invocation."""
-    runner = WorkloadRunner(adapter, spec, clock, seed=seed)
-    load_report = runner.load()
-    run_report = runner.run(operation_count)
-    return {"load": load_report, "run": run_report}

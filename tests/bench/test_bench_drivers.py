@@ -11,7 +11,6 @@ from repro.bench.calibration import (
     FIGURE1_CONFIGS,
     make_aof_sync,
     make_figure1_system,
-    make_inprocess,
     make_luks_tls,
     make_unmodified,
 )
@@ -25,10 +24,8 @@ from repro.bench.figure2 import (
 from repro.bench.reporting import (
     Axis,
     Scenario,
-    normalize,
     on_off,
     render,
-    render_series,
     render_table,
     scaled,
     sweep,
@@ -71,11 +68,6 @@ class TestSystemFactories:
     def test_all_figure1_configs_buildable(self):
         for config in FIGURE1_CONFIGS:
             assert make_figure1_system(config).store is not None
-
-    def test_inprocess_factory(self):
-        system = make_inprocess()
-        system.store.execute("SET", "k", "v")
-        assert system.adapter.read.__self__ is system.adapter
 
 
 class TestFigure1Driver:
@@ -141,14 +133,6 @@ class TestReporting:
         lines = table.splitlines()
         assert len(lines) == 4
         assert lines[1].startswith("-")
-
-    def test_render_series(self):
-        text = render_series("title", [(1, 2)], "x", "y")
-        assert text.startswith("title")
-
-    def test_normalize(self):
-        assert normalize([2.0, 4.0], 4.0) == [0.5, 1.0]
-        assert normalize([1.0], 0.0) == [0.0]
 
 
 def _toy_point(fast, size, mode, level, gain, record_count):

@@ -146,9 +146,9 @@ class TestEscalationLadder:
         assert scaler.check() is None
 
     def test_rejects_non_scheduling_clock(self):
-        from repro.common.clock import WallClock
+        from repro.common.clock import Clock
         with pytest.raises(ValueError):
-            Autoscaler(WallClock(), [])
+            Autoscaler(Clock(), [])
 
 
 class TestScaleDown:
@@ -309,7 +309,7 @@ class TestShardedStoreScaleOut:
         receipt = right_to_erasure(store, "alice")  # mid-migration
         assert sorted(receipt.keys_erased) == sorted(alice_keys)
         store.cluster.clock.run_until_idle()                # migrations finish
-        assert not store.subject_exists("alice")
+        assert not store.keys_of_subject("alice")
         for key in alice_keys:
             for shard in store.shards:
                 assert key not in shard.index.keys()

@@ -37,10 +37,16 @@ def make_tenant_cluster(num_shards=2, quotas=None, **kw):
     return cluster, gate
 
 
+def stamp(cluster, tenant):
+    """Stamp every shard connection of ``cluster`` with ``tenant``."""
+    for shard in range(len(cluster.nodes)):
+        cluster.call("TENANT", tenant, shard=shard)
+
+
 class TestTenantStamping:
     def test_tenant_command_scopes_the_connection(self):
         cluster, _ = make_tenant_cluster()
-        cluster.set_tenant("acme")
+        stamp(cluster, "acme")
         assert cluster.call("SET", "acme/k", "v") == SimpleString("OK")
         assert cluster.call("GET", "acme/k") == b"v"
 
@@ -51,7 +57,7 @@ class TestTenantStamping:
 
     def test_foreign_namespace_denied(self):
         cluster, gate = make_tenant_cluster()
-        cluster.set_tenant("acme")
+        stamp(cluster, "acme")
         with pytest.raises(RespError, match="TENANTDENIED"):
             cluster.call("SET", "globex/k", "v")
         with pytest.raises(RespError, match="TENANTDENIED"):
@@ -69,7 +75,7 @@ class TestQuotaOnTheWire:
     def test_rate_quota_returns_quotaexceeded(self):
         cluster, gate = make_tenant_cluster(
             quotas={"acme": TenantQuota(ops_per_sec=100.0, burst=3.0)})
-        cluster.set_tenant("acme")
+        stamp(cluster, "acme")
         replies = [cluster.call("GET", "acme/k", raise_errors=False)
                    for _ in range(6)]
         throttled = [reply for reply in replies
@@ -81,7 +87,7 @@ class TestQuotaOnTheWire:
     def test_key_quota_enforced_through_the_wire(self):
         cluster, _ = make_tenant_cluster(
             quotas={"acme": TenantQuota(max_keys=2)})
-        cluster.set_tenant("acme")
+        stamp(cluster, "acme")
         assert cluster.call("SET", "acme/k0", "v") == SimpleString("OK")
         assert cluster.call("SET", "acme/k1", "v") == SimpleString("OK")
         with pytest.raises(RespError, match="key quota"):
@@ -104,7 +110,7 @@ class TestKeyQuotaByEffect:
         were admitted (seven keys held)."""
         cluster, gate = make_tenant_cluster(
             quotas={"acme": TenantQuota(max_keys=2)})
-        cluster.set_tenant("acme")
+        stamp(cluster, "acme")
         replies = [cluster.call(argv[0], argv[1].format(number), *argv[2:],
                                 raise_errors=False)
                    for number in range(5)]
@@ -125,7 +131,7 @@ class TestKeyQuotaByEffect:
         for a fourth key under a three-key quota."""
         cluster, gate = make_tenant_cluster(
             quotas={"acme": TenantQuota(max_keys=3)})
-        cluster.set_tenant("acme")
+        stamp(cluster, "acme")
         cluster.call("SET", "acme/k", "vvvv")
         assert (gate.key_count("acme"), gate.bytes_used("acme")) == (1, 4)
         slot = slot_for_key(b"acme/k")
@@ -144,7 +150,7 @@ class TestKeyQuotaByEffect:
     def test_aborted_migration_keeps_the_key_metered(self):
         cluster, gate = make_tenant_cluster(
             quotas={"acme": TenantQuota(max_keys=3)})
-        cluster.set_tenant("acme")
+        stamp(cluster, "acme")
         cluster.call("SET", "acme/k", "vvvv")
         slot = slot_for_key(b"acme/k")
         source = cluster.slots.shard_of_slot(slot)
@@ -168,7 +174,7 @@ class TestMeteredByTheCommandTable:
     def test_every_registered_write_bills_as_a_write(self, argv):
         # Billing reads the command table, not a hand-kept list.
         cluster, gate = make_tenant_cluster()
-        cluster.set_tenant("acme")
+        stamp(cluster, "acme")
         cluster.call(*argv)
         cluster.call("HGETALL", "acme/h")
         counters = gate.counters_of("acme")
@@ -176,20 +182,20 @@ class TestMeteredByTheCommandTable:
 
     def test_a_flush_bills_as_the_write_it_is(self):
         cluster, gate = make_tenant_cluster()
-        cluster.set_tenant("acme")
+        stamp(cluster, "acme")
         for name in ("FLUSHDB", "FLUSHALL"):
             cluster.call(name, shard=0)
         assert gate.counters_of("acme").write_ops == 2
 
     def test_echo_message_is_not_a_key_to_deny(self):
         cluster, gate = make_tenant_cluster()
-        cluster.set_tenant("acme")
+        stamp(cluster, "acme")
         assert cluster.call("PING", "hello") == b"hello"
         assert gate.counters_of("acme").denied == 0
 
     def test_unknown_name_is_namespace_checked_and_billed_a_write(self):
         cluster, gate = make_tenant_cluster()
-        cluster.set_tenant("acme")
+        stamp(cluster, "acme")
         with pytest.raises(RespError, match="TENANTDENIED"):
             cluster.call("NOSUCHCMD", "globex/k")
         with pytest.raises(RespError, match="unknown command"):
@@ -202,21 +208,21 @@ class TestTenantScopedKeyspace:
     def _populated(self):
         cluster, gate = make_tenant_cluster()
         for tenant in ("acme", "globex"):
-            cluster.set_tenant(tenant)
+            stamp(cluster, tenant)
             for number in range(4):
                 cluster.call("SET", f"{tenant}/k{number}", "v")
         return cluster
 
     def test_dbsize_counts_only_the_tenant(self):
         cluster = self._populated()
-        cluster.set_tenant("acme")
+        stamp(cluster, "acme")
         total = sum(cluster.call("DBSIZE", shard=shard)
                     for shard in range(len(cluster.nodes)))
         assert total == 4
 
     def test_keys_filtered_to_the_tenant(self):
         cluster = self._populated()
-        cluster.set_tenant("globex")
+        stamp(cluster, "globex")
         seen = []
         for shard in range(len(cluster.nodes)):
             seen.extend(cluster.call("KEYS", "*", shard=shard))
@@ -225,7 +231,7 @@ class TestTenantScopedKeyspace:
 
     def test_scan_filtered_to_the_tenant(self):
         cluster = self._populated()
-        cluster.set_tenant("acme")
+        stamp(cluster, "acme")
         seen = []
         for shard in range(len(cluster.nodes)):
             cursor = b"0"
@@ -276,10 +282,10 @@ class TestMeteringAcrossTheCluster:
     def test_wire_traffic_lands_on_the_sealed_chain(self):
         cluster, gate = make_tenant_cluster()
         pipeline = MeteringPipeline(gate, auto_timer=False)
-        cluster.set_tenant("acme")
+        stamp(cluster, "acme")
         for number in range(5):
             cluster.call("SET", f"acme/k{number}", "v")
-        cluster.set_tenant("globex")
+        stamp(cluster, "globex")
         cluster.call("SET", "globex/k", "v")
         assert pipeline.flush() == 2
         assert pipeline.verify() == 2

@@ -2,6 +2,8 @@
 one slot/shard, routing moves only via explicit resharding, and pipelined
 batches preserve request order."""
 
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,7 +38,9 @@ def test_every_key_maps_to_exactly_one_slot_and_shard(key):
 def test_even_map_partitions_all_slots(num_shards):
     """The even layout is a partition: every slot owned, counts sum to
     NUM_SLOTS, and no shard is more than one slot off a perfect split."""
-    counts = SlotMap.even(num_shards).slot_counts()
+    slot_map = SlotMap.even(num_shards)
+    counts = Counter(slot_map.shard_of_slot(slot)
+                     for slot in range(NUM_SLOTS))
     assert sorted(counts) == list(range(num_shards))
     assert sum(counts.values()) == NUM_SLOTS
     assert max(counts.values()) - min(counts.values()) <= 1

@@ -14,7 +14,7 @@ from repro.cluster import (
     build_cluster,
     slot_for_key,
 )
-from repro.cluster.client import command_keys, parse_command
+from repro.cluster.client import parse_command
 from repro.cluster.slots import SlotPlacement
 from repro.cluster.workers import (
     BARRIER,
@@ -51,6 +51,13 @@ def make_pool_server(workers=2, connections=2, store_factory=cpu_factory,
                          **pool_opts).nodes[0]
     conns = [node.connect() for _ in range(connections)]
     return node.server, conns, node.pool, node.clock
+
+
+def with_workers(report):
+    """An open-loop report's summary plus its per-worker attribution."""
+    return (report.summary(), report.workers,
+            report.server_queue_delay.summary(),
+            report.server_service_time.summary(), report.worker_rows)
 
 
 def run_openloop(workers=1, clients=8, rate=60_000.0, ops=300,
@@ -248,7 +255,7 @@ class TestCommandTable:
         spec, parsed_keys, slot = parse_command(argv)
         spec.check_arity(len(argv))
         assert spec is REGISTRY[name.encode()]
-        assert parsed_keys == keys == command_keys(argv)
+        assert parsed_keys == keys == spec.keys(argv)
         slots = sorted({slot_for_key(key) for key in keys})
         if token == SLOT:
             assert slot == slots[0] and len(slots) == 1
@@ -311,12 +318,13 @@ class TestCommandTable:
             cluster.call("NOSUCHCMD", "k")
         assert cluster.moved_redirects == 0
         # Write-stream records keep their key for migration/replication.
-        assert command_keys([b"pexpireat", b"k", b"1"]) == [b"k"]
-        assert command_keys([b"GDPRMETA", b"k", b"alice", b"ads"]) == [b"k"]
+        assert parse_command([b"pexpireat", b"k", b"1"])[1] == [b"k"]
+        assert parse_command([b"GDPRMETA", b"k", b"alice", b"ads"])[1] \
+            == [b"k"]
         # A batched GDPRMETA names one key per (key, owner, purposes) row.
-        assert command_keys([b"GDPRMETA", b"k1", b"alice", b"ads",
-                             b"k2", b"bob", b"", b"k3", b"alice",
-                             b"billing,ads"]) == [b"k1", b"k2", b"k3"]
+        assert parse_command([b"GDPRMETA", b"k1", b"alice", b"ads",
+                              b"k2", b"bob", b"", b"k3", b"alice",
+                              b"billing,ads"])[1] == [b"k1", b"k2", b"k3"]
 
 
 # (set-up write, read): the reads the hand-kept list had left out, and
@@ -445,7 +453,8 @@ class TestReplyOrderAndBarriers:
         server.scheduler.run_until_idle()
         assert list(conn.replies) \
             == [str(i).encode() for i in range(12)]
-        assert pool.commands_served() == 24
+        assert sum(worker.commands
+                   for worker in pool.workers + pool.retired) == 24
 
     def test_barrier_between_writes_keeps_order(self):
         server, (conn, _), pool, _ = make_pool_server(workers=4)
@@ -527,10 +536,6 @@ class TestCeiling:
         served = sum(row["commands"] for row in report.worker_rows)
         assert served >= report.completed
         assert report.server_queue_delay.count >= report.completed
-        summary = report.summary_with_workers()
-        assert summary["workers"] == 4
-        assert len(summary["worker_rows"]) == 4
-        assert "server_queue_delay" in summary
         # summary() stays byte-stable for the artifacts.
         assert "worker_rows" not in report.summary()
 
@@ -632,7 +637,8 @@ class TestLiveWorkerShed:
         assert pool.resizes and pool.resizes[-1][1] == 1
         assert len(pool.retired) == 1
         # The shed core's history keeps counting in the merged totals.
-        assert pool.commands_served() == 8
+        assert sum(worker.commands
+                   for worker in pool.workers + pool.retired) == 8
         # The survivor serves the whole keyspace, in order.
         conn.replies.clear()
         for index in range(8):
@@ -788,7 +794,7 @@ class TestDeterminism:
     def test_same_seed_identical_reports(self):
         _, one = run_openloop(workers=4, rate=100_000.0)
         _, two = run_openloop(workers=4, rate=100_000.0)
-        assert one.summary_with_workers() == two.summary_with_workers()
+        assert with_workers(one) == with_workers(two)
 
     def test_backlog_accounting_with_pool(self):
         _, report = run_openloop(workers=2, clients=4, rate=100_000.0,

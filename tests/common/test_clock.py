@@ -5,8 +5,6 @@ import pytest
 from repro.common.clock import (
     ShardClock,
     SimClock,
-    Stopwatch,
-    WallClock,
     WorkerClock,
 )
 
@@ -347,36 +345,3 @@ class TestShardClock:
         shard.sleep_until(1.0)
         plain.sleep_until(1.0)
         assert shard.now() == plain.now()
-
-
-class TestWallClock:
-    def test_now_monotonic(self):
-        clock = WallClock()
-        first = clock.now()
-        assert clock.now() >= first
-
-    def test_advance_without_sleep_offsets(self):
-        clock = WallClock(sleep=False)
-        before = clock.now()
-        clock.advance(100.0)
-        assert clock.now() - before >= 100.0
-
-    def test_advance_backwards_rejected(self):
-        with pytest.raises(ValueError):
-            WallClock().advance(-1.0)
-
-
-class TestStopwatch:
-    def test_elapsed_tracks_sim_time(self):
-        clock = SimClock()
-        watch = Stopwatch(clock)
-        clock.advance(2.5)
-        assert watch.elapsed() == 2.5
-
-    def test_restart_resets(self):
-        clock = SimClock()
-        watch = Stopwatch(clock)
-        clock.advance(2.0)
-        watch.restart()
-        clock.advance(1.0)
-        assert watch.elapsed() == 1.0

@@ -35,8 +35,7 @@ class TestHierarchy:
     def test_gdpr_family(self):
         for cls in (errors.AccessDeniedError, errors.PurposeViolationError,
                     errors.LocationViolationError,
-                    errors.UnknownSubjectError, errors.AuditError,
-                    errors.ComplianceError):
+                    errors.UnknownSubjectError, errors.AuditError):
             assert issubclass(cls, errors.GDPRError)
         # Retention is the record's declared TTL: nothing refuses one.
         assert not hasattr(errors, "RetentionViolationError")

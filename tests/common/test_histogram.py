@@ -14,13 +14,15 @@ class TestRecording:
 
     def test_count_and_mean(self):
         hist = LatencyHistogram()
-        hist.record_many([1.0, 2.0, 3.0])
+        for latency in [1.0, 2.0, 3.0]:
+            hist.record(latency)
         assert hist.count == 3
         assert hist.mean() == pytest.approx(2.0)
 
     def test_min_max_exact(self):
         hist = LatencyHistogram()
-        hist.record_many([0.5, 0.1, 0.9])
+        for latency in [0.5, 0.1, 0.9]:
+            hist.record(latency)
         assert hist.min() == pytest.approx(0.1)
         assert hist.max() == pytest.approx(0.9)
 
@@ -49,7 +51,8 @@ class TestRecording:
 class TestPercentiles:
     def test_monotone_percentiles(self):
         hist = LatencyHistogram()
-        hist.record_many([i / 1000.0 for i in range(1, 1001)])
+        for latency in [i / 1000.0 for i in range(1, 1001)]:
+            hist.record(latency)
         p50 = hist.percentile(50)
         p95 = hist.percentile(95)
         p99 = hist.percentile(99)
@@ -57,12 +60,14 @@ class TestPercentiles:
 
     def test_p50_near_median(self):
         hist = LatencyHistogram()
-        hist.record_many([i / 1000.0 for i in range(1, 1001)])
+        for latency in [i / 1000.0 for i in range(1, 1001)]:
+            hist.record(latency)
         assert hist.percentile(50) == pytest.approx(0.5, rel=0.05)
 
     def test_p100_is_max_bucket(self):
         hist = LatencyHistogram()
-        hist.record_many([0.1, 0.2, 5.0])
+        for latency in [0.1, 0.2, 5.0]:
+            hist.record(latency)
         assert hist.percentile(100) == pytest.approx(5.0, rel=0.03)
 
     def test_invalid_percentile(self):
@@ -72,12 +77,6 @@ class TestPercentiles:
             hist.percentile(0)
         with pytest.raises(ValueError):
             hist.percentile(101)
-
-    def test_percentiles_list(self):
-        hist = LatencyHistogram()
-        hist.record_many([1.0] * 10)
-        pairs = hist.percentiles([50, 99])
-        assert [p for p, _ in pairs] == [50, 99]
 
     def test_summary_keys(self):
         hist = LatencyHistogram()
@@ -91,8 +90,9 @@ class TestMerge:
     def test_merge_combines_counts(self):
         a = LatencyHistogram()
         b = LatencyHistogram()
-        a.record_many([1.0, 2.0])
-        b.record_many([3.0])
+        for latency in [1.0, 2.0]:
+            a.record(latency)
+        b.record(3.0)
         a.merge(b)
         assert a.count == 3
         assert a.mean() == pytest.approx(2.0)
@@ -114,8 +114,10 @@ class TestMerge:
     def test_merge_cross_geometry_resamples(self):
         a = LatencyHistogram(relative_error=0.01)
         b = LatencyHistogram(relative_error=0.05)
-        a.record_many([1e-3] * 10)
-        b.record_many([1e-2] * 90)
+        for latency in [1e-3] * 10:
+            a.record(latency)
+        for latency in [1e-2] * 90:
+            b.record(latency)
         a.merge(b)
         assert a.count == 100
         # p50/p99 sit in the resampled 10ms mass; error bounded by the
@@ -132,8 +134,10 @@ class TestMerge:
         # fold into one faithful distribution.
         narrow = LatencyHistogram()
         wide = LatencyHistogram(relative_error=0.02)
-        narrow.record_many([100e-6] * 500)
-        wide.record_many([50e-6, 200e-6, 1e-3, 5e-3, 20e-3] * 20)
+        for latency in [100e-6] * 500:
+            narrow.record(latency)
+        for latency in [50e-6, 200e-6, 1e-3, 5e-3, 20e-3] * 20:
+            wide.record(latency)
         assert len(narrow._buckets) != len(wide._buckets)
         narrow.merge(wide)
         assert narrow.count == 600
@@ -146,7 +150,8 @@ class TestMerge:
     def test_merge_into_empty_and_from_empty(self):
         empty = LatencyHistogram(relative_error=0.03)
         full = LatencyHistogram()
-        full.record_many([1e-3, 2e-3, 4e-3])
+        for latency in [1e-3, 2e-3, 4e-3]:
+            full.record(latency)
         empty.merge(full)
         assert empty.count == 3
         assert empty.percentile(100) == pytest.approx(4e-3, rel=0.05)

@@ -9,7 +9,6 @@ from repro.crypto.cipher import (
     AuthenticatedCipher,
     SectorCipher,
     StreamCipher,
-    derive_key,
     random_bytes,
     seeded_entropy,
 )
@@ -141,25 +140,6 @@ class TestSectorCipher:
     def test_length_preserving(self, key):
         cipher = SectorCipher(key)
         assert len(cipher.encrypt_sector(3, b"x" * 100)) == 100
-
-
-class TestKdf:
-    def test_deterministic(self):
-        assert derive_key(b"pass", b"salt") == derive_key(b"pass", b"salt")
-
-    def test_salt_sensitivity(self):
-        assert derive_key(b"pass", b"salt1") != derive_key(b"pass",
-                                                           b"salt2")
-
-    def test_passphrase_sensitivity(self):
-        assert derive_key(b"a", b"salt") != derive_key(b"b", b"salt")
-
-    def test_empty_passphrase_rejected(self):
-        with pytest.raises(CryptoError):
-            derive_key(b"", b"salt")
-
-    def test_output_size(self):
-        assert len(derive_key(b"p", b"s")) == KEY_SIZE
 
 
 def test_random_bytes_length_and_variation():

@@ -31,7 +31,7 @@ from repro.kvstore.aof import contains_key
 from repro.kvstore.replication import ReplicationManager
 from repro.kvstore.store import KeyValueStore
 from repro.sqlstore import RelationalStore
-from repro.tenancy import key_prefix, local_name, qualify_key, qualify_subject
+from repro.tenancy import TENANT_SEP
 from repro.tiering import TieredEngine
 from tests.support import ENGINE_FACTORIES as FACTORIES
 
@@ -483,8 +483,8 @@ def test_gdpr_erasure_over_either_engine(gdpr_store):
     receipt = right_to_erasure(store, "alice")
     assert receipt.keys_erased == ["user:0", "user:2"]
     assert receipt.crypto_erased
-    assert not store.subject_exists("alice")
-    assert store.subject_exists("bob")
+    assert not store.keys_of_subject("alice")
+    assert store.keys_of_subject("bob")
     # The erasure reached the engine's deletion tap, and the GDPR layer
     # counted each key off it.
     assert {b"user:0", b"user:2"} <= set(deleted)
@@ -502,7 +502,7 @@ def test_gdpr_ttl_erasure_over_either_engine(gdpr_store):
     store.tick()
     report = store.erasure_report()
     assert report["events"] >= 1
-    assert not store.subject_exists("carol")
+    assert not store.keys_of_subject("carol")
 
 
 def _restarted(variant, engine):
@@ -649,14 +649,15 @@ _LOCAL_KEYS = ["user:0", "user:1", "user:2"]
 def _two_tenants(base):
     for tenant, value in (("acme", b"a-data"), ("globex", b"b-data")):
         for local in _LOCAL_KEYS:
-            base.put(qualify_key(tenant, local), value,
-                     _meta(qualify_subject(tenant, "alice")))
+            base.put(tenant + TENANT_SEP + local, value,
+                     _meta(tenant + TENANT_SEP + "alice"))
 
 
 def _tenant_keys(base, tenant):
     """The tenant-local names of ``tenant``'s live keys."""
-    return sorted(local_name(tenant, key.decode("utf-8")) for key in
-                  base.live_keys_with_prefix(key_prefix(tenant)))
+    prefix = tenant + TENANT_SEP
+    return sorted(key.decode("utf-8")[len(prefix):] for key in
+                  base.live_keys_with_prefix(prefix))
 
 
 def test_tenant_keyspace_views_are_disjoint(tenant_base):
@@ -670,7 +671,7 @@ def test_tenant_keyspace_views_are_disjoint(tenant_base):
     for engine in engines:
         for key in engine.live_keys_with_prefix("acme/"):
             assert key.startswith(b"acme/")
-    assert sum(engine.key_count_with_prefix("acme/")
+    assert sum(len(engine.live_keys_with_prefix("acme/"))
                for engine in engines) == 3
     # Values never bleed across the namespace boundary.
     assert tenant_base.get("acme/user:0").value == b"a-data"
@@ -680,11 +681,11 @@ def test_tenant_keyspace_views_are_disjoint(tenant_base):
 def test_tenant_subject_indexes_are_disjoint(tenant_base):
     _two_tenants(tenant_base)
     for tenant in ("acme", "globex"):
-        subject = qualify_subject(tenant, "alice")
+        subject = tenant + TENANT_SEP + "alice"
         assert sorted(tenant_base.keys_of_subject(subject)) \
-            == [qualify_key(tenant, local) for local in _LOCAL_KEYS]
-        assert tenant_base.subject_exists(subject)
-    assert not tenant_base.subject_exists("alice")
+            == [tenant + TENANT_SEP + local for local in _LOCAL_KEYS]
+        assert tenant_base.keys_of_subject(subject)
+    assert not tenant_base.keys_of_subject("alice")
 
 
 def test_tenant_access_report_stays_inside_the_tenant(tenant_base):
@@ -709,11 +710,11 @@ def test_tenant_erasure_fanout_stops_at_the_boundary(tenant_base):
     assert sorted(receipt.keys_erased) \
         == ["acme/user:0", "acme/user:1", "acme/user:2"]
     assert receipt.crypto_erased
-    assert not tenant_base.subject_exists("acme/alice")
+    assert not tenant_base.keys_of_subject("acme/alice")
     assert _tenant_keys(tenant_base, "acme") == []
     # Tenant B's same-named subject survives untouched and servable:
     # its records seal under the distinct globex/alice data key.
-    assert tenant_base.subject_exists("globex/alice")
+    assert tenant_base.keys_of_subject("globex/alice")
     assert _tenant_keys(tenant_base, "globex") == _LOCAL_KEYS
     for local in _LOCAL_KEYS:
         assert tenant_base.get(f"globex/{local}").value == b"b-data"
@@ -726,7 +727,7 @@ def test_tenant_objection_stays_inside_the_tenant(tenant_base):
                          tenant_base.process_for_purpose("service"))
     assert not [key for key in processable if key.startswith("acme/")]
     assert processable \
-        == [qualify_key("globex", local) for local in _LOCAL_KEYS]
+        == ["globex" + TENANT_SEP + local for local in _LOCAL_KEYS]
 
 
 # -- registry hygiene --------------------------------------------------------

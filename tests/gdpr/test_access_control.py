@@ -73,7 +73,7 @@ class TestGrants:
 
     def test_role_grant(self):
         acl = AccessController()
-        acl.grant_role("analyst", Operation.READ)
+        acl.grant("role:analyst", Operation.READ)
         analyst = Principal("dave", roles=frozenset({"analyst"}))
         outsider = Principal("eve")
         assert acl.decide(analyst, Operation.READ, META, None, 0.0).allowed
@@ -104,32 +104,3 @@ class TestGrants:
         assert acl.decide(worker, Operation.READ, META, None, 99.0).allowed
         assert not acl.decide(worker, Operation.READ, META, None,
                               101.0).allowed
-
-    def test_revoke(self):
-        acl = AccessController()
-        grant = acl.grant("worker", Operation.READ)
-        assert acl.revoke(grant) is True
-        assert not acl.decide(Principal("worker"), Operation.READ, META,
-                              None, 0.0).allowed
-        assert acl.revoke(grant) is False
-
-    def test_revoke_all_for(self):
-        acl = AccessController()
-        acl.grant("worker", Operation.READ)
-        acl.grant("worker", Operation.WRITE)
-        acl.grant("other", Operation.READ)
-        assert acl.revoke_all_for("worker") == 2
-        assert acl.grant_count == 1
-
-    def test_prune_expired(self):
-        acl = AccessController()
-        acl.grant("a", Operation.READ, expires_at=10.0)
-        acl.grant("b", Operation.READ)
-        assert acl.prune_expired(now=20.0) == 1
-        assert acl.grant_count == 1
-
-    def test_grants_for(self):
-        acl = AccessController()
-        acl.grant("worker", Operation.READ)
-        assert len(acl.grants_for("worker")) == 1
-        assert acl.grants_for("ghost") == []

@@ -154,13 +154,6 @@ class TestDurability:
 
 
 class TestQueries:
-    def test_records_for_subject(self):
-        log, _ = make_log()
-        log.append("p", "get", subject="alice")
-        log.append("p", "get", subject="bob")
-        log.append("p", "put", subject="alice")
-        assert len(log.records_for_subject("alice")) == 2
-
     def test_records_between(self):
         log, clock = make_log()
         log.append("p", "one")

@@ -20,7 +20,7 @@ from repro.gdpr.audit import (
 
 
 def make_block_log(block_size=4, batch_interval=1.0, latency=None,
-                   memory_window=None, auto_timer=True):
+                   auto_timer=True):
     clock = SimClock()
     backing = AppendLog(clock=clock,
                         latency=latency if latency else
@@ -28,7 +28,7 @@ def make_block_log(block_size=4, batch_interval=1.0, latency=None,
     log = AuditLog(log=backing, clock=clock,
                    chain_mode=AuditChainMode.BLOCK,
                    block_size=block_size, batch_interval=batch_interval,
-                   memory_window=memory_window, auto_timer=auto_timer)
+                   auto_timer=auto_timer)
     return log, clock
 
 
@@ -238,29 +238,6 @@ class TestAtRiskIncremental:
 
 
 class TestBoundedMemory:
-    def test_window_bounds_memory(self):
-        log, _ = make_block_log(block_size=4, memory_window=10)
-        for i in range(50):
-            log.append("p", "get", key=f"k{i}", subject=f"s{i % 5}")
-        assert len(log.records()) == 10
-        assert log.record_count == 50
-
-    def test_subject_index_respects_window(self):
-        log, _ = make_block_log(block_size=4, memory_window=10)
-        for i in range(50):
-            log.append("p", "get", key=f"k{i}", subject=f"s{i % 5}")
-        alice = log.records_for_subject("s0")
-        assert [r.key for r in alice] == ["k40", "k45"]
-
-    def test_subject_index_matches_scan(self):
-        log, _ = make_block_log(block_size=4)
-        for i in range(30):
-            log.append("p", "get", key=f"k{i}", subject=f"s{i % 3}")
-        for subject in ("s0", "s1", "s2"):
-            indexed = log.records_for_subject(subject)
-            scanned = [r for r in log.records() if r.subject == subject]
-            assert indexed == scanned
-
     def test_records_between_bisected(self):
         log, clock = make_block_log(block_size=100)
         for i in range(10):
@@ -269,30 +246,6 @@ class TestBoundedMemory:
         window = log.records_between(2.5, 6.5)
         assert [r.operation for r in window] == ["op3", "op4", "op5",
                                                  "op6"]
-
-    def test_checkpoint_releases_memory(self):
-        log, _ = make_block_log(block_size=4)
-        for i in range(20):
-            log.append("p", "get", subject="alice")
-        dropped = log.checkpoint()
-        assert dropped == 20
-        assert log.records() == []
-        assert log.records_for_subject("alice") == []
-        # The evidence itself is still durable and verifiable.
-        assert log.verify() == 20
-
-    def test_record_mode_window_verifies_anchored(self):
-        clock = SimClock()
-        log = AuditLog(log=AppendLog(clock=clock), clock=clock,
-                       memory_window=5)
-        for i in range(20):
-            log.append("p", "get", key=f"k{i}")
-        window = log.records()
-        assert len(window) == 5
-        assert window[0].seq == 15
-        # A bounded window anchors at its first record and verifies.
-        assert AuditLog.verify_chain(window) == 5
-        assert log.verify() == 5
 
 
 class TestBlockRoundtrip:

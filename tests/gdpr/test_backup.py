@@ -118,7 +118,8 @@ class TestReconciliation:
         manager.take_backup("with-alice")
         store.delete("k")
         manager.take_backup("without-alice")
-        assert manager.generations_mentioning("k") == ["with-alice"]
+        assert [b.label for b in manager.backups
+                if b.mentions_key("k")] == ["with-alice"]
 
     def test_reconcile_report_only(self, store):
         store.put("k", b"pii", meta())
@@ -141,7 +142,8 @@ class TestReconciliation:
                                            rewrite=True)
         assert report.rewritten == ["g0"]
         assert report.residual_generations == 0
-        assert manager.generations_mentioning("k") == []
+        assert [b.label for b in manager.backups
+                if b.mentions_key("k")] == []
 
     def test_unaffected_generations_untouched(self, store):
         store.put("bob", b"bob-data", meta("bob"))

@@ -121,14 +121,6 @@ class TestNotificationDeadline:
         report = notifier.detect(0.0, clock.now())
         assert report.deadline_met() is None
 
-    def test_overdue_reports(self):
-        store, clock = seeded_store()
-        notifier = BreachNotifier(store.audit)
-        report = notifier.detect(0.0, clock.now())
-        assert notifier.overdue_reports() == []
-        clock.advance(NOTIFICATION_DEADLINE_SECONDS + 1)
-        assert notifier.overdue_reports() == [report]
-
     def test_subject_notification_high_risk(self):
         store, clock = seeded_store()
         store.get("alice:1")

@@ -12,6 +12,7 @@ from repro.gdpr import (
     GDPRMetadata,
     GDPRStore,
 )
+from repro.gdpr.indexing import WRITEBEHIND_INTERVAL
 from repro.cluster import (
     GDPRClient, SlotMigrator, build_cluster, gdpr_shards)
 from repro.cluster.slots import slot_for_key
@@ -25,8 +26,7 @@ def make_fast_store(clock=None, fsync="everysec", **overrides):
                                    appendfsync=fsync,
                                    expiry_strategy="fullscan"),
                        clock=clock)
-    config = GDPRConfig(fast_gdpr=True, audit_block_size=4,
-                        writebehind_interval=0.5, **overrides)
+    config = GDPRConfig(fast_gdpr=True, audit_block_size=4, **overrides)
     return GDPRStore(kv=kv, config=config), clock
 
 
@@ -67,7 +67,7 @@ class TestFastPath:
         store, clock = make_fast_store()
         store.put("k", b"v", meta(ttl=100.0))
         assert store._writebehind.pending == 1
-        clock.run_until_idle(deadline=2.0)
+        clock.run_until_idle(deadline=4 * WRITEBEHIND_INTERVAL)
         assert store._writebehind.pending == 0
         assert store.locations.locations_of("k")
 
@@ -118,8 +118,7 @@ def make_fast_sql_store(clock=None, fsync="everysec"):
     clock = clock if clock is not None else SimClock()
     kv = RelationalStore(SqlConfig(wal_enabled=True, wal_fsync=fsync),
                          clock=clock)
-    config = GDPRConfig(fast_gdpr=True, audit_block_size=4,
-                        writebehind_interval=0.5)
+    config = GDPRConfig(fast_gdpr=True, audit_block_size=4)
     return GDPRStore(kv=kv, config=config), clock
 
 

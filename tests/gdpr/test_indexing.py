@@ -35,12 +35,6 @@ class TestOwnerIndex:
         index.remove("k1")
         assert index.keys_of_owner("alice") == []
 
-    def test_owners_listing(self):
-        index = MetadataIndex()
-        index.add("k1", meta(owner="zed"))
-        index.add("k2", meta(owner="amy"))
-        assert index.owners() == ["amy", "zed"]
-
 
 class TestPurposeIndex:
     def test_keys_for_purpose(self):
@@ -67,15 +61,6 @@ class TestPurposeIndex:
         index = MetadataIndex()
         index.add("k1", meta(purposes=("b", "a")))
         assert index.purposes() == ["a", "b"]
-
-
-class TestRecipientIndex:
-    def test_keys_shared_with(self):
-        index = MetadataIndex()
-        index.add("k1", meta(shared=("partner",)))
-        index.add("k2", meta())
-        assert index.keys_shared_with("partner") == ["k1"]
-        assert index.keys_shared_with("nobody") == []
 
 
 def _names_held(index):

@@ -71,12 +71,6 @@ class TestRightOfAccess:
         ops = [r.operation for r in store.audit.records()]
         assert "access-report" in ops
 
-    def test_report_json_serializable(self):
-        store = make_store()
-        seed(store)
-        parsed = json.loads(right_of_access(store, "alice").to_json())
-        assert parsed["subject"] == "alice"
-
 
 class TestRightToErasure:
     def test_all_keys_erased(self):

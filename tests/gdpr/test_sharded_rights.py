@@ -91,7 +91,7 @@ class TestShardedErasure:
         for key in keys["alice"]:
             with pytest.raises(KeyError):
                 store.get(key)
-        assert not store.subject_exists("alice")
+        assert not store.keys_of_subject("alice")
         # The shared keystore tombstones the subject everywhere: even a
         # shard that never held alice's data refuses a new record for the
         # erased id.

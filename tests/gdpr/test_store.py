@@ -360,10 +360,3 @@ class TestAudit:
         assert ops.count("put") == 1
         assert ops.count("get") == 1
         assert ops.count("delete") == 1
-
-    def test_pseudonymized_audit(self):
-        store, _ = make_store(pseudonymize_audit=True)
-        store.put("k", b"v", meta())
-        record = store.audit.records()[0]
-        assert record.subject != "alice"
-        assert store.pseudonymizer.reidentify(record.subject) == "alice"

@@ -146,7 +146,7 @@ class TestErasureSurvivesCrash:
         recovered = GDPRStore(kv=recovered_kv, config=GDPRConfig(),
                               keystore=store.keystore)
         assert recovered.rebuild_indexes() == 1   # only bob decrypts
-        assert not recovered.subject_exists("alice")
+        assert not recovered.keys_of_subject("alice")
         assert recovered.keys_of_subject("bob") == ["bob:0"]
         assert recovered.get("bob:0").value == b"b" * 16
         # The subject marker survived on the cold device itself.

@@ -122,14 +122,6 @@ class TestMonitorFeed:
         feed.publish(1.0, 0, [b"SET", b"k", b"v"])
         assert feed.records_streamed == 0
 
-    def test_detach(self):
-        feed = MonitorFeed()
-        sink = lambda line: None  # noqa: E731
-        feed.attach(sink)
-        assert feed.active
-        feed.detach(sink)
-        assert not feed.active
-
     def test_format_includes_db_and_timestamp(self):
         line = MonitorFeed.format_record(3.25, 2, [b"GET", b"key"])
         assert line.startswith(b"3.250000 [2")

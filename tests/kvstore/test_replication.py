@@ -68,13 +68,6 @@ class TestBasicReplication:
         with pytest.raises(ValueError):
             manager.add_replica("r1")
 
-    def test_remove_replica(self):
-        primary, _ = make_primary()
-        manager = ReplicationManager(primary)
-        manager.add_replica("r1")
-        assert manager.remove_replica("r1") is True
-        assert manager.remove_replica("r1") is False
-
     def test_removed_replica_stops_consuming_stream(self):
         """Regression: a dropped replica must stop consuming the write
         stream even if someone still holds the link object."""
@@ -82,7 +75,7 @@ class TestBasicReplication:
         manager = ReplicationManager(primary)
         link = manager.add_replica("r1", delay=0.001)
         primary.execute("SET", "before", "1")
-        manager.remove_replica("r1")
+        link.close()
         assert link.closed
         assert link.backlog == 0           # in-flight backlog dropped
         primary.execute("SET", "after", "2")
@@ -169,14 +162,6 @@ class TestBasicReplication:
         clock.advance(1.0)
         assert link.replica.execute("GET", "seq") == b"abcdef"
 
-    def test_lag_reporting(self):
-        primary, clock = make_primary()
-        manager = ReplicationManager(primary)
-        manager.add_replica("r1", delay=0.5)
-        assert manager.max_lag() == 0.0
-        primary.execute("SET", "k", "v")
-        assert 0.4 <= manager.max_lag() <= 0.5
-
 
 class TestDeliveryEvents:
     """Replication has one mechanism: every replicated command is one
@@ -222,7 +207,7 @@ class TestDeliveryEvents:
         elif stop == "close":
             manager.close()
         else:
-            manager.remove_replica("r1")
+            link.close()
         assert clock.pending_timers() == 0          # its event is cancelled
         clock.advance(1.0)
         assert link.replica.execute("GET", "k") is None

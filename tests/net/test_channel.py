@@ -121,10 +121,12 @@ class TestTiming:
         assert clock.now() == pytest.approx(10e-6, rel=0.01)
 
     def test_transfer_time_prediction(self):
-        channel = Channel(clock=SimClock(), bandwidth_bps=1e9,
-                          latency=1e-6)
-        assert channel.transfer_time(1000) == pytest.approx(
-            1e-6 + 1000 / 1e9)
+        clock = SimClock()
+        channel = Channel(clock=clock, bandwidth_bps=1e9, latency=1e-6)
+        a, _ = channel.endpoints()
+        a.send(b"x" * 1000)
+        deliver(channel)
+        assert clock.now() == pytest.approx(1e-6 + 1000 / 1e9)
 
     def test_paper_bandwidth_constants(self):
         # 44 Gb/s raw; 4.9 Gb/s through the stunnel proxies.

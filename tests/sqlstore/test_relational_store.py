@@ -44,8 +44,8 @@ def test_btree_depth_grows_logarithmically():
 
 
 def test_point_lookup_cost_grows_with_table_size():
-    small = make_store(index_node_cost=1e-6, btree_fanout=4)
-    big = make_store(index_node_cost=1e-6, btree_fanout=4)
+    small = make_store(index_node_cost=1e-6)
+    big = make_store(index_node_cost=1e-6)
     small.execute("SET", "k0", "v")
     for number in range(300):
         big.execute("SET", f"k{number}", "v")

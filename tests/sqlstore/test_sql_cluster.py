@@ -79,7 +79,7 @@ def test_sharded_gdpr_rights_over_relational_shards():
     receipt = right_to_erasure(store, "alice")
     assert len(receipt.keys_erased) == 8
     assert receipt.crypto_erased
-    assert not store.subject_exists("alice")
+    assert not store.keys_of_subject("alice")
     store.cluster.verify_audit_chains()
     # The relational shards answered subject lookups from their native
     # owner index (metadata columns), not the sidecar.

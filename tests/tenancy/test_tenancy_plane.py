@@ -26,10 +26,6 @@ from repro.tenancy import (
     TenantQuota,
     TenantRegistry,
     TokenBucket,
-    key_prefix,
-    local_name,
-    qualify_key,
-    qualify_subject,
     tenant_of,
 )
 
@@ -42,14 +38,8 @@ def _meta(owner, **kw):
 
 class TestNamespace:
     def test_qualify_and_strip(self):
-        assert qualify_key("acme", "user:1") == "acme/user:1"
-        assert qualify_subject("acme", "alice") == "acme/alice"
-        assert key_prefix("acme") == "acme/"
         assert tenant_of("acme/user:1") == "acme"
         assert tenant_of("plainkey") is None
-        assert local_name("acme", "acme/user:1") == "user:1"
-        with pytest.raises(ValueError):
-            local_name("acme", "globex/user:1")
 
     def test_registry_rejects_separator_in_ids(self):
         registry = TenantRegistry()
@@ -328,7 +318,7 @@ class TestMetering:
         self._traffic(gate, "acme", 1, at=clock.now())
         pipeline.flush()
         assert pipeline.verify() == 3       # 2 + 1 sealed reports
-        acme = pipeline.records_for("acme")
+        acme = [r for r in pipeline.audit.records() if r.subject == "acme"]
         assert len(acme) == 2
         assert all(r.operation == "usage-report" for r in acme)
 
@@ -363,13 +353,13 @@ class TestTenantStoreView:
             from repro.tenancy import TenantStore  # noqa: F401
         # A tenant's records are qualified names on the shared store.
         base = GDPRStore(config=GDPRConfig(), keystore=KeyStore())
-        key = qualify_key("acme", "user:1")
-        base.put(key, b"v", _meta(qualify_subject("acme", "alice")))
+        key = "acme/user:1"
+        base.put(key, b"v", _meta("acme/alice"))
         record = base.get(key)
-        assert local_name("acme", record.key) == "user:1"
+        assert record.key == "acme/user:1"
         assert record.value == b"v"
         assert record.metadata.owner == "acme/alice"
-        assert base.live_keys_with_prefix(key_prefix("acme")) \
+        assert base.live_keys_with_prefix("acme/") \
             == [b"acme/user:1"]
         assert base.delete(key)
-        assert base.live_keys_with_prefix(key_prefix("acme")) == []
+        assert base.live_keys_with_prefix("acme/") == []

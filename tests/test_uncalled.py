@@ -67,17 +67,55 @@ def test_lists_definitions_no_caller_references(tmp_path):
     found = uncalled.uncalled(_tree(tmp_path))
     assert found == [
         ("src/repro/lib.py", 12, "only_tests_call_me"),
-        ("src/repro/lib.py", 28, "orphan_method"),
+        ("src/repro/lib.py", 28, "Thing.orphan_method"),
         ("src/repro/lib.py", 32, "Unused"),
     ]
 
 
 def test_prints_one_line_each_then_a_count(tmp_path, capsys):
-    assert uncalled.main([str(_tree(tmp_path))]) == 0
+    assert uncalled.main([str(_tree(tmp_path))]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "src/repro/lib.py:12 only_tests_call_me"
     assert len(lines) == 4
     assert lines[-1].startswith("3 definitions")
+
+
+def test_reexport_and_all_are_not_callers(tmp_path):
+    root = _tree(tmp_path)
+    package = root / "src" / "repro" / "pkg"
+    package.mkdir()
+    (package / "mod.py").write_text("def reexported():\n    pass\n")
+    (package / "__init__.py").write_text(
+        "from .mod import reexported\n\n__all__ = [\"reexported\"]\n")
+    assert ("src/repro/pkg/mod.py", 1, "reexported") \
+        in uncalled.uncalled(root)
+
+
+def test_seam_entries_are_not_strays(tmp_path, capsys, monkeypatch):
+    root = _tree(tmp_path)
+    monkeypatch.setattr(uncalled, "SEAMS", {
+        ("src/repro/lib.py", name): "a test seam"
+        for name in ("only_tests_call_me", "Thing.orphan_method",
+                     "Unused")})
+    assert uncalled.main([str(root)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("src/repro/lib.py:12 only_tests_call_me"
+                      "  # seam: a test seam")
+    assert out[-1].endswith("0 of them are not in SEAMS")
+
+
+def test_stale_seam_entry_fails(tmp_path, capsys, monkeypatch):
+    root = _tree(tmp_path)
+    monkeypatch.setattr(uncalled, "SEAMS", {
+        ("src/repro/lib.py", "only_tests_call_me"): "a test seam",
+        ("src/repro/lib.py", "Thing.orphan_method"): "a test seam",
+        ("src/repro/lib.py", "Unused"): "a test seam",
+        ("src/repro/lib.py", "called_by_name"): "gained a caller",
+        ("src/repro/lib.py", "deleted"): "no longer exists"})
+    assert uncalled.main([str(root)]) == 1
+    err = capsys.readouterr().err
+    assert "src/repro/lib.py called_by_name has a caller" in err
+    assert "src/repro/lib.py deleted no longer exists" in err
 
 
 def test_help_prints_usage(capsys):

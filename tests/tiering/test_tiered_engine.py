@@ -318,7 +318,7 @@ def test_erase_subject_cold_voids_archive():
     keystore.erase_key("alice")
     assert engine.execute("GET", "a:1") is None
     assert engine.execute("GET", "b:1") == b"fine"
-    assert engine.cold_segments_of_subject("bob") == [0]
+    assert engine.cold.segments_of_subject("bob") == [0]
 
 
 def test_non_default_db_bypasses_tiering():

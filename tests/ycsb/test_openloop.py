@@ -244,6 +244,13 @@ class TestPerClientRoutingCaches:
     routing table), so divergent views re-converge one client at a
     time."""
 
+    @staticmethod
+    def _divergent(cluster, runner, slot):
+        """Clients whose cached owner of ``slot`` is stale."""
+        owner = cluster.slots.shard_of_slot(slot)
+        return sum(1 for client in runner._clients
+                   if client.routes[slot] != owner)
+
     def _runner(self, clients=4, records=60, ops=300, seed=5):
         cluster = build_cluster(2, store_factory=cpu_factory, latency=10e-6)
         spec = WORKLOAD_B.scaled(record_count=records,
@@ -278,13 +285,13 @@ class TestPerClientRoutingCaches:
         # A durable topology change behind every client's back.
         SlotMigrator(cluster, slot, target).run()
         # Every client's cache is now stale for that slot.
-        assert runner.divergent_clients(slot) == 4
+        assert self._divergent(cluster, runner, slot) == 4
         report = runner.run(40)
         assert report.completed == 40
         assert report.failures == 0
         # Each client absorbed exactly one MOVED of its own -- no
         # shared table taught the others.
-        assert runner.divergent_clients(slot) == 0
+        assert self._divergent(cluster, runner, slot) == 0
         assert report.route_updates == 4
         assert report.route_updates == runner.route_updates
         assert report.redirects_followed >= report.route_updates
@@ -305,9 +312,9 @@ class TestPerClientRoutingCaches:
                                                       seed=13)
         target = 1 - cluster.slots.shard_of_slot(slot)
         SlotMigrator(cluster, slot, target).run()
-        assert runner.divergent_clients(slot) == 8
+        assert self._divergent(cluster, runner, slot) == 8
         report = runner.run(3)
         # Three operations reached at most three clients; at least five
         # caches never saw a MOVED and remain stale.
         assert report.route_updates == 3
-        assert runner.divergent_clients(slot) == 5
+        assert self._divergent(cluster, runner, slot) == 5

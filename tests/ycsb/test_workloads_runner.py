@@ -16,8 +16,6 @@ from repro.ycsb import (
     WorkloadRunner,
     WorkloadSpec,
     build_key_name,
-    flatten_fields,
-    load_and_run,
     pack_fields,
     unpack_fields,
 )
@@ -92,9 +90,6 @@ class TestGenerators:
         gen = FieldGenerator()
         update = gen.build_update()
         assert len(update) == 1
-
-    def test_record_size(self):
-        assert FieldGenerator(10, 100).record_size() == 1000
 
     def test_pack_unpack_fields(self):
         values = {"field0": b"\x00binary\xff", "field1": b""}
@@ -190,7 +185,8 @@ class TestClusterPipeline:
 
     @staticmethod
     def hset(key, values):
-        return ["HSET", key, *flatten_fields(values)]
+        return ["HSET", key, *(arg for name, payload in values.items()
+                               for arg in (name.encode("ascii"), payload))]
 
     def test_insert_read_round_trip(self):
         cluster = self.make()
@@ -319,9 +315,11 @@ class TestRunner:
                               clock=clock)
         spec = CORE_WORKLOADS["C"].scaled(record_count=20,
                                           operation_count=100)
-        reports = load_and_run(KVAdapter(store), spec, clock)
-        assert reports["run"].throughput > 0
-        assert reports["run"].sim_elapsed > 0
+        runner = WorkloadRunner(KVAdapter(store), spec, clock)
+        runner.load()
+        report = runner.run()
+        assert report.throughput > 0
+        assert report.sim_elapsed > 0
 
     def test_workload_d_inserts_extend_keyspace(self):
         clock = SimClock()
@@ -360,9 +358,10 @@ class TestRunner:
                                   clock=clock)
             spec = CORE_WORKLOADS["A"].scaled(record_count=30,
                                               operation_count=100)
-            reports = load_and_run(KVAdapter(store), spec, clock,
-                                   seed=seed)
-            return reports["run"].throughput
+            runner = WorkloadRunner(KVAdapter(store), spec, clock,
+                                    seed=seed)
+            runner.load()
+            return runner.run().throughput
 
         assert run(3) == run(3)
 
