@@ -20,7 +20,7 @@ files costs one barrier.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..common.clock import Clock, SimClock
 from ..common.errors import DeviceIOError
@@ -239,6 +239,16 @@ class AppendLog:
         if durable:
             return [bytes(file.data[:file.durable]) for file in files]
         return [bytes(file.data) for file in files]
+
+    def holding(self, names: Sequence[str],
+                needles: Iterable[bytes]) -> List[str]:
+        """Those of files ``names``, in order, whose bytes contain some of
+        ``needles``: a substring scan of each file in place, with no
+        copy (no time charged)."""
+        files = self._named(names)
+        hits = {index for index, file in enumerate(files)
+                for needle in needles if needle in file.data}
+        return [names[index] for index in sorted(hits)]
 
     def exposed_bytes(self, names: Iterable[str]) -> int:
         """Bytes of files ``names`` that a power loss right now would

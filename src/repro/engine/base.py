@@ -507,6 +507,15 @@ class StorageEngine:
         key-value engines keep metadata in the sealed envelope plus the
         GDPR layer's sidecar index, so the default is a no-op."""
 
+    def name_owner(self, key: bytes, owner: str) -> None:
+        """Name ``key``'s data subject before the command that writes it,
+        so the durable log files the key's history with the subject's
+        other keys (:meth:`~repro.kvstore.aof.AofWriter.name_owner`); an
+        engine without a log ignores it."""
+        aof = self.aof
+        if aof is not None:
+            aof.name_owner(key, owner)
+
     def keys_of_owner(self, owner: str) -> Optional[List[str]]:
         """Keys whose metadata columns name ``owner``, or None when the
         engine has no native metadata index (caller falls back to the

@@ -242,6 +242,7 @@ class GDPRStore:
             # it), and the remaining maintenance deferred to the
             # write-behind flush.  The audit append buffers into the
             # current block -- no fsync here.
+            self.kv.name_owner(key.encode("utf-8"), metadata.owner)
             if deadline is None:
                 self.kv.execute("SET", key, blob)
             else:
@@ -263,7 +264,10 @@ class GDPRStore:
         and annotate the engine's own metadata columns (the relational
         schema; a no-op on the key-value engine, whose metadata lives in
         the sealed envelope plus the sidecar index).  Puts, metadata
-        updates and slot migration all write records this way."""
+        updates and slot migration all write records this way.  The
+        owner is named to the engine first, so the log files the record
+        with the subject's other keys."""
+        self.kv.name_owner(key.encode("utf-8"), metadata.owner)
         self.kv.execute("SET", key, blob)
         deadline = metadata.expire_at()
         if deadline is not None:

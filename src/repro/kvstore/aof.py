@@ -15,20 +15,25 @@ Fsync policy (``appendfsync``) reproduces Redis' three settings:
   the 6x recovery the paper reports);
 * ``no``      -- flush only; the OS decides when data reaches media.
 
-The log is partitioned by key.  It starts as one file, named after its
-device; the first rewrite that names keys (Art. 17's) splits it, once
-its records exceed :data:`PART_BYTES`, into *parts*: files that each own
-a contiguous range of hash slots (:func:`repro.cluster.slots.
-slot_for_key`), listed by a manifest file.
-A key's whole history -- every write, logged read, deadline, metadata
-column and delete -- lives in the one part owning its slot, so deleted
-data leaves the log by rewriting that part alone: Art. 17 rewrites the
-parts that own the subject's keys, not the store (section 4.3's
-"deleted keys persist in the AOF until a rewrite").  A record naming
-keys of several parts (a multi-key ``DEL``, a variadic ``GDPRMETA``) is
-written as one fragment per part.  A part is rewritten from the
-keyspace, from the keys it has logged, and splits again while its live
-records exceed :data:`PART_BYTES`.
+The log is partitioned by the key's *home*.  It starts as one file,
+named after its device; the first rewrite that names keys (Art. 17's)
+splits it, once its records exceed :data:`PART_BYTES`, into *parts*:
+files that each own a contiguous range of hash slots, listed by a
+manifest file.  A key's home is a hash slot (:func:`repro.cluster.slots.
+slot_for_key`): its owner's, when the GDPR layer named the owner
+(:meth:`AofWriter.name_owner`) before the key's first record, else its
+own -- the rule Redis Cluster's hash tags apply to related keys.  A home
+is sticky: every later record of the key goes there, whoever owns it
+by then.  So a key's whole history -- every write, logged read,
+deadline, metadata column and delete -- lives in the one part owning
+its home, and so does a data subject's: deleted data leaves the log by
+rewriting that part alone.  Art. 17 rewrites the part that holds the
+subject, not the store (section 4.3's "deleted keys persist in the AOF
+until a rewrite").  A record naming keys of several parts (a multi-key
+``DEL``, a variadic ``GDPRMETA``) is written as one fragment per part.
+A part is rewritten from the keyspace, from the keys it has logged,
+and splits again while its live records exceed :data:`PART_BYTES`; a
+key the rewrite drops loses its home with it.
 """
 
 from __future__ import annotations
@@ -105,8 +110,9 @@ class AofWriter:
     Every file of the log is a file of ``log``, and every byte reaches it
     through the device's own ``append``/``replace``.  A writer built over
     a device that already holds a split log reads its manifest, rebuilds
-    each part's key set from the part, and removes files the manifest
-    does not name (what a crash mid-rewrite leaves behind).
+    each part's key set from the part, gives each key a home in the
+    part that holds its history, and removes files the manifest does
+    not name (what a crash mid-rewrite leaves behind).
     """
 
     def __init__(self, log: AppendLog, clock: Clock,
@@ -135,12 +141,23 @@ class AofWriter:
         self._parts: Optional[List[_Part]] = None
         self._firsts: List[int] = []
         self._next_part = 1
+        #: key -> its home slot where that is not simply the key's own:
+        #: a named owner's slot, or a recovered key's slot in its part.
+        #: While the log is one file, the slot of the owner named last,
+        #: which the split places the key by.
+        self._homes: Dict[bytes, int] = {}
+        #: key -> its named owner's slot, for the keys of a split log
+        #: named without a home: taken by the key's next record (which
+        #: homes it there if it is the key's first) or dropped by the
+        #: next rewrite.
+        self._named: Dict[bytes, int] = {}
         manifest = self._manifest()
         if manifest is not None:
             self._adopt([_Part(first, file) for first, file in manifest])
             self._next_part = 1 + max(int(file.rsplit(".", 1)[1])
                                       for _, file in manifest)
-            for part, data in zip(self._parts, log.read_files(
+            ends = self._firsts[1:] + [NUM_SLOTS]
+            for part, end, data in zip(self._parts, ends, log.read_files(
                     [part.file for part in self._parts])):
                 db = 0
                 for args in replay_commands(data):
@@ -151,6 +168,14 @@ class AofWriter:
                         part.keys.setdefault(db, set()).update(
                             spec_of(name).keys(args))
                 part.selected = db
+                # A key outside its own slot's part was homed by its
+                # owner: home it in this part's range, spread by key.
+                width = end - part.first
+                for logged in part.keys.values():
+                    for key in logged:
+                        slot = _slot(key)
+                        if not part.first <= slot < end:
+                            self._homes[key] = part.first + slot % width
         self._sweep()
 
     @property
@@ -159,6 +184,19 @@ class AofWriter:
         return self._parts is not None
 
     # -- the write path -------------------------------------------------------
+
+    def name_owner(self, key: bytes, owner: str) -> None:
+        """Name ``key``'s owner before the command that writes it: if
+        that command's record is the key's first, the key's home is the
+        owner's slot, so a subject's keys share one part.  A key that
+        already has records keeps its home."""
+        owner = owner.encode("utf-8")
+        slot = (slot_for_key(owner) if b"{" in owner
+                else crc_hqx(owner, 0) % NUM_SLOTS)
+        if self._parts is None:
+            self._homes[key] = slot
+        elif key not in self._homes:
+            self._named[key] = slot
 
     def feed_command(self, db_index: int, args: Sequence[bytes],
                      is_write: bool) -> None:
@@ -191,13 +229,13 @@ class AofWriter:
         spec = spec_of(args[0].upper())
         keys = spec.keys(args)
         if len(keys) < 2:
-            self._append(self._part_of(keys[0]) if keys else self._parts[0],
+            self._append(self._route(keys[0]) if keys else self._parts[0],
                          db_index, record, keys)
             return
         first, _, step = spec.key_spec
         groups: Dict[_Part, List[bytes]] = {}
         for at in range(first, first + len(keys) * step, step):
-            groups.setdefault(self._part_of(args[at]), []).extend(
+            groups.setdefault(self._route(args[at]), []).extend(
                 args[at:at + step])
         if len(groups) == 1:
             for part in groups:
@@ -223,7 +261,31 @@ class AofWriter:
             logged.update(keys)
 
     def _part_of(self, key: bytes) -> _Part:
-        return self._parts[bisect_right(self._firsts, _slot(key)) - 1]
+        """The part for ``key``'s history: its home's."""
+        home = self._homes.get(key)
+        if home is None:
+            home = _slot(key)
+        return self._parts[bisect_right(self._firsts, home) - 1]
+
+    def _route(self, key: bytes) -> _Part:
+        """:meth:`_part_of` for a record of ``key`` about to be written:
+        a key without a home takes the named owner's slot, unless it
+        already has records under its own."""
+        home = self._homes.get(key)
+        if home is None:
+            home = _slot(key)
+            named = self._named.pop(key, None) if self._named else None
+            if named is not None and self._holder(key) is None:
+                home = self._homes[key] = named
+        return self._parts[bisect_right(self._firsts, home) - 1]
+
+    def _holder(self, key: bytes) -> Optional[_Part]:
+        """:meth:`_part_of` ``key``, if that part has logged the key."""
+        part = self._part_of(key)
+        for logged in part.keys.values():
+            if key in logged:
+                return part
+        return None
 
     def post_command(self) -> None:
         """Flush the application buffer; fsync if policy is ALWAYS.
@@ -253,10 +315,11 @@ class AofWriter:
         With ``keys`` None, every part: the whole keyspace is laid out
         afresh, into one file while the log is one file (what
         BGREWRITEAOF writes), else into parts of at most
-        :data:`PART_BYTES`.  With ``keys``, only the parts that own
-        them, each from the records of the keys it has logged and split
-        while over :data:`PART_BYTES`; the first such rewrite splits a
-        one-file log (unless its records fit in one part).
+        :data:`PART_BYTES`.  With ``keys``, only the parts that have
+        logged them (with none, nothing is written), each from the
+        records of the keys it has logged and split while over
+        :data:`PART_BYTES`; the first such rewrite splits a one-file log
+        (unless its records fit in one part).
 
         A log that stays one file is rewritten with ``replace`` (one
         barrier).  Otherwise the new parts and a new manifest are
@@ -270,20 +333,26 @@ class AofWriter:
             if not keys:
                 return 0
         self._sweep()
+        self._named.clear()
         select = keyspace.database_count > 1
-        if keys is None or self._parts is None:
+        homes = self._homes
+        whole = keys is None or self._parts is None
+        if whole:
             retired = self._parts or []
             born = _layout(keyspace.snapshot_records(), select, 0,
-                           split=keys is not None or bool(retired))
+                           keys is not None or bool(retired), homes)
         else:
-            retired = sorted({self._part_of(key) for key in keys},
-                             key=_FIRST)
+            # Only a part that has logged a key holds a trace of it.
+            retired = sorted({part for part in map(self._holder, keys)
+                              if part is not None}, key=_FIRST)
+            if not retired:
+                return 0
             born = []
             for part in retired:
                 born += _layout(
                     {db: keyspace.records_of(db, sorted(names))
                      for db, names in part.keys.items()},
-                    select, part.first, split=True)
+                    select, part.first, True, homes)
         size = sum([len(data) for _, data, _, _ in born])
         try:
             if self._parts is None and len(born) == 1:
@@ -294,6 +363,19 @@ class AofWriter:
         finally:
             if self._parts is None:
                 self.log.open(self.log.name)
+        # A key the rewrite did not lay out has no record left: its
+        # home goes with it.
+        if homes:
+            kept = set().union(*[logged for _, _, names, _ in born
+                                 for logged in names.values()])
+            if whole:
+                self._homes = {key: homes[key]
+                               for key in kept.intersection(homes)}
+            else:
+                for part in retired:
+                    for logged in part.keys.values():
+                        for key in logged.difference(kept):
+                            homes.pop(key, None)
         self.parts_rewritten += len(born)
         self.bytes_rewritten += size
         self.base_size = size
@@ -372,10 +454,16 @@ class AofWriter:
 
     def mentioned_keys(self, keys: Iterable[bytes]) -> Set[bytes]:
         """Which of ``keys`` are an argument of some record in some part
-        (:func:`mentioned_keys` over the parts, each a whole command
-        stream, run together)."""
-        return mentioned_keys(b"".join(self.log.read_files(self._files())),
-                              keys)
+        (:func:`mentioned_keys` of each part, a whole command stream).
+        The parts are scanned in place for the keys' framed bytes, and
+        only a part that holds some is read and decoded."""
+        keys = list(keys)
+        found: Set[bytes] = set()
+        suspects = self.log.holding(self._files(),
+                                    [CRLF + key + CRLF for key in keys])
+        for data in self.log.read_files(suspects):
+            found |= mentioned_keys(data, keys)
+        return found
 
     # -- exposure accounting ------------------------------------------------------
 
@@ -482,20 +570,21 @@ def _container_command(key: bytes, value) -> bytes:
 
 
 def _layout(databases: Mapping[int, Iterable[Tuple]], select: bool,
-            first: int, split: bool
+            first: int, split: bool, homes: Mapping[bytes, int]
             ) -> List[Tuple[int, bytes, Dict[int, Set[bytes]], int]]:
     """The parts that recreate ``databases`` -- database index -> its
-    ``(key, value, expire_at, metadata)`` records, all of slots from
-    ``first`` on -- as ``(first slot, stream, keys by database, database
-    selected last)``.
+    ``(key, value, expire_at, metadata)`` records, all homed at slots
+    from ``first`` on -- as ``(first slot, stream, keys by database,
+    database selected last)``.
 
     Per record: the value's command, then ``PEXPIREAT`` for a deadline
     and ``GDPRMETA`` for metadata columns.  The records make one part
     starting at ``first``, in the order given -- unless ``split`` and
-    they exceed :data:`PART_BYTES`: then they are sorted by slot and
-    cut, between slots, into parts of at most that size.  Within a
-    part, with ``select``, each database opens with its ``SELECT``;
-    without it, every record goes to database 0.
+    they exceed :data:`PART_BYTES`: then they are sorted by home (a key's
+    slot in ``homes``, else its own) and cut, between slots, into parts
+    of at most that size.  Within a part, with ``select``, each database
+    opens with its ``SELECT``; without it, every record goes to
+    database 0.
     """
     entries = []
     append = entries.append
@@ -519,15 +608,18 @@ def _layout(databases: Mapping[int, Iterable[Tuple]], select: bool,
                 chunk += GDPRMETA_STATEMENT % (len(key), key, len(owner),
                                                owner, len(purposes),
                                                purposes)
-            # (slot, database, key, statements): the slot is worked out
+            # (home, database, key, statements): the home is worked out
             # only for a split, and stands as ``first`` until then.
             append((first, index, key, chunk))
             size += len(chunk)
     groups = [entries]
     if split and size > PART_BYTES:
-        entries = sorted([(_slot(key), index, key, chunk)
-                          for _, index, key, chunk in entries],
-                         key=itemgetter(0))
+        ranked = []
+        for _, index, key, chunk in entries:
+            home = homes.get(key)
+            ranked.append((_slot(key) if home is None else home, index, key,
+                           chunk))
+        entries = sorted(ranked, key=itemgetter(0))
         group: List[Tuple] = []
         groups = [group]
         # Bytes in ``group``; where in it the current slot's records

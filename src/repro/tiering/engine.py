@@ -32,9 +32,9 @@ replication, YCSB -- runs over a tiered keyspace unchanged:
   :class:`~repro.crypto.keystore.KeyStore`; ``erase_subject_cold``
   deletes the subject's keys, records which segments the erasure
   voided (bloom-answered), drops the subject's keys from the resident
-  directory and appends a subject marker, its tombstones and marker
-  durable at one barrier, so Art. 17 voids the archive without
-  rewriting a single segment.
+  directory and appends a subject marker (when some segment may hold
+  the subject), its tombstones and marker durable at one barrier, so
+  Art. 17 voids the archive without rewriting a single segment.
 
 Tiering applies to database 0 only (the database the GDPR, cluster,
 and bench layers use); commands on other databases pass straight
@@ -274,10 +274,12 @@ class TieredEngine(StorageEngine):
 
     def _promote(self, entry: ColdEntry, value: bytes) -> None:
         key = entry.key
-        self._inner.promote_insert(key, value, entry.expire_at)
         annotation = self._owners.get(key)
         owner = entry.owner if entry.owner is not None \
             else (annotation[0] if annotation else None)
+        if owner is not None:
+            self._inner.name_owner(key, owner)
+        self._inner.promote_insert(key, value, entry.expire_at)
         if owner is not None and self.supports_metadata_columns:
             purposes = annotation[1] \
                 if annotation and annotation[0] == owner else ()
@@ -306,6 +308,10 @@ class TieredEngine(StorageEngine):
                 continue
             if self.cold.slot_of(key) is not None:
                 cold_victims.append(key)
+                # The hot log files the DEL with the owner's other keys.
+                annotation = self._owners.get(key)
+                if annotation is not None:
+                    self._inner.name_owner(key, annotation[0])
         removed = self._inner.execute(*argv, session=session)
         now = self.clock.now()
         for key in cold_victims:
@@ -461,7 +467,9 @@ class TieredEngine(StorageEngine):
         """Delete ``keys`` (one ``DEL`` across both tiers), then void
         every archived copy of ``subject``'s records; returns the number
         of segments the erasure reached (bloom-answered).  One cold
-        barrier covers the ``DEL``'s tombstones and the subject marker."""
+        barrier covers the ``DEL``'s tombstones and the subject marker;
+        an erasure that reaches no segment and lays no tombstone writes
+        nothing cold and pays no barrier."""
         cold = self.cold
         outer = cold.grouped
         cold.grouped = True

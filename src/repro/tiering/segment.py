@@ -441,22 +441,24 @@ class ColdSegmentStore:
         The marker frame is fsynced (inside a group, by the group's one
         :meth:`barrier`), so the erasure survives power loss
         independently of the keystore tombstone -- two layers against
-        resurrection-by-restore.
+        resurrection-by-restore.  A subject no segment's bloom matches
+        has nothing archived: it gets no marker, and owes no barrier.
         """
+        touched = self.segments_of_subject(subject)
+        if not touched:
+            return touched
         encoded = subject.encode("utf-8")
-        touched = self._void_subject(subject)
+        self._void_subject(subject, touched)
         self._append_frame(MAGIC_SUBJECT, _U32.pack(len(encoded)) + encoded,
                            durable=not self.grouped)
         self.barrier_due = self.barrier_due or self.grouped
         self.subject_erasures += 1
         return touched
 
-    def _void_subject(self, subject: str) -> List[int]:
-        touched = self.segments_of_subject(subject)
+    def _void_subject(self, subject: str, touched: List[int]) -> None:
         for key in self._keys_of_subject(subject, touched):
             del self._directory[key]
         self._erased_subjects[subject] = self._next_seq
-        return touched
 
     def segments_of_subject(self, subject: str) -> List[int]:
         """Which sealed segments may hold ``subject`` -- answered from
@@ -570,7 +572,8 @@ class ColdSegmentStore:
                 del self._directory[key]
         elif magic == MAGIC_SUBJECT:
             (slen,) = _U32.unpack_from(body, 0)
-            self._void_subject(body[4:4 + slen].decode("utf-8"))
+            subject = body[4:4 + slen].decode("utf-8")
+            self._void_subject(subject, self.segments_of_subject(subject))
         elif magic == MAGIC_CLEAR:
             self._reset_volatile()
 

@@ -18,6 +18,11 @@ device of the stack).  Whatever the step:
   its manifest and removes every file the manifest does not name;
 * once the manifest rename has happened, no file left on the device
   mentions an erased key, and a completed erasure reports no residual.
+
+The same cuts run over parts placed by owner (the GDPR layer names a
+record's owner before its first write, so a subject's keys share one
+part): the restarted store recovers the keyspace, and its next erasure
+rewrites one part with no residual and no whole-log fallback.
 """
 
 import pytest
@@ -29,7 +34,7 @@ from repro.gdpr.rights import right_to_erasure
 from repro.gdpr.store import GDPRConfig, GDPRStore
 from repro.kvstore.aof import AofWriter, mentioned_keys
 from repro.tiering import TieredEngine
-from tests.support import ENGINE_FACTORIES
+from tests.support import ENGINE_FACTORIES, reopen
 
 RECORDS = 250
 VALUE = b"v" * 200
@@ -136,3 +141,73 @@ def test_a_completed_erasure_leaves_no_trace_on_the_device(variant):
     assert len(names) == 4
     for name in log.files():
         assert not mentioned_keys(log.read_all(name), names), name
+
+
+OWNED_RECORDS = 600
+KEYS_PER_SUBJECT = 4
+
+
+def _gdpr(engine, keystore=None):
+    return GDPRStore(kv=engine, keystore=keystore,
+                     config=GDPRConfig(encrypt_at_rest=False,
+                                       compact_on_erasure=True))
+
+
+def _owned(variant):
+    """A GDPR store whose log is split into owner-placed parts."""
+    store = _gdpr(ENGINE_FACTORIES[variant](SimClock()))
+    for i in range(OWNED_RECORDS):
+        store.put(f"user{i}", VALUE,
+                  GDPRMetadata(owner=f"subject-{i // KEYS_PER_SUBJECT}",
+                               purposes=frozenset({"service"})),
+                  purpose="service")
+    right_to_erasure(store, "subject-0")              # splits the log
+    assert len(store.kv.aof._files()) > 2
+    return store
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
+@pytest.mark.parametrize("durable", [True, False],
+                         ids=["durable-del", "buffered-del"])
+def test_power_loss_in_an_owner_placed_rewrite_keeps_one_part_erasures(
+        variant, durable):
+    cut_at = 0
+    while True:
+        store = _owned(variant)
+        engine, log = store.kv, store.kv.aof.log
+        erased = [key.encode() for key in store.keys_of_subject("subject-7")]
+        before = _logged(engine)
+        engine.execute("DEL", *erased)
+        if durable:
+            log.flush_and_fsync()
+            before = _logged(engine)
+        after = _logged(engine)
+        plan = FaultPlan(log, *_cold_devices(engine))
+        plan.cut(cut_at)
+        try:
+            engine.rewrite_aof(erased)
+        except PowerLoss as cut:
+            step = str(cut)
+        else:
+            break
+        done = list(plan.steps)
+        recovered = reopen(engine)
+        assert _logged(recovered) == (after if "fsync" in done else before), \
+            (variant, step)
+        residual = any(mentioned_keys(log.read_all(name), erased)
+                       for name in log.files())
+        assert residual == ("rename" not in done), (variant, step)
+        # The restarted store's next erasure: one part, no fallback.
+        restarted = _gdpr(recovered, store.keystore)
+        restarted.rebuild_indexes()
+        hot = recovered.inner if isinstance(recovered, TieredEngine) \
+            else recovered
+        parts = set(recovered.aof._files())
+        rewrites = hot.rewrites_completed
+        receipt = right_to_erasure(restarted, "subject-11")
+        assert len(receipt.keys_erased) == KEYS_PER_SUBJECT
+        assert receipt.log_compacted and not receipt.residual_in_aof
+        assert hot.rewrites_completed == rewrites + 1, step
+        assert len(parts - set(recovered.aof._files())) == 1, step
+        cut_at += 1
+    assert plan.steps.count("rename") == 1 and cut_at == len(plan.steps)

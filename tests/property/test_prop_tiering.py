@@ -196,7 +196,9 @@ class ArchiveModel:
         if durable:
             self.durable = len(self.log)
 
-    def erase(self, subject):
+    def erase(self, subject, reached):
+        if not reached:
+            return          # no segment may hold the subject: no marker
         self.log.append(("erase", subject, self.next_seq))
         self.durable = len(self.log)
 
@@ -224,7 +226,7 @@ def test_cold_store_equals_a_dict_of_versions_model(ops):
         elif op[0] == "erase":
             reached = store.erase_subject(op[1])
             assert set(reached) >= model.segments_holding(op[1])
-            model.erase(op[1])
+            model.erase(op[1], reached)
         elif op[0] == "recover":
             if op[1]:
                 plan.power_loss()

@@ -85,6 +85,29 @@ ENGINE_FACTORIES = {
 }
 
 
+def reopen(engine):
+    """``engine`` restarted: a fresh engine of the same variant over its
+    devices, its durable log replayed (and, behind the tiering wrapper,
+    the cold archive recovered from its device)."""
+    from repro.kvstore import KeyValueStore
+    from repro.sqlstore import RelationalStore
+    from repro.tiering import TieredEngine
+
+    tiered = isinstance(engine, TieredEngine)
+    hot = engine.inner if tiered else engine
+    if isinstance(hot, RelationalStore):
+        fresh = RelationalStore(hot.config, clock=hot.clock,
+                                wal_log=hot.aof_log)
+    else:
+        fresh = KeyValueStore(hot.config, clock=hot.clock,
+                              aof_log=hot.aof_log)
+    if tiered:
+        fresh = TieredEngine(fresh, device=engine.cold.device,
+                             tiering=engine.tiering)
+    fresh.replay_aof()
+    return fresh
+
+
 def one_core_server(scheduler, **config):
     """A ``KeyValueStore(StoreConfig(**config))`` served by a one-core
     event-driven server on ``scheduler`` -- the single-node deployment

@@ -9,6 +9,8 @@ every device followed by recovery (AOF replay plus cold recovery) never
 brings a deleted key back.
 """
 
+import pytest
+
 from repro.common.clock import SimClock
 from repro.device.append_log import AppendLog
 from repro.device.faults import FaultPlan
@@ -18,6 +20,7 @@ from repro.gdpr.store import GDPRConfig, GDPRStore
 from repro.kvstore.aof import replay_commands
 from repro.kvstore.store import KeyValueStore, StoreConfig
 from repro.tiering import TieredEngine, TieringConfig
+from tests.support import ENGINE_FACTORIES, reopen
 
 
 def make_engine(clock=None, cold_device=None):
@@ -128,3 +131,40 @@ def test_an_erasure_costs_one_cold_fsync_for_its_del_and_marker():
         assert recovered.execute("GET", f"alice:{i}") is None
         assert recovered.cold.slot_of(f"alice:{i}".encode()) is None
     assert recovered.cold.slot_of(b"bob:0") is not None
+
+
+@pytest.mark.parametrize("variant", ["tiered-redislike", "tiered-relational"])
+def test_a_cold_marker_only_for_an_erasure_that_reaches_segments(variant):
+    """An erasure whose subject no sealed segment holds writes nothing
+    to the cold device and pays no cold barrier (it used to write the
+    subject marker and fsync it); one that reaches a segment writes the
+    marker, and power loss on every device right after the receipt
+    brings none of the subject's keys back."""
+    store = GDPRStore(kv=ENGINE_FACTORIES[variant](SimClock()),
+                      config=GDPRConfig(compact_on_erasure=True))
+    engine, cold = store.kv, store.kv.cold.device
+    purposes = frozenset({"billing"})
+    for owner in ("alice", "bob", "carol"):
+        for i in range(3):
+            store.put(f"{owner}:{i}", owner.encode() * 8,
+                      GDPRMetadata(owner=owner, purposes=purposes))
+    engine.demote_keys([b"bob:0", b"bob:1", b"carol:0"])
+    assert engine.cold.segment_count == 1
+    written, fsyncs = cold.total_length, cold.fsyncs
+    receipt = right_to_erasure(store, "alice")
+    assert receipt.cold_segments_voided == 0 and not receipt.residual_in_aof
+    assert (cold.total_length, cold.fsyncs) == (written, fsyncs)
+    assert "alice" not in engine.cold.erased_subjects
+    receipt = right_to_erasure(store, "bob")
+    assert receipt.cold_segments_voided == 1 and not receipt.residual_in_aof
+    assert cold.fsyncs == fsyncs + 1 and cold.unsynced_bytes == 0
+    FaultPlan(engine.aof_log, cold).power_loss()
+    recovered = reopen(engine)
+    assert "bob" in recovered.cold.erased_subjects
+    for owner in ("alice", "bob"):
+        for i in range(3):
+            key = f"{owner}:{i}"
+            assert recovered.execute("GET", key) is None, key
+            assert recovered.cold.slot_of(key.encode()) is None, key
+    assert recovered.cold.slot_of(b"carol:0") is not None
+    assert recovered.execute("GET", "carol:1") is not None
