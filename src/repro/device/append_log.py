@@ -8,14 +8,16 @@ them to the *page cache* (cheap), and ``fsync`` makes them *durable*
 the log tracks each boundary; a power loss (see
 :class:`~repro.device.faults.FaultPlan`) keeps only the durable one.
 
-A device holds named files.  One of them is *open*: ``append``,
-``replace`` and the single-file views (``read_all``, ``total_length``,
-``read_at``, ...) act on it.  A new device holds one file, named after
-the device, and is open on it; a log split into parts
+A device holds named files.  One of them is *open*: ``append`` and the
+single-file views (``read_all``, ``total_length``, ``read_at``, ...)
+act on it.  A new device holds one file, named after the device, and
+is open on it; a log split into parts
 (:mod:`repro.kvstore.aof`) points the device at each part in turn with
 :meth:`open`.  ``flush`` writes every file's buffer and ``fsync`` is one
 barrier over every file on the device, so a commit that spans several
-files costs one barrier.
+files costs one barrier.  A file is replaced the way a real one is:
+write the new bytes to another file, make them durable, and
+:meth:`rename` it over the old name.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class AppendLog:
     """
 
     #: The operations a :class:`~repro.device.faults.FaultPlan` sees.
-    FAULT_OPS = ("append", "flush", "fsync", "replace", "rename", "remove")
+    FAULT_OPS = ("append", "flush", "fsync", "rename", "remove")
 
     def __init__(self, clock: Optional[Clock] = None,
                  latency: LatencyModel = ZERO,
@@ -99,8 +101,8 @@ class AppendLog:
         return sorted([self.file, *self._closed])
 
     def open(self, name: str) -> None:
-        """Point ``append``, ``replace`` and the open-file views at file
-        ``name``, created empty if absent (no time charged)."""
+        """Point ``append`` and the open-file views at file ``name``,
+        created empty if absent (no time charged)."""
         if name == self.file:
             return
         closing = _File(self._data, self._cached_length,
@@ -197,26 +199,6 @@ class AppendLog:
     def flush_and_fsync(self) -> None:
         self.flush()
         self.fsync()
-
-    def replace(self, data: bytes) -> None:
-        """Atomically replace the open file's contents (AOF rewrite
-        rename step).
-
-        Modelled as writing a new file and renaming over the old one, so
-        the replacement is durable as a unit.  The rename waits on one
-        barrier, which every other file's written bytes share.
-        """
-        if self.faults is not None:
-            self.faults.step(self, "replace")
-        self.clock.advance(self.latency.write_cost(len(data)))
-        self.clock.advance(self.latency.fsync)
-        for file in self._closed.values():
-            file.durable = file.cached
-        self._data = bytearray(data)
-        self._cached_length = len(data)
-        self._durable_length = len(data)
-        self.syscalls += 1
-        self.fsyncs += 1
 
     # -- reading -------------------------------------------------------------
 

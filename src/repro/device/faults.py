@@ -4,8 +4,8 @@ A :class:`FaultPlan` attaches to every device of a stack -- each
 :class:`~repro.device.append_log.AppendLog` and
 :class:`~repro.device.block_device.SimulatedBlockDevice` -- by setting
 its ``faults``.  Every state-changing device operation (the log's
-``append``, ``flush``, ``fsync``, ``replace``, ``rename`` and
-``remove``; the block device's ``write`` and ``flush``) first calls
+``append``, ``flush``, ``fsync``, ``rename`` and ``remove``; the block
+device's ``write`` and ``flush``) first calls
 :meth:`FaultPlan.step`, so the plan sees one ordered sequence of
 operations across all of its devices and can act before any of them:
 

@@ -93,7 +93,7 @@ _EXPIRE_FAMILY = frozenset((b"EXPIRE", b"PEXPIRE", b"EXPIREAT", b"PEXPIREAT"))
 _TRANSLATED = _EXPIRE_FAMILY | {b"RESTORE"}
 #: Effective writes a log split into parts records as a rewrite of the
 #: keyspace they leave, not as a command (see
-#: :meth:`StorageEngine.rewrite_aof`); a one-file log records them as
+#: :meth:`StorageEngine.rewrite_aof`); an unsplit log records them as
 #: any other command.
 _KEYLESS_WRITES = frozenset((b"FLUSHALL", b"FLUSHDB"))
 

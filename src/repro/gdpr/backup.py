@@ -12,8 +12,9 @@ internal systems" policy exists (paper sections 3.2 and 5.1).
   key at the keystore voids their data in every backup generation at
   once, with zero backup I/O;
 * **reconciliation** -- :meth:`reconcile_erasure` audits which backup
-  generations still *mention* erased keys and (optionally) rewrites
-  them, yielding the erasure-completeness report a DPO would need.
+  generations still *mention* erased keys and (optionally) scrubs them
+  of those keys alone, yielding the erasure-completeness report a DPO
+  would need.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..common.clock import Clock
-from ..kvstore.snapshot import snapshot_mentions_key
+from ..kvstore import snapshot
 from .store import GDPRStore
 
 
@@ -34,11 +35,6 @@ class Backup:
     taken_at: float
     snapshot: bytes
     wrapped_keys: Dict[str, bytes]
-    rewritten: bool = False
-
-    def mentions_key(self, key: str) -> bool:
-        return snapshot_mentions_key(self.snapshot,
-                                     key.encode("utf-8"))
 
 
 @dataclass
@@ -123,22 +119,29 @@ class BackupManager:
         With ``rewrite=False`` the report simply documents which
         generations still hold ciphertext -- safe if (and only if) the
         subject was crypto-erased.  With ``rewrite=True`` each affected
-        generation is replaced by a fresh snapshot of the live (already
-        erased) keyspace, physically removing the bytes.
+        generation is scrubbed: its snapshot is loaded once and written
+        back without the erased keys, and the subject's wrapped key is
+        dropped, physically removing the bytes.  Everything else in the
+        generation stays as it was at ``taken_at``.
         """
         report = ReconciliationReport(
             subject=subject, checked=len(self.backups),
             crypto_voided=subject in
             list(self.store.keystore.erased_ids()))
+        erased = {key.encode("utf-8") for key in erased_keys}
         for backup in self.backups:
-            if any(backup.mentions_key(key) for key in erased_keys):
-                report.mentioning.append(backup.label)
-                if rewrite:
-                    backup.snapshot = self.store.kv.save_snapshot()
-                    backup.wrapped_keys = \
-                        self.store.keystore.export_wrapped()
-                    backup.rewritten = True
-                    report.rewritten.append(backup.label)
+            databases = snapshot.load(backup.snapshot)
+            if not any(record.key in erased for records in databases.values()
+                       for record in records):
+                continue
+            report.mentioning.append(backup.label)
+            if rewrite:
+                backup.snapshot = snapshot.dump(
+                    {index: [record for record in records
+                             if record.key not in erased]
+                     for index, records in databases.items()})
+                backup.wrapped_keys.pop(subject, None)
+                report.rewritten.append(backup.label)
         self.store.audit.append(
             principal="system", operation="backup-reconcile",
             subject=subject, outcome="ok",

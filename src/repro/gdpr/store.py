@@ -408,7 +408,9 @@ class GDPRStore:
         path).  Requires decryptable envelopes; crypto-erased records are
         skipped (and therefore stay unreachable).  The scan goes through
         the engine's :meth:`~repro.engine.base.StorageEngine.scan_records`
-        view, so it works over any backend."""
+        view, so it works over any backend.  Each recovered key's owner
+        is named to the engine (:meth:`~repro.engine.base.StorageEngine.
+        name_owner`), as :meth:`put` names it."""
         if self._writebehind is not None:
             self._writebehind.flush()
         entries: List[Tuple[str, GDPRMetadata]] = []
@@ -437,6 +439,9 @@ class GDPRStore:
                 entries.append((key, recovered))
         count = self.index.rebuild(entries)
         for key, metadata in entries:
+            # So an unsplit log's first split files a subject's keys
+            # together, as it would have without the restart.
+            self.kv.name_owner(key.encode("utf-8"), metadata.owner)
             self.kv.annotate_metadata(
                 [(key, metadata.owner, metadata.purposes)])
             self.locations.record_stored(key, self.config.region)

@@ -35,7 +35,6 @@ from .server import (
     TlsTransport,
 )
 from .slowlog import Slowlog
-from .snapshot import snapshot_mentions_key
 from .store import KeyValueStore, StoreConfig
 
 __all__ = [
@@ -67,5 +66,4 @@ __all__ = [
     "BufferedTransport",
     "EventLoopMixin",
     "EventConnection",
-    "snapshot_mentions_key",
 ]

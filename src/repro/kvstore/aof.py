@@ -15,25 +15,27 @@ Fsync policy (``appendfsync``) reproduces Redis' three settings:
   the 6x recovery the paper reports);
 * ``no``      -- flush only; the OS decides when data reaches media.
 
-The log is partitioned by the key's *home*.  It starts as one file,
-named after its device; the first rewrite that names keys (Art. 17's)
-splits it, once its records exceed :data:`PART_BYTES`, into *parts*:
-files that each own a contiguous range of hash slots, listed by a
-manifest file.  A key's home is a hash slot (:func:`repro.cluster.slots.
-slot_for_key`): its owner's, when the GDPR layer named the owner
-(:meth:`AofWriter.name_owner`) before the key's first record, else its
-own -- the rule Redis Cluster's hash tags apply to related keys.  A home
-is sticky: every later record of the key goes there, whoever owns it
-by then.  So a key's whole history -- every write, logged read,
-deadline, metadata column and delete -- lives in the one part owning
-its home, and so does a data subject's: deleted data leaves the log by
-rewriting that part alone.  Art. 17 rewrites the part that holds the
-subject, not the store (section 4.3's "deleted keys persist in the AOF
-until a rewrite").  A record naming keys of several parts (a multi-key
-``DEL``, a variadic ``GDPRMETA``) is written as one fragment per part.
-A part is rewritten from the keyspace, from the keys it has logged,
-and splits again while its live records exceed :data:`PART_BYTES`; a
-key the rewrite drops loses its home with it.
+The log is partitioned by the key's *home*: it is a list of *parts*,
+files that each own a contiguous range of hash slots.  It starts as one
+part, the device's own file, owning every slot; the first rewrite that
+names keys (Art. 17's) splits it, once its records exceed
+:data:`PART_BYTES`, into parts listed by a manifest file.  A key's home
+is a hash slot (:func:`repro.cluster.slots.slot_for_key`): its owner's,
+when the GDPR layer named the owner (:meth:`AofWriter.name_owner`)
+before the key's first record, else its own -- the rule Redis Cluster's
+hash tags apply to related keys.  A home is sticky: every later record
+of the key goes there, whoever owns it by then.  So a key's whole
+history -- every write, logged read, deadline, metadata column and
+delete -- lives in the one part owning its home, and so does a data
+subject's: deleted data leaves the log by rewriting that part alone.
+Art. 17 rewrites the part that holds the subject, not the store
+(section 4.3's "deleted keys persist in the AOF until a rewrite").  A
+record naming keys of several parts (a multi-key ``DEL``, a variadic
+``GDPRMETA``) is written as one fragment per part.  A part is rewritten
+from the keyspace, from the keys it has logged, and splits again while
+its live records exceed :data:`PART_BYTES`; a key the rewrite drops
+loses its home with it.  Every rewrite commits the same way: new files,
+one barrier, one rename (see :meth:`AofWriter.rewrite`).
 """
 
 from __future__ import annotations
@@ -108,11 +110,11 @@ class AofWriter:
     the underlying log's latency model.
 
     Every file of the log is a file of ``log``, and every byte reaches it
-    through the device's own ``append``/``replace``.  A writer built over
-    a device that already holds a split log reads its manifest, rebuilds
-    each part's key set from the part, gives each key a home in the
-    part that holds its history, and removes files the manifest does
-    not name (what a crash mid-rewrite leaves behind).
+    through the device's own ``append``.  A writer built over a device
+    reads its manifest (a device without one holds one part: its own
+    file), rebuilds each part's key set from the part, gives each key a
+    home in the part that holds its history, and removes files the
+    manifest does not name (what a crash mid-rewrite leaves behind).
     """
 
     def __init__(self, log: AppendLog, clock: Clock,
@@ -126,7 +128,6 @@ class AofWriter:
         self.log_reads = log_reads
         self.record_base_cost = record_base_cost
         self.record_per_byte_cost = record_per_byte_cost
-        self._selected_db = 0
         self._last_fsync = clock.now()
         #: Bytes the last :meth:`rewrite` wrote (Redis'
         #: ``aof_rewrite_base_size``, reported by INFO).
@@ -137,51 +138,51 @@ class AofWriter:
         self.parts_rewritten = 0
         self.bytes_rewritten = 0
         self._manifest_file = log.name + ".manifest"
-        #: The parts by first slot; None while the log is one file.
-        self._parts: Optional[List[_Part]] = None
+        #: The parts by first slot: until a rewrite splits the log, one
+        #: part, the device's own file, owning every slot.
+        self._parts: List[_Part] = []
         self._firsts: List[int] = []
-        self._next_part = 1
         #: key -> its home slot where that is not simply the key's own:
         #: a named owner's slot, or a recovered key's slot in its part.
-        #: While the log is one file, the slot of the owner named last,
-        #: which the split places the key by.
         self._homes: Dict[bytes, int] = {}
-        #: key -> its named owner's slot, for the keys of a split log
-        #: named without a home: taken by the key's next record (which
+        #: key -> its named owner's slot, for the keys named without a
+        #: home.  In a split log, taken by the key's next record (which
         #: homes it there if it is the key's first) or dropped by the
-        #: next rewrite.
+        #: next rewrite; in an unsplit log, the slot of the owner named
+        #: last, which the split places the key by.
         self._named: Dict[bytes, int] = {}
         manifest = self._manifest()
-        if manifest is not None:
-            self._adopt([_Part(first, file) for first, file in manifest])
-            self._next_part = 1 + max(int(file.rsplit(".", 1)[1])
-                                      for _, file in manifest)
-            ends = self._firsts[1:] + [NUM_SLOTS]
-            for part, end, data in zip(self._parts, ends, log.read_files(
-                    [part.file for part in self._parts])):
-                db = 0
-                for args in replay_commands(data):
-                    name = args[0].upper()
-                    if name == b"SELECT":
-                        db = int(args[1])
-                    else:
-                        part.keys.setdefault(db, set()).update(
-                            spec_of(name).keys(args))
-                part.selected = db
-                # A key outside its own slot's part was homed by its
-                # owner: home it in this part's range, spread by key.
-                width = end - part.first
-                for logged in part.keys.values():
-                    for key in logged:
-                        slot = _slot(key)
-                        if not part.first <= slot < end:
-                            self._homes[key] = part.first + slot % width
+        self._adopt([_Part(first, file) for first, file in manifest])
+        self._next_part = 1 + max([int(file.rsplit(".", 1)[1])
+                                   for _, file in manifest
+                                   if file != log.name], default=0)
+        ends = self._firsts[1:] + [NUM_SLOTS]
+        for part, end, data in zip(self._parts, ends,
+                                   log.read_files(self._files())):
+            db = 0
+            for args in replay_commands(data):
+                name = args[0].upper()
+                if name == b"SELECT":
+                    db = int(args[1])
+                else:
+                    part.keys.setdefault(db, set()).update(
+                        spec_of(name).keys(args))
+            part.selected = db
+            # A key outside its own slot's part was homed by its
+            # owner: home it in this part's range, spread by key.
+            width = end - part.first
+            for logged in part.keys.values():
+                for key in logged:
+                    slot = _slot(key)
+                    if not part.first <= slot < end:
+                        self._homes[key] = part.first + slot % width
         self._sweep()
 
     @property
     def split(self) -> bool:
-        """Whether the log is split into parts (else it is one file)."""
-        return self._parts is not None
+        """Whether the log is split into parts under a manifest (else it
+        is one part, the device's own file)."""
+        return self._parts[0].file != self.log.name
 
     # -- the write path -------------------------------------------------------
 
@@ -193,9 +194,7 @@ class AofWriter:
         owner = owner.encode("utf-8")
         slot = (slot_for_key(owner) if b"{" in owner
                 else crc_hqx(owner, 0) % NUM_SLOTS)
-        if self._parts is None:
-            self._homes[key] = slot
-        elif key not in self._homes:
+        if key not in self._homes:
             self._named[key] = slot
 
     def feed_command(self, db_index: int, args: Sequence[bytes],
@@ -207,11 +206,14 @@ class AofWriter:
         if self.record_base_cost or self.record_per_byte_cost:
             self.clock.advance(self.record_base_cost
                                + len(record) * self.record_per_byte_cost)
-        if self._parts is None:
-            if db_index != self._selected_db:
+        part = self._parts[0]
+        if part.file == self.log.name:
+            # The unsplit log: one part, the open file, whose key sets
+            # no rewrite reads.
+            if db_index != part.selected:
                 select = encode_command(b"SELECT", str(db_index).encode())
                 self.log.append(select)
-                self._selected_db = db_index
+                part.selected = db_index
             self.log.append(record)
         else:
             self._feed_parts(db_index, args, record)
@@ -313,34 +315,31 @@ class AofWriter:
         the bytes written.
 
         With ``keys`` None, every part: the whole keyspace is laid out
-        afresh, into one file while the log is one file (what
+        afresh, into one part while the log is unsplit (what
         BGREWRITEAOF writes), else into parts of at most
         :data:`PART_BYTES`.  With ``keys``, only the parts that have
         logged them (with none, nothing is written), each from the
         records of the keys it has logged and split while over
-        :data:`PART_BYTES`; the first such rewrite splits a one-file log
-        (unless its records fit in one part).
+        :data:`PART_BYTES`; the first such rewrite splits an unsplit
+        log (unless its records fit in one part).
 
-        A log that stays one file is rewritten with ``replace`` (one
-        barrier).  Otherwise the new parts and a new manifest are
-        written, one barrier makes them durable, the manifest is renamed
-        over the old one -- the commit point -- and the replaced files
-        are removed.  A crash before the rename recovers the old log,
-        one after it the new one.
+        Every rewrite commits through :meth:`_commit`: the new files,
+        one barrier, one rename, then the replaced files are removed.
         """
         if keys is not None:
             keys = list(keys)
             if not keys:
                 return 0
         self._sweep()
-        self._named.clear()
         select = keyspace.database_count > 1
-        homes = self._homes
-        whole = keys is None or self._parts is None
+        split = self.split
+        # An unsplit log's names are the homes its split places keys by.
+        homes = self._homes if split else self._named
+        whole = keys is None or not split
         if whole:
-            retired = self._parts or []
+            retired = self._parts
             born = _layout(keyspace.snapshot_records(), select, 0,
-                           keys is not None or bool(retired), homes)
+                           split or keys is not None, homes)
         else:
             # Only a part that has logged a key holds a trace of it.
             retired = sorted({part for part in map(self._holder, keys)
@@ -355,13 +354,9 @@ class AofWriter:
                     select, part.first, True, homes)
         size = sum([len(data) for _, data, _, _ in born])
         try:
-            if self._parts is None and len(born) == 1:
-                _, data, _, self._selected_db = born[0]
-                self.log.replace(data)
-            else:
-                self._commit_parts(retired, born)
+            self._commit(retired, born)
         finally:
-            if self._parts is None:
+            if not self.split:
                 self.log.open(self.log.name)
         # A key the rewrite did not lay out has no record left: its
         # home goes with it.
@@ -369,40 +364,54 @@ class AofWriter:
             kept = set().union(*[logged for _, _, names, _ in born
                                  for logged in names.values()])
             if whole:
-                self._homes = {key: homes[key]
-                               for key in kept.intersection(homes)}
+                homes = {key: homes[key] for key in kept.intersection(homes)}
             else:
                 for part in retired:
                     for logged in part.keys.values():
                         for key in logged.difference(kept):
                             homes.pop(key, None)
+        if self.split:
+            self._homes, self._named = homes, {}
+        else:
+            self._named = homes
         self.parts_rewritten += len(born)
         self.bytes_rewritten += size
         self.base_size = size
         return size
 
-    def _commit_parts(self, retired: List[_Part],
-                      born: List[Tuple]) -> None:
+    def _commit(self, retired: List[_Part], born: List[Tuple]) -> None:
+        """Swap the ``born`` parts in for the ``retired`` ones: write the
+        new files, make them durable with one barrier, rename -- the
+        commit point -- and remove the replaced files.  A log that stays
+        one part writes its part to a temporary file renamed over the
+        device's own; otherwise the new parts get fresh names and a new
+        manifest lists them, renamed over the old one.  A crash before
+        the rename recovers the old log, one after it the new one."""
         log = self.log
-        parts = [part for part in self._parts or () if part not in retired]
+        one = len(born) == 1 and not self.split
+        parts = [part for part in self._parts if part not in retired]
         for first, data, keys, selected in born:
-            file = f"{log.name}.{self._next_part}"
-            self._next_part += 1
-            log.open(file)
+            if one:
+                file = log.name
+                log.open(file + ".tmp")
+            else:
+                file = f"{log.name}.{self._next_part}"
+                self._next_part += 1
+                log.open(file)
             log.append(data)
             parts.append(_Part(first, file, keys, selected))
         parts.sort(key=_FIRST)
-        staged = self._manifest_file + ".tmp"
-        log.open(staged)
-        log.append("".join([f"{part.first} {part.file}\n"
-                            for part in parts]).encode("ascii"))
+        target = log.name if one else self._manifest_file
+        if not one:
+            log.open(target + ".tmp")
+            log.append("".join([f"{part.first} {part.file}\n"
+                                for part in parts]).encode("ascii"))
         log.flush()
         log.fsync()
-        log.rename(self._manifest_file)
-        replaced = ([part.file for part in retired]
-                    if self._parts is not None else [log.name])
+        log.rename(target)
         self._adopt(parts)
-        log.remove(replaced)
+        if not one:
+            log.remove([part.file for part in retired])
 
     def _adopt(self, parts: List[_Part]) -> None:
         self._parts = parts
@@ -412,7 +421,7 @@ class AofWriter:
         """Remove every file the log does not use (a crashed or failed
         rewrite's leftovers)."""
         live = self._files()
-        if self._parts is not None:
+        if self.split:
             live.append(self._manifest_file)
         self.log.open(live[0])
         self.log.remove([name for name in self.log.files()
@@ -420,11 +429,11 @@ class AofWriter:
 
     # -- the one reader -------------------------------------------------------
 
-    def _manifest(self) -> Optional[List[Tuple[int, str]]]:
-        """The device's manifest: ``(first slot, file)`` per part, or None
-        while the log is one file."""
+    def _manifest(self) -> List[Tuple[int, str]]:
+        """The device's manifest: ``(first slot, file)`` per part.  A
+        device without one holds one part, its own file."""
         if self._manifest_file not in self.log.files():
-            return None
+            return [(0, self.log.name)]
         lines = self.log.read_all(self._manifest_file).decode(
             "ascii").splitlines()
         entries = [line.split(" ", 1) for line in lines]
@@ -433,8 +442,6 @@ class AofWriter:
     def _files(self) -> List[str]:
         """The log's files in slot order (what the manifest lists: it is
         renamed into place before the writer adopts a new list)."""
-        if self._parts is None:
-            return [self.log.name]
         return [part.file for part in self._parts]
 
     def _stream(self, durable: bool) -> bytes:

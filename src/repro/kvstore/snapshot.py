@@ -219,9 +219,3 @@ def load(data: bytes) -> SnapshotImage:
     if not reader.exhausted:
         raise CorruptionError("trailing bytes after snapshot records")
     return databases
-
-
-def snapshot_mentions_key(data: bytes, key: bytes) -> bool:
-    """Does the snapshot still contain ``key``?  (Section 4.3 audit.)"""
-    return any(record.key == key
-               for records in load(data).values() for record in records)

@@ -149,15 +149,6 @@ class TestTimingAndReplace:
         assert clock.now() == pytest.approx(
             INTEL_750_SSD.write_cost(100))
 
-    def test_replace_is_durable(self):
-        log = AppendLog()
-        log.append(b"old-old-old")
-        log.flush_and_fsync()
-        log.replace(b"new")
-        FaultPlan(log).power_loss()
-        assert log.read_all() == b"new"
-        assert log.durable_length == 3
-
     def test_fault_injection_on_flush(self):
         log = AppendLog()
         plan = FaultPlan(log)

@@ -18,6 +18,7 @@ from repro.gdpr import (
     right_to_erasure,
 )
 from repro.kvstore import KeyValueStore, StoreConfig
+from repro.kvstore.snapshot import load
 from tests.support import ENGINE_FACTORIES
 
 
@@ -40,6 +41,12 @@ def engine_store(request):
 
 def meta(owner="alice"):
     return GDPRMetadata(owner=owner, purposes=frozenset({"svc"}))
+
+
+def mentions_key(backup, key):
+    return any(record.key == key.encode("utf-8")
+               for records in load(backup.snapshot).values()
+               for record in records)
 
 
 class TestLifecycle:
@@ -119,7 +126,7 @@ class TestReconciliation:
         store.delete("k")
         manager.take_backup("without-alice")
         assert [b.label for b in manager.backups
-                if b.mentions_key("k")] == ["with-alice"]
+                if mentions_key(b, "k")] == ["with-alice"]
 
     def test_reconcile_report_only(self, store):
         store.put("k", b"pii", meta())
@@ -143,19 +150,47 @@ class TestReconciliation:
         assert report.rewritten == ["g0"]
         assert report.residual_generations == 0
         assert [b.label for b in manager.backups
-                if b.mentions_key("k")] == []
+                if mentions_key(b, "k")] == []
 
     def test_unaffected_generations_untouched(self, store):
         store.put("bob", b"bob-data", meta("bob"))
         manager = BackupManager(store)
-        manager.take_backup("bob-only")
+        untouched = manager.take_backup("bob-only").snapshot
         store.put("k", b"alice-data", meta("alice"))
         manager.take_backup("both")
         receipt = right_to_erasure(store, "alice")
         report = manager.reconcile_erasure("alice", receipt.keys_erased,
                                            rewrite=True)
         assert report.mentioning == ["both"]
-        assert not manager.find("bob-only").rewritten
+        assert manager.find("bob-only").snapshot is untouched
+
+    def test_scrub_keeps_the_generation_as_taken_minus_the_subject(
+            self, store):
+        """Regression: a scrub replaced each affected generation with a
+        snapshot of the live keyspace, so restoring it returned data
+        written after ``taken_at`` and lost data deleted since."""
+        for subject in ("alice", "bob", "carol"):
+            store.put(subject, f"old-{subject}".encode(), meta(subject))
+        manager = BackupManager(store)
+        manager.take_backup("nightly-1")
+        store.put("bob", b"new-bob", meta("bob"))
+        store.delete("carol")
+        store.put("dave", b"dave:1", meta("dave"))
+        receipt = right_to_erasure(store, "alice")
+        report = manager.reconcile_erasure("alice", receipt.keys_erased,
+                                           rewrite=True)
+        assert report.rewritten == ["nightly-1"]
+        backup = manager.find("nightly-1")
+        assert "alice" not in backup.wrapped_keys
+        assert not mentions_key(backup, "alice")
+        restored = manager.restore("nightly-1")
+        assert restored.get("bob").value == b"old-bob"
+        assert restored.get("carol").value == b"old-carol"
+        for gone in ("alice", "dave"):
+            with pytest.raises(KeyError):
+                restored.get(gone)
+        assert sorted(restored.kv.execute("KEYS", "*")) == [b"bob",
+                                                            b"carol"]
 
 
 class TestRestoreEveryEngine(TestRestore):
@@ -169,7 +204,7 @@ class TestRestoreEveryEngine(TestRestore):
 
 
 class TestReconciliationEveryEngine(TestReconciliation):
-    """Regression: ``Backup.mentions_key`` raised CorruptionError on a
+    """Regression: finding a key in a backup raised CorruptionError on a
     relational or tiered store."""
 
     @pytest.fixture

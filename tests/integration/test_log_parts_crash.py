@@ -1,23 +1,27 @@
-"""Power loss at every step of a partitioned-log rewrite, on every engine.
+"""Power loss at every step of a log rewrite, on every engine.
 
-A rewrite that names keys writes each new part, then the new manifest,
-makes them durable with one barrier, renames the manifest over the old
-one and removes the parts it replaced.  Power is cut before each of
+Every rewrite commits the same way: it writes its new files, makes them
+durable with one barrier, renames one file -- the commit point -- and
+removes the files it replaced.  A rewrite that names keys writes each
+new part and a new manifest, and renames the manifest over the old one;
+a whole rewrite of an unsplit log writes one part to a temporary file
+and renames it over the device's own.  Power is cut before each of
 those device operations in turn, on all four engine variants, for the
-rewrite that first splits a one-file log and for an erasure's rewrite
-of the parts owning a subject's keys (``FaultPlan.cut`` over every
-device of the stack).  Whatever the step:
+whole rewrite of an unsplit log, for the rewrite that first splits an
+unsplit log and for an erasure's rewrite of the parts owning a
+subject's keys (``FaultPlan.cut`` over every device of the stack).
+Whatever the step:
 
 * the durable log replays to the keyspace before the rewrite's barrier
   or the one after it: the records were made durable first, and so was
   the erasure's ``DEL`` -- then both are the keyspace without the
-  erased keys, which never come back -- except in one scenario, where
-  a ``DEL`` still buffered is lost before the barrier and durable from
-  it on;
+  erased keys, which never come back -- except where a ``DEL`` is
+  still buffered: it is lost before the barrier and durable from it on;
 * a writer reopened on the crashed device reads the same log through
-  its manifest and removes every file the manifest does not name;
-* once the manifest rename has happened, no file left on the device
-  mentions an erased key, and a completed erasure reports no residual.
+  its manifest (an unsplit log has none) and removes every file the log
+  does not name;
+* once the rename has happened, no file left on the device mentions an
+  erased key, and a completed erasure reports no residual.
 
 The same cuts run over parts placed by owner (the GDPR layer names a
 record's owner before its first write, so a subject's keys share one
@@ -60,6 +64,13 @@ def _loaded(variant):
     return engine
 
 
+def _whole(variant):
+    engine = _loaded(variant)
+    before = _logged(engine)
+    engine.execute("DEL", *ERASED)
+    return engine, None, ERASED, before
+
+
 def _split(variant):
     engine = _loaded(variant)
     return engine, [b"user0"], [], _logged(engine)
@@ -81,8 +92,10 @@ def _erase_buffered(variant):
 
 
 @pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
-@pytest.mark.parametrize("scenario", [_split, _erase, _erase_buffered],
-                         ids=["split", "erasure", "erasure-buffered-del"])
+@pytest.mark.parametrize("scenario",
+                         [_whole, _split, _erase, _erase_buffered],
+                         ids=["whole-rewrite", "split", "erasure",
+                              "erasure-buffered-del"])
 def test_power_loss_at_every_step_recovers_the_old_or_new_keyspace(
         variant, scenario):
     cut_at = 0
@@ -107,8 +120,9 @@ def test_power_loss_at_every_step_recovers_the_old_or_new_keyspace(
             (variant, step)
         reopened = AofWriter(log, engine.clock)
         assert reopened.read_durable() == engine.aof.read_durable()
-        assert len(log.files()) == len(reopened._files()) + (
-            reopened._parts is not None)
+        assert len(log.files()) == len(reopened._files()) + reopened.split
+        if scenario is _whole:
+            assert log.files() == [log.name], (variant, step)
         if erased:
             residual = any(mentioned_keys(log.read_all(name), erased)
                            for name in log.files())
@@ -116,7 +130,7 @@ def test_power_loss_at_every_step_recovers_the_old_or_new_keyspace(
         cut_at += 1
     done = plan.steps
     assert set(done) >= {"append", "flush", "fsync", "rename", "remove"}
-    assert done.count("fsync") + done.count("replace") == 1
+    assert done.count("fsync") == 1
     assert cut_at == len(done)
 
 
@@ -132,7 +146,7 @@ def test_a_completed_erasure_leaves_no_trace_on_the_device(variant):
                   purpose="service")
     right_to_erasure(store, "subject-0")              # splits the log
     log = store.kv.aof.log
-    assert store.kv.aof._parts is not None
+    assert store.kv.aof.split
     fsyncs = log.fsyncs
     receipt = right_to_erasure(store, "subject-7")
     assert receipt.log_compacted and not receipt.residual_in_aof
@@ -211,3 +225,28 @@ def test_power_loss_in_an_owner_placed_rewrite_keeps_one_part_erasures(
         assert len(parts - set(recovered.aof._files())) == 1, step
         cut_at += 1
     assert plan.steps.count("rename") == 1 and cut_at == len(plan.steps)
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
+def test_a_store_restarted_before_its_first_split_files_keys_by_owner(
+        variant):
+    """Regression: a restart forgot every key's owner, so the first split
+    placed each key by its own slot and an erasure retired four parts."""
+    store = _gdpr(ENGINE_FACTORIES[variant](SimClock()))
+    for i in range(100 * KEYS_PER_SUBJECT):
+        store.put(f"user{i}", VALUE,
+                  GDPRMetadata(owner=f"subject-{i // KEYS_PER_SUBJECT}",
+                               purposes=frozenset({"service"})),
+                  purpose="service")
+    store.kv.aof.log.flush_and_fsync()
+    recovered = reopen(store.kv)
+    assert not recovered.aof.split
+    restarted = _gdpr(recovered, store.keystore)
+    restarted.rebuild_indexes()
+    right_to_erasure(restarted, "subject-0")          # splits the log
+    assert recovered.aof.split
+    parts = set(recovered.aof._files())
+    receipt = right_to_erasure(restarted, "subject-7")
+    assert len(receipt.keys_erased) == KEYS_PER_SUBJECT
+    assert receipt.log_compacted and not receipt.residual_in_aof
+    assert len(parts - set(recovered.aof._files())) == 1

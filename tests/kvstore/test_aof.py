@@ -9,7 +9,7 @@ from repro.device.append_log import AppendLog
 from repro.device.faults import FaultPlan
 from repro.device.latency import INTEL_750_SSD
 from repro.kvstore import KeyValueStore, StoreConfig, contains_key, replay_commands
-from tests.support import assert_refused
+from tests.support import assert_refused, reopen
 
 
 def make_store(clock=None, **config):
@@ -180,6 +180,22 @@ class TestReplay:
         fresh = KeyValueStore(StoreConfig(appendonly=True))
         fresh.replay_aof(store.aof_log.read_all())
         assert fresh.execute("GET", "a") is None
+
+    def test_a_restarted_store_resumes_the_database_its_log_selected(self):
+        """Regression: a writer reopened on an unsplit log assumed its
+        stream was in database 0, so after a restart a database-0 write
+        logged without ``SELECT 0`` replayed into the database the log
+        had selected last."""
+        store, _ = make_store()
+        session = store.session()
+        store.execute("SELECT", 2, session=session)
+        store.execute("SET", "two", "x", session=session)
+        store.aof_log.flush_and_fsync()
+        restarted = reopen(store)
+        restarted.execute("SET", "zero", "y")
+        replayed = KeyValueStore(StoreConfig(appendonly=True))
+        replayed.replay_aof(restarted.aof.read_all())
+        assert replayed.execute("KEYS", "*") == [b"zero"]
 
 
 class TestRewrite:

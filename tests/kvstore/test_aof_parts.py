@@ -32,7 +32,7 @@ def _store(records=2000, **config):
 def _split(store):
     """Split the log with a rewrite naming one key."""
     store.rewrite_aof([b"user0"])
-    assert store.aof._parts is not None
+    assert store.aof.split
     return store.aof._parts
 
 
@@ -59,7 +59,7 @@ def test_a_log_never_rewritten_by_key_stays_one_file():
     store.rewrite_aof()                       # BGREWRITEAOF: one file
     store.execute("DEL", "user1")
     assert store.aof_log.files() == ["appendonly.aof"]
-    assert store.aof._parts is None
+    assert not store.aof.split
     assert store.aof.read_all() == store.aof_log.read_all()
 
 
@@ -160,7 +160,7 @@ def test_a_full_rewrite_of_a_split_log_lays_it_out_afresh():
     for i in range(1500):
         store.execute("DEL", f"user{i}")
     store.rewrite_aof()
-    assert store.aof._parts is not None     # 500 records: still > 32 KiB
+    assert store.aof.split                  # 500 records: still > 32 KiB
     count = len(store.aof._parts)
     for i in range(1500, 2000):
         store.execute("DEL", f"user{i}")
@@ -211,7 +211,7 @@ def test_a_flush_on_a_one_file_log_is_one_record():
     assert replay_commands(store.aof.read_all()[tail:]) == [[b"FLUSHALL"]]
     assert store.aof_log.fsyncs == fsyncs
     assert store.rewrites_completed == rewrites
-    assert store.aof._parts is None
+    assert not store.aof.split
 
 
 def test_unsynced_bytes_count_every_part():
@@ -237,7 +237,7 @@ def test_flushdb_keeps_the_other_databases_and_their_parts():
     store.execute("SELECT", 2, session=session)
     store.execute("SET", "elsewhere", "x", session=session)
     store.execute("FLUSHDB", session=session)
-    assert store.aof._parts is not None
+    assert store.aof.split
     assert _keyspace(_replayed(store)) == _keyspace(store)
     assert not store.aof.mentioned_keys([b"elsewhere"])
 

@@ -332,7 +332,14 @@ class TestMetering:
         forged = data.replace(b'\\\\\\"ops\\\\\\":4',
                               b'\\\\\\"ops\\\\\\":1')
         assert forged != data               # the edit really landed
-        pipeline.audit.log.replace(forged)
+        # Swap the forgery in as a file replacement is done on a device:
+        # a new file, made durable, renamed over the old name.
+        log = pipeline.audit.log
+        log.open(log.name + ".forged")
+        log.append(forged)
+        log.flush_and_fsync()
+        log.rename(log.name)
+        assert log.read_all() == forged
         with pytest.raises(AuditError):
             pipeline.verify()
 
