@@ -22,11 +22,36 @@ write the new bytes to another file, make them durable, and
 
 from __future__ import annotations
 
+import enum
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..common.clock import Clock, SimClock
-from ..common.errors import DeviceIOError
+from ..common.errors import DeviceIOError, PersistenceError
 from .latency import ZERO, LatencyModel
+
+
+class FsyncPolicy(enum.Enum):
+    """When a writer's appended bytes become durable (Redis'
+    ``appendfsync``): ``always`` after every operation that moved bytes,
+    ``everysec`` once ``interval`` has passed since the writer's own
+    last fsync, ``no`` never (the OS decides).  The audit log names the
+    same three settings SYNC, BATCH and ASYNC."""
+
+    ALWAYS = "always"
+    EVERYSEC = "everysec"
+    NO = "no"
+    SYNC = "always"
+    BATCH = "everysec"
+    ASYNC = "no"
+
+    @classmethod
+    def parse(cls, text: str) -> "FsyncPolicy":
+        try:
+            return cls(text.lower())
+        except ValueError:
+            raise PersistenceError(
+                f"unknown appendfsync policy {text!r}; "
+                "choose always, everysec, or no")
 
 
 class _File:
@@ -71,6 +96,10 @@ class AppendLog:
         self.syscalls = 0
         self.fsyncs = 0
         self.reads = 0
+        # The barrier scope: open scopes, and whether a commit made in
+        # them still waits for its fsync.
+        self._scopes = 0
+        self._commit_due = False
 
     # -- frontiers (of the open file) -----------------------------------------
 
@@ -195,10 +224,38 @@ class AppendLog:
         for file in self._closed.values():
             file.durable = file.cached
         self.fsyncs += 1
+        self._commit_due = False
 
     def flush_and_fsync(self) -> None:
         self.flush()
         self.fsync()
+
+    # -- the barrier scope ---------------------------------------------------
+
+    def commit(self) -> None:
+        """Ask for everything appended so far to become durable: flush
+        now, and fsync now -- or, inside a :meth:`group`, once at the
+        outermost scope's exit, unless some fsync comes first."""
+        self.flush()
+        if self._scopes:
+            self._commit_due = True
+        else:
+            self.fsync()
+
+    def group(self) -> "AppendLog":
+        """A barrier scope: ``with log.group():`` turns every
+        :meth:`commit` inside it into one flush+fsync at the outermost
+        exit, which runs even when the body raises.  Scopes nest."""
+        return self
+
+    def __enter__(self) -> "AppendLog":
+        self._scopes += 1
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._scopes -= 1
+        if self._commit_due and not self._scopes:
+            self.flush_and_fsync()
 
     # -- reading -------------------------------------------------------------
 
@@ -278,3 +335,51 @@ class AppendLog:
             raise DeviceIOError("corruption span outside file")
         for i in range(len(self._data) - nbytes, len(self._data)):
             self._data[i] ^= 0xFF
+
+
+class LogWriter:
+    """One writer of ``log`` under an :class:`FsyncPolicy`: the one place
+    that decides when the writer's appended bytes get fsynced.
+
+    After each operation the writer calls :meth:`post_command`; its
+    cron calls :meth:`tick`.  ``last_fsync`` is the writer's own clock
+    for ``everysec``: only its policy fsyncs (and :meth:`sync`) restart
+    it, not another writer's barrier on the same device.
+    """
+
+    def __init__(self, log: AppendLog, clock: Clock, policy: FsyncPolicy,
+                 interval: float = 1.0) -> None:
+        self.log = log
+        self.clock = clock
+        self.policy = policy
+        self.interval = interval
+        self.last_fsync = clock.now()
+
+    def post_command(self) -> bool:
+        """Flush the application buffer; under ``always``, fsync when
+        bytes moved (Redis' flushAppendOnlyFile at the end of each event
+        loop iteration).  Returns whether it fsynced."""
+        moved = self.log.flush()
+        if self.policy is FsyncPolicy.ALWAYS and moved:
+            self.log.fsync()
+            self.last_fsync = self.clock.now()
+            return True
+        return False
+
+    def tick(self, now: float) -> bool:
+        """Under ``everysec``, flush and fsync once ``interval`` has
+        passed since the last fsync.  Returns whether it fsynced."""
+        if self.policy is FsyncPolicy.EVERYSEC \
+                and now - self.last_fsync >= self.interval:
+            self.log.flush_and_fsync()
+            self.last_fsync = now
+            return True
+        return False
+
+    def sync(self) -> None:
+        """Make everything appended so far durable now, whatever the
+        policy (an end-of-run barrier), and restart the interval."""
+        log = self.log
+        if log.unflushed_bytes or log.unsynced_bytes:
+            log.flush_and_fsync()
+        self.last_fsync = self.clock.now()

@@ -24,14 +24,20 @@ that prints the layer's JSON dialect byte for byte; a record a template
 cannot print (a non-``str`` field, a ``bool`` seq, an ``int`` or
 non-finite timestamp) is formatted by the encoder itself.
 
-The per-record durability spectrum mirrors the paper's AOF measurement,
-because it *is* the same mechanism:
+The per-record durability spectrum is the paper's AOF measurement run
+by the same code: the log is written through a
+:class:`~repro.device.append_log.LogWriter`, and ``AuditDurability`` is
+the AOF's :class:`~repro.device.append_log.FsyncPolicy` under the audit
+layer's names:
 
-* ``SYNC``    -- flush + fsync per record;
-* ``BATCH``   -- group-commit every ``batch_interval`` seconds (the paper's
-  "storing the monitoring logs in a batch (say, once every second)" that
-  recovers 6x while risking one interval of records);
-* ``ASYNC``   -- write()s without fsync; the OS decides.
+* ``SYNC``    -- ``always``: flush + fsync per record;
+* ``BATCH``   -- ``everysec`` at ``batch_interval``: group-commit once the
+  interval has passed (the paper's "storing the monitoring logs in a
+  batch (say, once every second)" that recovers 6x while risking one
+  interval of records);
+* ``ASYNC``   -- ``no``: write()s without fsync; the OS decides.
+
+A sealed block is written under ``always``.
 
 On a scheduling clock (:class:`~repro.common.clock.SimClock`) the log
 registers a recurring *daemon* timer so BATCH group commit and block
@@ -51,13 +57,12 @@ from typing import Iterable, List, Optional
 from ..common.clock import Clock, SimClock
 from ..common.errors import AuditError
 from ..common.hashing import GENESIS_HASH, chain_hash
-from ..device.append_log import AppendLog
+from ..device.append_log import AppendLog, FsyncPolicy, LogWriter
 
 
-class AuditDurability(enum.Enum):
-    SYNC = "sync"
-    BATCH = "batch"
-    ASYNC = "async"
+#: The audit log's name for the one durability policy: SYNC, BATCH and
+#: ASYNC are :class:`FsyncPolicy`'s ALWAYS, EVERYSEC and NO.
+AuditDurability = FsyncPolicy
 
 
 class AuditChainMode(enum.Enum):
@@ -290,8 +295,13 @@ class AuditLog:
         self._blocks_sealed = 0
         self._sealed_records = 0            # records inside sealed blocks
         self._durable_records = 0           # incrementally tracked at fsyncs
-        self._last_sync = self.clock.now()
-        self._last_seal = self.clock.now()
+        # The one policy decides when appended bytes get fsynced: the
+        # durability in record mode; in block mode every seal is fsynced
+        # (``last_fsync`` is then the last seal).
+        self._writer = LogWriter(
+            self.log, self.clock,
+            FsyncPolicy.ALWAYS if chain_mode is AuditChainMode.BLOCK
+            else durability, batch_interval)
         # Every record appended in this process, in order.
         self._memory: List[AuditRecord] = []
         self._pending_block: List[AuditRecord] = []
@@ -354,15 +364,9 @@ class AuditLog:
         self._seq += 1
         self._tip = digest
         self._memory.append(record)
-        if self.durability is AuditDurability.SYNC:
-            self.log.flush_and_fsync()
-            self._last_sync = self.clock.now()
+        writer = self._writer
+        if writer.post_command() or writer.tick(self.clock.now()):
             self._durable_records = self._seq
-        elif self.durability is AuditDurability.ASYNC:
-            self.log.flush()
-        else:
-            self.log.flush()
-            self.tick(self.clock.now())
         return record
 
     def seal_block(self) -> Optional[AuditBlock]:
@@ -398,25 +402,18 @@ class AuditLog:
         if self.record_cpu_cost:
             self.clock.advance(self.record_cpu_cost)
         self.log.append(block.to_line())
-        self.log.flush()
-        self.log.fsync()
+        self._writer.post_command()
         self._durable_records = self._sealed_records
-        self._last_sync = self.clock.now()
-        self._last_seal = self.clock.now()
         return block
 
     def tick(self, now: float) -> None:
         """Group commit: BATCH fsync, or block sealing on interval."""
         if self.chain_mode is AuditChainMode.BLOCK:
             if (self._pending_block
-                    and now - self._last_seal >= self.batch_interval):
+                    and now - self._writer.last_fsync >= self.batch_interval):
                 self.seal_block()
             return
-        if (self.durability is AuditDurability.BATCH
-                and now - self._last_sync >= self.batch_interval):
-            self.log.flush()
-            self.log.fsync()
-            self._last_sync = now
+        if self._writer.tick(now):
             self._durable_records = self._seq
 
     def sync(self) -> None:
@@ -426,10 +423,8 @@ class AuditLog:
             self.seal_block()      # seal is itself a group commit
             self._durable_records = self._sealed_records
         else:
-            if self.log.unflushed_bytes or self.log.unsynced_bytes:
-                self.log.flush_and_fsync()
+            self._writer.sync()
             self._durable_records = self._seq
-        self._last_sync = self.clock.now()
 
     # -- reading -------------------------------------------------------------------
 

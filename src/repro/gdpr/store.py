@@ -410,7 +410,10 @@ class GDPRStore:
         the engine's :meth:`~repro.engine.base.StorageEngine.scan_records`
         view, so it works over any backend.  Each recovered key's owner
         is named to the engine (:meth:`~repro.engine.base.StorageEngine.
-        name_owner`), as :meth:`put` names it."""
+        name_owner`), as :meth:`put` names it, and all of them are
+        annotated in one :meth:`~repro.engine.base.StorageEngine.
+        annotate_metadata` call (one statement and one WAL record on the
+        relational engine)."""
         if self._writebehind is not None:
             self._writebehind.flush()
         entries: List[Tuple[str, GDPRMetadata]] = []
@@ -442,9 +445,9 @@ class GDPRStore:
             # So an unsplit log's first split files a subject's keys
             # together, as it would have without the restart.
             self.kv.name_owner(key.encode("utf-8"), metadata.owner)
-            self.kv.annotate_metadata(
-                [(key, metadata.owner, metadata.purposes)])
             self.locations.record_stored(key, self.config.region)
+        self.kv.annotate_metadata([(key, metadata.owner, metadata.purposes)
+                                   for key, metadata in entries])
         return count
 
     # -- reporting --------------------------------------------------------------------

@@ -7,9 +7,9 @@ Public surface::
     store.execute("EXPIRE", "user:1", 300)
 """
 
+from ..device.append_log import FsyncPolicy
 from .aof import (
     AofWriter,
-    FsyncPolicy,
     contains_key,
     mentioned_keys,
     replay_commands,

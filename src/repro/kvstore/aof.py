@@ -6,13 +6,15 @@ RESP command arrays, and replays them at startup.  The paper's key change
 of *all* interactions with personal data, so reads are appended too --
 which is what "turns every read operation into a read followed by a write".
 
-Fsync policy (``appendfsync``) reproduces Redis' three settings:
+Fsync policy (``appendfsync``) reproduces Redis' three settings; the
+writer is a :class:`~repro.device.append_log.LogWriter`, so the policy
+is the one the audit log runs too:
 
 * ``always``  -- flush + fsync after every command (the paper's strict
   real-time compliance: throughput falls to ~5% of baseline);
 * ``everysec``-- flush after every command, fsync at most once per second
-  (eventual compliance with a 1-second exposure window: ~30% of baseline,
-  the 6x recovery the paper reports);
+  from the engine's cron tick (eventual compliance with a 1-second
+  exposure window: ~30% of baseline, the 6x recovery the paper reports);
 * ``no``      -- flush only; the OS decides when data reaches media.
 
 The log is partitioned by the key's *home*: it is a list of *parts*,
@@ -40,7 +42,6 @@ one barrier, one rename (see :meth:`AofWriter.rewrite`).
 
 from __future__ import annotations
 
-import enum
 from binascii import crc_hqx
 from bisect import bisect_right
 from itertools import chain
@@ -52,7 +53,7 @@ from ..cluster.slots import NUM_SLOTS, slot_for_key
 from ..common.clock import Clock
 from ..common.errors import PersistenceError
 from ..common.resp import CRLF, RespDecoder, encode_command
-from ..device.append_log import AppendLog
+from ..device.append_log import AppendLog, FsyncPolicy, LogWriter
 from .commands import spec_of
 
 #: A rewrite splits a part whose live records exceed this many bytes
@@ -65,21 +66,6 @@ PART_BYTES = 32 * 1024
 #: stream starts in database 0.
 _SELECT_0 = encode_command(b"SELECT", b"0")
 _SELECT_MARK = b"$6\r\nSELECT\r\n"
-
-
-class FsyncPolicy(enum.Enum):
-    ALWAYS = "always"
-    EVERYSEC = "everysec"
-    NO = "no"
-
-    @classmethod
-    def parse(cls, text: str) -> "FsyncPolicy":
-        try:
-            return cls(text.lower())
-        except ValueError:
-            raise PersistenceError(
-                f"unknown appendfsync policy {text!r}; "
-                "choose always, everysec, or no")
 
 
 _FIRST = attrgetter("first")
@@ -101,8 +87,10 @@ class _Part:
         self.selected = selected
 
 
-class AofWriter:
-    """Feeds executed commands into an :class:`AppendLog`.
+class AofWriter(LogWriter):
+    """Feeds executed commands into an :class:`AppendLog`, fsynced by
+    its :class:`~repro.device.append_log.LogWriter` policy
+    (:meth:`post_command` after each command, :meth:`tick` from cron).
 
     ``record_cost`` is the per-record CPU+syscall cost charged to the clock
     (see ``repro.bench.calibration`` for the derivation), once per logged
@@ -122,13 +110,10 @@ class AofWriter:
                  log_reads: bool = False,
                  record_base_cost: float = 0.0,
                  record_per_byte_cost: float = 0.0) -> None:
-        self.log = log
-        self.clock = clock
-        self.policy = policy
+        super().__init__(log, clock, policy)
         self.log_reads = log_reads
         self.record_base_cost = record_base_cost
         self.record_per_byte_cost = record_per_byte_cost
-        self._last_fsync = clock.now()
         #: Bytes the last :meth:`rewrite` wrote (Redis'
         #: ``aof_rewrite_base_size``, reported by INFO).
         self.base_size = 0
@@ -289,24 +274,6 @@ class AofWriter:
                 return part
         return None
 
-    def post_command(self) -> None:
-        """Flush the application buffer; fsync if policy is ALWAYS.
-
-        Mirrors Redis' flushAppendOnlyFile call at the end of each event
-        loop iteration.
-        """
-        moved = self.log.flush()
-        if self.policy is FsyncPolicy.ALWAYS and moved:
-            self.log.fsync()
-            self._last_fsync = self.clock.now()
-
-    def tick(self, now: float) -> None:
-        """Background fsync for the EVERYSEC policy."""
-        if self.policy is FsyncPolicy.EVERYSEC and now - self._last_fsync >= 1.0:
-            self.log.flush()
-            self.log.fsync()
-            self._last_fsync = now
-
     # -- rewriting ------------------------------------------------------------
 
     def rewrite(self, keyspace, keys: Optional[Iterable[bytes]] = None
@@ -406,8 +373,7 @@ class AofWriter:
             log.open(target + ".tmp")
             log.append("".join([f"{part.first} {part.file}\n"
                                 for part in parts]).encode("ascii"))
-        log.flush()
-        log.fsync()
+        log.flush_and_fsync()
         log.rename(target)
         self._adopt(parts)
         if not one:
@@ -424,8 +390,9 @@ class AofWriter:
         if self.split:
             live.append(self._manifest_file)
         self.log.open(live[0])
-        self.log.remove([name for name in self.log.files()
-                         if name not in live])
+        leftovers = [name for name in self.log.files() if name not in live]
+        if leftovers:
+            self.log.remove(leftovers)
 
     # -- the one reader -------------------------------------------------------
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, List, Optional, Sequence
 
 from ..common.clock import Clock, SimClock
-from ..device.append_log import AppendLog
+from ..device.append_log import AppendLog, FsyncPolicy
 from ..engine.base import HZ, SnapshotImage, StorageEngine, StoredRecord, \
     register_engine
 from . import cmd_admin  # noqa: F401  (imports register commands)
@@ -23,7 +23,7 @@ from . import cmd_collections  # noqa: F401
 from . import cmd_hash  # noqa: F401
 from . import cmd_keys  # noqa: F401
 from . import cmd_strings  # noqa: F401
-from .aof import AofWriter, FsyncPolicy
+from .aof import AofWriter
 from .commands import REGISTRY, CommandContext
 from .datatypes import RedisValue
 from .expiry import ExpiryStrategy, make_strategy

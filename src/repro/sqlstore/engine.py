@@ -65,10 +65,10 @@ from typing import Any, Callable, Dict, Iterable, List, Optional
 from ..common.clock import Clock, SimClock
 from ..common.errors import ArityError, CorruptionError, WrongTypeError
 from ..common.resp import RespError, SimpleString
-from ..device.append_log import AppendLog
+from ..device.append_log import AppendLog, FsyncPolicy
 from ..engine.base import HZ, EngineStats, MetadataRow, SnapshotImage, \
     StorageEngine, StoredRecord, register_engine
-from ..kvstore.aof import AofWriter, FsyncPolicy
+from ..kvstore.aof import AofWriter
 from ..kvstore.commands import (
     CommandContext, deadline_ms, glob_match, parse_int, parse_restore)
 from ..kvstore.monitor import MonitorFeed

@@ -6,11 +6,11 @@ replication, YCSB -- runs over a tiered keyspace unchanged:
 
 * **Demotion.**  Records idle for ``demote_idle_after`` seconds leave
   the hot engine for a sealed cold segment.  The seal ends with an
-  fsync *before* the hot copies are removed (via the engines'
-  ``demote_remove`` hook, which logs one DEL per sealed batch to the
-  hot AOF/WAL with deletion reason ``"demote"`` but keeps the
-  effective-write stream silent -- replicas keep serving their full
-  copy).  A crash between the two steps leaves the record in both
+  fsync, even inside a barrier scope, *before* the hot copies are
+  removed (via the engines' ``demote_remove`` hook, which logs one DEL
+  per sealed batch to the hot AOF/WAL with deletion reason ``"demote"``
+  but keeps the effective-write stream silent -- replicas keep serving
+  their full copy).  A crash between the two steps leaves the record in both
   tiers; the hot copy stays authoritative and the stale cold shadow is
   evicted lazily.
 * **Promotion.**  Any keyed command first *surfaces* its key: a cold
@@ -35,6 +35,13 @@ replication, YCSB -- runs over a tiered keyspace unchanged:
   directory and appends a subject marker (when some segment may hold
   the subject), its tombstones and marker durable at one barrier, so
   Art. 17 voids the archive without rewriting a single segment.
+* **One barrier per call.**  ``execute``, ``tick`` and
+  ``erase_subject_cold`` each run in one barrier scope of the cold
+  device (:meth:`~repro.device.append_log.AppendLog.group`; nested calls
+  join the outer scope): the durable tombstones and markers they lay
+  are committed, and the scope's exit -- reached even when the command
+  raises -- pays one flush+fsync for them all, unless a seal in the
+  scope already did.
 
 Tiering applies to database 0 only (the database the GDPR, cluster,
 and bench layers use); commands on other databases pass straight
@@ -189,16 +196,9 @@ class TieredEngine(StorageEngine):
         # One cold barrier per command: every durable tombstone the
         # command lays (DEL victims, hot deletions, reclaims, expiries)
         # is covered by one fsync before it returns.
-        cold = self.cold
-        outer = cold.grouped
-        cold.grouped = True
-        try:
+        with self.cold.device.group():
             reply = self._execute_tiered(name, argv, session)
             self._cold_tick()
-        finally:
-            cold.grouped = outer
-            if cold.barrier_due and not outer:
-                cold.barrier()
         return reply
 
     def _execute_tiered(self, name: bytes, argv: List[bytes],
@@ -367,16 +367,9 @@ class TieredEngine(StorageEngine):
     # -- background work -----------------------------------------------------
 
     def tick(self) -> None:
-        cold = self.cold
-        outer = cold.grouped
-        cold.grouped = True
-        try:
+        with self.cold.device.group():
             self._inner.tick()
             self._cold_tick()
-        finally:
-            cold.grouped = outer
-            if cold.barrier_due and not outer:
-                cold.barrier()
 
     def _cold_tick(self) -> None:
         if self._in_cold_tick:
@@ -470,17 +463,10 @@ class TieredEngine(StorageEngine):
         barrier covers the ``DEL``'s tombstones and the subject marker;
         an erasure that reaches no segment and lays no tombstone writes
         nothing cold and pays no barrier."""
-        cold = self.cold
-        outer = cold.grouped
-        cold.grouped = True
-        try:
+        with self.cold.device.group():
             if keys:
                 self.execute("DEL", *keys)
-            touched = cold.erase_subject(subject)
-        finally:
-            cold.grouped = outer
-            if cold.barrier_due and not outer:
-                cold.barrier()
+            touched = self.cold.erase_subject(subject)
         self._owners = {k: ann for k, ann in self._owners.items()
                         if ann[0] != subject}
         self._tier_event("cold-erase",

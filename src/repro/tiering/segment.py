@@ -36,14 +36,17 @@ Four frame kinds:
   retired.
 * ``CCL1`` -- a clear marker (FLUSHDB/FLUSHALL reached the archive).
 
-Durability discipline: sealing and deletion-like mutations end with a
-``flush(); fsync()`` barrier *before* the caller removes hot copies, so
-a crash at any point leaves the record in at least one tier and never
-resurrects a deleted one.  Key tombstones laid during one tiered command
-share one barrier (group commit): each is appended unsynced and one
-fsync covers them all before the command returns.  A torn final frame
-(crash mid-seal) fails its length or CRC check and is dropped whole at
-recovery.
+Durability discipline: a seal and a clear marker are written under the
+``always`` policy (:class:`~repro.device.append_log.LogWriter`): their
+``flush(); fsync()`` runs *before* the caller removes hot copies, even
+inside a barrier scope.  A durable tombstone and a subject marker ask the
+device to :meth:`~repro.device.append_log.AppendLog.commit` them, so the
+ones laid during one tiered command -- which runs in one
+``device.group()`` scope -- share the one fsync at the scope's exit
+(group commit), or an earlier seal's.  Either way a crash at any point
+leaves the record in at least one tier and never resurrects a deleted
+one.  A torn final frame (crash mid-seal) fails its length or CRC check
+and is dropped whole at recovery.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Set,
 
 from ..common.errors import CorruptionError
 from ..common.hashing import crc32_of
-from ..device.append_log import AppendLog
+from ..device.append_log import AppendLog, FsyncPolicy, LogWriter
 from .bloom import BloomFilter
 
 MAGIC_SEGMENT = b"CSG2"
@@ -213,16 +216,16 @@ class ColdSegmentStore:
         # erasure removes the slot, so presence here *is* liveness.
         self._directory: Dict[bytes, Slot] = {}
         # Keys whose last kill was a non-durable tombstone (promote
-        # eviction, shadow eviction) that no fsync has covered yet:
-        # power loss would revoke it, so a later deletion must re-issue
-        # it durably even though the directory already lost the key.
+        # eviction, shadow eviction) that no fsync has covered yet --
+        # none has while the device's durable frontier is short of the
+        # last one's end: power loss would revoke it, so a later
+        # deletion must re-issue it durably even though the directory
+        # already lost the key.
         self._undurable: Set[bytes] = set()
-        # Group commit: while ``grouped`` is set (one tiered command), a
-        # durable tombstone is appended unsynced and ``barrier_due``
-        # records that the caller owes one :meth:`barrier` before it
-        # returns.
-        self.grouped = False
-        self.barrier_due = False
+        self._undurable_end = 0
+        # Seals and clear markers: fsynced as written, in a scope or not.
+        self._always = LogWriter(self.device, self.device.clock,
+                                 FsyncPolicy.ALWAYS)
         # subject -> the segment sequence number current at its
         # erasure marker: the subject's entries sealed before it are
         # dead, those sealed after it are live.
@@ -246,21 +249,15 @@ class ColdSegmentStore:
     def attach_keystore(self, keystore: object) -> None:
         self.keystore = keystore
 
-    def _append_frame(self, magic: bytes, body: bytes,
-                      durable: bool = True) -> None:
+    def _append_frame(self, magic: bytes, body: bytes) -> None:
         self.device.append(magic + _U32.pack(len(body)) + body
                            + _U32.pack(crc32_of(body)))
-        if durable:
-            self.barrier()
-        else:
-            self.device.flush()
 
-    def barrier(self) -> None:
-        """Make every frame appended so far durable: one flush+fsync,
-        which covers the non-durable and the grouped frames before it."""
-        self.device.flush_and_fsync()
-        self._undurable.clear()
-        self.barrier_due = False
+    def _exposed(self) -> Set[bytes]:
+        """The keys of the non-durable tombstones no fsync has covered."""
+        if self.device.durable_length >= self._undurable_end:
+            self._undurable.clear()
+        return self._undurable
 
     def _register(self, info: SegmentInfo, entries: Iterable[IndexEntry],
                   records_offset: int) -> None:
@@ -344,6 +341,7 @@ class ColdSegmentStore:
                         + len(bloom))
         self._append_frame(MAGIC_SEGMENT,
                            b"".join([header, bloom, index_block] + records))
+        self._always.post_command()
         self._register(
             SegmentInfo(seq, sealed_at, index_offset, len(index_block),
                         index_crc, subject_bloom),
@@ -417,20 +415,21 @@ class ColdSegmentStore:
         A no-op when there is nothing to kill: no live copy and -- for a
         durable tombstone -- no earlier non-durable one still exposed to
         power loss, which must be re-issued durably because deletions
-        must not resurrect.  Inside a group a durable tombstone waits
-        for the group's one :meth:`barrier`.
+        must not resurrect.  A durable tombstone is committed: inside a
+        barrier scope it waits for the scope's one fsync.
         """
         if self._directory.pop(key, None) is None \
-                and not (durable and key in self._undurable):
+                and not (durable and self._undurable
+                         and key in self._exposed()):
             return
-        body = _U32.pack(len(key)) + key + _U64.pack(self._next_seq - 1)
-        if durable and self.grouped:
-            self._append_frame(MAGIC_TOMBSTONE, body, durable=False)
-            self.barrier_due = True
+        self._append_frame(MAGIC_TOMBSTONE, _U32.pack(len(key)) + key
+                           + _U64.pack(self._next_seq - 1))
+        if durable:
+            self.device.commit()
         else:
-            self._append_frame(MAGIC_TOMBSTONE, body, durable=durable)
-            if not durable:
-                self._undurable.add(key)
+            self.device.flush()
+            self._exposed().add(key)
+            self._undurable_end = self.device.total_length
         self.tombstones += 1
 
     def erase_subject(self, subject: str) -> List[int]:
@@ -438,8 +437,8 @@ class ColdSegmentStore:
         sequence numbers of the segments whose subject bloom matched
         (the segments the erasure 'reached').
 
-        The marker frame is fsynced (inside a group, by the group's one
-        :meth:`barrier`), so the erasure survives power loss
+        The marker frame is committed (inside a barrier scope, fsynced
+        at the scope's exit), so the erasure survives power loss
         independently of the keystore tombstone -- two layers against
         resurrection-by-restore.  A subject no segment's bloom matches
         has nothing archived: it gets no marker, and owes no barrier.
@@ -449,9 +448,8 @@ class ColdSegmentStore:
             return touched
         encoded = subject.encode("utf-8")
         self._void_subject(subject, touched)
-        self._append_frame(MAGIC_SUBJECT, _U32.pack(len(encoded)) + encoded,
-                           durable=not self.grouped)
-        self.barrier_due = self.barrier_due or self.grouped
+        self._append_frame(MAGIC_SUBJECT, _U32.pack(len(encoded)) + encoded)
+        self.device.commit()
         self.subject_erasures += 1
         return touched
 
@@ -494,7 +492,8 @@ class ColdSegmentStore:
 
     def clear(self) -> None:
         """Drop the whole archive (FLUSHDB/FLUSHALL reached cold)."""
-        self._append_frame(MAGIC_CLEAR, b"", durable=True)
+        self._append_frame(MAGIC_CLEAR, b"")
+        self._always.post_command()
         self._reset_volatile()
 
     def _reset_volatile(self) -> None:
@@ -596,7 +595,7 @@ class ColdSegmentStore:
         total = sum(_SEGMENT_INFO_BYTES + info.subject_bloom.byte_size()
                     for info in self._segments.values())
         total += sum(len(key) + _SLOT_BYTES for key in self._directory)
-        total += sum(len(key) for key in self._undurable)
+        total += sum(len(key) for key in self._exposed())
         total += sum(len(name.encode("utf-8")) + 4
                      for name in self._erased_subjects)
         total += sum(len(key) + 16 for _, _, key in self._expiry)

@@ -167,3 +167,56 @@ class TestTimingAndReplace:
         assert log.appends == 2
         assert log.syscalls == 1
         assert log.fsyncs == 1
+
+
+class TestBarrierScope:
+    def test_a_commit_outside_a_scope_is_durable_as_it_returns(self):
+        log = AppendLog()
+        log.append(b"r")
+        log.commit()
+        assert (log.durable_length, log.fsyncs) == (1, 1)
+
+    def test_nested_scopes_pay_one_fsync_at_the_outermost_exit(self):
+        log = AppendLog()
+        with log.group():
+            log.append(b"a")
+            log.commit()
+            with log.group():
+                log.append(b"b")
+                log.commit()
+            assert log.fsyncs == 0 and log.cached_length == 2
+        assert (log.durable_length, log.fsyncs) == (2, 1)
+        with log.group():
+            pass                    # nothing committed: no barrier
+        assert log.fsyncs == 1
+
+    def test_the_exit_runs_when_the_body_raises(self):
+        log = AppendLog()
+        with pytest.raises(KeyError):
+            with log.group():
+                log.append(b"a")
+                log.commit()
+                raise KeyError("command failed")
+        assert (log.durable_length, log.fsyncs) == (1, 1)
+
+    def test_an_fsync_inside_the_scope_satisfies_the_request(self):
+        log = AppendLog()
+        with log.group():
+            log.append(b"a")
+            log.commit()
+            log.fsync()
+        assert log.fsyncs == 1
+
+    def test_a_failed_exit_fsync_leaves_the_request_pending(self):
+        log = AppendLog()
+        plan = FaultPlan(log)
+        plan.fail("fsync")
+        with pytest.raises(DeviceIOError):
+            with log.group():
+                log.append(b"a")
+                log.commit()
+        assert (log.durable_length, log.fsyncs) == (0, 0)
+        with log.group():
+            pass
+        assert (log.durable_length, log.fsyncs) == (1, 1)
+        assert plan.steps == ["append", "flush", "flush", "flush", "fsync"]
