@@ -4,7 +4,7 @@
 The package layers:
 
 * :mod:`repro.kvstore` -- a Redis-like key-value store (the substrate the
-  paper retrofits), with AOF persistence, snapshots, and Redis 4.0's
+  paper retrofits), with AOF persistence and Redis 4.0's
   probabilistic expiry algorithm ported faithfully;
 * :mod:`repro.gdpr`    -- the paper's contribution: metadata, audit
   logging, access control, encryption, residency, subject rights, and the

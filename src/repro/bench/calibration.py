@@ -48,6 +48,7 @@ from ..device.append_log import AppendLog
 from ..device.block_device import SimulatedBlockDevice
 from ..device.latency import INTEL_750_SSD, LatencyModel
 from ..device.luks import LuksVolume
+from ..kvstore.aof import image
 from ..kvstore.server import EventConnection, EventStoreServer
 from ..kvstore.store import KeyValueStore, StoreConfig
 from ..net.channel import Channel, RAW_BANDWIDTH_BPS
@@ -85,7 +86,7 @@ class SystemUnderTest:
         """
         if self.luks is None:
             return 0
-        data = self.store.save_snapshot()
+        data = image(self.store)
         if len(data) > self.luks.capacity:
             return 0
         self.luks.write(0, data)

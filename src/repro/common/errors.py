@@ -111,7 +111,7 @@ class ArityError(StoreError):
 
 
 class PersistenceError(StoreError):
-    """AOF or snapshot machinery failed (write error, corrupt file)."""
+    """AOF machinery failed (write error, corrupt file)."""
 
 
 # ---------------------------------------------------------------------------

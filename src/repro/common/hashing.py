@@ -1,6 +1,6 @@
 """Hashing, checksums, and deterministic key hashing used across the stack.
 
-The AOF and snapshot files carry CRC-style integrity checksums; the audit
+DUMP payloads and backup parts carry CRC-32 integrity checksums; the audit
 log chains SHA-256 digests; the YCSB scrambled-zipfian generator needs the
 64-bit FNV-1a hash that the reference YCSB implementation uses.
 """

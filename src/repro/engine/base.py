@@ -32,19 +32,18 @@ built on:
   keyspace that never mutate it.  Slot-aware servers, migrators, and the
   GDPR index rebuild use these instead of poking engine internals.
 * **Durability hooks** (:attr:`aof` / :attr:`aof_log`,
-  :meth:`replay_aof`, :meth:`rewrite_aof`, :meth:`records_of`,
-  snapshots) -- one durable
-  command log per engine, whether it is a Redis AOF or a relational
-  WAL: one :class:`~repro.kvstore.aof.AofWriter` named ``aof``, so
-  erasure residual checks, crash recovery and per-core fsync billing
-  work identically on every engine.  Log replay, log compaction, the
-  DELs an engine logs on its own initiative (expiry, tier demotion) and
-  snapshot save/load are written once, here: compaction and snapshots
-  both encode the records an engine hands out
-  (:meth:`snapshot_records`; :meth:`records_of` for a rewrite of some
-  of the log's parts), snapshots in the one format of
-  :mod:`repro.kvstore.snapshot`, and an engine takes records back
-  through :meth:`restore_records` and removes a key through
+  :meth:`replay_aof`, :meth:`rewrite_aof`, :meth:`records_of`) -- one
+  durable command log per engine, whether it is a Redis AOF or a
+  relational WAL: one :class:`~repro.kvstore.aof.AofWriter` named
+  ``aof``, so erasure residual checks, crash recovery and per-core
+  fsync billing work identically on every engine.  Log replay, log
+  compaction and the DELs an engine logs on its own initiative (expiry,
+  tier demotion) are written once, here: compaction encodes the records
+  an engine hands out (:meth:`snapshot_records`; :meth:`records_of` for
+  a rewrite of some of the log's parts), and so does every whole copy
+  of the keyspace -- a full sync, a backup generation, BGSAVE -- which
+  is the log's compacted form (:func:`repro.kvstore.aof.image`), taken
+  back by :meth:`replay_aof`.  An engine removes a key through
   :meth:`_remove_key`.
 * **Replica spawning** (:meth:`spawn_replica`) -- a fresh, zero-cost
   same-engine store for replication defaults, so a relational primary
@@ -76,8 +75,7 @@ from typing import (
     Type,
 )
 
-from ..common.errors import CorruptionError, PersistenceError, \
-    UnknownCommandError
+from ..common.errors import PersistenceError, UnknownCommandError
 
 DeletionListener = Callable[[int, bytes, str, float], None]
 # (db_index, translated argv) for every effective write -- the stream a
@@ -108,7 +106,8 @@ class StoredRecord(NamedTuple):
     absolute expiry deadline (seconds on the engine's clock), if any,
     and the GDPR metadata columns ``(owner, purposes)`` where the engine
     keeps them.  :meth:`StorageEngine.scan_records` yields live entries
-    without metadata; snapshots carry it."""
+    without metadata; :meth:`StorageEngine.snapshot_records` carries
+    it."""
 
     key: bytes
     value: Any
@@ -116,10 +115,9 @@ class StoredRecord(NamedTuple):
     metadata: Optional[Tuple[str, str]] = None
 
 
-#: database index -> that database's records: what a snapshot holds.
-#: On the way out (:meth:`StorageEngine.snapshot_records`) each
-#: database's records may be a one-pass iterable; a parsed snapshot
-#: holds lists.
+#: database index -> that database's records (each database's a
+#: one-pass iterable), as :meth:`StorageEngine.snapshot_records` hands
+#: them out.
 SnapshotImage = Dict[int, Iterable[StoredRecord]]
 
 
@@ -162,16 +160,13 @@ class StorageEngine:
     supports_tiering: bool = False
 
     #: Numbered databases the keyspace has (derived from the engine's
-    #: structure, never configured here): snapshots naming any other
-    #: database are refused, and a compacted log selects databases only
-    #: when there is more than one.
+    #: structure, never configured here): a compacted log selects
+    #: databases only when there is more than one.
     database_count: int = 1
 
     def __init__(self) -> None:
         self.deletion_listeners: List[DeletionListener] = []
         self.write_listeners: List[WriteListener] = []
-        self.last_snapshot: Optional[bytes] = None
-        self.last_snapshot_at: Optional[float] = None
         # True while replaying the durable log: replayed commands are
         # neither logged again nor fed to the write stream.
         self._loading = False
@@ -338,40 +333,10 @@ class StorageEngine:
 
     # -- durability --------------------------------------------------------
 
-    def save_snapshot(self) -> bytes:
-        """Point-in-time serialization of the whole keyspace (SAVE / a
-        base backup), remembered as :attr:`last_snapshot`."""
-        from ..kvstore import snapshot
-        data = snapshot.dump(self.snapshot_records())
-        self.last_snapshot = data
-        self.last_snapshot_at = self.clock.now()
-        return data
-
-    def load_snapshot(self, data: bytes) -> int:
-        """Replace the keyspace with a :meth:`save_snapshot` image;
-        returns records loaded.  The whole image is parsed first: a
-        damaged one raises CorruptionError and leaves the keyspace as it
-        was."""
-        from ..kvstore import snapshot
-        databases = snapshot.load(data)
-        if any(index >= self.database_count for index in databases):
-            raise CorruptionError(
-                f"snapshot names a database the {self.engine_name} "
-                "engine does not have")
-        self.restore_records(databases)
-        return sum(len(records) for records in databases.values())
-
     def snapshot_records(self) -> SnapshotImage:
         """Every record of the keyspace, expired-but-unreclaimed ones
         included, with its metadata columns, in the engine's key order
         (each database's records a one-pass iterable, possibly empty)."""
-        raise NotImplementedError
-
-    def restore_records(self, databases: SnapshotImage) -> None:
-        """Replace the keyspace with parsed snapshot records -- silently:
-        no log record, write-stream event or deletion event.  Database
-        indices are already checked; raises CorruptionError, before
-        touching anything, on records this engine cannot hold."""
         raise NotImplementedError
 
     def replay_aof(self, data: Optional[bytes] = None,

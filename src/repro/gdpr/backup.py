@@ -5,6 +5,14 @@ backup archive per erasure request is operationally absurd -- this is
 exactly why Google Cloud's "up to 6 months to purge deleted data from all
 internal systems" policy exists (paper sections 3.2 and 5.1).
 
+A backup generation is a log of its own: an
+:class:`~repro.kvstore.aof.AofWriter` over an
+:class:`~repro.device.append_log.AppendLog` named by its label, holding
+the keyspace as the compacted parts a rewrite of the live log would
+write, placed by the live log's homes, so a data subject's records share
+one part.  Each part file's CRC-32 is kept with the generation and
+checked before the part is replayed.
+
 :class:`BackupManager` models the two industrial answers:
 
 * **crypto-erasure by construction** -- backups store the encrypted
@@ -13,8 +21,9 @@ internal systems" policy exists (paper sections 3.2 and 5.1).
   once, with zero backup I/O;
 * **reconciliation** -- :meth:`reconcile_erasure` audits which backup
   generations still *mention* erased keys and (optionally) scrubs them
-  of those keys alone, yielding the erasure-completeness report a DPO
-  would need.
+  of those keys alone: the parts that hold them are rewritten, as an
+  erasure rewrites the live log's, at one barrier each.  That yields the
+  erasure-completeness report a DPO would need.
 """
 
 from __future__ import annotations
@@ -23,18 +32,45 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..common.clock import Clock
-from ..kvstore import snapshot
+from ..common.errors import CorruptionError
+from ..common.hashing import crc32_of
+from ..device.append_log import AppendLog
+from ..kvstore.aof import AofWriter
 from .store import GDPRStore
 
 
 @dataclass
 class Backup:
-    """One point-in-time backup generation."""
+    """One point-in-time backup generation: a log on its own device."""
 
     label: str
     taken_at: float
-    snapshot: bytes
+    writer: AofWriter
     wrapped_keys: Dict[str, bytes]
+    #: part file -> the CRC-32 of its bytes.
+    crcs: Dict[str, int] = field(default_factory=dict)
+
+    def verified(self, files: List[str]) -> List[bytes]:
+        """The bytes of part ``files``, each checked against its CRC-32:
+        a damaged part raises CorruptionError."""
+        datas = self.writer.log.read_files(files)
+        for file, data in zip(files, datas):
+            if crc32_of(data) != self.crcs.get(file):
+                raise CorruptionError(
+                    f"backup {self.label}: part {file} fails its CRC-32")
+        return datas
+
+    def seal(self, kept: List[str]) -> None:
+        """Record the CRC-32 of each part written since the parts were
+        ``kept`` (fresh names, or a one-part log's own file), and forget
+        the parts the log no longer lists."""
+        files = self.writer.part_files()
+        fresh = [file for file in files
+                 if file not in kept or file == self.writer.log.name]
+        crcs = {file: self.crcs[file] for file in files if file in self.crcs}
+        crcs.update(zip(fresh, map(crc32_of,
+                                   self.writer.log.read_files(fresh))))
+        self.crcs = crcs
 
 
 @dataclass
@@ -65,14 +101,20 @@ class BackupManager:
     # -- lifecycle -------------------------------------------------------------------
 
     def take_backup(self, label: Optional[str] = None) -> Backup:
-        """Snapshot the keyspace and the wrapped key material."""
+        """Lay the keyspace out on a device of its own, into parts placed
+        by the live log's homes, and keep the wrapped key material."""
         if label is None:
             label = f"backup-{len(self.backups):04d}"
+        kv = self.store.kv
+        writer = AofWriter(AppendLog(clock=self.clock, name=label),
+                           self.clock)
+        writer.lay_out(kv, kv.aof.homes if kv.aof is not None else {})
         backup = Backup(
             label=label,
             taken_at=self.clock.now(),
-            snapshot=self.store.kv.save_snapshot(),
+            writer=writer,
             wrapped_keys=self.store.keystore.export_wrapped())
+        backup.seal([])
         self.backups.append(backup)
         if len(self.backups) > self.max_generations:
             self.backups.pop(0)
@@ -88,7 +130,8 @@ class BackupManager:
 
     def restore(self, label: str) -> GDPRStore:
         """Materialize a backup into a fresh GDPRStore over a
-        same-engine store (the live engine's replica spawn).
+        same-engine store (the live engine's replica spawn): every part
+        is verified, then replayed.
 
         The restored keystore re-imports the *wrapped* keys under the
         live master -- so subjects crypto-erased since the backup stay
@@ -97,8 +140,10 @@ class BackupManager:
         such a subject in plaintext, so those rows are deleted again.
         """
         backup = self.find(label)
+        datas = backup.verified(backup.writer.part_files())
         kv = self.store.kv.spawn_replica()
-        kv.load_snapshot(backup.snapshot)
+        for data in datas:
+            kv.replay_aof(data)
         restored = GDPRStore(kv=kv, config=self.store.config,
                              keystore=self.store.keystore,
                              locations=self.store.locations)
@@ -119,27 +164,21 @@ class BackupManager:
         With ``rewrite=False`` the report simply documents which
         generations still hold ciphertext -- safe if (and only if) the
         subject was crypto-erased.  With ``rewrite=True`` each affected
-        generation is scrubbed: its snapshot is loaded once and written
-        back without the erased keys, and the subject's wrapped key is
-        dropped, physically removing the bytes.  Everything else in the
-        generation stays as it was at ``taken_at``.
+        generation is scrubbed (:meth:`_scrub`) and the subject's wrapped
+        key is dropped, physically removing the bytes.  Everything else
+        in the generation stays as it was at ``taken_at``.
         """
         report = ReconciliationReport(
             subject=subject, checked=len(self.backups),
             crypto_voided=subject in
             list(self.store.keystore.erased_ids()))
-        erased = {key.encode("utf-8") for key in erased_keys}
+        erased = [key.encode("utf-8") for key in erased_keys]
         for backup in self.backups:
-            databases = snapshot.load(backup.snapshot)
-            if not any(record.key in erased for records in databases.values()
-                       for record in records):
+            if not backup.writer.mentioned_keys(erased):
                 continue
             report.mentioning.append(backup.label)
             if rewrite:
-                backup.snapshot = snapshot.dump(
-                    {index: [record for record in records
-                             if record.key not in erased]
-                     for index, records in databases.items()})
+                self._scrub(backup, erased)
                 backup.wrapped_keys.pop(subject, None)
                 report.rewritten.append(backup.label)
         self.store.audit.append(
@@ -148,3 +187,27 @@ class BackupManager:
             detail=f"{len(report.mentioning)} generations affected, "
                    f"{len(report.rewritten)} rewritten")
         return report
+
+    def _scrub(self, backup: Backup, erased: List[bytes]) -> None:
+        """Rewrite the parts of ``backup`` that hold ``erased``: each is
+        verified and replayed into a zero-cost scratch store of the hot
+        engine, the keys are deleted there, and the generation's log
+        rewrites those parts from it -- new files, one barrier, one
+        rename.  A failed rewrite leaves the old parts or, past its
+        rename, the new ones: the generation is reopened over what its
+        device holds, and keeps the CRC-32s of the parts it lists."""
+        writer = backup.writer
+        kept = writer.part_files()
+        datas = backup.verified(writer.part_files(erased))
+        kv = self.store.kv
+        scratch = (kv.inner if kv.supports_tiering else kv).spawn_replica()
+        for data in datas:
+            scratch.replay_aof(data)
+        scratch.execute("DEL", *erased)
+        try:
+            writer.rewrite(scratch, erased)
+        except Exception:
+            backup.writer = AofWriter(writer.log, self.clock)
+            raise
+        finally:
+            backup.seal(kept)

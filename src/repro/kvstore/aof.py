@@ -143,7 +143,7 @@ class AofWriter(LogWriter):
                                    if file != log.name], default=0)
         ends = self._firsts[1:] + [NUM_SLOTS]
         for part, end, data in zip(self._parts, ends,
-                                   log.read_files(self._files())):
+                                   log.read_files(self.part_files())):
             db = 0
             for args in replay_commands(data):
                 name = args[0].upper()
@@ -168,6 +168,13 @@ class AofWriter(LogWriter):
         """Whether the log is split into parts under a manifest (else it
         is one part, the device's own file)."""
         return self._parts[0].file != self.log.name
+
+    @property
+    def homes(self) -> Dict[bytes, int]:
+        """key -> home slot, for the keys a split places outside their
+        own slot: the homes of a split log, the named owners' slots of
+        an unsplit one."""
+        return self._homes if self.split else self._named
 
     # -- the write path -------------------------------------------------------
 
@@ -297,20 +304,32 @@ class AofWriter(LogWriter):
             keys = list(keys)
             if not keys:
                 return 0
+        return self._rewrite(keyspace, keys, self.homes,
+                             self.split or keys is not None)
+
+    def lay_out(self, keyspace, homes: Mapping[bytes, int]) -> int:
+        """Write ``keyspace`` afresh into this log, placed by ``homes``
+        (another log's :attr:`homes`): the layout of a split log's whole
+        rewrite, committed through :meth:`_commit`.  A backup generation
+        is written this way, so a scrub of a subject rewrites the part
+        that holds them, as an erasure of the live log does."""
+        return self._rewrite(keyspace, None, dict(homes), True)
+
+    def _rewrite(self, keyspace, keys: Optional[List[bytes]],
+                 homes: Dict[bytes, int], cut: bool) -> int:
+        """:meth:`rewrite` of ``keys`` (None: every part), placing keys by
+        ``homes``; a whole layout is cut into parts when ``cut``."""
         self._sweep()
         select = keyspace.database_count > 1
         split = self.split
-        # An unsplit log's names are the homes its split places keys by.
-        homes = self._homes if split else self._named
         whole = keys is None or not split
         if whole:
             retired = self._parts
-            born = _layout(keyspace.snapshot_records(), select, 0,
-                           split or keys is not None, homes)
+            born = _layout(keyspace.snapshot_records(), select, 0, cut,
+                           homes)
         else:
             # Only a part that has logged a key holds a trace of it.
-            retired = sorted({part for part in map(self._holder, keys)
-                              if part is not None}, key=_FIRST)
+            retired = self._holders(keys)
             if not retired:
                 return 0
             born = []
@@ -386,7 +405,7 @@ class AofWriter(LogWriter):
     def _sweep(self) -> None:
         """Remove every file the log does not use (a crashed or failed
         rewrite's leftovers)."""
-        live = self._files()
+        live = self.part_files()
         if self.split:
             live.append(self._manifest_file)
         self.log.open(live[0])
@@ -406,13 +425,22 @@ class AofWriter(LogWriter):
         entries = [line.split(" ", 1) for line in lines]
         return [(int(first), file) for first, file in entries]
 
-    def _files(self) -> List[str]:
-        """The log's files in slot order (what the manifest lists: it is
-        renamed into place before the writer adopts a new list)."""
-        return [part.file for part in self._parts]
+    def part_files(self, keys: Optional[Iterable[bytes]] = None
+                   ) -> List[str]:
+        """The log's part files in slot order (what the manifest lists:
+        it is renamed into place before the writer adopts a new list);
+        with ``keys``, only the parts that have logged some of them --
+        the parts a rewrite of those keys replaces."""
+        parts = self._parts if keys is None else self._holders(keys)
+        return [part.file for part in parts]
+
+    def _holders(self, keys: Iterable[bytes]) -> List[_Part]:
+        """The parts that have logged some of ``keys``, in slot order."""
+        holders = set(map(self._holder, keys))
+        return [part for part in self._parts if part in holders]
 
     def _stream(self, durable: bool) -> bytes:
-        datas = self.log.read_files(self._files(), durable)
+        datas = self.log.read_files(self.part_files(), durable)
         if len(datas) > 1 and any([_SELECT_MARK in data for data in datas]):
             return _SELECT_0.join(datas)
         return b"".join(datas)
@@ -433,7 +461,7 @@ class AofWriter(LogWriter):
         only a part that holds some is read and decoded."""
         keys = list(keys)
         found: Set[bytes] = set()
-        suspects = self.log.holding(self._files(),
+        suspects = self.log.holding(self.part_files(),
                                     [CRLF + key + CRLF for key in keys])
         for data in self.log.read_files(suspects):
             found |= mentioned_keys(data, keys)
@@ -444,7 +472,7 @@ class AofWriter(LogWriter):
     def unsynced_bytes(self) -> int:
         """Bytes that a power loss right now would lose -- the 'one second
         worth of logs' exposure the paper describes for everysec."""
-        return self.log.exposed_bytes(self._files())
+        return self.log.exposed_bytes(self.part_files())
 
 
 def _slot(key: bytes) -> int:
@@ -519,6 +547,18 @@ def contains_key(data: bytes, key: bytes) -> bool:
     :func:`mentioned_keys`, whose single-key case this is.
     """
     return bool(mentioned_keys(data, (key,)))
+
+
+def image(keyspace) -> bytes:
+    """The whole keyspace of ``keyspace`` (a storage engine) as one
+    command stream: the one-part layout of its records, which is what
+    BGREWRITEAOF writes on an unsplit log.  It is the one whole-keyspace
+    format: a full sync ships it and BGSAVE writes it, and replaying it
+    into an empty store of the same engine recreates the keyspace, each
+    deadline at the millisecond the log writes."""
+    ((_, data, _, _),) = _layout(keyspace.snapshot_records(),
+                                 keyspace.database_count > 1, 0, False, {})
+    return data
 
 
 # A record's statements, one format call each: byte-for-byte

@@ -17,7 +17,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..common.errors import WrongTypeError
 
-# Type tags, used by the snapshot format.
+# Type tags, used by the DUMP payload format.
 TYPE_STRING = "string"
 TYPE_HASH = "hash"
 TYPE_ZSET = "zset"

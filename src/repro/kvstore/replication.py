@@ -39,6 +39,7 @@ from typing import Deque, Iterable, List, Optional, Sequence, Union
 
 from ..common.clock import Clock, EventHandle
 from ..engine.base import StorageEngine
+from .aof import image
 from .commands import Session, spec_of
 
 
@@ -116,7 +117,7 @@ class ReplicationLink:
     def discard_backlog(self) -> int:
         """Cancel every command still in flight; returns how many.
 
-        Used by full sync: commands enqueued before the snapshot was
+        Used by full sync: commands enqueued before the image was
         taken are already reflected in it, so replaying them on top
         would double-apply non-idempotent writes (APPEND, INCR)."""
         dropped = len(self._in_flight)
@@ -198,18 +199,26 @@ class ReplicationManager:
             link.enqueue(db_index, argv)
 
     def full_sync_all(self) -> int:
-        """Initial synchronization: copy a snapshot of the primary to
-        every replica (Redis' RDB-based full resync); returns keys
-        loaded across replicas.
+        """Initial synchronization: ship the primary's image
+        (:func:`~repro.kvstore.aof.image`, built once) to every replica,
+        which flushes its keyspace and replays it (Redis' full resync);
+        returns keys loaded across replicas.
 
         Each link's queued backlog is dropped first: everything enqueued
-        before this instant is already reflected in the snapshot, and
+        before this instant is already reflected in the image, and
         replaying it on top would double-apply non-idempotent writes
-        (the replication offset is, in effect, reset to the snapshot)."""
+        (the replication offset is, in effect, reset to the image)."""
+        if not self.links:
+            return 0
+        data = image(self.primary)
         loaded = 0
         for link in self.links:
             link.discard_backlog()
-            loaded += link.replica.load_snapshot(self.primary.save_snapshot())
+            replica = link.replica
+            replica.execute(b"FLUSHALL")
+            replica.replay_aof(data)
+            loaded += sum([replica.key_count(index)
+                           for index in range(replica.database_count)])
         return loaded
 
     # -- state and compliance queries --------------------------------------

@@ -1,17 +1,15 @@
-"""RDB-style point-in-time snapshots with integrity checksums.
+"""The DUMP codec: one value as a self-contained, checksummed payload.
 
-This is the one snapshot format of every engine: a store's
-``save_snapshot`` / ``load_snapshot`` (implemented once on
-:class:`~repro.engine.base.StorageEngine`) go through :func:`dump` and
-:func:`load`, and each engine supplies only its records.  The binary
-layout is a simplified RDB: a magic/version header, per-database
-sections, length-prefixed records with a flags byte, an optional expiry
-deadline, optional GDPR metadata columns (owner, purposes -- written
-only by engines that keep them) and a type-tagged value, and a trailing
-CRC-32 over everything before it.  Snapshots matter to the GDPR
-analysis because they are one of the "internal subsystems" where deleted
-personal data can outlive a DEL (section 4.3); the GDPR layer therefore
-tracks snapshot lineage and the erasure engine can force re-dumps.
+``DUMP`` / ``RESTORE`` ship a value through :func:`dump_value` and
+:func:`load_value`, slot migration moves keys between nodes with them,
+and the tenancy gate reads a payload's size through them.  The payload
+is a version tag, a type-tagged value and a trailing CRC-32 over
+everything before it, parsed through a bounds-checked :class:`Reader`.
+
+The whole keyspace has no format of its own here: a full sync, a
+backup generation and BGSAVE all write the log's compacted records
+(:func:`repro.kvstore.aof.image`, :meth:`repro.kvstore.aof.AofWriter.
+lay_out`).
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from typing import List
 
 from ..common.errors import CorruptionError
 from ..common.hashing import crc32_of
-from ..engine.base import SnapshotImage, StoredRecord
 from .datatypes import (
     TYPE_HASH,
     TYPE_STRING,
@@ -31,16 +28,10 @@ from .datatypes import (
     type_name,
 )
 
-MAGIC = b"REPRODB1"
-
-_HAS_EXPIRY = 1
-_HAS_METADATA = 2
-
 _TYPE_CODES = {TYPE_STRING: 0, TYPE_HASH: 1, TYPE_ZSET: 4}
 _CODE_TYPES = {v: k for k, v in _TYPE_CODES.items()}
 
 _U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
 _F64 = struct.Struct(">d")
 
 
@@ -67,7 +58,7 @@ def _pack_value(out: List[bytes], value: RedisValue) -> None:
 
 
 class Reader:
-    """Bounds-checked cursor over snapshot bytes: a read past the end
+    """Bounds-checked cursor over payload bytes: a read past the end
     raises :class:`CorruptionError` instead of returning short data."""
 
     def __init__(self, data: bytes) -> None:
@@ -76,16 +67,13 @@ class Reader:
 
     def take(self, n: int) -> bytes:
         if self._pos + n > len(self._data):
-            raise CorruptionError("snapshot truncated")
+            raise CorruptionError("payload truncated")
         chunk = self._data[self._pos:self._pos + n]
         self._pos += n
         return chunk
 
     def u32(self) -> int:
         return _U32.unpack(self.take(4))[0]
-
-    def u64(self) -> int:
-        return _U64.unpack(self.take(8))[0]
 
     def f64(self) -> float:
         return _F64.unpack(self.take(8))[0]
@@ -129,8 +117,8 @@ DUMP_MAGIC = b"REPRODMP1"
 def dump_value(value: RedisValue) -> bytes:
     """Serialize one value as a self-contained DUMP payload.
 
-    The format mirrors Redis' ``DUMP``: a version-tagged body (the same
-    type-tagged encoding snapshots use) with a trailing CRC-32, so a
+    The format mirrors Redis' ``DUMP``: a version-tagged body (a
+    type-tagged value encoding) with a trailing CRC-32, so a
     payload can travel between nodes -- this is what slot migration ships
     over the wire -- and be integrity-checked on RESTORE.
     """
@@ -154,68 +142,3 @@ def load_value(data: bytes) -> RedisValue:
     if not reader.exhausted:
         raise CorruptionError("trailing bytes after dump payload")
     return value
-
-
-def dump(databases: SnapshotImage) -> bytes:
-    """Serialize records, grouped by database, to snapshot bytes
-    (CRC-terminated; empty databases are left out)."""
-    out: List[bytes] = [MAGIC]
-    populated = []
-    for index, records in sorted(databases.items()):
-        records = list(records)
-        if records:
-            populated.append((index, records))
-    out.append(_U32.pack(len(populated)))
-    for index, records in populated:
-        out.append(_U32.pack(index))
-        out.append(_U64.pack(len(records)))
-        for key, value, expire_at, metadata in records:
-            _pack_bytes(out, key)
-            flags = (_HAS_EXPIRY if expire_at is not None else 0) \
-                | (_HAS_METADATA if metadata is not None else 0)
-            out.append(bytes([flags]))
-            if expire_at is not None:
-                out.append(_F64.pack(expire_at))
-            if metadata is not None:
-                for column in metadata:
-                    _pack_bytes(out, column.encode("utf-8"))
-            _pack_value(out, value)
-    body = b"".join(out)
-    return body + _U32.pack(crc32_of(body))
-
-
-def load(data: bytes) -> SnapshotImage:
-    """Parse snapshot bytes into records grouped by database.
-
-    Verifies the trailing CRC before trusting any byte, and rejects
-    unknown record flags and bytes left over after the declared records.
-    """
-    if len(data) < len(MAGIC) + 8:
-        raise CorruptionError("snapshot too small")
-    body, crc_bytes = data[:-4], data[-4:]
-    if crc32_of(body) != _U32.unpack(crc_bytes)[0]:
-        raise CorruptionError("snapshot CRC mismatch")
-    reader = Reader(body)
-    if reader.take(len(MAGIC)) != MAGIC:
-        raise CorruptionError("bad snapshot magic")
-    databases: SnapshotImage = {}
-    for _ in range(reader.u32()):
-        records = databases.setdefault(reader.u32(), [])
-        for _ in range(reader.u64()):
-            key = reader.blob()
-            flags = reader.byte()
-            if flags & ~(_HAS_EXPIRY | _HAS_METADATA):
-                raise CorruptionError("unknown snapshot record flags")
-            expire_at = reader.f64() if flags & _HAS_EXPIRY else None
-            metadata = None
-            if flags & _HAS_METADATA:
-                try:
-                    metadata = (reader.blob().decode("utf-8"),
-                                reader.blob().decode("utf-8"))
-                except UnicodeDecodeError:
-                    raise CorruptionError("snapshot metadata is not UTF-8")
-            records.append(StoredRecord(key, _read_value(reader),
-                                         expire_at, metadata))
-    if not reader.exhausted:
-        raise CorruptionError("trailing bytes after snapshot records")
-    return databases

@@ -1,7 +1,7 @@
 """The key-value store facade: databases, commands, persistence, cron.
 
 :class:`KeyValueStore` is the reproduction's stand-in for Redis 4.0.11.  It
-wires the keyspace, command table, AOF, snapshotting, slowlog, MONITOR, and
+wires the keyspace, command table, AOF, slowlog, MONITOR, and
 the pluggable active-expiry strategy behind one ``execute`` entry point,
 and runs background work (expiry cycles, everysec fsync, periodic AOF
 rewrite) from a cron driven by its clock -- the same serverCron structure
@@ -225,17 +225,6 @@ class KeyValueStore(StorageEngine):
         data, expires = db.data, db.expires
         return [StoredRecord(key, data[key], expires.get(key))
                 for key in keys if key in data]
-
-    def restore_records(self, databases: SnapshotImage) -> None:
-        for db in self.databases:
-            db.flush()
-        self.expiry.note_flush()
-        for index, records in databases.items():
-            db = self.databases[index]
-            for record in records:
-                db.set_value(record.key, record.value)
-                if record.expire_at is not None:
-                    self.set_key_expiry(db, record.key, record.expire_at)
 
     # -- introspection ------------------------------------------------------------
 

@@ -51,7 +51,7 @@ different inside:
   engine reports them (``lazy-expire`` / ``active-expire``).
 
 Deletion listeners, the effective-write stream (absolute ``PEXPIREAT``
-translation included), DUMP/RESTORE payloads, and snapshots all follow
+translation included), DUMP/RESTORE payloads, and the compacted log all follow
 the engine contract, so replication links, slot migrators, and erasure
 residual checks behave identically over either engine.
 """
@@ -697,20 +697,6 @@ class RelationalStore(StorageEngine):
                              None if row.owner is None
                              else (row.owner, row.purposes))
                 for row in rows]
-
-    def restore_records(self, databases: SnapshotImage) -> None:
-        if any(not isinstance(record.value, (bytes, dict))
-               for record in databases.get(0, ())):
-            raise CorruptionError(
-                "the relational engine holds value and wide-column rows "
-                "only")
-        self.table.clear()
-        for key, value, expire_at, metadata in databases.get(0, []):
-            self.table.upsert(key, value)
-            if expire_at is not None:
-                self.table.set_expiry(key, expire_at)
-            if metadata is not None:
-                self.table.set_metadata(key, *metadata)
 
     # -- replication -------------------------------------------------------
 

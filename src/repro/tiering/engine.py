@@ -23,10 +23,10 @@ replication, YCSB -- runs over a tiered keyspace unchanged:
   ``scan_records`` / ``key_count`` merge both tiers; DEL, expiry
   (lazy and active) and FLUSH reach cold copies with the same
   observable events (deletion reasons, write-stream DELs) as hot-only
-  operation.  A snapshot is the hot engine's snapshot format with every
-  readable cold-only record added to database 0 (owner columns
-  included where the hot engine keeps them); loading one restores every
-  record hot and empties the archive.
+  operation.  The keyspace's records are the hot engine's plus every
+  readable cold-only record in database 0 (owner columns included
+  where the hot engine keeps them), so its image
+  (:func:`repro.kvstore.aof.image`) replays every record hot.
 * **Erasure reaches the archive.**  Cold values of a known data
   subject are sealed under that subject's key from the shared
   :class:`~repro.crypto.keystore.KeyStore`; ``erase_subject_cold``
@@ -541,19 +541,6 @@ class TieredEngine(StorageEngine):
                     annotation[0], ",".join(sorted(annotation[1]))))
             yield record
 
-    def restore_records(self, databases: SnapshotImage) -> None:
-        """Every record re-enters the hot engine and the archive starts
-        empty; the idle scan re-tiers what stays untouched."""
-        self._inner.restore_records(databases)
-        if self.cold.segment_count:
-            self.cold.clear()
-        self._owners = {
-            record.key: (record.metadata[0],
-                         tuple(filter(None, record.metadata[1].split(","))))
-            for record in databases.get(0, ())
-            if record.metadata is not None}
-        self._last_touch.clear()
-
     def replay_aof(self, data: Optional[bytes] = None,
                    tolerate_truncated_tail: bool = True) -> int:
         # The hot AOF holds a plain DEL for every demotion; replaying it
@@ -564,10 +551,20 @@ class TieredEngine(StorageEngine):
         # eviction from the replay stream at all.
         self._loading = True
         try:
-            return self._inner.replay_aof(
+            replayed = self._inner.replay_aof(
                 data, tolerate_truncated_tail=tolerate_truncated_tail)
         finally:
             self._loading = False
+        if self.supports_metadata_columns:
+            # The replayed owner columns, so a record archived later
+            # seals under its subject (a full sync's or a restore's too).
+            for key, _, _, metadata in \
+                    self._inner.snapshot_records().get(0, ()):
+                if metadata is not None:
+                    self._owners[key] = (
+                        metadata[0],
+                        tuple(filter(None, metadata[1].split(","))))
+        return replayed
 
     def rewrite_aof(self, keys: Optional[Iterable[bytes]] = None) -> int:
         return self._inner.rewrite_aof(keys)

@@ -16,8 +16,7 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.common.errors import (
-    ArityError, CorruptionError, StoreError, UnknownCommandError)
-from repro.common.hashing import crc32_of
+    ArityError, StoreError, UnknownCommandError)
 from repro.common.resp import RespError
 from repro.crypto.keystore import KeyStore
 from repro.device.faults import FaultPlan
@@ -274,14 +273,22 @@ def test_dump_restore_wide_rows(engine):
     assert engine.execute("HGET", "copy", "f2") == b"b"
 
 
-def test_snapshot_round_trip(engine):
+def full_synced(engine):
+    """``engine``'s replica after the full sync a one-replica group runs
+    when it is built (the group is closed again, so no later write
+    streams to the replica)."""
+    manager = ReplicationManager(engine, delays=[0.0])
+    manager.close()
+    return manager, manager.links[0].replica
+
+
+def test_full_sync_round_trip(engine):
     engine.execute("SET", "a", "1")
     engine.execute("HSET", "b", "f", "2")
     engine.execute("SET", "c", "3")
     engine.execute("EXPIRE", "c", 50)
-    snapshot = engine.save_snapshot()
-    replica = engine.spawn_replica()
-    assert replica.load_snapshot(snapshot) == 3
+    manager, replica = full_synced(engine)
+    assert manager.full_sync_all() == 3
     assert replica.execute("GET", "a") == b"1"
     assert replica.execute("HGET", "b", "f") == b"2"
     assert replica.execute("TTL", "c") == 50
@@ -306,66 +313,40 @@ def _records(engine):
                   for r in engine.scan_records())
 
 
-def test_snapshot_keeps_values_deadlines_and_owner_columns(engine):
-    """Regression: a tiered snapshot restored its archived records
-    through PEXPIREAT milliseconds and without their owner columns, so
-    a tiered-relational replica's ``keys_of_owner`` lost them."""
+def _logged(expire_at):
+    """The deadline the log writes for ``expire_at``: the largest whole
+    millisecond ``m`` with ``m / 1000 <= expire_at``, in seconds."""
+    millis = int(expire_at * 1000)
+    while (millis + 1) / 1000 <= expire_at:
+        millis += 1
+    while millis / 1000 > expire_at:
+        millis -= 1
+    return millis / 1000
+
+
+def test_full_sync_keeps_values_owner_columns_and_the_logs_deadlines(
+        engine):
+    """Regression: a tiered copy restored its archived records without
+    their owner columns, so a tiered-relational replica's
+    ``keys_of_owner`` lost them.  A copy is the log's compacted form, so
+    each deadline is the log's millisecond: under 1 ms earlier than the
+    primary's, never later."""
     _owned_keyspace(engine)
-    replica = engine.spawn_replica()
-    assert replica.load_snapshot(engine.save_snapshot()) == 5
-    assert _records(replica) == _records(engine)
+    _, replica = full_synced(engine)
+    expected = [(key, value, None if at is None else _logged(at))
+                for key, value, at in _records(engine)]
+    assert _records(replica) == expected
+    for (_, _, at), (_, _, copied) in zip(_records(engine), expected):
+        assert at is None or at - 0.001 < copied <= at
+    assert sum(at is not None for _, _, at in expected) == 4
     assert replica.keys_of_owner("alice") == engine.keys_of_owner("alice")
     if engine.supports_metadata_columns:
         assert replica.keys_of_owner("alice") == ["k0", "k1", "k2", "k3"]
     if isinstance(replica, TieredEngine):
-        # Archived again after the load, a record keeps its subject.
+        # Archived again after the sync, a record keeps its subject.
         assert replica.demote_keys([b"k0"]) == 1
         assert replica.keys_of_owner("alice") == \
             engine.keys_of_owner("alice")
-
-
-def test_damaged_snapshot_rejected_and_keyspace_untouched(engine):
-    """Regression: a tiered snapshot had no checksum over its archived
-    records, so a flipped byte in one loaded silently."""
-    _owned_keyspace(engine)
-    snapshot = engine.save_snapshot()
-    flipped = bytearray(snapshot)
-    flipped[-5] ^= 0x01                  # the last record's value
-    target = engine.spawn_replica()
-    target.execute("SET", "keep", "x")
-    for bad in [snapshot[:n] for n in range(len(snapshot))] \
-            + [snapshot + b"\x00", bytes(flipped)]:
-        with pytest.raises(CorruptionError):
-            target.load_snapshot(bad)
-    assert target.execute("KEYS", "*") == [b"keep"]
-    assert target.load_snapshot(snapshot) == 5
-
-
-def _recount(snapshot, records):
-    """A one-database ``snapshot`` with its record count replaced by
-    ``records`` and the CRC recomputed, so only the parse can tell it is
-    damaged."""
-    start = len(b"REPRODB1") + 8         # magic, database count, index
-    body = (snapshot[:start] + records.to_bytes(8, "big")
-            + snapshot[start + 8:-4])
-    return body + crc32_of(body).to_bytes(4, "big")
-
-
-@pytest.mark.parametrize("records", [3, 1], ids=["overruns-count",
-                                                 "trailing-records"])
-def test_recounted_snapshot_rejected(engine, records):
-    """An image of a, b that declares 3 records must not load half of
-    it; one that declares 1 must not drop ``b`` silently."""
-    engine.execute("SET", "a", "1")
-    engine.execute("SET", "b", "2")
-    damaged = _recount(engine.save_snapshot(), records)
-    target = engine.spawn_replica()
-    target.execute("SET", "keep", "x")
-    with pytest.raises(CorruptionError):
-        target.load_snapshot(damaged)
-    assert target.execute("KEYS", "*") == [b"keep"]
-    assert target.load_snapshot(_recount(damaged, 2)) == 2
-    assert sorted(target.execute("KEYS", "*")) == [b"a", b"b"]
 
 
 def test_durable_log_replay_round_trip(engine):

@@ -2,14 +2,18 @@
 
 The restore and reconciliation classes run once over the Redis-like
 store and again, as their ``...EveryEngine`` subclasses, over every
-engine variant of the conformance suite: a backup is a snapshot, and
-every engine writes the one snapshot format.
+engine variant of the conformance suite: a backup generation is the
+log's compacted parts on a device of its own, and every engine writes
+the one log format.
 """
 
 import pytest
 
 from repro.common.clock import SimClock
+from repro.common.errors import CorruptionError
+from repro.crypto.cipher import seeded_entropy
 from repro.crypto.keystore import KeyStore
+from repro.device.faults import FaultPlan, PowerLoss
 from repro.gdpr import (
     BackupManager,
     GDPRConfig,
@@ -18,7 +22,8 @@ from repro.gdpr import (
     right_to_erasure,
 )
 from repro.kvstore import KeyValueStore, StoreConfig
-from repro.kvstore.snapshot import load
+from repro.kvstore.aof import image
+from repro.tiering import TieredEngine
 from tests.support import ENGINE_FACTORIES
 
 
@@ -44,9 +49,7 @@ def meta(owner="alice"):
 
 
 def mentions_key(backup, key):
-    return any(record.key == key.encode("utf-8")
-               for records in load(backup.snapshot).values()
-               for record in records)
+    return bool(backup.writer.mentioned_keys([key.encode("utf-8")]))
 
 
 class TestLifecycle:
@@ -78,6 +81,15 @@ class TestLifecycle:
         BackupManager(store).take_backup()
         assert any(r.operation == "backup"
                    for r in store.audit.records())
+
+    def test_a_store_without_a_durable_log_backs_up(self):
+        store = GDPRStore(kv=KeyValueStore(StoreConfig(), clock=SimClock()),
+                          config=GDPRConfig())
+        store.put("k", b"value", meta())
+        manager = BackupManager(store)
+        backup = manager.take_backup("nightly")
+        assert backup.writer.part_files() == ["nightly"]
+        assert manager.restore("nightly").get("k").value == b"value"
 
     def test_bad_generation_count(self):
         store, _ = make_store()
@@ -155,14 +167,16 @@ class TestReconciliation:
     def test_unaffected_generations_untouched(self, store):
         store.put("bob", b"bob-data", meta("bob"))
         manager = BackupManager(store)
-        untouched = manager.take_backup("bob-only").snapshot
+        untouched = FaultPlan(manager.take_backup("bob-only").writer.log)
         store.put("k", b"alice-data", meta("alice"))
         manager.take_backup("both")
         receipt = right_to_erasure(store, "alice")
         report = manager.reconcile_erasure("alice", receipt.keys_erased,
                                            rewrite=True)
         assert report.mentioning == ["both"]
-        assert manager.find("bob-only").snapshot is untouched
+        # The generation's device saw no operation at all: no append,
+        # rename or remove.
+        assert untouched.steps == []
 
     def test_scrub_keeps_the_generation_as_taken_minus_the_subject(
             self, store):
@@ -210,3 +224,225 @@ class TestReconciliationEveryEngine(TestReconciliation):
     @pytest.fixture
     def store(self, engine_store):
         return engine_store
+
+
+def generation(backup):
+    """Every file on the generation's device, with its bytes."""
+    log = backup.writer.log
+    return {name: log.read_all(name) for name in log.files()}
+
+
+def owned_store(variant):
+    """A store of ``variant`` holding alice, bob and carol; on the
+    tiered variants bob's record is archived."""
+    store = GDPRStore(kv=ENGINE_FACTORIES[variant](SimClock()),
+                      config=GDPRConfig(), keystore=KeyStore())
+    for subject in ("alice", "bob", "carol"):
+        store.put(subject, f"data-{subject}".encode(), meta(subject))
+    if isinstance(store.kv, TieredEngine):
+        assert store.kv.demote_keys([b"bob"]) == 1
+    return store
+
+
+def overwrite(log, name, data):
+    """Give file ``name`` of ``log`` the bytes ``data``."""
+    log.open(name + ".damaged")
+    log.append(data)
+    log.rename(name)
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
+def test_damaged_generation_rejected_and_nothing_changes(variant):
+    """Every truncation of a part, a flipped byte and a trailing byte
+    fail the part's CRC-32: a restore raises before it builds a store,
+    a scrub before it writes, and the live keyspace stays as it was."""
+    store = owned_store(variant)
+    manager = BackupManager(store)
+    backup = manager.take_backup("nightly")
+    log = backup.writer.log
+    [part] = backup.writer.part_files([b"alice"])
+    data = log.read_all(part)
+    flipped = bytearray(data)
+    flipped[-3] ^= 0x01          # inside the last record's last argument
+    live = image(store.kv)
+    restores = len([r for r in store.audit.records()
+                    if r.operation == "restore"])
+    for bad in [data[:n] for n in range(len(data))] \
+            + [data + b"\x00", bytes(flipped)]:
+        overwrite(log, part, bad)
+        with pytest.raises(CorruptionError):
+            manager.restore("nightly")
+    plan = FaultPlan(log)
+    for bad in (data + b"\x00", bytes(flipped)):
+        overwrite(log, part, bad)
+        before, steps = generation(backup), len(plan.steps)
+        with pytest.raises(CorruptionError):
+            manager.reconcile_erasure("alice", ["alice"], rewrite=True)
+        assert len(plan.steps) == steps and generation(backup) == before
+    assert image(store.kv) == live
+    assert len([r for r in store.audit.records()
+                if r.operation == "restore"]) == restores
+    overwrite(log, part, data)
+    assert manager.restore("nightly").get("carol").value == b"data-carol"
+
+
+@pytest.mark.parametrize("records", [1000, 4000, 16000])
+def test_scrub_writes_only_the_parts_that_held_the_subject(records):
+    """A scrub rewrites the part its subject's keys share (placed by the
+    live log's homes), not the generation: per affected generation it
+    writes no more bytes than the files it replaces -- the parts that
+    held the erased keys, and the manifest listing the parts -- at one
+    fsync; the new parts alone are smaller than the parts they replace,
+    and every other part keeps its bytes."""
+    clock = SimClock()
+    kv = KeyValueStore(StoreConfig(appendonly=True), clock=clock)
+    store = GDPRStore(kv=kv, config=GDPRConfig())
+    subjects = records // 8
+    for number in range(records):
+        key = f"user{number:06d}".encode()
+        kv.name_owner(key, f"subject{number % subjects}")
+        kv.execute("SET", key, b"v" * 100)
+    manager = BackupManager(store)
+    backup = manager.take_backup("nightly")
+    erased = [f"user{number:06d}" for number in range(0, records, subjects)]
+    held = backup.writer.part_files([key.encode() for key in erased])
+    before = generation(backup)
+    assert len(held) == 1 and len(before) > 2
+    fsyncs = backup.writer.log.fsyncs
+    kv.execute("DEL", *erased)
+    report = manager.reconcile_erasure("subject0", erased, rewrite=True)
+    assert report.rewritten == ["nightly"]
+    after = generation(backup)
+    written = sum(len(data) for name, data in after.items()
+                  if before.get(name) != data)
+    manifest = "nightly.manifest"
+    assert written <= sum(len(before[name]) for name in held + [manifest])
+    assert written - len(after[manifest]) < \
+        sum(len(before[name]) for name in held)
+    assert backup.writer.log.fsyncs - fsyncs == 1
+    untouched = set(before) - set(held) - {manifest}
+    assert {name: after[name] for name in untouched} == \
+        {name: before[name] for name in untouched}
+    assert not mentions_key(backup, erased[0])
+
+
+def erased_generation(variant):
+    """``variant``'s store with alice erased, and its manager holding
+    one generation taken before the erasure: the same bytes every call."""
+    with seeded_entropy(46):
+        store = owned_store(variant)
+        manager = BackupManager(store)
+        manager.take_backup("nightly")
+        return store, manager, right_to_erasure(store, "alice").keys_erased
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
+def test_power_loss_anywhere_in_a_scrub(variant):
+    """A power cut before any step of a scrub leaves the generation as
+    it was or as the scrub leaves it, byte for byte; the parts it lists
+    verify, and a restore from it serves no erased subject."""
+    _, manager, erased = erased_generation(variant)
+    backup = manager.find("nightly")
+    old = generation(backup)
+    plan = FaultPlan(backup.writer.log)
+    manager.reconcile_erasure("alice", erased, rewrite=True)
+    new = generation(backup)
+    assert new != old and {"append", "fsync", "rename"} <= set(plan.steps)
+    for at in range(len(plan.steps)):
+        store, manager, erased = erased_generation(variant)
+        backup = manager.find("nightly")
+        FaultPlan(backup.writer.log).cut(at)
+        with pytest.raises(PowerLoss):
+            manager.reconcile_erasure("alice", erased, rewrite=True)
+        assert generation(backup) in (old, new)
+        backup.verified(backup.writer.part_files())
+        restored = manager.restore("nightly")
+        assert restored.keys_of_subject("alice") == []
+        with pytest.raises(KeyError):
+            restored.get("alice")
+        assert restored.get("carol").value == b"data-carol"
+
+
+def crowded_store(variant):
+    """A store of ``variant`` whose keyspace outgrows one part: 40
+    subjects with six records each, alice among them; on the tiered
+    variants some records of each kind are archived."""
+    store = GDPRStore(kv=ENGINE_FACTORIES[variant](SimClock()),
+                      config=GDPRConfig(), keystore=KeyStore())
+    for number in range(240):
+        subject = "alice" if number % 40 == 0 else f"user{number % 40}"
+        store.put(f"rec{number:03d}", b"x" * 120, meta(subject))
+    if isinstance(store.kv, TieredEngine):
+        assert store.kv.demote_keys([b"rec000", b"rec001", b"rec002"]) == 3
+    return store
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
+def test_a_generation_of_several_parts_restores_as_taken(variant):
+    store = crowded_store(variant)
+    manager = BackupManager(store)
+    backup = manager.take_backup("nightly")
+    assert len(backup.writer.part_files()) > 1
+    taken = {key.decode(): store.get(key.decode()).value
+             for key in store.kv.live_keys()}
+    store.delete("rec001")
+    store.put("late", b"after", meta("bob"))
+    restored = manager.restore("nightly")
+    assert sorted(restored.kv.live_keys()) == sorted(
+        key.encode() for key in taken)
+    assert {key: restored.get(key).value for key in taken} == taken
+    assert sorted(restored.keys_of_subject("alice")) == \
+        [f"rec{number:03d}" for number in range(0, 240, 40)]
+
+
+def erased_crowd(variant):
+    """:func:`erased_generation` over :func:`crowded_store`."""
+    with seeded_entropy(46):
+        store = crowded_store(variant)
+        manager = BackupManager(store)
+        manager.take_backup("nightly")
+        return store, manager, right_to_erasure(store, "alice").keys_erased
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
+def test_power_loss_anywhere_in_a_scrub_of_several_parts(variant):
+    """As :func:`test_power_loss_anywhere_in_a_scrub`, over a generation
+    split into parts: the scrub replaces alice's part and removes the
+    old one, and a cut before any of its steps -- the removal included
+    -- recovers the old parts or the new ones."""
+    _, manager, erased = erased_crowd(variant)
+    backup = manager.find("nightly")
+    old = generation(backup)
+    plan = FaultPlan(backup.writer.log)
+    manager.reconcile_erasure("alice", erased, rewrite=True)
+    new = generation(backup)
+    assert plan.steps[-1] == "remove"
+    for at in range(len(plan.steps)):
+        store, manager, erased = erased_crowd(variant)
+        backup = manager.find("nightly")
+        FaultPlan(backup.writer.log).cut(at)
+        with pytest.raises(PowerLoss):
+            manager.reconcile_erasure("alice", erased, rewrite=True)
+        assert generation(backup) in (old, new)
+        restored = manager.restore("nightly")
+        assert restored.keys_of_subject("alice") == []
+        assert restored.get("rec041").value == b"x" * 120
+        # The next scrub finishes the erasure the cut interrupted.
+        manager.reconcile_erasure("alice", erased, rewrite=True)
+        assert generation(backup) == new
+
+
+def test_a_generation_keeps_every_database():
+    clock = SimClock()
+    kv = KeyValueStore(StoreConfig(appendonly=True), clock=clock)
+    store = GDPRStore(kv=kv, config=GDPRConfig())
+    session = kv.session(3)
+    for number in range(400):
+        kv.execute("SET", f"k{number}", b"v" * 100, session=session)
+    store.put("k", b"value", meta())
+    manager = BackupManager(store)
+    assert len(manager.take_backup("nightly").writer.part_files()) > 1
+    restored = manager.restore("nightly").kv
+    assert restored.execute("GET", "k399", session=restored.session(3)) \
+        == b"v" * 100
+    assert restored.key_count(3) == 400 and restored.key_count(0) == 1

@@ -54,7 +54,7 @@ def _parts_mentioning(engine):
     """argument -> how many files of the log have a record naming it."""
     log = engine.aof.log
     counts = Counter()
-    for name in engine.aof._files():
+    for name in engine.aof.part_files():
         counts.update({arg for args in replay_commands(log.read_all(name))
                        for arg in args[1:]})
     return counts
@@ -168,13 +168,13 @@ def test_a_four_key_erasure_retires_one_part(records):
     wal, device = store.kv.aof, store.kv.aof_log
     for step in range(1, 6):
         subject = f"subject-{step * 97 % (records // KEYS_PER_SUBJECT)}"
-        before = set(wal._files())
+        before = set(wal.part_files())
         written, fsyncs = wal.bytes_rewritten, device.fsyncs
         rewrites = store.kv.rewrites_completed
         receipt = right_to_erasure(store, subject)
         assert len(receipt.keys_erased) == KEYS_PER_SUBJECT
         assert receipt.log_compacted and not receipt.residual_in_aof
-        assert len(before - set(wal._files())) == 1, subject
+        assert len(before - set(wal.part_files())) == 1, subject
         assert store.kv.rewrites_completed == rewrites + 1
         assert wal.bytes_rewritten - written <= 2 * PART_BYTES
         assert device.fsyncs - fsyncs == 1
@@ -200,8 +200,8 @@ def test_a_tiered_erasure_files_its_cold_keys_with_the_subject(variant):
     assert engine.demote_keys(keys[1:]) == 3
     engine.rewrite_aof(keys)               # drops the demoted keys' history
     assert not set(keys[1:]) & set(wal._homes)
-    before = set(wal._files())
+    before = set(wal.part_files())
     receipt = right_to_erasure(store, "subject-7")
     assert receipt.cold_segments_voided >= 1
     assert receipt.log_compacted and not receipt.residual_in_aof
-    assert len(before - set(wal._files())) == 1
+    assert len(before - set(wal.part_files())) == 1

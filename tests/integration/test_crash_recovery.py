@@ -9,8 +9,9 @@ from repro.device.append_log import AppendLog
 from repro.device.faults import FaultPlan
 from repro.gdpr.audit import AuditDurability, AuditLog
 from repro.kvstore import KeyValueStore, StoreConfig
+from repro.kvstore.replication import ReplicationManager
 from repro.sqlstore import RelationalStore, SqlConfig
-from tests.support import reopen
+from tests.support import ENGINE_FACTORIES, reopen
 
 
 def make_store(appendfsync="always", **kwargs):
@@ -151,19 +152,23 @@ class TestAofCrashRecovery:
 
 
 class TestSnapshotPlusAof:
-    def test_snapshot_then_aof_tail(self):
-        # The classic recovery flow: restore the snapshot, replay the AOF
-        # written after it.
-        store, log, clock = make_store()
+    @pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
+    def test_full_sync_then_aof_tail(self, variant):
+        # The classic recovery flow: load the image a full sync ships,
+        # then replay the log written after it.
+        store = ENGINE_FACTORIES[variant](SimClock())
         store.execute("SET", "base", "v1")
-        snapshot = store.save_snapshot()
-        tail_start = log.total_length
+        manager = ReplicationManager(store, delays=[0.0])
+        manager.close()
+        synced = store.aof.read_all()
         store.execute("SET", "base", "v2")
         store.execute("SET", "extra", "x")
 
-        recovered = KeyValueStore(StoreConfig(appendonly=True))
-        recovered.load_snapshot(snapshot)
-        recovered.replay_aof(log.read_all()[tail_start:])
+        recovered = manager.links[0].replica
+        assert recovered.execute("GET", "base") == b"v1"
+        log = store.aof.read_all()
+        assert log.startswith(synced)
+        recovered.replay_aof(log[len(synced):])
         assert recovered.execute("GET", "base") == b"v2"
         assert recovered.execute("GET", "extra") == b"x"
 

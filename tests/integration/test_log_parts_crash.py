@@ -120,7 +120,7 @@ def test_power_loss_at_every_step_recovers_the_old_or_new_keyspace(
             (variant, step)
         reopened = AofWriter(log, engine.clock)
         assert reopened.read_durable() == engine.aof.read_durable()
-        assert len(log.files()) == len(reopened._files()) + reopened.split
+        assert len(log.files()) == len(reopened.part_files()) + reopened.split
         if scenario is _whole:
             assert log.files() == [log.name], (variant, step)
         if erased:
@@ -182,7 +182,7 @@ def _owned(variant):
                                purposes=frozenset({"service"})),
                   purpose="service")
     right_to_erasure(store, "subject-0")              # splits the log
-    assert len(store.kv.aof._files()) > 2
+    assert len(store.kv.aof.part_files()) > 2
     return store
 
 
@@ -222,13 +222,13 @@ def test_power_loss_in_an_owner_placed_rewrite_keeps_one_part_erasures(
         restarted.rebuild_indexes()
         hot = recovered.inner if isinstance(recovered, TieredEngine) \
             else recovered
-        parts = set(recovered.aof._files())
+        parts = set(recovered.aof.part_files())
         rewrites = hot.rewrites_completed
         receipt = right_to_erasure(restarted, "subject-11")
         assert len(receipt.keys_erased) == KEYS_PER_SUBJECT
         assert receipt.log_compacted and not receipt.residual_in_aof
         assert hot.rewrites_completed == rewrites + 1, step
-        assert len(parts - set(recovered.aof._files())) == 1, step
+        assert len(parts - set(recovered.aof.part_files())) == 1, step
         cut_at += 1
     assert plan.steps.count("rename") == 1 and cut_at == len(plan.steps)
 
@@ -251,11 +251,11 @@ def test_a_store_restarted_before_its_first_split_files_keys_by_owner(
     restarted.rebuild_indexes()
     right_to_erasure(restarted, "subject-0")          # splits the log
     assert recovered.aof.split
-    parts = set(recovered.aof._files())
+    parts = set(recovered.aof.part_files())
     receipt = right_to_erasure(restarted, "subject-7")
     assert len(receipt.keys_erased) == KEYS_PER_SUBJECT
     assert receipt.log_compacted and not receipt.residual_in_aof
-    assert len(parts - set(recovered.aof._files())) == 1
+    assert len(parts - set(recovered.aof.part_files())) == 1
 
 
 @pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))

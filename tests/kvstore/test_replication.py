@@ -4,6 +4,7 @@ import pytest
 
 from repro.common.clock import ShardClock, SimClock
 from repro.kvstore import KeyValueStore, ReplicationManager, StoreConfig
+from tests.support import py_calls
 
 
 def make_primary(clock=None, **config):
@@ -135,6 +136,20 @@ class TestBasicReplication:
         link = manager.add_replica("r1")
         assert manager.full_sync_all() == 1
         assert link.replica.execute("GET", "pre") == b"existing"
+
+    def test_full_sync_builds_the_image_once(self):
+        """A group's full sync serialises the primary once, whatever the
+        number of replicas, and every replica replays that image."""
+        primary, _ = make_primary()
+        for number in range(5):
+            primary.execute("SET", f"k{number}", "v")
+        manager = ReplicationManager(primary)
+        for name in ("r1", "r2", "r3"):
+            manager.add_replica(name)
+        records = type(primary).snapshot_records
+        calls = py_calls(manager.full_sync_all, [records])
+        assert calls.result == 15
+        assert calls.watched[records] == 1
 
     def test_full_sync_drains_backlog(self):
         """Regression: commands enqueued before the snapshot are already

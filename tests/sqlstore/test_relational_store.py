@@ -4,10 +4,9 @@ scans, metadata columns, WAL checkpointing, vacuum."""
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.errors import CorruptionError
 from repro.device.append_log import AppendLog
 from repro.device.faults import FaultPlan
-from repro.kvstore import KeyValueStore
+from repro.kvstore.replication import ReplicationManager
 from repro.sqlstore import RelationalStore, SqlConfig, btree_depth
 from repro.ycsb.adapters import SqlAdapter
 
@@ -136,29 +135,12 @@ def test_metadata_columns_replicate_and_replay():
     assert replica2.keys_of_owner("alice") == ["u1"]
 
 
-def test_snapshot_preserves_metadata_columns():
+def test_full_sync_preserves_metadata_columns():
     store = make_store()
     store.execute("SET", "u1", "x")
     store.annotate_metadata([("u1", "alice", {"service"})])
-    replica = store.spawn_replica()
-    replica.load_snapshot(store.save_snapshot())
+    replica = ReplicationManager(store, delays=[0.0]).links[0].replica
     assert replica.keys_of_owner("alice") == ["u1"]
-
-
-def test_snapshot_the_table_cannot_hold_is_rejected_untouched():
-    """Snapshots share one format, so a Redis-like image parses here;
-    one with a second database or a sorted-set value is refused before
-    the table is cleared."""
-    zsets = KeyValueStore(clock=SimClock())
-    zsets.execute("ZADD", "z", 1, "a")
-    second_db = KeyValueStore(clock=SimClock())
-    second_db.execute("SET", "k", "v", session=second_db.session(3))
-    target = make_store()
-    target.execute("SET", "keep", "x")
-    for image in (zsets.save_snapshot(), second_db.save_snapshot()):
-        with pytest.raises(CorruptionError):
-            target.load_snapshot(image)
-    assert target.execute("KEYS", "*") == [b"keep"]
 
 
 def test_vacuum_reclaims_due_rows_in_one_sweep():

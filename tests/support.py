@@ -128,9 +128,9 @@ def assert_refused(store, *argv) -> None:
     import pytest
 
     from repro.common.errors import UnknownCommandError
-    from repro.kvstore.snapshot import dump
+    from repro.kvstore.aof import image
 
-    before = dump(store.snapshot_records())
+    before = image(store)
     with pytest.raises(UnknownCommandError, match="unknown command"):
         store.execute(*argv)
-    assert dump(store.snapshot_records()) == before
+    assert image(store) == before

@@ -5,10 +5,10 @@ snapshots, and the crash-window shadow rules."""
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.errors import CorruptionError
 from repro.crypto.keystore import KeyStore
 from repro.device.append_log import AppendLog
 from repro.device.latency import INTEL_750_SSD
+from repro.kvstore.replication import ReplicationManager
 from repro.kvstore.store import KeyValueStore, StoreConfig
 from repro.sqlstore import RelationalStore, SqlConfig
 from repro.tiering import TieredEngine, TieringConfig
@@ -200,50 +200,35 @@ def test_containers_stay_hot():
     assert engine.execute("HGET", "row", "f") == b"v"
 
 
-def test_snapshot_round_trip_includes_cold():
+def test_full_sync_includes_cold():
     engine = make_engine(auto_demote=False)
     engine.execute("SET", "hot", "1")
     engine.execute("SET", "cold", "2")
     engine.execute("SET", "cold-ttl", "3", "EX", 500)
     engine.demote_keys([b"cold", b"cold-ttl"])
-    snapshot = engine.save_snapshot()
-    replica = engine.spawn_replica()
-    assert replica.load_snapshot(snapshot) == 3
+    manager = ReplicationManager(engine, delays=[0.0])
+    replica = manager.links[0].replica
+    assert manager.full_sync_all() == 3
     assert replica.execute("GET", "hot") == b"1"
     assert replica.execute("GET", "cold") == b"2"
     assert replica.execute("TTL", "cold-ttl") == 500
 
 
-def test_truncated_or_padded_snapshot_is_rejected_and_loads_nothing():
-    """Regression: a prefix of a tiered snapshot used to load a
-    silently shortened value or raise a bare struct.error."""
+def test_full_sync_clears_a_stale_archive():
+    """A replica's own archived state does not outlive a full sync: the
+    replica flushes (its archive included) before it replays the
+    primary's image, whose records all come in hot."""
     engine = make_engine(auto_demote=False)
-    engine.execute("SET", "hot", "1")
-    engine.execute("SET", "cold", "hello-world-value")
-    engine.execute("SET", "cold-ttl", "3", "EX", 500)
-    engine.demote_keys([b"cold", b"cold-ttl"])
-    snapshot = engine.save_snapshot()
-    target = engine.spawn_replica()
-    target.execute("SET", "before", "x")
-    for bad in [snapshot[:n] for n in range(len(snapshot))] \
-            + [snapshot + b"\x00"]:
-        with pytest.raises(CorruptionError):
-            target.load_snapshot(bad)
-    assert target.execute("KEYS", "*") == [b"before"]
-    assert target.load_snapshot(snapshot) == 3
-
-
-def test_plain_hot_snapshot_still_loads():
-    donor = KeyValueStore(StoreConfig(), clock=SimClock())
-    donor.execute("SET", "fresh", "x")
-    plain = donor.save_snapshot()
-    engine = make_engine(auto_demote=False)
-    engine.execute("SET", "stale", "y")
-    engine.demote_keys([b"stale"])             # archive holds stale state
-    assert engine.load_snapshot(plain) == 1    # cold archive cleared
-    assert engine.cold.segment_count == 0
-    assert engine.execute("GET", "fresh") == b"x"
-    assert engine.execute("GET", "stale") is None
+    engine.execute("SET", "fresh", "x")
+    manager = ReplicationManager(engine, delays=[0.0])
+    manager.close()
+    replica = manager.links[0].replica
+    replica.execute("SET", "stale", "y")
+    replica.demote_keys([b"stale"])            # archive holds stale state
+    assert manager.full_sync_all() == 1        # cold archive cleared
+    assert replica.cold.segment_count == 0
+    assert replica.execute("GET", "fresh") == b"x"
+    assert replica.execute("GET", "stale") is None
 
 
 def test_memory_footprint_shrinks_on_demotion():
