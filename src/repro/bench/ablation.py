@@ -249,7 +249,8 @@ def gdpr_slowdown(record_count: int = 200,
     ``gdpr-strict`` row goes further: the *full* strict stack --
     synchronous hash-chained audit of every interaction, per-subject
     encryption, ACL checks, and metadata indexing on top of fsync-always
-    AOF -- which is costlier still (two durability barriers per op).
+    AOF -- which is costlier still (two durability barriers per request,
+    one on each device it touches: the audit device's, then the AOF's).
     Throughput rows are YCSB-A ops/s; the two ``*slowdown*`` rows are the
     unmodified throughput over the row above them.
     """

@@ -32,10 +32,12 @@ from .latency import ZERO, LatencyModel
 
 class FsyncPolicy(enum.Enum):
     """When a writer's appended bytes become durable (Redis'
-    ``appendfsync``): ``always`` after every operation that moved bytes,
-    ``everysec`` once ``interval`` has passed since the writer's own
-    last fsync, ``no`` never (the OS decides).  The audit log names the
-    same three settings SYNC, BATCH and ASYNC."""
+    ``appendfsync``): ``always`` after every operation that moved bytes
+    -- or, for the operations of one barrier scope (a GDPR request),
+    once at the scope's exit -- ``everysec`` once ``interval`` has
+    passed since the writer's own last fsync, ``no`` never (the OS
+    decides).  The audit log names the same three settings SYNC, BATCH
+    and ASYNC."""
 
     ALWAYS = "always"
     EVERYSEC = "everysec"
@@ -245,7 +247,8 @@ class AppendLog:
     def group(self) -> "AppendLog":
         """A barrier scope: ``with log.group():`` turns every
         :meth:`commit` inside it into one flush+fsync at the outermost
-        exit, which runs even when the body raises.  Scopes nest."""
+        exit, which runs even when the body raises.  Scopes nest (a
+        :class:`BarrierScope` is one over several devices)."""
         return self
 
     def __enter__(self) -> "AppendLog":
@@ -337,14 +340,48 @@ class AppendLog:
             self._data[i] ^= 0xFF
 
 
+class BarrierScope:
+    """One barrier scope over several devices: ``with scope:`` is a
+    :meth:`AppendLog.group` of each of ``logs`` (None entries are
+    skipped; a device named twice nests into one scope), and at the
+    outermost exit each device with a due commit pays one fsync (after
+    a flush of any bytes still unwritten), in the order ``logs`` are
+    given -- after every scope is left, so a failed barrier leaves no
+    device inside one and fsyncs none after it.  Entering allocates
+    nothing: one object serves every request it scopes."""
+
+    __slots__ = ("logs",)
+
+    def __init__(self, *logs: Optional[AppendLog]) -> None:
+        self.logs = tuple([log for log in logs if log is not None])
+
+    def __enter__(self) -> None:
+        for log in self.logs:
+            log._scopes += 1
+
+    def __exit__(self, *exc_info) -> None:
+        for log in self.logs:
+            log._scopes -= 1
+        for log in self.logs:
+            if log._commit_due and not log._scopes:
+                if log._unflushed or len(log._data) > log._cached_length:
+                    log.flush()
+                log.fsync()
+
+
 class LogWriter:
     """One writer of ``log`` under an :class:`FsyncPolicy`: the one place
     that decides when the writer's appended bytes get fsynced.
 
     After each operation the writer calls :meth:`post_command`; its
-    cron calls :meth:`tick`.  ``last_fsync`` is the writer's own clock
-    for ``everysec``: only its policy fsyncs (and :meth:`sync`) restart
-    it, not another writer's barrier on the same device.
+    cron calls :meth:`tick`.  Under ``always`` an operation's bytes are
+    durable as it returns -- unless it runs inside a barrier scope
+    (:meth:`AppendLog.group`, :class:`BarrierScope`), whose exit then
+    pays one fsync for every operation in it.  ``everysec``'s interval
+    fsync and :meth:`sync` are barriers as written, scope or no scope.
+    ``last_fsync`` is the writer's own clock for ``everysec``: only its
+    policy fsyncs (and :meth:`sync`) restart it, not another writer's
+    barrier on the same device.
     """
 
     def __init__(self, log: AppendLog, clock: Clock, policy: FsyncPolicy,
@@ -356,12 +393,17 @@ class LogWriter:
         self.last_fsync = clock.now()
 
     def post_command(self) -> bool:
-        """Flush the application buffer; under ``always``, fsync when
+        """Flush the application buffer; under ``always``, commit when
         bytes moved (Redis' flushAppendOnlyFile at the end of each event
-        loop iteration).  Returns whether it fsynced."""
-        moved = self.log.flush()
+        loop iteration): fsync now or, inside a barrier scope, once at
+        its exit.  Returns whether it fsynced now."""
+        log = self.log
+        moved = log.flush()
         if self.policy is FsyncPolicy.ALWAYS and moved:
-            self.log.fsync()
+            if log._scopes:
+                log._commit_due = True
+                return False
+            log.fsync()
             self.last_fsync = self.clock.now()
             return True
         return False
@@ -378,7 +420,8 @@ class LogWriter:
 
     def sync(self) -> None:
         """Make everything appended so far durable now, whatever the
-        policy (an end-of-run barrier), and restart the interval."""
+        policy and inside a barrier scope too (an end-of-run barrier, a
+        seal that orders later writes), and restart the interval."""
         log = self.log
         if log.unflushed_bytes or log.unsynced_bytes:
             log.flush_and_fsync()

@@ -7,7 +7,8 @@ requirement of Art. 5.2.  Two chain granularities exist:
 
 * **record mode** (default) -- each record's digest commits to its
   predecessor and the record is written (and, under SYNC, fsync'd) on its
-  own: strict real-time compliance, the configuration that costs Redis 20x;
+  own -- the records of one GDPR request share the request's one fsync:
+  strict real-time compliance, the configuration that costs Redis 20x;
 * **block mode** (the fast-GDPR path) -- records buffer in memory and are
   sealed into :class:`AuditBlock`\\ s of up to ``block_size`` members (or
   whenever ``batch_interval`` elapses).  One chain update covers the whole
@@ -30,14 +31,19 @@ by the same code: the log is written through a
 the AOF's :class:`~repro.device.append_log.FsyncPolicy` under the audit
 layer's names:
 
-* ``SYNC``    -- ``always``: flush + fsync per record;
+* ``SYNC``    -- ``always``: flush + fsync per record, or -- inside a
+  barrier scope (every :class:`~repro.gdpr.store.GDPRStore` request is
+  one) -- flush per record and one fsync at the scope's exit, before
+  the engine log's, so no durable write goes unaudited;
 * ``BATCH``   -- ``everysec`` at ``batch_interval``: group-commit once the
   interval has passed (the paper's "storing the monitoring logs in a
   batch (say, once every second)" that recovers 6x while risking one
   interval of records);
 * ``ASYNC``   -- ``no``: write()s without fsync; the OS decides.
 
-A sealed block is written under ``always``.
+A sealed block is a barrier as written
+(:meth:`~repro.device.append_log.LogWriter.sync`): durable before
+:meth:`AuditLog.seal_block` returns, inside a barrier scope too.
 
 On a scheduling clock (:class:`~repro.common.clock.SimClock`) the log
 registers a recurring *daemon* timer so BATCH group commit and block
@@ -296,8 +302,8 @@ class AuditLog:
         self._sealed_records = 0            # records inside sealed blocks
         self._durable_records = 0           # incrementally tracked at fsyncs
         # The one policy decides when appended bytes get fsynced: the
-        # durability in record mode; in block mode every seal is fsynced
-        # (``last_fsync`` is then the last seal).
+        # durability in record mode; in block mode every seal is a
+        # barrier (``last_fsync`` is then the last seal).
         self._writer = LogWriter(
             self.log, self.clock,
             FsyncPolicy.ALWAYS if chain_mode is AuditChainMode.BLOCK
@@ -365,7 +371,8 @@ class AuditLog:
         self._tip = digest
         self._memory.append(record)
         writer = self._writer
-        if writer.post_command() or writer.tick(self.clock.now()):
+        if writer.post_command() or writer.policy is FsyncPolicy.EVERYSEC \
+                and writer.tick(self.clock.now()):
             self._durable_records = self._seq
         return record
 
@@ -402,7 +409,7 @@ class AuditLog:
         if self.record_cpu_cost:
             self.clock.advance(self.record_cpu_cost)
         self.log.append(block.to_line())
-        self._writer.post_command()
+        self._writer.sync()
         self._durable_records = self._sealed_records
         return block
 
@@ -459,10 +466,16 @@ class AuditLog:
         """Records not yet durable -- what a power loss loses right now.
 
         This quantifies the paper's everysec trade-off: "exposing it to
-        the risk of losing one second worth of logs".  O(1): the durable
-        record count is tracked incrementally at fsync points instead of
-        re-reading the durable log.
+        the risk of losing one second worth of logs", and counts the
+        SYNC records of an open barrier scope, which its exit makes
+        durable.  O(1): the durable record count is tracked
+        incrementally at fsync points instead of re-reading the durable
+        log; a record-mode log whose device holds nothing unsynced has
+        every record durable (a scope's exit fsync).
         """
+        if self.chain_mode is AuditChainMode.RECORD and not (
+                self.log.unflushed_bytes or self.log.unsynced_bytes):
+            self._durable_records = self._seq
         return self._seq - self._durable_records
 
     # -- parsing & verification ----------------------------------------------------

@@ -29,7 +29,7 @@ checked before the part is replayed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..common.clock import Clock
 from ..common.errors import CorruptionError
@@ -60,13 +60,14 @@ class Backup:
                     f"backup {self.label}: part {file} fails its CRC-32")
         return datas
 
-    def seal(self, kept: List[str]) -> None:
-        """Record the CRC-32 of each part written since the parts were
-        ``kept`` (fresh names, or a one-part log's own file), and forget
-        the parts the log no longer lists."""
+    def seal(self, rewritten: Sequence[str] = ()) -> None:
+        """Record the CRC-32 of each part without one (a fresh name) or
+        ``rewritten`` (a part renamed over its old name holds new
+        bytes; one a failed rewrite left holds its verified old ones),
+        and forget the parts the log no longer lists."""
         files = self.writer.part_files()
         fresh = [file for file in files
-                 if file not in kept or file == self.writer.log.name]
+                 if file not in self.crcs or file in rewritten]
         crcs = {file: self.crcs[file] for file in files if file in self.crcs}
         crcs.update(zip(fresh, map(crc32_of,
                                    self.writer.log.read_files(fresh))))
@@ -114,7 +115,7 @@ class BackupManager:
             taken_at=self.clock.now(),
             writer=writer,
             wrapped_keys=self.store.keystore.export_wrapped())
-        backup.seal([])
+        backup.seal()
         self.backups.append(backup)
         if len(self.backups) > self.max_generations:
             self.backups.pop(0)
@@ -197,8 +198,8 @@ class BackupManager:
         rename, the new ones: the generation is reopened over what its
         device holds, and keeps the CRC-32s of the parts it lists."""
         writer = backup.writer
-        kept = writer.part_files()
-        datas = backup.verified(writer.part_files(erased))
+        targets = writer.part_files(erased)
+        datas = backup.verified(targets)
         kv = self.store.kv
         scratch = (kv.inner if kv.supports_tiering else kv).spawn_replica()
         for data in datas:
@@ -210,4 +211,4 @@ class BackupManager:
             backup.writer = AofWriter(writer.log, self.clock)
             raise
         finally:
-            backup.seal(kept)
+            backup.seal(targets)

@@ -113,13 +113,15 @@ def _purpose(store: GDPRStore, purpose: bytes,
 
 
 def _right(body: Callable) -> Callable:
-    """A right's handler: its per-store body, its part as JSON."""
+    """A right's handler: its per-store body, run as the store runs it
+    (one request), its part as JSON."""
 
     def handler(store: GDPRStore, subject: bytes, principal: bytes,
                 arg: bytes) -> Optional[bytes]:
-        part = body(store, _text(subject), decode_principal(principal),
-                    json.loads(arg))
-        return None if part is None else json.dumps(part).encode("utf-8")
+        parts = store.subject_parts(body, _text(subject),
+                                    decode_principal(principal),
+                                    json.loads(arg))
+        return json.dumps(parts[0][1]).encode("utf-8") if parts else None
 
     return handler
 

@@ -24,7 +24,7 @@ serves the same methods and rights as commands of a cluster node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..common.clock import Clock
 from ..common.errors import (
@@ -34,6 +34,7 @@ from ..common.errors import (
     PurposeViolationError,
 )
 from ..crypto.keystore import KeyStore
+from ..device.append_log import BarrierScope
 from ..engine.base import StorageEngine
 from ..kvstore.store import KeyValueStore, StoreConfig
 from .access_control import AccessController, Operation, Principal
@@ -110,6 +111,11 @@ class GDPRStore:
             self.locations.place_node(self.config.node_id,
                                       self.config.region)
         self.index = MetadataIndex()
+        # One barrier scope per request over the audit device and the
+        # engine's log: a SYNC/``always`` request pays one fsync per
+        # device at its end, the audit device's first, so no durable
+        # write's processing is left unaudited.
+        self._request = BarrierScope(self.audit.log, self.kv.aof_log)
         # Erasure timeliness as the aggregates erasure_report() reads:
         # no erased key or subject name outlives its deletion here.
         self._erasures = 0
@@ -216,46 +222,47 @@ class GDPRStore:
         residency (Art. 46).  Applies the TTL as a store expiration and
         audits the write.
         """
-        now = self.clock.now()
-        try:
-            self.access.check(principal, Operation.WRITE, metadata,
-                              purpose, now)
-        except AccessDeniedError:
-            self._record_audit(principal.name, "put", key, metadata.owner,
-                               purpose, "denied")
-            raise
-        if not metadata.purposes:
-            self._record_audit(principal.name, "put", key, metadata.owner,
-                               purpose, "error", "no declared purpose")
-            raise PurposeViolationError(
-                f"record {key!r} declares no processing purpose "
-                "(Art. 5 purpose limitation)")
-        if metadata.created_at == 0.0:
-            metadata = _with_created_at(metadata, now)
-        self.locations.check_placement(metadata, self.config.region)
-        blob = self._seal(key, metadata, value)
-        deadline = metadata.expire_at()
-        if self._writebehind is not None:
-            # Fast-GDPR write shape: one fused engine command (SET..PXAT:
-            # value + retention deadline in one log record), the sidecar
-            # index updated inline (reads check purpose/access against
-            # it), and the remaining maintenance deferred to the
-            # write-behind flush.  The audit append buffers into the
-            # current block -- no fsync here.
-            self.kv.name_owner(key.encode("utf-8"), metadata.owner)
-            if deadline is None:
-                self.kv.execute("SET", key, blob)
-            else:
-                self.kv.execute("SET", key, blob, "PXAT",
-                                int(deadline * 1000))
-            self.index.add(key, metadata)
-            self._writebehind.enqueue(key, metadata)
+        with self._request:
+            now = self.clock.now()
+            try:
+                self.access.check(principal, Operation.WRITE, metadata,
+                                  purpose, now)
+            except AccessDeniedError:
+                self._record_audit(principal.name, "put", key, metadata.owner,
+                                   purpose, "denied")
+                raise
+            if not metadata.purposes:
+                self._record_audit(principal.name, "put", key, metadata.owner,
+                                   purpose, "error", "no declared purpose")
+                raise PurposeViolationError(
+                    f"record {key!r} declares no processing purpose "
+                    "(Art. 5 purpose limitation)")
+            if metadata.created_at == 0.0:
+                metadata = _with_created_at(metadata, now)
+            self.locations.check_placement(metadata, self.config.region)
+            blob = self._seal(key, metadata, value)
+            deadline = metadata.expire_at()
+            if self._writebehind is not None:
+                # Fast-GDPR write shape: one fused engine command (SET..PXAT:
+                # value + retention deadline in one log record), the sidecar
+                # index updated inline (reads check purpose/access against
+                # it), and the remaining maintenance deferred to the
+                # write-behind flush.  The audit append buffers into the
+                # current block -- no fsync here.
+                self.kv.name_owner(key.encode("utf-8"), metadata.owner)
+                if deadline is None:
+                    self.kv.execute("SET", key, blob)
+                else:
+                    self.kv.execute("SET", key, blob, "PXAT",
+                                    int(deadline * 1000))
+                self.index.add(key, metadata)
+                self._writebehind.enqueue(key, metadata)
+                self._record_audit(principal.name, "put", key, metadata.owner,
+                                   purpose, "ok")
+                return
+            self.store_record(key, blob, metadata)
             self._record_audit(principal.name, "put", key, metadata.owner,
                                purpose, "ok")
-            return
-        self.store_record(key, blob, metadata)
-        self._record_audit(principal.name, "put", key, metadata.owner,
-                           purpose, "ok")
 
     def store_record(self, key: str, blob: bytes,
                      metadata: GDPRMetadata) -> None:
@@ -279,71 +286,88 @@ class GDPRStore:
     def get(self, key: str, principal: Principal = CONTROLLER,
             purpose: Optional[str] = None) -> Record:
         """Read one record, enforcing access control and purpose limits."""
-        now = self.clock.now()
-        metadata = self.index.get_metadata(key)
-        try:
-            self.access.check(principal, Operation.READ, metadata,
-                              purpose, now)
-        except AccessDeniedError:
+        with self._request:
+            now = self.clock.now()
+            metadata = self.index.get_metadata(key)
+            try:
+                self.access.check(principal, Operation.READ, metadata,
+                                  purpose, now)
+            except AccessDeniedError:
+                self._record_audit(principal.name, "get", key,
+                                   metadata.owner if metadata else None,
+                                   purpose, "denied")
+                raise
+            if purpose is not None and metadata is not None \
+                    and not metadata.allows_purpose(purpose):
+                self._record_audit(principal.name, "get", key, metadata.owner,
+                                   purpose, "denied", "purpose not permitted")
+                raise PurposeViolationError(
+                    f"purpose {purpose!r} is not permitted for {key!r}")
+            blob = self.kv.execute("GET", key)
+            if blob is None:
+                self._record_audit(principal.name, "get", key,
+                                   metadata.owner if metadata else None,
+                                   purpose, "error", "not found")
+                raise KeyError(key)
+            owner = metadata.owner if metadata else "unknown"
+            try:
+                envelope = self._unseal(key, owner, blob)
+            except (KeyNotFoundError, IntegrityError):
+                # Crypto-erased: ciphertext remains but is unreadable forever.
+                self._record_audit(principal.name, "get", key, owner,
+                                   purpose, "error", "crypto-erased")
+                raise KeyError(key)
+            stored_metadata, value = unpack_envelope(envelope, metadata)
             self._record_audit(principal.name, "get", key,
-                               metadata.owner if metadata else None,
-                               purpose, "denied")
-            raise
-        if purpose is not None and metadata is not None \
-                and not metadata.allows_purpose(purpose):
-            self._record_audit(principal.name, "get", key, metadata.owner,
-                               purpose, "denied", "purpose not permitted")
-            raise PurposeViolationError(
-                f"purpose {purpose!r} is not permitted for {key!r}")
-        blob = self.kv.execute("GET", key)
-        if blob is None:
-            self._record_audit(principal.name, "get", key,
-                               metadata.owner if metadata else None,
-                               purpose, "error", "not found")
-            raise KeyError(key)
-        owner = metadata.owner if metadata else "unknown"
-        try:
-            envelope = self._unseal(key, owner, blob)
-        except (KeyNotFoundError, IntegrityError):
-            # Crypto-erased: ciphertext remains but is unreadable forever.
-            self._record_audit(principal.name, "get", key, owner,
-                               purpose, "error", "crypto-erased")
-            raise KeyError(key)
-        stored_metadata, value = unpack_envelope(envelope, metadata)
-        self._record_audit(principal.name, "get", key,
-                           stored_metadata.owner, purpose, "ok")
-        return Record(key=key, value=value, metadata=stored_metadata)
+                               stored_metadata.owner, purpose, "ok")
+            return Record(key=key, value=value, metadata=stored_metadata)
 
     def delete(self, key: str, principal: Principal = CONTROLLER) -> bool:
         """Explicitly erase one record (audited with the acting principal)."""
-        now = self.clock.now()
-        metadata = self.index.get_metadata(key)
-        try:
-            self.access.check(principal, Operation.DELETE, metadata,
-                              None, now)
-        except AccessDeniedError:
+        with self._request:
+            now = self.clock.now()
+            metadata = self.index.get_metadata(key)
+            try:
+                self.access.check(principal, Operation.DELETE, metadata,
+                                  None, now)
+            except AccessDeniedError:
+                self._record_audit(principal.name, "delete", key,
+                                   metadata.owner if metadata else None,
+                                   None, "denied")
+                raise
+            removed = self.kv.execute("DEL", key)
             self._record_audit(principal.name, "delete", key,
                                metadata.owner if metadata else None,
-                               None, "denied")
-            raise
-        removed = self.kv.execute("DEL", key)
-        self._record_audit(principal.name, "delete", key,
-                           metadata.owner if metadata else None,
-                           None, "ok" if removed else "error",
-                           "" if removed else "not found")
-        return bool(removed)
+                               None, "ok" if removed else "error",
+                               "" if removed else "not found")
+            return bool(removed)
+
+    def update(self, key: str, merge: Callable[[bytes], bytes],
+               principal: Principal = CONTROLLER,
+               purpose: Optional[str] = None) -> None:
+        """Read-modify-write one record inside the store: a :meth:`get`
+        and a :meth:`put` of ``merge(value)`` under the record's own
+        metadata -- the same checks, engine commands and audit records
+        (``get``, then ``put``) -- in one request, so under SYNC its two
+        audit records share one fsync.  Nothing is returned: the value
+        never leaves the store (data minimisation, Art. 5(1)(c))."""
+        with self._request:
+            record = self.get(key, principal, purpose)
+            self.put(key, merge(record.value), record.metadata, principal,
+                     purpose)
 
     def update_metadata(self, key: str, metadata: GDPRMetadata,
                         principal: Principal = CONTROLLER) -> None:
         """Control-path change: re-store the record under new metadata."""
-        record = self.get(key, principal=principal)
-        now = self.clock.now()
-        self.access.check(principal, Operation.WRITE, metadata, None, now)
-        self.locations.check_placement(metadata, self.config.region)
-        self.store_record(key, self._seal(key, metadata, record.value),
-                          metadata)
-        self._record_audit(principal.name, "update-metadata", key,
-                           metadata.owner, None, "ok")
+        with self._request:
+            record = self.get(key, principal=principal)
+            now = self.clock.now()
+            self.access.check(principal, Operation.WRITE, metadata, None, now)
+            self.locations.check_placement(metadata, self.config.region)
+            self.store_record(key, self._seal(key, metadata, record.value),
+                              metadata)
+            self._record_audit(principal.name, "update-metadata", key,
+                               metadata.owner, None, "ok")
 
     # -- group access (Art. 5 / 21) --------------------------------------------------
 
@@ -472,8 +496,10 @@ class GDPRStore:
                       arg=None) -> List[Tuple[int, dict]]:
         """``[(0, part)]`` when ``body`` -- a right's per-store half in
         :mod:`repro.gdpr.rights` -- finds ``subject``'s records here,
-        else ``[]``: the one part a right merges for a single store."""
-        part = body(self, subject, principal, arg)
+        else ``[]``: the one part a right merges for a single store.
+        The body runs as one request (one barrier scope)."""
+        with self._request:
+            part = body(self, subject, principal, arg)
         return [(0, part)] if part is not None else []
 
 

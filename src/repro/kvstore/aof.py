@@ -368,17 +368,20 @@ class AofWriter(LogWriter):
     def _commit(self, retired: List[_Part], born: List[Tuple]) -> None:
         """Swap the ``born`` parts in for the ``retired`` ones: write the
         new files, make them durable with one barrier, rename -- the
-        commit point -- and remove the replaced files.  A log that stays
-        one part writes its part to a temporary file renamed over the
-        device's own; otherwise the new parts get fresh names and a new
-        manifest lists them, renamed over the old one.  A crash before
-        the rename recovers the old log, one after it the new one."""
+        commit point -- and remove the replaced files.  One part replaced
+        by one part starting at the same slot (an unsplit log's every
+        rewrite, an erasure's one part) is written to a temporary file
+        renamed over the old part's name, and the manifest is untouched;
+        otherwise the new parts get fresh names and a new manifest lists
+        them, renamed over the old one.  A crash before the rename
+        recovers the old log, one after it the new one."""
         log = self.log
-        one = len(born) == 1 and not self.split
+        one = len(born) == 1 and len(retired) == 1 \
+            and born[0][0] == retired[0].first
         parts = [part for part in self._parts if part not in retired]
         for first, data, keys, selected in born:
             if one:
-                file = log.name
+                file = retired[0].file
                 log.open(file + ".tmp")
             else:
                 file = f"{log.name}.{self._next_part}"
@@ -387,7 +390,7 @@ class AofWriter(LogWriter):
             log.append(data)
             parts.append(_Part(first, file, keys, selected))
         parts.sort(key=_FIRST)
-        target = log.name if one else self._manifest_file
+        target = retired[0].file if one else self._manifest_file
         if not one:
             log.open(target + ".tmp")
             log.append("".join([f"{part.first} {part.file}\n"

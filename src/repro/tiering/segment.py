@@ -36,10 +36,10 @@ Four frame kinds:
   retired.
 * ``CCL1`` -- a clear marker (FLUSHDB/FLUSHALL reached the archive).
 
-Durability discipline: a seal and a clear marker are written under the
-``always`` policy (:class:`~repro.device.append_log.LogWriter`): their
+Durability discipline: a seal and a clear marker are barriers as
+written (:meth:`~repro.device.append_log.LogWriter.sync`): their
 ``flush(); fsync()`` runs *before* the caller removes hot copies, even
-inside a barrier scope.  A durable tombstone and a subject marker ask the
+inside a barrier scope, which defers only commits.  A durable tombstone and a subject marker ask the
 device to :meth:`~repro.device.append_log.AppendLog.commit` them, so the
 ones laid during one tiered command -- which runs in one
 ``device.group()`` scope -- share the one fsync at the scope's exit
@@ -341,7 +341,7 @@ class ColdSegmentStore:
                         + len(bloom))
         self._append_frame(MAGIC_SEGMENT,
                            b"".join([header, bloom, index_block] + records))
-        self._always.post_command()
+        self._always.sync()
         self._register(
             SegmentInfo(seq, sealed_at, index_offset, len(index_block),
                         index_crc, subject_bloom),
@@ -493,7 +493,7 @@ class ColdSegmentStore:
     def clear(self) -> None:
         """Drop the whole archive (FLUSHDB/FLUSHALL reached cold)."""
         self._append_frame(MAGIC_CLEAR, b"")
-        self._always.post_command()
+        self._always.sync()
         self._reset_volatile()
 
     def _reset_volatile(self) -> None:

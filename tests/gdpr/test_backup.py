@@ -407,16 +407,19 @@ def erased_crowd(variant):
 @pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
 def test_power_loss_anywhere_in_a_scrub_of_several_parts(variant):
     """As :func:`test_power_loss_anywhere_in_a_scrub`, over a generation
-    split into parts: the scrub replaces alice's part and removes the
-    old one, and a cut before any of its steps -- the removal included
-    -- recovers the old parts or the new ones."""
+    split into parts: the scrub writes alice's part anew and renames it
+    over the old one (the manifest untouched, nothing to remove), and a
+    cut before any of its steps -- the rename included -- recovers the
+    old parts or the new ones."""
     _, manager, erased = erased_crowd(variant)
     backup = manager.find("nightly")
     old = generation(backup)
+    files = backup.writer.part_files()
     plan = FaultPlan(backup.writer.log)
     manager.reconcile_erasure("alice", erased, rewrite=True)
     new = generation(backup)
-    assert plan.steps[-1] == "remove"
+    assert plan.steps[-1] == "rename" and "remove" not in plan.steps
+    assert backup.writer.part_files() == files
     for at in range(len(plan.steps)):
         store, manager, erased = erased_crowd(variant)
         backup = manager.find("nightly")

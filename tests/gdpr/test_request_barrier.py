@@ -1,0 +1,261 @@
+"""One barrier per request per device.
+
+Every :class:`GDPRStore` request -- ``get``, ``put``, ``delete``,
+``update``, ``update_metadata`` and each right's per-store part -- runs
+in one barrier scope over the audit device and the engine's log.  Under
+SYNC audit and an ``always`` log, each device the request wrote pays one
+fsync at the request's end, the audit device's first: a power cut
+between the two barriers can leave an audit record of a write whose data
+was lost, never durable data whose processing is unaudited.  Outside a
+request, an ``always`` command is durable as it returns, and the seals
+that order later writes (a cold segment, an audit block) are barriers as
+written even inside a scope.
+"""
+
+import pytest
+
+from repro.common.clock import SimClock
+from repro.common.errors import DeviceIOError
+from repro.device.append_log import AppendLog, BarrierScope
+from repro.device.faults import FaultPlan, PowerLoss
+from repro.gdpr.audit import AuditChainMode, AuditDurability, AuditLog
+from repro.gdpr.metadata import GDPRMetadata, unpack_envelope
+from repro.gdpr.rights import right_of_access
+from repro.gdpr.store import GDPRConfig, GDPRStore
+from repro.kvstore import KeyValueStore, StoreConfig
+from repro.sqlstore import RelationalStore, SqlConfig
+from repro.tiering import TieredEngine, TieringConfig
+from tests.support import reopen
+
+SERVICE = frozenset({"service"})
+KEYS = 5
+
+
+def _always_kv(clock):
+    return KeyValueStore(
+        StoreConfig(appendonly=True, appendfsync="always",
+                    aof_log_reads=True),
+        clock=clock, aof_log=AppendLog(clock=clock))
+
+
+def _always_sql(clock):
+    return RelationalStore(
+        SqlConfig(wal_enabled=True, wal_fsync="always", wal_log_reads=True),
+        clock=clock, wal_log=AppendLog(clock=clock))
+
+
+ENGINES = {"redislike": _always_kv, "relational": _always_sql}
+
+
+def _strict(variant, encrypt=True):
+    """The headline strict stack: an ``always`` log with read logging
+    under synchronous hash-chained audit, each on its own device."""
+    clock = SimClock()
+    audit = AuditLog(AppendLog(clock=clock, name="audit.log"), clock=clock,
+                     durability=AuditDurability.SYNC)
+    return GDPRStore(kv=ENGINES[variant](clock), audit=audit,
+                     config=GDPRConfig(encrypt_at_rest=encrypt,
+                                       audit_durability=AuditDurability.SYNC))
+
+
+def _meta(owner, ttl=None):
+    return GDPRMetadata(owner=owner, purposes=SERVICE, ttl=ttl)
+
+
+def _fsyncs(store):
+    return store.kv.aof_log.fsyncs, store.audit.log.fsyncs
+
+
+def _append(suffix):
+    return lambda value: value + suffix
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINES))
+class TestBarriersPerRequest:
+    """Before requests were scopes, each paid one fsync per record on
+    each device: an update 2 log + 2 audit (3 + 2 on the relational
+    engine, whose put also writes a ``GDPRMETA`` record), a put with a
+    TTL 2 on the log (3), Art. 15 of a k-key subject k + k + 1; a bare
+    get paid 1 + 1, as it still does."""
+
+    def test_an_update_pays_one_fsync_per_device(self, variant):
+        store = _strict(variant)
+        store.put("k", b"v0", _meta("alice"), purpose="service")
+        before = _fsyncs(store)
+        store.update("k", _append(b"+1"), purpose="service")
+        after = _fsyncs(store)
+        assert (after[0] - before[0], after[1] - before[1]) == (1, 1)
+        assert store.get("k").value == b"v0+1"
+        assert [record.operation for record in store.audit.records()[-3:]] \
+            == ["get", "put", "get"]
+
+    def test_a_put_with_a_ttl_pays_one_log_fsync(self, variant):
+        store = _strict(variant)
+        before = _fsyncs(store)
+        store.put("k", b"v", _meta("alice", ttl=3600.0), purpose="service")
+        after = _fsyncs(store)
+        assert (after[0] - before[0], after[1] - before[1]) == (1, 1)
+
+    def test_access_to_a_k_key_subject_pays_one_audit_fsync(self, variant):
+        store = _strict(variant)
+        for i in range(KEYS):
+            store.put(f"k{i}", b"v", _meta("alice"), purpose="service")
+        records = store.audit.record_count
+        before = _fsyncs(store)
+        report = right_of_access(store, "alice")
+        after = _fsyncs(store)
+        assert len(report.records) == KEYS
+        assert store.audit.record_count - records == KEYS + 1
+        assert (after[0] - before[0], after[1] - before[1]) == (1, 1)
+
+    def test_a_bare_get_pays_one_fsync_per_device(self, variant):
+        store = _strict(variant)
+        store.put("k", b"v", _meta("alice"), purpose="service")
+        before = _fsyncs(store)
+        store.get("k", purpose="service")
+        after = _fsyncs(store)
+        assert (after[0] - before[0], after[1] - before[1]) == (1, 1)
+
+    def test_an_engine_command_outside_a_request_is_durable_as_it_returns(
+            self, variant):
+        engine = ENGINES[variant](SimClock())
+        log = engine.aof_log
+        engine.execute("SET", "k", b"v")
+        assert log.fsyncs == 1 and log.unsynced_bytes == 0
+        engine.execute("GET", "k")
+        assert log.fsyncs == 2 and log.unsynced_bytes == 0
+
+
+def _value(engine, key):
+    """``key``'s value in ``engine``, read without a logged command."""
+    for record in engine.scan_records(0):
+        if record[0] == key:
+            return unpack_envelope(record[1])[1]
+    return None
+
+
+def _durable_ops(store, key):
+    return [(record.operation, record.outcome)
+            for record in AuditLog.parse(store.audit.log.read_durable())
+            if record.key == key]
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINES))
+def test_power_loss_at_every_step_of_a_strict_update(variant):
+    """A cut before each device operation of an update: the recovered
+    key holds its old or its new value; an update that returned is
+    durable with both of its audit records; the durable audit chain
+    verifies; and the new value is never durable without the audit
+    record of the ``put`` that wrote it -- the audit barrier comes
+    first, so some cut falls between the two barriers and leaves the
+    audit records durable and the engine record not."""
+    outcomes = set()
+    cut_at = 0
+    while True:
+        store = _strict(variant, encrypt=False)
+        store.put("k", b"old", _meta("alice"), purpose="service")
+        plan = FaultPlan(store.audit.log, store.kv.aof_log)
+        plan.cut(cut_at)
+        try:
+            store.update("k", lambda value: b"new", purpose="service")
+        except PowerLoss:
+            returned = False
+        else:
+            returned = True
+        assert store.audit.verify_durable() == len(
+            AuditLog.parse(store.audit.log.read_durable()))
+        value = _value(reopen(store.kv), b"k")
+        audited = _durable_ops(store, "k")[1:]      # past the first put
+        assert value in (b"old", b"new"), cut_at
+        if value == b"new":
+            assert audited == [("get", "ok"), ("put", "ok")], cut_at
+        if returned:
+            assert value == b"new"
+            break
+        outcomes.add((value, len(audited)))
+        cut_at += 1
+    # One barrier per device, both at the request's end.
+    assert plan.steps.count("fsync") == 2
+    assert plan.steps[-2:] == ["fsync", "fsync"]
+    # Old value everywhere; both records durable and the data lost (a
+    # cut between the barriers); never the new value without them.
+    assert (b"old", 0) in outcomes and (b"old", 2) in outcomes
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINES))
+def test_a_failed_audit_barrier_leaves_the_write_unsynced(variant):
+    """The audit device's barrier runs first, and a failed one stops the
+    request: the engine's record is not made durable without its audit
+    record (two nested ``with`` scopes would still fsync the log after
+    the audit device's barrier failed)."""
+    store = _strict(variant)
+    log = store.kv.aof_log
+    FaultPlan(store.audit.log).fail("fsync")
+    durable = log.durable_length
+    with pytest.raises(DeviceIOError):
+        store.put("k", b"v", _meta("alice"), purpose="service")
+    assert log.durable_length == durable and log.unsynced_bytes > 0
+    store.get("k")          # the next request's barriers cover both
+    assert log.unsynced_bytes == 0 and store.audit.at_risk_records() == 0
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINES))
+def test_records_deferred_in_a_request_are_at_risk_until_it_returns(
+        variant):
+    store = _strict(variant)
+    store.put("k", b"v", _meta("alice"), purpose="service")
+    assert store.audit.at_risk_records() == 0
+    seen = []
+
+    def merge(value):
+        seen.append(store.audit.at_risk_records())
+        return value + b"!"
+
+    store.update("k", merge, purpose="service")
+    assert seen == [1]                  # the get's record, not yet synced
+    assert store.audit.at_risk_records() == 0
+    right_of_access(store, "alice")
+    assert store.audit.at_risk_records() == 0
+
+
+def test_an_audit_block_seal_in_a_scope_is_durable_as_it_returns():
+    clock = SimClock()
+    log = AppendLog(clock=clock)
+    audit = AuditLog(log, clock=clock, chain_mode=AuditChainMode.BLOCK,
+                     block_size=100, auto_timer=False)
+    with BarrierScope(log):
+        for _ in range(3):
+            audit.append("p", "get")
+        audit.seal_block()
+        FaultPlan(log).power_loss()         # a cut right after the call
+    assert AuditLog.verify_block_bytes(log.read_durable()) == 3
+    audit.verify_durable()
+
+
+def test_a_cold_seal_in_a_scope_is_durable_as_it_returns():
+    clock = SimClock()
+    engine = TieredEngine(_always_kv(clock),
+                          tiering=TieringConfig(auto_demote=False,
+                                                segment_max_records=8))
+    for key in ("a", "b", "c"):
+        engine.execute("SET", key, f"v-{key}")
+    device = engine.cold.device
+    with BarrierScope(device):
+        # The hot copies' DEL is durable as it returns: only the seal
+        # keeps the records.
+        assert engine.demote_keys([b"a", b"b", b"c"]) == 3
+        FaultPlan(device, engine.aof_log).power_loss()
+    recovered = TieredEngine(_always_kv(clock), device=device,
+                             tiering=engine.tiering)
+    recovered.replay_aof(engine.aof_log.read_all())
+    assert [recovered.execute("GET", key) for key in ("a", "b", "c")] \
+        == [b"v-a", b"v-b", b"v-c"]
+
+
+def test_a_scope_over_one_device_named_twice_pays_one_fsync():
+    log = AppendLog()
+    with BarrierScope(log, None, log):
+        log.append(b"a")
+        log.commit()
+        assert log.fsyncs == 0
+    assert (log.durable_length, log.fsyncs) == (1, 1)

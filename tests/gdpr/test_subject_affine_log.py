@@ -23,7 +23,7 @@ from repro.gdpr.store import GDPRConfig, GDPRStore
 from repro.kvstore.aof import PART_BYTES, replay_commands
 from repro.sqlstore import RelationalStore, SqlConfig
 from repro.tiering import TieredEngine
-from tests.support import ENGINE_FACTORIES, reopen
+from tests.support import ENGINE_FACTORIES, parts_of, reopen
 
 KEYS = 120
 OWNERS = 30
@@ -160,21 +160,21 @@ def _ssd_store(records):
 
 @pytest.mark.parametrize("records", SIZES)
 def test_a_four_key_erasure_retires_one_part(records):
-    """At every store size, each 4-key erasure removes exactly one part
-    file, writes at most two parts' worth (the part, which may split)
-    and pays one fsync (placed by their own slots, the four keys took
-    up to four parts)."""
+    """At every store size, each 4-key erasure retires exactly one part,
+    writes at most two parts' worth (the part, which may split) and
+    pays one fsync (placed by their own slots, the four keys took up to
+    four parts)."""
     store = _ssd_store(records)
     wal, device = store.kv.aof, store.kv.aof_log
     for step in range(1, 6):
         subject = f"subject-{step * 97 % (records // KEYS_PER_SUBJECT)}"
-        before = set(wal.part_files())
+        before = parts_of(wal)
         written, fsyncs = wal.bytes_rewritten, device.fsyncs
         rewrites = store.kv.rewrites_completed
         receipt = right_to_erasure(store, subject)
         assert len(receipt.keys_erased) == KEYS_PER_SUBJECT
         assert receipt.log_compacted and not receipt.residual_in_aof
-        assert len(before - set(wal.part_files())) == 1, subject
+        assert len(before - parts_of(wal)) == 1, subject
         assert store.kv.rewrites_completed == rewrites + 1
         assert wal.bytes_rewritten - written <= 2 * PART_BYTES
         assert device.fsyncs - fsyncs == 1
@@ -200,8 +200,8 @@ def test_a_tiered_erasure_files_its_cold_keys_with_the_subject(variant):
     assert engine.demote_keys(keys[1:]) == 3
     engine.rewrite_aof(keys)               # drops the demoted keys' history
     assert not set(keys[1:]) & set(wal._homes)
-    before = set(wal.part_files())
+    before = parts_of(wal)
     receipt = right_to_erasure(store, "subject-7")
     assert receipt.cold_segments_voided >= 1
     assert receipt.log_compacted and not receipt.residual_in_aof
-    assert len(before - set(wal.part_files())) == 1
+    assert len(before - parts_of(wal)) == 1

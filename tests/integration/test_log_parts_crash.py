@@ -4,8 +4,10 @@ Every rewrite commits the same way: it writes its new files, makes them
 durable with one barrier, renames one file -- the commit point -- and
 removes the files it replaced.  A rewrite that names keys writes each
 new part and a new manifest, and renames the manifest over the old one;
-a whole rewrite of an unsplit log writes one part to a temporary file
-and renames it over the device's own.  Power is cut before each of
+a rewrite that replaces one part by one part from the same slot (a
+whole rewrite of an unsplit log, an erasure whose keys share a part)
+writes it to a temporary file and renames it over the old part's name,
+leaving the manifest as it was.  Power is cut before each of
 those device operations in turn, on all four engine variants, for the
 whole rewrite of an unsplit log, for the rewrite that first splits an
 unsplit log and for an erasure's rewrite of the parts owning a
@@ -38,7 +40,7 @@ from repro.gdpr.rights import right_to_erasure
 from repro.gdpr.store import GDPRConfig, GDPRStore
 from repro.kvstore.aof import AofWriter, mentioned_keys
 from repro.tiering import TieredEngine
-from tests.support import ENGINE_FACTORIES, reopen
+from tests.support import ENGINE_FACTORIES, parts_of, reopen
 
 RECORDS = 250
 VALUE = b"v" * 200
@@ -76,26 +78,31 @@ def _split(variant):
     return engine, [b"user0"], [], _logged(engine)
 
 
-def _erase(variant, durable=True):
+def _erase(variant, durable=True, erased=ERASED):
     engine = _loaded(variant)
     engine.rewrite_aof([b"user0"])
     before = _logged(engine)
-    engine.execute("DEL", *ERASED)
+    engine.execute("DEL", *erased)
     if durable:
         engine.aof.log.flush_and_fsync()
         before = _logged(engine)
-    return engine, ERASED, ERASED, before
+    return engine, erased, erased, before
 
 
 def _erase_buffered(variant):
     return _erase(variant, durable=False)
 
 
+def _erase_one_part(variant):
+    return _erase(variant, erased=ERASED[:1])
+
+
 @pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
 @pytest.mark.parametrize("scenario",
-                         [_whole, _split, _erase, _erase_buffered],
+                         [_whole, _split, _erase, _erase_buffered,
+                          _erase_one_part],
                          ids=["whole-rewrite", "split", "erasure",
-                              "erasure-buffered-del"])
+                              "erasure-buffered-del", "erasure-one-part"])
 def test_power_loss_at_every_step_recovers_the_old_or_new_keyspace(
         variant, scenario):
     cut_at = 0
@@ -131,13 +138,47 @@ def test_power_loss_at_every_step_recovers_the_old_or_new_keyspace(
     done = plan.steps
     assert set(done) >= {"append", "flush", "fsync", "rename"}
     assert done.count("fsync") == 1
-    if scenario is _whole:
-        # One part renamed over the device's own file: nothing to remove.
+    if scenario in (_whole, _erase_one_part):
+        # One part renamed over the old part's name (an unsplit log's:
+        # the device's own file): nothing to remove.
         assert "remove" not in done
     else:
         # The commit's last step removes the retired parts.
         assert done[-1] == "remove" and done.count("remove") == 1
     assert cut_at == len(done)
+
+
+class _Appends(FaultPlan):
+    """A fault plan that also notes the file each append wrote to."""
+
+    def __init__(self, *devices):
+        super().__init__(*devices)
+        self.files = []
+
+    def step(self, device, op):
+        super().step(device, op)
+        if op == "append":
+            self.files.append(device.file)
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
+def test_a_one_part_erasure_writes_no_manifest_bytes(variant):
+    """An erasure whose keys share one part replaces that part by one
+    starting at the same slot: it writes the new part to a temporary
+    file and renames it over the old part's name, and the manifest --
+    which lists the same files -- is neither written nor renamed."""
+    engine, keys, _, _ = _erase_one_part(variant)
+    log, aof = engine.aof.log, engine.aof
+    manifest = log.read_all(aof._manifest_file)
+    files = aof.part_files()
+    (part,) = aof.part_files(keys)
+    plan = _Appends(log, *_cold_devices(engine))
+    engine.rewrite_aof(keys)
+    assert set(plan.files) == {part + ".tmp"}
+    assert plan.steps[-3:] == ["flush", "fsync", "rename"]
+    assert aof.part_files() == files and part in log.files()
+    assert log.read_all(aof._manifest_file) == manifest
+    assert not mentioned_keys(log.read_all(part), keys)
 
 
 @pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
@@ -222,13 +263,13 @@ def test_power_loss_in_an_owner_placed_rewrite_keeps_one_part_erasures(
         restarted.rebuild_indexes()
         hot = recovered.inner if isinstance(recovered, TieredEngine) \
             else recovered
-        parts = set(recovered.aof.part_files())
+        parts = parts_of(recovered.aof)
         rewrites = hot.rewrites_completed
         receipt = right_to_erasure(restarted, "subject-11")
         assert len(receipt.keys_erased) == KEYS_PER_SUBJECT
         assert receipt.log_compacted and not receipt.residual_in_aof
         assert hot.rewrites_completed == rewrites + 1, step
-        assert len(parts - set(recovered.aof.part_files())) == 1, step
+        assert len(parts - parts_of(recovered.aof)) == 1, step
         cut_at += 1
     assert plan.steps.count("rename") == 1 and cut_at == len(plan.steps)
 
@@ -251,11 +292,11 @@ def test_a_store_restarted_before_its_first_split_files_keys_by_owner(
     restarted.rebuild_indexes()
     right_to_erasure(restarted, "subject-0")          # splits the log
     assert recovered.aof.split
-    parts = set(recovered.aof.part_files())
+    parts = parts_of(recovered.aof)
     receipt = right_to_erasure(restarted, "subject-7")
     assert len(receipt.keys_erased) == KEYS_PER_SUBJECT
     assert receipt.log_compacted and not receipt.residual_in_aof
-    assert len(parts - set(recovered.aof.part_files())) == 1
+    assert len(parts - parts_of(recovered.aof)) == 1
 
 
 @pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))

@@ -108,6 +108,15 @@ def reopen(engine):
     return fresh
 
 
+def parts_of(aof) -> set:
+    """``aof``'s parts (an :class:`~repro.kvstore.aof.AofWriter`'s), as
+    the objects it holds: a rewrite replaces every part it rewrites with
+    a new one, whether the new file is renamed over the old part's name
+    or gets a fresh one, so ``len(before - parts_of(aof))`` counts the
+    parts a rewrite retired."""
+    return set(aof._parts)
+
+
 def one_core_server(scheduler, **config):
     """A ``KeyValueStore(StoreConfig(**config))`` served by a one-core
     event-driven server on ``scheduler`` -- the single-node deployment
