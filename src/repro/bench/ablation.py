@@ -25,8 +25,7 @@ from typing import List, Optional
 
 from ..common.clock import SimClock
 from ..device.append_log import AppendLog
-from ..device.latency import HDD, INTEL_750_SSD, NVM, LatencyModel
-from ..device.luks import CRYPTO_COST_PER_BYTE
+from ..device.latency import HDD, INTEL_750_SSD, LUKS_SSD, NVM, LatencyModel
 from ..gdpr.audit import AuditDurability, AuditLog
 from ..gdpr.store import GDPRConfig, GDPRStore
 from ..kvstore.replication import ReplicationManager
@@ -161,17 +160,6 @@ ABLATION_DEVICES = Scenario(
     columns=(("device", lambda row, _rows: row["device"].name),
              ("throughput_ops_s_at_fsync_always", scaled("throughput"))),
 )
-
-# An SSD behind dm-crypt: the LUKS per-byte crypto cost on every byte
-# the store persists.
-LUKS_SSD = LatencyModel(
-    name="ssd+luks",
-    write_syscall=INTEL_750_SSD.write_syscall,
-    read_syscall=INTEL_750_SSD.read_syscall,
-    fsync=INTEL_750_SSD.fsync,
-    per_byte_write=INTEL_750_SSD.per_byte_write + CRYPTO_COST_PER_BYTE,
-    per_byte_read=INTEL_750_SSD.per_byte_read + CRYPTO_COST_PER_BYTE)
-
 
 def encryption_throughput(config: str, record_count: int = 300,
                           operation_count: int = 800) -> Row:

@@ -28,7 +28,7 @@ simulated stack land near the paper's absolute numbers so that its *ratios*
 
 TLS/proxy constants live in :mod:`repro.net` (bandwidth 44 -> 4.9 Gb/s and
 2 x 30 us proxy traversals are the paper's own measurements); LUKS crypto
-throughput lives in :mod:`repro.device.luks`.
+throughput is the ``LUKS_SSD`` preset in :mod:`repro.device.latency`.
 
 Every networked configuration is a :func:`deployment`: the store behind
 a one-core event-driven server, driven closed-loop by one
@@ -45,10 +45,7 @@ from typing import Callable, Optional, Tuple
 from ..cluster.workers import WorkerPool
 from ..common.clock import Clock, ShardClock, SimClock
 from ..device.append_log import AppendLog
-from ..device.block_device import SimulatedBlockDevice
 from ..device.latency import INTEL_750_SSD, LatencyModel
-from ..device.luks import LuksVolume
-from ..kvstore.aof import image
 from ..kvstore.server import EventConnection, EventStoreServer
 from ..kvstore.store import KeyValueStore, StoreConfig
 from ..net.channel import Channel, RAW_BANDWIDTH_BPS
@@ -74,24 +71,6 @@ class SystemUnderTest:
     adapter: StorageAdapter
     client: Optional[EventConnection] = None
     channel: Optional[Channel] = None
-    luks: Optional[LuksVolume] = None
-
-    def maybe_snapshot_to_luks(self) -> int:
-        """Model periodic BGSAVE onto the encrypted volume.
-
-        Returns bytes written; 0 when the config has no LUKS volume.  In
-        the paper's LUKS+TLS configuration Redis persists via its default
-        snapshotting onto the dm-crypt device; the per-byte crypto cost is
-        charged here.
-        """
-        if self.luks is None:
-            return 0
-        data = image(self.store)
-        if len(data) > self.luks.capacity:
-            return 0
-        self.luks.write(0, data)
-        self.luks.flush()
-        return len(data)
 
 
 def logged_store(clock: SimClock, appendfsync: str = "everysec",
@@ -112,8 +91,8 @@ def logged_store(clock: SimClock, appendfsync: str = "everysec",
 
 
 def deployment(name: str, store_of: Callable[[Clock], KeyValueStore],
-               channel: Channel, psk: Optional[bytes] = None,
-               luks: Optional[LuksVolume] = None) -> SystemUnderTest:
+               channel: Channel, psk: Optional[bytes] = None
+               ) -> SystemUnderTest:
     """``store_of(meter)`` served by a one-core event-driven server on
     ``channel``'s scheduler, one closed-loop connection driving it
     (through TLS sessions when ``psk`` is given).  The store is built on
@@ -125,7 +104,7 @@ def deployment(name: str, store_of: Callable[[Clock], KeyValueStore],
     client = EventConnection(server, channel=channel, psk=psk)
     return SystemUnderTest(name=name, clock=scheduler, store=server.store,
                            adapter=KVAdapter(client), client=client,
-                           channel=channel, luks=luks)
+                           channel=channel)
 
 
 def raw_channel(clock: SimClock) -> Channel:
@@ -166,27 +145,25 @@ def make_aof_sync(clock: Optional[SimClock] = None,
 
 
 def make_luks_tls(clock: Optional[SimClock] = None,
-                  volume_mb: int = 64,
                   seed: int = 0) -> SystemUnderTest:
     """Figure 1 'LUKS + TLS': encrypted at rest and in transit.
 
     The wire goes through the stunnel-characterized channel (bandwidth
     collapsed to 4.9 Gb/s, two proxy traversals per message) with the
-    TLS record layer on both ends; persistence lands on a LUKS volume,
-    whose device -- written between phases, by
-    :meth:`SystemUnderTest.maybe_snapshot_to_luks` -- charges the
-    scheduler clock.
+    TLS record layer on both ends.  Behind it is the unlogged store: the
+    paper's default-persistence Redis, whose RDB save to the dm-crypt
+    volume runs off the request path, so at rest costs the figure
+    nothing.  What at-rest encryption costs per byte a log moves is
+    ``ablation_encryption``'s ``luks-only`` and ``luks+tls`` rows (the
+    ``LUKS_SSD`` preset).
     """
     clock = clock if clock is not None else SimClock()
-    device = SimulatedBlockDevice(volume_mb << 20, clock=clock,
-                                  latency=INTEL_750_SSD)
     return deployment(
         "luks+tls",
         lambda meter: KeyValueStore(
             StoreConfig(command_cpu_cost=BASE_COMMAND_CPU, seed=seed),
             clock=meter),
-        stunnel_channel(clock, latency=RAW_ONE_WAY_LATENCY), psk=TLS_PSK,
-        luks=LuksVolume(device))
+        stunnel_channel(clock, latency=RAW_ONE_WAY_LATENCY), psk=TLS_PSK)
 
 
 FIGURE1_CONFIGS: Tuple[str, ...] = ("unmodified", "aof-everysec",
@@ -198,7 +175,7 @@ def make_figure1_system(config: str,
                         seed: int = 0) -> SystemUnderTest:
     if config == "unmodified":
         return make_unmodified(clock, seed=seed)
-    if config in ("aof-everysec", "aof w/ sync"):
+    if config == "aof-everysec":
         return make_aof_sync(clock, appendfsync="everysec", seed=seed)
     if config == "aof-always":
         return make_aof_sync(clock, appendfsync="always", seed=seed)

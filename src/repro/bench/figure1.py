@@ -66,7 +66,6 @@ def run_config(config: str, record_count: int = 1000,
                                     seed=seed,
                                     insert_counter=runner.insert_counter)
             report = runner.run(operation_count)
-        system.maybe_snapshot_to_luks()
         throughputs[label] = report.throughput
     return throughputs
 

@@ -33,11 +33,7 @@ class ProtocolError(SerializationError):
 
 
 class DeviceError(ReproError):
-    """Base class for block-device and log-device failures."""
-
-
-class DeviceFullError(DeviceError):
-    """The device has no remaining capacity for the requested write."""
+    """Base class for log-device failures."""
 
 
 class DeviceIOError(DeviceError):

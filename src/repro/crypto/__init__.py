@@ -5,7 +5,6 @@ from .cipher import (
     NONCE_SIZE,
     TAG_SIZE,
     AuthenticatedCipher,
-    SectorCipher,
     StreamCipher,
     random_bytes,
     seeded_entropy,
@@ -17,7 +16,6 @@ __all__ = [
     "NONCE_SIZE",
     "TAG_SIZE",
     "AuthenticatedCipher",
-    "SectorCipher",
     "StreamCipher",
     "random_bytes",
     "seeded_entropy",

@@ -170,28 +170,3 @@ class AuthenticatedCipher:
     def overhead() -> int:
         """Bytes added per sealed message."""
         return NONCE_SIZE + TAG_SIZE
-
-
-class SectorCipher:
-    """Length-preserving sector encryption for block devices (LUKS-like).
-
-    Each sector is encrypted under a nonce derived deterministically from
-    the sector number (an ESSIV-style tweak), so random-access reads need no
-    stored per-sector metadata and writes stay in place.  Length-preserving
-    means no per-sector integrity tag -- the same trade-off dm-crypt makes;
-    whole-device integrity belongs to a higher layer.
-    """
-
-    def __init__(self, key: bytes) -> None:
-        self._cipher = StreamCipher(hashlib.sha256(b"sector|" + key).digest())
-        self._tweak_key = hashlib.sha256(b"tweak|" + key).digest()
-
-    def _sector_nonce(self, sector: int) -> bytes:
-        digest = hmac.new(self._tweak_key, struct.pack(">Q", sector),
-                          hashlib.sha256).digest()
-        return digest[:NONCE_SIZE]
-
-    def encrypt_sector(self, sector: int, data: bytes) -> bytes:
-        return self._cipher.transform(data, self._sector_nonce(sector))
-
-    decrypt_sector = encrypt_sector  # XOR cipher: same transform.

@@ -1,24 +1,22 @@
 """One fault plan over a stack's devices: the only way a fault reaches one.
 
-A :class:`FaultPlan` attaches to every device of a stack -- each
-:class:`~repro.device.append_log.AppendLog` and
-:class:`~repro.device.block_device.SimulatedBlockDevice` -- by setting
-its ``faults``.  Every state-changing device operation (the log's
-``append``, ``flush``, ``fsync``, ``rename`` and ``remove``; the block
-device's ``write`` and ``flush``) first calls
-:meth:`FaultPlan.step`, so the plan sees one ordered sequence of
-operations across all of its devices and can act before any of them:
+A :class:`FaultPlan` attaches to every
+:class:`~repro.device.append_log.AppendLog` of a stack by setting its
+``faults``.  Every state-changing log operation (``append``, ``flush``,
+``fsync``, ``rename`` and ``remove``) first calls :meth:`FaultPlan.step`,
+so the plan sees one ordered sequence of operations across all of its
+logs and can act before any of them:
 
 * :meth:`fail` -- the next operation of that name raises
   :class:`~repro.common.errors.DeviceIOError` and changes nothing;
-* :meth:`cut` -- power is lost on every attached device before the
+* :meth:`cut` -- power is lost on every attached log before the
   operation with that number, or before the next one of that name, which
   raises :class:`PowerLoss` instead of running;
 * :meth:`tear` -- each log's open file has its tail flipped (a torn
   final write).
 
-:meth:`power_loss` loses power on every attached device now.  A device
-with no plan pays one ``None`` check per operation.
+:meth:`power_loss` loses power on every attached log now.  A log with no
+plan pays one ``None`` check per operation.
 """
 
 from __future__ import annotations
@@ -27,9 +25,6 @@ from typing import List, Optional, Union
 
 from ..common.errors import DeviceIOError
 from .append_log import AppendLog
-from .block_device import SimulatedBlockDevice
-
-Device = Union[AppendLog, SimulatedBlockDevice]
 
 
 class PowerLoss(DeviceIOError):
@@ -37,29 +32,26 @@ class PowerLoss(DeviceIOError):
 
 
 class FaultPlan:
-    """Faults over ``devices``, each of which it attaches to.
+    """Faults over ``logs``, each of which it attaches to.
 
-    ``steps`` names, in order, the device operations run since the plan
-    was attached (a failed or cut operation does not run).
+    ``steps`` names, in order, the log operations run since the plan was
+    attached (a failed or cut operation does not run).
     """
 
-    def __init__(self, *devices: Device) -> None:
-        ops = set()
-        for device in devices:
-            if device.faults is not None:
-                raise ValueError(f"{device!r} already has a fault plan")
-            ops.update(device.FAULT_OPS)
-        for device in devices:
-            device.faults = self
-        self._devices = devices
+    def __init__(self, *logs: AppendLog) -> None:
+        for log in logs:
+            if log.faults is not None:
+                raise ValueError(f"{log!r} already has a fault plan")
+        for log in logs:
+            log.faults = self
+        self._logs = logs
         self.steps: List[str] = []
-        self._ops = ops
         self._fail: Optional[str] = None
         self._cut: Union[int, str, None] = None
 
     def _known(self, op: str) -> str:
-        if op not in self._ops:
-            raise ValueError(f"no attached device performs {op!r}")
+        if op not in AppendLog.FAULT_OPS:
+            raise ValueError(f"no log operation is named {op!r}")
         return op
 
     def fail(self, op: str) -> None:
@@ -77,26 +69,23 @@ class FaultPlan:
             self._cut = len(self.steps) + at
 
     def power_loss(self) -> None:
-        """Every attached device keeps only what it made durable."""
-        for device in self._devices:
-            device._lose_power()
+        """Every attached log keeps only what it made durable."""
+        for log in self._logs:
+            log._lose_power()
 
     def tear(self, nbytes: int) -> None:
         """Flip the last ``nbytes`` of each attached log's open file."""
-        for device in self._devices:
-            if isinstance(device, AppendLog):
-                device._tear(nbytes)
+        for log in self._logs:
+            log._tear(nbytes)
 
-    def step(self, device: Device, op: str) -> None:
-        """Called by ``device`` before it runs ``op``."""
+    def step(self, log: AppendLog, op: str) -> None:
+        """Called by ``log`` before it runs ``op``."""
         cut = self._cut
         if cut is not None and (cut == op or cut == len(self.steps)):
             self._cut = None
             self.power_loss()
-            raise PowerLoss(
-                f"power lost before {type(device).__name__}.{op}")
+            raise PowerLoss(f"power lost before {log.name}.{op}")
         if self._fail == op:
             self._fail = None
-            raise DeviceIOError(
-                f"injected {type(device).__name__}.{op} failure")
+            raise DeviceIOError(f"injected {log.name}.{op} failure")
         self.steps.append(op)

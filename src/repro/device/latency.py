@@ -8,6 +8,8 @@ benchmark harness reproduces the paper's *ratios* deterministically:
   NVMe).  The number that matters for the AOF experiments is the cost of a
   synchronous flush: an fsync on this class of device lands in the
   0.5--1 ms range once the filesystem journal is involved.  We use 0.8 ms.
+* ``LUKS_SSD`` is that drive behind dm-crypt, the paper's at-rest
+  encryption: every byte moved also pays ``CRYPTO_COST_PER_BYTE``.
 * ``HDD`` (7.2k RPM) and ``NVM`` (3D XPoint-like) bound the design space;
   section 5.1 of the paper points at NVM as the way to make strict logging
   affordable, and the ablation benchmarks sweep across these models.
@@ -56,6 +58,19 @@ INTEL_750_SSD = LatencyModel(
     fsync=800e-6,
     per_byte_write=1e-9,
     per_byte_read=0.5e-9,
+)
+
+# Per-byte cost of the software cipher.  dm-crypt with AES-NI moves
+# ~1-2 GB/s per core; we charge 0.7 ns/B (~1.4 GB/s).
+CRYPTO_COST_PER_BYTE = 0.7e-9
+
+LUKS_SSD = LatencyModel(
+    name="ssd+luks",
+    write_syscall=INTEL_750_SSD.write_syscall,
+    read_syscall=INTEL_750_SSD.read_syscall,
+    fsync=INTEL_750_SSD.fsync,
+    per_byte_write=INTEL_750_SSD.per_byte_write + CRYPTO_COST_PER_BYTE,
+    per_byte_read=INTEL_750_SSD.per_byte_read + CRYPTO_COST_PER_BYTE,
 )
 
 # 7.2k RPM disk: fsync pays ~half a rotation plus seek, ~8 ms.

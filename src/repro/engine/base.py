@@ -41,7 +41,7 @@ built on:
   tier demotion) are written once, here: compaction encodes the records
   an engine hands out (:meth:`snapshot_records`; :meth:`records_of` for
   a rewrite of some of the log's parts), and so does every whole copy
-  of the keyspace -- a full sync, a backup generation, BGSAVE -- which
+  of the keyspace -- a full sync, a backup generation -- which
   is the log's compacted form (:func:`repro.kvstore.aof.image`), taken
   back by :meth:`replay_aof`.  An engine removes a key through
   :meth:`_remove_key`.

@@ -376,6 +376,15 @@ class AuditLog:
             self._durable_records = self._seq
         return record
 
+    def commit(self) -> None:
+        """Under SYNC, make every record appended so far durable now,
+        inside a barrier scope too: for a record that must be durable
+        before a barrier its caller pays as written.  BATCH, ASYNC and
+        block mode keep their windows."""
+        if self.chain_mode is AuditChainMode.RECORD \
+                and self.durability is AuditDurability.SYNC:
+            self.sync()
+
     def seal_block(self) -> Optional[AuditBlock]:
         """Seal the pending records into one block and group-commit it.
 

@@ -192,6 +192,17 @@ def _erasure_part(store: GDPRStore, subject: str, principal: Principal,
     store.access.check(principal, Operation.DELETE,
                        store.index.get_metadata(keys[0]), None,
                        store.clock.now())
+    aof = store.kv.aof
+    compacted = aof is not None and store.config.compact_on_erasure
+    crypto_erased = store.config.encrypt_at_rest and subject in store.keystore
+    # The record comes first and, under SYNC, is durable before the first
+    # barrier the erasure pays as written (a cold seal or marker, the log
+    # rewrite): no durable erasure is left unaudited.
+    store.audit.append(principal=principal.name, operation="erase-subject",
+                       subject=subject, outcome="ok",
+                       detail=f"{len(keys)} keys, crypto={crypto_erased}, "
+                              f"compacted={compacted}")
+    store.audit.commit()
     cold_voided = 0
     if getattr(store.kv, "supports_tiering", False):
         # The DEL evicts every *indexed* cold copy; the subject marker
@@ -201,16 +212,13 @@ def _erasure_part(store: GDPRStore, subject: str, principal: Principal,
         cold_voided = store.kv.erase_subject_cold(subject, keys)
     else:
         store.kv.execute("DEL", *keys)
-    crypto_erased = False
     if store.config.encrypt_at_rest:
-        crypto_erased = store.keystore.erase_key(subject)
-    compacted = residual = False
-    aof = store.kv.aof
+        store.keystore.erase_key(subject)
+    residual = False
     if aof is not None:
         names = [key.encode("utf-8") for key in keys]
-        if store.config.compact_on_erasure:
+        if compacted:
             store.kv.rewrite_aof(names)
-            compacted = True
         residual = bool(aof.mentioned_keys(names))
         if residual and compacted:
             # A logged read without key positions (a RANGE starting at
@@ -218,10 +226,6 @@ def _erasure_part(store: GDPRStore, subject: str, principal: Principal,
             store.kv.rewrite_aof()
             residual = bool(aof.mentioned_keys(names))
     completed_at = store.clock.now()
-    store.audit.append(principal=principal.name, operation="erase-subject",
-                       subject=subject, outcome="ok",
-                       detail=f"{len(keys)} keys, crypto={crypto_erased}, "
-                              f"compacted={compacted}")
     return {"requested_at": requested_at, "completed_at": completed_at,
             "keys": keys, "crypto_erased": crypto_erased,
             "log_compacted": compacted, "residual_in_aof": residual,

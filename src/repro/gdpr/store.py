@@ -394,15 +394,17 @@ class GDPRStore:
 
         Records whose owners objected (Art. 21) are excluded by the index;
         each read is individually access-checked and audited -- the honest
-        cost of purpose-limited processing.
+        cost of purpose-limited processing -- in one request, so under
+        SYNC the reads' audit records share one fsync.
         """
         records = []
-        for key in self.index.keys_for_purpose(purpose):
-            try:
-                records.append(self.get(key, principal=principal,
-                                        purpose=purpose))
-            except (KeyError, AccessDeniedError, PurposeViolationError):
-                continue
+        with self._request:
+            for key in self.index.keys_for_purpose(purpose):
+                try:
+                    records.append(self.get(key, principal=principal,
+                                            purpose=purpose))
+                except (KeyError, AccessDeniedError, PurposeViolationError):
+                    continue
         return records
 
     # -- maintenance -----------------------------------------------------------------

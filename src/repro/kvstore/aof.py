@@ -556,9 +556,9 @@ def image(keyspace) -> bytes:
     """The whole keyspace of ``keyspace`` (a storage engine) as one
     command stream: the one-part layout of its records, which is what
     BGREWRITEAOF writes on an unsplit log.  It is the one whole-keyspace
-    format: a full sync ships it and BGSAVE writes it, and replaying it
-    into an empty store of the same engine recreates the keyspace, each
-    deadline at the millisecond the log writes."""
+    format: a full sync ships it, and replaying it into an empty store
+    of the same engine recreates the keyspace, each deadline at the
+    millisecond the log writes."""
     ((_, data, _, _),) = _layout(keyspace.snapshot_records(),
                                  keyspace.database_count > 1, 0, False, {})
     return data

@@ -6,8 +6,8 @@ and the tenancy gate reads a payload's size through them.  The payload
 is a version tag, a type-tagged value and a trailing CRC-32 over
 everything before it, parsed through a bounds-checked :class:`Reader`.
 
-The whole keyspace has no format of its own here: a full sync, a
-backup generation and BGSAVE all write the log's compacted records
+The whole keyspace has no format of its own here: a full sync and a
+backup generation both write the log's compacted records
 (:func:`repro.kvstore.aof.image`, :meth:`repro.kvstore.aof.AofWriter.
 lay_out`).
 """

@@ -33,6 +33,7 @@ from repro.bench.reporting import (
 from repro.bench.table1 import headline_statistics
 from repro.common.clock import SimClock
 from repro.kvstore import KeyValueStore, StoreConfig
+from repro.net.tls import PROXIED_BANDWIDTH_BPS
 
 
 class TestSystemFactories:
@@ -46,20 +47,10 @@ class TestSystemFactories:
         assert system.store.aof is not None
         assert system.store.aof.log_reads is True
 
-    def test_luks_tls_has_volume(self):
-        system = make_luks_tls(volume_mb=1)
-        assert system.luks is not None
-        assert system.luks.capacity == 1 << 20
-
-    def test_luks_snapshot_write(self):
-        system = make_luks_tls(volume_mb=1)
-        system.store.execute("SET", "k", "v")
-        written = system.maybe_snapshot_to_luks()
-        assert written > 0
-
-    def test_snapshot_skipped_without_luks(self):
-        system = make_unmodified()
-        assert system.maybe_snapshot_to_luks() == 0
+    def test_luks_tls_is_the_unlogged_store_behind_stunnel(self):
+        system = make_luks_tls()
+        assert system.store.aof is None
+        assert system.channel.bandwidth_bps == PROXIED_BANDWIDTH_BPS
 
     def test_unknown_config_rejected(self):
         with pytest.raises(ValueError):

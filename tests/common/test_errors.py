@@ -14,8 +14,7 @@ class TestHierarchy:
                 assert issubclass(obj, errors.ReproError), name
 
     def test_device_family(self):
-        for cls in (errors.DeviceFullError, errors.DeviceIOError,
-                    errors.CorruptionError):
+        for cls in (errors.DeviceIOError, errors.CorruptionError):
             assert issubclass(cls, errors.DeviceError)
 
     def test_crypto_family(self):

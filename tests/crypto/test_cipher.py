@@ -7,7 +7,6 @@ from repro.crypto.cipher import (
     KEY_SIZE,
     NONCE_SIZE,
     AuthenticatedCipher,
-    SectorCipher,
     StreamCipher,
     random_bytes,
     seeded_entropy,
@@ -122,24 +121,6 @@ class TestAuthenticatedCipher:
         cipher = AuthenticatedCipher(key)
         token = cipher.seal(b"12345")
         assert len(token) - 5 == AuthenticatedCipher.overhead()
-
-
-class TestSectorCipher:
-    def test_sector_roundtrip(self, key):
-        cipher = SectorCipher(key)
-        sector = b"s" * 512
-        assert cipher.decrypt_sector(
-            7, cipher.encrypt_sector(7, sector)) == sector
-
-    def test_sector_number_tweaks(self, key):
-        cipher = SectorCipher(key)
-        data = b"d" * 512
-        assert cipher.encrypt_sector(0, data) != cipher.encrypt_sector(
-            1, data)
-
-    def test_length_preserving(self, key):
-        cipher = SectorCipher(key)
-        assert len(cipher.encrypt_sector(3, b"x" * 100)) == 100
 
 
 def test_random_bytes_length_and_variation():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import CryptoError, IntegrityError
 from repro.crypto.cipher import (KEY_SIZE, NONCE_SIZE, AuthenticatedCipher,
-                                 SectorCipher, StreamCipher)
+                                 StreamCipher)
 from repro.crypto.keystore import KeyStore
 
 KEY = bytes(range(32))
@@ -78,7 +78,6 @@ def test_empty_ranges_stay_empty():
     assert cipher.keystream(ZERO_NONCE, 0) == b""
     assert cipher.keystream(ZERO_NONCE, 0, start_block=7) == b""
     assert cipher.transform(b"", ZERO_NONCE) == b""
-    assert SectorCipher(KEY).encrypt_sector(3, b"") == b""
 
 
 # -- tokens of the previous construction fail closed ------------------------------

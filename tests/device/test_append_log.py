@@ -6,7 +6,7 @@ from repro.common.clock import SimClock
 from repro.common.errors import DeviceIOError
 from repro.device.append_log import AppendLog
 from repro.device.faults import FaultPlan
-from repro.device.latency import INTEL_750_SSD
+from repro.device.latency import INTEL_750_SSD, ZERO
 
 
 class TestFrontiers:
@@ -220,3 +220,148 @@ class TestBarrierScope:
             pass
         assert (log.durable_length, log.fsyncs) == (1, 1)
         assert plan.steps == ["append", "flush", "flush", "flush", "fsync"]
+
+
+class TestFiles:
+    """Every persisted byte lives on an append log's named files: a new
+    file starts empty, each file keeps its own frontiers, one fsync is a
+    barrier over them all, and a rename or unlink is the only way a file
+    changes other than by its appends."""
+
+    @staticmethod
+    def _frontiers(log):
+        return log.total_length, log.cached_length, log.durable_length
+
+    def test_a_new_device_holds_one_open_file_named_after_it(self):
+        log = AppendLog(name="wal.log")
+        assert log.files() == ["wal.log"] and log.file == "wal.log"
+        assert self._frontiers(log) == (0, 0, 0)
+
+    def test_a_new_file_opens_empty(self):
+        log = AppendLog()
+        log.append(b"AAAA")
+        log.open("part.1")
+        assert log.read_all() == b"" and self._frontiers(log) == (0, 0, 0)
+        assert log.files() == ["appendonly.aof", "part.1"]
+        assert log.read_all("appendonly.aof") == b"AAAA"
+
+    def test_reopening_a_file_restores_its_frontiers(self):
+        log = AppendLog()
+        log.append(b"AAAA")
+        log.flush_and_fsync()
+        log.append(b"BB")
+        log.flush()
+        log.append(b"C")
+        log.open("part.1")
+        log.append(b"xyz")
+        log.open("appendonly.aof")
+        assert self._frontiers(log) == (7, 6, 4)
+        assert log.read_all() == b"AAAABBC"
+
+    def test_flush_writes_every_file_one_syscall_each(self):
+        clock = SimClock()
+        log = AppendLog(clock=clock, latency=INTEL_750_SSD)
+        log.append(b"AAAA")
+        log.open("part.1")
+        log.append(b"BB")
+        assert log.flush() == 6
+        assert log.syscalls == 2
+        assert clock.now() == pytest.approx(
+            INTEL_750_SSD.write_cost(4) + INTEL_750_SSD.write_cost(2))
+        assert log.exposed_bytes(["appendonly.aof", "part.1"]) == 6
+
+    def test_one_fsync_is_a_barrier_over_every_file(self):
+        log = AppendLog()
+        log.append(b"AAAA")
+        log.open("part.1")
+        log.append(b"BB")
+        log.flush()
+        log.fsync()
+        assert log.fsyncs == 1
+        assert log.read_files(["appendonly.aof", "part.1"],
+                              durable=True) == [b"AAAA", b"BB"]
+
+    def test_reading_an_absent_file_is_refused(self):
+        log = AppendLog()
+        with pytest.raises(DeviceIOError, match="no file 'part.9'"):
+            log.read_all("part.9")
+        with pytest.raises(DeviceIOError):
+            log.read_files(["appendonly.aof", "part.9"])
+
+    def test_remove_refuses_the_open_or_an_absent_file(self):
+        log = AppendLog()
+        log.append(b"AAAA")
+        log.open("part.1")
+        for names in (["part.1"], ["part.9"]):
+            with pytest.raises(DeviceIOError, match="open or absent"):
+                log.remove(names)
+        assert log.files() == ["appendonly.aof", "part.1"]
+
+    def test_rename_replaces_the_file_of_that_name(self):
+        log = AppendLog()
+        log.append(b"old")
+        log.flush_and_fsync()
+        log.open("rewrite.tmp")
+        log.append(b"new")
+        log.flush_and_fsync()
+        log.rename("appendonly.aof")
+        assert log.files() == ["appendonly.aof"]
+        assert log.read_all() == b"new"
+        FaultPlan(log).power_loss()
+        assert log.read_all() == b"new"   # a rename is durable as it returns
+
+    def test_a_replaced_file_leaves_no_bytes_to_write(self):
+        log = AppendLog()
+        log.append(b"unwritten")
+        log.open("rewrite.tmp")
+        log.append(b"new")
+        log.rename("appendonly.aof")
+        assert log.flush() == 3 and log.syscalls == 1
+
+    def test_exposed_bytes_are_what_a_power_loss_loses(self):
+        log = AppendLog()
+        log.append(b"AAAA")
+        log.flush_and_fsync()
+        log.append(b"BB")
+        log.open("part.1")
+        log.append(b"CCC")
+        log.flush()
+        names = ["appendonly.aof", "part.1"]
+        before = sum(len(data) for data in log.read_files(names))
+        exposed = log.exposed_bytes(names)
+        FaultPlan(log).power_loss()
+        after = sum(len(data) for data in log.read_files(names))
+        assert (exposed, before - after) == (5, 5)
+        assert log.exposed_bytes(names) == 0
+
+    def test_holding_names_the_files_that_mention_a_needle(self):
+        log = AppendLog()
+        log.append(b"SET alice 1")
+        for name, data in (("part.1", b"SET bob 2"),
+                           ("part.2", b"DEL carol")):
+            log.open(name)
+            log.append(data)
+        names = ["part.2", "appendonly.aof", "part.1"]
+        assert log.holding(names, [b"alice", b"carol"]) == [
+            "part.2", "appendonly.aof"]
+        assert log.holding(names, [b"dave"]) == []
+
+    def test_an_empty_append_moves_nothing(self):
+        clock = SimClock()
+        log = AppendLog(clock=clock, latency=INTEL_750_SSD)
+        log.append(b"")
+        assert log.flush() == 0
+        assert (log.appends, log.syscalls, clock.now()) == (1, 0, 0.0)
+
+    def test_the_zero_model_charges_no_time(self):
+        clock = SimClock()
+        log = AppendLog(clock=clock, latency=ZERO)
+        log.append(b"x" * 4096)
+        log.commit()
+        log.open("part.1")
+        log.append(b"y")
+        log.flush_and_fsync()
+        log.open("appendonly.aof")
+        assert log.read_at(0, 4096) == b"x" * 4096
+        assert clock.now() == 0.0
+        assert (log.syscalls, log.fsyncs, log.reads) == (2, 2, 1)

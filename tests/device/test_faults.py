@@ -5,7 +5,6 @@ import pytest
 
 from repro.common.errors import DeviceIOError
 from repro.device.append_log import AppendLog
-from repro.device.block_device import SimulatedBlockDevice
 from repro.device.faults import FaultPlan, PowerLoss
 
 
@@ -52,52 +51,38 @@ class TestFail:
         assert log.files() == ["part.2"]
         assert plan.steps == ["rename", "remove"]
 
-    @pytest.mark.parametrize("op", ["write", "flush"])
-    def test_block_op_fails_once_without_effect(self, op):
-        dev = SimulatedBlockDevice(64)
-        dev.write(0, b"good")
-        plan = FaultPlan(dev)
-        plan.fail(op)
-        run = {"write": lambda: dev.write(0, b"bad!"), "flush": dev.flush}[op]
-        with pytest.raises(DeviceIOError):
-            run()
-        assert (dev.writes, dev.flushes, dev.clock.now()) == (1, 0, 0.0)
-        plan.power_loss()
-        assert dev.read(0, 4) == b"\x00" * 4     # nothing reached the disk
-        run()
-        assert plan.steps == [op]
-
 
 class TestCut:
     def test_cut_counts_operations_across_devices(self):
-        log, dev = AppendLog(), SimulatedBlockDevice(64)
-        plan = FaultPlan(log, dev)
+        log, other = AppendLog(), AppendLog(name="other.log")
+        plan = FaultPlan(log, other)
         log.append(b"AAAA")
-        plan.cut(3)
-        dev.write(0, b"data")
+        plan.cut(4)
+        other.append(b"data")
         log.flush()
-        dev.flush()
+        other.flush_and_fsync()
         with pytest.raises(PowerLoss, match="fsync"):
             log.fsync()
-        assert plan.steps == ["append", "write", "flush", "flush"]
+        assert plan.steps == ["append", "append", "flush", "flush", "fsync"]
         assert log.read_all() == b""             # flushed, never synced
-        assert dev.read(0, 4) == b"data"         # its flush came first
+        assert other.read_all() == b"data"       # its fsync came first
         log.fsync()                              # the cut fired once
         assert plan.steps[-1] == "fsync"
 
     def test_cut_at_a_named_op_loses_power_on_every_device(self):
-        log, dev = _durable_log(), SimulatedBlockDevice(64)
-        plan = FaultPlan(log, dev)
+        log, other = _durable_log(), AppendLog(name="other.log")
+        plan = FaultPlan(log, other)
         plan.cut("fsync")
         log.append(b"BBBB")
         log.flush()
-        dev.write(0, b"data")
+        other.append(b"data")
+        other.flush()
         with pytest.raises(PowerLoss):
-            log.fsync()
+            other.fsync()
         assert log.read_all() == b"AAAA"
         assert log.durable_length == log.cached_length == 4
-        assert dev.read(0, 4) == b"\x00" * 4
-        assert plan.steps == ["append", "flush", "write"]
+        assert other.read_all() == b""
+        assert plan.steps == ["append", "flush", "append", "flush"]
 
     def test_power_loss_reaches_every_file_of_a_log(self):
         log = _durable_log()
@@ -110,7 +95,81 @@ class TestCut:
         assert log.read_all("appendonly.aof") == b"AAAA"
 
 
+class TestEveryOp:
+    """The plan sees every operation in ``AppendLog.FAULT_OPS``, the one
+    op set, and a cut by name stops the first of its kind on any log."""
+
+    @staticmethod
+    def _run_every_op(log):
+        log.append(b"BB")
+        log.flush()
+        log.fsync()
+        log.open("rewrite.tmp")
+        log.rename("part.1")
+        log.remove(["appendonly.aof"])
+
+    def test_every_state_changing_op_is_one_step(self):
+        log = _durable_log()
+        plan = FaultPlan(log)
+        self._run_every_op(log)
+        assert plan.steps == list(AppendLog.FAULT_OPS)
+
+    @pytest.mark.parametrize("op", AppendLog.FAULT_OPS)
+    def test_a_cut_by_name_stops_the_op_before_it_runs(self, op):
+        log, other = _durable_log(), _durable_log(b"ZZ")
+        other.append(b"unsynced")
+        other.flush()
+        plan = FaultPlan(log, other)
+        plan.cut(op)
+        with pytest.raises(PowerLoss, match=f"appendonly.aof.{op}"):
+            self._run_every_op(log)
+        ran = list(AppendLog.FAULT_OPS[:AppendLog.FAULT_OPS.index(op)])
+        assert plan.steps == ran
+        assert other.read_all() == b"ZZ"        # power lost on both logs
+        assert "appendonly.aof" in log.files()  # the remove never ran
+
+    def test_a_cut_at_zero_stops_the_next_op(self):
+        log = _durable_log()
+        log.append(b"BB")
+        log.flush()
+        plan = FaultPlan(log)
+        plan.cut(0)
+        with pytest.raises(PowerLoss, match="fsync"):
+            log.fsync()
+        assert (log.read_all(), plan.steps) == (b"AAAA", [])
+
+    def test_an_armed_failure_hits_whichever_log_runs_the_op_first(self):
+        log, other = AppendLog(), AppendLog(name="other.log")
+        plan = FaultPlan(log, other)
+        plan.fail("append")
+        with pytest.raises(DeviceIOError, match="injected other.log.append"):
+            other.append(b"data")
+        log.append(b"AAAA")                     # the failure fired once
+        other.append(b"data")
+        assert (log.read_all(), other.read_all()) == (b"AAAA", b"data")
+        assert plan.steps == ["append", "append"]
+
+    def test_a_failure_is_no_power_loss(self):
+        log = _durable_log()
+        log.append(b"BB")
+        log.flush()
+        plan = FaultPlan(log)
+        plan.fail("fsync")
+        with pytest.raises(DeviceIOError) as raised:
+            log.fsync()
+        assert not isinstance(raised.value, PowerLoss)
+        assert log.read_all() == b"AAAABB"      # nothing was lost
+        assert (log.cached_length, log.durable_length) == (6, 4)
+
+
 class TestTear:
+    def test_tear_hits_every_attached_log(self):
+        log, other = _durable_log(b"ABCD"), _durable_log(b"WXYZ")
+        FaultPlan(log, other).tear(1)
+        assert log.read_all() == b"ABC" + bytes([ord("D") ^ 0xFF])
+        assert other.read_all() == b"WXY" + bytes([ord("Z") ^ 0xFF])
+
+
     def test_tear_hits_the_open_file(self):
         log = _durable_log(b"ABCDEFGH")
         log.open("part.1")
@@ -132,8 +191,8 @@ class TestInputs:
             arm(FaultPlan(AppendLog()))
 
     def test_a_device_takes_one_plan(self):
-        log, dev = AppendLog(), SimulatedBlockDevice(64)
+        log, other = AppendLog(), AppendLog(name="other.log")
         FaultPlan(log)
         with pytest.raises(ValueError):
-            FaultPlan(dev, log)
-        assert dev.faults is None                # refused whole
+            FaultPlan(other, log)
+        assert other.faults is None              # refused whole

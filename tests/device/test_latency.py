@@ -2,14 +2,19 @@
 
 import pytest
 
+from repro.common.clock import SimClock
+from repro.device.append_log import AppendLog
 from repro.device.latency import (
+    CRYPTO_COST_PER_BYTE,
     HDD,
     INTEL_750_SSD,
+    LUKS_SSD,
     NVM,
     PRESETS,
     ZERO,
     LatencyModel,
 )
+from repro.kvstore import KeyValueStore, StoreConfig
 
 
 class TestCosts:
@@ -56,3 +61,54 @@ class TestPresetOrdering:
     def test_model_frozen(self):
         with pytest.raises(AttributeError):
             setattr(INTEL_750_SSD, "fsync", 0.0)
+
+
+class TestLuksPreset:
+    @staticmethod
+    def _run(latency):
+        """One command stream into an ``always`` AOF on ``latency``,
+        then one read of the log; the clock, bytes flushed and bytes
+        read."""
+        clock = SimClock()
+        log = AppendLog(clock=clock, latency=latency)
+        store = KeyValueStore(
+            StoreConfig(appendonly=True, appendfsync="always",
+                        aof_log_reads=True),
+            clock=clock, aof_log=log)
+        for i in range(20):
+            store.execute("SET", f"k{i}", b"v" * (10 * i))
+            store.execute("GET", f"k{i}")
+        read = len(log.read_at(0, log.total_length // 2))
+        return clock.now(), log.cached_length, read
+
+    def test_luks_charges_the_cipher_on_every_byte_moved(self):
+        plain, flushed, read = self._run(INTEL_750_SSD)
+        luks, *moved = self._run(LUKS_SSD)
+        assert moved == [flushed, read] and flushed > 0 and read > 0
+        assert luks - plain == pytest.approx(
+            CRYPTO_COST_PER_BYTE * (flushed + read), rel=1e-9, abs=0)
+
+    def test_luks_is_the_ssd_with_the_cipher_on_each_byte(self):
+        assert (LUKS_SSD.write_syscall, LUKS_SSD.read_syscall,
+                LUKS_SSD.fsync) == (INTEL_750_SSD.write_syscall,
+                                    INTEL_750_SSD.read_syscall,
+                                    INTEL_750_SSD.fsync)
+        for nbytes in (0, 1, 4096):
+            assert LUKS_SSD.write_cost(nbytes) - INTEL_750_SSD.write_cost(
+                nbytes) == pytest.approx(CRYPTO_COST_PER_BYTE * nbytes)
+            assert LUKS_SSD.read_cost(nbytes) - INTEL_750_SSD.read_cost(
+                nbytes) == pytest.approx(CRYPTO_COST_PER_BYTE * nbytes)
+
+    def test_a_barrier_with_no_bytes_to_move_costs_the_same(self):
+        clocks = []
+        for latency in (INTEL_750_SSD, LUKS_SSD):
+            log = AppendLog(clock=SimClock(), latency=latency)
+            log.commit()
+            clocks.append(log.clock.now())
+        assert clocks == [INTEL_750_SSD.fsync] * 2
+
+    def test_luks_is_not_a_swept_device(self):
+        # ablation_device sweeps PRESETS; LUKS at rest is priced by
+        # ablation_encryption alone.
+        assert LUKS_SSD.name not in PRESETS
+        assert LUKS_SSD not in PRESETS.values()

@@ -20,7 +20,7 @@ from repro.device.append_log import AppendLog, BarrierScope
 from repro.device.faults import FaultPlan, PowerLoss
 from repro.gdpr.audit import AuditChainMode, AuditDurability, AuditLog
 from repro.gdpr.metadata import GDPRMetadata, unpack_envelope
-from repro.gdpr.rights import right_of_access
+from repro.gdpr.rights import right_of_access, right_to_erasure
 from repro.gdpr.store import GDPRConfig, GDPRStore
 from repro.kvstore import KeyValueStore, StoreConfig
 from repro.sqlstore import RelationalStore, SqlConfig
@@ -47,13 +47,23 @@ def _always_sql(clock):
 ENGINES = {"redislike": _always_kv, "relational": _always_sql}
 
 
+def _tiered_always_kv(clock):
+    return TieredEngine(_always_kv(clock),
+                        tiering=TieringConfig(demote_idle_after=10.0,
+                                              demote_interval=1.0,
+                                              segment_max_records=8))
+
+
+STACKS = {**ENGINES, "tiered-redislike": _tiered_always_kv}
+
+
 def _strict(variant, encrypt=True):
     """The headline strict stack: an ``always`` log with read logging
     under synchronous hash-chained audit, each on its own device."""
     clock = SimClock()
     audit = AuditLog(AppendLog(clock=clock, name="audit.log"), clock=clock,
                      durability=AuditDurability.SYNC)
-    return GDPRStore(kv=ENGINES[variant](clock), audit=audit,
+    return GDPRStore(kv=STACKS[variant](clock), audit=audit,
                      config=GDPRConfig(encrypt_at_rest=encrypt,
                                        audit_durability=AuditDurability.SYNC))
 
@@ -75,8 +85,9 @@ class TestBarriersPerRequest:
     """Before requests were scopes, each paid one fsync per record on
     each device: an update 2 log + 2 audit (3 + 2 on the relational
     engine, whose put also writes a ``GDPRMETA`` record), a put with a
-    TTL 2 on the log (3), Art. 15 of a k-key subject k + k + 1; a bare
-    get paid 1 + 1, as it still does."""
+    TTL 2 on the log (3), Art. 15 of a k-key subject k + k + 1,
+    processing k records for a purpose k + k; a bare get paid 1 + 1,
+    as it still does."""
 
     def test_an_update_pays_one_fsync_per_device(self, variant):
         store = _strict(variant)
@@ -106,6 +117,16 @@ class TestBarriersPerRequest:
         after = _fsyncs(store)
         assert len(report.records) == KEYS
         assert store.audit.record_count - records == KEYS + 1
+        assert (after[0] - before[0], after[1] - before[1]) == (1, 1)
+
+    def test_processing_for_a_purpose_pays_one_fsync_per_device(
+            self, variant):
+        store = _strict(variant)
+        for i in range(6):
+            store.put(f"k{i}", b"v", _meta(f"s{i}"), purpose="service")
+        before = _fsyncs(store)
+        assert len(store.process_for_purpose("service")) == 6
+        after = _fsyncs(store)
         assert (after[0] - before[0], after[1] - before[1]) == (1, 1)
 
     def test_a_bare_get_pays_one_fsync_per_device(self, variant):
@@ -180,6 +201,116 @@ def test_power_loss_at_every_step_of_a_strict_update(variant):
     # Old value everywhere; both records durable and the data lost (a
     # cut between the barriers); never the new value without them.
     assert (b"old", 0) in outcomes and (b"old", 2) in outcomes
+
+
+@pytest.mark.parametrize("variant", sorted(STACKS))
+def test_power_loss_at_every_step_of_a_strict_erasure(variant):
+    """A cut before each device operation of an Art. 17 erasure: wherever
+    the restarted store has lost one of the subject's keys, the durable
+    audit holds the ``erase-subject`` record.  It is made durable before
+    the erasure's first step, so before the first barrier it pays as
+    written: the log rewrite's, or on a tiered store the seal of the
+    demotion the erasure's ``DEL`` runs (which makes the ``DEL``'s cold
+    tombstones durable before the subject marker).  The request still
+    pays one audit fsync; a tiered one two, since the engine's
+    ``tier-cold-erase`` record follows its cold barrier."""
+    keys = ["a0", "a1", "a2"]
+    tiered = variant.startswith("tiered")
+    cut_at = 0
+    while True:
+        store = _strict(variant, encrypt=False)
+        for key in keys:
+            store.put(key, b"v", _meta("alice"), purpose="service")
+        store.put("b0", b"v", _meta("bob"), purpose="service")
+        logs = [store.audit.log, store.kv.aof_log]
+        if tiered:
+            store.kv.demote_keys([b"a0", b"a1"])
+            logs.append(store.kv.cold.device)
+            store.clock.advance(20.0)   # the erasure's DEL demotes b0
+        audit_fsyncs = store.audit.log.fsyncs
+        plan = FaultPlan(*logs)
+        plan.cut(cut_at)
+        try:
+            right_to_erasure(store, "alice")
+        except PowerLoss:
+            returned = False
+        else:
+            returned = True
+        store.audit.verify_durable()        # raises on a broken chain
+        restarted = reopen(store.kv)
+        held = [key for key in keys
+                if restarted.has_live_key(key.encode("utf-8"))]
+        audited = [record.operation for record in
+                   AuditLog.parse(store.audit.log.read_durable())
+                   if record.subject == "alice"]
+        if held != keys:
+            assert "erase-subject" in audited, cut_at
+        if returned:
+            assert held == []
+            break
+        cut_at += 1
+    assert store.audit.log.fsyncs - audit_fsyncs == (2 if tiered else 1)
+    # The erase-subject record's append and commit come before any
+    # engine step.
+    assert plan.steps[:4] == ["append", "flush", "flush", "fsync"]
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINES))
+def test_the_erasure_record_names_what_the_erasure_does(variant):
+    """The record is written before the erasure runs, from what it will
+    do: its detail fields match the erasure's own report."""
+    store = _strict(variant)
+    for key in ("a0", "a1", "a2"):
+        store.put(key, b"v", _meta("alice"), purpose="service")
+    report = right_to_erasure(store, "alice")
+    [record] = [record for record in
+                AuditLog.parse(store.audit.log.read_durable())
+                if record.operation == "erase-subject"]
+    assert (record.subject, record.outcome) == ("alice", "ok")
+    assert record.detail == (
+        f"3 keys, crypto={report.crypto_erased}, "
+        f"compacted={report.log_compacted}")
+    assert report.crypto_erased and report.log_compacted
+
+
+@pytest.mark.parametrize("chain_mode,durability", [
+    (AuditChainMode.RECORD, AuditDurability.BATCH),
+    (AuditChainMode.RECORD, AuditDurability.ASYNC),
+    (AuditChainMode.BLOCK, AuditDurability.SYNC)],
+    ids=["batch", "async", "block"])
+def test_an_erasure_keeps_a_windowed_audit_s_window(chain_mode, durability):
+    """Only a SYNC record-mode audit makes the erasure's record durable
+    ahead of the erasure: under BATCH, ASYNC or in block mode it waits
+    for the audit's own window like every other record."""
+    clock = SimClock()
+    audit = AuditLog(AppendLog(clock=clock, name="audit.log"), clock=clock,
+                     durability=durability, chain_mode=chain_mode,
+                     auto_timer=False)
+    store = GDPRStore(kv=_always_kv(clock), audit=audit,
+                      config=GDPRConfig(audit_durability=durability))
+    for key in ("a0", "a1"):
+        store.put(key, b"v", _meta("alice"), purpose="service")
+    fsyncs = audit.log.fsyncs
+    report = right_to_erasure(store, "alice")
+    assert report.log_compacted
+    assert audit.log.fsyncs == fsyncs
+    assert audit.at_risk_records() > 0
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINES))
+def test_processing_for_a_purpose_audits_every_record_it_reads(variant):
+    store = _strict(variant)
+    for i in range(6):
+        store.put(f"k{i}", b"v", _meta(f"s{i}"), purpose="service")
+    seq = store.audit.record_count
+    records = store.process_for_purpose("service")
+    assert [record.value for record in records] == [b"v"] * 6
+    audited = AuditLog.parse(store.audit.log.read_durable())[seq:]
+    assert sorted(record.subject for record in audited) == [
+        f"s{i}" for i in range(6)]
+    assert {(record.purpose, record.outcome) for record in audited} == {
+        ("service", "ok")}
+    assert store.audit.at_risk_records() == 0
 
 
 @pytest.mark.parametrize("variant", sorted(ENGINES))

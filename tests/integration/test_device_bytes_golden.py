@@ -9,15 +9,16 @@ move no simulated digit and no device byte reruns this file to show it.
 
 A deliberate change to a log format, a cost constant or the envelope
 re-records the digests it moves -- and only those -- and says so in
-CHANGES.md.  There have been five: the envelope keystream became one
+CHANGES.md.  There have been six: the envelope keystream became one
 SHAKE-256 call (AOF/WAL digests of all three runs), cold segment format
 v2 (the ``tiered`` run only), Art. 17 became one DEL per store with
 one cold barrier per command (the ``fast_relational`` and ``tiered``
 runs), a write-behind flush became one ``GDPRMETA`` statement with
 the retention deadline fused into the relational ``SET ... PXAT`` (the
-``fast_relational`` run only), and a demotion batch became one logged
+``fast_relational`` run only), a demotion batch became one logged
 DEL with Art. 17's cold tombstones and marker under one fsync (the
-``tiered`` run only).
+``tiered`` run only), and Art. 17 came to audit itself before its
+first step (the audit digests of the runs that erase).
 """
 
 import hashlib
@@ -224,6 +225,11 @@ def _tiered():
 # store stopped drawing a pseudonymization key at construction, which
 # shifts every later data key and nonce under the seeded entropy.
 # Ciphertext bytes moved; no length, no audit byte and no clock did.
+# The audit digests of ``fast_relational`` and ``tiered``: re-recorded
+# when Art. 17 came to append its ``erase-subject`` record before its
+# first step (under SYNC durable before any erasure barrier), so the
+# record's timestamp and place in the chain moved; no other device byte
+# and no clock did.
 GOLDEN = {
     "strict_redislike": ({
         "aof": "68af420cb00869072ae62f75d476058c"
@@ -234,16 +240,16 @@ GOLDEN = {
     "fast_relational": ({
         "wal": "6e46d561002524a45a27806f01c906d8"
                "2dd6c20ef0b1a6c5681b311f745791a4",
-        "audit": "3dd2157781edef6769900fdd8e1fadd4"
-                 "90946835fd6855d309ba72266cdb8a4a",
+        "audit": "2c72e4017d22f9ca6c93d1d25b77bcec"
+                 "5b7d8c716d9859aad86b6b2aa47a007d",
     }, 0.0476819780000002),
     "tiered": ({
         "aof": "8c308ad0aea746b4e26ff0edd024e264"
                "ba52cc2fce52cea860c048aafab462ee",
         "cold": "7aa3aabef865f19c9b043cdf870ba076"
                 "3881a1763f3d6251e13044717be9f0f3",
-        "audit": "6f75fc56565bfcc1f8ca148a93d06322"
-                 "6f0838b4975a3fdc386cffba9642da85",
+        "audit": "8f48de7202e21832a16730fae91a7fce"
+                 "d60a34b67817d7bdb052bbd295f14e4e",
     }, 180.031901774998),
 }
 
