@@ -99,7 +99,7 @@ def deployment(name: str, store_of: Callable[[Clock], KeyValueStore],
     the server's service meter, a one-core
     :class:`~repro.common.clock.ShardClock`."""
     scheduler = channel.clock
-    meter = ShardClock(scheduler.now())
+    meter = ShardClock(scheduler.now(), scheduler=scheduler)
     server = EventStoreServer(store_of(meter), WorkerPool(meter, scheduler))
     client = EventConnection(server, channel=channel, psk=psk)
     return SystemUnderTest(name=name, clock=scheduler, store=server.store,

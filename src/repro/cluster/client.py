@@ -184,12 +184,6 @@ class ClusterStoreServer(EventStoreServer):
         # serves the GDPR.* commands (repro.gdpr.node).
         self.gdpr = gdpr
 
-    def tick(self) -> None:
-        """Background work of the shard's top layer: the GDPR layer's
-        (engine cron, audit group commit, write-behind flush) on a GDPR
-        node, else the engine's."""
-        (self.gdpr or self.store).tick()
-
     def attach_tenant_gate(self, gate) -> None:
         """Install the cluster's shared
         :class:`~repro.tenancy.gate.TenantGate` and subscribe it to this
@@ -948,6 +942,8 @@ class ClusterClient:
         if self._node_factory is None:
             raise ClusterError("this cluster cannot build nodes")
         old.server.stop_cron()
+        for timer in old.clock.timers:      # its devices' timers
+            timer.cancel()
         node = self._node_factory(index)
         replayed = node.store.replay_aof(aof_bytes)
         if node.store.aof is not None:
@@ -1035,7 +1031,8 @@ def build_cluster(num_shards: int,
             else PlacementPolicy()
 
     def make_node(index: int) -> ClusterNode:
-        node_clock = ShardClock(master.now(), workers=workers)
+        node_clock = ShardClock(master.now(), workers=workers,
+                                scheduler=master)
         channel = Channel(clock=master, bandwidth_bps=bandwidth_bps,
                           latency=latency)
         store = store_factory(index, node_clock)

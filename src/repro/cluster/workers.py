@@ -38,8 +38,11 @@ Dispatch rules (single-writer semantics by construction):
   (anything that reads or mutates the whole keyspace, and the TENANT
   stamp), cross-worker multi-key commands, and -- via the shard
   clock's stop-the-world ``advance`` -- the GDPR Art. 15/17/20/21
-  fan-out and cron fsync wait until every worker is free and then
-  occupy *all* of them for their duration.
+  fan-out wait until every worker is free and then occupy *all* of
+  them for their duration;
+* **background work** -- the cron and every firing of a device's
+  everysec timer -- runs on the core that last wrote the log
+  (:meth:`WorkerPool.run_background`).
 
 **Adaptive batching**: each dispatch lets a worker drain up to B queued
 commands routed to it (round-robin across connections, so fairness is
@@ -59,7 +62,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..common.clock import ShardClock, SimClock, WorkerClock
 from ..common.histogram import LatencyHistogram
@@ -355,6 +358,7 @@ class WorkerPool:
         self.workers: List[_WorkerState] = [
             _WorkerState(clock) for clock in shard_clock.workers]
         self.scheduler = scheduler
+        shard_clock.run_background = self.run_background
         self.server = None          # set once, by bind()
         self._aof = None            # the store's AOF writer, if it logs
         self._tick_handle = None
@@ -654,23 +658,27 @@ class WorkerPool:
     # -- background work (cron) attribution ---------------------------------
 
     def cron_tick(self) -> None:
-        """Run the store's cron (AOF fsync, expiry cycles) billing its
+        """Run the store's cron (expiry cycles, vacuum; no fsync -- each
+        device's everysec timer does that) as background work."""
+        self.run_background(self.server.tick)
+
+    def run_background(self, work: Callable[[], None]) -> None:
+        """Run background work -- the cron, a firing of a device's timer
+        (every recurring timer on :attr:`shard_clock`) -- billing its
         cost to the worker that *caused* it: the core that executed the
         most recent AOF-appending write.  Without this, an everysec
         fsync would stop the world -- every core billed for one core's
         flush -- misattributing durability cost under multi-core shards.
         With one worker this is numerically identical to stop-the-world.
         """
-        store = self.server.store
-        now = self.scheduler.now()
-        store.clock.sleep_until(now)
+        self.shard_clock.sleep_until(self.scheduler.now())
         writer = self._last_aof_writer
         if writer is None or writer not in self.workers:
             writer = self.workers[0]
         before = writer.clock.busy_seconds
         self.shard_clock.activate(writer.clock)
         try:
-            self.server.tick()
+            work()
         finally:
             self.shard_clock.release()
         writer.aof_seconds += writer.clock.busy_seconds - before

@@ -71,10 +71,6 @@ class EventHandle:
     def active(self) -> bool:
         return self._state == self._PENDING
 
-    @property
-    def fired(self) -> bool:
-        return self._state == self._FIRED
-
     def cancel(self) -> bool:
         """Cancel if still pending; returns whether anything changed."""
         if self._state != self._PENDING:
@@ -266,13 +262,17 @@ class RecurringTimer:
 
     Each firing runs the callback and *then* schedules the next daemon
     event, so the events keep the ``(when, seq, label)`` a hand-written
-    ``fire(); reschedule`` closure gives them.  :meth:`cancel` stops the
-    chain, also from inside the callback."""
+    ``fire(); reschedule`` closure gives them.  A callback that raises
+    still gets its next firing (the exception then propagates): one
+    failed fsync must not end a device's timer.  :meth:`cancel` stops
+    the chain, also from inside the callback."""
 
     __slots__ = ("clock", "interval", "callback", "label", "_handle")
 
     def __init__(self, clock: SimClock, interval: float,
                  callback: Callable[[], None], label: str) -> None:
+        if interval <= 0:
+            raise ValueError("a recurring timer needs a positive interval")
         self.clock = clock
         self.interval = interval
         self.callback = callback
@@ -285,10 +285,13 @@ class RecurringTimer:
         return self._handle is not None
 
     def _fire(self) -> None:
-        self.callback()
-        if self._handle is not None:
-            self._handle = self.clock.schedule_after(
-                self.interval, self._fire, label=self.label, daemon=True)
+        try:
+            self.callback()
+        finally:
+            if self._handle is not None:
+                self._handle = self.clock.schedule_after(
+                    self.interval, self._fire, label=self.label,
+                    daemon=True)
 
     def cancel(self) -> bool:
         """Stop firing; returns whether the timer was running."""
@@ -348,9 +351,15 @@ class ShardClock(Clock):
       cost is billed to exactly one core;
     * with **no active worker**, ``advance()`` charges *all* cores
       (stop-the-world).  That is deliberately the barrier semantics:
-      direct calls, cron ticks (fsync), and cross-worker commands such
-      as an Art. 17 fan-out occupy the whole shard, and ``now()``
-      reports the frontier (max across cores).
+      direct calls and cross-worker commands such as an Art. 17 fan-out
+      occupy the whole shard, and ``now()`` reports the frontier (max
+      across cores).
+
+    **Recurring work** (:meth:`every`: a device's everysec timer, the
+    write-behind flush) runs as daemon events on the cluster's
+    ``scheduler``, each firing through :attr:`run_background` -- which
+    the shard's worker pool points at its own, billing the firing to the
+    core that last wrote the log instead of to every core.
 
     **Per-slot billing**: :meth:`activate` optionally names the hash
     slot the command belongs to; every ``advance`` charge inside the
@@ -365,11 +374,18 @@ class ShardClock(Clock):
     behaves as one plain meter.
     """
 
-    def __init__(self, start: float = 0.0, workers: int = 1) -> None:
+    def __init__(self, start: float = 0.0, workers: int = 1,
+                 scheduler: Optional[SimClock] = None) -> None:
         if workers < 1:
             raise ValueError("a shard needs at least one worker")
         self.workers: List[WorkerClock] = [
             WorkerClock(index, start) for index in range(workers)]
+        self.scheduler = scheduler
+        self.run_background: Callable[[Callable[[], None]], None] = \
+            lambda work: work()
+        #: The recurring timers :meth:`every` started (a retired shard's
+        #: are cancelled with it).
+        self.timers: List[RecurringTimer] = []
         self._active: Optional[WorkerClock] = None
         self._active_slot: Optional[int] = None
         self._active_billed = 0.0
@@ -447,3 +463,14 @@ class ShardClock(Clock):
     def busy_seconds(self) -> float:
         """Total busy time across all cores (for utilisation reports)."""
         return sum(worker.busy_seconds for worker in self.workers)
+
+    def every(self, interval: float, callback: Callable[[], None],
+              label: str) -> RecurringTimer:
+        """Run ``callback`` every ``interval`` seconds as daemon events on
+        :attr:`scheduler`, each firing through :attr:`run_background`."""
+        if self.scheduler is None:
+            raise RuntimeError("recurring work needs ShardClock(scheduler=)")
+        timer = self.scheduler.every(
+            interval, lambda: self.run_background(callback), label)
+        self.timers.append(timer)
+        return timer

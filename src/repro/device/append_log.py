@@ -18,6 +18,12 @@ barrier over every file on the device, so a commit that spans several
 files costs one barrier.  A file is replaced the way a real one is:
 write the new bytes to another file, make them durable, and
 :meth:`rename` it over the old name.
+
+A device runs at most one recurring timer on its clock
+(:meth:`AppendLog.join_timer`): its first ``everysec`` writer registers
+it, and each firing steps every writer that joined -- so the everysec
+fsync is one barrier per device per interval, whether or not commands
+arrive.
 """
 
 from __future__ import annotations
@@ -34,10 +40,11 @@ class FsyncPolicy(enum.Enum):
     """When a writer's appended bytes become durable (Redis'
     ``appendfsync``): ``always`` after every operation that moved bytes
     -- or, for the operations of one barrier scope (a GDPR request),
-    once at the scope's exit -- ``everysec`` once ``interval`` has
-    passed since the writer's own last fsync, ``no`` never (the OS
-    decides).  The audit log names the same three settings SYNC, BATCH
-    and ASYNC."""
+    once at the scope's exit -- ``everysec`` at each firing of the
+    device's timer, every ``interval`` seconds on the device's clock
+    (ADR-0010's "up to 1 second of data can be lost"), ``no`` never
+    (the OS decides).  The audit log names the same three settings
+    SYNC, BATCH and ASYNC."""
 
     ALWAYS = "always"
     EVERYSEC = "everysec"
@@ -102,6 +109,13 @@ class AppendLog:
         # them still waits for its fsync.
         self._scopes = 0
         self._commit_due = False
+        # The device's timer and the writers its firings step; a firing
+        # that falls inside one of the device's own operations waits
+        # for the operation to end (``_busy`` counts those in progress).
+        self.timer = None
+        self._tickers: List = []
+        self._busy = 0
+        self._fire_due = False
 
     # -- frontiers (of the open file) -----------------------------------------
 
@@ -124,6 +138,11 @@ class AppendLog:
     @property
     def unsynced_bytes(self) -> int:
         return self._cached_length - self._durable_length
+
+    def holds_unsynced(self) -> bool:
+        """Whether some file holds written bytes not yet durable."""
+        return self._cached_length > self._durable_length or any(
+            [file.cached > file.durable for file in self._closed.values()])
 
     # -- files ----------------------------------------------------------------
 
@@ -196,14 +215,20 @@ class AppendLog:
         """
         if self.faults is not None:
             self.faults.step(self, "flush")
-        moved = self._flush_closed() if self._unflushed else 0
-        pending = len(self._data) - self._cached_length
-        if pending == 0:
-            return moved
-        self.clock.advance(self.latency.write_cost(pending))
-        self._cached_length = len(self._data)
-        self.syscalls += 1
-        return moved + pending
+        self._busy += 1
+        try:
+            moved = self._flush_closed() if self._unflushed else 0
+            pending = len(self._data) - self._cached_length
+            if pending:
+                self.clock.advance(self.latency.write_cost(pending))
+                self._cached_length = len(self._data)
+                self.syscalls += 1
+                moved += pending
+        finally:
+            self._busy -= 1
+        if self._fire_due and not self._busy:
+            self._fire()
+        return moved
 
     def _flush_closed(self) -> int:
         moved = 0
@@ -221,16 +246,50 @@ class AppendLog:
         file of the device included."""
         if self.faults is not None:
             self.faults.step(self, "fsync")
-        self.clock.advance(self.latency.fsync)
+        self._busy += 1
+        try:
+            self.clock.advance(self.latency.fsync)
+        finally:
+            self._busy -= 1
         self._durable_length = self._cached_length
         for file in self._closed.values():
             file.durable = file.cached
         self.fsyncs += 1
         self._commit_due = False
+        if self._fire_due and not self._busy:
+            self._fire()
 
     def flush_and_fsync(self) -> None:
-        self.flush()
+        """flush, then fsync: one operation to the device's timer (a
+        firing inside the flush waits for the fsync's end)."""
+        self._busy += 1
+        try:
+            self.flush()
+        finally:
+            self._busy -= 1
         self.fsync()
+
+    # -- the device's timer --------------------------------------------------
+
+    def join_timer(self, writer, interval: float) -> None:
+        """Step ``writer`` (its ``tick()``) at every firing of the
+        device's one recurring timer, which the first writer to join
+        registers on the device's clock at its ``interval``."""
+        self._tickers.append(writer)
+        if self.timer is None:
+            self.timer = self.clock.every(interval, self._fire,
+                                          label=f"{self.name}-timer")
+
+    def _fire(self) -> None:
+        """A firing: step every joined writer, in the order they
+        joined -- unless one of the device's own operations is in
+        progress, which then runs the firing as it ends."""
+        if self._busy:
+            self._fire_due = True
+            return
+        self._fire_due = False
+        for writer in self._tickers:
+            writer.tick()
 
     # -- the barrier scope ---------------------------------------------------
 
@@ -238,11 +297,11 @@ class AppendLog:
         """Ask for everything appended so far to become durable: flush
         now, and fsync now -- or, inside a :meth:`group`, once at the
         outermost scope's exit, unless some fsync comes first."""
-        self.flush()
         if self._scopes:
+            self.flush()
             self._commit_due = True
         else:
-            self.fsync()
+            self.flush_and_fsync()
 
     def group(self) -> "AppendLog":
         """A barrier scope: ``with log.group():`` turns every
@@ -365,23 +424,23 @@ class BarrierScope:
         for log in self.logs:
             if log._commit_due and not log._scopes:
                 if log._unflushed or len(log._data) > log._cached_length:
-                    log.flush()
-                log.fsync()
+                    log.flush_and_fsync()
+                else:
+                    log.fsync()
 
 
 class LogWriter:
     """One writer of ``log`` under an :class:`FsyncPolicy`: the one place
     that decides when the writer's appended bytes get fsynced.
 
-    After each operation the writer calls :meth:`post_command`; its
-    cron calls :meth:`tick`.  Under ``always`` an operation's bytes are
-    durable as it returns -- unless it runs inside a barrier scope
-    (:meth:`AppendLog.group`, :class:`BarrierScope`), whose exit then
-    pays one fsync for every operation in it.  ``everysec``'s interval
-    fsync and :meth:`sync` are barriers as written, scope or no scope.
-    ``last_fsync`` is the writer's own clock for ``everysec``: only its
-    policy fsyncs (and :meth:`sync`) restart it, not another writer's
-    barrier on the same device.
+    After each operation the writer calls :meth:`post_command`.  Under
+    ``always`` an operation's bytes are durable as it returns -- unless
+    it runs inside a barrier scope (:meth:`AppendLog.group`,
+    :class:`BarrierScope`), whose exit then pays one fsync for every
+    operation in it.  An ``everysec`` writer joins its device's timer
+    (:meth:`AppendLog.join_timer`) at ``interval``: each firing's
+    :meth:`tick` is a barrier as written, scope or no scope, and so is
+    :meth:`sync`.
     """
 
     def __init__(self, log: AppendLog, clock: Clock, policy: FsyncPolicy,
@@ -389,8 +448,8 @@ class LogWriter:
         self.log = log
         self.clock = clock
         self.policy = policy
-        self.interval = interval
-        self.last_fsync = clock.now()
+        if policy is FsyncPolicy.EVERYSEC:
+            log.join_timer(self, interval)
 
     def post_command(self) -> bool:
         """Flush the application buffer; under ``always``, commit when
@@ -404,25 +463,21 @@ class LogWriter:
                 log._commit_due = True
                 return False
             log.fsync()
-            self.last_fsync = self.clock.now()
             return True
         return False
 
-    def tick(self, now: float) -> bool:
-        """Under ``everysec``, flush and fsync once ``interval`` has
-        passed since the last fsync.  Returns whether it fsynced."""
-        if self.policy is FsyncPolicy.EVERYSEC \
-                and now - self.last_fsync >= self.interval:
-            self.log.flush_and_fsync()
-            self.last_fsync = now
-            return True
-        return False
+    def tick(self) -> None:
+        """The device timer's step: fsync the device once if some file
+        on it holds unsynced bytes.  It writes nothing: every writer's
+        :meth:`post_command` has already moved its bytes to the page
+        cache."""
+        if self.log.holds_unsynced():
+            self.log.fsync()
 
     def sync(self) -> None:
         """Make everything appended so far durable now, whatever the
         policy and inside a barrier scope too (an end-of-run barrier, a
-        seal that orders later writes), and restart the interval."""
+        seal that orders later writes)."""
         log = self.log
         if log.unflushed_bytes or log.unsynced_bytes:
             log.flush_and_fsync()
-        self.last_fsync = self.clock.now()

@@ -292,7 +292,8 @@ class StorageEngine:
         return Session(db_index)
 
     def tick(self) -> None:
-        """Run due background work (expiry cycles, log fsync, vacuum)."""
+        """Run due background work (expiry cycles, vacuum).  A log's
+        everysec fsync is not among it: it runs on its device's timer."""
         raise NotImplementedError
 
     # -- keyspace views (expiry-aware, never mutating) ---------------------

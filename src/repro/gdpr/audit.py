@@ -10,8 +10,9 @@ requirement of Art. 5.2.  Two chain granularities exist:
   own -- the records of one GDPR request share the request's one fsync:
   strict real-time compliance, the configuration that costs Redis 20x;
 * **block mode** (the fast-GDPR path) -- records buffer in memory and are
-  sealed into :class:`AuditBlock`\\ s of up to ``block_size`` members (or
-  whenever ``batch_interval`` elapses).  One chain update covers the whole
+  sealed into :class:`AuditBlock`\\ s of up to ``block_size`` members (or,
+  at a firing of the device's timer, once ``batch_interval`` has passed
+  since the last seal).  One chain update covers the whole
   block: the block header commits to the previous block's hash plus a
   running digest over the member payloads, and the sealed block is
   group-committed with a single flush+fsync.  Tamper evidence is
@@ -35,20 +36,20 @@ layer's names:
   barrier scope (every :class:`~repro.gdpr.store.GDPRStore` request is
   one) -- flush per record and one fsync at the scope's exit, before
   the engine log's, so no durable write goes unaudited;
-* ``BATCH``   -- ``everysec`` at ``batch_interval``: group-commit once the
-  interval has passed (the paper's "storing the monitoring logs in a
-  batch (say, once every second)" that recovers 6x while risking one
-  interval of records);
+* ``BATCH``   -- ``everysec`` at ``batch_interval``: group-commit at each
+  firing of the device's timer (the paper's "storing the monitoring logs
+  in a batch (say, once every second)" that recovers 6x while risking
+  one interval of records);
 * ``ASYNC``   -- ``no``: write()s without fsync; the OS decides.
 
 A sealed block is a barrier as written
 (:meth:`~repro.device.append_log.LogWriter.sync`): durable before
 :meth:`AuditLog.seal_block` returns, inside a barrier scope too.
 
-On a scheduling clock (:class:`~repro.common.clock.SimClock`) the log
-registers a recurring *daemon* timer so BATCH group commit and block
-sealing fire every ``batch_interval`` even when no traffic arrives -- a
-quiescent log never leaves at-risk records unsynced forever.
+BATCH group commit and interval sealing run on the audit device's one
+timer (:meth:`~repro.device.append_log.AppendLog.join_timer`), which
+fires on its clock every ``batch_interval`` whether or not records
+arrive -- a quiescent log never leaves at-risk records unsynced.
 """
 
 from __future__ import annotations
@@ -282,8 +283,7 @@ class AuditLog:
                  batch_interval: float = 1.0,
                  record_cpu_cost: float = 0.0,
                  chain_mode: AuditChainMode = AuditChainMode.RECORD,
-                 block_size: int = 64,
-                 auto_timer: bool = True) -> None:
+                 block_size: int = 64) -> None:
         self.clock = clock if clock is not None else SimClock()
         self.log = log if log is not None else AppendLog(clock=self.clock)
         self.durability = durability
@@ -300,48 +300,24 @@ class AuditLog:
         self._block_tip = GENESIS_HASH      # block-mode chain tip
         self._blocks_sealed = 0
         self._sealed_records = 0            # records inside sealed blocks
-        self._durable_records = 0           # incrementally tracked at fsyncs
+        self._durable_records = 0           # block mode: sealed and synced
+        self._last_seal = self.clock.now()
         # The one policy decides when appended bytes get fsynced: the
-        # durability in record mode; in block mode every seal is a
-        # barrier (``last_fsync`` is then the last seal).
+        # durability in record mode (a BATCH writer joins the device's
+        # timer); in block mode every seal is a barrier, and the log
+        # itself joins the timer to seal on interval (a zero interval
+        # seals by size and on demand only).
         self._writer = LogWriter(
             self.log, self.clock,
             FsyncPolicy.ALWAYS if chain_mode is AuditChainMode.BLOCK
             else durability, batch_interval)
-        # Every record appended in this process, in order.
+        if chain_mode is AuditChainMode.BLOCK and batch_interval > 0:
+            self.log.join_timer(self, batch_interval)
+        # Every record appended in this process, in order, and in record
+        # mode the device offset each one's line ends at.
         self._memory: List[AuditRecord] = []
+        self._ends: List[int] = []
         self._pending_block: List[AuditRecord] = []
-        self._timer_handle = None
-        if auto_timer:
-            self._maybe_start_timer()
-
-    # -- background group commit ---------------------------------------------------
-
-    def _needs_timer(self) -> bool:
-        return (self.batch_interval > 0
-                and (self.durability is AuditDurability.BATCH
-                     or self.chain_mode is AuditChainMode.BLOCK))
-
-    def _maybe_start_timer(self) -> None:
-        """Register a recurring daemon event so group commit fires every
-        ``batch_interval`` even with no traffic (a quiescent log must not
-        leave at-risk records unsynced forever).  No-op on clocks that
-        cannot schedule; daemon events never keep ``run_until_idle``
-        alive by themselves, exactly like the expiry cron."""
-        if not self._needs_timer():
-            return
-        if self._timer_handle is not None and self._timer_handle.active:
-            return
-        every = getattr(self.clock, "every", None)
-        if every is not None:
-            self._timer_handle = every(
-                self.batch_interval, lambda: self.tick(self.clock.now()),
-                label="audit-groupcommit")
-
-    def stop_timer(self) -> None:
-        if self._timer_handle is not None:
-            self._timer_handle.cancel()
-            self._timer_handle = None
 
     # -- appending -----------------------------------------------------------------
 
@@ -367,13 +343,11 @@ class AuditLog:
         if self.record_cpu_cost:
             self.clock.advance(self.record_cpu_cost)
         self.log.append(_record_line(payload, self._tip, digest))
+        self._ends.append(self.log.total_length)
         self._seq += 1
         self._tip = digest
         self._memory.append(record)
-        writer = self._writer
-        if writer.post_command() or writer.policy is FsyncPolicy.EVERYSEC \
-                and writer.tick(self.clock.now()):
-            self._durable_records = self._seq
+        self._writer.post_command()
         return record
 
     def commit(self) -> None:
@@ -420,27 +394,24 @@ class AuditLog:
         self.log.append(block.to_line())
         self._writer.sync()
         self._durable_records = self._sealed_records
+        self._last_seal = self.clock.now()
         return block
 
-    def tick(self, now: float) -> None:
-        """Group commit: BATCH fsync, or block sealing on interval."""
-        if self.chain_mode is AuditChainMode.BLOCK:
-            if (self._pending_block
-                    and now - self._writer.last_fsync >= self.batch_interval):
-                self.seal_block()
-            return
-        if self._writer.tick(now):
-            self._durable_records = self._seq
+    def tick(self) -> None:
+        """Block mode's step at each firing of the device's timer: seal
+        the pending records once ``batch_interval`` has passed since the
+        last seal."""
+        if self._pending_block \
+                and self.clock.now() - self._last_seal >= self.batch_interval:
+            self.seal_block()
 
     def sync(self) -> None:
         """Force everything appended so far durable (end-of-run barrier):
         seals any pending block, then flushes+fsyncs the device."""
         if self.chain_mode is AuditChainMode.BLOCK:
             self.seal_block()      # seal is itself a group commit
-            self._durable_records = self._sealed_records
         else:
             self._writer.sync()
-            self._durable_records = self._seq
 
     # -- reading -------------------------------------------------------------------
 
@@ -477,14 +448,14 @@ class AuditLog:
         This quantifies the paper's everysec trade-off: "exposing it to
         the risk of losing one second worth of logs", and counts the
         SYNC records of an open barrier scope, which its exit makes
-        durable.  O(1): the durable record count is tracked
-        incrementally at fsync points instead of re-reading the durable
-        log; a record-mode log whose device holds nothing unsynced has
-        every record durable (a scope's exit fsync).
+        durable.  In record mode, the records whose lines end past the
+        device's durable frontier, whoever's fsync moved it (a bisection
+        of the line ends); in block mode, the records not in a sealed
+        block.
         """
-        if self.chain_mode is AuditChainMode.RECORD and not (
-                self.log.unflushed_bytes or self.log.unsynced_bytes):
-            self._durable_records = self._seq
+        if self.chain_mode is AuditChainMode.RECORD:
+            return self._seq - bisect.bisect_right(
+                self._ends, self.log.durable_length)
         return self._seq - self._durable_records
 
     # -- parsing & verification ----------------------------------------------------

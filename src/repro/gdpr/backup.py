@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence
 from ..common.clock import Clock
 from ..common.errors import CorruptionError
 from ..common.hashing import crc32_of
-from ..device.append_log import AppendLog
+from ..device.append_log import AppendLog, FsyncPolicy
 from ..kvstore.aof import AofWriter
 from .store import GDPRStore
 
@@ -107,8 +107,10 @@ class BackupManager:
         if label is None:
             label = f"backup-{len(self.backups):04d}"
         kv = self.store.kv
+        # A generation commits only through its rewrites' barriers
+        # (AofWriter._commit): its device runs no timer.
         writer = AofWriter(AppendLog(clock=self.clock, name=label),
-                           self.clock)
+                           self.clock, FsyncPolicy.NO)
         writer.lay_out(kv, kv.aof.homes if kv.aof is not None else {})
         backup = Backup(
             label=label,
@@ -208,7 +210,8 @@ class BackupManager:
         try:
             writer.rewrite(scratch, erased)
         except Exception:
-            backup.writer = AofWriter(writer.log, self.clock)
+            backup.writer = AofWriter(writer.log, self.clock,
+                                      FsyncPolicy.NO)
             raise
         finally:
             backup.seal(targets)

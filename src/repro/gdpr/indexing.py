@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
+from ..common.clock import Clock
 from .metadata import GDPRMetadata
 
 #: Seconds between write-behind flushes of the fast-GDPR dirty-set.
@@ -114,8 +115,8 @@ class WriteBehindIndexer:
 
     The fast-GDPR mode enqueues per-write follow-up work here (engine
     metadata annotation, storage-location bookkeeping) instead of paying
-    it inside the client-visible operation.  A recurring daemon event on
-    the scheduler drains the dirty-set every ``WRITEBEHIND_INTERVAL``
+    it inside the client-visible operation.  A recurring timer on the
+    store's clock drains the dirty-set every ``WRITEBEHIND_INTERVAL``
     seconds; consumers that need a current view (subject access, index
     rebuild, shutdown) call :meth:`flush` first -- the visibility-window
     trade-off is the whole point, and it is bounded by that interval.
@@ -128,24 +129,14 @@ class WriteBehindIndexer:
     """
 
     def __init__(self, apply_fn: Callable[[Dict[str, object]], None],
-                 clock=None) -> None:
+                 clock: Clock) -> None:
         self._apply = apply_fn
-        self.clock = clock
         self._pending: Dict[str, object] = {}
-        self._timer_handle = None
-        self._last_flush = clock.now() if clock is not None else 0.0
         self.flushes = 0
         self.applied = 0
         self.coalesced = 0
-        every = getattr(clock, "every", None)
-        if every is not None:
-            self._timer_handle = every(WRITEBEHIND_INTERVAL, self.flush,
-                                       label="gdpr-writebehind")
-
-    def stop_timer(self) -> None:
-        if self._timer_handle is not None:
-            self._timer_handle.cancel()
-            self._timer_handle = None
+        clock.every(WRITEBEHIND_INTERVAL, self.flush,
+                    label="gdpr-writebehind")
 
     def enqueue(self, key: str, work: object) -> None:
         if key in self._pending:
@@ -165,8 +156,6 @@ class WriteBehindIndexer:
     def flush(self) -> int:
         """Apply all pending work (key -> work, in enqueue order) in one
         call; returns entries applied."""
-        if self.clock is not None:
-            self._last_flush = self.clock.now()
         if not self._pending:
             return 0
         batch = self._pending
@@ -175,11 +164,3 @@ class WriteBehindIndexer:
         self.flushes += 1
         self.applied += len(batch)
         return len(batch)
-
-    def maybe_flush(self, now: float) -> int:
-        """Interval-gated flush for tick-driven drivers (the fallback
-        when the clock cannot schedule daemon events)."""
-        if now - self._last_flush < WRITEBEHIND_INTERVAL:
-            return 0
-        self._last_flush = now
-        return self.flush()

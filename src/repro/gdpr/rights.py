@@ -195,22 +195,24 @@ def _erasure_part(store: GDPRStore, subject: str, principal: Principal,
     aof = store.kv.aof
     compacted = aof is not None and store.config.compact_on_erasure
     crypto_erased = store.config.encrypt_at_rest and subject in store.keystore
-    # The record comes first and, under SYNC, is durable before the first
-    # barrier the erasure pays as written (a cold seal or marker, the log
-    # rewrite): no durable erasure is left unaudited.
+    # The records come first and, under SYNC, are durable at one commit
+    # before the first barrier the erasure pays as written (a cold seal
+    # or marker, the log rewrite): no durable erasure is left unaudited.
     store.audit.append(principal=principal.name, operation="erase-subject",
                        subject=subject, outcome="ok",
                        detail=f"{len(keys)} keys, crypto={crypto_erased}, "
                               f"compacted={compacted}")
-    store.audit.commit()
     cold_voided = 0
     if getattr(store.kv, "supports_tiering", False):
-        # The DEL evicts every *indexed* cold copy; the subject marker
-        # voids any archived stragglers and persists the erasure on the
-        # cold device itself (one fsync for both), independent of the
-        # keystore tombstone below.
-        cold_voided = store.kv.erase_subject_cold(subject, keys)
+        # The engine's cold-erase record joins the commit.  The DEL
+        # evicts every *indexed* cold copy; the subject marker voids any
+        # archived stragglers and persists the erasure on the cold device
+        # itself (one fsync for both), independent of the keystore
+        # tombstone below.
+        cold_voided = store.kv.erase_subject_cold(subject, keys,
+                                                  store.audit.commit)
     else:
+        store.audit.commit()
         store.kv.execute("DEL", *keys)
     if store.config.encrypt_at_rest:
         store.keystore.erase_key(subject)

@@ -410,15 +410,11 @@ class GDPRStore:
     # -- maintenance -----------------------------------------------------------------
 
     def tick(self) -> None:
-        """Drive background work: store cron + audit group commit.
-
-        On a scheduling clock the audit group commit and the write-behind
-        flush also fire as daemon events; this tick is the fallback for
-        tick-driven harnesses and non-scheduling clocks."""
+        """Drive the engine's cron (expiry cycles, vacuum, tiering).  The
+        audit group commit, the logs' everysec fsyncs and the
+        write-behind flush are no part of it: each runs on a timer on
+        the store's clock."""
         self.kv.tick()
-        self.audit.tick(self.clock.now())
-        if self._writebehind is not None:
-            self._writebehind.maybe_flush(self.clock.now())
 
     def flush_compliance(self) -> None:
         """Synchronously close the fast-GDPR visibility window: drain the

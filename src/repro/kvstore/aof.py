@@ -12,9 +12,10 @@ is the one the audit log runs too:
 
 * ``always``  -- flush + fsync after every command (the paper's strict
   real-time compliance: throughput falls to ~5% of baseline);
-* ``everysec``-- flush after every command, fsync at most once per second
-  from the engine's cron tick (eventual compliance with a 1-second
-  exposure window: ~30% of baseline, the 6x recovery the paper reports);
+* ``everysec``-- flush after every command, fsync once per second on the
+  log device's own timer, whether or not commands arrive (eventual
+  compliance with a 1-second exposure window: ~30% of baseline, the 6x
+  recovery the paper reports);
 * ``no``      -- flush only; the OS decides when data reaches media.
 
 The log is partitioned by the key's *home*: it is a list of *parts*,
@@ -90,7 +91,8 @@ class _Part:
 class AofWriter(LogWriter):
     """Feeds executed commands into an :class:`AppendLog`, fsynced by
     its :class:`~repro.device.append_log.LogWriter` policy
-    (:meth:`post_command` after each command, :meth:`tick` from cron).
+    (:meth:`post_command` after each command, :meth:`tick` from the
+    device's timer under ``everysec``).
 
     ``record_cost`` is the per-record CPU+syscall cost charged to the clock
     (see ``repro.bench.calibration`` for the derivation), once per logged
@@ -106,7 +108,7 @@ class AofWriter(LogWriter):
     """
 
     def __init__(self, log: AppendLog, clock: Clock,
-                 policy: FsyncPolicy = FsyncPolicy.EVERYSEC,
+                 policy: FsyncPolicy,
                  log_reads: bool = False,
                  record_base_cost: float = 0.0,
                  record_per_byte_cost: float = 0.0) -> None:

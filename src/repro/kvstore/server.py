@@ -273,8 +273,9 @@ class EventLoopMixin:
 
     def start_cron(self, interval: Optional[float] = None) -> None:
         """Run the store's serverCron from recurring daemon timer events
-        (expiry cycles, everysec fsync, periodic AOF rewrite), its cost
-        billed to the core that caused it (:meth:`WorkerPool.cron_tick
+        (expiry cycles, periodic AOF rewrite; the everysec fsync runs on
+        the log device's own timer), its cost billed to the core that
+        caused it (:meth:`WorkerPool.cron_tick
         <repro.cluster.workers.WorkerPool.cron_tick>`).  Daemon events
         never keep :meth:`SimClock.run_until_idle` alive by themselves."""
         if self._cron_handle is not None and self._cron_handle.active:
@@ -295,7 +296,8 @@ class EventStoreServer(EventLoopMixin, StoreServer):
     single-node experiments measure run it behind a one-core
     :class:`~repro.cluster.workers.WorkerPool` (its store metered by the
     pool's :class:`~repro.common.clock.ShardClock`) with no cron: the
-    store's own per-command ``tick`` drives the everysec fsync."""
+    store's own per-command ``tick`` runs its expiry cycles, and the
+    log device's timer, on the pool's scheduler, the everysec fsync."""
 
     def __init__(self, store: KeyValueStore, pool) -> None:
         super().__init__(store)

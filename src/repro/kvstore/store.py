@@ -3,9 +3,10 @@
 :class:`KeyValueStore` is the reproduction's stand-in for Redis 4.0.11.  It
 wires the keyspace, command table, AOF, slowlog, MONITOR, and
 the pluggable active-expiry strategy behind one ``execute`` entry point,
-and runs background work (expiry cycles, everysec fsync, periodic AOF
-rewrite) from a cron driven by its clock -- the same serverCron structure
-Redis has.
+and runs background work (expiry cycles, periodic AOF rewrite) from a
+cron driven by its clock -- the same serverCron structure Redis has.
+The everysec fsync is not the cron's: it runs on the log device's own
+timer, as Redis runs it on a background thread.
 """
 
 from __future__ import annotations
@@ -184,8 +185,6 @@ class KeyValueStore(StorageEngine):
         driving long idle periods should call it after advancing the
         clock."""
         now = self.clock.now()
-        if self.aof is not None:
-            self.aof.tick(now)
         if not self._promoting \
                 and now - self._last_cron >= 1.0 / HZ:
             self._last_cron = now

@@ -601,11 +601,9 @@ class RelationalStore(StorageEngine):
     # -- background work (vacuum + WAL fsync) ------------------------------
 
     def tick(self) -> None:
-        """Run due background work: WAL group fsync and the retention
-        vacuum."""
+        """Run due background work: the retention vacuum (the WAL's
+        everysec fsync runs on its device's timer)."""
         now = self.clock.now()
-        if self.aof is not None:
-            self.aof.tick(now)
         if not self._promoting \
                 and now - self._last_vacuum >= 1.0 / HZ:
             self._last_vacuum = now

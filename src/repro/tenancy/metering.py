@@ -10,9 +10,8 @@ provider disputing a tenant's claim -- replays the chain:
 ``verify()`` recomputes every member digest and block hash, so an
 edited, reordered, or truncated report history fails loudly.
 
-The pipeline is usually driven by a daemon timer on the simulation
-clock (like the audit group commit); ``flush()`` is the synchronous
-end-of-run barrier.
+The pipeline runs on a recurring timer on its clock, every ``interval``
+seconds; ``flush()`` is the synchronous end-of-run barrier.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ class MeteringPipeline:
     periodic per-tenant reports on a sealed-block audit chain."""
 
     def __init__(self, gate: TenantGate, clock: Optional[Clock] = None,
-                 interval: float = 1.0, log=None,
-                 auto_timer: bool = True) -> None:
+                 interval: float = 1.0, log=None) -> None:
         self.gate = gate
         self.clock = clock if clock is not None else gate.clock
         self.interval = interval
@@ -45,24 +43,15 @@ class MeteringPipeline:
         self.audit = AuditLog(
             log=log, clock=self.clock,
             chain_mode=AuditChainMode.BLOCK,
-            block_size=1 << 30,  # rounds seal explicitly, never by size
-            auto_timer=False)
+            # Rounds seal explicitly: never by size or interval.
+            block_size=1 << 30, batch_interval=0.0)
         self.reports: List[Tuple[float, str, Dict[str, int]]] = []
         self._last: Dict[str, Dict[str, int]] = {}
-        self._timer_handle = None
-        if auto_timer:
-            self._maybe_start_timer()
-
-    def _maybe_start_timer(self) -> None:
-        every = getattr(self.clock, "every", None)
-        if every is not None and self.interval > 0:
-            self._timer_handle = every(self.interval, self.flush,
+        self._timer = self.clock.every(interval, self.flush,
                                        label="metering-flush")
 
     def stop_timer(self) -> None:
-        if self._timer_handle is not None:
-            self._timer_handle.cancel()
-            self._timer_handle = None
+        self._timer.cancel()
 
     # -- reporting ---------------------------------------------------------
 

@@ -456,22 +456,33 @@ class TieredEngine(StorageEngine):
 
     # -- archive-reaching erasure --------------------------------------------
 
-    def erase_subject_cold(self, subject: str, keys: Sequence[Any]) -> int:
+    def erase_subject_cold(self, subject: str, keys: Sequence[Any],
+                           before: Callable[[], None] = lambda: None
+                           ) -> int:
         """Delete ``keys`` (one ``DEL`` across both tiers), then void
         every archived copy of ``subject``'s records; returns the number
-        of segments the erasure reached (bloom-answered).  One cold
-        barrier covers the ``DEL``'s tombstones and the subject marker;
-        an erasure that reaches no segment and lays no tombstone writes
-        nothing cold and pays no barrier."""
+        of segments the erasure reached (bloom-answered).  The
+        ``cold-erase`` event, naming that number, comes first, then
+        ``before()`` (the caller's barrier for it: the GDPR layer's
+        audit commit), then the erasure's writes.  One cold barrier
+        covers the ``DEL``'s tombstones and the subject marker; an
+        erasure that reaches no segment and lays no tombstone writes
+        nothing cold and pays no barrier.  The ``DEL`` runs without the
+        command's cold tick: a due expiry or demotion waits for the
+        next command, so nothing and no event lands between the
+        caller's barrier and the erasure's."""
+        reached = len(self.cold.segments_of_subject(subject))
+        self._tier_event("cold-erase", f"{reached} segments voided",
+                         subject)
+        before()
         with self.cold.device.group():
             if keys:
-                self.execute("DEL", *keys)
-            touched = self.cold.erase_subject(subject)
+                self._del_across_tiers(normalize_args(("DEL", *keys)),
+                                       None)
+            self.cold.erase_subject(subject)
         self._owners = {k: ann for k, ann in self._owners.items()
                         if ann[0] != subject}
-        self._tier_event("cold-erase",
-                         f"{len(touched)} segments voided", subject)
-        return len(touched)
+        return reached
 
     def cold_keys_of_subject(self, subject: str) -> List[bytes]:
         return self.cold.keys_of_subject(subject)

@@ -224,8 +224,10 @@ class TestEventDeliveredReplication:
         store, replication = make_replicated_store(delay=0.010)
         store.put("user:1", b"payload", metadata())
         replication.close()
-        # Only the shards' own server-cron timers remain scheduled.
-        assert store.cluster.clock.pending_timers() == store.num_shards
+        # Only the shards' own timers remain scheduled: each one's
+        # server cron and its AOF device's everysec timer.
+        assert all(shard.kv.aof_log.timer.active for shard in store.shards)
+        assert store.cluster.clock.pending_timers() == 2 * store.num_shards
         for index, shard in enumerate(store.shards):
             assert shard.kv.write_listeners == []
             group = replication.groups[index]

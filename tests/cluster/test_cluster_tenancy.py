@@ -281,7 +281,8 @@ class TestOpenLoopTenantStreams:
 class TestMeteringAcrossTheCluster:
     def test_wire_traffic_lands_on_the_sealed_chain(self):
         cluster, gate = make_tenant_cluster()
-        pipeline = MeteringPipeline(gate, auto_timer=False)
+        pipeline = MeteringPipeline(gate)
+        pipeline.stop_timer()               # rounds flush by hand
         stamp(cluster, "acme")
         for number in range(5):
             cluster.call("SET", f"acme/k{number}", "v")

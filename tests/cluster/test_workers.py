@@ -758,6 +758,29 @@ class TestAofAttribution:
         assert reader.clock.busy_seconds == reader_busy
         assert pool.worker_rows()[1]["aof_seconds"] == writer.aof_seconds
 
+    def test_the_device_timer_bills_its_fsync_to_the_writing_worker(self):
+        """The everysec fsync is the log device's timer, not the cron's:
+        with the cron stopped one firing still fsyncs once, and its device
+        time lands on the core that last wrote the log, not on every
+        core."""
+        server, (conn, _), pool, _ = self._aof_pool_server()
+        server.stop_cron()
+        log = server.store.aof_log
+        write_key = next(f"w{i}" for i in range(64)
+                         if slot_for_key(f"w{i}".encode()) % 2 == 1)
+        conn.send_command("SET", write_key, "v")
+        server.scheduler.run_until_idle()
+        writer, reader = pool.workers[1], pool.workers[0]
+        busy = [worker.clock.busy_seconds for worker in pool.workers]
+        fsyncs = log.fsyncs
+        server.scheduler.run_until_idle(deadline=1.5)
+        assert log.fsyncs == fsyncs + 1
+        assert writer.clock.busy_seconds - busy[1] == pytest.approx(
+            INTEL_750_SSD.fsync)
+        assert writer.aof_seconds == pytest.approx(INTEL_750_SSD.fsync)
+        assert reader.clock.busy_seconds == busy[0]
+        assert reader.aof_seconds == 0.0
+
     def test_attribution_follows_the_last_writer(self):
         server, (conn, _), pool, _ = self._aof_pool_server()
         key_w0 = next(f"a{i}" for i in range(64)

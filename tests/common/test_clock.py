@@ -258,6 +258,26 @@ class TestRecurringTimer:
         assert clock.pending_timers() == 0
         assert timer.cancel() is False
 
+    def test_a_raising_callback_keeps_its_next_firing(self):
+        clock = SimClock()
+        fired = []
+
+        def work():
+            fired.append(clock.now())
+            if len(fired) == 1:
+                raise RuntimeError("fsync failed")
+
+        timer = clock.every(1.0, work, label="tick")
+        with pytest.raises(RuntimeError):
+            clock.advance(1.5)
+        assert timer.active and clock.pending_timers() == 1
+        clock.advance(2.0)
+        assert fired == [1.0, 2.0, 3.0]
+
+    def test_needs_a_positive_interval(self):
+        with pytest.raises(ValueError):
+            SimClock().every(0.0, lambda: None, label="tick")
+
 
 class TestWorkerClock:
     def test_advance_bills_busy_time(self):
@@ -287,6 +307,19 @@ class TestShardClock:
     def test_needs_at_least_one_worker(self):
         with pytest.raises(ValueError):
             ShardClock(workers=0)
+
+    def test_recurring_work_runs_on_the_scheduler(self):
+        scheduler = SimClock()
+        shard = ShardClock(workers=2, scheduler=scheduler)
+        ran = []
+        shard.run_background = lambda work: ran.append("billed") or work()
+        shard.every(1.0, lambda: ran.append(scheduler.now()), label="t")
+        scheduler.advance(2.5)
+        assert ran == ["billed", 1.0, "billed", 2.0]
+
+    def test_recurring_work_needs_a_scheduler(self):
+        with pytest.raises(RuntimeError):
+            ShardClock().every(1.0, lambda: None, label="t")
 
     def test_active_worker_takes_the_charges(self):
         shard = ShardClock(workers=3)

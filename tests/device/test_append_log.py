@@ -4,7 +4,7 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.common.errors import DeviceIOError
-from repro.device.append_log import AppendLog
+from repro.device.append_log import AppendLog, FsyncPolicy, LogWriter
 from repro.device.faults import FaultPlan
 from repro.device.latency import INTEL_750_SSD, ZERO
 
@@ -365,3 +365,76 @@ class TestFiles:
         assert log.read_at(0, 4096) == b"x" * 4096
         assert clock.now() == 0.0
         assert (log.syscalls, log.fsyncs, log.reads) == (2, 2, 1)
+
+
+class TestDeviceTimer:
+    """An everysec device runs one recurring timer on its clock: each
+    firing fsyncs the device once if some file holds unsynced bytes."""
+
+    def test_two_everysec_writers_make_one_timer(self):
+        clock = SimClock()
+        log = AppendLog(clock=clock)
+        LogWriter(log, clock, FsyncPolicy.EVERYSEC)
+        LogWriter(log, clock, FsyncPolicy.EVERYSEC)
+        assert clock.pending_timers() == 1
+        log.append(b"x")
+        log.flush()
+        clock.advance(1.0)
+        assert log.fsyncs == 1 and log.exposed_bytes([log.name]) == 0
+
+    @pytest.mark.parametrize("policy", [FsyncPolicy.ALWAYS, FsyncPolicy.NO])
+    def test_always_and_no_devices_register_none(self, policy):
+        clock = SimClock()
+        LogWriter(AppendLog(clock=clock), clock, policy)
+        assert clock.pending_timers() == 0
+
+    def test_a_firing_with_nothing_unsynced_costs_nothing(self):
+        clock = SimClock()
+        log = AppendLog(clock=clock, latency=INTEL_750_SSD)
+        LogWriter(log, clock, FsyncPolicy.EVERYSEC)
+        log.append(b"x")        # in the application buffer: not written
+        clock.advance(3.0)
+        assert clock.now() == 3.0
+        assert (log.fsyncs, log.syscalls) == (0, 0)
+
+    def test_every_file_of_the_device_is_synced(self):
+        clock = SimClock()
+        log = AppendLog(clock=clock)
+        LogWriter(log, clock, FsyncPolicy.EVERYSEC)
+        log.append(b"a")
+        log.open("other")
+        log.append(b"b")
+        log.flush()
+        clock.advance(1.0)
+        assert log.fsyncs == 1
+        assert log.exposed_bytes([log.name, "other"]) == 0
+
+    @pytest.mark.parametrize("op", ["flush", "flush_and_fsync"])
+    def test_a_firing_inside_the_device_s_own_charge_is_one_fsync(self, op):
+        # The grid instant t=1 falls inside the write syscall's charge
+        # (and, for flush_and_fsync, the fsync follows it): the firing
+        # waits for the operation to end, so the device pays one fsync
+        # and no charge is nested inside another.
+        clock = SimClock()
+        log = AppendLog(clock=clock, latency=INTEL_750_SSD)
+        LogWriter(log, clock, FsyncPolicy.EVERYSEC)
+        log.append(b"x" * 1000)
+        clock.advance(1.0 - 1e-6)
+        began = clock.now()
+        getattr(log, op)()
+        assert log.fsyncs == 1
+        assert log.exposed_bytes([log.name]) == 0
+        assert clock.now() - began == pytest.approx(
+            INTEL_750_SSD.write_cost(1000) + INTEL_750_SSD.fsync)
+
+    def test_a_firing_inside_an_fsync_charge_adds_none(self):
+        clock = SimClock()
+        log = AppendLog(clock=clock, latency=INTEL_750_SSD)
+        LogWriter(log, clock, FsyncPolicy.EVERYSEC)
+        log.append(b"x")
+        log.flush()
+        clock.advance(1.0 - clock.now() - 100e-6)
+        log.fsync()             # t=1 falls 100 us into its 800 us charge
+        assert log.fsyncs == 1
+        clock.advance(0.5)
+        assert log.fsyncs == 1

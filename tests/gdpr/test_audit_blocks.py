@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.errors import AuditError
+from repro.common.errors import AuditError, DeviceIOError
 from repro.device.append_log import AppendLog
 from repro.device.faults import FaultPlan, PowerLoss
 from repro.device.latency import INTEL_750_SSD
@@ -19,16 +19,14 @@ from repro.gdpr.audit import (
 )
 
 
-def make_block_log(block_size=4, batch_interval=1.0, latency=None,
-                   auto_timer=True):
+def make_block_log(block_size=4, batch_interval=1.0, latency=None):
     clock = SimClock()
     backing = AppendLog(clock=clock,
                         latency=latency if latency else
                         INTEL_750_SSD.scaled(0))
     log = AuditLog(log=backing, clock=clock,
                    chain_mode=AuditChainMode.BLOCK,
-                   block_size=block_size, batch_interval=batch_interval,
-                   auto_timer=auto_timer)
+                   block_size=block_size, batch_interval=batch_interval)
     return log, clock
 
 
@@ -50,7 +48,7 @@ class TestBlockSealing:
         log, clock = make_block_log(block_size=100, batch_interval=1.0)
         log.append("p", "get")
         assert log.blocks_sealed == 0
-        clock.advance(1.5)      # daemon timer fires inside the window
+        clock.advance(1.5)      # the device's timer fires inside it
         assert log.blocks_sealed == 1
         assert log.pending_records == 0
 
@@ -204,12 +202,30 @@ class TestGroupCommitTimer:
                  durability=AuditDurability.SYNC)
         assert clock.pending_timers() == 0
 
-    def test_stop_timer(self):
+    def test_seals_ride_the_device_timer(self):
+        # Interval sealing is the device's one timer: with it cancelled
+        # a partial block waits for its size or an explicit sync.
         log, clock = make_block_log(block_size=100, batch_interval=1.0)
         log.append("p", "get")
-        log.stop_timer()
+        assert clock.pending_timers() == 1
+        log.log.timer.cancel()
         clock.advance(5.0)
         assert log.blocks_sealed == 0
+
+    def test_a_failed_interval_seal_leaves_the_timer_running(self):
+        # One failed fsync must not end the device's timer: the next
+        # firing seals the records appended since, and the failed block
+        # with them.
+        log, clock = make_block_log(block_size=100, batch_interval=1.0)
+        log.append("p", "get")
+        FaultPlan(log.log).fail("fsync")
+        with pytest.raises(DeviceIOError):
+            clock.advance(1.5)
+        log.append("p", "put")
+        clock.advance(30.0)
+        assert clock.pending_timers() == 1
+        assert log.at_risk_records() == 0
+        assert log.verify_durable() == 2
 
 
 class TestAtRiskIncremental:

@@ -71,6 +71,15 @@ class TestLifecycle:
             manager.take_backup(f"b{i}")
         assert [b.label for b in manager.backups] == ["b2", "b3", "b4"]
 
+    def test_a_generation_s_device_runs_no_timer(self):
+        # A generation commits only at its rewrites' barriers: its
+        # device registers no everysec timer beside the live log's.
+        store, clock = make_store()
+        timers = clock.pending_timers()
+        backup = BackupManager(store).take_backup()
+        assert backup.writer.log.timer is None
+        assert clock.pending_timers() == timers
+
     def test_auto_labels(self):
         store, _ = make_store()
         manager = BackupManager(store)

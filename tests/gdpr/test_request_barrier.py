@@ -209,11 +209,11 @@ def test_power_loss_at_every_step_of_a_strict_erasure(variant):
     the restarted store has lost one of the subject's keys, the durable
     audit holds the ``erase-subject`` record.  It is made durable before
     the erasure's first step, so before the first barrier it pays as
-    written: the log rewrite's, or on a tiered store the seal of the
-    demotion the erasure's ``DEL`` runs (which makes the ``DEL``'s cold
-    tombstones durable before the subject marker).  The request still
-    pays one audit fsync; a tiered one two, since the engine's
-    ``tier-cold-erase`` record follows its cold barrier."""
+    written: the log rewrite's, or on a tiered store the cold barrier
+    over the ``DEL``'s tombstones and the subject marker (a demotion due
+    meanwhile waits for the next command).  The request pays
+    one audit fsync, a tiered one too: the engine's ``tier-cold-erase``
+    record is appended before that commit, ahead of its cold barrier."""
     keys = ["a0", "a1", "a2"]
     tiered = variant.startswith("tiered")
     cut_at = 0
@@ -226,7 +226,7 @@ def test_power_loss_at_every_step_of_a_strict_erasure(variant):
         if tiered:
             store.kv.demote_keys([b"a0", b"a1"])
             logs.append(store.kv.cold.device)
-            store.clock.advance(20.0)   # the erasure's DEL demotes b0
+            store.clock.advance(20.0)   # a demotion of b0 is due
         audit_fsyncs = store.audit.log.fsyncs
         plan = FaultPlan(*logs)
         plan.cut(cut_at)
@@ -249,10 +249,13 @@ def test_power_loss_at_every_step_of_a_strict_erasure(variant):
             assert held == []
             break
         cut_at += 1
-    assert store.audit.log.fsyncs - audit_fsyncs == (2 if tiered else 1)
-    # The erase-subject record's append and commit come before any
-    # engine step.
-    assert plan.steps[:4] == ["append", "flush", "flush", "fsync"]
+    assert store.audit.log.fsyncs - audit_fsyncs == 1
+    if tiered:      # the due demotion waits for the next command
+        assert store.kv.inner.has_live_key(b"b0")
+    # The erasure's records (and a tiered engine's cold-erase record) are
+    # appended and committed before any engine step.
+    records = ["append", "flush"] * (2 if tiered else 1)
+    assert plan.steps[:len(records) + 2] == records + ["flush", "fsync"]
 
 
 @pytest.mark.parametrize("variant", sorted(ENGINES))
@@ -273,6 +276,28 @@ def test_the_erasure_record_names_what_the_erasure_does(variant):
     assert report.crypto_erased and report.log_compacted
 
 
+def test_the_cold_erase_record_names_the_segments_the_erasure_voids():
+    """A tiered erasure's ``tier-cold-erase`` record is written before
+    the erasure runs, in the erasure's one audit commit: the segment
+    count it names is the receipt's."""
+    store = _strict("tiered-redislike")
+    for key in ("a0", "a1", "a2", "b0"):
+        store.put(key, b"v", _meta("alice" if key[0] == "a" else "bob"),
+                  purpose="service")
+    store.kv.demote_keys([b"a0", b"b0"])
+    store.kv.demote_keys([b"a1"])
+    fsyncs = store.audit.log.fsyncs
+    report = right_to_erasure(store, "alice")
+    assert store.audit.log.fsyncs - fsyncs == 1
+    records = [record for record in
+               AuditLog.parse(store.audit.log.read_durable())
+               if record.subject == "alice"]
+    assert [record.operation for record in records[-2:]] == [
+        "erase-subject", "tier-cold-erase"]
+    assert report.cold_segments_voided == 2
+    assert records[-1].detail == "2 segments voided"
+
+
 @pytest.mark.parametrize("chain_mode,durability", [
     (AuditChainMode.RECORD, AuditDurability.BATCH),
     (AuditChainMode.RECORD, AuditDurability.ASYNC),
@@ -284,8 +309,7 @@ def test_an_erasure_keeps_a_windowed_audit_s_window(chain_mode, durability):
     for the audit's own window like every other record."""
     clock = SimClock()
     audit = AuditLog(AppendLog(clock=clock, name="audit.log"), clock=clock,
-                     durability=durability, chain_mode=chain_mode,
-                     auto_timer=False)
+                     durability=durability, chain_mode=chain_mode)
     store = GDPRStore(kv=_always_kv(clock), audit=audit,
                       config=GDPRConfig(audit_durability=durability))
     for key in ("a0", "a1"):
@@ -353,7 +377,7 @@ def test_an_audit_block_seal_in_a_scope_is_durable_as_it_returns():
     clock = SimClock()
     log = AppendLog(clock=clock)
     audit = AuditLog(log, clock=clock, chain_mode=AuditChainMode.BLOCK,
-                     block_size=100, auto_timer=False)
+                     block_size=100)
     with BarrierScope(log):
         for _ in range(3):
             audit.append("p", "get")

@@ -131,3 +131,21 @@ class TestMidWorkloadDurability:
         for shard, keys in placement.items():
             for key in keys:
                 assert store.get(key) is not None
+
+
+def test_a_recovered_shard_s_old_device_timers_stop():
+    """The crashed node's everysec device timer goes with its cron: after
+    a recovery the scheduler holds one AOF timer per live shard."""
+    clock = SimClock()
+
+    def kv_factory(index, kv_clock):
+        return KeyValueStore(StoreConfig(appendonly=True), clock=kv_clock)
+
+    cluster = build_cluster(2, clock=clock, store_factory=kv_factory)
+    cluster.call("SET", "k", "v")
+    old = cluster.nodes[VICTIM]
+    cluster.recover_shard(VICTIM)
+    assert not any(timer.active for timer in old.clock.timers)
+    labels = sorted(handle.label for _, _, handle in clock._events
+                    if handle.active)
+    assert labels == ["appendonly.aof-timer"] * 2 + ["server-cron"] * 2

@@ -7,6 +7,7 @@ import pytest
 from repro.common.clock import SimClock
 from repro.device.append_log import AppendLog
 from repro.device.faults import FaultPlan
+from repro.device.latency import INTEL_750_SSD
 from repro.gdpr.audit import AuditDurability, AuditLog
 from repro.kvstore import KeyValueStore, StoreConfig
 from repro.kvstore.replication import ReplicationManager
@@ -37,20 +38,24 @@ def _engine(engine):
             None)
 
 
+def _ssd(clock):
+    return AppendLog(clock=clock, latency=INTEL_750_SSD)
+
+
 def _aof(clock, policy):
     return _engine(KeyValueStore(
         StoreConfig(appendonly=True, appendfsync=policy),
-        clock=clock, aof_log=AppendLog(clock=clock)))
+        clock=clock, aof_log=_ssd(clock)))
 
 
 def _wal(clock, policy):
     return _engine(RelationalStore(
         SqlConfig(wal_enabled=True, wal_fsync=policy),
-        clock=clock, wal_log=AppendLog(clock=clock)))
+        clock=clock, wal_log=_ssd(clock)))
 
 
 def _audit(clock, policy):
-    audit = AuditLog(AppendLog(clock=clock), clock=clock,
+    audit = AuditLog(_ssd(clock), clock=clock,
                      durability=AUDIT_DURABILITY[policy],
                      batch_interval=INTERVAL)
     return (audit.log,
@@ -60,45 +65,73 @@ def _audit(clock, policy):
             audit.at_risk_records)
 
 
+WRITERS = pytest.mark.parametrize("writer", [_aof, _wal, _audit],
+                                  ids=["aof", "sql-wal", "audit"])
+
+
+def _lose_power(writer, policy, seed, idle):
+    """Poisson writes on a fresh SSD-latency device, then power loss at
+    a seeded instant -- ``idle`` seconds after the last write when given
+    (no command runs in between), else anywhere in the run.  Checks that
+    the lost writes are the newest ones and that the audit log's
+    ``at_risk_records()`` just before the loss is exactly the records
+    lost; returns the loss instant, the lost ``(key, acknowledged at)``
+    pairs and the device's fsync cost."""
+    rng = random.Random(seed)
+    clock = SimClock()
+    log, write, survivors, at_risk_records = writer(clock, policy)
+    stop = crash = rng.uniform(2.0, 8.0)
+    arrival = rng.expovariate(RATE)
+    acked = []                       # (key, acknowledged at)
+    while arrival < stop:
+        clock.advance(max(0.0, arrival - clock.now()))
+        key = b"k%d" % len(acked)
+        write(key)
+        acked.append((key, clock.now()))
+        arrival += rng.expovariate(RATE)
+    if idle is not None:
+        crash = acked[-1][1] + idle(rng)
+    clock.advance(max(0.0, crash - clock.now()))
+    at_risk = at_risk_records() if at_risk_records else None
+    FaultPlan(log).power_loss()
+    kept = survivors([key for key, _ in acked])
+    lost = [(key, at) for key, at in acked if key not in kept]
+    assert not lost or acked[-len(lost):] == lost, seed
+    if at_risk is not None:
+        assert at_risk == len(lost), seed
+    return crash, lost, log.latency.fsync
+
+
 @pytest.mark.parametrize("policy", ["always", "everysec"])
-@pytest.mark.parametrize("writer", [_aof, _wal, _audit],
-                         ids=["aof", "sql-wal", "audit"])
+@WRITERS
 def test_power_loss_loses_only_the_policy_window(writer, policy):
-    """Poisson writes, then power loss at a seeded instant, five seeds per
-    writer: under ``always`` (the audit's SYNC) no acknowledged write is
-    lost; under ``everysec`` (BATCH) the lost writes are the newest ones,
-    each acknowledged within one interval plus the gap to the next
-    command before the loss -- and the audit log's ``at_risk_records()``
-    just before it is exactly the records lost."""
+    """Five seeds per writer: under ``always`` (the audit's SYNC) no
+    acknowledged write is lost; under ``everysec`` (BATCH) each lost
+    write was acknowledged within one interval plus one device fsync
+    before the loss."""
     lost_total = 0
     for seed in range(5):
-        rng = random.Random(seed)
-        clock = SimClock()
-        log, write, survivors, at_risk_records = writer(clock, policy)
-        crash = rng.uniform(2.0, 8.0)
-        arrival = rng.expovariate(RATE)
-        acked = []                       # (key, acknowledged at)
-        while arrival < crash:
-            clock.advance(max(0.0, arrival - clock.now()))
-            key = b"k%d" % len(acked)
-            write(key)
-            acked.append((key, clock.now()))
-            arrival += rng.expovariate(RATE)
-        clock.advance(max(0.0, crash - clock.now()))
-        at_risk = at_risk_records() if at_risk_records else None
-        FaultPlan(log).power_loss()
-        kept = survivors([key for key, _ in acked])
-        lost = [(key, at) for key, at in acked if key not in kept]
-        assert not lost or acked[-len(lost):] == lost, seed
-        if at_risk is not None:
-            assert at_risk == len(lost), seed
+        crash, lost, fsync = _lose_power(writer, policy, seed, idle=None)
         if policy == "always":
             assert not lost, seed
         else:
-            gap = arrival - acked[-1][1]
-            assert all(crash - at <= INTERVAL + gap for _, at in lost), seed
+            assert all(crash - at <= INTERVAL + fsync for _, at in lost), \
+                seed
         lost_total += len(lost)
     assert (lost_total > 0) == (policy == "everysec")
+
+
+@WRITERS
+def test_an_idle_everysec_tail_is_lost_only_within_the_window(writer):
+    """Writes stop, and power is lost 0.5-3 s later with no command in
+    between: the device's timer still fsyncs the tail, so every write
+    acknowledged more than one interval plus one device fsync before
+    the loss survives."""
+    for seed in range(10):
+        crash, lost, fsync = _lose_power(
+            writer, "everysec", seed,
+            idle=lambda rng: rng.uniform(0.5, 3.0))
+        assert all(crash - at <= INTERVAL + fsync for _, at in lost), seed
 
 
 class TestAofCrashRecovery:

@@ -125,7 +125,7 @@ def test_power_loss_at_every_step_recovers_the_old_or_new_keyspace(
         # The barrier makes the new parts -- and a buffered DEL -- durable.
         assert _logged(replica) == (after if "fsync" in done else before), \
             (variant, step)
-        reopened = AofWriter(log, engine.clock)
+        reopened = AofWriter(log, engine.clock, engine.aof.policy)
         assert reopened.read_durable() == engine.aof.read_durable()
         assert len(log.files()) == len(reopened.part_files()) + reopened.split
         if scenario is _whole:

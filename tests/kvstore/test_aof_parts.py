@@ -249,7 +249,7 @@ def test_a_writer_opened_on_a_split_device_reads_its_manifest():
     log.open("appendonly.aof.999")            # a crashed rewrite's leftover
     log.append(b"*2\r\n$3\r\nDEL\r\n$5\r\nuser9\r\n")
     log.flush_and_fsync()
-    reopened = AofWriter(log, store.clock)
+    reopened = AofWriter(log, store.clock, store.aof.policy)
     assert "appendonly.aof.999" not in log.files()
     assert [(part.first, part.file, part.keys)
             for part in reopened._parts] == [

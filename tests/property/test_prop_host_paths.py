@@ -277,7 +277,7 @@ def test_record_chain_lines_hashes_and_verify_unchanged(entries, durability):
 def test_block_chain_lines_hashes_and_verify_unchanged(entries, block_size):
     clock = SimClock()
     log = AuditLog(clock=clock, chain_mode=AuditChainMode.BLOCK,
-                   block_size=block_size, auto_timer=False)
+                   block_size=block_size, batch_interval=0.0)
     for fields, gap in entries:
         clock.advance(gap)
         log.append(**fields)

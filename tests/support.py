@@ -126,7 +126,7 @@ def one_core_server(scheduler, **config):
     from repro.common.clock import ShardClock
     from repro.kvstore import EventStoreServer, KeyValueStore, StoreConfig
 
-    meter = ShardClock(scheduler.now())
+    meter = ShardClock(scheduler.now(), scheduler=scheduler)
     return EventStoreServer(KeyValueStore(StoreConfig(**config), clock=meter),
                             WorkerPool(meter, scheduler))
 

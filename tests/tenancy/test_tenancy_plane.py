@@ -283,7 +283,8 @@ class TestPerTenantPolicies:
 class TestMetering:
     def _pipeline(self):
         registry, gate, clock = make_gate(ops_per_sec=1000.0)
-        pipeline = MeteringPipeline(gate, clock=clock, auto_timer=False)
+        pipeline = MeteringPipeline(gate, clock=clock)
+        pipeline.stop_timer()               # rounds flush by hand
         return gate, pipeline, clock
 
     def _traffic(self, gate, tenant, ops, at=0.0):
