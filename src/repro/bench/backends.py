@@ -30,9 +30,8 @@ Feature rows, per engine:
 * ``full-gdpr`` -- all of the above at once;
 * ``fast-gdpr`` -- the same full feature set re-engineered for the hot
   path: audit records seal into hash-chained *blocks* (one group-commit
-  fsync per block instead of per record), value + retention deadline
-  fuse into a single engine command where the engine supports it, and
-  metadata/location bookkeeping goes write-behind.  Same compliance
+  fsync per block instead of per record) and metadata/location
+  bookkeeping goes write-behind.  Same compliance
   guarantees, bounded visibility window -- the row quantifies what the
   paper's "batch the monitoring logs" suggestion buys.
 
@@ -142,7 +141,7 @@ def _gdpr_adapter(engine: StorageEngine, clock: SimClock,
     enables features one at a time.  ``fast`` runs the full feature set
     (TTL + audit + encryption on the same SSD-latency audit device as
     ``+audit``) through the fast-GDPR path: block-sealed audit chain,
-    fused SET-with-expiry, write-behind bookkeeping.
+    write-behind bookkeeping.
     """
     if fast:
         audit = AuditLog(log=AppendLog(clock=clock,

@@ -21,14 +21,17 @@ write the new bytes to another file, make them durable, and
 
 A device runs at most one recurring timer on its clock
 (:meth:`AppendLog.join_timer`): its first ``everysec`` writer registers
-it, and each firing steps every writer that joined -- so the everysec
-fsync is one barrier per device per interval, whether or not commands
-arrive.
+it, and each firing steps every live writer that joined -- so the
+everysec fsync is one barrier per device per interval, whether or not
+commands arrive.  A firing that falls inside a barrier scope waits for
+the scope's exit, after its barriers: a request's data never becomes
+durable ahead of the audit record the request's barrier makes durable.
 """
 
 from __future__ import annotations
 
 import enum
+import weakref
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..common.clock import Clock, SimClock
@@ -109,11 +112,14 @@ class AppendLog:
         # them still waits for its fsync.
         self._scopes = 0
         self._commit_due = False
-        # The device's timer and the writers its firings step; a firing
-        # that falls inside one of the device's own operations waits
-        # for the operation to end (``_busy`` counts those in progress).
+        # The device's timer and the writers its firings step (held
+        # weakly: a writer replaced on the device leaves with its last
+        # reference); a firing that falls inside one of the device's
+        # own operations waits for the operation to end (``_busy``
+        # counts those in progress), one inside a barrier scope for the
+        # outermost exit.
         self.timer = None
-        self._tickers: List = []
+        self._tickers: List[weakref.WeakMethod] = []
         self._busy = 0
         self._fire_due = False
 
@@ -274,22 +280,29 @@ class AppendLog:
     def join_timer(self, writer, interval: float) -> None:
         """Step ``writer`` (its ``tick()``) at every firing of the
         device's one recurring timer, which the first writer to join
-        registers on the device's clock at its ``interval``."""
-        self._tickers.append(writer)
+        registers on the device's clock at its ``interval``, for as long
+        as something else holds the writer."""
+        self._tickers.append(weakref.WeakMethod(writer.tick))
         if self.timer is None:
             self.timer = self.clock.every(interval, self._fire,
                                           label=f"{self.name}-timer")
 
     def _fire(self) -> None:
-        """A firing: step every joined writer, in the order they
-        joined -- unless one of the device's own operations is in
-        progress, which then runs the firing as it ends."""
-        if self._busy:
+        """A firing: step every live joined writer, in the order they
+        joined, and forget the dead ones -- unless one of the device's
+        own operations is in progress, which then runs the firing as it
+        ends, or a barrier scope is open, whose outermost exit runs it
+        after its barriers (a due firing outlives a failed barrier)."""
+        if self._busy or self._scopes:
             self._fire_due = True
             return
         self._fire_due = False
-        for writer in self._tickers:
-            writer.tick()
+        ticks = [ref() for ref in self._tickers]
+        self._tickers = [ref for ref, tick in zip(self._tickers, ticks)
+                         if tick is not None]
+        for tick in ticks:
+            if tick is not None:
+                tick()
 
     # -- the barrier scope ---------------------------------------------------
 
@@ -316,8 +329,12 @@ class AppendLog:
 
     def __exit__(self, *exc_info) -> None:
         self._scopes -= 1
-        if self._commit_due and not self._scopes:
+        if self._scopes:
+            return
+        if self._commit_due:
             self.flush_and_fsync()
+        if self._fire_due:
+            self._fire()
 
     # -- reading -------------------------------------------------------------
 
@@ -406,8 +423,9 @@ class BarrierScope:
     outermost exit each device with a due commit pays one fsync (after
     a flush of any bytes still unwritten), in the order ``logs`` are
     given -- after every scope is left, so a failed barrier leaves no
-    device inside one and fsyncs none after it.  Entering allocates
-    nothing: one object serves every request it scopes."""
+    device inside one and fsyncs none after it.  Then each device runs
+    the timer firing that fell inside the scope, if one did.  Entering
+    allocates nothing: one object serves every request it scopes."""
 
     __slots__ = ("logs",)
 
@@ -427,6 +445,9 @@ class BarrierScope:
                     log.flush_and_fsync()
                 else:
                     log.fsync()
+        for log in self.logs:
+            if log._fire_due and not log._scopes:
+                log._fire()
 
 
 class LogWriter:
@@ -439,8 +460,9 @@ class LogWriter:
     :class:`BarrierScope`), whose exit then pays one fsync for every
     operation in it.  An ``everysec`` writer joins its device's timer
     (:meth:`AppendLog.join_timer`) at ``interval``: each firing's
-    :meth:`tick` is a barrier as written, scope or no scope, and so is
-    :meth:`sync`.
+    :meth:`tick` is a barrier, run at the outermost exit of a barrier
+    scope the firing falls inside, after the scope's own barriers.
+    :meth:`sync` is a barrier as written, scope or no scope.
     """
 
     def __init__(self, log: AppendLog, clock: Clock, policy: FsyncPolicy,

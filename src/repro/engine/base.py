@@ -21,9 +21,9 @@ built on:
   write in its replay-safe form, :meth:`_log_records` over the engine's
   :meth:`_deadline_of`), fed to the write stream, and the engine ticks.
 * **Write-stream taps** (:meth:`add_write_listener`) -- the effective,
-  post-translation write stream (expirations travel as DELs, relative
-  TTLs as absolute PEXPIREAT).  Replication links and slot migrators
-  subscribe here.
+  post-translation write stream (expirations travel as DELs, a value
+  and its deadline as one absolute ``SET..PXAT`` record).  Replication
+  links and slot migrators subscribe here.
 * **Deletion taps** (:meth:`add_deletion_listener`) -- every key removal
   with its reason (``del`` / ``lazy-expire`` / ``active-expire``).  The
   GDPR layer timestamps erasures off this; migrators cascade deletes.
@@ -79,8 +79,8 @@ from ..common.errors import PersistenceError, UnknownCommandError
 
 DeletionListener = Callable[[int, bytes, str, float], None]
 # (db_index, translated argv) for every effective write -- the stream a
-# replica applies.  Commands arrive post-translation (PEXPIREAT, DELs
-# for expirations) so replicas converge deterministically.
+# replica applies.  Commands arrive post-translation (absolute
+# deadlines, DELs for expirations) so replicas converge deterministically.
 WriteListener = Callable[[int, List[bytes]], None]
 #: One key's GDPR metadata columns: ``(key, owner, purposes)``.
 MetadataRow = Tuple[str, str, Iterable[str]]
@@ -245,13 +245,14 @@ class StorageEngine:
         """The logged form of an effective write whose argv would not
         replay to the same state later.
 
-        A relative deadline becomes an absolute PEXPIREAT, as Redis does,
-        so a replay at a later time keeps the deadline instead of
-        restarting it; a deadline already past deleted the key, so it is
-        logged as a DEL -- a SET whose absolute deadline had already
-        passed included.  A SET that spoke in absolute time fuses value
-        and deadline into one record (one log append instead of two --
-        the fast-GDPR write shape).
+        A record and its deadline are one log record: a ``SET`` with a
+        deadline (relative or absolute) logs as ``SET key value PXAT
+        ms`` and a ``RESTORE`` with one as ``RESTORE key ms payload
+        REPLACE ABSTTL``, so a replay -- or a replica -- never holds the
+        value without its deadline, and a replay at a later time keeps
+        the deadline instead of restarting it.  An EXPIRE-family
+        command logs as an absolute ``PEXPIREAT``, as Redis does.  A
+        deadline already past deleted the key, so it is logged as a DEL.
         """
         key = argv[1]
         expire_at = self._deadline_of(db_index, key)
@@ -262,25 +263,20 @@ class StorageEngine:
             # PXAT m logs as m, never m - 1.
             whole = int(expire_at * 1000)
             millis = b"%d" % (whole + ((whole + 1) / 1000 <= expire_at))
-        if name == b"RESTORE":
-            if not self.has_live_key(key, db_index):
-                return [[b"DEL", key]]      # replaced by a past deadline
-            records = [[b"RESTORE", key, b"0", argv[3], b"REPLACE"]]
-            if millis is not None:
-                records.append([b"PEXPIREAT", key, millis])
-            return records
         if name in _EXPIRE_FAMILY:
             if millis is None:
                 return [[b"DEL", key]]
             return [[b"PEXPIREAT", key, millis]]
-        value = argv[2]                     # SET with options
-        if millis is None:
-            if not self.has_live_key(key, db_index):
-                return [[b"DEL", key]]
-            return [[b"SET", key, value]]
-        if any(option.upper() in (b"EXAT", b"PXAT") for option in argv[3:]):
-            return [[b"SET", key, value, b"PXAT", millis]]
-        return [[b"SET", key, value], [b"PEXPIREAT", key, millis]]
+        if millis is None and not self.has_live_key(key, db_index):
+            return [[b"DEL", key]]          # replaced by a past deadline
+        if name == b"RESTORE":
+            if millis is None:
+                return [[b"RESTORE", key, b"0", argv[3], b"REPLACE"]]
+            return [[b"RESTORE", key, millis, argv[3], b"REPLACE",
+                     b"ABSTTL"]]
+        if millis is None:                  # SET with options
+            return [[b"SET", key, argv[2]]]
+        return [[b"SET", key, argv[2], b"PXAT", millis]]
 
     def _deadline_of(self, db_index: int, key: bytes) -> Optional[float]:
         """The absolute expiry deadline ``key`` holds, or None when it

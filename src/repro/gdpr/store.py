@@ -64,9 +64,9 @@ class GDPRConfig:
     compact_on_erasure: bool = True     # rewrite AOF after Art. 17 erasure
     # Fast-GDPR mode: amortize compliance work off the critical path.
     # Audit records seal into hash-chained blocks (one chain update +
-    # one group-commit fsync per block), value+TTL fuse into a single
-    # engine command, and engine-side metadata/location bookkeeping goes
-    # write-behind (one batched annotation per flush).  Tamper evidence
+    # one group-commit fsync per block) and engine-side metadata/
+    # location bookkeeping goes write-behind (one batched annotation per
+    # flush).  Tamper evidence
     # and determinism are preserved; the cost is a bounded compliance-
     # visibility window (at most one unsealed block / one write-behind
     # interval).
@@ -241,47 +241,51 @@ class GDPRStore:
                 metadata = _with_created_at(metadata, now)
             self.locations.check_placement(metadata, self.config.region)
             blob = self._seal(key, metadata, value)
-            deadline = metadata.expire_at()
             if self._writebehind is not None:
-                # Fast-GDPR write shape: one fused engine command (SET..PXAT:
-                # value + retention deadline in one log record), the sidecar
-                # index updated inline (reads check purpose/access against
-                # it), and the remaining maintenance deferred to the
+                # Fast-GDPR: the sidecar index is updated inline (reads
+                # check purpose/access against it), and the engine's
+                # annotation and the location bookkeeping wait for the
                 # write-behind flush.  The audit append buffers into the
                 # current block -- no fsync here.
-                self.kv.name_owner(key.encode("utf-8"), metadata.owner)
-                if deadline is None:
-                    self.kv.execute("SET", key, blob)
-                else:
-                    self.kv.execute("SET", key, blob, "PXAT",
-                                    int(deadline * 1000))
-                self.index.add(key, metadata)
-                self._writebehind.enqueue(key, metadata)
-                self._record_audit(principal.name, "put", key, metadata.owner,
-                                   purpose, "ok")
-                return
-            self.store_record(key, blob, metadata)
+                if self._write(key, blob, metadata):
+                    self._writebehind.enqueue(key, metadata)
+            else:
+                self.store_record(key, blob, metadata)
             self._record_audit(principal.name, "put", key, metadata.owner,
                                purpose, "ok")
 
+    def _write(self, key: str, blob: bytes, metadata: GDPRMetadata) -> bool:
+        """The one write shape: one engine command and one log record
+        per record -- ``SET key blob``, or ``SET key blob PXAT ms`` with
+        the retention deadline -- then the sidecar index entry.  The
+        owner is named to the engine first, so the log files the record
+        with the subject's other keys.  Returns whether the record
+        lives: a deadline already past makes the ``SET`` a delete, and
+        then no index entry is left."""
+        self.kv.name_owner(key.encode("utf-8"), metadata.owner)
+        deadline = metadata.expire_at()
+        if deadline is None:
+            self.kv.execute("SET", key, blob)
+        else:
+            millis = int(deadline * 1000)
+            self.kv.execute("SET", key, blob, "PXAT", millis)
+            if millis / 1000 <= self.clock.now() \
+                    and not self.kv.has_live_key(key.encode("utf-8")):
+                return False
+        self.index.add(key, metadata)
+        return True
+
     def store_record(self, key: str, blob: bytes,
                      metadata: GDPRMetadata) -> None:
-        """The strict write shape, one engine command per step: ``SET``
-        the sealed blob, ``PEXPIREAT`` its retention deadline, index it,
-        and annotate the engine's own metadata columns (the relational
+        """The strict write: :meth:`_write`, then -- for a record that
+        lives -- the engine's own metadata columns (the relational
         schema; a no-op on the key-value engine, whose metadata lives in
-        the sealed envelope plus the sidecar index).  Puts, metadata
-        updates and slot migration all write records this way.  The
-        owner is named to the engine first, so the log files the record
-        with the subject's other keys."""
-        self.kv.name_owner(key.encode("utf-8"), metadata.owner)
-        self.kv.execute("SET", key, blob)
-        deadline = metadata.expire_at()
-        if deadline is not None:
-            self.kv.execute("PEXPIREAT", key, int(deadline * 1000))
-        self.index.add(key, metadata)
-        self.kv.annotate_metadata([(key, metadata.owner, metadata.purposes)])
-        self.locations.record_stored(key, self.config.region)
+        the sealed envelope plus the sidecar index) and its location.
+        Puts and metadata updates write records this way."""
+        if self._write(key, blob, metadata):
+            self.kv.annotate_metadata(
+                [(key, metadata.owner, metadata.purposes)])
+            self.locations.record_stored(key, self.config.region)
 
     def get(self, key: str, principal: Principal = CONTROLLER,
             purpose: Optional[str] = None) -> Record:

@@ -567,10 +567,13 @@ def image(keyspace) -> bytes:
 
 
 # A record's statements, one format call each: byte-for-byte
-# ``encode_command(b"SET", key, value)``, ``(b"PEXPIREAT", key, b"%d" %
-# millis)`` and ``(b"GDPRMETA", key, owner, purposes)`` for ``bytes``
-# arguments, so a compacted string record costs no Python call.
+# ``encode_command(b"SET", key, value)``, ``(b"SET", key, value,
+# b"PXAT", millis)``, ``(b"PEXPIREAT", key, millis)`` and
+# ``(b"GDPRMETA", key, owner, purposes)`` for ``bytes`` arguments, so a
+# compacted string record costs no Python call.
 SET_STATEMENT = b"*3\r\n$3\r\nSET\r\n$%d\r\n%b\r\n$%d\r\n%b\r\n"
+SET_PXAT_STATEMENT = (b"*5\r\n$3\r\nSET\r\n$%d\r\n%b\r\n$%d\r\n%b\r\n"
+                      b"$4\r\nPXAT\r\n$%d\r\n%b\r\n")
 PEXPIREAT_STATEMENT = b"*3\r\n$9\r\nPEXPIREAT\r\n$%d\r\n%b\r\n$%d\r\n%b\r\n"
 GDPRMETA_STATEMENT = (b"*4\r\n$8\r\nGDPRMETA\r\n$%d\r\n%b\r\n"
                       b"$%d\r\n%b\r\n$%d\r\n%b\r\n")
@@ -596,8 +599,9 @@ def _layout(databases: Mapping[int, Iterable[Tuple]], select: bool,
     from ``first`` on -- as ``(first slot, stream, keys by database,
     database selected last)``.
 
-    Per record: the value's command, then ``PEXPIREAT`` for a deadline
-    and ``GDPRMETA`` for metadata columns.  The records make one part
+    Per record: the value's command -- a string with a deadline is one
+    ``SET..PXAT``, a container's deadline a ``PEXPIREAT`` after it --
+    then ``GDPRMETA`` for metadata columns.  The records make one part
     starting at ``first``, in the order given -- unless ``split`` and
     they exceed :data:`PART_BYTES`: then they are sorted by home (a key's
     slot in ``homes``, else its own) and cut, between slots, into parts
@@ -610,17 +614,24 @@ def _layout(databases: Mapping[int, Iterable[Tuple]], select: bool,
     size = 0
     for index, records in sorted(databases.items()):
         for key, value, expire_at, metadata in records:
-            if isinstance(value, bytes):
-                chunk = SET_STATEMENT % (len(key), key, len(value), value)
+            if expire_at is None:
+                if isinstance(value, bytes):
+                    chunk = SET_STATEMENT % (len(key), key, len(value),
+                                             value)
+                else:
+                    chunk = _container_command(key, value)
             else:
-                chunk = _container_command(key, value)
-            if expire_at is not None:
                 # As the command log writes it: the largest m with
                 # m / 1000 <= expire_at, so a PXAT m deadline stays m.
                 whole = int(expire_at * 1000)
                 millis = b"%d" % (whole + ((whole + 1) / 1000 <= expire_at))
-                chunk += PEXPIREAT_STATEMENT % (len(key), key, len(millis),
-                                                millis)
+                if isinstance(value, bytes):
+                    chunk = SET_PXAT_STATEMENT % (len(key), key, len(value),
+                                                  value, len(millis), millis)
+                else:
+                    chunk = _container_command(key, value) + \
+                        PEXPIREAT_STATEMENT % (len(key), key, len(millis),
+                                               millis)
             if metadata is not None:
                 owner = metadata[0].encode("utf-8")
                 purposes = metadata[1].encode("utf-8")

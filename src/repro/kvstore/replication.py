@@ -9,7 +9,8 @@ on replicas until the replication stream catches up.
 The model mirrors Redis async replication:
 
 * the primary emits its effective-write stream (post-translation, so
-  expirations travel as DELs and relative TTLs as absolute PEXPIREAT);
+  expirations travel as DELs and a value and its deadline as one
+  absolute ``SET..PXAT``);
 * each :class:`ReplicationLink` delivers that stream with a configurable
   one-way delay: every replicated command is one daemon event,
   ``replicate-<link name>``, on the group's scheduler at write time +

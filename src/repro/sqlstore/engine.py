@@ -50,7 +50,7 @@ different inside:
   reclamation on access, reasons reported exactly as the key-value
   engine reports them (``lazy-expire`` / ``active-expire``).
 
-Deletion listeners, the effective-write stream (absolute ``PEXPIREAT``
+Deletion listeners, the effective-write stream (absolute-deadline
 translation included), DUMP/RESTORE payloads, and the compacted log all follow
 the engine contract, so replication links, slot migrators, and erasure
 residual checks behave identically over either engine.

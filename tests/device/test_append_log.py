@@ -4,8 +4,9 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.common.errors import DeviceIOError
-from repro.device.append_log import AppendLog, FsyncPolicy, LogWriter
-from repro.device.faults import FaultPlan
+from repro.device.append_log import (
+    AppendLog, BarrierScope, FsyncPolicy, LogWriter)
+from repro.device.faults import FaultPlan, PowerLoss
 from repro.device.latency import INTEL_750_SSD, ZERO
 
 
@@ -369,13 +370,14 @@ class TestFiles:
 
 class TestDeviceTimer:
     """An everysec device runs one recurring timer on its clock: each
-    firing fsyncs the device once if some file holds unsynced bytes."""
+    firing fsyncs the device once if some file holds unsynced bytes.
+    Each test holds its writers: the device holds them weakly."""
 
     def test_two_everysec_writers_make_one_timer(self):
         clock = SimClock()
         log = AppendLog(clock=clock)
-        LogWriter(log, clock, FsyncPolicy.EVERYSEC)
-        LogWriter(log, clock, FsyncPolicy.EVERYSEC)
+        writers = [LogWriter(log, clock, FsyncPolicy.EVERYSEC)
+                   for _ in range(2)]
         assert clock.pending_timers() == 1
         log.append(b"x")
         log.flush()
@@ -391,7 +393,7 @@ class TestDeviceTimer:
     def test_a_firing_with_nothing_unsynced_costs_nothing(self):
         clock = SimClock()
         log = AppendLog(clock=clock, latency=INTEL_750_SSD)
-        LogWriter(log, clock, FsyncPolicy.EVERYSEC)
+        writer = LogWriter(log, clock, FsyncPolicy.EVERYSEC)
         log.append(b"x")        # in the application buffer: not written
         clock.advance(3.0)
         assert clock.now() == 3.0
@@ -400,7 +402,7 @@ class TestDeviceTimer:
     def test_every_file_of_the_device_is_synced(self):
         clock = SimClock()
         log = AppendLog(clock=clock)
-        LogWriter(log, clock, FsyncPolicy.EVERYSEC)
+        writer = LogWriter(log, clock, FsyncPolicy.EVERYSEC)
         log.append(b"a")
         log.open("other")
         log.append(b"b")
@@ -417,7 +419,7 @@ class TestDeviceTimer:
         # and no charge is nested inside another.
         clock = SimClock()
         log = AppendLog(clock=clock, latency=INTEL_750_SSD)
-        LogWriter(log, clock, FsyncPolicy.EVERYSEC)
+        writer = LogWriter(log, clock, FsyncPolicy.EVERYSEC)
         log.append(b"x" * 1000)
         clock.advance(1.0 - 1e-6)
         began = clock.now()
@@ -430,7 +432,7 @@ class TestDeviceTimer:
     def test_a_firing_inside_an_fsync_charge_adds_none(self):
         clock = SimClock()
         log = AppendLog(clock=clock, latency=INTEL_750_SSD)
-        LogWriter(log, clock, FsyncPolicy.EVERYSEC)
+        writer = LogWriter(log, clock, FsyncPolicy.EVERYSEC)
         log.append(b"x")
         log.flush()
         clock.advance(1.0 - clock.now() - 100e-6)
@@ -438,3 +440,61 @@ class TestDeviceTimer:
         assert log.fsyncs == 1
         clock.advance(0.5)
         assert log.fsyncs == 1
+
+    def test_a_firing_inside_a_group_runs_at_its_exit(self):
+        clock = SimClock()
+        log = AppendLog(clock=clock)
+        writer = LogWriter(log, clock, FsyncPolicy.EVERYSEC)
+        with log.group():
+            with log.group():
+                log.append(b"x")
+                writer.post_command()
+                clock.advance(1.0)
+            assert log.fsyncs == 0      # an inner exit is not the end
+        assert log.fsyncs == 1 and log.unsynced_bytes == 0
+
+
+def _scoped_write(clock, audit, log):
+    """Inside ``BarrierScope(audit, log)``: data to ``log``, its
+    timer's instant, then the audit record of the write under
+    ``always``."""
+    with BarrierScope(audit, log):
+        log.append(b"data")
+        log.flush()
+        clock.advance(1.0)
+        assert log.fsyncs == 0          # the firing waits for the exit
+        audit.append(b"record")
+        LogWriter(audit, clock, FsyncPolicy.ALWAYS).post_command()
+
+
+class TestFiringInsideABarrierScope:
+    """A timer firing that falls inside a barrier scope runs at the
+    outermost exit, after the scope's own barriers: the data of a
+    request never becomes durable ahead of the audit record that the
+    request's barrier makes durable."""
+
+    def _devices(self):
+        clock = SimClock()
+        audit = AppendLog(clock=clock, name="audit.log")
+        log = AppendLog(clock=clock)
+        return clock, audit, log, LogWriter(log, clock, FsyncPolicy.EVERYSEC)
+
+    def test_it_runs_after_the_scope_s_barriers(self):
+        clock, audit, log, writer = self._devices()
+        plan = FaultPlan(audit, log)
+        plan.cut(5)                     # before the second fsync
+        with pytest.raises(PowerLoss):
+            _scoped_write(clock, audit, log)
+        assert plan.steps == ["append", "flush", "append", "flush",
+                              "fsync"]
+        assert (audit.read_durable(), log.read_durable()) == (b"record", b"")
+
+    def test_a_due_firing_survives_a_failed_barrier(self):
+        clock, audit, log, writer = self._devices()
+        FaultPlan(audit, log).fail("fsync")     # the audit barrier fails
+        with pytest.raises(DeviceIOError):
+            _scoped_write(clock, audit, log)
+        assert log.fsyncs == 0
+        with BarrierScope(audit, log):  # the next exit runs it
+            pass
+        assert log.fsyncs == 1 and log.unsynced_bytes == 0

@@ -266,6 +266,23 @@ def test_restore_absttl_takes_an_absolute_deadline(engine):
         engine.execute("RESTORE", "k5", 0, blob, "ABS")
 
 
+def test_a_restore_with_a_deadline_is_one_log_record(engine):
+    """A value and its deadline are one log record: a ``RESTORE`` with
+    a TTL logs as one ``RESTORE .. ABSTTL``, which replays to the same
+    millisecond deadline."""
+    engine.execute("SET", "k", "payload")
+    blob = engine.execute("DUMP", "k")
+    engine.clock.advance(0.0004567)
+    appends = engine.aof_log.appends
+    engine.execute("RESTORE", "k2", 30_000, blob)
+    assert engine.aof_log.appends - appends == 1
+    assert engine.execute("PEXPIRETIME", "k2") == 30_000
+    replica = engine.spawn_replica()
+    replica.replay_aof(engine.aof_log.read_all())
+    assert replica.execute("PEXPIRETIME", "k2") == 30_000
+    assert replica.execute("GET", "k2") == b"payload"
+
+
 def test_dump_restore_wide_rows(engine):
     engine.execute("HSET", "row", "f1", "a", "f2", "b")
     blob = engine.execute("DUMP", "row")

@@ -18,11 +18,13 @@ from repro.common.clock import SimClock
 from repro.common.errors import DeviceIOError
 from repro.device.append_log import AppendLog, BarrierScope
 from repro.device.faults import FaultPlan, PowerLoss
+from repro.device.latency import INTEL_750_SSD
 from repro.gdpr.audit import AuditChainMode, AuditDurability, AuditLog
 from repro.gdpr.metadata import GDPRMetadata, unpack_envelope
 from repro.gdpr.rights import right_of_access, right_to_erasure
 from repro.gdpr.store import GDPRConfig, GDPRStore
 from repro.kvstore import KeyValueStore, StoreConfig
+from repro.kvstore.commands import deadline_ms
 from repro.sqlstore import RelationalStore, SqlConfig
 from repro.tiering import TieredEngine, TieringConfig
 from tests.support import reopen
@@ -137,6 +139,28 @@ class TestBarriersPerRequest:
         after = _fsyncs(store)
         assert (after[0] - before[0], after[1] - before[1]) == (1, 1)
 
+    def test_a_record_and_its_deadline_are_one_command_and_one_record(
+            self, variant):
+        """A put with a TTL is one ``SET..PXAT`` (plus the relational
+        engine's ``GDPRMETA``), and an update a logged ``GET`` and that
+        put: 1 and 2 engine commands (2 and 3), each one log record.  A
+        ``SET`` followed by a ``PEXPIREAT`` made them 2 and 3 (3 and
+        4)."""
+        store = _strict(variant)
+        columns = variant == "relational"
+        for work, commands in (
+                (lambda: store.put("k", b"v0", _meta("alice", ttl=3600.0),
+                                   purpose="service"), 1 + columns),
+                (lambda: store.update("k", _append(b"+1"),
+                                      purpose="service"), 2 + columns)):
+            before = (store.kv.stats.commands_processed,
+                      store.kv.aof_log.appends)
+            work()
+            assert (store.kv.stats.commands_processed - before[0],
+                    store.kv.aof_log.appends - before[1]) \
+                == (commands, commands)
+        assert store.kv.execute("PEXPIRETIME", "k") == 3_600_000
+
     def test_an_engine_command_outside_a_request_is_durable_as_it_returns(
             self, variant):
         engine = ENGINES[variant](SimClock())
@@ -201,6 +225,97 @@ def test_power_loss_at_every_step_of_a_strict_update(variant):
     # Old value everywhere; both records durable and the data lost (a
     # cut between the barriers); never the new value without them.
     assert (b"old", 0) in outcomes and (b"old", 2) in outcomes
+
+
+class _Timeline(FaultPlan):
+    """A fault plan that also notes the clock at each device step."""
+
+    def __init__(self, clock, *logs):
+        super().__init__(*logs)
+        self.clock = clock
+        self.times = []
+
+    def step(self, log, op):
+        self.times.append(self.clock.now())
+        super().step(log, op)
+
+
+def _timed_strict(variant, fsync):
+    """The strict stack at SSD latency, each engine command and log
+    record charged as in the benchmark, the engine's log under
+    ``fsync``: an ``everysec`` log's timer fires at each whole second."""
+    clock = SimClock()
+    audit = AuditLog(AppendLog(clock=clock, name="audit.log",
+                               latency=INTEL_750_SSD),
+                     clock=clock, durability=AuditDurability.SYNC)
+    log = AppendLog(clock=clock, latency=INTEL_750_SSD)
+    if variant == "redislike":
+        engine = KeyValueStore(
+            StoreConfig(appendonly=True, appendfsync=fsync,
+                        aof_log_reads=True, command_cpu_cost=25e-6,
+                        aof_record_base_cost=75e-6),
+            clock=clock, aof_log=log)
+    else:
+        engine = RelationalStore(
+            SqlConfig(wal_enabled=True, wal_fsync=fsync, wal_log_reads=True,
+                      statement_cpu_cost=45e-6, wal_record_base_cost=75e-6),
+            clock=clock, wal_log=log)
+    return GDPRStore(kv=engine, audit=audit,
+                     config=GDPRConfig(encrypt_at_rest=False,
+                                       audit_durability=AuditDurability.SYNC))
+
+
+def _put_with_a_ttl(store):
+    store.put("k", b"v", _meta("alice", ttl=3600.0), purpose="service")
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINES))
+def test_power_loss_at_every_step_of_a_strict_put_with_a_ttl(variant):
+    """A cut before each device operation of a put with a retention
+    deadline, the put started so that the ``everysec`` log's timer
+    fires just before or just after each of its steps (and once under
+    an ``always`` log): the recovered key is absent or holds its
+    deadline -- the value and its deadline are one log record -- and a
+    recovered key's ``put`` is in the durable audit -- a firing inside
+    the request waits for the request's audit barrier."""
+    instant = 1.0                           # the everysec timer's first
+    store = _timed_strict(variant, "everysec")
+    store.clock.advance(instant / 2)
+    plan = _Timeline(store.clock, store.audit.log, store.kv.aof_log)
+    began = store.clock.now()
+    _put_with_a_ttl(store)
+    steps = sorted({time - began + side * 1e-7 for time in plan.times
+                    for side in (-1, 1)})
+    for fsync, offsets in (("everysec", steps), ("always", [instant / 2])):
+        fired = 0
+        for offset in offsets:
+            cut_at = 0
+            while True:
+                store = _timed_strict(variant, fsync)
+                store.clock.advance(instant - offset)
+                deadline = int((store.clock.now() + 3600.0) * 1000)
+                plan = FaultPlan(store.audit.log, store.kv.aof_log)
+                plan.cut(cut_at)
+                try:
+                    _put_with_a_ttl(store)
+                except PowerLoss:
+                    returned = False
+                else:
+                    returned = True
+                recovered = [record.expire_at for record
+                             in reopen(store.kv).scan_records(0)]
+                if recovered:
+                    assert recovered[0] is not None \
+                        and deadline_ms(recovered[0]) == deadline, \
+                        (fsync, offset, cut_at)
+                    assert ("put", "ok") in _durable_ops(store, "k"), \
+                        (fsync, offset, cut_at)
+                if returned:
+                    fired += plan.steps.count("fsync") > 1
+                    break
+                cut_at += 1
+        if fsync == "everysec":             # the timer fired mid-put
+            assert fired
 
 
 @pytest.mark.parametrize("variant", sorted(STACKS))

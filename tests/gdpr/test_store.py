@@ -1,6 +1,7 @@
 """Tests for the GDPRStore facade."""
 
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.gdpr import (
     right_to_erasure,
 )
 from repro.kvstore import KeyValueStore, StoreConfig
+from tests.support import ENGINE_FACTORIES
 
 
 def make_store(clock=None, kv_config=None, **gdpr_kwargs):
@@ -322,6 +324,23 @@ class TestUpdateMetadata:
         store.put("k", b"original", meta())
         store.update_metadata("k", meta(purposes=("billing", "new")))
         assert store.get("k").value == b"original"
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
+def test_a_deadline_already_past_leaves_no_index_entry(variant):
+    """A metadata update whose new deadline has already passed removes
+    the record (its ``SET..PXAT`` is a delete), so it leaves the record
+    in no index: not readable, not the subject's."""
+    clock = SimClock()
+    store = GDPRStore(kv=ENGINE_FACTORIES[variant](clock))
+    store.put("k", b"v", meta(ttl=100.0))
+    clock.advance(50.0)
+    store.update_metadata("k", replace(store.get("k").metadata, ttl=10.0))
+    with pytest.raises(KeyError):
+        store.get("k")
+    assert store.index.get_metadata("k") is None
+    assert store.keys_of_subject("alice") == []
+    assert not store.kv.has_live_key(b"k")
 
 
 class TestRebuildIndexes:

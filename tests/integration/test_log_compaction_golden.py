@@ -14,7 +14,12 @@ log their engine's compaction leaves behind:
 The digests were recorded before the two engines shared one compaction
 encoder, so the shared encoder is held to what each engine's own writer
 produced.  The key-value digest was re-recorded when the list and set
-types were retired, from the encoder as it was before that change.  Replaying the compacted logs is the conformance suite's job
+types were retired, from the encoder as it was before that change.
+Both digests were re-recorded when a string record and its deadline
+became one ``SET..PXAT`` statement: the new bytes are the old stream
+with each string's ``SET`` + ``PEXPIREAT`` pair re-encoded by
+``encode_command`` as one ``SET k v PXAT ms``, and nothing else moved.
+Replaying the compacted logs is the conformance suite's job
 (``tests/engine/test_conformance.py``).
 """
 
@@ -25,10 +30,10 @@ from repro.device.append_log import AppendLog
 from repro.kvstore.store import KeyValueStore, StoreConfig
 from repro.sqlstore import RelationalStore, SqlConfig
 
-KV_DIGEST = ("2179a57c8ad4ff84b3e5d1ba52cafc68"
-             "dcda3ccb8feddcf67742eaddbccce5e7")
-RELATIONAL_DIGEST = ("f231a7c5f5a0baaa36d150d7f584dd20"
-                     "255de9b6f54d96f40c49c97de9b284e7")
+KV_DIGEST = ("ff95efe3083370cd5029e524b98f6334"
+             "f8631e401bf41c251420dfdecf3c39b0")
+RELATIONAL_DIGEST = ("5aeaf34a2d7dd72228d4b595a5d60433"
+                     "d8b76bab1006a68e664ad22cc6018657")
 
 
 def _digest(engine):

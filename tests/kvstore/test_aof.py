@@ -1,5 +1,8 @@
 """Tests for AOF persistence: policies, read logging, replay, rewrite."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.common.clock import SimClock
@@ -309,3 +312,26 @@ class TestTiming:
             clock=clock)
         store.execute("SET", "k", "v")
         assert clock.now() >= 1e-3
+
+
+def test_a_reopened_engine_s_old_writer_leaves_the_device_timer():
+    """The device's timer holds its writers weakly: an engine reopened
+    over its everysec log frees the old ``AofWriter`` (and its parts'
+    key sets) once nothing else holds it, and the device keeps one timer
+    that fires for the new writer."""
+    clock = SimClock()
+    log = AppendLog(clock=clock)
+    engine = KeyValueStore(StoreConfig(appendonly=True,
+                                       appendfsync="everysec"),
+                           clock=clock, aof_log=log)
+    for i in range(100):
+        engine.execute("SET", f"k{i}", b"v")
+    old = weakref.ref(engine.aof)
+    engine = reopen(engine)
+    gc.collect()
+    assert old() is None
+    assert clock.pending_timers() == 1
+    engine.execute("SET", "k", b"v")
+    fsyncs = log.fsyncs
+    clock.advance(1.0)
+    assert log.fsyncs == fsyncs + 1 and log.unsynced_bytes == 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import ArityError, UnknownCommandError, WrongTypeError
-from repro.common.resp import RespError, SimpleString
+from repro.common.resp import RespError, SimpleString, encode_command
 from repro.kvstore import KeyValueStore
 from tests.support import assert_refused
 
@@ -204,11 +204,13 @@ class TestSetAbsoluteExpiry:
         store.execute("SET", "k", "v", "PXAT", 100_000)
         assert store.aof_log.appends == 1
 
-    def test_relative_expiry_still_two_records(self):
+    def test_relative_expiry_is_one_record(self):
         from repro.kvstore import StoreConfig
         store = KeyValueStore(StoreConfig(appendonly=True))
         store.execute("SET", "k", "v", "EX", 100)
-        assert store.aof_log.appends == 2
+        assert store.aof_log.appends == 1
+        assert store.aof_log.read_all() == encode_command(
+            b"SET", b"k", b"v", b"PXAT", b"100000")
 
     def test_fused_record_replays_deadline(self):
         from repro.kvstore import StoreConfig
