@@ -17,10 +17,13 @@ simulated stack land near the paper's absolute numbers so that its *ratios*
     serialization, write(2), kernel copy, filesystem journal interference,
     and amortized bio-thread fsync stalls.  Calibrated against the paper's
     measured everysec point (throughput ~30% of baseline when every
-    interaction, reads included, is logged).  Given this anchor, the
-    *always* policy lands at ~5% purely because each op additionally pays
-    the device fsync (INTEL_750_SSD.fsync, 0.8 ms), and intermediate
-    batch intervals interpolate -- those ratios are emergent.
+    interaction, reads included, is logged).  The everysec fsync itself
+    is queued on the device by its timer (as Redis runs it on a
+    background thread) and charges no command, so these stalls are
+    counted here once.  Given this anchor, the *always* policy lands at
+    ~5% purely because each op additionally waits for the device fsync
+    (INTEL_750_SSD.fsync, 0.8 ms), and intermediate batch intervals
+    interpolate -- those ratios are emergent.
 
 ``AUDIT_RECORD_CPU`` (5 us)
     CPU to format and hash-chain one GDPR audit record, before any

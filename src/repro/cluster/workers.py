@@ -42,7 +42,8 @@ Dispatch rules (single-writer semantics by construction):
   them for their duration;
 * **background work** -- the cron and every firing of a device's
   everysec timer -- runs on the core that last wrote the log
-  (:meth:`WorkerPool.run_background`).
+  (:meth:`WorkerPool.run_background`); a firing's fsync is queued on
+  the device and bills no core.
 
 **Adaptive batching**: each dispatch lets a worker drain up to B queued
 commands routed to it (round-robin across connections, so fairness is
@@ -666,10 +667,12 @@ class WorkerPool:
         """Run background work -- the cron, a firing of a device's timer
         (every recurring timer on :attr:`shard_clock`) -- billing its
         cost to the worker that *caused* it: the core that executed the
-        most recent AOF-appending write.  Without this, an everysec
-        fsync would stop the world -- every core billed for one core's
-        flush -- misattributing durability cost under multi-core shards.
-        With one worker this is numerically identical to stop-the-world.
+        most recent AOF-appending write.  Without this, the cron's
+        expiry deletions and their log writes would stop the world --
+        every core billed for one core's work.  A timer's everysec fsync
+        is queued on its device and bills no core (only a barrier still
+        in flight, which it waits out, costs the last writer).  With one
+        worker this is numerically identical to stop-the-world.
         """
         self.shard_clock.sleep_until(self.scheduler.now())
         writer = self._last_aof_writer

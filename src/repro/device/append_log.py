@@ -26,6 +26,17 @@ everysec fsync is one barrier per device per interval, whether or not
 commands arrive.  A firing that falls inside a barrier scope waits for
 the scope's exit, after its barriers: a request's data never becomes
 durable ahead of the audit record the request's barrier makes durable.
+
+Whoever waits for a barrier pays for it.  ``fsync()`` is a barrier its
+caller waits for: it charges the device's fsync cost.  ``fsync(wait=
+False)`` -- a timer's firing, a block seal nobody waits for -- queues
+the barrier on the device and charges its caller nothing; the device is
+busy with it until :attr:`AppendLog.idle_at`.  At most one barrier is
+in flight: any fsync first waits out the one before it, so a queued
+barrier still orders every later one.  Either way the bytes are durable
+at the barrier's fault step, as the fault model is step-ordered; only
+the payer of the device's time differs.  ``flush`` and ``read_at``
+never wait.
 """
 
 from __future__ import annotations
@@ -108,6 +119,8 @@ class AppendLog:
         self.syscalls = 0
         self.fsyncs = 0
         self.reads = 0
+        # When the barrier in flight (one nobody waited for) finishes.
+        self.idle_at = 0.0
         # The barrier scope: open scopes, and whether a commit made in
         # them still waits for its fsync.
         self._scopes = 0
@@ -247,14 +260,24 @@ class AppendLog:
         self._unflushed.clear()
         return moved
 
-    def fsync(self) -> None:
+    def fsync(self, wait: bool = True) -> None:
         """Durability barrier over everything in the page cache, every
-        file of the device included."""
+        file of the device included.  It first waits out the barrier in
+        flight, if one is; then the caller pays the device's fsync cost
+        -- or, with ``wait=False``, leaves the barrier in flight until
+        :attr:`idle_at` and pays nothing for it."""
         if self.faults is not None:
             self.faults.step(self, "fsync")
+        clock = self.clock
         self._busy += 1
         try:
-            self.clock.advance(self.latency.fsync)
+            behind = self.idle_at - clock.now()
+            if behind > 0:
+                clock.advance(behind)
+            if wait:
+                clock.advance(self.latency.fsync)
+            else:
+                self.idle_at = clock.now() + self.latency.fsync
         finally:
             self._busy -= 1
         self._durable_length = self._cached_length
@@ -265,15 +288,16 @@ class AppendLog:
         if self._fire_due and not self._busy:
             self._fire()
 
-    def flush_and_fsync(self) -> None:
-        """flush, then fsync: one operation to the device's timer (a
-        firing inside the flush waits for the fsync's end)."""
+    def flush_and_fsync(self, wait: bool = True) -> None:
+        """flush, then fsync (``wait`` as :meth:`fsync`'s): one operation
+        to the device's timer (a firing inside the flush waits for the
+        fsync's end)."""
         self._busy += 1
         try:
             self.flush()
         finally:
             self._busy -= 1
-        self.fsync()
+        self.fsync(wait)
 
     # -- the device's timer --------------------------------------------------
 
@@ -460,9 +484,11 @@ class LogWriter:
     :class:`BarrierScope`), whose exit then pays one fsync for every
     operation in it.  An ``everysec`` writer joins its device's timer
     (:meth:`AppendLog.join_timer`) at ``interval``: each firing's
-    :meth:`tick` is a barrier, run at the outermost exit of a barrier
-    scope the firing falls inside, after the scope's own barriers.
-    :meth:`sync` is a barrier as written, scope or no scope.
+    :meth:`tick` is a barrier that nobody waits for, queued on the
+    device (``fsync(wait=False)``), run at the outermost exit of a
+    barrier scope the firing falls inside, after the scope's own
+    barriers.  :meth:`sync` is a barrier as written, scope or no scope:
+    waited, or queued for a seal nobody waits for.
     """
 
     def __init__(self, log: AppendLog, clock: Clock, policy: FsyncPolicy,
@@ -489,17 +515,19 @@ class LogWriter:
         return False
 
     def tick(self) -> None:
-        """The device timer's step: fsync the device once if some file
-        on it holds unsynced bytes.  It writes nothing: every writer's
+        """The device timer's step: queue one fsync on the device if some
+        file on it holds unsynced bytes -- no request waits for it, so
+        none pays for it.  It writes nothing: every writer's
         :meth:`post_command` has already moved its bytes to the page
         cache."""
         if self.log.holds_unsynced():
-            self.log.fsync()
+            self.log.fsync(wait=False)
 
-    def sync(self) -> None:
+    def sync(self, wait: bool = True) -> None:
         """Make everything appended so far durable now, whatever the
         policy and inside a barrier scope too (an end-of-run barrier, a
-        seal that orders later writes)."""
+        seal that orders later writes); ``wait=False`` queues the
+        barrier on the device (:meth:`AppendLog.fsync`)."""
         log = self.log
         if log.unflushed_bytes or log.unsynced_bytes:
-            log.flush_and_fsync()
+            log.flush_and_fsync(wait)

@@ -18,8 +18,9 @@ requirement of Art. 5.2.  Two chain granularities exist:
   group-committed with a single flush+fsync.  Tamper evidence is
   preserved -- editing a member breaks the member digest, editing the
   header breaks the block hash, reordering breaks the prev linkage --
-  while the fsync cost is amortized over ``block_size`` records.  The
-  price is a visibility window: a crash loses at most one unsealed block.
+  and no request waits for the fsync: a seal by size or interval is
+  queued on the audit device.  The price is a visibility window: a
+  crash loses at most one unsealed block.
 
 A record's body and its log line are each formatted once, by a template
 that prints the layer's JSON dialect byte for byte; a record a template
@@ -44,7 +45,11 @@ layer's names:
 
 A sealed block is a barrier as written
 (:meth:`~repro.device.append_log.LogWriter.sync`): durable before
-:meth:`AuditLog.seal_block` returns, inside a barrier scope too.
+:meth:`AuditLog.seal_block` returns, inside a barrier scope too.  The
+seals that fill a block or fall due at a firing are queued on the
+device -- no request waits for them, so none pays the fsync, and any
+later barrier on the device waits behind them; :meth:`AuditLog.sync`
+(``flush_compliance``) waits for its seal.
 
 BATCH group commit and interval sealing run on the audit device's one
 timer (:meth:`~repro.device.append_log.AppendLog.join_timer`), which
@@ -333,7 +338,7 @@ class AuditLog:
             self._memory.append(record)
             self._pending_block.append(record)
             if len(self._pending_block) >= self.block_size:
-                self.seal_block()
+                self.seal_block(wait=False)
             return record
         # One serialisation per record: the body bytes feed both the
         # chain hash and the log line.
@@ -359,11 +364,13 @@ class AuditLog:
                 and self.durability is AuditDurability.SYNC:
             self.sync()
 
-    def seal_block(self) -> Optional[AuditBlock]:
+    def seal_block(self, wait: bool = True) -> Optional[AuditBlock]:
         """Seal the pending records into one block and group-commit it.
 
         One chain update and one flush+fsync cover every member -- the
         amortization the paper's batched-monitoring suggestion asks for.
+        The fsync is waited for, or with ``wait=False`` (a seal by size
+        or interval, which no caller waits for) queued on the device.
         Returns the sealed block, or None when nothing is pending.
         """
         if self.chain_mode is not AuditChainMode.BLOCK:
@@ -392,7 +399,7 @@ class AuditLog:
         if self.record_cpu_cost:
             self.clock.advance(self.record_cpu_cost)
         self.log.append(block.to_line())
-        self._writer.sync()
+        self._writer.sync(wait)
         self._durable_records = self._sealed_records
         self._last_seal = self.clock.now()
         return block
@@ -403,7 +410,7 @@ class AuditLog:
         last seal."""
         if self._pending_block \
                 and self.clock.now() - self._last_seal >= self.batch_interval:
-            self.seal_block()
+            self.seal_block(wait=False)
 
     def sync(self) -> None:
         """Force everything appended so far durable (end-of-run barrier):

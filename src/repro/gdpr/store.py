@@ -362,11 +362,16 @@ class GDPRStore:
 
     def update_metadata(self, key: str, metadata: GDPRMetadata,
                         principal: Principal = CONTROLLER) -> None:
-        """Control-path change: re-store the record under new metadata."""
+        """Control-path change: re-store the record under new metadata.
+        Metadata that carries no ``created_at`` keeps the record's, so
+        its retention runs from when :meth:`put` stamped the record."""
         with self._request:
             record = self.get(key, principal=principal)
             now = self.clock.now()
             self.access.check(principal, Operation.WRITE, metadata, None, now)
+            if metadata.created_at == 0.0:
+                metadata = _with_created_at(metadata,
+                                            record.metadata.created_at)
             self.locations.check_placement(metadata, self.config.region)
             self.store_record(key, self._seal(key, metadata, record.value),
                               metadata)

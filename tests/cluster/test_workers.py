@@ -731,38 +731,45 @@ class TestAofAttribution:
                                 store_factory=aof_factory)
 
     @pytest.mark.parametrize("engine", sorted(LOGGED_ENGINES))
-    def test_cron_fsync_bills_the_writing_worker(self, engine):
-        """Regression: the pool followed the writer through an ``aof``
+    def test_the_cron_bills_the_writing_worker_and_its_fsync_no_core(
+            self, engine):
+        """The cron's own work -- here the active expiry of a key, whose
+        deletion is logged -- lands on the core that last wrote the log
+        (regression: the pool followed the writer through an ``aof``
         attribute only the key-value store had, so a relational or
-        tiered shard's everysec fsync was billed to core 0."""
+        tiered shard's cron was billed to core 0).  The timer's
+        everysec fsync is queued on the device: no request waits for
+        it, so it bills no core."""
         server, (conn, _), pool, shard_clock = self._aof_pool_server(
             engine=engine)
+        log = server.store.aof_log
         write_key = next(f"w{i}" for i in range(64)
                          if slot_for_key(f"w{i}".encode()) % 2 == 1)
-        read_key = next(f"r{i}" for i in range(64)
-                        if slot_for_key(f"r{i}".encode()) % 2 == 0)
-        conn.send_command("SET", write_key, "v")
+        conn.send_command("SET", write_key, "v", "PXAT", "500")
         conn.send_command("GET", write_key)
         server.scheduler.run_until_idle()
         writer, reader = pool.workers[1], pool.workers[0]
-        reader_busy = reader.clock.busy_seconds
-        # Carry the daemon cron across the everysec boundary with
-        # foreground work that costs nothing itself.
+        busy = [worker.clock.busy_seconds for worker in pool.workers]
+        fsyncs = log.fsyncs
+        # Carry the daemon cron past the deadline and across the
+        # everysec boundary with foreground work that costs nothing
+        # itself.
         server.scheduler.schedule_after(1.5, lambda: None, label="work")
         server.scheduler.run_until_idle()
-        # The fsync's device time landed on the core that wrote...
-        assert writer.aof_seconds >= INTEL_750_SSD.fsync
-        assert writer.clock.busy_seconds >= writer.aof_seconds
+        assert log.fsyncs == fsyncs + 1
+        # The expiry's device time landed on the core that wrote...
+        assert 0.0 < writer.aof_seconds < INTEL_750_SSD.fsync
+        assert writer.clock.busy_seconds - busy[1] == pytest.approx(
+            writer.aof_seconds)
         # ...and only there: the other core was not stopped.
         assert reader.aof_seconds == 0.0
-        assert reader.clock.busy_seconds == reader_busy
+        assert reader.clock.busy_seconds == busy[0]
         assert pool.worker_rows()[1]["aof_seconds"] == writer.aof_seconds
 
-    def test_the_device_timer_bills_its_fsync_to_the_writing_worker(self):
+    def test_the_device_timer_bills_its_fsync_to_no_core(self):
         """The everysec fsync is the log device's timer, not the cron's:
-        with the cron stopped one firing still fsyncs once, and its device
-        time lands on the core that last wrote the log, not on every
-        core."""
+        with the cron stopped one firing still fsyncs once, queued on the
+        device, and no core pays its device time."""
         server, (conn, _), pool, _ = self._aof_pool_server()
         server.stop_cron()
         log = server.store.aof_log
@@ -770,16 +777,14 @@ class TestAofAttribution:
                          if slot_for_key(f"w{i}".encode()) % 2 == 1)
         conn.send_command("SET", write_key, "v")
         server.scheduler.run_until_idle()
-        writer, reader = pool.workers[1], pool.workers[0]
         busy = [worker.clock.busy_seconds for worker in pool.workers]
         fsyncs = log.fsyncs
         server.scheduler.run_until_idle(deadline=1.5)
         assert log.fsyncs == fsyncs + 1
-        assert writer.clock.busy_seconds - busy[1] == pytest.approx(
-            INTEL_750_SSD.fsync)
-        assert writer.aof_seconds == pytest.approx(INTEL_750_SSD.fsync)
-        assert reader.clock.busy_seconds == busy[0]
-        assert reader.aof_seconds == 0.0
+        assert log.exposed_bytes([log.file]) == 0
+        assert [worker.clock.busy_seconds
+                for worker in pool.workers] == busy
+        assert [worker.aof_seconds for worker in pool.workers] == [0.0, 0.0]
 
     def test_attribution_follows_the_last_writer(self):
         server, (conn, _), pool, _ = self._aof_pool_server()
@@ -787,12 +792,13 @@ class TestAofAttribution:
                       if slot_for_key(f"a{i}".encode()) % 2 == 0)
         key_w1 = next(f"b{i}" for i in range(64)
                       if slot_for_key(f"b{i}".encode()) % 2 == 1)
-        conn.send_command("SET", key_w1, "1")
-        conn.send_command("SET", key_w0, "2")   # worker 0 wrote last
+        conn.send_command("SET", key_w1, "1", "PXAT", "500")
+        conn.send_command("SET", key_w0, "2", "PXAT", "500")  # worker 0 last
         server.scheduler.run_until_idle()
         server.scheduler.schedule_after(1.5, lambda: None, label="work")
         server.scheduler.run_until_idle()
-        assert pool.workers[0].aof_seconds >= INTEL_750_SSD.fsync
+        # Both keys' expiry bills worker 0; the fsync bills nobody.
+        assert 0.0 < pool.workers[0].aof_seconds < INTEL_750_SSD.fsync
         assert pool.workers[1].aof_seconds == 0.0
 
 

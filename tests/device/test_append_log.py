@@ -415,8 +415,9 @@ class TestDeviceTimer:
     def test_a_firing_inside_the_device_s_own_charge_is_one_fsync(self, op):
         # The grid instant t=1 falls inside the write syscall's charge
         # (and, for flush_and_fsync, the fsync follows it): the firing
-        # waits for the operation to end, so the device pays one fsync
-        # and no charge is nested inside another.
+        # waits for the operation to end, so the device makes one fsync
+        # and no charge is nested inside another.  After a flush the
+        # firing's fsync is queued: the caller pays only the write.
         clock = SimClock()
         log = AppendLog(clock=clock, latency=INTEL_750_SSD)
         writer = LogWriter(log, clock, FsyncPolicy.EVERYSEC)
@@ -426,8 +427,9 @@ class TestDeviceTimer:
         getattr(log, op)()
         assert log.fsyncs == 1
         assert log.exposed_bytes([log.name]) == 0
+        waited = INTEL_750_SSD.fsync if op == "flush_and_fsync" else 0.0
         assert clock.now() - began == pytest.approx(
-            INTEL_750_SSD.write_cost(1000) + INTEL_750_SSD.fsync)
+            INTEL_750_SSD.write_cost(1000) + waited)
 
     def test_a_firing_inside_an_fsync_charge_adds_none(self):
         clock = SimClock()
@@ -465,6 +467,78 @@ def _scoped_write(clock, audit, log):
         assert log.fsyncs == 0          # the firing waits for the exit
         audit.append(b"record")
         LogWriter(audit, clock, FsyncPolicy.ALWAYS).post_command()
+
+
+class TestQueuedBarrier:
+    """Whoever waits for a barrier pays for it: ``fsync(wait=False)``
+    queues the barrier on the device and charges its caller nothing,
+    and any later barrier first waits out the one in flight."""
+
+    FSYNC = INTEL_750_SSD.fsync
+
+    def _written(self):
+        clock = SimClock()
+        log = AppendLog(clock=clock, latency=INTEL_750_SSD)
+        log.append(b"x")
+        log.flush()
+        return clock, log
+
+    def test_a_queued_barrier_charges_nothing(self):
+        clock, log = self._written()
+        began = clock.now()
+        log.fsync(wait=False)
+        assert clock.now() == began
+        assert (log.fsyncs, log.durable_length) == (1, 1)
+        assert log.idle_at == pytest.approx(began + self.FSYNC)
+
+    def test_a_waited_barrier_waits_out_the_one_in_flight(self):
+        clock, log = self._written()
+        log.fsync(wait=False)
+        clock.advance(300e-6)
+        began = clock.now()
+        log.fsync()
+        assert clock.now() - began == pytest.approx(500e-6 + self.FSYNC)
+        assert log.fsyncs == 2
+
+    def test_a_second_queued_barrier_waits_out_the_first(self):
+        clock, log = self._written()
+        log.fsync(wait=False)
+        clock.advance(300e-6)
+        began = clock.now()
+        log.fsync(wait=False)
+        assert clock.now() - began == pytest.approx(500e-6)
+        assert log.idle_at == pytest.approx(clock.now() + self.FSYNC)
+
+    def test_writes_and_reads_never_wait(self):
+        clock, log = self._written()
+        log.fsync(wait=False)
+        log.append(b"y" * 100)
+        began = clock.now()
+        log.flush()
+        log.read_at(0, 1)
+        assert clock.now() - began == pytest.approx(
+            INTEL_750_SSD.write_cost(100) + INTEL_750_SSD.read_cost(1))
+
+    def test_a_barrier_after_the_one_in_flight_ends_does_not_wait(self):
+        clock, log = self._written()
+        log.fsync(wait=False)
+        clock.advance(self.FSYNC + 1e-3)
+        began = clock.now()
+        log.fsync()
+        assert clock.now() - began == pytest.approx(self.FSYNC)
+
+    @pytest.mark.parametrize("cut, durable", [(0, b""), (1, b"x")])
+    def test_it_is_one_fsync_step(self, cut, durable):
+        # A cut before the queued barrier loses its bytes; a cut after
+        # it (before the next operation) keeps them.
+        clock, log = self._written()
+        plan = FaultPlan(log)
+        plan.cut(cut)
+        with pytest.raises(PowerLoss):
+            log.fsync(wait=False)
+            log.append(b"z")
+        assert plan.steps == ["fsync"][:cut]
+        assert log.read_all() == durable
 
 
 class TestFiringInsideABarrierScope:

@@ -212,6 +212,21 @@ class TestGroupCommitTimer:
         clock.advance(5.0)
         assert log.blocks_sealed == 0
 
+    def test_an_interval_seal_is_queued_on_the_device(self):
+        # No request waits for a seal at a firing: it charges the
+        # block's write syscall, and its fsync leaves the device busy.
+        log, clock = make_block_log(block_size=100, batch_interval=1.0,
+                                    latency=INTEL_750_SSD)
+        log.append("p", "get")
+        clock.advance(1.0)
+        line = log.log.total_length
+        assert log.blocks_sealed == 1 and log.log.fsyncs == 1
+        assert clock.now() == pytest.approx(
+            1.0 + INTEL_750_SSD.write_cost(line))
+        assert log.log.idle_at == pytest.approx(
+            clock.now() + INTEL_750_SSD.fsync)
+        assert log.at_risk_records() == 0
+
     def test_a_failed_interval_seal_leaves_the_timer_running(self):
         # One failed fsync must not end the device's timer: the next
         # firing seals the records appended since, and the failed block

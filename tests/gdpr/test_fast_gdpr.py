@@ -5,9 +5,12 @@ determinism."""
 import pytest
 
 from repro.common.clock import SimClock
-from repro.device.faults import FaultPlan
+from repro.device.append_log import AppendLog
+from repro.device.faults import FaultPlan, PowerLoss
+from repro.device.latency import INTEL_750_SSD
 from repro.gdpr import (
     AuditChainMode,
+    AuditLog,
     GDPRConfig,
     GDPRMetadata,
     GDPRStore,
@@ -112,6 +115,80 @@ class TestFastPath:
         with pytest.raises(KeyError):
             store.get("k1")
         assert store.get("k2").value == b"v"
+
+
+class TestQueuedSeal:
+    """A block sealed by size is queued on the audit device: the put that
+    fills the block does not wait for its fsync, and a barrier someone
+    waits for (``flush_compliance``) still pays one, behind it."""
+
+    BLOCK = 4
+    RECORD_CPU = 5e-6
+
+    def _store(self):
+        clock = SimClock()
+        kv = KeyValueStore(
+            StoreConfig(appendonly=True, appendfsync="everysec",
+                        command_cpu_cost=25e-6),
+            clock=clock,
+            aof_log=AppendLog(clock=clock, latency=INTEL_750_SSD,
+                              name="aof"))
+        audit = AuditLog(
+            log=AppendLog(clock=clock, latency=INTEL_750_SSD,
+                          name="audit"),
+            clock=clock, record_cpu_cost=self.RECORD_CPU,
+            chain_mode="block", block_size=self.BLOCK)
+        config = GDPRConfig(fast_gdpr=True, audit_block_size=self.BLOCK)
+        return GDPRStore(kv=kv, config=config, audit=audit), clock
+
+    def _put(self, store, clock, i):
+        began = clock.now()
+        store.put(f"k{i}", b"v" * 100, meta())
+        return clock.now() - began
+
+    def test_the_put_that_fills_a_block_does_not_wait_for_its_fsync(self):
+        store, clock = self._store()
+        costs = [self._put(store, clock, i) for i in range(self.BLOCK - 1)]
+        written = store.audit.log.total_length
+        filling = self._put(store, clock, self.BLOCK - 1)
+        line = store.audit.log.total_length - written
+        assert store.audit.blocks_sealed == 1
+        assert store.audit.log.fsyncs == 1
+        # Puts of one shape differ by some nanoseconds of byte costs.
+        assert filling == pytest.approx(
+            costs[-1] + INTEL_750_SSD.write_cost(line) + self.RECORD_CPU,
+            abs=50e-9)
+        assert store.audit.at_risk_records() == 0
+
+    def test_flush_compliance_waits_for_its_seal(self):
+        store, clock = self._store()
+        for i in range(self.BLOCK + 1):     # one block, one pending record
+            self._put(store, clock, i)
+        in_flight = store.audit.log.idle_at
+        assert in_flight > clock.now()
+        store.flush_compliance()
+        assert store.audit.log.fsyncs == 2
+        assert clock.now() >= in_flight + INTEL_750_SSD.fsync
+        assert store.audit.log.idle_at <= clock.now()
+        assert store.audit.at_risk_records() == 0
+
+    def test_a_power_cut_anywhere_loses_at_most_one_block(self):
+        puts = 3 * self.BLOCK
+        store, clock = self._store()
+        plan = FaultPlan(store.kv.aof_log, store.audit.log)
+        for i in range(puts):
+            self._put(store, clock, i)
+        for cut in range(len(plan.steps)):
+            store, clock = self._store()
+            FaultPlan(store.kv.aof_log, store.audit.log).cut(cut)
+            with pytest.raises(PowerLoss):
+                for i in range(puts):
+                    self._put(store, clock, i)
+            recovered = AuditLog(log=store.audit.log, clock=clock,
+                                 chain_mode="block",
+                                 block_size=self.BLOCK)
+            durable = recovered.verify_durable()
+            assert store.audit.record_count - durable <= self.BLOCK, cut
 
 
 def make_fast_sql_store(clock=None, fsync="everysec"):

@@ -343,6 +343,38 @@ def test_a_deadline_already_past_leaves_no_index_entry(variant):
     assert not store.kv.has_live_key(b"k")
 
 
+@pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
+def test_fresh_metadata_keeps_the_record_s_creation_time(variant):
+    """Metadata without a ``created_at`` takes the one ``put`` stamped:
+    a one-hour TTL set on a record put at t=10,000 s runs from then,
+    not from 0."""
+    clock = SimClock()
+    clock.advance(10_000.0)
+    store = GDPRStore(kv=ENGINE_FACTORIES[variant](clock))
+    store.put("k", b"v", meta())
+    clock.advance(100.0)
+    store.update_metadata("k", meta(ttl=3600.0))
+    record = store.get("k")
+    assert record.value == b"v"
+    assert record.metadata.created_at == 10_000.0
+    clock.advance(3501.0)   # past 10,000 + 3,600
+    with pytest.raises(KeyError):
+        store.get("k")
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
+def test_an_explicit_created_at_is_kept(variant):
+    clock = SimClock()
+    store = GDPRStore(kv=ENGINE_FACTORIES[variant](clock))
+    store.put("k", b"v", meta(ttl=100.0))
+    clock.advance(50.0)
+    store.update_metadata("k", meta(ttl=80.0, created_at=20.0))
+    assert store.get("k").metadata.created_at == 20.0
+    clock.advance(60.0)     # past 20 + 80
+    with pytest.raises(KeyError):
+        store.get("k")
+
+
 class TestRebuildIndexes:
     def test_rebuild_from_keyspace(self):
         store, _ = make_store()
