@@ -61,6 +61,7 @@ and log costs to the clock it was built on, which is what makes the
 
 from __future__ import annotations
 
+from math import ceil
 from typing import (
     Any,
     Callable,
@@ -170,7 +171,8 @@ class StorageEngine:
         # True while replaying the durable log: replayed commands are
         # neither logged again nor fed to the write stream.
         self._loading = False
-        # True while a tier promotion re-inserts a record: the periodic
+        # True while a tier promotion fills a record in: the fill is
+        # neither logged nor fed to the write stream, and the periodic
         # maintenance cycle waits for the client command's own tick.
         self._promoting = False
         self._default_session = Session()
@@ -210,7 +212,8 @@ class StorageEngine:
         self.stats.commands_processed += 1
         db_index = session.db_index
         self.monitor.publish(ctx.now, db_index, argv)
-        if not spec.routing.control and not self._loading:
+        if not spec.routing.control and not self._loading \
+                and not self._promoting:
             effective_write = spec.write and ctx.dirty > 0
             if effective_write and (name in _TRANSLATED or (
                     name == b"SET" and len(argv) > 3)):
@@ -341,14 +344,25 @@ class StorageEngine:
         """Rebuild state from the durable command log (AOF or WAL; by
         default the attached log's durable content, every part of it).
         Returns the number of commands replayed."""
+        return self.replay(self.logged_commands(data, tolerate_truncated_tail))
+
+    def logged_commands(self, data: Optional[bytes] = None,
+                        tolerate_truncated_tail: bool = True
+                        ) -> List[List[bytes]]:
+        """The commands :meth:`replay_aof` replays from ``data`` (by
+        default the attached log's durable content), decoded."""
         from ..kvstore.aof import replay_commands
         if data is None:
             if self.aof is None:
                 raise PersistenceError(
                     f"the {self.engine_name} engine has no durable log")
             data = self.aof.read_durable()
-        commands = replay_commands(
+        return replay_commands(
             data, tolerate_truncated_tail=tolerate_truncated_tail)
+
+    def replay(self, commands: Sequence[List[bytes]]) -> int:
+        """Run decoded log ``commands`` as a replay: nothing is logged
+        again or fed to the write stream.  Returns how many ran."""
         session = self.session()
         self._loading = True
         try:
@@ -426,29 +440,54 @@ class StorageEngine:
         return len(removed)
 
     def promote_insert(self, key: bytes, value: bytes,
-                       expire_at: Optional[float]) -> None:
-        """Re-insert a record (database 0) on behalf of a tiering layer
-        that is moving it back from the archive; the counterpart of
+                       expire_at: Optional[float],
+                       metadata: Optional[MetadataRow] = None) -> None:
+        """Fill a record (database 0) in on behalf of a tiering layer
+        that serves it from the archive; the counterpart of
         :meth:`demote_remove`.
 
-        The insert costs, logs and replicates exactly like the client
-        command ``SET key value`` (``SET key value PXAT ms`` with an
-        expiry) -- but the keyspace ends up holding ``expire_at`` itself
-        (the wire form carries milliseconds, the archive the exact
-        deadline), and the periodic maintenance cycle (active
-        expiry, vacuum) does not run: it waits for the tick of the
-        client command the promotion serves, as on an untiered engine.
-        Log fsync deadlines are kept."""
+        The fill costs exactly what the client command ``SET key value``
+        (``SET key value PXAT ms`` with an expiry) costs, plus -- with
+        ``metadata`` on an engine with metadata columns -- the
+        :meth:`annotate_metadata` that restores the owner columns; the
+        keyspace ends up holding ``expire_at`` itself (the wire form
+        carries milliseconds, the archive the exact deadline).  It
+        appends nothing: no log record and no write-stream record -- the
+        archive holds the record durably, and replicas already hold it
+        (demotion is silent on the write stream).  The periodic
+        maintenance cycle (active expiry, vacuum) does not run: it waits
+        for the tick of the client command the fill serves, as on an
+        untiered engine."""
         self._promoting = True
         try:
             if expire_at is None:
                 self.execute(b"SET", key, value)
-                return
-            self.execute(b"SET", key, value, b"PXAT",
-                         b"%d" % int(expire_at * 1000))
-            self._restore_deadline(key, expire_at)
+            else:
+                # Milliseconds rounded up: a record with under a
+                # millisecond left is still live, and a deadline rounded
+                # down to the past would make the SET delete it.
+                self.execute(b"SET", key, value, b"PXAT",
+                             b"%d" % ceil(expire_at * 1000))
+                self._restore_deadline(key, expire_at)
+            if metadata is not None:
+                self.annotate_metadata([metadata])
         finally:
             self._promoting = False
+
+    def log_record(self, key: bytes) -> None:
+        """Log database-0 ``key``'s record as a log rewrite writes it
+        (:func:`~repro.kvstore.aof.record_statements`), to the durable
+        log only: the base a tiering layer lays before the first write
+        to a key it filled (:meth:`promote_insert`) without a record.
+        The base restates what the archive already holds durably, so it
+        needs no barrier of its own: the write that follows flushes it
+        with its own record."""
+        aof = self.aof
+        if aof is None or self._loading:
+            return
+        from ..kvstore.aof import record_statements
+        for record in self.records_of(0, (key,)):
+            aof.feed_record(0, key, record_statements(record))
 
     # -- replication -------------------------------------------------------
 

@@ -215,6 +215,23 @@ class AofWriter(LogWriter):
         if not is_write:
             self.reads_logged += 1
 
+    def feed_record(self, db_index: int, key: bytes,
+                    statements: bytes) -> None:
+        """Append ``key``'s record, as :func:`record_statements` writes
+        it, as one write."""
+        if self.record_base_cost or self.record_per_byte_cost:
+            self.clock.advance(self.record_base_cost
+                               + len(statements) * self.record_per_byte_cost)
+        if self.split:
+            self._append(self._route(key), db_index, statements, (key,))
+        else:
+            part = self._parts[0]
+            if db_index != part.selected:
+                self.log.append(encode_command(b"SELECT", b"%d" % db_index))
+                part.selected = db_index
+            self.log.append(statements)
+        self.records_written += 1
+
     def _feed_parts(self, db_index: int, args: Sequence[bytes],
                     record: bytes) -> None:
         """Append ``record`` to the part owning its keys, or one fragment
@@ -563,6 +580,14 @@ def image(keyspace) -> bytes:
     millisecond the log writes."""
     ((_, data, _, _),) = _layout(keyspace.snapshot_records(),
                                  keyspace.database_count > 1, 0, False, {})
+    return data
+
+
+def record_statements(record: Tuple) -> bytes:
+    """One database-0 ``(key, value, expire_at, metadata)`` record as a
+    log rewrite writes it (see :func:`_layout`): the base a tiering
+    layer logs for a key it filled without a record."""
+    ((_, data, _, _),) = _layout({0: (record,)}, False, 0, False, {})
     return data
 
 

@@ -11,14 +11,30 @@ replication, YCSB -- runs over a tiered keyspace unchanged:
   per sealed batch to the hot AOF/WAL with deletion reason ``"demote"``
   but keeps the effective-write stream silent -- replicas keep serving
   their full copy).  A crash between the two steps leaves the record in both
-  tiers; the hot copy stays authoritative and the stale cold shadow is
-  evicted lazily.
-* **Promotion.**  Any keyed command first *surfaces* its key: a cold
-  copy is decrypted, re-inserted hot (SET [+ absolute expiry]), and
-  tombstoned cold, then the command runs against the hot engine --
-  so results, types, TTLs, and errors are exactly the hot engine's.
-  Membership is answered from the archive's resident directory; a hit
-  reads that one record from the cold device.
+  tiers; the hot copy stays authoritative and the cold copy is its
+  shadow.
+* **Promotion is a clean cache fill.**  Any keyed command first
+  *surfaces* its key: a cold copy is decrypted and filled into the hot
+  engine with its exact deadline (and owner columns), then the command
+  runs against the hot engine -- so results, types, TTLs, and errors are
+  exactly the hot engine's.  The fill writes nothing: no hot-log record,
+  no write-stream record (replicas already hold the record: demotion is
+  silent there), no cold tombstone.  Membership is answered from the
+  archive's resident directory; a hit reads that one record from the
+  cold device.
+* **Shadows.**  While a key is live hot, its cold copy is the key's
+  *shadow*: hot is authoritative (in recovery too), so the shadow needs
+  no device write while it lives and no cold-only view answers it.  It
+  dies by a durable tombstone when the key is deleted or expires, or by
+  a newer seal when the key is demoted again; a restart whose replay
+  leaves a key dead that the log wrote after its last demotion (its
+  deadline passed while no expiry ran) lays that tombstone itself.  A
+  promoted key is
+  *clean* -- its shadow is current and the hot log holds no record of
+  the fill -- until a write: a plain ``SET`` just ends that, any other
+  write first logs the key's record (:meth:`~repro.engine.base.
+  StorageEngine.log_record`), so the log never holds a delta with no
+  base.  A clean key's re-demotion seals nothing.
 * **One keyspace.**  KEYS / SCAN / DBSIZE / ``live_keys`` /
   ``scan_records`` / ``key_count`` merge both tiers; DEL, expiry
   (lazy and active) and FLUSH reach cold copies with the same
@@ -53,7 +69,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple)
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+    Tuple)
 
 from ..device.append_log import AppendLog
 from ..engine.base import MetadataRow, SnapshotImage, StorageEngine, \
@@ -64,6 +81,26 @@ from .segment import ColdEntry, ColdInput, ColdSegmentStore
 #: (event, detail, subject) -- demote / promote / cold-erase; the GDPR
 #: layer subscribes and turns these into audit records.
 TierListener = Callable[[str, str, Optional[str]], None]
+
+
+def _rewritten_keys(commands: Iterable[List[bytes]]) -> Set[bytes]:
+    """The database-0 keys whose last write in the log ``commands`` is
+    no ``DEL``: a demotion logs one, so such a key was written hot after
+    its last demotion."""
+    last: Dict[bytes, bool] = {}
+    db_index = 0
+    for argv in commands:
+        name = argv[0].upper()
+        if name == b"SELECT":
+            db_index = int(argv[1])
+            continue
+        spec = spec_of(name)
+        if db_index != 0 or not spec.write:
+            continue
+        deleted = name in (b"DEL", b"UNLINK")
+        for key in spec.keys(argv):
+            last[key] = deleted
+    return {key for key, deleted in last.items() if not deleted}
 
 
 @dataclass
@@ -95,12 +132,16 @@ class TieredEngine(StorageEngine):
         self.cold = ColdSegmentStore(device=device, keystore=keystore)
         # key -> (owner, purposes): GDPR annotations survive the tier
         # round-trip -- sealing reads the owner (per-subject encryption),
-        # promotion restores the metadata columns the hot re-insert
-        # would otherwise lose.
+        # promotion restores the metadata columns the hot fill would
+        # otherwise lose.
         self._owners: Dict[bytes, Tuple[str, Tuple[str, ...]]] = {}
         self._last_touch: Dict[bytes, float] = {}
         self._last_demote_scan = inner.clock.now()
         self._in_cold_tick = False
+        #: Keys filled from their shadow with no write since, whose hot
+        #: log holds no record of the fill (keys only: the value is the
+        #: hot keyspace's).
+        self._clean: Set[bytes] = set()
         self.promotions = 0
         self.demotions = 0
         self._tier_listeners: List[TierListener] = []
@@ -172,14 +213,12 @@ class TieredEngine(StorageEngine):
     def _on_inner_deletion(self, db_index: int, key: bytes, reason: str,
                            when: float) -> None:
         if db_index == 0 and reason != "demote" and not self._loading:
-            # Any true hot removal (DEL, lazy/active expiry) must also
-            # kill every archived copy of the key -- durably.  Even a
-            # copy the archive already considers dead may only be
-            # covered by a non-durable tombstone (promote eviction),
-            # which power loss revokes; without a durable marker here,
-            # AOF replay (which skips evictions) would resurrect the
-            # deleted key from the archive.
-            self.cold.tombstone_key(key, durable=True)
+            # A true hot removal (DEL, lazy/active expiry) kills the
+            # key's shadow -- durably: the hot log's record of the
+            # removal may be lost to power loss, and recovery would then
+            # serve the shadow again.
+            self.cold.tombstone_key(key)
+            self._clean.discard(key)
             self._owners.pop(key, None)
             self._last_touch.pop(key, None)
         self.notify_deletion(db_index, key, reason, when)
@@ -216,28 +255,37 @@ class TieredEngine(StorageEngine):
                 self.cold.clear()
             self._owners.clear()
             self._last_touch.clear()
-        elif name == b"SET" and len(argv) >= 3:
-            conditional = any(argv[i].upper() in (b"NX", b"XX")
-                              for i in range(3, len(argv)))
-            if conditional:
-                self._surface(argv[1])
-            else:
-                self._evict_shadow(argv[1])
-            self._touch(argv[1])
+            self._clean.clear()
+        elif name == b"SET" and len(argv) >= 3 and not any(
+                argv[i].upper() in (b"NX", b"XX")
+                for i in range(3, len(argv))):
+            # A whole new record: once it is written, the key's cold
+            # copy, if any, is its shadow -- nothing is read or written
+            # cold, and the logged SET is the key's base.
+            key = argv[1]
+            self._touch(key)
+            reply = self._inner.execute(*argv, session=session)
+            self._clean.discard(key)
+            self.cold.shadow(key)
+            return reply
         else:
-            for key in spec_of(name).keys(argv):
+            spec = spec_of(name)
+            for key in spec.keys(argv):
                 self._surface(key)
                 self._touch(key)
+                if spec.write and key in self._clean:
+                    self._dirty(key)
         return self._inner.execute(*argv, session=session)
 
     def _touch(self, key: bytes) -> None:
         self._last_touch[key] = self.clock.now()
 
-    def _evict_shadow(self, key: bytes) -> None:
-        """Silently drop a cold copy that is about to be overwritten or
-        is shadowed by a live hot copy (no deletion event: the key stays
-        logically alive)."""
-        self.cold.tombstone_key(key, durable=False)
+    def _dirty(self, key: bytes) -> None:
+        """A write other than a plain ``SET`` is about to reach clean
+        ``key``: log the key's record first, so the write's own record
+        replays over a base."""
+        self._clean.discard(key)
+        self._inner.log_record(key)
 
     def _surface(self, key: bytes) -> None:
         """Reconcile ``key`` before a command touches it: promote a live
@@ -248,8 +296,9 @@ class TieredEngine(StorageEngine):
         if slot is None:
             return
         if self._inner.has_live_key(key, 0):
-            # Crash-window duplicate: hot is authoritative.
-            self.cold.tombstone_key(key, durable=False)
+            # A copy sealed while the hot copy stayed (a seal whose hot
+            # removal never came): hot is authoritative.
+            self.cold.shadow(key)
             return
         now = self.clock.now()
         if slot.expire_at is not None and slot.expire_at <= now:
@@ -257,7 +306,7 @@ class TieredEngine(StorageEngine):
             # expiration (deletion reason + write-stream DEL); the hot
             # AOF already holds the demotion DEL, and the cold tombstone
             # is the archive's durable record of the reclaim.
-            self.cold.tombstone_key(key, durable=True)
+            self.cold.tombstone_key(key)
             self.stats.expired_keys += 1
             self.notify_deletion(0, key, "lazy-expire", now)
             self.notify_write(0, [b"DEL", key])
@@ -268,24 +317,29 @@ class TieredEngine(StorageEngine):
         if value is None:
             # Crypto-erased (or unreadable, which the archive treats as
             # erased): the copy is void; drop it silently.
-            self.cold.tombstone_key(key, durable=True)
+            self.cold.tombstone_key(key)
             return
         self._promote(entry, value)
 
     def _promote(self, entry: ColdEntry, value: bytes) -> None:
+        """Fill the hot engine from ``entry``: the cold copy becomes the
+        shadow of a clean key."""
         key = entry.key
         annotation = self._owners.get(key)
         owner = entry.owner if entry.owner is not None \
             else (annotation[0] if annotation else None)
+        metadata = None
         if owner is not None:
+            # No record now, but the key's next one is filed with the
+            # owner's other keys.
             self._inner.name_owner(key, owner)
-        self._inner.promote_insert(key, value, entry.expire_at)
-        if owner is not None and self.supports_metadata_columns:
-            purposes = annotation[1] \
-                if annotation and annotation[0] == owner else ()
-            self._inner.annotate_metadata(
-                [(key.decode("utf-8", "replace"), owner, purposes)])
-        self.cold.tombstone_key(key, durable=False)
+            if self.supports_metadata_columns:
+                purposes = annotation[1] \
+                    if annotation and annotation[0] == owner else ()
+                metadata = (key.decode("utf-8", "replace"), owner, purposes)
+        self._inner.promote_insert(key, value, entry.expire_at, metadata)
+        if self.cold.shadow(key):
+            self._clean.add(key)
         self.promotions += 1
         self._tier_event("promote",
                          f"key {key.decode('utf-8', 'replace')} "
@@ -297,7 +351,7 @@ class TieredEngine(StorageEngine):
     def _del_across_tiers(self, argv: List[bytes],
                           session: Optional[Any]) -> int:
         # Identify cold-only victims BEFORE the hot deletes run (the
-        # inner-deletion forwarder evicts crash-window shadows itself).
+        # inner-deletion forwarder tombstones the shadows of hot keys).
         cold_victims: List[bytes] = []
         seen = set()
         for key in argv[1:]:
@@ -317,7 +371,7 @@ class TieredEngine(StorageEngine):
         for key in cold_victims:
             # Expired-but-unreclaimed copies count, matching the hot
             # engines' DEL semantics.
-            self.cold.tombstone_key(key, durable=True)
+            self.cold.tombstone_key(key)
             self.stats.deleted_keys += 1
             self.notify_deletion(0, key, "del", now)
             self.notify_write(0, [b"DEL", key])
@@ -326,17 +380,11 @@ class TieredEngine(StorageEngine):
             removed += 1
         return removed
 
-    def _cold_live_keys(self, now: float) -> List[bytes]:
-        """Cold keys a hot-only engine would report as live: not dead,
-        not erased, not expired, and not shadowed by a hot copy."""
-        return [key for key in self.cold.live_keys(now)
-                if not self._inner.has_live_key(key, 0)]
-
     def _keys_merged(self, argv: List[bytes],
                      session: Optional[Any]) -> List[bytes]:
         reply = self._inner.execute(*argv, session=session)
         pattern = argv[1] if len(argv) > 1 else b"*"
-        extras = [key for key in self._cold_live_keys(self.clock.now())
+        extras = [key for key in self.cold.live_keys(self.clock.now())
                   if glob_match(pattern, key)]
         return list(reply) + sorted(extras)
 
@@ -347,7 +395,7 @@ class TieredEngine(StorageEngine):
         # the command's start as the hot engine judges its own keys.
         now = self.clock.now()
         reply = self._inner.execute(*argv, session=session)
-        return reply + len(self._cold_live_keys(now))
+        return reply + len(self.cold.live_keys(now))
 
     def _scan_merged(self, argv: List[bytes], session: Optional[Any]) -> Any:
         reply = self._inner.execute(*argv, session=session)
@@ -360,7 +408,7 @@ class TieredEngine(StorageEngine):
             if argv[i].upper() == b"MATCH":
                 pattern = argv[i + 1]
             i += 2
-        extras = [key for key in self._cold_live_keys(self.clock.now())
+        extras = [key for key in self.cold.live_keys(self.clock.now())
                   if glob_match(pattern, key) and key not in keys]
         return [cursor, keys + sorted(extras)]
 
@@ -378,7 +426,7 @@ class TieredEngine(StorageEngine):
         try:
             now = self.clock.now()
             for key in self.cold.pop_expired(now):
-                self.cold.tombstone_key(key, durable=True)
+                self.cold.tombstone_key(key)
                 self.stats.expired_keys += 1
                 self.notify_deletion(0, key, "active-expire", now)
                 self.notify_write(0, [b"DEL", key])
@@ -441,18 +489,26 @@ class TieredEngine(StorageEngine):
             return
         inputs = []
         for r in records:
+            if r.key in self._clean:
+                self._clean.discard(r.key)
+                if self.cold.shadow(r.key, held=False):
+                    continue            # its shadow is current: no seal
             annotation = self._owners.get(r.key)
             inputs.append(ColdInput(r.key, r.value, r.expire_at,
                                     annotation[0] if annotation else None))
-        seq = self.cold.seal(inputs, sealed_at=self.clock.now())
-        # The seal above ended with an fsync: only now is it safe to
-        # drop the hot copies.
+        seq = None
+        if inputs:
+            seq = self.cold.seal(inputs, sealed_at=self.clock.now())
+        # A seal ends with an fsync, and a released shadow was durable
+        # already: only now is it safe to drop the hot copies.
         self._inner.demote_remove([record.key for record in records], 0)
         for record in records:
             self._last_touch.pop(record.key, None)
         self.demotions += len(records)
-        self._tier_event("demote",
-                         f"{len(records)} records -> segment {seq}")
+        if seq is not None:
+            # The archive gained copies; a released shadow moved nothing.
+            self._tier_event("demote",
+                             f"{len(inputs)} records -> segment {seq}")
 
     # -- archive-reaching erasure --------------------------------------------
 
@@ -493,7 +549,7 @@ class TieredEngine(StorageEngine):
         hot = self._inner.live_keys(db_index)
         if db_index != 0:
             return hot
-        return hot + sorted(self._cold_live_keys(self.clock.now()))
+        return hot + sorted(self.cold.live_keys(self.clock.now()))
 
     def has_live_key(self, key: bytes, db_index: int = 0) -> bool:
         if self._inner.has_live_key(key, db_index):
@@ -517,8 +573,6 @@ class TieredEngine(StorageEngine):
         """Every readable cold-only record, in key order: one device
         read per record."""
         for key in sorted(self.cold.live_keys(now)):
-            if self._inner.has_live_key(key, 0):
-                continue
             entry = self.cold.lookup(key)
             value = self.cold.open_value(entry) if entry is not None else None
             if value is None:
@@ -529,9 +583,7 @@ class TieredEngine(StorageEngine):
         count = self._inner.key_count(db_index)
         if db_index != 0:
             return count
-        cold = self.cold.live_keys()
-        overlap = sum(1 for key in cold if self._inner.has_live_key(key, 0))
-        return count + len(cold) - overlap
+        return count + self.cold.live_count()
 
     # -- durability ----------------------------------------------------------
 
@@ -560,25 +612,40 @@ class TieredEngine(StorageEngine):
         # a frame on the cold device that was durable before its command
         # returned (one barrier per command), so recovery needs no
         # eviction from the replay stream at all.
+        commands = self._inner.logged_commands(data, tolerate_truncated_tail)
         self._loading = True
         try:
-            replayed = self._inner.replay_aof(
-                data, tolerate_truncated_tail=tolerate_truncated_tail)
+            replayed = self._inner.replay(commands)
         finally:
             self._loading = False
-        if self.supports_metadata_columns:
-            # The replayed owner columns, so a record archived later
-            # seals under its subject (a full sync's or a restore's too).
-            for key, _, _, metadata in \
-                    self._inner.snapshot_records().get(0, ()):
-                if metadata is not None:
-                    self._owners[key] = (
-                        metadata[0],
-                        tuple(filter(None, metadata[1].split(","))))
+        hot = set()
+        for key, _, _, metadata in self._inner.snapshot_records().get(0, ()):
+            hot.add(key)
+            if metadata is not None:
+                # The replayed owner columns, so a record archived later
+                # seals under its subject (a full sync's or a restore's
+                # too).
+                self._owners[key] = (
+                    metadata[0], tuple(filter(None, metadata[1].split(","))))
+        # A key whose last logged write is no DEL had a hot record after
+        # its last demotion, and that record is authoritative.  If the
+        # replay left the key dead -- its deadline passed before any
+        # expiry reclaimed it -- its shadow dies with it, durably: no
+        # restart may serve the older archived copy again.
+        with self.cold.device.group():
+            for key in _rewritten_keys(commands) - hot:
+                self.cold.tombstone_key(key)
+        # A key the replay left hot is authoritative there: its archived
+        # copy is a shadow, and -- logged -- not clean.
+        self.cold.settle_shadows(hot)
+        self._clean.clear()
         return replayed
 
     def rewrite_aof(self, keys: Optional[Iterable[bytes]] = None) -> int:
-        return self._inner.rewrite_aof(keys)
+        size = self._inner.rewrite_aof(keys)
+        if keys is None:
+            self._clean.clear()     # the rewrite logged every hot key
+        return size
 
     # -- replication ---------------------------------------------------------
 
@@ -595,12 +662,15 @@ class TieredEngine(StorageEngine):
     def annotate_metadata(self, rows: List[MetadataRow]) -> None:
         # Every row's owner is remembered (a demoted key re-annotates on
         # promotion); only the hot-live rows reach the hot engine, in one
-        # call.
+        # call.  A clean key's shadow would keep the old owner: the
+        # annotation is a write to it.
         hot = []
         for key, owner, purposes in rows:
             key_bytes = key.encode("utf-8") if isinstance(key, str) else key
             self._owners[key_bytes] = (owner, tuple(purposes))
             if self._inner.has_live_key(key_bytes, 0):
+                if key_bytes in self._clean:
+                    self._dirty(key_bytes)
                 hot.append((key, owner, purposes))
         self._inner.annotate_metadata(hot)
 
@@ -612,9 +682,8 @@ class TieredEngine(StorageEngine):
             # so it remains the single source of truth.
             return None
         merged = set(native)
-        for key in self.cold.keys_of_subject(owner):
-            if not self._inner.has_live_key(key, 0):
-                merged.add(key.decode("utf-8", "replace"))
+        merged.update(key.decode("utf-8", "replace")
+                      for key in self.cold.keys_of_subject(owner))
         return sorted(merged)
 
     # -- introspection -------------------------------------------------------

@@ -39,22 +39,30 @@ Four frame kinds:
 Durability discipline: a seal and a clear marker are barriers as
 written (:meth:`~repro.device.append_log.LogWriter.sync`): their
 ``flush(); fsync()`` runs *before* the caller removes hot copies, even
-inside a barrier scope, which defers only commits.  A durable tombstone and a subject marker ask the
-device to :meth:`~repro.device.append_log.AppendLog.commit` them, so the
-ones laid during one tiered command -- which runs in one
-``device.group()`` scope -- share the one fsync at the scope's exit
-(group commit), or an earlier seal's.  Either way a crash at any point
-leaves the record in at least one tier and never resurrects a deleted
-one.  A torn final frame (crash mid-seal) fails its length or CRC check
-and is dropped whole at recovery.
+inside a barrier scope, which defers only commits.  A tombstone and a
+subject marker ask the device to
+:meth:`~repro.device.append_log.AppendLog.commit` them, so the ones laid
+during one tiered command -- which runs in one ``device.group()`` scope
+-- share the one fsync at the scope's exit (group commit), or an earlier
+seal's.  Either way a crash at any point leaves the record in at least
+one tier and never resurrects a deleted one.  A torn final frame (crash
+mid-seal) fails its length or CRC check and is dropped whole at
+recovery.
+
+A copy whose key the hot tier holds too is that key's *shadow*
+(:meth:`ColdSegmentStore.shadow`): recovery treats the hot copy as
+authoritative, so a shadow costs no device write while it lives, and no
+cold-only view (:meth:`~ColdSegmentStore.slot_of`, ``live_keys``,
+``keys_of_subject``, expiry) answers it.  It dies, as any copy does, by
+a tombstone or a newer seal of its key.
 """
 
 from __future__ import annotations
 
 import heapq
 import struct
-from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional, Set,
-                    Tuple)
+from typing import (Container, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Set, Tuple)
 
 from ..common.errors import CorruptionError
 from ..common.hashing import crc32_of
@@ -78,9 +86,10 @@ _FLAG_EXPIRE = 2
 _FLAG_OWNER = 4
 
 #: Packed size of what RAM keeps per directory slot besides the key
-#: (seq u32, device offset u64, length u32, deadline f64) and per sealed
-#: segment besides its bloom (seq, sealed_at, index offset / length /
-#: CRC) -- what :meth:`ColdSegmentStore.resident_bytes` charges.
+#: (seq u32 with the shadow bit, device offset u64, length u32, deadline
+#: f64) and per sealed segment besides its bloom (seq, sealed_at, index
+#: offset / length / CRC) -- what :meth:`ColdSegmentStore.resident_bytes`
+#: charges.
 _SLOT_BYTES = 24
 _SEGMENT_INFO_BYTES = 32
 
@@ -117,12 +126,14 @@ class ColdEntry(NamedTuple):
 
 class Slot(NamedTuple):
     """The resident directory's answer for one key: where the newest
-    live copy sits on the device, and when it expires."""
+    live copy sits on the device, when it expires, and whether it is the
+    shadow of a hot copy."""
 
     seq: int
     offset: int              # absolute device offset of the record
     length: int
     expire_at: Optional[float]
+    shadow: bool = False
 
 
 class SegmentInfo(NamedTuple):
@@ -193,8 +204,8 @@ def _unpack_index(block: bytes) -> Iterator[IndexEntry]:
 class ColdSegmentStore:
     """The archive tier on one append-only device.
 
-    RAM holds an index and no payload: a directory mapping each live
-    cold key to the :class:`Slot` of its newest copy, per segment the
+    RAM holds an index and no payload: a directory mapping each key with
+    a live copy to the :class:`Slot` of its newest copy, per segment the
     subject bloom and the whereabouts of its index block, the expiry
     heap, and per erased subject the first segment its marker spares.
     Membership, KEYS-style enumeration and expiry are answered from the
@@ -213,16 +224,10 @@ class ColdSegmentStore:
         self._segments: Dict[int, SegmentInfo] = {}
         self._next_seq = 0
         # key -> slot of its newest copy; a tombstone or a subject
-        # erasure removes the slot, so presence here *is* liveness.
+        # erasure removes the slot and a newer seal replaces it, so
+        # presence here *is* liveness.
         self._directory: Dict[bytes, Slot] = {}
-        # Keys whose last kill was a non-durable tombstone (promote
-        # eviction, shadow eviction) that no fsync has covered yet --
-        # none has while the device's durable frontier is short of the
-        # last one's end: power loss would revoke it, so a later
-        # deletion must re-issue it durably even though the directory
-        # already lost the key.
-        self._undurable: Set[bytes] = set()
-        self._undurable_end = 0
+        self._shadows = 0              # slots flagged ``shadow``
         # Seals and clear markers: fsynced as written, in a scope or not.
         self._always = LogWriter(self.device, self.device.clock,
                                  FsyncPolicy.ALWAYS)
@@ -241,6 +246,10 @@ class ColdSegmentStore:
         self.entry_reads = 0
         self.recovered_segments = 0
         self.torn_frames_dropped = 0
+        #: Record bytes of the copies no longer live (tombstoned,
+        #: expired, erased, cleared or superseded by a newer seal): what
+        #: a compaction of the device would reclaim.
+        self.dead_bytes = 0
         if self.device.total_length:
             self._recover()
 
@@ -253,21 +262,24 @@ class ColdSegmentStore:
         self.device.append(magic + _U32.pack(len(body)) + body
                            + _U32.pack(crc32_of(body)))
 
-    def _exposed(self) -> Set[bytes]:
-        """The keys of the non-durable tombstones no fsync has covered."""
-        if self.device.durable_length >= self._undurable_end:
-            self._undurable.clear()
-        return self._undurable
+    def _drop(self, key: bytes) -> Optional[Slot]:
+        """Remove ``key``'s slot, if any: its copy is dead bytes now."""
+        slot = self._directory.pop(key, None)
+        if slot is not None:
+            self.dead_bytes += slot.length
+            self._shadows -= slot.shadow
+        return slot
 
     def _register(self, info: SegmentInfo, entries: Iterable[IndexEntry],
                   records_offset: int) -> None:
         """Enter a sealed (or recovered) segment into the resident
-        index: each entry becomes its key's newest copy."""
+        index: each entry becomes its key's newest copy, and the copy it
+        supersedes is dead."""
         self._segments[info.seq] = info
         for entry in entries:
+            self._drop(entry.key)
             if self._erased_before(entry.owner, info.seq):
-                # Dead on arrival, and it shadows any older copy.
-                self._directory.pop(entry.key, None)
+                self.dead_bytes += entry.length     # dead on arrival
                 continue
             self._directory[entry.key] = Slot(
                 info.seq, records_offset + entry.offset, entry.length,
@@ -353,18 +365,22 @@ class ColdSegmentStore:
     # -- membership & lookup -------------------------------------------------
 
     def slot_of(self, key: bytes) -> Optional[Slot]:
-        """Where the newest live copy of ``key`` is, or None -- exact,
-        answered from RAM, nothing read."""
-        return self._directory.get(key)
+        """Where the newest live copy of cold-only ``key`` is, or None
+        (no live copy, or a shadow) -- exact, answered from RAM, nothing
+        read."""
+        slot = self._directory.get(key)
+        if slot is None or slot.shadow:
+            return None
+        return slot
 
     def lookup(self, key: bytes) -> Optional[ColdEntry]:
-        """Newest live copy of ``key``, or None.
+        """Newest live copy of cold-only ``key``, or None.
 
         A miss costs nothing on the device; a hit reads that one record
         and verifies its checksum.
         """
         slot = self._directory.get(key)
-        if slot is None:
+        if slot is None or slot.shadow:
             return None
         record = self.device.read_at(slot.offset, slot.length)
         self.entry_reads += 1
@@ -398,38 +414,53 @@ class ColdSegmentStore:
     # -- enumeration ---------------------------------------------------------
 
     def live_keys(self, now: Optional[float] = None) -> List[bytes]:
-        """The exact cold keyspace, from the directory; with ``now``,
-        without the copies already past their deadline."""
+        """The exact cold-only keyspace, from the directory; with
+        ``now``, without the copies already past their deadline."""
         return [key for key, slot in self._directory.items()
-                if now is None or slot.expire_at is None
-                or slot.expire_at > now]
+                if not slot.shadow and (now is None or slot.expire_at is None
+                                        or slot.expire_at > now)]
 
     def live_count(self) -> int:
-        return len(self._directory)
+        """Cold-only keys, expired-but-unreclaimed ones included."""
+        return len(self._directory) - self._shadows
+
+    # -- shadows -------------------------------------------------------------
+
+    def shadow(self, key: bytes, held: bool = True) -> bool:
+        """The hot tier holds ``key`` now: its live copy here, if any,
+        becomes the key's shadow -- kept for recovery, hidden from every
+        cold-only view.  With ``held`` False the hot tier gave the key
+        up while its shadow is current (a clean re-demotion): the shadow
+        is the key's cold copy again.  Nothing is written either way;
+        returns whether ``key`` has a live copy."""
+        slot = self._directory.get(key)
+        if slot is None:
+            return False
+        if slot.shadow != held:
+            self._directory[key] = slot._replace(shadow=held)
+            self._shadows += 1 if held else -1
+        return True
+
+    def settle_shadows(self, hot: Container[bytes]) -> None:
+        """After a restart or a log replay: a live copy is a shadow
+        exactly when ``hot`` holds its key."""
+        for key in list(self._directory):
+            self.shadow(key, key in hot)
 
     # -- deletion-like mutations ---------------------------------------------
 
-    def tombstone_key(self, key: bytes, durable: bool = True) -> None:
-        """Kill every copy of ``key`` sealed so far.
+    def tombstone_key(self, key: bytes) -> None:
+        """Kill every copy of ``key`` sealed so far, its shadow included.
 
-        A no-op when there is nothing to kill: no live copy and -- for a
-        durable tombstone -- no earlier non-durable one still exposed to
-        power loss, which must be re-issued durably because deletions
-        must not resurrect.  A durable tombstone is committed: inside a
-        barrier scope it waits for the scope's one fsync.
+        A no-op when there is no live copy to kill.  The tombstone is
+        committed: inside a barrier scope it waits for the scope's one
+        fsync.
         """
-        if self._directory.pop(key, None) is None \
-                and not (durable and self._undurable
-                         and key in self._exposed()):
+        if self._drop(key) is None:
             return
         self._append_frame(MAGIC_TOMBSTONE, _U32.pack(len(key)) + key
                            + _U64.pack(self._next_seq - 1))
-        if durable:
-            self.device.commit()
-        else:
-            self.device.flush()
-            self._exposed().add(key)
-            self._undurable_end = self.device.total_length
+        self.device.commit()
         self.tombstones += 1
 
     def erase_subject(self, subject: str) -> List[int]:
@@ -455,7 +486,7 @@ class ColdSegmentStore:
 
     def _void_subject(self, subject: str, touched: List[int]) -> None:
         for key in self._keys_of_subject(subject, touched):
-            del self._directory[key]
+            self._drop(key)
         self._erased_subjects[subject] = self._next_seq
 
     def segments_of_subject(self, subject: str) -> List[int]:
@@ -482,13 +513,14 @@ class ColdSegmentStore:
                 self.bloom_false_positives += 1
 
     def keys_of_subject(self, subject: str) -> List[bytes]:
-        """Exact archived keys of ``subject`` (bloom candidates sealed
+        """Exact cold-only keys of ``subject`` (bloom candidates sealed
         after any erasure marker of the subject first, then the index
         blocks of only those segments)."""
         spared = self._erased_subjects.get(subject, 0)
-        return sorted(self._keys_of_subject(
+        return sorted(key for key in self._keys_of_subject(
             subject, [seq for seq in self.segments_of_subject(subject)
-                      if seq >= spared]))
+                      if seq >= spared])
+            if not self._directory[key].shadow)
 
     def clear(self) -> None:
         """Drop the whole archive (FLUSHDB/FLUSHALL reached cold)."""
@@ -498,8 +530,10 @@ class ColdSegmentStore:
 
     def _reset_volatile(self) -> None:
         self._segments.clear()
+        self.dead_bytes += sum([slot.length
+                                for slot in self._directory.values()])
         self._directory.clear()
-        self._undurable.clear()
+        self._shadows = 0
         self._expiry.clear()
         # The subject markers stay, and keep their meaning: sequence
         # numbers do not restart.
@@ -507,13 +541,14 @@ class ColdSegmentStore:
     # -- expiry --------------------------------------------------------------
 
     def pop_expired(self, now: float) -> List[bytes]:
-        """Keys whose live cold copy is due (heap-ordered); the caller
-        tombstones them and emits the deletion events."""
+        """Cold-only keys whose live copy is due (heap-ordered); the
+        caller tombstones them and emits the deletion events.  A due
+        shadow is not among them: its key's deadline is the hot copy's."""
         due: List[bytes] = []
         while self._expiry and self._expiry[0][0] <= now:
             _, seq, key = heapq.heappop(self._expiry)
             slot = self._directory.get(key)
-            if slot is not None and slot.seq == seq:
+            if slot is not None and slot.seq == seq and not slot.shadow:
                 due.append(key)
         return due
 
@@ -568,7 +603,7 @@ class ColdSegmentStore:
             (up_to,) = _U64.unpack_from(body, 4 + klen)
             slot = self._directory.get(key)
             if slot is not None and slot.seq <= up_to:
-                del self._directory[key]
+                self._drop(key)
         elif magic == MAGIC_SUBJECT:
             (slen,) = _U32.unpack_from(body, 0)
             subject = body[4:4 + slen].decode("utf-8")
@@ -589,13 +624,12 @@ class ColdSegmentStore:
     def resident_bytes(self) -> int:
         """RAM the archive keeps resident, every structure at its packed
         size and nothing that lives on the device only: per segment the
-        fixed fields and the subject bloom, the directory, the
-        not-yet-durable tombstone keys, the erased-subject names with
-        their markers' u32 sequence numbers, and the expiry heap."""
+        fixed fields and the subject bloom, the directory (shadows
+        included), the erased-subject names with their markers' u32
+        sequence numbers, and the expiry heap."""
         total = sum(_SEGMENT_INFO_BYTES + info.subject_bloom.byte_size()
                     for info in self._segments.values())
         total += sum(len(key) + _SLOT_BYTES for key in self._directory)
-        total += sum(len(key) for key in self._exposed())
         total += sum(len(name.encode("utf-8")) + 4
                      for name in self._erased_subjects)
         total += sum(len(key) + 16 for _, _, key in self._expiry)
@@ -612,4 +646,6 @@ class ColdSegmentStore:
             "entry_reads": self.entry_reads,
             "recovered_segments": self.recovered_segments,
             "torn_frames_dropped": self.torn_frames_dropped,
+            "shadows": self._shadows,
+            "dead_bytes": self.dead_bytes,
         }

@@ -86,10 +86,15 @@ class TestTornSeal:
             assert recovered.cold.torn_frames_dropped == \
                 (0 < cut < len(frame)), cut
             assert recovered.cold.segment_count == (2 if whole else 1), cut
-            assert sorted(recovered.cold.live_keys()) == \
+            # k2/k3 stayed hot: a whole seal holds their shadows.
+            assert sorted(recovered.cold.live_keys()) == [b"k0", b"k1"], cut
+            assert recovered.cold.stats()["shadows"] == \
+                (2 if whole else 0), cut
+            archive = ColdSegmentStore(device=engine.cold.device)
+            assert sorted(archive.live_keys()) == \
                 [b"k0", b"k1"] + ([b"k2", b"k3"] if whole else []), cut
             if whole:       # relocated frame: offsets are frame-relative
-                assert recovered.cold.lookup(b"k3").stored == b"v3"
+                assert archive.lookup(b"k3").stored == b"v3"
             for i in range(4):
                 assert recovered.execute("GET", f"k{i}") == \
                     f"v{i}".encode(), (cut, i)

@@ -1,0 +1,173 @@
+"""Crash points on the tiered store's write paths.
+
+A promotion is a clean cache fill that writes nothing, and a cold copy
+shadowed by a hot one dies only by a durable tombstone or a newer seal.
+So power lost before any device step of a tier operation -- followed
+by a durable cold commit for another key, whose fsync covers whatever
+the operation left on the cold device -- recovers every key to its
+state before the operation or after it, and never brings a deleted key
+back.  Each case runs on both inner engines over an ``everysec`` log
+(the hot log loses its last second; the cold commit does not) and an
+``always`` one (every hot record is durable as written, so a logged
+delta without its base would show).
+"""
+
+import pytest
+
+from repro.common.clock import SimClock
+from repro.device.append_log import AppendLog
+from repro.device.faults import FaultPlan, PowerLoss
+from repro.kvstore import KeyValueStore, StoreConfig
+from repro.kvstore.commands import deadline_ms
+from repro.sqlstore import RelationalStore, SqlConfig
+from repro.tiering import TieredEngine, TieringConfig
+from tests.support import reopen
+
+KEYS = (b"a", b"b", b"gone")
+
+
+def _engine(base, fsync):
+    clock = SimClock()
+    if base == "redislike":
+        inner = KeyValueStore(StoreConfig(appendonly=True,
+                                          appendfsync=fsync),
+                              clock=clock, aof_log=AppendLog(clock=clock))
+    else:
+        inner = RelationalStore(SqlConfig(wal_fsync=fsync), clock=clock,
+                                wal_log=AppendLog(clock=clock))
+    return TieredEngine(inner, tiering=TieringConfig(auto_demote=False))
+
+
+def _state(engine):
+    """key -> (value, deadline in ms) of every key the store serves."""
+    return {record.key: (record.value, None if record.expire_at is None
+                         else deadline_ms(record.expire_at))
+            for record in engine.scan_records()}
+
+
+def _promote(engine):
+    assert engine.execute("GET", "a") == b"v-a"
+
+
+#: name -> (whether the relational engine runs it, the steps before the
+#: crash window, the operation).  Every case starts from ``a``, ``b``
+#: and ``gone`` demoted and ``gone`` then deleted, both logs durable.
+CASES = {
+    "promoting GET": (True, None, _promote),
+    "SET over a demoted key": (
+        True, None, lambda engine: engine.execute("SET", "a", "v2")),
+    "APPEND on a clean key": (
+        False, _promote, lambda engine: engine.execute("APPEND", "a", "+")),
+    "EXPIRE on a clean key": (
+        True, _promote, lambda engine: engine.execute("EXPIRE", "a", 100)),
+    "re-demotion of a clean key": (
+        True, _promote, lambda engine: engine.demote_keys([b"a"])),
+    "DEL of a clean key": (
+        True, _promote, lambda engine: engine.execute("DEL", "a")),
+}
+
+
+def _prepared(base, fsync, before):
+    engine = _engine(base, fsync)
+    for key in KEYS:
+        engine.execute("SET", key, b"v-" + key)
+    engine.demote_keys(list(KEYS))
+    assert engine.execute("DEL", "gone") == 1
+    engine.aof_log.flush_and_fsync()
+    if before is not None:
+        before(engine)
+    return engine
+
+
+def _run(engine, operation):
+    """The operation, then a durable cold commit for ``b``."""
+    operation(engine)
+    assert engine.execute("DEL", "b") == 1
+
+
+@pytest.mark.parametrize("fsync", ["everysec", "always"])
+@pytest.mark.parametrize("base", ["redislike", "relational"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_power_loss_before_any_step_recovers_pre_or_post_state(
+        case, base, fsync):
+    relational, before, operation = CASES[case]
+    if base == "relational" and not relational:
+        pytest.skip("the relational engine has no APPEND")
+    engine = _prepared(base, fsync, before)
+    pre = _state(engine)
+    plan = FaultPlan(engine.aof_log, engine.cold.device)
+    _run(engine, operation)
+    post = _state(engine)
+    steps = len(plan.steps)
+    assert steps > 0
+    for cut in range(steps + 1):
+        engine = _prepared(base, fsync, before)
+        plan = FaultPlan(engine.aof_log, engine.cold.device)
+        plan.cut(cut)
+        try:
+            _run(engine, operation)
+        except PowerLoss:
+            pass
+        else:
+            assert cut == steps
+            plan.power_loss()
+        recovered = _state(reopen(engine))
+        assert b"gone" not in recovered, cut
+        for key in KEYS:
+            assert recovered.get(key) in (pre.get(key), post.get(key)), \
+                (cut, key, recovered.get(key))
+
+
+def _set_for_a_second(engine):
+    engine.execute("SET", "a", "v2", "PXAT",
+                   deadline_ms(engine.clock.now()) + 1000)
+
+
+#: name -> (steps before the crash window, the operation): each gives
+#: ``a`` a deadline a second away.
+DEADLINE_CASES = {
+    "EXPIRE on a clean key": (
+        _promote, lambda engine: engine.execute("EXPIRE", "a", 1)),
+    "SET..PXAT over a demoted key": (None, _set_for_a_second),
+}
+
+
+@pytest.mark.parametrize("fsync", ["everysec", "always"])
+@pytest.mark.parametrize("base", ["redislike", "relational"])
+@pytest.mark.parametrize("case", sorted(DEADLINE_CASES))
+def test_a_deadline_passed_before_the_restart_keeps_the_key_dead(
+        case, base, fsync):
+    """Power lost before any step -- or a clean stop with both logs
+    durable -- and ``a``'s new deadline passes before the restart, with
+    no expiry run to reclaim it.  ``a`` recovers its pre-state or stays
+    dead, never as its older archived copy, and a second restart after
+    power loss agrees with the first."""
+    before, operation = DEADLINE_CASES[case]
+    pre = _state(_prepared(base, fsync, before))
+    engine = _prepared(base, fsync, before)
+    plan = FaultPlan(engine.aof_log, engine.cold.device)
+    _run(engine, operation)
+    steps = len(plan.steps)
+    for cut in range(steps + 1):
+        engine = _prepared(base, fsync, before)
+        plan = FaultPlan(engine.aof_log, engine.cold.device)
+        if cut < steps:
+            plan.cut(cut)
+        try:
+            _run(engine, operation)
+        except PowerLoss:
+            pass
+        else:
+            assert cut == steps
+            engine.aof_log.flush_and_fsync()
+        engine.clock.advance(2)
+        recovered = reopen(engine)
+        state = _state(recovered)
+        for key in KEYS:
+            assert state.get(key) in (pre.get(key), None), \
+                (cut, key, state.get(key))
+        if cut == steps:
+            assert state == {}
+            assert recovered.execute("GET", "a") is None
+        plan.power_loss()
+        assert _state(reopen(recovered)) == state, cut

@@ -142,8 +142,9 @@ archive_ops = st.lists(
                                      st.binary(max_size=6)),
                            min_size=1, max_size=4,
                            unique_by=lambda item: item[0])),
-        st.tuples(st.just("tombstone"), st.sampled_from(MODEL_KEYS),
-                  st.booleans()),
+        st.tuples(st.just("tombstone"), st.sampled_from(MODEL_KEYS)),
+        st.tuples(st.sampled_from(["shadow", "release"]),
+                  st.sampled_from(MODEL_KEYS)),
         st.tuples(st.just("erase"), st.sampled_from(MODEL_SUBJECTS)),
         st.tuples(st.just("recover"), st.booleans()),
     ),
@@ -155,12 +156,15 @@ class ArchiveModel:
     every key, the tombstones, the subject erasures (each kills the
     subject's versions sealed before it) -- state is a replay of the
     log, the newest version of a key speaks for it, and power loss cuts
-    the log back to its last fsync."""
+    the log back to its last fsync.  A shadow mark is RAM only: it hides
+    one version from the cold-only views until that version dies, is
+    released, or a restart forgets it."""
 
     def __init__(self):
         self.log = []
         self.durable = 0
         self.next_seq = 0
+        self.shadows = set()        # (key, seq) of the marked versions
 
     def live(self):
         """key -> (seq, owner, value) of every live newest version."""
@@ -178,6 +182,17 @@ class ArchiveModel:
                 if copies[-1][0] > dead.get(key, -1)
                 and copies[-1][0] >= erased.get(copies[-1][1], 0)}
 
+    def cold_only(self):
+        """:meth:`live` without the shadows."""
+        return {key: copy for key, copy in self.live().items()
+                if (key, copy[0]) not in self.shadows}
+
+    def mark(self, key, held):
+        copy = self.live().get(key)
+        if copy is not None:
+            mark = self.shadows.add if held else self.shadows.discard
+            mark((key, copy[0]))
+
     def segments_holding(self, subject):
         return {frame[1] for frame in self.log if frame[0] == "seal"
                 and any(owner == subject for _, owner, _ in frame[2])}
@@ -187,14 +202,11 @@ class ArchiveModel:
         self.next_seq += 1
         self.durable = len(self.log)
 
-    def tombstone(self, key, durable):
-        exposed = any(frame[:2] == ("tombstone", key)
-                      for frame in self.log[self.durable:])
-        if key not in self.live() and not (durable and exposed):
-            return          # nothing to kill, nothing to harden
+    def tombstone(self, key):
+        if key not in self.live():
+            return          # nothing to kill
         self.log.append(("tombstone", key, self.next_seq - 1))
-        if durable:
-            self.durable = len(self.log)
+        self.durable = len(self.log)
 
     def erase(self, subject, reached):
         if not reached:
@@ -205,13 +217,17 @@ class ArchiveModel:
     def power_loss(self):
         del self.log[self.durable:]
 
+    def restart(self):
+        self.shadows.clear()
+
 
 @given(archive_ops)
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_cold_store_equals_a_dict_of_versions_model(ops):
-    """Random seal / tombstone / erase / recover sequences, every key
-    looked up after every step: the resident directory, rebuilt or not,
-    answers exactly what a replay of the frame log answers."""
+    """Random seal / tombstone / shadow / erase / recover sequences,
+    every key looked up after every step: the resident directory, rebuilt
+    or not, answers exactly what a replay of the frame log answers, less
+    the shadows."""
     store = ColdSegmentStore(device=AppendLog(clock=SimClock()))
     plan = FaultPlan(store.device)
     model = ArchiveModel()
@@ -221,8 +237,12 @@ def test_cold_store_equals_a_dict_of_versions_model(ops):
                         for key, owner, value in op[1]], sealed_at=0.0)
             model.seal(op[1])
         elif op[0] == "tombstone":
-            store.tombstone_key(op[1], durable=op[2])
-            model.tombstone(op[1], durable=op[2])
+            store.tombstone_key(op[1])
+            model.tombstone(op[1])
+        elif op[0] in ("shadow", "release"):
+            held = op[0] == "shadow"
+            assert store.shadow(op[1], held) == (op[1] in model.live())
+            model.mark(op[1], held)
         elif op[0] == "erase":
             reached = store.erase_subject(op[1])
             assert set(reached) >= model.segments_holding(op[1])
@@ -232,7 +252,8 @@ def test_cold_store_equals_a_dict_of_versions_model(ops):
                 plan.power_loss()
                 model.power_loss()
             store = ColdSegmentStore(device=store.device)
-        live = model.live()
+            model.restart()
+        live = model.cold_only()
         assert sorted(store.live_keys()) == sorted(live)
         assert store.live_count() == len(live)
         for key in MODEL_KEYS:

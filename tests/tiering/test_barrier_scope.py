@@ -66,26 +66,28 @@ def test_a_seal_inside_a_scope_satisfies_the_pending_request(variant):
 
 
 @pytest.mark.parametrize("variant", TIERED)
-def test_a_failed_exit_fsync_keeps_the_exposed_tombstone(variant):
-    """Promoting ``hot`` kills its cold copy with a tombstone no fsync
-    covers yet.  An fsync that fails at the next command's exit leaves
-    that tombstone exposed -- still charged to the resident index -- so
-    deleting ``hot`` re-issues it durably, and the pending request is
-    paid at that command's exit with one fsync for both tombstones."""
+def test_a_failed_exit_fsync_leaves_a_clean_keys_tombstone_pending(variant):
+    """Promoting ``hot`` writes nothing cold: its copy stays, charged to
+    the resident index, as the shadow of a clean key.  Deleting ``hot``
+    tombstones that shadow; an fsync that fails at the DEL's exit leaves
+    the request pending, and the next command's exit pays one fsync for
+    both tombstones."""
     engine, device = _demoted(variant)
     cold = engine.cold
     assert cold.resident_bytes() == 163
+    written = device.total_length
     assert engine.execute("GET", "hot") == b"v-hot"
-    assert cold.resident_bytes() == 163 - (3 + 24) + 3
+    assert device.total_length == written
+    assert cold.resident_bytes() == 163
     plan = FaultPlan(engine.aof_log, device)
     plan.fail("fsync")
     with pytest.raises(DeviceIOError):
-        engine.execute("DEL", "cold1")
-    assert cold.resident_bytes() == 139 - (5 + 24)
+        engine.execute("DEL", "hot")
+    assert cold.resident_bytes() == 163 - (3 + 24)
     assert device.fsyncs == 1 and device.unsynced_bytes > 0
     tombstones = cold.tombstones
-    assert engine.execute("DEL", "hot") == 1
+    assert engine.execute("DEL", "cold1") == 1
     assert cold.tombstones == tombstones + 1
-    assert cold.resident_bytes() == 110 - 3
+    assert cold.resident_bytes() == 136 - (5 + 24)
     assert device.fsyncs == 2 and device.unsynced_bytes == 0
     assert _gone_after_power_loss(engine, ["hot", "cold1"], plan)

@@ -48,8 +48,8 @@ def test_one_multi_key_del_costs_one_cold_fsync():
     for key in ("hot", "cold1", "cold2", "kept"):
         engine.execute("SET", key, f"v-{key}")
     engine.demote_keys([b"hot", b"cold1", b"cold2", b"kept"])
-    # Promoting ``hot`` leaves a non-durable tombstone behind, so its
-    # deletion must re-issue one durably.
+    # Promoting ``hot`` leaves its cold copy as a shadow, which its
+    # deletion tombstones durably.
     assert engine.execute("GET", "hot") == b"v-hot"
     tombstones = engine.cold.tombstones
     fsyncs = engine.cold.device.fsyncs

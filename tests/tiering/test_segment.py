@@ -62,26 +62,25 @@ def test_tombstone_versioning():
     assert store.lookup(b"k") is None
 
 
-def test_tombstone_is_written_only_when_it_kills_or_hardens():
+def test_tombstone_is_written_only_when_it_kills():
     store, device = make_store()
     store.seal(inputs((b"k", b"v"), (b"other", b"v")), sealed_at=0.0)
     store.tombstone_key(b"never-sealed")
     assert store.tombstones == 0
-    # A non-durable kill (promote eviction) is exposed to power loss
-    # until some fsync covers it: a deletion re-issues it durably ...
-    store.tombstone_key(b"k", durable=False)
-    assert device.durable_length < device.total_length
-    store.tombstone_key(b"k", durable=True)
-    assert store.tombstones == 2
+    # Every tombstone is committed: outside a barrier scope, durable as
+    # it is written ...
+    store.tombstone_key(b"k")
+    assert store.tombstones == 1
     assert device.durable_length == device.total_length
-    # ... once, and not at all when a later barrier already covered it.
-    store.tombstone_key(b"k", durable=True)
-    store.tombstone_key(b"other", durable=False)
-    store.seal(inputs((b"later", b"v")), sealed_at=1.0)    # fsyncs
-    store.tombstone_key(b"other", durable=True)
-    assert store.tombstones == 3
+    # ... and written once: a dead key has nothing left to kill.
+    store.tombstone_key(b"k")
+    assert store.tombstones == 1
+    # A shadow is a live copy, killed like any other.
+    assert store.shadow(b"other")
+    store.tombstone_key(b"other")
+    assert store.tombstones == 2
     recovered = ColdSegmentStore(device=device)
-    assert recovered.live_keys() == [b"later"]
+    assert recovered.live_keys() == []
 
 
 def test_subject_erasure_is_crypto_erasure():
@@ -279,11 +278,11 @@ def test_resident_bytes_counts_every_resident_structure():
     assert store.resident_bytes() == segment + directory + heap
     # No payload: 1000 value bytes are on the device only.
     assert store.resident_bytes() < 200 < store.device.total_length
-    store.tombstone_key(b"key22", durable=False)
-    undurable = 5
-    assert store.resident_bytes() == \
-        segment + (2 + 24) + heap + undurable
-    store.erase_subject("alice")         # fsyncs: nothing undurable left
+    assert store.shadow(b"key22")        # a shadow keeps its slot
+    assert store.resident_bytes() == segment + directory + heap
+    store.tombstone_key(b"key22")
+    assert store.resident_bytes() == segment + (2 + 24) + heap
+    store.erase_subject("alice")
     assert store.resident_bytes() == segment + heap + len("alice") + 4
 
 
@@ -303,3 +302,56 @@ def test_stats_counters():
     assert stats["tombstones"] == 1
     assert stats["segments"] == 1
     assert stats["entry_reads"] == 0 and "decompressions" not in stats
+
+
+def test_a_shadow_is_answered_by_no_cold_only_view():
+    """A copy whose key the hot tier holds keeps its slot (and costs no
+    device write) but is no cold key: membership, lookup, enumeration,
+    subject lookup and expiry skip it until it is released."""
+    store, device = make_store()
+    store.seal([ColdInput(b"a:1", b"v", 5.0, "alice"),
+                ColdInput(b"a:2", b"v", None, "alice")], sealed_at=0.0)
+    written = device.total_length
+    assert store.shadow(b"a:1") and not store.shadow(b"absent")
+    assert device.total_length == written
+    assert store.slot_of(b"a:1") is None and store.lookup(b"a:1") is None
+    assert store.live_keys() == [b"a:2"] and store.live_count() == 1
+    assert store.keys_of_subject("alice") == [b"a:2"]
+    assert store.pop_expired(now=10.0) == []
+    assert store.stats()["shadows"] == 1
+    assert store.shadow(b"a:1", held=False)
+    assert not store.shadow(b"absent", held=False)
+    assert store.slot_of(b"a:1").seq == 0
+    assert store.keys_of_subject("alice") == [b"a:1", b"a:2"]
+    assert store.stats()["shadows"] == 0
+    store.settle_shadows({b"a:2", b"elsewhere"})
+    assert store.live_keys() == [b"a:1"]
+    store.settle_shadows(set())
+    assert sorted(store.live_keys()) == [b"a:1", b"a:2"]
+
+
+def test_dead_bytes_count_every_copy_no_longer_live():
+    """Tombstoned, superseded, erased and cleared copies are dead bytes
+    -- the sealed record bytes minus the live ones -- and recovery
+    counts them again from the frames."""
+    store, device = make_store()
+
+    def length(*keys):
+        return sum(store.slot_of(key).length for key in keys)
+
+    store.seal(inputs((b"a", b"1"), (b"b", b"22"), (b"c", b"333")),
+               sealed_at=0.0)
+    sealed = length(b"a", b"b", b"c")
+    assert store.stats()["dead_bytes"] == 0
+    store.tombstone_key(b"a")
+    store.seal(inputs((b"b", b"newer")), sealed_at=1.0)     # supersedes
+    sealed += length(b"b")
+    assert store.dead_bytes == sealed - length(b"b", b"c") > 0
+    assert ColdSegmentStore(device=device).dead_bytes == store.dead_bytes
+    store.seal([ColdInput(b"d", b"4", None, "dave")], sealed_at=2.0)
+    sealed += length(b"d")
+    store.erase_subject("dave")
+    assert store.dead_bytes == sealed - length(b"b", b"c")
+    store.clear()
+    assert store.dead_bytes == sealed and store.live_count() == 0
+    assert ColdSegmentStore(device=device).dead_bytes == sealed

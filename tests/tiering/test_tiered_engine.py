@@ -177,7 +177,7 @@ def test_crash_window_shadow_hot_wins():
                      sealed_at=0.0)
     assert engine.execute("GET", "k") == b"hot-copy"
     assert engine.execute("DBSIZE") == 1       # not double counted
-    assert engine.cold.lookup(b"k") is None    # shadow evicted on surface
+    assert engine.cold.lookup(b"k") is None    # a shadow, hidden on surface
 
 
 def test_flushall_reaches_the_archive():
