@@ -67,8 +67,7 @@ def main() -> None:
     print(f"subjects notified:  {notified}")
 
     # The evidence package is tamper-evident: verify the chain.
-    from repro.gdpr import AuditLog
-    verified = AuditLog.verify_chain(store.audit.records())
+    verified = store.audit.verify()
     print(f"audit chain verified: {verified} records")
 
 

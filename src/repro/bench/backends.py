@@ -29,8 +29,8 @@ Feature rows, per engine:
   inflation through the durable log's per-byte costs);
 * ``full-gdpr`` -- all of the above at once;
 * ``fast-gdpr`` -- the same full feature set re-engineered for the hot
-  path: audit records seal into hash-chained *blocks* (one group-commit
-  fsync per block instead of per record) and metadata/location
+  path: a BATCH audit log seals 64-record hash-chained *blocks* (one
+  group-commit fsync per block instead of per request) and metadata/location
   bookkeeping goes write-behind.  Same compliance
   guarantees, bounded visibility window -- the row quantifies what the
   paper's "batch the monitoring logs" suggestion buys.
@@ -150,7 +150,6 @@ def _gdpr_adapter(engine: StorageEngine, clock: SimClock,
                          durability=AuditDurability.BATCH,
                          batch_interval=1.0,
                          record_cpu_cost=AUDIT_RECORD_CPU,
-                         chain_mode="block",
                          block_size=FAST_AUDIT_BLOCK_SIZE)
         store = GDPRStore(
             kv=engine,

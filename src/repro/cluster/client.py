@@ -770,8 +770,7 @@ class ClusterClient:
             layer.flush_compliance()
 
     def verify_audit_chains(self) -> Dict[int, int]:
-        """Verify every GDPR shard's hash chain -- per-record or
-        block-sealed, whichever that shard runs -- as {shard: records
+        """Verify every GDPR shard's hash chain as {shard: records
         verified}.  Raises :class:`~repro.common.errors.AuditError` on
         any break."""
         return {index: layer.audit.verify()

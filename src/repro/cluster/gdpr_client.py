@@ -37,6 +37,7 @@ from ..crypto.keystore import KeyStore
 from ..device.append_log import AppendLog
 from ..engine.base import StorageEngine
 from ..gdpr.access_control import Principal
+from ..gdpr.audit import AuditDurability
 from ..gdpr.metadata import GDPRMetadata, Record, pack_envelope, \
     unpack_envelope
 from ..gdpr.node import RIGHT_COMMANDS, encode_principal, raise_reply
@@ -57,7 +58,8 @@ def gdpr_shards(keystore: Optional[KeyStore] = None,
     sharing one keystore (a fresh one unless given).
 
     Shard ``index``'s GDPR layer is node ``shard-<index>``, strict
-    unless ``fast_gdpr``; ``kv_factory(index, clock)`` builds its engine
+    unless ``fast_gdpr`` (write-behind maintenance and a BATCH audit
+    log); ``kv_factory(index, clock)`` builds its engine
     (default: an AOF-logged Redis-like store that also logs reads).
     With ``tiering`` every engine is wrapped in a
     :class:`~repro.tiering.TieredEngine` over the shard's own cold
@@ -85,7 +87,10 @@ def gdpr_shards(keystore: Optional[KeyStore] = None,
                 device.clock = clock    # the rebuilt shard's meter
             kv = TieredEngine(kv, device=device, tiering=tiering)
         return GDPRStore(kv=kv, config=GDPRConfig(
-            node_id=f"shard-{index}", fast_gdpr=fast_gdpr), keystore=keystore)
+            node_id=f"shard-{index}", fast_gdpr=fast_gdpr,
+            audit_durability=(AuditDurability.BATCH if fast_gdpr
+                              else AuditDurability.SYNC)),
+            keystore=keystore)
 
     return build
 

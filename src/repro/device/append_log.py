@@ -43,7 +43,8 @@ from __future__ import annotations
 
 import enum
 import weakref
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence)
 
 from ..common.clock import Clock, SimClock
 from ..common.errors import DeviceIOError, PersistenceError
@@ -125,6 +126,10 @@ class AppendLog:
         # them still waits for its fsync.
         self._scopes = 0
         self._commit_due = False
+        # Run at a scope's outermost exit, still inside it and before
+        # its barriers: a writer that holds a scope's records until its
+        # end (a SYNC audit log's request block) writes them there.
+        self.before_barrier: Optional[Callable[[], None]] = None
         # The device's timer and the writers its firings step (held
         # weakly: a writer replaced on the device leaves with its last
         # reference); a firing that falls inside one of the device's
@@ -157,6 +162,11 @@ class AppendLog:
     @property
     def unsynced_bytes(self) -> int:
         return self._cached_length - self._durable_length
+
+    @property
+    def in_scope(self) -> bool:
+        """Whether a barrier scope is open on the device."""
+        return self._scopes > 0
 
     def holds_unsynced(self) -> bool:
         """Whether some file holds written bytes not yet durable."""
@@ -352,7 +362,11 @@ class AppendLog:
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self._scopes -= 1
+        try:
+            if self._scopes == 1 and self.before_barrier is not None:
+                self.before_barrier()
+        finally:
+            self._scopes -= 1
         if self._scopes:
             return
         if self._commit_due:
@@ -372,6 +386,19 @@ class AppendLog:
     def read_durable(self) -> bytes:
         """What the open file would contain after a power loss."""
         return bytes(self._data[:self._durable_length])
+
+    def lines(self, durable: bool = False) -> Iterator[bytes]:
+        """The open file's lines, each with its newline, one copy at a
+        time (the file itself is not copied): of everything appended, or
+        of the durable prefix; a final line with no newline comes last
+        (no time charged)."""
+        data = self._data
+        end = self._durable_length if durable else len(data)
+        start = 0
+        while start < end:
+            stop = data.find(b"\n", start, end) + 1 or end
+            yield data[start:stop]
+            start = stop
 
     def read_files(self, names: Iterable[str],
                    durable: bool = False) -> List[bytes]:
@@ -443,26 +470,36 @@ class AppendLog:
 class BarrierScope:
     """One barrier scope over several devices: ``with scope:`` is a
     :meth:`AppendLog.group` of each of ``logs`` (None entries are
-    skipped; a device named twice nests into one scope), and at the
-    outermost exit each device with a due commit pays one fsync (after
-    a flush of any bytes still unwritten), in the order ``logs`` are
-    given -- after every scope is left, so a failed barrier leaves no
-    device inside one and fsyncs none after it.  Then each device runs
-    the timer firing that fell inside the scope, if one did.  Entering
-    allocates nothing: one object serves every request it scopes."""
+    skipped; a device named twice is one scope).  At the outermost exit
+    each device's :attr:`AppendLog.before_barrier` runs first, while
+    every device is still inside the scope (a SYNC audit log seals the
+    request's block there, and a timer firing meanwhile waits as any
+    firing inside the scope does).  Then each device with a due commit
+    pays one fsync (after a flush of any bytes still unwritten), in the
+    order ``logs`` are given -- after every scope is left, so a failed
+    barrier leaves no device inside one and fsyncs none after it.  Then
+    each device runs the timer firing that fell inside the scope, if one
+    did.  Entering allocates nothing: one object serves every request it
+    scopes."""
 
     __slots__ = ("logs",)
 
     def __init__(self, *logs: Optional[AppendLog]) -> None:
-        self.logs = tuple([log for log in logs if log is not None])
+        self.logs = tuple(dict.fromkeys(
+            [log for log in logs if log is not None]))
 
     def __enter__(self) -> None:
         for log in self.logs:
             log._scopes += 1
 
     def __exit__(self, *exc_info) -> None:
-        for log in self.logs:
-            log._scopes -= 1
+        try:
+            for log in self.logs:
+                if log._scopes == 1 and log.before_barrier is not None:
+                    log.before_barrier()
+        finally:
+            for log in self.logs:
+                log._scopes -= 1
         for log in self.logs:
             if log._commit_due and not log._scopes:
                 if log._unflushed or len(log._data) > log._cached_length:

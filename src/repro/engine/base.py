@@ -17,9 +17,11 @@ built on:
   the one command table (:mod:`repro.kvstore.commands`) classifies the
   name and checks its arity, the engine's ``_HANDLERS`` table names its
   handler and :meth:`_run` runs it, then the command is counted,
-  published to MONITOR, logged (never control traffic; an effective
-  write in its replay-safe form, :meth:`_log_records` over the engine's
-  :meth:`_deadline_of`), fed to the write stream, and the engine ticks.
+  published to MONITOR and logged (neither for a tier's cache fill,
+  :meth:`promote_insert`, which no client sent; never control traffic
+  in the log; an effective write in its replay-safe form,
+  :meth:`_log_records` over the engine's :meth:`_deadline_of`), fed to
+  the write stream, and the engine ticks.
 * **Write-stream taps** (:meth:`add_write_listener`) -- the effective,
   post-translation write stream (expirations travel as DELs, a value
   and its deadline as one absolute ``SET..PXAT`` record).  Replication
@@ -211,9 +213,11 @@ class StorageEngine:
         reply = self._run(handler, ctx, argv)
         self.stats.commands_processed += 1
         db_index = session.db_index
+        if self._promoting:     # a tier's cache fill: no client sent it
+            self.tick()
+            return reply
         self.monitor.publish(ctx.now, db_index, argv)
-        if not spec.routing.control and not self._loading \
-                and not self._promoting:
+        if not spec.routing.control and not self._loading:
             effective_write = spec.write and ctx.dirty > 0
             if effective_write and (name in _TRANSLATED or (
                     name == b"SET" and len(argv) > 3)):

@@ -11,8 +11,7 @@ from .articles import (
     articles_for_feature,
     feature_demand,
 )
-from .audit import (AuditBlock, AuditChainMode, AuditDurability,
-                    AuditLog, AuditRecord)
+from .audit import AuditDurability, AuditLog, AuditRecord
 from .breach import NOTIFICATION_DEADLINE_SECONDS, BreachNotifier, BreachReport
 from .compliance import (
     ArticleVerdict,
@@ -55,8 +54,6 @@ __all__ = [
     "AccessController",
     "AuditLog",
     "AuditRecord",
-    "AuditBlock",
-    "AuditChainMode",
     "AuditDurability",
     "MetadataIndex",
     "Backup",

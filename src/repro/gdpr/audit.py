@@ -2,69 +2,58 @@
 
 Every interaction with personal data -- data path and control path alike --
 becomes an :class:`AuditRecord` appended to an :class:`AuditLog`.  Records
-are hash-chained so truncation or editing is detectable: the accountability
-requirement of Art. 5.2.  Two chain granularities exist:
+are sealed into hash-chained blocks, so truncation or editing is
+detectable: the accountability requirement of Art. 5.2.
 
-* **record mode** (default) -- each record's digest commits to its
-  predecessor and the record is written (and, under SYNC, fsync'd) on its
-  own -- the records of one GDPR request share the request's one fsync:
-  strict real-time compliance, the configuration that costs Redis 20x;
-* **block mode** (the fast-GDPR path) -- records buffer in memory and are
-  sealed into :class:`AuditBlock`\\ s of up to ``block_size`` members (or,
-  at a firing of the device's timer, once ``batch_interval`` has passed
-  since the last seal).  One chain update covers the whole
-  block: the block header commits to the previous block's hash plus a
-  running digest over the member payloads, and the sealed block is
-  group-committed with a single flush+fsync.  Tamper evidence is
-  preserved -- editing a member breaks the member digest, editing the
-  header breaks the block hash, reordering breaks the prev linkage --
-  and no request waits for the fsync: a seal by size or interval is
-  queued on the audit device.  The price is a visibility window: a
-  crash loses at most one unsealed block.
+A sealed block is one line on the log device, and the line holds only
+what a verifier cannot recompute: the members' bodies, the instant the
+block was sealed, and the block's hash, which chains the previous
+block's hash with every byte of the line before it.  Editing a member or
+the seal instant breaks the block's hash; reordering or dropping a block
+breaks the chain at the next one; a torn final line fails to verify, and
+a final block lost whole leaves the durable log short of what the log
+made durable (:meth:`AuditLog.verify_durable`).  The verifier carries the
+previous hash and counts the members itself, reading the device one
+line at a time.
 
-A record's body and its log line are each formatted once, by a template
-that prints the layer's JSON dialect byte for byte; a record a template
-cannot print (a non-``str`` field, a ``bool`` seq, an ``int`` or
-non-finite timestamp) is formatted by the encoder itself.
-
-The per-record durability spectrum is the paper's AOF measurement run
-by the same code: the log is written through a
-:class:`~repro.device.append_log.LogWriter`, and ``AuditDurability`` is
+When a block is sealed is the durability policy, ``AuditDurability`` --
 the AOF's :class:`~repro.device.append_log.FsyncPolicy` under the audit
 layer's names:
 
-* ``SYNC``    -- ``always``: flush + fsync per record, or -- inside a
-  barrier scope (every :class:`~repro.gdpr.store.GDPRStore` request is
-  one) -- flush per record and one fsync at the scope's exit, before
-  the engine log's, so no durable write goes unaudited;
-* ``BATCH``   -- ``everysec`` at ``batch_interval``: group-commit at each
-  firing of the device's timer (the paper's "storing the monitoring logs
-  in a batch (say, once every second)" that recovers 6x while risking
-  one interval of records);
-* ``ASYNC``   -- ``no``: write()s without fsync; the OS decides.
+* ``SYNC`` -- a request's records are one block, sealed at the outermost
+  exit of its barrier scope (every :class:`~repro.gdpr.store.GDPRStore`
+  request is one), before the engine log's barrier, so no durable
+  write's processing goes unaudited; a record appended outside any scope
+  is sealed at once.  Strict real-time compliance: "logging every user
+  request synchronously", the configuration that costs Redis 20x.
+* ``BATCH`` and ``ASYNC`` alike -- records wait in memory for a block of
+  ``block_size`` (fast-GDPR's amortization), or for a firing of the
+  device's timer once ``batch_interval`` has passed since the last seal
+  (the paper's "storing the monitoring logs in a batch (say, once every
+  second)" that recovers 6x while risking one interval of records).
 
-A sealed block is a barrier as written
-(:meth:`~repro.device.append_log.LogWriter.sync`): durable before
-:meth:`AuditLog.seal_block` returns, inside a barrier scope too.  The
-seals that fill a block or fall due at a firing are queued on the
-device -- no request waits for them, so none pays the fsync, and any
-later barrier on the device waits behind them; :meth:`AuditLog.sync`
-(``flush_compliance``) waits for its seal.
+Every seal is one write and one barrier
+(:meth:`~repro.device.append_log.LogWriter.sync`), durable as the seal
+returns -- inside a barrier scope too.  A seal by size or at a firing is
+one nobody waits for, so its barrier is queued on the device and no
+request pays the fsync; any later barrier on the device waits behind
+it.  :meth:`AuditLog.commit` seals now under SYNC (a record that must be
+durable before a barrier its caller pays), and :meth:`AuditLog.sync`
+(``flush_compliance``) seals whatever is pending under any policy.
 
-BATCH group commit and interval sealing run on the audit device's one
-timer (:meth:`~repro.device.append_log.AppendLog.join_timer`), which
-fires on its clock every ``batch_interval`` whether or not records
-arrive -- a quiescent log never leaves at-risk records unsynced.
+A record's body and its block's line are each formatted by a template
+that prints the layer's JSON dialect byte for byte; a record a template
+cannot print (a non-``str`` field, a ``bool`` seq, an ``int`` or
+non-finite timestamp) is formatted by the encoder itself.
 """
 
 from __future__ import annotations
 
 import bisect
-import enum
 import json
 from dataclasses import dataclass
 from math import isfinite
-from typing import Iterable, List, Optional
+from typing import Iterator, List, Optional
 
 from ..common.clock import Clock, SimClock
 from ..common.errors import AuditError
@@ -77,14 +66,10 @@ from ..device.append_log import AppendLog, FsyncPolicy, LogWriter
 AuditDurability = FsyncPolicy
 
 
-class AuditChainMode(enum.Enum):
-    RECORD = "record"   # per-record chain, per-record durability
-    BLOCK = "block"     # sealed blocks, one chain update + fsync per block
-
-
 # The layer's one JSON dialect (audit log, envelope header): sorted keys,
 # no whitespace.
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+_loads = json.JSONDecoder().decode
 
 
 # One template per representation, keys in the dialect's order; ``_quote``
@@ -93,14 +78,17 @@ _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 _quote = json.encoder.encode_basestring_ascii
 _PAYLOAD = ('{"detail":%s,"key":%s,"op":%s,"outcome":%s,"principal":%s,'
             '"purpose":%s,"seq":%d,"subject":%s,"ts":%s}')
-_LINE = '{"body":%s,"hash":%s,"prev":%s}\n'
+# A block's line: the hashed head, then the tail naming its hash.
+_HEAD = b'{"members":[%s],"sealed_at":%r'
+_TAIL = b',"hash":"%s"}\n'
+_TAIL_LENGTH = len(_TAIL % GENESIS_HASH.encode("ascii"))
 
 
 def _record_payload(seq: int, timestamp: float, principal: str,
                     operation: str, key: Optional[str],
                     subject: Optional[str], purpose: Optional[str],
                     outcome: str, detail: str) -> bytes:
-    """A record's hashed/serialized body (everything except the chain)."""
+    """A record's serialized body, as its block's line holds it."""
     ts = round(timestamp, 9)
     try:
         if type(seq) is int and type(ts) is float and isfinite(ts):
@@ -126,17 +114,6 @@ def _record_payload(seq: int, timestamp: float, principal: str,
     }).encode("utf-8")
 
 
-def _record_line(payload: bytes, prev_hash: str, record_hash: str) -> bytes:
-    """The log line of the record whose body serialises to ``payload``."""
-    body = payload.decode("utf-8")
-    try:
-        line = _LINE % (_quote(body), _quote(record_hash), _quote(prev_hash))
-    except TypeError:
-        line = _dumps({"body": body, "prev": prev_hash,
-                       "hash": record_hash}) + "\n"
-    return line.encode("utf-8")
-
-
 @dataclass(frozen=True)
 class AuditRecord:
     """One interaction with personal data."""
@@ -150,133 +127,60 @@ class AuditRecord:
     purpose: Optional[str]
     outcome: str            # "ok" | "denied" | "error"
     detail: str = ""
-    prev_hash: str = ""     # empty in block mode (the block carries the chain)
-    record_hash: str = ""
 
     def payload(self) -> bytes:
-        """The hashed/serialized body (everything except the chain)."""
+        """The serialized body its block's line holds."""
         return _record_payload(
             self.seq, self.timestamp, self.principal, self.operation,
             self.key, self.subject, self.purpose, self.outcome, self.detail)
 
-    def to_line(self) -> bytes:
-        return _record_line(self.payload(), self.prev_hash,
-                            self.record_hash)
-
     @classmethod
-    def from_body(cls, body: dict, prev_hash: str = "",
-                  record_hash: str = "") -> "AuditRecord":
+    def from_body(cls, body: dict) -> "AuditRecord":
         try:
             return cls(
                 seq=body["seq"], timestamp=body["ts"],
                 principal=body["principal"], operation=body["op"],
                 key=body["key"], subject=body["subject"],
                 purpose=body["purpose"], outcome=body["outcome"],
-                detail=body.get("detail", ""),
-                prev_hash=prev_hash, record_hash=record_hash)
+                detail=body.get("detail", ""))
         except (KeyError, TypeError) as exc:
             raise AuditError(f"corrupt audit body: {exc}") from exc
 
-    @classmethod
-    def from_line(cls, line: bytes) -> "AuditRecord":
-        try:
-            envelope = json.loads(line.decode("utf-8"))
-            body = json.loads(envelope["body"])
-        except (json.JSONDecodeError, KeyError, UnicodeDecodeError) as exc:
-            raise AuditError(f"corrupt audit line: {exc}") from exc
-        return cls.from_body(body, prev_hash=envelope["prev"],
-                             record_hash=envelope["hash"])
+
+def _members(line: bytes) -> list:
+    """The member bodies of a block's line."""
+    try:
+        members = _loads(line.decode("ascii"))["members"]
+        if type(members) is list:
+            return members
+    except (json.JSONDecodeError, KeyError, TypeError,
+            UnicodeDecodeError) as exc:
+        raise AuditError(f"corrupt audit block line: {exc}") from exc
+    raise AuditError("corrupt audit block line: members is not a list")
 
 
-# Seed of the per-block running member digest (distinct from the block
-# chain's genesis so a digest can never be confused for a block hash).
-BLOCK_DIGEST_SEED = chain_hash(GENESIS_HASH, b"repro-audit-block-digest")
-
-
-def _payloads_digest(payloads: Iterable[bytes]) -> str:
-    digest = BLOCK_DIGEST_SEED
-    for payload in payloads:
-        digest = chain_hash(digest, payload)
-    return digest
-
-
-def _block_header(first_seq: int, count: int, sealed_at: float,
-                  digest: str) -> bytes:
-    return _dumps({"first": first_seq, "count": count,
-                   "sealed_at": round(sealed_at, 9),
-                   "digest": digest}).encode("utf-8")
-
-
-@dataclass(frozen=True)
-class AuditBlock:
-    """A sealed run of audit records committed by one chain update.
-
-    ``digest`` is the running hash over the member payloads (seeded from
-    :data:`BLOCK_DIGEST_SEED`); ``block_hash`` chains ``prev_hash`` with
-    the serialized header, so the chain commits to every member byte.
-    """
-
-    first_seq: int
-    count: int
-    sealed_at: float
-    prev_hash: str
-    digest: str
-    block_hash: str
-    member_bodies: List[str]    # member payload() strings, in seq order
-
-    def header_payload(self) -> bytes:
-        return _block_header(self.first_seq, self.count, self.sealed_at,
-                             self.digest)
-
-    def to_line(self) -> bytes:
-        envelope = {
-            "type": "blk",
-            "first": self.first_seq,
-            "count": self.count,
-            "sealed_at": round(self.sealed_at, 9),
-            "digest": self.digest,
-            "prev": self.prev_hash,
-            "hash": self.block_hash,
-            "members": self.member_bodies,
-        }
-        return _dumps(envelope).encode("utf-8") + b"\n"
-
-    @classmethod
-    def from_line(cls, line: bytes) -> "AuditBlock":
-        try:
-            envelope = json.loads(line.decode("utf-8"))
-            if envelope.get("type") != "blk":
-                raise KeyError("type")
-            return cls(
-                first_seq=envelope["first"], count=envelope["count"],
-                sealed_at=envelope["sealed_at"],
-                prev_hash=envelope["prev"], digest=envelope["digest"],
-                block_hash=envelope["hash"],
-                member_bodies=list(envelope["members"]))
-        except (json.JSONDecodeError, KeyError, TypeError,
-                UnicodeDecodeError) as exc:
-            raise AuditError(f"corrupt audit block line: {exc}") from exc
-
-    def records(self) -> List[AuditRecord]:
-        out = []
-        for body_str in self.member_bodies:
-            try:
-                body = json.loads(body_str)
-            except json.JSONDecodeError as exc:
-                raise AuditError(
-                    f"corrupt member body in block at seq "
-                    f"{self.first_seq}: {exc}") from exc
-            out.append(AuditRecord.from_body(body))
-        return out
-
-    @staticmethod
-    def members_digest(member_bodies: Iterable[str]) -> str:
-        return _payloads_digest(body.encode("utf-8")
-                                for body in member_bodies)
-
-
-def _looks_like_block(line: bytes) -> bool:
-    return line.startswith(b'{"count"') or b'"type":"blk"' in line[:200]
+def _verify(lines: Iterator[bytes], committed: int) -> int:
+    """Fold the chain over block ``lines``, holding one at a time;
+    returns the member records verified.  Each line's tail must name the
+    hash of the previous block's hash and the line's head, and member
+    sequence numbers must run from 0 without a gap; at least
+    ``committed`` records must be there."""
+    tip, seq = GENESIS_HASH, 0
+    for line in lines:
+        tip = chain_hash(tip, line[:-_TAIL_LENGTH])
+        if line[-_TAIL_LENGTH:] != _TAIL % tip.encode("ascii"):
+            raise AuditError(
+                f"block at seq {seq}: hash mismatch (edited, reordered, "
+                "dropped or torn)")
+        for body in _members(line):
+            if type(body) is not dict or body.get("seq") != seq:
+                raise AuditError(f"sequence gap at seq {seq}")
+            seq += 1
+    if seq < committed:
+        raise AuditError(
+            f"the log holds {seq} records but {committed} were sealed "
+            "durably: sealed block(s) lost")
+    return seq
 
 
 class AuditLog:
@@ -287,42 +191,39 @@ class AuditLog:
                  durability: AuditDurability = AuditDurability.SYNC,
                  batch_interval: float = 1.0,
                  record_cpu_cost: float = 0.0,
-                 chain_mode: AuditChainMode = AuditChainMode.RECORD,
+                 chain_mode: str = "block",
                  block_size: int = 64) -> None:
+        if chain_mode != "block":
+            raise ValueError("the audit log has one format: a request "
+                             "seals one block (chain_mode='block')")
         self.clock = clock if clock is not None else SimClock()
         self.log = log if log is not None else AppendLog(clock=self.clock)
         self.durability = durability
         self.batch_interval = batch_interval
         self.record_cpu_cost = record_cpu_cost
-        if isinstance(chain_mode, str):
-            chain_mode = AuditChainMode(chain_mode)
-        self.chain_mode = chain_mode
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
         self.block_size = block_size
         self._seq = 0
-        self._tip = GENESIS_HASH            # record-mode chain tip
-        self._block_tip = GENESIS_HASH      # block-mode chain tip
+        self._tip = GENESIS_HASH
         self._blocks_sealed = 0
-        self._sealed_records = 0            # records inside sealed blocks
-        self._durable_records = 0           # block mode: sealed and synced
+        self._sealed_records = 0            # records in written blocks
+        self._durable_records = 0           # ... whose barrier returned
         self._last_seal = self.clock.now()
-        # The one policy decides when appended bytes get fsynced: the
-        # durability in record mode (a BATCH writer joins the device's
-        # timer); in block mode every seal is a barrier, and the log
-        # itself joins the timer to seal on interval (a zero interval
-        # seals by size and on demand only).
-        self._writer = LogWriter(
-            self.log, self.clock,
-            FsyncPolicy.ALWAYS if chain_mode is AuditChainMode.BLOCK
-            else durability, batch_interval)
-        if chain_mode is AuditChainMode.BLOCK and batch_interval > 0:
+        # Every seal is a barrier.  Under SYNC a request's records seal
+        # at its scope's exit; otherwise the log joins the device's
+        # timer to seal on interval (a zero interval seals by size and
+        # on demand only).
+        self._writer = LogWriter(self.log, self.clock, FsyncPolicy.ALWAYS)
+        self._sync = durability is AuditDurability.SYNC
+        if self._sync:
+            self.log.before_barrier = self.seal_block
+        elif batch_interval > 0:
             self.log.join_timer(self, batch_interval)
-        # Every record appended in this process, in order, and in record
-        # mode the device offset each one's line ends at.
+        # Every record appended in this process, in order, and those not
+        # yet in a block.
         self._memory: List[AuditRecord] = []
-        self._ends: List[int] = []
-        self._pending_block: List[AuditRecord] = []
+        self._pending: List[AuditRecord] = []
 
     # -- appending -----------------------------------------------------------------
 
@@ -330,95 +231,64 @@ class AuditLog:
                key: Optional[str] = None, subject: Optional[str] = None,
                purpose: Optional[str] = None, outcome: str = "ok",
                detail: str = "") -> AuditRecord:
-        body = (self._seq, self.clock.now(), principal, operation, key,
-                subject, purpose, outcome, detail)
-        if self.chain_mode is AuditChainMode.BLOCK:
-            record = AuditRecord(*body)
-            self._seq += 1
-            self._memory.append(record)
-            self._pending_block.append(record)
-            if len(self._pending_block) >= self.block_size:
-                self.seal_block(wait=False)
-            return record
-        # One serialisation per record: the body bytes feed both the
-        # chain hash and the log line.
-        payload = _record_payload(*body)
-        digest = chain_hash(self._tip, payload)
-        record = AuditRecord(*body, self._tip, digest)
-        if self.record_cpu_cost:
-            self.clock.advance(self.record_cpu_cost)
-        self.log.append(_record_line(payload, self._tip, digest))
-        self._ends.append(self.log.total_length)
+        record = AuditRecord(self._seq, self.clock.now(), principal,
+                             operation, key, subject, purpose, outcome,
+                             detail)
         self._seq += 1
-        self._tip = digest
         self._memory.append(record)
-        self._writer.post_command()
+        self._pending.append(record)
+        if self._sync:
+            if not self.log.in_scope:
+                self.seal_block()
+        elif len(self._pending) >= self.block_size:
+            self.seal_block(wait=False)
         return record
 
     def commit(self) -> None:
-        """Under SYNC, make every record appended so far durable now,
-        inside a barrier scope too: for a record that must be durable
-        before a barrier its caller pays as written.  BATCH, ASYNC and
-        block mode keep their windows."""
-        if self.chain_mode is AuditChainMode.RECORD \
-                and self.durability is AuditDurability.SYNC:
-            self.sync()
+        """Under SYNC, seal every record appended so far now, durable as
+        this returns, inside a barrier scope too: for a record that must
+        be durable before a barrier its caller pays.  BATCH and ASYNC
+        keep their windows."""
+        if self._sync:
+            self.seal_block()
 
-    def seal_block(self, wait: bool = True) -> Optional[AuditBlock]:
-        """Seal the pending records into one block and group-commit it.
-
-        One chain update and one flush+fsync cover every member -- the
-        amortization the paper's batched-monitoring suggestion asks for.
-        The fsync is waited for, or with ``wait=False`` (a seal by size
-        or interval, which no caller waits for) queued on the device.
-        Returns the sealed block, or None when nothing is pending.
-        """
-        if self.chain_mode is not AuditChainMode.BLOCK:
-            raise AuditError("seal_block requires block chain mode")
-        if not self._pending_block:
-            return None
-        members = self._pending_block
-        self._pending_block = []
-        payloads = [m.payload() for m in members]
-        digest = _payloads_digest(payloads)
-        first_seq, sealed_at = members[0].seq, self.clock.now()
-        block_hash = chain_hash(
-            self._block_tip,
-            _block_header(first_seq, len(members), sealed_at, digest))
-        block = AuditBlock(
-            first_seq=first_seq, count=len(members), sealed_at=sealed_at,
-            prev_hash=self._block_tip, digest=digest, block_hash=block_hash,
-            member_bodies=[p.decode("utf-8") for p in payloads])
-        # The chain advances at seal time; if the group commit below is
-        # lost (crash between seal and fsync) the durable log is missing
-        # a block the chain already committed to -- verify_durable flags
-        # the shortfall.
-        self._block_tip = block_hash
-        self._blocks_sealed += 1
-        self._sealed_records += block.count
+    def seal_block(self, wait: bool = True) -> None:
+        """Seal the pending records into one block: one line, one chain
+        hash and one barrier for every member.  The barrier is waited
+        for, or with ``wait=False`` (a seal by size or interval, which
+        no caller waits for) queued on the device."""
+        members = self._pending
+        if not members:
+            return
+        sealed_at = self.clock.now()
+        head = _HEAD % (b",".join([member.payload() for member in members]),
+                        round(sealed_at, 9))
+        block_hash = chain_hash(self._tip, head)
         if self.record_cpu_cost:
             self.clock.advance(self.record_cpu_cost)
-        self.log.append(block.to_line())
+        self.log.append(head + _TAIL % block_hash.encode("ascii"))
+        # The chain advances once the line is written; the records are
+        # durable once its barrier returns.
+        self._pending = []
+        self._tip = block_hash
+        self._blocks_sealed += 1
+        self._sealed_records += len(members)
+        self._last_seal = sealed_at
         self._writer.sync(wait)
         self._durable_records = self._sealed_records
-        self._last_seal = self.clock.now()
-        return block
 
     def tick(self) -> None:
-        """Block mode's step at each firing of the device's timer: seal
-        the pending records once ``batch_interval`` has passed since the
+        """The step at each firing of the device's timer: seal the
+        pending records once ``batch_interval`` has passed since the
         last seal."""
-        if self._pending_block \
+        if self._pending \
                 and self.clock.now() - self._last_seal >= self.batch_interval:
             self.seal_block(wait=False)
 
     def sync(self) -> None:
-        """Force everything appended so far durable (end-of-run barrier):
-        seals any pending block, then flushes+fsyncs the device."""
-        if self.chain_mode is AuditChainMode.BLOCK:
-            self.seal_block()      # seal is itself a group commit
-        else:
-            self._writer.sync()
+        """Seal the pending records now, whatever the policy, durable as
+        this returns (the end-of-run barrier)."""
+        self.seal_block()
 
     # -- reading -------------------------------------------------------------------
 
@@ -432,8 +302,8 @@ class AuditLog:
 
     @property
     def pending_records(self) -> int:
-        """Records appended but not yet sealed (block mode only)."""
-        return len(self._pending_block)
+        """Records appended but not yet sealed."""
+        return len(self._pending)
 
     def records(self) -> List[AuditRecord]:
         """Records appended in this process."""
@@ -450,152 +320,32 @@ class AuditLog:
         return self._memory[lo:hi]
 
     def at_risk_records(self) -> int:
-        """Records not yet durable -- what a power loss loses right now.
+        """Records not yet in a durable block -- what a power loss loses
+        right now.
 
         This quantifies the paper's everysec trade-off: "exposing it to
         the risk of losing one second worth of logs", and counts the
-        SYNC records of an open barrier scope, which its exit makes
-        durable.  In record mode, the records whose lines end past the
-        device's durable frontier, whoever's fsync moved it (a bisection
-        of the line ends); in block mode, the records not in a sealed
-        block.
+        SYNC records of an open barrier scope, which its exit seals.
         """
-        if self.chain_mode is AuditChainMode.RECORD:
-            return self._seq - bisect.bisect_right(
-                self._ends, self.log.durable_length)
         return self._seq - self._durable_records
 
     # -- parsing & verification ----------------------------------------------------
 
     @staticmethod
     def parse(data: bytes) -> List[AuditRecord]:
-        """Parse serialized records; block lines expand to their members."""
-        records = []
-        for line in data.splitlines():
-            if not line:
-                continue
-            if _looks_like_block(line):
-                records.extend(AuditBlock.from_line(line).records())
-            else:
-                records.append(AuditRecord.from_line(line))
-        return records
-
-    @staticmethod
-    def parse_blocks(data: bytes) -> List[AuditBlock]:
-        return [AuditBlock.from_line(line)
-                for line in data.splitlines() if line]
-
-    @classmethod
-    def verify_chain(cls, records: Iterable[AuditRecord]) -> int:
-        """Verify the per-record hash chain; returns records verified.
-
-        Raises :class:`AuditError` on the first broken link -- a truncated,
-        edited, or reordered log fails here.  A slice that starts past
-        seq 0 (``records_between``, say) anchors at its first record's
-        ``prev_hash`` and verifies internal consistency from there.
-        """
-        tip = GENESIS_HASH
-        count = 0
-        expected_seq = None
-        for record in records:
-            if expected_seq is None:
-                expected_seq = record.seq
-                if record.seq != 0:
-                    tip = record.prev_hash
-            if record.seq != expected_seq:
-                raise AuditError(
-                    f"sequence gap: expected {expected_seq}, "
-                    f"found {record.seq}")
-            if record.prev_hash != tip:
-                raise AuditError(
-                    f"chain break at seq {record.seq}: prev hash mismatch")
-            digest = chain_hash(tip, record.payload())
-            if digest != record.record_hash:
-                raise AuditError(
-                    f"record {record.seq} hash mismatch (tampered)")
-            tip = digest
-            expected_seq += 1
-            count += 1
-        return count
-
-    @classmethod
-    def verify_blocks(cls, blocks: Iterable[AuditBlock]) -> int:
-        """Verify a sealed-block chain; returns member records verified.
-
-        Each block must link to its predecessor, its member digest must
-        recompute from the member payloads, its hash must recompute from
-        the header, and member sequence numbers must run contiguously --
-        a tampered member, edited header, or reordered/removed block all
-        fail.
-        """
-        tip = GENESIS_HASH
-        expected_seq = None
-        count = 0
-        for block in blocks:
-            if expected_seq is None:
-                expected_seq = block.first_seq
-            if block.first_seq != expected_seq:
-                raise AuditError(
-                    f"block sequence gap: expected {expected_seq}, "
-                    f"found {block.first_seq}")
-            if block.prev_hash != tip:
-                raise AuditError(
-                    f"block chain break at seq {block.first_seq}: "
-                    "prev hash mismatch")
-            digest = AuditBlock.members_digest(block.member_bodies)
-            if digest != block.digest:
-                raise AuditError(
-                    f"block at seq {block.first_seq}: member digest "
-                    "mismatch (tampered member)")
-            if len(block.member_bodies) != block.count:
-                raise AuditError(
-                    f"block at seq {block.first_seq}: member count "
-                    "mismatch")
-            recomputed = chain_hash(tip, block.header_payload())
-            if recomputed != block.block_hash:
-                raise AuditError(
-                    f"block at seq {block.first_seq}: block hash "
-                    "mismatch (tampered header)")
-            for record in block.records():
-                if record.seq != expected_seq:
-                    raise AuditError(
-                        f"member sequence gap inside block: expected "
-                        f"{expected_seq}, found {record.seq}")
-                expected_seq += 1
-                count += 1
-            tip = recomputed
-        return count
-
-    @classmethod
-    def verify_block_bytes(cls, data: bytes) -> int:
-        """Parse + verify serialized block lines (a torn final line --
-        truncation mid-block -- fails the parse and raises)."""
-        return cls.verify_blocks(cls.parse_blocks(data))
+        """The records of serialized block lines, in order."""
+        return [AuditRecord.from_body(body) for line in data.splitlines()
+                if line for body in _members(line)]
 
     def verify_durable(self) -> int:
-        """Parse + verify what is durably on the device.
-
-        In block mode this additionally requires every *sealed* block to
-        be present: sealing advances the chain before the group commit,
-        so a crash (or injected fault) between seal and fsync leaves the
-        durable log short of the chain's commitments and fails here.
-        """
-        data = self.log.read_durable()
-        if self.chain_mode is AuditChainMode.BLOCK:
-            count = self.verify_block_bytes(data)
-            if count < self._sealed_records:
-                raise AuditError(
-                    f"durable log holds {count} records but "
-                    f"{self._sealed_records} were sealed: sealed "
-                    "block(s) lost before fsync")
-            return count
-        return self.verify_chain(self.parse(data))
+        """Verify what is durably on the device, and that it holds every
+        block whose barrier returned: a block lost after its seal was
+        made durable fails here.  A block whose barrier never returned
+        (a crash inside its seal) was never durable: its records are at
+        risk, not missing."""
+        return _verify(self.log.lines(durable=True), self._durable_records)
 
     def verify(self) -> int:
-        """Verify this log's full chain in its own mode: the in-memory
-        record chain (record mode) or every written block (block mode;
-        pending unsealed records are not yet chain-committed)."""
-        if self.chain_mode is AuditChainMode.BLOCK:
-            return self.verify_blocks(self.parse_blocks(
-                self.log.read_all()))
-        return self.verify_chain(self.records())
+        """Verify every block written to the device (pending records are
+        not yet chain-committed)."""
+        return _verify(self.log.lines(), self._sealed_records)

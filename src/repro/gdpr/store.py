@@ -38,7 +38,7 @@ from ..device.append_log import BarrierScope
 from ..engine.base import StorageEngine
 from ..kvstore.store import KeyValueStore, StoreConfig
 from .access_control import AccessController, Operation, Principal
-from .audit import AuditChainMode, AuditDurability, AuditLog
+from .audit import AuditDurability, AuditLog
 from .indexing import MetadataIndex, WriteBehindIndexer
 from .location import LocationManager
 from .metadata import GDPRMetadata, Record, pack_envelope, unpack_envelope
@@ -63,15 +63,14 @@ class GDPRConfig:
     node_id: str = "node-0"
     compact_on_erasure: bool = True     # rewrite AOF after Art. 17 erasure
     # Fast-GDPR mode: amortize compliance work off the critical path.
-    # Audit records seal into hash-chained blocks (one chain update +
-    # one group-commit fsync per block) and engine-side metadata/
-    # location bookkeeping goes write-behind (one batched annotation per
-    # flush).  Tamper evidence
-    # and determinism are preserved; the cost is a bounded compliance-
-    # visibility window (at most one unsealed block / one write-behind
-    # interval).
+    # Engine-side metadata/location bookkeeping goes write-behind (one
+    # batched annotation per flush); with a BATCH audit, records seal
+    # into blocks of ``audit_block_size`` (one chain update + one
+    # group-commit fsync per block).  Tamper evidence and determinism
+    # are preserved; the cost is a bounded compliance-visibility window
+    # (at most one unsealed block / one write-behind interval).
     fast_gdpr: bool = False
-    audit_block_size: int = 64          # records per sealed block
+    audit_block_size: int = 64          # records per BATCH/ASYNC block
 
 
 class GDPRStore:
@@ -101,8 +100,6 @@ class GDPRStore:
         self.audit = audit if audit is not None else AuditLog(
             clock=self.clock, durability=self.config.audit_durability,
             batch_interval=self.config.audit_batch_interval,
-            chain_mode=(AuditChainMode.BLOCK if self.config.fast_gdpr
-                        else AuditChainMode.RECORD),
             block_size=self.config.audit_block_size)
         self.access = access if access is not None else AccessController()
         self.locations = locations if locations is not None \

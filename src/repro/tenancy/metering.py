@@ -4,10 +4,10 @@ Billing evidence gets the same tamper-evidence treatment as compliance
 evidence: every metering interval the pipeline diffs each tenant's
 cumulative counters against the last report, serializes the delta (plus
 live footprint gauges) into an :class:`~repro.gdpr.audit.AuditRecord`,
-and seals the round into one block of a dedicated block-mode
+and seals the round into one block of a dedicated
 :class:`~repro.gdpr.audit.AuditLog`.  A tenant disputing a bill -- or a
 provider disputing a tenant's claim -- replays the chain:
-``verify()`` recomputes every member digest and block hash, so an
+``verify()`` recomputes every block hash, so an
 edited, reordered, or truncated report history fails loudly.
 
 The pipeline runs on a recurring timer on its clock, every ``interval``
@@ -20,7 +20,7 @@ import json
 from typing import Dict, List, Optional, Tuple
 
 from ..common.clock import Clock
-from ..gdpr.audit import AuditChainMode, AuditLog
+from ..gdpr.audit import AuditDurability, AuditLog
 from .gate import TenantGate
 
 #: The principal metering records are appended under; consumers filter
@@ -39,10 +39,9 @@ class MeteringPipeline:
         self.clock = clock if clock is not None else gate.clock
         self.interval = interval
         # One block per metering round: every flush is one chain update
-        # and one group-commit, and verify_blocks covers the whole run.
+        # and one group-commit, and verify() covers the whole run.
         self.audit = AuditLog(
-            log=log, clock=self.clock,
-            chain_mode=AuditChainMode.BLOCK,
+            log=log, clock=self.clock, durability=AuditDurability.BATCH,
             # Rounds seal explicitly: never by size or interval.
             block_size=1 << 30, batch_interval=0.0)
         self.reports: List[Tuple[float, str, Dict[str, int]]] = []
@@ -90,8 +89,7 @@ class MeteringPipeline:
         """Recompute the sealed-block chain over the durable metering
         log; returns member records verified, raises
         :class:`~repro.common.errors.AuditError` on tampering."""
-        return AuditLog.verify_blocks(
-            AuditLog.parse_blocks(self.audit.log.read_all()))
+        return self.audit.verify()
 
     def totals_of(self, tenant: str) -> Dict[str, int]:
         """Sum of every sealed report's deltas for ``tenant`` (what a

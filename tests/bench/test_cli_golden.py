@@ -29,7 +29,11 @@ cell only.  ``ablations`` was re-recorded when every GDPR request became
 one barrier scope per device: a strict update's two audit records
 share one fsync, so the audit-batch table's interval-0 row and the
 ``gdpr-strict`` and ``slowdown_x`` headline rows moved, nothing else.
-Simulated numbers depend on
+It was re-recorded again when the audit log came to one block format:
+a SYNC request seals one block (one line, one chain hash, one
+``record_cpu_cost``) and a BATCH log seals 64-record blocks instead of
+writing each record, so the same audit-batch rows and headline rows
+moved, nothing else.  Simulated numbers depend on
 nothing but the seed, so the digests are stable across hosts and Python
 versions.
 """
@@ -60,7 +64,7 @@ GOLDEN = {
     "micro":
         "9e35a308005b8c1fd45bc26a85b980059767f2b1d571d693bcf7393875de4b02",
     "ablations":
-        "879237dafad97f731273e65b2f59bba7557857e714a791ee401a66c66fa47bca",
+        "79b03dfa30c57d0b52469288a7ebfdc89d4a7401f5ed4951e6222e58f018ffa6",
 }
 
 # (bytes, SHA-256) of everything ``table1`` printed at ``e8b93a0``.

@@ -9,7 +9,7 @@ from repro.device.append_log import AppendLog
 from repro.device.faults import FaultPlan, PowerLoss
 from repro.device.latency import INTEL_750_SSD
 from repro.gdpr import (
-    AuditChainMode,
+    AuditDurability,
     AuditLog,
     GDPRConfig,
     GDPRMetadata,
@@ -29,7 +29,8 @@ def make_fast_store(clock=None, fsync="everysec", **overrides):
                                    appendfsync=fsync,
                                    expiry_strategy="fullscan"),
                        clock=clock)
-    config = GDPRConfig(fast_gdpr=True, audit_block_size=4, **overrides)
+    config = GDPRConfig(fast_gdpr=True, audit_block_size=4,
+                        audit_durability=AuditDurability.BATCH, **overrides)
     return GDPRStore(kv=kv, config=config), clock
 
 
@@ -46,9 +47,12 @@ class TestFastPath:
         assert record.value == b"value"
         assert record.metadata.owner == "alice"
 
-    def test_audit_runs_in_block_mode(self):
+    def test_a_batch_audit_seals_blocks_of_the_configured_size(self):
         store, _ = make_fast_store()
-        assert store.audit.chain_mode is AuditChainMode.BLOCK
+        for i in range(5):
+            store.put(f"k{i}", b"v", meta())
+        assert (store.audit.blocks_sealed, store.audit.pending_records) \
+            == (1, 1)
 
     def test_ttl_applied_inline_via_fused_set(self):
         # The KV engine speaks SET..PXAT: the deadline lands in the same
@@ -136,9 +140,10 @@ class TestQueuedSeal:
         audit = AuditLog(
             log=AppendLog(clock=clock, latency=INTEL_750_SSD,
                           name="audit"),
-            clock=clock, record_cpu_cost=self.RECORD_CPU,
-            chain_mode="block", block_size=self.BLOCK)
-        config = GDPRConfig(fast_gdpr=True, audit_block_size=self.BLOCK)
+            clock=clock, durability=AuditDurability.BATCH,
+            record_cpu_cost=self.RECORD_CPU, block_size=self.BLOCK)
+        config = GDPRConfig(fast_gdpr=True, audit_block_size=self.BLOCK,
+                            audit_durability=AuditDurability.BATCH)
         return GDPRStore(kv=kv, config=config, audit=audit), clock
 
     def _put(self, store, clock, i):
@@ -185,7 +190,7 @@ class TestQueuedSeal:
                 for i in range(puts):
                     self._put(store, clock, i)
             recovered = AuditLog(log=store.audit.log, clock=clock,
-                                 chain_mode="block",
+                                 durability=AuditDurability.BATCH,
                                  block_size=self.BLOCK)
             durable = recovered.verify_durable()
             assert store.audit.record_count - durable <= self.BLOCK, cut
@@ -195,7 +200,8 @@ def make_fast_sql_store(clock=None, fsync="everysec"):
     clock = clock if clock is not None else SimClock()
     kv = RelationalStore(SqlConfig(wal_enabled=True, wal_fsync=fsync),
                          clock=clock)
-    config = GDPRConfig(fast_gdpr=True, audit_block_size=4)
+    config = GDPRConfig(fast_gdpr=True, audit_block_size=4,
+                        audit_durability=AuditDurability.BATCH)
     return GDPRStore(kv=kv, config=config), clock
 
 
@@ -269,7 +275,7 @@ class TestShardedFastGDPR:
             2, store_factory=gdpr_shards(fast_gdpr=True)))
         for shard in store.shards:
             assert shard.config.fast_gdpr
-            assert shard.audit.chain_mode is AuditChainMode.BLOCK
+            assert shard.audit.durability is AuditDurability.BATCH
 
     def test_verify_audit_chains_block_mode(self):
         cluster = build_cluster(2, store_factory=gdpr_shards(fast_gdpr=True))

@@ -19,7 +19,7 @@ from repro.common.errors import DeviceIOError
 from repro.device.append_log import AppendLog, BarrierScope
 from repro.device.faults import FaultPlan, PowerLoss
 from repro.device.latency import INTEL_750_SSD
-from repro.gdpr.audit import AuditChainMode, AuditDurability, AuditLog
+from repro.gdpr.audit import AuditDurability, AuditLog
 from repro.gdpr.metadata import GDPRMetadata, unpack_envelope
 from repro.gdpr.rights import right_of_access, right_to_erasure
 from repro.gdpr.store import GDPRConfig, GDPRStore
@@ -95,9 +95,13 @@ class TestBarriersPerRequest:
         store = _strict(variant)
         store.put("k", b"v0", _meta("alice"), purpose="service")
         before = _fsyncs(store)
+        blocks, writes = store.audit.blocks_sealed, store.audit.log.syscalls
         store.update("k", _append(b"+1"), purpose="service")
         after = _fsyncs(store)
         assert (after[0] - before[0], after[1] - before[1]) == (1, 1)
+        # The update's two records are one block: one line, one write.
+        assert (store.audit.blocks_sealed - blocks,
+                store.audit.log.syscalls - writes) == (1, 1)
         assert store.get("k").value == b"v0+1"
         assert [record.operation for record in store.audit.records()[-3:]] \
             == ["get", "put", "get"]
@@ -367,10 +371,9 @@ def test_power_loss_at_every_step_of_a_strict_erasure(variant):
     assert store.audit.log.fsyncs - audit_fsyncs == 1
     if tiered:      # the due demotion waits for the next command
         assert store.kv.inner.has_live_key(b"b0")
-    # The erasure's records (and a tiered engine's cold-erase record) are
-    # appended and committed before any engine step.
-    records = ["append", "flush"] * (2 if tiered else 1)
-    assert plan.steps[:len(records) + 2] == records + ["flush", "fsync"]
+    # The erasure's record (and a tiered engine's cold-erase record) is
+    # sealed as one block, written and committed before any engine step.
+    assert plan.steps[:3] == ["append", "flush", "fsync"]
 
 
 @pytest.mark.parametrize("variant", sorted(ENGINES))
@@ -413,18 +416,16 @@ def test_the_cold_erase_record_names_the_segments_the_erasure_voids():
     assert records[-1].detail == "2 segments voided"
 
 
-@pytest.mark.parametrize("chain_mode,durability", [
-    (AuditChainMode.RECORD, AuditDurability.BATCH),
-    (AuditChainMode.RECORD, AuditDurability.ASYNC),
-    (AuditChainMode.BLOCK, AuditDurability.SYNC)],
-    ids=["batch", "async", "block"])
-def test_an_erasure_keeps_a_windowed_audit_s_window(chain_mode, durability):
-    """Only a SYNC record-mode audit makes the erasure's record durable
-    ahead of the erasure: under BATCH, ASYNC or in block mode it waits
-    for the audit's own window like every other record."""
+@pytest.mark.parametrize("durability", [AuditDurability.BATCH,
+                                        AuditDurability.ASYNC],
+                         ids=["batch", "async"])
+def test_an_erasure_keeps_a_windowed_audit_s_window(durability):
+    """Only a SYNC audit makes the erasure's record durable ahead of the
+    erasure: under BATCH or ASYNC it waits for the audit's own window
+    like every other record."""
     clock = SimClock()
     audit = AuditLog(AppendLog(clock=clock, name="audit.log"), clock=clock,
-                     durability=durability, chain_mode=chain_mode)
+                     durability=durability)
     store = GDPRStore(kv=_always_kv(clock), audit=audit,
                       config=GDPRConfig(audit_durability=durability))
     for key in ("a0", "a1"):
@@ -491,15 +492,14 @@ def test_records_deferred_in_a_request_are_at_risk_until_it_returns(
 def test_an_audit_block_seal_in_a_scope_is_durable_as_it_returns():
     clock = SimClock()
     log = AppendLog(clock=clock)
-    audit = AuditLog(log, clock=clock, chain_mode=AuditChainMode.BLOCK,
+    audit = AuditLog(log, clock=clock, durability=AuditDurability.BATCH,
                      block_size=100)
     with BarrierScope(log):
         for _ in range(3):
             audit.append("p", "get")
         audit.seal_block()
         FaultPlan(log).power_loss()         # a cut right after the call
-    assert AuditLog.verify_block_bytes(log.read_durable()) == 3
-    audit.verify_durable()
+    assert audit.verify_durable() == 3
 
 
 def test_a_cold_seal_in_a_scope_is_durable_as_it_returns():

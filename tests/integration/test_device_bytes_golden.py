@@ -9,7 +9,7 @@ move no simulated digit and no device byte reruns this file to show it.
 
 A deliberate change to a log format, a cost constant or the envelope
 re-records the digests it moves -- and only those -- and says so in
-CHANGES.md.  There have been eight: the envelope keystream became one
+CHANGES.md.  There have been nine: the envelope keystream became one
 SHAKE-256 call (AOF/WAL digests of all three runs), cold segment format
 v2 (the ``tiered`` run only), Art. 17 became one DEL per store with
 one cold barrier per command (the ``fast_relational`` and ``tiered``
@@ -20,8 +20,9 @@ DEL with Art. 17's cold tombstones and marker under one fsync (the
 ``tiered`` run only), Art. 17 came to audit itself before its
 first step (the audit digests of the runs that erase), a block
 seal nobody waits for came to be queued on the audit device (the
-``fast_relational`` run only), and a promotion became a clean cache fill
-(the ``tiered`` run only).
+``fast_relational`` run only), a promotion became a clean cache fill
+(the ``tiered`` run only), and the audit log came to one block format
+(every audit digest; the AOF/WAL digests and clocks of the SSD runs).
 """
 
 import hashlib
@@ -95,7 +96,7 @@ def _digest(*devices):
 
 
 def _strict_redislike():
-    """AOF everysec + read logging, per-record SYNC audit chain,
+    """AOF everysec + read logging, SYNC audit (one block per request),
     per-subject encryption, TTL 3600 (the ``strict_kv`` stack)."""
     rng = random.Random(7)
     clock = SimClock()
@@ -116,7 +117,7 @@ def _strict_redislike():
 
 
 def _fast_relational():
-    """Relational engine under fast-GDPR (block audit, write-behind) with
+    """Relational engine under fast-GDPR (BATCH audit, write-behind) with
     an Art. 15 / 20 / 17 every 20 ops (the ``fast_sql_rights`` stack)."""
     rng = random.Random(7)
     clock = SimClock()
@@ -137,8 +138,7 @@ def _fast_relational():
                           audit_block_size=16),
         audit=AuditLog(log=audit_dev, clock=clock,
                        durability=AuditDurability.BATCH, batch_interval=1.0,
-                       record_cpu_cost=5e-6, chain_mode="block",
-                       block_size=16))
+                       record_cpu_cost=5e-6, block_size=16))
     _load(store, rng, ttl=3600.0)
     live = list(range(RECORDS))
     rights = (right_of_access, right_to_portability, right_to_erasure)
@@ -267,26 +267,36 @@ def _tiered():
 # the clock ends 2.1 ms earlier (180.028701808998 -> 180.0266365979984)
 # and the AOF, cold and audit bytes move.  The other two runs build no
 # tiered engine: unchanged.
+# Every audit digest: re-recorded when the audit log came to one format
+# (a SYNC request seals one block; a block's line holds its members'
+# bodies, its seal instant and its hash, no record-mode line).  The
+# audit bytes shrink (strict 67,174 -> 51,481, fast 43,833 -> 33,898,
+# tiered 94,659 -> 69,990), so the two SSD runs' per-byte write charges
+# fall and their clocks end earlier (strict 0.18182575399999928 ->
+# 0.18180748800000013, fast 0.03728181900000009 ->
+# 0.03727224200000008), which moves the deadlines in their AOF/WAL
+# bytes too.  ``tiered`` audits on a zero-latency device: its clock, AOF
+# and cold bytes are unchanged.
 GOLDEN = {
     "strict_redislike": ({
-        "aof": "73b1f53d0165d8d9f51834cf89c31359"
-               "3c17f81937759dd4c5f7924febb11c6a",
-        "audit": "f52f7f5207bea9bacb7ec480a63f7ef1"
-                 "1053ef5344374aea86c36692e5477886",
-    }, 0.18182575399999928),
+        "aof": "f6ddf025e27cf7025451ae2a467a7f77"
+               "7522e19dab58cf155431b040a421d551",
+        "audit": "a36943018c7c9949288511c97b0c0081"
+                 "65d0db63cf4e597f7e2747df403023dd",
+    }, 0.18180748800000013),
     "fast_relational": ({
-        "wal": "67fac3916520fb272ea7a6d1fdebad19"
-               "7ba0e003a1c3cf880f5bd350f6edded8",
-        "audit": "4ce6c3a0aaa50cda33583ca8220acfb7"
-                 "260cd5e550982a37034125800ed77ce2",
-    }, 0.03728181900000009),
+        "wal": "ee0c5969e7f801004a3244461ca3ad8a"
+               "92256a3346b7793bd2e7505ce2c2648d",
+        "audit": "a60ee0c6db1ac289bcb40a55a8f8e5cd"
+                 "e8ba2836c9ff0741de5751de1b2796cc",
+    }, 0.03727224200000008),
     "tiered": ({
         "aof": "6cfdaccbf6d0d298b5312bebd517878e"
                "ea6b3b84ad5246409b8012e9afc0b751",
         "cold": "0981f77cbd1a3f7d0521adf7f5e3fc03"
                 "51fe824e0591c0284ee7de46d29dade5",
-        "audit": "c4a7b8ef3c8a524ab651eadefc7f0ff4"
-                 "3048452064233df19fc899d2cf3a2c61",
+        "audit": "2d87270b4bfd5aaee0bf9cac411d307a"
+                 "48f672b827944352ceab4105c874478a",
     }, 180.0266365979984),
 }
 

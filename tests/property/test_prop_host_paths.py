@@ -3,7 +3,8 @@ replaced (hypothesis).
 
 The erasure scan, the envelope XOR, the RESP command encoder and the audit
 serialiser were rewritten to do their byte work in C and their log work
-once; the audit record's two representations became one template each and
+once; the audit record's body and its block's line became one template
+each and
 the envelope header a memoised function of the frozen metadata.  None of
 them may change a result: the slow formulations live on here, as the
 oracles.
@@ -22,9 +23,8 @@ from repro.common.errors import (PersistenceError, ProtocolError,
 from repro.common.hashing import GENESIS_HASH, chain_hash
 from repro.common.resp import encode_command
 from repro.crypto.cipher import KEY_SIZE, NONCE_SIZE, StreamCipher
-from repro.gdpr.audit import (BLOCK_DIGEST_SEED, AuditChainMode,
-                              AuditDurability, AuditLog, AuditRecord,
-                              _record_line, _record_payload)
+from repro.gdpr.audit import (AuditDurability, AuditLog, AuditRecord,
+                              _record_payload)
 from repro.gdpr.metadata import GDPRMetadata, pack_envelope, unpack_envelope
 from repro.kvstore.aof import contains_key, mentioned_keys, replay_commands
 
@@ -202,10 +202,13 @@ def payload_of(record):
         "detail": record.detail})
 
 
-def line_of(record):
-    return dumps({"body": payload_of(record).decode("utf-8"),
-                  "prev": record.prev_hash,
-                  "hash": record.record_hash}) + b"\n"
+def block_line(tip, members, sealed_at):
+    """A block's line and hash, by the encoder: the members' bodies and
+    the seal instant, then the chain hash of every byte before it."""
+    head = (b'{"members":[' + b",".join(map(payload_of, members))
+            + b'],"sealed_at":' + dumps(round(sealed_at, 9)))
+    block_hash = chain_hash(tip, head)
+    return head + b',"hash":' + dumps(block_hash) + b"}\n", block_hash
 
 
 # Everything an escaper can get wrong: quotes, backslashes, control
@@ -239,73 +242,34 @@ appends = st.fixed_dictionaries({
 gaps = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
 
 
-@given(st.lists(st.tuples(appends, gaps), max_size=12),
-       st.sampled_from(list(AuditDurability)))
-def test_record_chain_lines_hashes_and_verify_unchanged(entries, durability):
+@given(st.lists(st.tuples(appends, gaps), max_size=20),
+       st.sampled_from(list(AuditDurability)), st.integers(1, 6))
+def test_block_lines_hashes_and_verify(entries, durability, block_size):
+    """SYNC seals each record outside a scope as its own block; BATCH
+    and ASYNC (no timer here) seal ``block_size`` at a time, and the
+    final ``sync`` the rest: each block sealed as its last member is
+    appended."""
     clock = SimClock()
-    log = AuditLog(clock=clock, durability=durability)
-    tip = GENESIS_HASH
-    lines = []
-    for fields, gap in entries:
-        clock.advance(gap)
-        record = log.append(**fields)
-        # The chain as the replace()-based appender built it.
-        unchained = AuditRecord(seq=len(lines), timestamp=clock.now(),
-                                **fields)
-        digest = chain_hash(tip, payload_of(unchained))
-        assert record == dataclasses.replace(
-            unchained, prev_hash=tip, record_hash=digest)
-        assert record.payload() == payload_of(record)
-        assert record.to_line() == line_of(record)
-        assert AuditRecord.from_line(record.to_line()) == dataclasses.replace(
-            record, timestamp=round(record.timestamp, 9))
-        lines.append(line_of(record))
-        tip = digest
-    assert log.log.read_all() == b"".join(lines)
-    parsed = AuditLog.parse(log.log.read_all())
-    assert parsed == [dataclasses.replace(
-        record, timestamp=round(record.timestamp, 9))
-        for record in log.records()]
-    assert AuditLog.verify_chain(parsed) == len(entries)
-    assert log.verify() == len(entries)
-    log.sync()
-    assert log.verify_durable() == len(entries)
-
-
-@given(st.lists(st.tuples(appends, gaps), min_size=1, max_size=20),
-       st.integers(1, 6))
-def test_block_chain_lines_hashes_and_verify_unchanged(entries, block_size):
-    clock = SimClock()
-    log = AuditLog(clock=clock, chain_mode=AuditChainMode.BLOCK,
+    log = AuditLog(clock=clock, durability=durability,
                    block_size=block_size, batch_interval=0.0)
     for fields, gap in entries:
         clock.advance(gap)
-        log.append(**fields)
+        record = log.append(**fields)
+        assert record.payload() == payload_of(record)
     log.sync()
-    data = log.log.read_all()
     records = log.records()
+    size = 1 if durability is AuditDurability.SYNC else block_size
     tip = GENESIS_HASH
     lines = []
-    for block in AuditLog.parse_blocks(data):
-        members = records[block.first_seq:block.first_seq + block.count]
-        bodies = [payload_of(member).decode("utf-8") for member in members]
-        digest = BLOCK_DIGEST_SEED
-        for body in bodies:
-            digest = chain_hash(digest, body.encode("utf-8"))
-        header = {"first": block.first_seq, "count": block.count,
-                  "sealed_at": round(block.sealed_at, 9), "digest": digest}
-        block_hash = chain_hash(tip, dumps(header))
-        assert (block.digest, block.prev_hash, block.block_hash) \
-            == (digest, tip, block_hash)
-        assert block.header_payload() == dumps(header)
-        assert block.member_bodies == bodies
-        lines.append(dumps({**header, "type": "blk", "prev": tip,
-                            "hash": block_hash, "members": bodies}) + b"\n")
-        assert block.to_line() == lines[-1]
-        tip = block_hash
-    assert data == b"".join(lines)
-    assert log.verify() == len(entries)
-    assert log.verify_durable() == len(entries)
+    for first in range(0, len(records), size):
+        members = records[first:first + size]
+        line, tip = block_line(tip, members, members[-1].timestamp)
+        lines.append(line)
+    assert log.log.read_all() == b"".join(lines)
+    assert log.blocks_sealed == len(lines)
+    assert AuditLog.parse(log.log.read_all()) == [dataclasses.replace(
+        record, timestamp=round(record.timestamp, 9)) for record in records]
+    assert log.verify() == log.verify_durable() == len(entries)
 
 
 # -- audit record templates -------------------------------------------------------
@@ -337,30 +301,17 @@ unprintable = st.sampled_from([
     (0, True), (0, False), (0, 2.0), (2, None), (2, 5), (3, 1.5),
     (4, 5), (5, ["a"]), (6, {"a": 1}), (7, None), (8, None),
     (2, b"raw"), (4, b"raw"), (8, {1, 2})])
-chain_fields = st.one_of(wild_names, st.none(), st.integers(0, 9))
 
 
 @settings(max_examples=400)
-@given(printable, st.one_of(st.none(), unprintable), chain_fields,
-       chain_fields)
-def test_record_templates_equal_the_encoder(fields, swap, prev_hash,
-                                            record_hash):
+@given(printable, st.one_of(st.none(), unprintable))
+def test_record_templates_equal_the_encoder(fields, swap):
     if swap is not None:
         position, value = swap
         fields = fields[:position] + (value,) + fields[position + 1:]
-    record = AuditRecord(*fields, prev_hash, record_hash)
+    record = AuditRecord(*fields)
     assert outcome(_record_payload, *fields) == outcome(payload_of, record)
     assert outcome(record.payload) == outcome(payload_of, record)
-    assert outcome(record.to_line) == outcome(line_of, record)
-
-
-@given(st.text(max_size=60), chain_fields, chain_fields)
-def test_record_line_quotes_any_payload_like_the_encoder(body, prev_hash,
-                                                         record_hash):
-    """``_record_line`` is handed bytes, not a record: any UTF-8 body."""
-    assert _record_line(body.encode("utf-8"), prev_hash, record_hash) \
-        == dumps({"body": body, "prev": prev_hash,
-                  "hash": record_hash}) + b"\n"
 
 
 # -- envelope header --------------------------------------------------------------

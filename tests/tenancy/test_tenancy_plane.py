@@ -328,10 +328,9 @@ class TestMetering:
         self._traffic(gate, "acme", 4)
         pipeline.flush()
         data = pipeline.audit.log.read_all()
-        # The report detail is JSON nested twice (record inside block
-        # member), so "ops" arrives triple-escaped on the wire.
-        forged = data.replace(b'\\\\\\"ops\\\\\\":4',
-                              b'\\\\\\"ops\\\\\\":1')
+        # The report detail is JSON inside a member's string field, so
+        # "ops" arrives escaped once on the wire.
+        forged = data.replace(b'\\"ops\\":4', b'\\"ops\\":1')
         assert forged != data               # the edit really landed
         # Swap the forgery in as a file replacement is done on a device:
         # a new file, made durable, renamed over the old name.

@@ -168,3 +168,19 @@ def test_a_record_with_under_a_millisecond_left_is_filled_live(base):
     assert engine.execute("GET", "k") == b"v"
     assert [r.expire_at for r in engine.inner.scan_records()] == [1.001]
     assert events == []
+
+
+@pytest.mark.parametrize("base", BASES)
+def test_a_promotion_streams_only_the_client_s_command_to_monitor(base):
+    """A fill is no client's command: MONITOR streams the ``GET`` that
+    promotes and nothing else, and charges one record's formatting."""
+    engine = _demoted(base, "k")
+    if base == "relational":
+        engine.annotate_metadata([("k", "alice", ["billing"])])
+    streamed = []
+    engine.monitor.attach(streamed.append)
+    assert engine.execute("GET", "k") == b"v-k"
+    assert engine.promotions == 1
+    assert [line.split(b"] ", 1)[1] for line in streamed] \
+        == [b'"GET" "k"\n']
+    assert engine.monitor.records_streamed == 1
