@@ -168,8 +168,8 @@ def _gdpr_adapter(engine: StorageEngine, clock: SimClock,
         durability = AuditDurability.SYNC
     else:
         audit = AuditLog(log=AppendLog(clock=clock, latency=ZERO),
-                         clock=clock, durability=AuditDurability.ASYNC)
-        durability = AuditDurability.ASYNC
+                         clock=clock, durability=AuditDurability.BATCH)
+        durability = AuditDurability.BATCH
     store = GDPRStore(
         kv=engine,
         config=GDPRConfig(encrypt_at_rest=encrypt,

@@ -58,15 +58,14 @@ class FsyncPolicy(enum.Enum):
     once at the scope's exit -- ``everysec`` at each firing of the
     device's timer, every ``interval`` seconds on the device's clock
     (ADR-0010's "up to 1 second of data can be lost"), ``no`` never
-    (the OS decides).  The audit log names the same three settings
-    SYNC, BATCH and ASYNC."""
+    (the OS decides).  The audit log, whose every seal is a barrier,
+    takes the first two under the names SYNC and BATCH."""
 
     ALWAYS = "always"
     EVERYSEC = "everysec"
     NO = "no"
     SYNC = "always"
     BATCH = "everysec"
-    ASYNC = "no"
 
     @classmethod
     def parse(cls, text: str) -> "FsyncPolicy":
@@ -98,7 +97,8 @@ class AppendLog:
     """
 
     #: The operations a :class:`~repro.device.faults.FaultPlan` sees.
-    FAULT_OPS = ("append", "flush", "fsync", "rename", "remove")
+    FAULT_OPS = ("append", "flush", "fsync", "rename", "truncate",
+                 "remove")
 
     def __init__(self, clock: Optional[Clock] = None,
                  latency: LatencyModel = ZERO,
@@ -223,6 +223,20 @@ class AppendLog:
             file = self._closed.pop(name)
             if file in unflushed:
                 unflushed.remove(file)
+
+    def truncate(self, length: int) -> None:
+        """ftruncate(): cut the open file to its first ``length`` bytes
+        (a recovery drops a torn tail so that the next write follows
+        what it kept).  Durable as it returns (no time charged)."""
+        if self.faults is not None:
+            self.faults.step(self, "truncate")
+        if not 0 <= length <= len(self._data):
+            raise DeviceIOError(
+                f"{self.name}: cannot truncate {len(self._data)} bytes "
+                f"to {length}")
+        del self._data[length:]
+        self._cached_length = min(self._cached_length, length)
+        self._durable_length = min(self._durable_length, length)
 
     # -- operations ----------------------------------------------------------
 

@@ -3,9 +3,9 @@
 A :class:`FaultPlan` attaches to every
 :class:`~repro.device.append_log.AppendLog` of a stack by setting its
 ``faults``.  Every state-changing log operation (``append``, ``flush``,
-``fsync``, ``rename`` and ``remove``) first calls :meth:`FaultPlan.step`,
-so the plan sees one ordered sequence of operations across all of its
-logs and can act before any of them:
+``fsync``, ``rename``, ``truncate`` and ``remove``) first calls
+:meth:`FaultPlan.step`, so the plan sees one ordered sequence of
+operations across all of its logs and can act before any of them:
 
 * :meth:`fail` -- the next operation of that name raises
   :class:`~repro.common.errors.DeviceIOError` and changes nothing;

@@ -1,9 +1,22 @@
 """Tamper-evident audit logging (GDPR Art. 30, 5.2, 33).
 
 Every interaction with personal data -- data path and control path alike --
-becomes an :class:`AuditRecord` appended to an :class:`AuditLog`.  Records
-are sealed into hash-chained blocks, so truncation or editing is
-detectable: the accountability requirement of Art. 5.2.
+is one record appended to an :class:`AuditLog`.  Records are sealed into
+hash-chained blocks, so truncation or editing is detectable: the
+accountability requirement of Art. 5.2.
+
+The log is its device.  A record lives in the process only until its
+block is sealed, and only as its serialized body.  Every read -- the
+records, a time window of them, the verifiers -- folds over the
+device's lines one block at a time, and an :class:`AuditRecord` is only
+what a read returns.  An :class:`AuditLog` over a device that already
+holds blocks continues the chain where it ends: one fold over the
+durable lines sets the next sequence number and the tip.  A final line
+that fails its hash is a torn write and is cut from the device, as
+Redis' ``aof-load-truncated`` cuts a torn AOF tail; so are bytes past
+it that were never made durable.  A bad line before the final one
+raises :class:`~repro.common.errors.AuditError`: the log never starts a
+new chain over a broken one.
 
 A sealed block is one line on the log device, and the line holds only
 what a verifier cannot recompute: the members' bodies, the instant the
@@ -18,7 +31,8 @@ line at a time.
 
 When a block is sealed is the durability policy, ``AuditDurability`` --
 the AOF's :class:`~repro.device.append_log.FsyncPolicy` under the audit
-layer's names:
+layer's names.  Every seal is a barrier, so the log takes two of its
+settings and refuses ``no``:
 
 * ``SYNC`` -- a request's records are one block, sealed at the outermost
   exit of its barrier scope (every :class:`~repro.gdpr.store.GDPRStore`
@@ -26,11 +40,11 @@ layer's names:
   write's processing goes unaudited; a record appended outside any scope
   is sealed at once.  Strict real-time compliance: "logging every user
   request synchronously", the configuration that costs Redis 20x.
-* ``BATCH`` and ``ASYNC`` alike -- records wait in memory for a block of
-  ``block_size`` (fast-GDPR's amortization), or for a firing of the
-  device's timer once ``batch_interval`` has passed since the last seal
-  (the paper's "storing the monitoring logs in a batch (say, once every
-  second)" that recovers 6x while risking one interval of records).
+* ``BATCH`` -- records wait in memory for a block of ``block_size``
+  (fast-GDPR's amortization), or for a firing of the device's timer once
+  ``batch_interval`` has passed since the last seal (the paper's
+  "storing the monitoring logs in a batch (say, once every second)"
+  that recovers 6x while risking one interval of records).
 
 Every seal is one write and one barrier
 (:meth:`~repro.device.append_log.LogWriter.sync`), durable as the seal
@@ -39,7 +53,7 @@ one nobody waits for, so its barrier is queued on the device and no
 request pays the fsync; any later barrier on the device waits behind
 it.  :meth:`AuditLog.commit` seals now under SYNC (a record that must be
 durable before a barrier its caller pays), and :meth:`AuditLog.sync`
-(``flush_compliance``) seals whatever is pending under any policy.
+(``flush_compliance``) seals whatever is pending under either policy.
 
 A record's body and its block's line are each formatted by a template
 that prints the layer's JSON dialect byte for byte; a record a template
@@ -49,11 +63,11 @@ non-finite timestamp) is formatted by the encoder itself.
 
 from __future__ import annotations
 
-import bisect
 import json
 from dataclasses import dataclass
-from math import isfinite
-from typing import Iterator, List, Optional
+from itertools import chain
+from math import inf, isfinite
+from typing import Iterator, List, Optional, Tuple
 
 from ..common.clock import Clock, SimClock
 from ..common.errors import AuditError
@@ -61,8 +75,8 @@ from ..common.hashing import GENESIS_HASH, chain_hash
 from ..device.append_log import AppendLog, FsyncPolicy, LogWriter
 
 
-#: The audit log's name for the one durability policy: SYNC, BATCH and
-#: ASYNC are :class:`FsyncPolicy`'s ALWAYS, EVERYSEC and NO.
+#: The audit log's name for the one durability policy: SYNC and BATCH
+#: are :class:`FsyncPolicy`'s ALWAYS and EVERYSEC.
 AuditDurability = FsyncPolicy
 
 
@@ -128,12 +142,6 @@ class AuditRecord:
     outcome: str            # "ok" | "denied" | "error"
     detail: str = ""
 
-    def payload(self) -> bytes:
-        """The serialized body its block's line holds."""
-        return _record_payload(
-            self.seq, self.timestamp, self.principal, self.operation,
-            self.key, self.subject, self.purpose, self.outcome, self.detail)
-
     @classmethod
     def from_body(cls, body: dict) -> "AuditRecord":
         try:
@@ -159,16 +167,22 @@ def _members(line: bytes) -> list:
     raise AuditError("corrupt audit block line: members is not a list")
 
 
-def _verify(lines: Iterator[bytes], committed: int) -> int:
+def _fold(lines: Iterator[bytes], committed: int = 0,
+          torn_tail: bool = False) -> Tuple[int, int, str, int]:
     """Fold the chain over block ``lines``, holding one at a time;
-    returns the member records verified.  Each line's tail must name the
+    returns the member records and the blocks verified, the chain's tip
+    and the end of the last good line.  Each line's tail must name the
     hash of the previous block's hash and the line's head, and member
     sequence numbers must run from 0 without a gap; at least
-    ``committed`` records must be there."""
-    tip, seq = GENESIS_HASH, 0
+    ``committed`` records must be there.  With ``torn_tail`` a final
+    line that fails its hash ends the fold (a torn write) instead of
+    failing it."""
+    tip, seq, blocks, end = GENESIS_HASH, 0, 0, 0
     for line in lines:
-        tip = chain_hash(tip, line[:-_TAIL_LENGTH])
-        if line[-_TAIL_LENGTH:] != _TAIL % tip.encode("ascii"):
+        block_hash = chain_hash(tip, line[:-_TAIL_LENGTH])
+        if line[-_TAIL_LENGTH:] != _TAIL % block_hash.encode("ascii"):
+            if torn_tail and next(lines, None) is None:
+                break
             raise AuditError(
                 f"block at seq {seq}: hash mismatch (edited, reordered, "
                 "dropped or torn)")
@@ -176,15 +190,19 @@ def _verify(lines: Iterator[bytes], committed: int) -> int:
             if type(body) is not dict or body.get("seq") != seq:
                 raise AuditError(f"sequence gap at seq {seq}")
             seq += 1
+        tip = block_hash
+        blocks += 1
+        end += len(line)
     if seq < committed:
         raise AuditError(
             f"the log holds {seq} records but {committed} were sealed "
             "durably: sealed block(s) lost")
-    return seq
+    return seq, blocks, tip, end
 
 
 class AuditLog:
-    """Hash-chained audit trail over an append-only log device."""
+    """Hash-chained audit trail over an append-only log device, which
+    it continues where its durable chain ends."""
 
     def __init__(self, log: Optional[AppendLog] = None,
                  clock: Optional[Clock] = None,
@@ -196,6 +214,9 @@ class AuditLog:
         if chain_mode != "block":
             raise ValueError("the audit log has one format: a request "
                              "seals one block (chain_mode='block')")
+        if durability is FsyncPolicy.NO:
+            raise ValueError("every audit seal is a barrier: the policy "
+                             "is SYNC or BATCH")
         self.clock = clock if clock is not None else SimClock()
         self.log = log if log is not None else AppendLog(clock=self.clock)
         self.durability = durability
@@ -204,12 +225,18 @@ class AuditLog:
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
         self.block_size = block_size
-        self._seq = 0
-        self._tip = GENESIS_HASH
-        self._blocks_sealed = 0
-        self._sealed_records = 0            # records in written blocks
-        self._durable_records = 0           # ... whose barrier returned
+        # The chain continues where the device's durable lines end; a
+        # torn final line, and anything never made durable after the
+        # chain, is cut.
+        self._seq, self._blocks_sealed, self._tip, end = _fold(
+            self.log.lines(durable=True), torn_tail=True)
+        if end < self.log.total_length:
+            self.log.truncate(end)
+        # Records in blocks whose barrier returned.
+        self._durable_records = self._seq
         self._last_seal = self.clock.now()
+        # The serialized bodies of the records not yet in a block.
+        self._pending: List[bytes] = []
         # Every seal is a barrier.  Under SYNC a request's records seal
         # at its scope's exit; otherwise the log joins the device's
         # timer to seal on interval (a zero interval seals by size and
@@ -220,35 +247,28 @@ class AuditLog:
             self.log.before_barrier = self.seal_block
         elif batch_interval > 0:
             self.log.join_timer(self, batch_interval)
-        # Every record appended in this process, in order, and those not
-        # yet in a block.
-        self._memory: List[AuditRecord] = []
-        self._pending: List[AuditRecord] = []
 
     # -- appending -----------------------------------------------------------------
 
     def append(self, principal: str, operation: str,
                key: Optional[str] = None, subject: Optional[str] = None,
                purpose: Optional[str] = None, outcome: str = "ok",
-               detail: str = "") -> AuditRecord:
-        record = AuditRecord(self._seq, self.clock.now(), principal,
-                             operation, key, subject, purpose, outcome,
-                             detail)
+               detail: str = "") -> None:
+        self._pending.append(_record_payload(
+            self._seq, self.clock.now(), principal, operation, key,
+            subject, purpose, outcome, detail))
         self._seq += 1
-        self._memory.append(record)
-        self._pending.append(record)
         if self._sync:
             if not self.log.in_scope:
                 self.seal_block()
         elif len(self._pending) >= self.block_size:
             self.seal_block(wait=False)
-        return record
 
     def commit(self) -> None:
         """Under SYNC, seal every record appended so far now, durable as
         this returns, inside a barrier scope too: for a record that must
-        be durable before a barrier its caller pays.  BATCH and ASYNC
-        keep their windows."""
+        be durable before a barrier its caller pays.  BATCH keeps its
+        window."""
         if self._sync:
             self.seal_block()
 
@@ -261,8 +281,7 @@ class AuditLog:
         if not members:
             return
         sealed_at = self.clock.now()
-        head = _HEAD % (b",".join([member.payload() for member in members]),
-                        round(sealed_at, 9))
+        head = _HEAD % (b",".join(members), round(sealed_at, 9))
         block_hash = chain_hash(self._tip, head)
         if self.record_cpu_cost:
             self.clock.advance(self.record_cpu_cost)
@@ -272,10 +291,9 @@ class AuditLog:
         self._pending = []
         self._tip = block_hash
         self._blocks_sealed += 1
-        self._sealed_records += len(members)
         self._last_seal = sealed_at
         self._writer.sync(wait)
-        self._durable_records = self._sealed_records
+        self._durable_records = self._seq - len(self._pending)
 
     def tick(self) -> None:
         """The step at each firing of the device's timer: seal the
@@ -306,18 +324,18 @@ class AuditLog:
         return len(self._pending)
 
     def records(self) -> List[AuditRecord]:
-        """Records appended in this process."""
-        return list(self._memory)
+        """Every record of the log, sealed or pending, in order."""
+        return self.records_between(-inf, inf)
 
     def records_between(self, start: float,
                         end: float) -> List[AuditRecord]:
-        """O(log n + result): timestamps are appended monotonically, so
-        the window is a bisected slice."""
-        lo = bisect.bisect_left(self._memory, start,
-                                key=lambda r: r.timestamp)
-        hi = bisect.bisect_right(self._memory, end,
-                                 key=lambda r: r.timestamp)
-        return self._memory[lo:hi]
+        """The records stamped within ``[start, end]``: one pass over
+        the device's blocks, then the pending records as one block
+        more, decoding one block at a time and keeping only those."""
+        pending = b'{"members":[%s]}' % b",".join(self._pending)
+        return [record for line in chain(self.log.lines(), [pending])
+                for record in map(AuditRecord.from_body, _members(line))
+                if start <= record.timestamp <= end]
 
     def at_risk_records(self) -> int:
         """Records not yet in a durable block -- what a power loss loses
@@ -343,9 +361,9 @@ class AuditLog:
         made durable fails here.  A block whose barrier never returned
         (a crash inside its seal) was never durable: its records are at
         risk, not missing."""
-        return _verify(self.log.lines(durable=True), self._durable_records)
+        return _fold(self.log.lines(durable=True), self._durable_records)[0]
 
     def verify(self) -> int:
         """Verify every block written to the device (pending records are
         not yet chain-committed)."""
-        return _verify(self.log.lines(), self._sealed_records)
+        return _fold(self.log.lines(), self._seq - len(self._pending))[0]

@@ -70,7 +70,7 @@ class GDPRConfig:
     # are preserved; the cost is a bounded compliance-visibility window
     # (at most one unsealed block / one write-behind interval).
     fast_gdpr: bool = False
-    audit_block_size: int = 64          # records per BATCH/ASYNC block
+    audit_block_size: int = 64          # records per BATCH block
 
 
 class GDPRStore:

@@ -555,8 +555,10 @@ class ColdSegmentStore:
     # -- recovery ------------------------------------------------------------
 
     def _recover(self) -> None:
-        """Rebuild the resident index from device bytes, dropping a torn
-        tail (a crash mid-seal leaves an incomplete final frame)."""
+        """Rebuild the resident index from device bytes, cutting a torn
+        tail (a crash mid-seal leaves an incomplete final frame) from
+        the device at the first bad frame, so the next seal follows the
+        last good one."""
         data = self.device.read_all()
         pos = 0
         end = len(data)
@@ -581,6 +583,8 @@ class ColdSegmentStore:
                 break
             self._apply_frame(magic, body, pos + 8)
             pos = body_end + 4
+        if pos < end:
+            self.device.truncate(pos)
 
     def _apply_frame(self, magic: bytes, body: bytes,
                      body_offset: int) -> None:

@@ -92,6 +92,28 @@ class TestCrash:
         with pytest.raises(DeviceIOError):
             plan.tear(0)
 
+    def test_truncate_cuts_the_tail_durably(self):
+        log = AppendLog()
+        log.append(b"AAAABBBB")
+        log.flush_and_fsync()
+        log.append(b"CC")
+        log.flush()
+        log.truncate(6)
+        assert (log.read_all(), log.cached_length, log.durable_length) \
+            == (b"AAAABB", 6, 6)
+        log.append(b"DD")
+        log.flush()
+        FaultPlan(log).power_loss()
+        assert log.read_all() == b"AAAABB"
+
+    @pytest.mark.parametrize("length", [-1, 5])
+    def test_truncate_bounds(self, length):
+        log = AppendLog()
+        log.append(b"AAAA")
+        with pytest.raises(DeviceIOError, match="cannot truncate"):
+            log.truncate(length)
+        assert log.read_all() == b"AAAA"
+
 
 class TestReadAt:
     def test_charges_one_syscall_plus_the_bytes_returned(self):

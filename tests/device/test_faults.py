@@ -106,6 +106,7 @@ class TestEveryOp:
         log.fsync()
         log.open("rewrite.tmp")
         log.rename("part.1")
+        log.truncate(0)
         log.remove(["appendonly.aof"])
 
     def test_every_state_changing_op_is_one_step(self):

@@ -1,5 +1,6 @@
 """Tests for the tamper-evident audit log: appending, the SYNC policy's
-one block per request, and verification of the one block format."""
+one block per request, verification of the one block format, and the
+log as its device: reopened where its chain ends, read from its blocks."""
 
 import json
 import tracemalloc
@@ -8,11 +9,14 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.common.hashing import GENESIS_HASH, chain_hash
-from repro.common.errors import AuditError
+from repro.common.errors import AuditError, DeviceIOError
 from repro.device.append_log import AppendLog, BarrierScope
 from repro.device.faults import FaultPlan, PowerLoss
 from repro.device.latency import INTEL_750_SSD
 from repro.gdpr.audit import AuditDurability, AuditLog
+from repro.gdpr.metadata import GDPRMetadata
+from repro.gdpr.store import GDPRStore
+from tests.support import ENGINE_FACTORIES, reopen
 
 
 def make_log(durability=AuditDurability.SYNC, batch_interval=1.0,
@@ -43,26 +47,37 @@ def lines_of(log):
 class TestAppend:
     def test_sequence_numbers(self):
         log, _ = make_log()
-        a = log.append("p", "get", key="k1")
-        b = log.append("p", "get", key="k2")
-        assert (a.seq, b.seq) == (0, 1)
+        log.append("p", "get", key="k1")
+        log.append("p", "get", key="k2")
+        assert [record.seq for record in log.records()] == [0, 1]
         assert log.record_count == 2
 
     def test_record_fields(self):
         log, clock = make_log()
         clock.advance(5.0)
-        record = log.append("worker", "put", key="k", subject="alice",
-                            purpose="billing", outcome="ok", detail="d")
+        log.append("worker", "put", key="k", subject="alice",
+                   purpose="billing", outcome="ok", detail="d")
+        record = log.records()[-1]
         assert record.principal == "worker"
         assert record.subject == "alice"
         assert record.timestamp >= 5.0
 
-    def test_parse_round_trips_the_records(self):
-        log, clock = make_log()
+    def test_records_are_what_the_device_holds(self):
+        # A record's timestamp is stored to the nanosecond, and that is
+        # what a read returns, pending records included.
+        log, clock = make_log(AuditDurability.BATCH)
+        clock.advance(1 / 3)
         log.append("p", "get", key="k", subject="s")
+        log.sync()
         clock.advance(0.1)
         log.append("p", "put", purpose="billing", detail='a "quoted" one')
-        assert AuditLog.parse(log.log.read_durable()) == log.records()
+        assert log.pending_records == 1
+        records = log.records()
+        assert AuditLog.parse(log.log.read_durable()) == records[:1]
+        assert [r.timestamp for r in records] == [
+            round(1 / 3, 9), round(1 / 3 + 0.1, 9)]
+        assert (records[1].detail, records[1].purpose) == (
+            'a "quoted" one', "billing")
 
     def test_corrupt_line_raises(self):
         with pytest.raises(AuditError):
@@ -104,22 +119,22 @@ class TestOneBlockPerRequest:
             log.append("p", "tier-cold-erase")
         assert log.blocks_sealed == 2
 
-    @pytest.mark.parametrize("durability", [AuditDurability.BATCH,
-                                            AuditDurability.ASYNC])
-    def test_commit_keeps_a_windowed_log_s_window(self, durability):
-        log, _ = make_log(durability)
+    def test_commit_keeps_a_windowed_log_s_window(self):
+        log, _ = make_log(AuditDurability.BATCH)
         log.append("p", "erase-subject")
         log.commit()
         assert (log.blocks_sealed, log.at_risk_records()) == (0, 1)
 
     def test_a_one_member_block_is_its_body_and_one_hash(self):
         log, _ = make_log()
-        record = log.append("p", "get", key="k", subject="s")
+        log.append("p", "get", key="k", subject="s")
         [line] = lines_of(log)
         envelope = json.loads(line)
-        assert sorted(envelope) == ["hash", "members", "sealed_at"]
-        assert len(line) == len(record.payload()) + len(
-            b'{"members":[],"sealed_at":0.0,"hash":""}\n') + 64
+        body = json.dumps(envelope["members"][0], sort_keys=True,
+                          separators=(",", ":")).encode()
+        assert line == b'{"members":[%s],"sealed_at":0.0,"hash":"%s"}\n' % (
+            body, envelope["hash"].encode())
+        assert len(envelope["hash"]) == 64
 
 
 class TestVerification:
@@ -220,23 +235,150 @@ class TestVerification:
         assert log.verify_durable() == 8
 
 
-def test_verify_reads_the_device_one_line_at_a_time():
-    """Neither verifier copies the device or a list of its lines: over
-    20,000 one-record blocks (about 5 MB) each peaks under 1 MiB."""
-    log, clock = make_log()
+def _appended(log, clock):
     for i in range(20_000):
         clock.advance(1e-4)
         log.append("svc", "get", key=f"user{i}", subject=f"s{i % 97}",
                    purpose="service")
+
+
+def test_verify_reads_the_device_one_line_at_a_time():
+    """Neither verifier nor a narrow window of records copies the device
+    or a list of its lines: over 20,000 one-record blocks (about 5 MB)
+    each peaks under 1 MiB."""
+    log, clock = make_log()
+    _appended(log, clock)
     assert log.log.total_length > 4_000_000
-    for verify in (log.verify, log.verify_durable):
+    reads = {"verify": (log.verify, 20_000),
+             "verify_durable": (log.verify_durable, 20_000),
+             "records_between": (lambda: len(log.records_between(
+                 1.0, 1.0009)), 10)}
+    for name, (read, expected) in reads.items():
         tracemalloc.start()
         try:
-            assert verify() == 20_000
+            assert read() == expected, name
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1 << 20, (verify.__name__, peak)
+        assert peak < 1 << 20, (name, peak)
+
+
+def test_appending_keeps_no_copy_of_the_sealed_records():
+    """The device is the log: after 20,000 SYNC appends the heap holds
+    the device's bytes and under 1 MiB besides."""
+    tracemalloc.start()
+    try:
+        log, clock = make_log()
+        _appended(log, clock)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert log.record_count == 20_000
+    assert held - log.log.total_length < 1 << 20, held
+
+
+class TestReopen:
+    """An audit log over a device that already holds blocks continues
+    the chain where it ends."""
+
+    def _log(self, records=12):
+        log, clock = make_log(AuditDurability.BATCH, block_size=4)
+        for i in range(records):
+            clock.advance(0.01)
+            log.append("p", "get", key=f"k{i}")
+        return log, clock
+
+    @staticmethod
+    def _reopened(log, clock):
+        return AuditLog(log.log, clock=clock,
+                        durability=AuditDurability.BATCH, block_size=4)
+
+    def test_a_reopened_log_continues_the_chain(self):
+        log, clock = make_log()
+        for i in range(5):
+            log.append("p", "get", key=f"k{i}")
+        again = AuditLog(log.log, clock=clock)
+        assert (again.record_count, again.blocks_sealed) == (5, 5)
+        assert again.at_risk_records() == 0
+        again.append("p", "get", key="k5")
+        assert again.verify() == again.verify_durable() == 6
+        assert [r.key for r in again.records()] == [
+            f"k{i}" for i in range(6)]
+
+    def test_a_torn_final_line_is_cut(self):
+        log, clock = self._log()
+        plan = FaultPlan(log.log)
+        plan.tear(6)
+        intact = b"".join(lines_of(log)[:-1])
+        again = self._reopened(log, clock)
+        assert plan.steps == ["truncate"]
+        assert log.log.read_all() == log.log.read_durable() == intact
+        assert (again.record_count, again.blocks_sealed) == (8, 2)
+        for i in range(4):
+            again.append("p", "put", key=f"x{i}")
+        assert again.verify() == again.verify_durable() == 12
+
+    def test_bytes_never_made_durable_are_cut(self):
+        # A seal whose barrier failed left its line written but not
+        # durable: the reopen keeps the durable chain only.
+        log, clock = self._log(records=8)
+        FaultPlan(log.log).fail("fsync")
+        with pytest.raises(DeviceIOError):
+            for i in range(4):
+                log.append("p", "put", key=f"x{i}")
+        assert log.log.unsynced_bytes > 0
+        again = self._reopened(log, clock)
+        assert again.record_count == again.verify_durable() == 8
+        assert log.log.total_length == log.log.durable_length
+
+    def test_an_edited_middle_line_refuses_the_reopen(self):
+        log, clock = self._log()
+        lines = lines_of(log)
+        lines[1] = lines[1].replace(b'"key":"k5"', b'"key":"FORGED"')
+        forge(log, b"".join(lines))
+        length = log.log.total_length
+        with pytest.raises(AuditError, match="block at seq 4: hash"):
+            self._reopened(log, clock)
+        assert log.log.total_length == length
+
+
+@pytest.mark.parametrize("tear", [0, 6], ids=["power-loss", "torn-tail"])
+@pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
+def test_a_store_restarts_on_its_audit_device(variant, tear):
+    """Put, lose power (and tear the audit device's final line), restart
+    the engine and the store's audit log over their devices, put again:
+    both verifiers hold, and the chain has lost at most the torn
+    block."""
+    clock = SimClock()
+    device = AppendLog(clock=clock, name="audit.log")
+    store = GDPRStore(kv=ENGINE_FACTORIES[variant](clock),
+                      audit=AuditLog(device, clock=clock))
+
+    def put(store, key):
+        clock.advance(0.25)
+        store.put(key, b"v", GDPRMetadata(owner=key[:2],
+                                          purposes=frozenset({"service"})),
+                  purpose="service")
+
+    for i in range(4):
+        put(store, f"a{i}")
+    engine, written = store.kv, store.audit.record_count
+    last = len(json.loads(lines_of(store.audit)[-1])["members"])
+    del store       # a crashed process holds nothing
+    devices = [engine.aof_log] + (
+        [engine.cold.device] if hasattr(engine, "cold") else [])
+    FaultPlan(*devices).power_loss()
+    plan = FaultPlan(device)
+    plan.power_loss()
+    if tear:
+        plan.tear(tear)
+    store = GDPRStore(kv=reopen(engine), audit=AuditLog(device, clock=clock))
+    kept = written - last if tear else written
+    assert store.audit.record_count == kept
+    for i in range(3):
+        put(store, f"b{i}")
+    assert store.audit.verify() == store.audit.verify_durable() \
+        == store.audit.record_count > kept
 
 
 class TestDurability:
@@ -245,10 +387,11 @@ class TestDurability:
         log.append("p", "get")
         assert log.at_risk_records() == 0
 
-    def test_async_leaves_records_at_risk(self):
-        log, _ = make_log(AuditDurability.ASYNC)
-        log.append("p", "get")
-        assert log.at_risk_records() == 1
+    def test_no_is_not_an_audit_policy(self):
+        # Every seal is a barrier: a policy that never fsyncs is not one
+        # the audit log can keep.
+        with pytest.raises(ValueError, match="SYNC or BATCH"):
+            make_log(AuditDurability.NO)
 
     def test_batch_commits_after_interval(self):
         log, clock = make_log(AuditDurability.BATCH, batch_interval=1.0)

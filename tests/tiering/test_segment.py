@@ -190,6 +190,25 @@ def test_recovery_drops_torn_tail():
     assert recovered.lookup(b"b") is None
 
 
+def test_a_seal_after_a_torn_tail_survives_the_next_recovery():
+    """Recovery cuts the torn frame from the device, so the next seal
+    follows the last good frame instead of landing behind garbage that
+    would stop the next recovery short of it."""
+    store, device = make_store()
+    store.seal(inputs((b"a", b"1")), sealed_at=0.0)
+    store.seal(inputs((b"b", b"2")), sealed_at=1.0)
+    FaultPlan(device).tear(6)
+    recovered = ColdSegmentStore(device=device)
+    assert (recovered.recovered_segments,
+            recovered.torn_frames_dropped) == (1, 1)
+    recovered.seal(inputs((b"c", b"3")), sealed_at=2.0)
+    again = ColdSegmentStore(device=device)
+    assert (again.recovered_segments, again.torn_frames_dropped) == (2, 0)
+    assert again.open_value(again.lookup(b"c")) == b"3"
+    assert again.open_value(again.lookup(b"a")) == b"1"
+    assert again.lookup(b"b") is None
+
+
 def test_clear_keeps_erased_subjects():
     store, device = make_store(KeyStore())
     store.seal(inputs((b"a", b"1"), owner="alice"), sealed_at=0.0)
