@@ -480,18 +480,17 @@ class StorageEngine:
 
     def log_record(self, key: bytes) -> None:
         """Log database-0 ``key``'s record as a log rewrite writes it
-        (:func:`~repro.kvstore.aof.record_statements`), to the durable
-        log only: the base a tiering layer lays before the first write
-        to a key it filled (:meth:`promote_insert`) without a record.
-        The base restates what the archive already holds durably, so it
-        needs no barrier of its own: the write that follows flushes it
-        with its own record."""
+        (:meth:`~repro.kvstore.aof.AofWriter.feed_record`), to the
+        durable log only: the base a tiering layer lays before the first
+        write to a key it filled (:meth:`promote_insert`) without a
+        record.  The base restates what the archive already holds
+        durably, so it needs no barrier of its own: the write that
+        follows flushes it with its own record."""
         aof = self.aof
         if aof is None or self._loading:
             return
-        from ..kvstore.aof import record_statements
         for record in self.records_of(0, (key,)):
-            aof.feed_record(0, key, record_statements(record))
+            aof.feed_record(0, record)
 
     # -- replication -------------------------------------------------------
 

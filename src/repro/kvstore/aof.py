@@ -74,18 +74,25 @@ _FIRST = attrgetter("first")
 
 class _Part:
     """One part file: the hash slots from ``first`` up to the next part's
-    first slot, the keys it has logged (by database), and the database
-    its stream selected last."""
+    first slot, the keys it has logged (by database), the database its
+    stream selected last, and the ``hash()`` of every argument its
+    records carry (keys, values, options, ``SELECT`` indexes, metadata
+    owners and purposes): the index that tells a split log's residual
+    check which parts can mention a key.  Like the key sets, it is kept
+    up to date while the log is split and rebuilt from the part when a
+    writer opens a split device; the unsplit log's one part has none."""
 
-    __slots__ = ("first", "file", "keys", "selected")
+    __slots__ = ("first", "file", "keys", "selected", "hashes")
 
     def __init__(self, first: int, file: str,
                  keys: Optional[Dict[int, Set[bytes]]] = None,
-                 selected: int = 0) -> None:
+                 selected: int = 0,
+                 hashes: Optional[Set[int]] = None) -> None:
         self.first = first
         self.file = file
         self.keys: Dict[int, Set[bytes]] = keys if keys is not None else {}
         self.selected = selected
+        self.hashes: Set[int] = hashes if hashes is not None else set()
 
 
 class AofWriter(LogWriter):
@@ -102,9 +109,12 @@ class AofWriter(LogWriter):
     Every file of the log is a file of ``log``, and every byte reaches it
     through the device's own ``append``.  A writer built over a device
     reads its manifest (a device without one holds one part: its own
-    file), rebuilds each part's key set from the part, gives each key a
-    home in the part that holds its history, and removes files the
-    manifest does not name (what a crash mid-rewrite leaves behind).
+    file), rebuilds each part's key sets and argument index from the
+    part, cuts a part's truncated final record (the crash shape replay
+    tolerates, so that the next record follows the last whole one),
+    gives each key a home in the part that holds its history, and
+    removes files the manifest does not name (what a crash mid-rewrite
+    leaves behind).
     """
 
     def __init__(self, log: AppendLog, clock: Clock,
@@ -144,11 +154,19 @@ class AofWriter(LogWriter):
                                    for _, file in manifest
                                    if file != log.name], default=0)
         ends = self._firsts[1:] + [NUM_SLOTS]
+        split = self.split
         for part, end, data in zip(self._parts, ends,
                                    log.read_files(self.part_files())):
+            commands, torn = _decode(data)
+            if torn:
+                log.open(part.file)
+                log.truncate(len(data) - torn)
             db = 0
-            for args in replay_commands(data):
+            hashes = part.hashes
+            for args in commands:
                 name = args[0].upper()
+                if split:
+                    hashes.update(map(hash, args[1:]))
                 if name == b"SELECT":
                     db = int(args[1])
                 else:
@@ -215,15 +233,18 @@ class AofWriter(LogWriter):
         if not is_write:
             self.reads_logged += 1
 
-    def feed_record(self, db_index: int, key: bytes,
-                    statements: bytes) -> None:
-        """Append ``key``'s record, as :func:`record_statements` writes
-        it, as one write."""
+    def feed_record(self, db_index: int, record: Tuple) -> None:
+        """Append one ``(key, value, expire_at, metadata)`` record as a
+        log rewrite writes it (see :func:`_layout`), as one write."""
+        ((_, statements, _, _, hashes),) = _layout(
+            {db_index: (record,)}, False, 0, False, {})
         if self.record_base_cost or self.record_per_byte_cost:
             self.clock.advance(self.record_base_cost
                                + len(statements) * self.record_per_byte_cost)
         if self.split:
-            self._append(self._route(key), db_index, statements, (key,))
+            key = record[0]
+            self._append(self._route(key), db_index, statements, (key,),
+                         hashes)
         else:
             part = self._parts[0]
             if db_index != part.selected:
@@ -243,7 +264,7 @@ class AofWriter(LogWriter):
         keys = spec.keys(args)
         if len(keys) < 2:
             self._append(self._route(keys[0]) if keys else self._parts[0],
-                         db_index, record, keys)
+                         db_index, record, keys, map(hash, args[1:]))
             return
         first, _, step = spec.key_spec
         groups: Dict[_Part, List[bytes]] = {}
@@ -252,21 +273,27 @@ class AofWriter(LogWriter):
                 args[at:at + step])
         if len(groups) == 1:
             for part in groups:
-                self._append(part, db_index, record, keys)
+                self._append(part, db_index, record, keys,
+                             map(hash, args[1:]))
             return
         head = args[:first]
         for part, tail in groups.items():
             self._append(part, db_index, encode_command(*head, *tail),
-                         tail[::step])
+                         tail[::step], map(hash, chain(head[1:], tail)))
 
     def _append(self, part: _Part, db_index: int, data: bytes,
-                keys: Iterable[bytes]) -> None:
+                keys: Iterable[bytes], hashes: Iterable[int]) -> None:
+        """Append ``data`` to ``part``, and its ``keys`` and argument
+        ``hashes`` to the part's key set and index."""
         log = self.log
         log.open(part.file)
         if db_index != part.selected:
-            log.append(encode_command(b"SELECT", b"%d" % db_index))
+            index = b"%d" % db_index
+            log.append(encode_command(b"SELECT", index))
+            part.hashes.add(hash(index))
             part.selected = db_index
         log.append(data)
+        part.hashes.update(hashes)
         logged = part.keys.get(db_index)
         if logged is None:
             part.keys[db_index] = set(keys)
@@ -357,7 +384,7 @@ class AofWriter(LogWriter):
                     {db: keyspace.records_of(db, sorted(names))
                      for db, names in part.keys.items()},
                     select, part.first, True, homes)
-        size = sum([len(data) for _, data, _, _ in born])
+        size = sum([len(data) for _, data, _, _, _ in born])
         try:
             self._commit(retired, born)
         finally:
@@ -366,7 +393,7 @@ class AofWriter(LogWriter):
         # A key the rewrite did not lay out has no record left: its
         # home goes with it.
         if homes:
-            kept = set().union(*[logged for _, _, names, _ in born
+            kept = set().union(*[logged for _, _, names, _, _ in born
                                  for logged in names.values()])
             if whole:
                 homes = {key: homes[key] for key in kept.intersection(homes)}
@@ -398,7 +425,7 @@ class AofWriter(LogWriter):
         one = len(born) == 1 and len(retired) == 1 \
             and born[0][0] == retired[0].first
         parts = [part for part in self._parts if part not in retired]
-        for first, data, keys, selected in born:
+        for first, data, keys, selected, hashes in born:
             if one:
                 file = retired[0].file
                 log.open(file + ".tmp")
@@ -407,7 +434,9 @@ class AofWriter(LogWriter):
                 self._next_part += 1
                 log.open(file)
             log.append(data)
-            parts.append(_Part(first, file, keys, selected))
+            # The unsplit log keeps no index (see mentioned_keys).
+            parts.append(_Part(first, file, keys, selected,
+                               hashes if file != log.name else None))
         parts.sort(key=_FIRST)
         target = retired[0].file if one else self._manifest_file
         if not one:
@@ -479,12 +508,23 @@ class AofWriter(LogWriter):
     def mentioned_keys(self, keys: Iterable[bytes]) -> Set[bytes]:
         """Which of ``keys`` are an argument of some record in some part
         (:func:`mentioned_keys` of each part, a whole command stream).
-        The parts are scanned in place for the keys' framed bytes, and
-        only a part that holds some is read and decoded."""
+        Only a suspect part is read and decoded: in a split log, one
+        whose index holds some key's ``hash()`` (a collision costs a
+        decode, never a wrong answer), so the check reads no part when
+        no part mentions the keys; in an unsplit log, which keeps no
+        index, the one file if it holds some key's framed bytes (a scan
+        in place)."""
         keys = list(keys)
         found: Set[bytes] = set()
-        suspects = self.log.holding(self.part_files(),
-                                    [CRLF + key + CRLF for key in keys])
+        if self.split:
+            wanted = set(map(hash, keys))
+            suspects = [part.file for part in self._parts
+                        if not wanted.isdisjoint(part.hashes)]
+        else:
+            suspects = self.log.holding(self.part_files(),
+                                        [CRLF + key + CRLF for key in keys])
+        if not suspects:
+            return found
         for data in self.log.read_files(suspects):
             found |= mentioned_keys(data, keys)
         return found
@@ -514,6 +554,16 @@ def replay_commands(data: bytes,
     ``aof-load-truncated yes``) the complete prefix is returned.  Bytes
     that are structurally invalid raise :class:`PersistenceError`.
     """
+    commands, torn = _decode(data)
+    if torn and not tolerate_truncated_tail:
+        raise PersistenceError(
+            f"AOF has {torn} bytes of truncated tail")
+    return commands
+
+
+def _decode(data: bytes) -> Tuple[List[List[bytes]], int]:
+    """The complete records of an AOF byte stream, and the length of the
+    truncated tail after them (0 for a clean stream)."""
     decoder = RespDecoder()
     decoder.feed(data)
     commands: List[List[bytes]] = []
@@ -531,10 +581,7 @@ def replay_commands(data: bytes,
         raise
     except Exception as exc:
         raise PersistenceError(f"corrupt AOF stream: {exc}") from exc
-    if decoder.buffered and not tolerate_truncated_tail:
-        raise PersistenceError(
-            f"AOF has {decoder.buffered} bytes of truncated tail")
-    return commands
+    return commands, decoder.buffered
 
 
 def mentioned_keys(data: bytes, keys: Iterable[bytes]) -> Set[bytes]:
@@ -578,16 +625,9 @@ def image(keyspace) -> bytes:
     format: a full sync ships it, and replaying it into an empty store
     of the same engine recreates the keyspace, each deadline at the
     millisecond the log writes."""
-    ((_, data, _, _),) = _layout(keyspace.snapshot_records(),
-                                 keyspace.database_count > 1, 0, False, {})
-    return data
-
-
-def record_statements(record: Tuple) -> bytes:
-    """One database-0 ``(key, value, expire_at, metadata)`` record as a
-    log rewrite writes it (see :func:`_layout`): the base a tiering
-    layer logs for a key it filled without a record."""
-    ((_, data, _, _),) = _layout({0: (record,)}, False, 0, False, {})
+    ((_, data, _, _, _),) = _layout(
+        keyspace.snapshot_records(), keyspace.database_count > 1, 0, False,
+        {})
     return data
 
 
@@ -604,25 +644,26 @@ GDPRMETA_STATEMENT = (b"*4\r\n$8\r\nGDPRMETA\r\n$%d\r\n%b\r\n"
                       b"$%d\r\n%b\r\n$%d\r\n%b\r\n")
 
 
-def _container_command(key: bytes, value) -> bytes:
-    """The one command that recreates a container value: hash fields in
-    stored order, sorted-set pairs as ``score member``."""
+def _container_command(key: bytes, value) -> Tuple[bytes, ...]:
+    """The one command that recreates a container value, as its
+    arguments: hash fields in stored order, sorted-set pairs as ``score
+    member``."""
     if isinstance(value, dict):
-        return encode_command(b"HSET", key, *chain.from_iterable(
-            value.items()))
-    flat: List[bytes] = []
+        return (b"HSET", key, *chain.from_iterable(value.items()))
+    flat: List[bytes] = [b"ZADD", key]
     for member, score in value.items():
         flat.extend((repr(score).encode("ascii"), member))
-    return encode_command(b"ZADD", key, *flat)
+    return tuple(flat)
 
 
 def _layout(databases: Mapping[int, Iterable[Tuple]], select: bool,
             first: int, split: bool, homes: Mapping[bytes, int]
-            ) -> List[Tuple[int, bytes, Dict[int, Set[bytes]], int]]:
+            ) -> List[Tuple[int, bytes, Dict[int, Set[bytes]], int,
+                            Set[int]]]:
     """The parts that recreate ``databases`` -- database index -> its
     ``(key, value, expire_at, metadata)`` records, all homed at slots
     from ``first`` on -- as ``(first slot, stream, keys by database,
-    database selected last)``.
+    database selected last, argument hashes)`` (see :class:`_Part`).
 
     Per record: the value's command -- a string with a deadline is one
     ``SET..PXAT``, a container's deadline a ``PEXPIREAT`` after it --
@@ -643,8 +684,11 @@ def _layout(databases: Mapping[int, Iterable[Tuple]], select: bool,
                 if isinstance(value, bytes):
                     chunk = SET_STATEMENT % (len(key), key, len(value),
                                              value)
+                    words = (key, value)
                 else:
-                    chunk = _container_command(key, value)
+                    command = _container_command(key, value)
+                    chunk = encode_command(*command)
+                    words = command[1:]
             else:
                 # As the command log writes it: the largest m with
                 # m / 1000 <= expire_at, so a PXAT m deadline stays m.
@@ -653,27 +697,32 @@ def _layout(databases: Mapping[int, Iterable[Tuple]], select: bool,
                 if isinstance(value, bytes):
                     chunk = SET_PXAT_STATEMENT % (len(key), key, len(value),
                                                   value, len(millis), millis)
+                    words = (key, value, b"PXAT", millis)
                 else:
-                    chunk = _container_command(key, value) + \
+                    command = _container_command(key, value)
+                    chunk = encode_command(*command) + \
                         PEXPIREAT_STATEMENT % (len(key), key, len(millis),
                                                millis)
+                    words = command[1:] + (millis,)
             if metadata is not None:
                 owner = metadata[0].encode("utf-8")
                 purposes = metadata[1].encode("utf-8")
                 chunk += GDPRMETA_STATEMENT % (len(key), key, len(owner),
                                                owner, len(purposes),
                                                purposes)
-            # (home, database, key, statements): the home is worked out
-            # only for a split, and stands as ``first`` until then.
-            append((first, index, key, chunk))
+                words += (owner, purposes)
+            # (home, database, key, statements, arguments): the home is
+            # worked out only for a split, and stands as ``first`` until
+            # then.
+            append((first, index, key, chunk, words))
             size += len(chunk)
     groups = [entries]
     if split and size > PART_BYTES:
         ranked = []
-        for _, index, key, chunk in entries:
+        for _, index, key, chunk, words in entries:
             home = homes.get(key)
             ranked.append((_slot(key) if home is None else home, index, key,
-                           chunk))
+                           chunk, words))
         entries = sorted(ranked, key=itemgetter(0))
         group: List[Tuple] = []
         groups = [group]
@@ -698,16 +747,19 @@ def _layout(databases: Mapping[int, Iterable[Tuple]], select: bool,
     for group in groups:
         by_db: Dict[int, List[bytes]] = {}
         keys: Dict[int, Set[bytes]] = {}
-        for _, index, key, chunk in group:
+        hashes: Set[int] = set()
+        for _, index, key, chunk, words in group:
             by_db.setdefault(index, []).append(chunk)
             keys.setdefault(index, set()).add(key)
+            hashes.update(map(hash, words))
         chunks: List[bytes] = []
         selected = 0
         for index in sorted(by_db):
             if select:
                 chunks.append(encode_command(b"SELECT", b"%d" % index))
+                hashes.add(hash(b"%d" % index))
                 selected = index
             chunks += by_db[index]
         start = first if group is groups[0] else group[0][0]
-        parts.append((start, b"".join(chunks), keys, selected))
+        parts.append((start, b"".join(chunks), keys, selected, hashes))
     return parts

@@ -4,10 +4,14 @@ A count, not a wall-clock floor: Python function calls under
 ``sys.setprofile`` (the benchmark's ``host.py_calls_per_op``) repeat
 exactly on any host.  Before PR 14 ``right_to_erasure`` re-parsed the
 whole compacted WAL once per erased key, so the count was proportional to
-keys-per-subject *and* to log size; now the residual check is one C-speed
-scan per key and at most one decode.  The last test counts simulated
-time and bytes: an erasure rewrites the log parts that own the
-subject's keys, so its cost does not grow with the store either.
+keys-per-subject *and* to log size; then one C-speed scan of the whole
+log per key; now a split log answers it from its parts' index (the
+hash of every argument each part's records carry) and decodes only a
+part that may mention a key -- after an erasure, none.  The later tests
+count simulated time and bytes, and the device calls the residual check
+makes: an erasure rewrites the log parts that own the subject's keys,
+and its check reads none, so its cost does not grow with the store
+either.
 """
 
 from repro.common.clock import SimClock
@@ -177,3 +181,24 @@ def test_a_logged_range_naming_an_erased_key_leaves_no_residual():
     receipt = right_to_erasure(store, subject)
     assert receipt.log_compacted and not receipt.residual_in_aof
     assert not wal.mentioned_keys([start.encode()])
+
+
+def test_the_residual_check_reads_no_part_of_a_split_log():
+    """When no part mentions the erased keys, the split log's index says
+    so: an erasure neither scans a part (``AppendLog.holding``) nor
+    reads one (``AppendLog.read_files``), at any store size (before,
+    ``holding`` scanned every part once per erasure)."""
+    watched = [AppendLog.holding, AppendLog.read_files]
+    for records in SIZES:
+        store = _ssd_store(records)
+        right_to_erasure(store, "subject-0")          # splits the log
+        assert store.kv.aof.split
+        for step in range(1, 4):
+            subject = f"subject-{step * 97 % (records // KEYS_PER_SUBJECT)}"
+            calls = py_calls(lambda: right_to_erasure(store, subject),
+                             watched)
+            receipt = calls.result
+            assert receipt.log_compacted and not receipt.residual_in_aof
+            assert len(receipt.keys_erased) == KEYS_PER_SUBJECT
+            assert calls.watched == dict.fromkeys(watched, 0), \
+                (records, calls.watched)

@@ -156,6 +156,29 @@ class TestAofCrashRecovery:
         assert recovered.execute("GET", "a") == b"1"
         assert recovered.execute("GET", "b") is None
 
+    @pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
+    def test_a_torn_tail_is_cut_so_the_next_restart_replays(self, variant):
+        """Replay drops a truncated final record (``aof-load-truncated``);
+        the restarted writer also cuts its bytes from the device, so the
+        next record follows the last whole one and a second restart
+        replays it (with the bytes left in place, the next record lands
+        behind them and the second restart raises ``corrupt AOF
+        stream``)."""
+        engine = ENGINE_FACTORIES[variant](SimClock())
+        engine.execute("SET", "a", "1")
+        engine.execute("SET", "b", "2")
+        log = engine.aof_log
+        log.flush_and_fsync()
+        log.truncate(log.total_length - 3)
+        engine = reopen(engine)
+        assert engine.execute("GET", "a") == b"1"
+        assert engine.execute("GET", "b") is None
+        engine.execute("SET", "c", "3")
+        engine.aof_log.flush_and_fsync()
+        engine = reopen(engine)
+        assert [engine.execute("GET", key) for key in ("a", "b", "c")] \
+            == [b"1", None, b"3"]
+
     def test_replay_equivalence_after_rewrite(self):
         store, log, _ = make_store()
         for i in range(30):

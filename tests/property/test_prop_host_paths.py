@@ -5,9 +5,10 @@ The erasure scan, the envelope XOR, the RESP command encoder and the audit
 serialiser were rewritten to do their byte work in C and their log work
 once; the audit record's body and its block's line became one template
 each and
-the envelope header a memoised function of the frozen metadata.  None of
-them may change a result: the slow formulations live on here, as the
-oracles.
+the envelope header a memoised function of the frozen metadata; a split
+log answers the residual check from its parts' index instead of scanning
+them.  None of them may change a result: the slow formulations live on
+here, as the oracles.
 """
 
 import dataclasses
@@ -19,14 +20,18 @@ from hypothesis import strategies as st
 
 from repro.common.clock import SimClock
 from repro.common.errors import (PersistenceError, ProtocolError,
-                                 SerializationError)
+                                 ReproError, SerializationError)
 from repro.common.hashing import GENESIS_HASH, chain_hash
 from repro.common.resp import encode_command
 from repro.crypto.cipher import KEY_SIZE, NONCE_SIZE, StreamCipher
+from repro.device.append_log import AppendLog
 from repro.gdpr.audit import (AuditDurability, AuditLog, AuditRecord,
                               _record_payload)
 from repro.gdpr.metadata import GDPRMetadata, pack_envelope, unpack_envelope
+from repro.kvstore import KeyValueStore, StoreConfig
 from repro.kvstore.aof import contains_key, mentioned_keys, replay_commands
+from repro.sqlstore import RelationalStore, SqlConfig
+from tests.support import reopen
 
 CRLF = b"\r\n"
 
@@ -105,6 +110,135 @@ def test_corrupt_stream_raises_only_when_a_key_occurs_in_it():
     with pytest.raises(PersistenceError):
         contains_key(corrupt, b"k")
     assert not contains_key(corrupt, b"absent")     # conclusive without a decode
+
+
+# -- a split log's residual check -------------------------------------------------
+
+# Keys of the histories below.  Not b"0": ``read_all`` joins parts that
+# select databases with a ``SELECT 0`` that is on no part of the device.
+HISTORY_KEYS = [b"k", b"k1", b"user:1", b"user:10", b"SET", b"1", b"PXAT",
+                b"service"]
+FILLER = 800            # records of 100 bytes: the split makes 3+ parts
+DEADLINE = b"1000000"   # PXAT milliseconds: far past any test's clock
+
+history_values = st.one_of(st.sampled_from(HISTORY_KEYS),
+                           st.binary(max_size=12))
+history_steps = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 2),
+              st.sampled_from(HISTORY_KEYS), history_values, st.booleans()),
+    st.tuples(st.just("get"), st.integers(0, 2),
+              st.sampled_from(HISTORY_KEYS)),
+    st.tuples(st.just("del"), st.integers(0, 2),
+              st.lists(st.sampled_from(HISTORY_KEYS), min_size=1,
+                       max_size=4)),
+    st.tuples(st.just("read"), st.sampled_from(HISTORY_KEYS)),
+    st.tuples(st.just("meta"), st.sampled_from(HISTORY_KEYS),
+              history_values, st.booleans()),
+    st.tuples(st.just("rewrite"), st.lists(st.sampled_from(HISTORY_KEYS),
+                                           max_size=3)),
+    st.tuples(st.just("rewrite-all")),
+    st.tuples(st.just("reopen"), st.booleans()))
+
+
+def split_engine(kind):
+    """An engine logging reads too, its log split into parts by a
+    rewrite naming one key."""
+    clock = SimClock()
+    if kind == "redislike":
+        engine = KeyValueStore(StoreConfig(appendonly=True,
+                                           aof_log_reads=True),
+                               clock=clock, aof_log=AppendLog(clock=clock))
+    else:
+        engine = RelationalStore(SqlConfig(wal_enabled=True,
+                                           wal_log_reads=True),
+                                 clock=clock, wal_log=AppendLog(clock=clock))
+    for i in range(FILLER):
+        engine.execute("SET", f"fill{i}", b"f" * 100)
+    engine.rewrite_aof([b"fill0"])
+    assert len(engine.aof._parts) >= 3
+    return engine
+
+
+def run_step(engine, kind, step):
+    """Run one history step; returns the engine (a new one on reopen)."""
+    op = step[0]
+    if op == "reopen":
+        log = engine.aof_log
+        log.flush_and_fsync()
+        if step[1] and log.file in engine.aof.part_files() \
+                and log.total_length > 3:
+            log.truncate(log.total_length - 3)      # a torn final record
+        return reopen(engine)
+    if op == "rewrite":
+        engine.rewrite_aof(step[1])
+    elif op == "rewrite-all":
+        engine.rewrite_aof()
+    elif op == "read":
+        # A logged read without key positions, naming the key as an
+        # argument: RANGE on the relational engine, KEYS on the other.
+        if kind == "relational":
+            engine.execute("RANGE", step[1], 2)
+        else:
+            engine.execute("KEYS", step[1])
+    elif op == "meta":
+        # A record whose metadata (or, on the other engine, whose hash
+        # field and value) may name a key, with or without a deadline:
+        # a rewrite lays it out again.
+        key, value, expires = step[1:]
+        if kind == "relational":
+            engine.execute("SET", key, b"v")
+            engine.execute("GDPRMETA", key, value, b"service")
+        else:
+            engine.execute("HSET", key + b":h", value, key)
+            if expires:
+                engine.execute("PEXPIREAT", key + b":h", DEADLINE)
+    else:
+        if op == "set":
+            argv = ["SET", step[2], step[3]]
+            if step[4]:
+                argv += ["PXAT", DEADLINE]
+        elif op == "get":
+            argv = ["GET", step[2]]
+        else:
+            argv = ["DEL", *step[2]]
+        # The relational engine has one database.
+        db = step[1] if kind == "redislike" else 0
+        try:
+            engine.execute(*argv, session=engine.session(db))
+        except ReproError:
+            pass                        # a refused command logs nothing
+    return engine
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["redislike", "relational"]),
+       st.lists(history_steps, max_size=12), st.data())
+def test_split_log_mentioned_keys_equals_full_decode(kind, history, data):
+    """The split log answers the residual check from its parts' index.
+    Whatever the history, each part's index is the hash of every
+    argument its records carry, the answer for the keys a step asks
+    about is a full decode's, and at the end so is the answer for each
+    key alone over :meth:`read_all` (a part holding some other asked-for
+    key is read anyway)."""
+    engine = split_engine(kind)
+    for step in history:
+        engine = run_step(engine, kind, step)
+        aof = engine.aof
+        assert aof.split
+        arguments = []
+        for part, part_data in zip(aof._parts,
+                                   aof.log.read_files(aof.part_files())):
+            records = replay_commands(part_data,
+                                      tolerate_truncated_tail=False)
+            arguments.append({arg for args in records for arg in args[1:]})
+            assert part.hashes == set(map(hash, arguments[-1]))
+        keys = data.draw(st.lists(st.sampled_from(HISTORY_KEYS),
+                                  min_size=1, max_size=3))
+        assert aof.mentioned_keys(keys) == set().union(
+            *[named.intersection(keys) for named in arguments])
+    expected = parsed_mentions(engine.aof.read_all(), HISTORY_KEYS)
+    for key in HISTORY_KEYS:
+        assert engine.aof.mentioned_keys([key]) == expected & {key}
 
 
 # -- envelope XOR -----------------------------------------------------------------
