@@ -110,8 +110,9 @@ class AofWriter(LogWriter):
     through the device's own ``append``.  A writer built over a device
     reads its manifest (a device without one holds one part: its own
     file), rebuilds each part's key sets and argument index from the
-    part, cuts a part's truncated final record (the crash shape replay
-    tolerates, so that the next record follows the last whole one),
+    part's durable bytes, cuts each part to them less a truncated final
+    record (so that the next record follows the last whole durable one,
+    and no later barrier makes bytes durable that replay never saw),
     gives each key a home in the part that holds its history, and
     removes files the manifest does not name (what a crash mid-rewrite
     leaves behind).
@@ -155,10 +156,12 @@ class AofWriter(LogWriter):
                                    if file != log.name], default=0)
         ends = self._firsts[1:] + [NUM_SLOTS]
         split = self.split
-        for part, end, data in zip(self._parts, ends,
-                                   log.read_files(self.part_files())):
+        files = self.part_files()
+        for part, end, data, exposed in zip(
+                self._parts, ends, log.read_files(files, durable=True),
+                [log.exposed_bytes([file]) for file in files]):
             commands, torn = _decode(data)
-            if torn:
+            if torn or exposed:
                 log.open(part.file)
                 log.truncate(len(data) - torn)
             db = 0

@@ -6,6 +6,7 @@ import pytest
 from repro.common.errors import DeviceIOError
 from repro.device.append_log import AppendLog
 from repro.device.faults import FaultPlan, PowerLoss
+from tests.support import crashpoints
 
 
 def _durable_log(data=b"AAAA"):
@@ -179,6 +180,39 @@ class TestTear:
         assert log.read_all() == b"WX" + bytes([ord("Y") ^ 0xFF,
                                                 ord("Z") ^ 0xFF])
         assert log.read_all("appendonly.aof") == b"ABCDEFGH"
+
+
+class TestCrashpoints:
+    """``tests.support.crashpoints``: the operation cut before each of
+    its steps, each on a fresh stack, then run to the end."""
+
+    def test_one_state_per_step_then_the_run_that_returned(self):
+        def operation(log):
+            for data in (b"A", b"B", b"C"):
+                log.append(data)
+            log.fsync()
+
+        points = list(crashpoints(AppendLog, operation, lambda log: [log]))
+        ops = ["append"] * 3 + ["fsync"]
+        assert [(point.plan.steps, point.lost) for point in points] == [
+            (ops[:at], f"power lost before appendonly.aof.{op}")
+            for at, op in enumerate(ops)] + [(ops, None)]
+        assert [point.stack.read_all() for point in points] == \
+            [b""] * 4 + [b"ABC"]
+        assert len({id(point.stack) for point in points}) == 5
+
+    def test_an_operation_that_runs_differently_each_time_fails(self):
+        calls = []
+
+        def one_more_step_each_call(log):
+            calls.append(log)
+            for _ in calls:
+                log.append(b"x")
+
+        with pytest.raises(AssertionError, match="the run took"):
+            list(crashpoints(AppendLog, one_more_step_each_call,
+                             lambda log: [log]))
+        assert len(calls) == 3          # recorded, cut before step 0, run
 
 
 class TestInputs:

@@ -13,7 +13,7 @@ from repro.common.clock import SimClock
 from repro.common.errors import CorruptionError
 from repro.crypto.cipher import seeded_entropy
 from repro.crypto.keystore import KeyStore
-from repro.device.faults import FaultPlan, PowerLoss
+from repro.device.faults import FaultPlan
 from repro.gdpr import (
     BackupManager,
     GDPRConfig,
@@ -24,7 +24,7 @@ from repro.gdpr import (
 from repro.kvstore import KeyValueStore, StoreConfig
 from repro.kvstore.aof import image
 from repro.tiering import TieredEngine
-from tests.support import ENGINE_FACTORIES
+from tests.support import ENGINE_FACTORIES, crashpoints
 
 
 def make_store():
@@ -350,19 +350,13 @@ def test_power_loss_anywhere_in_a_scrub(variant):
     """A power cut before any step of a scrub leaves the generation as
     it was or as the scrub leaves it, byte for byte; the parts it lists
     verify, and a restore from it serves no erased subject."""
-    _, manager, erased = erased_generation(variant)
-    backup = manager.find("nightly")
-    old = generation(backup)
-    plan = FaultPlan(backup.writer.log)
-    manager.reconcile_erasure("alice", erased, rewrite=True)
-    new = generation(backup)
-    assert new != old and {"append", "fsync", "rename"} <= set(plan.steps)
-    for at in range(len(plan.steps)):
-        store, manager, erased = erased_generation(variant)
+    *cuts, done = scrub_points(erased_generation, variant)
+    old = generation(erased_generation(variant)[1].find("nightly"))
+    new = generation(done.stack[1].find("nightly"))
+    assert new != old and {"append", "fsync", "rename"} <= set(
+        done.plan.steps)
+    for (_, manager, erased), _, _ in cuts:
         backup = manager.find("nightly")
-        FaultPlan(backup.writer.log).cut(at)
-        with pytest.raises(PowerLoss):
-            manager.reconcile_erasure("alice", erased, rewrite=True)
         assert generation(backup) in (old, new)
         backup.verified(backup.writer.part_files())
         restored = manager.restore("nightly")
@@ -370,6 +364,16 @@ def test_power_loss_anywhere_in_a_scrub(variant):
         with pytest.raises(KeyError):
             restored.get("alice")
         assert restored.get("carol").value == b"data-carol"
+
+
+def scrub_points(erased_store, variant):
+    """:func:`~tests.support.crashpoints` of the scrub of alice from the
+    generation of ``erased_store(variant)``, over its device."""
+    return crashpoints(
+        lambda: erased_store(variant),
+        lambda stack: stack[1].reconcile_erasure("alice", stack[2],
+                                                 rewrite=True),
+        lambda stack: [stack[1].find("nightly").writer.log])
 
 
 def crowded_store(variant):
@@ -420,21 +424,16 @@ def test_power_loss_anywhere_in_a_scrub_of_several_parts(variant):
     over the old one (the manifest untouched, nothing to remove), and a
     cut before any of its steps -- the rename included -- recovers the
     old parts or the new ones."""
-    _, manager, erased = erased_crowd(variant)
-    backup = manager.find("nightly")
-    old = generation(backup)
-    files = backup.writer.part_files()
-    plan = FaultPlan(backup.writer.log)
-    manager.reconcile_erasure("alice", erased, rewrite=True)
+    *cuts, done = scrub_points(erased_crowd, variant)
+    taken = erased_crowd(variant)[1].find("nightly")
+    old = generation(taken)
+    backup = done.stack[1].find("nightly")
     new = generation(backup)
-    assert plan.steps[-1] == "rename" and "remove" not in plan.steps
-    assert backup.writer.part_files() == files
-    for at in range(len(plan.steps)):
-        store, manager, erased = erased_crowd(variant)
+    assert done.plan.steps[-1] == "rename" \
+        and "remove" not in done.plan.steps
+    assert backup.writer.part_files() == taken.writer.part_files()
+    for (_, manager, erased), _, _ in cuts:
         backup = manager.find("nightly")
-        FaultPlan(backup.writer.log).cut(at)
-        with pytest.raises(PowerLoss):
-            manager.reconcile_erasure("alice", erased, rewrite=True)
         assert generation(backup) in (old, new)
         restored = manager.restore("nightly")
         assert restored.keys_of_subject("alice") == []

@@ -6,7 +6,7 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.device.append_log import AppendLog
-from repro.device.faults import FaultPlan, PowerLoss
+from repro.device.faults import FaultPlan
 from repro.device.latency import INTEL_750_SSD
 from repro.gdpr import (
     AuditDurability,
@@ -21,6 +21,7 @@ from repro.cluster import (
 from repro.cluster.slots import slot_for_key
 from repro.kvstore import KeyValueStore, StoreConfig
 from repro.sqlstore import RelationalStore, SqlConfig
+from tests.support import crashpoints, durable_audit
 
 
 def make_fast_store(clock=None, fsync="everysec", **overrides):
@@ -179,21 +180,21 @@ class TestQueuedSeal:
 
     def test_a_power_cut_anywhere_loses_at_most_one_block(self):
         puts = 3 * self.BLOCK
-        store, clock = self._store()
-        plan = FaultPlan(store.kv.aof_log, store.audit.log)
-        for i in range(puts):
-            self._put(store, clock, i)
-        for cut in range(len(plan.steps)):
-            store, clock = self._store()
-            FaultPlan(store.kv.aof_log, store.audit.log).cut(cut)
-            with pytest.raises(PowerLoss):
-                for i in range(puts):
-                    self._put(store, clock, i)
+
+        def put_all(stack):
+            for i in range(puts):
+                self._put(*stack, i)
+
+        for (store, clock), plan, lost in crashpoints(
+                self._store, put_all,
+                lambda stack: [stack[0].kv.aof_log, stack[0].audit.log]):
+            if lost is None:                # a cut after the last step
+                plan.power_loss()
             recovered = AuditLog(log=store.audit.log, clock=clock,
                                  durability=AuditDurability.BATCH,
                                  block_size=self.BLOCK)
-            durable = recovered.verify_durable()
-            assert store.audit.record_count - durable <= self.BLOCK, cut
+            durable = len(durable_audit(recovered))
+            assert store.audit.record_count - durable <= self.BLOCK, lost
 
 
 def make_fast_sql_store(clock=None, fsync="everysec"):

@@ -17,7 +17,7 @@ import pytest
 from repro.common.clock import SimClock
 from repro.common.errors import DeviceIOError
 from repro.device.append_log import AppendLog, BarrierScope
-from repro.device.faults import FaultPlan, PowerLoss
+from repro.device.faults import FaultPlan
 from repro.device.latency import INTEL_750_SSD
 from repro.gdpr.audit import AuditDurability, AuditLog
 from repro.gdpr.metadata import GDPRMetadata, unpack_envelope
@@ -27,7 +27,7 @@ from repro.kvstore import KeyValueStore, StoreConfig
 from repro.kvstore.commands import deadline_ms
 from repro.sqlstore import RelationalStore, SqlConfig
 from repro.tiering import TieredEngine, TieringConfig
-from tests.support import reopen
+from tests.support import crashpoints, durable_audit, pre_or_post, reopen
 
 SERVICE = frozenset({"service"})
 KEYS = 5
@@ -175,18 +175,25 @@ class TestBarriersPerRequest:
         assert log.fsyncs == 2 and log.unsynced_bytes == 0
 
 
-def _value(engine, key):
-    """``key``'s value in ``engine``, read without a logged command."""
-    for record in engine.scan_records(0):
-        if record[0] == key:
-            return unpack_envelope(record[1])[1]
-    return None
+def _values(engine):
+    """key -> value of every key in ``engine``, read without a logged
+    command."""
+    return {record[0]: unpack_envelope(record[1])[1]
+            for record in engine.scan_records(0)}
 
 
 def _durable_ops(store, key):
+    """The operation and outcome of each durable audit record of ``key``,
+    the durable chain verified."""
     return [(record.operation, record.outcome)
-            for record in AuditLog.parse(store.audit.log.read_durable())
-            if record.key == key]
+            for record in durable_audit(store.audit) if record.key == key]
+
+
+def _devices(store):
+    """The stack's devices: the audit log's, the engine log's and a
+    tiered engine's cold device."""
+    cold = [store.kv.cold.device] if store.kv.supports_tiering else []
+    return [store.audit.log, store.kv.aof_log, *cold]
 
 
 @pytest.mark.parametrize("variant", sorted(ENGINES))
@@ -198,31 +205,27 @@ def test_power_loss_at_every_step_of_a_strict_update(variant):
     record of the ``put`` that wrote it -- the audit barrier comes
     first, so some cut falls between the two barriers and leaves the
     audit records durable and the engine record not."""
-    outcomes = set()
-    cut_at = 0
-    while True:
+    def build():
         store = _strict(variant, encrypt=False)
         store.put("k", b"old", _meta("alice"), purpose="service")
-        plan = FaultPlan(store.audit.log, store.kv.aof_log)
-        plan.cut(cut_at)
-        try:
-            store.update("k", lambda value: b"new", purpose="service")
-        except PowerLoss:
-            returned = False
-        else:
-            returned = True
-        assert store.audit.verify_durable() == len(
-            AuditLog.parse(store.audit.log.read_durable()))
-        value = _value(reopen(store.kv), b"k")
+        return store
+
+    outcomes = set()
+    for store, plan, lost in crashpoints(
+            build,
+            lambda store: store.update("k", lambda value: b"new",
+                                       purpose="service"),
+            _devices):
+        recovered = _values(reopen(store.kv))
+        pre_or_post(recovered, {b"k": b"old"}, {b"k": b"new"})
+        value = recovered.get(b"k")
         audited = _durable_ops(store, "k")[1:]      # past the first put
-        assert value in (b"old", b"new"), cut_at
         if value == b"new":
-            assert audited == [("get", "ok"), ("put", "ok")], cut_at
-        if returned:
+            assert audited == [("get", "ok"), ("put", "ok")], lost
+        if lost is None:
             assert value == b"new"
-            break
-        outcomes.add((value, len(audited)))
-        cut_at += 1
+        else:
+            outcomes.add((value, len(audited)))
     # One barrier per device, both at the request's end.
     assert plan.steps.count("fsync") == 2
     assert plan.steps[-2:] == ["fsync", "fsync"]
@@ -293,31 +296,23 @@ def test_power_loss_at_every_step_of_a_strict_put_with_a_ttl(variant):
     for fsync, offsets in (("everysec", steps), ("always", [instant / 2])):
         fired = 0
         for offset in offsets:
-            cut_at = 0
-            while True:
+            def build():
                 store = _timed_strict(variant, fsync)
                 store.clock.advance(instant - offset)
-                deadline = int((store.clock.now() + 3600.0) * 1000)
-                plan = FaultPlan(store.audit.log, store.kv.aof_log)
-                plan.cut(cut_at)
-                try:
-                    _put_with_a_ttl(store)
-                except PowerLoss:
-                    returned = False
-                else:
-                    returned = True
+                return store
+
+            deadline = int((build().clock.now() + 3600.0) * 1000)
+            for store, plan, lost in crashpoints(build, _put_with_a_ttl,
+                                                 _devices):
                 recovered = [record.expire_at for record
                              in reopen(store.kv).scan_records(0)]
                 if recovered:
                     assert recovered[0] is not None \
                         and deadline_ms(recovered[0]) == deadline, \
-                        (fsync, offset, cut_at)
+                        (fsync, offset, lost)
                     assert ("put", "ok") in _durable_ops(store, "k"), \
-                        (fsync, offset, cut_at)
-                if returned:
-                    fired += plan.steps.count("fsync") > 1
-                    break
-                cut_at += 1
+                        (fsync, offset, lost)
+            fired += plan.steps.count("fsync") > 1
         if fsync == "everysec":             # the timer fired mid-put
             assert fired
 
@@ -334,42 +329,31 @@ def test_power_loss_at_every_step_of_a_strict_erasure(variant):
     one audit fsync, a tiered one too: the engine's ``tier-cold-erase``
     record is appended before that commit, ahead of its cold barrier."""
     keys = ["a0", "a1", "a2"]
-    tiered = variant.startswith("tiered")
-    cut_at = 0
-    while True:
+
+    def build():
         store = _strict(variant, encrypt=False)
         for key in keys:
             store.put(key, b"v", _meta("alice"), purpose="service")
         store.put("b0", b"v", _meta("bob"), purpose="service")
-        logs = [store.audit.log, store.kv.aof_log]
-        if tiered:
+        if store.kv.supports_tiering:
             store.kv.demote_keys([b"a0", b"a1"])
-            logs.append(store.kv.cold.device)
             store.clock.advance(20.0)   # a demotion of b0 is due
-        audit_fsyncs = store.audit.log.fsyncs
-        plan = FaultPlan(*logs)
-        plan.cut(cut_at)
-        try:
-            right_to_erasure(store, "alice")
-        except PowerLoss:
-            returned = False
-        else:
-            returned = True
-        store.audit.verify_durable()        # raises on a broken chain
+        return store
+
+    audit_fsyncs = build().audit.log.fsyncs
+    for store, plan, lost in crashpoints(
+            build, lambda store: right_to_erasure(store, "alice"), _devices):
+        audited = [record.operation for record in durable_audit(store.audit)
+                   if record.subject == "alice"]
         restarted = reopen(store.kv)
         held = [key for key in keys
                 if restarted.has_live_key(key.encode("utf-8"))]
-        audited = [record.operation for record in
-                   AuditLog.parse(store.audit.log.read_durable())
-                   if record.subject == "alice"]
         if held != keys:
-            assert "erase-subject" in audited, cut_at
-        if returned:
+            assert "erase-subject" in audited, lost
+        if lost is None:
             assert held == []
-            break
-        cut_at += 1
     assert store.audit.log.fsyncs - audit_fsyncs == 1
-    if tiered:      # the due demotion waits for the next command
+    if store.kv.supports_tiering:   # the due demotion waits
         assert store.kv.inner.has_live_key(b"b0")
     # The erasure's record (and a tiered engine's cold-erase record) is
     # sealed as one block, written and committed before any engine step.
@@ -384,8 +368,7 @@ def test_the_erasure_record_names_what_the_erasure_does(variant):
     for key in ("a0", "a1", "a2"):
         store.put(key, b"v", _meta("alice"), purpose="service")
     report = right_to_erasure(store, "alice")
-    [record] = [record for record in
-                AuditLog.parse(store.audit.log.read_durable())
+    [record] = [record for record in durable_audit(store.audit)
                 if record.operation == "erase-subject"]
     assert (record.subject, record.outcome) == ("alice", "ok")
     assert record.detail == (
@@ -407,8 +390,7 @@ def test_the_cold_erase_record_names_the_segments_the_erasure_voids():
     fsyncs = store.audit.log.fsyncs
     report = right_to_erasure(store, "alice")
     assert store.audit.log.fsyncs - fsyncs == 1
-    records = [record for record in
-               AuditLog.parse(store.audit.log.read_durable())
+    records = [record for record in durable_audit(store.audit)
                if record.subject == "alice"]
     assert [record.operation for record in records[-2:]] == [
         "erase-subject", "tier-cold-erase"]

@@ -179,6 +179,27 @@ class TestAofCrashRecovery:
         assert [engine.execute("GET", key) for key in ("a", "b", "c")] \
             == [b"1", None, b"3"]
 
+    @pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
+    def test_a_write_never_made_durable_stays_lost_after_a_restart(
+            self, variant):
+        """Regression: a restart replayed the durable prefix but left the
+        bytes past it on the device, so the next fsync made a write that
+        the restart had dropped durable, and a second restart served
+        it.  The restarted writer cuts each part to its durable
+        length."""
+        engine = ENGINE_FACTORIES[variant](SimClock())
+        engine.execute("SET", "a", "1")
+        engine.aof_log.flush_and_fsync()
+        engine.execute("SET", "b", "2")
+        engine.aof_log.flush()
+        engine = reopen(engine)
+        assert engine.execute("GET", "b") is None
+        engine.execute("SET", "c", "3")
+        engine.aof_log.flush_and_fsync()
+        engine = reopen(engine)
+        assert [engine.execute("GET", key) for key in ("a", "b", "c")] \
+            == [b"1", None, b"3"]
+
     def test_replay_equivalence_after_rewrite(self):
         store, log, _ = make_store()
         for i in range(30):

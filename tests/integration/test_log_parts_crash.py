@@ -34,13 +34,13 @@ rewrites one part with no residual and no whole-log fallback.
 import pytest
 
 from repro.common.clock import SimClock
-from repro.device.faults import FaultPlan, PowerLoss
+from repro.device.faults import FaultPlan
 from repro.gdpr.metadata import GDPRMetadata
 from repro.gdpr.rights import right_to_erasure
 from repro.gdpr.store import GDPRConfig, GDPRStore
 from repro.kvstore.aof import AofWriter, mentioned_keys
 from repro.tiering import TieredEngine
-from tests.support import ENGINE_FACTORIES, parts_of, reopen
+from tests.support import ENGINE_FACTORIES, crashpoints, parts_of, reopen
 
 RECORDS = 250
 VALUE = b"v" * 200
@@ -66,16 +66,19 @@ def _loaded(variant):
     return engine
 
 
+# Each scenario builds a stack: the engine, the keys its rewrite names,
+# the keys it erases, and the keyspace its log replays to before the
+# rewrite's barrier and after it.
 def _whole(variant):
     engine = _loaded(variant)
     before = _logged(engine)
     engine.execute("DEL", *ERASED)
-    return engine, None, ERASED, before
+    return engine, None, ERASED, before, _logged(engine)
 
 
 def _split(variant):
     engine = _loaded(variant)
-    return engine, [b"user0"], [], _logged(engine)
+    return engine, [b"user0"], [], _logged(engine), _logged(engine)
 
 
 def _erase(variant, durable=True, erased=ERASED):
@@ -86,7 +89,7 @@ def _erase(variant, durable=True, erased=ERASED):
     if durable:
         engine.aof.log.flush_and_fsync()
         before = _logged(engine)
-    return engine, erased, erased, before
+    return engine, erased, erased, before, _logged(engine)
 
 
 def _erase_buffered(variant):
@@ -105,47 +108,48 @@ def _erase_one_part(variant):
                               "erasure-buffered-del", "erasure-one-part"])
 def test_power_loss_at_every_step_recovers_the_old_or_new_keyspace(
         variant, scenario):
-    cut_at = 0
-    while True:
-        engine, keys, erased, before = scenario(variant)
+    *cuts, done = crashpoints(
+        lambda: scenario(variant),
+        lambda stack: stack[0].rewrite_aof(stack[1]),
+        lambda stack: [stack[0].aof.log, *_cold_devices(stack[0])])
+    for (engine, keys, erased, before, after), plan, lost in cuts:
         log = engine.aof.log
-        after = _logged(engine)
-        plan = FaultPlan(log, *_cold_devices(engine))
-        plan.cut(cut_at)
-        try:
-            engine.rewrite_aof(keys)
-        except PowerLoss as cut:
-            step = str(cut)
-        else:
-            break
-        done = list(plan.steps)
+        reopened = AofWriter(log, engine.clock, engine.aof.policy)
         replica = engine.spawn_replica()
         replica.replay_aof(engine.aof.read_durable(),
                            tolerate_truncated_tail=False)
-        # The barrier makes the new parts -- and a buffered DEL -- durable.
-        assert _logged(replica) == (after if "fsync" in done else before), \
-            (variant, step)
-        reopened = AofWriter(log, engine.clock, engine.aof.policy)
+        _old_or_new(replica, log, erased, before, after, plan.steps)
         assert reopened.read_durable() == engine.aof.read_durable()
         assert len(log.files()) == len(reopened.part_files()) + reopened.split
         if scenario is _whole:
-            assert log.files() == [log.name], (variant, step)
-        if erased:
-            residual = any(mentioned_keys(log.read_all(name), erased)
-                           for name in log.files())
-            assert residual == ("rename" not in done), (variant, step)
-        cut_at += 1
-    done = plan.steps
-    assert set(done) >= {"append", "flush", "fsync", "rename"}
-    assert done.count("fsync") == 1
+            assert log.files() == [log.name], (variant, lost)
+    steps = done.plan.steps
+    assert set(steps) >= {"append", "flush", "fsync", "rename"}
+    assert steps.count("fsync") == 1
     if scenario in (_whole, _erase_one_part):
         # One part renamed over the old part's name (an unsplit log's:
         # the device's own file): nothing to remove.
-        assert "remove" not in done
+        assert "remove" not in steps
     else:
         # The commit's last step removes the retired parts.
-        assert done[-1] == "remove" and done.count("remove") == 1
-    assert cut_at == len(done)
+        assert steps[-1] == "remove" and steps.count("remove") == 1
+
+
+def _residual(log, erased):
+    """Whether some file on ``log`` still mentions an erased key."""
+    return any(mentioned_keys(log.read_all(name), erased)
+               for name in log.files())
+
+
+def _old_or_new(recovered, log, erased, before, after, steps):
+    """The crashed rewrite of a restarted log (``log``, its leftovers
+    swept): the barrier makes the new parts -- and a buffered ``DEL``
+    -- durable, and once the rename has happened no file on the device
+    mentions an erased key."""
+    assert _logged(recovered) == (after if "fsync" in steps else before), \
+        steps
+    assert _residual(log, erased) == bool(erased and "rename" not in steps), \
+        steps
 
 
 class _Appends(FaultPlan):
@@ -167,7 +171,7 @@ def test_a_one_part_erasure_writes_no_manifest_bytes(variant):
     starting at the same slot: it writes the new part to a temporary
     file and renames it over the old part's name, and the manifest --
     which lists the same files -- is neither written nor renamed."""
-    engine, keys, _, _ = _erase_one_part(variant)
+    engine, keys, *_ = _erase_one_part(variant)
     log, aof = engine.aof.log, engine.aof
     manifest = log.read_all(aof._manifest_file)
     files = aof.part_files()
@@ -200,8 +204,7 @@ def test_a_completed_erasure_leaves_no_trace_on_the_device(variant):
     assert log.fsyncs == fsyncs + 1
     names = [key.encode() for key in receipt.keys_erased]
     assert len(names) == 4
-    for name in log.files():
-        assert not mentioned_keys(log.read_all(name), names), name
+    assert not _residual(log, names)
 
 
 OWNED_RECORDS = 600
@@ -232,8 +235,7 @@ def _owned(variant):
                          ids=["durable-del", "buffered-del"])
 def test_power_loss_in_an_owner_placed_rewrite_keeps_one_part_erasures(
         variant, durable):
-    cut_at = 0
-    while True:
+    def build():
         store = _owned(variant)
         engine, log = store.kv, store.kv.aof.log
         erased = [key.encode() for key in store.keys_of_subject("subject-7")]
@@ -242,22 +244,15 @@ def test_power_loss_in_an_owner_placed_rewrite_keeps_one_part_erasures(
         if durable:
             log.flush_and_fsync()
             before = _logged(engine)
-        after = _logged(engine)
-        plan = FaultPlan(log, *_cold_devices(engine))
-        plan.cut(cut_at)
-        try:
-            engine.rewrite_aof(erased)
-        except PowerLoss as cut:
-            step = str(cut)
-        else:
-            break
-        done = list(plan.steps)
-        recovered = reopen(engine)
-        assert _logged(recovered) == (after if "fsync" in done else before), \
-            (variant, step)
-        residual = any(mentioned_keys(log.read_all(name), erased)
-                       for name in log.files())
-        assert residual == ("rename" not in done), (variant, step)
+        return store, erased, before, _logged(engine)
+
+    *cuts, done = crashpoints(
+        build, lambda stack: stack[0].kv.rewrite_aof(stack[1]),
+        lambda stack: [stack[0].kv.aof.log, *_cold_devices(stack[0].kv)])
+    for (store, erased, before, after), plan, lost in cuts:
+        recovered = reopen(store.kv)
+        _old_or_new(recovered, store.kv.aof.log, erased, before, after,
+                    plan.steps)
         # The restarted store's next erasure: one part, no fallback.
         restarted = _gdpr(recovered, store.keystore)
         restarted.rebuild_indexes()
@@ -268,10 +263,9 @@ def test_power_loss_in_an_owner_placed_rewrite_keeps_one_part_erasures(
         receipt = right_to_erasure(restarted, "subject-11")
         assert len(receipt.keys_erased) == KEYS_PER_SUBJECT
         assert receipt.log_compacted and not receipt.residual_in_aof
-        assert hot.rewrites_completed == rewrites + 1, step
-        assert len(parts - parts_of(recovered.aof)) == 1, step
-        cut_at += 1
-    assert plan.steps.count("rename") == 1 and cut_at == len(plan.steps)
+        assert hot.rewrites_completed == rewrites + 1, lost
+        assert len(parts - parts_of(recovered.aof)) == 1, lost
+    assert done.plan.steps.count("rename") == 1
 
 
 @pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))

@@ -16,12 +16,11 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.device.append_log import AppendLog
-from repro.device.faults import FaultPlan, PowerLoss
 from repro.kvstore import KeyValueStore, StoreConfig
 from repro.kvstore.commands import deadline_ms
 from repro.sqlstore import RelationalStore, SqlConfig
 from repro.tiering import TieredEngine, TieringConfig
-from tests.support import reopen
+from tests.support import crashpoints, pre_or_post, reopen
 
 KEYS = (b"a", b"b", b"gone")
 
@@ -79,10 +78,15 @@ def _prepared(base, fsync, before):
     return engine
 
 
-def _run(engine, operation):
-    """The operation, then a durable cold commit for ``b``."""
-    operation(engine)
-    assert engine.execute("DEL", "b") == 1
+def _points(base, fsync, before, operation):
+    """:func:`crashpoints` over both logs of a prepared engine: the
+    operation, then a durable cold commit for ``b``."""
+    def run(engine):
+        operation(engine)
+        assert engine.execute("DEL", "b") == 1
+
+    return crashpoints(lambda: _prepared(base, fsync, before), run,
+                       lambda engine: [engine.aof_log, engine.cold.device])
 
 
 @pytest.mark.parametrize("fsync", ["everysec", "always"])
@@ -93,29 +97,16 @@ def test_power_loss_before_any_step_recovers_pre_or_post_state(
     relational, before, operation = CASES[case]
     if base == "relational" and not relational:
         pytest.skip("the relational engine has no APPEND")
-    engine = _prepared(base, fsync, before)
-    pre = _state(engine)
-    plan = FaultPlan(engine.aof_log, engine.cold.device)
-    _run(engine, operation)
-    post = _state(engine)
-    steps = len(plan.steps)
-    assert steps > 0
-    for cut in range(steps + 1):
-        engine = _prepared(base, fsync, before)
-        plan = FaultPlan(engine.aof_log, engine.cold.device)
-        plan.cut(cut)
-        try:
-            _run(engine, operation)
-        except PowerLoss:
-            pass
-        else:
-            assert cut == steps
+    pre = _state(_prepared(base, fsync, before))
+    *cuts, done = _points(base, fsync, before, operation)
+    assert cuts
+    post = _state(done.stack)
+    for engine, plan, lost in cuts + [done]:
+        if lost is None:
             plan.power_loss()
         recovered = _state(reopen(engine))
-        assert b"gone" not in recovered, cut
-        for key in KEYS:
-            assert recovered.get(key) in (pre.get(key), post.get(key)), \
-                (cut, key, recovered.get(key))
+        assert b"gone" not in recovered, lost
+        pre_or_post(recovered, pre, post)
 
 
 def _set_for_a_second(engine):
@@ -144,30 +135,15 @@ def test_a_deadline_passed_before_the_restart_keeps_the_key_dead(
     power loss agrees with the first."""
     before, operation = DEADLINE_CASES[case]
     pre = _state(_prepared(base, fsync, before))
-    engine = _prepared(base, fsync, before)
-    plan = FaultPlan(engine.aof_log, engine.cold.device)
-    _run(engine, operation)
-    steps = len(plan.steps)
-    for cut in range(steps + 1):
-        engine = _prepared(base, fsync, before)
-        plan = FaultPlan(engine.aof_log, engine.cold.device)
-        if cut < steps:
-            plan.cut(cut)
-        try:
-            _run(engine, operation)
-        except PowerLoss:
-            pass
-        else:
-            assert cut == steps
+    for engine, plan, lost in _points(base, fsync, before, operation):
+        if lost is None:
             engine.aof_log.flush_and_fsync()
         engine.clock.advance(2)
         recovered = reopen(engine)
         state = _state(recovered)
-        for key in KEYS:
-            assert state.get(key) in (pre.get(key), None), \
-                (cut, key, state.get(key))
-        if cut == steps:
+        pre_or_post(state, pre, {})
+        if lost is None:
             assert state == {}
             assert recovered.execute("GET", "a") is None
         plan.power_loss()
-        assert _state(reopen(recovered)) == state, cut
+        assert _state(reopen(recovered)) == state, lost

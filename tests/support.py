@@ -3,7 +3,8 @@ suite runs as ``python -m pytest`` from the repository root)."""
 
 import gc
 import sys
-from typing import Any, Callable, Dict, Iterable, NamedTuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, NamedTuple, Optional)
 
 
 class CallCount(NamedTuple):
@@ -106,6 +107,66 @@ def reopen(engine):
                              tiering=engine.tiering)
     fresh.replay_aof()
     return fresh
+
+
+class CrashPoint(NamedTuple):
+    stack: Any              # what ``build()`` returned, after the run
+    plan: Any               # its FaultPlan: ``steps`` are what ran
+    lost: Optional[str]     # the PowerLoss raised; None: the run returned
+
+
+def crashpoints(build: Callable[[], Any], operation: Callable[[Any], Any],
+                devices: Callable[[Any], Iterable]) -> Iterator[CrashPoint]:
+    """Every state a power cut can leave ``operation`` in: run once on
+    ``build()`` under a ``FaultPlan`` over ``devices(stack)`` to record
+    its device steps, then, on a fresh stack each, with power cut
+    before each step in turn (the cut must raise ``PowerLoss`` after
+    the recorded steps before it), and last to the end (it must take
+    exactly the recorded steps).  The cut states come in step order;
+    the caller checks each state's post-conditions."""
+    from repro.device.faults import FaultPlan, PowerLoss
+
+    def run(cut=None):
+        stack = build()
+        plan = FaultPlan(*devices(stack))
+        if cut is not None:
+            plan.cut(cut)
+        try:
+            operation(stack)
+        except PowerLoss as lost:
+            return CrashPoint(stack, plan, str(lost))
+        return CrashPoint(stack, plan, None)
+
+    steps = run().plan.steps
+    for at in range(len(steps)):
+        point = run(at)
+        assert point.lost, f"cut before step {at} of {steps}: it returned"
+        assert point.plan.steps[:at] == steps[:at], \
+            f"cut before step {at}: ran {point.plan.steps}, recorded {steps}"
+        yield point
+    point = run()
+    assert point.plan.steps == steps, \
+        f"the run took {point.plan.steps}, recorded {steps}"
+    yield point
+
+
+def pre_or_post(recovered: Dict, pre: Dict, post: Dict) -> None:
+    """Each key of a recovered ``key -> state`` map, or of the map
+    before or after the operation, holds its state before or after it
+    (absent counts as a state)."""
+    for key in {*recovered, *pre, *post}:
+        assert recovered.get(key) in (pre.get(key), post.get(key)), \
+            (key, recovered.get(key))
+
+
+def durable_audit(audit) -> list:
+    """The records of ``audit``'s durable blocks, whose chain verifies
+    and covers every one of them."""
+    from repro.gdpr.audit import AuditLog
+
+    records = AuditLog.parse(audit.log.read_durable())
+    assert audit.verify_durable() == len(records)
+    return records
 
 
 def parts_of(aof) -> set:
