@@ -464,7 +464,7 @@ class ClusterClient:
                  slot_map: Optional[SlotMap] = None,
                  clock: Optional[Clock] = None,
                  max_redirects: int = 5,
-                 node_factory: Optional[Callable[[int], ClusterNode]] = None
+                 node_factory: Optional[Callable[..., ClusterNode]] = None
                  ) -> None:
         if not nodes:
             raise ClusterError("a cluster needs at least one shard")
@@ -483,8 +483,9 @@ class ClusterClient:
                 "every node must run on one shared scheduler, and it "
                 "must be the cluster's clock")
         self.max_redirects = max_redirects
-        # Builds the node of a new or recovered shard index (add_shard,
-        # recover_shard); build_cluster supplies its own.
+        # Builds the node of a new shard index (add_shard), or of a
+        # recovered one around its reopened store (recover_shard);
+        # build_cluster supplies its own.
         self._node_factory = node_factory
         self.moved_redirects = 0
         self.ask_redirects = 0
@@ -920,42 +921,36 @@ class ClusterClient:
             scaler.start()
         return scaler
 
-    def recover_shard(self, index: int,
-                      aof_bytes: Optional[bytes] = None) -> int:
-        """Rebuild one crashed shard from its durable log.
+    def recover_shard(self, index: int) -> int:
+        """Restart one crashed shard over its own devices.
 
-        A fresh node is built through the cluster's node factory (so it
-        keeps the shard's configuration and device-latency model), the
-        crashed store's surviving AOF (or ``aof_bytes``) is replayed into
-        it and rewritten as its new log, and a GDPR shard re-derives its
-        indexes from the decryptable envelopes (crypto-erased records
-        stay unreachable).  Other shards are not touched; a replication
-        group is re-homed onto the recovered primary and full-synced.
-        Returns the number of commands replayed.
+        The crashed node's cron and timers stop, and its store reopens
+        on a new node's clock (:meth:`~repro.engine.base.StorageEngine.
+        reopen`, or a GDPR shard's :meth:`~repro.gdpr.store.GDPRStore.
+        reopen`): the engine replays its durable log, a tiered engine
+        recovers its cold archive, and a GDPR shard's audit log continues
+        its chain while its indexes are re-derived from the decryptable
+        envelopes (crypto-erased records stay unreachable).  The
+        cluster's node factory builds the node around it, so it keeps
+        the shard's worker pool and channel configuration.  Other shards
+        are not touched; a replication group is re-homed onto the
+        recovered primary and full-synced.  Returns the number of
+        commands replayed.
         """
-        old = self.nodes[index]
-        if aof_bytes is None:
-            if old.store.aof is None:
-                raise ValueError(f"shard {index} has no AOF to recover")
-            aof_bytes = old.store.aof.read_all()
         if self._node_factory is None:
             raise ClusterError("this cluster cannot build nodes")
+        old = self.nodes[index]
+        if old.store.aof is None:
+            raise ValueError(f"shard {index} has no AOF to recover")
         old.server.stop_cron()
         for timer in old.clock.timers:      # its devices' timers
             timer.cancel()
-        node = self._node_factory(index)
-        replayed = node.store.replay_aof(aof_bytes)
-        if node.store.aof is not None:
-            # Seed the replacement log with the recovered state so the
-            # shard is immediately durable again.
-            node.store.rewrite_aof()
-        if node.gdpr is not None:
-            node.gdpr.rebuild_indexes()
+        node = self._node_factory(index, (old.gdpr or old.store).reopen)
         self.nodes[index] = node
         if self.replication is not None \
                 and index in self.replication.groups:
             self.replication.rebuild_shard(index, node.store)
-        return replayed
+        return node.store.stats.commands_replayed
 
     # -- introspection -----------------------------------------------------
 
@@ -1029,12 +1024,17 @@ def build_cluster(num_shards: int,
         policy = placement if isinstance(placement, PlacementPolicy) \
             else PlacementPolicy()
 
-    def make_node(index: int) -> ClusterNode:
+    def make_node(index: int,
+                  reopen: Optional[Callable[[Clock], Any]] = None
+                  ) -> ClusterNode:
+        # A new shard's store comes from the factory; a recovered one's
+        # is the crashed store's ``reopen``, over its own devices.
         node_clock = ShardClock(master.now(), workers=workers,
                                 scheduler=master)
         channel = Channel(clock=master, bandwidth_bps=bandwidth_bps,
                           latency=latency)
-        store = store_factory(index, node_clock)
+        store = store_factory(index, node_clock) if reopen is None \
+            else reopen(node_clock)
         if store.clock is not node_clock:
             raise ClusterError(
                 "store_factory must build the store on the clock it is "

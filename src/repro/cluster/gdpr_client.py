@@ -63,12 +63,10 @@ def gdpr_shards(keystore: Optional[KeyStore] = None,
     (default: an AOF-logged Redis-like store that also logs reads).
     With ``tiering`` every engine is wrapped in a
     :class:`~repro.tiering.TieredEngine` over the shard's own cold
-    device; a shard rebuilt under the same index (``recover_shard``)
-    reopens that device, whose segments, tombstones and erasure markers
-    survive the crash.
+    device.  A recovered shard (``recover_shard``) is not built here: it
+    reopens the crashed store over its devices.
     """
     keystore = keystore if keystore is not None else KeyStore()
-    cold_devices = {}
     if kv_factory is None:
         def kv_factory(index: int, clock: Clock) -> StorageEngine:
             return KeyValueStore(
@@ -79,13 +77,8 @@ def gdpr_shards(keystore: Optional[KeyStore] = None,
         kv = kv_factory(index, clock)
         if tiering is not None \
                 and not getattr(kv, "supports_tiering", False):
-            device = cold_devices.get(index)
-            if device is None:
-                device = cold_devices[index] = AppendLog(
-                    clock=clock, name=f"shard-{index}.cold")
-            else:
-                device.clock = clock    # the rebuilt shard's meter
-            kv = TieredEngine(kv, device=device, tiering=tiering)
+            kv = TieredEngine(kv, device=AppendLog(
+                clock=clock, name=f"shard-{index}.cold"), tiering=tiering)
         return GDPRStore(kv=kv, config=GDPRConfig(
             node_id=f"shard-{index}", fast_gdpr=fast_gdpr,
             audit_durability=(AuditDurability.BATCH if fast_gdpr

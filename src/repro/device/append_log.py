@@ -26,6 +26,9 @@ everysec fsync is one barrier per device per interval, whether or not
 commands arrive.  A firing that falls inside a barrier scope waits for
 the scope's exit, after its barriers: a request's data never becomes
 durable ahead of the audit record the request's barrier makes durable.
+A restarted node opens its devices anew on its own clock
+(:meth:`AppendLog.reopen`): each drops the old timer, and the reopened
+writer registers a new one.
 
 Whoever waits for a barrier pays for it.  ``fsync()`` is a barrier its
 caller waits for: it charges the device's fsync cost.  ``fsync(wait=
@@ -131,7 +134,7 @@ class AppendLog:
         # end (a SYNC audit log's request block) writes them there.
         self.before_barrier: Optional[Callable[[], None]] = None
         # The device's timer and the writers its firings step (held
-        # weakly: a writer replaced on the device leaves with its last
+        # weakly: a writer dropped with its engine leaves with its last
         # reference); a firing that falls inside one of the device's
         # own operations waits for the operation to end (``_busy``
         # counts those in progress), one inside a barrier scope for the
@@ -324,6 +327,29 @@ class AppendLog:
         self.fsync(wait)
 
     # -- the device's timer --------------------------------------------------
+
+    def reopen(self, clock: Clock) -> None:
+        """Open the device anew on ``clock``, as a node restarted after
+        its process died does.  The files are what the operating system
+        holds: the dead process's unwritten buffers are gone, and what
+        it wrote counts as durable, as the system writes it back (a
+        power loss is :meth:`~repro.device.faults.FaultPlan.power_loss`
+        before the restart, which keeps only the durable bytes).
+        Whatever the old process had attached to the device goes too --
+        its timer, cancelled, with the writers that joined it, the
+        ``before_barrier`` hook, and a commit or a firing still due -- so
+        the next writer to join registers a new timer on ``clock``."""
+        self._durable_length = self._cached_length
+        for file in self._closed.values():
+            file.durable = file.cached
+        self._lose_power()          # the unwritten buffers
+        if self.timer is not None:
+            self.timer.cancel()
+        self.timer = None
+        self._tickers = []
+        self.before_barrier = None
+        self._commit_due = self._fire_due = False
+        self.clock = clock
 
     def join_timer(self, writer, interval: float) -> None:
         """Step ``writer`` (its ``tick()``) at every firing of the

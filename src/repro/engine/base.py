@@ -133,6 +133,7 @@ class EngineStats:
         self.deleted_keys = 0
         self.keyspace_hits = 0
         self.keyspace_misses = 0
+        self.commands_replayed = 0
 
 
 class StorageEngine:
@@ -177,6 +178,9 @@ class StorageEngine:
         # neither logged nor fed to the write stream, and the periodic
         # maintenance cycle waits for the client command's own tick.
         self._promoting = False
+        # Records taken before a write ran, logged ahead of its own
+        # record once the engine accepts it (:meth:`hold_bases`).
+        self._bases: Optional[list] = None
         self._default_session = Session()
 
     # -- command surface ---------------------------------------------------
@@ -232,6 +236,10 @@ class StorageEngine:
                     # order: logged as the keyspace it left.
                     self.rewrite_aof()
                 else:
+                    if self._bases:
+                        for base in self._bases:
+                            aof.feed_laid(*base)
+                        self._bases = None
                     for record in records:
                         aof.feed_command(db_index, record,
                                          is_write=effective_write)
@@ -374,7 +382,31 @@ class StorageEngine:
                 self.execute(*argv, session=session)
         finally:
             self._loading = False
+        self.stats.commands_replayed += len(commands)
         return len(commands)
+
+    def reopen(self, clock: Optional[Any] = None) -> "StorageEngine":
+        """This engine restarted, as its process would be after a crash:
+        a fresh engine of its configuration over its own devices, on
+        ``clock`` (default: its own), its durable log replayed (every
+        part of it) and -- behind the tiering wrapper -- its cold archive
+        recovered from its device.  Each device is reopened on the clock
+        first (:meth:`~repro.device.append_log.AppendLog.reopen`), so the
+        old engine's timer and writers leave it.  Drop the old engine:
+        it shares the devices."""
+        clock = self.clock if clock is None else clock
+        if self.aof_log is not None:
+            self.aof_log.reopen(clock)
+        fresh = self._reopened(clock)
+        fresh.replay_aof()
+        return fresh
+
+    def _reopened(self, clock: Any) -> "StorageEngine":
+        """An empty engine of this one's configuration over its own
+        devices, the log's reopened on ``clock`` (its cold archive's is
+        the tiering wrapper's to reopen): :meth:`reopen` before the
+        replay."""
+        raise NotImplementedError
 
     def rewrite_aof(self, keys: Optional[Iterable[bytes]] = None) -> int:
         """Compact the durable command log to the records of the
@@ -480,17 +512,26 @@ class StorageEngine:
 
     def log_record(self, key: bytes) -> None:
         """Log database-0 ``key``'s record as a log rewrite writes it
-        (:meth:`~repro.kvstore.aof.AofWriter.feed_record`), to the
-        durable log only: the base a tiering layer lays before the first
-        write to a key it filled (:meth:`promote_insert`) without a
-        record.  The base restates what the archive already holds
-        durably, so it needs no barrier of its own: the write that
-        follows flushes it with its own record."""
+        (:func:`~repro.kvstore.aof.lay_record`), to the durable log only:
+        the base a tiering layer lays before it annotates a key it
+        filled (:meth:`promote_insert`) without a record.  The base
+        restates what the archive already holds durably, so it needs no
+        barrier of its own: the write that follows flushes it with its
+        own record."""
         aof = self.aof
         if aof is None or self._loading:
             return
         for record in self.records_of(0, (key,)):
-            aof.feed_record(0, record)
+            aof.feed_laid(*lay_record(0, record))
+
+    def hold_bases(self, keys: Sequence[bytes]) -> None:
+        """Take database-0 ``keys``' records now, as :meth:`log_record`
+        logs them, and log them ahead of the next command's own record
+        once the engine accepts that command: the bases a tiering layer
+        lays before a write to keys it filled.  A refused command logs
+        nothing: the caller drops what is left with ``hold_bases(())``."""
+        self._bases = [lay_record(0, record)
+                       for record in self.records_of(0, keys)]
 
     # -- replication -------------------------------------------------------
 
@@ -577,3 +618,4 @@ def register_engine(name: str, cls: Type[StorageEngine]) -> None:
 # imports this module: bound last, so either import order resolves.
 from ..kvstore.commands import (  # noqa: E402
     REGISTRY, UNKNOWN, CommandContext, Session, normalize_args)
+from ..kvstore.aof import lay_record  # noqa: E402

@@ -202,7 +202,7 @@ def _fold(lines: Iterator[bytes], committed: int = 0,
 
 class AuditLog:
     """Hash-chained audit trail over an append-only log device, which
-    it continues where its durable chain ends."""
+    it continues where its chain ends."""
 
     def __init__(self, log: Optional[AppendLog] = None,
                  clock: Optional[Clock] = None,
@@ -225,11 +225,10 @@ class AuditLog:
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
         self.block_size = block_size
-        # The chain continues where the device's durable lines end; a
-        # torn final line, and anything never made durable after the
-        # chain, is cut.
+        # The chain continues where the device's lines end; a torn
+        # final line is cut.
         self._seq, self._blocks_sealed, self._tip, end = _fold(
-            self.log.lines(durable=True), torn_tail=True)
+            self.log.lines(), torn_tail=True)
         if end < self.log.total_length:
             self.log.truncate(end)
         # Records in blocks whose barrier returned.

@@ -135,8 +135,8 @@ class WriteBehindIndexer:
         self.flushes = 0
         self.applied = 0
         self.coalesced = 0
-        clock.every(WRITEBEHIND_INTERVAL, self.flush,
-                    label="gdpr-writebehind")
+        self.timer = clock.every(WRITEBEHIND_INTERVAL, self.flush,
+                                 label="gdpr-writebehind")
 
     def enqueue(self, key: str, work: object) -> None:
         if key in self._pending:

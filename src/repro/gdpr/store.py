@@ -110,8 +110,10 @@ class GDPRStore:
         self.index = MetadataIndex()
         # One barrier scope per request over the audit device and the
         # engine's log: a SYNC/``always`` request pays one fsync per
-        # device at its end, the audit device's first, so no durable
-        # write's processing is left unaudited.
+        # device at its end.  The audit device's comes first because a
+        # SYNC audit's block seal in ``before_barrier`` is that fsync
+        # (not because of the order named here), so no durable write's
+        # processing is left unaudited.
         self._request = BarrierScope(self.audit.log, self.kv.aof_log)
         # Erasure timeliness as the aggregates erasure_report() reads:
         # no erased key or subject name outlives its deletion here.
@@ -430,6 +432,34 @@ class GDPRStore:
         if self._writebehind is not None:
             self._writebehind.flush()
         self.audit.sync()
+
+    def reopen(self, clock: Optional[Clock] = None) -> "GDPRStore":
+        """This store restarted over its own devices, on ``clock``
+        (default: its own): its engine reopened (:meth:`~repro.engine.
+        base.StorageEngine.reopen`: the durable log replayed, a tiered
+        engine's cold archive recovered), an :class:`AuditLog` over the
+        same audit device, with the same durability, block size and
+        interval, which continues the chain where its durable blocks
+        end, and the indexes rebuilt from the replayed keyspace
+        (:meth:`rebuild_indexes`).  The old store's write-behind timer
+        stops; drop the old store, which shares the devices.
+
+        The :class:`~repro.crypto.keystore.KeyStore`, the
+        :class:`AccessController` and the :class:`LocationManager` are
+        carried over live, not rebuilt: they keep no device of their own,
+        so a restart has nothing to read them back from -- the keystore
+        until it gets a durable key journal."""
+        if self._writebehind is not None:
+            self._writebehind.timer.cancel()
+        kv, old = self.kv.reopen(clock), self.audit
+        old.log.reopen(kv.clock)
+        audit = AuditLog(old.log, kv.clock, old.durability,
+                         old.batch_interval, old.record_cpu_cost,
+                         block_size=old.block_size)
+        store = GDPRStore(kv, self.config, self.keystore, audit,
+                          self.access, self.locations)
+        store.rebuild_indexes()
+        return store
 
     def rebuild_indexes(self) -> int:
         """Rebuild in-memory indexes by scanning the keyspace (restart

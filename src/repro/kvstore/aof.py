@@ -110,10 +110,9 @@ class AofWriter(LogWriter):
     through the device's own ``append``.  A writer built over a device
     reads its manifest (a device without one holds one part: its own
     file), rebuilds each part's key sets and argument index from the
-    part's durable bytes, cuts each part to them less a truncated final
-    record (so that the next record follows the last whole durable one,
-    and no later barrier makes bytes durable that replay never saw),
-    gives each key a home in the part that holds its history, and
+    part's bytes, cuts a truncated final record from each part (so that
+    the next record follows the last whole one), gives each key a home
+    in the part that holds its history, and
     removes files the manifest does not name (what a crash mid-rewrite
     leaves behind).
     """
@@ -157,11 +156,10 @@ class AofWriter(LogWriter):
         ends = self._firsts[1:] + [NUM_SLOTS]
         split = self.split
         files = self.part_files()
-        for part, end, data, exposed in zip(
-                self._parts, ends, log.read_files(files, durable=True),
-                [log.exposed_bytes([file]) for file in files]):
+        for part, end, data in zip(self._parts, ends,
+                                   log.read_files(files)):
             commands, torn = _decode(data)
-            if torn or exposed:
+            if torn:
                 log.open(part.file)
                 log.truncate(len(data) - torn)
             db = 0
@@ -236,16 +234,14 @@ class AofWriter(LogWriter):
         if not is_write:
             self.reads_logged += 1
 
-    def feed_record(self, db_index: int, record: Tuple) -> None:
-        """Append one ``(key, value, expire_at, metadata)`` record as a
-        log rewrite writes it (see :func:`_layout`), as one write."""
-        ((_, statements, _, _, hashes),) = _layout(
-            {db_index: (record,)}, False, 0, False, {})
+    def feed_laid(self, db_index: int, key: bytes, statements: bytes,
+                  hashes: Set[int]) -> None:
+        """Append one record as a log rewrite writes it, laid out by
+        :func:`lay_record`, as one write."""
         if self.record_base_cost or self.record_per_byte_cost:
             self.clock.advance(self.record_base_cost
                                + len(statements) * self.record_per_byte_cost)
         if self.split:
-            key = record[0]
             self._append(self._route(key), db_index, statements, (key,),
                          hashes)
         else:
@@ -657,6 +653,18 @@ def _container_command(key: bytes, value) -> Tuple[bytes, ...]:
     for member, score in value.items():
         flat.extend((repr(score).encode("ascii"), member))
     return tuple(flat)
+
+
+def lay_record(db_index: int, record: Tuple
+               ) -> Tuple[int, bytes, bytes, Set[int]]:
+    """One ``(key, value, expire_at, metadata)`` record of database
+    ``db_index`` as a log rewrite writes it (see :func:`_layout`):
+    ``(db_index, key, statements, argument hashes)``, the arguments of
+    :meth:`AofWriter.feed_laid` -- its bytes taken now, while the value
+    may still change before they are appended."""
+    ((_, statements, _, _, hashes),) = _layout(
+        {db_index: (record,)}, False, 0, False, {})
+    return db_index, record[0], statements, hashes
 
 
 def _layout(databases: Mapping[int, Iterable[Tuple]], select: bool,

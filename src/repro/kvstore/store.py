@@ -286,6 +286,9 @@ class KeyValueStore(StorageEngine):
     def key_count(self, db_index: int = 0) -> int:
         return len(self.databases[db_index])
 
+    def _reopened(self, clock: Clock) -> "KeyValueStore":
+        return KeyValueStore(self.config, clock=clock, aof_log=self.aof_log)
+
     def spawn_replica(self, clock: Optional[Clock] = None) -> "KeyValueStore":
         """A zero-cost plain store on ``clock`` (default: this store's)
         -- the replication layer's default replica, as in

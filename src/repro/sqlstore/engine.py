@@ -696,6 +696,9 @@ class RelationalStore(StorageEngine):
                              else (row.owner, row.purposes))
                 for row in rows]
 
+    def _reopened(self, clock: Clock) -> "RelationalStore":
+        return RelationalStore(self.config, clock=clock, wal_log=self.aof_log)
+
     # -- replication -------------------------------------------------------
 
     def spawn_replica(self, clock: Optional[Clock] = None

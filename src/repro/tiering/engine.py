@@ -32,9 +32,10 @@ replication, YCSB -- runs over a tiered keyspace unchanged:
   promoted key is
   *clean* -- its shadow is current and the hot log holds no record of
   the fill -- until a write: a plain ``SET`` just ends that, any other
-  write first logs the key's record (:meth:`~repro.engine.base.
-  StorageEngine.log_record`), so the log never holds a delta with no
-  base.  A clean key's re-demotion seals nothing.
+  write the hot engine accepts logs the key's record ahead of its own
+  (:meth:`~repro.engine.base.StorageEngine.hold_bases`), so the log
+  never holds a delta with no base, and a refused write logs nothing.
+  A clean key's re-demotion seals nothing.
 * **One keyspace.**  KEYS / SCAN / DBSIZE / ``live_keys`` /
   ``scan_records`` / ``key_count`` merge both tiers; DEL, expiry
   (lazy and active) and FLUSH reach cold copies with the same
@@ -270,22 +271,32 @@ class TieredEngine(StorageEngine):
             return reply
         else:
             spec = spec_of(name)
-            for key in spec.keys(argv):
+            keys = spec.keys(argv)
+            for key in keys:
                 self._surface(key)
                 self._touch(key)
-                if spec.write and key in self._clean:
-                    self._dirty(key)
+            if spec.write and not self._clean.isdisjoint(keys):
+                return self._write_clean(keys, argv, session)
         return self._inner.execute(*argv, session=session)
 
     def _touch(self, key: bytes) -> None:
         self._last_touch[key] = self.clock.now()
 
-    def _dirty(self, key: bytes) -> None:
-        """A write other than a plain ``SET`` is about to reach clean
-        ``key``: log the key's record first, so the write's own record
-        replays over a base."""
-        self._clean.discard(key)
-        self._inner.log_record(key)
+    def _write_clean(self, keys: Sequence[bytes], argv: List[bytes],
+                     session: Optional[Any]) -> Any:
+        """A write other than a plain ``SET`` to ``keys``, some of them
+        clean: the inner engine logs the clean keys' records as they
+        were ahead of the write's own, so that record replays over a
+        base -- once it accepts the write.  A refused write logs
+        nothing, and the keys stay clean."""
+        keys = [key for key in keys if key in self._clean]
+        self._inner.hold_bases(keys)
+        try:
+            reply = self._inner.execute(*argv, session=session)
+        finally:
+            self._inner.hold_bases(())
+        self._clean.difference_update(keys)
+        return reply
 
     def _surface(self, key: bytes) -> None:
         """Reconcile ``key`` before a command touches it: promote a live
@@ -647,6 +658,11 @@ class TieredEngine(StorageEngine):
             self._clean.clear()     # the rewrite logged every hot key
         return size
 
+    def _reopened(self, clock: Any) -> "TieredEngine":
+        self.cold.device.reopen(clock)
+        return TieredEngine(self._inner._reopened(clock), self.cold.device,
+                            self.tiering, self.cold.keystore)
+
     # -- replication ---------------------------------------------------------
 
     def spawn_replica(self, clock: Optional[Any] = None) -> "TieredEngine":
@@ -663,14 +679,15 @@ class TieredEngine(StorageEngine):
         # Every row's owner is remembered (a demoted key re-annotates on
         # promotion); only the hot-live rows reach the hot engine, in one
         # call.  A clean key's shadow would keep the old owner: the
-        # annotation is a write to it.
+        # annotation is a write to it, after the key's record (its base).
         hot = []
         for key, owner, purposes in rows:
             key_bytes = key.encode("utf-8") if isinstance(key, str) else key
             self._owners[key_bytes] = (owner, tuple(purposes))
             if self._inner.has_live_key(key_bytes, 0):
                 if key_bytes in self._clean:
-                    self._dirty(key_bytes)
+                    self._clean.discard(key_bytes)
+                    self._inner.log_record(key_bytes)
                 hot.append((key, owner, purposes))
         self._inner.annotate_metadata(hot)
 

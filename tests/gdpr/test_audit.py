@@ -16,7 +16,7 @@ from repro.device.latency import INTEL_750_SSD
 from repro.gdpr.audit import AuditDurability, AuditLog
 from repro.gdpr.metadata import GDPRMetadata
 from repro.gdpr.store import GDPRStore
-from tests.support import ENGINE_FACTORIES, reopen
+from tests.support import ENGINE_FACTORIES
 
 
 def make_log(durability=AuditDurability.SYNC, batch_interval=1.0,
@@ -320,13 +320,16 @@ class TestReopen:
 
     def test_bytes_never_made_durable_are_cut(self):
         # A seal whose barrier failed left its line written but not
-        # durable: the reopen keeps the durable chain only.
+        # durable: a power loss takes it, and the reopen continues the
+        # durable chain.
         log, clock = self._log(records=8)
-        FaultPlan(log.log).fail("fsync")
+        plan = FaultPlan(log.log)
+        plan.fail("fsync")
         with pytest.raises(DeviceIOError):
             for i in range(4):
                 log.append("p", "put", key=f"x{i}")
         assert log.log.unsynced_bytes > 0
+        plan.power_loss()
         again = self._reopened(log, clock)
         assert again.record_count == again.verify_durable() == 8
         assert log.log.total_length == log.log.durable_length
@@ -345,10 +348,9 @@ class TestReopen:
 @pytest.mark.parametrize("tear", [0, 6], ids=["power-loss", "torn-tail"])
 @pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
 def test_a_store_restarts_on_its_audit_device(variant, tear):
-    """Put, lose power (and tear the audit device's final line), restart
-    the engine and the store's audit log over their devices, put again:
-    both verifiers hold, and the chain has lost at most the torn
-    block."""
+    """Put, lose power (and tear the audit device's final line), reopen
+    the store over its devices, put again: both verifiers hold, and the
+    chain has lost at most the torn block."""
     clock = SimClock()
     device = AppendLog(clock=clock, name="audit.log")
     store = GDPRStore(kv=ENGINE_FACTORIES[variant](clock),
@@ -364,7 +366,6 @@ def test_a_store_restarts_on_its_audit_device(variant, tear):
         put(store, f"a{i}")
     engine, written = store.kv, store.audit.record_count
     last = len(json.loads(lines_of(store.audit)[-1])["members"])
-    del store       # a crashed process holds nothing
     devices = [engine.aof_log] + (
         [engine.cold.device] if hasattr(engine, "cold") else [])
     FaultPlan(*devices).power_loss()
@@ -372,7 +373,7 @@ def test_a_store_restarts_on_its_audit_device(variant, tear):
     plan.power_loss()
     if tear:
         plan.tear(tear)
-    store = GDPRStore(kv=reopen(engine), audit=AuditLog(device, clock=clock))
+    store = store.reopen()
     kept = written - last if tear else written
     assert store.audit.record_count == kept
     for i in range(3):

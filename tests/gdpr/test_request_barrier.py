@@ -27,7 +27,7 @@ from repro.kvstore import KeyValueStore, StoreConfig
 from repro.kvstore.commands import deadline_ms
 from repro.sqlstore import RelationalStore, SqlConfig
 from repro.tiering import TieredEngine, TieringConfig
-from tests.support import crashpoints, durable_audit, pre_or_post, reopen
+from tests.support import crashpoints, durable_audit, pre_or_post
 
 SERVICE = frozenset({"service"})
 KEYS = 5
@@ -216,7 +216,7 @@ def test_power_loss_at_every_step_of_a_strict_update(variant):
             lambda store: store.update("k", lambda value: b"new",
                                        purpose="service"),
             _devices):
-        recovered = _values(reopen(store.kv))
+        recovered = _values(store.kv.reopen())
         pre_or_post(recovered, {b"k": b"old"}, {b"k": b"new"})
         value = recovered.get(b"k")
         audited = _durable_ops(store, "k")[1:]      # past the first put
@@ -305,7 +305,7 @@ def test_power_loss_at_every_step_of_a_strict_put_with_a_ttl(variant):
             for store, plan, lost in crashpoints(build, _put_with_a_ttl,
                                                  _devices):
                 recovered = [record.expire_at for record
-                             in reopen(store.kv).scan_records(0)]
+                             in store.kv.reopen().scan_records(0)]
                 if recovered:
                     assert recovered[0] is not None \
                         and deadline_ms(recovered[0]) == deadline, \
@@ -345,7 +345,7 @@ def test_power_loss_at_every_step_of_a_strict_erasure(variant):
             build, lambda store: right_to_erasure(store, "alice"), _devices):
         audited = [record.operation for record in durable_audit(store.audit)
                    if record.subject == "alice"]
-        restarted = reopen(store.kv)
+        restarted = store.kv.reopen()
         held = [key for key in keys
                 if restarted.has_live_key(key.encode("utf-8"))]
         if held != keys:
@@ -495,9 +495,7 @@ def test_a_cold_seal_in_a_scope_is_durable_as_it_returns():
         # keeps the records.
         assert engine.demote_keys([b"a", b"b", b"c"]) == 3
         FaultPlan(device, engine.aof_log).power_loss()
-    recovered = TieredEngine(_always_kv(clock), device=device,
-                             tiering=engine.tiering)
-    recovered.replay_aof(engine.aof_log.read_all())
+    recovered = engine.reopen()
     assert [recovered.execute("GET", key) for key in ("a", "b", "c")] \
         == [b"v-a", b"v-b", b"v-c"]
 

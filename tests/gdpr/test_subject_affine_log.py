@@ -23,7 +23,7 @@ from repro.gdpr.store import GDPRConfig, GDPRStore
 from repro.kvstore.aof import PART_BYTES, replay_commands
 from repro.sqlstore import RelationalStore, SqlConfig
 from repro.tiering import TieredEngine
-from tests.support import ENGINE_FACTORIES, parts_of, reopen
+from tests.support import ENGINE_FACTORIES, parts_of
 
 KEYS = 120
 OWNERS = 30
@@ -31,13 +31,12 @@ VALUE = b"p" * 512
 SERVICE = frozenset({"service"})
 
 
-def _gdpr(engine, keystore=None):
+def _gdpr(engine):
     """A compacting, unencrypted GDPR store over ``engine``, its reads
     logged (so reads are records of the key too)."""
     engine.aof.log_reads = True
-    return GDPRStore(kv=engine, keystore=keystore,
-                     config=GDPRConfig(encrypt_at_rest=False,
-                                       compact_on_erasure=True))
+    return GDPRStore(kv=engine, config=GDPRConfig(encrypt_at_rest=False,
+                                                  compact_on_erasure=True))
 
 
 def _put(store, index, owner):
@@ -111,8 +110,8 @@ def test_every_key_lives_in_exactly_one_part(variant):
         else:
             store.flush_compliance()
             store.kv.aof.log.flush_and_fsync()
-            store = _gdpr(reopen(store.kv), store.keystore)
-            store.rebuild_indexes()
+            store = store.reopen()
+            store.kv.aof.log_reads = True
             step = "restart"
         steps[step] += 1
         counts = _parts_mentioning(store.kv)

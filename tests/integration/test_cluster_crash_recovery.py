@@ -10,6 +10,9 @@ from repro.device.faults import FaultPlan
 from repro.gdpr import GDPRMetadata
 from repro.gdpr.rights import right_to_erasure
 from repro.kvstore import KeyValueStore, StoreConfig
+from repro.sqlstore import RelationalStore, SqlConfig
+from repro.tiering import TieringConfig
+from tests.support import crashpoints
 
 VICTIM = 1
 
@@ -48,6 +51,7 @@ class TestClusterCrashRecovery:
         self.placement = run_workload(self.store)
         # The workload must populate every shard, including the victim.
         assert set(self.placement) == {0, 1, 2}
+        self.audited = self.store.cluster.verify_audit_chains()
         victim = self.store.shards[VICTIM]
         FaultPlan(victim.kv.aof_log, victim.audit.log).power_loss()
 
@@ -63,14 +67,18 @@ class TestClusterCrashRecovery:
                 number = int(key.split(":")[1])
                 assert record.value == f"value-{number}".encode()
 
-    def test_other_shards_audit_chains_untouched(self):
-        counts_before = {
-            index: self.store.shards[index].audit.record_count
-            for index in (0, 2)}
+    def test_every_shard_keeps_its_audit_history(self):
+        """Regression: the recovered shard's audit log started on a new
+        device and verified no record; it reopens the shard's own audit
+        device, whose chain keeps verifying as puts go on, and the
+        other shards' chains are untouched."""
         self.store.cluster.recover_shard(VICTIM)
-        verified = self.store.cluster.verify_audit_chains()
-        for index in (0, 2):
-            assert verified[index] >= counts_before[index] > 0
+        recovered = self.store.cluster.verify_audit_chains()
+        for index in (0, 1, 2):
+            assert recovered[index] >= self.audited[index] > 0
+        placement = run_workload(self.store)
+        assert self.store.cluster.verify_audit_chains()[VICTIM] \
+            == recovered[VICTIM] + len(placement[VICTIM])
 
     def test_cross_shard_erasure_after_recovery(self):
         self.store.cluster.recover_shard(VICTIM)
@@ -149,3 +157,62 @@ def test_a_recovered_shard_s_old_device_timers_stop():
     labels = sorted(handle.label for _, _, handle in clock._events
                     if handle.active)
     assert labels == ["appendonly.aof-timer"] * 2 + ["server-cron"] * 2
+
+
+def test_a_shard_without_a_log_is_refused_before_anything_stops():
+    """A store with no AOF has nothing to recover from: the refusal
+    comes first, and the node it names keeps serving with its cron."""
+    cluster = build_cluster(2)
+    cluster.call("SET", "k", "v")
+    old = cluster.nodes[VICTIM]
+    with pytest.raises(ValueError, match="no AOF"):
+        cluster.recover_shard(VICTIM)
+    assert cluster.nodes[VICTIM] is old
+    assert old.server._cron_handle is not None
+    assert cluster.call("GET", "k") == b"v"
+
+
+@pytest.mark.parametrize("tiering", [None, TieringConfig(
+    demote_idle_after=4, demote_interval=1, segment_max_records=4)],
+    ids=["plain", "tiered"])
+@pytest.mark.parametrize("kv_factory", [
+    None, lambda index, clock: RelationalStore(SqlConfig(seed=index),
+                                               clock=clock)],
+    ids=["redislike", "relational"])
+def test_a_recovery_cut_anywhere_recovers_as_an_uncut_one(kv_factory,
+                                                            tiering):
+    """Power cut at every device step of ``recover_shard`` itself: a
+    second recovery leaves the keys, their values and every shard's
+    verified audit chain as one recovery that was not cut.  The crashed
+    process left a torn record on the engine log and a torn line on
+    the audit device, so the recovery has cuts of its own to make."""
+    def build():
+        store = GDPRClient(build_cluster(2, store_factory=gdpr_shards(
+            kv_factory=kv_factory, tiering=tiering)))
+        run_workload(store, count=12)
+        store.clock.advance(10)         # everysec fsyncs; idle keys demote
+        run_workload(store, count=16)
+        shard = store.shards[0]
+        for log, torn in ((shard.kv.aof_log, b"*3\r\n$3\r\nSET\r\n$4\r\nus"),
+                          (shard.audit.log, b'{"seq": ')):
+            log.append(torn)
+            log.flush()
+        return store
+
+    def state(store):
+        chains = store.cluster.verify_audit_chains()
+        return chains, {key: store.get(key).value for shard in store.shards
+                        for key in shard.index.keys()}
+
+    def devices(store):
+        shard = store.shards[0]
+        return [shard.kv.aof_log, shard.audit.log] + (
+            [shard.kv.cold.device] if tiering else [])
+
+    *cuts, done = crashpoints(build, lambda store:
+                              store.cluster.recover_shard(0), devices)
+    expected = state(done.stack)
+    assert cuts and len(expected[1]) == 16
+    for store, plan, lost in cuts:
+        store.cluster.recover_shard(0)
+        assert state(store) == expected, lost

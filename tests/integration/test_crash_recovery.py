@@ -12,7 +12,7 @@ from repro.gdpr.audit import AuditDurability, AuditLog
 from repro.kvstore import KeyValueStore, StoreConfig
 from repro.kvstore.replication import ReplicationManager
 from repro.sqlstore import RelationalStore, SqlConfig
-from tests.support import ENGINE_FACTORIES, reopen
+from tests.support import ENGINE_FACTORIES
 
 
 def make_store(appendfsync="always", **kwargs):
@@ -34,7 +34,7 @@ AUDIT_DURABILITY = {"always": AuditDurability.SYNC,
 def _engine(engine):
     """(device, write, survivors of keys, at-risk count) of an engine."""
     return (engine.aof_log, lambda key: engine.execute("SET", key, "v"),
-            lambda keys: set(keys).intersection(reopen(engine).live_keys(0)),
+            lambda keys: set(keys).intersection(engine.reopen().live_keys(0)),
             None)
 
 
@@ -140,8 +140,7 @@ class TestAofCrashRecovery:
         for i in range(50):
             store.execute("SET", f"k{i}", f"v{i}")
         FaultPlan(log).power_loss()
-        recovered = KeyValueStore(StoreConfig(appendonly=True))
-        recovered.replay_aof(log.read_all())
+        recovered = store.reopen()
         for i in range(50):
             assert recovered.execute("GET", f"k{i}") == f"v{i}".encode()
 
@@ -170,35 +169,40 @@ class TestAofCrashRecovery:
         log = engine.aof_log
         log.flush_and_fsync()
         log.truncate(log.total_length - 3)
-        engine = reopen(engine)
+        engine = engine.reopen()
         assert engine.execute("GET", "a") == b"1"
         assert engine.execute("GET", "b") is None
         engine.execute("SET", "c", "3")
         engine.aof_log.flush_and_fsync()
-        engine = reopen(engine)
+        engine = engine.reopen()
         assert [engine.execute("GET", key) for key in ("a", "b", "c")] \
             == [b"1", None, b"3"]
 
     @pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
-    def test_a_write_never_made_durable_stays_lost_after_a_restart(
-            self, variant):
+    @pytest.mark.parametrize("power_loss", [True, False],
+                             ids=["power-loss", "process-restart"])
+    def test_two_restarts_replay_the_same_writes(self, variant, power_loss):
         """Regression: a restart replayed the durable prefix but left the
         bytes past it on the device, so the next fsync made a write that
         the restart had dropped durable, and a second restart served
-        it.  The restarted writer cuts each part to its durable
-        length."""
+        it.  A write a power loss took stays lost; one the process had
+        written survives its restart (the operating system holds it and
+        writes it back) and a power loss after that."""
         engine = ENGINE_FACTORIES[variant](SimClock())
         engine.execute("SET", "a", "1")
         engine.aof_log.flush_and_fsync()
         engine.execute("SET", "b", "2")
         engine.aof_log.flush()
-        engine = reopen(engine)
-        assert engine.execute("GET", "b") is None
+        plan = FaultPlan(engine.aof_log)
+        if power_loss:
+            plan.power_loss()
+        engine = engine.reopen()
         engine.execute("SET", "c", "3")
         engine.aof_log.flush_and_fsync()
-        engine = reopen(engine)
+        plan.power_loss()
+        engine = engine.reopen()
         assert [engine.execute("GET", key) for key in ("a", "b", "c")] \
-            == [b"1", None, b"3"]
+            == [b"1", None if power_loss else b"2", b"3"]
 
     def test_replay_equivalence_after_rewrite(self):
         store, log, _ = make_store()
@@ -206,8 +210,7 @@ class TestAofCrashRecovery:
             store.execute("SET", f"k{i % 5}", f"v{i}")
         store.execute("DEL", "k0")
         store.rewrite_aof()
-        recovered = KeyValueStore(StoreConfig(appendonly=True))
-        recovered.replay_aof(log.read_all())
+        recovered = store.reopen()
         for key in (b"k1", b"k2", b"k3", b"k4"):
             assert recovered.databases[0].get_value(key) == \
                 store.databases[0].get_value(key)
@@ -222,8 +225,7 @@ class TestAofCrashRecovery:
         with pytest.raises(Exception):
             store.execute("SET", "b", "2")
         store.execute("SET", "c", "3")  # retries flush, includes b's record
-        recovered = KeyValueStore(StoreConfig(appendonly=True))
-        recovered.replay_aof(log.read_all())
+        recovered = store.reopen()
         assert recovered.execute("GET", "a") == b"1"
         assert recovered.execute("GET", "c") == b"3"
 
@@ -253,8 +255,5 @@ class TestSnapshotPlusAof:
         store, log, clock = make_store(expiry_strategy="fullscan")
         store.execute("SET", "k", "v", "EX", 10)
         clock.advance(20)
-        recovered = KeyValueStore(StoreConfig(appendonly=True),
-                                  clock=clock)
-        recovered.replay_aof(log.read_all())
         # PEXPIREAT lands in the past -> deleted during replay.
-        assert recovered.execute("GET", "k") is None
+        assert store.reopen().execute("GET", "k") is None

@@ -40,7 +40,7 @@ from repro.gdpr.rights import right_to_erasure
 from repro.gdpr.store import GDPRConfig, GDPRStore
 from repro.kvstore.aof import AofWriter, mentioned_keys
 from repro.tiering import TieredEngine
-from tests.support import ENGINE_FACTORIES, crashpoints, parts_of, reopen
+from tests.support import ENGINE_FACTORIES, crashpoints, parts_of
 
 RECORDS = 250
 VALUE = b"v" * 200
@@ -211,10 +211,9 @@ OWNED_RECORDS = 600
 KEYS_PER_SUBJECT = 4
 
 
-def _gdpr(engine, keystore=None):
-    return GDPRStore(kv=engine, keystore=keystore,
-                     config=GDPRConfig(encrypt_at_rest=False,
-                                       compact_on_erasure=True))
+def _gdpr(engine):
+    return GDPRStore(kv=engine, config=GDPRConfig(encrypt_at_rest=False,
+                                                  compact_on_erasure=True))
 
 
 def _owned(variant):
@@ -250,12 +249,11 @@ def test_power_loss_in_an_owner_placed_rewrite_keeps_one_part_erasures(
         build, lambda stack: stack[0].kv.rewrite_aof(stack[1]),
         lambda stack: [stack[0].kv.aof.log, *_cold_devices(stack[0].kv)])
     for (store, erased, before, after), plan, lost in cuts:
-        recovered = reopen(store.kv)
+        restarted = store.reopen()
+        recovered = restarted.kv
         _old_or_new(recovered, store.kv.aof.log, erased, before, after,
                     plan.steps)
         # The restarted store's next erasure: one part, no fallback.
-        restarted = _gdpr(recovered, store.keystore)
-        restarted.rebuild_indexes()
         hot = recovered.inner if isinstance(recovered, TieredEngine) \
             else recovered
         parts = parts_of(recovered.aof)
@@ -280,10 +278,9 @@ def test_a_store_restarted_before_its_first_split_files_keys_by_owner(
                                purposes=frozenset({"service"})),
                   purpose="service")
     store.kv.aof.log.flush_and_fsync()
-    recovered = reopen(store.kv)
+    restarted = store.reopen()
+    recovered = restarted.kv
     assert not recovered.aof.split
-    restarted = _gdpr(recovered, store.keystore)
-    restarted.rebuild_indexes()
     right_to_erasure(restarted, "subject-0")          # splits the log
     assert recovered.aof.split
     parts = parts_of(recovered.aof)
@@ -308,11 +305,9 @@ def test_a_restart_annotates_every_recovered_key_in_one_record(variant):
                   GDPRMetadata(owner=owner, purposes=frozenset({"service"})),
                   purpose="service")
     store.kv.aof.log.flush_and_fsync()
-    recovered = reopen(store.kv)
-    records = recovered.aof.records_written
-    restarted = _gdpr(recovered, store.keystore)
-    assert restarted.rebuild_indexes() == len(owners)
-    assert recovered.aof.records_written - records <= 1
-    if isinstance(recovered, TieredEngine):
+    restarted = store.reopen()
+    assert len(restarted.index.keys()) == len(owners)
+    assert restarted.kv.aof.records_written <= 1
+    if isinstance(restarted.kv, TieredEngine):
         assert {key: annotation[0] for key, annotation
-                in recovered._owners.items()} == owners
+                in restarted.kv._owners.items()} == owners

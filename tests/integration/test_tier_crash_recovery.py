@@ -20,25 +20,13 @@ from repro.tiering import TieredEngine, TieringConfig
 from repro.tiering.segment import ColdInput, ColdSegmentStore
 
 
-def make_engine(clock=None, cold_device=None, keystore=None):
-    clock = clock if clock is not None else SimClock()
+def make_engine():
+    clock = SimClock()
     inner = KeyValueStore(
         StoreConfig(appendonly=True, appendfsync="always"),
         clock=clock, aof_log=AppendLog(clock=clock))
-    return TieredEngine(inner, device=cold_device, keystore=keystore,
-                        tiering=TieringConfig(auto_demote=False,
-                                              segment_max_records=4))
-
-
-def recover(engine, keystore=None):
-    """Post-crash rebuild: fresh hot store replaying the surviving AOF,
-    fresh cold index recovered from the surviving device bytes."""
-    aof_bytes = engine.aof_log.read_all()
-    recovered = make_engine(clock=engine.clock,
-                            cold_device=engine.cold.device,
-                            keystore=keystore)
-    recovered.replay_aof(aof_bytes)
-    return recovered
+    return TieredEngine(inner, tiering=TieringConfig(auto_demote=False,
+                                                     segment_max_records=4))
 
 
 class TestTornSeal:
@@ -56,7 +44,7 @@ class TestTornSeal:
         torn = scratch.device.read_all()[:-9]     # cut inside the frame
         engine.cold.device.append(torn)
         engine.cold.device.flush_and_fsync()
-        recovered = recover(engine)
+        recovered = engine.reopen()
         assert recovered.cold.torn_frames_dropped == 1
         assert recovered.cold.recovered_segments == 1
         for i in range(4):                        # nothing lost, either tier
@@ -81,7 +69,7 @@ class TestTornSeal:
             engine.demote_keys([b"k0", b"k1"])        # segment seq 0
             engine.cold.device.append(frame[:cut])
             engine.cold.device.flush_and_fsync()
-            recovered = recover(engine)
+            recovered = engine.reopen()
             whole = cut == len(frame)
             assert recovered.cold.torn_frames_dropped == \
                 (0 < cut < len(frame)), cut
@@ -108,7 +96,7 @@ class TestTornSeal:
         engine.cold.seal([ColdInput(b"dup", b"stale", None, None)],
                          sealed_at=0.0)
         FaultPlan(engine.aof_log, engine.cold.device).power_loss()
-        recovered = recover(engine)
+        recovered = engine.reopen()
         # Hot is authoritative over the crash-window shadow.
         assert recovered.execute("GET", "dup") == b"value"
         assert recovered.execute("DBSIZE") == 1
@@ -121,7 +109,7 @@ class TestTornSeal:
         engine.execute("GET", "gone")             # promote ...
         assert engine.execute("DEL", "gone") == 1  # ... then delete
         FaultPlan(engine.aof_log, engine.cold.device).power_loss()
-        recovered = recover(engine)
+        recovered = engine.reopen()
         # The archived copy must not resurrect through the replay
         # (which skips evictions): the DEL laid a durable tombstone.
         assert recovered.execute("GET", "gone") is None
@@ -130,8 +118,7 @@ class TestTornSeal:
 
 class TestErasureSurvivesCrash:
     def _store(self):
-        clock = SimClock()
-        engine = make_engine(clock=clock)
+        engine = make_engine()
         store = GDPRStore(kv=engine, config=GDPRConfig())
         meta = GDPRMetadata(owner="alice",
                             purposes=frozenset({"billing"}))
@@ -147,10 +134,9 @@ class TestErasureSurvivesCrash:
         receipt = right_to_erasure(store, "alice")
         assert receipt.cold_segments_voided >= 1
         FaultPlan(engine.aof_log, engine.cold.device).power_loss()
-        recovered_kv = recover(engine, keystore=store.keystore)
-        recovered = GDPRStore(kv=recovered_kv, config=GDPRConfig(),
-                              keystore=store.keystore)
-        assert recovered.rebuild_indexes() == 1   # only bob decrypts
+        recovered = store.reopen()
+        recovered_kv = recovered.kv
+        assert recovered.index.keys() == ["bob:0"]   # only bob decrypts
         assert not recovered.keys_of_subject("alice")
         assert recovered.keys_of_subject("bob") == ["bob:0"]
         assert recovered.get("bob:0").value == b"b" * 16

@@ -20,7 +20,7 @@ from repro.kvstore import KeyValueStore, StoreConfig
 from repro.kvstore.commands import deadline_ms
 from repro.sqlstore import RelationalStore, SqlConfig
 from repro.tiering import TieredEngine, TieringConfig
-from tests.support import crashpoints, pre_or_post, reopen
+from tests.support import crashpoints, pre_or_post
 
 KEYS = (b"a", b"b", b"gone")
 
@@ -104,7 +104,7 @@ def test_power_loss_before_any_step_recovers_pre_or_post_state(
     for engine, plan, lost in cuts + [done]:
         if lost is None:
             plan.power_loss()
-        recovered = _state(reopen(engine))
+        recovered = _state(engine.reopen())
         assert b"gone" not in recovered, lost
         pre_or_post(recovered, pre, post)
 
@@ -139,11 +139,11 @@ def test_a_deadline_passed_before_the_restart_keeps_the_key_dead(
         if lost is None:
             engine.aof_log.flush_and_fsync()
         engine.clock.advance(2)
-        recovered = reopen(engine)
+        recovered = engine.reopen()
         state = _state(recovered)
         pre_or_post(state, pre, {})
         if lost is None:
             assert state == {}
             assert recovered.execute("GET", "a") is None
         plan.power_loss()
-        assert _state(reopen(recovered)) == state, lost
+        assert _state(recovered.reopen()) == state, lost

@@ -12,7 +12,7 @@ from repro.device.append_log import AppendLog
 from repro.device.faults import FaultPlan
 from repro.device.latency import INTEL_750_SSD
 from repro.kvstore import KeyValueStore, StoreConfig, contains_key, replay_commands
-from tests.support import assert_refused, reopen
+from tests.support import assert_refused
 
 
 def make_store(clock=None, **config):
@@ -106,17 +106,13 @@ class TestFsyncPolicies:
         assert store.aof.unsynced_bytes() > 0
         FaultPlan(store.aof_log).power_loss()
         # Power loss before the next fsync loses the last second of ops.
-        fresh = KeyValueStore(StoreConfig(appendonly=True))
-        fresh.replay_aof(store.aof_log.read_all())
-        assert fresh.execute("GET", "k") is None
+        assert store.reopen().execute("GET", "k") is None
 
     def test_always_survives_power_loss(self):
         store, _ = make_store(appendfsync="always")
         store.execute("SET", "k", "v")
         FaultPlan(store.aof_log).power_loss()
-        fresh = KeyValueStore(StoreConfig(appendonly=True))
-        fresh.replay_aof(store.aof_log.read_all())
-        assert fresh.execute("GET", "k") == b"v"
+        assert store.reopen().execute("GET", "k") == b"v"
 
     def test_bad_policy_rejected(self):
         with pytest.raises(PersistenceError):
@@ -194,7 +190,7 @@ class TestReplay:
         store.execute("SELECT", 2, session=session)
         store.execute("SET", "two", "x", session=session)
         store.aof_log.flush_and_fsync()
-        restarted = reopen(store)
+        restarted = store.reopen()
         restarted.execute("SET", "zero", "y")
         replayed = KeyValueStore(StoreConfig(appendonly=True))
         replayed.replay_aof(restarted.aof.read_all())
@@ -327,7 +323,7 @@ def test_a_reopened_engine_s_old_writer_leaves_the_device_timer():
     for i in range(100):
         engine.execute("SET", f"k{i}", b"v")
     old = weakref.ref(engine.aof)
-    engine = reopen(engine)
+    engine = engine.reopen()
     gc.collect()
     assert old() is None
     assert clock.pending_timers() == 1

@@ -31,7 +31,6 @@ from repro.gdpr.metadata import GDPRMetadata, pack_envelope, unpack_envelope
 from repro.kvstore import KeyValueStore, StoreConfig
 from repro.kvstore.aof import contains_key, mentioned_keys, replay_commands
 from repro.sqlstore import RelationalStore, SqlConfig
-from tests.support import reopen
 
 CRLF = b"\r\n"
 
@@ -168,7 +167,7 @@ def run_step(engine, kind, step):
         if step[1] and log.file in engine.aof.part_files() \
                 and log.total_length > 3:
             log.truncate(log.total_length - 3)      # a torn final record
-        return reopen(engine)
+        return engine.reopen()
     if op == "rewrite":
         engine.rewrite_aof(step[1])
     elif op == "rewrite-all":

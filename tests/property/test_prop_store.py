@@ -44,8 +44,7 @@ def test_aof_replay_reaches_identical_state(ops):
             store.execute(*op)
         except (WrongTypeError, RespError):
             pass  # type conflicts (HSET on string) are fine to skip
-    replayed = KeyValueStore(StoreConfig(appendonly=True), clock=clock)
-    replayed.replay_aof(store.aof_log.read_all())
+    replayed = store.reopen()
     assert state_of(replayed) == state_of(store)
     # Expiry deadlines match too (propagated as absolute PEXPIREAT).
     assert {k: round(v, 3) for k, v in
@@ -66,10 +65,7 @@ def test_rewrite_preserves_state(ops):
             pass
     before = state_of(store)
     store.rewrite_aof()
-    replayed = KeyValueStore(StoreConfig(appendonly=True),
-                             clock=store.clock)
-    replayed.replay_aof(store.aof_log.read_all())
-    assert state_of(replayed) == before
+    assert state_of(store.reopen()) == before
 
 
 gdpr_ops = st.lists(

@@ -97,16 +97,9 @@ def test_crash_recovery_preserves_tiered_state(ops):
     engine = _make_tiered(clock)
     _drive(engine, ops, tiered=True)
     before = sorted((r.key, r.value) for r in engine.scan_records())
-    # Crash: rebuild a fresh hot engine from the AOF bytes and a fresh
-    # cold index from the cold device bytes.
+    # Crash: the engine reopens over both devices.
     FaultPlan(engine.aof_log, engine.cold.device).power_loss()
-    recovered_inner = KeyValueStore(StoreConfig(appendonly=True),
-                                    clock=clock,
-                                    aof_log=AppendLog(clock=clock))
-    recovered = TieredEngine(recovered_inner,
-                             device=engine.cold.device,
-                             tiering=engine.tiering)
-    recovered.replay_aof(engine.aof_log.read_all())
+    recovered = engine.reopen()
     after = sorted((r.key, r.value) for r in recovered.scan_records())
     assert after == before
 
@@ -317,13 +310,7 @@ def test_erased_subject_never_readable_from_any_tier(ops):
         elif op[0] == "crash":
             # The restarted engine runs on the same two devices.
             plan.power_loss()
-            inner = KeyValueStore(
-                StoreConfig(appendonly=True, appendfsync="always"),
-                clock=clock, aof_log=engine.aof_log)
-            replacement = TieredEngine(inner, device=engine.cold.device,
-                                       tiering=engine.tiering,
-                                       keystore=keystore)
-            replacement.replay_aof(engine.aof_log.read_all())
+            replacement = engine.reopen()
             for key, owner in owners.items():
                 replacement.annotate_metadata([(key.decode(), owner, [])])
             return replacement

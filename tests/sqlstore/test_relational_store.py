@@ -206,8 +206,7 @@ def test_crash_replay_from_durable_wal_only():
     store.execute("SET", "a", "1")
     store.execute("HSET", "b", "f", "2")
     FaultPlan(store.aof_log).power_loss()
-    recovered = make_store()
-    recovered.replay_aof(store.aof_log.read_durable())
+    recovered = store.reopen()
     assert recovered.execute("GET", "a") == b"1"
     assert recovered.execute("HGET", "b", "f") == b"2"
 

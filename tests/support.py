@@ -47,21 +47,17 @@ def py_calls(work: Callable[[], Any],
 
 
 def _make_kv(clock):
-    from repro.device.append_log import AppendLog
     from repro.kvstore import KeyValueStore, StoreConfig
 
-    return KeyValueStore(
-        StoreConfig(appendonly=True, aof_log_reads=False),
-        clock=clock, aof_log=AppendLog(clock=clock))
+    return KeyValueStore(StoreConfig(appendonly=True, aof_log_reads=False),
+                         clock=clock)
 
 
 def _make_sql(clock):
-    from repro.device.append_log import AppendLog
     from repro.sqlstore import RelationalStore, SqlConfig
 
-    return RelationalStore(
-        SqlConfig(wal_enabled=True, wal_log_reads=False),
-        clock=clock, wal_log=AppendLog(clock=clock))
+    return RelationalStore(SqlConfig(wal_enabled=True, wal_log_reads=False),
+                           clock=clock)
 
 
 def _tiered(base_factory):
@@ -84,29 +80,6 @@ ENGINE_FACTORIES = {
     "tiered-redislike": _tiered(_make_kv),
     "tiered-relational": _tiered(_make_sql),
 }
-
-
-def reopen(engine):
-    """``engine`` restarted: a fresh engine of the same variant over its
-    devices, its durable log replayed (and, behind the tiering wrapper,
-    the cold archive recovered from its device)."""
-    from repro.kvstore import KeyValueStore
-    from repro.sqlstore import RelationalStore
-    from repro.tiering import TieredEngine
-
-    tiered = isinstance(engine, TieredEngine)
-    hot = engine.inner if tiered else engine
-    if isinstance(hot, RelationalStore):
-        fresh = RelationalStore(hot.config, clock=hot.clock,
-                                wal_log=hot.aof_log)
-    else:
-        fresh = KeyValueStore(hot.config, clock=hot.clock,
-                              aof_log=hot.aof_log)
-    if tiered:
-        fresh = TieredEngine(fresh, device=engine.cold.device,
-                             tiering=engine.tiering)
-    fresh.replay_aof()
-    return fresh
 
 
 class CrashPoint(NamedTuple):

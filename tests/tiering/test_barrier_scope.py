@@ -12,7 +12,7 @@ import pytest
 from repro.common.clock import SimClock
 from repro.common.errors import DeviceIOError
 from repro.device.faults import FaultPlan
-from tests.support import ENGINE_FACTORIES, reopen
+from tests.support import ENGINE_FACTORIES
 
 TIERED = ["tiered-redislike", "tiered-relational"]
 KEYS = ("hot", "cold1", "cold2", "kept")
@@ -32,7 +32,7 @@ def _gone_after_power_loss(engine, keys, plan=None):
     if plan is None:
         plan = FaultPlan(engine.aof_log, engine.cold.device)
     plan.power_loss()
-    recovered = reopen(engine)
+    recovered = engine.reopen()
     return all(recovered.execute("GET", key) is None
                and recovered.cold.slot_of(key.encode()) is None
                for key in keys)

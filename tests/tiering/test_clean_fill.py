@@ -5,6 +5,8 @@ the shadows the fill leaves in the archive."""
 import pytest
 
 from repro.common.clock import SimClock
+from repro.common.errors import StoreError
+from repro.common.resp import RespError
 from repro.device.append_log import AppendLog
 from repro.kvstore.aof import replay_commands
 from repro.kvstore.commands import deadline_ms
@@ -89,6 +91,33 @@ def test_a_write_to_a_clean_key_logs_its_base_first(base):
     assert engine.demote_keys([b"k", b"s"]) == 2
     assert engine.cold.seals == seals + 1
     assert engine.execute("GET", "s") == b"new"
+
+
+@pytest.mark.parametrize("argv", [("SET", "k", "v2", "XX"),
+                                  ("LPUSH", "k", "x"), ("INCR", "k"),
+                                  ("HSET", "k", "f", "x")],
+                         ids=["set-xx", "lpush", "incr", "hset"])
+@pytest.mark.parametrize("base", BASES)
+def test_a_refused_write_to_a_clean_key_logs_nothing(base, argv):
+    """A write the hot engine refuses (an unknown command, a syntax
+    error, WRONGTYPE, not an integer) appends no record, not even the
+    key's base, and leaves the key clean; one it accepts (``SET .. XX``
+    on the Redis-like engine) logs the base, then itself."""
+    engine = _demoted(base, "k")
+    engine.execute("GET", "k")
+    records, seals = engine.aof.records_written, engine.cold.seals
+    try:
+        engine.execute(*argv)
+    except (StoreError, RespError):
+        engine.execute("SET", "other", "x")         # logs itself alone
+        assert engine.aof.records_written == records + 1
+        assert engine.demote_keys([b"k"]) == 1
+        assert engine.cold.seals == seals           # still clean
+        value = b"v-k"
+    else:
+        assert engine.aof.records_written == records + 2
+        value = b"v2"
+    assert engine.reopen().execute("GET", "k") == value
 
 
 def test_an_append_to_a_clean_key_replays_over_its_base():

@@ -20,27 +20,16 @@ from repro.gdpr.store import GDPRConfig, GDPRStore
 from repro.kvstore.aof import replay_commands
 from repro.kvstore.store import KeyValueStore, StoreConfig
 from repro.tiering import TieredEngine, TieringConfig
-from tests.support import ENGINE_FACTORIES, reopen
+from tests.support import ENGINE_FACTORIES
 
 
-def make_engine(clock=None, cold_device=None):
-    clock = clock if clock is not None else SimClock()
+def make_engine():
+    clock = SimClock()
     inner = KeyValueStore(
         StoreConfig(appendonly=True, appendfsync="always"),
         clock=clock, aof_log=AppendLog(clock=clock))
-    return TieredEngine(inner, device=cold_device,
-                        tiering=TieringConfig(auto_demote=False,
-                                              segment_max_records=8))
-
-
-def crash_and_recover(engine):
-    """Power loss on every device, then a fresh engine replaying the
-    surviving AOF over the surviving cold device bytes."""
-    FaultPlan(engine.aof_log, engine.cold.device).power_loss()
-    recovered = make_engine(clock=engine.clock,
-                            cold_device=engine.cold.device)
-    recovered.replay_aof(engine.aof_log.read_all())
-    return recovered
+    return TieredEngine(inner, tiering=TieringConfig(auto_demote=False,
+                                                     segment_max_records=8))
 
 
 def test_one_multi_key_del_costs_one_cold_fsync():
@@ -61,7 +50,8 @@ def test_one_multi_key_del_costs_one_cold_fsync():
     engine.execute("SET", "fresh", "v")
     assert engine.execute("DEL", "fresh") == 1
     assert engine.cold.device.fsyncs - fsyncs == 1
-    recovered = crash_and_recover(engine)
+    FaultPlan(engine.aof_log, engine.cold.device).power_loss()
+    recovered = engine.reopen()
     for key in ("hot", "cold1", "cold2", "absent", "fresh"):
         assert recovered.execute("GET", key) is None, key
         assert recovered.cold.slot_of(key.encode()) is None, key
@@ -82,7 +72,8 @@ def test_one_tick_expiring_cold_keys_costs_one_cold_fsync():
     assert engine.stats.expired_keys - expired == 4
     assert engine.cold.device.fsyncs - fsyncs == 1
     assert engine.cold.device.unsynced_bytes == 0
-    recovered = crash_and_recover(engine)
+    FaultPlan(engine.aof_log, engine.cold.device).power_loss()
+    recovered = engine.reopen()
     assert recovered.cold.live_keys() == [b"kept"]
     for i in range(4):
         assert recovered.execute("GET", f"due{i}") is None
@@ -99,7 +90,8 @@ def test_a_demotion_batch_logs_one_del_naming_its_keys():
     assert engine.demote_keys(keys) == 5
     assert engine.aof.records_written - records == 1
     assert replay_commands(engine.aof.read_all()[tail:]) == [[b"DEL", *keys]]
-    recovered = crash_and_recover(engine)
+    FaultPlan(engine.aof_log, engine.cold.device).power_loss()
+    recovered = engine.reopen()
     assert not recovered.inner.live_keys()
     for key in keys:
         assert recovered.execute("GET", key) == b"v-" + key
@@ -109,9 +101,8 @@ def test_an_erasure_costs_one_cold_fsync_for_its_del_and_marker():
     """Art. 17 on a tiered store: the DEL's durable tombstones and the
     subject marker share one cold barrier, and power loss right after
     the receipt brings no erased key back."""
-    clock = SimClock()
-    cold_device = AppendLog(clock=clock)
-    engine = make_engine(clock=clock, cold_device=cold_device)
+    engine = make_engine()
+    cold_device = engine.cold.device
     store = GDPRStore(kv=engine, config=GDPRConfig(compact_on_erasure=True))
     purposes = frozenset({"billing"})
     for i in range(4):
@@ -126,7 +117,8 @@ def test_an_erasure_costs_one_cold_fsync_for_its_del_and_marker():
     assert not receipt.residual_in_aof
     assert cold_device.fsyncs - fsyncs == 1
     assert cold_device.unsynced_bytes == 0
-    recovered = crash_and_recover(engine)
+    FaultPlan(engine.aof_log, cold_device).power_loss()
+    recovered = engine.reopen()
     for i in range(4):
         assert recovered.execute("GET", f"alice:{i}") is None
         assert recovered.cold.slot_of(f"alice:{i}".encode()) is None
@@ -159,7 +151,7 @@ def test_a_cold_marker_only_for_an_erasure_that_reaches_segments(variant):
     assert receipt.cold_segments_voided == 1 and not receipt.residual_in_aof
     assert cold.fsyncs == fsyncs + 1 and cold.unsynced_bytes == 0
     FaultPlan(engine.aof_log, cold).power_loss()
-    recovered = reopen(engine)
+    recovered = engine.reopen()
     assert "bob" in recovered.cold.erased_subjects
     for owner in ("alice", "bob"):
         for i in range(3):

@@ -53,7 +53,7 @@ SEAMS: Dict[Tuple[str, str], str] = {
     ("src/repro/common/clock.py", "SimClock.pending_timers"):
         "the timer-leak probe",
     ("src/repro/cluster/client.py", "ClusterClient.recover_shard"):
-        "node restart: replays a dead shard's durable log",
+        "node restart: reopens a dead shard over its own devices",
     ("src/repro/cluster/migration.py", "SlotMigrator.abort"):
         "the only recovery for an interrupted slot migration",
     ("src/repro/crypto/keystore.py", "KeyStore.import_wrapped"):
