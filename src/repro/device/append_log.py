@@ -36,10 +36,18 @@ False)`` -- a timer's firing, a block seal nobody waits for -- queues
 the barrier on the device and charges its caller nothing; the device is
 busy with it until :attr:`AppendLog.idle_at`.  At most one barrier is
 in flight: any fsync first waits out the one before it, so a queued
-barrier still orders every later one.  Either way the bytes are durable
-at the barrier's fault step, as the fault model is step-ordered; only
-the payer of the device's time differs.  ``flush`` and ``read_at``
-never wait.
+barrier still orders every later one.  ``flush`` and ``read_at`` never
+wait.
+
+A barrier is durable once it lands.  A waited one has landed when it
+returns; a queued one lands at :attr:`AppendLog.idle_at` on the device's
+clock, and until then a power loss keeps the frontiers it replaced.
+What a barrier was asked to cover moves at once (so the timer does not
+queue it again); what a power loss keeps -- :meth:`AppendLog.
+read_durable`, ``lines(durable=True)``, :meth:`AppendLog.exposed_bytes`
+-- moves when it lands.  After a power loss the device is dark: every
+operation a :class:`~repro.device.faults.FaultPlan` sees raises
+:class:`~repro.device.faults.PowerLoss` until :meth:`AppendLog.reopen`.
 """
 
 from __future__ import annotations
@@ -123,8 +131,13 @@ class AppendLog:
         self.syscalls = 0
         self.fsyncs = 0
         self.reads = 0
-        # When the barrier in flight (one nobody waited for) finishes.
+        # When the barrier in flight (one nobody waited for) lands, and
+        # the durable frontiers it replaced, by ``id`` of each file's
+        # bytes, which a power loss before then keeps.
         self.idle_at = 0.0
+        self._replaced: Dict[int, int] = {}
+        # Whether power was lost since the device was last (re)opened.
+        self._dark = False
         # The barrier scope: open scopes, and whether a commit made in
         # them still waits for its fsync.
         self._scopes = 0
@@ -292,7 +305,7 @@ class AppendLog:
         file of the device included.  It first waits out the barrier in
         flight, if one is; then the caller pays the device's fsync cost
         -- or, with ``wait=False``, leaves the barrier in flight until
-        :attr:`idle_at` and pays nothing for it."""
+        :attr:`idle_at`, when it lands, and pays nothing for it."""
         if self.faults is not None:
             self.faults.step(self, "fsync")
         clock = self.clock
@@ -305,6 +318,8 @@ class AppendLog:
                 clock.advance(self.latency.fsync)
             else:
                 self.idle_at = clock.now() + self.latency.fsync
+                self._replaced = {id(file.data): file.durable
+                                  for file in self._named(self.files())}
         finally:
             self._busy -= 1
         self._durable_length = self._cached_length
@@ -334,7 +349,8 @@ class AppendLog:
         holds: the dead process's unwritten buffers are gone, and what
         it wrote counts as durable, as the system writes it back (a
         power loss is :meth:`~repro.device.faults.FaultPlan.power_loss`
-        before the restart, which keeps only the durable bytes).
+        before the restart, which keeps only the landed bytes and leaves
+        the device dark until this relights it).
         Whatever the old process had attached to the device goes too --
         its timer, cancelled, with the writers that joined it, the
         ``before_barrier`` hook, and a commit or a firing still due -- so
@@ -342,7 +358,9 @@ class AppendLog:
         self._durable_length = self._cached_length
         for file in self._closed.values():
             file.durable = file.cached
-        self._lose_power()          # the unwritten buffers
+        self._replaced = {}
+        self._lose_power()          # the unwritten buffers, and no more
+        self._dark = False
         if self.timer is not None:
             self.timer.cancel()
         self.timer = None
@@ -425,7 +443,7 @@ class AppendLog:
 
     def read_durable(self) -> bytes:
         """What the open file would contain after a power loss."""
-        return bytes(self._data[:self._durable_length])
+        return self.read_files([self.file], durable=True)[0]
 
     def lines(self, durable: bool = False) -> Iterator[bytes]:
         """The open file's lines, each with its newline, one copy at a
@@ -433,7 +451,7 @@ class AppendLog:
         of the durable prefix; a final line with no newline comes last
         (no time charged)."""
         data = self._data
-        end = self._durable_length if durable else len(data)
+        end = self._kept(data, self._durable_length) if durable else len(data)
         start = 0
         while start < end:
             stop = data.find(b"\n", start, end) + 1 or end
@@ -446,7 +464,8 @@ class AppendLog:
         ``names``, in order."""
         files = self._named(names)
         if durable:
-            return [bytes(file.data[:file.durable]) for file in files]
+            return [bytes(file.data[:self._kept(file.data, file.durable)])
+                    for file in files]
         return [bytes(file.data) for file in files]
 
     def holding(self, names: Sequence[str],
@@ -462,7 +481,7 @@ class AppendLog:
     def exposed_bytes(self, names: Iterable[str]) -> int:
         """Bytes of files ``names`` that a power loss right now would
         lose: appended but not yet durable."""
-        return sum([len(file.data) - file.durable
+        return sum([len(file.data) - self._kept(file.data, file.durable)
                     for file in self._named(names)])
 
     def _named(self, names: Iterable[str]) -> List[_File]:
@@ -490,14 +509,28 @@ class AppendLog:
 
     # -- faults (driven by a FaultPlan) --------------------------------------
 
+    def _kept(self, data: bytearray, durable: int) -> int:
+        """The length of file ``data`` (durable up to ``durable``) that
+        a power loss now keeps: ``durable``, or while the barrier in
+        flight has not landed, the frontier it replaced (a file whose
+        bytes are younger than the barrier has nothing durable yet, so
+        a reused ``id`` changes nothing)."""
+        if self.clock.now() < self.idle_at:
+            return min(durable, self._replaced.get(id(data), durable))
+        return durable
+
     def _lose_power(self) -> None:
-        """Power loss: every file keeps only its durable prefix."""
+        """Power loss: every file keeps what the barriers that landed
+        made durable, and the device is dark until :meth:`reopen`."""
+        self._durable_length = self._kept(self._data, self._durable_length)
         del self._data[self._durable_length:]
         self._cached_length = self._durable_length
         for file in self._closed.values():
+            file.durable = file.cached = self._kept(file.data, file.durable)
             del file.data[file.durable:]
-            file.cached = file.durable
+        self._replaced = {}
         self._unflushed.clear()
+        self._dark = True
 
     def _tear(self, nbytes: int) -> None:
         """Flip the open file's final ``nbytes`` (a torn write)."""

@@ -10,18 +10,22 @@ operations across all of its logs and can act before any of them:
 * :meth:`fail` -- the next operation of that name raises
   :class:`~repro.common.errors.DeviceIOError` and changes nothing;
 * :meth:`cut` -- power is lost on every attached log before the
-  operation with that number, or before the next one of that name, which
-  raises :class:`PowerLoss` instead of running;
+  operation with that number, which raises :class:`PowerLoss` instead of
+  running;
 * :meth:`tear` -- each log's open file has its tail flipped (a torn
   final write).
 
-:meth:`power_loss` loses power on every attached log now.  A log with no
-plan pays one ``None`` check per operation.
+:meth:`power_loss` loses power on every attached log now.  A power loss
+keeps what the barriers that landed made durable, and leaves each log
+dark: every later operation raises :class:`PowerLoss` and changes
+nothing, until :meth:`~repro.device.append_log.AppendLog.reopen`
+relights that log.  A log with no plan pays one ``None`` check per
+operation.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from ..common.errors import DeviceIOError
 from .append_log import AppendLog
@@ -35,7 +39,8 @@ class FaultPlan:
     """Faults over ``logs``, each of which it attaches to.
 
     ``steps`` names, in order, the log operations run since the plan was
-    attached (a failed or cut operation does not run).
+    attached (a failed or cut operation, or one on a dark log, does not
+    run).
     """
 
     def __init__(self, *logs: AppendLog) -> None:
@@ -47,29 +52,24 @@ class FaultPlan:
         self._logs = logs
         self.steps: List[str] = []
         self._fail: Optional[str] = None
-        self._cut: Union[int, str, None] = None
-
-    def _known(self, op: str) -> str:
-        if op not in AppendLog.FAULT_OPS:
-            raise ValueError(f"no log operation is named {op!r}")
-        return op
+        self._cut: Optional[int] = None
 
     def fail(self, op: str) -> None:
         """Make the next ``op`` raise DeviceIOError without effect."""
-        self._fail = self._known(op)
+        if op not in AppendLog.FAULT_OPS:
+            raise ValueError(f"no log operation is named {op!r}")
+        self._fail = op
 
-    def cut(self, at: Union[int, str]) -> None:
+    def cut(self, at: int) -> None:
         """Lose power before operation number ``at`` from now (0: the
-        next one), or before the next operation named ``at``."""
-        if isinstance(at, str):
-            self._cut = self._known(at)
-        elif at < 0:
+        next one)."""
+        if at < 0:
             raise ValueError("a cut point must be >= 0")
-        else:
-            self._cut = len(self.steps) + at
+        self._cut = len(self.steps) + at
 
     def power_loss(self) -> None:
-        """Every attached log keeps only what it made durable."""
+        """Every attached log keeps what the barriers that landed made
+        durable, and is dark until it reopens."""
         for log in self._logs:
             log._lose_power()
 
@@ -80,10 +80,10 @@ class FaultPlan:
 
     def step(self, log: AppendLog, op: str) -> None:
         """Called by ``log`` before it runs ``op``."""
-        cut = self._cut
-        if cut is not None and (cut == op or cut == len(self.steps)):
+        if self._cut == len(self.steps):
             self._cut = None
             self.power_loss()
+        if log._dark:
             raise PowerLoss(f"power lost before {log.name}.{op}")
         if self._fail == op:
             self._fail = None

@@ -51,7 +51,9 @@ Every seal is one write and one barrier
 returns -- inside a barrier scope too.  A seal by size or at a firing is
 one nobody waits for, so its barrier is queued on the device and no
 request pays the fsync; any later barrier on the device waits behind
-it.  :meth:`AuditLog.commit` seals now under SYNC (a record that must be
+it, and its block is durable -- out of :meth:`AuditLog.at_risk_records`
+-- once the barrier lands, at the device's ``idle_at``.
+:meth:`AuditLog.commit` seals now under SYNC (a record that must be
 durable before a barrier its caller pays), and :meth:`AuditLog.sync`
 (``flush_compliance``) seals whatever is pending under either policy.
 
@@ -231,8 +233,11 @@ class AuditLog:
             self.log.lines(), torn_tail=True)
         if end < self.log.total_length:
             self.log.truncate(end)
-        # Records in blocks whose barrier returned.
+        # Records in blocks whose barrier returned, and when the last
+        # seal's barrier lands (a queued one's is in flight until then)
+        # with the records durable before it.
         self._durable_records = self._seq
+        self._queued = (-inf, 0)
         self._last_seal = self.clock.now()
         # The serialized bodies of the records not yet in a block.
         self._pending: List[bytes] = []
@@ -286,12 +291,13 @@ class AuditLog:
             self.clock.advance(self.record_cpu_cost)
         self.log.append(head + _TAIL % block_hash.encode("ascii"))
         # The chain advances once the line is written; the records are
-        # durable once its barrier returns.
+        # durable once its barrier lands.
         self._pending = []
         self._tip = block_hash
         self._blocks_sealed += 1
         self._last_seal = sealed_at
         self._writer.sync(wait)
+        self._queued = (self.log.idle_at, self._durable_records)
         self._durable_records = self._seq - len(self._pending)
 
     def tick(self) -> None:
@@ -344,6 +350,9 @@ class AuditLog:
         the risk of losing one second worth of logs", and counts the
         SYNC records of an open barrier scope, which its exit seals.
         """
+        lands_at, before = self._queued
+        if self.log.clock.now() < lands_at:
+            return self._seq - before
         return self._seq - self._durable_records
 
     # -- parsing & verification ----------------------------------------------------
@@ -357,10 +366,11 @@ class AuditLog:
     def verify_durable(self) -> int:
         """Verify what is durably on the device, and that it holds every
         block whose barrier returned: a block lost after its seal was
-        made durable fails here.  A block whose barrier never returned
-        (a crash inside its seal) was never durable: its records are at
-        risk, not missing."""
-        return _fold(self.log.lines(durable=True), self._durable_records)[0]
+        made durable fails here.  A block whose barrier never landed (a
+        crash inside its seal, or before a queued seal's barrier lands)
+        was never durable: its records are at risk, not missing."""
+        return _fold(self.log.lines(durable=True),
+                     self._seq - self.at_risk_records())[0]
 
     def verify(self) -> int:
         """Verify every block written to the device (pending records are

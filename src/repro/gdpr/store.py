@@ -448,9 +448,13 @@ class GDPRStore:
         :class:`AccessController` and the :class:`LocationManager` are
         carried over live, not rebuilt: they keep no device of their own,
         so a restart has nothing to read them back from -- the keystore
-        until it gets a durable key journal."""
+        until it gets a durable key journal.  The locations keep the
+        node's placement, and a key's region only if the key is
+        recovered."""
         if self._writebehind is not None:
             self._writebehind.timer.cancel()
+        for key in self.index.keys():
+            self.locations.record_erased(key)
         kv, old = self.kv.reopen(clock), self.audit
         old.log.reopen(kv.clock)
         audit = AuditLog(old.log, kv.clock, old.durability,

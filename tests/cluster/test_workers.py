@@ -781,10 +781,14 @@ class TestAofAttribution:
         fsyncs = log.fsyncs
         server.scheduler.run_until_idle(deadline=1.5)
         assert log.fsyncs == fsyncs + 1
-        assert log.exposed_bytes([log.file]) == 0
+        assert log.exposed_bytes([log.file]) > 0     # in flight
         assert [worker.clock.busy_seconds
                 for worker in pool.workers] == busy
         assert [worker.aof_seconds for worker in pool.workers] == [0.0, 0.0]
+        # It lands once the device's clock passes idle_at (the next
+        # firing carries it there).
+        server.scheduler.run_until_idle(deadline=2.5)
+        assert log.exposed_bytes([log.file]) == 0
 
     def test_attribution_follows_the_last_writer(self):
         server, (conn, _), pool, _ = self._aof_pool_server()

@@ -448,10 +448,13 @@ class TestDeviceTimer:
         began = clock.now()
         getattr(log, op)()
         assert log.fsyncs == 1
-        assert log.exposed_bytes([log.name]) == 0
         waited = INTEL_750_SSD.fsync if op == "flush_and_fsync" else 0.0
         assert clock.now() - began == pytest.approx(
             INTEL_750_SSD.write_cost(1000) + waited)
+        # The queued fsync covers the bytes once it lands.
+        assert log.exposed_bytes([log.name]) == (0 if waited else 1000)
+        clock.advance(INTEL_750_SSD.fsync)
+        assert log.exposed_bytes([log.name]) == 0
 
     def test_a_firing_inside_an_fsync_charge_adds_none(self):
         clock = SimClock()
@@ -549,18 +552,50 @@ class TestQueuedBarrier:
         log.fsync()
         assert clock.now() - began == pytest.approx(self.FSYNC)
 
-    @pytest.mark.parametrize("cut, durable", [(0, b""), (1, b"x")])
-    def test_it_is_one_fsync_step(self, cut, durable):
-        # A cut before the queued barrier loses its bytes; a cut after
-        # it (before the next operation) keeps them.
+    @pytest.mark.parametrize("cut, landed, durable", [
+        (0, False, b""), (1, False, b""), (1, True, b"x")])
+    def test_it_is_one_fsync_step(self, cut, landed, durable):
+        # A cut before the queued barrier loses its bytes, and so does a
+        # cut after it while the barrier is in flight; a cut once it has
+        # landed (the clock at idle_at) keeps them.
         clock, log = self._written()
         plan = FaultPlan(log)
         plan.cut(cut)
         with pytest.raises(PowerLoss):
             log.fsync(wait=False)
+            if landed:
+                clock.advance(self.FSYNC)
             log.append(b"z")
         assert plan.steps == ["fsync"][:cut]
         assert log.read_all() == durable
+
+    @pytest.mark.parametrize("part", [False, True], ids=["open", "part"])
+    @pytest.mark.parametrize("landed, loss, kept", [
+        (False, True, b""), (True, True, b"x"), (False, False, b"x")],
+        ids=["lost-in-flight", "lost-landed", "reopened-in-flight"])
+    def test_a_power_loss_keeps_what_landed(self, landed, loss, kept, part):
+        # Until idle_at a power loss keeps what the queued barrier
+        # replaced, and the durable views say so beforehand; a restart
+        # with no power loss keeps everything written.
+        clock, log = self._written()
+        log.fsync(wait=False)
+        if part:
+            log.open("part.1")
+        if landed:
+            clock.advance(self.FSYNC)
+        durable = log.read_files([log.name], durable=True)[0]
+        if not part:
+            assert log.read_durable() == durable
+            assert b"".join(log.lines(durable=True)) == durable
+        assert log.exposed_bytes([log.name]) == 1 - len(durable)
+        assert log.durable_length == (0 if part else 1)  # asked of it
+        if loss:
+            FaultPlan(log).power_loss()
+        else:
+            durable = log.read_all(log.name)    # what a restart keeps
+        log.reopen(clock)
+        assert log.read_all(log.name) == durable == kept
+        assert log.read_files([log.name], durable=True) == [kept]
 
 
 class TestFiringInsideABarrierScope:

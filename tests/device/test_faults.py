@@ -67,13 +67,16 @@ class TestCut:
         assert plan.steps == ["append", "append", "flush", "flush", "fsync"]
         assert log.read_all() == b""             # flushed, never synced
         assert other.read_all() == b"data"       # its fsync came first
+        with pytest.raises(PowerLoss):
+            log.fsync()                          # dark until it reopens
+        log.reopen(log.clock)
         log.fsync()                              # the cut fired once
         assert plan.steps[-1] == "fsync"
 
-    def test_cut_at_a_named_op_loses_power_on_every_device(self):
+    def test_a_cut_loses_power_on_every_device(self):
         log, other = _durable_log(), AppendLog(name="other.log")
         plan = FaultPlan(log, other)
-        plan.cut("fsync")
+        plan.cut(4)                              # the first fsync
         log.append(b"BBBB")
         log.flush()
         other.append(b"data")
@@ -95,20 +98,65 @@ class TestCut:
         assert log.read_all() == b""
         assert log.read_all("appendonly.aof") == b"AAAA"
 
+    def test_a_cut_log_is_dark_until_it_reopens(self):
+        log = AppendLog()
+        plan = FaultPlan(log)
+        log.append(b"A")
+        log.flush()
+        log.fsync()
+        plan.cut(0)
+        for data in (b"B", b"C"):
+            with pytest.raises(PowerLoss):
+                log.append(data)
+        with pytest.raises(PowerLoss):
+            log.flush_and_fsync()
+        assert log.read_durable() == log.read_all() == b"A"
+        assert plan.steps == ["append", "flush", "fsync"]
+        log.reopen(log.clock)
+        log.append(b"D")
+        log.flush_and_fsync()
+        assert log.read_durable() == b"AD"
+        assert plan.steps == ["append", "flush", "fsync"] * 2
+
+    def test_a_dark_log_takes_no_step_and_reopens_alone(self):
+        log, other = _durable_log(), _durable_log(b"ZZ")
+        log.open("part.1")
+        log.append(b"BB")
+        log.flush()
+        plan = FaultPlan(log, other)
+        plan.power_loss()
+        state = ({name: log.read_all(name) for name in log.files()},
+                 log.appends, log.syscalls, log.fsyncs, log.clock.now())
+        for op in AppendLog.FAULT_OPS:
+            with pytest.raises(PowerLoss, match=f"appendonly.aof.{op}"):
+                TestEveryOp.run_op(log, op)
+        assert ({name: log.read_all(name) for name in log.files()},
+                log.appends, log.syscalls, log.fsyncs,
+                log.clock.now()) == state
+        assert plan.steps == []
+        other.reopen(other.clock)
+        other.append(b"Y")                      # relit: the other is not
+        with pytest.raises(PowerLoss):
+            log.append(b"Y")
+        assert plan.steps == ["append"]
+
 
 class TestEveryOp:
     """The plan sees every operation in ``AppendLog.FAULT_OPS``, the one
-    op set, and a cut by name stops the first of its kind on any log."""
+    op set, and a cut before any of them stops it on any log."""
 
     @staticmethod
-    def _run_every_op(log):
-        log.append(b"BB")
-        log.flush()
-        log.fsync()
-        log.open("rewrite.tmp")
-        log.rename("part.1")
-        log.truncate(0)
-        log.remove(["appendonly.aof"])
+    def run_op(log, op):
+        {"append": lambda: log.append(b"BB"), "flush": log.flush,
+         "fsync": log.fsync, "rename": lambda: log.rename("part.1"),
+         "truncate": lambda: log.truncate(0),
+         "remove": lambda: log.remove(["appendonly.aof"])}[op]()
+
+    def _run_every_op(self, log):
+        for op in AppendLog.FAULT_OPS:
+            if op == "rename":
+                log.open("rewrite.tmp")
+            self.run_op(log, op)
 
     def test_every_state_changing_op_is_one_step(self):
         log = _durable_log()
@@ -117,12 +165,12 @@ class TestEveryOp:
         assert plan.steps == list(AppendLog.FAULT_OPS)
 
     @pytest.mark.parametrize("op", AppendLog.FAULT_OPS)
-    def test_a_cut_by_name_stops_the_op_before_it_runs(self, op):
+    def test_a_cut_stops_the_op_before_it_runs(self, op):
         log, other = _durable_log(), _durable_log(b"ZZ")
         other.append(b"unsynced")
         other.flush()
         plan = FaultPlan(log, other)
-        plan.cut(op)
+        plan.cut(AppendLog.FAULT_OPS.index(op))
         with pytest.raises(PowerLoss, match=f"appendonly.aof.{op}"):
             self._run_every_op(log)
         ran = list(AppendLog.FAULT_OPS[:AppendLog.FAULT_OPS.index(op)])
@@ -218,7 +266,6 @@ class TestCrashpoints:
 class TestInputs:
     @pytest.mark.parametrize("arm", [
         lambda plan: plan.fail("write"),
-        lambda plan: plan.cut("write"),
         lambda plan: plan.fail("fsnyc"),
         lambda plan: plan.cut(-1)])
     def test_unknown_op_or_negative_cut_is_refused(self, arm):

@@ -227,7 +227,7 @@ class TestVerification:
         # never reported so: its records are at risk, and the durable
         # chain before it verifies.
         log = self._log(records=8)
-        FaultPlan(log.log).cut("fsync")
+        FaultPlan(log.log).cut(2)           # the 4th record's seal's fsync
         with pytest.raises(PowerLoss):
             for i in range(4):
                 log.append("p", "put", key=f"x{i}")
@@ -290,6 +290,7 @@ class TestReopen:
 
     @staticmethod
     def _reopened(log, clock):
+        log.log.reopen(clock)
         return AuditLog(log.log, clock=clock,
                         durability=AuditDurability.BATCH, block_size=4)
 

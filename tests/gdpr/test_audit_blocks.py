@@ -149,6 +149,9 @@ class TestGroupCommitTimer:
             1.0 + INTEL_750_SSD.write_cost(line))
         assert log.log.idle_at == pytest.approx(
             clock.now() + INTEL_750_SSD.fsync)
+        # Its record is at risk until the barrier lands.
+        assert log.at_risk_records() == 1
+        clock.advance(INTEL_750_SSD.fsync)
         assert log.at_risk_records() == 0
 
     def test_a_failed_interval_seal_leaves_the_timer_running(self):

@@ -13,6 +13,7 @@ from repro.common.clock import SimClock
 from repro.common.errors import CorruptionError
 from repro.crypto.cipher import seeded_entropy
 from repro.crypto.keystore import KeyStore
+from repro.device.append_log import FsyncPolicy
 from repro.device.faults import FaultPlan
 from repro.gdpr import (
     BackupManager,
@@ -22,7 +23,7 @@ from repro.gdpr import (
     right_to_erasure,
 )
 from repro.kvstore import KeyValueStore, StoreConfig
-from repro.kvstore.aof import image
+from repro.kvstore.aof import AofWriter, image
 from repro.tiering import TieredEngine
 from tests.support import ENGINE_FACTORIES, crashpoints
 
@@ -368,12 +369,20 @@ def test_power_loss_anywhere_in_a_scrub(variant):
 
 def scrub_points(erased_store, variant):
     """:func:`~tests.support.crashpoints` of the scrub of alice from the
-    generation of ``erased_store(variant)``, over its device."""
-    return crashpoints(
-        lambda: erased_store(variant),
-        lambda stack: stack[1].reconcile_erasure("alice", stack[2],
-                                                 rewrite=True),
-        lambda stack: [stack[1].find("nightly").writer.log])
+    generation of ``erased_store(variant)``, over its device; a cut
+    state's generation is opened anew over its reopened device, as a
+    restarted process opens it."""
+    for point in crashpoints(
+            lambda: erased_store(variant),
+            lambda stack: stack[1].reconcile_erasure("alice", stack[2],
+                                                     rewrite=True),
+            lambda stack: [stack[1].find("nightly").writer.log]):
+        if point.lost:
+            backup = point.stack[1].find("nightly")
+            log = backup.writer.log
+            log.reopen(log.clock)
+            backup.writer = AofWriter(log, log.clock, FsyncPolicy.NO)
+        yield point
 
 
 def crowded_store(variant):

@@ -12,6 +12,7 @@ from repro.common.errors import (
     PurposeViolationError,
     UnknownSubjectError,
 )
+from repro.device.faults import FaultPlan
 from repro.gdpr import (
     AuditDurability,
     GDPRConfig,
@@ -307,6 +308,19 @@ class TestLocationEnforcement:
         assert store.locations.locations_of("k") == ["eu-west"]
         store.delete("k")
         assert store.locations.locations_of("k") == []
+
+    def test_a_reopen_keeps_the_locations_of_the_keys_it_recovers(self):
+        store, clock = make_store(kv_config=StoreConfig(
+            appendonly=True, appendfsync="everysec"))
+        store.put("kept", b"v", meta())
+        clock.advance(2.0)                  # a timer's fsync has landed
+        store.put("k", b"v", meta())
+        FaultPlan(store.kv.aof_log, store.audit.log).power_loss()
+        store = store.reopen()
+        assert store.kv.live_keys() == [b"kept"]
+        assert store.locations.locations_of("kept") == ["eu-west"]
+        assert store.locations.locations_of("k") == []
+        assert store.locations.has_node(store.config.node_id)
 
 
 class TestUpdateMetadata:

@@ -114,6 +114,7 @@ def test_power_loss_at_every_step_recovers_the_old_or_new_keyspace(
         lambda stack: [stack[0].aof.log, *_cold_devices(stack[0])])
     for (engine, keys, erased, before, after), plan, lost in cuts:
         log = engine.aof.log
+        log.reopen(engine.clock)
         reopened = AofWriter(log, engine.clock, engine.aof.policy)
         replica = engine.spawn_replica()
         replica.replay_aof(engine.aof.read_durable(),

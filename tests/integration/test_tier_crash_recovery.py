@@ -154,6 +154,7 @@ class TestErasureSurvivesCrash:
         right_to_erasure(store, "alice")
         fresh_keystore_view = type(store.keystore)()  # "restored" keystore
         FaultPlan(engine.aof_log, engine.cold.device).power_loss()
+        engine.cold.device.reopen(engine.clock)
         recovered = ColdSegmentStore(device=engine.cold.device,
                                      keystore=fresh_keystore_view)
         assert "alice" in recovered.erased_subjects

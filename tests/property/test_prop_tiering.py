@@ -244,6 +244,7 @@ def test_cold_store_equals_a_dict_of_versions_model(ops):
             if op[1]:
                 plan.power_loss()
                 model.power_loss()
+            store.device.reopen(store.device.clock)
             store = ColdSegmentStore(device=store.device)
             model.restart()
         live = model.cold_only()

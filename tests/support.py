@@ -93,10 +93,11 @@ def crashpoints(build: Callable[[], Any], operation: Callable[[Any], Any],
     """Every state a power cut can leave ``operation`` in: run once on
     ``build()`` under a ``FaultPlan`` over ``devices(stack)`` to record
     its device steps, then, on a fresh stack each, with power cut
-    before each step in turn (the cut must raise ``PowerLoss`` after
-    the recorded steps before it), and last to the end (it must take
-    exactly the recorded steps).  The cut states come in step order;
-    the caller checks each state's post-conditions."""
+    before each step in turn (the cut must raise ``PowerLoss`` having
+    taken exactly the recorded steps before it: a dark device takes no
+    more), and last to the end (it must take exactly the recorded
+    steps).  The cut states come in step order; the caller checks each
+    state's post-conditions."""
     from repro.device.faults import FaultPlan, PowerLoss
 
     def run(cut=None):
@@ -114,7 +115,7 @@ def crashpoints(build: Callable[[], Any], operation: Callable[[Any], Any],
     for at in range(len(steps)):
         point = run(at)
         assert point.lost, f"cut before step {at} of {steps}: it returned"
-        assert point.plan.steps[:at] == steps[:at], \
+        assert point.plan.steps == steps[:at], \
             f"cut before step {at}: ran {point.plan.steps}, recorded {steps}"
         yield point
     point = run()
