@@ -6,8 +6,9 @@ example shows both halves:
 
 * a DEL on the primary leaves the data readable on a lagging replica
   until replication catches up (the erasure horizon);
-* a pre-erasure backup cannot resurrect a crypto-erased subject, and
-  reconciliation reports which backup generations still carry ciphertext.
+* a pre-erasure backup cannot resurrect a crypto-erased subject (and a
+  restored store survives its own restart), and reconciliation reports
+  which backup generations still carry ciphertext.
 
 Run with::
 
@@ -72,6 +73,16 @@ def main() -> None:
                                        rewrite=True)
     print(f"after rewrite: residual generations = "
           f"{report.residual_generations}")
+
+    # A restore is a restart over a copy of the generation's device: the
+    # restored store replaces the live one and logs to the copy, so it
+    # survives its own restart too.
+    restored.put("carol:rec", b"after-restore",
+                 GDPRMetadata(owner="carol", purposes=frozenset({"svc"})))
+    reopened = restored.reopen()
+    print(f"restored store after reopen(): carol = "
+          f"{reopened.get('carol:rec').value.decode()!r}, bob = "
+          f"{reopened.get('bob:rec').value.decode()!r}")
 
     # --- cluster-wide: every shard gets replicas ------------------------------
     cluster = build_cluster(2, store_factory=gdpr_shards())

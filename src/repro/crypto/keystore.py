@@ -19,8 +19,9 @@ from .cipher import KEY_SIZE, AuthenticatedCipher, random_bytes
 class KeyStore:
     """Manages wrapped per-subject keys under one master key.
 
-    Wrapped key material (what :meth:`export_wrapped` returns) is safe to
-    persist anywhere; only the master key must live in protected storage.
+    The keystore and its tombstones are the one key authority: no copy of
+    a wrapped key leaves it, since a copy that outlived its subject's
+    erasure would let the master key reopen the subject's data.
     """
 
     def __init__(self, master_key: Optional[bytes] = None) -> None:
@@ -35,7 +36,7 @@ class KeyStore:
         # Cipher contexts are stateless (fresh nonce per seal), so one
         # instance per key id is safe to reuse -- unwrapping the master
         # key and re-deriving the enc/mac subkeys on every data-path op
-        # is pure hot-path waste.  Invalidated on erasure and import.
+        # is pure hot-path waste.  Invalidated on erasure.
         self._cipher_cache: Dict[str, AuthenticatedCipher] = {}
 
     # -- key lifecycle -------------------------------------------------------
@@ -88,7 +89,7 @@ class KeyStore:
         self._erased.add(key_id)
         return existed
 
-    # -- introspection / portability ------------------------------------------
+    # -- introspection ---------------------------------------------------------
 
     def __contains__(self, key_id: str) -> bool:
         return key_id in self._wrapped
@@ -98,21 +99,3 @@ class KeyStore:
 
     def erased_ids(self) -> Iterable[str]:
         return sorted(self._erased)
-
-    def export_wrapped(self) -> Dict[str, bytes]:
-        """Wrapped (encrypted) key blobs -- safe to persist."""
-        return dict(self._wrapped)
-
-    def import_wrapped(self, blobs: Dict[str, bytes]) -> None:
-        """Restore wrapped keys (e.g., after restart).
-
-        Erased ids stay erased: a restore must not resurrect destroyed keys,
-        otherwise backups would defeat crypto-erasure.
-        """
-        for key_id, blob in blobs.items():
-            if key_id in self._erased:
-                continue
-            # Validate before accepting: unwrapping raises on tampering.
-            self._master.open(blob, aad=key_id.encode("utf-8"))
-            self._wrapped[key_id] = blob
-            self._cipher_cache.pop(key_id, None)

@@ -369,6 +369,21 @@ class AppendLog:
         self._commit_due = self._fire_due = False
         self.clock = clock
 
+    def copy(self, clock: Clock, latency: LatencyModel) -> "AppendLog":
+        """A new device on ``clock`` with ``latency``, of this device's
+        name, holding every byte appended to each of its files (what
+        :meth:`read_files` reads), durable, and open on the same file.
+        It reads this device and writes nothing to it (no time
+        charged)."""
+        names = self.files()
+        twin = AppendLog(clock, latency, self.name)
+        twin._closed = {name: _File(bytearray(data), len(data), len(data))
+                        for name, data in zip(names, self.read_files(names))}
+        opened = twin._closed.pop(self.file)
+        twin.file, twin._data = self.file, opened.data
+        twin._cached_length = twin._durable_length = len(opened.data)
+        return twin
+
     def join_timer(self, writer, interval: float) -> None:
         """Step ``writer`` (its ``tick()``) at every firing of the
         device's one recurring timer, which the first writer to join

@@ -163,6 +163,10 @@ class StorageEngine:
     #: ``erase_subject_cold``.
     supports_tiering: bool = False
 
+    #: The device of the tiering wrapper's cold archive (a plain engine
+    #: has none): :meth:`reopen` restarts the archive over it.
+    cold_device: Optional[Any] = None
+
     #: Numbered databases the keyspace has (derived from the engine's
     #: structure, never configured here): a compacted log selects
     #: databases only when there is more than one.
@@ -387,25 +391,42 @@ class StorageEngine:
 
     def reopen(self, clock: Optional[Any] = None) -> "StorageEngine":
         """This engine restarted, as its process would be after a crash:
-        a fresh engine of its configuration over its own devices, on
-        ``clock`` (default: its own), its durable log replayed (every
-        part of it) and -- behind the tiering wrapper -- its cold archive
-        recovered from its device.  Each device is reopened on the clock
-        first (:meth:`~repro.device.append_log.AppendLog.reopen`), so the
-        old engine's timer and writers leave it.  Drop the old engine:
-        it shares the devices."""
+        :meth:`stop`, then :meth:`restarted` over its own devices -- its
+        durable log replayed (every part of it) and, behind the tiering
+        wrapper, its cold archive recovered from its device.  Drop the
+        old engine: it shares the devices."""
+        self.stop(clock)
+        return self.restarted(self.aof_log, self.cold_device, clock)
+
+    def stop(self, clock: Optional[Any] = None) -> None:
+        """Leave this engine's devices as its process's death leaves
+        them: each is reopened on ``clock`` (default: its own; see
+        :meth:`~repro.device.append_log.AppendLog.reopen`), so the
+        engine's timer and writers leave it and nothing of the engine
+        runs any more."""
         clock = self.clock if clock is None else clock
-        if self.aof_log is not None:
-            self.aof_log.reopen(clock)
-        fresh = self._reopened(clock)
+        for device in (self.aof_log, self.cold_device):
+            if device is not None:
+                device.reopen(clock)
+
+    def restarted(self, log: Optional[Any], cold: Optional[Any] = None,
+                  clock: Optional[Any] = None) -> "StorageEngine":
+        """A new engine of this one's configuration on ``clock``
+        (default: this one's), built over ``log`` -- it logs there,
+        whatever its configuration says of a log -- and replayed from
+        it; behind the tiering wrapper its cold archive is recovered
+        from ``cold``, or starts empty on a new device, as a replica's
+        does.  :meth:`reopen` restarts over the engine's own devices, a
+        backup restore (:meth:`~repro.gdpr.store.GDPRStore.restore`)
+        over a copy of a generation's device and no cold one."""
+        clock = self.clock if clock is None else clock
+        fresh = self._reopened(clock, log, cold)
         fresh.replay_aof()
         return fresh
 
-    def _reopened(self, clock: Any) -> "StorageEngine":
-        """An empty engine of this one's configuration over its own
-        devices, the log's reopened on ``clock`` (its cold archive's is
-        the tiering wrapper's to reopen): :meth:`reopen` before the
-        replay."""
+    def _reopened(self, clock: Any, log: Optional[Any],
+                  cold: Optional[Any]) -> "StorageEngine":
+        """:meth:`restarted` before the replay: an empty engine."""
         raise NotImplementedError
 
     def rewrite_aof(self, keys: Optional[Iterable[bytes]] = None) -> int:

@@ -5,20 +5,26 @@ backup archive per erasure request is operationally absurd -- this is
 exactly why Google Cloud's "up to 6 months to purge deleted data from all
 internal systems" policy exists (paper sections 3.2 and 5.1).
 
-A backup generation is a log of its own: an
+A backup generation is a device of its own: an
 :class:`~repro.kvstore.aof.AofWriter` over an
 :class:`~repro.device.append_log.AppendLog` named by its label, holding
 the keyspace as the compacted parts a rewrite of the live log would
 write, placed by the live log's homes, so a data subject's records share
 one part.  Each part file's CRC-32 is kept with the generation and
-checked before the part is replayed.
+checked before the generation is restored or scrubbed.  A restore is a
+restart over a copy of that device, and the restored store takes the
+live one's place (:meth:`BackupManager.restore`).
 
 :class:`BackupManager` models the two industrial answers:
 
-* **crypto-erasure by construction** -- backups store the encrypted
-  keyspace plus the *wrapped* per-subject keys; destroying a subject's
-  key at the keystore voids their data in every backup generation at
-  once, with zero backup I/O;
+* **crypto-erasure by construction** -- a generation holds the keyspace
+  as the store sealed it and no key material: each subject's data key
+  lives only in the live :class:`~repro.crypto.keystore.KeyStore`, so
+  destroying it voids their data in every backup generation at once,
+  with zero backup I/O.  (A generation that kept its subjects' wrapped
+  keys would let the master key reopen an erased subject's records.)
+  So a generation is restored by the process that holds the keystore,
+  until the keystore has a durable journal of its own;
 * **reconciliation** -- :meth:`reconcile_erasure` audits which backup
   generations still *mention* erased keys and (optionally) scrubs them
   of those keys alone: the parts that hold them are rewritten, as an
@@ -35,6 +41,7 @@ from ..common.clock import Clock
 from ..common.errors import CorruptionError
 from ..common.hashing import crc32_of
 from ..device.append_log import AppendLog, FsyncPolicy
+from ..device.latency import ZERO
 from ..kvstore.aof import AofWriter
 from .store import GDPRStore
 
@@ -46,7 +53,6 @@ class Backup:
     label: str
     taken_at: float
     writer: AofWriter
-    wrapped_keys: Dict[str, bytes]
     #: part file -> the CRC-32 of its bytes.
     crcs: Dict[str, int] = field(default_factory=dict)
 
@@ -103,7 +109,7 @@ class BackupManager:
 
     def take_backup(self, label: Optional[str] = None) -> Backup:
         """Lay the keyspace out on a device of its own, into parts placed
-        by the live log's homes, and keep the wrapped key material."""
+        by the live log's homes."""
         if label is None:
             label = f"backup-{len(self.backups):04d}"
         kv = self.store.kv
@@ -112,11 +118,8 @@ class BackupManager:
         writer = AofWriter(AppendLog(clock=self.clock, name=label),
                            self.clock, FsyncPolicy.NO)
         writer.lay_out(kv, kv.aof.homes if kv.aof is not None else {})
-        backup = Backup(
-            label=label,
-            taken_at=self.clock.now(),
-            writer=writer,
-            wrapped_keys=self.store.keystore.export_wrapped())
+        backup = Backup(label=label, taken_at=self.clock.now(),
+                        writer=writer)
         backup.seal()
         self.backups.append(backup)
         if len(self.backups) > self.max_generations:
@@ -132,31 +135,27 @@ class BackupManager:
         raise KeyError(label)
 
     def restore(self, label: str) -> GDPRStore:
-        """Materialize a backup into a fresh GDPRStore over a
-        same-engine store (the live engine's replica spawn): every part
-        is verified, then replayed.
-
-        The restored keystore re-imports the *wrapped* keys under the
-        live master -- so subjects crypto-erased since the backup stay
-        erased (their key ids are tombstoned at the keystore).  On an
-        engine with metadata columns a restored row would still name
-        such a subject in plaintext, so those rows are deleted again.
-        """
+        """The store restarted from generation ``label``, which this
+        manager keeps from then on in place of the live one.  Every part
+        is verified (a damaged one raises CorruptionError before
+        anything is built); then the live store restores itself over a
+        copy of the generation's device (:meth:`~repro.gdpr.store.
+        GDPRStore.restore`; :meth:`~repro.device.append_log.AppendLog.
+        copy`, with the live log's latency: the generation's own is only
+        read) and stops, and the restore is the first record the
+        restored store's audit chain -- the live one, continued --
+        holds.  The restored store logs to the copy, so its own
+        :meth:`~repro.gdpr.store.GDPRStore.reopen` serves what it wrote.
+        Drop the live store, as after a restart."""
         backup = self.find(label)
-        datas = backup.verified(backup.writer.part_files())
-        kv = self.store.kv.spawn_replica()
-        for data in datas:
-            kv.replay_aof(data)
-        restored = GDPRStore(kv=kv, config=self.store.config,
-                             keystore=self.store.keystore,
-                             locations=self.store.locations)
-        for subject in self.store.keystore.erased_ids():
-            for key in kv.keys_of_owner(subject) or ():
-                kv.execute("DEL", key)
-        restored.rebuild_indexes()
+        backup.verified(backup.writer.part_files())
+        log = self.store.kv.aof_log
+        latency = log.latency if log is not None else ZERO
+        self.store = self.store.restore(
+            backup.writer.log.copy(self.clock, latency))
         self.store.audit.append(principal="system", operation="restore",
                                 outcome="ok", detail=label)
-        return restored
+        return self.store
 
     # -- erasure reconciliation ----------------------------------------------------------
 
@@ -167,9 +166,9 @@ class BackupManager:
         With ``rewrite=False`` the report simply documents which
         generations still hold ciphertext -- safe if (and only if) the
         subject was crypto-erased.  With ``rewrite=True`` each affected
-        generation is scrubbed (:meth:`_scrub`) and the subject's wrapped
-        key is dropped, physically removing the bytes.  Everything else
-        in the generation stays as it was at ``taken_at``.
+        generation is scrubbed (:meth:`_scrub`), physically removing the
+        bytes.  Everything else in the generation stays as it was at
+        ``taken_at``.
         """
         report = ReconciliationReport(
             subject=subject, checked=len(self.backups),
@@ -182,7 +181,6 @@ class BackupManager:
             report.mentioning.append(backup.label)
             if rewrite:
                 self._scrub(backup, erased)
-                backup.wrapped_keys.pop(subject, None)
                 report.rewritten.append(backup.label)
         self.store.audit.append(
             principal="system", operation="backup-reconcile",
@@ -197,8 +195,10 @@ class BackupManager:
         engine, the keys are deleted there, and the generation's log
         rewrites those parts from it -- new files, one barrier, one
         rename.  A failed rewrite leaves the old parts or, past its
-        rename, the new ones: the generation is reopened over what its
-        device holds, and keeps the CRC-32s of the parts it lists."""
+        rename, the new ones, and the generation keeps the CRC-32s of
+        the parts it lists: the writer adopts new parts only after the
+        rename, and the next rewrite's sweep removes a failed one's
+        leftover files."""
         writer = backup.writer
         targets = writer.part_files(erased)
         datas = backup.verified(targets)
@@ -209,9 +209,5 @@ class BackupManager:
         scratch.execute("DEL", *erased)
         try:
             writer.rewrite(scratch, erased)
-        except Exception:
-            backup.writer = AofWriter(writer.log, self.clock,
-                                      FsyncPolicy.NO)
-            raise
         finally:
             backup.seal(targets)

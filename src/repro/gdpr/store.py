@@ -34,7 +34,7 @@ from ..common.errors import (
     PurposeViolationError,
 )
 from ..crypto.keystore import KeyStore
-from ..device.append_log import BarrierScope
+from ..device.append_log import AppendLog, BarrierScope
 from ..engine.base import StorageEngine
 from ..kvstore.store import KeyValueStore, StoreConfig
 from .access_control import AccessController, Operation, Principal
@@ -450,16 +450,51 @@ class GDPRStore:
         so a restart has nothing to read them back from -- the keystore
         until it gets a durable key journal.  The locations keep the
         node's placement, and a key's region only if the key is
-        recovered."""
+        recovered.  :meth:`restore` restarts the store the same way over
+        a copy of a backup generation's device."""
+        self._stop()
+        kv, old = self.kv.reopen(clock), self.audit
+        old.log.reopen(kv.clock)
+        return self._successor(kv, AuditLog(
+            old.log, kv.clock, old.durability, old.batch_interval,
+            old.record_cpu_cost, block_size=old.block_size))
+
+    def restore(self, log: AppendLog) -> "GDPRStore":
+        """This store restarted over ``log``, a copy of a backup
+        generation's device (:meth:`~repro.gdpr.backup.BackupManager.
+        restore`), as :meth:`reopen` restarts it over its own: an engine
+        of its configuration built over ``log`` and replayed from it
+        (:meth:`~repro.engine.base.StorageEngine.restarted`; a tiered
+        engine's cold tier starts empty), the indexes rebuilt, and the
+        keystore, grants and locations carried over.  The audit chain
+        goes on in this store's own :class:`AuditLog`, whose device saw
+        no crash.  Then this store stops -- its write-behind timer and
+        its engine (:meth:`~repro.engine.base.StorageEngine.stop`) --
+        and the locations forget its keys; drop it.
+
+        The keystore's tombstones are the one key authority: subjects
+        crypto-erased since the backup stay erased.  On an engine with
+        metadata columns a restored row would still name such a subject
+        in plaintext, so those rows are deleted again."""
+        kv = self.kv.restarted(log, clock=self.clock)
+        for subject in self.keystore.erased_ids():
+            for key in kv.keys_of_owner(subject) or ():
+                kv.execute("DEL", key)
+        self._stop()
+        self.kv.stop()
+        return self._successor(kv, self.audit)
+
+    def _stop(self) -> None:
+        """Stop this store for a successor: the write-behind timer stops,
+        and the locations forget this store's keys (the successor
+        records the ones it recovers)."""
         if self._writebehind is not None:
             self._writebehind.timer.cancel()
         for key in self.index.keys():
             self.locations.record_erased(key)
-        kv, old = self.kv.reopen(clock), self.audit
-        old.log.reopen(kv.clock)
-        audit = AuditLog(old.log, kv.clock, old.durability,
-                         old.batch_interval, old.record_cpu_cost,
-                         block_size=old.block_size)
+
+    def _successor(self, kv: StorageEngine, audit: AuditLog) -> "GDPRStore":
+        """The restarted store around ``kv`` and ``audit``."""
         store = GDPRStore(kv, self.config, self.keystore, audit,
                           self.access, self.locations)
         store.rebuild_indexes()

@@ -87,7 +87,7 @@ class KeyValueStore(StorageEngine):
             rng=random.Random(self.config.seed + 1))
         self.aof: Optional[AofWriter] = None
         self.aof_log: Optional[AppendLog] = None
-        if self.config.appendonly:
+        if self.config.appendonly or aof_log is not None:
             self.aof_log = aof_log if aof_log is not None else AppendLog(
                 clock=self.clock)
             self.aof = AofWriter(
@@ -286,8 +286,9 @@ class KeyValueStore(StorageEngine):
     def key_count(self, db_index: int = 0) -> int:
         return len(self.databases[db_index])
 
-    def _reopened(self, clock: Clock) -> "KeyValueStore":
-        return KeyValueStore(self.config, clock=clock, aof_log=self.aof_log)
+    def _reopened(self, clock: Clock, log: Optional[AppendLog],
+                  cold: Optional[AppendLog]) -> "KeyValueStore":
+        return KeyValueStore(self.config, clock=clock, aof_log=log)
 
     def spawn_replica(self, clock: Optional[Clock] = None) -> "KeyValueStore":
         """A zero-cost plain store on ``clock`` (default: this store's)

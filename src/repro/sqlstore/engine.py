@@ -129,7 +129,7 @@ class RelationalStore(StorageEngine):
                                plan_cost=self.config.statement_plan_cost)
         self.aof: Optional[AofWriter] = None
         self.aof_log: Optional[AppendLog] = None
-        if self.config.wal_enabled:
+        if self.config.wal_enabled or wal_log is not None:
             self.aof_log = wal_log if wal_log is not None \
                 else AppendLog(clock=self.clock, name="records.wal")
             self.aof = AofWriter(
@@ -696,8 +696,9 @@ class RelationalStore(StorageEngine):
                              else (row.owner, row.purposes))
                 for row in rows]
 
-    def _reopened(self, clock: Clock) -> "RelationalStore":
-        return RelationalStore(self.config, clock=clock, wal_log=self.aof_log)
+    def _reopened(self, clock: Clock, log: Optional[AppendLog],
+                  cold: Optional[AppendLog]) -> "RelationalStore":
+        return RelationalStore(self.config, clock=clock, wal_log=log)
 
     # -- replication -------------------------------------------------------
 

@@ -184,6 +184,10 @@ class TieredEngine(StorageEngine):
         return self._inner.aof_log
 
     @property
+    def cold_device(self) -> AppendLog:  # type: ignore[override]
+        return self.cold.device
+
+    @property
     def database_count(self) -> int:  # type: ignore[override]
         return self._inner.database_count
 
@@ -658,9 +662,12 @@ class TieredEngine(StorageEngine):
             self._clean.clear()     # the rewrite logged every hot key
         return size
 
-    def _reopened(self, clock: Any) -> "TieredEngine":
-        self.cold.device.reopen(clock)
-        return TieredEngine(self._inner._reopened(clock), self.cold.device,
+    def _reopened(self, clock: Any, log: Optional[AppendLog],
+                  cold: Optional[AppendLog]) -> "TieredEngine":
+        if cold is None:
+            cold = AppendLog(clock, self.cold.device.latency,
+                             self.cold.device.name)
+        return TieredEngine(self._inner._reopened(clock, log, None), cold,
                             self.tiering, self.cold.keystore)
 
     # -- replication ---------------------------------------------------------

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.common.errors import CryptoError, IntegrityError
 from repro.crypto.cipher import (KEY_SIZE, NONCE_SIZE, AuthenticatedCipher,
                                  StreamCipher)
-from repro.crypto.keystore import KeyStore
 
 KEY = bytes(range(32))
 ZERO_NONCE = bytes(NONCE_SIZE)
@@ -89,21 +88,7 @@ OLD_TOKEN = bytes.fromhex(
     "8fb288e1e04e33ea653a1d60b4"
     "433c664182ec017ea15ed25c5a7fbca614d91521634d0a3b6491e4a8d24ed92d")
 
-# KeyStore(master_key=KEY).create_key("alice") under seeded_entropy(19),
-# exported at the same commit.
-OLD_WRAPPED_KEY = bytes.fromhex(
-    "12b0be648c0ee05804652fffaf947987"
-    "872d5df7b8ff1d3ac83060caba888139e77757c2139424a7d64f32b829acc510"
-    "0c73133eb2ccc278fa4a202d4e6e88eeb395a78ad560b2b5cbf9c600bd996fd3")
-
 
 def test_token_sealed_by_the_old_construction_is_refused():
     with pytest.raises(IntegrityError):
         AuthenticatedCipher(KEY).open(OLD_TOKEN, aad=b"user1")
-
-
-def test_key_wrapped_by_the_old_construction_is_not_imported():
-    keystore = KeyStore(master_key=KEY)
-    with pytest.raises(IntegrityError):
-        keystore.import_wrapped({"alice": OLD_WRAPPED_KEY})
-    assert "alice" not in keystore

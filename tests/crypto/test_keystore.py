@@ -8,7 +8,6 @@ from repro.common.errors import (
     KeyErasedError,
     KeyNotFoundError,
 )
-from repro.crypto.cipher import KEY_SIZE
 from repro.crypto.keystore import KeyStore
 
 
@@ -82,47 +81,6 @@ class TestCryptoErasure:
         assert list(ks.erased_ids()) == ["alice"]
 
 
-class TestWrappedExportImport:
-    def test_export_import_roundtrip(self):
-        master = b"m" * KEY_SIZE
-        ks = KeyStore(master)
-        data_key = ks.create_key("alice")
-        restored = KeyStore(master)
-        restored.import_wrapped(ks.export_wrapped())
-        assert restored.get_key("alice") == data_key
-
-    def test_import_rejects_tampered_blob(self):
-        master = b"m" * KEY_SIZE
-        ks = KeyStore(master)
-        ks.create_key("alice")
-        blobs = ks.export_wrapped()
-        blobs["alice"] = blobs["alice"][:-1] + bytes(
-            [blobs["alice"][-1] ^ 1])
-        with pytest.raises(IntegrityError):
-            KeyStore(master).import_wrapped(blobs)
-
-    def test_import_cannot_resurrect_erased(self):
-        master = b"m" * KEY_SIZE
-        ks = KeyStore(master)
-        ks.create_key("alice")
-        backup = ks.export_wrapped()
-        ks.erase_key("alice")
-        ks.import_wrapped(backup)
-        with pytest.raises(KeyErasedError):
-            ks.get_key("alice")
-
-    def test_wrapped_blobs_not_raw_keys(self):
-        ks = KeyStore()
-        data_key = ks.create_key("alice")
-        assert data_key not in ks.export_wrapped()["alice"]
-
-    def test_import_under_wrong_master_rejected(self):
-        ks = KeyStore(b"m" * KEY_SIZE)
-        ks.create_key("alice")
-        with pytest.raises(IntegrityError):
-            KeyStore(b"x" * KEY_SIZE).import_wrapped(ks.export_wrapped())
-
-
 class TestCipherFor:
     def test_cipher_roundtrip(self):
         ks = KeyStore()
@@ -157,14 +115,3 @@ class TestCipherCache:
         ks.erase_key("alice")
         with pytest.raises(KeyErasedError):
             ks.cipher_for("alice")
-
-    def test_import_invalidates_cache(self):
-        donor = KeyStore(b"m" * KEY_SIZE)
-        donor.create_key("alice")
-        ks = KeyStore(b"m" * KEY_SIZE)
-        stale = ks.cipher_for("alice")          # a different data key
-        ks.import_wrapped(donor.export_wrapped())
-        fresh = ks.cipher_for("alice")
-        assert fresh is not stale
-        token = donor.cipher_for("alice").seal(b"v")
-        assert fresh.open(token) == b"v"

@@ -7,10 +7,12 @@ log's compacted parts on a device of its own, and every engine writes
 the one log format.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.common.clock import SimClock
-from repro.common.errors import CorruptionError
+from repro.common.errors import CorruptionError, DeviceIOError
 from repro.crypto.cipher import seeded_entropy
 from repro.crypto.keystore import KeyStore
 from repro.device.append_log import FsyncPolicy
@@ -205,7 +207,6 @@ class TestReconciliation:
                                            rewrite=True)
         assert report.rewritten == ["nightly-1"]
         backup = manager.find("nightly-1")
-        assert "alice" not in backup.wrapped_keys
         assert not mentions_key(backup, "alice")
         restored = manager.restore("nightly-1")
         assert restored.get("bob").value == b"old-bob"
@@ -371,18 +372,21 @@ def scrub_points(erased_store, variant):
     """:func:`~tests.support.crashpoints` of the scrub of alice from the
     generation of ``erased_store(variant)``, over its device; a cut
     state's generation is opened anew over its reopened device, as a
-    restarted process opens it."""
-    for point in crashpoints(
-            lambda: erased_store(variant),
-            lambda stack: stack[1].reconcile_erasure("alice", stack[2],
-                                                     rewrite=True),
-            lambda stack: [stack[1].find("nightly").writer.log]):
-        if point.lost:
-            backup = point.stack[1].find("nightly")
-            log = backup.writer.log
-            log.reopen(log.clock)
-            backup.writer = AofWriter(log, log.clock, FsyncPolicy.NO)
-        yield point
+    restarted process opens it.  Each cut's PowerLoss names the step it
+    cut (nothing after the cut touches the dark device)."""
+    *cuts, done = crashpoints(
+        lambda: erased_store(variant),
+        lambda stack: stack[1].reconcile_erasure("alice", stack[2],
+                                                 rewrite=True),
+        lambda stack: [stack[1].find("nightly").writer.log])
+    for point in cuts:
+        step = done.plan.steps[len(point.plan.steps)]
+        assert point.lost == f"power lost before nightly.{step}"
+        backup = point.stack[1].find("nightly")
+        log = backup.writer.log
+        log.reopen(log.clock)
+        backup.writer = AofWriter(log, log.clock, FsyncPolicy.NO)
+    return [*cuts, done]
 
 
 def crowded_store(variant):
@@ -450,6 +454,85 @@ def test_power_loss_anywhere_in_a_scrub_of_several_parts(variant):
         # The next scrub finishes the erasure the cut interrupted.
         manager.reconcile_erasure("alice", erased, rewrite=True)
         assert generation(backup) == new
+
+
+@pytest.mark.parametrize("erased_store", [erased_generation, erased_crowd])
+@pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
+def test_a_failed_scrub_step_leaves_a_generation_that_restores(
+        variant, erased_store):
+    """A scrub whose device operation fails -- each step a scrub takes,
+    in turn -- raises DeviceIOError and leaves parts that verify; a
+    restore from them serves no alice, and the next scrub completes."""
+    _, manager, erased = erased_store(variant)
+    plan = FaultPlan(manager.find("nightly").writer.log)
+    manager.reconcile_erasure("alice", erased, rewrite=True)
+    scrubbed = generation(manager.find("nightly"))
+    for step in plan.steps:
+        _, manager, erased = erased_store(variant)
+        backup = manager.find("nightly")
+        FaultPlan(backup.writer.log).fail(step)
+        with pytest.raises(DeviceIOError):
+            manager.reconcile_erasure("alice", erased, rewrite=True)
+        backup.verified(backup.writer.part_files())
+        restored = manager.restore("nightly")
+        assert restored.keys_of_subject("alice") == []
+        for key in erased:
+            with pytest.raises(KeyError):
+                restored.get(key)
+        manager.reconcile_erasure("alice", erased, rewrite=True)
+        assert generation(backup) == scrubbed, step
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
+def test_a_restored_store_restarts_over_its_copy(variant):
+    """A restore is a restart over a copy of the generation's device:
+    the generation's device takes no step, and the restored store takes
+    the live one's place in the manager, continues the live audit chain
+    (the restore its last record) under the live grants, and logs to
+    the copy, so its own reopen() serves what it restored and what it
+    wrote since.  The live store stops, leaving no timer behind, so
+    that reopen() takes over an audit device nobody else writes (a put
+    after it is sealed at once); the locations follow the keyspace."""
+    store = owned_store(variant)
+    manager = BackupManager(store)
+    plan = FaultPlan(manager.take_backup("nightly").writer.log)
+    timers = store.clock.pending_timers()
+    store.put("gone", b"after", meta("erin"))
+    restored = manager.restore("nightly")
+    assert plan.steps == [] and store.clock.pending_timers() == timers
+    assert manager.store is restored
+    assert restored.audit is store.audit and restored.access is store.access
+    assert store.audit.verify() > 0
+    assert store.audit.records()[-1].operation == "restore"
+    restored.put("late", b"after", meta("dave"))
+    reopened = restored.reopen()
+    reopened.put("later", b"again", meta("dave"))
+    assert reopened.audit.pending_records == 0
+    assert reopened.audit.verify() == len(reopened.audit.records())
+    assert reopened.get("late").value == b"after"
+    for subject in ("alice", "bob", "carol"):
+        assert reopened.get(subject).value == f"data-{subject}".encode()
+    assert reopened.keys_of_subject("dave") == ["late", "later"]
+    assert reopened.locations.locations_of("gone") == []
+    for key in ("alice", "bob", "carol", "late", "later"):
+        assert reopened.locations.locations_of(key) == ["eu-west"]
+    assert plan.steps == []
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
+def test_a_generation_holds_no_key_material(variant):
+    """A generation keeps its parts, their manifest and CRC-32s, and no
+    copy of a wrapped key: the live keystore is the one key authority,
+    so an erased subject's key cannot come back from a backup."""
+    store = crowded_store(variant)
+    backup = BackupManager(store).take_backup("nightly")
+    assert [field.name for field in dataclasses.fields(backup)] == [
+        "label", "taken_at", "writer", "crcs"]
+    assert backup.writer.log.files() == sorted(
+        backup.writer.part_files() + ["nightly.manifest"])
+    blobs = store.keystore._wrapped.values()
+    assert blobs and not any(blob in data for blob in blobs
+                             for data in generation(backup).values())
 
 
 def test_a_generation_keeps_every_database():

@@ -56,8 +56,6 @@ SEAMS: Dict[Tuple[str, str], str] = {
         "node restart: reopens a dead shard over its own devices",
     ("src/repro/cluster/migration.py", "SlotMigrator.abort"):
         "the only recovery for an interrupted slot migration",
-    ("src/repro/crypto/keystore.py", "KeyStore.import_wrapped"):
-        "restore of a wrapped key set: erased ids stay erased",
     ("src/repro/gdpr/rights.py", "right_to_object"):
         "Art. 21, the right to object",
     ("src/repro/kvstore/aof.py", "contains_key"):
