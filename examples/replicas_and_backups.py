@@ -68,12 +68,6 @@ def main() -> None:
           f"{restored.keys_of_subject('alice')} (unrecoverable), "
           f"bob intact = {restored.get('bob:rec').value.decode()!r}")
 
-    # Physical scrubbing, if policy demands it:
-    report = backups.reconcile_erasure("alice", receipt.keys_erased,
-                                       rewrite=True)
-    print(f"after rewrite: residual generations = "
-          f"{report.residual_generations}")
-
     # A restore is a restart over a copy of the generation's device: the
     # restored store replaces the live one and logs to the copy, so it
     # survives its own restart too.
@@ -83,6 +77,15 @@ def main() -> None:
     print(f"restored store after reopen(): carol = "
           f"{reopened.get('carol:rec').value.decode()!r}, bob = "
           f"{reopened.get('bob:rec').value.decode()!r}")
+
+    # Physical scrubbing, if policy demands it.  The manager follows its
+    # store's restarts, so the scrub's audit record extends the live
+    # chain.
+    report = backups.reconcile_erasure("alice", receipt.keys_erased,
+                                       rewrite=True)
+    print(f"after rewrite: residual generations = "
+          f"{report.residual_generations}, audit chain verifies "
+          f"{reopened.audit.verify()} records")
 
     # --- cluster-wide: every shard gets replicas ------------------------------
     cluster = build_cluster(2, store_factory=gdpr_shards())

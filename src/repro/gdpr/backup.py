@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..common.clock import Clock
 from ..common.errors import CorruptionError
 from ..common.hashing import crc32_of
 from ..device.append_log import AppendLog, FsyncPolicy
@@ -100,10 +99,18 @@ class BackupManager:
     def __init__(self, store: GDPRStore, max_generations: int = 7) -> None:
         if max_generations < 1:
             raise ValueError("need at least one backup generation")
-        self.store = store
-        self.clock: Clock = store.clock
+        self._store = store
         self.max_generations = max_generations
         self.backups: List[Backup] = []
+
+    @property
+    def store(self) -> GDPRStore:
+        """The live store: the latest restart of the one given, so that
+        a backup call after a restart writes through the live audit
+        chain, not a superseded store's copy of it."""
+        while self._store.successor is not None:
+            self._store = self._store.successor
+        return self._store
 
     # -- lifecycle -------------------------------------------------------------------
 
@@ -115,10 +122,11 @@ class BackupManager:
         kv = self.store.kv
         # A generation commits only through its rewrites' barriers
         # (AofWriter._commit): its device runs no timer.
-        writer = AofWriter(AppendLog(clock=self.clock, name=label),
-                           self.clock, FsyncPolicy.NO)
+        clock = self.store.clock
+        writer = AofWriter(AppendLog(clock=clock, name=label), clock,
+                           FsyncPolicy.NO)
         writer.lay_out(kv, kv.aof.homes if kv.aof is not None else {})
-        backup = Backup(label=label, taken_at=self.clock.now(),
+        backup = Backup(label=label, taken_at=clock.now(),
                         writer=writer)
         backup.seal()
         self.backups.append(backup)
@@ -135,8 +143,8 @@ class BackupManager:
         raise KeyError(label)
 
     def restore(self, label: str) -> GDPRStore:
-        """The store restarted from generation ``label``, which this
-        manager keeps from then on in place of the live one.  Every part
+        """The store restarted from generation ``label``, which becomes
+        this manager's :attr:`store`, as any restart of it does.  Every part
         is verified (a damaged one raises CorruptionError before
         anything is built); then the live store restores itself over a
         copy of the generation's device (:meth:`~repro.gdpr.store.
@@ -149,13 +157,13 @@ class BackupManager:
         Drop the live store, as after a restart."""
         backup = self.find(label)
         backup.verified(backup.writer.part_files())
-        log = self.store.kv.aof_log
+        live = self.store
+        log = live.kv.aof_log
         latency = log.latency if log is not None else ZERO
-        self.store = self.store.restore(
-            backup.writer.log.copy(self.clock, latency))
-        self.store.audit.append(principal="system", operation="restore",
-                                outcome="ok", detail=label)
-        return self.store
+        restored = live.restore(backup.writer.log.copy(live.clock, latency))
+        restored.audit.append(principal="system", operation="restore",
+                              outcome="ok", detail=label)
+        return restored
 
     # -- erasure reconciliation ----------------------------------------------------------
 

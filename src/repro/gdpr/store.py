@@ -108,6 +108,9 @@ class GDPRStore:
             self.locations.place_node(self.config.node_id,
                                       self.config.region)
         self.index = MetadataIndex()
+        #: The store a restart (:meth:`reopen`, :meth:`restore`) built in
+        #: this one's place; None while this one is live.
+        self.successor: Optional["GDPRStore"] = None
         # One barrier scope per request over the audit device and the
         # engine's log: a SYNC/``always`` request pays one fsync per
         # device at its end.  The audit device's comes first because a
@@ -494,10 +497,12 @@ class GDPRStore:
             self.locations.record_erased(key)
 
     def _successor(self, kv: StorageEngine, audit: AuditLog) -> "GDPRStore":
-        """The restarted store around ``kv`` and ``audit``."""
+        """The restarted store around ``kv`` and ``audit``, named as this
+        one's :attr:`successor`."""
         store = GDPRStore(kv, self.config, self.keystore, audit,
                           self.access, self.locations)
         store.rebuild_indexes()
+        self.successor = store
         return store
 
     def rebuild_indexes(self) -> int:

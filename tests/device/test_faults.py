@@ -232,21 +232,24 @@ class TestTear:
 
 class TestCrashpoints:
     """``tests.support.crashpoints``: the operation cut before each of
-    its steps, each on a fresh stack, then run to the end."""
+    its steps, each on a fresh stack, then run to the end; each state
+    power-lost and restarted."""
 
     def test_one_state_per_step_then_the_run_that_returned(self):
         def operation(log):
-            for data in (b"A", b"B", b"C"):
-                log.append(data)
-            log.fsync()
+            log.append(b"A")
+            log.flush_and_fsync()
+            log.append(b"B")
 
-        points = list(crashpoints(AppendLog, operation, lambda log: [log]))
-        ops = ["append"] * 3 + ["fsync"]
-        assert [(point.plan.steps, point.lost) for point in points] == [
+        points = list(crashpoints(AppendLog, operation, lambda log: [log],
+                                  lambda log: log.reopen(log.clock) or log))
+        ops = ["append", "flush", "fsync", "append"]
+        assert [(point.steps, point.lost) for point in points] == [
             (ops[:at], f"power lost before appendonly.aof.{op}")
             for at, op in enumerate(ops)] + [(ops, None)]
-        assert [point.stack.read_all() for point in points] == \
-            [b""] * 4 + [b"ABC"]
+        # The run that returned loses its unsynced ``B`` too.
+        assert [point.recovered.read_all() for point in points] == \
+            [b""] * 3 + [b"A"] * 2
         assert len({id(point.stack) for point in points}) == 5
 
     def test_an_operation_that_runs_differently_each_time_fails(self):
@@ -259,7 +262,8 @@ class TestCrashpoints:
 
         with pytest.raises(AssertionError, match="the run took"):
             list(crashpoints(AppendLog, one_more_step_each_call,
-                             lambda log: [log]))
+                             lambda log: [log],
+                             lambda log: log.reopen(log.clock) or log))
         assert len(calls) == 3          # recorded, cut before step 0, run
 
 

@@ -337,56 +337,25 @@ def test_scrub_writes_only_the_parts_that_held_the_subject(records):
     assert not mentions_key(backup, erased[0])
 
 
-def erased_generation(variant):
+def erased_generation(variant, make_store=owned_store):
     """``variant``'s store with alice erased, and its manager holding
     one generation taken before the erasure: the same bytes every call."""
     with seeded_entropy(46):
-        store = owned_store(variant)
+        store = make_store(variant)
         manager = BackupManager(store)
         manager.take_backup("nightly")
         return store, manager, right_to_erasure(store, "alice").keys_erased
 
 
-@pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
-def test_power_loss_anywhere_in_a_scrub(variant):
-    """A power cut before any step of a scrub leaves the generation as
-    it was or as the scrub leaves it, byte for byte; the parts it lists
-    verify, and a restore from it serves no erased subject."""
-    *cuts, done = scrub_points(erased_generation, variant)
-    old = generation(erased_generation(variant)[1].find("nightly"))
-    new = generation(done.stack[1].find("nightly"))
-    assert new != old and {"append", "fsync", "rename"} <= set(
-        done.plan.steps)
-    for (_, manager, erased), _, _ in cuts:
-        backup = manager.find("nightly")
-        assert generation(backup) in (old, new)
-        backup.verified(backup.writer.part_files())
-        restored = manager.restore("nightly")
-        assert restored.keys_of_subject("alice") == []
-        with pytest.raises(KeyError):
-            restored.get("alice")
-        assert restored.get("carol").value == b"data-carol"
-
-
-def scrub_points(erased_store, variant):
-    """:func:`~tests.support.crashpoints` of the scrub of alice from the
-    generation of ``erased_store(variant)``, over its device; a cut
-    state's generation is opened anew over its reopened device, as a
-    restarted process opens it.  Each cut's PowerLoss names the step it
-    cut (nothing after the cut touches the dark device)."""
-    *cuts, done = crashpoints(
-        lambda: erased_store(variant),
-        lambda stack: stack[1].reconcile_erasure("alice", stack[2],
-                                                 rewrite=True),
-        lambda stack: [stack[1].find("nightly").writer.log])
-    for point in cuts:
-        step = done.plan.steps[len(point.plan.steps)]
-        assert point.lost == f"power lost before nightly.{step}"
-        backup = point.stack[1].find("nightly")
-        log = backup.writer.log
-        log.reopen(log.clock)
-        backup.writer = AofWriter(log, log.clock, FsyncPolicy.NO)
-    return [*cuts, done]
+def reopened_generation(stack):
+    """A scrub's stack with its generation's writer opened anew over the
+    relit device, as a restarted process opens it: the writer sweeps a
+    cut rewrite's leftover files."""
+    backup = stack[1].find("nightly")
+    log = backup.writer.log
+    log.reopen(log.clock)
+    backup.writer = AofWriter(log, log.clock, FsyncPolicy.NO)
+    return stack
 
 
 def crowded_store(variant):
@@ -423,35 +392,57 @@ def test_a_generation_of_several_parts_restores_as_taken(variant):
 
 def erased_crowd(variant):
     """:func:`erased_generation` over :func:`crowded_store`."""
-    with seeded_entropy(46):
-        store = crowded_store(variant)
-        manager = BackupManager(store)
-        manager.take_backup("nightly")
-        return store, manager, right_to_erasure(store, "alice").keys_erased
+    return erased_generation(variant, crowded_store)
 
 
+#: the generation of each erased store -> a key it keeps, and its value.
+BYSTANDERS = {erased_generation: ("carol", b"data-carol"),
+              erased_crowd: ("rec041", b"x" * 120)}
+
+
+@pytest.mark.parametrize("erased_store", [erased_generation, erased_crowd],
+                         ids=["one-part", "several-parts"])
 @pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
-def test_power_loss_anywhere_in_a_scrub_of_several_parts(variant):
-    """As :func:`test_power_loss_anywhere_in_a_scrub`, over a generation
-    split into parts: the scrub writes alice's part anew and renames it
-    over the old one (the manifest untouched, nothing to remove), and a
-    cut before any of its steps -- the rename included -- recovers the
-    old parts or the new ones."""
-    *cuts, done = scrub_points(erased_crowd, variant)
-    taken = erased_crowd(variant)[1].find("nightly")
-    old = generation(taken)
-    backup = done.stack[1].find("nightly")
-    new = generation(backup)
-    assert done.plan.steps[-1] == "rename" \
-        and "remove" not in done.plan.steps
-    assert backup.writer.part_files() == taken.writer.part_files()
-    for (_, manager, erased), _, _ in cuts:
+def test_power_loss_anywhere_in_a_scrub(variant, erased_store):
+    """A power cut before any step of the scrub of alice from a
+    generation, or right after it returns, and the generation opened
+    anew over its device (:func:`reopened_generation`): it is as it was
+    or as the scrub leaves it, byte for byte; the parts it lists verify;
+    a restore from it serves no erased key and every other; and the next
+    scrub finishes the erasure a cut interrupted.  Each cut's PowerLoss
+    names the step it cut (nothing after the cut touches the dark
+    device).  Over a generation split into parts, the scrub writes
+    alice's part anew and renames it over the old one: the manifest
+    untouched, nothing to remove."""
+    taken = erased_store(variant)[1].find("nightly")
+    *cuts, done = crashpoints(
+        lambda: erased_store(variant),
+        lambda stack: stack[1].reconcile_erasure("alice", stack[2],
+                                                 rewrite=True),
+        lambda stack: [stack[1].find("nightly").writer.log],
+        reopened_generation)
+    old, steps = generation(taken), done.steps
+    new = generation(done.stack[1].find("nightly"))
+    assert new != old and {"append", "fsync", "rename"} <= set(steps)
+    if erased_store is erased_crowd:
+        assert steps[-1] == "rename" and "remove" not in steps
+        assert done.stack[1].find("nightly").writer.part_files() == \
+            taken.writer.part_files()
+    for point in cuts:
+        step = steps[len(point.steps)]
+        assert point.lost == f"power lost before nightly.{step}"
+    key, value = BYSTANDERS[erased_store]
+    for point in cuts + [done]:
+        _, manager, erased = point.recovered
         backup = manager.find("nightly")
         assert generation(backup) in (old, new)
+        backup.verified(backup.writer.part_files())
         restored = manager.restore("nightly")
         assert restored.keys_of_subject("alice") == []
-        assert restored.get("rec041").value == b"x" * 120
-        # The next scrub finishes the erasure the cut interrupted.
+        for gone in erased:
+            with pytest.raises(KeyError):
+                restored.get(gone)
+        assert restored.get(key).value == value
         manager.reconcile_erasure("alice", erased, rewrite=True)
         assert generation(backup) == new
 
@@ -517,6 +508,28 @@ def test_a_restored_store_restarts_over_its_copy(variant):
     for key in ("alice", "bob", "carol", "late", "later"):
         assert reopened.locations.locations_of(key) == ["eu-west"]
     assert plan.steps == []
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
+def test_a_backup_call_after_a_restart_extends_the_live_audit_chain(variant):
+    """Regression: the manager kept the store it was given, so a scrub
+    after ``reopen`` appended its ``backup-reconcile`` record through
+    the superseded store's AuditLog onto the shared audit device, and
+    the live chain failed to verify.  The manager follows every restart
+    of its store, a reopen as a restore."""
+    store = owned_store(variant)
+    manager = BackupManager(store)
+    manager.take_backup("nightly")
+    live = store.reopen()
+    erased = right_to_erasure(live, "alice").keys_erased
+    assert manager.reconcile_erasure(
+        "alice", erased, rewrite=True).rewritten == ["nightly"]
+    assert manager.store is live
+    assert live.audit.verify() == len(live.audit.records())
+    assert live.audit.records()[-1].operation == "backup-reconcile"
+    restored = manager.restore("nightly")
+    assert restored.keys_of_subject("alice") == []
+    assert restored.audit.verify() == len(restored.audit.records())
 
 
 @pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))

@@ -6,7 +6,6 @@ import pytest
 
 from repro.common.clock import SimClock
 from repro.device.append_log import AppendLog
-from repro.device.faults import FaultPlan
 from repro.device.latency import INTEL_750_SSD
 from repro.gdpr import (
     AuditDurability,
@@ -20,8 +19,10 @@ from repro.cluster import (
     GDPRClient, SlotMigrator, build_cluster, gdpr_shards)
 from repro.cluster.slots import slot_for_key
 from repro.kvstore import KeyValueStore, StoreConfig
+from repro.kvstore.commands import deadline_ms
 from repro.sqlstore import RelationalStore, SqlConfig
-from tests.support import crashpoints, durable_audit
+from tests.support import (
+    crashpoints, durable_audit, pre_or_post, restarts_agree)
 
 
 def make_fast_store(clock=None, fsync="everysec", **overrides):
@@ -192,14 +193,14 @@ class TestQueuedSeal:
                 self._put(*stack, i)
 
         losses = []
-        for (store, _), plan, lost in crashpoints(
+        for point in crashpoints(
                 self._store, put_all,
-                lambda stack: [stack[0].kv.aof_log, stack[0].audit.log]):
-            if lost is None:                # a cut after the last step
-                plan.power_loss()
-            at_risk = store.audit.at_risk_records()
-            durable = len(durable_audit(store.reopen().audit))
-            assert store.audit.record_count - durable == at_risk, lost
+                lambda stack: [stack[0].kv.aof_log, stack[0].audit.log],
+                lambda stack: stack[0].reopen()):
+            audit = point.stack[0].audit
+            at_risk = audit.at_risk_records()
+            durable = len(durable_audit(point.recovered.audit))
+            assert audit.record_count - durable == at_risk, point.lost
             losses.append(at_risk)
         # The run that returned still has its last block in flight.
         assert losses[-1] == self.BLOCK
@@ -227,16 +228,42 @@ def test_fused_set_writes_one_aof_record(engine):
     assert store.kv.aof_log.appends == before + 1
 
 
+def _with_deadlines(store):
+    """key -> (value, deadline in ms) of every key the store serves."""
+    return {record.key: (store.get(record.key.decode()).value,
+                         deadline_ms(record.expire_at))
+            for record in store.kv.scan_records(0)}
+
+
 @pytest.mark.parametrize("engine", sorted(FAST_STORES))
-def test_retention_deadline_survives_a_crash_before_the_flush(engine):
-    """Regression: on the relational engine the deadline used to wait in
-    the write-behind set for the flush, so a power loss before it left a
-    WAL whose replayed row never expired."""
-    store, _ = FAST_STORES[engine](fsync="always")
-    store.put("k", b"v", meta(ttl=100.0))
-    assert store._writebehind.pending == 1
-    FaultPlan(store.kv.aof_log, store.audit.log).power_loss()
-    assert store.kv.reopen().execute("PTTL", "k") > 0
+def test_power_loss_at_every_step_of_the_write_behind_flush(engine):
+    """A cut before each device step of ``flush_compliance()``, and a
+    power loss right after it returns, with six puts pending in the
+    write-behind set and a block sealed by size: each recovered key
+    holds its value and its retention deadline (the flush changes
+    neither), and once the flush has returned, every recovered key's
+    ``put`` is in the durable audit.  The cut before step 0 is the old
+    regression: on the relational engine the deadline waited in the
+    write-behind set for the flush, so a power loss before it left a WAL
+    whose replayed row never expired."""
+    def build():
+        store, _ = FAST_STORES[engine](fsync="always")
+        for i in range(6):
+            store.put(f"k{i}", b"v%d" % i, meta(ttl=100.0 + i))
+        assert store._writebehind.pending == 6
+        return store
+
+    pre = _with_deadlines(build())
+    assert len(pre) == 6
+    for point in crashpoints(build, GDPRStore.flush_compliance,
+                             lambda store: [store.kv.aof_log,
+                                            store.audit.log]):
+        recovered = restarts_agree(point, _with_deadlines)
+        pre_or_post(recovered, pre, pre)
+        if point.lost is None:
+            assert {key.decode() for key in recovered} <= {
+                record.key for record in durable_audit(point.stack.audit)
+                if record.operation == "put"}
 
 
 class TestFastPathRelational:

@@ -27,7 +27,8 @@ from repro.kvstore import KeyValueStore, StoreConfig
 from repro.kvstore.commands import deadline_ms
 from repro.sqlstore import RelationalStore, SqlConfig
 from repro.tiering import TieredEngine, TieringConfig
-from tests.support import crashpoints, durable_audit, pre_or_post
+from tests.support import (
+    crashpoints, durable_audit, pre_or_post, restarts_agree)
 
 SERVICE = frozenset({"service"})
 KEYS = 5
@@ -211,24 +212,24 @@ def test_power_loss_at_every_step_of_a_strict_update(variant):
         return store
 
     outcomes = set()
-    for store, plan, lost in crashpoints(
+    for point in crashpoints(
             build,
             lambda store: store.update("k", lambda value: b"new",
                                        purpose="service"),
             _devices):
-        recovered = _values(store.kv.reopen())
+        recovered = restarts_agree(point, lambda store: _values(store.kv))
         pre_or_post(recovered, {b"k": b"old"}, {b"k": b"new"})
         value = recovered.get(b"k")
-        audited = _durable_ops(store, "k")[1:]      # past the first put
+        audited = _durable_ops(point.stack, "k")[1:]    # past the first put
         if value == b"new":
-            assert audited == [("get", "ok"), ("put", "ok")], lost
-        if lost is None:
+            assert audited == [("get", "ok"), ("put", "ok")], point.lost
+        if point.lost is None:
             assert value == b"new"
         else:
             outcomes.add((value, len(audited)))
     # One barrier per device, both at the request's end.
-    assert plan.steps.count("fsync") == 2
-    assert plan.steps[-2:] == ["fsync", "fsync"]
+    steps = point.steps
+    assert steps.count("fsync") == 2 and steps[-2:] == ["fsync", "fsync"]
     # Old value everywhere; both records durable and the data lost (a
     # cut between the barriers); never the new value without them.
     assert (b"old", 0) in outcomes and (b"old", 2) in outcomes
@@ -302,17 +303,16 @@ def test_power_loss_at_every_step_of_a_strict_put_with_a_ttl(variant):
                 return store
 
             deadline = int((build().clock.now() + 3600.0) * 1000)
-            for store, plan, lost in crashpoints(build, _put_with_a_ttl,
-                                                 _devices):
-                recovered = [record.expire_at for record
-                             in store.kv.reopen().scan_records(0)]
+            for point in crashpoints(build, _put_with_a_ttl, _devices):
+                recovered = restarts_agree(point, lambda store: [
+                    record.expire_at for record in store.kv.scan_records(0)])
                 if recovered:
                     assert recovered[0] is not None \
                         and deadline_ms(recovered[0]) == deadline, \
-                        (fsync, offset, lost)
-                    assert ("put", "ok") in _durable_ops(store, "k"), \
-                        (fsync, offset, lost)
-            fired += plan.steps.count("fsync") > 1
+                        (fsync, offset, point.lost)
+                    assert ("put", "ok") in _durable_ops(point.stack, "k"), \
+                        (fsync, offset, point.lost)
+            fired += point.steps.count("fsync") > 1
         if fsync == "everysec":             # the timer fired mid-put
             assert fired
 
@@ -340,24 +340,29 @@ def test_power_loss_at_every_step_of_a_strict_erasure(variant):
             store.clock.advance(20.0)   # a demotion of b0 is due
         return store
 
-    audit_fsyncs = build().audit.log.fsyncs
-    for store, plan, lost in crashpoints(
-            build, lambda store: right_to_erasure(store, "alice"), _devices):
-        audited = [record.operation for record in durable_audit(store.audit)
+    def erase(store):
+        fsyncs = store.audit.log.fsyncs
+        right_to_erasure(store, "alice")
+        assert store.audit.log.fsyncs - fsyncs == 1
+        if store.kv.supports_tiering:   # the due demotion waits
+            assert store.kv.inner.has_live_key(b"b0")
+
+    def held_keys(store):
+        return [key for key in keys
+                if store.kv.has_live_key(key.encode("utf-8"))]
+
+    for point in crashpoints(build, erase, _devices):
+        audited = [record.operation
+                   for record in durable_audit(point.stack.audit)
                    if record.subject == "alice"]
-        restarted = store.kv.reopen()
-        held = [key for key in keys
-                if restarted.has_live_key(key.encode("utf-8"))]
+        held = restarts_agree(point, held_keys)
         if held != keys:
-            assert "erase-subject" in audited, lost
-        if lost is None:
+            assert "erase-subject" in audited, point.lost
+        if point.lost is None:
             assert held == []
-    assert store.audit.log.fsyncs - audit_fsyncs == 1
-    if store.kv.supports_tiering:   # the due demotion waits
-        assert store.kv.inner.has_live_key(b"b0")
     # The erasure's record (and a tiered engine's cold-erase record) is
     # sealed as one block, written and committed before any engine step.
-    assert plan.steps[:3] == ["append", "flush", "fsync"]
+    assert point.steps[:3] == ["append", "flush", "fsync"]
 
 
 @pytest.mark.parametrize("variant", sorted(ENGINES))
@@ -480,24 +485,6 @@ def test_an_audit_block_seal_in_a_scope_is_durable_as_it_returns():
         audit.seal_block()
         FaultPlan(log).power_loss()         # a cut right after the call
     assert audit.verify_durable() == 3
-
-
-def test_a_cold_seal_in_a_scope_is_durable_as_it_returns():
-    clock = SimClock()
-    engine = TieredEngine(_always_kv(clock),
-                          tiering=TieringConfig(auto_demote=False,
-                                                segment_max_records=8))
-    for key in ("a", "b", "c"):
-        engine.execute("SET", key, f"v-{key}")
-    device = engine.cold.device
-    with BarrierScope(device):
-        # The hot copies' DEL is durable as it returns: only the seal
-        # keeps the records.
-        assert engine.demote_keys([b"a", b"b", b"c"]) == 3
-        FaultPlan(device, engine.aof_log).power_loss()
-    recovered = engine.reopen()
-    assert [recovered.execute("GET", key) for key in ("a", "b", "c")] \
-        == [b"v-a", b"v-b", b"v-c"]
 
 
 def test_a_scope_over_one_device_named_twice_pays_one_fsync():

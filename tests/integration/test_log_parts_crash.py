@@ -38,9 +38,10 @@ from repro.device.faults import FaultPlan
 from repro.gdpr.metadata import GDPRMetadata
 from repro.gdpr.rights import right_to_erasure
 from repro.gdpr.store import GDPRConfig, GDPRStore
-from repro.kvstore.aof import AofWriter, mentioned_keys
+from repro.kvstore.aof import mentioned_keys, replay_commands
 from repro.tiering import TieredEngine
-from tests.support import ENGINE_FACTORIES, crashpoints, parts_of
+from tests.support import (
+    ENGINE_FACTORIES, crashpoints, parts_of, restarts_agree)
 
 RECORDS = 250
 VALUE = b"v" * 200
@@ -108,23 +109,25 @@ def _erase_one_part(variant):
                               "erasure-buffered-del", "erasure-one-part"])
 def test_power_loss_at_every_step_recovers_the_old_or_new_keyspace(
         variant, scenario):
-    *cuts, done = crashpoints(
-        lambda: scenario(variant),
-        lambda stack: stack[0].rewrite_aof(stack[1]),
-        lambda stack: [stack[0].aof.log, *_cold_devices(stack[0])])
-    for (engine, keys, erased, before, after), plan, lost in cuts:
-        log = engine.aof.log
-        log.reopen(engine.clock)
-        reopened = AofWriter(log, engine.clock, engine.aof.policy)
-        replica = engine.spawn_replica()
-        replica.replay_aof(engine.aof.read_durable(),
-                           tolerate_truncated_tail=False)
-        _old_or_new(replica, log, erased, before, after, plan.steps)
-        assert reopened.read_durable() == engine.aof.read_durable()
-        assert len(log.files()) == len(reopened.part_files()) + reopened.split
+    for point in crashpoints(
+            lambda: scenario(variant),
+            lambda stack: stack[0].rewrite_aof(stack[1]),
+            lambda stack: [stack[0].aof.log, *_cold_devices(stack[0])],
+            lambda stack: stack[0].reopen()):
+        engine, keys, erased, before, after = point.stack
+        log, recovered = engine.aof.log, point.recovered.aof
+        # The durable log ends on a whole record.
+        replay_commands(recovered.read_durable(),
+                        tolerate_truncated_tail=False)
+        _old_or_new(point.recovered, log, erased, before, after,
+                    point.steps)
+        assert recovered.read_durable() == engine.aof.read_durable()
+        assert len(log.files()) == len(recovered.part_files()) \
+            + recovered.split
         if scenario is _whole:
-            assert log.files() == [log.name], (variant, lost)
-    steps = done.plan.steps
+            assert log.files() == [log.name], (variant, point.lost)
+        restarts_agree(point, _logged)
+    steps = point.steps                  # the run that returned
     assert set(steps) >= {"append", "flush", "fsync", "rename"}
     assert steps.count("fsync") == 1
     if scenario in (_whole, _erase_one_part):
@@ -188,14 +191,9 @@ def test_a_one_part_erasure_writes_no_manifest_bytes(variant):
 
 @pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
 def test_a_completed_erasure_leaves_no_trace_on_the_device(variant):
-    clock = SimClock()
-    store = GDPRStore(kv=ENGINE_FACTORIES[variant](clock),
+    store = GDPRStore(kv=ENGINE_FACTORIES[variant](SimClock()),
                       config=GDPRConfig(compact_on_erasure=True))
-    for i in range(RECORDS):
-        store.put(f"user{i}", VALUE,
-                  GDPRMetadata(owner=f"subject-{i // 4}",
-                               purposes=frozenset({"service"})),
-                  purpose="service")
+    _put_owned(store, RECORDS)
     right_to_erasure(store, "subject-0")              # splits the log
     log = store.kv.aof.log
     assert store.kv.aof.split
@@ -217,14 +215,32 @@ def _gdpr(engine):
                                                   compact_on_erasure=True))
 
 
+def _put_owned(store, records):
+    """Put ``user<i>`` for each of ``records`` ``i``, ``KEYS_PER_SUBJECT``
+    keys per subject; returns each key's owner."""
+    owners = {}
+    for i in range(records):
+        owners[f"user{i}".encode()] = owner = \
+            f"subject-{i // KEYS_PER_SUBJECT}"
+        store.put(f"user{i}", VALUE,
+                  GDPRMetadata(owner=owner, purposes=frozenset({"service"})),
+                  purpose="service")
+    return owners
+
+
+def _owned_and_restarted(variant):
+    """A GDPR store of 400 owner-placed keys, its unsplit log durable,
+    restarted; and each key's owner."""
+    store = _gdpr(ENGINE_FACTORIES[variant](SimClock()))
+    owners = _put_owned(store, 100 * KEYS_PER_SUBJECT)
+    store.kv.aof.log.flush_and_fsync()
+    return store.reopen(), owners
+
+
 def _owned(variant):
     """A GDPR store whose log is split into owner-placed parts."""
     store = _gdpr(ENGINE_FACTORIES[variant](SimClock()))
-    for i in range(OWNED_RECORDS):
-        store.put(f"user{i}", VALUE,
-                  GDPRMetadata(owner=f"subject-{i // KEYS_PER_SUBJECT}",
-                               purposes=frozenset({"service"})),
-                  purpose="service")
+    _put_owned(store, OWNED_RECORDS)
     right_to_erasure(store, "subject-0")              # splits the log
     assert len(store.kv.aof.part_files()) > 2
     return store
@@ -246,14 +262,18 @@ def test_power_loss_in_an_owner_placed_rewrite_keeps_one_part_erasures(
             before = _logged(engine)
         return store, erased, before, _logged(engine)
 
-    *cuts, done = crashpoints(
-        build, lambda stack: stack[0].kv.rewrite_aof(stack[1]),
-        lambda stack: [stack[0].kv.aof.log, *_cold_devices(stack[0].kv)])
-    for (store, erased, before, after), plan, lost in cuts:
-        restarted = store.reopen()
+    for point in crashpoints(
+            build, lambda stack: stack[0].kv.rewrite_aof(stack[1]),
+            lambda stack: [stack[0].kv.aof.log,
+                           *_cold_devices(stack[0].kv)],
+            lambda stack: stack[0].reopen()):
+        store, erased, before, after = point.stack
+        if point.lost is None:
+            assert point.steps.count("rename") == 1
+        restarted = point.recovered
         recovered = restarted.kv
         _old_or_new(recovered, store.kv.aof.log, erased, before, after,
-                    plan.steps)
+                    point.steps)
         # The restarted store's next erasure: one part, no fallback.
         hot = recovered.inner if isinstance(recovered, TieredEngine) \
             else recovered
@@ -262,9 +282,8 @@ def test_power_loss_in_an_owner_placed_rewrite_keeps_one_part_erasures(
         receipt = right_to_erasure(restarted, "subject-11")
         assert len(receipt.keys_erased) == KEYS_PER_SUBJECT
         assert receipt.log_compacted and not receipt.residual_in_aof
-        assert hot.rewrites_completed == rewrites + 1, lost
-        assert len(parts - parts_of(recovered.aof)) == 1, lost
-    assert done.plan.steps.count("rename") == 1
+        assert hot.rewrites_completed == rewrites + 1, point.lost
+        assert len(parts - parts_of(recovered.aof)) == 1, point.lost
 
 
 @pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
@@ -272,14 +291,7 @@ def test_a_store_restarted_before_its_first_split_files_keys_by_owner(
         variant):
     """Regression: a restart forgot every key's owner, so the first split
     placed each key by its own slot and an erasure retired four parts."""
-    store = _gdpr(ENGINE_FACTORIES[variant](SimClock()))
-    for i in range(100 * KEYS_PER_SUBJECT):
-        store.put(f"user{i}", VALUE,
-                  GDPRMetadata(owner=f"subject-{i // KEYS_PER_SUBJECT}",
-                               purposes=frozenset({"service"})),
-                  purpose="service")
-    store.kv.aof.log.flush_and_fsync()
-    restarted = store.reopen()
+    restarted, _ = _owned_and_restarted(variant)
     recovered = restarted.kv
     assert not recovered.aof.split
     right_to_erasure(restarted, "subject-0")          # splits the log
@@ -298,15 +310,7 @@ def test_a_restart_annotates_every_recovered_key_in_one_record(variant):
     record per recovered key (400 records, 24,210 bytes for 400 keys)
     that its WAL already held.  One call now annotates them all, and the
     tiering wrapper still learns every key's owner."""
-    store = _gdpr(ENGINE_FACTORIES[variant](SimClock()))
-    owners = {}
-    for i in range(100 * KEYS_PER_SUBJECT):
-        owners[f"user{i}".encode()] = owner = f"subject-{i // 4}"
-        store.put(f"user{i}", VALUE,
-                  GDPRMetadata(owner=owner, purposes=frozenset({"service"})),
-                  purpose="service")
-    store.kv.aof.log.flush_and_fsync()
-    restarted = store.reopen()
+    restarted, owners = _owned_and_restarted(variant)
     assert len(restarted.index.keys()) == len(owners)
     assert restarted.kv.aof.records_written <= 1
     if isinstance(restarted.kv, TieredEngine):

@@ -12,6 +12,8 @@ back.  Each case runs on both inner engines over an ``everysec`` log
 delta without its base would show).
 """
 
+import functools
+
 import pytest
 
 from repro.common.clock import SimClock
@@ -20,7 +22,7 @@ from repro.kvstore import KeyValueStore, StoreConfig
 from repro.kvstore.commands import deadline_ms
 from repro.sqlstore import RelationalStore, SqlConfig
 from repro.tiering import TieredEngine, TieringConfig
-from tests.support import crashpoints, pre_or_post
+from tests.support import crashpoints, pre_or_post, restarts_agree
 
 KEYS = (b"a", b"b", b"gone")
 
@@ -78,15 +80,16 @@ def _prepared(base, fsync, before):
     return engine
 
 
-def _points(base, fsync, before, operation):
-    """:func:`crashpoints` over both logs of a prepared engine: the
-    operation, then a durable cold commit for ``b``."""
+def _logs(engine):
+    return [engine.aof_log, engine.cold.device]
+
+
+def _then_cold_commit(operation):
+    """``operation``, then a durable cold commit for ``b``."""
     def run(engine):
         operation(engine)
         assert engine.execute("DEL", "b") == 1
-
-    return crashpoints(lambda: _prepared(base, fsync, before), run,
-                       lambda engine: [engine.aof_log, engine.cold.device])
+    return run
 
 
 @pytest.mark.parametrize("fsync", ["everysec", "always"])
@@ -97,15 +100,16 @@ def test_power_loss_before_any_step_recovers_pre_or_post_state(
     relational, before, operation = CASES[case]
     if base == "relational" and not relational:
         pytest.skip("the relational engine has no APPEND")
-    pre = _state(_prepared(base, fsync, before))
-    *cuts, done = _points(base, fsync, before, operation)
-    assert cuts
-    post = _state(done.stack)
-    for engine, plan, lost in cuts + [done]:
-        if lost is None:
-            plan.power_loss()
-        recovered = _state(engine.reopen())
-        assert b"gone" not in recovered, lost
+    build = functools.partial(_prepared, base, fsync, before)
+    run = _then_cold_commit(operation)
+    pre, ran = _state(build()), build()
+    run(ran)
+    post = _state(ran)
+    points = list(crashpoints(build, run, _logs))
+    assert len(points) > 1
+    for point in points:
+        recovered = restarts_agree(point, _state)
+        assert b"gone" not in recovered, point.lost
         pre_or_post(recovered, pre, post)
 
 
@@ -123,27 +127,34 @@ DEADLINE_CASES = {
 }
 
 
+def _two_seconds_later(engine):
+    engine.clock.advance(2)
+    return engine.reopen()
+
+
 @pytest.mark.parametrize("fsync", ["everysec", "always"])
 @pytest.mark.parametrize("base", ["redislike", "relational"])
 @pytest.mark.parametrize("case", sorted(DEADLINE_CASES))
 def test_a_deadline_passed_before_the_restart_keeps_the_key_dead(
         case, base, fsync):
-    """Power lost before any step -- or a clean stop with both logs
-    durable -- and ``a``'s new deadline passes before the restart, with
-    no expiry run to reclaim it.  ``a`` recovers its pre-state or stays
-    dead, never as its older archived copy, and a second restart after
-    power loss agrees with the first."""
+    """Power lost before any step -- or after a clean stop that made
+    both logs durable -- and ``a``'s new deadline passes before the
+    restart, with no expiry run to reclaim it.  ``a`` recovers its
+    pre-state or stays dead, never as its older archived copy, and a
+    second restart after power loss agrees with the first."""
     before, operation = DEADLINE_CASES[case]
-    pre = _state(_prepared(base, fsync, before))
-    for engine, plan, lost in _points(base, fsync, before, operation):
-        if lost is None:
-            engine.aof_log.flush_and_fsync()
-        engine.clock.advance(2)
-        recovered = engine.reopen()
-        state = _state(recovered)
+
+    build = functools.partial(_prepared, base, fsync, before)
+    run = _then_cold_commit(operation)
+
+    def stopped(engine):
+        run(engine)
+        engine.aof_log.flush_and_fsync()
+
+    pre = _state(build())
+    for point in crashpoints(build, stopped, _logs, _two_seconds_later):
+        state = restarts_agree(point, _state)
         pre_or_post(state, pre, {})
-        if lost is None:
+        if point.lost is None:
             assert state == {}
-            assert recovered.execute("GET", "a") is None
-        plan.power_loss()
-        assert _state(recovered.reopen()) == state, lost
+            assert point.recovered.execute("GET", "a") is None

@@ -84,20 +84,35 @@ ENGINE_FACTORIES = {
 
 class CrashPoint(NamedTuple):
     stack: Any              # what ``build()`` returned, after the run
-    plan: Any               # its FaultPlan: ``steps`` are what ran
+    plan: Any               # its FaultPlan, still attached
+    steps: list             # the device steps the operation took
     lost: Optional[str]     # the PowerLoss raised; None: the run returned
+    recovered: Any          # ``restart(stack)``, after a power loss
+
+
+def _reopen(stack):
+    return stack.reopen()
 
 
 def crashpoints(build: Callable[[], Any], operation: Callable[[Any], Any],
-                devices: Callable[[Any], Iterable]) -> Iterator[CrashPoint]:
-    """Every state a power cut can leave ``operation`` in: run once on
-    ``build()`` under a ``FaultPlan`` over ``devices(stack)`` to record
-    its device steps, then, on a fresh stack each, with power cut
-    before each step in turn (the cut must raise ``PowerLoss`` having
-    taken exactly the recorded steps before it: a dark device takes no
-    more), and last to the end (it must take exactly the recorded
-    steps).  The cut states come in step order; the caller checks each
-    state's post-conditions."""
+                devices: Callable[[Any], Iterable],
+                restart: Callable[[Any], Any] = _reopen
+                ) -> Iterator[CrashPoint]:
+    """Every state a power cut can leave ``operation`` in, restarted:
+    run once on ``build()`` under a ``FaultPlan`` over ``devices(stack)``
+    to record its device steps, then, on a fresh stack each, with power
+    cut before each step in turn (the cut must raise ``PowerLoss``
+    having taken exactly the recorded steps before it: a dark device
+    takes no more), and last to the end (it must take exactly the
+    recorded steps).  Each of those runs then loses power -- the one
+    that returned too, right after its return -- and ``restart(stack)``
+    (default: ``stack.reopen()``) recovers it; the point carries what
+    the restart returned, and ``steps``, the device steps the operation
+    took (copied before the power loss: what the caller does to the
+    recovered stack adds none).  The points come in step order; the
+    caller checks each recovered state's post-conditions.  A test that means
+    another restart (a second recovery, time passing first) passes its
+    own ``restart``: no caller power-loses or restarts a point."""
     from repro.device.faults import FaultPlan, PowerLoss
 
     def run(cut=None):
@@ -105,23 +120,34 @@ def crashpoints(build: Callable[[], Any], operation: Callable[[Any], Any],
         plan = FaultPlan(*devices(stack))
         if cut is not None:
             plan.cut(cut)
+        lost = None
         try:
             operation(stack)
-        except PowerLoss as lost:
-            return CrashPoint(stack, plan, str(lost))
-        return CrashPoint(stack, plan, None)
+        except PowerLoss as cut_off:
+            lost = str(cut_off)
+        return CrashPoint(stack, plan, list(plan.steps), lost, None)
 
-    steps = run().plan.steps
-    for at in range(len(steps)):
-        point = run(at)
-        assert point.lost, f"cut before step {at} of {steps}: it returned"
-        assert point.plan.steps == steps[:at], \
-            f"cut before step {at}: ran {point.plan.steps}, recorded {steps}"
-        yield point
-    point = run()
-    assert point.plan.steps == steps, \
-        f"the run took {point.plan.steps}, recorded {steps}"
-    yield point
+    steps = run().steps
+    for at in range(len(steps) + 1):
+        point = run(at if at < len(steps) else None)
+        assert (point.lost is None) == (at == len(steps)), \
+            f"cut before step {at} of {steps}: it returned"
+        assert point.steps == steps[:at], \
+            f"the run took {point.steps}, recorded {steps[:at]}"
+        point.plan.power_loss()
+        yield point._replace(recovered=restart(point.stack))
+
+
+def restarts_agree(point: CrashPoint, state: Callable[[Any], Any]) -> Any:
+    """``state(point.recovered)``, which a power loss and a second
+    restart, ``point.recovered.reopen()``, must give again: a restart
+    that left dropped writes to become durable later would differ.  The
+    second restart supersedes ``point.recovered``: write nothing through
+    it afterwards."""
+    first = state(point.recovered)
+    point.plan.power_loss()
+    assert state(point.recovered.reopen()) == first, point.lost
+    return first
 
 
 def pre_or_post(recovered: Dict, pre: Dict, post: Dict) -> None:
