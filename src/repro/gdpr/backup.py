@@ -24,7 +24,10 @@ live one's place (:meth:`BackupManager.restore`).
   with zero backup I/O.  (A generation that kept its subjects' wrapped
   keys would let the master key reopen an erased subject's records.)
   So a generation is restored by the process that holds the keystore,
-  until the keystore has a durable journal of its own;
+  until the keystore has a durable journal of its own, and the
+  restored store's index rebuild deletes every record whose sid (the
+  subject id each sealed record starts with) the keystore has
+  tombstoned: an erased subject's keys do not come back;
 * **reconciliation** -- :meth:`reconcile_erasure` audits which backup
   generations still *mention* erased keys and (optionally) scrubs them
   of those keys alone: the parts that hold them are rewritten, as an
@@ -180,8 +183,7 @@ class BackupManager:
         """
         report = ReconciliationReport(
             subject=subject, checked=len(self.backups),
-            crypto_voided=subject in
-            list(self.store.keystore.erased_ids()))
+            crypto_voided=self.store.keystore.is_erased(subject))
         erased = [key.encode("utf-8") for key in erased_keys]
         for backup in self.backups:
             if not backup.writer.mentioned_keys(erased):

@@ -23,15 +23,17 @@ serves the same methods and rights as commands of a cluster node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..common.clock import Clock
 from ..common.errors import (
     AccessDeniedError,
     IntegrityError,
+    KeyErasedError,
     KeyNotFoundError,
     PurposeViolationError,
+    StoreError,
 )
 from ..crypto.keystore import KeyStore
 from ..device.append_log import AppendLog, BarrierScope
@@ -143,27 +145,17 @@ class GDPRStore:
 
     # -- internal helpers ---------------------------------------------------------
 
-    def _record_audit(self, principal: str, operation: str,
-                      key: Optional[str], subject: Optional[str],
-                      purpose: Optional[str], outcome: str,
-                      detail: str = "") -> None:
-        self.audit.append(principal=principal, operation=operation,
-                          key=key, subject=subject,
-                          purpose=purpose, outcome=outcome, detail=detail)
-
     def _seal(self, key: str, metadata: GDPRMetadata,
               value: bytes) -> bytes:
         envelope = pack_envelope(metadata, value)
         if not self.config.encrypt_at_rest:
             return envelope
-        cipher = self.keystore.cipher_for(metadata.owner)
-        return cipher.seal(envelope, aad=key.encode("utf-8"))
+        return self.keystore.seal(metadata.owner, envelope, key.encode("utf-8"))
 
-    def _unseal(self, key: str, owner: str, blob: bytes) -> bytes:
+    def _unseal(self, key: str, blob: bytes) -> bytes:
         if not self.config.encrypt_at_rest:
             return blob
-        cipher = self.keystore.cipher_for(owner, create=False)
-        return cipher.open(blob, aad=key.encode("utf-8"))
+        return self.keystore.open(blob, key.encode("utf-8"))
 
     def _apply_writebehind(self, batch: Dict[str, GDPRMetadata]) -> None:
         """Deferred per-write maintenance (the write-behind flush body):
@@ -178,8 +170,8 @@ class GDPRStore:
                        subject: Optional[str]) -> None:
         """Tier listener: demotions, promotions, and cold erasures are
         compliance-relevant data movements -- chain them."""
-        self._record_audit("system", f"tier-{event}", None, subject,
-                           None, "ok", detail=detail)
+        self.audit.append("system", f"tier-{event}", None, subject,
+                          None, "ok", detail=detail)
 
     def _on_kv_deletion(self, db_index: int, key_bytes: bytes,
                         reason: str, when: float) -> None:
@@ -210,8 +202,8 @@ class GDPRStore:
         if reason != "del":
             # Explicit deletes are audited by their caller with the acting
             # principal; TTL reclamation is the system acting on its own.
-            self._record_audit("system", "expire-erase", key,
-                               metadata.owner, None, "ok", detail=reason)
+            self.audit.append("system", "expire-erase", key,
+                              metadata.owner, None, "ok", detail=reason)
 
     # -- data path -------------------------------------------------------------------
 
@@ -230,17 +222,17 @@ class GDPRStore:
                 self.access.check(principal, Operation.WRITE, metadata,
                                   purpose, now)
             except AccessDeniedError:
-                self._record_audit(principal.name, "put", key, metadata.owner,
-                                   purpose, "denied")
+                self.audit.append(principal.name, "put", key, metadata.owner,
+                                  purpose, "denied")
                 raise
             if not metadata.purposes:
-                self._record_audit(principal.name, "put", key, metadata.owner,
-                                   purpose, "error", "no declared purpose")
+                self.audit.append(principal.name, "put", key, metadata.owner,
+                                  purpose, "error", "no declared purpose")
                 raise PurposeViolationError(
                     f"record {key!r} declares no processing purpose "
                     "(Art. 5 purpose limitation)")
             if metadata.created_at == 0.0:
-                metadata = _with_created_at(metadata, now)
+                metadata = replace(metadata, created_at=now)
             self.locations.check_placement(metadata, self.config.region)
             blob = self._seal(key, metadata, value)
             if self._writebehind is not None:
@@ -253,8 +245,8 @@ class GDPRStore:
                     self._writebehind.enqueue(key, metadata)
             else:
                 self.store_record(key, blob, metadata)
-            self._record_audit(principal.name, "put", key, metadata.owner,
-                               purpose, "ok")
+            self.audit.append(principal.name, "put", key, metadata.owner,
+                              purpose, "ok")
 
     def _write(self, key: str, blob: bytes, metadata: GDPRMetadata) -> bool:
         """The one write shape: one engine command and one log record
@@ -299,33 +291,33 @@ class GDPRStore:
                 self.access.check(principal, Operation.READ, metadata,
                                   purpose, now)
             except AccessDeniedError:
-                self._record_audit(principal.name, "get", key,
-                                   metadata.owner if metadata else None,
-                                   purpose, "denied")
+                self.audit.append(principal.name, "get", key,
+                                  metadata.owner if metadata else None,
+                                  purpose, "denied")
                 raise
             if purpose is not None and metadata is not None \
                     and not metadata.allows_purpose(purpose):
-                self._record_audit(principal.name, "get", key, metadata.owner,
-                                   purpose, "denied", "purpose not permitted")
+                self.audit.append(principal.name, "get", key, metadata.owner,
+                                  purpose, "denied", "purpose not permitted")
                 raise PurposeViolationError(
                     f"purpose {purpose!r} is not permitted for {key!r}")
             blob = self.kv.execute("GET", key)
             if blob is None:
-                self._record_audit(principal.name, "get", key,
-                                   metadata.owner if metadata else None,
-                                   purpose, "error", "not found")
+                self.audit.append(principal.name, "get", key,
+                                  metadata.owner if metadata else None,
+                                  purpose, "error", "not found")
                 raise KeyError(key)
             owner = metadata.owner if metadata else "unknown"
             try:
-                envelope = self._unseal(key, owner, blob)
+                envelope = self._unseal(key, blob)
             except (KeyNotFoundError, IntegrityError):
                 # Crypto-erased: ciphertext remains but is unreadable forever.
-                self._record_audit(principal.name, "get", key, owner,
-                                   purpose, "error", "crypto-erased")
+                self.audit.append(principal.name, "get", key, owner,
+                                  purpose, "error", "crypto-erased")
                 raise KeyError(key)
             stored_metadata, value = unpack_envelope(envelope, metadata)
-            self._record_audit(principal.name, "get", key,
-                               stored_metadata.owner, purpose, "ok")
+            self.audit.append(principal.name, "get", key,
+                              stored_metadata.owner, purpose, "ok")
             return Record(key=key, value=value, metadata=stored_metadata)
 
     def delete(self, key: str, principal: Principal = CONTROLLER) -> bool:
@@ -337,15 +329,15 @@ class GDPRStore:
                 self.access.check(principal, Operation.DELETE, metadata,
                                   None, now)
             except AccessDeniedError:
-                self._record_audit(principal.name, "delete", key,
-                                   metadata.owner if metadata else None,
-                                   None, "denied")
+                self.audit.append(principal.name, "delete", key,
+                                  metadata.owner if metadata else None,
+                                  None, "denied")
                 raise
             removed = self.kv.execute("DEL", key)
-            self._record_audit(principal.name, "delete", key,
-                               metadata.owner if metadata else None,
-                               None, "ok" if removed else "error",
-                               "" if removed else "not found")
+            self.audit.append(principal.name, "delete", key,
+                              metadata.owner if metadata else None,
+                              None, "ok" if removed else "error",
+                              "" if removed else "not found")
             return bool(removed)
 
     def update(self, key: str, merge: Callable[[bytes], bytes],
@@ -372,13 +364,13 @@ class GDPRStore:
             now = self.clock.now()
             self.access.check(principal, Operation.WRITE, metadata, None, now)
             if metadata.created_at == 0.0:
-                metadata = _with_created_at(metadata,
-                                            record.metadata.created_at)
+                metadata = replace(
+                    metadata, created_at=record.metadata.created_at)
             self.locations.check_placement(metadata, self.config.region)
             self.store_record(key, self._seal(key, metadata, record.value),
                               metadata)
-            self._record_audit(principal.name, "update-metadata", key,
-                               metadata.owner, None, "ok")
+            self.audit.append(principal.name, "update-metadata", key,
+                              metadata.owner, None, "ok")
 
     # -- group access (Art. 5 / 21) --------------------------------------------------
 
@@ -425,6 +417,7 @@ class GDPRStore:
         audit group commit, the logs' everysec fsyncs and the
         write-behind flush are no part of it: each runs on a timer on
         the store's clock."""
+        self._refuse_if_stopped()
         self.kv.tick()
 
     def flush_compliance(self) -> None:
@@ -432,6 +425,7 @@ class GDPRStore:
         write-behind dirty-set and seal + group-commit the audit log.
         After this barrier the store's compliance state is as current as
         strict mode's."""
+        self._refuse_if_stopped()
         if self._writebehind is not None:
             self._writebehind.flush()
         self.audit.sync()
@@ -444,8 +438,8 @@ class GDPRStore:
         same audit device, with the same durability, block size and
         interval, which continues the chain where its durable blocks
         end, and the indexes rebuilt from the replayed keyspace
-        (:meth:`rebuild_indexes`).  The old store's write-behind timer
-        stops; drop the old store, which shares the devices.
+        (:meth:`rebuild_indexes`).  This store stops (:meth:`_stop`):
+        it shares the devices, so it refuses every later request.
 
         The :class:`~repro.crypto.keystore.KeyStore`, the
         :class:`AccessController` and the :class:`LocationManager` are
@@ -455,7 +449,7 @@ class GDPRStore:
         node's placement, and a key's region only if the key is
         recovered.  :meth:`restore` restarts the store the same way over
         a copy of a backup generation's device."""
-        self._stop()
+        self._stop("reopen")
         kv, old = self.kv.reopen(clock), self.audit
         old.log.reopen(kv.clock)
         return self._successor(kv, AuditLog(
@@ -471,30 +465,33 @@ class GDPRStore:
         engine's cold tier starts empty), the indexes rebuilt, and the
         keystore, grants and locations carried over.  The audit chain
         goes on in this store's own :class:`AuditLog`, whose device saw
-        no crash.  Then this store stops -- its write-behind timer and
-        its engine (:meth:`~repro.engine.base.StorageEngine.stop`) --
-        and the locations forget its keys; drop it.
-
-        The keystore's tombstones are the one key authority: subjects
-        crypto-erased since the backup stay erased.  On an engine with
-        metadata columns a restored row would still name such a subject
-        in plaintext, so those rows are deleted again."""
+        no crash.  This store stops (:meth:`_stop`) and so does its
+        engine (:meth:`~repro.engine.base.StorageEngine.stop`); drop it.
+        The keystore's tombstones are the one key authority: the
+        rebuild deletes every restored record of a subject crypto-erased
+        since the backup."""
         kv = self.kv.restarted(log, clock=self.clock)
-        for subject in self.keystore.erased_ids():
-            for key in kv.keys_of_owner(subject) or ():
-                kv.execute("DEL", key)
-        self._stop()
+        self._stop("restore")
         self.kv.stop()
         return self._successor(kv, self.audit)
 
-    def _stop(self) -> None:
+    def _stop(self, restart: str) -> None:
         """Stop this store for a successor: the write-behind timer stops,
-        and the locations forget this store's keys (the successor
-        records the ones it recovers)."""
+        the locations forget this store's keys (the successor records
+        the ones it recovers), and the request scope becomes one that
+        refuses every request, naming ``restart``, before any device
+        step."""
         if self._writebehind is not None:
             self._writebehind.timer.cancel()
         for key in self.index.keys():
             self.locations.record_erased(key)
+        self._request = _Stopped(restart)
+
+    def _refuse_if_stopped(self) -> None:
+        """Raise, as a request would, once a restart replaced this
+        store."""
+        if isinstance(self._request, _Stopped):
+            self._request.__enter__()
 
     def _successor(self, kv: StorageEngine, audit: AuditLog) -> "GDPRStore":
         """The restarted store around ``kv`` and ``audit``, named as this
@@ -507,41 +504,35 @@ class GDPRStore:
 
     def rebuild_indexes(self) -> int:
         """Rebuild in-memory indexes by scanning the keyspace (restart
-        path).  Requires decryptable envelopes; crypto-erased records are
-        skipped (and therefore stay unreachable).  The scan goes through
-        the engine's :meth:`~repro.engine.base.StorageEngine.scan_records`
-        view, so it works over any backend.  Each recovered key's owner
-        is named to the engine (:meth:`~repro.engine.base.StorageEngine.
-        name_owner`), as :meth:`put` names it, and all of them are
-        annotated in one :meth:`~repro.engine.base.StorageEngine.
-        annotate_metadata` call (one statement and one WAL record on the
-        relational engine)."""
+        path), through the engine's :meth:`~repro.engine.base.
+        StorageEngine.scan_records` view, so it works over any backend.
+        Each record is opened once, with the key its sid names
+        (:meth:`~repro.crypto.keystore.KeyStore.open`).  Every record
+        whose sid is tombstoned -- a subject crypto-erased since it was
+        written, brought back by a backup or a log no erasure rewrote --
+        is deleted, in one ``DEL``; a record no key opens is skipped.
+        Each recovered key's owner is named to the engine
+        (:meth:`~repro.engine.base.StorageEngine.name_owner`), as
+        :meth:`put` names it, and all of them are annotated in one
+        :meth:`~repro.engine.base.StorageEngine.annotate_metadata` call
+        (one statement and one WAL record on the relational engine)."""
         if self._writebehind is not None:
             self._writebehind.flush()
         entries: List[Tuple[str, GDPRMetadata]] = []
+        erased: List[bytes] = []
         for key_bytes, blob, *_ in self.kv.scan_records(0):
             if not isinstance(blob, bytes):
                 continue
             key = key_bytes.decode("utf-8", "replace")
-            if not self.config.encrypt_at_rest:
-                try:
-                    metadata, _ = unpack_envelope(blob)
-                except Exception:
-                    continue
-                entries.append((key, metadata))
-                continue
-            recovered = None
-            for owner in list(self.keystore.key_ids()):
-                try:
-                    envelope = self.keystore.cipher_for(
-                        owner, create=False).open(blob,
-                                                  aad=key.encode("utf-8"))
-                    recovered, _ = unpack_envelope(envelope)
-                    break
-                except Exception:
-                    continue
-            if recovered is not None:
-                entries.append((key, recovered))
+            try:
+                entries.append(
+                    (key, unpack_envelope(self._unseal(key, blob))[0]))
+            except KeyErasedError:
+                erased.append(key_bytes)
+            except Exception:
+                continue    # a foreign value, or a record no key opens
+        if erased:
+            self.kv.execute("DEL", *erased)
         count = self.index.rebuild(entries)
         for key, metadata in entries:
             # So an unsplit log's first split files a subject's keys
@@ -581,6 +572,16 @@ class GDPRStore:
         return [(0, part)] if part is not None else []
 
 
-def _with_created_at(metadata: GDPRMetadata, now: float) -> GDPRMetadata:
-    import dataclasses
-    return dataclasses.replace(metadata, created_at=now)
+class _Stopped(NamedTuple):
+    """The request scope of a store a restart replaced: entering it
+    raises StoreError, so a request through a stale reference reaches
+    no device (the live store shares them)."""
+
+    restart: str
+
+    def __enter__(self) -> None:
+        raise StoreError(f"this store was stopped by its {self.restart}: "
+                         "use the store the restart returned")
+
+    def __exit__(self, *exc_info) -> None:
+        pass

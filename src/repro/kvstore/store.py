@@ -17,8 +17,8 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence
 
 from ..common.clock import Clock, SimClock
 from ..device.append_log import AppendLog, FsyncPolicy
-from ..engine.base import HZ, SnapshotImage, StorageEngine, StoredRecord, \
-    register_engine
+from ..engine.base import HZ, EngineStats, SnapshotImage, StorageEngine, \
+    StoredRecord, register_engine
 from . import cmd_admin  # noqa: F401  (imports register commands)
 from . import cmd_collections  # noqa: F401
 from . import cmd_hash  # noqa: F401
@@ -31,9 +31,6 @@ from .expiry import ExpiryStrategy, make_strategy
 from .keyspace import Database
 from .monitor import MonitorFeed
 from .slowlog import Slowlog
-
-# Re-exported from the engine interface (pre-refactor import sites).
-from ..engine.base import DeletionListener, WriteListener  # noqa: E402,F401
 
 
 @dataclass
@@ -61,11 +58,6 @@ class StoreConfig:
 DATABASES = 16
 
 
-# One counter contract for every engine (repro.engine.base); the old
-# name stays as an alias for pre-refactor callers.
-from ..engine.base import EngineStats as StoreStats  # noqa: E402
-
-
 class KeyValueStore(StorageEngine):
     """A single-node, single-threaded key-value store (the "redislike"
     :class:`~repro.engine.base.StorageEngine`)."""
@@ -79,7 +71,7 @@ class KeyValueStore(StorageEngine):
         self.config = config if config is not None else StoreConfig()
         self.clock = clock if clock is not None else SimClock()
         self.databases = [Database(i) for i in range(DATABASES)]
-        self.stats = StoreStats()
+        self.stats = EngineStats()
         self.slowlog = Slowlog()
         self.monitor = MonitorFeed(clock=self.clock)
         self.expiry: ExpiryStrategy = make_strategy(

@@ -8,7 +8,9 @@ from repro.common.errors import (
     KeyErasedError,
     KeyNotFoundError,
 )
-from repro.crypto.keystore import KeyStore
+from repro.crypto.cipher import AuthenticatedCipher
+from repro.crypto.keystore import SID_SIZE, KeyStore
+from tests.support import py_calls
 
 
 class TestKeyLifecycle:
@@ -35,11 +37,14 @@ class TestKeyLifecycle:
         assert "alice" in ks
         assert "bob" not in ks
 
-    def test_key_ids_sorted(self):
-        ks = KeyStore()
+    def test_keys_are_held_by_sid_not_by_name(self):
+        ks = KeyStore(master_key=bytes(32))
         ks.create_key("b")
         ks.create_key("a")
-        assert list(ks.key_ids()) == ["a", "b"]
+        assert sorted(ks._wrapped) == sorted([ks.sid("a"), ks.sid("b")])
+        assert len(ks.sid("a")) == SID_SIZE
+        assert ks.sid("a") == KeyStore(master_key=bytes(32)).sid("a")
+        assert ks.sid("a") != KeyStore(master_key=bytes(31) + b"x").sid("a")
 
     def test_bad_master_key_length(self):
         with pytest.raises(CryptoError):
@@ -74,11 +79,12 @@ class TestCryptoErasure:
             ks.cipher_for("alice", create=False)
         assert token  # ciphertext bytes survive, but are unreadable
 
-    def test_erased_ids_listed(self):
+    def test_erasure_tombstones_the_sid(self):
         ks = KeyStore()
         ks.create_key("alice")
         ks.erase_key("alice")
-        assert list(ks.erased_ids()) == ["alice"]
+        assert ks.is_erased("alice") and not ks.is_erased("bob")
+        assert ks._erased == {ks.sid("alice")}
 
 
 class TestCipherFor:
@@ -115,3 +121,35 @@ class TestCipherCache:
         ks.erase_key("alice")
         with pytest.raises(KeyErasedError):
             ks.cipher_for("alice")
+
+
+class TestSealOpen:
+    def test_a_sealed_record_starts_with_its_sid(self):
+        ks = KeyStore()
+        blob = ks.seal("alice", b"v", b"k")
+        assert blob[:SID_SIZE] == ks.sid("alice")
+        assert len(blob) == SID_SIZE + AuthenticatedCipher.overhead() + 1
+        assert ks.open(blob, b"k") == b"v"
+
+    def test_the_sid_and_the_aad_are_bound(self):
+        ks = KeyStore()
+        blob = ks.seal("alice", b"v", b"k")
+        with pytest.raises(IntegrityError):
+            ks.open(blob, b"other")
+        ks.create_key("bob")
+        with pytest.raises(IntegrityError):
+            ks.open(ks.sid("bob") + blob[SID_SIZE:], b"k")
+
+    def test_an_unknown_sid_opens_nothing(self):
+        blob = KeyStore().seal("alice", b"v", b"k")
+        with pytest.raises(KeyNotFoundError):
+            KeyStore().open(blob, b"k")
+
+    def test_a_tombstoned_sid_is_refused_without_an_attempt(self):
+        ks = KeyStore()
+        blob = ks.seal("alice", b"v", b"k")
+        ks.erase_key("alice")
+        count = py_calls(lambda: pytest.raises(KeyErasedError, ks.open,
+                                               blob, b"k"),
+                         watched=[AuthenticatedCipher.open])
+        assert count.watched[AuthenticatedCipher.open] == 0

@@ -533,6 +533,24 @@ def test_a_backup_call_after_a_restart_extends_the_live_audit_chain(variant):
 
 
 @pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
+def test_a_restore_brings_back_no_record_of_an_erased_subject(variant):
+    """Regression: a restore of a generation taken before Art. 17 put
+    the erased subject's key back into a Redis-like keyspace, unreadable
+    and unindexed, where a second Art. 17 could not find it.  The
+    rebuild deletes every record whose sid is tombstoned, on every
+    engine."""
+    store = GDPRStore(kv=ENGINE_FACTORIES[variant](SimClock()))
+    store.put("alice:k", b"a", meta("alice"))
+    store.put("bob:k", b"b", meta("bob"))
+    manager = BackupManager(store)
+    manager.take_backup("nightly")
+    right_to_erasure(store, "alice")
+    restored = manager.restore("nightly")
+    assert restored.kv.live_keys() == [b"bob:k"]
+    assert restored.get("bob:k").value == b"b"
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
 def test_a_generation_holds_no_key_material(variant):
     """A generation keeps its parts, their manifest and CRC-32s, and no
     copy of a wrapped key: the live keystore is the one key authority,

@@ -10,8 +10,10 @@ from repro.common.errors import (
     AccessDeniedError,
     LocationViolationError,
     PurposeViolationError,
+    StoreError,
     UnknownSubjectError,
 )
+from repro.crypto.cipher import AuthenticatedCipher
 from repro.device.faults import FaultPlan
 from repro.gdpr import (
     AuditDurability,
@@ -24,7 +26,7 @@ from repro.gdpr import (
     right_to_erasure,
 )
 from repro.kvstore import KeyValueStore, StoreConfig
-from tests.support import ENGINE_FACTORIES
+from tests.support import ENGINE_FACTORIES, py_calls
 
 
 def make_store(clock=None, kv_config=None, **gdpr_kwargs):
@@ -413,6 +415,58 @@ class TestRebuildIndexes:
         store.keystore.erase_key("alice")
         store.index.clear()
         assert store.rebuild_indexes() == 0
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
+def test_a_restart_opens_each_live_record_once(variant):
+    """A record names its key by the sid it starts with, so a restart
+    makes one AEAD attempt per record whose sid holds a key, and none
+    for a record whose sid is tombstoned: that record is deleted.  (The
+    rebuild tried every key on every record: 19,890 opens here.)"""
+    store = GDPRStore(kv=ENGINE_FACTORIES[variant](SimClock()))
+    for number in range(200):
+        store.put(f"user{number}:r", b"v" * 100, meta(owner=f"user{number}"))
+    for number in range(0, 200, 10):
+        store.keystore.erase_key(f"user{number}")
+    count = py_calls(store.reopen, watched=[AuthenticatedCipher.open])
+    assert count.watched[AuthenticatedCipher.open] == 180
+    live = count.result
+    assert len(live.kv.live_keys()) == len(live.index.keys()) == 180
+    assert not live.kv.has_live_key(b"user10:r")
+    assert live.get("user11:r").value == b"v" * 100
+
+
+@pytest.mark.parametrize("variant", sorted(ENGINE_FACTORIES))
+def test_a_store_a_restart_replaced_refuses_every_request(variant):
+    """Regression: a store kept serving after ``reopen()`` returned its
+    successor, so a put through it reached the shared log but not the
+    live store's index, and the next restart served it.  A superseded
+    store refuses every request before any device step."""
+    store = GDPRStore(kv=ENGINE_FACTORIES[variant](SimClock()))
+    store.put("a:r", b"a", meta())
+    live = store.reopen()
+    plan = FaultPlan(store.kv.aof_log, store.audit.log)
+    requests = [
+        lambda: store.put("b:r", b"b", meta()),
+        lambda: store.get("a:r"),
+        lambda: store.delete("a:r"),
+        lambda: store.update("a:r", bytes.upper),
+        lambda: store.update_metadata("a:r", meta()),
+        lambda: store.process_for_purpose("billing"),
+        lambda: right_of_access(store, "alice"),
+        lambda: right_to_erasure(store, "alice"),
+        store.tick,
+        store.flush_compliance,
+    ]
+    for request in requests:
+        with pytest.raises(StoreError, match="reopen"):
+            request()
+    assert plan.steps == []
+    live.put("c:r", b"c", meta())
+    again = live.reopen()
+    assert sorted(again.kv.live_keys()) == [b"a:r", b"c:r"]
+    assert again.keys_of_subject("alice") == ["a:r", "c:r"]
+    assert again.audit.verify() == len(again.audit.records())
 
 
 class TestAudit:
